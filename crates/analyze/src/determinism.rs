@@ -36,14 +36,14 @@ use crate::source::{cfg_test_mask, contains_token, SourceFile};
 use crate::Diagnostic;
 
 /// Crates whose `src/` trees are held to the kernel-determinism lints.
-pub const KERNEL_CRATE_PREFIXES: &[&str] = &[
+const KERNEL_CRATE_PREFIXES: &[&str] = &[
     "crates/sparse/src/",
     "crates/compress/src/",
     "crates/solvers/src/",
 ];
 
 /// Files allowed to spawn threads directly.
-pub const THREAD_SPAWN_ALLOWLIST: &[&str] =
+const THREAD_SPAWN_ALLOWLIST: &[&str] =
     &["shims/rayon/src/pool.rs", "crates/ckpt/src/disk.rs"];
 
 /// A recorded waiver, for the inventory.
@@ -161,8 +161,14 @@ const KERNEL_RULES: &[DenyRule] = &[
     },
 ];
 
-/// Runs every determinism lint over one file.
-pub fn lint_file(file: &SourceFile, diags: &mut Vec<Diagnostic>, waivers: &mut Vec<Waiver>) {
+/// Runs every determinism lint over one file.  Returns the file's per-line
+/// waiver map (the lint names waived for each line; empty for test paths),
+/// which the workspace-wide lints consult too.
+pub fn lint_file(
+    file: &SourceFile,
+    diags: &mut Vec<Diagnostic>,
+    waivers: &mut Vec<Waiver>,
+) -> Vec<Vec<String>> {
     // Tests, benches and examples may spawn, time and hash freely — the
     // contract governs production kernel code.
     let path_is_test = file.rel.contains("/tests/")
@@ -171,7 +177,7 @@ pub fn lint_file(file: &SourceFile, diags: &mut Vec<Diagnostic>, waivers: &mut V
         || file.rel.contains("/examples/")
         || file.rel.starts_with("examples/");
     if path_is_test {
-        return;
+        return Vec::new();
     }
     let waived = waiver_map(file, diags, waivers);
     let test_mask = cfg_test_mask(&file.lines);
@@ -218,4 +224,5 @@ pub fn lint_file(file: &SourceFile, diags: &mut Vec<Diagnostic>, waivers: &mut V
             }
         }
     }
+    waived
 }

@@ -11,15 +11,17 @@
 //! statically checkable half of that contract (the `racecheck` feature of
 //! the rayon shim and `lcr-sparse` enforces the dynamic half):
 //!
-//! * **unsafe audit** ([`unsafe_audit`]) — every `unsafe` site carries an
+//! * **unsafe audit** (`unsafe_audit`) — every `unsafe` site carries an
 //!   adjacent `// SAFETY:` justification, raw-memory APIs stay inside the
 //!   allowlisted crates, unsafe-free crates pin `#![forbid(unsafe_code)]`,
 //!   and unsafe-using crates compile under
 //!   `#![deny(unsafe_op_in_unsafe_fn)]`.
-//! * **determinism lints** ([`determinism`]) — no raw thread spawning
+//! * **determinism lints** (`determinism`) — no raw thread spawning
 //!   outside the pool and the `DiskStore` write-behind, no hash-ordered
 //!   collections, wall-clock reads or atomic-RMW accumulation in the
 //!   kernel crates.
+//! * **dead public items** (`dead_items`) — no `pub` item in the library
+//!   crates that no other file of the workspace names.
 //! * **inventory** ([`render_unsafe_md`]) — a generated `UNSAFE.md` listing
 //!   every remaining unsafe site with its justification, plus every lint
 //!   waiver, so the whole unsafe surface is reviewable in one page.
@@ -31,9 +33,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod determinism;
+mod dead_items;
+mod determinism;
 pub mod source;
-pub mod unsafe_audit;
+mod unsafe_audit;
 pub mod workspace;
 
 pub use determinism::Waiver;
@@ -72,7 +75,7 @@ pub struct Report {
     pub diagnostics: Vec<Diagnostic>,
     /// Every `unsafe` site in the tree (documented or not).
     pub unsafe_sites: Vec<UnsafeSite>,
-    /// Every determinism-lint waiver in force.
+    /// Every lint waiver in force.
     pub waivers: Vec<Waiver>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
@@ -88,10 +91,12 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Report> {
     let mut diagnostics = Vec::new();
     let mut unsafe_sites = Vec::new();
     let mut waivers = Vec::new();
+    let mut waived = Vec::with_capacity(files.len());
     for file in &files {
         unsafe_audit::audit_file(file, &mut diagnostics, &mut unsafe_sites);
-        determinism::lint_file(file, &mut diagnostics, &mut waivers);
+        waived.push(determinism::lint_file(file, &mut diagnostics, &mut waivers));
     }
+    dead_items::lint_workspace(&files, &waived, &mut diagnostics);
     unsafe_audit::audit_dangerous_tokens(&files, &mut diagnostics);
     for krate in &crates {
         unsafe_audit::audit_crate(krate, &files, &mut diagnostics);
@@ -106,7 +111,7 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Report> {
 }
 
 /// Renders the `UNSAFE.md` inventory: every unsafe site with its
-/// justification, then every determinism waiver.  Deterministic output so
+/// justification, then every lint waiver.  Deterministic output so
 /// the committed file can be diffed against a fresh render.
 pub fn render_unsafe_md(report: &Report) -> String {
     let mut out = String::new();
@@ -114,7 +119,7 @@ pub fn render_unsafe_md(report: &Report) -> String {
     out.push_str(
         "Generated by `cargo run -p lcr-analyze -- --write-unsafe-md` — do not edit by\n\
          hand.  Every `unsafe` site in the workspace, with the SAFETY justification the\n\
-         `lcr-analyze` audit requires, followed by every determinism-lint waiver in\n\
+         `lcr-analyze` audit requires, followed by every lint waiver in\n\
          force.\n\n",
     );
     out.push_str(&format!(
@@ -141,7 +146,7 @@ pub fn render_unsafe_md(report: &Report) -> String {
             justification
         ));
     }
-    out.push_str("\n## Determinism-lint waivers\n\n");
+    out.push_str("\n## Lint waivers\n\n");
     if report.waivers.is_empty() {
         out.push_str("None.\n");
     } else {

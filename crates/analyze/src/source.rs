@@ -21,6 +21,7 @@
 
 /// One physical source line, split into its code and comment channels.
 #[derive(Debug, Default, Clone)]
+// lcr-analyze: allow(dead-public-item): element type of the public `SourceFile::lines`; the lints read it by inference
 pub struct Line {
     /// Source text with comments removed and literal contents blanked.
     pub code: String,
@@ -257,7 +258,7 @@ pub fn split_lines(text: &str) -> Vec<Line> {
     lines
 }
 
-fn is_ident_char(c: char) -> bool {
+pub(crate) fn is_ident_char(c: char) -> bool {
     c.is_ascii_alphanumeric() || c == '_'
 }
 

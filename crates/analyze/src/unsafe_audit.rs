@@ -22,7 +22,7 @@ use crate::Diagnostic;
 
 /// Tokens whose presence marks a file as touching the raw-memory API
 /// surface, confined to [`DANGEROUS_ALLOWLIST`] crates.
-pub const DANGEROUS_TOKENS: &[&str] = &[
+const DANGEROUS_TOKENS: &[&str] = &[
     "get_unchecked",
     "get_unchecked_mut",
     "transmute",
@@ -39,7 +39,7 @@ pub const DANGEROUS_TOKENS: &[&str] = &[
 
 /// Workspace-relative path prefixes allowed to use [`DANGEROUS_TOKENS`]:
 /// the two crates that own the deterministic-parallelism unsafe surface.
-pub const DANGEROUS_ALLOWLIST: &[&str] = &["crates/sparse/", "shims/rayon/"];
+const DANGEROUS_ALLOWLIST: &[&str] = &["crates/sparse/", "shims/rayon/"];
 
 /// One audited `unsafe` occurrence, for the `UNSAFE.md` inventory.
 #[derive(Debug, Clone)]

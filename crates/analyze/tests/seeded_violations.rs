@@ -96,6 +96,10 @@ fn documented_unsafe_with_attrs_is_clean() {
                  // SAFETY: caller guarantees v is non-empty.\n    \
                  unsafe { *v.get_unchecked(0) }\n}\n",
             ),
+            (
+                "crates/sparse/tests/uses.rs",
+                "#[test]\nfn t() { assert_eq!(fake_sparse::peek(&[1.0]), 1.0); }\n",
+            ),
         ],
     );
     let report = analyze_workspace(fx.root()).unwrap();
@@ -259,7 +263,7 @@ fn violations_inside_strings_and_test_code_are_ignored() {
             (
                 "crates/sparse/src/lib.rs",
                 "#![forbid(unsafe_code)]\n\
-                 pub const DOC: &str = \"std::thread::spawn and HashMap here\";\n\
+                 const DOC: &str = \"std::thread::spawn and HashMap here\";\n\
                  #[cfg(test)]\n\
                  mod tests {\n    \
                  #[test]\n    \
@@ -276,4 +280,63 @@ fn violations_inside_strings_and_test_code_are_ignored() {
         "string contents and #[cfg(test)] code must not be linted, got {:?}",
         report.diagnostics
     );
+}
+
+#[test]
+fn dead_public_items_are_flagged_unless_used_elsewhere_or_waived() {
+    let manifest = package_manifest("fake-sparse");
+    let fx = Fixture::new(
+        "dead",
+        &[
+            ("Cargo.toml", WORKSPACE_MANIFEST),
+            ("crates/sparse/Cargo.toml", &manifest),
+            (
+                "crates/sparse/src/lib.rs",
+                "#![forbid(unsafe_code)]\n\
+                 pub mod inner;\n\
+                 pub use inner::{only_reexported, Live};\n\
+                 pub fn orphan() {}\n\
+                 pub(crate) fn crate_private() {}\n\
+                 // lcr-analyze: allow(dead-public-item): fixture waiver with a real reason\n\
+                 pub fn waived() {}\n\
+                 #[cfg(test)]\n\
+                 mod tests {\n    \
+                 #[test]\n    \
+                 fn own_tests_do_not_count() { super::orphan(); }\n\
+                 }\n",
+            ),
+            (
+                "crates/sparse/src/inner.rs",
+                "pub struct Live;\n\
+                 pub fn only_reexported() {}\n",
+            ),
+            (
+                "crates/sparse/src/bin/tool/main.rs",
+                "pub fn bin_local() {}\nfn main() { bin_local(); }\n",
+            ),
+            (
+                "tests/uses.rs",
+                "use fake_sparse::inner;\nfn t() { let _ = fake_sparse::Live; }\n",
+            ),
+        ],
+    );
+    let report = analyze_workspace(fx.root()).unwrap();
+    let dead: Vec<(&str, usize)> = report
+        .diagnostics
+        .iter()
+        .filter(|d| d.lint == "dead-public-item")
+        .map(|d| (d.rel.as_str(), d.line))
+        .collect();
+    assert_eq!(
+        dead,
+        vec![
+            // `pub fn only_reexported`: a `pub use` forwards it, nothing uses it.
+            ("crates/sparse/src/inner.rs", 2),
+            // `pub fn orphan`: named only by this file's own tests.
+            ("crates/sparse/src/lib.rs", 4),
+        ],
+        "got {:?}",
+        report.diagnostics
+    );
+    assert_eq!(report.waivers.len(), 1, "the waiver must be recorded");
 }

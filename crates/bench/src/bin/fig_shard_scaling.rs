@@ -13,18 +13,9 @@
 //! of the same grid (fixed reduction-block size).  CI runs `--quick` and
 //! fails if shard-count invariance breaks.
 //!
-//! Prints the usual aligned table + `JSON:` line and writes
-//! `BENCH_shards.json` into the current directory (the repo root) on full
-//! runs, so later PRs can track the sharded-backend trajectory.
-//!
-//! `--compare <baseline.json>` runs the perf-regression gate: rows reduce
-//! to unknown-updates/s (`iters/s × unknowns`, best grid per
-//! `(solver, shards)`, so quick grids gate against full-run baselines)
-//! and a >15 % drop on a same-host-class baseline exits 1.  Overwriting a
-//! committed baseline measured on a different host class requires
-//! `--force-baseline`.
+//! Prints the usual aligned table + `JSON:` line.
 
-use lcr_bench::{fmt, perfgate, print_json, print_table};
+use lcr_bench::{fmt, print_json, print_table};
 use lcr_core::sharded::{run_sharded, ShardedReport, ShardedRunConfig};
 use lcr_solvers::ShardedMethod;
 use lcr_sparse::poisson::poisson3d;
@@ -55,18 +46,6 @@ struct ShardRow {
     reduce_rounds_per_iter: f64,
     /// Whether the residual trace is bit-identical to the 1-shard trace.
     trace_bit_identical: bool,
-}
-
-/// The emitted `BENCH_shards.json` document.
-#[derive(Debug, Serialize)]
-struct BenchFile {
-    bench: String,
-    quick: bool,
-    pool_threads: usize,
-    /// Hardware threads of the measuring host (shard concurrency measures
-    /// oversubscription, not scaling, when above this).
-    host_parallelism: usize,
-    rows: Vec<ShardRow>,
 }
 
 /// Best (smallest) time over the repetitions.  Every sample pays the full
@@ -107,24 +86,12 @@ fn run_once(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick")
+    let quick = std::env::args().any(|a| a == "--quick")
         || std::env::var("LCR_QUICK").map(|v| v == "1").unwrap_or(false);
-    let no_json = args.iter().any(|a| a == "--no-json");
-    let force_json = args.iter().any(|a| a == "--json");
-    let force_baseline = args.iter().any(|a| a == "--force-baseline");
-    let compare_path = args
-        .iter()
-        .position(|a| a == "--compare")
-        .map(|i| args.get(i + 1).expect("--compare requires a path").clone());
-    let host_parallelism = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let pool_threads = rayon::pool_threads();
 
     // Long iteration windows: every sample pays the one-time partition +
     // shard-spawn cost up front, so the window must dwarf it or quick runs
-    // would systematically under-report rates vs the full-run baseline.
+    // would systematically under-report rates vs full runs.
     let (grids, repetitions, iterations) = if quick {
         (vec![12usize, 16], 2usize, 150usize)
     } else {
@@ -228,57 +195,4 @@ fn main() {
         rows.iter().all(|r| r.trace_bit_identical),
         "determinism violation: a sharded CG trace changed with the shard count"
     );
-
-    // Perf-regression gate: reduce to unknown-updates/s (size-normalised)
-    // and compare against the committed baseline.
-    if let Some(path) = compare_path {
-        let mut current: Vec<perfgate::Measurement> = Vec::new();
-        for r in &rows {
-            perfgate::merge_best(
-                &mut current,
-                perfgate::Measurement::new(
-                    r.solver.clone(),
-                    r.shards,
-                    r.iters_per_s * r.unknowns as f64,
-                ),
-            );
-        }
-        if perfgate::run_gate(&path, &current, host_parallelism, perfgate::shard_baseline) {
-            std::process::exit(1);
-        }
-    }
-
-    if no_json || (quick && !force_json) {
-        return;
-    }
-    // Same stale-host guard as the other baseline writers: don't silently
-    // replace a baseline from a different host class.
-    if !force_baseline && perfgate::baseline_host_mismatch("BENCH_shards.json", host_parallelism) {
-        eprintln!(
-            "refusing to overwrite BENCH_shards.json: committed baseline was measured \
-             on a different host class (host_parallelism mismatch); pass --force-baseline \
-             to re-baseline on this host"
-        );
-        std::process::exit(1);
-    }
-    let file = BenchFile {
-        bench: "fig_shard_scaling".to_string(),
-        quick,
-        pool_threads,
-        host_parallelism,
-        rows,
-    };
-    match serde_json::to_string(&file) {
-        Ok(json) => {
-            if let Err(err) = std::fs::write("BENCH_shards.json", json) {
-                eprintln!("failed to write BENCH_shards.json: {err}");
-            } else {
-                println!(
-                    "\nwrote BENCH_shards.json ({pool_threads}-thread pool, \
-                     {host_parallelism} hardware thread(s))"
-                );
-            }
-        }
-        Err(err) => eprintln!("failed to serialise BENCH_shards.json: {err}"),
-    }
 }

@@ -1,39 +1,26 @@
-//! Solver-throughput benchmark: fused vs. unfused Krylov inner loops.
+//! Solver-throughput benchmark for the fused Krylov inner loops.
 //!
-//! The PR that introduced `lcr_sparse::kernels` rewired every solver's hot
-//! loop onto fused kernels (`spmv_dot`, `axpy2_norm2`, `waxpy_norm2`,
-//! `dot2`, …) driven by the precomputed per-matrix `SpmvPlan`, roughly
-//! halving the full-vector memory passes per iteration.  This binary
-//! measures what that bought: CG, BiCGStab and GMRES(30) iterations/s on
-//! the paper's 3-D Poisson stencil at two local sizes and 1/2/N pool
-//! threads, with an **unfused column** produced by in-bin replicas of the
-//! seed kernel sequences (separate SpMV, dot, axpy, norm sweeps, and the
-//! seed SpMV's per-call chunk policy).
+//! Every solver's hot loop runs on the fused kernels of
+//! `lcr_sparse::kernels` (`spmv_dot`, `axpy2_norm2`, `waxpy_norm2`, `dot2`,
+//! …) driven by the precomputed per-matrix `SpmvPlan`.  This binary
+//! measures CG, BiCGStab and GMRES(30) iterations/s on the paper's 3-D
+//! Poisson stencil at two local sizes and 1/2/N pool threads.
 //!
 //! Along the way it asserts the fusion determinism contract: the residual
-//! trace of every fused solver is **bit-identical** across thread counts
-//! (the chunk partitions depend only on data shape, partials combine in
-//! chunk order).  CI runs `--quick` and fails if 1-vs-N identity breaks.
+//! trace of every solver is **bit-identical** across thread counts (the
+//! chunk partitions depend only on data shape, partials combine in chunk
+//! order).  CI runs `--quick` and fails if 1-vs-N identity breaks.  (That
+//! the fused loops equal the unfused kernel compositions is pinned by
+//! `tests/fused_kernels.rs`.)
 //!
-//! Prints the usual aligned table + `JSON:` line and writes
-//! `BENCH_solvers.json` into the current directory (the repo root) on full
-//! runs, so later PRs can track the solver-throughput trajectory.
-//!
-//! `--compare <baseline.json>` runs the perf-regression gate: rows reduce
-//! to unknown-updates/s (`iters/s × unknowns`, best grid per
-//! `(solver, threads)`, so quick grids gate against full-run baselines)
-//! and a >15 % drop on a same-host-class baseline exits 1.  Overwriting a
-//! committed baseline measured on a different host class requires
-//! `--force-baseline`.
+//! Prints the usual aligned table + `JSON:` line.
 
-use lcr_bench::{fmt, perfgate, print_json, print_table};
+use lcr_bench::{fmt, print_json, print_table};
 use lcr_solvers::{
     BiCgStab, ConjugateGradient, Gmres, IterativeMethod, LinearSystem, StoppingCriteria,
 };
 use lcr_sparse::poisson::{manufactured_rhs, poisson3d};
-use lcr_sparse::vector::PAR_THRESHOLD;
-use lcr_sparse::{CsrMatrix, Vector};
-use rayon::prelude::*;
+use lcr_sparse::Vector;
 use serde::Serialize;
 use std::time::Instant;
 
@@ -48,302 +35,16 @@ struct ThroughputRow {
     unknowns: usize,
     /// Threads the pool was capped to.
     threads: usize,
-    /// Fused (shipped solver) iterations per second.
-    fused_iters_per_s: f64,
-    /// Unfused (seed kernel sequence) iterations per second.
-    unfused_iters_per_s: f64,
-    /// fused / unfused.
-    fused_speedup: f64,
-    /// Whether the fused residual trace is bit-identical to the 1-thread
-    /// trace of the same solver and size.
+    /// Iterations per second.
+    iters_per_s: f64,
+    /// Whether the residual trace is bit-identical to the 1-thread trace
+    /// of the same solver and size.
     trace_bit_identical: bool,
-}
-
-/// The emitted `BENCH_solvers.json` document.
-#[derive(Debug, Serialize)]
-struct BenchFile {
-    bench: String,
-    quick: bool,
-    pool_threads: usize,
-    /// Hardware threads of the measuring host (speedup columns measure
-    /// oversubscription, not scaling, when below `pool_threads`).
-    host_parallelism: usize,
-    rows: Vec<ThroughputRow>,
 }
 
 fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(f64::total_cmp);
     samples[samples.len() / 2]
-}
-
-/// The seed `CsrMatrix::spmv`: per-call chunk policy, separate row-kernel
-/// sweeps with bounds-checked gathers — the baseline the fused plan-driven
-/// traversal replaced.
-fn unfused_spmv(a: &CsrMatrix, x: &[f64], y: &mut [f64]) {
-    let (indptr, indices, values) = (a.indptr(), a.indices(), a.values());
-    let row_kernel = |i: usize, yi: &mut f64| {
-        let (start, end) = (indptr[i], indptr[i + 1]);
-        let mut sum = 0.0;
-        for k in start..end {
-            sum += values[k] * x[indices[k]];
-        }
-        *yi = sum;
-    };
-    if a.nnz() >= PAR_THRESHOLD {
-        let avg_row_nnz = (a.nnz() / a.nrows().max(1)).max(1);
-        let min_rows = (rayon::DEFAULT_MIN_CHUNK / avg_row_nnz).max(1);
-        y.par_iter_mut()
-            .with_min_len(min_rows)
-            .enumerate()
-            .for_each(|(i, yi)| row_kernel(i, yi));
-    } else {
-        y.iter_mut()
-            .enumerate()
-            .for_each(|(i, yi)| row_kernel(i, yi));
-    }
-}
-
-/// Seed-composition unpreconditioned CG: one struct per solver family so
-/// the unfused column measures exactly the kernel sequence the fused
-/// solvers replaced (identity preconditioner applications included).
-struct UnfusedCg {
-    system: LinearSystem,
-    x: Vector,
-    r: Vector,
-    p: Vector,
-    q: Vector,
-    z: Vector,
-    rho: f64,
-    trace: Vec<f64>,
-}
-
-impl UnfusedCg {
-    fn new(system: LinearSystem, x0: Vector) -> Self {
-        let r = system.a.residual(&x0, &system.b);
-        let z = r.clone();
-        let rho = r.dot(&z);
-        let n = system.dim();
-        UnfusedCg {
-            system,
-            x: x0,
-            p: z,
-            r,
-            q: Vector::zeros(n),
-            z: Vector::zeros(n),
-            rho,
-            trace: Vec::new(),
-        }
-    }
-
-    fn step(&mut self) {
-        unfused_spmv(&self.system.a, self.p.as_slice(), self.q.as_mut_slice());
-        let pq = self.p.dot(&self.q);
-        let alpha = self.rho / pq;
-        self.x.axpy(alpha, &self.p);
-        self.r.axpy(-alpha, &self.q);
-        self.z.copy_from(&self.r); // identity M⁻¹ r
-        let rho_next = self.r.dot(&self.z);
-        let beta = rho_next / self.rho;
-        self.rho = rho_next;
-        self.p.xpby(&self.z, beta);
-        self.trace.push(self.r.norm2());
-    }
-}
-
-/// Seed-composition unpreconditioned BiCGStab.
-struct UnfusedBiCgStab {
-    system: LinearSystem,
-    x: Vector,
-    r: Vector,
-    r_hat: Vector,
-    p: Vector,
-    v: Vector,
-    p_hat: Vector,
-    s: Vector,
-    s_hat: Vector,
-    t: Vector,
-    rho: f64,
-    alpha: f64,
-    omega: f64,
-    trace: Vec<f64>,
-}
-
-impl UnfusedBiCgStab {
-    fn new(system: LinearSystem, x0: Vector) -> Self {
-        let r = system.a.residual(&x0, &system.b);
-        let n = system.dim();
-        UnfusedBiCgStab {
-            system,
-            x: x0,
-            r_hat: r.clone(),
-            r,
-            p: Vector::zeros(n),
-            v: Vector::zeros(n),
-            p_hat: Vector::zeros(n),
-            s: Vector::zeros(n),
-            s_hat: Vector::zeros(n),
-            t: Vector::zeros(n),
-            rho: 1.0,
-            alpha: 1.0,
-            omega: 1.0,
-            trace: Vec::new(),
-        }
-    }
-
-    fn step(&mut self) {
-        let rho_next = self.r_hat.dot(&self.r);
-        let beta = (rho_next / self.rho) * (self.alpha / self.omega);
-        self.rho = rho_next;
-        self.p.axpy(-self.omega, &self.v);
-        self.p.scale(beta);
-        self.p.axpy(1.0, &self.r);
-        self.p_hat.copy_from(&self.p); // identity M⁻¹ p
-        unfused_spmv(&self.system.a, self.p_hat.as_slice(), self.v.as_mut_slice());
-        let denom = self.r_hat.dot(&self.v);
-        self.alpha = self.rho / denom;
-        self.s.copy_from(&self.r);
-        self.s.axpy(-self.alpha, &self.v);
-        let _ = self.s.norm2(); // the seed's early-exit check sweep
-        self.s_hat.copy_from(&self.s); // identity M⁻¹ s
-        unfused_spmv(&self.system.a, self.s_hat.as_slice(), self.t.as_mut_slice());
-        let tt = self.t.dot(&self.t);
-        self.omega = if tt > 0.0 { self.t.dot(&self.s) / tt } else { 0.0 };
-        self.x.axpy(self.alpha, &self.p_hat);
-        self.x.axpy(self.omega, &self.s_hat);
-        self.r.copy_from(&self.s);
-        self.r.axpy(-self.omega, &self.t);
-        self.trace.push(self.r.norm2());
-    }
-}
-
-/// Seed-composition unpreconditioned GMRES(m): Arnoldi with modified
-/// Gram–Schmidt, Givens rotations, separate norm/clone/scale sweeps.
-struct UnfusedGmres {
-    system: LinearSystem,
-    restart: usize,
-    x: Vector,
-    basis: Vec<Vector>,
-    hessenberg: Vec<Vec<f64>>,
-    givens: Vec<(f64, f64)>,
-    g: Vec<f64>,
-    av: Vector,
-    w: Vector,
-    inner: usize,
-    trace: Vec<f64>,
-}
-
-impl UnfusedGmres {
-    fn new(system: LinearSystem, x0: Vector, restart: usize) -> Self {
-        let n = system.dim();
-        let mut solver = UnfusedGmres {
-            system,
-            restart,
-            x: x0,
-            basis: Vec::new(),
-            hessenberg: Vec::new(),
-            givens: Vec::new(),
-            g: Vec::new(),
-            av: Vector::zeros(n),
-            w: Vector::zeros(n),
-            inner: 0,
-            trace: Vec::new(),
-        };
-        solver.begin_cycle();
-        solver
-    }
-
-    fn begin_cycle(&mut self) {
-        // Seed residual: SpMV followed by a separate subtraction sweep
-        // (gated on nrows, as the seed `residual_into` was).
-        unfused_spmv(&self.system.a, self.x.as_slice(), self.av.as_mut_slice());
-        let b = self.system.b.as_slice();
-        if b.len() >= PAR_THRESHOLD {
-            self.av
-                .as_mut_slice()
-                .par_iter_mut()
-                .zip(b.par_iter())
-                .for_each(|(ri, bi)| *ri = bi - *ri);
-        } else {
-            self.av
-                .iter_mut()
-                .zip(b.iter())
-                .for_each(|(ri, bi)| *ri = bi - *ri);
-        }
-        self.w.copy_from(&self.av); // identity M⁻¹ r
-        let beta = self.w.norm2();
-        self.basis.clear();
-        self.hessenberg.clear();
-        self.givens.clear();
-        self.g.clear();
-        self.inner = 0;
-        if beta > 0.0 {
-            let mut v0 = self.w.clone();
-            v0.scale(1.0 / beta);
-            self.basis.push(v0);
-            self.g.push(beta);
-        }
-    }
-
-    fn update_solution(&mut self) {
-        let k = self.inner;
-        let mut y = vec![0.0f64; k];
-        for i in (0..k).rev() {
-            let mut sum = self.g[i];
-            for (j, yj) in y.iter().enumerate().take(k).skip(i + 1) {
-                sum -= self.hessenberg[j][i] * yj;
-            }
-            y[i] = sum / self.hessenberg[i][i];
-        }
-        for (j, &yj) in y.iter().enumerate() {
-            self.x.axpy(yj, &self.basis[j]);
-        }
-    }
-
-    fn step(&mut self) {
-        let j = self.inner;
-        unfused_spmv(&self.system.a, self.basis[j].as_slice(), self.av.as_mut_slice());
-        self.w.copy_from(&self.av); // identity M⁻¹ A v_j
-        let mut h_col = Vec::with_capacity(j + 2);
-        for vi in self.basis.iter().take(j + 1) {
-            let hij = self.w.dot(vi);
-            self.w.axpy(-hij, vi);
-            h_col.push(hij);
-        }
-        let h_next = self.w.norm2();
-        h_col.push(h_next);
-        for (i, &(c, s)) in self.givens.iter().enumerate() {
-            let temp = c * h_col[i] + s * h_col[i + 1];
-            h_col[i + 1] = -s * h_col[i] + c * h_col[i + 1];
-            h_col[i] = temp;
-        }
-        let (c, s) = {
-            let a = h_col[j];
-            let b = h_col[j + 1];
-            let denom = (a * a + b * b).sqrt();
-            if denom == 0.0 {
-                (1.0, 0.0)
-            } else {
-                (a / denom, b / denom)
-            }
-        };
-        h_col[j] = c * h_col[j] + s * h_col[j + 1];
-        h_col[j + 1] = 0.0;
-        self.givens.push((c, s));
-        let gj = self.g[j];
-        self.g.push(-s * gj);
-        self.g[j] = c * gj;
-        self.hessenberg.push(h_col);
-        self.inner += 1;
-        self.trace.push(self.g[self.inner].abs());
-        if self.inner == self.restart || h_next == 0.0 {
-            self.update_solution();
-            self.begin_cycle();
-        } else {
-            let mut v_next = self.w.clone();
-            v_next.scale(1.0 / h_next);
-            self.basis.push(v_next);
-        }
-    }
 }
 
 /// Order-sensitive bit fingerprint of a residual trace.
@@ -372,17 +73,30 @@ fn open_criteria() -> StoppingCriteria {
     StoppingCriteria::new(0.0, usize::MAX)
 }
 
+/// Median iterations/s over `reps` fresh solvers stepped `steps` times,
+/// plus the residual-trace fingerprint of the last one.
+fn throughput<S: IterativeMethod>(make: impl Fn() -> S, steps: usize, reps: usize) -> (f64, u64) {
+    let mut fp = 0u64;
+    let rate = median(
+        (0..reps)
+            .map(|_| {
+                let mut solver = make();
+                let t = Instant::now();
+                for _ in 0..steps {
+                    solver.step();
+                }
+                let secs = t.elapsed().as_secs_f64();
+                fp = trace_fingerprint(solver.history().residuals());
+                steps as f64 / secs
+            })
+            .collect(),
+    );
+    (rate, fp)
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick")
+    let quick = std::env::args().any(|a| a == "--quick")
         || std::env::var("LCR_QUICK").map(|v| v == "1").unwrap_or(false);
-    let no_json = args.iter().any(|a| a == "--no-json");
-    let force_json = args.iter().any(|a| a == "--json");
-    let force_baseline = args.iter().any(|a| a == "--force-baseline");
-    let compare_path = args
-        .iter()
-        .position(|a| a == "--compare")
-        .map(|i| args.get(i + 1).expect("--compare requires a path").clone());
     let host_parallelism = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -418,122 +132,38 @@ fn main() {
         for &threads in &thread_counts {
             rayon::set_max_active_threads(threads);
 
-            // (solver, fused iters/s, unfused iters/s, fused trace fp)
-            let mut measured: Vec<(&str, f64, f64, u64)> = Vec::new();
+            let cg = throughput(
+                || {
+                    ConjugateGradient::unpreconditioned(
+                        spd.clone(),
+                        Vector::zeros(n),
+                        open_criteria(),
+                    )
+                },
+                steps,
+                reps,
+            );
+            let bicgstab = throughput(
+                || BiCgStab::unpreconditioned(plain.clone(), Vector::zeros(n), open_criteria()),
+                steps,
+                reps,
+            );
+            let gmres = throughput(
+                || Gmres::unpreconditioned(plain.clone(), Vector::zeros(n), 30, open_criteria()),
+                steps,
+                reps,
+            );
 
-            // --- CG ----------------------------------------------------
-            let mut fp = 0u64;
-            let fused = median(
-                (0..reps)
-                    .map(|_| {
-                        let mut cg = ConjugateGradient::unpreconditioned(
-                            spd.clone(),
-                            Vector::zeros(n),
-                            open_criteria(),
-                        );
-                        let t = Instant::now();
-                        for _ in 0..steps {
-                            cg.step();
-                        }
-                        let secs = t.elapsed().as_secs_f64();
-                        fp = trace_fingerprint(cg.history().residuals());
-                        steps as f64 / secs
-                    })
-                    .collect(),
-            );
-            let unfused = median(
-                (0..reps)
-                    .map(|_| {
-                        let mut cg = UnfusedCg::new(spd.clone(), Vector::zeros(n));
-                        let t = Instant::now();
-                        for _ in 0..steps {
-                            cg.step();
-                        }
-                        steps as f64 / t.elapsed().as_secs_f64()
-                    })
-                    .collect(),
-            );
-            measured.push(("cg", fused, unfused, fp));
-
-            // --- BiCGStab ----------------------------------------------
-            let mut fp = 0u64;
-            let fused = median(
-                (0..reps)
-                    .map(|_| {
-                        let mut solver = BiCgStab::unpreconditioned(
-                            plain.clone(),
-                            Vector::zeros(n),
-                            open_criteria(),
-                        );
-                        let t = Instant::now();
-                        for _ in 0..steps {
-                            solver.step();
-                        }
-                        let secs = t.elapsed().as_secs_f64();
-                        fp = trace_fingerprint(solver.history().residuals());
-                        steps as f64 / secs
-                    })
-                    .collect(),
-            );
-            let unfused = median(
-                (0..reps)
-                    .map(|_| {
-                        let mut solver = UnfusedBiCgStab::new(plain.clone(), Vector::zeros(n));
-                        let t = Instant::now();
-                        for _ in 0..steps {
-                            solver.step();
-                        }
-                        steps as f64 / t.elapsed().as_secs_f64()
-                    })
-                    .collect(),
-            );
-            measured.push(("bicgstab", fused, unfused, fp));
-
-            // --- GMRES(30) ---------------------------------------------
-            let mut fp = 0u64;
-            let fused = median(
-                (0..reps)
-                    .map(|_| {
-                        let mut solver = Gmres::unpreconditioned(
-                            plain.clone(),
-                            Vector::zeros(n),
-                            30,
-                            open_criteria(),
-                        );
-                        let t = Instant::now();
-                        for _ in 0..steps {
-                            solver.step();
-                        }
-                        let secs = t.elapsed().as_secs_f64();
-                        fp = trace_fingerprint(solver.history().residuals());
-                        steps as f64 / secs
-                    })
-                    .collect(),
-            );
-            let unfused = median(
-                (0..reps)
-                    .map(|_| {
-                        let mut solver = UnfusedGmres::new(plain.clone(), Vector::zeros(n), 30);
-                        let t = Instant::now();
-                        for _ in 0..steps {
-                            solver.step();
-                        }
-                        steps as f64 / t.elapsed().as_secs_f64()
-                    })
-                    .collect(),
-            );
-            measured.push(("gmres", fused, unfused, fp));
-
-            for (solver, fused, unfused, fp) in measured {
+            for (solver, (iters_per_s, fp)) in
+                [("cg", cg), ("bicgstab", bicgstab), ("gmres", gmres)]
+            {
                 let base = *reference_fp.entry(solver).or_insert(fp);
                 rows.push(ThroughputRow {
                     solver: solver.to_string(),
                     grid,
                     unknowns: n,
                     threads,
-                    fused_iters_per_s: fused,
-                    unfused_iters_per_s: unfused,
-                    fused_speedup: fused / unfused,
+                    iters_per_s,
                     trace_bit_identical: fp == base,
                 });
             }
@@ -549,23 +179,19 @@ fn main() {
                 r.grid.to_string(),
                 r.unknowns.to_string(),
                 r.threads.to_string(),
-                fmt(r.fused_iters_per_s, 1),
-                fmt(r.unfused_iters_per_s, 1),
-                fmt(r.fused_speedup, 2),
+                fmt(r.iters_per_s, 1),
                 if r.trace_bit_identical { "yes" } else { "NO" }.to_string(),
             ]
         })
         .collect();
     print_table(
-        "Solver throughput: fused kernels vs seed composition",
+        "Solver throughput (fused kernels)",
         &[
             "solver",
             "grid",
             "unknowns",
             "threads",
-            "fused it/s",
-            "unfused it/s",
-            "speedup",
+            "it/s",
             "trace bit-identical",
         ],
         &table,
@@ -573,69 +199,9 @@ fn main() {
     print_json("fig_solver_throughput", &rows);
 
     // The determinism contract is load-bearing (CI runs this with --quick):
-    // the fused residual traces must not depend on the thread count.
+    // the residual traces must not depend on the thread count.
     assert!(
         rows.iter().all(|r| r.trace_bit_identical),
-        "determinism violation: a fused solver trace changed with the thread count"
+        "determinism violation: a solver trace changed with the thread count"
     );
-
-    // Perf-regression gate: reduce to unknown-updates/s (size-normalised)
-    // and compare against the committed baseline.
-    if let Some(path) = compare_path {
-        let mut current: Vec<perfgate::Measurement> = Vec::new();
-        for r in &rows {
-            perfgate::merge_best(
-                &mut current,
-                perfgate::Measurement::new(
-                    r.solver.clone(),
-                    r.threads,
-                    r.fused_iters_per_s * r.unknowns as f64,
-                ),
-            );
-        }
-        if perfgate::run_gate(
-            &path,
-            &current,
-            host_parallelism,
-            perfgate::solver_baseline,
-        ) {
-            std::process::exit(1);
-        }
-    }
-
-    if no_json || (quick && !force_json) {
-        return;
-    }
-    // Same stale-host guard as scaling_kernels: don't silently replace a
-    // baseline from a different host class.
-    if !force_baseline
-        && perfgate::baseline_host_mismatch("BENCH_solvers.json", host_parallelism)
-    {
-        eprintln!(
-            "refusing to overwrite BENCH_solvers.json: committed baseline was measured \
-             on a different host class (host_parallelism mismatch); pass --force-baseline \
-             to re-baseline on this host"
-        );
-        std::process::exit(1);
-    }
-    let file = BenchFile {
-        bench: "fig_solver_throughput".to_string(),
-        quick,
-        pool_threads,
-        host_parallelism,
-        rows,
-    };
-    match serde_json::to_string(&file) {
-        Ok(json) => {
-            if let Err(err) = std::fs::write("BENCH_solvers.json", json) {
-                eprintln!("failed to write BENCH_solvers.json: {err}");
-            } else {
-                println!(
-                    "\nwrote BENCH_solvers.json ({pool_threads}-thread pool, \
-                     {host_parallelism} hardware thread(s))"
-                );
-            }
-        }
-        Err(err) => eprintln!("failed to serialise BENCH_solvers.json: {err}"),
-    }
 }

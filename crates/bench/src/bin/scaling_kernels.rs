@@ -18,23 +18,13 @@
 //! like-for-like).  The decompression rows are what the fig456
 //! recovery-time experiments rest on.
 //!
-//! Prints the usual aligned table + `JSON:` line and additionally writes
-//! `BENCH_kernels.json` into the current directory (the repo root in CI) so
-//! later PRs can track the throughput trajectory.
+//! Prints the usual aligned table + `JSON:` line.
 //!
 //! `--quick` / `LCR_QUICK=1` shrinks sizes and repetitions.  The pool is
 //! sized by `LCR_NUM_THREADS` when set; otherwise it is forced to at least
 //! 4 threads so the scaling series exists even on small CI hosts.
-//!
-//! `--compare <baseline.json>` runs the perf-regression gate against a
-//! committed baseline (exit 1 on a >15 % Melem/s drop for any
-//! `(kernel, threads)` pair measured on the same host class; skipped with
-//! a warning across host classes).  Overwriting a committed baseline that
-//! was measured on a different host class requires `--force-baseline` —
-//! otherwise the write is refused so a CI runner can't silently replace
-//! the recorded trajectory with incomparable numbers.
 
-use lcr_bench::{fmt, perfgate, print_json, print_table};
+use lcr_bench::{fmt, print_json, print_table};
 use lcr_ckpt::disk::crc32;
 use lcr_ckpt::{CheckpointBuffer, CheckpointLevel, DiskStore};
 use lcr_compress::{delta, huffman, ErrorBound, LossyCompressor, SzCompressor, ZfpCompressor};
@@ -62,20 +52,6 @@ struct ScalingRow {
     speedup_vs_1t: f64,
     /// Whether the result was bit-identical to the 1-thread result.
     bit_identical: bool,
-}
-
-/// The emitted `BENCH_kernels.json` document.
-#[derive(Debug, Serialize)]
-struct BenchFile {
-    bench: String,
-    quick: bool,
-    pool_threads: usize,
-    /// Hardware threads of the measuring host.  When this is below
-    /// `pool_threads` the pool is oversubscribed and the speedup column
-    /// reflects scheduling noise, not scaling — consumers tracking the
-    /// perf trajectory must compare like-for-like hosts.
-    host_parallelism: usize,
-    rows: Vec<ScalingRow>,
 }
 
 fn median(mut samples: Vec<f64>) -> f64 {
@@ -112,16 +88,8 @@ fn smooth_signal(n: usize) -> Vec<f64> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick")
+    let quick = std::env::args().any(|a| a == "--quick")
         || std::env::var("LCR_QUICK").map(|v| v == "1").unwrap_or(false);
-    // `--no-json` measures without overwriting the committed baseline file.
-    let no_json = args.iter().any(|a| a == "--no-json");
-    let force_baseline = args.iter().any(|a| a == "--force-baseline");
-    let compare_path = args
-        .iter()
-        .position(|a| a == "--compare")
-        .map(|i| args.get(i + 1).expect("--compare requires a path").clone());
     let host_parallelism = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -450,63 +418,4 @@ fn main() {
         every_result_identical,
         "determinism violation: some kernel result changed with the thread count"
     );
-
-    // Perf-regression gate: compare this run's Melem/s against a committed
-    // baseline (Melem/s is size-independent for these streaming kernels, so
-    // quick runs gate against full baselines).
-    if let Some(path) = compare_path {
-        let current: Vec<perfgate::Measurement> = rows
-            .iter()
-            .map(|r| perfgate::Measurement::new(r.kernel.clone(), r.threads, r.melem_per_s))
-            .collect();
-        if perfgate::run_gate(
-            &path,
-            &current,
-            host_parallelism,
-            perfgate::kernel_baseline,
-        ) {
-            std::process::exit(1);
-        }
-    }
-
-    // Only a full-size run may replace the committed baseline: quick-mode
-    // numbers are not comparable (smaller inputs, fewer reps), so `--quick`
-    // skips the write unless `--json` explicitly asks for it.
-    let force_json = args.iter().any(|a| a == "--json");
-    if no_json || (quick && !force_json) {
-        return;
-    }
-    // Refuse to replace a baseline measured on a different host class: the
-    // numbers would not be comparable and the perf trajectory would silently
-    // reset.  `--force-baseline` overrides (intentional re-baselining).
-    if !force_baseline
-        && perfgate::baseline_host_mismatch("BENCH_kernels.json", host_parallelism)
-    {
-        eprintln!(
-            "refusing to overwrite BENCH_kernels.json: committed baseline was measured \
-             on a different host class (host_parallelism mismatch); pass --force-baseline \
-             to re-baseline on this host"
-        );
-        std::process::exit(1);
-    }
-    let file = BenchFile {
-        bench: "scaling_kernels".to_string(),
-        quick,
-        pool_threads,
-        host_parallelism,
-        rows,
-    };
-    match serde_json::to_string(&file) {
-        Ok(json) => {
-            if let Err(err) = std::fs::write("BENCH_kernels.json", json) {
-                eprintln!("failed to write BENCH_kernels.json: {err}");
-            } else {
-                println!(
-                    "\nwrote BENCH_kernels.json ({pool_threads}-thread pool, \
-                     {host_parallelism} hardware thread(s))"
-                );
-            }
-        }
-        Err(err) => eprintln!("failed to serialise BENCH_kernels.json: {err}"),
-    }
 }

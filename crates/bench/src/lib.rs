@@ -16,17 +16,11 @@
 //! repetitions so the full suite completes in a couple of minutes; without
 //! it the defaults match the configuration recorded in `EXPERIMENTS.md`.
 //!
-//! The baseline-writing binaries (`scaling_kernels`,
-//! `fig_solver_throughput`) additionally accept `--compare <baseline.json>`
-//! (run the [`perfgate`] regression gate against a committed baseline and
-//! exit non-zero on a >15 % throughput drop) and `--force-baseline`
-//! (overwrite a committed baseline even when it was measured on a
-//! different host class).
+//! The repo's performance yardstick is the stand-alone `lcr_benchmark`
+//! package under `src/bin/lcr_benchmark/` (see `BENCHMARK.json`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod perfgate;
 
 use serde::Serialize;
 

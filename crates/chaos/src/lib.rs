@@ -149,6 +149,7 @@ impl ChaosPlan {
 
 /// What kind of fault an injector fired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+// lcr-analyze: allow(dead-public-item): type of the public `FaultRecord::kind` field; the drill prints it
 pub enum FaultKind {
     /// Transient `EIO`; a retry may succeed.
     TransientIo,
@@ -172,6 +173,7 @@ pub enum FaultKind {
 
 /// One injected fault, in schedule order — the replayable evidence trail.
 #[derive(Debug, Clone, PartialEq)]
+// lcr-analyze: allow(dead-public-item): element type of `fault_log()`; callers take it by inference
 pub struct FaultRecord {
     /// Operation index (per injector) at which the fault fired.
     pub op: u64,
@@ -198,6 +200,7 @@ struct FaultyState {
 /// salt and the *operation sequence*.  Use synchronous stores (no
 /// write-behind) when bit-identical replay matters — a background I/O
 /// thread interleaves its operations nondeterministically.
+// lcr-analyze: allow(dead-public-item): return type of `ChaosPlan::backend`; callers take it by inference
 pub struct FaultyBackend {
     inner: OsBackend,
     plan: ChaosPlan,
@@ -431,6 +434,7 @@ impl StorageBackend for FaultyBackend {
 
 /// A [`CommInterposer`] injecting seeded message delay, drops and a
 /// one-shot stall into a shard's halo sends.
+// lcr-analyze: allow(dead-public-item): return type of `ChaosPlan::interposer`; callers take it by inference
 pub struct ChaosInterposer {
     plan: ChaosPlan,
     rng: ChaCha8Rng,

@@ -154,18 +154,9 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries (every error is immediately final).
-    pub fn none() -> Self {
-        RetryPolicy {
-            max_retries: 0,
-            base_delay_seconds: 0.0,
-            multiplier: 1.0,
-        }
-    }
-
     /// The backoff delay (seconds) before retry number `attempt`
     /// (1-based).
-    pub fn delay_seconds(&self, attempt: u32) -> f64 {
+    fn delay_seconds(&self, attempt: u32) -> f64 {
         self.base_delay_seconds * self.multiplier.powi(attempt.saturating_sub(1) as i32)
     }
 

@@ -21,15 +21,6 @@ impl SimClock {
         SimClock { now: 0.0 }
     }
 
-    /// Creates a clock starting at `start` seconds.
-    ///
-    /// # Panics
-    /// Panics if `start` is negative or not finite.
-    pub fn starting_at(start: f64) -> Self {
-        assert!(start.is_finite() && start >= 0.0, "invalid start time");
-        SimClock { now: start }
-    }
-
     /// Current simulated time in seconds.
     pub fn now(&self) -> f64 {
         self.now
@@ -47,30 +38,6 @@ impl SimClock {
         );
         self.now += seconds;
     }
-
-    /// Advances the clock to an absolute time, which must not be in the
-    /// past.
-    ///
-    /// # Panics
-    /// Panics if `time < now`.
-    pub fn advance_to(&mut self, time: f64) {
-        assert!(
-            time >= self.now,
-            "cannot move clock backwards from {} to {}",
-            self.now,
-            time
-        );
-        self.now = time;
-    }
-
-    /// Elapsed seconds since `earlier`.
-    ///
-    /// # Panics
-    /// Panics if `earlier` is in the future.
-    pub fn elapsed_since(&self, earlier: f64) -> f64 {
-        assert!(earlier <= self.now, "reference time is in the future");
-        self.now - earlier
-    }
 }
 
 #[cfg(test)]
@@ -84,16 +51,6 @@ mod tests {
         c.advance(1.5);
         c.advance(2.5);
         assert_eq!(c.now(), 4.0);
-        assert_eq!(c.elapsed_since(1.5), 2.5);
-    }
-
-    #[test]
-    fn advance_to_absolute() {
-        let mut c = SimClock::starting_at(10.0);
-        c.advance_to(12.0);
-        assert_eq!(c.now(), 12.0);
-        c.advance_to(12.0);
-        assert_eq!(c.now(), 12.0);
     }
 
     #[test]
@@ -101,18 +58,5 @@ mod tests {
     fn negative_advance_panics() {
         let mut c = SimClock::new();
         c.advance(-1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "backwards")]
-    fn backwards_advance_to_panics() {
-        let mut c = SimClock::starting_at(5.0);
-        c.advance_to(1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid start time")]
-    fn invalid_start_panics() {
-        let _ = SimClock::starting_at(f64::NAN);
     }
 }

@@ -53,17 +53,6 @@ impl ClusterConfig {
     pub fn decompression_seconds(&self, bytes: usize) -> f64 {
         bytes as f64 / (self.decompression_throughput_per_rank * self.ranks.max(1) as f64)
     }
-
-    /// Seconds of computation for `iterations` solver iterations.
-    pub fn compute_seconds(&self, iterations: usize) -> f64 {
-        self.iteration_seconds * iterations as f64
-    }
-
-    /// Per-rank share of `total_bytes`, rounded up (the per-process
-    /// checkpoint sizes of Table 3).
-    pub fn per_rank_bytes(&self, total_bytes: usize) -> usize {
-        total_bytes.div_ceil(self.ranks.max(1))
-    }
 }
 
 #[cfg(test)]
@@ -78,22 +67,6 @@ mod tests {
         let decomp = c.decompression_seconds(78_800_000_000);
         assert!(comp > 0.3 && comp < 0.8, "compression {comp}");
         assert!(decomp > 0.1 && decomp < 0.4, "decompression {decomp}");
-    }
-
-    #[test]
-    fn compute_time_scales_with_iterations() {
-        let c = ClusterConfig::bebop_like(1024, 0.5);
-        assert_eq!(c.compute_seconds(10), 5.0);
-        assert_eq!(c.compute_seconds(0), 0.0);
-    }
-
-    #[test]
-    fn per_rank_bytes_rounds_up() {
-        let c = ClusterConfig::bebop_like(256, 1.0);
-        assert_eq!(c.per_rank_bytes(256_000), 1000);
-        assert_eq!(c.per_rank_bytes(256_001), 1001);
-        let single = ClusterConfig::bebop_like(1, 1.0);
-        assert_eq!(single.per_rank_bytes(5), 5);
     }
 
     #[test]

@@ -19,17 +19,16 @@
 //!
 //! Metadata block: checkpoint id `u64` · iteration `u64` · completed-at
 //! `f64` bits · storage level `u8` · original bytes `u64` · **encoding tag
-//! `u8`** (0 = anchor, 1/2 = temporal delta of that order; *version ≥ 2
-//! only*) · **base checkpoint id `u64`** (*only when the tag is 1 or 2*) ·
+//! `u8`** (0 = anchor, 1/2 = temporal delta of that order) · **base
+//! checkpoint id `u64`** (*only when the tag is 1 or 2*) ·
 //! strategy tag (`u16` length + UTF-8) · scalar count `u32` + per scalar
 //! (`u16` name length + name + `f64` bits) · segment count `u32` + per
 //! segment (`u16` name length + name + payload length `u64` + payload
 //! CRC32 `u32`).
 //!
-//! Version-1 files (no encoding tag, every checkpoint self-contained)
-//! still parse; they are treated as anchors.
+//! Files of any other format version are rejected as unsupported.
 //!
-//! # Delta chains (version 2)
+//! # Delta chains
 //!
 //! A delta-encoded checkpoint stores temporally delta-coded payload
 //! streams that decode only against its base checkpoint's streams
@@ -80,9 +79,9 @@ use std::thread;
 
 /// Magic bytes opening every checkpoint file.
 pub const MAGIC: [u8; 8] = *b"LCRCKPT0";
-/// Current on-disk format version (2 added the anchor-vs-delta encoding
-/// fields; version-1 files still parse as all-anchor stores).
-pub const FORMAT_VERSION: u32 = 2;
+/// The on-disk format version written and read (2 carries the
+/// anchor-vs-delta encoding fields).
+const FORMAT_VERSION: u32 = 2;
 
 const fn make_crc_table() -> [u32; 256] {
     let mut table = [0u32; 256];
@@ -138,6 +137,7 @@ fn io_err(context: &str, err: std::io::Error) -> CkptError {
 /// process needs to resume — metadata, the strategy tag recorded by the
 /// writer, the checkpointed scalars, and the encoded payloads.
 #[derive(Debug, Clone, PartialEq)]
+// lcr-analyze: allow(dead-public-item): return type of `latest_valid`/`read_checkpoint_file`; callers take it by inference
 pub struct DiskCheckpoint {
     /// Descriptive metadata (unscaled: real stored byte counts).
     pub metadata: CheckpointMetadata,
@@ -279,7 +279,7 @@ fn parse_header(bytes: &[u8], path: &Path) -> Result<ParsedHeader> {
         return Err(corrupt("bad magic"));
     }
     let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    if version == 0 || version > FORMAT_VERSION {
+    if version != FORMAT_VERSION {
         return Err(corrupt(&format!("unsupported format version {version}")));
     }
     let meta_len = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes")) as usize;
@@ -300,19 +300,13 @@ fn parse_header(bytes: &[u8], path: &Path) -> Result<ParsedHeader> {
     let level = level_from_u8(r.u8()?)?;
     let original_bytes = usize::try_from(r.u64()?)
         .map_err(|_| corrupt("original size does not fit in usize"))?;
-    let encoding = if version >= 2 {
-        match r.u8()? {
-            0 => CheckpointEncoding::Anchor,
-            order @ (1 | 2) => CheckpointEncoding::Delta {
-                base_id: r.u64()?,
-                order,
-            },
-            other => return Err(corrupt(&format!("unknown encoding tag {other}"))),
-        }
-    } else {
-        // Version-1 files predate delta chains: every checkpoint is
-        // self-contained.
-        CheckpointEncoding::Anchor
+    let encoding = match r.u8()? {
+        0 => CheckpointEncoding::Anchor,
+        order @ (1 | 2) => CheckpointEncoding::Delta {
+            base_id: r.u64()?,
+            order,
+        },
+        other => return Err(corrupt(&format!("unknown encoding tag {other}"))),
     };
     let tag = r.string()?;
     let n_scalars = r.u32()? as usize;
@@ -367,10 +361,7 @@ pub fn read_checkpoint_file(path: &Path) -> Result<DiskCheckpoint> {
 
 /// [`read_checkpoint_file`] routed through an explicit [`StorageBackend`]
 /// (the seam fault injectors and alternative storage tiers plug into).
-///
-/// # Errors
-/// Same contract as [`read_checkpoint_file`].
-pub fn read_checkpoint_with(backend: &dyn StorageBackend, path: &Path) -> Result<DiskCheckpoint> {
+fn read_checkpoint_with(backend: &dyn StorageBackend, path: &Path) -> Result<DiskCheckpoint> {
     let bytes = backend
         .read(path)
         .map_err(|e| io_err("reading checkpoint", e))?;
@@ -750,11 +741,6 @@ impl DiskStore {
         self.retry = policy;
     }
 
-    /// The active transient-error retry policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
     /// Total transient-I/O retries performed so far (reads and writes,
     /// sync and write-behind).
     pub fn io_retries(&self) -> u64 {
@@ -775,6 +761,7 @@ impl DiskStore {
     /// Cold newest-valid-chain scans performed (cache misses).  The
     /// memoized result is served in between, so repeated recoveries
     /// without new pushes cost one scan.
+    // lcr-analyze: allow(dead-public-item): read by this file's tests to pin the chain-cache behaviour
     pub fn chain_scans(&self) -> u64 {
         self.chain_scans
     }
@@ -1770,13 +1757,14 @@ mod tests {
     }
 
     #[test]
-    fn version_1_files_parse_as_anchors() {
-        let dir = tempdir("v1compat");
+    fn version_1_files_are_rejected_as_unsupported() {
+        let dir = tempdir("v1retired");
         let mut store = DiskStore::open(&dir, 2).unwrap();
-        let meta = push_sample(&mut store, 10);
+        push_sample(&mut store, 10);
         drop(store);
 
-        // Rewrite the file as format version 1: drop the encoding tag byte
+        // Rewrite the file as a well-formed, CRC-valid file of the retired
+        // format version 1: drop the encoding tag byte
         // (offset 49 = 16-byte fixed header + id/iteration/completed-at
         // u64s + level u8 + original-bytes u64), patch the version and
         // metadata length, and recompute the metadata CRC.
@@ -1791,13 +1779,14 @@ mod tests {
         bytes[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
         fs::write(&path, &bytes).unwrap();
 
-        let ckpt = read_checkpoint_file(&path).unwrap();
-        assert_eq!(ckpt.metadata.encoding, CheckpointEncoding::Anchor);
-        assert_eq!(ckpt.metadata.iteration, meta.iteration);
-        assert_eq!(ckpt.payloads[0].1, vec![1u8, 2, 3, 4, 5]);
-
+        match read_checkpoint_file(&path) {
+            Err(CkptError::Corrupt(msg)) => {
+                assert!(msg.contains("unsupported format version 1"), "{msg}");
+            }
+            other => panic!("a version-1 file must be rejected, got {other:?}"),
+        }
         let mut reopened = DiskStore::open(&dir, 2).unwrap();
-        assert_eq!(reopened.latest_valid().unwrap().metadata.iteration, 10);
+        assert_eq!(reopened.latest_valid().unwrap_err(), CkptError::NoCheckpoint);
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -9,7 +9,6 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Exponentially distributed fail-stop failure process.
 #[derive(Debug, Clone)]
@@ -20,13 +19,6 @@ pub struct FailureInjector {
     next_failure: f64,
     /// Number of failures generated so far.
     count: usize,
-}
-
-/// A summary of the failures drawn during a run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct FailureLog {
-    /// Absolute times at which failures struck.
-    pub times: Vec<f64>,
 }
 
 impl FailureInjector {
@@ -77,12 +69,14 @@ impl FailureInjector {
     }
 
     /// Absolute time of the next scheduled failure.
-    pub fn next_failure_time(&self) -> f64 {
+    #[cfg(test)]
+    fn next_failure_time(&self) -> f64 {
         self.next_failure
     }
 
     /// Number of failures that have struck so far.
-    pub fn failures_so_far(&self) -> usize {
+    #[cfg(test)]
+    fn failures_so_far(&self) -> usize {
         self.count
     }
 
@@ -102,9 +96,9 @@ impl FailureInjector {
         }
     }
 
-    /// Draws the first `n` failure times without consuming the injector
-    /// (useful for tests and for plotting the injected failure schedule).
-    pub fn preview(&self, n: usize) -> Vec<f64> {
+    /// Draws the first `n` failure times without consuming the injector.
+    #[cfg(test)]
+    fn preview(&self, n: usize) -> Vec<f64> {
         let mut copy = self.clone();
         let mut times = Vec::with_capacity(n);
         let mut t = copy.next_failure;

@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 
 /// A variable registered for checkpointing.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ProtectedVariable {
+struct ProtectedVariable {
     /// Identifier (e.g. `"x"`, `"p"`, `"iteration"`).
     pub id: String,
     /// Original (uncompressed) size in bytes; used for compression-ratio
@@ -35,6 +35,7 @@ pub struct ProtectedVariable {
 /// checkpoint's whole dependency chain and the simulated seconds the read
 /// took.
 #[derive(Debug, Clone, PartialEq)]
+// lcr-analyze: allow(dead-public-item): return type of `FtiContext::recover`; callers take it by inference
 pub struct RecoveredData {
     /// Encoded payloads of every checkpoint in the recovered dependency
     /// chain, anchor first — the last link is the recovered checkpoint
@@ -140,11 +141,6 @@ impl FtiContext {
         }
     }
 
-    /// The registered variables.
-    pub fn protected(&self) -> &[ProtectedVariable] {
-        &self.protected
-    }
-
     /// The cluster configuration.
     pub fn cluster(&self) -> &ClusterConfig {
         &self.cluster
@@ -171,11 +167,6 @@ impl FtiContext {
         self.disk.as_ref()
     }
 
-    /// Mutable access to the attached disk tier, if any.
-    pub fn disk_store_mut(&mut self) -> Option<&mut DiskStore> {
-        self.disk.as_mut()
-    }
-
     /// Detaches and returns the durable tier, leaving the context running
     /// on the in-memory store alone — the *tier degradation* path: when
     /// disk writes fail persistently, the supervisor drops to the memory
@@ -183,12 +174,6 @@ impl FtiContext {
     /// returned store still holds its retry/backoff accounting.
     pub fn detach_disk_store(&mut self) -> Option<DiskStore> {
         self.disk.take()
-    }
-
-    /// Whether any checkpoint is available for recovery — in memory or, if
-    /// a disk tier is attached, on disk (header-validated).
-    pub fn has_checkpoint(&self) -> bool {
-        !self.store.is_empty() || self.disk.as_ref().is_some_and(|d| !d.is_empty())
     }
 
     /// Takes a snapshot (the paper's `Snapshot()` in save mode): writes the
@@ -216,34 +201,6 @@ impl FtiContext {
             payloads,
         );
         (self.scale_metadata(metadata), write_seconds)
-    }
-
-    /// [`FtiContext::snapshot`] over a reusable [`CheckpointBuffer`]: the
-    /// zero-copy save path — encoded payloads go from the buffer arena into
-    /// the store with a single copy and no intermediate `Vec`s.
-    ///
-    /// Convenience wrapper that bills the write and commits in one step
-    /// (no mid-write failure window).  The runner uses
-    /// [`FtiContext::planned_write_seconds`] +
-    /// [`FtiContext::commit_snapshot_from_buffer`] instead, so a failure
-    /// striking *during* the write discards the checkpoint — FTI
-    /// atomicity — rather than committing it first.
-    ///
-    /// # Panics
-    /// Panics if an attached disk tier fails to persist the snapshot (the
-    /// runner path surfaces this as a failed checkpoint instead).
-    pub fn snapshot_from_buffer(
-        &mut self,
-        clock: &mut SimClock,
-        iteration: usize,
-        buffer: &mut CheckpointBuffer,
-    ) -> (CheckpointMetadata, f64) {
-        let write_seconds = self.planned_write_seconds(buffer.total_bytes());
-        clock.advance(write_seconds);
-        let metadata = self
-            .commit_snapshot_from_buffer(clock.now(), iteration, "", &[], None, buffer, write_seconds)
-            .expect("durable tier rejected the snapshot");
-        (metadata, write_seconds)
     }
 
     /// Simulated seconds a snapshot of `stored_bytes` would take at the
@@ -445,6 +402,22 @@ impl FtiContext {
 mod tests {
     use super::*;
 
+    /// Bills the write and commits in one step (no mid-write failure
+    /// window), like `FtiContext::snapshot` but from a buffer.
+    fn snapshot_from_buffer(
+        fti: &mut FtiContext,
+        clock: &mut SimClock,
+        iteration: usize,
+        buffer: &mut CheckpointBuffer,
+    ) -> (CheckpointMetadata, f64) {
+        let write_seconds = fti.planned_write_seconds(buffer.total_bytes());
+        clock.advance(write_seconds);
+        let metadata = fti
+            .commit_snapshot_from_buffer(clock.now(), iteration, "", &[], None, buffer, write_seconds)
+            .expect("durable tier rejected the snapshot");
+        (metadata, write_seconds)
+    }
+
     fn context(ranks: usize) -> FtiContext {
         FtiContext::new(
             ClusterConfig::bebop_like(ranks, 1.0),
@@ -459,8 +432,8 @@ mod tests {
         fti.protect("x", 800);
         fti.protect("p", 800);
         fti.protect("x", 1600);
-        assert_eq!(fti.protected().len(), 2);
-        assert_eq!(fti.protected()[0].original_bytes, 1600);
+        assert_eq!(fti.protected.len(), 2);
+        assert_eq!(fti.protected[0].original_bytes, 1600);
     }
 
     #[test]
@@ -532,7 +505,7 @@ mod tests {
         let mut buf = CheckpointBuffer::new();
         buf.push_with("x", |bytes| bytes.extend_from_slice(&[9u8; 1000]));
         buf.push_with("y", |bytes| bytes.extend_from_slice(&[7u8; 50]));
-        let (meta_a, secs_a) = fti_a.snapshot_from_buffer(&mut clock_a, 5, &mut buf);
+        let (meta_a, secs_a) = snapshot_from_buffer(&mut fti_a, &mut clock_a, 5, &mut buf);
         let (meta_b, secs_b) = fti_b.snapshot(
             &mut clock_b,
             5,
@@ -552,7 +525,7 @@ mod tests {
         // The buffer is reusable after the snapshot.
         buf.clear();
         buf.push_with("x", |bytes| bytes.extend_from_slice(&[1u8; 10]));
-        let (meta2, _) = fti_a.snapshot_from_buffer(&mut clock_a, 6, &mut buf);
+        let (meta2, _) = snapshot_from_buffer(&mut fti_a, &mut clock_a, 6, &mut buf);
         assert_eq!(meta2.iteration, 6);
         assert_eq!(fti_a.store().len(), 2);
     }
@@ -565,7 +538,7 @@ mod tests {
         let mut clock = SimClock::new();
         let mut buf = crate::store::CheckpointBuffer::new();
         buf.push_with("x", |bytes| bytes.extend_from_slice(&vec![0u8; 1_000_000]));
-        let (_, secs) = fti.snapshot_from_buffer(&mut clock, 0, &mut buf);
+        let (_, secs) = snapshot_from_buffer(&mut fti, &mut clock, 0, &mut buf);
         assert_eq!(planned, secs);
         assert_eq!(clock.now(), planned);
     }
@@ -580,7 +553,7 @@ mod tests {
 
         let mut fti = context(64);
         fti.attach_disk_store(DiskStore::open(&dir, 2).unwrap());
-        assert!(!fti.has_checkpoint());
+        assert!(fti.disk_store().unwrap().is_empty());
         let mut clock = SimClock::new();
         let mut buf = CheckpointBuffer::new();
         buf.push_with("x", |bytes| bytes.extend_from_slice(&[5u8; 128]));
@@ -596,7 +569,6 @@ mod tests {
             write_seconds,
         )
         .unwrap();
-        assert!(fti.has_checkpoint());
         assert_eq!(fti.disk_store().unwrap().len(), 1);
 
         let rec = fti.recover(&mut clock, 0).unwrap();
@@ -608,7 +580,6 @@ mod tests {
         // A fresh context over the same directory sees the durable copy.
         let mut fresh = context(64);
         fresh.attach_disk_store(DiskStore::open(&dir, 2).unwrap());
-        assert!(fresh.has_checkpoint());
         let mut clock2 = SimClock::new();
         let rec2 = fresh.recover(&mut clock2, 0).unwrap();
         assert_eq!(rec2.chain, rec.chain);

@@ -40,9 +40,8 @@ pub mod backend;
 pub mod clock;
 pub mod cluster;
 pub mod disk;
-pub mod failure;
+mod failure;
 pub mod fti;
-pub mod multilevel;
 pub mod pfs;
 pub mod store;
 
@@ -51,8 +50,7 @@ pub use clock::SimClock;
 pub use cluster::ClusterConfig;
 pub use disk::{DiskCheckpoint, DiskStore};
 pub use failure::FailureInjector;
-pub use fti::{FtiContext, ProtectedVariable, RecoveredData};
-pub use multilevel::{LevelConfig, MultiLevelPlan};
+pub use fti::{FtiContext, RecoveredData};
 pub use pfs::{CheckpointLevel, PfsModel};
 pub use store::{
     CheckpointBuffer, CheckpointEncoding, CheckpointMetadata, CheckpointStore, StoredCheckpoint,

@@ -79,17 +79,6 @@ impl PfsModel {
         }
     }
 
-    /// A model scaled to `factor` times the Bebop-like aggregate bandwidth
-    /// (used by the what-if sweeps).
-    pub fn scaled(factor: f64) -> Self {
-        let base = Self::bebop_like();
-        PfsModel {
-            aggregate_write_bandwidth: base.aggregate_write_bandwidth * factor,
-            aggregate_read_bandwidth: base.aggregate_read_bandwidth * factor,
-            ..base
-        }
-    }
-
     /// Effective bandwidth for `ranks` ranks doing a collective write of
     /// `total_bytes`: limited by both the aggregate ceiling and what the
     /// participating ranks can drive.
@@ -171,17 +160,6 @@ mod tests {
         let rs = pfs.write_seconds(bytes, 2048, CheckpointLevel::ReedSolomon);
         let pfs_t = pfs.write_seconds(bytes, 2048, CheckpointLevel::Pfs);
         assert!(local < partner && partner < rs && rs < pfs_t);
-    }
-
-    #[test]
-    fn scaled_model() {
-        let fast = PfsModel::scaled(10.0);
-        let base = PfsModel::bebop_like();
-        let bytes = 78_800_000_000;
-        assert!(
-            fast.write_seconds(bytes, 2048, CheckpointLevel::Pfs)
-                < base.write_seconds(bytes, 2048, CheckpointLevel::Pfs) / 5.0
-        );
     }
 
     #[test]

@@ -90,6 +90,7 @@ impl CheckpointMetadata {
 
 /// One stored checkpoint: metadata plus the encoded payload per variable.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+// lcr-analyze: allow(dead-public-item): return type of `CheckpointStore::latest`; callers take it by inference
 pub struct StoredCheckpoint {
     /// Descriptive metadata.
     pub metadata: CheckpointMetadata,

@@ -49,7 +49,8 @@ impl BitWriter {
     }
 
     /// Total number of bits written so far.
-    pub fn bit_len(&self) -> usize {
+    #[cfg(test)]
+    fn bit_len(&self) -> usize {
         self.bytes.len() * 8 + self.acc_bits as usize
     }
 
@@ -129,7 +130,7 @@ impl<'a> BitReader<'a> {
     }
 
     /// Number of bits consumed so far.
-    pub fn bits_read(&self) -> usize {
+    fn bits_read(&self) -> usize {
         self.byte_pos * 8 - self.acc_bits as usize
     }
 
@@ -248,13 +249,8 @@ pub mod bytes {
         buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Appends a `u32` in little-endian order.
-    pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Appends a `u64` as a LEB128 varint (1 byte for values < 128; the
-    /// common case for counts and lengths in the v4/v3 stream formats).
+    /// common case for counts and lengths in the stream formats).
     pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
         while v >= 0x80 {
             buf.push((v as u8 & 0x7F) | 0x80);
@@ -313,23 +309,6 @@ pub mod bytes {
     /// Returns [`CompressError::Corrupt`] if the buffer is too short.
     pub fn get_f64(buf: &[u8], pos: &mut usize) -> Result<f64> {
         Ok(f64::from_bits(get_u64(buf, pos)?))
-    }
-
-    /// Reads a `u32` at `*pos`, advancing it.
-    ///
-    /// # Errors
-    /// Returns [`CompressError::Corrupt`] if the buffer is too short.
-    pub fn get_u32(buf: &[u8], pos: &mut usize) -> Result<u32> {
-        let end = pos
-            .checked_add(4)
-            .ok_or_else(|| CompressError::Corrupt("offset overflow".into()))?;
-        if end > buf.len() {
-            return Err(CompressError::Corrupt("truncated u32".into()));
-        }
-        let mut arr = [0u8; 4];
-        arr.copy_from_slice(&buf[*pos..end]);
-        *pos = end;
-        Ok(u32::from_le_bytes(arr))
     }
 
     /// Reads `len` raw bytes at `*pos`, advancing it.
@@ -499,16 +478,13 @@ mod tests {
         let mut buf = Vec::new();
         bytes::put_u64(&mut buf, 123456789);
         bytes::put_f64(&mut buf, -1.5e-7);
-        bytes::put_u32(&mut buf, 42);
         buf.extend_from_slice(b"abc");
 
         let mut pos = 0;
         assert_eq!(bytes::get_u64(&buf, &mut pos).unwrap(), 123456789);
         assert_eq!(bytes::get_f64(&buf, &mut pos).unwrap(), -1.5e-7);
-        assert_eq!(bytes::get_u32(&buf, &mut pos).unwrap(), 42);
         assert_eq!(bytes::get_slice(&buf, &mut pos, 3).unwrap(), b"abc");
         assert!(bytes::get_u64(&buf, &mut pos).is_err());
-        assert!(bytes::get_u32(&buf, &mut pos).is_err());
         assert!(bytes::get_slice(&buf, &mut pos, 1).is_err());
         // A length field large enough to wrap the offset must error, not
         // panic or wrap around.

@@ -64,13 +64,13 @@ impl DeltaMode {
 /// `0, 1, 2, 3, 4, …`, so small-magnitude deltas get small symbols.
 /// Exact for `|d| < 2^31`, far beyond the code-delta range.
 #[inline]
-pub fn zigzag(d: i64) -> u32 {
+fn zigzag(d: i64) -> u32 {
     ((d << 1) ^ (d >> 63)) as u32
 }
 
 /// Inverse of [`zigzag`].
 #[inline]
-pub fn unzigzag(z: u32) -> i64 {
+fn unzigzag(z: u32) -> i64 {
     (i64::from(z >> 1)) ^ -i64::from(z & 1)
 }
 

@@ -19,19 +19,14 @@
 //! * **Frequencies** are counted into a dense `Vec` histogram whenever the
 //!   symbol span is small, which it always is for SZ quantization codes.
 //!
-//! Two serialised formats exist: the legacy v1 blob (`u64` count, explicit
-//! `(u32 symbol, u8 length)` table) that SZ stream version 3 used, still
-//! fully decodable via [`decode_block_legacy`], and the v2 blob (varint
-//! count, length-grouped delta-coded table) written by [`encode_block`].
+//! One serialised format exists: the v2 blob (varint count, length-grouped
+//! delta-coded table) written by [`encode_block`].
 
 use crate::bitstream::{bytes, BitReader, BitWriter};
 use crate::{CompressError, Result};
-// lcr-analyze: allow(hash-collection): accumulation-only use; every iteration site sorts by symbol first
-use std::collections::HashMap;
 
-/// Maximum code length accepted when deserialising a table.  Legacy v1
-/// tables were written with lengths up to 48, so the decoder keeps
-/// supporting the full range.
+/// Maximum code length accepted when deserialising a table (the builder
+/// itself stops at [`BUILD_MAX_LEN`]).
 const MAX_CODE_LEN: u8 = 48;
 
 /// Maximum code length the builder emits.  Codes are length-limited to
@@ -58,7 +53,7 @@ enum EncodeIndex {
 
 /// A canonical Huffman code book built from symbol frequencies.
 #[derive(Debug, Clone)]
-pub struct HuffmanCode {
+struct HuffmanCode {
     /// `(symbol, code length)` sorted canonically by (length, symbol).
     lengths: Vec<(u32, u8)>,
     /// `code << 8 | len` per entry, parallel to `lengths` — one load per
@@ -77,23 +72,6 @@ pub struct HuffmanCode {
 }
 
 impl HuffmanCode {
-    /// Builds a code book from the frequency of each symbol.  Symbols with
-    /// zero frequency receive no code.
-    ///
-    /// # Panics
-    /// Panics if `frequencies` is empty or all zero (the callers always
-    /// encode at least one symbol).
-    // lcr-analyze: allow(hash-collection): pairs are sorted by symbol before use, so hash order never reaches the code book
-    pub fn from_frequencies(frequencies: &HashMap<u32, u64>) -> Self {
-        let mut present: Vec<(u32, u64)> = frequencies
-            .iter()
-            .filter(|(_, &c)| c > 0)
-            .map(|(&s, &c)| (s, c))
-            .collect();
-        present.sort_unstable();
-        Self::from_sorted_frequencies(&present)
-    }
-
     /// Builds a code book from `(symbol, count)` pairs sorted by symbol
     /// with every count positive.
     ///
@@ -303,17 +281,12 @@ impl HuffmanCode {
         Ok(Self::assemble(lengths))
     }
 
-    /// Number of distinct symbols in the code book.
-    pub fn n_symbols(&self) -> usize {
-        self.lengths.len()
-    }
-
     /// Encodes `symbols` into `writer`.
     ///
     /// # Errors
     /// Returns [`CompressError::Corrupt`] if a symbol is absent from the
     /// code book (never happens when the book is built from the same data).
-    pub fn encode(&self, symbols: &[u32], writer: &mut BitWriter) -> Result<()> {
+    fn encode(&self, symbols: &[u32], writer: &mut BitWriter) -> Result<()> {
         match &self.encode_index {
             EncodeIndex::Dense { min_sym, slots } => {
                 // The hot path: one slot load + one packed-code load per
@@ -406,24 +379,13 @@ impl HuffmanCode {
         CompressError::Corrupt(format!("symbol {s} missing from Huffman code book"))
     }
 
-    /// Decodes `count` symbols from `reader`.
-    ///
-    /// # Errors
-    /// Returns [`CompressError::Corrupt`] if the stream ends early or
-    /// contains an invalid code.
-    pub fn decode(&self, reader: &mut BitReader<'_>, count: usize) -> Result<Vec<u32>> {
-        let mut out = Vec::new();
-        self.decode_into(reader, count, &mut out)?;
-        Ok(out)
-    }
-
     /// Decodes `count` symbols from `reader`, appending to `out` (which is
     /// cleared first) so callers can reuse one scratch buffer per thread.
     ///
     /// # Errors
     /// Returns [`CompressError::Corrupt`] if the stream ends early or
     /// contains an invalid code.
-    pub fn decode_into(
+    fn decode_into(
         &self,
         reader: &mut BitReader<'_>,
         count: usize,
@@ -502,46 +464,11 @@ impl HuffmanCode {
         Ok(())
     }
 
-    /// Serialises the code book in the legacy v1 format (`u32` count, then
-    /// explicit `(u32 symbol, u8 length)` pairs), as SZ stream version 3
-    /// blobs embed it.
-    pub fn write_table(&self, buf: &mut Vec<u8>) {
-        bytes::put_u32(buf, self.lengths.len() as u32);
-        for &(sym, len) in &self.lengths {
-            bytes::put_u32(buf, sym);
-            buf.push(len);
-        }
-    }
-
-    /// Reads a legacy v1 code book previously serialised by
-    /// [`HuffmanCode::write_table`].
-    ///
-    /// # Errors
-    /// Returns [`CompressError::Corrupt`] if the table is truncated or
-    /// internally inconsistent.
-    pub fn read_table(buf: &[u8], pos: &mut usize) -> Result<Self> {
-        let n = bytes::get_u32(buf, pos)? as usize;
-        // Each entry takes 5 bytes, bounding `n` by the remaining stream —
-        // checked before the reserve so corrupt counts cannot OOM.
-        if n > buf.len().saturating_sub(*pos) / 5 {
-            return Err(CompressError::Corrupt(
-                "Huffman table count exceeds stream length".into(),
-            ));
-        }
-        let mut lengths = Vec::with_capacity(n);
-        for _ in 0..n {
-            let sym = bytes::get_u32(buf, pos)?;
-            let len = bytes::get_slice(buf, pos, 1)?[0];
-            lengths.push((sym, len));
-        }
-        Self::from_lengths_checked(lengths)
-    }
-
     /// Serialises the code book in the compact v2 format: max length, one
     /// varint code count per length, then the symbols in canonical order
     /// (absolute varint for the first symbol of each length group,
     /// delta−1 varints after — symbols ascend within a group).
-    pub fn write_table_v2(&self, buf: &mut Vec<u8>) {
+    fn write_table_v2(&self, buf: &mut Vec<u8>) {
         buf.push(self.max_len);
         for l in 1..=self.max_len as usize {
             bytes::put_varint(buf, u64::from(self.counts[l]));
@@ -564,7 +491,7 @@ impl HuffmanCode {
     /// # Errors
     /// Returns [`CompressError::Corrupt`] if the table is truncated or
     /// internally inconsistent.
-    pub fn read_table_v2(buf: &[u8], pos: &mut usize) -> Result<Self> {
+    fn read_table_v2(buf: &[u8], pos: &mut usize) -> Result<Self> {
         let max_len = bytes::get_slice(buf, pos, 1)?[0];
         if max_len == 0 || max_len > MAX_CODE_LEN {
             return Err(CompressError::Corrupt(format!(
@@ -610,7 +537,7 @@ impl HuffmanCode {
 
 /// Counts symbol frequencies and builds a code book: a dense `Vec`
 /// histogram when the symbol span is small (the SZ quantization-code common
-/// case), a `HashMap` otherwise.
+/// case), a `BTreeMap` otherwise.
 fn code_for(symbols: &[u32]) -> HuffmanCode {
     let (mut min, mut max) = (u32::MAX, 0u32);
     for &s in symbols {
@@ -657,24 +584,15 @@ pub fn encode_block_into(symbols: &[u32], out: &mut Vec<u8>) {
 }
 
 /// [`encode_block_into`] for callers that already counted frequencies into
-/// a dense histogram (symbol `i` occurred `hist[i]` times) — the SZ
-/// quantizer fuses the counting into its quantization pass.  Consumes the
-/// histogram: every non-zero entry is zeroed, so a reused scratch
-/// histogram comes back all-zero.  The blob format is identical to
-/// [`encode_block_into`]'s.
-pub fn encode_block_from_hist(symbols: &[u32], hist: &mut [u32], out: &mut Vec<u8>) {
-    let hi = hist.len().saturating_sub(1) as u32;
-    encode_block_from_hist_range(symbols, hist, 0, hi, out);
-}
-
-/// [`encode_block_from_hist`] for callers that also tracked the inclusive
-/// `lo..=hi` range of symbols they emitted: only that span of the
-/// histogram is scanned (and zeroed), turning the per-block cost from
-/// O(histogram len) into O(live span) — the SZ quantizer's 65 538-entry
-/// scratch histogram typically has a live span of a few dozen codes.
-/// `lo > hi` declares the stream empty.  The blob bytes are identical to
-/// [`encode_block_from_hist`]'s: entries outside a truthful range have
-/// zero counts and would be skipped anyway.
+/// a dense histogram (symbol `i` occurred `hist[i]` times) and tracked the
+/// inclusive `lo..=hi` range of symbols they emitted — the SZ quantizer
+/// fuses both into its quantization pass.  Only that span of the histogram
+/// is scanned, turning the per-block cost from O(histogram len) into
+/// O(live span): the quantizer's 65 538-entry scratch histogram typically
+/// has a live span of a few dozen codes.  Consumes the histogram: every
+/// non-zero entry of the span is zeroed, so a reused scratch histogram
+/// comes back all-zero.  `lo > hi` declares the stream empty.  The blob
+/// format is identical to [`encode_block_into`]'s.
 pub fn encode_block_from_hist_range(
     symbols: &[u32],
     hist: &mut [u32],
@@ -746,59 +664,6 @@ pub fn decode_block(buf: &[u8], pos: &mut usize) -> Result<Vec<u32>> {
     Ok(out)
 }
 
-/// Encodes a symbol stream in the legacy v1 blob format (`u64` count,
-/// explicit table, `u64` byte length).  Only used to fabricate SZ v3
-/// streams for backwards-compatibility tests.
-#[doc(hidden)]
-pub fn encode_block_legacy(symbols: &[u32]) -> Vec<u8> {
-    let mut out = Vec::new();
-    bytes::put_u64(&mut out, symbols.len() as u64);
-    if symbols.is_empty() {
-        return out;
-    }
-    let code = code_for(symbols);
-    code.write_table(&mut out);
-    let mut writer = BitWriter::new();
-    code.encode(symbols, &mut writer)
-        .expect("all symbols are in the book");
-    let bits = writer.into_bytes();
-    bytes::put_u64(&mut out, bits.len() as u64);
-    out.extend_from_slice(&bits);
-    out
-}
-
-/// Decodes a legacy v1 blob (as embedded in SZ version-3 streams),
-/// appending the symbols to `out` (cleared first).
-///
-/// # Errors
-/// Returns [`CompressError::Corrupt`] for malformed blobs.
-pub fn decode_block_legacy_into(
-    buf: &[u8],
-    pos: &mut usize,
-    out: &mut Vec<u32>,
-) -> Result<()> {
-    out.clear();
-    let count = bytes::get_u64(buf, pos)? as usize;
-    if count == 0 {
-        return Ok(());
-    }
-    let code = HuffmanCode::read_table(buf, pos)?;
-    let nbytes = bytes::get_u64(buf, pos)? as usize;
-    let bits = bytes::get_slice(buf, pos, nbytes)?;
-    let mut reader = BitReader::new(bits);
-    code.decode_into(&mut reader, count, out)
-}
-
-/// Decodes a legacy v1 blob (as embedded in SZ version-3 streams).
-///
-/// # Errors
-/// Returns [`CompressError::Corrupt`] for malformed blobs.
-pub fn decode_block_legacy(buf: &[u8], pos: &mut usize) -> Result<Vec<u32>> {
-    let mut out = Vec::new();
-    decode_block_legacy_into(buf, pos, &mut out)?;
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -809,12 +674,6 @@ mod tests {
         let back = decode_block(&blob, &mut pos).unwrap();
         assert_eq!(back, symbols);
         assert_eq!(pos, blob.len());
-
-        let legacy = encode_block_legacy(symbols);
-        let mut pos = 0;
-        let back = decode_block_legacy(&legacy, &mut pos).unwrap();
-        assert_eq!(back, symbols);
-        assert_eq!(pos, legacy.len());
     }
 
     #[test]
@@ -873,17 +732,17 @@ mod tests {
     fn pathological_depths_are_length_limited() {
         // Fibonacci weights build the deepest possible Huffman tree; with
         // ~50 symbols the unlimited tree would exceed BUILD_MAX_LEN.
-        let mut freq = HashMap::new();
+        let mut freq = Vec::new();
         let (mut a, mut b) = (1u64, 1u64);
         for s in 0..50u32 {
-            freq.insert(s, a);
+            freq.push((s, a));
             let next = a.saturating_add(b);
             a = b;
             b = next;
         }
-        let code = HuffmanCode::from_frequencies(&freq);
+        let code = HuffmanCode::from_sorted_frequencies(&freq);
         assert!(code.max_len <= BUILD_MAX_LEN);
-        assert_eq!(code.n_symbols(), 50);
+        assert_eq!(code.lengths.len(), 50);
 
         // And the limited code still round-trips.
         let symbols: Vec<u32> = (0..50u32).flat_map(|s| std::iter::repeat_n(s, 3)).collect();
@@ -891,7 +750,9 @@ mod tests {
         code.encode(&symbols, &mut w).unwrap();
         let bytes = w.into_bytes();
         let mut r = BitReader::new(&bytes);
-        assert_eq!(code.decode(&mut r, symbols.len()).unwrap(), symbols);
+        let mut decoded = Vec::new();
+        code.decode_into(&mut r, symbols.len(), &mut decoded).unwrap();
+        assert_eq!(decoded, symbols);
     }
 
     #[test]
@@ -908,11 +769,6 @@ mod tests {
             let res = decode_block(&blob[..cut], &mut pos);
             assert!(res.is_err(), "cut at {cut} should fail");
         }
-        let legacy = encode_block_legacy(&[1, 2, 3, 4, 5, 1, 1, 1]);
-        for cut in [4usize, 9, legacy.len() - 1] {
-            let mut pos = 0;
-            assert!(decode_block_legacy(&legacy[..cut], &mut pos).is_err());
-        }
     }
 
     #[test]
@@ -924,12 +780,6 @@ mod tests {
         blob.extend_from_slice(&[1, 1, 0, 1, 0xAA]);
         let mut pos = 0;
         assert!(decode_block(&blob, &mut pos).is_err());
-
-        let mut legacy = Vec::new();
-        bytes::put_u64(&mut legacy, 1u64 << 60);
-        legacy.extend_from_slice(&[0xFF; 16]);
-        let mut pos = 0;
-        assert!(decode_block_legacy(&legacy, &mut pos).is_err());
     }
 
     #[test]
@@ -946,66 +796,45 @@ mod tests {
 
     #[test]
     fn kraft_violating_table_rejected() {
-        // Three 1-bit codes cannot coexist.
-        let mut buf = Vec::new();
-        bytes::put_u32(&mut buf, 3);
-        for sym in 0..3u32 {
-            bytes::put_u32(&mut buf, sym);
-            buf.push(1);
-        }
+        // Three 1-bit codes cannot coexist: max_len 1, three codes of
+        // length 1, symbols 0, 1, 2 (absolute, then delta−1).
+        let buf = [1u8, 3, 0, 0, 0];
         let mut pos = 0;
-        assert!(HuffmanCode::read_table(&buf, &mut pos).is_err());
+        assert!(HuffmanCode::read_table_v2(&buf, &mut pos).is_err());
     }
 
     #[test]
     fn duplicate_symbol_table_rejected() {
-        let mut buf = Vec::new();
-        bytes::put_u32(&mut buf, 2);
-        for _ in 0..2 {
-            bytes::put_u32(&mut buf, 7);
-            buf.push(1);
-        }
+        // Symbols ascend strictly within a length group, so a duplicate
+        // can only sit in two groups: symbol 7 at length 1 and length 2.
+        let buf = [2u8, 1, 1, 7, 7];
         let mut pos = 0;
-        assert!(HuffmanCode::read_table(&buf, &mut pos).is_err());
+        assert!(HuffmanCode::read_table_v2(&buf, &mut pos).is_err());
     }
 
     #[test]
     fn table_roundtrip() {
-        let mut freq = HashMap::new();
-        freq.insert(10u32, 5u64);
-        freq.insert(20u32, 1u64);
-        freq.insert(30u32, 1u64);
-        let code = HuffmanCode::from_frequencies(&freq);
-        assert_eq!(code.n_symbols(), 3);
+        let code = HuffmanCode::from_sorted_frequencies(&[(10, 5), (20, 1), (30, 1)]);
+        assert_eq!(code.lengths.len(), 3);
         let mut buf = Vec::new();
-        code.write_table(&mut buf);
+        code.write_table_v2(&mut buf);
         let mut pos = 0;
-        let code2 = HuffmanCode::read_table(&buf, &mut pos).unwrap();
-        assert_eq!(code2.n_symbols(), 3);
-
-        let mut buf2 = Vec::new();
-        code.write_table_v2(&mut buf2);
-        assert!(buf2.len() < buf.len(), "v2 table should be more compact");
-        let mut pos2 = 0;
-        let code3 = HuffmanCode::read_table_v2(&buf2, &mut pos2).unwrap();
-        assert_eq!(pos2, buf2.len());
-        assert_eq!(code3.n_symbols(), 3);
+        let code2 = HuffmanCode::read_table_v2(&buf, &mut pos).unwrap();
+        assert_eq!(pos, buf.len());
+        assert_eq!(code2.lengths.len(), 3);
 
         let mut w = BitWriter::new();
         code.encode(&[10, 20, 30, 10], &mut w).unwrap();
         let bytes = w.into_bytes();
-        for other in [&code2, &code3] {
-            let mut r = BitReader::new(&bytes);
-            assert_eq!(other.decode(&mut r, 4).unwrap(), vec![10, 20, 30, 10]);
-        }
+        let mut r = BitReader::new(&bytes);
+        let mut decoded = Vec::new();
+        code2.decode_into(&mut r, 4, &mut decoded).unwrap();
+        assert_eq!(decoded, vec![10, 20, 30, 10]);
     }
 
     #[test]
     fn missing_symbol_rejected_on_encode() {
-        let mut freq = HashMap::new();
-        freq.insert(1u32, 10u64);
-        freq.insert(2u32, 10u64);
-        let code = HuffmanCode::from_frequencies(&freq);
+        let code = HuffmanCode::from_sorted_frequencies(&[(1, 10), (2, 10)]);
         let mut w = BitWriter::new();
         assert!(code.encode(&[3], &mut w).is_err());
         assert!(code.encode(&[0], &mut w).is_err());

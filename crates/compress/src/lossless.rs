@@ -187,7 +187,8 @@ impl LosslessCompressor for FpcCodec {
 // LZSS codec
 // ---------------------------------------------------------------------------
 
-/// Sliding-window size for LZSS matches.
+/// Sliding-window size for LZSS matches.  A match offset is stored in two
+/// bytes, so matches reach back strictly less than this far.
 const LZSS_WINDOW: usize = 1 << 16;
 /// Minimum match length worth encoding.
 const LZSS_MIN_MATCH: usize = 4;
@@ -243,7 +244,7 @@ impl LzssCodec {
                 let h = hash(input[i], input[i + 1], input[i + 2]);
                 let mut cand = head[h];
                 let mut chain = 0;
-                while cand != usize::MAX && i - cand <= LZSS_WINDOW && chain < 32 {
+                while cand != usize::MAX && i - cand < LZSS_WINDOW && chain < 32 {
                     let max_len = (input.len() - i).min(LZSS_MAX_MATCH);
                     let mut l = 0usize;
                     while l < max_len && input[cand + l] == input[i + l] {
@@ -514,6 +515,20 @@ mod tests {
             let r = lz.decompress_bytes(&c).unwrap();
             assert_eq!(r, data);
         }
+    }
+
+    #[test]
+    fn lzss_repeat_at_window_distance_roundtrips() {
+        // The only earlier copy of the 8-byte pattern sits exactly
+        // LZSS_WINDOW bytes back — one more than the 2-byte offset field
+        // can express — so it must not be taken as a match.
+        let pattern = [0xA1u8, 0xB2, 0xC3, 0xD4, 0xE5, 0xF6, 0x17, 0x28];
+        let mut data = pattern.to_vec();
+        data.resize(LZSS_WINDOW, 0);
+        data.extend_from_slice(&pattern);
+        let lz = LzssCodec::new();
+        let c = lz.compress_bytes(&data);
+        assert_eq!(lz.decompress_bytes(&c).unwrap(), data);
     }
 
     #[test]

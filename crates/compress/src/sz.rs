@@ -33,12 +33,10 @@
 //!
 //! | version | layout                                                        |
 //! |---------|---------------------------------------------------------------|
-//! | 3       | block-split; per block `u64`-framed legacy Huffman blob + `u64` unpredictable count (decode-only) |
-//! | 4       | block-split; per block v2 Huffman blob + varint unpredictable count (current) |
+//! | 4       | block-split; per block Huffman blob + varint unpredictable count (stateless) |
 //! | 5       | v4 plus a per-variable [`DeltaMode`] byte before the block container: codes may be **temporal deltas** against the prior snapshot's codes, unpredictable values XOR-coded against the prior snapshot's bits (8 Huffman byte planes), and point-wise-relative zero/sign bitmaps either carried raw or inherited from the previous log link (see [`SzCompressor::compress_temporal_into`]) |
 //!
-//! Version-3 streams written by earlier releases decode bit-identically;
-//! version 4 is what [`SzCompressor::compress`] emits; version 5 is what
+//! Version 4 is what [`SzCompressor::compress`] emits; version 5 is what
 //! the temporal (anchored-delta-chain) entry points emit.  A version-5
 //! stream whose mode is [`DeltaMode::None`] is a self-contained **anchor**
 //! and decodes through the stateless [`LossyCompressor::decompress`];
@@ -58,8 +56,6 @@ const VERSION: u8 = 4;
 /// Stream-format version written by the temporal (delta-chain) entry
 /// points; carries the per-variable [`DeltaMode`] header byte.
 const TEMPORAL_VERSION: u8 = 5;
-/// Oldest stream version the decompressor still reads.
-const MIN_VERSION: u8 = 3;
 
 /// Half the number of quantization bins on each side of the zero bin.
 /// 65536 intervals matches SZ's default `max_quant_intervals`.
@@ -366,38 +362,21 @@ impl SzCompressor {
 
     /// Inverse of [`SzCompressor::compress_abs`]: reads the block length
     /// table, then decodes the independent blocks in parallel and
-    /// concatenates them in block order.  `version` selects the per-block
-    /// layout (3 = legacy, 4 = current).
-    fn decompress_abs(
-        buf: &[u8],
-        pos: &mut usize,
-        n: usize,
-        abs_eb: f64,
-        version: u8,
-    ) -> Result<Vec<f64>> {
+    /// concatenates them in block order.
+    fn decompress_abs(buf: &[u8], pos: &mut usize, n: usize, abs_eb: f64) -> Result<Vec<f64>> {
         parblock::decode_blocks(buf, pos, n.div_ceil(PAR_BLOCK), n, "SZ", |b, block| {
             let block_n = (((b + 1) * PAR_BLOCK).min(n)) - b * PAR_BLOCK;
-            Self::decode_block_abs(block, block_n, abs_eb, version)
+            Self::decode_block_abs(block, block_n, abs_eb)
         })
     }
 
-    /// Inverse of [`SzCompressor::encode_block_abs`] (and of the legacy
-    /// version-3 block encoder).
-    fn decode_block_abs(block: &[u8], n: usize, abs_eb: f64, version: u8) -> Result<Vec<f64>> {
+    /// Inverse of [`SzCompressor::encode_block_abs`].
+    fn decode_block_abs(block: &[u8], n: usize, abs_eb: f64) -> Result<Vec<f64>> {
         QUANT_SCRATCH.with(|q| {
             let quant = &mut q.borrow_mut();
             let pos = &mut 0usize;
-            let n_unpred = if version >= 4 {
-                huffman::decode_block_into(block, pos, quant)?;
-                bytes::get_varint(block, pos)? as usize
-            } else {
-                // v3 framed the Huffman blob with a redundant byte length.
-                let huff_len = bytes::get_u64(block, pos)? as usize;
-                let huff_slice = bytes::get_slice(block, pos, huff_len)?;
-                let mut hpos = 0usize;
-                huffman::decode_block_legacy_into(huff_slice, &mut hpos, quant)?;
-                bytes::get_u64(block, pos)? as usize
-            };
+            huffman::decode_block_into(block, pos, quant)?;
+            let n_unpred = bytes::get_varint(block, pos)? as usize;
             if quant.len() != n {
                 return Err(CompressError::Corrupt(format!(
                     "expected {n} quantization codes, found {}",
@@ -411,40 +390,7 @@ impl SzCompressor {
                 .checked_mul(8)
                 .ok_or_else(|| CompressError::Corrupt("unpredictable count overflow".into()))?;
             let unpred_bytes = bytes::get_slice(block, pos, unpred_len)?;
-            if version >= 4 {
-                return Self::reconstruct_block_v4(quant, unpred_bytes, abs_eb);
-            }
-
-            // Legacy v3 reconstruct-then-predict chain, kept
-            // bit-identical to the decoder that shipped with v3.
-            let mut unpred_iter = unpred_bytes
-                .chunks_exact(8)
-                .map(|c| f64::from_le_bytes(c.try_into().expect("chunk of 8")));
-            let two_eb = 2.0 * abs_eb;
-            let mut out = Vec::with_capacity(n);
-            let mut prev = 0.0f64;
-            let mut prev2 = 0.0f64;
-            for (i, &code) in quant.iter().enumerate() {
-                let value = if code == 0 {
-                    unpred_iter.next().ok_or_else(|| {
-                        CompressError::Corrupt("missing unpredictable value".into())
-                    })?
-                } else {
-                    let bin = (i64::from(code) - 1 - QUANT_RADIUS) as f64;
-                    let pred = if i >= 2 {
-                        2.0 * prev - prev2
-                    } else if i == 1 {
-                        prev
-                    } else {
-                        0.0
-                    };
-                    pred + bin * two_eb
-                };
-                prev2 = prev;
-                prev = value;
-                out.push(value);
-            }
-            Ok(out)
+            Self::reconstruct_block_v4(quant, unpred_bytes, abs_eb)
         })
     }
 
@@ -572,7 +518,7 @@ impl SzCompressor {
 
     /// Parses the common stream prologue (any supported version).  For
     /// version-5 streams the per-variable [`DeltaMode`] byte follows the
-    /// error bound; older versions are implicitly [`DeltaMode::None`].
+    /// error bound; version-4 streams are implicitly [`DeltaMode::None`].
     fn parse_header(buf: &[u8], pos: &mut usize) -> Result<StreamHeader> {
         let codec = bytes::get_slice(buf, pos, 1)?[0];
         if codec != CODEC_ID {
@@ -582,7 +528,7 @@ impl SzCompressor {
             });
         }
         let version = bytes::get_slice(buf, pos, 1)?[0];
-        if !(MIN_VERSION..=TEMPORAL_VERSION).contains(&version) {
+        if !(VERSION..=TEMPORAL_VERSION).contains(&version) {
             return Err(CompressError::Corrupt(format!(
                 "unsupported SZ stream version {version}"
             )));
@@ -599,7 +545,6 @@ impl SzCompressor {
             DeltaMode::None
         };
         Ok(StreamHeader {
-            version,
             n,
             transform,
             eb,
@@ -1216,12 +1161,6 @@ impl SzCompressor {
                     h.n, link.n_elements
                 )));
             }
-            if h.version < 4 {
-                return Err(CompressError::Corrupt(format!(
-                    "chain link {idx}: version-{} streams cannot appear in a delta chain",
-                    h.version
-                )));
-            }
             if idx == 0 && h.mode != DeltaMode::None {
                 return Err(CompressError::Corrupt(
                     "delta chain must start at an anchor".into(),
@@ -1498,7 +1437,6 @@ impl SzCompressor {
 
 /// Parsed common stream prologue.
 struct StreamHeader {
-    version: u8,
     n: usize,
     transform: u8,
     eb: f64,
@@ -1571,7 +1509,7 @@ impl SzTemporalState {
 }
 
 /// Reads the [`DeltaMode`] of an SZ stream from its header without
-/// decoding the payload (pre-v5 streams report [`DeltaMode::None`]).
+/// decoding the payload (version-4 streams report [`DeltaMode::None`]).
 pub fn stream_delta_mode(stream: &[u8]) -> Result<DeltaMode> {
     let mut pos = 0usize;
     SzCompressor::parse_header(stream, &mut pos).map(|h| h.mode)
@@ -1634,7 +1572,7 @@ impl LossyCompressor for SzCompressor {
 
         match h.transform {
             t if t == Transform::Identity as u8 => {
-                SzCompressor::decompress_abs(buf, &mut pos, h.n, h.eb, h.version)
+                SzCompressor::decompress_abs(buf, &mut pos, h.n, h.eb)
             }
             t if t == Transform::Log as u8 => {
                 // The side channels are decoded straight from the borrowed
@@ -1642,7 +1580,7 @@ impl LossyCompressor for SzCompressor {
                 let (zero_bytes, sign_bytes, n_logs) =
                     SzCompressor::read_log_side_channels(buf, &mut pos)?;
                 let log_eb = h.eb.ln_1p();
-                let logs = SzCompressor::decompress_abs(buf, &mut pos, n_logs, log_eb, h.version)?;
+                let logs = SzCompressor::decompress_abs(buf, &mut pos, n_logs, log_eb)?;
                 SzCompressor::expand_log(zero_bytes, sign_bytes, logs, h.n)
             }
             other => Err(CompressError::Corrupt(format!(
@@ -1653,130 +1591,6 @@ impl LossyCompressor for SzCompressor {
 
     fn name(&self) -> &'static str {
         "sz"
-    }
-}
-
-/// Legacy stream writers kept so the backwards-compatibility tests can
-/// fabricate version-3 streams exactly as earlier releases wrote them.
-#[doc(hidden)]
-pub mod legacy {
-    use super::*;
-
-    /// The v3 reconstruct-then-predict quantizer, byte-identical to the
-    /// encoder that shipped with stream version 3.
-    fn quantize_block_v3(values: &[f64], abs_eb: f64, quant: &mut Vec<u32>, unpred: &mut Vec<f64>) {
-        let two_eb = 2.0 * abs_eb;
-        let mut prev = 0.0f64;
-        let mut prev2 = 0.0f64;
-        for (i, &x) in values.iter().enumerate() {
-            let pred = match i {
-                0 => 0.0,
-                1 => prev,
-                _ => 2.0 * prev - prev2,
-            };
-            let diff = x - pred;
-            let bin = (diff / two_eb).round();
-            let reconstructed = pred + bin * two_eb;
-            let in_range = bin.abs() < (QUANT_RADIUS as f64);
-            let accurate = (x - reconstructed).abs() <= abs_eb;
-            if in_range && accurate {
-                quant.push((bin as i64 + QUANT_RADIUS) as u32 + 1);
-                prev2 = prev;
-                prev = reconstructed;
-            } else {
-                quant.push(0);
-                unpred.push(x);
-                prev2 = prev;
-                prev = x;
-            }
-        }
-    }
-
-    /// Version-3 equivalent of [`SzCompressor::encode_block_abs`].
-    fn encode_block_abs_v3(values: &[f64], abs_eb: f64) -> Vec<u8> {
-        let mut quant = Vec::new();
-        let mut unpred = Vec::new();
-        quantize_block_v3(values, abs_eb, &mut quant, &mut unpred);
-        let mut out = Vec::with_capacity(values.len() / 2 + 32);
-        let huff = huffman::encode_block_legacy(&quant);
-        bytes::put_u64(&mut out, huff.len() as u64);
-        out.extend_from_slice(&huff);
-        bytes::put_u64(&mut out, unpred.len() as u64);
-        for v in &unpred {
-            bytes::put_f64(&mut out, *v);
-        }
-        out
-    }
-
-    fn compress_abs_v3(values: &[f64], abs_eb: f64, out: &mut Vec<u8>) {
-        let n = values.len();
-        parblock::encode_blocks(out, n.div_ceil(PAR_BLOCK), |b| {
-            let start = b * PAR_BLOCK;
-            let end = ((b + 1) * PAR_BLOCK).min(n);
-            encode_block_abs_v3(&values[start..end], abs_eb)
-        });
-    }
-
-    /// Compresses `data` into a version-3 stream, byte-identical to what
-    /// the previous release's `SzCompressor::compress` produced.
-    pub fn compress_v3(data: &[f64], bound: ErrorBound) -> Result<Compressed> {
-        let eb = bound.value();
-        if !(eb.is_finite() && eb > 0.0) {
-            return Err(CompressError::InvalidBound(eb));
-        }
-        let mut out = Vec::new();
-        out.push(CODEC_ID);
-        out.push(3u8);
-        bytes::put_u64(&mut out, data.len() as u64);
-        match bound {
-            ErrorBound::Abs(abs) => {
-                out.push(Transform::Identity as u8);
-                bytes::put_f64(&mut out, abs);
-                compress_abs_v3(data, abs, &mut out);
-            }
-            ErrorBound::ValueRangeRel(rel) => {
-                let (min, max) = min_max(data);
-                let range = (max - min).abs();
-                let abs = if range > 0.0 {
-                    rel * range
-                } else {
-                    rel.max(f64::MIN_POSITIVE)
-                };
-                out.push(Transform::Identity as u8);
-                bytes::put_f64(&mut out, abs);
-                compress_abs_v3(data, abs, &mut out);
-            }
-            ErrorBound::PointwiseRel(rel) => {
-                out.push(Transform::Log as u8);
-                let log_eb = rel.ln_1p();
-                if !(log_eb.is_finite() && log_eb > 0.0) {
-                    return Err(CompressError::InvalidBound(rel));
-                }
-                bytes::put_f64(&mut out, rel);
-                let mut signs = BitWriter::new();
-                let mut zeros = BitWriter::new();
-                let mut logs: Vec<f64> = Vec::with_capacity(data.len());
-                for &x in data {
-                    zeros.write_bit(x == 0.0);
-                    signs.write_bit(x.is_sign_negative());
-                    if x != 0.0 {
-                        logs.push(x.abs().ln());
-                    }
-                }
-                let zero_bytes = zeros.into_bytes();
-                let sign_bytes = signs.into_bytes();
-                bytes::put_u64(&mut out, zero_bytes.len() as u64);
-                out.extend_from_slice(&zero_bytes);
-                bytes::put_u64(&mut out, sign_bytes.len() as u64);
-                out.extend_from_slice(&sign_bytes);
-                bytes::put_u64(&mut out, logs.len() as u64);
-                compress_abs_v3(&logs, log_eb, &mut out);
-            }
-        }
-        Ok(Compressed {
-            bytes: out,
-            n_elements: data.len(),
-        })
     }
 }
 
@@ -1972,39 +1786,6 @@ mod tests {
         assert_eq!(n, data.len());
         assert_eq!(&buf[..2], &[0xEE, 0xFF]);
         assert_eq!(&buf[2..], c.bytes.as_slice());
-    }
-
-    #[test]
-    fn v3_streams_still_decode() {
-        let mut data = smooth_signal(3_000);
-        for (i, v) in data.iter_mut().enumerate() {
-            if i % 113 == 0 {
-                *v = 0.0;
-            }
-            if i % 7 == 0 {
-                *v = -*v;
-            }
-        }
-        let sz = SzCompressor::new();
-        for bound in [
-            ErrorBound::Abs(1e-6),
-            ErrorBound::ValueRangeRel(1e-5),
-            ErrorBound::PointwiseRel(1e-4),
-        ] {
-            let v3 = legacy::compress_v3(&data, bound).unwrap();
-            assert_eq!(v3.bytes[1], 3, "legacy writer must emit version 3");
-            let from_v3 = sz.decompress(&v3).unwrap();
-            check_bound(&data, &from_v3, bound);
-
-            // The current writer emits v4, which honours the same bound
-            // (the v4 grid-space reconstruction is a different — equally
-            // valid — point inside the bound, so only the contract is
-            // compared, not the bits).
-            let v4 = sz.compress(&data, bound).unwrap();
-            assert_eq!(v4.bytes[1], 4);
-            let from_v4 = sz.decompress(&v4).unwrap();
-            check_bound(&data, &from_v4, bound);
-        }
     }
 
     #[test]

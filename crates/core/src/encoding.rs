@@ -56,11 +56,6 @@ impl TemporalEncodingSelector {
         }
     }
 
-    /// The configured anchor interval.
-    pub fn anchor_interval(&self) -> usize {
-        self.anchor_interval
-    }
-
     /// Whether delta coding is enabled at all.
     pub fn delta_enabled(&self) -> bool {
         self.anchor_interval > 1 && self.max_order != DeltaMode::None

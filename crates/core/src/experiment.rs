@@ -35,7 +35,7 @@ pub fn paper_baseline_seconds(kind: SolverKind) -> f64 {
 /// Compression ratios measured on real solver state, used to extrapolate
 /// paper-scale checkpoint sizes.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct MeasuredRatios {
+struct MeasuredRatios {
     /// Lossless (FPC+LZSS) compression ratio on the dynamic vectors.
     pub lossless: f64,
     /// Lossy (SZ, paper error-bound policy) compression ratio.
@@ -49,7 +49,7 @@ pub struct MeasuredRatios {
 /// Measures lossless and lossy compression ratios on the converged dynamic
 /// state of the given solver, which is the regime the paper's Table 3
 /// averages over.
-pub fn measure_strategy_ratios(
+fn measure_strategy_ratios(
     workload: &PaperWorkload,
     problem: &ScaledProblem,
     kind: SolverKind,
@@ -183,6 +183,7 @@ fn measured_shard_segment_ratio(
 /// One row of Table 3: per-process checkpoint sizes for one solver at one
 /// scale under the three schemes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+// lcr-analyze: allow(dead-public-item): row type of `table3`; the bench bins print it by inference
 pub struct Table3Row {
     /// Number of processes.
     pub processes: usize,
@@ -257,6 +258,7 @@ pub fn table3(
 /// One row of Figures 4–6: average time of one checkpoint and one recovery
 /// for a solver/scheme/scale combination.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+// lcr-analyze: allow(dead-public-item): row type of `checkpoint_recovery_times`; the bench bins print it by inference
 pub struct CheckpointTimeRow {
     /// Number of processes.
     pub processes: usize,
@@ -342,6 +344,7 @@ pub fn checkpoint_recovery_times(
 
 /// One point of Figure 7: the model-predicted fault-tolerance overhead.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+// lcr-analyze: allow(dead-public-item): row type of `expected_overhead`; the bench bins print it by inference
 pub struct ExpectedOverheadRow {
     /// Number of processes.
     pub processes: usize,
@@ -359,7 +362,7 @@ pub struct ExpectedOverheadRow {
 /// (`N′`): ≈6 for Jacobi (Theorem 2 with R ≈ 0.99998, eb = 1e-4,
 /// N = 3941), 0 for GMRES (Theorem 3), 25 % of the iteration count for CG
 /// (the empirical Figure 2 value).
-pub fn paper_n_extra(kind: SolverKind, total_iterations: usize) -> f64 {
+fn paper_n_extra(kind: SolverKind, total_iterations: usize) -> f64 {
     match kind {
         SolverKind::Gmres => 0.0,
         SolverKind::Cg => 0.25 * total_iterations as f64,
@@ -370,7 +373,7 @@ pub fn paper_n_extra(kind: SolverKind, total_iterations: usize) -> f64 {
 /// The paper's convergence iteration counts at 2,048 processes, used
 /// together with [`paper_baseline_seconds`] to calibrate `T_it`: Jacobi
 /// 3,941 iterations, GMRES 5,875, CG 2,376 (§4.3 and §5.3).
-pub fn paper_iteration_count(kind: SolverKind) -> usize {
+fn paper_iteration_count(kind: SolverKind) -> usize {
     match kind {
         SolverKind::Gmres => 5875,
         SolverKind::Cg => 2376,
@@ -421,6 +424,7 @@ pub fn expected_overhead(
 /// One bar of Figure 10: experimental and expected fault-tolerance overhead
 /// for one solver under one scheme.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+// lcr-analyze: allow(dead-public-item): row type of `fault_tolerance_overhead`; the bench bins print it by inference
 pub struct FaultToleranceOverheadRow {
     /// Solver.
     pub solver: String,
@@ -579,12 +583,6 @@ pub fn fault_tolerance_overhead(
     rows
 }
 
-/// Convenience: the paper's tolerance for a solver kind, re-exported here so
-/// the bench binaries can report it alongside the rows.
-pub fn tolerance_for(kind: SolverKind) -> f64 {
-    paper_rtol(kind)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -699,7 +697,7 @@ mod tests {
         assert!(paper_n_extra(SolverKind::Cg, 1000) == 250.0);
         let jacobi_extra = paper_n_extra(SolverKind::Jacobi, 1000);
         assert!(jacobi_extra > 0.0 && jacobi_extra < 30.0);
-        assert_eq!(tolerance_for(SolverKind::Cg), 1e-7);
+        assert_eq!(paper_rtol(SolverKind::Cg), 1e-7);
         assert!((paper_baseline_seconds(SolverKind::Cg) - 2100.0).abs() < 1.0);
         assert_eq!(PAPER_PROCESS_COUNTS.len(), 8);
     }

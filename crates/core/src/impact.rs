@@ -22,6 +22,7 @@ use serde::{Deserialize, Serialize};
 
 /// Result of the lossy-recovery impact experiment for one error bound.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+// lcr-analyze: allow(dead-public-item): row type of `figure2_sweep`; the bench bin prints it by inference
 pub struct ImpactResult {
     /// Solver evaluated.
     pub solver: String,
@@ -44,7 +45,7 @@ pub struct ImpactResult {
 ///
 /// # Panics
 /// Panics if `trials` is zero or the clean run does not converge.
-pub fn lossy_recovery_impact(
+fn lossy_recovery_impact(
     workload: &PaperWorkload,
     problem: &ScaledProblem,
     solver_kind: SolverKind,

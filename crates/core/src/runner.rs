@@ -254,6 +254,10 @@ pub struct RunReport {
     /// Number of recoveries performed (≤ failures; a failure before the
     /// first checkpoint restarts from scratch instead).
     pub recoveries: usize,
+    /// Recoveries (at restart or after a failure) where a CRC-valid,
+    /// tag-compatible checkpoint was read but did not decode into the
+    /// solver, so the run fell back to iteration 0.
+    pub failed_recoveries: usize,
     /// Total simulated wall-clock seconds.
     pub total_seconds: f64,
     /// Simulated seconds of productive computation (convergence_iterations
@@ -466,6 +470,7 @@ impl FaultTolerantRunner {
             resumed_from_iteration,
             failures,
             recoveries: failures,
+            failed_recoveries: 0,
             total_seconds: report.wall_seconds,
             productive_seconds: report.wall_seconds,
             checkpoint_seconds: 0.0,
@@ -565,6 +570,7 @@ impl FaultTolerantRunner {
         let mut checkpoints_taken = 0usize;
         let mut aborted_checkpoints = 0usize;
         let mut failed_checkpoints = 0usize;
+        let mut failed_recoveries = 0usize;
         // Supervision state for the durable tier: consecutive hard commit
         // failures trigger degradation; counters harvested from a detached
         // store are carried here so nothing is lost mid-run.
@@ -610,19 +616,19 @@ impl FaultTolerantRunner {
                         .decompression_seconds(problem.paper_vector_bytes()),
                 };
                 clock.advance(decomp);
-                if cfg.strategy.can_recover_from(&recovered.tag)
-                    && cfg
-                        .strategy
-                        .recover_chain(
-                            solver,
-                            &recovered.chain,
-                            recovered.iteration,
-                            &recovered.scalars,
-                        )
-                        .is_ok()
-                {
-                    last_checkpoint_scalars = recovered.scalars;
-                    resumed_from_iteration = Some(recovered.iteration);
+                if cfg.strategy.can_recover_from(&recovered.tag) {
+                    match cfg.strategy.recover_chain(
+                        solver,
+                        &recovered.chain,
+                        recovered.iteration,
+                        &recovered.scalars,
+                    ) {
+                        Ok(()) => {
+                            last_checkpoint_scalars = recovered.scalars;
+                            resumed_from_iteration = Some(recovered.iteration);
+                        }
+                        Err(_) => failed_recoveries += 1,
+                    }
                 }
             }
             recovery_seconds += clock.now() - rec_start;
@@ -646,6 +652,7 @@ impl FaultTolerantRunner {
                     &mut clock,
                     static_bytes,
                     &mut recoveries,
+                    &mut failed_recoveries,
                     &mut recovery_seconds,
                     &last_checkpoint_scalars,
                 );
@@ -716,6 +723,7 @@ impl FaultTolerantRunner {
                         &mut clock,
                         static_bytes,
                         &mut recoveries,
+                        &mut failed_recoveries,
                         &mut recovery_seconds,
                         &last_checkpoint_scalars,
                     );
@@ -806,6 +814,7 @@ impl FaultTolerantRunner {
             resumed_from_iteration,
             failures,
             recoveries,
+            failed_recoveries,
             total_seconds,
             productive_seconds,
             checkpoint_seconds,
@@ -843,6 +852,7 @@ impl FaultTolerantRunner {
         clock: &mut SimClock,
         static_bytes: usize,
         recoveries: &mut usize,
+        failed_recoveries: &mut usize,
         recovery_seconds: &mut f64,
         last_scalars: &[(String, f64)],
     ) -> f64 {
@@ -874,6 +884,7 @@ impl FaultTolerantRunner {
                     && cfg
                         .strategy
                         .recover_chain(solver, &recovered.chain, recovered.iteration, scalars)
+                        .inspect_err(|_| *failed_recoveries += 1)
                         .is_ok()
             }
             Err(_) => false,

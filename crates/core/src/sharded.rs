@@ -17,7 +17,7 @@
 //! A checkpoint *epoch* is the simultaneous checkpoint every shard takes at
 //! the same iteration (the hooks run in lockstep).  After writing its
 //! segment, each shard votes in an all-ok barrier
-//! ([`ShardComm::barrier_all_ok`](lcr_sparse::ShardComm::barrier_all_ok));
+//! ([`ShardComm::try_barrier_all_ok`](lcr_sparse::ShardComm::try_barrier_all_ok));
 //! the epoch is **committed** — recoverable — only if every shard's
 //! segment landed and CRC-validated.  A failed shard therefore never
 //! restores an epoch some peer failed to complete, even if its *own*
@@ -35,7 +35,6 @@
 //! partially restored global solution — Algorithm 2 of the paper executed
 //! shard-locally, with rollback confined to the failed shard.
 
-use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -264,14 +263,6 @@ pub struct ShardedReport {
     pub committed_epochs: Vec<EpochRecord>,
     /// Real wall-clock seconds of the scoped execution (spawn → join).
     pub wall_seconds: f64,
-}
-
-impl ShardedReport {
-    /// Measured bytes of the newest committed epoch's segment for `shard`,
-    /// if any epoch committed.
-    pub fn last_epoch_shard_bytes(&self, shard: usize) -> Option<usize> {
-        self.committed_epochs.last().map(|e| e.shard_bytes[shard])
-    }
 }
 
 /// A committed epoch as one shard observed it.
@@ -682,14 +673,6 @@ pub fn try_run_sharded(
         committed_epochs,
         wall_seconds,
     })
-}
-
-/// Upper bound on useful shard counts for this host — callers sizing a
-/// shard matrix can clamp against it (purely advisory; any count works).
-pub fn max_useful_shards() -> usize {
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
 }
 
 #[cfg(test)]

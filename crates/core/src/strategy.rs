@@ -46,7 +46,7 @@ pub enum ErrorBoundPolicy {
 
 impl ErrorBoundPolicy {
     /// The paper's default for stationary methods and CG.
-    pub fn fixed_relative(eb: f64) -> Self {
+    fn fixed_relative(eb: f64) -> Self {
         ErrorBoundPolicy::Fixed(ErrorBound::PointwiseRel(eb))
     }
 
@@ -90,6 +90,7 @@ pub enum LossyCodecKind {
 
 /// Which lossless compressor backs the lossless strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+// lcr-analyze: allow(dead-public-item): field type of the public `CheckpointStrategy::Lossless` variant
 pub enum LosslessCodecKind {
     /// FPC followed by LZSS (the Gzip stand-in; default).
     Pipeline,
@@ -133,6 +134,7 @@ pub enum CheckpointStrategy {
 
 /// The encoded form of one checkpoint, ready to hand to the FTI layer.
 #[derive(Debug, Clone)]
+// lcr-analyze: allow(dead-public-item): return type of `CheckpointStrategy::encode`; callers take it by inference
 pub struct EncodedCheckpoint {
     /// Encoded payload per variable (name, bytes).
     pub payloads: Vec<(String, Vec<u8>)>,
@@ -155,6 +157,7 @@ impl EncodedCheckpoint {
 /// [`CheckpointBuffer`] (the zero-copy counterpart of
 /// [`EncodedCheckpoint`]; the bytes live in the buffer).
 #[derive(Debug, Clone)]
+// lcr-analyze: allow(dead-public-item): return type of `CheckpointStrategy::encode_temporal_into`; callers take it by inference
 pub struct EncodedCheckpointMeta {
     /// Uncompressed size of the vector payload in bytes.
     pub original_bytes: usize,
@@ -166,6 +169,7 @@ pub struct EncodedCheckpointMeta {
 
 /// Errors from encoding/decoding checkpoints.
 #[derive(Debug, Clone, PartialEq)]
+// lcr-analyze: allow(dead-public-item): error type of every `CheckpointStrategy` method; callers only unwrap or print it
 pub enum StrategyError {
     /// The underlying compressor failed.
     Compression(String),
@@ -289,7 +293,7 @@ impl CheckpointStrategy {
     ///
     /// # Errors
     /// Returns [`StrategyError::Compression`] if a codec fails.
-    pub fn encode_into(
+    fn encode_into(
         &self,
         solver: &dyn IterativeMethod,
         buffer: &mut CheckpointBuffer,

@@ -79,14 +79,6 @@ impl ScaledProblem {
         self.paper_vector_bytes() as f64
             / (self.system.dim() * std::mem::size_of::<f64>()) as f64
     }
-
-    /// Bytes of the paper-scale static variables (matrix + preconditioner +
-    /// rhs), extrapolated from the local system's nnz-per-row density.
-    pub fn paper_static_bytes(&self) -> usize {
-        let local_unknowns = self.system.dim();
-        let per_unknown = self.system.static_bytes() as f64 / local_unknowns as f64;
-        (per_unknown * self.paper_global_unknowns as f64) as usize
-    }
 }
 
 /// Builder for the paper's workloads.
@@ -248,7 +240,6 @@ mod tests {
         let mb = p.paper_vector_bytes_per_process() / 1e6;
         assert!((mb - 39.4).abs() < 1.0, "per-process vector {mb:.1} MB");
         assert!(p.byte_scale_factor() > 1e6);
-        assert!(p.paper_static_bytes() > p.paper_vector_bytes());
     }
 
     #[test]

@@ -24,13 +24,11 @@
 #![warn(missing_docs)]
 
 pub mod overhead;
-pub mod theorems;
-pub mod young;
+mod theorems;
+mod young;
 
 pub use overhead::{
-    amortized_checkpoint_seconds, expected_total_time, lossy_delta_overhead_ratio,
-    lossy_overhead_ratio, traditional_overhead_ratio, CheckpointCosts, ExpectedOverheadSurface,
-    OverheadPoint,
+    lossy_overhead_ratio, traditional_overhead_ratio, ExpectedOverheadSurface, OverheadPoint,
 };
 pub use theorems::{
     theorem1_max_extra_iterations, theorem2_extra_iterations_interval,

@@ -63,138 +63,9 @@ pub fn lossy_overhead_ratio(t_lossy_ckp: f64, lambda: f64, n_extra: f64, t_it: f
     }
 }
 
-/// Mean per-checkpoint cost of an anchored temporal-delta stream: one full
-/// *anchor* checkpoint costing `anchor_seconds` every `anchor_interval`
-/// snapshots, with the `anchor_interval − 1` checkpoints in between written
-/// as deltas costing `delta_seconds` each:
-///
-/// ```text
-/// T̄_ckp = (T_anchor + (K − 1)·T_delta) / K
-/// ```
-///
-/// With `anchor_interval` ≤ 1 (delta coding disabled) this is simply
-/// `anchor_seconds`.  The amortized cost is what the paper's `T_ckp`
-/// becomes when the checkpoint stream is delta-encoded: plug it into
-/// [`lossy_overhead_ratio`] (or use [`lossy_delta_overhead_ratio`]) to
-/// model the end-to-end overhead of a delta-enabled run.
-///
-/// # Panics
-/// Panics on negative or non-finite inputs.
-pub fn amortized_checkpoint_seconds(
-    anchor_seconds: f64,
-    delta_seconds: f64,
-    anchor_interval: usize,
-) -> f64 {
-    assert!(
-        anchor_seconds.is_finite() && anchor_seconds >= 0.0,
-        "invalid checkpoint time"
-    );
-    assert!(
-        delta_seconds.is_finite() && delta_seconds >= 0.0,
-        "invalid checkpoint time"
-    );
-    if anchor_interval <= 1 {
-        return anchor_seconds;
-    }
-    let k = anchor_interval as f64;
-    (anchor_seconds + (k - 1.0) * delta_seconds) / k
-}
-
-/// Expected fault-tolerance overhead of *lossy delta-encoded* checkpointing
-/// (Equation 8 with the amortized checkpoint cost of
-/// [`amortized_checkpoint_seconds`]): anchors every `anchor_interval`
-/// snapshots cost `anchor_seconds`, the deltas in between cost
-/// `delta_seconds`, and each recovery still pays `n_extra` additional
-/// iterations of `t_it` seconds.
-///
-/// Note the asymmetry the delta trade buys: the *write* side is amortized
-/// down towards `delta_seconds`, while the *recovery* side reads the whole
-/// chain — the model keeps `T_rc ≈ T_ckp` of the paper's simplified form,
-/// which is conservative because anchors bound the chain length.
-///
-/// # Panics
-/// Panics on negative or non-finite inputs.
-pub fn lossy_delta_overhead_ratio(
-    anchor_seconds: f64,
-    delta_seconds: f64,
-    anchor_interval: usize,
-    lambda: f64,
-    n_extra: f64,
-    t_it: f64,
-) -> f64 {
-    let amortized = amortized_checkpoint_seconds(anchor_seconds, delta_seconds, anchor_interval);
-    lossy_overhead_ratio(amortized, lambda, n_extra, t_it)
-}
-
-/// Expected total execution time (Equation 2 generalised): `N·T_it` of
-/// productive work inflated by checkpointing, recovery and — for the lossy
-/// scheme — extra iterations per recovery.
-///
-/// Pass `n_extra = 0` for traditional/lossless checkpointing.
-///
-/// # Panics
-/// Panics on negative or non-finite inputs.
-pub fn expected_total_time(
-    productive_seconds: f64,
-    t_ckp: f64,
-    t_rc: f64,
-    lambda: f64,
-    n_extra: f64,
-    t_it: f64,
-) -> f64 {
-    assert!(
-        productive_seconds.is_finite() && productive_seconds >= 0.0,
-        "invalid productive time"
-    );
-    assert!(t_rc.is_finite() && t_rc >= 0.0, "invalid recovery time");
-    let denom =
-        1.0 - (2.0 * lambda * t_ckp).sqrt() - lambda * t_rc - lambda * n_extra * t_it;
-    if denom <= 0.0 {
-        f64::INFINITY
-    } else {
-        productive_seconds / denom
-    }
-}
-
-/// The per-scheme checkpoint/recovery costs needed to evaluate the model for
-/// one configuration (one solver at one scale), in seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CheckpointCosts {
-    /// Mean time of one checkpoint (including compression, if any).
-    pub checkpoint_seconds: f64,
-    /// Mean time of one recovery (including decompression and re-reading
-    /// static variables, if modelled).
-    pub recovery_seconds: f64,
-    /// Mean extra iterations caused by one lossy recovery (`N′`); zero for
-    /// exact schemes.
-    pub extra_iterations_per_recovery: f64,
-}
-
-impl CheckpointCosts {
-    /// Costs of an exact (traditional or lossless) scheme.
-    pub fn exact(checkpoint_seconds: f64, recovery_seconds: f64) -> Self {
-        CheckpointCosts {
-            checkpoint_seconds,
-            recovery_seconds,
-            extra_iterations_per_recovery: 0.0,
-        }
-    }
-
-    /// Expected overhead ratio for these costs under failure rate `lambda`
-    /// (per second) and iteration time `t_it`, using the simplified
-    /// `T_rc ≈ T_ckp` form the paper plots (Equations 4 and 8).
-    pub fn overhead_ratio(&self, lambda: f64, t_it: f64) -> f64 {
-        lossy_overhead_ratio(
-            self.checkpoint_seconds,
-            lambda,
-            self.extra_iterations_per_recovery,
-            t_it,
-        )
-    }
-}
-
 /// One point of the Figure 1 / Figure 7 overhead surfaces.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+// lcr-analyze: allow(dead-public-item): element type of the public `ExpectedOverheadSurface::points`
 pub struct OverheadPoint {
     /// Failure rate in failures per hour.
     pub failures_per_hour: f64,
@@ -241,14 +112,6 @@ impl ExpectedOverheadSurface {
         }
         ExpectedOverheadSurface { points }
     }
-
-    /// The maximum overhead on the surface.
-    pub fn max_overhead(&self) -> f64 {
-        self.points
-            .iter()
-            .map(|p| p.overhead_ratio)
-            .fold(0.0, f64::max)
-    }
 }
 
 #[cfg(test)]
@@ -293,44 +156,6 @@ mod tests {
     }
 
     #[test]
-    fn amortized_cost_interpolates_between_anchor_and_delta() {
-        // K ≤ 1 disables delta coding: the cost is the anchor cost.
-        assert_eq!(amortized_checkpoint_seconds(120.0, 30.0, 0), 120.0);
-        assert_eq!(amortized_checkpoint_seconds(120.0, 30.0, 1), 120.0);
-        // K = 2: exactly halfway.
-        assert_eq!(amortized_checkpoint_seconds(120.0, 30.0, 2), 75.0);
-        // Growing K approaches the delta cost from above, monotonically.
-        let mut prev = f64::INFINITY;
-        for k in 2..=64 {
-            let t = amortized_checkpoint_seconds(120.0, 30.0, k);
-            assert!(t < prev, "amortized cost must fall with K");
-            assert!(t > 30.0, "amortized cost stays above the delta cost");
-            prev = t;
-        }
-        assert!(amortized_checkpoint_seconds(120.0, 30.0, 64) < 32.0);
-        // Equal costs: K is irrelevant.
-        assert_eq!(amortized_checkpoint_seconds(25.0, 25.0, 7), 25.0);
-    }
-
-    #[test]
-    fn delta_encoding_reduces_the_modelled_overhead() {
-        // §4.3-style costs with a delta checkpoint 4× cheaper than the
-        // anchor: the amortized overhead must land strictly between the
-        // all-delta lower bound and the all-anchor upper bound, and must
-        // beat the anchor-only lossy scheme.
-        let lossy = lossy_overhead_ratio(25.0, HOURLY, 100.0, 1.2);
-        let delta4 = lossy_delta_overhead_ratio(25.0, 6.25, 4, HOURLY, 100.0, 1.2);
-        let all_delta = lossy_overhead_ratio(6.25, HOURLY, 100.0, 1.2);
-        assert!(delta4 < lossy, "delta {delta4} must beat anchor-only {lossy}");
-        assert!(delta4 > all_delta, "anchors keep it above the all-delta bound");
-        // Interval 1 degenerates to the plain lossy model exactly.
-        assert_eq!(
-            lossy_delta_overhead_ratio(25.0, 6.25, 1, HOURLY, 100.0, 1.2),
-            lossy
-        );
-    }
-
-    #[test]
     fn overhead_increases_with_rate_and_ckpt_time() {
         let base = traditional_overhead_ratio(60.0, HOURLY);
         assert!(traditional_overhead_ratio(120.0, HOURLY) > base);
@@ -342,31 +167,6 @@ mod tests {
         // Absurdly slow checkpointing with a high failure rate.
         let r = traditional_overhead_ratio(36_000.0, 10.0 * HOURLY);
         assert!(r.is_infinite());
-        let t = expected_total_time(1000.0, 36_000.0, 36_000.0, 10.0 * HOURLY, 0.0, 1.0);
-        assert!(t.is_infinite());
-    }
-
-    #[test]
-    fn expected_total_time_consistent_with_ratio() {
-        let productive = 7160.0; // GMRES baseline of §4.3
-        let t_it = 7160.0 / 5875.0;
-        let total = expected_total_time(productive, 120.0, 120.0, HOURLY, 0.0, t_it);
-        let ratio = (total - productive) / productive;
-        let simplified = traditional_overhead_ratio(120.0, HOURLY);
-        // Equation 3 versus the simplified Equation 4 agree closely here.
-        assert!((ratio - simplified).abs() < 0.02);
-    }
-
-    #[test]
-    fn checkpoint_costs_helpers() {
-        let exact = CheckpointCosts::exact(120.0, 130.0);
-        assert_eq!(exact.extra_iterations_per_recovery, 0.0);
-        let lossy = CheckpointCosts {
-            checkpoint_seconds: 25.0,
-            recovery_seconds: 30.0,
-            extra_iterations_per_recovery: 100.0,
-        };
-        assert!(lossy.overhead_ratio(HOURLY, 1.2) < exact.overhead_ratio(HOURLY, 1.2));
     }
 
     #[test]
@@ -376,7 +176,7 @@ mod tests {
         // The corner with zero rate or zero checkpoint time has zero
         // overhead; the opposite corner has the maximum.
         assert_eq!(surface.points[0].overhead_ratio, 0.0);
-        let max = surface.max_overhead();
+        let max = surface.points.iter().map(|p| p.overhead_ratio).fold(0.0, f64::max);
         let corner = surface.points.last().unwrap();
         assert_eq!(corner.overhead_ratio, max);
         assert!(max > 1.0, "3.5 failures/hour at 140 s ckpt is > 100 % overhead");

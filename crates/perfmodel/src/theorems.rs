@@ -50,7 +50,7 @@ pub fn theorem1_max_extra_iterations(inputs: &Theorem1Inputs) -> f64 {
 /// `t − log_R(Rᵗ + eb)` extra iterations.
 ///
 /// Returns 0 if the inputs are degenerate (`r` outside (0, 1)).
-pub fn theorem2_extra_iterations_at(r: f64, eb: f64, t: usize) -> f64 {
+fn theorem2_extra_iterations_at(r: f64, eb: f64, t: usize) -> f64 {
     if !(r > 0.0 && r < 1.0) || eb < 0.0 {
         return 0.0;
     }

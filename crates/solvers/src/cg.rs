@@ -1,4 +1,4 @@
-//! Preconditioned conjugate gradient (PCG) and its restarted variant.
+//! Preconditioned conjugate gradient (PCG).
 //!
 //! Algorithm 1 of the paper is the fault-tolerant PCG with traditional
 //! checkpointing: the dynamic variables are the iteration counter `i`, the
@@ -11,9 +11,7 @@
 //! initial guess and a fresh Krylov space is built (`r = b − A x`,
 //! `z = M⁻¹ r`, `p = z`, `ρ = rᵀz`), because the compression error breaks
 //! the orthogonality relations CG's superlinear convergence rests on
-//! (§4.2).  [`RestartedCg`] adds the paper's periodic-restart behaviour on
-//! top of the same core so that restarts can also be triggered every `k`
-//! iterations, as in restarted CG [Powell 1977].
+//! (§4.2).
 
 use crate::convergence::{ConvergenceHistory, StoppingCriteria};
 use crate::precond::{IdentityPreconditioner, Preconditioner};
@@ -99,11 +97,6 @@ impl ConjugateGradient {
             x0,
             criteria,
         )
-    }
-
-    /// The preconditioner in use.
-    pub fn preconditioner(&self) -> &Arc<dyn Preconditioner> {
-        &self.precond
     }
 
     /// Rebuilds `r`, `z`, `p`, `ρ` from the current `x` (the recovery steps
@@ -255,102 +248,6 @@ impl IterativeMethod for ConjugateGradient {
     }
 }
 
-/// Restarted conjugate gradient: identical to [`ConjugateGradient`] but the
-/// Krylov space is additionally rebuilt every `restart_period` iterations,
-/// treating the current solution as a fresh initial guess (the scheme the
-/// paper adopts for CG under lossy checkpointing, §4.2).
-pub struct RestartedCg {
-    inner: ConjugateGradient,
-    restart_period: usize,
-}
-
-impl RestartedCg {
-    /// Creates a restarted CG solver that refreshes its Krylov space every
-    /// `restart_period` iterations.
-    ///
-    /// # Panics
-    /// Panics if `restart_period` is zero or on dimension mismatch.
-    pub fn new(
-        system: LinearSystem,
-        precond: Arc<dyn Preconditioner>,
-        x0: Vector,
-        restart_period: usize,
-        criteria: StoppingCriteria,
-    ) -> Self {
-        assert!(restart_period > 0, "restart period must be positive");
-        RestartedCg {
-            inner: ConjugateGradient::new(system, precond, x0, criteria),
-            restart_period,
-        }
-    }
-
-    /// The restart period.
-    pub fn restart_period(&self) -> usize {
-        self.restart_period
-    }
-}
-
-impl IterativeMethod for RestartedCg {
-    fn name(&self) -> &'static str {
-        "restarted-cg"
-    }
-
-    fn iteration(&self) -> usize {
-        self.inner.iteration()
-    }
-
-    fn residual_norm(&self) -> f64 {
-        self.inner.residual_norm()
-    }
-
-    fn reference_norm(&self) -> f64 {
-        self.inner.reference_norm()
-    }
-
-    fn solution(&self) -> &Vector {
-        self.inner.solution()
-    }
-
-    fn converged(&self) -> bool {
-        self.inner.converged()
-    }
-
-    fn step(&mut self) {
-        self.inner.step();
-        if !self.inner.converged()
-            && self.inner.iteration() > 0
-            && self.inner.iteration().is_multiple_of(self.restart_period)
-        {
-            self.inner.rebuild_krylov_state();
-        }
-    }
-
-    fn capture_state(&self) -> DynamicState {
-        // Under the restarted scheme only x (and the counter) needs saving.
-        DynamicState {
-            iteration: self.inner.iteration,
-            scalars: Vec::new(),
-            vectors: vec![("x".to_string(), self.inner.x.clone())],
-        }
-    }
-
-    fn restore_state(&mut self, state: &DynamicState) {
-        let x = state
-            .vector("x")
-            .expect("restarted-CG checkpoint must contain x")
-            .clone();
-        self.restart_from_solution(x, state.iteration);
-    }
-
-    fn restart_from_solution(&mut self, x: Vector, iteration: usize) {
-        self.inner.restart_from_solution(x, iteration);
-    }
-
-    fn history(&self) -> &ConvergenceHistory {
-        self.inner.history()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -478,54 +375,6 @@ mod tests {
     }
 
     #[test]
-    fn restarted_cg_converges_and_only_checkpoints_x() {
-        let (sys, xstar) = spd_system(10, false);
-        let n = sys.dim();
-        let mut rcg = RestartedCg::new(
-            sys,
-            Arc::new(IdentityPreconditioner::new()),
-            Vector::zeros(n),
-            30,
-            criteria(1e-10),
-        );
-        assert_eq!(rcg.restart_period(), 30);
-        rcg.run_to_convergence();
-        assert!(rcg.solution().max_abs_diff(&xstar) < 1e-5);
-        let state = rcg.capture_state();
-        assert_eq!(state.vectors.len(), 1);
-        assert!(state.vector("x").is_some());
-        assert_eq!(rcg.name(), "restarted-cg");
-    }
-
-    #[test]
-    fn restarted_cg_restore_resumes() {
-        let (sys, _) = spd_system(8, false);
-        let n = sys.dim();
-        let mut rcg = RestartedCg::new(
-            sys.clone(),
-            Arc::new(IdentityPreconditioner::new()),
-            Vector::zeros(n),
-            10,
-            criteria(1e-10),
-        );
-        for _ in 0..7 {
-            rcg.step();
-        }
-        let state = rcg.capture_state();
-        let mut other = RestartedCg::new(
-            sys,
-            Arc::new(IdentityPreconditioner::new()),
-            Vector::zeros(n),
-            10,
-            criteria(1e-10),
-        );
-        other.restore_state(&state);
-        assert_eq!(other.iteration(), 7);
-        other.run_to_convergence();
-        assert!(other.converged());
-    }
-
-    #[test]
     fn cg_handles_identity_system_in_one_step() {
         let a = CsrMatrix::identity(5);
         let b = Vector::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0]);
@@ -546,19 +395,5 @@ mod tests {
         cg.step();
         cg.step();
         assert_eq!(cg.iteration(), it);
-    }
-
-    #[test]
-    #[should_panic(expected = "restart period")]
-    fn zero_restart_period_panics() {
-        let (sys, _) = spd_system(4, false);
-        let n = sys.dim();
-        let _ = RestartedCg::new(
-            sys,
-            Arc::new(IdentityPreconditioner::new()),
-            Vector::zeros(n),
-            0,
-            criteria(1e-6),
-        );
     }
 }

@@ -87,16 +87,6 @@ impl ConvergenceHistory {
         self.restarts.push(iteration);
     }
 
-    /// Resets the initial residual (used when a solver is restored).
-    pub fn reset_initial(&mut self, initial_residual: f64) {
-        self.initial = initial_residual;
-    }
-
-    /// The initial residual norm.
-    pub fn initial_residual(&self) -> f64 {
-        self.initial
-    }
-
     /// Residual norms per iteration.
     pub fn residuals(&self) -> &[f64] {
         &self.residuals
@@ -113,7 +103,7 @@ impl ConvergenceHistory {
     }
 
     /// Last recorded residual norm (or the initial one if none recorded).
-    pub fn last_residual(&self) -> f64 {
+    fn last_residual(&self) -> f64 {
         *self.residuals.last().unwrap_or(&self.initial)
     }
 
@@ -161,7 +151,7 @@ mod tests {
         assert_eq!(h.iterations(), 3);
         assert_eq!(h.last_residual(), 0.125);
         assert_eq!(h.restarts(), &[2]);
-        assert_eq!(h.initial_residual(), 1.0);
+        assert_eq!(h.initial, 1.0);
         assert_eq!(h.residuals().len(), 3);
     }
 

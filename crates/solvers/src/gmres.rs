@@ -110,11 +110,6 @@ impl Gmres {
         )
     }
 
-    /// Restart length `m`.
-    pub fn restart_length(&self) -> usize {
-        self.restart
-    }
-
     /// Starts a new outer cycle from the current `x`, reusing the `av`/`w`
     /// scratch for the residual and its preconditioned image.
     fn begin_cycle(&mut self) {
@@ -168,7 +163,8 @@ impl Gmres {
     }
 
     /// True (unpreconditioned) residual norm of the current `x`.
-    pub fn true_residual_norm(&self) -> f64 {
+    #[cfg(test)]
+    fn true_residual_norm(&self) -> f64 {
         self.system.a.residual(&self.x, &self.system.b).norm2()
     }
 }
@@ -348,7 +344,7 @@ mod tests {
         assert!(g.solution().max_abs_diff(&xstar) < 1e-5);
         assert!(g.true_residual_norm() < 1e-6);
         assert_eq!(g.name(), "gmres");
-        assert_eq!(g.restart_length(), 30);
+        assert_eq!(g.restart, 30);
     }
 
     #[test]

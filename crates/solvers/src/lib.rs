@@ -41,7 +41,7 @@ pub mod convergence;
 pub mod gmres;
 pub mod precond;
 pub mod sharded;
-pub mod stationary;
+mod stationary;
 
 use std::sync::Arc;
 
@@ -49,15 +49,15 @@ use lcr_sparse::{CsrMatrix, Vector};
 use serde::{Deserialize, Serialize};
 
 pub use bicgstab::BiCgStab;
-pub use cg::{ConjugateGradient, RestartedCg};
+pub use cg::ConjugateGradient;
 pub use convergence::{ConvergenceHistory, StoppingCriteria};
 pub use gmres::Gmres;
 pub use precond::{
-    BlockJacobiPreconditioner, Ic0Preconditioner, IdentityPreconditioner, Ilu0Preconditioner,
-    JacobiPreconditioner, Preconditioner, SsorPreconditioner,
+    BlockJacobiPreconditioner, Ic0Preconditioner, IdentityPreconditioner, JacobiPreconditioner,
+    Preconditioner,
 };
-pub use sharded::{HookEvent, NoopHook, ShardHook, ShardOutcome, ShardedMethod};
-pub use stationary::{GaussSeidel, Jacobi, Sor, Ssor, StationaryKind};
+pub use sharded::{HookEvent, ShardHook, ShardOutcome, ShardedMethod};
+pub use stationary::{GaussSeidel, Jacobi, Sor, Ssor, StationarySolver};
 
 /// Which iterative method a configuration refers to; used by the experiment
 /// harness to build solvers generically.

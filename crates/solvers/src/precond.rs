@@ -3,12 +3,11 @@
 //! The paper uses PETSc's default preconditioning set-up — block Jacobi with
 //! ILU(0)/IC(0) inside the blocks — for the Poisson experiments, and a plain
 //! Jacobi (diagonal) preconditioner for the KKT240/GMRES experiment of
-//! Figure 3.  This module implements those plus SSOR, all behind the
-//! [`Preconditioner`] trait (apply `z = M⁻¹ r`).
+//! Figure 3.  This module implements those behind the [`Preconditioner`]
+//! trait (apply `z = M⁻¹ r`).
 
 use lcr_sparse::{CsrMatrix, SparseError, Vector};
 use rayon::prelude::*;
-use std::sync::Arc;
 
 /// Applies the inverse of a preconditioning operator `M`.
 pub trait Preconditioner: Send + Sync {
@@ -135,7 +134,7 @@ impl Preconditioner for JacobiPreconditioner {
 /// Incomplete LU factorisation with zero fill-in, ILU(0): `M = L·U` where
 /// `L`/`U` keep exactly the sparsity pattern of `A`.
 #[derive(Debug, Clone)]
-pub struct Ilu0Preconditioner {
+pub(crate) struct Ilu0Preconditioner {
     /// Combined LU factors stored in the sparsity pattern of `A`
     /// (strict lower part = L without its unit diagonal, upper part = U).
     factors: CsrMatrix,
@@ -423,80 +422,6 @@ impl Preconditioner for BlockJacobiPreconditioner {
     }
 }
 
-/// SSOR preconditioner: `M = (D/ω + L) · (D/ω)⁻¹ · (D/ω + U) · ω/(2−ω)`
-/// applied through two triangular sweeps.
-#[derive(Debug, Clone)]
-pub struct SsorPreconditioner {
-    a: Arc<CsrMatrix>,
-    diag: Vector,
-    omega: f64,
-}
-
-impl SsorPreconditioner {
-    /// Builds the SSOR preconditioner with relaxation factor `omega`
-    /// (0 < ω < 2).
-    ///
-    /// # Errors
-    /// Returns [`SparseError::ZeroDiagonal`] for zero diagonal entries.
-    ///
-    /// # Panics
-    /// Panics if `omega` is outside `(0, 2)`.
-    pub fn new(a: Arc<CsrMatrix>, omega: f64) -> Result<Self, SparseError> {
-        assert!(omega > 0.0 && omega < 2.0, "omega must be in (0, 2)");
-        a.require_nonzero_diagonal()?;
-        let diag = a.diagonal();
-        Ok(SsorPreconditioner { a, diag, omega })
-    }
-}
-
-impl Preconditioner for SsorPreconditioner {
-    fn apply(&self, r: &Vector) -> Vector {
-        let mut z = Vector::zeros(r.len());
-        self.apply_into(r, &mut z);
-        z
-    }
-
-    fn apply_into(&self, r: &Vector, out: &mut Vector) {
-        assert_eq!(r.len(), self.a.nrows(), "dimension mismatch");
-        assert_eq!(out.len(), r.len(), "dimension mismatch");
-        let n = r.len();
-        let w = self.omega;
-        let z = out.as_mut_slice();
-        // Forward sweep: (D/ω + L) y = r, y stored in z.
-        for i in 0..n {
-            let mut sum = r[i];
-            for (pos, &j) in self.a.row_indices(i).iter().enumerate() {
-                if j < i {
-                    sum -= self.a.row_values(i)[pos] * z[j];
-                }
-            }
-            z[i] = sum * w / self.diag[i];
-        }
-        // Backward sweep: (D/ω + U) z = (D/ω) y, in place (z[j] for j > i
-        // is final; z[i] still holds y[i] when row i is processed).
-        for i in (0..n).rev() {
-            let mut sum = self.diag[i] / w * z[i];
-            for (pos, &j) in self.a.row_indices(i).iter().enumerate() {
-                if j > i {
-                    sum -= self.a.row_values(i)[pos] * z[j];
-                }
-            }
-            z[i] = sum * w / self.diag[i];
-        }
-        // Symmetrising scale factor ω(2−ω) keeps M consistent with A for
-        // ω = 1 (symmetric Gauss–Seidel).
-        out.scale(w * (2.0 - w));
-    }
-
-    fn name(&self) -> &'static str {
-        "ssor"
-    }
-
-    fn storage_bytes(&self) -> usize {
-        self.diag.len() * std::mem::size_of::<f64>()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -644,46 +569,5 @@ mod tests {
         // More blocks than rows is clamped, not a panic.
         let bj_many = BlockJacobiPreconditioner::new(&a, 100).unwrap();
         assert_eq!(bj_many.apply(&r).len(), 16);
-    }
-
-    #[test]
-    fn ssor_preconditioner_applies_expected_operator() {
-        // For ω = 1 the SSOR preconditioner is M = (D + L) D⁻¹ (D + U)
-        // (symmetric Gauss–Seidel).  Check M · apply(r) == r.
-        let a = Arc::new(spd_poisson2d(5));
-        let p = SsorPreconditioner::new(a.clone(), 1.0).unwrap();
-        let r = Vector::from_vec((0..25).map(|i| 1.0 + 0.1 * i as f64).collect());
-        let z = p.apply(&r);
-
-        let (l, d, u) = a.split_ldu();
-        // t1 = (D + U) z
-        let mut t1 = u.mul_vec(&z);
-        for i in 0..25 {
-            t1[i] += d[i] * z[i];
-        }
-        // t2 = D⁻¹ t1
-        let mut t2 = t1;
-        for i in 0..25 {
-            t2[i] /= d[i];
-        }
-        // t3 = (D + L) t2
-        let mut t3 = l.mul_vec(&t2);
-        for i in 0..25 {
-            t3[i] += d[i] * t2[i];
-        }
-        assert!(
-            t3.max_abs_diff(&r) < 1e-10,
-            "M·M⁻¹·r deviates by {}",
-            t3.max_abs_diff(&r)
-        );
-        assert_eq!(p.name(), "ssor");
-        assert!(p.storage_bytes() > 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "omega")]
-    fn ssor_rejects_bad_omega() {
-        let a = Arc::new(spd_poisson2d(3));
-        let _ = SsorPreconditioner::new(a, 2.5);
     }
 }

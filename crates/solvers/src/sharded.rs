@@ -7,7 +7,7 @@
 //! epochs, failure injection — derive either from globally reduced scalars
 //! (identical on every shard by construction) or from configuration every
 //! shard holds a copy of, so the shards never diverge and every
-//! [`ShardComm::reduce`]/[`ShardComm::barrier_all_ok`] call lines up.
+//! [`ShardComm::reduce`]/[`ShardComm::try_barrier_all_ok`] call lines up.
 //!
 //! The loops follow the determinism contract of [`lcr_sparse::shard`]:
 //! dots are per-reduction-block partials folded in global block order, the
@@ -78,22 +78,9 @@ pub trait ShardHook {
     ) -> Result<HookEvent, CommError>;
 }
 
-/// A hook that does nothing (failure-free, checkpoint-free runs).
-pub struct NoopHook;
-
-impl ShardHook for NoopHook {
-    fn after_iteration(
-        &mut self,
-        _: usize,
-        _: &mut [f64],
-        _: &mut ShardComm,
-    ) -> Result<HookEvent, CommError> {
-        Ok(HookEvent::None)
-    }
-}
-
 /// One shard's view of a finished run.
 #[derive(Debug, Clone, PartialEq)]
+// lcr-analyze: allow(dead-public-item): return type of `try_run_sharded`; callers take it by inference
 pub struct ShardOutcome {
     /// Whether the global residual met `rtol · ‖b‖`.
     pub converged: bool,
@@ -211,28 +198,13 @@ impl<'a> Ctx<'a> {
 /// stopping rule is `‖r‖ ≤ rtol · ‖b‖` or `max_iterations`; both derive
 /// from reduced scalars, so every shard exits on the same iteration.
 ///
+/// # Errors
+/// Comm failures (peer death, stall timeouts, coordinator aborts, injected
+/// message drops) surface as a typed [`CommError`], so a supervisor can
+/// decide whether to retry, restart from a checkpoint, or fail the run.
+///
 /// # Panics
-/// Panics on dimension mismatch or any comm failure (see
-/// [`try_run_sharded`] for the fallible variant).
-pub fn run_sharded(
-    method: ShardedMethod,
-    mat: &ShardedCsr,
-    b_local: &[f64],
-    rtol: f64,
-    max_iterations: usize,
-    comm: &mut ShardComm,
-    hook: &mut dyn ShardHook,
-) -> ShardOutcome {
-    match try_run_sharded(method, mat, b_local, rtol, max_iterations, comm, hook) {
-        Ok(outcome) => outcome,
-        Err(e) => panic!("sharded solver comm failure: {e}"),
-    }
-}
-
-/// Fallible variant of [`run_sharded`]: comm failures (peer death, stall
-/// timeouts, coordinator aborts, injected message drops) surface as a
-/// typed [`CommError`] instead of a panic, so a supervisor can decide
-/// whether to retry, restart from a checkpoint, or fail the run.
+/// Panics on dimension mismatch.
 pub fn try_run_sharded(
     method: ShardedMethod,
     mat: &ShardedCsr,

@@ -1,9 +1,8 @@
 //! Coordinate (triplet) sparse matrix builder.
 //!
 //! The COO format is the convenient *construction* format: the matrix
-//! generators ([`crate::poisson`], [`crate::kkt`]) and the Matrix Market
-//! reader push `(row, col, value)` triplets and then convert once to
-//! [`crate::CsrMatrix`] for computation.
+//! generators ([`crate::poisson`], [`crate::kkt`]) push `(row, col, value)`
+//! triplets and then convert once to [`crate::CsrMatrix`] for computation.
 
 use crate::{CsrMatrix, Result, SparseError};
 use serde::{Deserialize, Serialize};
@@ -75,15 +74,6 @@ impl CooMatrix {
         self.cols.push(col);
         self.vals.push(val);
         Ok(())
-    }
-
-    /// Iterates over the stored triplets.
-    pub fn triplets(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
-        self.rows
-            .iter()
-            .zip(self.cols.iter())
-            .zip(self.vals.iter())
-            .map(|((&r, &c), &v)| (r, c, v))
     }
 
     /// Converts to CSR, summing duplicate entries and dropping explicit
@@ -200,11 +190,9 @@ mod tests {
     }
 
     #[test]
-    fn triplets_roundtrip() {
+    fn dimensions_are_reported() {
         let mut coo = CooMatrix::new(2, 2);
         coo.push(1, 1, 5.0).unwrap();
-        let t: Vec<_> = coo.triplets().collect();
-        assert_eq!(t, vec![(1, 1, 5.0)]);
         assert_eq!(coo.nrows(), 2);
         assert_eq!(coo.ncols(), 2);
     }

@@ -271,11 +271,6 @@ impl SpmvPlan {
         self.uniform_row_nnz
     }
 
-    /// Number of row chunks.
-    pub fn n_chunks(&self) -> usize {
-        self.chunks.len()
-    }
-
     /// The SELL-style block decomposition of chunk `ci`.
     pub fn blocks(&self, ci: usize) -> &[RowBlock] {
         &self.blocks[ci]
@@ -372,6 +367,7 @@ impl CsrMatrix {
     /// Returns [`SparseError::InvalidStructure`] if the row pointer array has
     /// the wrong length, is not monotone, or points past the data arrays, and
     /// [`SparseError::IndexOutOfBounds`] if any column index is out of range.
+    // lcr-analyze: allow(dead-public-item): the checked constructor for caller-supplied arrays; `from_raw_unchecked` is its trusted twin
     pub fn from_raw(
         nrows: usize,
         ncols: usize,
@@ -863,11 +859,6 @@ impl CsrMatrix {
         partials.into_iter().fold(0.0, f64::max)
     }
 
-    /// Frobenius norm.
-    pub fn norm_fro(&self) -> f64 {
-        self.values.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
     /// Extracts the strictly lower-triangular, diagonal, and strictly
     /// upper-triangular parts `(L, D, U)` such that `A = L + D + U`.
     pub fn split_ldu(&self) -> (CsrMatrix, Vector, CsrMatrix) {
@@ -1001,8 +992,6 @@ mod tests {
     fn norms() {
         let a = small();
         assert!((a.norm_inf() - 6.0).abs() < 1e-14);
-        let expected_fro = (3.0f64 * 16.0 + 4.0 * 1.0).sqrt();
-        assert!((a.norm_fro() - expected_fro).abs() < 1e-12);
     }
 
     #[test]
@@ -1099,7 +1088,7 @@ mod tests {
             for w in chunks.windows(2) {
                 assert_eq!(w[0].1, w[1].0, "chunks must tile the row range");
             }
-            assert_eq!(plan.n_chunks(), chunks.len());
+            assert_eq!(plan.chunks.len(), chunks.len());
             assert_eq!(plan.is_parallel(), a.nnz() >= PAR_THRESHOLD);
         }
     }
@@ -1112,8 +1101,8 @@ mod tests {
         let a = CsrMatrix::from_dense(rows, cols, &vec![1.0; rows * cols]);
         assert!(a.nnz() >= PAR_THRESHOLD);
         let plan = a.plan();
-        assert!(plan.n_chunks() > 1, "dense matrix must split");
-        let per_chunk_target = a.nnz() / plan.n_chunks();
+        assert!(plan.chunks.len() > 1, "dense matrix must split");
+        let per_chunk_target = a.nnz() / plan.chunks.len();
         for &(r0, r1) in plan.chunks() {
             let nnz = a.indptr()[r1] - a.indptr()[r0];
             // Balanced to within one row's worth of non-zeros.
@@ -1132,7 +1121,7 @@ mod tests {
         let a = CsrMatrix::from_dense(rows, cols, &vec![1.0; rows * cols]);
         assert!(a.nnz() >= PAR_THRESHOLD);
         let plan = a.plan();
-        assert!(plan.n_chunks() <= rows);
+        assert!(plan.chunks.len() <= rows);
         assert!(plan.chunks().iter().all(|&(r0, r1)| r1 > r0));
     }
 

@@ -31,10 +31,6 @@ pub enum SparseError {
     /// A matrix that must have a non-zero diagonal (Jacobi, Gauss–Seidel,
     /// ILU) is missing or has a zero diagonal entry.
     ZeroDiagonal(usize),
-    /// Failure while parsing or writing a Matrix Market file.
-    Io(String),
-    /// The Matrix Market header or body was malformed.
-    Parse(String),
 }
 
 impl fmt::Display for SparseError {
@@ -61,19 +57,11 @@ impl fmt::Display for SparseError {
             SparseError::ZeroDiagonal(i) => {
                 write!(f, "zero or missing diagonal entry at row {i}")
             }
-            SparseError::Io(msg) => write!(f, "I/O error: {msg}"),
-            SparseError::Parse(msg) => write!(f, "parse error: {msg}"),
         }
     }
 }
 
 impl std::error::Error for SparseError {}
-
-impl From<std::io::Error> for SparseError {
-    fn from(e: std::io::Error) -> Self {
-        SparseError::Io(e.to_string())
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -99,12 +87,5 @@ mod tests {
 
         let e = SparseError::ZeroDiagonal(4);
         assert!(e.to_string().contains('4'));
-    }
-
-    #[test]
-    fn io_error_converts() {
-        let ioe = std::io::Error::new(std::io::ErrorKind::NotFound, "missing");
-        let e: SparseError = ioe.into();
-        assert!(matches!(e, SparseError::Io(_)));
     }
 }

@@ -15,8 +15,7 @@
 //! and `A` is a sparse constraint Jacobian.  `K` is symmetric and
 //! indefinite — it has both positive and negative eigenvalues — which is the
 //! property that rules CG out and makes GMRES the appropriate solver, as in
-//! the paper.  A real `KKT240` Matrix Market file can be substituted via
-//! [`crate::matrixmarket::read_matrix_market`].
+//! the paper.
 
 use crate::{CooMatrix, CsrMatrix, Vector};
 
@@ -133,7 +132,8 @@ pub fn kkt_system(config: &KktConfig) -> (CsrMatrix, Vector, Vector) {
 /// Estimates whether a symmetric matrix is indefinite by sampling the
 /// quadratic form `xᵀAx` with deterministic pseudo-random vectors: if both
 /// signs appear the matrix is certainly indefinite.
-pub fn appears_indefinite(a: &CsrMatrix, samples: usize) -> bool {
+#[cfg(test)]
+fn appears_indefinite(a: &CsrMatrix, samples: usize) -> bool {
     let mut saw_pos = false;
     let mut saw_neg = false;
     for s in 0..samples {

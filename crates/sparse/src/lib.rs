@@ -11,16 +11,13 @@
 //! * [`CsrMatrix`] — compressed sparse row storage with rayon-parallel
 //!   matrix–vector products, transposition, diagonal extraction and
 //!   structural queries.
-//! * [`CooMatrix`] — triplet builder used by the generators and the
-//!   Matrix Market reader.
+//! * [`CooMatrix`] — triplet builder used by the generators.
 //! * [`poisson`] — the 3-D (and 2-D/1-D) Poisson stencil matrices used in
 //!   the paper's evaluation (Equation 15 of the paper: a 7-point stencil
 //!   with `-6` on the diagonal).
 //! * [`kkt`] — a synthetic symmetric-indefinite KKT (saddle-point) system
 //!   generator standing in for the SuiteSparse `KKT240` matrix used in
 //!   Figure 3 of the paper.
-//! * [`matrixmarket`] — Matrix Market (`.mtx`) reader/writer so real
-//!   SuiteSparse matrices can be dropped in when available.
 //! * [`vector`] — dense-vector kernels (axpy, dot, norms) with sequential
 //!   and rayon-parallel variants.
 //! * [`simd`] — the portable eight-lane vector layer underneath every hot
@@ -46,7 +43,6 @@ pub mod csr;
 pub mod error;
 pub mod kernels;
 pub mod kkt;
-pub mod matrixmarket;
 pub mod partition;
 pub mod poisson;
 pub mod shard;

@@ -11,6 +11,7 @@ use serde::{Deserialize, Serialize};
 
 /// The contiguous row range owned by one rank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+// lcr-analyze: allow(dead-public-item): return type of `BlockRowPartition::range`; callers take it by inference
 pub struct RankRange {
     /// Rank id (0-based).
     pub rank: usize,
@@ -108,11 +109,6 @@ impl BlockRowPartition {
     pub fn max_local_rows(&self) -> usize {
         self.n / self.ranks + usize::from(!self.n.is_multiple_of(self.ranks))
     }
-
-    /// Number of bytes of a double-precision vector owned by `rank`.
-    pub fn local_vector_bytes(&self, rank: usize) -> usize {
-        self.range(rank).len() * std::mem::size_of::<f64>()
-    }
 }
 
 #[cfg(test)]
@@ -125,7 +121,6 @@ mod tests {
         assert_eq!(p.range(0), RankRange { rank: 0, start: 0, end: 25 });
         assert_eq!(p.range(3), RankRange { rank: 3, start: 75, end: 100 });
         assert_eq!(p.max_local_rows(), 25);
-        assert_eq!(p.local_vector_bytes(0), 200);
     }
 
     #[test]

@@ -118,7 +118,7 @@ pub fn manufactured_rhs(a: &CsrMatrix) -> (Vector, Vector) {
 /// The per-process problem sizes `n` used in Table 3 of the paper, keyed by
 /// the number of processes: the paper's weak-scaling grid goes from `1088³`
 /// at 256 processes to `2160³` at 2,048 processes.
-pub const TABLE3_GRID: &[(usize, usize)] = &[
+const TABLE3_GRID: &[(usize, usize)] = &[
     (256, 1088),
     (512, 1368),
     (768, 1568),

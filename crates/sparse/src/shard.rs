@@ -186,13 +186,8 @@ pub struct HaloPlan {
 
 impl HaloPlan {
     /// Number of halo (ghost) values this shard receives per exchange.
-    pub fn halo_len(&self) -> usize {
+    fn halo_len(&self) -> usize {
         self.halo_cols.len()
-    }
-
-    /// Number of owned values this shard sends per exchange.
-    pub fn send_len(&self) -> usize {
-        self.send_rows.iter().map(Vec::len).sum()
     }
 
     /// Validates the receive side of the plan: ranges must be in-bounds,
@@ -644,17 +639,6 @@ impl ShardComm {
         Ok(())
     }
 
-    /// Infallible [`ShardComm::try_halo_exchange`] for callers outside the
-    /// supervised path.
-    ///
-    /// # Panics
-    /// Panics on any communication failure.
-    pub fn halo_exchange(&mut self, plan: &HaloPlan, owned: &[f64], halo: &mut [f64]) {
-        if let Err(e) = self.try_halo_exchange(plan, owned, halo) {
-            panic!("{e}");
-        }
-    }
-
     fn recv_reply(&mut self) -> Result<Reply, CommError> {
         self.from_coord.recv().map_err(|_| CommError::CoordinatorGone {
             shard: self.shard,
@@ -719,17 +703,6 @@ impl ShardComm {
         }
     }
 
-    /// Infallible [`ShardComm::try_barrier_all_ok`].
-    ///
-    /// # Panics
-    /// Panics on any communication failure.
-    pub fn barrier_all_ok(&mut self, ok: bool) -> bool {
-        match self.try_barrier_all_ok(ok) {
-            Ok(v) => v,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// Announces this shard's completion and consumes the endpoint.
     pub fn finish(self) {
         // The coordinator exits once every shard reports done; a shard
@@ -740,6 +713,7 @@ impl ShardComm {
 
 /// The reduction/barrier coordinator: runs on the executor thread,
 /// servicing lockstep rounds until every shard reports done.
+// lcr-analyze: allow(dead-public-item): returned by `build_comms`; the executor drives it by inference
 pub struct ShardCoordinator {
     shards: usize,
     rx: Receiver<Request>,
@@ -757,17 +731,6 @@ impl ShardCoordinator {
     /// explicit kill was detectable.
     pub fn set_timeout(&mut self, timeout: Option<Duration>) {
         self.timeout = timeout;
-    }
-
-    /// Services rounds until every shard has sent [`ShardComm::finish`].
-    ///
-    /// # Panics
-    /// Panics on any supervised failure ([`ShardCoordinator::try_serve`]
-    /// is the non-panicking form).
-    pub fn serve(&mut self) {
-        if let Err(e) = self.try_serve() {
-            panic!("{e}");
-        }
     }
 
     /// Services rounds until every shard has sent [`ShardComm::finish`],
@@ -966,7 +929,7 @@ fn consume_done_slots(slots: &[Option<Request>], done: &mut [bool], live: &mut u
 
 /// Builds the communication substrate for `shards` shards: one
 /// [`ShardComm`] endpoint per shard plus the [`ShardCoordinator`] the
-/// executor thread must [`serve`](ShardCoordinator::serve).
+/// executor thread must [`try_serve`](ShardCoordinator::try_serve).
 pub fn build_comms(shards: usize) -> (Vec<ShardComm>, ShardCoordinator) {
     assert!(shards > 0, "at least one shard");
     let (req_tx, req_rx) = channel::<Request>();
@@ -1153,14 +1116,14 @@ mod tests {
                 std::thread::spawn(move || {
                     let s = comm.shard() as f64;
                     let r = comm.reduce(vec![vec![s, 1.0], vec![2.0 * s]]);
-                    let ok = comm.barrier_all_ok(comm.shard() != 1);
-                    let all = comm.barrier_all_ok(true);
+                    let ok = comm.try_barrier_all_ok(comm.shard() != 1).unwrap();
+                    let all = comm.try_barrier_all_ok(true).unwrap();
                     comm.finish();
                     (r, ok, all)
                 })
             })
             .collect();
-        coord.serve();
+        coord.try_serve().unwrap();
         for h in handles {
             let (r, ok, all) = h.join().unwrap();
             assert_eq!(r, vec![0.0 + 1.0 + 1.0 + 1.0 + 2.0 + 1.0, 6.0]);

@@ -72,11 +72,6 @@ impl Vector {
         &mut self.data
     }
 
-    /// Consumes the vector and returns the underlying `Vec`.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Sets every element to zero, preserving the allocation.
     pub fn set_zero(&mut self) {
         self.data.iter_mut().for_each(|v| *v = 0.0);
@@ -105,15 +100,6 @@ impl Vector {
                 .reduce(|| 0.0, f64::max)
         } else {
             self.data.iter().fold(0.0_f64, |acc, v| acc.max(v.abs()))
-        }
-    }
-
-    /// 1-norm (sum of absolute values).
-    pub fn norm1(&self) -> f64 {
-        if self.data.len() >= PAR_THRESHOLD {
-            self.data.par_iter().map(|v| v.abs()).sum()
-        } else {
-            self.data.iter().map(|v| v.abs()).sum()
         }
     }
 
@@ -337,7 +323,6 @@ mod tests {
     fn norms() {
         let v = Vector::from_vec(vec![3.0, -4.0]);
         assert!((v.norm2() - 5.0).abs() < 1e-14);
-        assert!((v.norm1() - 7.0).abs() < 1e-14);
         assert!((v.norm_inf() - 4.0).abs() < 1e-14);
     }
 
@@ -423,7 +408,7 @@ mod tests {
         assert_eq!(a, b);
         let v: Vector = [1.0, 2.0, 3.0].into_iter().collect();
         assert_eq!(v.len(), 3);
-        assert_eq!(v.into_vec(), vec![1.0, 2.0, 3.0]);
+        assert_eq!(v.as_slice(), &[1.0, 2.0, 3.0]);
     }
 
     #[test]

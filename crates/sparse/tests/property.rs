@@ -99,20 +99,6 @@ proptest! {
     }
 
     #[test]
-    fn matrix_market_roundtrip((r, c, data) in dense_matrix()) {
-        let a = CsrMatrix::from_dense(r, c, &data);
-        let mut buf = Vec::new();
-        lcr_sparse::matrixmarket::write_matrix_market(&a, &mut buf).unwrap();
-        let b = lcr_sparse::matrixmarket::parse_matrix_market(buf.as_slice()).unwrap();
-        prop_assert_eq!(a.nnz(), b.nnz());
-        for i in 0..r {
-            for j in 0..c {
-                prop_assert!((a.get(i, j) - b.get(i, j)).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
     fn vector_axpy_dot_identities(seed in 0u64..1000, n in 1usize..300, alpha in -3.0f64..3.0) {
         let mut x = Vector::zeros(n);
         let mut y = Vector::zeros(n);

@@ -8,7 +8,7 @@
 //! CI runs this file at `LCR_NUM_THREADS=1` and `=4`; the deterministic
 //! kernels make every assertion thread-count independent.
 
-use lossy_ckpt::ckpt::{CheckpointLevel, ClusterConfig, PfsModel};
+use lossy_ckpt::ckpt::{CheckpointBuffer, CheckpointLevel, ClusterConfig, DiskStore, PfsModel};
 use lossy_ckpt::core::runner::{ExecutionBackend, FaultTolerantRunner, Persistence, RunConfig, RunReport};
 use lossy_ckpt::core::strategy::CheckpointStrategy;
 use lossy_ckpt::core::workload::PaperWorkload;
@@ -364,4 +364,68 @@ fn all_checkpoints_corrupt_means_scratch_start() {
     assert!(solver.converged());
 
     let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn undecodable_checkpoint_is_counted_as_a_failed_recovery() {
+    let workload = PaperWorkload::poisson(256, 8);
+    let problem = workload.build();
+    let dir = tempdir("undecodable");
+    let strategy = CheckpointStrategy::lossy_default();
+
+    // Plant a checkpoint the store accepts (valid header, valid CRCs, the
+    // strategy's own tag) whose `x` payload is not an SZ stream.
+    {
+        let mut buffer = CheckpointBuffer::new();
+        buffer.push_with("x", |out| {
+            out.extend_from_slice(&(problem.system.dim() as u64).to_le_bytes());
+            out.extend_from_slice(&[0xAB; 64]);
+        });
+        let mut store = DiskStore::open(&dir, 2).unwrap();
+        store
+            .push_from_buffer(
+                30,
+                0.0,
+                CheckpointLevel::Pfs,
+                problem.system.dim() * 8,
+                None,
+                strategy.name(),
+                &[],
+                &buffer,
+            )
+            .unwrap();
+    }
+
+    let mut solver = workload.build_solver(&problem, SolverKind::Jacobi, 200_000);
+    let report = FaultTolerantRunner::new(config(strategy, &dir, false, 500_000))
+        .run(solver.as_mut(), &problem);
+    assert_eq!(report.failed_recoveries, 1, "the decode failure is reported");
+    assert_eq!(report.resumed_from_iteration, None);
+    assert!(!report.hit_iteration_limit);
+    assert!(solver.converged());
+
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The dynamic state of 64³ Poisson CG + block-Jacobi after 60 iterations
+/// holds a repeat at distance exactly 65536 — one past the largest offset
+/// the LZSS stage can write — so it pins the match-window bound end to end.
+#[test]
+fn lossless_checkpoint_of_64cubed_cg_at_iteration_60_roundtrips() {
+    let workload = PaperWorkload::poisson(1, 64);
+    let problem = workload.build();
+    let mut solver = workload.build_solver(&problem, SolverKind::Cg, 200_000);
+    for _ in 0..60 {
+        solver.step();
+    }
+    let strategy = CheckpointStrategy::lossless_default();
+    let encoded = strategy.encode(solver.as_ref()).unwrap();
+
+    let mut restored = workload.build_solver(&problem, SolverKind::Cg, 200_000);
+    strategy
+        .recover(restored.as_mut(), &encoded.payloads, encoded.iteration, &encoded.scalars)
+        .expect("a lossless checkpoint must decode");
+    assert_eq!(restored.iteration(), 60);
+    let (a, b) = (solver.solution(), restored.solution());
+    assert!(a.iter().zip(b.iter()).all(|(x, y)| x.to_bits() == y.to_bits()));
 }
