@@ -8,9 +8,11 @@
 //! matrix; in-process we additionally sweep 1/2/4 shards and both thread
 //! caps directly.
 
-use lossy_ckpt::core::sharded::{run_sharded, ShardedReport, ShardedRunConfig};
+use lossy_ckpt::core::sharded::{
+    run_sharded, try_run_sharded, KillSpec, ShardedReport, ShardedRunConfig,
+};
 use lossy_ckpt::solvers::ShardedMethod;
-use lossy_ckpt::sparse::poisson::poisson3d;
+use lossy_ckpt::sparse::poisson::{manufactured_rhs, poisson2d, poisson3d};
 use lossy_ckpt::sparse::{CsrMatrix, Vector};
 use proptest::prelude::*;
 
@@ -49,6 +51,83 @@ fn assert_bit_identical(base: &ShardedReport, other: &ShardedReport, label: &str
     {
         assert_eq!(x.to_bits(), y.to_bits(), "{label}: solution entry {i}");
     }
+}
+
+/// Order-sensitive bit fingerprint (same fold as `tests/fused_kernels.rs`).
+fn fingerprint(values: &[f64]) -> u64 {
+    values
+        .iter()
+        .fold(0u64, |h, v| h.rotate_left(13) ^ v.to_bits())
+}
+
+/// The 24² / 12³ manufactured-solution systems of `tests/fused_kernels.rs`
+/// (negated for CG, paper sign for BiCGStab).
+fn golden_system(three_d: bool, negate: bool) -> (CsrMatrix, Vector) {
+    let mut a = if three_d { poisson3d(12) } else { poisson2d(24) };
+    if negate {
+        for v in a.values_mut() {
+            *v = -*v;
+        }
+    }
+    let (_, b) = manufactured_rhs(&a);
+    (a, b)
+}
+
+/// Absolute goldens of the sharded loops: iteration count and bit-exact
+/// residual trace per method and system, identical at 1, 2 and 4 shards.
+/// The shard-count comparisons below only pin the counts against each
+/// other; these pin all of them against the recorded run.
+#[test]
+fn sharded_krylov_iterations_and_traces_are_pinned() {
+    for (method, three_d, golden_iters, golden_fp) in [
+        (ShardedMethod::Cg, false, 86usize, 0xbbcdd1b2cadc8ffcu64),
+        (ShardedMethod::Cg, true, 55, 0x92700cb59ed23efa),
+        (ShardedMethod::BiCgStab, false, 65, 0x07ebf10b372dccc6),
+        (ShardedMethod::BiCgStab, true, 40, 0xf955e0236e4b659f),
+    ] {
+        let (a, b) = golden_system(three_d, method == ShardedMethod::Cg);
+        for shards in [1, 2, 4] {
+            let mut cfg = ShardedRunConfig::new(shards, method);
+            cfg.rtol = 1e-10;
+            cfg.reduce_block = 64;
+            let report = try_run_sharded(&a, &b, &cfg).expect("fault-free run");
+            let label = format!("{} 3d={three_d} at {shards} shards", method.name());
+            assert!(report.converged, "{label}");
+            assert_eq!(report.iterations, golden_iters, "{label}: iterations");
+            assert_eq!(
+                fingerprint(&report.residual_trace),
+                golden_fp,
+                "{label}: residual trace"
+            );
+        }
+    }
+}
+
+/// Absolute golden of one kill-and-recover run: the Krylov rebuild
+/// iterations, the iteration count and the bits of the gathered solution
+/// after shard 1 of 2 restores its slice from the lossy epoch at 10.
+#[test]
+fn sharded_kill_and_recover_run_is_pinned() {
+    let (a, b) = golden_system(true, true);
+    let dir = std::env::temp_dir().join(format!("lcr-shard-golden-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut cfg = ShardedRunConfig::new(2, ShardedMethod::Cg);
+    cfg.rtol = 1e-10;
+    cfg.reduce_block = 64;
+    cfg.checkpoint_interval = 5;
+    cfg.ckpt_dir = Some(dir.clone());
+    cfg.kills = vec![KillSpec {
+        shard: 1,
+        at_iteration: 12,
+    }];
+    let report = try_run_sharded(&a, &b, &cfg).expect("kill-and-recover run");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(report.converged);
+    assert_eq!(report.restart_iterations, vec![12]);
+    assert_eq!(report.shards[1].resumed_from_iteration, Some(10));
+    assert_eq!(report.iterations, 60);
+    assert_eq!(fingerprint(&report.residual_trace), 0xddf19ae897cbfced);
+    assert_eq!(fingerprint(report.solution.as_slice()), 0x300e48be1a24b020);
 }
 
 /// The acceptance benchmark: sharded CG on the 64³ Poisson system produces
