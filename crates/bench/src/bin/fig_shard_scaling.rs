@@ -16,7 +16,7 @@
 //! Prints the usual aligned table + `JSON:` line.
 
 use lcr_bench::{fmt, print_json, print_table};
-use lcr_core::sharded::{run_sharded, ShardedReport, ShardedRunConfig};
+use lcr_core::sharded::{try_run_sharded, ShardedReport, ShardedRunConfig};
 use lcr_solvers::ShardedMethod;
 use lcr_sparse::poisson::poisson3d;
 use lcr_sparse::{CsrMatrix, Vector};
@@ -80,7 +80,7 @@ fn run_once(
     cfg.max_iterations = iterations;
     cfg.reduce_block = reduce_block;
     let start = Instant::now();
-    let report = run_sharded(a, b, &cfg);
+    let report = try_run_sharded(a, b, &cfg).expect("fault-free sharded run");
     let seconds = start.elapsed().as_secs_f64();
     (report, seconds)
 }

@@ -174,8 +174,9 @@ fn measured_shard_segment_ratio(
     cfg.reduce_block = cfg.reduce_block.min(n.div_ceil(shards * 4).max(1));
     cfg.checkpoint_interval = 5;
     cfg.ckpt_dir = Some(dir.clone());
-    let report = crate::sharded::run_sharded(&a, &b, &cfg);
+    let report = crate::sharded::try_run_sharded(&a, &b, &cfg);
     let _ = std::fs::remove_dir_all(&dir);
+    let report = report.expect("fault-free sharded run on the OS temp directory");
     let stored = report.committed_epochs.last()?.total_bytes();
     (stored > 0).then(|| (n * std::mem::size_of::<f64>()) as f64 / stored as f64)
 }

@@ -52,8 +52,6 @@ pub use experiment::{
     CheckpointTimeRow, ExpectedOverheadRow, FaultToleranceOverheadRow, Table3Row,
 };
 pub use runner::{ExecutionBackend, FaultTolerantRunner, RunConfig, RunReport};
-pub use sharded::{
-    run_sharded, EpochRecord, KillSpec, ShardStats, ShardedReport, ShardedRunConfig,
-};
+pub use sharded::{EpochRecord, KillSpec, ShardStats, ShardedReport, ShardedRunConfig};
 pub use strategy::{CheckpointStrategy, ErrorBoundPolicy, RecoveryMode};
 pub use workload::{PaperWorkload, ScaledProblem, WorkloadKind};

@@ -36,7 +36,6 @@ use lcr_solvers::IterativeMethod;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Where checkpoints live for recovery purposes.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -79,62 +78,15 @@ impl Persistence {
     }
 }
 
-/// Which execution substrate the runner drives.
-///
-/// The historical default is the *simulated* cluster: one global solver
-/// advancing a [`SimClock`], with checkpoint/recovery **time** modelled by
-/// the [`PfsModel`].  [`ExecutionBackend::Sharded`] instead routes the run
-/// through [`crate::sharded::run_sharded`]: the system is domain-decomposed
-/// over real concurrent shard threads with channel-based halo exchange,
-/// per-shard SZ checkpoint segments under a coordinated epoch commit, and
-/// per-shard crash recovery.  Timing semantics differ accordingly: the
-/// sharded backend reports *real* wall-clock seconds in
-/// [`RunReport::total_seconds`] and leaves the simulated time breakdown
-/// (checkpoint/recovery/rollback seconds) at zero.
+/// Which execution substrate the runner drives: only the *simulated*
+/// cluster — one global solver advancing a [`SimClock`], with
+/// checkpoint/recovery **time** modelled by the [`PfsModel`].  Real
+/// domain-decomposed runs go through [`crate::sharded::try_run_sharded`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub enum ExecutionBackend {
-    /// The simulated cluster (SimClock + PfsModel) — the default.
+    /// The simulated cluster (SimClock + PfsModel).
     #[default]
     Simulated,
-    /// The real in-process domain-decomposed executor.
-    Sharded(ShardedOptions),
-}
-
-/// Options of the sharded execution backend (see [`crate::sharded`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardedOptions {
-    /// Number of shards (concurrent worker threads).
-    pub shards: usize,
-    /// Reduction-block size in rows ([`lcr_sparse::REDUCE_BLOCK`] default).
-    pub reduce_block: usize,
-    /// Relative convergence tolerance of the sharded loop.
-    pub rtol: f64,
-    /// Iteration cap of the sharded loop.
-    pub max_iterations: usize,
-    /// SZ error bound for the per-shard checkpoint segments.
-    pub error_bound: lcr_compress::ErrorBound,
-    /// Deterministic fail-stop injections (two at the same iteration on
-    /// different shards = a double fault).
-    pub kills: Vec<crate::sharded::KillSpec>,
-    /// Supervision heartbeat for the shard coordinator and halo receives:
-    /// a shard silent this long is flagged stalled and the run aborts with
-    /// typed errors instead of hanging.
-    pub heartbeat_timeout: Option<Duration>,
-}
-
-impl ShardedOptions {
-    /// Paper-style defaults for `shards` shards.
-    pub fn new(shards: usize) -> Self {
-        ShardedOptions {
-            shards,
-            reduce_block: lcr_sparse::REDUCE_BLOCK,
-            rtol: 1e-7,
-            max_iterations: 10_000,
-            error_bound: lcr_compress::ErrorBound::ValueRangeRel(1e-4),
-            kills: Vec::new(),
-            heartbeat_timeout: None,
-        }
-    }
 }
 
 /// Configuration of one fault-tolerant run.
@@ -180,11 +132,8 @@ pub struct RunConfig {
     /// runner pointed at the same directory resumes from the newest
     /// complete checkpoint instead of starting from scratch.
     pub persistence: Persistence,
-    /// Execution substrate: the simulated cluster (default) or the real
-    /// sharded executor.  The sharded backend uses
-    /// `checkpoint_interval_iterations` and [`Persistence::Disk`]'s
-    /// directory for its per-shard epoch checkpoints; the simulation-only
-    /// fields (`cluster`, `pfs`, `mtti_seconds`, …) are ignored there.
+    /// Execution substrate; a single value, kept because `lcr_benchmark`
+    /// names it.
     pub backend: ExecutionBackend,
 }
 
@@ -372,120 +321,6 @@ impl FaultTolerantRunner {
         self
     }
 
-    /// Executes the run on the real sharded backend and adapts the
-    /// [`crate::sharded::ShardedReport`] into the runner's [`RunReport`].
-    ///
-    /// The solver instance selects the sharded method by name and, on
-    /// return, is restarted from the converged solution so its state
-    /// matches the run outcome.  Timing: `total_seconds` is *real*
-    /// wall-clock time; the simulated breakdown stays zero.
-    fn run_sharded_backend(
-        &self,
-        solver: &mut dyn IterativeMethod,
-        problem: &ScaledProblem,
-        opts: &ShardedOptions,
-    ) -> RunReport {
-        let cfg = &self.config;
-        let method = match solver.name() {
-            "cg" | "restarted-cg" => lcr_solvers::ShardedMethod::Cg,
-            "bicgstab" => lcr_solvers::ShardedMethod::BiCgStab,
-            "jacobi" => lcr_solvers::ShardedMethod::Jacobi,
-            other => panic!("sharded backend does not support solver '{other}'"),
-        };
-        // The paper's Poisson operator is negative definite; CG needs SPD,
-        // so mirror `workload::build_solver` and solve (−A) x = (−b).
-        let mut a = (*problem.system.a).clone();
-        let mut b = (*problem.system.b).clone();
-        if method == lcr_solvers::ShardedMethod::Cg {
-            for v in a.values_mut() {
-                *v = -*v;
-            }
-            b.scale(-1.0);
-        }
-        let mut scfg = crate::sharded::ShardedRunConfig::new(opts.shards, method);
-        scfg.rtol = opts.rtol;
-        scfg.max_iterations = opts.max_iterations;
-        scfg.reduce_block = opts.reduce_block;
-        scfg.error_bound = opts.error_bound;
-        scfg.checkpoint_interval = cfg.checkpoint_interval_iterations;
-        scfg.kills = opts.kills.clone();
-        scfg.heartbeat_timeout = opts.heartbeat_timeout;
-        if let Persistence::Disk { dir, .. } = &cfg.persistence {
-            scfg.ckpt_dir = Some(dir.clone());
-        } else if scfg.checkpoint_interval > 0 {
-            panic!("the sharded backend persists checkpoints on disk: use Persistence::Disk");
-        }
-        let report = crate::sharded::run_sharded(&a, &b, &scfg);
-
-        let failures: usize = report.shards.iter().map(|s| s.rollbacks).sum();
-        let resumed_from_iteration = report
-            .shards
-            .iter()
-            .find_map(|s| s.resumed_from_iteration);
-        let bytes_trace: Vec<usize> = report
-            .committed_epochs
-            .iter()
-            .map(crate::sharded::EpochRecord::total_bytes)
-            .collect();
-        let mean_checkpoint_bytes = if bytes_trace.is_empty() {
-            0.0
-        } else {
-            bytes_trace.iter().sum::<usize>() as f64 / bytes_trace.len() as f64
-        };
-        let original_bytes = (problem.system.dim() * std::mem::size_of::<f64>()) as f64;
-        let mean_compression_ratio = if mean_checkpoint_bytes > 0.0 {
-            original_bytes / mean_checkpoint_bytes
-        } else {
-            1.0
-        };
-        // Leave the solver in the run's final state.
-        solver.restart_from_solution(report.solution.clone(), report.iterations);
-        let io_retries: usize = report.shards.iter().map(|s| s.io_retries as usize).sum();
-        let retried_checkpoints: usize = report
-            .shards
-            .iter()
-            .map(|s| s.retried_checkpoints as usize)
-            .sum();
-        let io_backoff_seconds: Vec<f64> = report
-            .shards
-            .iter()
-            .flat_map(|s| s.io_backoff_seconds.iter().copied())
-            .collect();
-        RunReport {
-            strategy: cfg.strategy.name().to_string(),
-            convergence_iterations: report.iterations,
-            executed_iterations: report.iterations,
-            checkpoints_taken: report.committed_epochs.len(),
-            aborted_checkpoints: report
-                .shards
-                .first()
-                .map_or(0, |s| s.aborted_epochs),
-            failed_checkpoints: 0,
-            retried_checkpoints,
-            io_retries,
-            io_backoff_seconds,
-            degraded_tier: false,
-            anchor_checkpoints: report.committed_epochs.len(),
-            delta_checkpoints: 0,
-            resumed_from_iteration,
-            failures,
-            recoveries: failures,
-            failed_recoveries: 0,
-            total_seconds: report.wall_seconds,
-            productive_seconds: report.wall_seconds,
-            checkpoint_seconds: 0.0,
-            recovery_seconds: 0.0,
-            rollback_seconds: 0.0,
-            overhead_seconds: 0.0,
-            residual_history: report.residual_trace.clone(),
-            restart_iterations: report.restart_iterations.clone(),
-            hit_iteration_limit: !report.converged,
-            checkpoint_bytes_trace: bytes_trace,
-            mean_checkpoint_bytes,
-            mean_compression_ratio,
-        }
-    }
-
     /// Executes `solver` to convergence under failures and checkpointing,
     /// using `problem` for paper-scale byte accounting.
     ///
@@ -498,9 +333,6 @@ impl FaultTolerantRunner {
         solver: &mut dyn IterativeMethod,
         problem: &ScaledProblem,
     ) -> RunReport {
-        if let ExecutionBackend::Sharded(opts) = &self.config.backend {
-            return self.run_sharded_backend(solver, problem, &opts.clone());
-        }
         let cfg = &self.config;
         // Pin the kernel thread count for the duration of the run if the
         // config asks for one; restored on every exit path by the guard.

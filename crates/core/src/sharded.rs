@@ -1,9 +1,9 @@
-//! The sharded executor: runs the domain-decomposed solver loops of
-//! `lcr-solvers` on real concurrent shard threads, with per-shard lossy
+//! The sharded executor: steps the solvers of `lcr-solvers` on real
+//! concurrent shard threads, one [`ShardSpace`] each, with per-shard lossy
 //! checkpointing and per-shard crash recovery.
 //!
 //! This is the promotion of the paper's *simulated* cluster into a real
-//! one: [`run_sharded`] carves the global system into
+//! one: [`try_run_sharded`] carves the global system into
 //! [`ShardedCsr`](lcr_sparse::ShardedCsr) views via
 //! [`partition_csr`](lcr_sparse::shard::partition_csr), spawns one scoped
 //! thread per shard, and services the reduction/barrier coordinator on the
@@ -11,11 +11,15 @@
 //! and — when checkpointing is enabled — its *own*
 //! [`DiskStore`](lcr_ckpt::DiskStore) under `ckpt_dir/shard-{k}/`, into
 //! which it writes an SZ-compressed segment of its local solution slice.
+//! The shard thread owns its loop exactly as
+//! [`FaultTolerantRunner::run`](crate::FaultTolerantRunner::run) does: one
+//! solver step, then the checkpoint / commit-barrier / kill logic on the
+//! local solution, then a solver restart when a recovery round fired.
 //!
 //! # Coordinated epoch commit
 //!
 //! A checkpoint *epoch* is the simultaneous checkpoint every shard takes at
-//! the same iteration (the hooks run in lockstep).  After writing its
+//! the same iteration (the shards run in lockstep).  After writing its
 //! segment, each shard votes in an all-ok barrier
 //! ([`ShardComm::try_barrier_all_ok`](lcr_sparse::ShardComm::try_barrier_all_ok));
 //! the epoch is **committed** — recoverable — only if every shard's
@@ -30,27 +34,29 @@
 //! solution is wiped), reloads its slice from the newest *committed* epoch
 //! in its own store ([`DiskStore::read_valid_by_id`]) and SZ-decompresses
 //! it; surviving shards keep their in-memory state untouched and merely
-//! replay halo values.  All shards then return
-//! [`HookEvent::RestartKrylov`], rebuilding the Krylov recurrence from the
-//! partially restored global solution — Algorithm 2 of the paper executed
-//! shard-locally, with rollback confined to the failed shard.
+//! replay halo values.  All shards then restart their solver, rebuilding
+//! the Krylov recurrence from the partially restored global solution —
+//! Algorithm 2 of the paper executed shard-locally, with rollback confined
+//! to the failed shard.
 
+use std::cell::RefCell;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lcr_ckpt::{CheckpointBuffer, CheckpointLevel, DiskStore, RetryPolicy, StorageBackend};
 use lcr_compress::{Compressed, ErrorBound, LossyCompressor, SzCompressor};
-use lcr_solvers::sharded::{
-    try_run_sharded as try_run_shard_loop, HookEvent, ShardHook, ShardedMethod,
+use lcr_solvers::{
+    BiCgStab, ConjugateGradient, Jacobi, Progress, ShardSpace, ShardedMethod, StoppingCriteria,
+    TryIterativeMethod,
 };
 use lcr_sparse::shard::{build_comms, gather_solution, partition_csr, CommError, CommInterposer};
-use lcr_sparse::{CsrMatrix, ShardComm, ShardLayout, Vector, REDUCE_BLOCK};
+use lcr_sparse::{CsrMatrix, ShardComm, ShardLayout, ShardedCsr, Vector, REDUCE_BLOCK};
 
 /// Deterministic fail-stop injection: at the end of iteration
 /// `at_iteration`, shard `shard` crashes and recovers from its newest
 /// committed epoch.  Every shard holds the same spec, so the lockstep
-/// hooks agree on when the recovery round happens.
+/// shards agree on when the recovery round happens.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KillSpec {
     /// The shard that fail-stops.
@@ -105,7 +111,7 @@ impl std::error::Error for ShardedError {}
 pub struct ShardedRunConfig {
     /// Number of shards (concurrent worker threads).
     pub shards: usize,
-    /// Which sharded solver loop to run.
+    /// Which method to run.
     pub method: ShardedMethod,
     /// Relative convergence tolerance (`‖r‖ ≤ rtol · ‖b‖`).
     pub rtol: f64,
@@ -225,6 +231,7 @@ pub struct ShardStats {
 
 /// One committed checkpoint epoch, merged across shards.
 #[derive(Debug, Clone, PartialEq)]
+// lcr-analyze: allow(dead-public-item): element type of `ShardedReport::committed_epochs`; callers read it by inference
 pub struct EpochRecord {
     /// Epoch sequence number (0-based).
     pub epoch: u64,
@@ -275,9 +282,9 @@ struct LocalEpoch {
     bytes: usize,
 }
 
-/// The checkpoint/failure hook each shard thread plugs into its solver
-/// loop: SZ-compress the local slice each epoch, vote the commit barrier,
-/// and execute the configured kill/recovery.
+/// The checkpoint/failure half of each shard thread's loop: SZ-compress
+/// the local slice each epoch, vote the commit barrier, and execute the
+/// configured kill/recovery.
 struct CkptHook {
     shard: usize,
     interval: usize,
@@ -417,13 +424,18 @@ impl CkptHook {
     }
 }
 
-impl ShardHook for CkptHook {
+impl CkptHook {
+    /// Runs after iteration `iteration` (1-based) on the shard's local
+    /// solution slice, issuing the same comm operations on every shard.
+    /// Returns whether a recovery round fired: some shard replaced its `x`
+    /// from a lossy checkpoint while the others kept theirs, so every shard
+    /// must restart its solver from the current solution.
     fn after_iteration(
         &mut self,
         iteration: usize,
         x: &mut [f64],
-        comm: &mut ShardComm,
-    ) -> Result<HookEvent, CommError> {
+        comm: &RefCell<ShardComm>,
+    ) -> Result<bool, CommError> {
         // Checkpoint first, then kill: an epoch taken at the kill
         // iteration commits *before* the crash, exactly the ordering the
         // recovery e2e asserts on.
@@ -431,7 +443,7 @@ impl ShardHook for CkptHook {
             let epoch = self.next_epoch;
             self.next_epoch += 1;
             let (ok, ckpt_id, bytes) = self.write_segment(epoch, iteration, x);
-            if comm.try_barrier_all_ok(ok)? {
+            if comm.borrow_mut().try_barrier_all_ok(ok)? {
                 if ckpt_id.is_some() {
                     self.checkpoints_written += 1;
                 }
@@ -465,38 +477,67 @@ impl ShardHook for CkptHook {
             } else {
                 self.halo_replays += 1;
             }
-            return Ok(HookEvent::RestartKrylov);
         }
-        Ok(HookEvent::None)
+        Ok(round)
     }
 }
 
-/// Runs the sharded solver on `A x = b` per `cfg` and merges the per-shard
-/// outcomes, asserting the determinism contract (every shard's residual
-/// trace bit-identical) on the way out.
+/// One shard's loop: steps its solver to global convergence, running the
+/// checkpoint/failure logic after every accepted iteration.  The stopping
+/// rule derives from reduced scalars, so every shard exits on the same
+/// iteration.
+fn run_shard(
+    cfg: &ShardedRunConfig,
+    part: &ShardedCsr,
+    b_local: &[f64],
+    comm: &RefCell<ShardComm>,
+    hook: &mut CkptHook,
+) -> Result<Progress, CommError> {
+    let space = ShardSpace::new(part, b_local, comm);
+    let criteria = StoppingCriteria {
+        rtol: cfg.rtol,
+        atol: 0.0,
+        max_iterations: cfg.max_iterations,
+    };
+    let mut solver: Box<dyn TryIterativeMethod<Error = CommError> + '_> = match cfg.method {
+        ShardedMethod::Cg => Box::new(ConjugateGradient::on(space, None, criteria)?),
+        ShardedMethod::BiCgStab => Box::new(BiCgStab::on(space, None, criteria)?),
+        ShardedMethod::Jacobi => Box::new(Jacobi::on(space, None, criteria)?),
+    };
+    while !solver.progress().converged() {
+        let before = solver.progress().iteration();
+        solver.try_step()?;
+        let iteration = solver.progress().iteration();
+        // A breakdown restart completes no iteration: nothing new to
+        // checkpoint, and kills are keyed on completed iterations.
+        if iteration != before
+            && hook.after_iteration(iteration, solver.progress_mut().solution_mut(), comm)?
+        {
+            solver.try_restart(iteration)?;
+        }
+    }
+    Ok(solver.progress().clone())
+}
+
+/// `trace[0]` is the initial residual, one entry per completed iteration
+/// after that.
+fn residual_trace(progress: &Progress) -> Vec<f64> {
+    let mut trace = vec![progress.history().initial_residual()];
+    trace.extend_from_slice(progress.history().residuals());
+    trace
+}
+
+/// Runs `cfg.method` on `A x = b` over `cfg.shards` shard threads and
+/// merges the per-shard outcomes, asserting the determinism contract
+/// (every shard's residual trace bit-identical) on the way out.  Storage
+/// failures and comm failures (stalls, aborts, injected drops) surface as
+/// a typed [`ShardedError`].  All shard threads are always joined before
+/// returning — the coordinator aborts and drains survivors when any shard
+/// dies early, so an error return never leaks a thread.
 ///
 /// The caller must hand over an operator matching the method's
 /// requirements (CG needs SPD — negate the paper's negative-definite
 /// Poisson system first, as [`crate::workload`] does).
-///
-/// # Panics
-/// Panics on dimension mismatch, on a configuration requiring a missing
-/// `ckpt_dir`, if a shard thread panics, if shards disagree on the
-/// residual trace or committed epochs (a determinism-contract violation),
-/// or on any typed run failure — see [`try_run_sharded`] for the fallible
-/// variant chaos campaigns use.
-pub fn run_sharded(a: &CsrMatrix, b: &Vector, cfg: &ShardedRunConfig) -> ShardedReport {
-    match try_run_sharded(a, b, cfg) {
-        Ok(report) => report,
-        Err(e) => panic!("sharded run failed: {e}"),
-    }
-}
-
-/// Fallible variant of [`run_sharded`]: storage failures and comm
-/// failures (stalls, aborts, injected drops) surface as a typed
-/// [`ShardedError`] instead of a panic.  All shard threads are always
-/// joined before returning — the coordinator aborts and drains survivors
-/// when any shard dies early, so an error return never leaks a thread.
 ///
 /// # Panics
 /// Panics on dimension mismatch, a configuration requiring a missing
@@ -546,15 +587,9 @@ pub fn try_run_sharded(
                             });
                         }
                     };
-                    let solved = try_run_shard_loop(
-                        cfg.method,
-                        part,
-                        &b_all[r0..r1],
-                        cfg.rtol,
-                        cfg.max_iterations,
-                        &mut comm,
-                        &mut hook,
-                    );
+                    let comm = RefCell::new(comm);
+                    let solved = run_shard(cfg, part, &b_all[r0..r1], &comm, &mut hook);
+                    let comm = comm.into_inner();
                     let (io_retries, retried_checkpoints, io_backoff_seconds) =
                         hook.store.as_ref().map_or((0, 0, Vec::new()), |s| {
                             (s.io_retries(), s.retried_pushes(), s.backoff_log().to_vec())
@@ -614,15 +649,13 @@ pub fn try_run_sharded(
 
     // Determinism contract: every shard observed the same global run.
     let (first, _, _) = &results[0];
+    let trace = residual_trace(first);
     for (outcome, stats, _) in &results[1..] {
-        assert_eq!(outcome.iterations, first.iterations, "iteration divergence");
-        assert_eq!(outcome.converged, first.converged, "convergence divergence");
-        assert_eq!(
-            outcome.trace.len(),
-            first.trace.len(),
-            "trace length divergence"
-        );
-        for (k, (a, b)) in outcome.trace.iter().zip(&first.trace).enumerate() {
+        assert_eq!(outcome.iteration(), first.iteration(), "iteration divergence");
+        assert_eq!(outcome.satisfied(), first.satisfied(), "convergence divergence");
+        let other = residual_trace(outcome);
+        assert_eq!(other.len(), trace.len(), "trace length divergence");
+        for (k, (a, b)) in other.iter().zip(&trace).enumerate() {
             assert_eq!(
                 a.to_bits(),
                 b.to_bits(),
@@ -659,16 +692,15 @@ pub fn try_run_sharded(
 
     let locals: Vec<Vec<f64>> = results
         .iter()
-        .map(|(outcome, _, _)| outcome.x_local.clone())
+        .map(|(outcome, _, _)| outcome.solution().to_vec())
         .collect();
     let solution = gather_solution(&layout, &locals);
-    let (first, _, _) = &results[0];
     Ok(ShardedReport {
-        converged: first.converged,
-        iterations: first.iterations,
-        residual_trace: first.trace.clone(),
+        converged: first.satisfied(),
+        iterations: first.iteration(),
+        residual_trace: trace,
         solution,
-        restart_iterations: first.restart_iterations.clone(),
+        restart_iterations: first.history().restarts().to_vec(),
         shards: results.iter().map(|(_, s, _)| s.clone()).collect(),
         committed_epochs,
         wall_seconds,
@@ -691,29 +723,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_cg_converges_and_matches_across_shard_counts() {
-        let (a, b) = spd_poisson(8);
-        let mut cfg = ShardedRunConfig::new(1, ShardedMethod::Cg);
-        cfg.rtol = 1e-8;
-        cfg.reduce_block = 64;
-        let base = run_sharded(&a, &b, &cfg);
-        assert!(base.converged);
-        for shards in [2, 4] {
-            let mut cfg_s = cfg.clone();
-            cfg_s.shards = shards;
-            let rep = run_sharded(&a, &b, &cfg_s);
-            assert_eq!(rep.iterations, base.iterations);
-            assert_eq!(rep.residual_trace.len(), base.residual_trace.len());
-            for (x, y) in rep.residual_trace.iter().zip(&base.residual_trace) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-            for (x, y) in rep.solution.as_slice().iter().zip(base.solution.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-    }
-
-    #[test]
     fn epochs_commit_and_record_measured_bytes() {
         let (a, b) = spd_poisson(8);
         let dir = std::env::temp_dir().join(format!("lcr-shard-epochs-{}", std::process::id()));
@@ -723,7 +732,7 @@ mod tests {
         cfg.reduce_block = 64;
         cfg.checkpoint_interval = 5;
         cfg.ckpt_dir = Some(dir.clone());
-        let rep = run_sharded(&a, &b, &cfg);
+        let rep = try_run_sharded(&a, &b, &cfg).unwrap();
         assert!(rep.converged);
         assert!(!rep.committed_epochs.is_empty());
         for e in &rep.committed_epochs {
@@ -739,53 +748,6 @@ mod tests {
     }
 
     #[test]
-    fn kill_one_shard_rolls_back_only_that_shard() {
-        let (a, b) = spd_poisson(8);
-        let dir = std::env::temp_dir().join(format!("lcr-shard-kill-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut cfg = ShardedRunConfig::new(4, ShardedMethod::Cg);
-        cfg.rtol = 1e-8;
-        cfg.reduce_block = 32;
-        cfg.checkpoint_interval = 4;
-        cfg.ckpt_dir = Some(dir.clone());
-        cfg.kills = vec![KillSpec {
-            shard: 1,
-            at_iteration: 10,
-        }];
-        let rep = run_sharded(&a, &b, &cfg);
-        assert!(rep.converged, "run must converge after recovery");
-        assert!(rep.restart_iterations.contains(&10));
-        for stats in &rep.shards {
-            if stats.shard == 1 {
-                assert_eq!(stats.rollbacks, 1, "failed shard rolls back once");
-                assert_eq!(stats.resumed_from_iteration, Some(8));
-            } else {
-                assert_eq!(stats.rollbacks, 0, "survivors must not roll back");
-                assert_eq!(stats.halo_replays, 1);
-                assert_eq!(stats.resumed_from_iteration, None);
-            }
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn kill_before_any_epoch_restarts_from_zero() {
-        let (a, b) = spd_poisson(6);
-        let mut cfg = ShardedRunConfig::new(2, ShardedMethod::Cg);
-        cfg.rtol = 1e-8;
-        cfg.reduce_block = 32;
-        cfg.kills = vec![KillSpec {
-            shard: 0,
-            at_iteration: 3,
-        }];
-        let rep = run_sharded(&a, &b, &cfg);
-        assert!(rep.converged);
-        assert_eq!(rep.shards[0].rollbacks, 1);
-        assert_eq!(rep.shards[0].resumed_from_iteration, None);
-        assert_eq!(rep.shards[1].halo_replays, 1);
-    }
-
-    #[test]
     fn jacobi_and_bicgstab_run_sharded() {
         let a = poisson3d(6);
         let b = Vector::filled(a.nrows(), 1.0);
@@ -794,7 +756,7 @@ mod tests {
             cfg.rtol = 1e-6;
             cfg.reduce_block = 32;
             cfg.max_iterations = 5000;
-            let rep = run_sharded(&a, &b, &cfg);
+            let rep = try_run_sharded(&a, &b, &cfg).unwrap();
             assert!(rep.converged, "{} must converge", method.name());
         }
     }

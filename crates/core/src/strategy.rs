@@ -18,8 +18,8 @@
 use crate::encoding::TemporalEncodingSelector;
 use lcr_ckpt::CheckpointBuffer;
 use lcr_compress::{
-    Compressed, DeltaMode, ErrorBound, FpcCodec, LosslessCompressor, LosslessPipeline,
-    LossyCompressor, LzssCodec, SzCompressor, ZfpCompressor,
+    Compressed, DeltaMode, ErrorBound, LosslessCompressor, LosslessPipeline, LossyCompressor,
+    SzCompressor, ZfpCompressor,
 };
 use lcr_perfmodel::theorem3_gmres_error_bound;
 use lcr_solvers::{DynamicState, IterativeMethod};
@@ -88,18 +88,6 @@ pub enum LossyCodecKind {
     Zfp,
 }
 
-/// Which lossless compressor backs the lossless strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-// lcr-analyze: allow(dead-public-item): field type of the public `CheckpointStrategy::Lossless` variant
-pub enum LosslessCodecKind {
-    /// FPC followed by LZSS (the Gzip stand-in; default).
-    Pipeline,
-    /// FPC only.
-    Fpc,
-    /// LZSS only.
-    Lzss,
-}
-
 /// How a strategy restores a solver from recovered payloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RecoveryMode {
@@ -118,11 +106,9 @@ pub enum CheckpointStrategy {
     None,
     /// The paper's traditional checkpointing: raw dynamic variables.
     Traditional,
-    /// Lossless-compressed checkpointing (the Gzip baseline).
-    Lossless {
-        /// Which lossless codec to use.
-        codec: LosslessCodecKind,
-    },
+    /// Lossless-compressed checkpointing (the Gzip baseline: FPC followed
+    /// by LZSS, [`LosslessPipeline`]).
+    Lossless,
     /// The paper's lossy checkpointing scheme.
     Lossy {
         /// Which lossy codec to use.
@@ -206,11 +192,9 @@ impl CheckpointStrategy {
         }
     }
 
-    /// The lossless baseline with the default (FPC+LZSS) codec.
+    /// The lossless baseline.
     pub fn lossless_default() -> Self {
-        CheckpointStrategy::Lossless {
-            codec: LosslessCodecKind::Pipeline,
-        }
+        CheckpointStrategy::Lossless
     }
 
     /// Short name used in reports ("none", "traditional", "lossless",
@@ -219,7 +203,7 @@ impl CheckpointStrategy {
         match self {
             CheckpointStrategy::None => "none",
             CheckpointStrategy::Traditional => "traditional",
-            CheckpointStrategy::Lossless { .. } => "lossless",
+            CheckpointStrategy::Lossless => "lossless",
             CheckpointStrategy::Lossy { .. } => "lossy",
         }
     }
@@ -247,14 +231,6 @@ impl CheckpointStrategy {
         match kind {
             LossyCodecKind::Sz => Box::new(SzCompressor::new()),
             LossyCodecKind::Zfp => Box::new(ZfpCompressor::new()),
-        }
-    }
-
-    fn lossless_codec(kind: LosslessCodecKind) -> Box<dyn LosslessCompressor> {
-        match kind {
-            LosslessCodecKind::Pipeline => Box::new(LosslessPipeline::new()),
-            LosslessCodecKind::Fpc => Box::new(FpcCodec::new()),
-            LosslessCodecKind::Lzss => Box::new(LzssCodec::new()),
         }
     }
 
@@ -325,8 +301,8 @@ impl CheckpointStrategy {
                     scalars: state.scalars,
                 })
             }
-            CheckpointStrategy::Lossless { codec } => {
-                let codec = Self::lossless_codec(*codec);
+            CheckpointStrategy::Lossless => {
+                let codec = LosslessPipeline::new();
                 let state = solver.capture_state();
                 let original_bytes = state.vector_bytes();
                 for (name, v) in &state.vectors {
@@ -512,8 +488,8 @@ impl CheckpointStrategy {
                 });
                 Ok(())
             }
-            CheckpointStrategy::Lossless { codec } => {
-                let codec = Self::lossless_codec(*codec);
+            CheckpointStrategy::Lossless => {
+                let codec = LosslessPipeline::new();
                 let vectors = payloads
                     .iter()
                     .map(|(name, bytes)| {

@@ -7,27 +7,27 @@
 //! making the restart-style recovery (only `x` checkpointed) an even bigger
 //! storage win.
 
-use crate::convergence::{ConvergenceHistory, StoppingCriteria};
-use crate::precond::{IdentityPreconditioner, Preconditioner};
-use crate::{DynamicState, IterativeMethod, LinearSystem};
-use lcr_sparse::{kernels, Vector};
+use crate::convergence::StoppingCriteria;
+use crate::precond::Preconditioner;
+use crate::progress::Progress;
+use crate::space::{LocalSpace, Space};
+use crate::{DynamicState, LinearSystem};
+use lcr_sparse::Vector;
 use std::sync::Arc;
 
-/// Preconditioned BiCGStab solver.
+/// Preconditioned BiCGStab solver on any [`Space`] ([`LocalSpace`] unless
+/// named otherwise).
 ///
-/// The inner loop runs on the fused kernels of [`lcr_sparse::kernels`]:
-/// the direction refresh `p = r + β (p − ω v)` is one pass
-/// ([`kernels::bicgstab_p_update`], previously three), `v = A p̂` carries
-/// the `r̂ᵀv` dot in its traversal ([`kernels::spmv_dot`]), the `s` and `r`
-/// updates return their norms in the producing pass
-/// ([`kernels::waxpy_norm2`]), the stabilisation pair `(tᵀt, tᵀs)` is one
-/// sweep ([`kernels::dot2`]) and the solution update folds both axpys into
-/// one pass ([`kernels::axpy2`]).
-pub struct BiCgStab {
-    system: LinearSystem,
-    precond: Arc<dyn Preconditioner>,
-    criteria: StoppingCriteria,
-    x: Vector,
+/// The inner loop runs on the fused operations of the space: the direction
+/// refresh `p = r + β (p − ω v)` is one pass
+/// ([`Space::bicgstab_p_update`]), `v = A p̂` carries the `r̂ᵀv` dot
+/// ([`Space::apply_dot`]), the `s` and `r` updates return their norms in
+/// the producing pass ([`Space::waxpy_norm2`]), the stabilisation pair
+/// `(tᵀt, tᵀs)` is one reduction ([`Space::dot2`]) and the solution update
+/// folds both axpys into one pass ([`Space::axpy2`]).
+pub struct BiCgStab<S = LocalSpace> {
+    space: S,
+    state: Progress,
     r: Vector,
     r_hat: Vector,
     p: Vector,
@@ -41,10 +41,6 @@ pub struct BiCgStab {
     rho: f64,
     alpha: f64,
     omega: f64,
-    iteration: usize,
-    residual_norm: f64,
-    reference_norm: f64,
-    history: ConvergenceHistory,
 }
 
 impl BiCgStab {
@@ -58,17 +54,33 @@ impl BiCgStab {
         x0: Vector,
         criteria: StoppingCriteria,
     ) -> Self {
-        assert_eq!(x0.len(), system.dim(), "x0 dimension mismatch");
-        let reference_norm = system.b.norm2();
-        let r = system.a.residual(&x0, &system.b);
-        let residual_norm = r.norm2();
-        let history = ConvergenceHistory::new(residual_norm);
-        let n = system.dim();
-        BiCgStab {
-            system,
-            precond,
-            criteria,
-            x: x0,
+        let Ok(solver) = Self::on(LocalSpace::new(system, precond), Some(x0), criteria);
+        solver
+    }
+
+    /// Creates an unpreconditioned BiCGStab solver.
+    pub fn unpreconditioned(system: LinearSystem, x0: Vector, criteria: StoppingCriteria) -> Self {
+        let Ok(solver) = Self::on(LocalSpace::unpreconditioned(system), Some(x0), criteria);
+        solver
+    }
+}
+
+impl<S: Space> BiCgStab<S> {
+    /// Creates a BiCGStab solver on `space`, starting from `x0` (`None`:
+    /// the zero guess, which needs no operator application).
+    ///
+    /// # Panics
+    /// Panics on dimension mismatch.
+    pub fn on(
+        mut space: S,
+        x0: Option<Vector>,
+        criteria: StoppingCriteria,
+    ) -> Result<Self, S::Error> {
+        let (state, r, _) = Progress::start(&mut space, x0, criteria)?;
+        let n = r.len();
+        Ok(BiCgStab {
+            space,
+            state,
             r_hat: r.clone(),
             r,
             p: Vector::zeros(n),
@@ -80,163 +92,123 @@ impl BiCgStab {
             rho: 1.0,
             alpha: 1.0,
             omega: 1.0,
-            iteration: 0,
-            residual_norm,
-            reference_norm,
-            history,
-        }
+        })
     }
 
-    /// Creates an unpreconditioned BiCGStab solver.
-    pub fn unpreconditioned(system: LinearSystem, x0: Vector, criteria: StoppingCriteria) -> Self {
-        Self::new(
-            system,
-            Arc::new(IdentityPreconditioner::new()),
-            x0,
-            criteria,
-        )
-    }
-
-    fn rebuild_from_x(&mut self) {
-        let rr = kernels::residual_norm2(
-            &self.system.a,
-            self.x.as_slice(),
-            self.system.b.as_slice(),
-            self.r.as_mut_slice(),
-        );
-        self.residual_norm = rr.sqrt();
+    fn rebuild_from_x(&mut self) -> Result<(), S::Error> {
+        let rr = self.space.residual_norm2(&self.state.x, &mut self.r)?;
+        self.state.residual_norm = rr.sqrt();
         self.r_hat.copy_from(&self.r);
         self.p.set_zero();
         self.v.set_zero();
         self.rho = 1.0;
         self.alpha = 1.0;
         self.omega = 1.0;
+        Ok(())
+    }
+
+    /// Breakdown (`r̂ᵀr` or `r̂ᵀv` vanished): restart from the current
+    /// solution.
+    fn break_down(&mut self) -> Result<(), S::Error> {
+        if self.state.break_down() {
+            self.rebuild_from_x()?;
+        }
+        Ok(())
     }
 }
 
-impl IterativeMethod for BiCgStab {
+impl<S: Space> crate::TryIterativeMethod for BiCgStab<S> {
+    type Error = S::Error;
+
     fn name(&self) -> &'static str {
         "bicgstab"
     }
 
-    fn iteration(&self) -> usize {
-        self.iteration
+    fn progress(&self) -> &Progress {
+        &self.state
     }
 
-    fn residual_norm(&self) -> f64 {
-        self.residual_norm
+    fn progress_mut(&mut self) -> &mut Progress {
+        &mut self.state
     }
 
-    fn reference_norm(&self) -> f64 {
-        self.reference_norm
-    }
-
-    fn solution(&self) -> &Vector {
-        &self.x
-    }
-
-    fn converged(&self) -> bool {
-        self.criteria
-            .is_satisfied(self.residual_norm, self.reference_norm)
-            || self.criteria.limit_reached(self.iteration)
-    }
-
-    fn step(&mut self) {
-        if self.converged() {
-            return;
+    fn try_step(&mut self) -> Result<(), S::Error> {
+        if self.state.converged() {
+            return Ok(());
         }
-        let rho_next = self.r_hat.dot(&self.r);
+        let rho_next = self.space.dot(&self.r_hat, &self.r)?;
         if rho_next == 0.0 || !rho_next.is_finite() {
-            // Breakdown: restart from current solution.
-            self.rebuild_from_x();
-            self.history.record_restart(self.iteration);
-            return;
+            return self.break_down();
         }
         let beta = (rho_next / self.rho) * (self.alpha / self.omega);
         self.rho = rho_next;
         // p = r + beta (p - omega v) in one fused pass.
-        kernels::bicgstab_p_update(
-            self.p.as_mut_slice(),
-            self.r.as_slice(),
-            self.v.as_slice(),
-            beta,
-            self.omega,
-        );
+        self.space
+            .bicgstab_p_update(&mut self.p, &self.r, &self.v, beta, self.omega);
 
-        self.precond.apply_into(&self.p, &mut self.p_hat);
-        // v = A p_hat and r_hat'v in one traversal.
-        let denom = kernels::spmv_dot(
-            &self.system.a,
-            self.p_hat.as_slice(),
-            self.v.as_mut_slice(),
-            self.r_hat.as_slice(),
-        );
+        // With M = I, p̂ = p and ŝ = s: no copies.
+        let p_hat = match self.space.precond() {
+            None => &self.p,
+            Some(m) => {
+                m.apply_into(&self.p, &mut self.p_hat);
+                &self.p_hat
+            }
+        };
+        // v = A p_hat and r_hat'v in one application.
+        let denom = self.space.apply_dot(p_hat, &mut self.v, &self.r_hat)?;
         if denom == 0.0 || !denom.is_finite() {
-            self.rebuild_from_x();
-            self.history.record_restart(self.iteration);
-            return;
+            return self.break_down();
         }
         self.alpha = self.rho / denom;
         // s = r - alpha v and ||s||^2 in the producing pass.
-        let ss = kernels::waxpy_norm2(
-            self.s.as_mut_slice(),
-            self.r.as_slice(),
-            -self.alpha,
-            self.v.as_slice(),
-        );
-        if ss.sqrt() <= self.criteria.atol {
-            self.x.axpy(self.alpha, &self.p_hat);
+        let ss = self
+            .space
+            .waxpy_norm2(&mut self.s, &self.r, -self.alpha, &self.v)?;
+        if ss.sqrt() <= self.state.criteria.atol {
+            // Exact first half-step: accept x += α p̂ (the ω = 0 form of
+            // the full update) and end the iteration early.
+            self.space
+                .axpy2(&mut self.state.x, self.alpha, p_hat, 0.0, p_hat);
             self.r.copy_from(&self.s);
-            self.residual_norm = ss.sqrt();
-            self.iteration += 1;
-            self.history.record(self.residual_norm);
-            return;
+            self.state.accept(ss.sqrt());
+            return Ok(());
         }
-        self.precond.apply_into(&self.s, &mut self.s_hat);
-        self.system
-            .a
-            .spmv(self.s_hat.as_slice(), self.t.as_mut_slice());
+        let s_hat = match self.space.precond() {
+            None => &self.s,
+            Some(m) => {
+                m.apply_into(&self.s, &mut self.s_hat);
+                &self.s_hat
+            }
+        };
+        self.space.apply(s_hat, &mut self.t)?;
         // Stabilisation pair (t't, t's) over the shared operand t, fused.
-        let (tt, ts) = kernels::dot2(self.t.as_slice(), self.t.as_slice(), self.s.as_slice());
+        let (tt, ts) = self.space.dot2(&self.t, &self.t, &self.s)?;
         self.omega = if tt > 0.0 { ts / tt } else { 0.0 };
         // x += alpha p_hat + omega s_hat in one pass.
-        kernels::axpy2(
-            self.x.as_mut_slice(),
-            self.alpha,
-            self.p_hat.as_slice(),
-            self.omega,
-            self.s_hat.as_slice(),
-        );
+        self.space
+            .axpy2(&mut self.state.x, self.alpha, p_hat, self.omega, s_hat);
         // r = s - omega t and ||r||^2 in the producing pass.
-        let rr = kernels::waxpy_norm2(
-            self.r.as_mut_slice(),
-            self.s.as_slice(),
-            -self.omega,
-            self.t.as_slice(),
-        );
-
-        self.iteration += 1;
-        self.residual_norm = rr.sqrt();
-        self.history.record(self.residual_norm);
-        if self.criteria.limit_reached(self.iteration) {
-            self.history.limit_reached = true;
-        }
+        let rr = self
+            .space
+            .waxpy_norm2(&mut self.r, &self.s, -self.omega, &self.t)?;
+        self.state.accept(rr.sqrt());
         if self.omega == 0.0 {
-            self.rebuild_from_x();
-            self.history.record_restart(self.iteration);
+            self.state.restarted(self.state.iteration());
+            self.rebuild_from_x()?;
         }
+        Ok(())
     }
 
     fn capture_state(&self) -> DynamicState {
         DynamicState {
-            iteration: self.iteration,
+            iteration: self.state.iteration(),
             scalars: vec![
                 ("rho".to_string(), self.rho),
                 ("alpha".to_string(), self.alpha),
                 ("omega".to_string(), self.omega),
             ],
             vectors: vec![
-                ("x".to_string(), self.x.clone()),
+                ("x".to_string(), self.state.x.clone()),
                 ("p".to_string(), self.p.clone()),
                 ("v".to_string(), self.v.clone()),
                 ("r_hat".to_string(), self.r_hat.clone()),
@@ -244,8 +216,8 @@ impl IterativeMethod for BiCgStab {
         }
     }
 
-    fn restore_state(&mut self, state: &DynamicState) {
-        self.x = state
+    fn try_restore_state(&mut self, state: &DynamicState) -> Result<(), S::Error> {
+        self.state.x = state
             .vector("x")
             .expect("BiCGStab checkpoint must contain x")
             .clone();
@@ -255,33 +227,22 @@ impl IterativeMethod for BiCgStab {
         self.rho = state.scalar("rho").expect("missing rho");
         self.alpha = state.scalar("alpha").expect("missing alpha");
         self.omega = state.scalar("omega").expect("missing omega");
-        self.iteration = state.iteration;
-        let rr = kernels::residual_norm2(
-            &self.system.a,
-            self.x.as_slice(),
-            self.system.b.as_slice(),
-            self.r.as_mut_slice(),
-        );
-        self.residual_norm = rr.sqrt();
-        self.history.record_restart(self.iteration);
+        self.state.restarted(state.iteration);
+        let rr = self.space.residual_norm2(&self.state.x, &mut self.r)?;
+        self.state.residual_norm = rr.sqrt();
+        Ok(())
     }
 
-    fn restart_from_solution(&mut self, x: Vector, iteration: usize) {
-        assert_eq!(x.len(), self.system.dim(), "restart vector dimension");
-        self.x = x;
-        self.iteration = iteration;
-        self.rebuild_from_x();
-        self.history.record_restart(iteration);
-    }
-
-    fn history(&self) -> &ConvergenceHistory {
-        &self.history
+    fn try_restart(&mut self, iteration: usize) -> Result<(), S::Error> {
+        self.state.restarted(iteration);
+        self.rebuild_from_x()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::IterativeMethod;
     use lcr_sparse::poisson::{manufactured_rhs, poisson2d};
 
     fn criteria(rtol: f64) -> StoppingCriteria {

@@ -13,26 +13,27 @@
 //! the orthogonality relations CG's superlinear convergence rests on
 //! (§4.2).
 
-use crate::convergence::{ConvergenceHistory, StoppingCriteria};
-use crate::precond::{IdentityPreconditioner, Preconditioner};
-use crate::{DynamicState, IterativeMethod, LinearSystem};
-use lcr_sparse::{kernels, Vector};
+use crate::convergence::StoppingCriteria;
+use crate::precond::Preconditioner;
+use crate::progress::Progress;
+use crate::space::{LocalSpace, Space};
+use crate::{DynamicState, LinearSystem};
+use lcr_sparse::Vector;
 use std::sync::Arc;
 
-/// The preconditioned conjugate gradient method.
+/// The preconditioned conjugate gradient method on any [`Space`]
+/// ([`LocalSpace`] unless named otherwise).
 ///
-/// The inner loop runs on the fused kernels of [`lcr_sparse::kernels`]:
-/// `q = A p` and `pᵀq` share one matrix traversal ([`kernels::spmv_dot`]),
-/// and the `x`/`r` updates produce ‖r‖² in the same pass
-/// ([`kernels::axpy2_norm2`]), eliminating the separate dot and norm
-/// sweeps of the textbook formulation.  With the identity preconditioner
-/// the `z = M⁻¹ r` copy and the `rᵀz` sweep vanish as well, because
+/// The inner loop runs on the fused operations of the space: `q = A p` and
+/// `pᵀq` are one operator application ([`Space::apply_dot`]), and the
+/// `x`/`r` updates produce ‖r‖² in the same pass
+/// ([`Space::axpy2_norm2`]), eliminating the separate dot and norm sweeps
+/// of the textbook formulation.  With the identity preconditioner the
+/// `z = M⁻¹ r` copy and the `rᵀz` sweep vanish as well, because
 /// `rᵀz = ‖r‖²` is already in hand.
-pub struct ConjugateGradient {
-    system: LinearSystem,
-    precond: Arc<dyn Preconditioner>,
-    criteria: StoppingCriteria,
-    x: Vector,
+pub struct ConjugateGradient<S = LocalSpace> {
+    space: S,
+    state: Progress,
     r: Vector,
     p: Vector,
     /// Scratch for `q = A p` — preallocated so the inner loop never hits
@@ -40,15 +41,7 @@ pub struct ConjugateGradient {
     q: Vector,
     /// Scratch for `z = M⁻¹ r`.
     z: Vector,
-    /// Whether the preconditioner is the identity, enabling the
-    /// `z = r`, `ρ = ‖r‖²` fast path (bit-identical to applying the
-    /// identity: the copy and the redundant dot are merely skipped).
-    identity_precond: bool,
     rho: f64,
-    iteration: usize,
-    residual_norm: f64,
-    reference_norm: f64,
-    history: ConvergenceHistory,
 }
 
 impl ConjugateGradient {
@@ -62,159 +55,137 @@ impl ConjugateGradient {
         x0: Vector,
         criteria: StoppingCriteria,
     ) -> Self {
-        assert_eq!(x0.len(), system.dim(), "x0 dimension mismatch");
-        let n = system.dim();
-        let reference_norm = system.b.norm2();
-        let r = system.a.residual(&x0, &system.b);
-        let residual_norm = r.norm2();
-        let identity_precond = precond.is_identity();
-        let z = precond.apply(&r);
-        let rho = r.dot(&z);
-        let history = ConvergenceHistory::new(residual_norm);
-        ConjugateGradient {
-            system,
-            precond,
-            criteria,
-            x: x0,
-            p: z,
-            r,
-            q: Vector::zeros(n),
-            z: Vector::zeros(n),
-            identity_precond,
-            rho,
-            iteration: 0,
-            residual_norm,
-            reference_norm,
-            history,
-        }
+        let Ok(solver) = Self::on(LocalSpace::new(system, precond), Some(x0), criteria);
+        solver
     }
 
     /// Creates an unpreconditioned CG solver.
     pub fn unpreconditioned(system: LinearSystem, x0: Vector, criteria: StoppingCriteria) -> Self {
-        Self::new(
-            system,
-            Arc::new(IdentityPreconditioner::new()),
-            x0,
-            criteria,
-        )
-    }
-
-    /// Rebuilds `r`, `z`, `p`, `ρ` from the current `x` (the recovery steps
-    /// of Algorithm 2, lines 10–13).  The residual and its norm come from
-    /// one fused traversal; the identity fast path reuses ‖r‖² as `ρ`.
-    fn rebuild_krylov_state(&mut self) {
-        let rr = kernels::residual_norm2(
-            &self.system.a,
-            self.x.as_slice(),
-            self.system.b.as_slice(),
-            self.r.as_mut_slice(),
-        );
-        self.residual_norm = rr.sqrt();
-        if self.identity_precond {
-            self.rho = rr;
-            self.p.copy_from(&self.r);
-        } else {
-            self.precond.apply_into(&self.r, &mut self.z);
-            self.rho = self.r.dot(&self.z);
-            self.p.copy_from(&self.z);
-        }
+        let Ok(solver) = Self::on(LocalSpace::unpreconditioned(system), Some(x0), criteria);
+        solver
     }
 }
 
-impl IterativeMethod for ConjugateGradient {
+impl<S: Space> ConjugateGradient<S> {
+    /// Creates a CG solver on `space`, starting from `x0` (`None`: the zero
+    /// guess, which needs no operator application).
+    ///
+    /// # Panics
+    /// Panics on dimension mismatch.
+    pub fn on(
+        mut space: S,
+        x0: Option<Vector>,
+        criteria: StoppingCriteria,
+    ) -> Result<Self, S::Error> {
+        let (state, r, rr) = Progress::start(&mut space, x0, criteria)?;
+        let n = r.len();
+        let mut solver = ConjugateGradient {
+            space,
+            state,
+            r,
+            p: Vector::zeros(n),
+            q: Vector::zeros(n),
+            z: Vector::zeros(n),
+            rho: 0.0,
+        };
+        solver.seed_direction(rr)?;
+        Ok(solver)
+    }
+
+    /// `z = M⁻¹ r`, `p = z`, `ρ = rᵀz` from the current `r` with squared
+    /// norm `rr` (Algorithm 2 lines 11–13); the identity fast path reuses
+    /// `rr` as `ρ`.
+    fn seed_direction(&mut self, rr: f64) -> Result<(), S::Error> {
+        match self.space.precond() {
+            None => {
+                self.rho = rr;
+                self.p.copy_from(&self.r);
+            }
+            Some(m) => {
+                m.apply_into(&self.r, &mut self.z);
+                self.rho = self.space.dot(&self.r, &self.z)?;
+                self.p.copy_from(&self.z);
+            }
+        }
+        Ok(())
+    }
+
+    /// Rebuilds `r`, `z`, `p`, `ρ` from the current `x` (the recovery steps
+    /// of Algorithm 2, lines 10–13).
+    fn rebuild_krylov_state(&mut self) -> Result<(), S::Error> {
+        let rr = self.space.residual_norm2(&self.state.x, &mut self.r)?;
+        self.state.residual_norm = rr.sqrt();
+        self.seed_direction(rr)
+    }
+}
+
+impl<S: Space> crate::TryIterativeMethod for ConjugateGradient<S> {
+    type Error = S::Error;
+
     fn name(&self) -> &'static str {
         "cg"
     }
 
-    fn iteration(&self) -> usize {
-        self.iteration
+    fn progress(&self) -> &Progress {
+        &self.state
     }
 
-    fn residual_norm(&self) -> f64 {
-        self.residual_norm
+    fn progress_mut(&mut self) -> &mut Progress {
+        &mut self.state
     }
 
-    fn reference_norm(&self) -> f64 {
-        self.reference_norm
-    }
-
-    fn solution(&self) -> &Vector {
-        &self.x
-    }
-
-    fn converged(&self) -> bool {
-        self.criteria
-            .is_satisfied(self.residual_norm, self.reference_norm)
-            || self.criteria.limit_reached(self.iteration)
-    }
-
-    fn step(&mut self) {
-        if self.converged() {
-            return;
+    fn try_step(&mut self) -> Result<(), S::Error> {
+        if self.state.converged() {
+            return Ok(());
         }
-        // Algorithm 1 lines 10–17 on the fused kernels, allocation-free:
+        // Algorithm 1 lines 10–17 on the fused operations, allocation-free:
         // q and z live in preallocated scratch, and the five separate
         // sweeps of the textbook loop (dot, two axpys, dot, norm) collapse
         // into two fused passes plus the direction refresh.
-        let pq = kernels::spmv_dot(
-            &self.system.a,
-            self.p.as_slice(),
-            self.q.as_mut_slice(),
-            self.p.as_slice(),
-        ); // q = A p and pᵀq in one traversal
+        let pq = self.space.apply_dot(&self.p, &mut self.q, &self.p)?; // q = A p, pᵀq
         if pq == 0.0 || !pq.is_finite() {
             // Breakdown: restart from the current solution.
-            self.rebuild_krylov_state();
-            self.history.record_restart(self.iteration);
-            return;
+            if self.state.break_down() {
+                self.rebuild_krylov_state()?;
+            }
+            return Ok(());
         }
         let alpha = self.rho / pq;
         // x += α p, r -= α q and ‖r‖² in one pass over the four vectors.
-        let rr = kernels::axpy2_norm2(
-            alpha,
-            self.p.as_slice(),
-            self.q.as_slice(),
-            self.x.as_mut_slice(),
-            self.r.as_mut_slice(),
-        );
-        self.residual_norm = rr.sqrt();
-        let rho_next = if self.identity_precond {
+        let rr =
+            self.space
+                .axpy2_norm2(alpha, &self.p, &self.q, &mut self.state.x, &mut self.r)?;
+        let (z, rho_next) = match self.space.precond() {
             // z = r, so ρ' = rᵀz = ‖r‖² is already in hand: no copy, no
             // extra dot sweep (bit-identical to performing both).
-            rr
-        } else {
-            self.precond.apply_into(&self.r, &mut self.z); // M z = r
-            self.r.dot(&self.z)
+            None => (&self.r, rr),
+            Some(m) => {
+                m.apply_into(&self.r, &mut self.z); // M z = r
+                (&self.z, self.space.dot(&self.r, &self.z)?)
+            }
         };
         let beta = rho_next / self.rho;
         self.rho = rho_next;
-        if self.identity_precond {
-            self.p.xpby(&self.r, beta); // p = r + β p
-        } else {
-            self.p.xpby(&self.z, beta); // p = z + β p
-        }
-        self.iteration += 1;
-        self.history.record(self.residual_norm);
-        if self.criteria.limit_reached(self.iteration) {
-            self.history.limit_reached = true;
-        }
+        self.space.xpby(&mut self.p, z, beta); // p = z + β p
+        self.state.accept(rr.sqrt());
+        Ok(())
     }
 
     fn capture_state(&self) -> DynamicState {
         // Algorithm 1 line 4: checkpoint i, ρ, p, x.
         DynamicState {
-            iteration: self.iteration,
+            iteration: self.state.iteration(),
             scalars: vec![("rho".to_string(), self.rho)],
             vectors: vec![
-                ("x".to_string(), self.x.clone()),
+                ("x".to_string(), self.state.x.clone()),
                 ("p".to_string(), self.p.clone()),
             ],
         }
     }
 
-    fn restore_state(&mut self, state: &DynamicState) {
+    fn try_restore_state(&mut self, state: &DynamicState) -> Result<(), S::Error> {
         // Algorithm 1 lines 7–8: recover i, ρ, p, x and recompute r.
-        self.x = state
+        self.state.x = state
             .vector("x")
             .expect("CG checkpoint must contain x")
             .clone();
@@ -223,28 +194,16 @@ impl IterativeMethod for ConjugateGradient {
             .expect("CG traditional checkpoint must contain p")
             .clone();
         self.rho = state.scalar("rho").expect("CG checkpoint must contain rho");
-        self.iteration = state.iteration;
-        let rr = kernels::residual_norm2(
-            &self.system.a,
-            self.x.as_slice(),
-            self.system.b.as_slice(),
-            self.r.as_mut_slice(),
-        );
-        self.residual_norm = rr.sqrt();
-        self.history.record_restart(self.iteration);
+        self.state.restarted(state.iteration);
+        let rr = self.space.residual_norm2(&self.state.x, &mut self.r)?;
+        self.state.residual_norm = rr.sqrt();
+        Ok(())
     }
 
-    fn restart_from_solution(&mut self, x: Vector, iteration: usize) {
+    fn try_restart(&mut self, iteration: usize) -> Result<(), S::Error> {
         // Algorithm 2 lines 8–13: only x is recovered; r, z, p, ρ rebuilt.
-        assert_eq!(x.len(), self.system.dim(), "restart vector dimension");
-        self.x = x;
-        self.iteration = iteration;
-        self.rebuild_krylov_state();
-        self.history.record_restart(iteration);
-    }
-
-    fn history(&self) -> &ConvergenceHistory {
-        &self.history
+        self.state.restarted(iteration);
+        self.rebuild_krylov_state()
     }
 }
 
@@ -252,6 +211,7 @@ impl IterativeMethod for ConjugateGradient {
 mod tests {
     use super::*;
     use crate::precond::{Ic0Preconditioner, JacobiPreconditioner};
+    use crate::IterativeMethod;
     use lcr_sparse::poisson::{manufactured_rhs, poisson2d, poisson3d};
     use lcr_sparse::CsrMatrix;
 

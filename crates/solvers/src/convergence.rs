@@ -87,6 +87,11 @@ impl ConvergenceHistory {
         self.restarts.push(iteration);
     }
 
+    /// Residual norm of the initial guess.
+    pub fn initial_residual(&self) -> f64 {
+        self.initial
+    }
+
     /// Residual norms per iteration.
     pub fn residuals(&self) -> &[f64] {
         &self.residuals

@@ -31,6 +31,15 @@
 //! Static variables (the matrix `A`, the preconditioner `M`, the right-hand
 //! side `b`) are shared through [`std::sync::Arc`] and are never mutated by
 //! the solvers, mirroring their "checkpoint once" role in the paper.
+//!
+//! ## One loop, two spaces
+//!
+//! CG, BiCGStab and Jacobi are each written once, over the [`Space`] their
+//! vectors live in ([`space`]): the whole system or one shard of it.  A
+//! space that can fail makes `step` fallible, so the generic solvers
+//! implement [`TryIterativeMethod`]; [`IterativeMethod`] is the same
+//! interface for a space that cannot, and both executors of `lcr-core`
+//! drive their solver one step at a time through one of the two.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,9 +49,11 @@ pub mod cg;
 pub mod convergence;
 pub mod gmres;
 pub mod precond;
-pub mod sharded;
+mod progress;
+pub mod space;
 mod stationary;
 
+use std::convert::Infallible;
 use std::sync::Arc;
 
 use lcr_sparse::{CsrMatrix, Vector};
@@ -56,7 +67,8 @@ pub use precond::{
     BlockJacobiPreconditioner, Ic0Preconditioner, IdentityPreconditioner, JacobiPreconditioner,
     Preconditioner,
 };
-pub use sharded::{HookEvent, ShardHook, ShardOutcome, ShardedMethod};
+pub use progress::Progress;
+pub use space::{LocalSpace, ShardSpace, Space};
 pub use stationary::{GaussSeidel, Jacobi, Sor, Ssor, StationarySolver};
 
 /// Which iterative method a configuration refers to; used by the experiment
@@ -99,6 +111,28 @@ impl SolverKind {
         match self {
             SolverKind::Cg => 2,
             _ => 1,
+        }
+    }
+}
+
+/// Which of the methods written over [`Space`] a sharded run executes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ShardedMethod {
+    /// Conjugate gradient (requires an SPD operator).
+    Cg,
+    /// BiCGStab.
+    BiCgStab,
+    /// Jacobi relaxation.
+    Jacobi,
+}
+
+impl ShardedMethod {
+    /// Solver name, matching [`IterativeMethod::name`] spelling.
+    pub fn name(self) -> &'static str {
+        match self {
+            ShardedMethod::Cg => "cg",
+            ShardedMethod::BiCgStab => "bicgstab",
+            ShardedMethod::Jacobi => "jacobi",
         }
     }
 }
@@ -228,6 +262,90 @@ pub trait IterativeMethod {
             self.step();
         }
         self.iteration() - start
+    }
+}
+
+/// [`IterativeMethod`] for a solver whose [`Space`] can fail: the
+/// operations that apply the operator or reduce — stepping, restoring,
+/// restarting — return the space's error, and the bookkeeping is read
+/// through [`Progress`].  Every implementor that cannot fail is an
+/// [`IterativeMethod`].
+pub trait TryIterativeMethod {
+    /// What an operator application or a reduction can fail with.
+    type Error;
+
+    /// Solver family name.
+    fn name(&self) -> &'static str;
+
+    /// The iterate, the stopping rule and how far the solve has come.
+    fn progress(&self) -> &Progress;
+
+    /// [`TryIterativeMethod::progress`], for a recovery to overwrite the
+    /// solution before [`TryIterativeMethod::try_restart`].
+    fn progress_mut(&mut self) -> &mut Progress;
+
+    /// Performs one iteration (a no-op once converged).  A step that ends
+    /// in a breakdown restart completes no iteration.
+    fn try_step(&mut self) -> Result<(), Self::Error>;
+
+    /// Captures the dynamic variables a traditional checkpoint must save.
+    fn capture_state(&self) -> DynamicState;
+
+    /// Restores the solver exactly from a previously captured state.
+    fn try_restore_state(&mut self, state: &DynamicState) -> Result<(), Self::Error>;
+
+    /// Restarts from the current solution as a new initial guess at
+    /// iteration `iteration`, rebuilding every recomputed variable
+    /// (Algorithm 2 lines 10–13).
+    fn try_restart(&mut self, iteration: usize) -> Result<(), Self::Error>;
+}
+
+impl<M: TryIterativeMethod<Error = Infallible>> IterativeMethod for M {
+    fn name(&self) -> &'static str {
+        TryIterativeMethod::name(self)
+    }
+
+    fn iteration(&self) -> usize {
+        self.progress().iteration()
+    }
+
+    fn residual_norm(&self) -> f64 {
+        self.progress().residual_norm()
+    }
+
+    fn reference_norm(&self) -> f64 {
+        self.progress().reference_norm()
+    }
+
+    fn solution(&self) -> &Vector {
+        self.progress().solution()
+    }
+
+    fn converged(&self) -> bool {
+        self.progress().converged()
+    }
+
+    fn step(&mut self) {
+        let Ok(()) = self.try_step();
+    }
+
+    fn capture_state(&self) -> DynamicState {
+        TryIterativeMethod::capture_state(self)
+    }
+
+    fn restore_state(&mut self, state: &DynamicState) {
+        let Ok(()) = self.try_restore_state(state);
+    }
+
+    fn restart_from_solution(&mut self, x: Vector, iteration: usize) {
+        let solution = self.progress_mut().solution_mut();
+        assert_eq!(x.len(), solution.len(), "restart vector dimension");
+        *solution = x;
+        let Ok(()) = self.try_restart(iteration);
+    }
+
+    fn history(&self) -> &ConvergenceHistory {
+        self.progress().history()
     }
 }
 

@@ -4,61 +4,52 @@
 //! these methods through the contraction `‖x⁽ⁱ⁾ − x*‖ ≈ Rⁱ‖x*‖` of the
 //! iteration `x⁽ⁱ⁾ = G x⁽ⁱ⁻¹⁾ + c`, where `R` is the spectral radius of the
 //! iteration matrix `G`.  All four methods share that form, so they share a
-//! single implementation parameterised by [`StationaryKind`], with
-//! [`Jacobi`], [`GaussSeidel`], [`Sor`] and [`Ssor`] as thin constructors.
+//! single implementation parameterised by the sweep, with [`Jacobi`],
+//! [`GaussSeidel`], [`Sor`] and [`Ssor`] as thin constructors.
 //!
-//! Each `step()` performs one sweep.  The residual is recomputed as
+//! Each step performs one sweep.  The residual is recomputed as
 //! `r = b − A x` (a *recomputed variable* in the paper's classification),
-//! and only `x` and the iteration counter are dynamic state.
+//! fused into one traversal by [`Space::residual_norm2`], and only `x` and
+//! the iteration counter are dynamic state.
 //!
-//! The Jacobi sweep reads only the previous iterate, so it runs on the
-//! matrix's nnz-balanced [`SpmvPlan`](lcr_sparse::SpmvPlan) row chunks
-//! ([`kernels::jacobi_sweep`]); the residual refresh fuses the subtraction
-//! and the norm into the matrix traversal ([`kernels::residual_norm2`]),
-//! replacing a per-step allocation plus two extra sweeps.  Gauss–Seidel and
-//! SOR update in place (loop-carried dependence) and stay sequential.
+//! The Jacobi sweep reads only the previous iterate, so rows are
+//! independent: it is an operation of the [`Space`]
+//! ([`Space::jacobi_sweep`]) and runs on the whole system or on one shard
+//! of it.  Gauss–Seidel, SOR and SSOR update in place (loop-carried
+//! dependence): they need the whole matrix, stay sequential and exist on
+//! [`LocalSpace`] only.
 
-use crate::convergence::{ConvergenceHistory, StoppingCriteria};
-use crate::{DynamicState, IterativeMethod, LinearSystem};
-use lcr_sparse::{kernels, Vector};
+use crate::convergence::StoppingCriteria;
+use crate::progress::Progress;
+use crate::space::{LocalSpace, Space};
+use crate::{DynamicState, LinearSystem};
+use lcr_sparse::Vector;
 
 /// Which stationary sweep to perform.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum StationaryKind {
-    /// Jacobi sweep (simultaneous updates).
-    Jacobi,
-    /// Gauss–Seidel sweep (in-place forward updates).
-    GaussSeidel,
-    /// Successive over-relaxation with factor ω.
-    Sor(f64),
-    /// Symmetric SOR: a forward followed by a backward relaxed sweep.
-    Ssor(f64),
-}
-
-impl StationaryKind {
-    fn name(&self) -> &'static str {
-        match self {
-            StationaryKind::Jacobi => "jacobi",
-            StationaryKind::GaussSeidel => "gauss-seidel",
-            StationaryKind::Sor(_) => "sor",
-            StationaryKind::Ssor(_) => "ssor",
-        }
-    }
-}
-
-/// A stationary iterative solver.
 #[derive(Debug, Clone)]
+enum Sweep {
+    /// Jacobi sweep (simultaneous updates), on the solver's space.
+    Jacobi,
+    /// In-place relaxed sweeps with factor ω over the whole `system`:
+    /// forward only (Gauss–Seidel is ω = 1), or forward then backward.
+    InPlace {
+        system: LinearSystem,
+        omega: f64,
+        symmetric: bool,
+        name: &'static str,
+    },
+}
+
+/// A stationary iterative solver on any [`Space`] ([`LocalSpace`] unless
+/// named otherwise).
+#[derive(Clone)]
 // lcr-analyze: allow(dead-public-item): return type of `Jacobi::new` and its siblings; callers take it by inference
-pub struct StationarySolver {
-    system: LinearSystem,
-    kind: StationaryKind,
-    criteria: StoppingCriteria,
-    x: Vector,
+pub struct StationarySolver<S = LocalSpace> {
+    space: S,
+    sweep: Sweep,
+    state: Progress,
+    /// The next iterate during a Jacobi sweep, the residual between sweeps.
     scratch: Vector,
-    iteration: usize,
-    residual_norm: f64,
-    reference_norm: f64,
-    history: ConvergenceHistory,
 }
 
 /// Jacobi method constructor alias.
@@ -72,9 +63,32 @@ pub struct Ssor;
 
 impl Jacobi {
     /// Creates a Jacobi solver.
+    ///
+    /// # Panics
+    /// Panics if the matrix has a zero diagonal entry or on dimension
+    /// mismatch.
     #[allow(clippy::new_ret_no_self)]
     pub fn new(system: LinearSystem, x0: Vector, criteria: StoppingCriteria) -> StationarySolver {
-        StationarySolver::new(system, StationaryKind::Jacobi, x0, criteria)
+        StationarySolver::local(system, Sweep::Jacobi, x0, criteria)
+    }
+
+    /// Creates a Jacobi solver on `space`, starting from `x0` (`None`: the
+    /// zero guess, which needs no operator application).
+    ///
+    /// # Panics
+    /// Panics on dimension mismatch.
+    pub fn on<S: Space>(
+        mut space: S,
+        x0: Option<Vector>,
+        criteria: StoppingCriteria,
+    ) -> Result<StationarySolver<S>, S::Error> {
+        let (state, scratch, _) = Progress::start(&mut space, x0, criteria)?;
+        Ok(StationarySolver {
+            space,
+            sweep: Sweep::Jacobi,
+            state,
+            scratch,
+        })
     }
 }
 
@@ -82,7 +96,7 @@ impl GaussSeidel {
     /// Creates a Gauss–Seidel solver.
     #[allow(clippy::new_ret_no_self)]
     pub fn new(system: LinearSystem, x0: Vector, criteria: StoppingCriteria) -> StationarySolver {
-        StationarySolver::new(system, StationaryKind::GaussSeidel, x0, criteria)
+        StationarySolver::in_place(system, x0, 1.0, false, "gauss-seidel", criteria)
     }
 }
 
@@ -95,7 +109,7 @@ impl Sor {
         omega: f64,
         criteria: StoppingCriteria,
     ) -> StationarySolver {
-        StationarySolver::new(system, StationaryKind::Sor(omega), x0, criteria)
+        StationarySolver::in_place(system, x0, omega, false, "sor", criteria)
     }
 }
 
@@ -108,190 +122,150 @@ impl Ssor {
         omega: f64,
         criteria: StoppingCriteria,
     ) -> StationarySolver {
-        StationarySolver::new(system, StationaryKind::Ssor(omega), x0, criteria)
+        StationarySolver::in_place(system, x0, omega, true, "ssor", criteria)
     }
 }
 
 impl StationarySolver {
-    /// Creates a stationary solver of the given kind.
+    /// Creates a stationary solver on the whole `system`.
     ///
     /// # Panics
-    /// Panics if the matrix has a zero diagonal entry, if dimensions are
-    /// inconsistent, or if an SOR/SSOR relaxation factor is outside `(0, 2)`.
-    fn new(
-        system: LinearSystem,
-        kind: StationaryKind,
-        x0: Vector,
-        criteria: StoppingCriteria,
-    ) -> Self {
-        assert_eq!(x0.len(), system.dim(), "x0 dimension mismatch");
+    /// Panics if the matrix has a zero diagonal entry or if dimensions are
+    /// inconsistent.
+    fn local(system: LinearSystem, sweep: Sweep, x0: Vector, criteria: StoppingCriteria) -> Self {
         system
             .a
             .require_nonzero_diagonal()
             .expect("stationary methods need a non-zero diagonal");
-        if let StationaryKind::Sor(w) | StationaryKind::Ssor(w) = kind {
-            assert!(w > 0.0 && w < 2.0, "relaxation factor must be in (0, 2)");
-        }
-        let reference_norm = system.b.norm2();
-        let residual_norm = system.a.residual(&x0, &system.b).norm2();
-        let history = ConvergenceHistory::new(residual_norm);
-        let n = system.dim();
+        let mut space = LocalSpace::unpreconditioned(system);
+        let Ok((state, scratch, _)) = Progress::start(&mut space, Some(x0), criteria);
         StationarySolver {
-            system,
-            kind,
-            criteria,
-            x: x0,
-            scratch: Vector::zeros(n),
-            iteration: 0,
-            residual_norm,
-            reference_norm,
-            history,
+            space,
+            sweep,
+            state,
+            scratch,
         }
     }
 
-    /// The stopping criteria in use.
-    pub fn criteria(&self) -> &StoppingCriteria {
-        &self.criteria
-    }
-
-    fn jacobi_sweep(&mut self) {
-        kernels::jacobi_sweep(
-            &self.system.a,
-            self.x.as_slice(),
-            self.system.b.as_slice(),
-            self.scratch.as_mut_slice(),
+    /// [`StationarySolver::local`] for the in-place sweeps.
+    ///
+    /// # Panics
+    /// Additionally panics if the relaxation factor is outside `(0, 2)`.
+    fn in_place(
+        system: LinearSystem,
+        x0: Vector,
+        omega: f64,
+        symmetric: bool,
+        name: &'static str,
+        criteria: StoppingCriteria,
+    ) -> Self {
+        assert!(
+            omega > 0.0 && omega < 2.0,
+            "relaxation factor must be in (0, 2)"
         );
-        std::mem::swap(&mut self.x, &mut self.scratch);
-    }
-
-    fn relaxed_forward_sweep(&mut self, omega: f64) {
-        let a = &self.system.a;
-        let b = &self.system.b;
-        let n = self.x.len();
-        for i in 0..n {
-            let mut sigma = 0.0;
-            let mut diag = 0.0;
-            for (pos, &j) in a.row_indices(i).iter().enumerate() {
-                let v = a.row_values(i)[pos];
-                if j == i {
-                    diag = v;
-                } else {
-                    sigma += v * self.x[j];
-                }
-            }
-            let gs_value = (b[i] - sigma) / diag;
-            self.x[i] = (1.0 - omega) * self.x[i] + omega * gs_value;
-        }
-    }
-
-    fn relaxed_backward_sweep(&mut self, omega: f64) {
-        let a = &self.system.a;
-        let b = &self.system.b;
-        let n = self.x.len();
-        for i in (0..n).rev() {
-            let mut sigma = 0.0;
-            let mut diag = 0.0;
-            for (pos, &j) in a.row_indices(i).iter().enumerate() {
-                let v = a.row_values(i)[pos];
-                if j == i {
-                    diag = v;
-                } else {
-                    sigma += v * self.x[j];
-                }
-            }
-            let gs_value = (b[i] - sigma) / diag;
-            self.x[i] = (1.0 - omega) * self.x[i] + omega * gs_value;
-        }
-    }
-
-    fn refresh_residual(&mut self) {
-        // Fused r = b - A x and ||r||^2 into the scratch buffer (dead
-        // between sweeps): no allocation, no separate subtraction or norm
-        // sweep.
-        self.residual_norm = kernels::residual_norm2(
-            &self.system.a,
-            self.x.as_slice(),
-            self.system.b.as_slice(),
-            self.scratch.as_mut_slice(),
-        )
-        .sqrt();
+        let sweep = Sweep::InPlace {
+            system: system.clone(),
+            omega,
+            symmetric,
+            name,
+        };
+        Self::local(system, sweep, x0, criteria)
     }
 }
 
-impl IterativeMethod for StationarySolver {
-    fn name(&self) -> &'static str {
-        self.kind.name()
-    }
-
-    fn iteration(&self) -> usize {
-        self.iteration
-    }
-
-    fn residual_norm(&self) -> f64 {
-        self.residual_norm
-    }
-
-    fn reference_norm(&self) -> f64 {
-        self.reference_norm
-    }
-
-    fn solution(&self) -> &Vector {
-        &self.x
-    }
-
-    fn converged(&self) -> bool {
-        self.criteria
-            .is_satisfied(self.residual_norm, self.reference_norm)
-            || self.criteria.limit_reached(self.iteration)
-    }
-
-    fn step(&mut self) {
-        if self.converged() {
-            return;
-        }
-        match self.kind {
-            StationaryKind::Jacobi => self.jacobi_sweep(),
-            StationaryKind::GaussSeidel => self.relaxed_forward_sweep(1.0),
-            StationaryKind::Sor(w) => self.relaxed_forward_sweep(w),
-            StationaryKind::Ssor(w) => {
-                self.relaxed_forward_sweep(w);
-                self.relaxed_backward_sweep(w);
+/// One in-place relaxed sweep over the rows of `system`, last row first if
+/// `backward`.
+fn relaxed_sweep(system: &LinearSystem, x: &mut Vector, omega: f64, backward: bool) {
+    let (a, b) = (&system.a, &system.b);
+    let n = x.len();
+    for k in 0..n {
+        let i = if backward { n - 1 - k } else { k };
+        let mut sigma = 0.0;
+        let mut diag = 0.0;
+        for (pos, &j) in a.row_indices(i).iter().enumerate() {
+            let v = a.row_values(i)[pos];
+            if j == i {
+                diag = v;
+            } else {
+                sigma += v * x[j];
             }
         }
-        self.iteration += 1;
-        self.refresh_residual();
-        self.history.record(self.residual_norm);
-        if self.criteria.limit_reached(self.iteration) {
-            self.history.limit_reached = true;
+        let gs_value = (b[i] - sigma) / diag;
+        x[i] = (1.0 - omega) * x[i] + omega * gs_value;
+    }
+}
+
+impl<S: Space> crate::TryIterativeMethod for StationarySolver<S> {
+    type Error = S::Error;
+
+    fn name(&self) -> &'static str {
+        match self.sweep {
+            Sweep::Jacobi => "jacobi",
+            Sweep::InPlace { name, .. } => name,
         }
+    }
+
+    fn progress(&self) -> &Progress {
+        &self.state
+    }
+
+    fn progress_mut(&mut self) -> &mut Progress {
+        &mut self.state
+    }
+
+    fn try_step(&mut self) -> Result<(), S::Error> {
+        if self.state.converged() {
+            return Ok(());
+        }
+        match &self.sweep {
+            Sweep::Jacobi => {
+                self.space.jacobi_sweep(&self.state.x, &mut self.scratch)?;
+                std::mem::swap(&mut self.state.x, &mut self.scratch);
+            }
+            Sweep::InPlace {
+                system,
+                omega,
+                symmetric,
+                ..
+            } => {
+                relaxed_sweep(system, &mut self.state.x, *omega, false);
+                if *symmetric {
+                    relaxed_sweep(system, &mut self.state.x, *omega, true);
+                }
+            }
+        }
+        let rr = self
+            .space
+            .residual_norm2(&self.state.x, &mut self.scratch)?;
+        self.state.accept(rr.sqrt());
+        Ok(())
     }
 
     fn capture_state(&self) -> DynamicState {
         DynamicState {
-            iteration: self.iteration,
+            iteration: self.state.iteration(),
             scalars: Vec::new(),
-            vectors: vec![("x".to_string(), self.x.clone())],
+            vectors: vec![("x".to_string(), self.state.x.clone())],
         }
     }
 
-    fn restore_state(&mut self, state: &DynamicState) {
-        let x = state
+    fn try_restore_state(&mut self, state: &DynamicState) -> Result<(), S::Error> {
+        self.state.x = state
             .vector("x")
             .expect("stationary checkpoint must contain x")
             .clone();
-        self.restart_from_solution(x, state.iteration);
+        self.try_restart(state.iteration)
     }
 
-    fn restart_from_solution(&mut self, x: Vector, iteration: usize) {
-        assert_eq!(x.len(), self.system.dim(), "restart vector dimension");
-        self.x = x;
-        self.iteration = iteration;
-        self.refresh_residual();
-        self.history.record_restart(iteration);
-    }
-
-    fn history(&self) -> &ConvergenceHistory {
-        &self.history
+    fn try_restart(&mut self, iteration: usize) -> Result<(), S::Error> {
+        // No recurrence state beyond x: recovery is recomputing the
+        // residual from the restored solution.
+        self.state.restarted(iteration);
+        let rr = self
+            .space
+            .residual_norm2(&self.state.x, &mut self.scratch)?;
+        self.state.residual_norm = rr.sqrt();
+        Ok(())
     }
 }
 

@@ -1,0 +1,251 @@
+//! The `Space` seam, tested with a fake: a counting wrapper pins the
+//! per-iteration operation budget of each method (the numbers the README's
+//! pass table and `sparse.shard.reduce_rounds_per_iter` rely on), and the
+//! two real spaces are checked against each other on one system.
+
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
+
+use lcr_solvers::{
+    BiCgStab, ConjugateGradient, Jacobi, LinearSystem, LocalSpace, Preconditioner, ShardSpace,
+    Space, StoppingCriteria, TryIterativeMethod,
+};
+use lcr_sparse::poisson::{manufactured_rhs, poisson3d};
+use lcr_sparse::shard::{build_comms, partition_csr};
+use lcr_sparse::ShardLayout;
+
+/// What a sharded run pays for beyond its own slices.
+#[derive(Default)]
+struct Counts {
+    /// Operations that read off-slice entries (one halo exchange each).
+    halo_ops: Cell<usize>,
+    /// Global reductions (one coordinator round each).
+    reductions: Cell<usize>,
+}
+
+impl Counts {
+    fn snapshot(&self) -> (usize, usize) {
+        (self.halo_ops.get(), self.reductions.get())
+    }
+}
+
+/// Delegates to `inner`, counting the operations that would communicate.
+struct Counting<S> {
+    inner: S,
+    counts: Rc<Counts>,
+}
+
+impl<S> Counting<S> {
+    fn halo_op(&self) {
+        self.counts.halo_ops.set(self.counts.halo_ops.get() + 1);
+    }
+
+    fn reduction(&self) {
+        self.counts.reductions.set(self.counts.reductions.get() + 1);
+    }
+}
+
+impl<S: Space> Space for Counting<S> {
+    type Error = S::Error;
+
+    fn rhs(&self) -> &[f64] {
+        self.inner.rhs()
+    }
+
+    fn apply(&mut self, w: &[f64], y: &mut [f64]) -> Result<(), S::Error> {
+        self.halo_op();
+        self.inner.apply(w, y)
+    }
+
+    fn apply_dot(&mut self, w: &[f64], y: &mut [f64], u: &[f64]) -> Result<f64, S::Error> {
+        self.halo_op();
+        self.reduction();
+        self.inner.apply_dot(w, y, u)
+    }
+
+    fn dot(&mut self, a: &[f64], b: &[f64]) -> Result<f64, S::Error> {
+        self.reduction();
+        self.inner.dot(a, b)
+    }
+
+    fn dot2(&mut self, s: &[f64], a: &[f64], b: &[f64]) -> Result<(f64, f64), S::Error> {
+        self.reduction();
+        self.inner.dot2(s, a, b)
+    }
+
+    fn axpy2_norm2(
+        &mut self,
+        alpha: f64,
+        p: &[f64],
+        q: &[f64],
+        x: &mut [f64],
+        r: &mut [f64],
+    ) -> Result<f64, S::Error> {
+        self.reduction();
+        self.inner.axpy2_norm2(alpha, p, q, x, r)
+    }
+
+    fn waxpy_norm2(
+        &mut self,
+        out: &mut [f64],
+        x: &[f64],
+        alpha: f64,
+        y: &[f64],
+    ) -> Result<f64, S::Error> {
+        self.reduction();
+        self.inner.waxpy_norm2(out, x, alpha, y)
+    }
+
+    fn residual_norm2(&mut self, x: &[f64], r: &mut [f64]) -> Result<f64, S::Error> {
+        self.halo_op();
+        self.reduction();
+        self.inner.residual_norm2(x, r)
+    }
+
+    fn jacobi_sweep(&mut self, x: &[f64], out: &mut [f64]) -> Result<(), S::Error> {
+        self.halo_op();
+        self.inner.jacobi_sweep(x, out)
+    }
+
+    fn precond(&self) -> Option<&dyn Preconditioner> {
+        self.inner.precond()
+    }
+
+    fn xpby(&self, p: &mut [f64], x: &[f64], beta: f64) {
+        self.inner.xpby(p, x, beta);
+    }
+
+    fn bicgstab_p_update(&self, p: &mut [f64], r: &[f64], v: &[f64], beta: f64, omega: f64) {
+        self.inner.bicgstab_p_update(p, r, v, beta, omega);
+    }
+
+    fn axpy2(&self, y: &mut [f64], alpha: f64, a: &[f64], beta: f64, b: &[f64]) {
+        self.inner.axpy2(y, alpha, a, beta, b);
+    }
+}
+
+/// 6³ Poisson with a manufactured solution, negated (SPD) for CG.
+fn system(spd: bool) -> LinearSystem {
+    let mut a = poisson3d(6);
+    if spd {
+        for v in a.values_mut() {
+            *v = -*v;
+        }
+    }
+    let (_, b) = manufactured_rhs(&a);
+    LinearSystem::new(a, b)
+}
+
+fn counted(spd: bool) -> (Counting<LocalSpace>, Rc<Counts>) {
+    let counts = Rc::new(Counts::default());
+    let space = Counting {
+        inner: LocalSpace::unpreconditioned(system(spd)),
+        counts: Rc::clone(&counts),
+    };
+    (space, counts)
+}
+
+/// Steps `solver` ten times and returns the `(halo_ops, reductions)` each
+/// iteration cost.
+fn budget_per_iteration(
+    solver: &mut dyn TryIterativeMethod<Error = std::convert::Infallible>,
+    counts: &Counts,
+) -> (usize, usize) {
+    let (h0, r0) = counts.snapshot();
+    for _ in 0..10 {
+        solver.try_step().unwrap();
+    }
+    let progress = solver.progress();
+    assert_eq!(
+        progress.iteration(),
+        10,
+        "every step was an accepted iteration"
+    );
+    assert!(progress.history().restarts().is_empty());
+    let (h1, r1) = counts.snapshot();
+    assert_eq!((h1 - h0) % 10, 0);
+    assert_eq!((r1 - r0) % 10, 0);
+    ((h1 - h0) / 10, (r1 - r0) / 10)
+}
+
+#[test]
+fn per_iteration_budgets_are_pinned() {
+    let open = StoppingCriteria::new(1e-30, 1_000);
+
+    let (space, counts) = counted(true);
+    let mut cg = ConjugateGradient::on(space, None, open).unwrap();
+    assert_eq!(
+        counts.snapshot(),
+        (0, 2),
+        "zero-guess start: ‖b‖ and ‖r‖ only"
+    );
+    assert_eq!(budget_per_iteration(&mut cg, &counts), (1, 2));
+
+    let (space, counts) = counted(false);
+    let mut bicgstab = BiCgStab::on(space, None, open).unwrap();
+    assert_eq!(budget_per_iteration(&mut bicgstab, &counts), (2, 5));
+
+    let (space, counts) = counted(false);
+    let mut jacobi = Jacobi::on(space, None, open).unwrap();
+    assert_eq!(budget_per_iteration(&mut jacobi, &counts), (2, 1));
+}
+
+/// One shard holds the whole system, so `ShardSpace` and `LocalSpace` run
+/// the same CG on the same data and differ only in reduction order: same
+/// iteration count, traces equal to rounding.  The shard's real comm
+/// counters match the budget the fake pins.
+#[test]
+fn one_shard_cg_agrees_with_local_cg() {
+    let sys = system(true);
+    let criteria = StoppingCriteria::new(1e-10, 1_000);
+
+    let mut local =
+        ConjugateGradient::on(LocalSpace::unpreconditioned(sys.clone()), None, criteria).unwrap();
+    while !local.progress().converged() {
+        local.try_step().unwrap();
+    }
+    let local = local.progress().history();
+
+    let layout = ShardLayout::with_block(sys.dim(), 1, 32);
+    let parts = partition_csr(&sys.a, &layout);
+    let (mut comms, mut coordinator) = build_comms(1);
+    let comm = comms.pop().unwrap();
+    let (history, reduce_rounds) = std::thread::scope(|scope| {
+        let shard = scope.spawn(|| {
+            let comm = RefCell::new(comm);
+            let space = ShardSpace::new(&parts[0], sys.b.as_slice(), &comm);
+            let mut sharded = ConjugateGradient::on(space, None, criteria).unwrap();
+            while !sharded.progress().converged() {
+                sharded.try_step().unwrap();
+            }
+            let history = sharded.progress().history().clone();
+            drop(sharded);
+            let comm = comm.into_inner();
+            let reduce_rounds = comm.reduce_rounds();
+            comm.finish();
+            (history, reduce_rounds)
+        });
+        coordinator.try_serve().unwrap();
+        shard.join().unwrap()
+    });
+
+    assert_eq!(history.iterations(), local.iterations());
+    assert_eq!(
+        reduce_rounds as usize,
+        2 + 2 * history.iterations(),
+        "two reductions at the start, two per iteration"
+    );
+    let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * b.abs();
+    assert!(close(history.initial_residual(), local.initial_residual()));
+    for (k, (a, b)) in history
+        .residuals()
+        .iter()
+        .zip(local.residuals())
+        .enumerate()
+    {
+        assert!(
+            close(*a, *b),
+            "trace entry {k}: sharded {a:e} vs local {b:e}"
+        );
+    }
+}

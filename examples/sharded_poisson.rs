@@ -14,12 +14,12 @@
 //! LCR_SHARDS=2 cargo run --release --example sharded_poisson
 //! ```
 
-use lossy_ckpt::core::sharded::{run_sharded, KillSpec, ShardedRunConfig};
+use lossy_ckpt::core::sharded::{try_run_sharded, KillSpec, ShardedError, ShardedRunConfig};
 use lossy_ckpt::solvers::ShardedMethod;
 use lossy_ckpt::sparse::poisson::poisson3d;
 use lossy_ckpt::sparse::Vector;
 
-fn main() {
+fn main() -> Result<(), ShardedError> {
     let shards: usize = std::env::var("LCR_SHARDS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -50,7 +50,7 @@ fn main() {
         shard: 1.min(shards - 1),
         at_iteration: 12,
     }];
-    let report = run_sharded(&a, &b, &cfg);
+    let report = try_run_sharded(&a, &b, &cfg)?;
 
     println!(
         "converged: {} after {} iterations ({} committed epoch(s), wall {:.1} ms)",
@@ -99,4 +99,5 @@ fn main() {
     println!("OK: only shard {victim} rolled back; survivors kept their state");
 
     let _ = std::fs::remove_dir_all(&dir);
+    Ok(())
 }

@@ -8,9 +8,7 @@
 //! matrix; in-process we additionally sweep 1/2/4 shards and both thread
 //! caps directly.
 
-use lossy_ckpt::core::sharded::{
-    run_sharded, try_run_sharded, KillSpec, ShardedReport, ShardedRunConfig,
-};
+use lossy_ckpt::core::sharded::{try_run_sharded, KillSpec, ShardedReport, ShardedRunConfig};
 use lossy_ckpt::solvers::ShardedMethod;
 use lossy_ckpt::sparse::poisson::{manufactured_rhs, poisson2d, poisson3d};
 use lossy_ckpt::sparse::{CsrMatrix, Vector};
@@ -24,6 +22,11 @@ fn spd_poisson(edge: usize) -> (CsrMatrix, Vector) {
     }
     let b = Vector::filled(a.nrows(), 1.0);
     (a, b)
+}
+
+/// A run with no injected fault has no typed error to hand back.
+fn solve(a: &CsrMatrix, b: &Vector, cfg: &ShardedRunConfig) -> ShardedReport {
+    try_run_sharded(a, b, cfg).expect("fault-free run")
 }
 
 fn assert_bit_identical(base: &ShardedReport, other: &ShardedReport, label: &str) {
@@ -90,7 +93,7 @@ fn sharded_krylov_iterations_and_traces_are_pinned() {
             let mut cfg = ShardedRunConfig::new(shards, method);
             cfg.rtol = 1e-10;
             cfg.reduce_block = 64;
-            let report = try_run_sharded(&a, &b, &cfg).expect("fault-free run");
+            let report = solve(&a, &b, &cfg);
             let label = format!("{} 3d={three_d} at {shards} shards", method.name());
             assert!(report.converged, "{label}");
             assert_eq!(report.iterations, golden_iters, "{label}: iterations");
@@ -141,7 +144,7 @@ fn cg_64cube_trace_bit_identical_at_1_2_4_shards() {
         // Capped: the contract is about the trace, not convergence.
         cfg.max_iterations = 30;
         cfg.rtol = 1e-30;
-        run_sharded(&a, &b, &cfg)
+        solve(&a, &b, &cfg)
     };
     let base = run(1);
     assert_eq!(base.iterations, 30);
@@ -166,7 +169,7 @@ fn sharded_traces_ignore_thread_pool_cap() {
     let run_with_cap = |cap: usize| {
         let prev = rayon::max_active_threads();
         rayon::set_max_active_threads(cap);
-        let report = run_sharded(&a, &b, &cfg);
+        let report = solve(&a, &b, &cfg);
         rayon::set_max_active_threads(prev);
         report
     };
@@ -203,7 +206,7 @@ proptest! {
             cfg.max_iterations = 20;
             cfg.rtol = 1e-30;
             cfg.reduce_block = block;
-            run_sharded(&a, &b, &cfg)
+            solve(&a, &b, &cfg)
         };
         let base = run(1);
         let other = run(shards);
@@ -230,7 +233,7 @@ proptest! {
             cfg.max_iterations = 15;
             cfg.rtol = 1e-30;
             cfg.reduce_block = 16;
-            run_sharded(&a, &b, &cfg)
+            solve(&a, &b, &cfg)
         };
         let base = run(1);
         let other = run(shards);
