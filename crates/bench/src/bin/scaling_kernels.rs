@@ -1,9 +1,12 @@
 //! Kernel scaling benchmark: the perf-trajectory baseline for the threaded
 //! execution layer.
 //!
-//! Measures `dot`/`norm2`/`spmv` — plus the fused solver kernels
+//! Measures a STREAM-style `triad` (the host's bandwidth ceiling through
+//! the same pool), `dot`/`norm2`/`spmv` — plus the fused solver kernels
 //! `spmv_dot`, `axpy2_norm2` and `residual_norm2` that the Krylov inner
-//! loops now run on — on a large 3-D Poisson problem, SZ
+//! loops now run on, and the paper's preconditioner: `bjacobi_apply` (one
+//! block-Jacobi(16)/ILU(0) application) and `ilu0_factor` (building it) —
+//! on a large 3-D Poisson problem, SZ
 //! compression *and decompression* of a ≥1M-element smooth buffer, ZFP
 //! compression of the same buffer, single-stream Huffman decoding of
 //! SZ-like quantization codes, the order-2 temporal delta codec of the
@@ -16,7 +19,9 @@
 //! **bit-identical** across thread counts (the deterministic fixed-chunk
 //! scheduling guarantee; the disk rows are single-threaded I/O measured
 //! like-for-like).  The decompression rows are what the fig456
-//! recovery-time experiments rest on.
+//! recovery-time experiments rest on.  Vector, SpMV and preconditioner
+//! rows also report GB/s computed from their array sizes and that rate as
+//! a fraction of the triad row at the same thread count.
 //!
 //! Prints the usual aligned table + `JSON:` line.
 //!
@@ -28,10 +33,12 @@ use lcr_bench::{fmt, print_json, print_table};
 use lcr_ckpt::disk::crc32;
 use lcr_ckpt::{CheckpointBuffer, CheckpointLevel, DiskStore};
 use lcr_compress::{delta, huffman, ErrorBound, LossyCompressor, SzCompressor, ZfpCompressor};
+use lcr_solvers::{BlockJacobiPreconditioner, Preconditioner};
 use lcr_sparse::kernels;
 use lcr_sparse::poisson::poisson3d;
 use lcr_sparse::vector::{dot, norm2};
 use lcr_sparse::{CsrMatrix, Vector};
+use rayon::prelude::*;
 use serde::Serialize;
 use std::time::Instant;
 
@@ -50,6 +57,11 @@ struct ScalingRow {
     melem_per_s: f64,
     /// Speedup relative to the 1-thread row of the same kernel.
     speedup_vs_1t: f64,
+    /// GB/s over the bytes the kernel's arrays hold (computed from their
+    /// sizes, not measured traffic); `None` for codec and disk rows.
+    gb_per_s_computed: Option<f64>,
+    /// `gb_per_s_computed` over the `triad` row's at the same thread count.
+    frac_of_triad: Option<f64>,
     /// Whether the result was bit-identical to the 1-thread result.
     bit_identical: bool,
 }
@@ -133,6 +145,13 @@ fn main() {
     pb.fill_random(4, -1.0, 1.0);
     let mut ax_scratch = a_vec.clone();
     let mut rx_scratch = b_vec.clone();
+    let mut triad_out = Vector::zeros(vec_len);
+    // The paper's preconditioner set-up (§5.1): block Jacobi over 16
+    // blocks, ILU(0) inside.
+    const N_BLOCKS: usize = 16;
+    let factorise =
+        || BlockJacobiPreconditioner::new(&matrix, N_BLOCKS).expect("ILU(0) of Poisson");
+    let mut z = Vector::zeros(n);
 
     let sz_data = smooth_signal(sz_len);
     let sz = SzCompressor::new();
@@ -193,25 +212,73 @@ fn main() {
     for &threads in &thread_counts {
         rayon::set_max_active_threads(threads);
 
-        // (name, elements, result fingerprint, median seconds)
-        let mut measured: Vec<(&str, usize, u64, f64)> = Vec::new();
+        // (name, elements, bytes held by the kernel's arrays (0 = not a
+        // bandwidth row), result fingerprint, median seconds)
+        let mut measured: Vec<(&str, usize, usize, u64, f64)> = Vec::new();
+        let matrix_bytes = matrix.storage_bytes();
+
+        // STREAM triad through the pool: the ceiling the rows below are
+        // reported against.
+        let secs = time_median(reps, || {
+            triad_out
+                .as_mut_slice()
+                .par_iter_mut()
+                .zip(a_vec.as_slice().par_iter())
+                .zip(b_vec.as_slice().par_iter())
+                .for_each(|((o, b), c)| *o = b + 3.0 * c);
+        });
+        let triad_fp = bits_fingerprint(triad_out.as_slice());
+        measured.push(("triad", vec_len, 3 * 8 * vec_len, triad_fp, secs));
+        let triad_gbs = (3 * 8 * vec_len) as f64 / secs / 1e9;
 
         let mut dot_result = 0.0f64;
         let secs = time_median(reps, || {
             dot_result = dot(a_vec.as_slice(), b_vec.as_slice());
         });
-        measured.push(("dot", vec_len, dot_result.to_bits(), secs));
+        measured.push(("dot", vec_len, 2 * 8 * vec_len, dot_result.to_bits(), secs));
 
         let mut norm_result = 0.0f64;
         let secs = time_median(reps, || {
             norm_result = norm2(a_vec.as_slice());
         });
-        measured.push(("norm2", vec_len, norm_result.to_bits(), secs));
+        measured.push(("norm2", vec_len, 8 * vec_len, norm_result.to_bits(), secs));
 
         let secs = time_median(reps, || {
             matrix.spmv(x.as_slice(), y.as_mut_slice());
         });
-        measured.push(("spmv", matrix.nnz(), bits_fingerprint(y.as_slice()), secs));
+        let spmv_fp = bits_fingerprint(y.as_slice());
+        measured.push((
+            "spmv",
+            matrix.nnz(),
+            matrix_bytes + 2 * 8 * n,
+            spmv_fp,
+            secs,
+        ));
+
+        // The preconditioner: factorising the 16 diagonal blocks straight
+        // from the matrix rows (parent read once + factors written once),
+        // and one application (factors + r read, z written).  Blocks run
+        // on the pool; each block's arithmetic is thread-independent.
+        let mut pre = factorise();
+        let secs = time_median(reps, || pre = factorise());
+        let factors: Vec<f64> = pre.factor_entries().map(|(_, _, v)| v).collect();
+        let factor_entries = factors.len();
+        measured.push((
+            "ilu0_factor",
+            factor_entries,
+            matrix_bytes + pre.storage_bytes(),
+            bits_fingerprint(&factors),
+            secs,
+        ));
+
+        let secs = time_median(reps, || pre.apply_into(&pb, &mut z));
+        measured.push((
+            "bjacobi_apply",
+            factor_entries,
+            pre.storage_bytes() + 2 * 8 * n,
+            bits_fingerprint(z.as_slice()),
+            secs,
+        ));
 
         // Fused solver kernels (the CG/BiCGStab inner-loop primitives):
         // q = A·x with xᵀq in the same traversal, the fused x/r update
@@ -225,6 +292,7 @@ fn main() {
         measured.push((
             "spmv_dot",
             matrix.nnz(),
+            matrix_bytes + 2 * 8 * n,
             bits_fingerprint(y.as_slice()) ^ spmv_dot_result.to_bits(),
             secs,
         ));
@@ -242,7 +310,13 @@ fn main() {
                 rx_scratch.as_mut_slice(),
             );
         });
-        measured.push(("axpy2_norm2", vec_len, fused_rr.to_bits(), secs));
+        measured.push((
+            "axpy2_norm2",
+            vec_len,
+            6 * 8 * vec_len,
+            fused_rr.to_bits(),
+            secs,
+        ));
 
         let mut resid_rr = 0.0f64;
         let secs = time_median(reps, || {
@@ -252,6 +326,7 @@ fn main() {
         measured.push((
             "residual_norm2",
             matrix.nnz(),
+            matrix_bytes + 3 * 8 * n,
             bits_fingerprint(y.as_slice()) ^ resid_rr.to_bits(),
             secs,
         ));
@@ -267,7 +342,7 @@ fn main() {
             sz_reference = compressed_bytes.clone();
         }
         let sz_fp = u64::from(compressed_bytes == sz_reference);
-        measured.push(("sz_compress", sz_len, sz_fp, secs));
+        measured.push(("sz_compress", sz_len, 0, sz_fp, secs));
 
         let mut restored: Vec<f64> = Vec::new();
         let secs = time_median(reps, || {
@@ -275,7 +350,13 @@ fn main() {
                 .decompress(&sz_compressed)
                 .expect("SZ decompression failed");
         });
-        measured.push(("sz_decompress", sz_len, bits_fingerprint(&restored), secs));
+        measured.push((
+            "sz_decompress",
+            sz_len,
+            0,
+            bits_fingerprint(&restored),
+            secs,
+        ));
 
         let mut zfp_bytes: Vec<u8> = Vec::new();
         let secs = time_median(reps, || {
@@ -288,7 +369,7 @@ fn main() {
             zfp_reference = zfp_bytes.clone();
         }
         let zfp_fp = u64::from(zfp_bytes == zfp_reference);
-        measured.push(("zfp_compress", sz_len, zfp_fp, secs));
+        measured.push(("zfp_compress", sz_len, 0, zfp_fp, secs));
 
         // Single-stream canonical-Huffman table decode (not pool-parallel;
         // rides along at every thread count as a like-for-like row).
@@ -300,7 +381,7 @@ fn main() {
         let huff_fp = decoded
             .iter()
             .fold(0u64, |h, &v| h.rotate_left(13) ^ u64::from(v));
-        measured.push(("huffman_decode", huff_symbols.len(), huff_fp, secs));
+        measured.push(("huffman_decode", huff_symbols.len(), 0, huff_fp, secs));
 
         // Temporal delta codec of the version-5 streams: order-2 symbols
         // of this snapshot's codes against the two priors, and the
@@ -313,7 +394,7 @@ fn main() {
         let delta_enc_fp = delta_syms
             .iter()
             .fold(0u64, |h, &v| h.rotate_left(13) ^ u64::from(v));
-        measured.push(("delta_encode", huff_symbols.len(), delta_enc_fp, secs));
+        measured.push(("delta_encode", huff_symbols.len(), 0, delta_enc_fp, secs));
 
         let mut delta_codes: Vec<u32> = Vec::new();
         let secs = time_median(reps, || {
@@ -326,7 +407,7 @@ fn main() {
         let delta_dec_fp = delta_codes
             .iter()
             .fold(0u64, |h, &v| h.rotate_left(13) ^ u64::from(v));
-        measured.push(("delta_decode", huff_symbols.len(), delta_dec_fp, secs));
+        measured.push(("delta_decode", huff_symbols.len(), 0, delta_dec_fp, secs));
 
         // Durable disk tier: single-threaded file I/O, measured at every
         // thread count as a like-for-like row.  The write streams the
@@ -354,7 +435,7 @@ fn main() {
             .latest_valid()
             .expect("reading back the benchmark checkpoint");
         let disk_fp = u64::from(crc32(&written.payloads[0].1));
-        measured.push(("disk_ckpt_write", sz_len, disk_fp, secs));
+        measured.push(("disk_ckpt_write", sz_len, 0, disk_fp, secs));
 
         let mut read_back = written;
         let secs = time_median(reps, || {
@@ -363,12 +444,13 @@ fn main() {
                 .expect("validating the benchmark checkpoint");
         });
         let disk_read_fp = u64::from(crc32(&read_back.payloads[0].1));
-        measured.push(("disk_ckpt_read", sz_len, disk_read_fp, secs));
+        measured.push(("disk_ckpt_read", sz_len, 0, disk_read_fp, secs));
 
-        for (name, elements, fingerprint, seconds) in measured {
+        for (name, elements, bytes, fingerprint, seconds) in measured {
             let (base_secs, base_fp) = *baseline
                 .entry(name.to_string())
                 .or_insert((seconds, fingerprint));
+            let gb_per_s_computed = (bytes > 0).then(|| bytes as f64 / seconds / 1e9);
             rows.push(ScalingRow {
                 kernel: name.to_string(),
                 threads,
@@ -376,6 +458,8 @@ fn main() {
                 seconds,
                 melem_per_s: elements as f64 / seconds / 1e6,
                 speedup_vs_1t: base_secs / seconds,
+                gb_per_s_computed,
+                frac_of_triad: gb_per_s_computed.map(|g| g / triad_gbs),
                 bit_identical: fingerprint == base_fp,
             });
         }
@@ -394,6 +478,8 @@ fn main() {
                 fmt(r.seconds * 1e3, 3),
                 fmt(r.melem_per_s, 1),
                 fmt(r.speedup_vs_1t, 2),
+                r.gb_per_s_computed.map_or("-".into(), |g| fmt(g, 2)),
+                r.frac_of_triad.map_or("-".into(), |f| fmt(f, 2)),
                 if r.bit_identical { "yes" } else { "NO" }.to_string(),
             ]
         })
@@ -407,6 +493,8 @@ fn main() {
             "ms",
             "Melem/s",
             "speedup",
+            "GB/s",
+            "of triad",
             "bit-identical",
         ],
         &table,

@@ -185,10 +185,7 @@ impl PaperWorkload {
             (WorkloadKind::Poisson3d, SolverKind::Cg) => {
                 // The paper's Poisson matrix is negative definite; CG needs
                 // an SPD operator, so solve the equivalent negated system.
-                let mut a = (*problem.system.a).clone();
-                for v in a.values_mut() {
-                    *v = -*v;
-                }
+                let a = problem.system.a.negated();
                 let mut b = (*problem.system.b).clone();
                 b.scale(-1.0);
                 let system = LinearSystem::new(a, b);

@@ -6,26 +6,29 @@
 //! Figure 3.  This module implements those behind the [`Preconditioner`]
 //! trait (apply `z = M⁻¹ r`).
 
-use lcr_sparse::{CsrMatrix, SparseError, Vector};
+use lcr_sparse::{CsrMatrix, SparseError, Vector, PAR_THRESHOLD};
 use rayon::prelude::*;
+use std::cmp::Ordering;
+use std::ops::Range;
 
 /// Applies the inverse of a preconditioning operator `M`.
 pub trait Preconditioner: Send + Sync {
-    /// Computes `z = M⁻¹ r`.
+    /// Computes `z = M⁻¹ r` into a preallocated vector (every element is
+    /// overwritten) — what the solver inner loops call, so no iteration
+    /// allocates.
     ///
     /// # Panics
     /// Implementations panic on dimension mismatch (programming error).
-    fn apply(&self, r: &Vector) -> Vector;
+    fn apply_into(&self, r: &Vector, out: &mut Vector);
 
-    /// Computes `z = M⁻¹ r` into a preallocated vector — the variant the
-    /// solver inner loops call so that per-iteration allocations vanish.
-    /// The default delegates to [`Preconditioner::apply`]; implementations
-    /// with cheap kernels override it to skip the allocation entirely.
+    /// Computes `z = M⁻¹ r` into a fresh vector.
     ///
     /// # Panics
     /// Panics on dimension mismatch.
-    fn apply_into(&self, r: &Vector, out: &mut Vector) {
-        *out = self.apply(r);
+    fn apply(&self, r: &Vector) -> Vector {
+        let mut z = Vector::zeros(r.len());
+        self.apply_into(r, &mut z);
+        z
     }
 
     /// Short name ("none", "jacobi", "bjacobi+ilu0", ...).
@@ -57,10 +60,6 @@ impl IdentityPreconditioner {
 }
 
 impl Preconditioner for IdentityPreconditioner {
-    fn apply(&self, r: &Vector) -> Vector {
-        r.clone()
-    }
-
     fn apply_into(&self, r: &Vector, out: &mut Vector) {
         out.copy_from(r);
     }
@@ -100,16 +99,10 @@ impl JacobiPreconditioner {
 }
 
 impl Preconditioner for JacobiPreconditioner {
-    fn apply(&self, r: &Vector) -> Vector {
-        let mut z = Vector::zeros(r.len());
-        self.apply_into(r, &mut z);
-        z
-    }
-
     fn apply_into(&self, r: &Vector, out: &mut Vector) {
         assert_eq!(r.len(), self.inv_diag.len(), "dimension mismatch");
         assert_eq!(out.len(), r.len(), "dimension mismatch");
-        if r.len() >= lcr_sparse::PAR_THRESHOLD {
+        if r.len() >= PAR_THRESHOLD {
             out.as_mut_slice()
                 .par_iter_mut()
                 .zip(r.as_slice().par_iter())
@@ -131,58 +124,269 @@ impl Preconditioner for JacobiPreconditioner {
     }
 }
 
-/// Incomplete LU factorisation with zero fill-in, ILU(0): `M = L·U` where
-/// `L`/`U` keep exactly the sparsity pattern of `A`.
-#[derive(Debug, Clone)]
-pub(crate) struct Ilu0Preconditioner {
-    /// Combined LU factors stored in the sparsity pattern of `A`
-    /// (strict lower part = L without its unit diagonal, upper part = U).
-    factors: CsrMatrix,
+/// Converts a size or offset to the `u32` the factor arrays index with.
+fn idx32(v: usize) -> Result<u32, SparseError> {
+    u32::try_from(v).map_err(|_| {
+        SparseError::InvalidStructure(format!(
+            "{v} exceeds the u32 index range of a triangular factor"
+        ))
+    })
 }
 
-impl Ilu0Preconditioner {
-    /// Computes the ILU(0) factorisation of `a`.
+/// Storage range of row `i` under the row pointers `ptr`.
+#[inline]
+fn row_range(ptr: &[u32], i: usize) -> Range<usize> {
+    ptr[i] as usize..ptr[i + 1] as usize
+}
+
+/// One strict triangle of an incomplete factor: CSR with `u32` row
+/// pointers and `u32` columns local to the factorised block.
+#[derive(Debug, Clone)]
+struct Triangle {
+    ptr: Vec<u32>,
+    cols: Vec<u32>,
+    vals: Vec<f64>,
+}
+
+impl Triangle {
+    /// `init − Σ v·z[col]` over row `i`'s entries in storage order — the
+    /// whole inner loop of every triangular sweep.
+    #[inline]
+    fn sub_row(&self, i: usize, init: f64, z: &[f64]) -> f64 {
+        let row = row_range(&self.ptr, i);
+        let mut sum = init;
+        for (&c, &v) in self.cols[row.clone()].iter().zip(&self.vals[row]) {
+            sum -= v * z[c as usize];
+        }
+        sum
+    }
+
+    /// The transpose, with every row's entries in *descending* column
+    /// order.  A backward sweep over it subtracts row `i`'s terms in the
+    /// order a column-oriented sweep over `self` scatters them (last row
+    /// first), so the two round identically.
+    fn transposed_descending(&self) -> Triangle {
+        let n = self.ptr.len() - 1;
+        let mut ptr = vec![0u32; n + 1];
+        for &c in &self.cols {
+            ptr[c as usize + 1] += 1;
+        }
+        for i in 0..n {
+            ptr[i + 1] += ptr[i];
+        }
+        let mut next = ptr.clone();
+        let mut cols = vec![0u32; self.cols.len()];
+        let mut vals = vec![0.0f64; self.vals.len()];
+        for i in (0..n).rev() {
+            for k in row_range(&self.ptr, i) {
+                let dst = &mut next[self.cols[k] as usize];
+                // `i < n ≤ u32::MAX`: `n` row pointers already index with u32.
+                cols[*dst as usize] = i as u32;
+                vals[*dst as usize] = self.vals[k];
+                *dst += 1;
+            }
+        }
+        Triangle { ptr, cols, vals }
+    }
+
+    fn bytes(&self) -> usize {
+        (self.ptr.len() + self.cols.len()) * std::mem::size_of::<u32>()
+            + self.vals.len() * std::mem::size_of::<f64>()
+    }
+}
+
+/// Where row `i` of `a` meets the diagonal block `[start, end)`: positions
+/// `(lo, diag, hi)` into `indices()` / `values()` such that `lo..diag` are
+/// the strictly-lower in-block entries, `diag` is the diagonal entry and
+/// `diag + 1..hi` the strictly-upper ones.  Checks on the way what both
+/// factorisations rely on: strictly increasing column indices (the merge
+/// walks and this very split assume them) and a stored, non-zero diagonal.
+fn block_row(
+    a: &CsrMatrix,
+    i: usize,
+    start: usize,
+    end: usize,
+) -> Result<(usize, usize, usize), SparseError> {
+    let row = a.indptr()[i]..a.indptr()[i + 1];
+    let cols = &a.indices()[row.clone()];
+    if cols.windows(2).any(|w| w[0] >= w[1]) {
+        return Err(SparseError::InvalidStructure(format!(
+            "row {i}: column indices are not strictly increasing"
+        )));
+    }
+    let at = |bound: usize| row.start + cols.partition_point(|&c| c < bound);
+    let (lo, diag, hi) = (at(start), at(i), at(end));
+    if diag == hi || a.indices()[diag] != i || a.values()[diag] == 0.0 {
+        return Err(SparseError::ZeroDiagonal(i));
+    }
+    Ok((lo, diag, hi))
+}
+
+/// A diagonal block split into strict-lower triangle, diagonal and
+/// strict-upper triangle — the storage both incomplete factorisations
+/// compute in place and sweep over.  Every array is allocated once at its
+/// exact size, straight from the parent matrix's rows.
+#[derive(Debug, Clone)]
+struct Factors {
+    lower: Triangle,
+    diag: Vec<f64>,
+    upper: Triangle,
+}
+
+impl Factors {
+    /// Copies the block of `a` with rows and columns in
+    /// `[start, start + len)`; entries outside the block are dropped.
     ///
     /// # Errors
-    /// Returns [`SparseError::ZeroDiagonal`] if a pivot becomes zero.
-    pub fn new(a: &CsrMatrix) -> Result<Self, SparseError> {
-        a.require_nonzero_diagonal()?;
-        let n = a.nrows();
-        let mut factors = a.clone();
+    /// [`SparseError::InvalidStructure`] for a row whose columns are not
+    /// strictly increasing (or a block too large for `u32` indices),
+    /// [`SparseError::ZeroDiagonal`] naming the first row of `a` whose
+    /// diagonal is missing or zero.
+    fn split(a: &CsrMatrix, start: usize, len: usize) -> Result<Self, SparseError> {
+        let end = start + len;
+        idx32(len)?;
+        let mut l_ptr = Vec::with_capacity(len + 1);
+        let mut u_ptr = Vec::with_capacity(len + 1);
+        // Where each row's diagonal sits in `a`: with the row lengths, all
+        // the copy pass below needs.
+        let mut diag_at = Vec::with_capacity(len);
+        let (mut l_nnz, mut u_nnz) = (0usize, 0usize);
+        l_ptr.push(0u32);
+        u_ptr.push(0u32);
+        for i in start..end {
+            let (lo, diag, hi) = block_row(a, i, start, end)?;
+            l_nnz += diag - lo;
+            u_nnz += hi - (diag + 1);
+            l_ptr.push(idx32(l_nnz)?);
+            u_ptr.push(idx32(u_nnz)?);
+            diag_at.push(diag);
+        }
+        let triangle = |ptr, nnz| Triangle {
+            ptr,
+            cols: Vec::with_capacity(nnz),
+            vals: Vec::with_capacity(nnz),
+        };
+        let mut f = Factors {
+            lower: triangle(l_ptr, l_nnz),
+            diag: Vec::with_capacity(len),
+            upper: triangle(u_ptr, u_nnz),
+        };
+        for (i, &diag) in diag_at.iter().enumerate() {
+            f.diag.push(a.values()[diag]);
+            let lower = diag - row_range(&f.lower.ptr, i).len()..diag;
+            let upper = diag + 1..diag + 1 + row_range(&f.upper.ptr, i).len();
+            for (tri, part) in [(&mut f.lower, lower), (&mut f.upper, upper)] {
+                // In-block columns are `< len`, which `idx32` admitted.
+                let local = a.indices()[part.clone()]
+                    .iter()
+                    .map(|&c| (c - start) as u32);
+                tri.cols.extend(local);
+                tri.vals.extend_from_slice(&a.values()[part]);
+            }
+        }
+        Ok(f)
+    }
+
+    /// Every stored entry as `(row, column, value)`, shifted by `offset`:
+    /// row by row, lower part, diagonal, upper part.
+    fn entries(&self, offset: usize) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
+        fn part(t: &Triangle, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+            row_range(&t.ptr, i).map(|k| (t.cols[k] as usize, t.vals[k]))
+        }
+        (0..self.diag.len()).flat_map(move |i| {
+            part(&self.lower, i)
+                .chain(std::iter::once((i, self.diag[i])))
+                .chain(part(&self.upper, i))
+                .map(move |(j, v)| (offset + i, offset + j, v))
+        })
+    }
+
+    fn bytes(&self) -> usize {
+        self.lower.bytes() + self.upper.bytes() + self.diag.len() * std::mem::size_of::<f64>()
+    }
+}
+
+/// Calls `hit(ia, ib)` for every column the sorted patterns `a` and `b` both
+/// store, in ascending column order — the zero-fill-in merge walk both
+/// factorisations update through.
+fn for_each_common(a: &[u32], b: &[u32], mut hit: impl FnMut(usize, usize)) {
+    let (mut ia, mut ib) = (0, 0);
+    while ia < a.len() && ib < b.len() {
+        match a[ia].cmp(&b[ib]) {
+            Ordering::Less => ia += 1,
+            Ordering::Greater => ib += 1,
+            Ordering::Equal => {
+                hit(ia, ib);
+                ia += 1;
+                ib += 1;
+            }
+        }
+    }
+}
+
+/// Incomplete LU factorisation with zero fill-in, ILU(0), of one diagonal
+/// block: `M = L·U` where `L`/`U` keep exactly the block's sparsity
+/// pattern.
+#[derive(Debug, Clone)]
+struct Ilu0Block {
+    /// `lower` = L without its unit diagonal, `diag` = the pivots of U,
+    /// `upper` = U without its diagonal.
+    f: Factors,
+}
+
+impl Ilu0Block {
+    /// ILU(0) of the diagonal block `[start, start + len)` of `a`, read
+    /// straight from `a`'s rows.
+    ///
+    /// # Errors
+    /// [`SparseError::ZeroDiagonal`] naming the row of `a` whose pivot is
+    /// (or becomes) zero, [`SparseError::InvalidStructure`] for a row whose
+    /// column indices are not strictly increasing.
+    fn new(a: &CsrMatrix, start: usize, len: usize) -> Result<Self, SparseError> {
+        let mut f = Factors::split(a, start, len)?;
+        let Factors { lower, diag, upper } = &mut f;
         // IKJ-variant ILU(0) restricted to the original pattern.
-        for i in 1..n {
-            // For each k < i present in row i:
-            let row_start = factors.indptr()[i];
-            let row_end = factors.indptr()[i + 1];
-            for kk in row_start..row_end {
-                let k = factors.indices()[kk];
-                if k >= i {
-                    break;
-                }
-                let pivot = factors.get(k, k);
+        for i in 0..len {
+            let l_row = row_range(&lower.ptr, i);
+            let u_row = row_range(&upper.ptr, i);
+            // Rows `k < i` of U are final; row `i` is being eliminated.
+            let (u_done, u_rest) = upper.vals.split_at_mut(u_row.start);
+            for kk in l_row.clone() {
+                let k = lower.cols[kk] as usize;
+                let pivot = diag[k];
                 if pivot == 0.0 {
-                    return Err(SparseError::ZeroDiagonal(k));
+                    return Err(SparseError::ZeroDiagonal(start + k));
                 }
-                let lik = factors.values()[kk] / pivot;
-                factors.values_mut()[kk] = lik;
-                // Update remaining entries of row i with row k of U, only
-                // where row i already has entries (zero fill-in).
-                for jj in (kk + 1)..row_end {
-                    let j = factors.indices()[jj];
-                    let ukj = factors.get(k, j);
-                    if ukj != 0.0 {
-                        factors.values_mut()[jj] -= lik * ukj;
-                    }
-                }
+                let lik = lower.vals[kk] / pivot;
+                lower.vals[kk] = lik;
+                // Subtract `lik ·` row k of U from what is left of row i —
+                // the rest of its L part, its pivot, its U part — only
+                // where row i already has entries.  A stored zero in row k
+                // is skipped, as an entry-wise lookup would skip it.
+                let k_row = row_range(&upper.ptr, k);
+                let (k_cols, k_vals) = (&upper.cols[k_row.clone()], &u_done[k_row]);
+                let sub = |cols: &[u32], vals: &mut [f64]| {
+                    for_each_common(cols, k_cols, |t, s| {
+                        if k_vals[s] != 0.0 {
+                            vals[t] -= lik * k_vals[s];
+                        }
+                    });
+                };
+                let l_left = kk + 1..l_row.end;
+                sub(&lower.cols[l_left.clone()], &mut lower.vals[l_left]);
+                sub(&[i as u32], &mut diag[i..=i]);
+                sub(&upper.cols[u_row.clone()], &mut u_rest[..u_row.len()]);
             }
         }
         // Final pivots must be non-zero for the triangular solves.
-        for i in 0..n {
-            if factors.get(i, i) == 0.0 {
-                return Err(SparseError::ZeroDiagonal(i));
-            }
+        if let Some(i) = diag.iter().position(|&d| d == 0.0) {
+            return Err(SparseError::ZeroDiagonal(start + i));
         }
-        Ok(Ilu0Preconditioner { factors })
+        Ok(Ilu0Block { f })
+    }
+
+    fn dim(&self) -> usize {
+        self.f.diag.len()
     }
 
     /// Solves `L U z = r` with forward/backward substitution, writing into
@@ -190,54 +394,17 @@ impl Ilu0Preconditioner {
     /// forward result `y` lives in `z` and the backward solve runs in
     /// place, so no temporaries are allocated.
     fn solve_into(&self, r: &[f64], z: &mut [f64]) {
-        let n = self.factors.nrows();
+        let Factors { lower, diag, upper } = &self.f;
+        assert_eq!(r.len(), diag.len(), "dimension mismatch");
+        assert_eq!(z.len(), diag.len(), "dimension mismatch");
         // Forward solve L y = r (unit diagonal), y stored in z.
-        for i in 0..n {
-            let mut sum = r[i];
-            for (pos, &j) in self.factors.row_indices(i).iter().enumerate() {
-                if j >= i {
-                    break;
-                }
-                sum -= self.factors.row_values(i)[pos] * z[j];
-            }
-            z[i] = sum;
+        for i in 0..diag.len() {
+            z[i] = lower.sub_row(i, r[i], z);
         }
         // Backward solve U z = y, in place (z[j] for j > i is final).
-        for i in (0..n).rev() {
-            let mut sum = z[i];
-            let mut diag = 1.0;
-            for (pos, &j) in self.factors.row_indices(i).iter().enumerate() {
-                let v = self.factors.row_values(i)[pos];
-                if j > i {
-                    sum -= v * z[j];
-                } else if j == i {
-                    diag = v;
-                }
-            }
-            z[i] = sum / diag;
+        for i in (0..diag.len()).rev() {
+            z[i] = upper.sub_row(i, z[i], z) / diag[i];
         }
-    }
-}
-
-impl Preconditioner for Ilu0Preconditioner {
-    fn apply(&self, r: &Vector) -> Vector {
-        let mut z = Vector::zeros(r.len());
-        self.apply_into(r, &mut z);
-        z
-    }
-
-    fn apply_into(&self, r: &Vector, out: &mut Vector) {
-        assert_eq!(r.len(), self.factors.nrows(), "dimension mismatch");
-        assert_eq!(out.len(), r.len(), "dimension mismatch");
-        self.solve_into(r.as_slice(), out.as_mut_slice());
-    }
-
-    fn name(&self) -> &'static str {
-        "ilu0"
-    }
-
-    fn storage_bytes(&self) -> usize {
-        self.factors.storage_bytes()
     }
 }
 
@@ -245,9 +412,10 @@ impl Preconditioner for Ilu0Preconditioner {
 /// matrices: `M = L·Lᵀ` on the lower-triangular pattern of `A`.
 #[derive(Debug, Clone)]
 pub struct Ic0Preconditioner {
-    /// Lower-triangular factor stored densely by rows of the original
-    /// pattern (row-major list of `(col, value)` per row, diagonal last).
-    rows: Vec<Vec<(usize, f64)>>,
+    /// `lower` = strict part of L, `diag` = its diagonal, `upper` = the
+    /// strict part of Lᵀ stored explicitly, so the backward solve is a row
+    /// sweep like the forward one.
+    f: Factors,
 }
 
 impl Ic0Preconditioner {
@@ -255,89 +423,54 @@ impl Ic0Preconditioner {
     ///
     /// # Errors
     /// Returns [`SparseError::ZeroDiagonal`] if a pivot becomes non-positive
-    /// (matrix not SPD enough for IC(0)).
+    /// (matrix not SPD enough for IC(0)) and
+    /// [`SparseError::InvalidStructure`] if a row's column indices are not
+    /// strictly increasing.
     pub fn new(a: &CsrMatrix) -> Result<Self, SparseError> {
-        let n = a.nrows();
-        let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
-        for i in 0..n {
-            // Entries of the lower triangle of row i, in column order.
-            for (pos, &j) in a.row_indices(i).iter().enumerate() {
-                if j > i {
-                    break;
-                }
-                let mut sum = a.row_values(i)[pos];
-                // sum -= Σ_k<j L[i][k] * L[j][k]
-                for &(ki, vi) in &rows[i] {
-                    if ki >= j {
-                        break;
-                    }
-                    if let Some(&(_, vj)) = rows[j].iter().find(|&&(kj, _)| kj == ki) {
-                        sum -= vi * vj;
-                    }
-                }
-                if j == i {
-                    if sum <= 0.0 {
-                        return Err(SparseError::ZeroDiagonal(i));
-                    }
-                    rows[i].push((j, sum.sqrt()));
-                } else {
-                    let ljj = rows[j]
-                        .last()
-                        .map(|&(_, v)| v)
-                        .ok_or(SparseError::ZeroDiagonal(j))?;
-                    rows[i].push((j, sum / ljj));
-                }
+        let mut f = Factors::split(a, 0, a.nrows())?;
+        let Factors { lower, diag, .. } = &mut f;
+        for i in 0..diag.len() {
+            let l_row = row_range(&lower.ptr, i);
+            // Rows `j < i` of L are final; row `i` is being computed.
+            let (l_done, l_rest) = lower.vals.split_at_mut(l_row.start);
+            let i_cols = &lower.cols[l_row.clone()];
+            let i_vals = &mut l_rest[..l_row.len()];
+            for pos in 0..i_cols.len() {
+                // L[i][j] = (A[i][j] − Σ_{k<j} L[i][k]·L[j][k]) / L[j][j].
+                let j = i_cols[pos] as usize;
+                let j_row = row_range(&lower.ptr, j);
+                let mut sum = i_vals[pos];
+                for_each_common(&i_cols[..pos], &lower.cols[j_row.clone()], |ik, jk| {
+                    sum -= i_vals[ik] * l_done[j_row.start + jk];
+                });
+                i_vals[pos] = sum / diag[j];
             }
-            if rows[i].last().map(|&(c, _)| c) != Some(i) {
+            // L[i][i] = sqrt(A[i][i] − Σ_k L[i][k]²).
+            let pivot = i_vals.iter().fold(diag[i], |sum, v| sum - v * v);
+            if pivot <= 0.0 {
                 return Err(SparseError::ZeroDiagonal(i));
             }
+            diag[i] = pivot.sqrt();
         }
-        Ok(Ic0Preconditioner { rows })
-    }
-
-    /// Solves `L Lᵀ z = r`, writing into a caller-provided buffer (every
-    /// element is overwritten; the backward sweep runs in place on the
-    /// forward result, so no temporaries are allocated).
-    fn solve_into(&self, r: &[f64], z: &mut [f64]) {
-        let n = self.rows.len();
-        // Forward solve L y = r, y stored in z.
-        for i in 0..n {
-            let mut sum = r[i];
-            let mut diag = 1.0;
-            for &(j, v) in &self.rows[i] {
-                if j < i {
-                    sum -= v * z[j];
-                } else {
-                    diag = v;
-                }
-            }
-            z[i] = sum / diag;
-        }
-        // Backward solve Lᵀ z = y, in place.
-        for i in (0..n).rev() {
-            let diag = self.rows[i].last().expect("diagonal present").1;
-            z[i] /= diag;
-            let zi = z[i];
-            for &(j, v) in &self.rows[i] {
-                if j < i {
-                    z[j] -= v * zi;
-                }
-            }
-        }
+        f.upper = f.lower.transposed_descending();
+        Ok(Ic0Preconditioner { f })
     }
 }
 
 impl Preconditioner for Ic0Preconditioner {
-    fn apply(&self, r: &Vector) -> Vector {
-        let mut z = Vector::zeros(r.len());
-        self.apply_into(r, &mut z);
-        z
-    }
-
     fn apply_into(&self, r: &Vector, out: &mut Vector) {
-        assert_eq!(r.len(), self.rows.len(), "dimension mismatch");
+        let Factors { lower, diag, upper } = &self.f;
+        assert_eq!(r.len(), diag.len(), "dimension mismatch");
         assert_eq!(out.len(), r.len(), "dimension mismatch");
-        self.solve_into(r.as_slice(), out.as_mut_slice());
+        let (r, z) = (r.as_slice(), out.as_mut_slice());
+        // Forward solve L y = r, y stored in z.
+        for i in 0..diag.len() {
+            z[i] = lower.sub_row(i, r[i], z) / diag[i];
+        }
+        // Backward solve Lᵀ z = y, in place.
+        for i in (0..diag.len()).rev() {
+            z[i] = upper.sub_row(i, z[i], z) / diag[i];
+        }
     }
 
     fn name(&self) -> &'static str {
@@ -345,19 +478,22 @@ impl Preconditioner for Ic0Preconditioner {
     }
 
     fn storage_bytes(&self) -> usize {
-        self.rows
-            .iter()
-            .map(|r| r.len() * (std::mem::size_of::<usize>() + std::mem::size_of::<f64>()))
-            .sum()
+        self.f.bytes()
     }
 }
 
 /// Block Jacobi preconditioner with ILU(0) inside each diagonal block —
 /// PETSc's default parallel preconditioner, where each MPI rank factorises
 /// its local diagonal block (the paper's §5.1 set-up).
+///
+/// The blocks share no data, so both the factorisation and every
+/// application hand them to the thread pool (above
+/// [`lcr_sparse::PAR_THRESHOLD`] rows); each block's arithmetic is the same
+/// on any thread, so results are bit-identical at any thread count.
 #[derive(Debug, Clone)]
 pub struct BlockJacobiPreconditioner {
-    blocks: Vec<(usize, Ilu0Preconditioner)>,
+    /// Contiguous, non-empty blocks tiling `0..dim` in order.
+    blocks: Vec<Ilu0Block>,
     dim: usize,
 }
 
@@ -367,7 +503,10 @@ impl BlockJacobiPreconditioner {
     /// number of ranks in the simulated run.
     ///
     /// # Errors
-    /// Propagates zero-pivot errors from the per-block ILU(0).
+    /// [`SparseError::ZeroDiagonal`] naming the row of `a` whose pivot is
+    /// missing, zero or becomes zero (the first block's error wins), and
+    /// [`SparseError::InvalidStructure`] if a row's column indices are not
+    /// strictly increasing.
     ///
     /// # Panics
     /// Panics if `n_blocks` is zero.
@@ -377,39 +516,65 @@ impl BlockJacobiPreconditioner {
         let n_blocks = n_blocks.min(n.max(1));
         let base = n / n_blocks;
         let extra = n % n_blocks;
-        let mut blocks = Vec::with_capacity(n_blocks);
         let mut start = 0usize;
-        for b in 0..n_blocks {
-            let len = base + usize::from(b < extra);
-            if len == 0 {
-                continue;
-            }
-            let block = a.diagonal_block(start, len);
-            blocks.push((start, Ilu0Preconditioner::new(&block)?));
-            start += len;
-        }
-        Ok(BlockJacobiPreconditioner { blocks, dim: n })
+        let bounds: Vec<(usize, usize)> = (0..n_blocks)
+            .map(|b| {
+                let len = base + usize::from(b < extra);
+                start += len;
+                (start - len, len)
+            })
+            .filter(|&(_, len)| len > 0)
+            .collect();
+        let factorise = |(start, len)| Ilu0Block::new(a, start, len);
+        let blocks: Result<Vec<_>, _> = if n >= PAR_THRESHOLD {
+            bounds
+                .into_par_iter()
+                .with_min_len(1)
+                .map(factorise)
+                .collect()
+        } else {
+            bounds.into_iter().map(factorise).collect()
+        };
+        Ok(BlockJacobiPreconditioner {
+            blocks: blocks?,
+            dim: n,
+        })
+    }
+
+    /// Every stored factor entry as `(row, column, value)` in the
+    /// coordinates of the factorised matrix: row by row, each row's L part,
+    /// pivot and U part in column order.
+    pub fn factor_entries(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
+        let mut start = 0;
+        self.blocks.iter().flat_map(move |block| {
+            let offset = start;
+            start += block.dim();
+            block.f.entries(offset)
+        })
     }
 }
 
 impl Preconditioner for BlockJacobiPreconditioner {
-    fn apply(&self, r: &Vector) -> Vector {
-        let mut z = Vector::zeros(r.len());
-        self.apply_into(r, &mut z);
-        z
-    }
-
     fn apply_into(&self, r: &Vector, out: &mut Vector) {
         assert_eq!(r.len(), self.dim, "dimension mismatch");
         assert_eq!(out.len(), self.dim, "dimension mismatch");
-        for (start, ilu) in &self.blocks {
-            let len = ilu.factors.nrows();
-            // Each block solves straight between the corresponding slices —
-            // no per-block copies or allocations.
-            ilu.solve_into(
-                &r.as_slice()[*start..*start + len],
-                &mut out.as_mut_slice()[*start..*start + len],
-            );
+        // Each block solves straight between its own slices of `r` and
+        // `out` — no per-block copies.
+        let (mut r_rest, mut z_rest) = (r.as_slice(), out.as_mut_slice());
+        let solves = self.blocks.iter().map(|block| {
+            let (r_b, r_tail) = r_rest.split_at(block.dim());
+            let (z_b, z_tail) = std::mem::take(&mut z_rest).split_at_mut(block.dim());
+            (r_rest, z_rest) = (r_tail, z_tail);
+            (block, r_b, z_b)
+        });
+        if self.dim >= PAR_THRESHOLD {
+            solves
+                .collect::<Vec<_>>()
+                .into_par_iter()
+                .with_min_len(1)
+                .for_each(|(block, r_b, z_b)| block.solve_into(r_b, z_b));
+        } else {
+            solves.for_each(|(block, r_b, z_b)| block.solve_into(r_b, z_b));
         }
     }
 
@@ -418,7 +583,7 @@ impl Preconditioner for BlockJacobiPreconditioner {
     }
 
     fn storage_bytes(&self) -> usize {
-        self.blocks.iter().map(|(_, b)| b.storage_bytes()).sum()
+        self.blocks.iter().map(|b| b.f.bytes()).sum()
     }
 }
 
@@ -503,18 +668,17 @@ mod tests {
         // For a tridiagonal matrix ILU(0) equals the full LU, so applying it
         // solves the system exactly.
         let a = poisson1d(10);
-        let ilu = Ilu0Preconditioner::new(&a).unwrap();
+        let ilu = BlockJacobiPreconditioner::new(&a, 1).unwrap();
         let b = Vector::filled(10, 1.0);
         let z = ilu.apply(&b);
         let exact = dense_solve(&a, &b);
         assert!(z.max_abs_diff(&exact) < 1e-10);
-        assert_eq!(ilu.name(), "ilu0");
     }
 
     #[test]
     fn ilu0_reduces_condition_for_poisson2d() {
         let a = spd_poisson2d(6);
-        let ilu = Ilu0Preconditioner::new(&a).unwrap();
+        let ilu = BlockJacobiPreconditioner::new(&a, 1).unwrap();
         let r = Vector::filled(36, 1.0);
         let z = ilu.apply(&r);
         // M⁻¹ r should be much closer to A⁻¹ r than r itself.
@@ -548,12 +712,48 @@ mod tests {
     }
 
     #[test]
-    fn block_jacobi_with_single_block_equals_ilu0() {
-        let a = spd_poisson2d(4);
-        let bj = BlockJacobiPreconditioner::new(&a, 1).unwrap();
-        let ilu = Ilu0Preconditioner::new(&a).unwrap();
-        let r = Vector::filled(16, 1.0);
-        assert!(bj.apply(&r).max_abs_diff(&ilu.apply(&r)) < 1e-14);
+    fn unsorted_rows_are_rejected_not_misfactorised() {
+        // Row 1 stores columns 2, 0, 1: valid for `from_raw`, but the
+        // factorisations split and merge rows by column order.
+        let a = CsrMatrix::from_raw(
+            3,
+            3,
+            vec![0, 2, 5, 7],
+            vec![0, 1, 2, 0, 1, 1, 2],
+            vec![4.0, -1.0, -1.0, -1.0, 4.0, -1.0, 4.0],
+        )
+        .unwrap();
+        for err in [
+            BlockJacobiPreconditioner::new(&a, 1).err(),
+            BlockJacobiPreconditioner::new(&a, 3).err(),
+            Ic0Preconditioner::new(&a).err(),
+        ] {
+            assert!(
+                matches!(&err, Some(SparseError::InvalidStructure(msg)) if msg.contains("row 1")),
+                "{err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn zero_pivot_errors_name_the_row_of_the_whole_matrix() {
+        // Second 2×2 block [[1, 1], [1, 1]] eliminates to a zero pivot.
+        let a = CsrMatrix::from_dense(
+            4,
+            4,
+            &[
+                2.0, 0.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0,
+            ],
+        );
+        assert_eq!(
+            BlockJacobiPreconditioner::new(&a, 2).err(),
+            Some(SparseError::ZeroDiagonal(3))
+        );
+        let missing = CsrMatrix::from_dense(2, 2, &[1.0, 1.0, 1.0, 0.0]);
+        assert_eq!(
+            BlockJacobiPreconditioner::new(&missing, 2).err(),
+            Some(SparseError::ZeroDiagonal(1))
+        );
     }
 
     #[test]

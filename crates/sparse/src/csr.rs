@@ -539,6 +539,19 @@ impl CsrMatrix {
         &mut self.values
     }
 
+    /// `−A`, built in one pass over the values: the structure arrays and
+    /// the structure-only [`SpmvPlan`] are copied, not recomputed.
+    pub fn negated(&self) -> CsrMatrix {
+        CsrMatrix {
+            nrows: self.nrows,
+            ncols: self.ncols,
+            indptr: self.indptr.clone(),
+            indices: self.indices.clone(),
+            values: self.values.iter().map(|v| -v).collect(),
+            plan: self.plan.clone(),
+        }
+    }
+
     /// Column indices of row `i`.
     pub fn row_indices(&self, i: usize) -> &[usize] {
         &self.indices[self.indptr[i]..self.indptr[i + 1]]
@@ -977,6 +990,18 @@ mod tests {
         assert_eq!(t.get(1, 1), 3.0);
         let tt = t.transpose();
         assert_eq!(tt, a);
+    }
+
+    #[test]
+    fn negated_flips_values_and_keeps_structure_and_plan() {
+        let a = small();
+        a.plan();
+        let neg = a.negated();
+        assert_eq!(neg.indptr(), a.indptr());
+        assert_eq!(neg.indices(), a.indices());
+        assert!(neg.values().iter().zip(a.values()).all(|(n, v)| *n == -*v));
+        assert_eq!(neg.plan.0.get(), a.plan.0.get());
+        assert!(neg.plan.0.get().is_some());
     }
 
     #[test]

@@ -33,7 +33,10 @@ fn solve(edge: usize, kind: SolverKind) -> (usize, u64, u64) {
 /// failure prints every observed value.
 fn assert_pinned(kind: SolverKind, golden: [(usize, u64, u64); 3]) {
     let got = [12, 40, 48].map(|edge| solve(edge, kind));
-    assert_eq!(got, golden, "{kind:?}+bjacobi(16) at 12^3/40^3/48^3: {got:#x?}");
+    assert_eq!(
+        got, golden,
+        "{kind:?}+bjacobi(16) at 12^3/40^3/48^3: {got:#x?}"
+    );
 }
 
 #[test]

@@ -2,9 +2,13 @@
 //! the rayon shim splits work into chunks that depend only on the data
 //! length and combines partial results in chunk order, `dot`, `norm2`,
 //! `spmv` and SZ compression/decompression are **bit-identical** whether
-//! they run on 1 thread or on the whole pool.
+//! they run on 1 thread or on the whole pool — and so are whole
+//! block-Jacobi-preconditioned CG and GMRES(30) solves, whose blocks are
+//! factorised and swept on the pool.
 
 use lossy_ckpt::compress::{ErrorBound, LossyCompressor, SzCompressor};
+use lossy_ckpt::core::{PaperWorkload, ScaledProblem};
+use lossy_ckpt::solvers::SolverKind;
 use lossy_ckpt::sparse::vector::{dot, norm2};
 use lossy_ckpt::sparse::{CsrMatrix, Vector, PAR_THRESHOLD};
 use proptest::prelude::*;
@@ -131,6 +135,51 @@ proptest! {
         // And the error bound still holds on the parallel-decoded output.
         for (orig, rest) in data.iter().zip(d_n.iter()) {
             prop_assert!((orig - rest).abs() <= 1e-6 * (1.0 + 1e-12));
+        }
+    }
+}
+
+/// Builds (factorisation included) and runs the paper's preconditioned
+/// solver under the given thread cap; returns the residual trace and the
+/// solution as bits.
+fn preconditioned_solve_bits(
+    workload: &PaperWorkload,
+    problem: &ScaledProblem,
+    kind: SolverKind,
+    threads: usize,
+) -> (Vec<u64>, Vec<u64>) {
+    with_threads(threads, || {
+        let mut solver = workload.build_solver(problem, kind, 10_000);
+        solver.run_to_convergence();
+        assert!(solver.converged(), "{kind:?} did not converge");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+        (
+            bits(solver.history().residuals()),
+            bits(solver.solution().as_slice()),
+        )
+    })
+}
+
+#[test]
+fn preconditioned_cg_and_gmres_traces_bit_identical_at_1_vs_n_threads() {
+    ensure_pool();
+    // 33³ = 35 937 unknowns: above `PAR_THRESHOLD`, so the 16 blocks go to
+    // the pool, and not a multiple of 16, so the blocks are uneven.
+    let workload = PaperWorkload::poisson(256, 33);
+    let problem = workload.build();
+    assert!(problem.system.dim() >= PAR_THRESHOLD);
+    for kind in [SolverKind::Cg, SolverKind::Gmres] {
+        let one = preconditioned_solve_bits(&workload, &problem, kind, 1);
+        for threads in [2, 0] {
+            let many = preconditioned_solve_bits(&workload, &problem, kind, threads);
+            assert!(
+                one.0 == many.0,
+                "{kind:?}: residual trace differs at {threads} threads"
+            );
+            assert!(
+                one.1 == many.1,
+                "{kind:?}: solution differs at {threads} threads"
+            );
         }
     }
 }
