@@ -7,9 +7,12 @@
 //! loops now run on, and the paper's preconditioner: `bjacobi_apply` (one
 //! block-Jacobi(16)/ILU(0) application) and `ilu0_factor` (building it) —
 //! on a large 3-D Poisson problem, SZ
-//! compression *and decompression* of a ≥1M-element smooth buffer, ZFP
-//! compression of the same buffer, single-stream Huffman decoding of
-//! SZ-like quantization codes, the order-2 temporal delta codec of the
+//! compression *and decompression* of a ≥1M-element smooth buffer, the
+//! temporal (version-5) SZ encoder over a three-snapshot point-wise-relative
+//! chain of it (`sz_temporal_compress`, and `sz_temporal_compress_1blk` over
+//! a 64,000-element one-block chain — the shape of a per-iteration
+//! checkpoint), ZFP compression of the same buffer, single-stream Huffman
+//! decoding of SZ-like quantization codes, the order-2 temporal delta codec of the
 //! version-5 checkpoint streams (`delta_encode`/`delta_decode` over the
 //! same codes against two simulated prior snapshots), and the durable
 //! checkpoint tier
@@ -32,7 +35,10 @@
 use lcr_bench::{fmt, print_json, print_table};
 use lcr_ckpt::disk::crc32;
 use lcr_ckpt::{CheckpointBuffer, CheckpointLevel, DiskStore};
-use lcr_compress::{delta, huffman, ErrorBound, LossyCompressor, SzCompressor, ZfpCompressor};
+use lcr_compress::{
+    delta, huffman, DeltaMode, ErrorBound, LossyCompressor, SzCompressor, SzTemporalState,
+    ZfpCompressor,
+};
 use lcr_solvers::{BlockJacobiPreconditioner, Preconditioner};
 use lcr_sparse::kernels;
 use lcr_sparse::poisson::poisson3d;
@@ -161,6 +167,24 @@ fn main() {
     // Decompression input: one reference stream, decoded at every thread
     // count so the rows are comparable.
     let sz_compressed = sz.compress(&sz_data, sz_bound).expect("SZ compression failed");
+    // Temporal-encoder input: three successive "snapshots" of the smooth
+    // buffer (the multiplicative drift of the delta rows below, every
+    // third value negative so the sign bitmap is not trivial), one chain
+    // spanning many blocks and one of a single block.
+    let temporal_chain = |len: usize| -> Vec<Vec<f64>> {
+        (0..3)
+            .map(|k| {
+                let drift = 1.0 - 3e-5 * (2 - k) as f64;
+                let signed =
+                    |(i, &x): (usize, &f64)| if i % 3 == 0 { -x * drift } else { x * drift };
+                sz_data[..len].iter().enumerate().map(signed).collect()
+            })
+            .collect()
+    };
+    let temporal_chains = [
+        ("sz_temporal_compress", temporal_chain(sz_len)),
+        ("sz_temporal_compress_1blk", temporal_chain(64_000)),
+    ];
     // Huffman input: SZ-like quantization codes (second differences of the
     // smooth buffer on a 2e-4 grid, shifted into the SZ code range).
     let quantize_codes = |data: &[f64]| -> Vec<u32> {
@@ -343,6 +367,40 @@ fn main() {
         }
         let sz_fp = u64::from(compressed_bytes == sz_reference);
         measured.push(("sz_compress", sz_len, 0, sz_fp, secs));
+
+        // The anchored delta chain of a checkpointing run: an anchor, an
+        // order-1 delta, then both delta orders on offer.  Every candidate
+        // is sized per block on the pool and only the winner is packed; the
+        // fingerprint covers the three streams and the modes chosen.
+        for (name, chain) in &temporal_chains {
+            let mut streams = vec![Vec::new(); chain.len()];
+            let mut modes = vec![DeltaMode::None; chain.len()];
+            let secs = time_median(reps, || {
+                let mut state = SzTemporalState::new();
+                for (k, snapshot) in chain.iter().enumerate() {
+                    streams[k].clear();
+                    modes[k] = sz
+                        .compress_temporal_into(
+                            snapshot,
+                            ErrorBound::PointwiseRel(1e-4),
+                            DeltaMode::Order2,
+                            k == 0,
+                            &mut state,
+                            &mut streams[k],
+                        )
+                        .expect("temporal SZ compression failed");
+                }
+            });
+            assert_ne!(
+                modes[1],
+                DeltaMode::None,
+                "a drifting snapshot must delta-code"
+            );
+            let fp = streams.iter().zip(&modes).fold(0u64, |h, (stream, &mode)| {
+                h.rotate_left(21) ^ u64::from(crc32(stream)) ^ ((mode as u64) << 40)
+            });
+            measured.push((name, chain.len() * chain[0].len(), 0, fp, secs));
+        }
 
         let mut restored: Vec<f64> = Vec::new();
         let secs = time_median(reps, || {

@@ -62,10 +62,12 @@ impl DeltaMode {
 
 /// Maps a signed delta to an unsigned symbol: `0, −1, 1, −2, 2, …` become
 /// `0, 1, 2, 3, 4, …`, so small-magnitude deltas get small symbols.
-/// Exact for `|d| < 2^31`, far beyond the code-delta range.
+/// Exact for `|d| < 2^30`, far beyond the code-delta range — which is what
+/// lets the encoders work in 32-bit lanes (four per SSE2 vector, with a
+/// native arithmetic shift; 64-bit lanes have neither).
 #[inline]
-fn zigzag(d: i64) -> u32 {
-    ((d << 1) ^ (d >> 63)) as u32
+fn zigzag(d: i32) -> u32 {
+    ((d << 1) ^ (d >> 31)) as u32
 }
 
 /// Inverse of [`zigzag`].
@@ -91,7 +93,7 @@ pub fn encode_order1(curr: &[u32], prev: &[u32], out: &mut Vec<u32>) -> (u32, u3
     for (vc, vp) in &mut blocks {
         let mut syms = [0u32; LANES];
         for j in 0..LANES {
-            syms[j] = zigzag(i64::from(vc[j]) - i64::from(vp[j]));
+            syms[j] = zigzag((vc[j] as i32).wrapping_sub(vp[j] as i32));
         }
         for j in 0..LANES {
             lane_min[j] = lane_min[j].min(syms[j]);
@@ -102,7 +104,7 @@ pub fn encode_order1(curr: &[u32], prev: &[u32], out: &mut Vec<u32>) -> (u32, u3
     let tc = curr.chunks_exact(LANES).remainder();
     let tp = prev.chunks_exact(LANES).remainder();
     for j in 0..tc.len() {
-        let sym = zigzag(i64::from(tc[j]) - i64::from(tp[j]));
+        let sym = zigzag((tc[j] as i32).wrapping_sub(tp[j] as i32));
         lane_min[j] = lane_min[j].min(sym);
         lane_max[j] = lane_max[j].max(sym);
         out.push(sym);
@@ -159,8 +161,8 @@ pub fn encode_order2(curr: &[u32], prev1: &[u32], prev2: &[u32], out: &mut Vec<u
     for (vc, (v1, v2)) in &mut blocks {
         let mut syms = [0u32; LANES];
         for j in 0..LANES {
-            let pred = 2 * i64::from(v1[j]) - i64::from(v2[j]);
-            syms[j] = zigzag(i64::from(vc[j]) - pred);
+            let pred = (v1[j] as i32).wrapping_mul(2).wrapping_sub(v2[j] as i32);
+            syms[j] = zigzag((vc[j] as i32).wrapping_sub(pred));
         }
         for j in 0..LANES {
             lane_min[j] = lane_min[j].min(syms[j]);
@@ -172,8 +174,8 @@ pub fn encode_order2(curr: &[u32], prev1: &[u32], prev2: &[u32], out: &mut Vec<u
     let t1 = prev1.chunks_exact(LANES).remainder();
     let t2 = prev2.chunks_exact(LANES).remainder();
     for j in 0..tc.len() {
-        let pred = 2 * i64::from(t1[j]) - i64::from(t2[j]);
-        let sym = zigzag(i64::from(tc[j]) - pred);
+        let pred = (t1[j] as i32).wrapping_mul(2).wrapping_sub(t2[j] as i32);
+        let sym = zigzag((tc[j] as i32).wrapping_sub(pred));
         lane_min[j] = lane_min[j].min(sym);
         lane_max[j] = lane_max[j].max(sym);
         out.push(sym);
@@ -228,7 +230,7 @@ pub mod scalar {
         out.clear();
         let (mut lo, mut hi) = (u32::MAX, 0u32);
         for i in 0..curr.len() {
-            let sym = zigzag(i64::from(curr[i]) - i64::from(prev[i]));
+            let sym = zigzag((i64::from(curr[i]) - i64::from(prev[i])) as i32);
             lo = lo.min(sym);
             hi = hi.max(sym);
             out.push(sym);
@@ -258,7 +260,7 @@ pub mod scalar {
         let (mut lo, mut hi) = (u32::MAX, 0u32);
         for i in 0..curr.len() {
             let pred = 2 * i64::from(prev1[i]) - i64::from(prev2[i]);
-            let sym = zigzag(i64::from(curr[i]) - pred);
+            let sym = zigzag((i64::from(curr[i]) - pred) as i32);
             lo = lo.min(sym);
             hi = hi.max(sym);
             out.push(sym);
@@ -303,8 +305,8 @@ mod tests {
 
     #[test]
     fn zigzag_roundtrips_and_orders_by_magnitude() {
-        for d in [-131_074i64, -65_537, -2, -1, 0, 1, 2, 65_537, 131_074] {
-            assert_eq!(unzigzag(zigzag(d)), d);
+        for d in [-131_074i32, -65_537, -2, -1, 0, 1, 2, 65_537, 131_074] {
+            assert_eq!(unzigzag(zigzag(d)), i64::from(d));
         }
         assert_eq!(zigzag(0), 0);
         assert_eq!(zigzag(-1), 1);

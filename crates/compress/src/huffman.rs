@@ -7,57 +7,472 @@
 //! table-driven decoder over `u32` symbols, built for word-at-a-time
 //! throughput:
 //!
-//! * **Encoding** looks codes up in a flat dense vector indexed by
-//!   `symbol − min_symbol` (the SZ quantization-code common case; a sorted
-//!   slice with binary search backs arbitrary sparse alphabets) — no
-//!   `HashMap` in the hot loop — and emits them through the word-buffered
-//!   [`BitWriter`].
+//! * **Encoding** is two steps.  [`Plan::of`] counts the symbols and turns
+//!   the histogram into code lengths and the blob's **exact** size without
+//!   packing a bit, so a caller weighing several candidate encodings sizes
+//!   them all and writes only the winner; [`Plan::emit`] then packs the
+//!   symbols 64 bits at a time straight into the destination through one
+//!   symbol → packed-code table.  Every cost follows the number of
+//!   *present* symbols, never the symbol span.
 //! * **Decoding** resolves every code of ≤ [`TABLE_BITS`] bits with a
 //!   single table probe ([`BitReader::peek_bits`] + lookup + consume) and
 //!   falls back to the canonical first-code/offset method only for the
 //!   rare longer codes.
-//! * **Frequencies** are counted into a dense `Vec` histogram whenever the
-//!   symbol span is small, which it always is for SZ quantization codes.
 //!
 //! One serialised format exists: the v2 blob (varint count, length-grouped
 //! delta-coded table) written by [`encode_block`].
 
-use crate::bitstream::{bytes, BitReader, BitWriter};
+use crate::bitstream::{bytes, BitReader};
 use crate::{CompressError, Result};
+use std::cell::RefCell;
 
 /// Maximum code length accepted when deserialising a table (the builder
 /// itself stops at [`BUILD_MAX_LEN`]).
 const MAX_CODE_LEN: u8 = 48;
 
 /// Maximum code length the builder emits.  Codes are length-limited to
-/// this depth (Kraft-preserving rebalance) so decoder tables stay small.
+/// this depth (Kraft-preserving rebalance) so decoder tables stay small
+/// and the packer can take any code in half a word.
 const BUILD_MAX_LEN: u8 = 32;
 
 /// Bits resolved per decode-table probe; codes no longer than this decode
 /// with a single peek + lookup.
 const TABLE_BITS: u8 = 12;
 
-/// Symbol spans up to this size use dense (vector-indexed) code lookup and
-/// histogram counting.  65 538 distinct SZ quantization codes fit well
-/// below it.
-const DENSE_SPAN_MAX: usize = 1 << 17;
+/// Symbols in `0..DENSE_SPAN_MAX` are counted and looked up in dense
+/// per-thread tables; larger ones (no SZ stream has any: quantization
+/// codes stay below 2^17 and their order-2 temporal deltas below 2^19)
+/// are sorted and binary-searched.
+const DENSE_SPAN_MAX: usize = 1 << 19;
 
-/// Symbol → code-book-entry lookup used by the encoder.
-#[derive(Debug, Clone)]
-enum EncodeIndex {
-    /// `slots[sym - min_sym]` is `entry + 1` (0 = absent).
-    Dense { min_sym: u32, slots: Vec<u32> },
-    /// `(symbol, entry)` sorted by symbol, binary-searched.
-    Sparse(Vec<(u32, u32)>),
+/// Width of the window of symbols around a stream's expected mode that is
+/// counted in four interleaved lanes (see [`count`]).
+const NEAR: usize = 1024;
+
+/// The per-thread dense symbol table, grown (by [`cover`]) to the largest
+/// symbol the thread has met and kept **all-zero between calls**: each user
+/// clears exactly the entries it set, so set-up and tear-down cost follow
+/// the number of present symbols, not the table size.  One table serves
+/// both passes, which never overlap on a thread: while counting, an entry
+/// is the symbol's occurrence count (symbols outside the near window);
+/// while emitting, its 1-based position in the blob's code list.
+struct Scratch {
+    table: Vec<u32>,
+    /// Symbols whose entry left zero during the current count.
+    touched: Vec<u32>,
 }
 
-/// A canonical Huffman code book built from symbol frequencies.
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = const {
+        RefCell::new(Scratch { table: Vec::new(), touched: Vec::new() })
+    };
+}
+
+/// Grows the dense table to hold `index`, in powers of two (short-lived
+/// threads, such as a shard's, should not pay for alphabets they never
+/// see); `false` if `index` is beyond what the dense table holds.
+fn cover(table: &mut Vec<u32>, index: usize) -> bool {
+    if index >= table.len() {
+        if index >= DENSE_SPAN_MAX {
+            return false;
+        }
+        table.resize((index + 1).next_power_of_two(), 0);
+    }
+    true
+}
+
+/// Counts `symbols` into `(symbol, count)` pairs sorted by symbol.
+///
+/// Runs of one symbol — the common case on smooth data, where one or two
+/// bins dominate — would serialise a single histogram behind the
+/// store-to-load dependency of `hist[s] += 1`.  The [`NEAR`] symbols around
+/// `center` (where the caller expects the mode: the zero bin for
+/// quantization codes, zero for temporal deltas and byte planes) are
+/// therefore counted in four interleaved lanes on the stack; everything
+/// else goes to the per-thread dense table, which records first touches so
+/// the present symbols are collected without scanning the span.
+fn count(symbols: &[u32], center: u32) -> Vec<(u32, u64)> {
+    let base = center.saturating_sub(NEAR as u32 / 2);
+    let mut near = [0u32; NEAR * 4];
+    let mut far: Vec<u32> = Vec::new();
+    let mut present: Vec<(u32, u64)> = Vec::new();
+    SCRATCH.with(|s| {
+        let s = &mut *s.borrow_mut();
+        let mut tally = |sym: u32, lane: usize| {
+            let k = sym.wrapping_sub(base) as usize;
+            if k < NEAR {
+                near[k * 4 + lane] += 1;
+            } else if cover(&mut s.table, sym as usize) {
+                let c = &mut s.table[sym as usize];
+                if *c == 0 {
+                    s.touched.push(sym);
+                }
+                *c += 1;
+            } else {
+                far.push(sym);
+            }
+        };
+        let mut chunks = symbols.chunks_exact(4);
+        for c in &mut chunks {
+            tally(c[0], 0);
+            tally(c[1], 1);
+            tally(c[2], 2);
+            tally(c[3], 3);
+        }
+        for &sym in chunks.remainder() {
+            tally(sym, 0);
+        }
+        present.reserve(s.touched.len() + 64);
+        for sym in s.touched.drain(..) {
+            let c = std::mem::take(&mut s.table[sym as usize]);
+            present.push((sym, u64::from(c)));
+        }
+    });
+    for (k, lanes) in near.chunks_exact(4).enumerate() {
+        let c: u64 = lanes.iter().map(|&l| u64::from(l)).sum();
+        if c > 0 {
+            present.push((base + k as u32, c));
+        }
+    }
+    far.sort_unstable();
+    for run in far.chunk_by(|a, b| a == b) {
+        present.push((run[0], run.len() as u64));
+    }
+    present.sort_unstable_by_key(|&(sym, _)| sym);
+    present
+}
+
+/// Huffman code length of every entry of `present` (`(symbol, count)`
+/// pairs sorted by symbol, counts positive), in the same order.
+///
+/// The tree is built with the sort + two-queue construction: leaves sorted
+/// by `(weight, index)` in one queue, internal nodes in creation order in
+/// the other (their weights never decrease), and each step merges the two
+/// smallest fronts.  A leaf wins a weight tie against an internal node and
+/// the older internal node wins among internal nodes — exactly the
+/// `(weight, id)` order in which a min-heap over leaf ids `0..n` and
+/// internal ids `n..` pops, so the lengths equal the heap construction's.
+///
+/// # Panics
+/// Panics if `present` is empty.
+fn code_depths(present: &[(u32, u64)]) -> Vec<u8> {
+    let n = present.len();
+    assert!(n > 0, "Huffman code requires at least one symbol");
+    // Special case: a single distinct symbol gets a 1-bit code.
+    if n == 1 {
+        return vec![1];
+    }
+    let mut leaves: Vec<(u64, u32)> = present
+        .iter()
+        .enumerate()
+        .map(|(id, &(_, w))| (w, id as u32))
+        .collect();
+    leaves.sort_unstable();
+    // Node ids: leaves `0..n` (index into `present`), internal nodes
+    // `n..2n-1` in creation order; the last one is the root.
+    let mut parent = vec![0u32; 2 * n - 1];
+    let mut internal: Vec<u64> = Vec::with_capacity(n - 1);
+    let (mut next_leaf, mut next_internal) = (0usize, 0usize);
+    for id in n..2 * n - 1 {
+        let mut weight = 0u64;
+        for _ in 0..2 {
+            let take_leaf = next_leaf < n
+                && internal
+                    .get(next_internal)
+                    .is_none_or(|&w| leaves[next_leaf].0 <= w);
+            if take_leaf {
+                weight += leaves[next_leaf].0;
+                parent[leaves[next_leaf].1 as usize] = id as u32;
+                next_leaf += 1;
+            } else {
+                weight += internal[next_internal];
+                parent[n + next_internal] = id as u32;
+                next_internal += 1;
+            }
+        }
+        internal.push(weight);
+    }
+    // A node's parent has a larger id, so one descending sweep settles
+    // every depth.  Depth saturates at 255 to stay well-defined even for
+    // pathological weight distributions; the length limiter rebalances
+    // anything deeper than BUILD_MAX_LEN.
+    let mut depth = vec![0u8; 2 * n - 1];
+    for id in (0..2 * n - 2).rev() {
+        depth[id] = depth[parent[id] as usize].saturating_add(1);
+    }
+    depth.truncate(n);
+    if depth.iter().any(|&d| d > BUILD_MAX_LEN) {
+        return limit_depths(present, &depth);
+    }
+    depth
+}
+
+/// Length-limits a too-deep code to [`BUILD_MAX_LEN`] bits: clamp the
+/// overlong lengths, restore the Kraft inequality by splitting shorter
+/// codes (the classic zlib rebalance), then hand the shortest lengths to
+/// the most frequent symbols.
+fn limit_depths(present: &[(u32, u64)], depths: &[u8]) -> Vec<u8> {
+    let max = BUILD_MAX_LEN as usize;
+    let mut bl_count = vec![0u64; max + 2];
+    for &d in depths {
+        bl_count[(d as usize).min(max)] += 1;
+    }
+    // Kraft sum in units of 2^-BUILD_MAX_LEN.
+    let kraft = |bl: &[u64]| -> u128 { (1..=max).map(|l| (bl[l] as u128) << (max - l)).sum() };
+    while kraft(&bl_count) > 1u128 << max {
+        // Split one code of the deepest non-max length into two and
+        // retire one max-length slot.
+        let mut bits = max - 1;
+        while bl_count[bits] == 0 {
+            bits -= 1;
+        }
+        bl_count[bits] -= 1;
+        bl_count[bits + 1] += 2;
+        bl_count[max] -= 1;
+    }
+    // Most frequent symbols take the shortest lengths; ties break on
+    // symbol value (= index: `present` is sorted by symbol) for determinism.
+    let mut by_freq: Vec<usize> = (0..present.len()).collect();
+    by_freq.sort_unstable_by(|&a, &b| present[b].1.cmp(&present[a].1).then(a.cmp(&b)));
+    let mut out = vec![0u8; present.len()];
+    let mut len = 1usize;
+    for i in by_freq {
+        while bl_count[len] == 0 {
+            len += 1;
+        }
+        bl_count[len] -= 1;
+        out[i] = len as u8;
+    }
+    out
+}
+
+/// Number of codes of each length in a canonically sorted length list.
+fn length_counts(lengths: &[(u32, u8)]) -> Vec<u32> {
+    let max_len = lengths.last().map_or(0, |&(_, l)| l);
+    let mut counts = vec![0u32; max_len as usize + 1];
+    for &(_, l) in lengths {
+        counts[l as usize] += 1;
+    }
+    counts
+}
+
+/// Canonical first code of each length, given the codes per length.
+fn first_codes(counts: &[u32]) -> Vec<u64> {
+    let mut first = vec![0u64; counts.len()];
+    let mut code = 0u64;
+    for l in 1..counts.len() {
+        code <<= 1;
+        first[l] = code;
+        code += u64::from(counts[l]);
+    }
+    first
+}
+
+/// `code << 8 | len` of every entry of a canonically sorted length list,
+/// in its order, given the canonical first code of each length.
+fn packed_codes<'a>(
+    lengths: &'a [(u32, u8)],
+    first_code: &[u64],
+) -> impl Iterator<Item = u64> + 'a {
+    let mut next = first_code.to_vec();
+    lengths.iter().map(move |&(_, len)| {
+        let code = next[len as usize];
+        next[len as usize] += 1;
+        (code << 8) | u64::from(len)
+    })
+}
+
+/// Serialises a canonically sorted code book in the compact v2 format: max
+/// length, one varint code count per length, then the symbols in canonical
+/// order (absolute varint for the first symbol of each length group,
+/// delta−1 varints after — symbols ascend within a group).
+fn write_table_v2(lengths: &[(u32, u8)], buf: &mut Vec<u8>) {
+    let counts = length_counts(lengths);
+    buf.push((counts.len() - 1) as u8);
+    for &c in &counts[1..] {
+        bytes::put_varint(buf, u64::from(c));
+    }
+    let mut prev: Option<(u8, u32)> = None;
+    for &(sym, len) in lengths {
+        match prev {
+            Some((plen, psym)) if plen == len => {
+                bytes::put_varint(buf, u64::from(sym - psym - 1));
+            }
+            _ => bytes::put_varint(buf, u64::from(sym)),
+        }
+        prev = Some((len, sym));
+    }
+}
+
+/// A symbol stream's Huffman blob, sized but not yet written: its code
+/// lengths and everything of the blob except the packed bits.
+///
+/// [`Plan::blob_len`] is what [`Plan::emit`] writes to the byte, so an
+/// encoder choosing between candidate symbol streams compares plans and
+/// packs only the one it keeps.
+#[derive(Debug)]
+pub(crate) struct Plan {
+    /// `(symbol, code length)` sorted canonically by (length, symbol).
+    lengths: Vec<(u32, u8)>,
+    /// The blob up to the bit stream: varint symbol count, v2 table, varint
+    /// bit-stream length (just the count for an empty stream).
+    head: Vec<u8>,
+    /// Bytes of the bit stream: `⌈Σ count·length / 8⌉`.
+    bit_bytes: usize,
+}
+
+impl Plan {
+    /// Plans the blob of `symbols` (at most `u32::MAX` of them).  `center`
+    /// is where the caller expects the most frequent symbol; it steers the
+    /// counting pass only, never the result.
+    pub(crate) fn of(symbols: &[u32], center: u32) -> Plan {
+        if symbols.is_empty() {
+            return Plan {
+                lengths: Vec::new(),
+                head: vec![0],
+                bit_bytes: 0,
+            };
+        }
+        Self::from_frequencies(&count(symbols, center))
+    }
+
+    /// Plans the blob of any stream with the given `(symbol, count)` pairs
+    /// (sorted by symbol, every count positive).
+    fn from_frequencies(present: &[(u32, u64)]) -> Plan {
+        let depths = code_depths(present);
+        let (mut n_symbols, mut bits) = (0u64, 0u64);
+        let mut offsets = [0usize; BUILD_MAX_LEN as usize + 2];
+        for (&(_, w), &d) in present.iter().zip(&depths) {
+            n_symbols += w;
+            bits += w * u64::from(d);
+            offsets[d as usize + 1] += 1;
+        }
+        // Stable counting sort by length over the symbol-sorted input:
+        // the canonical (length, symbol) order.
+        for l in 1..offsets.len() {
+            offsets[l] += offsets[l - 1];
+        }
+        let mut lengths = vec![(0u32, 0u8); present.len()];
+        for (&(sym, _), &d) in present.iter().zip(&depths) {
+            lengths[offsets[d as usize]] = (sym, d);
+            offsets[d as usize] += 1;
+        }
+        let bit_bytes = bits.div_ceil(8) as usize;
+        let mut head = Vec::with_capacity(2 * present.len() + 48);
+        bytes::put_varint(&mut head, n_symbols);
+        write_table_v2(&lengths, &mut head);
+        bytes::put_varint(&mut head, bit_bytes as u64);
+        Plan {
+            lengths,
+            head,
+            bit_bytes,
+        }
+    }
+
+    /// Exact length in bytes of the blob [`Plan::emit`] writes.
+    pub(crate) fn blob_len(&self) -> usize {
+        self.head.len() + self.bit_bytes
+    }
+
+    /// Writes the planned blob of `symbols` — the stream the plan was made
+    /// from — into `dst`, which must be exactly [`Plan::blob_len`] long.
+    ///
+    /// One symbol → code table is filled per blob (the dense per-thread
+    /// table pointing into the blob's `code << 8 | len` list; a sorted list
+    /// for symbols beyond it), and the codes are concatenated MSB-first in
+    /// a 64-bit accumulator that spills whole big-endian words straight
+    /// into `dst` — [`BitWriter`]'s byte layout, final byte zero-padded.
+    ///
+    /// [`BitWriter`]: crate::bitstream::BitWriter
+    pub(crate) fn emit(&self, symbols: &[u32], dst: &mut [u8]) {
+        assert_eq!(
+            dst.len(),
+            self.blob_len(),
+            "destination is not the planned size"
+        );
+        let (head, bits) = dst.split_at_mut(self.head.len());
+        head.copy_from_slice(&self.head);
+        if symbols.is_empty() {
+            return;
+        }
+        // The canonical codes in `lengths` order, behind a dummy entry so
+        // that a zero table entry (an absent symbol) maps to length 0.
+        let first = first_codes(&length_counts(&self.lengths));
+        let codes: Vec<u64> = std::iter::once(0)
+            .chain(packed_codes(&self.lengths, &first))
+            .collect();
+        SCRATCH.with(|s| {
+            let table = &mut s.borrow_mut().table;
+            let mut far: Vec<(u32, u64)> = Vec::new();
+            for (entry, &(sym, _)) in (1u32..).zip(&self.lengths) {
+                if cover(table, sym as usize) {
+                    table[sym as usize] = entry;
+                } else {
+                    far.push((sym, codes[entry as usize]));
+                }
+            }
+            far.sort_unstable();
+            pack(symbols, bits, |sym| match table.get(sym as usize) {
+                Some(&entry) => codes[entry as usize],
+                None => far[far.partition_point(|&(s, _)| s < sym)].1,
+            });
+            for &(sym, _) in &self.lengths {
+                if let Some(entry) = table.get_mut(sym as usize) {
+                    *entry = 0;
+                }
+            }
+        });
+    }
+
+    /// [`Plan::emit`] appending to a vector.
+    pub(crate) fn emit_into(&self, symbols: &[u32], out: &mut Vec<u8>) {
+        let start = out.len();
+        out.resize(start + self.blob_len(), 0);
+        self.emit(symbols, &mut out[start..]);
+    }
+}
+
+/// Concatenates the codes of `symbols` MSB-first into `dst`, which must be
+/// exactly as long as the codes need.  `packed_code` returns
+/// `code << 8 | len` with `1 <= len <= 32`.
+fn pack(symbols: &[u32], dst: &mut [u8], packed_code: impl Fn(u32) -> u64) {
+    let mut acc = 0u64; // pending bits, right-aligned
+    let mut pending = 0u32; // how many: < 64 between symbols
+    let mut pos = 0usize;
+    for &sym in symbols {
+        let packed = packed_code(sym);
+        let (code, len) = (packed >> 8, (packed & 0xFF) as u32);
+        debug_assert!((1..=32).contains(&len), "symbol {sym} is not in the plan");
+        let total = pending + len;
+        if total >= 64 {
+            // The code straddles the word boundary: its top bits complete
+            // the word, the low `spill` bits start the next one.
+            let spill = total - 64;
+            let word = (acc << (len - spill)) | (code >> spill);
+            dst[pos..pos + 8].copy_from_slice(&word.to_be_bytes());
+            pos += 8;
+            acc = code & ((1u64 << spill) - 1);
+            pending = spill;
+        } else {
+            acc = (acc << len) | code;
+            pending = total;
+        }
+    }
+    if pending > 0 {
+        let tail = pending.div_ceil(8) as usize;
+        let word = acc << (64 - pending);
+        dst[pos..pos + tail].copy_from_slice(&word.to_be_bytes()[..tail]);
+        pos += tail;
+    }
+    assert_eq!(pos, dst.len(), "packed bits do not match the plan");
+}
+
+/// A canonical Huffman code book as the decoder needs it.
 #[derive(Debug, Clone)]
 struct HuffmanCode {
     /// `(symbol, code length)` sorted canonically by (length, symbol).
     lengths: Vec<(u32, u8)>,
-    /// `code << 8 | len` per entry, parallel to `lengths` — one load per
-    /// symbol in the encode hot loop.
+    /// `code << 8 | len` per entry, parallel to `lengths`.
     packed: Vec<u64>,
     /// Longest code length in the book.
     max_len: u8,
@@ -67,181 +482,28 @@ struct HuffmanCode {
     first_code: Vec<u64>,
     /// Entry index of the first code of each length.
     first_index: Vec<u32>,
-    /// Encoder-side symbol lookup.
-    encode_index: EncodeIndex,
 }
 
 impl HuffmanCode {
-    /// Builds a code book from `(symbol, count)` pairs sorted by symbol
-    /// with every count positive.
-    ///
-    /// # Panics
-    /// Panics if `present` is empty.
-    fn from_sorted_frequencies(present: &[(u32, u64)]) -> Self {
-        assert!(
-            !present.is_empty(),
-            "Huffman code requires at least one symbol"
-        );
-
-        // Special case: a single distinct symbol gets a 1-bit code.
-        if present.len() == 1 {
-            return Self::assemble(vec![(present[0].0, 1)]);
-        }
-
-        // Standard Huffman tree construction over an index-based min-heap
-        // (no per-node boxing).  Ties break on node id so construction is
-        // deterministic for any thread count.
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
-        let n = present.len();
-        // children[k] for internal nodes (ids n..2n-1).
-        let mut children: Vec<(u32, u32)> = Vec::with_capacity(n - 1);
-        let mut heap: BinaryHeap<Reverse<(u64, u32)>> = present
-            .iter()
-            .enumerate()
-            .map(|(id, &(_, w))| Reverse((w, id as u32)))
-            .collect();
-        while heap.len() > 1 {
-            let Reverse((wa, a)) = heap.pop().expect("heap non-empty");
-            let Reverse((wb, b)) = heap.pop().expect("heap non-empty");
-            let id = (n + children.len()) as u32;
-            children.push((a, b));
-            heap.push(Reverse((wa + wb, id)));
-        }
-        let Reverse((_, root)) = heap.pop().expect("non-empty tree");
-
-        // Depth of every leaf by iterative traversal.
-        let mut depths = vec![0u8; n];
-        let mut stack: Vec<(u32, u8)> = vec![(root, 0)];
-        let mut max_depth = 0u8;
-        while let Some((node, depth)) = stack.pop() {
-            if (node as usize) < n {
-                let d = depth.max(1);
-                depths[node as usize] = d;
-                max_depth = max_depth.max(d);
-            } else {
-                let (a, b) = children[node as usize - n];
-                // Depth saturates at 255 to stay well-defined even for
-                // pathological weight distributions; the length limiter
-                // below rebalances anything deeper than BUILD_MAX_LEN.
-                let d = depth.saturating_add(1);
-                stack.push((a, d));
-                stack.push((b, d));
-            }
-        }
-
-        let lengths: Vec<(u32, u8)> = if max_depth > BUILD_MAX_LEN {
-            Self::limit_lengths(present, &depths)
-        } else {
-            present
-                .iter()
-                .zip(depths.iter())
-                .map(|(&(sym, _), &d)| (sym, d))
-                .collect()
-        };
-        let mut lengths = lengths;
-        lengths.sort_unstable_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)));
-        Self::assemble(lengths)
-    }
-
-    /// Length-limits a too-deep code to [`BUILD_MAX_LEN`] bits: clamp the
-    /// overlong lengths, restore the Kraft inequality by splitting shorter
-    /// codes (the classic zlib rebalance), then hand the shortest lengths
-    /// to the most frequent symbols.
-    fn limit_lengths(present: &[(u32, u64)], depths: &[u8]) -> Vec<(u32, u8)> {
-        let max = BUILD_MAX_LEN as usize;
-        let mut bl_count = vec![0u64; max + 2];
-        for &d in depths {
-            bl_count[(d as usize).min(max)] += 1;
-        }
-        // Kraft sum in units of 2^-BUILD_MAX_LEN.
-        let kraft = |bl: &[u64]| -> u128 {
-            (1..=max).map(|l| (bl[l] as u128) << (max - l)).sum()
-        };
-        while kraft(&bl_count) > 1u128 << max {
-            // Split one code of the deepest non-max length into two and
-            // retire one max-length slot.
-            let mut bits = max - 1;
-            while bl_count[bits] == 0 {
-                bits -= 1;
-            }
-            bl_count[bits] -= 1;
-            bl_count[bits + 1] += 2;
-            bl_count[max] -= 1;
-        }
-        // Most frequent symbols take the shortest lengths; ties break on
-        // symbol value for determinism.
-        let mut by_freq: Vec<(u32, u64)> = present.to_vec();
-        by_freq.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        let mut out = Vec::with_capacity(by_freq.len());
-        let mut len = 1usize;
-        for (sym, _) in by_freq {
-            while bl_count[len] == 0 {
-                len += 1;
-            }
-            bl_count[len] -= 1;
-            out.push((sym, len as u8));
-        }
-        out
-    }
-
     /// Builds the canonical code from canonically sorted `(symbol, length)`
     /// pairs assumed valid (Kraft-satisfying, no duplicate symbols).
     fn assemble(lengths: Vec<(u32, u8)>) -> Self {
-        let max_len = lengths.last().map(|&(_, l)| l).unwrap_or(0);
-        let mut counts = vec![0u32; max_len as usize + 1];
-        for &(_, l) in &lengths {
-            counts[l as usize] += 1;
-        }
-        let mut first_code = vec![0u64; max_len as usize + 1];
-        let mut first_index = vec![0u32; max_len as usize + 1];
-        let mut packed = Vec::with_capacity(lengths.len());
-        let mut code = 0u64;
+        let counts = length_counts(&lengths);
+        let first_code = first_codes(&counts);
+        let mut first_index = vec![0u32; counts.len()];
         let mut index = 0u32;
-        for l in 1..=max_len as usize {
-            code <<= 1;
-            first_code[l] = code;
+        for l in 1..counts.len() {
             first_index[l] = index;
-            code += u64::from(counts[l]);
             index += counts[l];
         }
-        let mut next = first_code.clone();
-        for &(_, l) in &lengths {
-            packed.push((next[l as usize] << 8) | u64::from(l));
-            next[l as usize] += 1;
-        }
-
-        let encode_index = Self::build_encode_index(&lengths);
+        let packed = packed_codes(&lengths, &first_code).collect();
         HuffmanCode {
+            max_len: (counts.len() - 1) as u8,
             lengths,
             packed,
-            max_len,
             counts,
             first_code,
             first_index,
-            encode_index,
-        }
-    }
-
-    fn build_encode_index(lengths: &[(u32, u8)]) -> EncodeIndex {
-        let min_sym = lengths.iter().map(|&(s, _)| s).min().unwrap_or(0);
-        let max_sym = lengths.iter().map(|&(s, _)| s).max().unwrap_or(0);
-        let span = (max_sym - min_sym) as usize + 1;
-        if span <= DENSE_SPAN_MAX {
-            let mut slots = vec![0u32; span];
-            for (entry, &(sym, _)) in lengths.iter().enumerate() {
-                slots[(sym - min_sym) as usize] = entry as u32 + 1;
-            }
-            EncodeIndex::Dense { min_sym, slots }
-        } else {
-            let mut by_symbol: Vec<(u32, u32)> = lengths
-                .iter()
-                .enumerate()
-                .map(|(entry, &(sym, _))| (sym, entry as u32))
-                .collect();
-            by_symbol.sort_unstable_by_key(|&(sym, _)| sym);
-            EncodeIndex::Sparse(by_symbol)
         }
     }
 
@@ -279,104 +541,6 @@ impl HuffmanCode {
         }
         lengths.sort_unstable_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)));
         Ok(Self::assemble(lengths))
-    }
-
-    /// Encodes `symbols` into `writer`.
-    ///
-    /// # Errors
-    /// Returns [`CompressError::Corrupt`] if a symbol is absent from the
-    /// code book (never happens when the book is built from the same data).
-    fn encode(&self, symbols: &[u32], writer: &mut BitWriter) -> Result<()> {
-        match &self.encode_index {
-            EncodeIndex::Dense { min_sym, slots } => {
-                // The hot path: one slot load + one packed-code load per
-                // symbol, concatenated into a **local accumulator** that
-                // spills through the writer only when it cannot take the
-                // next code.  MSB-first concatenation is associative, so
-                // flushing `acc_bits` accumulated bits in one
-                // `write_bits` call produces the identical byte stream as
-                // symbol-at-a-time writes while amortising the writer's
-                // shift/flush bookkeeping over dozens of symbols (low-
-                // entropy SZ code streams average ~1–2 bits per symbol).
-                // Safe whenever every code fits 32 bits (flush keeps
-                // `acc_bits ≤ 56`, the writer's fast-path limit), which
-                // locally built books guarantee (`BUILD_MAX_LEN = 32`);
-                // deserialized books may carry longer codes and take the
-                // one-at-a-time path.
-                let min_sym = *min_sym;
-                let lookup = |s: u32| -> Result<u64> {
-                    // Symbols below `min_sym` wrap to a huge index and fall
-                    // out of `slots` bounds, taking the error path.
-                    let slot = slots
-                        .get(s.wrapping_sub(min_sym) as usize)
-                        .copied()
-                        .unwrap_or(0);
-                    if slot == 0 {
-                        return Err(Self::missing_symbol(s));
-                    }
-                    Ok(self.packed[(slot - 1) as usize])
-                };
-                if self.max_len <= 32 {
-                    // Flatten slot -> packed into one table so the per-
-                    // symbol lookup is a single load (a zero entry means
-                    // the symbol is absent: present codes always have a
-                    // non-zero length byte).  The table covers only the
-                    // book's symbol range, so building it is cheap next
-                    // to the symbol scan it accelerates.
-                    let lut: Vec<u64> = slots
-                        .iter()
-                        .map(|&slot| {
-                            if slot == 0 {
-                                0
-                            } else {
-                                self.packed[(slot - 1) as usize]
-                            }
-                        })
-                        .collect();
-                    let mut acc: u64 = 0;
-                    let mut acc_bits: u32 = 0;
-                    for &s in symbols {
-                        let pc = lut
-                            .get(s.wrapping_sub(min_sym) as usize)
-                            .copied()
-                            .unwrap_or(0);
-                        if pc == 0 {
-                            return Err(Self::missing_symbol(s));
-                        }
-                        let len = (pc & 0xFF) as u32;
-                        if acc_bits + len > 56 {
-                            writer.write_bits(acc, acc_bits as u8);
-                            acc = 0;
-                            acc_bits = 0;
-                        }
-                        acc = (acc << len) | (pc >> 8);
-                        acc_bits += len;
-                    }
-                    if acc_bits > 0 {
-                        writer.write_bits(acc, acc_bits as u8);
-                    }
-                } else {
-                    for &s in symbols {
-                        let pc = lookup(s)?;
-                        writer.write_bits(pc >> 8, (pc & 0xFF) as u8);
-                    }
-                }
-            }
-            EncodeIndex::Sparse(by_symbol) => {
-                for &s in symbols {
-                    let entry = by_symbol
-                        .binary_search_by_key(&s, |&(sym, _)| sym)
-                        .map_err(|_| Self::missing_symbol(s))?;
-                    let pc = self.packed[by_symbol[entry].1 as usize];
-                    writer.write_bits(pc >> 8, (pc & 0xFF) as u8);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn missing_symbol(s: u32) -> CompressError {
-        CompressError::Corrupt(format!("symbol {s} missing from Huffman code book"))
     }
 
     /// Decodes `count` symbols from `reader`, appending to `out` (which is
@@ -464,29 +628,7 @@ impl HuffmanCode {
         Ok(())
     }
 
-    /// Serialises the code book in the compact v2 format: max length, one
-    /// varint code count per length, then the symbols in canonical order
-    /// (absolute varint for the first symbol of each length group,
-    /// delta−1 varints after — symbols ascend within a group).
-    fn write_table_v2(&self, buf: &mut Vec<u8>) {
-        buf.push(self.max_len);
-        for l in 1..=self.max_len as usize {
-            bytes::put_varint(buf, u64::from(self.counts[l]));
-        }
-        let mut prev: Option<(u8, u32)> = None;
-        for &(sym, len) in &self.lengths {
-            match prev {
-                Some((plen, psym)) if plen == len => {
-                    bytes::put_varint(buf, u64::from(sym - psym - 1));
-                }
-                _ => bytes::put_varint(buf, u64::from(sym)),
-            }
-            prev = Some((len, sym));
-        }
-    }
-
-    /// Reads a v2 code book previously serialised by
-    /// [`HuffmanCode::write_table_v2`].
+    /// Reads a v2 code book previously serialised by [`write_table_v2`].
     ///
     /// # Errors
     /// Returns [`CompressError::Corrupt`] if the table is truncated or
@@ -535,97 +677,11 @@ impl HuffmanCode {
     }
 }
 
-/// Counts symbol frequencies and builds a code book: a dense `Vec`
-/// histogram when the symbol span is small (the SZ quantization-code common
-/// case), a `BTreeMap` otherwise.
-fn code_for(symbols: &[u32]) -> HuffmanCode {
-    let (mut min, mut max) = (u32::MAX, 0u32);
-    for &s in symbols {
-        min = min.min(s);
-        max = max.max(s);
-    }
-    let span = (max - min) as usize + 1;
-    if span <= DENSE_SPAN_MAX {
-        let mut hist = vec![0u64; span];
-        for &s in symbols {
-            hist[(s - min) as usize] += 1;
-        }
-        let present: Vec<(u32, u64)> = hist
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (min + i as u32, c))
-            .collect();
-        HuffmanCode::from_sorted_frequencies(&present)
-    } else {
-        // BTreeMap so the (symbol, count) pairs come out already sorted
-        // by symbol — deterministic without a post-sort.
-        let mut freq = std::collections::BTreeMap::new();
-        for &s in symbols {
-            *freq.entry(s).or_insert(0u64) += 1;
-        }
-        let present: Vec<(u32, u64)> = freq
-            .into_iter()
-            .filter(|&(_, c)| c > 0)
-            .collect();
-        HuffmanCode::from_sorted_frequencies(&present)
-    }
-}
-
 /// Huffman-encodes a symbol stream into a self-contained v2 byte blob
 /// (varint count, compact table, varint bit-stream length, bits), appended
 /// to `out`.
 pub fn encode_block_into(symbols: &[u32], out: &mut Vec<u8>) {
-    bytes::put_varint(out, symbols.len() as u64);
-    if symbols.is_empty() {
-        return;
-    }
-    encode_with_code(symbols, code_for(symbols), out);
-}
-
-/// [`encode_block_into`] for callers that already counted frequencies into
-/// a dense histogram (symbol `i` occurred `hist[i]` times) and tracked the
-/// inclusive `lo..=hi` range of symbols they emitted — the SZ quantizer
-/// fuses both into its quantization pass.  Only that span of the histogram
-/// is scanned, turning the per-block cost from O(histogram len) into
-/// O(live span): the quantizer's 65 538-entry scratch histogram typically
-/// has a live span of a few dozen codes.  Consumes the histogram: every
-/// non-zero entry of the span is zeroed, so a reused scratch histogram
-/// comes back all-zero.  `lo > hi` declares the stream empty.  The blob
-/// format is identical to [`encode_block_into`]'s.
-pub fn encode_block_from_hist_range(
-    symbols: &[u32],
-    hist: &mut [u32],
-    lo: u32,
-    hi: u32,
-    out: &mut Vec<u8>,
-) {
-    bytes::put_varint(out, symbols.len() as u64);
-    if symbols.is_empty() {
-        return;
-    }
-    let hi = (hi as usize).min(hist.len().saturating_sub(1));
-    let mut present: Vec<(u32, u64)> = Vec::new();
-    if lo as usize <= hi {
-        for (off, count) in hist[lo as usize..=hi].iter_mut().enumerate() {
-            if *count > 0 {
-                present.push((lo + off as u32, u64::from(*count)));
-                *count = 0;
-            }
-        }
-    }
-    encode_with_code(symbols, HuffmanCode::from_sorted_frequencies(&present), out);
-}
-
-/// Shared tail of the block encoders: table + bit stream.
-fn encode_with_code(symbols: &[u32], code: HuffmanCode, out: &mut Vec<u8>) {
-    code.write_table_v2(out);
-    let mut writer = BitWriter::with_capacity(symbols.len() / 2);
-    code.encode(symbols, &mut writer)
-        .expect("all symbols are in the book");
-    let bits = writer.into_bytes();
-    bytes::put_varint(out, bits.len() as u64);
-    out.extend_from_slice(&bits);
+    Plan::of(symbols, 0).emit_into(symbols, out);
 }
 
 /// Convenience: Huffman-encodes a symbol stream into a self-contained v2
@@ -728,31 +784,26 @@ mod tests {
         roundtrip(&symbols);
     }
 
+    /// Fibonacci weights build the deepest possible Huffman tree; with
+    /// ~50 symbols the unlimited tree would exceed BUILD_MAX_LEN.
+    fn fibonacci_frequencies(n: u32) -> Vec<(u32, u64)> {
+        let (mut a, mut b) = (1u64, 1u64);
+        (0..n)
+            .map(|s| {
+                let w = a;
+                (a, b) = (b, a.saturating_add(b));
+                (s, w)
+            })
+            .collect()
+    }
+
     #[test]
     fn pathological_depths_are_length_limited() {
-        // Fibonacci weights build the deepest possible Huffman tree; with
-        // ~50 symbols the unlimited tree would exceed BUILD_MAX_LEN.
-        let mut freq = Vec::new();
-        let (mut a, mut b) = (1u64, 1u64);
-        for s in 0..50u32 {
-            freq.push((s, a));
-            let next = a.saturating_add(b);
-            a = b;
-            b = next;
-        }
-        let code = HuffmanCode::from_sorted_frequencies(&freq);
-        assert!(code.max_len <= BUILD_MAX_LEN);
-        assert_eq!(code.lengths.len(), 50);
-
-        // And the limited code still round-trips.
-        let symbols: Vec<u32> = (0..50u32).flat_map(|s| std::iter::repeat_n(s, 3)).collect();
-        let mut w = BitWriter::new();
-        code.encode(&symbols, &mut w).unwrap();
-        let bytes = w.into_bytes();
-        let mut r = BitReader::new(&bytes);
-        let mut decoded = Vec::new();
-        code.decode_into(&mut r, symbols.len(), &mut decoded).unwrap();
-        assert_eq!(decoded, symbols);
+        let plan = Plan::from_frequencies(&fibonacci_frequencies(50));
+        assert_eq!(plan.lengths.len(), 50);
+        assert_eq!(plan.lengths.last().unwrap().1, BUILD_MAX_LEN);
+        // Still a prefix code (Kraft), as the decoder checks it.
+        HuffmanCode::from_lengths_checked(plan.lengths.clone()).unwrap();
     }
 
     #[test]
@@ -814,29 +865,181 @@ mod tests {
 
     #[test]
     fn table_roundtrip() {
-        let code = HuffmanCode::from_sorted_frequencies(&[(10, 5), (20, 1), (30, 1)]);
-        assert_eq!(code.lengths.len(), 3);
+        let plan = Plan::from_frequencies(&[(10, 5), (20, 1), (30, 1)]);
+        assert_eq!(plan.lengths, vec![(10, 1), (20, 2), (30, 2)]);
         let mut buf = Vec::new();
-        code.write_table_v2(&mut buf);
+        write_table_v2(&plan.lengths, &mut buf);
         let mut pos = 0;
-        let code2 = HuffmanCode::read_table_v2(&buf, &mut pos).unwrap();
+        let code = HuffmanCode::read_table_v2(&buf, &mut pos).unwrap();
         assert_eq!(pos, buf.len());
-        assert_eq!(code2.lengths.len(), 3);
+        assert_eq!(code.lengths, plan.lengths);
+    }
 
-        let mut w = BitWriter::new();
-        code.encode(&[10, 20, 30, 10], &mut w).unwrap();
-        let bytes = w.into_bytes();
-        let mut r = BitReader::new(&bytes);
-        let mut decoded = Vec::new();
-        code2.decode_into(&mut r, 4, &mut decoded).unwrap();
-        assert_eq!(decoded, vec![10, 20, 30, 10]);
+    /// The construction [`code_depths`] replaced, kept as its oracle: an
+    /// index-based min-heap over `(weight, id)`, leaves `0..n`, internal
+    /// nodes `n..` in creation order.
+    fn heap_depths(present: &[(u32, u64)]) -> Vec<u8> {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let n = present.len();
+        if n == 1 {
+            return vec![1];
+        }
+        let mut children: Vec<(u32, u32)> = Vec::with_capacity(n - 1);
+        let mut heap: BinaryHeap<Reverse<(u64, u32)>> = present
+            .iter()
+            .enumerate()
+            .map(|(id, &(_, w))| Reverse((w, id as u32)))
+            .collect();
+        while heap.len() > 1 {
+            let Reverse((wa, a)) = heap.pop().unwrap();
+            let Reverse((wb, b)) = heap.pop().unwrap();
+            children.push((a, b));
+            heap.push(Reverse((wa + wb, (n + children.len() - 1) as u32)));
+        }
+        let Reverse((_, root)) = heap.pop().unwrap();
+        let mut depths = vec![0u8; n];
+        let mut stack = vec![(root, 0u8)];
+        while let Some((node, depth)) = stack.pop() {
+            if (node as usize) < n {
+                depths[node as usize] = depth.max(1);
+            } else {
+                let (a, b) = children[node as usize - n];
+                stack.push((a, depth.saturating_add(1)));
+                stack.push((b, depth.saturating_add(1)));
+            }
+        }
+        if depths.iter().any(|&d| d > BUILD_MAX_LEN) {
+            return limit_depths(present, &depths);
+        }
+        depths
+    }
+
+    /// xorshift64* — the tests' only randomness.
+    fn rng(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed | 1;
+        move || {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545F4914F6CDD1D)
+        }
     }
 
     #[test]
-    fn missing_symbol_rejected_on_encode() {
-        let code = HuffmanCode::from_sorted_frequencies(&[(1, 10), (2, 10)]);
-        let mut w = BitWriter::new();
-        assert!(code.encode(&[3], &mut w).is_err());
-        assert!(code.encode(&[0], &mut w).is_err());
+    fn two_queue_construction_matches_the_heap_on_heavy_ties() {
+        let mut next = rng(11);
+        let mut cases: Vec<Vec<(u32, u64)>> = vec![
+            vec![(7, 3)],
+            vec![(1, 1), (2, 1)],
+            // All weights equal: every merge is a tie.
+            (0..257).map(|s| (s, 5)).collect(),
+            // Powers of two: a leaf ties with the internal node made of
+            // everything lighter at every step.
+            (0..40).map(|s| (s, 1u64 << s)).collect(),
+            (0..40).map(|s| (s, 1u64 << (s / 2))).collect(),
+            fibonacci_frequencies(30),
+            fibonacci_frequencies(60),
+        ];
+        for n in [2usize, 3, 17, 300, 2_000] {
+            for max_weight in [1u64, 2, 3, 8, 1_000] {
+                let mut sym = 0u32;
+                cases.push(
+                    (0..n)
+                        .map(|_| {
+                            sym += 1 + (next() % 50) as u32;
+                            (sym, 1 + next() % max_weight)
+                        })
+                        .collect(),
+                );
+            }
+        }
+        for present in &cases {
+            let lengths = |depths: Vec<u8>| -> Vec<(u32, u8)> {
+                present
+                    .iter()
+                    .zip(depths)
+                    .map(|(&(s, _), d)| (s, d))
+                    .collect()
+            };
+            assert_eq!(
+                lengths(code_depths(present)),
+                lengths(heap_depths(present)),
+                "{} symbols, first {:?}",
+                present.len(),
+                present[0]
+            );
+        }
+    }
+
+    /// Plans `symbols`, checks the planned size against the emitted blob to
+    /// the byte, decodes it back, and returns the blob.
+    fn plan_emit_roundtrip(symbols: &[u32], center: u32) -> Vec<u8> {
+        let plan = Plan::of(symbols, center);
+        let mut blob = vec![0xEE];
+        plan.emit_into(symbols, &mut blob);
+        assert_eq!(blob.len() - 1, plan.blob_len(), "planned size is exact");
+        let mut pos = 1;
+        assert_eq!(decode_block(&blob, &mut pos).unwrap(), symbols);
+        assert_eq!(pos, blob.len());
+        blob.split_off(1)
+    }
+
+    #[test]
+    fn planned_size_equals_emitted_length() {
+        let mut next = rng(5);
+        // Empty, single-symbol and two-symbol alphabets.
+        plan_emit_roundtrip(&[], 0);
+        plan_emit_roundtrip(&[9], 0);
+        plan_emit_roundtrip(&[7u32; 1000], 7);
+        plan_emit_roundtrip(&[1, 2, 1, 1, 2, 1, 1, 1], 0);
+        // Random alphabets of growing width, around and away from the
+        // counting pass's near window, at lengths that exercise every
+        // tail of the 64-bit packer.
+        for width in [2u64, 50, 3_000, 70_000, 400_000] {
+            for n in [1usize, 63, 64, 65, 1_000, 20_001] {
+                let symbols: Vec<u32> = (0..n)
+                    .map(|_| {
+                        // Squaring skews towards small symbols.
+                        let u = next() % width;
+                        (u * u / width) as u32
+                    })
+                    .collect();
+                let at_zero = plan_emit_roundtrip(&symbols, 0);
+                let elsewhere = plan_emit_roundtrip(&symbols, 32_769);
+                assert_eq!(at_zero, elsewhere, "the centre steers counting only");
+            }
+        }
+        // Fibonacci-weighted: the lightest stream (15 M symbols) whose
+        // tree is deeper than BUILD_MAX_LEN, so the lengths are limited.
+        let symbols: Vec<u32> = fibonacci_frequencies(34)
+            .iter()
+            .flat_map(|&(s, w)| std::iter::repeat_n(s, w as usize))
+            .collect();
+        let plan = Plan::of(&symbols, 0);
+        assert_eq!(plan.lengths.last().unwrap().1, BUILD_MAX_LEN);
+        plan_emit_roundtrip(&symbols, 0);
+        // Symbols beyond the dense tables: sorted counting and the
+        // binary-searched code list.
+        let wide: Vec<u32> = (0..5_000u64)
+            .map(|i| match next() % 4 {
+                0 => u32::MAX - (next() % 100) as u32,
+                1 => DENSE_SPAN_MAX as u32 + (next() % 100_000) as u32,
+                2 => (next() % DENSE_SPAN_MAX as u64) as u32,
+                _ => (i % 3) as u32,
+            })
+            .collect();
+        plan_emit_roundtrip(&wide, 0);
+    }
+
+    #[test]
+    fn scratch_tables_come_back_zeroed() {
+        let symbols: Vec<u32> = (0..10_000u32).map(|i| (i * i) % 70_001).collect();
+        let first = plan_emit_roundtrip(&symbols, 0);
+        // A second alphabet over other symbols, then the first again: any
+        // count or code left behind would change the blob.
+        plan_emit_roundtrip(&symbols.iter().map(|s| s / 2 + 5).collect::<Vec<_>>(), 0);
+        assert_eq!(plan_emit_roundtrip(&symbols, 0), first);
+        SCRATCH.with(|s| assert!(s.borrow().table.iter().all(|&c| c == 0)));
     }
 }

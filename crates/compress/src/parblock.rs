@@ -26,16 +26,53 @@ where
     (0..nblocks).into_par_iter().with_min_len(1).map(f).collect()
 }
 
+/// Cuts `buf` into consecutive pieces of the given lengths (which must sum
+/// to at most `buf.len()`), so pool tasks can fill them independently.
+pub(crate) fn split_mut<T>(buf: &mut [T], lens: impl Iterator<Item = usize>) -> Vec<&mut [T]> {
+    let mut rest = buf;
+    lens.map(|len| {
+        let (piece, after) = std::mem::take(&mut rest).split_at_mut(len);
+        rest = after;
+        piece
+    })
+    .collect()
+}
+
+/// Appends the container's length table: `[u64 nblocks][u64 len × nblocks]`.
+fn put_lengths(out: &mut Vec<u8>, lens: impl ExactSizeIterator<Item = usize>) {
+    bytes::put_u64(out, lens.len() as u64);
+    for len in lens {
+        bytes::put_u64(out, len as u64);
+    }
+}
+
 /// Appends the framed container (`[u64 nblocks][u64 len × nblocks]
 /// [block bytes …]`) for pre-encoded blocks to `out`.
 pub(crate) fn write_container(out: &mut Vec<u8>, blocks: &[Vec<u8>]) {
-    bytes::put_u64(out, blocks.len() as u64);
-    for block in blocks {
-        bytes::put_u64(out, block.len() as u64);
-    }
+    put_lengths(out, blocks.iter().map(Vec::len));
     for block in blocks {
         out.extend_from_slice(block);
     }
+}
+
+/// Appends the framed container for blocks whose exact lengths are known
+/// before they are encoded: `fill(block_index, slot)` writes each block in
+/// place, in parallel, into its `lens[block_index]`-byte slot of `out`.
+pub(crate) fn encode_blocks_in_place<F>(out: &mut Vec<u8>, lens: &[usize], fill: F)
+where
+    F: Fn(usize, &mut [u8]) + Sync,
+{
+    put_lengths(out, lens.iter().copied());
+    let start = out.len();
+    out.resize(start + lens.iter().sum::<usize>(), 0);
+    let slots: Vec<_> = split_mut(&mut out[start..], lens.iter().copied())
+        .into_iter()
+        .enumerate()
+        .collect();
+    slots
+        .into_par_iter()
+        .with_min_len(1)
+        .for_each(|(b, slot)| fill(b, slot));
 }
 
 /// Encodes `nblocks` independent blocks with `encode(block_index)` in

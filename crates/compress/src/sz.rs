@@ -19,9 +19,10 @@
 //!    are stored verbatim (IEEE-754 bits) and flagged with the reserved bin 0.
 //!
 //! Prediction and quantization run as one fused, branch-light pass per
-//! parallel block, writing into per-thread scratch buffers that persist
-//! across blocks (no per-block `Vec` churn), and the entropy stage uses the
-//! word-buffered bitstream and table-driven canonical Huffman codec.
+//! parallel block, and the entropy stage is the plan-then-emit canonical
+//! Huffman codec: a block's blob is sized exactly from its histogram, and
+//! the temporal encoder — which weighs up to three candidate codings of
+//! every snapshot — sizes them all and bit-packs only the winner.
 //!
 //! Point-wise relative bounds (`ErrorBound::PointwiseRel`) are honoured with
 //! the standard SZ trick: compress `ln|x|` under an absolute bound
@@ -43,10 +44,11 @@
 //! delta streams need their chain and decode through
 //! [`SzCompressor::decompress_chain`].
 
-use crate::bitstream::{bytes, BitReader, BitWriter};
+use crate::bitstream::{bytes, BitReader};
 use crate::delta::{self, DeltaMode};
 use crate::{huffman, parblock};
 use crate::{CompressError, Compressed, ErrorBound, LossyCompressor, Result};
+use rayon::prelude::*;
 use std::cell::RefCell;
 
 /// Codec id stored in the stream header.
@@ -74,22 +76,21 @@ thread_local! {
     /// worker threads of the deterministic pool persist, so each thread
     /// allocates these once).
     static QUANT_SCRATCH: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
-    /// Per-thread unpredictable-value scratch.
-    static UNPRED_SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
-    /// Per-thread dense code histogram, kept all-zero between blocks (the
-    /// Huffman builder zeroes the entries it consumed).
-    static HIST_SCRATCH: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
     /// Per-thread temporal-delta symbol scratch.
     static DELTA_SCRATCH: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
-    /// Per-thread dense histogram for temporal-delta symbols (their range
-    /// exceeds [`N_CODES`], so they get their own table), grown on demand
-    /// and kept all-zero between blocks like [`HIST_SCRATCH`].
-    static DELTA_HIST_SCRATCH: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Number of distinct quantization codes (`0` = unpredictable, then the
-/// `2·QUANT_RADIUS − 1` bins shifted by `QUANT_RADIUS + 1`).
-const N_CODES: usize = 2 * QUANT_RADIUS as usize + 2;
+/// The code of the zero bin (`0` is reserved for "unpredictable", then the
+/// `2·QUANT_RADIUS − 1` bins shifted by `QUANT_RADIUS + 1`): the mode of
+/// every well-predicted block, and where the Huffman stage is told to
+/// expect it.
+const ZERO_BIN: u32 = QUANT_RADIUS as u32 + 1;
+
+/// Elements per pool task of the element-wise passes that run inside one
+/// block (`ln` of the point-wise-relative transform, temporal
+/// quantization): a multiple of 64, so chunks start on bitmap word
+/// boundaries, that divides [`PAR_BLOCK`], so no chunk straddles a block.
+const CHUNK: usize = 8192;
 
 /// Rounds a scaled value to its integer grid point with the `1.5·2^52`
 /// magic-constant trick (round-to-nearest, ties to even) — two additions
@@ -132,11 +133,12 @@ impl SzCompressor {
         SzCompressor
     }
 
-    /// Fused prediction + linear-scaling quantization over one block,
-    /// emitting bin codes into `quant`, out-of-range values into `unpred`
-    /// (both cleared first) and symbol frequencies into `hist` (assumed
-    /// all-zero on entry).  The predictor state starts from zero, so the
-    /// block is decodable in isolation.
+    /// Fused prediction + linear-scaling quantization of
+    /// `block[start..start + quant.len()]`, one bin code per value into
+    /// `quant`.  The predictor state starts from zero at the head of the
+    /// block, so the block is decodable in isolation; a range further in
+    /// (`start >= 2`) reads its two predecessors from the block, so any
+    /// split of a block into ranges yields the codes of one pass over it.
     ///
     /// The version-4 formulation works on the integer grid: every value is
     /// independently rounded to `r = round(x / 2eb)` and the bin codes are
@@ -157,20 +159,12 @@ impl SzCompressor {
     /// decoder's reconstruction `r · 2eb` (computed here with the same
     /// rounding) honours the bound.  NaN/∞ fail the comparisons and fall
     /// back to verbatim storage wholesale.
-    /// Returns the inclusive `(min, max)` range of emitted codes (with
-    /// `min > max` for the empty block), so the Huffman builder can scan
-    /// only the live span of the 65 538-entry histogram.
-    fn quantize_block(
-        values: &[f64],
-        abs_eb: f64,
-        quant: &mut Vec<u32>,
-        unpred: &mut Vec<f64>,
-        hist: &mut [u32],
-    ) -> (u32, u32) {
-        let n = values.len();
-        quant.clear();
-        unpred.clear();
-        quant.reserve(n);
+    fn quantize_range(block: &[f64], start: usize, abs_eb: f64, quant: &mut [u32]) {
+        assert!(
+            start == 0 || start >= 2,
+            "a range starts the block or has two predecessors"
+        );
+        let values = &block[start..start + quant.len()];
         let two_eb = 2.0 * abs_eb;
         let inv = 1.0 / two_eb;
 
@@ -202,26 +196,20 @@ impl SzCompressor {
                 0
             }
         };
-        // Live-code range accumulators, fused into the coding pass as
-        // eight independent integer lanes (u32 min/max is exact, so lane
-        // order cannot change the result) — saves a full re-scan of the
-        // code array.
-        let mut lane_min = [u32::MAX; 8];
-        let mut lane_max = [0u32; 8];
-        if n >= 1 {
-            let code = code_of(values[0], g(values[0]), 0.0, 0.0, 0.0);
-            lane_min[0] = lane_min[0].min(code);
-            lane_max[0] = lane_max[0].max(code);
-            quant.push(code);
+        // The first two values of a block see the virtual zeros before it.
+        let mut head = 0;
+        if start == 0 {
+            if let [x0, ..] = *values {
+                quant[0] = code_of(x0, g(x0), 0.0, 0.0, 0.0);
+                head = 1;
+            }
+            if let [x0, x1, ..] = *values {
+                let r1 = g(x0);
+                quant[1] = code_of(x1, g(x1), r1, 0.0, r1);
+                head = 2;
+            }
         }
-        if n >= 2 {
-            let r1 = g(values[0]);
-            let code = code_of(values[1], g(values[1]), r1, 0.0, r1);
-            lane_min[0] = lane_min[0].min(code);
-            lane_max[0] = lane_max[0].max(code);
-            quant.push(code);
-        }
-        if n >= 3 {
+        if head < values.len() {
             // Chunk-of-8 coding with carried neighbour roundings: each
             // element is rounded exactly once per chunk and its predictor
             // inputs are the (pure, hence bit-identical) roundings of the
@@ -229,10 +217,12 @@ impl SzCompressor {
             // two scalars.  The 8-lane body fully unrolls; the carries are
             // value reuse, not an FP dependency chain — every `r[i]` is an
             // independent rounding of its own input.
-            let mut c1 = g(values[1]);
-            let mut c2 = g(values[0]);
-            let mut chunks = values[2..].chunks_exact(8);
-            for c in &mut chunks {
+            let at = start + head;
+            let mut c1 = g(block[at - 1]);
+            let mut c2 = g(block[at - 2]);
+            let mut chunks = values[head..].chunks_exact(8);
+            let mut slots = quant[head..].chunks_exact_mut(8);
+            for (c, slot) in (&mut chunks).zip(&mut slots) {
                 let mut r = [0.0f64; 8];
                 for i in 0..8 {
                     r[i] = g(c[i]);
@@ -249,63 +239,29 @@ impl SzCompressor {
                     };
                     codes[i] = code_of(c[i], r[i], r1, r2, 2.0 * r1 - r2);
                 }
-                for i in 0..8 {
-                    lane_min[i] = lane_min[i].min(codes[i]);
-                    lane_max[i] = lane_max[i].max(codes[i]);
-                }
-                quant.extend_from_slice(&codes);
+                slot.copy_from_slice(&codes);
                 c1 = r[7];
                 c2 = r[6];
             }
-            for &x in chunks.remainder() {
+            for (&x, slot) in chunks.remainder().iter().zip(slots.into_remainder()) {
                 let r = g(x);
-                let code = code_of(x, r, c1, c2, 2.0 * c1 - c2);
-                lane_min[0] = lane_min[0].min(code);
-                lane_max[0] = lane_max[0].max(code);
-                quant.push(code);
+                *slot = code_of(x, r, c1, c2, 2.0 * c1 - c2);
                 c2 = c1;
                 c1 = r;
             }
         }
+    }
 
-        let min_code = lane_min.into_iter().min().unwrap_or(u32::MAX);
-        let max_code = lane_max.into_iter().max().unwrap_or(0);
-
-        // Scatter pass: four interleaved sub-histograms over the live code
-        // span break the store-to-load dependency that serialises runs of
-        // equal codes (the common case for smooth fields, where one or two
-        // bins dominate the block), then fold into the shared histogram.
-        // The sub-histograms only span `[min_code, max_code]`, so the
-        // scratch stays small for exactly the blocks where this pass is
-        // hot.
-        if min_code <= max_code {
-            let base = min_code as usize;
-            let span = (max_code - min_code) as usize + 1;
-            let mut sub = vec![0u32; span * 4];
-            let mut chunks = quant.chunks_exact(4);
-            for c in &mut chunks {
-                sub[(c[0] as usize - base) * 4] += 1;
-                sub[(c[1] as usize - base) * 4 + 1] += 1;
-                sub[(c[2] as usize - base) * 4 + 2] += 1;
-                sub[(c[3] as usize - base) * 4 + 3] += 1;
-            }
-            for &code in chunks.remainder() {
-                sub[(code as usize - base) * 4] += 1;
-            }
-            for (i, s) in sub.chunks_exact(4).enumerate() {
-                hist[base + i] += s[0] + s[1] + s[2] + s[3];
-            }
-            // Verbatim collection only runs when code 0 was actually
-            // emitted; fully predictable blocks skip the whole pass.
-            if min_code == 0 {
-                for (&code, &x) in quant.iter().zip(values) {
-                    if code == 0 {
-                        unpred.push(x);
-                    }
-                }
-            }
+    /// The values the quantizer could not code (reserved code 0), in order.
+    /// Fully predictable blocks — the rule — cost one vectorized count.
+    fn unpredictable(values: &[f64], codes: &[u32]) -> Vec<f64> {
+        let reserved = codes.iter().filter(|&&c| c == 0).count();
+        let mut unpred = Vec::with_capacity(reserved);
+        if reserved > 0 {
+            let coded = values.iter().zip(codes);
+            unpred.extend(coded.filter(|&(_, &c)| c == 0).map(|(&x, _)| x));
         }
-        (min_code, max_code)
+        unpred
     }
 
     /// Core absolute-error-bound compression of a pre-transformed stream.
@@ -319,11 +275,8 @@ impl SzCompressor {
     /// [u64 nblocks][u64 len × nblocks][block bytes …]
     /// ```
     fn compress_abs(values: &[f64], abs_eb: f64, out: &mut Vec<u8>) {
-        let n = values.len();
-        parblock::encode_blocks(out, n.div_ceil(PAR_BLOCK), |b| {
-            let start = b * PAR_BLOCK;
-            let end = ((b + 1) * PAR_BLOCK).min(n);
-            Self::encode_block_abs(&values[start..end], abs_eb)
+        parblock::encode_blocks(out, values.len().div_ceil(PAR_BLOCK), |b| {
+            Self::encode_block_abs(Self::block_of(values, b), abs_eb)
         });
     }
 
@@ -334,29 +287,13 @@ impl SzCompressor {
     /// ```
     fn encode_block_abs(values: &[f64], abs_eb: f64) -> Vec<u8> {
         QUANT_SCRATCH.with(|q| {
-            UNPRED_SCRATCH.with(|u| {
-                HIST_SCRATCH.with(|h| {
-                    let quant = &mut q.borrow_mut();
-                    let unpred = &mut u.borrow_mut();
-                    let hist = &mut h.borrow_mut();
-                    if hist.is_empty() {
-                        hist.resize(N_CODES, 0);
-                    }
-                    let (lo, hi) = Self::quantize_block(values, abs_eb, quant, unpred, hist);
-                    let mut out = Vec::with_capacity(values.len() / 2 + 32);
-                    // The Huffman builder consumes the histogram and
-                    // zeroes the entries it used, keeping the scratch
-                    // all-zero for the next block; the live-code range
-                    // from quantization confines its scan to the
-                    // occupied span of the 65 538-entry table.
-                    huffman::encode_block_from_hist_range(quant, hist, lo, hi, &mut out);
-                    bytes::put_varint(&mut out, unpred.len() as u64);
-                    for v in unpred.iter() {
-                        bytes::put_f64(&mut out, *v);
-                    }
-                    out
-                })
-            })
+            let quant = &mut q.borrow_mut();
+            quant.resize(values.len(), 0);
+            Self::quantize_range(values, 0, abs_eb, quant);
+            let mut out = Vec::with_capacity(values.len() / 2 + 32);
+            huffman::Plan::of(quant, ZERO_BIN).emit_into(quant, &mut out);
+            Self::append_unpred(&mut out, &Self::unpredictable(values, quant));
+            out
         })
     }
 
@@ -445,26 +382,19 @@ impl SzCompressor {
         Ok(out)
     }
 
-    /// Shared body of [`LossyCompressor::compress`] /
-    /// [`LossyCompressor::compress_into`]: appends a complete stream to
-    /// `out`.
-    fn compress_to(&self, data: &[f64], bound: ErrorBound, out: &mut Vec<u8>) -> Result<()> {
+    /// Validates `bound` and resolves it against `data`: the transform,
+    /// the bound as the stream header records it, and the absolute bound
+    /// the quantizer works under.  Value-range-relative bounds become
+    /// `eb·(max − min)`; point-wise-relative ones become `ln(1 + eb)` on
+    /// the log magnitudes, which guarantees `|x'/x − 1| ≤ eb` (note
+    /// `exp(−d) ≥ 1 − eb` for `d = ln(1 + eb)`).
+    fn resolve_bound(data: &[f64], bound: ErrorBound) -> Result<(Transform, f64, f64)> {
         let eb = bound.value();
         if !(eb.is_finite() && eb > 0.0) {
             return Err(CompressError::InvalidBound(eb));
         }
-
-        out.reserve(data.len() / 2 + 64);
-        out.push(CODEC_ID);
-        out.push(VERSION);
-        bytes::put_u64(out, data.len() as u64);
-
         match bound {
-            ErrorBound::Abs(abs) => {
-                out.push(Transform::Identity as u8);
-                bytes::put_f64(out, abs);
-                Self::compress_abs(data, abs, out);
-            }
+            ErrorBound::Abs(abs) => Ok((Transform::Identity, abs, abs)),
             ErrorBound::ValueRangeRel(rel) => {
                 let (min, max) = min_max(data);
                 let range = (max - min).abs();
@@ -474,39 +404,42 @@ impl SzCompressor {
                 } else {
                     rel.max(f64::MIN_POSITIVE)
                 };
-                out.push(Transform::Identity as u8);
-                bytes::put_f64(out, abs);
-                Self::compress_abs(data, abs, out);
+                Ok((Transform::Identity, abs, abs))
             }
             ErrorBound::PointwiseRel(rel) => {
-                out.push(Transform::Log as u8);
-                // Bound in log space guaranteeing |x'/x - 1| <= rel:
-                // use ln(1+rel) and note exp(-d) >= 1-rel for d = ln(1+rel).
                 let log_eb = rel.ln_1p();
                 if !(log_eb.is_finite() && log_eb > 0.0) {
                     return Err(CompressError::InvalidBound(rel));
                 }
-                bytes::put_f64(out, rel);
+                Ok((Transform::Log, rel, log_eb))
+            }
+        }
+    }
 
+    /// Appends the common stream prologue up to and including the bound.
+    fn put_header(out: &mut Vec<u8>, version: u8, n: usize, transform: Transform, eb: f64) {
+        out.reserve(n / 2 + 64);
+        out.push(CODEC_ID);
+        out.push(version);
+        bytes::put_u64(out, n as u64);
+        out.push(transform as u8);
+        bytes::put_f64(out, eb);
+    }
+
+    /// Shared body of [`LossyCompressor::compress`] /
+    /// [`LossyCompressor::compress_into`]: appends a complete stream to
+    /// `out`.
+    fn compress_to(&self, data: &[f64], bound: ErrorBound, out: &mut Vec<u8>) -> Result<()> {
+        let (transform, stream_eb, abs_eb) = Self::resolve_bound(data, bound)?;
+        Self::put_header(out, VERSION, data.len(), transform, stream_eb);
+        match transform {
+            Transform::Identity => Self::compress_abs(data, abs_eb, out),
+            Transform::Log => {
                 // Sign bits + zero flags side channel, then log magnitudes.
-                let mut signs = BitWriter::with_capacity(data.len() / 8 + 1);
-                let mut zeros = BitWriter::with_capacity(data.len() / 8 + 1);
-                let mut logs: Vec<f64> = Vec::with_capacity(data.len());
-                for &x in data {
-                    zeros.write_bit(x == 0.0);
-                    signs.write_bit(x.is_sign_negative());
-                    if x != 0.0 {
-                        logs.push(x.abs().ln());
-                    }
-                }
-                let zero_bytes = zeros.into_bytes();
-                let sign_bytes = signs.into_bytes();
-                bytes::put_u64(out, zero_bytes.len() as u64);
-                out.extend_from_slice(&zero_bytes);
-                bytes::put_u64(out, sign_bytes.len() as u64);
-                out.extend_from_slice(&sign_bytes);
-                bytes::put_u64(out, logs.len() as u64);
-                Self::compress_abs(&logs, log_eb, out);
+                let side = LogSide::of(data);
+                side.put_bitmaps(out, None);
+                bytes::put_u64(out, side.logs.len() as u64);
+                Self::compress_abs(&side.logs, abs_eb, out);
             }
         }
         Ok(())
@@ -635,15 +568,15 @@ impl SzCompressor {
     /// prior snapshot's codes retained in `state` whenever that is both
     /// possible and smaller than direct coding.
     ///
-    /// The candidate streams (direct, order-1, and — with two retained
-    /// priors and `max_order == Order2` — order-2) are entropy-coded
-    /// per block in one parallel pass over the data, and the smallest
-    /// total wins; ties prefer the lower order, so an anchor is emitted
-    /// whenever delta coding does not pay.  `force_anchor` pins the
-    /// stream to [`DeltaMode::None`] regardless (the periodic anchors of
-    /// a checkpoint chain).  The delta transform is lossless on the
-    /// codes, so replaying the chain reconstructs values bit-identically
-    /// to a direct decode of the same snapshot.
+    /// The candidate codings (direct, order-1, and — with two retained
+    /// priors and `max_order == Order2` — order-2) are **sized** exactly,
+    /// block by block, from their symbol histograms; the smallest total
+    /// wins, ties prefer the lower order (so an anchor is emitted whenever
+    /// delta coding does not pay), and only the winner is bit-packed.
+    /// `force_anchor` pins the stream to [`DeltaMode::None`] regardless
+    /// (the periodic anchors of a checkpoint chain).  The delta transform
+    /// is lossless on the codes, so replaying the chain reconstructs values
+    /// bit-identically to a direct decode of the same snapshot.
     ///
     /// `state` is always updated to hold this snapshot's codes (even
     /// when direct coding wins) and is never consulted when the shape or
@@ -662,185 +595,89 @@ impl SzCompressor {
         state: &mut SzTemporalState,
         out: &mut Vec<u8>,
     ) -> Result<DeltaMode> {
-        let eb = bound.value();
-        if !(eb.is_finite() && eb > 0.0) {
-            return Err(CompressError::InvalidBound(eb));
+        let (transform, stream_eb, abs_eb) = Self::resolve_bound(data, bound)?;
+        Self::put_header(out, TEMPORAL_VERSION, data.len(), transform, stream_eb);
+
+        // The temporal delta applies to the coded sub-stream: the values
+        // themselves, or the log magnitudes of the non-zero ones — a
+        // changed zero pattern changes `n_codes` and falls back to an
+        // anchor via the state key.
+        let side = (transform == Transform::Log).then(|| LogSide::of(data));
+        let values = side.as_ref().map_or(data, |s| s.logs.as_slice());
+        let key = StateKey {
+            transform: transform as u8,
+            n_codes: values.len(),
+        };
+
+        // A delta stream inherits each bitmap from the prior link when it
+        // is byte-identical (the common case: zero and sign patterns of an
+        // iterative solve are stable), paying one flag byte instead of the
+        // raw section.  The raw / delta side-channel costs feed the mode
+        // decision, so a stream whose bitmaps dominate can still pick
+        // delta.
+        let mut inherit = [false; 2];
+        let (mut side_raw, mut side_delta) = (0, 0);
+        if let Some(s) = &side {
+            inherit = [
+                !force_anchor && state.zeros1 == s.zeros,
+                !force_anchor && state.signs1 == s.signs,
+            ];
+            for (bitmap, same) in [&s.zeros, &s.signs].into_iter().zip(inherit) {
+                side_raw += 8 + bitmap.len();
+                side_delta += 1 + if same { 0 } else { 8 + bitmap.len() };
+            }
         }
 
-        out.reserve(data.len() / 2 + 64);
-        out.push(CODEC_ID);
-        out.push(TEMPORAL_VERSION);
-        bytes::put_u64(out, data.len() as u64);
-
-        // The mode byte sits right after the error bound for every
-        // transform; it is decided after the candidate encodings are
-        // sized, so a placeholder is written now and patched below.
-        let mode = match bound {
-            ErrorBound::Abs(abs) => {
-                out.push(Transform::Identity as u8);
-                bytes::put_f64(out, abs);
-                let mode_pos = out.len();
-                out.push(DeltaMode::None as u8);
-                let mode = Self::compress_abs_temporal(
-                    data,
-                    abs,
-                    StateKey {
-                        transform: Transform::Identity as u8,
-                        n_codes: data.len(),
-                    },
-                    max_order,
-                    force_anchor,
-                    0,
-                    0,
-                    state,
-                    out,
-                );
+        // Size every candidate, then write what the winner's mode decides:
+        // the mode byte, the side channels, and only then the blocks.
+        let sized = Self::size_temporal(
+            values,
+            abs_eb,
+            key,
+            max_order,
+            force_anchor,
+            [side_raw, side_delta],
+            state,
+        );
+        let mode = sized.mode;
+        out.push(mode as u8);
+        match side {
+            Some(s) => {
+                s.put_bitmaps(out, (mode != DeltaMode::None).then_some(inherit));
+                bytes::put_u64(out, s.logs.len() as u64);
+                (state.zeros1, state.signs1) = (s.zeros, s.signs);
+            }
+            None => {
                 state.zeros1.clear();
                 state.signs1.clear();
-                out[mode_pos] = mode as u8;
-                mode
             }
-            ErrorBound::ValueRangeRel(rel) => {
-                let (min, max) = min_max(data);
-                let range = (max - min).abs();
-                let abs = if range > 0.0 {
-                    rel * range
-                } else {
-                    rel.max(f64::MIN_POSITIVE)
-                };
-                out.push(Transform::Identity as u8);
-                bytes::put_f64(out, abs);
-                let mode_pos = out.len();
-                out.push(DeltaMode::None as u8);
-                let mode = Self::compress_abs_temporal(
-                    data,
-                    abs,
-                    StateKey {
-                        transform: Transform::Identity as u8,
-                        n_codes: data.len(),
-                    },
-                    max_order,
-                    force_anchor,
-                    0,
-                    0,
-                    state,
-                    out,
-                );
-                state.zeros1.clear();
-                state.signs1.clear();
-                out[mode_pos] = mode as u8;
-                mode
-            }
-            ErrorBound::PointwiseRel(rel) => {
-                out.push(Transform::Log as u8);
-                let log_eb = rel.ln_1p();
-                if !(log_eb.is_finite() && log_eb > 0.0) {
-                    return Err(CompressError::InvalidBound(rel));
-                }
-                bytes::put_f64(out, rel);
-                let mode_pos = out.len();
-                out.push(DeltaMode::None as u8);
-
-                let mut signs = BitWriter::with_capacity(data.len() / 8 + 1);
-                let mut zeros = BitWriter::with_capacity(data.len() / 8 + 1);
-                let mut logs: Vec<f64> = Vec::with_capacity(data.len());
-                for &x in data {
-                    zeros.write_bit(x == 0.0);
-                    signs.write_bit(x.is_sign_negative());
-                    if x != 0.0 {
-                        logs.push(x.abs().ln());
-                    }
-                }
-                let zero_bytes = zeros.into_bytes();
-                let sign_bytes = signs.into_bytes();
-
-                // A delta stream inherits each bitmap from the prior link
-                // when it is byte-identical (the common case: zero and
-                // sign patterns of an iterative solve are stable), paying
-                // one flag byte instead of the raw section.  The raw /
-                // delta side-channel costs feed the mode decision, so a
-                // stream whose bitmaps dominate can still pick delta.
-                let same_zero = !force_anchor && state.zeros1 == zero_bytes;
-                let same_sign = !force_anchor && state.signs1 == sign_bytes;
-                let raw_zero = 8 + zero_bytes.len();
-                let raw_sign = 8 + sign_bytes.len();
-                let side_raw = raw_zero + raw_sign;
-                let side_delta = (1 + if same_zero { 0 } else { raw_zero })
-                    + (1 + if same_sign { 0 } else { raw_sign });
-
-                // The side-channel layout depends on the winning mode,
-                // which is only known after the blocks are sized — encode
-                // the container into a scratch buffer first.
-                //
-                // The temporal delta applies to the log-magnitude
-                // sub-stream; a changed zero pattern changes `n_codes`
-                // and falls back to an anchor via the state key.
-                let mut container = Vec::new();
-                let mode = Self::compress_abs_temporal(
-                    &logs,
-                    log_eb,
-                    StateKey {
-                        transform: Transform::Log as u8,
-                        n_codes: logs.len(),
-                    },
-                    max_order,
-                    force_anchor,
-                    side_raw,
-                    side_delta,
-                    state,
-                    &mut container,
-                );
-                out[mode_pos] = mode as u8;
-                if mode == DeltaMode::None {
-                    bytes::put_u64(out, zero_bytes.len() as u64);
-                    out.extend_from_slice(&zero_bytes);
-                    bytes::put_u64(out, sign_bytes.len() as u64);
-                    out.extend_from_slice(&sign_bytes);
-                } else {
-                    out.push(u8::from(same_zero));
-                    if !same_zero {
-                        bytes::put_u64(out, zero_bytes.len() as u64);
-                        out.extend_from_slice(&zero_bytes);
-                    }
-                    out.push(u8::from(same_sign));
-                    if !same_sign {
-                        bytes::put_u64(out, sign_bytes.len() as u64);
-                        out.extend_from_slice(&sign_bytes);
-                    }
-                }
-                bytes::put_u64(out, logs.len() as u64);
-                out.extend_from_slice(&container);
-                state.zeros1 = zero_bytes;
-                state.signs1 = sign_bytes;
-                mode
-            }
-        };
+        }
+        Self::emit_temporal(sized, state, out);
         Ok(mode)
     }
 
-    /// Temporal counterpart of [`SzCompressor::compress_abs`]: quantizes
-    /// each block once, entropy-codes every available candidate (direct /
-    /// order-1 / order-2) in the same parallel pass, writes the framed
-    /// container of the stream-wide winning blocks, rotates this
-    /// snapshot's codes into `state`, and returns the winning mode (the
-    /// caller patches it into the header's mode byte).
-    /// `side_raw` / `side_delta` are the byte costs of the stream's side
-    /// channels under direct and delta coding respectively (the Log
-    /// transform's bitmaps inherit from the prior link when unchanged, so
-    /// a delta stream can be cheaper than its blocks alone suggest); the
-    /// winner is picked on total stream bytes.
-    #[allow(clippy::too_many_arguments)]
-    fn compress_abs_temporal(
+    /// The sizing pass of the temporal encoder: quantizes the snapshot
+    /// straight into the state's spare code buffer, plans the exact Huffman
+    /// blob of every (block × candidate) pair on the pool — a one-block
+    /// stream still keeps as many threads busy as it has candidates — and
+    /// picks the stream-wide winner.  Nothing is bit-packed and `state`'s
+    /// retained priors are only read; [`SzCompressor::emit_temporal`]
+    /// finishes the job.
+    ///
+    /// `side_costs` are the byte costs of the stream's side channels under
+    /// direct and delta coding respectively (the Log transform's bitmaps
+    /// inherit from the prior link when unchanged, so a delta stream can
+    /// be cheaper than its blocks alone suggest); the winner is picked on
+    /// total stream bytes.
+    fn size_temporal(
         values: &[f64],
         abs_eb: f64,
         key: StateKey,
         max_order: DeltaMode,
         force_anchor: bool,
-        side_raw: usize,
-        side_delta: usize,
+        side_costs: [usize; 2],
         state: &mut SzTemporalState,
-        out: &mut Vec<u8>,
-    ) -> DeltaMode {
+    ) -> SizedSnapshot {
         let code_n = values.len();
         let nblocks = code_n.div_ceil(PAR_BLOCK);
         let shape_ok = state.key == Some(key) && state.codes1.len() == code_n;
@@ -860,159 +697,135 @@ impl SzCompressor {
             && max_order == DeltaMode::Order2
             && state.prev2_valid
             && state.codes2.len() == code_n;
+        let mut candidates = vec![DeltaMode::None];
+        candidates.extend(prior1_ok.then_some(DeltaMode::Order1));
+        candidates.extend(prior2_ok.then_some(DeltaMode::Order2));
 
-        let blocks: Vec<TemporalBlock> = {
-            let prev1 = prior1_ok.then_some(state.codes1.as_slice());
-            let prev2 = prior2_ok.then_some(state.codes2.as_slice());
-            let prev_unpred = prior1_ok.then_some(state.unpred1.as_slice());
-            parblock::map_blocks(nblocks, |b| {
-                let start = b * PAR_BLOCK;
-                let end = ((b + 1) * PAR_BLOCK).min(code_n);
-                Self::encode_block_temporal(
-                    &values[start..end],
-                    abs_eb,
-                    prev1.map(|p| &p[start..end]),
-                    prev2.map(|p| &p[start..end]),
-                    prev_unpred.map(|u| &u[unpred_offsets[b]..unpred_offsets[b + 1]]),
-                )
-            })
-        };
+        // Quantize, a chunk per pool task.
+        state.spare.resize(code_n, 0);
+        let chunks: Vec<_> = state.spare.chunks_mut(CHUNK).enumerate().collect();
+        chunks
+            .into_par_iter()
+            .with_min_len(1)
+            .for_each(|(j, chunk)| {
+                let at = j * CHUNK;
+                let block = Self::block_of(values, at / PAR_BLOCK);
+                Self::quantize_range(block, at % PAR_BLOCK, abs_eb, chunk);
+            });
+        let (codes, prev1, prev2) = (&state.spare, &state.codes1, &state.codes2);
+
+        // Per block: its unpredictable values, and the tail that follows
+        // the Huffman blob under direct coding (verbatim) and under either
+        // delta coding (XOR planes against the prior).
+        let tails: Vec<(Vec<f64>, [Vec<u8>; 2])> = parblock::map_blocks(nblocks, |b| {
+            let block_codes = Self::block_of(codes, b);
+            let unpred = Self::unpredictable(Self::block_of(values, b), block_codes);
+            let (mut direct, mut delta) = (Vec::new(), Vec::new());
+            Self::append_unpred(&mut direct, &unpred);
+            if prior1_ok {
+                let prior = &state.unpred1[unpred_offsets[b]..unpred_offsets[b + 1]];
+                let prior_codes = Self::block_of(prev1, b);
+                Self::append_unpred_delta(&mut delta, block_codes, prior_codes, &unpred, prior);
+            }
+            (unpred, [direct, delta])
+        });
+
+        // One exact plan per (block × candidate), block-major.
+        let ncand = candidates.len();
+        let plans: Vec<huffman::Plan> = parblock::map_blocks(nblocks * ncand, |task| {
+            let (b, mode) = (task / ncand, candidates[task % ncand]);
+            Self::with_symbols(mode, b, codes, prev1, prev2, huffman::Plan::of)
+        });
 
         // Stream-wide winner by total stream bytes (blocks plus the side
         // channels each outcome would carry); strict `<` prefers the
         // lower order (and hence an anchor) on ties.
-        let direct_total: usize = blocks.iter().map(|t| t.direct.len()).sum();
-        let mut best = (direct_total + side_raw, DeltaMode::None);
-        if prior1_ok {
-            let total = blocks
-                .iter()
-                .map(|t| t.delta1.as_ref().map_or(0, Vec::len))
-                .sum::<usize>()
-                + side_delta;
-            if total < best.0 {
-                best = (total, DeltaMode::Order1);
+        let total = |c: usize| -> usize {
+            let tail = |b: usize| tails[b].1[usize::from(c > 0)].len();
+            (0..nblocks)
+                .map(|b| plans[b * ncand + c].blob_len() + tail(b))
+                .sum()
+        };
+        let mut best = (total(0) + side_costs[0], 0);
+        for c in 1..ncand {
+            let bytes = total(c) + side_costs[1];
+            if bytes < best.0 {
+                best = (bytes, c);
             }
         }
-        if prior2_ok {
-            let total = blocks
-                .iter()
-                .map(|t| t.delta2.as_ref().map_or(0, Vec::len))
-                .sum::<usize>()
-                + side_delta;
-            if total < best.0 {
-                best = (total, DeltaMode::Order2);
-            }
-        }
-        let mode = best.1;
+        let winner = best.1;
 
-        // Rotate this snapshot's codes into the retained state: the old
-        // `codes1` buffer becomes `codes2` (valid only if it belonged to
-        // the same stream shape) and the freed buffer absorbs the new
-        // codes — no steady-state reallocation.
-        std::mem::swap(&mut state.codes1, &mut state.codes2);
-        state.prev2_valid = shape_ok;
-        state.codes1.clear();
-        state.codes1.reserve(code_n);
-        state.unpred1.clear();
-        let mut chosen = Vec::with_capacity(nblocks);
-        for t in blocks {
-            state.codes1.extend_from_slice(&t.codes);
-            state.unpred1.extend_from_slice(&t.unpred);
-            chosen.push(match mode {
-                DeltaMode::None => t.direct,
-                DeltaMode::Order1 => t.delta1.expect("order-1 candidate exists"),
-                DeltaMode::Order2 => t.delta2.expect("order-2 candidate exists"),
+        let mut unpred = Vec::new();
+        let mut blocks = Vec::with_capacity(nblocks);
+        let winning_plans = plans.into_iter().skip(winner).step_by(ncand);
+        for ((block_unpred, [direct, delta]), plan) in tails.into_iter().zip(winning_plans) {
+            unpred.extend(block_unpred);
+            blocks.push((plan, if winner == 0 { direct } else { delta }));
+        }
+        SizedSnapshot {
+            mode: candidates[winner],
+            blocks,
+            unpred,
+            key,
+            shape_ok,
+        }
+    }
+
+    /// The emit pass: appends the block container of a sized snapshot —
+    /// every block bit-packed in place, on the pool, at the offset its
+    /// exact length gives it — and rotates the snapshot into `state`.
+    fn emit_temporal(sized: SizedSnapshot, state: &mut SzTemporalState, out: &mut Vec<u8>) {
+        let lens: Vec<usize> = sized
+            .blocks
+            .iter()
+            .map(|(plan, tail)| plan.blob_len() + tail.len())
+            .collect();
+        let (codes, prev1, prev2) = (&state.spare, &state.codes1, &state.codes2);
+        parblock::encode_blocks_in_place(out, &lens, |b, slot| {
+            let (plan, tail) = &sized.blocks[b];
+            let (blob, after) = slot.split_at_mut(plan.blob_len());
+            Self::with_symbols(sized.mode, b, codes, prev1, prev2, |syms, _| {
+                plan.emit(syms, blob)
             });
-        }
-        state.key = Some(key);
-        parblock::write_container(out, &chosen);
-        mode
+            after.copy_from_slice(tail);
+        });
+
+        // Rotate the code buffers: the old `codes1` becomes `codes2` (valid
+        // only if it belonged to the same stream shape), the just-filled
+        // spare becomes `codes1`, and the old `codes2` is the next
+        // snapshot's spare — no steady-state reallocation, no copy.
+        std::mem::swap(&mut state.codes1, &mut state.codes2);
+        std::mem::swap(&mut state.codes1, &mut state.spare);
+        state.prev2_valid = sized.shape_ok;
+        state.unpred1 = sized.unpred;
+        state.key = Some(sized.key);
     }
 
-    /// Quantizes one block and entropy-codes every candidate encoding of
-    /// it.  The direct candidate carries the verbatim-value tail; the
-    /// delta candidates carry the temporally XOR-coded tail (their values
-    /// decode bit-identically through the chain replay).
-    fn encode_block_temporal(
-        values: &[f64],
-        abs_eb: f64,
-        prev1: Option<&[u32]>,
-        prev2: Option<&[u32]>,
-        prev_unpred: Option<&[f64]>,
-    ) -> TemporalBlock {
-        QUANT_SCRATCH.with(|q| {
-            UNPRED_SCRATCH.with(|u| {
-                HIST_SCRATCH.with(|h| {
-                    let quant = &mut q.borrow_mut();
-                    let unpred = &mut u.borrow_mut();
-                    let hist = &mut h.borrow_mut();
-                    if hist.is_empty() {
-                        hist.resize(N_CODES, 0);
-                    }
-                    let (lo, hi) = Self::quantize_block(values, abs_eb, quant, unpred, hist);
-                    let mut direct = Vec::with_capacity(values.len() / 2 + 32);
-                    huffman::encode_block_from_hist_range(quant, hist, lo, hi, &mut direct);
-                    Self::append_unpred(&mut direct, unpred);
-                    let delta1 = prev1.map(|p1| {
-                        Self::encode_delta_block(
-                            quant,
-                            p1,
-                            None,
-                            unpred,
-                            prev_unpred.expect("order-1 prior carries its values"),
-                        )
-                    });
-                    let delta2 = prev2.map(|p2| {
-                        Self::encode_delta_block(
-                            quant,
-                            prev1.expect("order-2 prior implies order-1 prior"),
-                            Some(p2),
-                            unpred,
-                            prev_unpred.expect("order-2 prior carries its values"),
-                        )
-                    });
-                    TemporalBlock {
-                        codes: quant.clone(),
-                        unpred: unpred.clone(),
-                        direct,
-                        delta1,
-                        delta2,
-                    }
-                })
-            })
-        })
-    }
-
-    /// Entropy-codes one block's temporal-delta candidate: zigzag delta
-    /// symbols against the prior snapshot('s extrapolation), their own
-    /// histogram + Huffman table, then the XOR-coded unpredictable tail.
-    fn encode_delta_block(
+    /// Runs `f` on the symbols block `b` of `codes` is coded as under
+    /// `mode` — the codes themselves, or their temporal deltas against the
+    /// prior snapshots' — and on the symbol their histogram peaks at.
+    fn with_symbols<R>(
+        mode: DeltaMode,
+        b: usize,
         codes: &[u32],
         prev1: &[u32],
-        prev2: Option<&[u32]>,
-        unpred: &[f64],
-        prev_unpred: &[f64],
-    ) -> Vec<u8> {
+        prev2: &[u32],
+        f: impl FnOnce(&[u32], u32) -> R,
+    ) -> R {
+        let codes = Self::block_of(codes, b);
+        if mode == DeltaMode::None {
+            return f(codes, ZERO_BIN);
+        }
         DELTA_SCRATCH.with(|d| {
-            DELTA_HIST_SCRATCH.with(|h| {
-                let syms = &mut d.borrow_mut();
-                let hist = &mut h.borrow_mut();
-                let (lo, hi) = match prev2 {
-                    None => delta::encode_order1(codes, prev1, syms),
-                    Some(p2) => delta::encode_order2(codes, prev1, p2, syms),
-                };
-                if lo <= hi {
-                    let need = hi as usize + 1;
-                    if hist.len() < need {
-                        hist.resize(need, 0);
-                    }
-                    scatter_hist(syms, lo, hi, hist);
+            let syms = &mut d.borrow_mut();
+            let prev1 = Self::block_of(prev1, b);
+            match mode {
+                DeltaMode::Order2 => {
+                    delta::encode_order2(codes, prev1, Self::block_of(prev2, b), syms)
                 }
-                let mut out = Vec::with_capacity(codes.len() / 8 + 32);
-                huffman::encode_block_from_hist_range(syms, hist, lo, hi, &mut out);
-                Self::append_unpred_delta(&mut out, codes, prev1, unpred, prev_unpred);
-                out
-            })
+                _ => delta::encode_order1(codes, prev1, syms),
+            };
+            f(syms, 0)
         })
     }
 
@@ -1414,21 +1227,20 @@ impl SzCompressor {
             .collect())
     }
 
+    /// Block `b` of a stream-long array.
+    fn block_of<T>(stream: &[T], b: usize) -> &[T] {
+        &stream[b * PAR_BLOCK..((b + 1) * PAR_BLOCK).min(stream.len())]
+    }
+
     /// Per-block offsets into a snapshot's unpredictable values: entry
     /// `b` counts the reserved (code 0) bins before block `b`; the final
     /// entry is the total.
     fn unpred_offsets(codes: &[u32]) -> Vec<usize> {
-        let nblocks = codes.len().div_ceil(PAR_BLOCK);
-        let mut offs = Vec::with_capacity(nblocks + 1);
+        let mut offs = Vec::with_capacity(codes.len().div_ceil(PAR_BLOCK) + 1);
         offs.push(0usize);
         let mut zeros = 0usize;
-        for (i, &c) in codes.iter().enumerate() {
-            zeros += usize::from(c == 0);
-            if (i + 1) % PAR_BLOCK == 0 {
-                offs.push(zeros);
-            }
-        }
-        if offs.len() < nblocks + 1 {
+        for block in codes.chunks(PAR_BLOCK) {
+            zeros += block.iter().filter(|&&c| c == 0).count();
             offs.push(zeros);
         }
         offs
@@ -1452,14 +1264,85 @@ struct StateKey {
     n_codes: usize,
 }
 
-/// One block's candidate encodings plus its raw codes and unpredictable
-/// values (for the state rotation).
-struct TemporalBlock {
-    codes: Vec<u32>,
+/// A snapshot after the temporal encoder's sizing pass: the coding that won
+/// and what emitting it takes.
+struct SizedSnapshot {
+    mode: DeltaMode,
+    /// Per block, the winner's Huffman plan and the bytes after its blob.
+    blocks: Vec<(huffman::Plan, Vec<u8>)>,
+    /// The snapshot's unpredictable values, in stream order.
     unpred: Vec<f64>,
-    direct: Vec<u8>,
-    delta1: Option<Vec<u8>>,
-    delta2: Option<Vec<u8>>,
+    key: StateKey,
+    /// Whether the prior snapshot had this one's shape (it becomes a valid
+    /// second-order prior).
+    shape_ok: bool,
+}
+
+/// The point-wise-relative transform of a snapshot: which values are zero
+/// and which negative (one bit per value each, MSB-first, final byte
+/// zero-padded — [`BitWriter`]'s layout), and `ln|x|` of the non-zero ones.
+///
+/// [`BitWriter`]: crate::bitstream::BitWriter
+struct LogSide {
+    zeros: Vec<u8>,
+    signs: Vec<u8>,
+    logs: Vec<f64>,
+}
+
+impl LogSide {
+    /// One sequential pass builds both bitmaps a 64-value word at a time
+    /// and counts the non-zero values ahead of every [`CHUNK`]; those
+    /// counts place each chunk's magnitudes in `logs`, so the `ln` pass —
+    /// where the time goes — runs over the chunks on the pool.
+    fn of(data: &[f64]) -> LogSide {
+        let mut zeros = Vec::with_capacity(data.len().div_ceil(8));
+        let mut signs = Vec::with_capacity(data.len().div_ceil(8));
+        let mut offsets = vec![0usize];
+        let mut nonzero = 0usize;
+        for chunk in data.chunks(CHUNK) {
+            for word in chunk.chunks(64) {
+                let (mut z, mut s) = (0u64, 0u64);
+                for (j, &x) in word.iter().enumerate() {
+                    z |= u64::from(x == 0.0) << (63 - j);
+                    s |= (x.to_bits() >> 63) << (63 - j);
+                }
+                nonzero += word.len() - z.count_ones() as usize;
+                let nbytes = word.len().div_ceil(8);
+                zeros.extend_from_slice(&z.to_be_bytes()[..nbytes]);
+                signs.extend_from_slice(&s.to_be_bytes()[..nbytes]);
+            }
+            offsets.push(nonzero);
+        }
+        let mut logs = vec![0.0f64; nonzero];
+        let pieces = parblock::split_mut(&mut logs, offsets.windows(2).map(|w| w[1] - w[0]));
+        let chunks: Vec<_> = data.chunks(CHUNK).zip(pieces).collect();
+        chunks
+            .into_par_iter()
+            .with_min_len(1)
+            .for_each(|(chunk, dst)| {
+                for (d, &x) in dst.iter_mut().zip(chunk.iter().filter(|&&x| x != 0.0)) {
+                    *d = x.abs().ln();
+                }
+            });
+        LogSide { zeros, signs, logs }
+    }
+
+    /// Appends the zero and sign bitmaps.  An anchor (`inherit == None`)
+    /// carries both as raw `u64 len` + bytes sections; a delta stream
+    /// carries one flag byte per bitmap and the raw section only for a
+    /// bitmap it does not inherit from the prior link.
+    fn put_bitmaps(&self, out: &mut Vec<u8>, inherit: Option<[bool; 2]>) {
+        for (i, bitmap) in [&self.zeros, &self.signs].into_iter().enumerate() {
+            let inherited = inherit.is_some_and(|same| same[i]);
+            if inherit.is_some() {
+                out.push(u8::from(inherited));
+            }
+            if !inherited {
+                bytes::put_u64(out, bitmap.len() as u64);
+                out.extend_from_slice(bitmap);
+            }
+        }
+    }
 }
 
 /// Retained prior-snapshot quantization codes for one variable, enabling
@@ -1469,10 +1352,12 @@ struct TemporalBlock {
 /// prior's unpredictable values (one per reserved bin in `codes1`) — the
 /// base the next delta stream's XOR tail codes against — and `zeros1` /
 /// `signs1` its point-wise-relative bitmaps, which the next delta stream
-/// inherits when unchanged.  Reset (or drop) the state whenever the
-/// chain breaks — an evicted base, a failed commit, a recovery — and the
-/// next snapshot is forced to anchor.
-#[derive(Debug, Clone, Default)]
+/// inherits when unchanged.  `spare` is the buffer the next snapshot
+/// quantizes into: the three code buffers rotate, so the encoder neither
+/// copies codes nor reallocates in steady state.  Reset (or drop) the state
+/// whenever the chain breaks — an evicted base, a failed commit, a
+/// recovery — and the next snapshot is forced to anchor.
+#[derive(Clone, Default)]
 pub struct SzTemporalState {
     key: Option<StateKey>,
     prev2_valid: bool,
@@ -1481,6 +1366,22 @@ pub struct SzTemporalState {
     unpred1: Vec<f64>,
     zeros1: Vec<u8>,
     signs1: Vec<u8>,
+    spare: Vec<u32>,
+}
+
+/// Shows what the state retains; the spare buffer's contents are scratch.
+impl std::fmt::Debug for SzTemporalState {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SzTemporalState")
+            .field("key", &self.key)
+            .field("prev2_valid", &self.prev2_valid)
+            .field("codes1", &self.codes1)
+            .field("codes2", &self.codes2)
+            .field("unpred1", &self.unpred1)
+            .field("zeros1", &self.zeros1)
+            .field("signs1", &self.signs1)
+            .finish()
+    }
 }
 
 impl SzTemporalState {
@@ -1513,29 +1414,6 @@ impl SzTemporalState {
 pub fn stream_delta_mode(stream: &[u8]) -> Result<DeltaMode> {
     let mut pos = 0usize;
     SzCompressor::parse_header(stream, &mut pos).map(|h| h.mode)
-}
-
-/// Four-way interleaved histogram scatter over the live symbol span
-/// `[lo, hi]` — the same store-dependency-breaking pattern as the
-/// quantizer's fused scatter pass, reused for the delta symbols (runs of
-/// zero deltas are the common case on converging solver snapshots).
-fn scatter_hist(syms: &[u32], lo: u32, hi: u32, hist: &mut [u32]) {
-    let base = lo as usize;
-    let span = (hi - lo) as usize + 1;
-    let mut sub = vec![0u32; span * 4];
-    let mut chunks = syms.chunks_exact(4);
-    for c in &mut chunks {
-        sub[(c[0] as usize - base) * 4] += 1;
-        sub[(c[1] as usize - base) * 4 + 1] += 1;
-        sub[(c[2] as usize - base) * 4 + 2] += 1;
-        sub[(c[3] as usize - base) * 4 + 3] += 1;
-    }
-    for &s in chunks.remainder() {
-        sub[(s as usize - base) * 4] += 1;
-    }
-    for (i, s) in sub.chunks_exact(4).enumerate() {
-        hist[base + i] += s[0] + s[1] + s[2] + s[3];
-    }
 }
 
 impl LossyCompressor for SzCompressor {
