@@ -30,7 +30,9 @@ const FN_QUALIFIERS: &[&str] = &["const", "unsafe", "async"];
 
 /// Whether `rel` is a library source file the lint governs.
 fn is_library_source(rel: &str) -> bool {
-    rel.starts_with("crates/") && rel.contains("/src/") && !rel.contains("/src/bin/")
+    (rel.starts_with("crates/") || rel.starts_with("shims/"))
+        && rel.contains("/src/")
+        && !rel.contains("/src/bin/")
 }
 
 /// The name a `pub` item line declares, if it declares one the lint

@@ -1210,39 +1210,30 @@ impl DiskStore {
         parse_checkpoint_bytes(&bytes, path)
     }
 
-    /// Reads one *specific* self-contained checkpoint back by id,
-    /// CRC-validating it — the per-shard epoch-recovery read: a failed
-    /// shard must restore the newest *globally committed* epoch, which is
-    /// not necessarily this store's newest file (a later epoch may have
-    /// failed its commit barrier on another shard).
-    ///
-    /// Only anchor checkpoints can be addressed this way; a delta link
-    /// needs its chain and must go through
-    /// [`DiskStore::latest_valid_chain`].
-    ///
-    /// # Errors
-    /// [`CkptError::NoCheckpoint`] if `id` is unknown or already marked
-    /// invalid, [`CkptError::Corrupt`] if it names a delta link, or the
-    /// validation error if the file fails its CRC check (the entry is
-    /// marked invalid so later scans skip it).
-    pub fn read_valid_by_id(&mut self, id: u64) -> Result<DiskCheckpoint> {
+    /// Removes the newest checkpoint, file and index entry, joining any
+    /// in-flight write first — the undo of a push the caller's commit
+    /// protocol then rejected (a peer failed the epoch).  Its id is not
+    /// reused.  If the file cannot be removed the entry stays, marked
+    /// invalid, so this store never selects it.
+    pub fn discard_newest(&mut self) {
         self.join_all();
-        let Some(idx) = self.entries.iter().position(|e| e.id == id && e.valid) else {
-            return Err(CkptError::NoCheckpoint);
+        let Some(mut entry) = self.entries.pop_back() else {
+            return;
         };
-        if self.entries[idx].metadata.encoding.is_delta() {
-            return Err(CkptError::Corrupt(format!(
-                "checkpoint {id} is a delta link; recover via latest_valid_chain"
-            )));
+        self.chain_cache = None;
+        if self.backend.remove_file(&entry.path).is_err() {
+            entry.valid = false;
+            self.entries.push_back(entry);
         }
-        let path = self.entries[idx].path.clone();
-        match self.read_with_retry(&path) {
-            Ok(ckpt) => Ok(ckpt),
-            Err(e) => {
-                self.entries[idx].valid = false;
-                self.chain_cache = None;
-                Err(e)
-            }
+    }
+
+    /// Marks checkpoint `id` — and with it every delta chained on it — as
+    /// never to be selected again: its bytes validated but did not decode.
+    /// The file is kept, like one that fails its CRC.
+    pub fn invalidate(&mut self, id: u64) {
+        if let Some(entry) = self.entries.iter_mut().find(|e| e.id == id) {
+            entry.valid = false;
+            self.chain_cache = None;
         }
     }
 
@@ -1370,6 +1361,47 @@ mod tests {
                 ("empty".to_string(), vec![]),
             ]
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn discard_newest_removes_the_file_and_keeps_older_checkpoints_and_ids() {
+        let dir = tempdir("discard");
+        let mut store = DiskStore::open(&dir, 2).unwrap();
+        let kept = push_sample(&mut store, 1);
+        let dropped = push_sample(&mut store, 2);
+        let dropped_file = newest_file(&dir);
+        assert_eq!(store.latest_valid().unwrap().metadata.iteration, 2);
+
+        store.discard_newest();
+        assert!(!dropped_file.exists());
+        assert_eq!(store.len(), 1);
+        assert_eq!(store.latest_valid().unwrap().metadata, kept);
+        // The discarded id is spent, and the slot it held is free again.
+        assert_eq!(push_sample(&mut store, 3).id, dropped.id + 1);
+        assert_eq!(store.len(), 2);
+
+        store.discard_newest();
+        store.discard_newest();
+        store.discard_newest(); // empty store: nothing to do
+        assert!(store.is_empty());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn invalidate_hides_a_checkpoint_and_every_delta_chained_on_it() {
+        let dir = tempdir("invalidate");
+        let mut store = DiskStore::open(&dir, 4).unwrap();
+        let older = push_sample(&mut store, 1);
+        let anchor = push_sample(&mut store, 2);
+        push_sample_delta(&mut store, 3, Some(1));
+        assert_eq!(store.latest_valid_chain().unwrap().len(), 2);
+
+        store.invalidate(anchor.id);
+        assert_eq!(store.latest_valid().unwrap().metadata, older);
+        assert!(newest_file(&dir).exists(), "invalidated files stay on disk");
+        store.invalidate(older.id);
+        assert_eq!(store.latest_valid().unwrap_err(), CkptError::NoCheckpoint);
         let _ = fs::remove_dir_all(&dir);
     }
 

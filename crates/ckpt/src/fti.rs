@@ -52,6 +52,10 @@ pub struct RecoveredData {
     pub scalars: Vec<(String, f64)>,
     /// Strategy tag recorded by the writer (empty for the in-memory tier).
     pub tag: String,
+    /// The recovered checkpoint's id in the durable tier; `None` when it
+    /// came from the in-memory tier.  A caller that cannot decode the
+    /// payloads hands it to [`DiskStore::invalidate`] and recovers again.
+    pub durable_id: Option<u64>,
     /// Simulated seconds spent reading from storage.
     pub read_seconds: f64,
 }
@@ -71,7 +75,8 @@ pub struct FtiContext {
     pfs: PfsModel,
     level: CheckpointLevel,
     protected: Vec<ProtectedVariable>,
-    store: CheckpointStore,
+    /// In-memory tier; `None` after [`FtiContext::without_memory_tier`].
+    store: Option<CheckpointStore>,
     /// Optional durable tier: every committed snapshot is mirrored into it
     /// and, when attached, recovery reads (and CRC-validates) from it.
     disk: Option<DiskStore>,
@@ -102,7 +107,7 @@ impl FtiContext {
             pfs,
             level,
             protected: Vec::new(),
-            store: CheckpointStore::new(2),
+            store: Some(CheckpointStore::new(2)),
             disk: None,
             byte_scale: 1.0,
             total_write_seconds: 0.0,
@@ -151,9 +156,17 @@ impl FtiContext {
         &self.pfs
     }
 
-    /// Access to the checkpoint store (metadata inspection).
-    pub fn store(&self) -> &CheckpointStore {
-        &self.store
+    /// Access to the in-memory checkpoint store (metadata inspection).
+    pub fn store(&self) -> Option<&CheckpointStore> {
+        self.store.as_ref()
+    }
+
+    /// Drops the in-memory tier, for a rank whose memory does not survive
+    /// the failures it recovers from: every snapshot then lives in the
+    /// attached durable tier alone, and recovery reads nothing else.
+    pub fn without_memory_tier(mut self) -> Self {
+        self.store = None;
+        self
     }
 
     /// Attaches a durable disk tier: every committed snapshot is mirrored
@@ -167,6 +180,11 @@ impl FtiContext {
         self.disk.as_ref()
     }
 
+    /// The attached disk tier, to discard or invalidate a checkpoint in.
+    pub fn disk_store_mut(&mut self) -> Option<&mut DiskStore> {
+        self.disk.as_mut()
+    }
+
     /// Detaches and returns the durable tier, leaving the context running
     /// on the in-memory store alone — the *tier degradation* path: when
     /// disk writes fail persistently, the supervisor drops to the memory
@@ -174,33 +192,6 @@ impl FtiContext {
     /// returned store still holds its retry/backoff accounting.
     pub fn detach_disk_store(&mut self) -> Option<DiskStore> {
         self.disk.take()
-    }
-
-    /// Takes a snapshot (the paper's `Snapshot()` in save mode): writes the
-    /// encoded payloads to storage, advances the clock by the modelled
-    /// write time, and returns the checkpoint metadata plus that time.
-    ///
-    /// `payloads` must contain one entry per variable the strategy chose to
-    /// save; ids not previously protected are registered on the fly with
-    /// their encoded size as the original size.
-    pub fn snapshot(
-        &mut self,
-        clock: &mut SimClock,
-        iteration: usize,
-        payloads: Vec<(String, Vec<u8>)>,
-    ) -> (CheckpointMetadata, f64) {
-        let original_bytes =
-            self.original_bytes_for(payloads.iter().map(|(id, b)| (id.as_str(), b.len())));
-        let write_seconds = self.bill_write(clock, payloads.iter().map(|(_, b)| b.len()).sum());
-        let metadata = self.store.push(
-            iteration,
-            clock.now(),
-            self.level,
-            original_bytes,
-            None,
-            payloads,
-        );
-        (self.scale_metadata(metadata), write_seconds)
     }
 
     /// Simulated seconds a snapshot of `stored_bytes` would take at the
@@ -216,9 +207,10 @@ impl FtiContext {
 
     /// Commits a snapshot whose write window already elapsed on the clock
     /// (`write_seconds` from [`FtiContext::planned_write_seconds`], clock
-    /// advanced by the caller): stores the payloads in memory and, when a
-    /// disk tier is attached, mirrors them into a durable checkpoint file
-    /// tagged with the writing strategy's name.  With write-behind enabled
+    /// advanced by the caller): stores the payloads in the in-memory tier
+    /// (unless it was dropped) and, when a disk tier is attached, mirrors
+    /// them into a durable checkpoint file tagged with the writing
+    /// strategy's name.  With write-behind enabled
     /// the buffer is handed to the I/O thread and replaced with a recycled
     /// arena; otherwise it is left untouched.
     ///
@@ -230,7 +222,8 @@ impl FtiContext {
     /// # Errors
     /// [`crate::CkptError::Io`] if the durable write fails (the in-memory
     /// tier keeps the snapshot either way, matching a multi-level FTI
-    /// set-up where L1 succeeded and L4 failed).
+    /// set-up where L1 succeeded and L4 failed), or if the context has no
+    /// tier left to commit to.
     ///
     /// # Panics
     /// Panics if a delta is committed while either tier holds no earlier
@@ -250,22 +243,18 @@ impl FtiContext {
             self.original_bytes_for(buffer.segments().map(|(id, b)| (id, b.len())));
         self.total_write_seconds += write_seconds;
         self.snapshots += 1;
-        let metadata = self.store.push_from_buffer(
-            iteration,
-            completed_at,
-            self.level,
-            original_bytes,
-            delta_order,
-            buffer,
-        );
-        let disk_result = match &mut self.disk {
-            None => Ok(()),
+        let level = self.level;
+        let memory = self.store.as_mut().map(|store| {
+            store.push_from_buffer(iteration, completed_at, level, original_bytes, delta_order, buffer)
+        });
+        let durable = match &mut self.disk {
+            None => Ok(None),
             Some(disk) if disk.write_behind_enabled() => {
                 let owned = std::mem::take(buffer);
                 let (result, recycled) = disk.push_from_buffer_async(
                     iteration,
                     completed_at,
-                    self.level,
+                    level,
                     original_bytes,
                     delta_order,
                     tag,
@@ -273,22 +262,25 @@ impl FtiContext {
                     owned,
                 );
                 *buffer = recycled;
-                result.map(|_| ())
+                result.map(Some)
             }
             Some(disk) => disk
                 .push_from_buffer(
                     iteration,
                     completed_at,
-                    self.level,
+                    level,
                     original_bytes,
                     delta_order,
                     tag,
                     scalars,
                     buffer,
                 )
-                .map(|_| ()),
+                .map(Some),
         };
-        disk_result.map(|()| self.scale_metadata(metadata))
+        let metadata = memory
+            .or(durable?)
+            .ok_or_else(|| crate::CkptError::Io("no checkpoint tier to commit to".into()))?;
+        Ok(self.scale_metadata(metadata))
     }
 
     /// Paper-scale original size of a variable set: registered sizes where
@@ -302,19 +294,6 @@ impl FtiContext {
                 .unwrap_or_else(|| (encoded_len as f64 * self.byte_scale) as usize)
         })
         .sum()
-    }
-
-    /// Charges the simulated clock for writing `stored_bytes` at the
-    /// configured byte scale and returns the write time.
-    fn bill_write(&mut self, clock: &mut SimClock, stored_bytes: usize) -> f64 {
-        let billed_bytes = (stored_bytes as f64 * self.byte_scale) as usize;
-        let write_seconds = self
-            .pfs
-            .write_seconds(billed_bytes, self.cluster.ranks, self.level);
-        clock.advance(write_seconds);
-        self.total_write_seconds += write_seconds;
-        self.snapshots += 1;
-        write_seconds
     }
 
     /// Reports billed (paper-scale) sizes in the metadata so Table 3 and
@@ -362,23 +341,25 @@ impl FtiContext {
         // back to the in-memory tier — multi-level FTI semantics: L1 can
         // recover an in-process failure even though L4 was lost.
         let disk_chain = self.disk.as_mut().and_then(|d| d.latest_valid_chain().ok());
-        let (chain, iteration, scalars, tag, total_bytes) = match disk_chain {
+        let (chain, iteration, scalars, tag, durable_id, total_bytes) = match disk_chain {
             Some(links) => {
                 let last = links.last().expect("a recovered chain is never empty");
                 let iteration = last.metadata.iteration;
                 let scalars = last.scalars.clone();
                 let tag = last.tag.clone();
+                let id = last.metadata.id;
                 let total_bytes = links.iter().map(|c| c.metadata.total_bytes).sum::<usize>();
                 let chain: Vec<_> = links.into_iter().map(|c| c.payloads).collect();
-                (chain, iteration, scalars, tag, total_bytes)
+                (chain, iteration, scalars, tag, Some(id), total_bytes)
             }
             None => {
-                let links = self.store.latest_chain()?;
+                let store = self.store.as_ref().ok_or(crate::CkptError::NoCheckpoint)?;
+                let links = store.latest_chain()?;
                 let last = links.last().expect("a recovered chain is never empty");
                 let iteration = last.metadata.iteration;
                 let total_bytes = links.iter().map(|c| c.metadata.total_bytes).sum::<usize>();
                 let chain: Vec<_> = links.iter().map(|c| c.payloads.clone()).collect();
-                (chain, iteration, Vec::new(), String::new(), total_bytes)
+                (chain, iteration, Vec::new(), String::new(), None, total_bytes)
             }
         };
         let billed_bytes = (total_bytes as f64 * self.byte_scale) as usize + static_bytes;
@@ -393,6 +374,7 @@ impl FtiContext {
             iteration,
             scalars,
             tag,
+            durable_id,
             read_seconds,
         })
     }
@@ -403,7 +385,7 @@ mod tests {
     use super::*;
 
     /// Bills the write and commits in one step (no mid-write failure
-    /// window), like `FtiContext::snapshot` but from a buffer.
+    /// window).
     fn snapshot_from_buffer(
         fti: &mut FtiContext,
         clock: &mut SimClock,
@@ -416,6 +398,19 @@ mod tests {
             .commit_snapshot_from_buffer(clock.now(), iteration, "", &[], None, buffer, write_seconds)
             .expect("durable tier rejected the snapshot");
         (metadata, write_seconds)
+    }
+
+    /// [`snapshot_from_buffer`] of one variable `id` holding `payload`.
+    fn snapshot(
+        fti: &mut FtiContext,
+        clock: &mut SimClock,
+        iteration: usize,
+        id: &str,
+        payload: &[u8],
+    ) -> (CheckpointMetadata, f64) {
+        let mut buffer = CheckpointBuffer::new();
+        buffer.push_with(id, |bytes| bytes.extend_from_slice(payload));
+        snapshot_from_buffer(fti, clock, iteration, &mut buffer)
     }
 
     fn context(ranks: usize) -> FtiContext {
@@ -441,8 +436,7 @@ mod tests {
         let mut fti = context(2048);
         let mut clock = SimClock::new();
         fti.protect("x", 78_800_000_000);
-        let payload = vec![0u8; 1_000_000];
-        let (meta, secs) = fti.snapshot(&mut clock, 5, vec![("x".to_string(), payload)]);
+        let (meta, secs) = snapshot(&mut fti, &mut clock, 5, "x", &vec![0u8; 1_000_000]);
         assert!(secs > 0.0);
         assert_eq!(clock.now(), secs);
         assert_eq!(meta.iteration, 5);
@@ -450,17 +444,15 @@ mod tests {
         assert_eq!(meta.total_bytes, 1_000_000);
         assert!(meta.compression_ratio() > 1000.0);
         assert_eq!(fti.snapshots, 1);
-        assert_eq!(fti.store().len(), 1);
+        assert_eq!(fti.store().unwrap().len(), 1);
     }
 
     #[test]
     fn smaller_payloads_cost_less_time() {
         let mut fti = context(2048);
         let mut clock = SimClock::new();
-        let (_, t_big) =
-            fti.snapshot(&mut clock, 0, vec![("x".to_string(), vec![0u8; 80_000_000])]);
-        let (_, t_small) =
-            fti.snapshot(&mut clock, 1, vec![("x".to_string(), vec![0u8; 4_000_000])]);
+        let (_, t_big) = snapshot(&mut fti, &mut clock, 0, "x", &vec![0u8; 80_000_000]);
+        let (_, t_small) = snapshot(&mut fti, &mut clock, 1, "x", &vec![0u8; 4_000_000]);
         assert!(t_small < t_big);
     }
 
@@ -470,8 +462,8 @@ mod tests {
         let mut clock = SimClock::new();
         assert!(fti.recover(&mut clock, 0).is_err());
 
-        fti.snapshot(&mut clock, 3, vec![("x".to_string(), vec![1u8; 1000])]);
-        fti.snapshot(&mut clock, 6, vec![("x".to_string(), vec![2u8; 1000])]);
+        snapshot(&mut fti, &mut clock, 3, "x", &[1u8; 1000]);
+        snapshot(&mut fti, &mut clock, 6, "x", &[2u8; 1000]);
         let before = clock.now();
         let rec = fti.recover(&mut clock, 500_000_000).unwrap();
         assert_eq!(rec.iteration, 6);
@@ -484,50 +476,77 @@ mod tests {
         // Recovering with larger static data takes longer.
         let mut fti2 = context(1024);
         let mut clock2 = SimClock::new();
-        fti2.snapshot(&mut clock2, 3, vec![("x".to_string(), vec![1u8; 1000])]);
+        snapshot(&mut fti2, &mut clock2, 3, "x", &[1u8; 1000]);
         let rec_small = fti2.recover(&mut clock2, 0).unwrap();
         assert!(rec.read_seconds > rec_small.read_seconds);
     }
 
     #[test]
-    fn snapshot_from_buffer_matches_snapshot() {
-        use crate::store::CheckpointBuffer;
-
-        let mut fti_a = context(2048);
-        let mut fti_b = context(2048);
-        fti_a.set_byte_scale(1000.0);
-        fti_b.set_byte_scale(1000.0);
-        fti_a.protect("x", 78_800);
-        fti_b.protect("x", 78_800);
-        let mut clock_a = SimClock::new();
-        let mut clock_b = SimClock::new();
+    fn snapshot_bills_at_the_byte_scale_and_leaves_the_buffer_reusable() {
+        let mut fti = context(2048);
+        fti.set_byte_scale(1000.0);
+        fti.protect("x", 78_800);
+        let mut clock = SimClock::new();
 
         let mut buf = CheckpointBuffer::new();
         buf.push_with("x", |bytes| bytes.extend_from_slice(&[9u8; 1000]));
         buf.push_with("y", |bytes| bytes.extend_from_slice(&[7u8; 50]));
-        let (meta_a, secs_a) = snapshot_from_buffer(&mut fti_a, &mut clock_a, 5, &mut buf);
-        let (meta_b, secs_b) = fti_b.snapshot(
-            &mut clock_b,
-            5,
+        let (meta, secs) = snapshot_from_buffer(&mut fti, &mut clock, 5, &mut buf);
+        // Registered variables report their registered size, unregistered
+        // ones their scaled encoded size; stored sizes are scaled too.
+        assert_eq!(meta.original_bytes, 78_800 + 50_000);
+        assert_eq!(meta.total_bytes, 1_050_000);
+        assert_eq!(secs, fti.planned_write_seconds(1050));
+        assert_eq!(clock.now(), secs);
+        assert_eq!(
+            fti.store().unwrap().latest().unwrap().payloads,
             vec![
                 ("x".to_string(), vec![9u8; 1000]),
                 ("y".to_string(), vec![7u8; 50]),
-            ],
-        );
-        assert_eq!(meta_a, meta_b);
-        assert_eq!(secs_a, secs_b);
-        assert_eq!(clock_a.now(), clock_b.now());
-        assert_eq!(
-            fti_a.store().latest().unwrap().payloads,
-            fti_b.store().latest().unwrap().payloads
+            ]
         );
 
         // The buffer is reusable after the snapshot.
         buf.clear();
         buf.push_with("x", |bytes| bytes.extend_from_slice(&[1u8; 10]));
-        let (meta2, _) = snapshot_from_buffer(&mut fti_a, &mut clock_a, 6, &mut buf);
+        let (meta2, _) = snapshot_from_buffer(&mut fti, &mut clock, 6, &mut buf);
         assert_eq!(meta2.iteration, 6);
-        assert_eq!(fti_a.store().len(), 2);
+        assert_eq!(fti.store().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn without_memory_tier_every_snapshot_lives_on_disk_alone() {
+        use crate::disk::DiskStore;
+
+        let dir = std::env::temp_dir().join(format!("lcr-fti-durable-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut clock = SimClock::new();
+
+        // No tier at all: committing is a typed error, recovering finds nothing.
+        let mut bare = context(64).without_memory_tier();
+        assert!(bare.store().is_none());
+        let mut buf = CheckpointBuffer::new();
+        buf.push_with("x", |bytes| bytes.extend_from_slice(&[5u8; 64]));
+        assert!(matches!(
+            bare.commit_snapshot_from_buffer(0.0, 1, "t", &[], None, &mut buf, 0.0),
+            Err(crate::CkptError::Io(_))
+        ));
+        assert_eq!(bare.recover(&mut clock, 0).unwrap_err(), crate::CkptError::NoCheckpoint);
+
+        let mut fti = context(64).without_memory_tier();
+        fti.attach_disk_store(DiskStore::open(&dir, 2).unwrap());
+        let meta = fti
+            .commit_snapshot_from_buffer(0.0, 4, "t", &[], None, &mut buf, 0.0)
+            .unwrap();
+        assert_eq!((meta.iteration, meta.total_bytes), (4, 64));
+        let rec = fti.recover(&mut clock, 0).unwrap();
+        assert_eq!(rec.durable_id, Some(meta.id));
+        assert_eq!(rec.payloads().to_vec(), vec![("x".to_string(), vec![5u8; 64])]);
+
+        // Discarding the only durable checkpoint leaves nothing to fall back to.
+        fti.disk_store_mut().unwrap().discard_newest();
+        assert_eq!(fti.recover(&mut clock, 0).unwrap_err(), crate::CkptError::NoCheckpoint);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -536,7 +555,7 @@ mod tests {
         fti.set_byte_scale(500.0);
         let planned = fti.planned_write_seconds(1_000_000);
         let mut clock = SimClock::new();
-        let mut buf = crate::store::CheckpointBuffer::new();
+        let mut buf = CheckpointBuffer::new();
         buf.push_with("x", |bytes| bytes.extend_from_slice(&vec![0u8; 1_000_000]));
         let (_, secs) = snapshot_from_buffer(&mut fti, &mut clock, 0, &mut buf);
         assert_eq!(planned, secs);
@@ -546,8 +565,6 @@ mod tests {
     #[test]
     fn disk_tier_mirrors_snapshots_and_recovers_with_scalars() {
         use crate::disk::DiskStore;
-        use crate::store::CheckpointBuffer;
-
         let dir = std::env::temp_dir().join(format!("lcr-fti-disk-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
 
@@ -589,8 +606,6 @@ mod tests {
 
     #[test]
     fn delta_snapshot_recovers_the_whole_chain_and_bills_every_link() {
-        use crate::store::CheckpointBuffer;
-
         let mut fti = context(2048);
         fti.protect("x", 1_000_000);
         let mut clock = SimClock::new();
@@ -631,7 +646,7 @@ mod tests {
     fn unregistered_payload_uses_its_own_size_as_original() {
         let mut fti = context(64);
         let mut clock = SimClock::new();
-        let (meta, _) = fti.snapshot(&mut clock, 0, vec![("y".to_string(), vec![0u8; 256])]);
+        let (meta, _) = snapshot(&mut fti, &mut clock, 0, "y", &[0u8; 256]);
         assert_eq!(meta.original_bytes, 256);
         assert_eq!(meta.compression_ratio(), 1.0);
     }

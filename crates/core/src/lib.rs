@@ -40,6 +40,7 @@
 #![warn(missing_docs)]
 
 pub mod encoding;
+mod executor;
 pub mod experiment;
 pub mod impact;
 pub mod runner;

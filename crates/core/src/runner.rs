@@ -1,8 +1,9 @@
-//! Fault-tolerant execution driver.
+//! The simulated-cluster front of the fault-tolerant executor.
 //!
-//! [`FaultTolerantRunner`] executes an iterative solver under a checkpoint
-//! strategy in the presence of injected fail-stop failures, on the
-//! simulated clock:
+//! [`FaultTolerantRunner`] runs an iterative solver through
+//! [`crate::executor`] — the step → checkpoint → commit → recover loop it
+//! shares with [`crate::sharded::try_run_sharded`] — as a group of one on
+//! the simulated clock:
 //!
 //! * every solver iteration advances the clock by the cluster's
 //!   per-iteration cost and is *really* executed (so convergence effects of
@@ -24,16 +25,17 @@
 //! The outcome is a [`RunReport`] with the timing breakdown the paper's
 //! Figures 8–10 are built from.
 
-use crate::encoding::TemporalEncodingSelector;
-use crate::strategy::CheckpointStrategy;
+use crate::executor::{execute, resume, Checkpointer, Quorum, Recovered, Regime};
+use crate::strategy::{apply_recovered, CheckpointStrategy};
 use crate::workload::ScaledProblem;
-use lcr_compress::DeltaMode;
 use lcr_ckpt::{
-    CheckpointBuffer, CheckpointLevel, CkptError, ClusterConfig, DiskStore, FailureInjector,
-    FtiContext, PfsModel, RetryPolicy, SimClock, StorageBackend,
+    CheckpointLevel, CkptError, ClusterConfig, FailureInjector, FtiContext, PfsModel,
+    RecoveredData, RetryPolicy, SimClock, StorageBackend,
 };
-use lcr_solvers::IterativeMethod;
+use lcr_solvers::{DynamicState, IterativeMethod};
+use lcr_sparse::Vector;
 use serde::{Deserialize, Serialize};
+use std::convert::Infallible;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -246,21 +248,124 @@ impl RunReport {
     }
 }
 
-/// Variable `index`'s share of a `total` split over `n_variables`: integer
-/// division with the remainder distributed over the first variables, so
-/// the per-variable shares sum *exactly* to the total (Table-3-style
-/// per-variable originals must add up to the checkpoint's original size).
-fn original_share(total: usize, n_variables: usize, index: usize) -> usize {
-    debug_assert!(index < n_variables);
-    total / n_variables + usize::from(index < total % n_variables)
-}
-
 /// Restores the calling thread's active-thread cap when a run ends.
 struct ThreadLimitGuard(usize);
 
 impl Drop for ThreadLimitGuard {
     fn drop(&mut self) {
         rayon::set_max_active_threads(self.0);
+    }
+}
+
+/// The simulated regime: a [`SimClock`] billed with the cluster's
+/// per-iteration cost, its codec throughput and the PFS model, and
+/// exponentially distributed failures that cost every rank its state.
+struct Simulated<'a> {
+    cfg: &'a RunConfig,
+    clock: SimClock,
+    injector: FailureInjector,
+    failures: usize,
+    /// One paper-scale vector: what a recovery decompresses, and the
+    /// static data it re-reads — the matrix and preconditioner are
+    /// regenerated from the problem definition (as in the paper's PETSc
+    /// set-up), the right-hand side is read back.
+    vector_bytes: usize,
+}
+
+impl Simulated<'_> {
+    /// Whether a failure struck since `since` (counted up to the cap).
+    fn struck(&mut self, since: f64) -> Option<bool> {
+        let fails = self.injector.fails_during(since, self.clock.now());
+        (fails && self.failures < self.cfg.max_failures).then(|| {
+            self.failures += 1;
+            true
+        })
+    }
+
+    /// Whether the strategy runs a codec whose time is billed.
+    fn compresses(&self) -> bool {
+        !matches!(
+            self.cfg.strategy,
+            CheckpointStrategy::Traditional | CheckpointStrategy::None
+        )
+    }
+}
+
+impl Regime for Simulated<'_> {
+    fn now(&self) -> f64 {
+        self.clock.now()
+    }
+
+    fn stepped(&mut self) -> Option<bool> {
+        let start = self.clock.now();
+        self.clock.advance(self.cfg.cluster.iteration_seconds);
+        self.struck(start)
+    }
+
+    fn wrote(&mut self, paper_original_bytes: usize, write_seconds: f64) -> Option<bool> {
+        let start = self.clock.now();
+        if self.compresses() {
+            let seconds = self.cfg.cluster.compression_seconds(paper_original_bytes);
+            self.clock.advance(seconds);
+        }
+        self.clock.advance(write_seconds);
+        self.struck(start)
+    }
+
+    fn stamp(&self, _epoch: u64) -> f64 {
+        self.clock.now()
+    }
+
+    fn read(&mut self, fti: &mut FtiContext) -> Result<RecoveredData, CkptError> {
+        let recovered = fti.recover(&mut self.clock, self.vector_bytes)?;
+        if self.compresses() {
+            let seconds = self.cfg.cluster.decompression_seconds(self.vector_bytes);
+            self.clock.advance(seconds);
+        }
+        Ok(recovered)
+    }
+
+    fn reread_static(&mut self) {
+        let cfg = self.cfg;
+        let seconds = cfg.pfs.read_seconds(self.vector_bytes, cfg.cluster.ranks, cfg.level);
+        self.clock.advance(seconds);
+    }
+}
+
+/// A group of one: its checkpoints count as soon as they land, and every
+/// failure rolls the one solver back.
+struct Solo<'a>(&'a mut dyn IterativeMethod);
+
+impl Quorum for Solo<'_> {
+    type Error = Infallible;
+
+    fn step(&mut self) -> Result<(), Infallible> {
+        self.0.step();
+        Ok(())
+    }
+
+    fn iteration(&self) -> usize {
+        self.0.iteration()
+    }
+
+    fn converged(&self) -> bool {
+        self.0.converged()
+    }
+
+    fn capture(&self) -> (DynamicState, f64, f64) {
+        (self.0.capture_state(), self.0.residual_norm(), self.0.reference_norm())
+    }
+
+    fn roll_back(&mut self, _lost: bool, recovered: Option<Recovered>) -> Result<(), Infallible> {
+        match recovered {
+            Some((state, mode)) => apply_recovered(self.0, state, mode),
+            // No recoverable checkpoint: restart from the initial guess.
+            None => {
+                let n = self.0.solution().len();
+                self.0.restart_from_solution(Vector::zeros(n), 0);
+            }
+        }
+        Ok(())
     }
 }
 
@@ -347,402 +452,105 @@ impl FaultTolerantRunner {
         // (`restart_from_solution` → `kernels::residual_norm2`) always find
         // it ready.
         problem.system.a.plan();
-        let mut clock = SimClock::new();
-        let mut injector = match cfg.failure_seed {
-            Some(seed) if cfg.mtti_seconds.is_finite() => {
-                FailureInjector::new(cfg.mtti_seconds, seed)
-            }
-            _ => FailureInjector::never(),
+        let mut regime = Simulated {
+            cfg,
+            clock: SimClock::new(),
+            injector: match cfg.failure_seed {
+                Some(seed) if cfg.mtti_seconds.is_finite() => {
+                    FailureInjector::new(cfg.mtti_seconds, seed)
+                }
+                _ => FailureInjector::never(),
+            },
+            failures: 0,
+            vector_bytes: problem.paper_vector_bytes(),
         };
-        let mut fti = FtiContext::new(cfg.cluster, cfg.pfs, cfg.level);
-        let mut degraded_tier = false;
-        if let Persistence::Disk { dir, write_behind } = &cfg.persistence {
-            let opened = match &self.storage_backend {
-                Some(backend) => DiskStore::open_with_backend(dir, 2, Arc::clone(backend)),
-                None => DiskStore::open(dir, 2),
-            };
-            match opened {
-                Ok(mut disk) => {
-                    if let Some(retry) = self.retry {
-                        disk.set_retry_policy(retry);
-                    }
-                    disk.set_write_behind(*write_behind)
-                        .expect("enabling write-behind cannot fail");
-                    fti.attach_disk_store(disk);
-                }
-                // With an injected (chaos) backend an unopenable store is a
-                // survivable fault: degrade to the in-memory tier.  Without
-                // one it is a real misconfiguration — fail loudly.
-                Err(e) if self.storage_backend.is_some() => {
-                    degraded_tier = true;
-                    let _ = e;
-                }
-                Err(e) => {
-                    panic!("cannot open checkpoint directory {}: {e}", dir.display())
-                }
-            }
-        }
         // Store real payloads, bill I/O time at the paper's scale.
-        let byte_scale = problem.byte_scale_factor();
-        fti.set_byte_scale(byte_scale);
-        // Static variables: the matrix and preconditioner are regenerated
-        // from the problem definition during recovery (as in the paper's
-        // PETSc set-up); the I/O cost charged is re-reading the right-hand
-        // side, i.e. one paper-scale vector.
-        let static_bytes = problem.paper_vector_bytes();
-
-        let mut executed_iterations = 0usize;
-        let mut checkpoint_seconds = 0.0f64;
-        let mut recovery_seconds = 0.0f64;
-        let mut rollback_seconds = 0.0f64;
-        let mut failures = 0usize;
-        let mut recoveries = 0usize;
-        let mut checkpoint_bytes_sum = 0.0f64;
-        let mut compression_ratio_sum = 0.0f64;
-        let mut checkpoints_taken = 0usize;
-        let mut aborted_checkpoints = 0usize;
-        let mut failed_checkpoints = 0usize;
-        let mut failed_recoveries = 0usize;
-        // Supervision state for the durable tier: consecutive hard commit
-        // failures trigger degradation; counters harvested from a detached
-        // store are carried here so nothing is lost mid-run.
-        let mut consecutive_disk_failures = 0usize;
-        let mut detached_io_retries = 0u64;
-        let mut detached_retried_checkpoints = 0u64;
-        let mut detached_backoff: Vec<f64> = Vec::new();
-        // Scalars stored alongside the last checkpoint (needed by the exact
-        // recovery path when recovering from the in-memory tier, which does
-        // not persist scalars).
-        let mut last_checkpoint_scalars: Vec<(String, f64)> = Vec::new();
-        // Reusable checkpoint-encoding arena: after the first checkpoint
-        // the encode side writes into already-sized memory, and each
-        // payload is copied exactly once (arena -> FTI store) with no
-        // intermediate per-variable buffers.
-        let mut ckpt_buffer = CheckpointBuffer::new();
-        // Anchored temporal-delta selection for the SZ-backed lossy
-        // strategy: carries the previous checkpoint's quantization codes
-        // between snapshots and forces an anchor every
-        // `anchor_interval_snapshots`.  Reset whenever the chain breaks
-        // (recovery, aborted write, failed commit) so a delta is never
-        // written against a checkpoint the store does not hold.
-        let mut selector =
-            TemporalEncodingSelector::new(cfg.anchor_interval_snapshots, DeltaMode::Order2);
-        let mut anchor_checkpoints = 0usize;
-        let mut delta_checkpoints = 0usize;
-        let mut checkpoint_bytes_trace: Vec<usize> = Vec::new();
-
-        let t_it = cfg.cluster.iteration_seconds;
-
-        // --- crash-consistent restart --------------------------------------
-        // A durable tier left behind by a previous (crashed) process holds
-        // its newest complete checkpoint; reopen it, validate CRCs, and
-        // resume the solver from there instead of starting from scratch.
-        let mut resumed_from_iteration: Option<usize> = None;
-        if fti.disk_store().is_some_and(|d| !d.is_empty()) {
-            let rec_start = clock.now();
-            if let Ok(recovered) = fti.recover(&mut clock, static_bytes) {
-                let decomp = match cfg.strategy {
-                    CheckpointStrategy::Traditional | CheckpointStrategy::None => 0.0,
-                    _ => cfg
-                        .cluster
-                        .decompression_seconds(problem.paper_vector_bytes()),
-                };
-                clock.advance(decomp);
-                if cfg.strategy.can_recover_from(&recovered.tag) {
-                    match cfg.strategy.recover_chain(
-                        solver,
-                        &recovered.chain,
-                        recovered.iteration,
-                        &recovered.scalars,
-                    ) {
-                        Ok(()) => {
-                            last_checkpoint_scalars = recovered.scalars;
-                            resumed_from_iteration = Some(recovered.iteration);
-                        }
-                        Err(_) => failed_recoveries += 1,
-                    }
-                }
-            }
-            recovery_seconds += clock.now() - rec_start;
-        }
-
-        'outer: while !solver.converged() {
-            if executed_iterations >= cfg.max_executed_iterations {
-                break;
-            }
-            // --- one solver iteration -------------------------------------
-            let start = clock.now();
-            solver.step();
-            executed_iterations += 1;
-            clock.advance(t_it);
-            if injector.fails_during(start, clock.now()) && failures < cfg.max_failures {
-                failures += 1;
-                let wasted = self.handle_failure(
-                    solver,
-                    problem,
-                    &mut fti,
-                    &mut clock,
-                    static_bytes,
-                    &mut recoveries,
-                    &mut failed_recoveries,
-                    &mut recovery_seconds,
-                    &last_checkpoint_scalars,
-                );
-                rollback_seconds += wasted;
-                // The solver rolled back: the last *encoded* snapshot no
-                // longer matches the last *committed* checkpoint.
-                selector.reset();
-                continue 'outer;
-            }
-
-            // --- periodic checkpoint ---------------------------------------
-            let interval = cfg.checkpoint_interval_iterations;
-            if interval > 0
-                && solver.iteration() > 0
-                && solver.iteration().is_multiple_of(interval)
-                && !solver.converged()
-                && !matches!(cfg.strategy, CheckpointStrategy::None)
-            {
-                let (encoded, delta_order) = match cfg.strategy.encode_temporal_into(
-                    solver,
-                    &mut ckpt_buffer,
-                    &mut selector,
-                ) {
-                    Ok(pair) => pair,
-                    Err(_) => {
-                        // An encode failure means this checkpoint is
-                        // skipped — count it instead of dropping silently,
-                        // and drop the (possibly half-updated) delta state.
-                        failed_checkpoints += 1;
-                        selector.reset();
-                        continue;
-                    }
-                };
-                // Compression time at paper scale.
-                let paper_original = (encoded.original_bytes as f64 * byte_scale) as usize;
-                let comp_secs = match cfg.strategy {
-                    CheckpointStrategy::Traditional | CheckpointStrategy::None => 0.0,
-                    _ => cfg.cluster.compression_seconds(paper_original),
-                };
-                let ckpt_start = clock.now();
-                clock.advance(comp_secs);
-                // Register each saved variable with its paper-scale
-                // original size so the metadata reports Table-3-style
-                // per-variable numbers; the integer-division remainder is
-                // spread over the first variables so the per-variable
-                // originals sum exactly to the total.
-                let n_variables = ckpt_buffer.n_variables();
-                for (i, (name, _)) in ckpt_buffer.segments().enumerate() {
-                    fti.protect(name, original_share(paper_original, n_variables, i));
-                }
-                // FTI atomicity: advance the clock over the whole write
-                // window *first*, and only commit the snapshot if no
-                // failure struck inside it — an interrupted checkpoint
-                // never becomes visible (not in memory, not on disk), so
-                // recovery falls back to the previous complete one.
-                let write_secs = fti.planned_write_seconds(ckpt_buffer.total_bytes());
-                clock.advance(write_secs);
-                let interrupted =
-                    injector.fails_during(ckpt_start, clock.now()) && failures < cfg.max_failures;
-                checkpoint_seconds += clock.now() - ckpt_start;
-                if interrupted {
-                    aborted_checkpoints += 1;
-                    failures += 1;
-                    let wasted = self.handle_failure(
-                        solver,
-                        problem,
-                        &mut fti,
-                        &mut clock,
-                        static_bytes,
-                        &mut recoveries,
-                        &mut failed_recoveries,
-                        &mut recovery_seconds,
-                        &last_checkpoint_scalars,
-                    );
-                    rollback_seconds += wasted;
-                    // The aborted checkpoint never became visible: a delta
-                    // against it would be undecodable.
-                    selector.reset();
-                    continue 'outer;
-                }
-                match fti.commit_snapshot_from_buffer(
-                    clock.now(),
-                    encoded.iteration,
-                    cfg.strategy.name(),
-                    &encoded.scalars,
-                    delta_order,
-                    &mut ckpt_buffer,
-                    write_secs,
-                ) {
-                    Ok(meta) => {
-                        checkpoints_taken += 1;
-                        checkpoint_bytes_sum += meta.total_bytes as f64;
-                        compression_ratio_sum += meta.compression_ratio();
-                        checkpoint_bytes_trace.push(meta.total_bytes);
-                        if delta_order.is_some() {
-                            delta_checkpoints += 1;
-                        } else {
-                            anchor_checkpoints += 1;
-                        }
-                        last_checkpoint_scalars = encoded.scalars;
-                        consecutive_disk_failures = 0;
-                    }
-                    // Counts durable-write failures; under write-behind a
-                    // deferred I/O error surfaces on the *next* commit (the
-                    // failed file is already invalidated on disk), so the
-                    // attribution may lag one checkpoint while the totals
-                    // stay exact.  Hard I/O failures that persist past the
-                    // retry layer for `degrade_after` consecutive commits
-                    // mean the disk is gone, not glitching: drop the
-                    // durable tier and keep converging in memory.
-                    Err(e) => {
-                        failed_checkpoints += 1;
-                        selector.reset();
-                        if matches!(e, CkptError::Io(_)) {
-                            consecutive_disk_failures += 1;
-                            if consecutive_disk_failures >= self.degrade_after {
-                                if let Some(disk) = fti.detach_disk_store() {
-                                    detached_io_retries = disk.io_retries();
-                                    detached_retried_checkpoints = disk.retried_pushes();
-                                    detached_backoff = disk.backoff_log().to_vec();
-                                }
-                                degraded_tier = true;
-                            }
-                        }
-                    }
-                }
+        let mut fti = FtiContext::new(cfg.cluster, cfg.pfs, cfg.level);
+        fti.set_byte_scale(problem.byte_scale_factor());
+        let mut ckpt = Checkpointer::new(
+            cfg.strategy.clone(),
+            cfg.checkpoint_interval_iterations,
+            cfg.anchor_interval_snapshots,
+            fti,
+            self.degrade_after,
+        );
+        if let Persistence::Disk { dir, write_behind } = &cfg.persistence {
+            let backend = self.storage_backend.clone();
+            let opened = ckpt.attach_durable(dir, 2, backend, self.retry, *write_behind);
+            // With an injected (chaos) backend an unopenable store is a
+            // survivable fault: the run goes on in the in-memory tier,
+            // flagged degraded.  Without one it is a real
+            // misconfiguration — fail loudly.
+            if let (Err(e), None) = (opened, &self.storage_backend) {
+                panic!("cannot open checkpoint directory {}: {e}", dir.display());
             }
         }
+
+        let mut rank = Solo(solver);
+        let Ok(()) = resume(&mut regime, &mut rank, &mut ckpt);
+        let Ok(executed_iterations) =
+            execute(&mut regime, &mut rank, &mut ckpt, cfg.max_executed_iterations);
 
         let convergence_iterations = solver.iteration();
+        let t_it = cfg.cluster.iteration_seconds;
         let productive_seconds = convergence_iterations as f64 * t_it;
-        let rollback_compute =
-            (executed_iterations.saturating_sub(convergence_iterations)) as f64 * t_it;
-        let total_seconds = clock.now();
-        // Retry observability: the live store's counters plus whatever a
-        // mid-run degradation already harvested.
-        let (live_retries, live_retried, live_backoff) =
-            fti.disk_store().map_or((0, 0, Vec::new()), |d| {
-                (d.io_retries(), d.retried_pushes(), d.backoff_log().to_vec())
-            });
-        let io_retries = (detached_io_retries + live_retries) as usize;
-        let retried_checkpoints = (detached_retried_checkpoints + live_retried) as usize;
-        let mut io_backoff_seconds = detached_backoff;
-        io_backoff_seconds.extend(live_backoff);
+        let total_seconds = regime.clock.now();
+        let (io_retries, retried_checkpoints, io_backoff_seconds) = ckpt.io_counters();
+        let tally = ckpt.tally;
+        let stored = tally.committed.iter().map(|c| &c.metadata);
+        let checkpoints_taken = stored.len();
+        let delta_checkpoints = stored.clone().filter(|m| m.encoding.is_delta()).count();
+        let mean_over_checkpoints = |sum: f64, of_none: f64| {
+            if checkpoints_taken > 0 {
+                sum / checkpoints_taken as f64
+            } else {
+                of_none
+            }
+        };
         RunReport {
             strategy: cfg.strategy.name().to_string(),
             convergence_iterations,
             executed_iterations,
             checkpoints_taken,
-            aborted_checkpoints,
-            failed_checkpoints,
-            retried_checkpoints,
-            io_retries,
+            aborted_checkpoints: tally.aborted,
+            failed_checkpoints: tally.failed,
+            retried_checkpoints: retried_checkpoints as usize,
+            io_retries: io_retries as usize,
             io_backoff_seconds,
-            degraded_tier,
-            anchor_checkpoints,
+            degraded_tier: tally.degraded,
+            anchor_checkpoints: checkpoints_taken - delta_checkpoints,
             delta_checkpoints,
-            checkpoint_bytes_trace,
-            resumed_from_iteration,
-            failures,
-            recoveries,
-            failed_recoveries,
+            checkpoint_bytes_trace: stored.clone().map(|m| m.total_bytes).collect(),
+            resumed_from_iteration: tally.resumed_from,
+            failures: regime.failures,
+            recoveries: tally.recoveries,
+            failed_recoveries: tally.failed_recoveries,
             total_seconds,
             productive_seconds,
-            checkpoint_seconds,
-            recovery_seconds,
-            rollback_seconds: rollback_seconds + rollback_compute,
+            checkpoint_seconds: tally.checkpoint_seconds,
+            recovery_seconds: tally.recovery_seconds,
+            rollback_seconds: executed_iterations.saturating_sub(convergence_iterations) as f64
+                * t_it,
             overhead_seconds: (total_seconds - productive_seconds).max(0.0),
             residual_history: solver.history().residuals().to_vec(),
             restart_iterations: solver.history().restarts().to_vec(),
             hit_iteration_limit: solver.history().limit_reached,
-            mean_checkpoint_bytes: if checkpoints_taken > 0 {
-                checkpoint_bytes_sum / checkpoints_taken as f64
-            } else {
-                0.0
-            },
-            mean_compression_ratio: if checkpoints_taken > 0 {
-                compression_ratio_sum / checkpoints_taken as f64
-            } else {
-                1.0
-            },
+            mean_checkpoint_bytes: mean_over_checkpoints(
+                stored.clone().map(|m| m.total_bytes as f64).sum(),
+                0.0,
+            ),
+            mean_compression_ratio: mean_over_checkpoints(
+                stored.clone().map(|m| m.compression_ratio()).sum(),
+                1.0,
+            ),
         }
-    }
-
-    /// Handles one failure: recovery from the newest complete checkpoint
-    /// (in memory, or CRC-validated from the durable tier when one is
-    /// attached), or restart from scratch if none is recoverable.  Returns
-    /// the simulated seconds of *additional* delay beyond what the
-    /// recovery read itself costs (currently 0; rollback compute is
-    /// accounted by re-execution).
-    #[allow(clippy::too_many_arguments)]
-    fn handle_failure(
-        &self,
-        solver: &mut dyn IterativeMethod,
-        problem: &ScaledProblem,
-        fti: &mut FtiContext,
-        clock: &mut SimClock,
-        static_bytes: usize,
-        recoveries: &mut usize,
-        failed_recoveries: &mut usize,
-        recovery_seconds: &mut f64,
-        last_scalars: &[(String, f64)],
-    ) -> f64 {
-        let cfg = &self.config;
-        let rec_start = clock.now();
-        let restored = match fti.recover(clock, static_bytes) {
-            Ok(recovered) => {
-                // Decompression time at paper scale.
-                let decomp = match cfg.strategy {
-                    CheckpointStrategy::Traditional | CheckpointStrategy::None => 0.0,
-                    _ => cfg
-                        .cluster
-                        .decompression_seconds(problem.paper_vector_bytes()),
-                };
-                clock.advance(decomp);
-                // The stored payloads are the *real* (unscaled) encodings.
-                // Scalars come from the durable tier when present, from
-                // the runner's in-process tracking otherwise.
-                let scalars = if recovered.scalars.is_empty() {
-                    last_scalars
-                } else {
-                    recovered.scalars.as_slice()
-                };
-                // A non-empty tag (durable tier) from a different strategy
-                // is not decodable by this one — treat as unrecoverable.
-                let tag_ok =
-                    recovered.tag.is_empty() || cfg.strategy.can_recover_from(&recovered.tag);
-                tag_ok
-                    && cfg
-                        .strategy
-                        .recover_chain(solver, &recovered.chain, recovered.iteration, scalars)
-                        .inspect_err(|_| *failed_recoveries += 1)
-                        .is_ok()
-            }
-            Err(_) => false,
-        };
-        if restored {
-            *recoveries += 1;
-        } else {
-            // No recoverable checkpoint: global restart from the initial
-            // guess (the static data still has to be re-read).
-            let read = cfg
-                .pfs
-                .read_seconds(static_bytes, cfg.cluster.ranks, cfg.level);
-            clock.advance(read);
-            let n = problem.system.dim();
-            solver.restart_from_solution(lcr_sparse::Vector::zeros(n), 0);
-        }
-        *recovery_seconds += clock.now() - rec_start;
-        0.0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategy::CheckpointStrategy;
-    use crate::workload::{PaperWorkload, WorkloadKind};
+    use crate::workload::PaperWorkload;
     use lcr_solvers::SolverKind;
 
     fn small_poisson() -> (PaperWorkload, ScaledProblem) {
@@ -917,26 +725,6 @@ mod tests {
     }
 
     #[test]
-    fn original_share_distributes_the_remainder_exactly() {
-        // Regression for the integer-division remainder loss: the
-        // per-variable shares must sum *exactly* to the total for any
-        // (total, n_variables) — `total / n` alone loses up to n-1 bytes.
-        for total in [0usize, 1, 2, 16, 17, 1001, 78_800_000_001] {
-            for n in 1usize..=7 {
-                let shares: Vec<usize> = (0..n).map(|i| original_share(total, n, i)).collect();
-                assert_eq!(
-                    shares.iter().sum::<usize>(),
-                    total,
-                    "total {total} over {n} variables: {shares:?}"
-                );
-                // Shares differ by at most one byte and are ordered
-                // largest-first (the remainder goes to the first ones).
-                assert!(shares.windows(2).all(|w| w[0] >= w[1] && w[0] - w[1] <= 1));
-            }
-        }
-    }
-
-    #[test]
     fn per_variable_originals_sum_exactly_to_the_paper_scale_total() {
         // End-to-end companion of original_share_distributes_the_remainder:
         // the durable tier persists the summed per-variable originals, so
@@ -1106,12 +894,5 @@ mod tests {
         assert!(!phase2.hit_iteration_limit, "resumed run converges");
         assert!(phase2.convergence_iterations > resumed);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn workload_kind_is_exposed() {
-        // Silence the unused-import lint for WorkloadKind while documenting
-        // that the runner works for both workload families.
-        assert_ne!(WorkloadKind::Poisson3d, WorkloadKind::Kkt);
     }
 }

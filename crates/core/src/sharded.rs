@@ -1,6 +1,6 @@
-//! The sharded executor: steps the solvers of `lcr-solvers` on real
-//! concurrent shard threads, one [`ShardSpace`] each, with per-shard lossy
-//! checkpointing and per-shard crash recovery.
+//! The sharded front of the fault-tolerant executor: steps the solvers of
+//! `lcr-solvers` on real concurrent shard threads, one [`ShardSpace`]
+//! each, with per-shard lossy checkpointing and per-shard crash recovery.
 //!
 //! This is the promotion of the paper's *simulated* cluster into a real
 //! one: [`try_run_sharded`] carves the global system into
@@ -8,13 +8,14 @@
 //! [`partition_csr`](lcr_sparse::shard::partition_csr), spawns one scoped
 //! thread per shard, and services the reduction/barrier coordinator on the
 //! calling thread.  Each shard owns its solver state, its halo endpoints
-//! and — when checkpointing is enabled — its *own*
-//! [`DiskStore`](lcr_ckpt::DiskStore) under `ckpt_dir/shard-{k}/`, into
-//! which it writes an SZ-compressed segment of its local solution slice.
-//! The shard thread owns its loop exactly as
-//! [`FaultTolerantRunner::run`](crate::FaultTolerantRunner::run) does: one
-//! solver step, then the checkpoint / commit-barrier / kill logic on the
-//! local solution, then a solver restart when a recovery round fired.
+//! and — when checkpointing is enabled — its *own* durable store under
+//! `ckpt_dir/shard-{k}/`, and runs the very loop of
+//! [`FaultTolerantRunner::run`](crate::FaultTolerantRunner::run)
+//! ([`crate::executor`]): one solver step, a checkpoint of its slice when
+//! one is due, then the recovery round when a kill fired.  The checkpoint
+//! is the lossy strategy's (SZ under `error_bound`, tag `lossy`), so a
+//! segment reads back through the public [`CheckpointStrategy`] like any
+//! single-process checkpoint.
 //!
 //! # Coordinated epoch commit
 //!
@@ -23,35 +24,40 @@
 //! segment, each shard votes in an all-ok barrier
 //! ([`ShardComm::try_barrier_all_ok`](lcr_sparse::ShardComm::try_barrier_all_ok));
 //! the epoch is **committed** — recoverable — only if every shard's
-//! segment landed and CRC-validated.  A failed shard therefore never
-//! restores an epoch some peer failed to complete, even if its *own*
-//! segment of a later epoch exists on disk.
+//! segment landed.  A shard whose segment landed discards it again when a
+//! peer's did not, so an aborted epoch is never restored and never costs
+//! a retention slot.
 //!
 //! # Per-shard crash recovery
 //!
 //! Failure injection is a deterministic [`KillSpec`] every shard knows: at
 //! the configured iteration the designated shard fail-stops (its local
-//! solution is wiped), reloads its slice from the newest *committed* epoch
-//! in its own store ([`DiskStore::read_valid_by_id`]) and SZ-decompresses
-//! it; surviving shards keep their in-memory state untouched and merely
-//! replay halo values.  All shards then restart their solver, rebuilding
-//! the Krylov recurrence from the partially restored global solution —
-//! Algorithm 2 of the paper executed shard-locally, with rollback confined
-//! to the failed shard.
+//! solution is lost), reloads its slice from the newest committed epoch
+//! in its own store that still validates and decodes (walking to older
+//! ones otherwise, then to the zero guess); surviving shards keep their
+//! in-memory state untouched and merely replay halo values.  All shards
+//! then restart their solver, rebuilding the Krylov recurrence from the
+//! partially restored global solution — Algorithm 2 of the paper executed
+//! shard-locally, with rollback confined to the failed shard.
 
 use std::cell::RefCell;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use lcr_ckpt::{CheckpointBuffer, CheckpointLevel, DiskStore, RetryPolicy, StorageBackend};
-use lcr_compress::{Compressed, ErrorBound, LossyCompressor, SzCompressor};
+use lcr_ckpt::{
+    CheckpointLevel, ClusterConfig, FtiContext, PfsModel, RetryPolicy, StorageBackend,
+};
+use lcr_compress::ErrorBound;
 use lcr_solvers::{
-    BiCgStab, ConjugateGradient, Jacobi, Progress, ShardSpace, ShardedMethod, StoppingCriteria,
-    TryIterativeMethod,
+    BiCgStab, ConjugateGradient, DynamicState, Jacobi, Progress, ShardSpace, ShardedMethod,
+    StoppingCriteria, TryIterativeMethod,
 };
 use lcr_sparse::shard::{build_comms, gather_solution, partition_csr, CommError, CommInterposer};
 use lcr_sparse::{CsrMatrix, ShardComm, ShardLayout, ShardedCsr, Vector, REDUCE_BLOCK};
+
+use crate::executor::{execute, Checkpointer, Committed, Quorum, Recovered, Regime};
+use crate::strategy::{CheckpointStrategy, ErrorBoundPolicy, LossyCodecKind};
 
 /// Deterministic fail-stop injection: at the end of iteration
 /// `at_iteration`, shard `shard` crashes and recovers from its newest
@@ -106,6 +112,12 @@ impl std::fmt::Display for ShardedError {
 
 impl std::error::Error for ShardedError {}
 
+impl From<CommError> for ShardedError {
+    fn from(e: CommError) -> Self {
+        ShardedError::Comm(e)
+    }
+}
+
 /// Configuration of one sharded run.
 #[derive(Clone)]
 pub struct ShardedRunConfig {
@@ -121,13 +133,17 @@ pub struct ShardedRunConfig {
     /// are bit-identical across shard counts only for a fixed block size.
     pub reduce_block: usize,
     /// Checkpoint every this many iterations; `0` disables checkpointing.
+    /// The iterate the solve ends on is not checkpointed.
     pub checkpoint_interval: usize,
     /// SZ error bound for the per-shard solution segments.
     pub error_bound: ErrorBound,
     /// Root directory for per-shard stores (`<dir>/shard-{k}/`).  Required
     /// when `checkpoint_interval > 0`.
     pub ckpt_dir: Option<PathBuf>,
-    /// Checkpoints retained per shard store.
+    /// Checkpoints retained per shard store.  A segment is written before
+    /// its epoch's vote, so with `retain = 1` the write of an epoch that
+    /// then aborts has already evicted the last committed one; keep at
+    /// least 2.
     pub retain: usize,
     /// Deterministic fail-stop injections.  Two entries with the same
     /// `at_iteration` and different shards model a *double fault*: both
@@ -198,7 +214,7 @@ impl ShardedRunConfig {
 /// Per-shard counters of a finished run — the recovery-isolation evidence:
 /// a kill-one-shard run must show `rollbacks == 1` on the failed shard and
 /// `rollbacks == 0` (with `halo_replays == 1`) on every survivor.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ShardStats {
     /// Shard rank.
     pub shard: usize,
@@ -210,9 +226,10 @@ pub struct ShardStats {
     /// Recovery rounds this shard survived: it kept its in-memory state
     /// and only replayed halo values for a failed peer.
     pub halo_replays: usize,
-    /// Checkpoint segments this shard durably wrote.
+    /// Checkpoint segments this shard durably wrote in committed epochs.
     pub checkpoints_written: usize,
-    /// Epochs this shard saw fail their commit barrier.
+    /// Epochs this shard saw fail their commit barrier (its own segment of
+    /// such an epoch, if it landed, is discarded again).
     pub aborted_epochs: usize,
     /// Iteration of the epoch this shard last restored from, if any.
     pub resumed_from_iteration: Option<usize>,
@@ -237,9 +254,10 @@ pub struct EpochRecord {
     pub epoch: u64,
     /// Iteration the epoch was taken at.
     pub iteration: usize,
-    /// Stored segment bytes per shard (0 for empty shards).  These are the
-    /// *measured* per-shard checkpoint sizes Table 3's estimate column is
-    /// compared against.
+    /// Stored segment bytes per shard (a shard that owns no rows stores an
+    /// empty stream of a few dozen bytes).  These are the *measured*
+    /// per-shard checkpoint sizes Table 3's estimate column is compared
+    /// against.
     pub shard_bytes: Vec<usize>,
 }
 
@@ -272,251 +290,160 @@ pub struct ShardedReport {
     pub wall_seconds: f64,
 }
 
-/// A committed epoch as one shard observed it.
-#[derive(Debug, Clone)]
-struct LocalEpoch {
-    epoch: u64,
-    /// Checkpoint id in this shard's store; `None` for empty shards.
-    ckpt_id: Option<u64>,
-    iteration: usize,
-    bytes: usize,
-}
-
-/// The checkpoint/failure half of each shard thread's loop: SZ-compress
-/// the local slice each epoch, vote the commit barrier, and execute the
-/// configured kill/recovery.
-struct CkptHook {
+/// The live regime: time is the host's own — not billed, and no stamp for
+/// a checkpoint header, since it does not replay; the faults are the kill
+/// list every shard holds, each striking at the end of its iteration and
+/// costing only the named shard its state.
+struct Live<'a> {
     shard: usize,
-    interval: usize,
-    bound: ErrorBound,
-    sz: SzCompressor,
-    store: Option<DiskStore>,
-    buffer: CheckpointBuffer,
-    kills: Vec<KillSpec>,
-    kills_fired: Vec<bool>,
-    next_epoch: u64,
-    epochs: Vec<LocalEpoch>,
-    rollbacks: usize,
-    halo_replays: usize,
-    checkpoints_written: usize,
-    aborted_epochs: usize,
-    resumed_from_iteration: Option<usize>,
+    kills: &'a [KillSpec],
 }
 
-impl CkptHook {
-    fn new(shard: usize, cfg: &ShardedRunConfig) -> Result<Self, String> {
-        let store = if cfg.checkpoint_interval > 0 {
-            let root = cfg
-                .ckpt_dir
-                .as_ref()
-                .expect("checkpoint_interval > 0 requires ckpt_dir");
-            let dir = root.join(format!("shard-{shard}"));
-            let mut store = match &cfg.backend_factory {
-                Some(factory) => DiskStore::open_with_backend(dir, cfg.retain, factory(shard)),
-                None => DiskStore::open(dir, cfg.retain),
+impl Regime for Live<'_> {
+    /// All kills sharing an iteration fire together (a double fault rolls
+    /// back every named shard in one round).  The iteration counter of a
+    /// sharded solve never rolls back, so each fires once.
+    fn completed(&mut self, iteration: usize) -> Option<bool> {
+        let mut round = self.kills.iter().filter(|k| k.at_iteration == iteration).peekable();
+        round.peek()?;
+        Some(round.any(|k| k.shard == self.shard))
+    }
+
+}
+
+/// One shard of the group: a checkpoint epoch counts when every shard's
+/// segment landed, and a recovery round rolls back only the shards that
+/// lost their slice.
+struct Shard<'a> {
+    solver: Box<dyn TryIterativeMethod<Error = CommError> + 'a>,
+    comm: &'a RefCell<ShardComm>,
+    /// Counts its rollbacks, halo replays and last restore.
+    stats: ShardStats,
+}
+
+impl Quorum for Shard<'_> {
+    type Error = CommError;
+
+    fn step(&mut self) -> Result<(), CommError> {
+        self.solver.try_step()
+    }
+
+    fn iteration(&self) -> usize {
+        self.solver.progress().iteration()
+    }
+
+    /// Derives from reduced scalars, so every shard exits on the same
+    /// iteration.
+    fn converged(&self) -> bool {
+        self.solver.progress().converged()
+    }
+
+    fn capture(&self) -> (DynamicState, f64, f64) {
+        let progress = self.solver.progress();
+        (self.solver.capture_state(), progress.residual_norm(), progress.reference_norm())
+    }
+
+    fn epoch_scalars(&self, epoch: u64, iteration: usize) -> Vec<(String, f64)> {
+        vec![("epoch".to_string(), epoch as f64), ("iteration".to_string(), iteration as f64)]
+    }
+
+    fn vote(&mut self, landed: bool) -> Result<bool, CommError> {
+        self.comm.borrow_mut().try_barrier_all_ok(landed)
+    }
+
+    /// The lost slice comes back from the checkpoint (or as the zero
+    /// guess, as Algorithm 2 does with no checkpoint) while the peers keep
+    /// theirs and the iteration count stands, so every shard restarts its
+    /// solver from the mixed solution whatever the strategy's own recovery
+    /// mode.
+    fn roll_back(&mut self, lost: bool, recovered: Option<Recovered>) -> Result<(), CommError> {
+        let iteration = self.iteration();
+        if lost {
+            self.stats.rollbacks += 1;
+            let x = self.solver.progress_mut().solution_mut();
+            let slice = recovered.and_then(|(state, _)| {
+                let (_, slice) = state.vectors.into_iter().find(|(name, _)| name == "x")?;
+                (slice.len() == x.len()).then_some((state.iteration, slice))
+            });
+            match slice {
+                Some((from, slice)) => {
+                    *x = slice;
+                    self.stats.resumed_from_iteration = Some(from);
+                }
+                None => x.as_mut_slice().fill(0.0),
             }
-            .map_err(|e| format!("opening per-shard checkpoint store: {e}"))?;
-            if let Some(retry) = cfg.retry {
-                store.set_retry_policy(retry);
-            }
-            Some(store)
         } else {
-            None
-        };
-        Ok(CkptHook {
-            shard,
-            interval: cfg.checkpoint_interval,
-            bound: cfg.error_bound,
-            sz: SzCompressor::new(),
-            store,
-            buffer: CheckpointBuffer::new(),
-            kills: cfg.kills.clone(),
-            kills_fired: vec![false; cfg.kills.len()],
-            next_epoch: 0,
-            epochs: Vec::new(),
-            rollbacks: 0,
-            halo_replays: 0,
-            checkpoints_written: 0,
-            aborted_epochs: 0,
-            resumed_from_iteration: None,
-        })
-    }
-
-    /// Writes this shard's segment of epoch `epoch` and returns
-    /// `(ok, ckpt_id, bytes)`.  Empty shards succeed trivially — they have
-    /// no state to lose.
-    fn write_segment(&mut self, epoch: u64, iteration: usize, x: &[f64]) -> (bool, Option<u64>, usize) {
-        if x.is_empty() {
-            return (true, None, 0);
+            self.stats.halo_replays += 1;
         }
-        let store = self.store.as_mut().expect("checkpointing requires a store");
-        self.buffer.clear();
-        let compressed = {
-            let (sz, bound) = (&self.sz, self.bound);
-            self.buffer
-                .push_with("x", |out| sz.compress_into(x, bound, out))
-        };
-        if compressed.is_err() {
-            return (false, None, 0);
-        }
-        match store.push_from_buffer(
-            iteration,
-            epoch as f64,
-            CheckpointLevel::Pfs,
-            std::mem::size_of_val(x),
-            None,
-            "sharded-lossy",
-            &[
-                ("epoch".to_string(), epoch as f64),
-                ("iteration".to_string(), iteration as f64),
-            ],
-            &self.buffer,
-        ) {
-            Ok(meta) => (true, Some(meta.id), meta.total_bytes),
-            Err(_) => (false, None, 0),
-        }
-    }
-
-    /// Fail-stop this shard: wipe the local solution, then restore it from
-    /// the newest committed epoch that still reads back valid, walking
-    /// older epochs when a newer one fails its CRC or decompression — a
-    /// fault injected *during* recovery degrades to an earlier epoch
-    /// instead of producing a wrong answer.  Falls back to the zero
-    /// initial guess when no epoch is readable.
-    fn crash_and_restore(&mut self, x: &mut [f64]) {
-        self.rollbacks += 1;
-        x.fill(f64::NAN);
-        let candidates: Vec<LocalEpoch> = self.epochs.iter().rev().cloned().collect();
-        let mut restored = None;
-        for epoch in candidates {
-            let attempt = (|| {
-                let id = epoch.ckpt_id?;
-                let store = self.store.as_mut()?;
-                let ckpt = store.read_valid_by_id(id).ok()?;
-                let payload = ckpt
-                    .payloads
-                    .iter()
-                    .find(|(name, _)| name == "x")
-                    .map(|(_, bytes)| bytes.clone())?;
-                let decoded = self
-                    .sz
-                    .decompress(&Compressed {
-                        bytes: payload,
-                        n_elements: x.len(),
-                    })
-                    .ok()?;
-                (decoded.len() == x.len()).then(|| {
-                    x.copy_from_slice(&decoded);
-                    epoch.iteration
-                })
-            })();
-            if attempt.is_some() {
-                restored = attempt;
-                break;
-            }
-        }
-        match restored {
-            Some(iteration) => self.resumed_from_iteration = Some(iteration),
-            // No committed epoch (or none readable): restart from the
-            // zero initial guess, as Algorithm 2 does with no checkpoint.
-            None => x.fill(0.0),
-        }
+        self.solver.try_restart(iteration)
     }
 }
 
-impl CkptHook {
-    /// Runs after iteration `iteration` (1-based) on the shard's local
-    /// solution slice, issuing the same comm operations on every shard.
-    /// Returns whether a recovery round fired: some shard replaced its `x`
-    /// from a lossy checkpoint while the others kept theirs, so every shard
-    /// must restart its solver from the current solution.
-    fn after_iteration(
-        &mut self,
-        iteration: usize,
-        x: &mut [f64],
-        comm: &RefCell<ShardComm>,
-    ) -> Result<bool, CommError> {
-        // Checkpoint first, then kill: an epoch taken at the kill
-        // iteration commits *before* the crash, exactly the ordering the
-        // recovery e2e asserts on.
-        if self.interval > 0 && iteration.is_multiple_of(self.interval) {
-            let epoch = self.next_epoch;
-            self.next_epoch += 1;
-            let (ok, ckpt_id, bytes) = self.write_segment(epoch, iteration, x);
-            if comm.borrow_mut().try_barrier_all_ok(ok)? {
-                if ckpt_id.is_some() {
-                    self.checkpoints_written += 1;
-                }
-                self.epochs.push(LocalEpoch {
-                    epoch,
-                    ckpt_id,
-                    iteration,
-                    bytes,
-                });
-            } else {
-                self.aborted_epochs += 1;
-            }
-        }
-        // A recovery round fires when any not-yet-fired kill names this
-        // iteration; all kills sharing the iteration fire together (a
-        // double fault rolls back every named shard in one round).
-        let mut round = false;
-        let mut this_shard_killed = false;
-        for (k, kill) in self.kills.iter().enumerate() {
-            if !self.kills_fired[k] && iteration == kill.at_iteration {
-                self.kills_fired[k] = true;
-                round = true;
-                if kill.shard == self.shard {
-                    this_shard_killed = true;
-                }
-            }
-        }
-        if round {
-            if this_shard_killed {
-                self.crash_and_restore(x);
-            } else {
-                self.halo_replays += 1;
-            }
-        }
-        Ok(round)
-    }
-}
-
-/// One shard's loop: steps its solver to global convergence, running the
-/// checkpoint/failure logic after every accepted iteration.  The stopping
-/// rule derives from reduced scalars, so every shard exits on the same
-/// iteration.
+/// One shard's run: its checkpointer, its solver at the zero guess, and
+/// the shared loop over the two seams above.
 fn run_shard(
     cfg: &ShardedRunConfig,
     part: &ShardedCsr,
     b_local: &[f64],
     comm: &RefCell<ShardComm>,
-    hook: &mut CkptHook,
-) -> Result<Progress, CommError> {
+) -> Result<(Progress, ShardStats, Vec<Committed>), ShardedError> {
+    let shard = part.shard;
+    // The lossy strategy into the shard's own store.  A killed shard loses
+    // its memory, so there is no in-memory tier and nothing to degrade to;
+    // the cost models bill a clock nobody reads.
+    let strategy = CheckpointStrategy::Lossy {
+        codec: LossyCodecKind::Sz,
+        policy: ErrorBoundPolicy::Fixed(cfg.error_bound),
+    };
+    let cluster = ClusterConfig::bebop_like(cfg.shards, 0.0);
+    let fti = FtiContext::new(cluster, PfsModel::bebop_like(), CheckpointLevel::Pfs)
+        .without_memory_tier();
+    let mut ckpt = Checkpointer::new(strategy, cfg.checkpoint_interval, 0, fti, usize::MAX);
+    if cfg.checkpoint_interval > 0 {
+        let root = cfg.ckpt_dir.as_ref().expect("checkpoint_interval > 0 requires ckpt_dir");
+        let backend = cfg.backend_factory.as_ref().map(|factory| factory(shard));
+        let dir = root.join(format!("shard-{shard}"));
+        ckpt.attach_durable(&dir, cfg.retain, backend, cfg.retry, false)
+            .map_err(|e| ShardedError::Storage {
+                shard,
+                message: format!("opening per-shard checkpoint store: {e}"),
+            })?;
+    }
     let space = ShardSpace::new(part, b_local, comm);
     let criteria = StoppingCriteria {
         rtol: cfg.rtol,
         atol: 0.0,
         max_iterations: cfg.max_iterations,
     };
-    let mut solver: Box<dyn TryIterativeMethod<Error = CommError> + '_> = match cfg.method {
+    let solver: Box<dyn TryIterativeMethod<Error = CommError> + '_> = match cfg.method {
         ShardedMethod::Cg => Box::new(ConjugateGradient::on(space, None, criteria)?),
         ShardedMethod::BiCgStab => Box::new(BiCgStab::on(space, None, criteria)?),
         ShardedMethod::Jacobi => Box::new(Jacobi::on(space, None, criteria)?),
     };
-    while !solver.progress().converged() {
-        let before = solver.progress().iteration();
-        solver.try_step()?;
-        let iteration = solver.progress().iteration();
-        // A breakdown restart completes no iteration: nothing new to
-        // checkpoint, and kills are keyed on completed iterations.
-        if iteration != before
-            && hook.after_iteration(iteration, solver.progress_mut().solution_mut(), comm)?
-        {
-            solver.try_restart(iteration)?;
-        }
-    }
-    Ok(solver.progress().clone())
+    let stats = ShardStats {
+        shard,
+        rows: b_local.len(),
+        ..ShardStats::default()
+    };
+    let mut rank = Shard { solver, comm, stats };
+    let mut regime = Live {
+        shard,
+        kills: &cfg.kills,
+    };
+    execute(&mut regime, &mut rank, &mut ckpt, usize::MAX)?;
+    let (io_retries, retried_checkpoints, io_backoff_seconds) = ckpt.io_counters();
+    let endpoint = comm.borrow();
+    let stats = ShardStats {
+        checkpoints_written: ckpt.tally.committed.len(),
+        aborted_epochs: ckpt.tally.aborted + ckpt.tally.failed,
+        halo_doubles_sent: endpoint.halo_doubles_sent(),
+        reduce_rounds: endpoint.reduce_rounds(),
+        io_retries,
+        retried_checkpoints,
+        io_backoff_seconds,
+        ..rank.stats
+    };
+    Ok((rank.solver.progress().clone(), stats, ckpt.tally.committed))
 }
 
 /// `trace[0]` is the initial residual, one entry per completed iteration
@@ -575,44 +502,12 @@ pub fn try_run_sharded(
                         comm.set_interposer(factory(part.shard));
                     }
                     let (r0, r1) = layout.range(part.shard);
-                    let mut hook = match CkptHook::new(part.shard, cfg) {
-                        Ok(hook) => hook,
-                        Err(message) => {
-                            // Still announce completion so the coordinator
-                            // can abort the round and drain cleanly.
-                            comm.finish();
-                            return Err(ShardedError::Storage {
-                                shard: part.shard,
-                                message,
-                            });
-                        }
-                    };
                     let comm = RefCell::new(comm);
-                    let solved = run_shard(cfg, part, &b_all[r0..r1], &comm, &mut hook);
-                    let comm = comm.into_inner();
-                    let (io_retries, retried_checkpoints, io_backoff_seconds) =
-                        hook.store.as_ref().map_or((0, 0, Vec::new()), |s| {
-                            (s.io_retries(), s.retried_pushes(), s.backoff_log().to_vec())
-                        });
-                    let stats = ShardStats {
-                        shard: part.shard,
-                        rows: r1 - r0,
-                        rollbacks: hook.rollbacks,
-                        halo_replays: hook.halo_replays,
-                        checkpoints_written: hook.checkpoints_written,
-                        aborted_epochs: hook.aborted_epochs,
-                        resumed_from_iteration: hook.resumed_from_iteration,
-                        halo_doubles_sent: comm.halo_doubles_sent(),
-                        reduce_rounds: comm.reduce_rounds(),
-                        io_retries,
-                        retried_checkpoints,
-                        io_backoff_seconds,
-                    };
-                    comm.finish();
-                    match solved {
-                        Ok(outcome) => Ok((outcome, stats, hook.epochs)),
-                        Err(e) => Err(ShardedError::Comm(e)),
-                    }
+                    let outcome = run_shard(cfg, part, &b_all[r0..r1], &comm);
+                    // Announce completion whatever the outcome, so the
+                    // coordinator can abort the round and drain cleanly.
+                    comm.into_inner().finish();
+                    outcome
                 })
             })
             .collect();
@@ -647,46 +542,37 @@ pub fn try_run_sharded(
         .map(|r| r.expect("checked above"))
         .collect();
 
-    // Determinism contract: every shard observed the same global run.
-    let (first, _, _) = &results[0];
+    // Determinism contract: every shard observed the same global run and
+    // committed the same epoch sequence.
+    let (first, _, first_epochs) = &results[0];
     let trace = residual_trace(first);
-    for (outcome, stats, _) in &results[1..] {
+    let trace_bits = |trace: &[f64]| trace.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+    let sequence = |epochs: &[Committed]| {
+        epochs.iter().map(|e| (e.epoch, e.metadata.iteration)).collect::<Vec<_>>()
+    };
+    for (outcome, stats, epochs) in &results[1..] {
+        let shard = stats.shard;
         assert_eq!(outcome.iteration(), first.iteration(), "iteration divergence");
         assert_eq!(outcome.satisfied(), first.satisfied(), "convergence divergence");
-        let other = residual_trace(outcome);
-        assert_eq!(other.len(), trace.len(), "trace length divergence");
-        for (k, (a, b)) in other.iter().zip(&trace).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "residual trace diverged at entry {k} on shard {}",
-                stats.shard
-            );
-        }
-    }
-
-    // Merge committed epochs: every shard must have committed the same
-    // sequence; assemble the measured per-shard segment sizes.
-    let epoch_seq: Vec<(u64, usize)> = results[0]
-        .2
-        .iter()
-        .map(|e| (e.epoch, e.iteration))
-        .collect();
-    for (_, stats, epochs) in &results {
-        let seq: Vec<(u64, usize)> = epochs.iter().map(|e| (e.epoch, e.iteration)).collect();
         assert_eq!(
-            seq, epoch_seq,
-            "shard {} committed a different epoch sequence",
-            stats.shard
+            trace_bits(&residual_trace(outcome)),
+            trace_bits(&trace),
+            "residual trace diverged on shard {shard}"
+        );
+        assert_eq!(
+            sequence(epochs),
+            sequence(first_epochs),
+            "shard {shard} committed a different epoch sequence"
         );
     }
-    let committed_epochs: Vec<EpochRecord> = epoch_seq
+    // The measured per-shard segment sizes of each committed epoch.
+    let committed_epochs: Vec<EpochRecord> = first_epochs
         .iter()
         .enumerate()
-        .map(|(k, &(epoch, iteration))| EpochRecord {
-            epoch,
-            iteration,
-            shard_bytes: results.iter().map(|(_, _, e)| e[k].bytes).collect(),
+        .map(|(k, e)| EpochRecord {
+            epoch: e.epoch,
+            iteration: e.metadata.iteration,
+            shard_bytes: results.iter().map(|(_, _, epochs)| epochs[k].metadata.total_bytes).collect(),
         })
         .collect();
 

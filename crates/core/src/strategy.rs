@@ -61,6 +61,12 @@ impl ErrorBoundPolicy {
 
     /// Resolves the bound for the current solver state.
     pub fn resolve(&self, solver: &dyn IterativeMethod) -> ErrorBound {
+        self.at(solver.residual_norm(), solver.reference_norm())
+    }
+
+    /// The bound for a checkpoint taken when the residual and reference
+    /// norms stand at these values.
+    fn at(&self, residual_norm: f64, reference_norm: f64) -> ErrorBound {
         match *self {
             ErrorBoundPolicy::Fixed(bound) => bound,
             ErrorBoundPolicy::AdaptiveGmres {
@@ -68,8 +74,8 @@ impl ErrorBoundPolicy {
                 min_bound,
                 max_bound,
             } => ErrorBound::PointwiseRel(theorem3_gmres_error_bound(
-                solver.residual_norm(),
-                solver.reference_norm(),
+                residual_norm,
+                reference_norm,
                 safety,
                 min_bound,
                 max_bound,
@@ -237,8 +243,8 @@ impl CheckpointStrategy {
     /// Encodes the solver's dynamic state into checkpoint payloads.
     ///
     /// Allocating convenience wrapper around
-    /// [`CheckpointStrategy::encode_into`]; the runner's hot path uses the
-    /// buffer variant directly.
+    /// [`CheckpointStrategy::encode_temporal_into`] with delta coding off;
+    /// the executor's hot path encodes into a reused buffer.
     ///
     /// # Errors
     /// Returns [`StrategyError::Compression`] if a codec fails.
@@ -247,7 +253,8 @@ impl CheckpointStrategy {
         solver: &dyn IterativeMethod,
     ) -> Result<EncodedCheckpoint, StrategyError> {
         let mut buffer = CheckpointBuffer::new();
-        let meta = self.encode_into(solver, &mut buffer)?;
+        let mut anchors_only = TemporalEncodingSelector::default();
+        let (meta, _) = self.encode_temporal_into(solver, &mut buffer, &mut anchors_only)?;
         Ok(EncodedCheckpoint {
             payloads: buffer.to_payloads(),
             original_bytes: meta.original_bytes,
@@ -257,108 +264,9 @@ impl CheckpointStrategy {
     }
 
     /// Encodes the solver's dynamic state directly into a reusable
-    /// [`CheckpointBuffer`] (cleared first) — the zero-copy checkpoint
-    /// path: compressors append to the buffer arena through their
-    /// `compress_into` entry points, so no intermediate per-variable
-    /// `Vec<u8>` is built or copied.
-    ///
-    /// * `Traditional` and `Lossless` capture every dynamic variable
-    ///   (Algorithm 1 line 4).
-    /// * `Lossy` captures only the solution vector `x` (Algorithm 2
-    ///   lines 4–5) and compresses it under the policy's error bound.
-    ///
-    /// # Errors
-    /// Returns [`StrategyError::Compression`] if a codec fails.
-    fn encode_into(
-        &self,
-        solver: &dyn IterativeMethod,
-        buffer: &mut CheckpointBuffer,
-    ) -> Result<EncodedCheckpointMeta, StrategyError> {
-        buffer.clear();
-        match self {
-            CheckpointStrategy::None => {
-                let state = solver.capture_state();
-                Ok(EncodedCheckpointMeta {
-                    original_bytes: 0,
-                    iteration: state.iteration,
-                    scalars: state.scalars,
-                })
-            }
-            CheckpointStrategy::Traditional => {
-                let state = solver.capture_state();
-                let original_bytes = state.vector_bytes();
-                for (name, v) in &state.vectors {
-                    buffer.push_with(name, |out| {
-                        out.reserve(v.len() * 8);
-                        for x in v.iter() {
-                            out.extend_from_slice(&x.to_le_bytes());
-                        }
-                    });
-                }
-                Ok(EncodedCheckpointMeta {
-                    original_bytes,
-                    iteration: state.iteration,
-                    scalars: state.scalars,
-                })
-            }
-            CheckpointStrategy::Lossless => {
-                let codec = LosslessPipeline::new();
-                let state = solver.capture_state();
-                let original_bytes = state.vector_bytes();
-                for (name, v) in &state.vectors {
-                    buffer
-                        .push_with(name, |out| {
-                            Self::frame_into(out, v.len(), |out| {
-                                codec.compress_into(v.as_slice(), out).map(|_| ())
-                            })
-                        })
-                        .map_err(|e| StrategyError::Compression(e.to_string()))?;
-                }
-                Ok(EncodedCheckpointMeta {
-                    original_bytes,
-                    iteration: state.iteration,
-                    scalars: state.scalars,
-                })
-            }
-            CheckpointStrategy::Lossy { codec, policy } => {
-                let bound = policy.resolve(solver);
-                let codec = Self::lossy_codec(*codec);
-                // Only x is checkpointed under the lossy scheme — taken
-                // from the captured state, not `solution()`, because some
-                // solvers (GMRES) fold a partial correction into the
-                // checkpointed x that the raw solution vector lacks.
-                let state = solver.capture_state();
-                let x = state
-                    .vector("x")
-                    .ok_or_else(|| StrategyError::Malformed("dynamic state lacks x".into()))?;
-                let original_bytes = x.len() * std::mem::size_of::<f64>();
-                buffer
-                    .push_with("x", |out| {
-                        Self::frame_into(out, x.len(), |out| {
-                            codec.compress_into(x.as_slice(), bound, out).map(|_| ())
-                        })
-                    })
-                    .map_err(|e| StrategyError::Compression(e.to_string()))?;
-                Ok(EncodedCheckpointMeta {
-                    original_bytes,
-                    iteration: state.iteration,
-                    scalars: Vec::new(),
-                })
-            }
-        }
-    }
-
-    /// [`CheckpointStrategy::encode_into`] with anchored temporal-delta
-    /// support: for the SZ-backed lossy strategy the solution vector may
-    /// be encoded as a temporal delta against the previous checkpoint's
-    /// quantization codes (retained in `selector`), whenever the selector
-    /// allows it *and* the delta stream actually comes out smaller.
-    ///
-    /// Returns the checkpoint metadata plus the delta order actually
-    /// chosen — `None` for a self-contained anchor (always the case for
-    /// non-SZ strategies and disabled selectors), `Some(1 | 2)` for a
-    /// delta that must be committed with a matching base link in the
-    /// checkpoint store.
+    /// [`CheckpointBuffer`] — [`CheckpointStrategy::encode_state_into`] on
+    /// the solver's captured state, under the bound its policy resolves
+    /// for the current residual.
     ///
     /// # Errors
     /// Returns [`StrategyError::Compression`] if a codec fails; the
@@ -370,58 +278,98 @@ impl CheckpointStrategy {
         buffer: &mut CheckpointBuffer,
         selector: &mut TemporalEncodingSelector,
     ) -> Result<(EncodedCheckpointMeta, Option<u8>), StrategyError> {
-        // Only the SZ-backed lossy strategy has a temporal encoder;
-        // everything else always writes self-contained anchors.
-        let CheckpointStrategy::Lossy {
-            codec: LossyCodecKind::Sz,
-            policy,
-        } = self
-        else {
-            return self.encode_into(solver, buffer).map(|meta| (meta, None));
-        };
-        if !selector.delta_enabled() {
-            return self.encode_into(solver, buffer).map(|meta| (meta, None));
-        }
+        let bound = self.bound_at(solver.residual_norm(), solver.reference_norm());
+        self.encode_state_into(&solver.capture_state(), bound, buffer, selector)
+    }
 
+    /// The error bound for a checkpoint taken when the residual and
+    /// reference norms stand at these values; the exact strategies ignore
+    /// the bound they are handed.
+    pub(crate) fn bound_at(&self, residual_norm: f64, reference_norm: f64) -> ErrorBound {
+        match self {
+            CheckpointStrategy::Lossy { policy, .. } => policy.at(residual_norm, reference_norm),
+            _ => ErrorBound::Abs(0.0),
+        }
+    }
+
+    /// Encodes a captured dynamic state into `buffer` (cleared first) —
+    /// the zero-copy checkpoint path: compressors append to the buffer
+    /// arena through their `compress_into` entry points, so no
+    /// intermediate per-variable `Vec<u8>` is built or copied.
+    ///
+    /// * `Traditional` and `Lossless` save every dynamic variable
+    ///   (Algorithm 1 line 4) and the scalars.
+    /// * `Lossy` saves only the solution vector `x` (Algorithm 2
+    ///   lines 4–5), compressed under `bound` — taken from the captured
+    ///   state, not the solver's `solution()`, because GMRES folds a
+    ///   partial correction into the checkpointed `x`.  When `selector`
+    ///   enables it, the SZ codec may encode `x` as a temporal delta
+    ///   against the previous checkpoint's quantization codes (retained in
+    ///   `selector`), whenever that stream actually comes out smaller.
+    ///
+    /// Returns the checkpoint metadata plus the delta order chosen: `None`
+    /// for a self-contained anchor, `Some(1 | 2)` for a delta that must be
+    /// committed with a matching base link in the checkpoint store.
+    ///
+    /// # Errors
+    /// As [`CheckpointStrategy::encode_temporal_into`].
+    pub(crate) fn encode_state_into(
+        &self,
+        state: &DynamicState,
+        bound: ErrorBound,
+        buffer: &mut CheckpointBuffer,
+        selector: &mut TemporalEncodingSelector,
+    ) -> Result<(EncodedCheckpointMeta, Option<u8>), StrategyError> {
         buffer.clear();
-        let bound = policy.resolve(solver);
-        let force_anchor = selector.begin_snapshot();
-        let max_order = selector.max_order();
-        let sz = SzCompressor::new();
-        let state = solver.capture_state();
-        let x = state
-            .vector("x")
-            .ok_or_else(|| StrategyError::Malformed("dynamic state lacks x".into()))?;
-        let original_bytes = x.len() * std::mem::size_of::<f64>();
-        let temporal = selector.state_for("x");
-        let mut mode = DeltaMode::None;
-        buffer
-            .push_with("x", |out| {
-                Self::frame_into(out, x.len(), |out| {
-                    sz.compress_temporal_into(
-                        x.as_slice(),
-                        bound,
-                        max_order,
-                        force_anchor,
-                        temporal,
-                        out,
-                    )
-                    .map(|chosen| mode = chosen)
-                })
-            })
-            .map_err(|e| StrategyError::Compression(e.to_string()))?;
-        let delta_order = match mode {
-            DeltaMode::None => None,
-            chosen => Some(chosen as u8),
+        let saved: Vec<&(String, Vector)> = match self {
+            CheckpointStrategy::None => Vec::new(),
+            CheckpointStrategy::Lossy { .. } => {
+                let x = state.vectors.iter().find(|(name, _)| name == "x");
+                vec![x.ok_or_else(|| StrategyError::Malformed("dynamic state lacks x".into()))?]
+            }
+            _ => state.vectors.iter().collect(),
         };
-        Ok((
-            EncodedCheckpointMeta {
-                original_bytes,
-                iteration: state.iteration,
-                scalars: Vec::new(),
+        // Only the SZ codec has a temporal encoder; everything else always
+        // writes self-contained anchors.
+        let temporal = (matches!(self, CheckpointStrategy::Lossy { codec: LossyCodecKind::Sz, .. })
+            && selector.delta_enabled())
+        .then(|| (selector.begin_snapshot(), selector.max_order()));
+        let mut mode = DeltaMode::None;
+        for (name, v) in &saved {
+            let v = v.as_slice();
+            let encoded = buffer.push_with(name, |out| match (self, temporal) {
+                (CheckpointStrategy::Lossy { .. }, Some((force_anchor, max_order))) => {
+                    Self::frame_into(out, v.len());
+                    let prior = selector.state_for(name);
+                    SzCompressor::new()
+                        .compress_temporal_into(v, bound, max_order, force_anchor, prior, out)
+                        .map(|chosen| mode = chosen)
+                }
+                (CheckpointStrategy::Lossy { codec, .. }, None) => {
+                    Self::frame_into(out, v.len());
+                    Self::lossy_codec(*codec).compress_into(v, bound, out).map(|_| ())
+                }
+                (CheckpointStrategy::Lossless, _) => {
+                    Self::frame_into(out, v.len());
+                    LosslessPipeline::new().compress_into(v, out).map(|_| ())
+                }
+                _ => {
+                    out.reserve(v.len() * 8);
+                    v.iter().for_each(|x| out.extend_from_slice(&x.to_le_bytes()));
+                    Ok(())
+                }
+            });
+            encoded.map_err(|e| StrategyError::Compression(e.to_string()))?;
+        }
+        let meta = EncodedCheckpointMeta {
+            original_bytes: saved.iter().map(|(_, v)| v.len() * std::mem::size_of::<f64>()).sum(),
+            iteration: state.iteration,
+            scalars: match self.recovery_mode() {
+                RecoveryMode::Exact => state.scalars.clone(),
+                RecoveryMode::Restart => Vec::new(),
             },
-            delta_order,
-        ))
+        };
+        Ok((meta, (mode != DeltaMode::None).then_some(mode as u8)))
     }
 
     fn bytes_to_vector(bytes: &[u8]) -> Result<Vector, StrategyError> {
@@ -436,15 +384,10 @@ impl CheckpointStrategy {
             .collect())
     }
 
-    /// Writes the element-count frame prefix, then lets `encode` append the
-    /// compressed blob, so decoding stays self-contained.
-    fn frame_into<E>(
-        out: &mut Vec<u8>,
-        n_elements: usize,
-        encode: impl FnOnce(&mut Vec<u8>) -> Result<(), E>,
-    ) -> Result<(), E> {
+    /// Writes the element-count frame prefix a compressed blob follows, so
+    /// decoding stays self-contained.
+    fn frame_into(out: &mut Vec<u8>, n_elements: usize) {
         out.extend_from_slice(&(n_elements as u64).to_le_bytes());
-        encode(out)
     }
 
     fn unframe(bytes: &[u8]) -> Result<Compressed, StrategyError> {
@@ -457,6 +400,84 @@ impl CheckpointStrategy {
             bytes: bytes[8..].to_vec(),
             n_elements,
         })
+    }
+
+    /// Decodes a recovered checkpoint *chain* (anchor first, the recovered
+    /// checkpoint last) into the dynamic state it holds and how a solver
+    /// is to be brought back from it: every saved variable and the scalars
+    /// for an exact restore (Algorithm 1 lines 7–8), the solution vector
+    /// alone for a restart (Algorithm 2 lines 8–13).  The caller applies
+    /// it, because only the caller knows whether its solver can fail
+    /// doing so.  Multi-link chains are replayed through the SZ temporal
+    /// decoder, which reconstructs the final `x` bit-identically to what a
+    /// direct (anchor) decode of that checkpoint would have produced.
+    ///
+    /// # Errors
+    /// Returns [`StrategyError`] if the chain is empty, a payload is
+    /// missing or undecodable, or a multi-link chain reaches a strategy
+    /// whose checkpoints are always self-contained.
+    pub(crate) fn decode_chain<L: AsRef<[(String, Vec<u8>)]>>(
+        &self,
+        chain: &[L],
+        iteration: usize,
+        scalars: &[(String, f64)],
+    ) -> Result<(DynamicState, RecoveryMode), StrategyError> {
+        let Some(last) = chain.last() else {
+            return Err(StrategyError::Malformed("empty checkpoint chain".into()));
+        };
+        let compression = |e: lcr_compress::CompressError| StrategyError::Compression(e.to_string());
+        let self_contained = || {
+            StrategyError::Malformed(format!(
+                "{} checkpoints are self-contained, but a {}-link chain was recovered",
+                self.name(),
+                chain.len()
+            ))
+        };
+        let vectors = match self {
+            CheckpointStrategy::None => {
+                return Err(StrategyError::Malformed(
+                    "the no-checkpoint strategy cannot recover".into(),
+                ))
+            }
+            CheckpointStrategy::Lossy { codec, .. } => {
+                let links = chain
+                    .iter()
+                    .map(|payloads| {
+                        let x = payloads.as_ref().iter().find(|(name, _)| name == "x");
+                        let (_, bytes) = x.ok_or_else(|| {
+                            StrategyError::Malformed("lossy checkpoint lacks x".into())
+                        })?;
+                        Self::unframe(bytes)
+                    })
+                    .collect::<Result<Vec<_>, StrategyError>>()?;
+                let x = match (links.as_slice(), codec) {
+                    ([only], _) => Self::lossy_codec(*codec).decompress(only),
+                    (_, LossyCodecKind::Sz) => SzCompressor::new().decompress_chain(&links),
+                    _ => return Err(self_contained()),
+                };
+                vec![("x".to_string(), Vector::from_vec(x.map_err(compression)?))]
+            }
+            _ if chain.len() > 1 => return Err(self_contained()),
+            CheckpointStrategy::Traditional => last
+                .as_ref()
+                .iter()
+                .map(|(name, bytes)| Ok((name.clone(), Self::bytes_to_vector(bytes)?)))
+                .collect::<Result<Vec<_>, StrategyError>>()?,
+            CheckpointStrategy::Lossless => last
+                .as_ref()
+                .iter()
+                .map(|(name, bytes)| {
+                    let data = LosslessPipeline::new().decompress(&Self::unframe(bytes)?);
+                    Ok((name.clone(), Vector::from_vec(data.map_err(compression)?)))
+                })
+                .collect::<Result<Vec<_>, StrategyError>>()?,
+        };
+        let state = DynamicState {
+            iteration,
+            scalars: scalars.to_vec(),
+            vectors,
+        };
+        Ok((state, self.recovery_mode()))
     }
 
     /// Decodes recovered payloads and applies them to the solver:
@@ -472,69 +493,16 @@ impl CheckpointStrategy {
         iteration: usize,
         scalars: &[(String, f64)],
     ) -> Result<(), StrategyError> {
-        match self {
-            CheckpointStrategy::None => Err(StrategyError::Malformed(
-                "the no-checkpoint strategy cannot recover".into(),
-            )),
-            CheckpointStrategy::Traditional => {
-                let vectors = payloads
-                    .iter()
-                    .map(|(name, bytes)| Ok((name.clone(), Self::bytes_to_vector(bytes)?)))
-                    .collect::<Result<Vec<_>, StrategyError>>()?;
-                solver.restore_state(&DynamicState {
-                    iteration,
-                    scalars: scalars.to_vec(),
-                    vectors,
-                });
-                Ok(())
-            }
-            CheckpointStrategy::Lossless => {
-                let codec = LosslessPipeline::new();
-                let vectors = payloads
-                    .iter()
-                    .map(|(name, bytes)| {
-                        let compressed = Self::unframe(bytes)?;
-                        let data = codec
-                            .decompress(&compressed)
-                            .map_err(|e| StrategyError::Compression(e.to_string()))?;
-                        Ok((name.clone(), Vector::from_vec(data)))
-                    })
-                    .collect::<Result<Vec<_>, StrategyError>>()?;
-                solver.restore_state(&DynamicState {
-                    iteration,
-                    scalars: scalars.to_vec(),
-                    vectors,
-                });
-                Ok(())
-            }
-            CheckpointStrategy::Lossy { codec, .. } => {
-                let codec = Self::lossy_codec(*codec);
-                let (_, bytes) = payloads
-                    .iter()
-                    .find(|(name, _)| name == "x")
-                    .ok_or_else(|| StrategyError::Malformed("lossy checkpoint lacks x".into()))?;
-                let compressed = Self::unframe(bytes)?;
-                let x = codec
-                    .decompress(&compressed)
-                    .map_err(|e| StrategyError::Compression(e.to_string()))?;
-                solver.restart_from_solution(Vector::from_vec(x), iteration);
-                Ok(())
-            }
-        }
+        let (state, mode) = self.decode_chain(&[payloads], iteration, scalars)?;
+        apply_recovered(solver, state, mode);
+        Ok(())
     }
 
-    /// Chain-aware counterpart of [`CheckpointStrategy::recover`]: applies
-    /// a recovered checkpoint *chain* (anchor first, the recovered
-    /// checkpoint last) to the solver.  Single-link chains delegate to
-    /// [`CheckpointStrategy::recover`] unchanged; multi-link chains are
-    /// replayed through the SZ temporal decoder, which reconstructs the
-    /// final solution vector bit-identically to what a direct (anchor)
-    /// decode of that checkpoint would have produced.
+    /// Chain-aware counterpart of [`CheckpointStrategy::recover`]:
+    /// [`CheckpointStrategy::decode_chain`], applied to the solver.
     ///
     /// # Errors
-    /// Returns [`StrategyError`] if the chain is empty, a payload is
-    /// missing or undecodable, or a multi-link chain reaches a strategy
-    /// whose checkpoints are always self-contained.
+    /// As [`CheckpointStrategy::decode_chain`].
     pub fn recover_chain(
         &self,
         solver: &mut dyn IterativeMethod,
@@ -542,38 +510,27 @@ impl CheckpointStrategy {
         iteration: usize,
         scalars: &[(String, f64)],
     ) -> Result<(), StrategyError> {
-        let Some(last) = chain.last() else {
-            return Err(StrategyError::Malformed("empty checkpoint chain".into()));
-        };
-        if chain.len() == 1 {
-            return self.recover(solver, last, iteration, scalars);
-        }
-        let CheckpointStrategy::Lossy {
-            codec: LossyCodecKind::Sz,
-            ..
-        } = self
-        else {
-            return Err(StrategyError::Malformed(format!(
-                "{} checkpoints are self-contained, but a {}-link chain was recovered",
-                self.name(),
-                chain.len()
-            )));
-        };
-        let links = chain
-            .iter()
-            .map(|payloads| {
-                let (_, bytes) = payloads
-                    .iter()
-                    .find(|(name, _)| name == "x")
-                    .ok_or_else(|| StrategyError::Malformed("lossy checkpoint lacks x".into()))?;
-                Self::unframe(bytes)
-            })
-            .collect::<Result<Vec<_>, StrategyError>>()?;
-        let x = SzCompressor::new()
-            .decompress_chain(&links)
-            .map_err(|e| StrategyError::Compression(e.to_string()))?;
-        solver.restart_from_solution(Vector::from_vec(x), iteration);
+        let (state, mode) = self.decode_chain(chain, iteration, scalars)?;
+        apply_recovered(solver, state, mode);
         Ok(())
+    }
+}
+
+/// Brings an infallible solver back from a decoded checkpoint: every
+/// dynamic variable restored exactly, or a restart from the (possibly
+/// distorted) `x` at the checkpoint's iteration.
+pub(crate) fn apply_recovered(
+    solver: &mut dyn IterativeMethod,
+    state: DynamicState,
+    mode: RecoveryMode,
+) {
+    match mode {
+        RecoveryMode::Exact => solver.restore_state(&state),
+        RecoveryMode::Restart => {
+            let x = state.vectors.into_iter().find(|(name, _)| name == "x");
+            let (_, x) = x.expect("a restart recovery decodes x");
+            solver.restart_from_solution(x, state.iteration);
+        }
     }
 }
 
@@ -644,7 +601,7 @@ mod tests {
     }
 
     #[test]
-    fn encode_into_matches_encode_for_every_strategy() {
+    fn encode_temporal_into_matches_encode_for_every_strategy() {
         let sys = spd_system(8);
         let n = sys.dim();
         let mut cg = ConjugateGradient::unpreconditioned(
@@ -665,7 +622,11 @@ mod tests {
             let enc = strategy.encode(&cg).unwrap();
             // The buffer is reused (not recreated) across strategies, as
             // the runner reuses it across checkpoints.
-            let meta = strategy.encode_into(&cg, &mut buffer).unwrap();
+            let mut anchors_only = TemporalEncodingSelector::default();
+            let (meta, delta) = strategy
+                .encode_temporal_into(&cg, &mut buffer, &mut anchors_only)
+                .unwrap();
+            assert_eq!(delta, None);
             assert_eq!(meta.original_bytes, enc.original_bytes);
             assert_eq!(meta.iteration, enc.iteration);
             assert_eq!(meta.scalars, enc.scalars);

@@ -27,6 +27,7 @@ use std::sync::Arc;
 
 /// Which of the paper's workloads to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+// lcr-analyze: allow(dead-public-item): type of the public field `PaperWorkload::kind`; callers build workloads through `poisson`/`kkt`
 pub enum WorkloadKind {
     /// The 3-D Poisson weak-scaling workload (Table 3, Figures 4–10).
     Poisson3d,

@@ -65,6 +65,7 @@ impl fmt::Display for BenchmarkId {
 }
 
 /// Timing-loop driver handed to bench closures.
+// lcr-analyze: allow(dead-public-item): parameter type of every bench closure; benches take it by inference
 pub struct Bencher {
     /// Mean nanoseconds per iteration measured by the last `iter` call.
     ns_per_iter: f64,
@@ -97,50 +98,10 @@ impl Bencher {
         }
         self.ns_per_iter = start.elapsed().as_nanos() as f64 / iters as f64;
     }
-
-    /// `iter` variant receiving the iteration count in batches; reduced to
-    /// a plain loop here.
-    pub fn iter_batched<I, O, S: FnMut() -> I, F: FnMut(I) -> O>(
-        &mut self,
-        mut setup: S,
-        mut f: F,
-        _size: BatchSize,
-    ) {
-        if test_mode() {
-            let input = setup();
-            let t0 = Instant::now();
-            black_box(f(input));
-            self.ns_per_iter = t0.elapsed().as_nanos() as f64;
-            return;
-        }
-        let start = Instant::now();
-        let deadline = start + Duration::from_millis(200);
-        let mut iters = 0u64;
-        let mut spent = Duration::ZERO;
-        loop {
-            let input = setup();
-            let t0 = Instant::now();
-            black_box(f(input));
-            spent += t0.elapsed();
-            iters += 1;
-            if iters >= 10 && Instant::now() >= deadline {
-                break;
-            }
-        }
-        self.ns_per_iter = spent.as_nanos() as f64 / iters as f64;
-    }
-}
-
-/// Batch sizing hint for `iter_batched` (ignored).
-#[derive(Debug, Clone, Copy)]
-pub enum BatchSize {
-    /// Small inputs.
-    SmallInput,
-    /// Large inputs.
-    LargeInput,
 }
 
 /// A named collection of related benchmarks.
+// lcr-analyze: allow(dead-public-item): return type of `Criterion::benchmark_group`; benches hold it by inference
 pub struct BenchmarkGroup<'a> {
     name: String,
     throughput: Option<Throughput>,
@@ -151,16 +112,6 @@ impl BenchmarkGroup<'_> {
     /// Annotate subsequent benches with a throughput.
     pub fn throughput(&mut self, throughput: Throughput) -> &mut Self {
         self.throughput = Some(throughput);
-        self
-    }
-
-    /// Ignored; kept for API compatibility.
-    pub fn sample_size(&mut self, _n: usize) -> &mut Self {
-        self
-    }
-
-    /// Ignored; kept for API compatibility.
-    pub fn measurement_time(&mut self, _d: Duration) -> &mut Self {
         self
     }
 

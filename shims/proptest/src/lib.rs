@@ -11,6 +11,7 @@
 
 #![forbid(unsafe_code)]
 
+// lcr-analyze: allow(dead-public-item): named by the `proptest!` expansion (`$crate::test_runner::…`)
 pub mod test_runner {
     //! Deterministic RNG + config for the mini test runner.
 
@@ -44,12 +45,14 @@ pub mod test_runner {
     /// Deterministic xoshiro256**-based generator, seeded from the test
     /// name so every test gets a stable, independent stream.
     #[derive(Debug, Clone)]
+    // lcr-analyze: allow(dead-public-item): named by the `proptest!` expansion
     pub struct TestRng {
         s: [u64; 4],
     }
 
     impl TestRng {
         /// Seed deterministically from a test name.
+        // lcr-analyze: allow(dead-public-item): called by the `proptest!` expansion
         pub fn from_name(name: &str) -> Self {
             // FNV-1a over the name, then SplitMix64 expansion.
             let mut h: u64 = 0xcbf29ce484222325;
@@ -85,7 +88,7 @@ pub mod test_runner {
         }
 
         /// Uniform draw from `[0, 1)`.
-        pub fn next_f64(&mut self) -> f64 {
+        pub(crate) fn next_f64(&mut self) -> f64 {
             (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
         }
 
@@ -131,19 +134,6 @@ pub mod strategy {
             FlatMap { inner: self, f }
         }
 
-        /// Filter generated values (retries until `f` accepts, up to a
-        /// retry cap).
-        fn prop_filter<F: Fn(&Self::Value) -> bool>(
-            self,
-            _whence: &'static str,
-            f: F,
-        ) -> Filter<Self, F>
-        where
-            Self: Sized,
-        {
-            Filter { inner: self, f }
-        }
-
         /// Type-erase the strategy.
         fn boxed(self) -> BoxedStrategy<Self::Value>
         where
@@ -184,6 +174,7 @@ pub mod strategy {
     }
 
     /// See [`Strategy::prop_flat_map`].
+    // lcr-analyze: allow(dead-public-item): return type of `Strategy::prop_flat_map`; tests hold it by inference
     pub struct FlatMap<S, F> {
         inner: S,
         f: F,
@@ -193,25 +184,6 @@ pub mod strategy {
         type Value = S2::Value;
         fn generate(&self, rng: &mut TestRng) -> S2::Value {
             (self.f)(self.inner.generate(rng)).generate(rng)
-        }
-    }
-
-    /// See [`Strategy::prop_filter`].
-    pub struct Filter<S, F> {
-        inner: S,
-        f: F,
-    }
-
-    impl<S: Strategy, F: Fn(&S::Value) -> bool> Strategy for Filter<S, F> {
-        type Value = S::Value;
-        fn generate(&self, rng: &mut TestRng) -> S::Value {
-            for _ in 0..1000 {
-                let v = self.inner.generate(rng);
-                if (self.f)(&v) {
-                    return v;
-                }
-            }
-            panic!("prop_filter: gave up after 1000 rejections");
         }
     }
 
@@ -227,6 +199,7 @@ pub mod strategy {
     }
 
     /// Weighted union of type-erased strategies (built by `prop_oneof!`).
+    // lcr-analyze: allow(dead-public-item): built by the `prop_oneof!` expansion
     pub struct Union<T> {
         options: Vec<(u32, BoxedStrategy<T>)>,
         total: u64,
@@ -318,6 +291,7 @@ pub mod strategy {
     }
 }
 
+// lcr-analyze: allow(dead-public-item): home of `any`, which tests reach through the prelude
 pub mod arbitrary {
     //! `any::<T>()` — canonical strategies per type.
 
@@ -325,6 +299,7 @@ pub mod arbitrary {
     use crate::test_runner::TestRng;
 
     /// Types with a canonical strategy.
+    // lcr-analyze: allow(dead-public-item): bound of `any::<T>()`; tests never name it
     pub trait Arbitrary: Sized {
         /// Generate one canonical random value.
         fn arbitrary_value(rng: &mut TestRng) -> Self;
@@ -389,6 +364,7 @@ pub mod collection {
     /// Length specification for [`vec`]: an exact size or a half-open
     /// range.
     #[derive(Debug, Clone, Copy)]
+    // lcr-analyze: allow(dead-public-item): parameter type of `collection::vec`; tests pass ranges that convert into it
     pub struct SizeRange {
         lo: usize,
         hi: usize, // exclusive
@@ -414,6 +390,7 @@ pub mod collection {
     }
 
     /// Strategy for `Vec<S::Value>` with random length.
+    // lcr-analyze: allow(dead-public-item): return type of `collection::vec`; tests hold it by inference
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

@@ -28,6 +28,7 @@ pub trait RngCore {
 }
 
 /// Types `gen::<T>()` can produce.
+// lcr-analyze: allow(dead-public-item): bound of `Rng::gen`; callers never name it
 pub trait Standard: Sized {
     /// Draw one value from the "standard" distribution for the type
     /// (uniform over the type's range; `[0, 1)` for floats).
@@ -65,6 +66,7 @@ impl Standard for bool {
 }
 
 /// Ranges `gen_range` accepts.
+// lcr-analyze: allow(dead-public-item): bound of `Rng::gen_range`; callers pass ranges
 pub trait SampleRange<T> {
     /// Draw a value uniformly from the range.
     fn sample<R: RngCore + ?Sized>(self, rng: &mut R) -> T;
@@ -151,44 +153,6 @@ pub trait SeedableRng: Sized {
 
     /// Construct from a `u64` convenience seed.
     fn seed_from_u64(state: u64) -> Self;
-}
-
-pub mod rngs {
-    //! Minimal mirror of `rand::rngs`.
-
-    /// A small fast generator (SplitMix64), usable where `rand`'s
-    /// `SmallRng` would be.
-    #[derive(Debug, Clone)]
-    pub struct SmallRng {
-        state: u64,
-    }
-
-    impl super::SeedableRng for SmallRng {
-        type Seed = [u8; 8];
-
-        fn from_seed(seed: Self::Seed) -> Self {
-            Self::seed_from_u64(u64::from_le_bytes(seed))
-        }
-
-        fn seed_from_u64(state: u64) -> Self {
-            SmallRng { state }
-        }
-    }
-
-    impl super::RngCore for SmallRng {
-        fn next_u32(&mut self) -> u32 {
-            (self.next_u64() >> 32) as u32
-        }
-
-        fn next_u64(&mut self) -> u64 {
-            // SplitMix64 (Steele, Lea, Flood 2014).
-            self.state = self.state.wrapping_add(0x9E3779B97F4A7C15);
-            let mut z = self.state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-            z ^ (z >> 31)
-        }
-    }
 }
 
 pub mod prelude {

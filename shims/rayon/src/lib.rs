@@ -139,6 +139,7 @@ where
 /// Random-access description of parallelisable data: `len` indices, each
 /// producing one item.  Composable (see [`Map`], [`Zip`], [`Enumerate`])
 /// and driven in disjoint index ranges by the terminal operations.
+// lcr-analyze: allow(dead-public-item): bound of every adaptor and terminal operation; callers never name it
 pub trait ParSource: Sync {
     /// Item produced per index.
     type Item;
@@ -168,6 +169,7 @@ pub trait ParSource: Sync {
 }
 
 /// Borrowing source over a slice (`par_iter`).
+// lcr-analyze: allow(dead-public-item): source type behind `par_iter`/`into_par_iter`; callers hold it by inference
 pub struct SliceSource<'a, T> {
     slice: &'a [T],
 }
@@ -189,6 +191,7 @@ impl<'a, T: Sync> ParSource for SliceSource<'a, T> {
 /// based so disjoint indices can be driven from different threads.  Under
 /// the `racecheck` feature each index records its delivery, so an index
 /// driven twice — an aliased `&mut` — panics instead of racing.
+// lcr-analyze: allow(dead-public-item): source type behind `par_iter`/`into_par_iter`; callers hold it by inference
 pub struct SliceMutSource<'a, T> {
     ptr: *mut T,
     len: usize,
@@ -223,6 +226,7 @@ impl<'a, T: Send> ParSource for SliceMutSource<'a, T> {
 }
 
 /// Source over a `usize` range (`(a..b).into_par_iter()`).
+// lcr-analyze: allow(dead-public-item): source type behind `par_iter`/`into_par_iter`; callers hold it by inference
 pub struct RangeSource {
     start: usize,
     len: usize,
@@ -245,6 +249,7 @@ impl ParSource for RangeSource {
 /// [`ParSource::truncate`]); the buffer (not the items) is freed on drop,
 /// so items never driven — possible only if a terminal operation panicked
 /// — are leaked rather than double-dropped.
+// lcr-analyze: allow(dead-public-item): source type behind `par_iter`/`into_par_iter`; callers hold it by inference
 pub struct VecSource<T> {
     buf: std::mem::ManuallyDrop<Vec<T>>,
 }
@@ -315,6 +320,7 @@ impl<S: ParSource, U, F: Fn(S::Item) -> U + Sync> ParSource for Map<S, F> {
 }
 
 /// rayon: `IndexedParallelIterator::zip` (lazy adapter).
+// lcr-analyze: allow(dead-public-item): adaptor type of the `par_iter` chains; callers hold it by inference
 pub struct Zip<A, B> {
     a: A,
     b: B,
@@ -338,6 +344,7 @@ impl<A: ParSource, B: ParSource> ParSource for Zip<A, B> {
 }
 
 /// rayon: `IndexedParallelIterator::enumerate` (lazy adapter).
+// lcr-analyze: allow(dead-public-item): adaptor type of the `par_iter` chains; callers hold it by inference
 pub struct Enumerate<S> {
     source: S,
 }
@@ -359,6 +366,7 @@ impl<S: ParSource> ParSource for Enumerate<S> {
 }
 
 /// A parallel iterator: a [`ParSource`] plus the chunking policy.
+// lcr-analyze: allow(dead-public-item): the parallel iterator every chain starts from; callers hold it by inference
 pub struct Par<S> {
     source: S,
     min_chunk: usize,
@@ -529,6 +537,7 @@ impl<S: ParSource> Par<S> {
 /// The pending state of `fold(identity, fold_op)`: one accumulator per
 /// chunk, awaiting the chunk-order combination that [`Fold::reduce`]
 /// performs.
+// lcr-analyze: allow(dead-public-item): adaptor type of the `par_iter` chains; callers hold it by inference
 pub struct Fold<S, ID, F> {
     par: Par<S>,
     identity: ID,
@@ -567,6 +576,7 @@ where
 /// Conversion used by [`Par::zip`] so both `Par<_>` and plain sources can
 /// appear on the right-hand side, mirroring rayon's
 /// `IntoParallelIterator` bound.
+// lcr-analyze: allow(dead-public-item): reached through `rayon::prelude::*`; callers never name it
 pub trait IntoParSource {
     /// The underlying source type.
     type Source: ParSource;
@@ -587,6 +597,7 @@ pub mod iter {
     use super::{Par, ParSource, RangeSource, SliceMutSource, SliceSource, VecSource};
 
     /// rayon: `IntoParallelIterator` (for `into_par_iter()`).
+    // lcr-analyze: allow(dead-public-item): reached through `rayon::prelude::*`; callers never name it
     pub trait IntoParallelIterator {
         /// Item type of the iterator.
         type Item;
@@ -618,6 +629,7 @@ pub mod iter {
     }
 
     /// rayon: `IntoParallelRefIterator` (for `par_iter()`).
+    // lcr-analyze: allow(dead-public-item): reached through `rayon::prelude::*`; callers never name it
     pub trait IntoParallelRefIterator<'data> {
         /// Item type of the iterator.
         type Item: 'data;
@@ -644,6 +656,7 @@ pub mod iter {
     }
 
     /// rayon: `IntoParallelRefMutIterator` (for `par_iter_mut()`).
+    // lcr-analyze: allow(dead-public-item): reached through `rayon::prelude::*`; callers never name it
     pub trait IntoParallelRefMutIterator<'data> {
         /// Item type of the iterator.
         type Item: 'data;
@@ -695,13 +708,6 @@ where
     B: FnOnce() -> RB,
 {
     (a(), b())
-}
-
-/// rayon: `current_num_threads` — the threads a parallel call issued from
-/// this thread would use (pool size, capped by
-/// [`set_max_active_threads`]).
-pub fn current_num_threads() -> usize {
-    pool::effective_threads()
 }
 
 #[cfg(test)]

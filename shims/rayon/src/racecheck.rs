@@ -78,7 +78,8 @@ mod imp {
         }
 
         /// Number of ranges claimed so far (test support).
-        pub fn claimed_ranges(&self) -> usize {
+        #[cfg(test)]
+        pub(crate) fn claimed_ranges(&self) -> usize {
             self.claimed.lock().unwrap().len()
         }
     }

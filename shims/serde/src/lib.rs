@@ -34,7 +34,7 @@ pub trait Serialize {
 pub trait Deserialize: Sized {}
 
 /// Escape and append a JSON string literal.
-pub fn write_json_string(s: &str, out: &mut String) {
+fn write_json_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

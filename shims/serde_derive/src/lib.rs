@@ -235,6 +235,7 @@ fn named_fields_body(prefix: &str, fields: &[String], body: &mut String) {
 }
 
 #[proc_macro_derive(Serialize)]
+// lcr-analyze: allow(dead-public-item): proc-macro entry point; rustc calls it for `#[derive]`
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     let name = &item.name;
@@ -310,6 +311,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
 }
 
 #[proc_macro_derive(Deserialize)]
+// lcr-analyze: allow(dead-public-item): proc-macro entry point; rustc calls it for `#[derive]`
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     format!("impl ::serde::Deserialize for {} {{}}", item.name)

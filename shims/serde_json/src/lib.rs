@@ -80,14 +80,6 @@ impl Value {
         }
     }
 
-    /// The value as a `bool`, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The value as a string slice, if it is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -288,7 +280,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(v.get("bench").and_then(Value::as_str), Some("kernels"));
-        assert_eq!(v.get("quick").and_then(Value::as_bool), Some(false));
+        assert_eq!(v.get("quick"), Some(&Value::Bool(false)));
         assert_eq!(v.get("pool_threads").and_then(Value::as_u64), Some(4));
         let rows = v.get("rows").and_then(Value::as_array).unwrap();
         assert_eq!(rows.len(), 2);
@@ -319,7 +311,7 @@ mod tests {
             Some("sz \"quoted\" \\ path\nline")
         );
         assert_eq!(v.get("x").and_then(Value::as_f64), Some(-12.5e3));
-        assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true));
+        assert_eq!(v.get("ok"), Some(&Value::Bool(true)));
     }
 
     #[test]

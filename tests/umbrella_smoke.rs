@@ -3,7 +3,9 @@
 //! `lossy_ckpt::{sparse, solvers, compress, ckpt}` re-export paths — the
 //! exact pipeline of the paper's Algorithm 2, at the smallest useful size.
 
-use lossy_ckpt::ckpt::{CheckpointLevel, ClusterConfig, FtiContext, PfsModel, SimClock};
+use lossy_ckpt::ckpt::{
+    CheckpointBuffer, CheckpointLevel, ClusterConfig, FtiContext, PfsModel, SimClock,
+};
 use lossy_ckpt::compress::{Compressed, ErrorBound, LossyCompressor, SzCompressor};
 use lossy_ckpt::solvers::{ConjugateGradient, IterativeMethod, LinearSystem, StoppingCriteria};
 use lossy_ckpt::sparse::poisson::{manufactured_rhs, poisson3d};
@@ -51,11 +53,21 @@ fn cg_solve_sz_checkpoint_lossy_restart_roundtrip() {
         CheckpointLevel::Pfs,
     );
     fti.protect("x", n * std::mem::size_of::<f64>());
-    let (metadata, write_seconds) = fti.snapshot(
-        &mut clock,
-        ckpt_iteration,
-        vec![("x".to_string(), compressed.bytes.clone())],
-    );
+    let mut buffer = CheckpointBuffer::new();
+    buffer.push_with("x", |out| out.extend_from_slice(&compressed.bytes));
+    let write_seconds = fti.planned_write_seconds(buffer.total_bytes());
+    clock.advance(write_seconds);
+    let metadata = fti
+        .commit_snapshot_from_buffer(
+            clock.now(),
+            ckpt_iteration,
+            "lossy",
+            &[],
+            None,
+            &mut buffer,
+            write_seconds,
+        )
+        .expect("the in-memory tier takes the snapshot");
     assert_eq!(metadata.iteration, ckpt_iteration);
     assert!(write_seconds > 0.0, "PFS write must consume simulated time");
     assert!(clock.now() >= write_seconds);
