@@ -1,12 +1,14 @@
 //! Dead-public-item lint: keeps the public surface of the `crates/*`
-//! libraries down to what something actually uses.
+//! libraries and of the `shims/*` stand-ins down to what something
+//! actually uses.
 //!
 //! `dead-public-item` flags a `pub fn|struct|enum|trait|const|mod`
-//! declared in a library source file (`crates/*/src`, binaries and
-//! `#[cfg(test)]` code excluded) whose name appears in the code of **no
-//! other file** of the workspace — tests, examples, benches, shims and the
-//! stand-alone `lcr_benchmark` package all count as users.  `pub use`
-//! re-exports do not: a re-export forwards a name, it does not use it.
+//! declared in a library source file (`crates/*/src` and `shims/*/src`,
+//! binaries and `#[cfg(test)]` code excluded) whose name appears in the
+//! code of **no other file** of the workspace — tests, examples, benches,
+//! shims and the stand-alone `lcr_benchmark` package all count as users.
+//! `pub use` re-exports do not: a re-export forwards a name, it does not
+//! use it.
 //! rustc's own `dead_code` lint stops at `pub`; this one is the workspace-
 //! wide complement, lexical like the rest of the crate (a name shared with
 //! an unrelated live item is not flagged — the lint errs towards silence).

@@ -315,8 +315,12 @@ fn dead_public_items_are_flagged_unless_used_elsewhere_or_waived() {
                 "pub fn bin_local() {}\nfn main() { bin_local(); }\n",
             ),
             (
+                "shims/fake/src/lib.rs",
+                "#![forbid(unsafe_code)]\npub fn shim_orphan() {}\npub fn shim_used() {}\n",
+            ),
+            (
                 "tests/uses.rs",
-                "use fake_sparse::inner;\nfn t() { let _ = fake_sparse::Live; }\n",
+                "use fake_sparse::inner;\nfn t() { let _ = fake_sparse::Live; shim_used(); }\n",
             ),
         ],
     );
@@ -334,6 +338,8 @@ fn dead_public_items_are_flagged_unless_used_elsewhere_or_waived() {
             ("crates/sparse/src/inner.rs", 2),
             // `pub fn orphan`: named only by this file's own tests.
             ("crates/sparse/src/lib.rs", 4),
+            // The shims are held to what the workspace calls, too.
+            ("shims/fake/src/lib.rs", 2),
         ],
         "got {:?}",
         report.diagnostics

@@ -12,8 +12,9 @@
 //!   strategy into a reused arena, writes, commits or aborts it, restores
 //!   the newest checkpoint that was committed *and still decodes*, and
 //!   counts what it did where the fronts read it.
-//! * [`execute`] — `step → fault? → checkpoint due? → encode → write
-//!   window → vote → commit | abort`, over two seams:
+//! * [`execute`] (after [`resume`], for a front that adopts a dead
+//!   process's checkpoints) — `step → fault? → checkpoint due? → encode →
+//!   write window → vote → commit | abort`, over two seams:
 //!   the [`Regime`] says what time costs and when faults strike
 //!   (simulated clock, exponential injector and PFS billing for
 //!   [`FaultTolerantRunner::run`](crate::FaultTolerantRunner::run); the
@@ -180,8 +181,7 @@ pub(crate) struct Checkpointer {
     last_scalars: Vec<(String, f64)>,
     /// Consecutive hard durable-write failures …
     hard_failures: usize,
-    /// … after this many, the disk is gone, not glitching: drop the
-    /// durable tier and keep going in memory.
+    /// … after this many, drop the durable tier and keep going in memory.
     degrade_after: usize,
     /// The durable tier a degradation detached, kept for its counters.
     retired: Option<DiskStore>,
@@ -267,8 +267,15 @@ impl Checkpointer {
             if read.durable_id.is_some() && !self.strategy.can_recover_from(&read.tag) {
                 return None;
             }
-            let scalars = if read.scalars.is_empty() { &self.last_scalars } else { &read.scalars };
-            match self.strategy.decode_chain(&read.chain, read.iteration, scalars) {
+            let scalars = if read.scalars.is_empty() {
+                &self.last_scalars
+            } else {
+                &read.scalars
+            };
+            match self
+                .strategy
+                .decode_chain(&read.chain, read.iteration, scalars)
+            {
                 Ok(recovered) => return Some(recovered),
                 Err(_) => {
                     self.tally.failed_recoveries += 1;
@@ -360,7 +367,8 @@ fn checkpoint<R: Regime, Q: Quorum>(
     let (state, residual_norm, reference_norm) = rank.capture();
     let bound = ckpt.strategy.bound_at(residual_norm, reference_norm);
     let encoded =
-        ckpt.strategy.encode_state_into(&state, bound, &mut ckpt.buffer, &mut ckpt.selector);
+        ckpt.strategy
+            .encode_state_into(&state, bound, &mut ckpt.buffer, &mut ckpt.selector);
     let mut landed = None;
     if let Ok((meta, delta_order)) = encoded {
         // Register each saved variable with its paper-scale original size
@@ -368,7 +376,8 @@ fn checkpoint<R: Regime, Q: Quorum>(
         let paper_original_bytes = (meta.original_bytes as f64 * ckpt.fti.byte_scale()) as usize;
         let n_variables = ckpt.buffer.n_variables();
         for (i, (name, _)) in ckpt.buffer.segments().enumerate() {
-            ckpt.fti.protect(name, original_share(paper_original_bytes, n_variables, i));
+            ckpt.fti
+                .protect(name, original_share(paper_original_bytes, n_variables, i));
         }
         // Atomicity: the whole write window elapses *first*, and the
         // checkpoint reaches storage only if no fault struck inside it —
@@ -399,11 +408,15 @@ fn checkpoint<R: Regime, Q: Quorum>(
             Ok(_) => 0,
             Err(e) => ckpt.hard_failures + usize::from(matches!(e, CkptError::Io(_))),
         };
+        // Hard failures that outlast the retry layer this many commits in
+        // a row mean the disk is gone, not glitching.
         if ckpt.hard_failures >= ckpt.degrade_after {
             ckpt.retired = ckpt.fti.detach_disk_store().or(ckpt.retired.take());
             ckpt.tally.degraded = true;
         }
         landed = stored.ok().map(|metadata| Committed { epoch, metadata });
+        // The in-memory tier took the snapshot whatever the durable tier
+        // said: these are the scalars of its newest checkpoint.
         ckpt.last_scalars = scalars;
     }
     match (rank.vote(landed.is_some())?, landed) {

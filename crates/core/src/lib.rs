@@ -14,17 +14,23 @@
 //!   anchor checkpoints the SZ-backed lossy strategy may encode a
 //!   checkpoint as a delta against the previous one's quantization codes,
 //!   shrinking the stream; recovery replays the chain from the anchor.
-//! * [`runner`] — the fault-tolerant execution driver: it interleaves real
-//!   solver iterations with checkpoints at a configurable interval, injects
-//!   exponential fail-stop failures on the simulated clock, performs
-//!   recoveries (exact restore for traditional/lossless, restart-from-`x`
-//!   for lossy, per Algorithms 1 and 2), and accounts every second of
-//!   compute, compression, I/O and rollback.
-//! * [`sharded`] — the *real* (non-simulated) execution backend: the
-//!   global system is domain-decomposed into pool-isolated shards running
-//!   concurrently in-process with channel-based halo exchange, per-shard
-//!   SZ checkpoint segments under a coordinated epoch commit, and
-//!   per-shard crash recovery (only the failed shard rolls back).
+//! * `executor` (private) — the one fault-tolerant executor: a per-rank
+//!   checkpointer (the only code here that opens a `DiskStore`; encode
+//!   through the strategy, write, commit or abort, restore the newest
+//!   checkpoint that was committed and still decodes) and one `step →
+//!   fault? → checkpoint due? → encode → write window → vote → commit |
+//!   abort` loop over two seams — the *regime* (what time costs and when
+//!   faults strike) and the *quorum* (who must agree before a checkpoint
+//!   counts, and who rolls back).  It has two public fronts:
+//! * [`runner`] — [`FaultTolerantRunner::run`]: any solver, any strategy,
+//!   as a group of one on the simulated clock (per-iteration cost, codec
+//!   throughput, PFS model, exponential fail-stop failures), accounting
+//!   every second of compute, compression, I/O and rollback.
+//! * [`sharded`] — [`sharded::try_run_sharded`]: the *real* execution
+//!   backend — the global system domain-decomposed into shard threads with
+//!   channel-based halo exchange, lossy checkpoint segments under a
+//!   coordinated epoch commit, deterministic kills, and per-shard crash
+//!   recovery (only the failed shard rolls back).
 //! * [`impact`] — the §4.4.3 experiment behind Figure 2: the average number
 //!   of extra CG iterations caused by one lossy recovery as a function of
 //!   the relative error bound.

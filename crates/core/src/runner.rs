@@ -1,7 +1,7 @@
 //! The simulated-cluster front of the fault-tolerant executor.
 //!
 //! [`FaultTolerantRunner`] runs an iterative solver through
-//! [`crate::executor`] — the step → checkpoint → commit → recover loop it
+//! the private `executor` module — the step → checkpoint → commit → recover loop it
 //! shares with [`crate::sharded::try_run_sharded`] — as a group of one on
 //! the simulated clock:
 //!
@@ -270,6 +270,8 @@ struct Simulated<'a> {
     /// regenerated from the problem definition (as in the paper's PETSc
     /// set-up), the right-hand side is read back.
     vector_bytes: usize,
+    /// Whether the strategy runs a codec whose time is billed.
+    compresses: bool,
 }
 
 impl Simulated<'_> {
@@ -280,14 +282,6 @@ impl Simulated<'_> {
             self.failures += 1;
             true
         })
-    }
-
-    /// Whether the strategy runs a codec whose time is billed.
-    fn compresses(&self) -> bool {
-        !matches!(
-            self.cfg.strategy,
-            CheckpointStrategy::Traditional | CheckpointStrategy::None
-        )
     }
 }
 
@@ -304,7 +298,7 @@ impl Regime for Simulated<'_> {
 
     fn wrote(&mut self, paper_original_bytes: usize, write_seconds: f64) -> Option<bool> {
         let start = self.clock.now();
-        if self.compresses() {
+        if self.compresses {
             let seconds = self.cfg.cluster.compression_seconds(paper_original_bytes);
             self.clock.advance(seconds);
         }
@@ -318,7 +312,7 @@ impl Regime for Simulated<'_> {
 
     fn read(&mut self, fti: &mut FtiContext) -> Result<RecoveredData, CkptError> {
         let recovered = fti.recover(&mut self.clock, self.vector_bytes)?;
-        if self.compresses() {
+        if self.compresses {
             let seconds = self.cfg.cluster.decompression_seconds(self.vector_bytes);
             self.clock.advance(seconds);
         }
@@ -327,7 +321,9 @@ impl Regime for Simulated<'_> {
 
     fn reread_static(&mut self) {
         let cfg = self.cfg;
-        let seconds = cfg.pfs.read_seconds(self.vector_bytes, cfg.cluster.ranks, cfg.level);
+        let seconds = cfg
+            .pfs
+            .read_seconds(self.vector_bytes, cfg.cluster.ranks, cfg.level);
         self.clock.advance(seconds);
     }
 }
@@ -353,7 +349,11 @@ impl Quorum for Solo<'_> {
     }
 
     fn capture(&self) -> (DynamicState, f64, f64) {
-        (self.0.capture_state(), self.0.residual_norm(), self.0.reference_norm())
+        (
+            self.0.capture_state(),
+            self.0.residual_norm(),
+            self.0.reference_norm(),
+        )
     }
 
     fn roll_back(&mut self, _lost: bool, recovered: Option<Recovered>) -> Result<(), Infallible> {
@@ -433,11 +433,7 @@ impl FaultTolerantRunner {
     /// Panics if the configuration enables failures without a checkpoint
     /// strategy able to make progress (guarded by `max_failures` /
     /// `max_executed_iterations` instead of hanging).
-    pub fn run(
-        &self,
-        solver: &mut dyn IterativeMethod,
-        problem: &ScaledProblem,
-    ) -> RunReport {
+    pub fn run(&self, solver: &mut dyn IterativeMethod, problem: &ScaledProblem) -> RunReport {
         let cfg = &self.config;
         // Pin the kernel thread count for the duration of the run if the
         // config asks for one; restored on every exit path by the guard.
@@ -463,6 +459,10 @@ impl FaultTolerantRunner {
             },
             failures: 0,
             vector_bytes: problem.paper_vector_bytes(),
+            compresses: !matches!(
+                cfg.strategy,
+                CheckpointStrategy::Traditional | CheckpointStrategy::None
+            ),
         };
         // Store real payloads, bill I/O time at the paper's scale.
         let mut fti = FtiContext::new(cfg.cluster, cfg.pfs, cfg.level);
@@ -488,8 +488,12 @@ impl FaultTolerantRunner {
 
         let mut rank = Solo(solver);
         let Ok(()) = resume(&mut regime, &mut rank, &mut ckpt);
-        let Ok(executed_iterations) =
-            execute(&mut regime, &mut rank, &mut ckpt, cfg.max_executed_iterations);
+        let Ok(executed_iterations) = execute(
+            &mut regime,
+            &mut rank,
+            &mut ckpt,
+            cfg.max_executed_iterations,
+        );
 
         let convergence_iterations = solver.iteration();
         let t_it = cfg.cluster.iteration_seconds;
@@ -500,13 +504,7 @@ impl FaultTolerantRunner {
         let stored = tally.committed.iter().map(|c| &c.metadata);
         let checkpoints_taken = stored.len();
         let delta_checkpoints = stored.clone().filter(|m| m.encoding.is_delta()).count();
-        let mean_over_checkpoints = |sum: f64, of_none: f64| {
-            if checkpoints_taken > 0 {
-                sum / checkpoints_taken as f64
-            } else {
-                of_none
-            }
-        };
+        let mean_over_checkpoints = |sum: f64| sum / checkpoints_taken.max(1) as f64;
         RunReport {
             strategy: cfg.strategy.name().to_string(),
             convergence_iterations,
@@ -537,12 +535,12 @@ impl FaultTolerantRunner {
             hit_iteration_limit: solver.history().limit_reached,
             mean_checkpoint_bytes: mean_over_checkpoints(
                 stored.clone().map(|m| m.total_bytes as f64).sum(),
-                0.0,
             ),
-            mean_compression_ratio: mean_over_checkpoints(
-                stored.clone().map(|m| m.compression_ratio()).sum(),
-                1.0,
-            ),
+            mean_compression_ratio: if checkpoints_taken > 0 {
+                mean_over_checkpoints(stored.clone().map(|m| m.compression_ratio()).sum())
+            } else {
+                1.0
+            },
         }
     }
 }

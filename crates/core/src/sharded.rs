@@ -11,7 +11,7 @@
 //! and — when checkpointing is enabled — its *own* durable store under
 //! `ckpt_dir/shard-{k}/`, and runs the very loop of
 //! [`FaultTolerantRunner::run`](crate::FaultTolerantRunner::run)
-//! ([`crate::executor`]): one solver step, a checkpoint of its slice when
+//! (the private `executor` module): one solver step, a checkpoint of its slice when
 //! one is due, then the recovery round when a kill fired.  The checkpoint
 //! is the lossy strategy's (SZ under `error_bound`, tag `lossy`), so a
 //! segment reads back through the public [`CheckpointStrategy`] like any
@@ -45,9 +45,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use lcr_ckpt::{
-    CheckpointLevel, ClusterConfig, FtiContext, PfsModel, RetryPolicy, StorageBackend,
-};
+use lcr_ckpt::{CheckpointLevel, ClusterConfig, FtiContext, PfsModel, RetryPolicy, StorageBackend};
 use lcr_compress::ErrorBound;
 use lcr_solvers::{
     BiCgStab, ConjugateGradient, DynamicState, Jacobi, Progress, ShardSpace, ShardedMethod,
@@ -304,11 +302,14 @@ impl Regime for Live<'_> {
     /// back every named shard in one round).  The iteration counter of a
     /// sharded solve never rolls back, so each fires once.
     fn completed(&mut self, iteration: usize) -> Option<bool> {
-        let mut round = self.kills.iter().filter(|k| k.at_iteration == iteration).peekable();
+        let mut round = self
+            .kills
+            .iter()
+            .filter(|k| k.at_iteration == iteration)
+            .peekable();
         round.peek()?;
         Some(round.any(|k| k.shard == self.shard))
     }
-
 }
 
 /// One shard of the group: a checkpoint epoch counts when every shard's
@@ -340,11 +341,18 @@ impl Quorum for Shard<'_> {
 
     fn capture(&self) -> (DynamicState, f64, f64) {
         let progress = self.solver.progress();
-        (self.solver.capture_state(), progress.residual_norm(), progress.reference_norm())
+        (
+            self.solver.capture_state(),
+            progress.residual_norm(),
+            progress.reference_norm(),
+        )
     }
 
     fn epoch_scalars(&self, epoch: u64, iteration: usize) -> Vec<(String, f64)> {
-        vec![("epoch".to_string(), epoch as f64), ("iteration".to_string(), iteration as f64)]
+        vec![
+            ("epoch".to_string(), epoch as f64),
+            ("iteration".to_string(), iteration as f64),
+        ]
     }
 
     fn vote(&mut self, landed: bool) -> Result<bool, CommError> {
@@ -400,7 +408,10 @@ fn run_shard(
         .without_memory_tier();
     let mut ckpt = Checkpointer::new(strategy, cfg.checkpoint_interval, 0, fti, usize::MAX);
     if cfg.checkpoint_interval > 0 {
-        let root = cfg.ckpt_dir.as_ref().expect("checkpoint_interval > 0 requires ckpt_dir");
+        let root = cfg
+            .ckpt_dir
+            .as_ref()
+            .expect("checkpoint_interval > 0 requires ckpt_dir");
         let backend = cfg.backend_factory.as_ref().map(|factory| factory(shard));
         let dir = root.join(format!("shard-{shard}"));
         ckpt.attach_durable(&dir, cfg.retain, backend, cfg.retry, false)
@@ -420,12 +431,11 @@ fn run_shard(
         ShardedMethod::BiCgStab => Box::new(BiCgStab::on(space, None, criteria)?),
         ShardedMethod::Jacobi => Box::new(Jacobi::on(space, None, criteria)?),
     };
-    let stats = ShardStats {
-        shard,
-        rows: b_local.len(),
-        ..ShardStats::default()
+    let mut rank = Shard {
+        solver,
+        comm,
+        stats: ShardStats::default(),
     };
-    let mut rank = Shard { solver, comm, stats };
     let mut regime = Live {
         shard,
         kills: &cfg.kills,
@@ -434,6 +444,8 @@ fn run_shard(
     let (io_retries, retried_checkpoints, io_backoff_seconds) = ckpt.io_counters();
     let endpoint = comm.borrow();
     let stats = ShardStats {
+        shard,
+        rows: b_local.len(),
         checkpoints_written: ckpt.tally.committed.len(),
         aborted_epochs: ckpt.tally.aborted + ckpt.tally.failed,
         halo_doubles_sent: endpoint.halo_doubles_sent(),
@@ -523,18 +535,17 @@ pub fn try_run_sharded(
     // Error aggregation: a storage failure is the root cause (comm aborts
     // are its fallout), then a coordinator-detected stall/abort, then the
     // first shard comm error.
-    let mut comm_err = None;
-    for result in &results {
-        match result {
-            Err(e @ ShardedError::Storage { .. }) => return Err(e.clone()),
-            Err(e @ ShardedError::Comm(_)) if comm_err.is_none() => comm_err = Some(e.clone()),
-            _ => {}
-        }
+    let first_error = |storage_only: bool| {
+        let mut errors = results.iter().filter_map(|r| r.as_ref().err());
+        errors
+            .find(|e| !storage_only || matches!(e, ShardedError::Storage { .. }))
+            .cloned()
+    };
+    if let Some(e) = first_error(true) {
+        return Err(e);
     }
-    if let Err(e) = coord_result {
-        return Err(ShardedError::Comm(e));
-    }
-    if let Some(e) = comm_err {
+    coord_result?;
+    if let Some(e) = first_error(false) {
         return Err(e);
     }
     let results: Vec<_> = results
@@ -542,29 +553,30 @@ pub fn try_run_sharded(
         .map(|r| r.expect("checked above"))
         .collect();
 
-    // Determinism contract: every shard observed the same global run and
-    // committed the same epoch sequence.
-    let (first, _, first_epochs) = &results[0];
-    let trace = residual_trace(first);
-    let trace_bits = |trace: &[f64]| trace.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
-    let sequence = |epochs: &[Committed]| {
-        epochs.iter().map(|e| (e.epoch, e.metadata.iteration)).collect::<Vec<_>>()
+    // Determinism contract: every shard observed the same global run —
+    // iteration count, verdict, residual trace to the bit — and committed
+    // the same epoch sequence.
+    let observed = |(outcome, _, epochs): &(Progress, ShardStats, Vec<Committed>)| {
+        let trace: Vec<u64> = residual_trace(outcome)
+            .iter()
+            .map(|r| r.to_bits())
+            .collect();
+        let epochs: Vec<_> = epochs
+            .iter()
+            .map(|e| (e.epoch, e.metadata.iteration))
+            .collect();
+        (outcome.iteration(), outcome.satisfied(), trace, epochs)
     };
-    for (outcome, stats, epochs) in &results[1..] {
-        let shard = stats.shard;
-        assert_eq!(outcome.iteration(), first.iteration(), "iteration divergence");
-        assert_eq!(outcome.satisfied(), first.satisfied(), "convergence divergence");
+    let reference = observed(&results[0]);
+    for result in &results[1..] {
+        let shard = result.1.shard;
         assert_eq!(
-            trace_bits(&residual_trace(outcome)),
-            trace_bits(&trace),
-            "residual trace diverged on shard {shard}"
-        );
-        assert_eq!(
-            sequence(epochs),
-            sequence(first_epochs),
-            "shard {shard} committed a different epoch sequence"
+            observed(result),
+            reference,
+            "shard {shard} diverged from shard 0"
         );
     }
+    let (first, _, first_epochs) = &results[0];
     // The measured per-shard segment sizes of each committed epoch.
     let committed_epochs: Vec<EpochRecord> = first_epochs
         .iter()
@@ -572,7 +584,10 @@ pub fn try_run_sharded(
         .map(|(k, e)| EpochRecord {
             epoch: e.epoch,
             iteration: e.metadata.iteration,
-            shard_bytes: results.iter().map(|(_, _, epochs)| epochs[k].metadata.total_bytes).collect(),
+            shard_bytes: results
+                .iter()
+                .map(|(_, _, epochs)| epochs[k].metadata.total_bytes)
+                .collect(),
         })
         .collect();
 
@@ -584,7 +599,7 @@ pub fn try_run_sharded(
     Ok(ShardedReport {
         converged: first.satisfied(),
         iterations: first.iteration(),
-        residual_trace: trace,
+        residual_trace: residual_trace(first),
         solution,
         restart_iterations: first.history().restarts().to_vec(),
         shards: results.iter().map(|(_, s, _)| s.clone()).collect(),

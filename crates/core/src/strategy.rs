@@ -248,10 +248,7 @@ impl CheckpointStrategy {
     ///
     /// # Errors
     /// Returns [`StrategyError::Compression`] if a codec fails.
-    pub fn encode(
-        &self,
-        solver: &dyn IterativeMethod,
-    ) -> Result<EncodedCheckpoint, StrategyError> {
+    pub fn encode(&self, solver: &dyn IterativeMethod) -> Result<EncodedCheckpoint, StrategyError> {
         let mut buffer = CheckpointBuffer::new();
         let mut anchors_only = TemporalEncodingSelector::default();
         let (meta, _) = self.encode_temporal_into(solver, &mut buffer, &mut anchors_only)?;
@@ -264,7 +261,7 @@ impl CheckpointStrategy {
     }
 
     /// Encodes the solver's dynamic state directly into a reusable
-    /// [`CheckpointBuffer`] — [`CheckpointStrategy::encode_state_into`] on
+    /// [`CheckpointBuffer`] — `encode_state_into` on
     /// the solver's captured state, under the bound its policy resolves
     /// for the current residual.
     ///
@@ -283,8 +280,8 @@ impl CheckpointStrategy {
     }
 
     /// The error bound for a checkpoint taken when the residual and
-    /// reference norms stand at these values; the exact strategies ignore
-    /// the bound they are handed.
+    /// reference norms stand at these values.  The exact strategies ignore
+    /// the bound they are handed, and get one no codec accepts.
     pub(crate) fn bound_at(&self, residual_norm: f64, reference_norm: f64) -> ErrorBound {
         match self {
             CheckpointStrategy::Lossy { policy, .. } => policy.at(residual_norm, reference_norm),
@@ -331,8 +328,13 @@ impl CheckpointStrategy {
         };
         // Only the SZ codec has a temporal encoder; everything else always
         // writes self-contained anchors.
-        let temporal = (matches!(self, CheckpointStrategy::Lossy { codec: LossyCodecKind::Sz, .. })
-            && selector.delta_enabled())
+        let temporal = (matches!(
+            self,
+            CheckpointStrategy::Lossy {
+                codec: LossyCodecKind::Sz,
+                ..
+            }
+        ) && selector.delta_enabled())
         .then(|| (selector.begin_snapshot(), selector.max_order()));
         let mut mode = DeltaMode::None;
         for (name, v) in &saved {
@@ -347,7 +349,9 @@ impl CheckpointStrategy {
                 }
                 (CheckpointStrategy::Lossy { codec, .. }, None) => {
                     Self::frame_into(out, v.len());
-                    Self::lossy_codec(*codec).compress_into(v, bound, out).map(|_| ())
+                    Self::lossy_codec(*codec)
+                        .compress_into(v, bound, out)
+                        .map(|_| ())
                 }
                 (CheckpointStrategy::Lossless, _) => {
                     Self::frame_into(out, v.len());
@@ -355,14 +359,18 @@ impl CheckpointStrategy {
                 }
                 _ => {
                     out.reserve(v.len() * 8);
-                    v.iter().for_each(|x| out.extend_from_slice(&x.to_le_bytes()));
+                    v.iter()
+                        .for_each(|x| out.extend_from_slice(&x.to_le_bytes()));
                     Ok(())
                 }
             });
             encoded.map_err(|e| StrategyError::Compression(e.to_string()))?;
         }
         let meta = EncodedCheckpointMeta {
-            original_bytes: saved.iter().map(|(_, v)| v.len() * std::mem::size_of::<f64>()).sum(),
+            original_bytes: saved
+                .iter()
+                .map(|(_, v)| v.len() * std::mem::size_of::<f64>())
+                .sum(),
             iteration: state.iteration,
             scalars: match self.recovery_mode() {
                 RecoveryMode::Exact => state.scalars.clone(),
@@ -394,8 +402,7 @@ impl CheckpointStrategy {
         if bytes.len() < 8 {
             return Err(StrategyError::Malformed("framed payload too short".into()));
         }
-        let n_elements =
-            u64::from_le_bytes(bytes[..8].try_into().expect("8-byte prefix")) as usize;
+        let n_elements = u64::from_le_bytes(bytes[..8].try_into().expect("8-byte prefix")) as usize;
         Ok(Compressed {
             bytes: bytes[8..].to_vec(),
             n_elements,
@@ -425,7 +432,8 @@ impl CheckpointStrategy {
         let Some(last) = chain.last() else {
             return Err(StrategyError::Malformed("empty checkpoint chain".into()));
         };
-        let compression = |e: lcr_compress::CompressError| StrategyError::Compression(e.to_string());
+        let compression =
+            |e: lcr_compress::CompressError| StrategyError::Compression(e.to_string());
         let self_contained = || {
             StrategyError::Malformed(format!(
                 "{} checkpoints are self-contained, but a {}-link chain was recovered",
@@ -458,17 +466,18 @@ impl CheckpointStrategy {
                 vec![("x".to_string(), Vector::from_vec(x.map_err(compression)?))]
             }
             _ if chain.len() > 1 => return Err(self_contained()),
-            CheckpointStrategy::Traditional => last
-                .as_ref()
-                .iter()
-                .map(|(name, bytes)| Ok((name.clone(), Self::bytes_to_vector(bytes)?)))
-                .collect::<Result<Vec<_>, StrategyError>>()?,
-            CheckpointStrategy::Lossless => last
+            _ => last
                 .as_ref()
                 .iter()
                 .map(|(name, bytes)| {
-                    let data = LosslessPipeline::new().decompress(&Self::unframe(bytes)?);
-                    Ok((name.clone(), Vector::from_vec(data.map_err(compression)?)))
+                    let vector = match self {
+                        CheckpointStrategy::Lossless => {
+                            let data = LosslessPipeline::new().decompress(&Self::unframe(bytes)?);
+                            Vector::from_vec(data.map_err(compression)?)
+                        }
+                        _ => Self::bytes_to_vector(bytes)?,
+                    };
+                    Ok((name.clone(), vector))
                 })
                 .collect::<Result<Vec<_>, StrategyError>>()?,
         };
@@ -499,10 +508,10 @@ impl CheckpointStrategy {
     }
 
     /// Chain-aware counterpart of [`CheckpointStrategy::recover`]:
-    /// [`CheckpointStrategy::decode_chain`], applied to the solver.
+    /// `decode_chain`, applied to the solver.
     ///
     /// # Errors
-    /// As [`CheckpointStrategy::decode_chain`].
+    /// As `decode_chain`.
     pub fn recover_chain(
         &self,
         solver: &mut dyn IterativeMethod,

@@ -501,33 +501,34 @@ fn both_fronts_write_and_recover_one_checkpoint_format() {
         codec: LossyCodecKind::Sz,
         policy: ErrorBoundPolicy::Fixed(ErrorBound::ValueRangeRel(bound)),
     };
-    let sharded = |shards: usize, tag: &str, kill_at: Option<usize>, max_iterations: usize| {
+    // CG checkpointing every 5 iterations, shard 0 killed at `kills`.
+    let sharded = |shards: usize, tag: &str, kills: &[usize], max_iterations: usize| {
         let dir = tempdir(tag);
         let mut cfg = ShardedRunConfig::new(shards, ShardedMethod::Cg);
         cfg.rtol = 1e-12;
         cfg.max_iterations = max_iterations;
         cfg.reduce_block = 64;
         cfg.error_bound = ErrorBound::ValueRangeRel(bound);
-        if kill_at.is_some() || max_iterations > 10 {
-            cfg.checkpoint_interval = 5;
-            cfg.ckpt_dir = Some(dir.clone());
-        }
-        cfg.kills = kill_at
-            .map(|at_iteration| KillSpec {
+        cfg.checkpoint_interval = 5;
+        cfg.ckpt_dir = Some(dir.clone());
+        cfg.kills = kills
+            .iter()
+            .map(|&at_iteration| KillSpec {
                 shard: 0,
                 at_iteration,
             })
-            .into_iter()
             .collect();
         (run(&a, &b, &cfg), dir)
     };
-    // The state every checkpoint at iteration 10 was taken from.
-    let (reference, _) = sharded(1, "format-ref", None, 10);
+    // The state every checkpoint at iteration 10 was taken from (the run
+    // ends on it, so it is not itself checkpointed).
+    let (reference, ref_dir) = sharded(1, "format-ref", &[], 10);
     assert_eq!(reference.iterations, 10);
     let x10 = reference.solution.as_slice();
+    let _ = fs::remove_dir_all(&ref_dir);
 
     // A 2-shard run: each shard's newest segment is the epoch at 10.
-    let (two, dir) = sharded(2, "format-two", None, 12);
+    let (two, dir) = sharded(2, "format-two", &[], 12);
     assert_eq!(
         two.committed_epochs.iter().map(|e| e.iteration).collect::<Vec<_>>(),
         vec![5, 10]
@@ -542,7 +543,7 @@ fn both_fronts_write_and_recover_one_checkpoint_format() {
     let _ = fs::remove_dir_all(&dir);
 
     // One shard, killed right after the checkpoint at 10 committed.
-    let (one, one_dir) = sharded(1, "format-one", Some(10), 200);
+    let (one, one_dir) = sharded(1, "format-one", &[10], 200);
     let before_crash: Vec<usize> = one
         .committed_epochs
         .iter()
