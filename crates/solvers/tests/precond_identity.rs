@@ -189,6 +189,26 @@ fn poisson3d_uneven_blocks_match_the_oracle() {
 }
 
 #[test]
+fn ragged_lockstep_groups_match_the_oracle() {
+    // Blocks that are swept a few at a time leave a short final group and,
+    // where the rows do not divide evenly, blocks of two lengths inside one
+    // group: 35 937 = 6 · 5 989 + 3 = 7 · 5 133 + 6.
+    let a = poisson3d(33);
+    assert!(a.nrows() >= PAR_THRESHOLD);
+    for n_blocks in [6, 7] {
+        assert!(!a.nrows().is_multiple_of(n_blocks));
+        assert_block_jacobi_identical(&a, n_blocks, &format!("poisson3d(33)/{n_blocks}"));
+    }
+    // Down to one- and two-row blocks, and fewer blocks than any group
+    // width: unsymmetric, with stored zeros.
+    let n = 11;
+    let small = banded_with_stored_zeros(n);
+    for n_blocks in [1, 2, 3, 5, n - 1, n] {
+        assert_block_jacobi_identical(&small, n_blocks, &format!("banded(11)/{n_blocks}"));
+    }
+}
+
+#[test]
 fn kkt_blocks_match_the_oracle() {
     let (k, _, _) = kkt_system(&KktConfig {
         grid_n: 30,

@@ -4,11 +4,12 @@
 //! `spmv` and SZ compression/decompression are **bit-identical** whether
 //! they run on 1 thread or on the whole pool — and so are whole
 //! block-Jacobi-preconditioned CG and GMRES(30) solves, whose blocks are
-//! factorised and swept on the pool.
+//! factorised and swept on the pool, a few at a time per task.
 
 use lossy_ckpt::compress::{ErrorBound, LossyCompressor, SzCompressor};
 use lossy_ckpt::core::{PaperWorkload, ScaledProblem};
-use lossy_ckpt::solvers::SolverKind;
+use lossy_ckpt::solvers::{BlockJacobiPreconditioner, Preconditioner, SolverKind};
+use lossy_ckpt::sparse::poisson::poisson3d;
 use lossy_ckpt::sparse::vector::{dot, norm2};
 use lossy_ckpt::sparse::{CsrMatrix, Vector, PAR_THRESHOLD};
 use proptest::prelude::*;
@@ -181,5 +182,27 @@ fn preconditioned_cg_and_gmres_traces_bit_identical_at_1_vs_n_threads() {
                 "{kind:?}: solution differs at {threads} threads"
             );
         }
+    }
+}
+
+#[test]
+fn block_jacobi_apply_bit_identical_at_every_thread_cap() {
+    ensure_pool();
+    // The benchmark's shape: 48³ rows in 16 blocks.  How many blocks one
+    // pool task sweeps together may follow the thread cap; the bits may not.
+    let a = poisson3d(48);
+    let pre = BlockJacobiPreconditioner::new(&a, 16).expect("ILU(0) of Poisson");
+    let r = random_vector(a.nrows(), 48);
+    let apply_bits = |threads: usize| -> Vec<u64> {
+        let mut z = Vector::filled(a.nrows(), f64::NAN);
+        with_threads(threads, || pre.apply_into(&r, &mut z));
+        z.iter().map(|v| v.to_bits()).collect()
+    };
+    let one = apply_bits(1);
+    for threads in 2..=rayon::pool_threads() {
+        assert!(
+            apply_bits(threads) == one,
+            "apply_into differs at a cap of {threads} threads"
+        );
     }
 }
