@@ -24,7 +24,8 @@
 //! like-for-like).  The decompression rows are what the fig456
 //! recovery-time experiments rest on.  Vector, SpMV and preconditioner
 //! rows also report GB/s computed from their array sizes and that rate as
-//! a fraction of the triad row at the same thread count.
+//! a fraction of the triad row at the same thread count; the two
+//! preconditioner rows add nanoseconds per matrix row.
 //!
 //! Prints the usual aligned table + `JSON:` line.
 //!
@@ -68,6 +69,9 @@ struct ScalingRow {
     gb_per_s_computed: Option<f64>,
     /// `gb_per_s_computed` over the `triad` row's at the same thread count.
     frac_of_triad: Option<f64>,
+    /// Nanoseconds per matrix row, for the preconditioner rows: a
+    /// triangular sweep is a latency chain per row, which GB/s hides.
+    ns_per_row: Option<f64>,
     /// Whether the result was bit-identical to the 1-thread result.
     bit_identical: bool,
 }
@@ -282,7 +286,8 @@ fn main() {
         // The preconditioner: factorising the 16 diagonal blocks straight
         // from the matrix rows (parent read once + factors written once),
         // and one application (factors + r read, z written).  Blocks run
-        // on the pool; each block's arithmetic is thread-independent.
+        // on the pool, swept a few at a time in lockstep; each block's
+        // arithmetic is independent of the threads and of the grouping.
         let mut pre = factorise();
         let secs = time_median(reps, || pre = factorise());
         let factors: Vec<f64> = pre.factor_entries().map(|(_, _, v)| v).collect();
@@ -518,6 +523,8 @@ fn main() {
                 speedup_vs_1t: base_secs / seconds,
                 gb_per_s_computed,
                 frac_of_triad: gb_per_s_computed.map(|g| g / triad_gbs),
+                ns_per_row: matches!(name, "ilu0_factor" | "bjacobi_apply")
+                    .then(|| seconds * 1e9 / n as f64),
                 bit_identical: fingerprint == base_fp,
             });
         }
@@ -538,6 +545,7 @@ fn main() {
                 fmt(r.speedup_vs_1t, 2),
                 r.gb_per_s_computed.map_or("-".into(), |g| fmt(g, 2)),
                 r.frac_of_triad.map_or("-".into(), |f| fmt(f, 2)),
+                r.ns_per_row.map_or("-".into(), |t| fmt(t, 2)),
                 if r.bit_identical { "yes" } else { "NO" }.to_string(),
             ]
         })
@@ -553,6 +561,7 @@ fn main() {
             "speedup",
             "GB/s",
             "of triad",
+            "ns/row",
             "bit-identical",
         ],
         &table,

@@ -10,6 +10,7 @@ use lcr_sparse::{CsrMatrix, SparseError, Vector, PAR_THRESHOLD};
 use rayon::prelude::*;
 use std::cmp::Ordering;
 use std::ops::Range;
+use std::sync::Mutex;
 
 /// Applies the inverse of a preconditioning operator `M`.
 pub trait Preconditioner: Send + Sync {
@@ -109,8 +110,9 @@ impl Preconditioner for JacobiPreconditioner {
                 .zip(self.inv_diag.as_slice().par_iter())
                 .for_each(|((z, ri), di)| *z = ri * di);
         } else {
-            for i in 0..r.len() {
-                out[i] = r[i] * self.inv_diag[i];
+            let scaled = r.as_slice().iter().zip(self.inv_diag.as_slice());
+            for (z, (ri, di)) in out.as_mut_slice().iter_mut().zip(scaled) {
+                *z = ri * di;
             }
         }
     }
@@ -121,6 +123,16 @@ impl Preconditioner for JacobiPreconditioner {
 
     fn storage_bytes(&self) -> usize {
         self.inv_diag.len() * std::mem::size_of::<f64>()
+    }
+}
+
+/// Threads a kernel over `rows` rows called from this thread may use: one
+/// below [`PAR_THRESHOLD`], else the pool's size or this thread's cap on it.
+fn pool_width(rows: usize) -> usize {
+    match rayon::max_active_threads() {
+        _ if rows < PAR_THRESHOLD => 1,
+        0 => rayon::pool_threads(),
+        cap => cap.min(rayon::pool_threads()),
     }
 }
 
@@ -149,6 +161,13 @@ struct Triangle {
 }
 
 impl Triangle {
+    /// Stores an entry at `at` and moves `at` past it.
+    #[inline]
+    fn put(&mut self, at: &mut usize, col: u32, val: f64) {
+        (self.cols[*at], self.vals[*at]) = (col, val);
+        *at += 1;
+    }
+
     /// `init − Σ v·z[col]` over row `i`'s entries in storage order — the
     /// whole inner loop of every triangular sweep.
     #[inline]
@@ -195,33 +214,6 @@ impl Triangle {
     }
 }
 
-/// Where row `i` of `a` meets the diagonal block `[start, end)`: positions
-/// `(lo, diag, hi)` into `indices()` / `values()` such that `lo..diag` are
-/// the strictly-lower in-block entries, `diag` is the diagonal entry and
-/// `diag + 1..hi` the strictly-upper ones.  Checks on the way what both
-/// factorisations rely on: strictly increasing column indices (the merge
-/// walks and this very split assume them) and a stored, non-zero diagonal.
-fn block_row(
-    a: &CsrMatrix,
-    i: usize,
-    start: usize,
-    end: usize,
-) -> Result<(usize, usize, usize), SparseError> {
-    let row = a.indptr()[i]..a.indptr()[i + 1];
-    let cols = &a.indices()[row.clone()];
-    if cols.windows(2).any(|w| w[0] >= w[1]) {
-        return Err(SparseError::InvalidStructure(format!(
-            "row {i}: column indices are not strictly increasing"
-        )));
-    }
-    let at = |bound: usize| row.start + cols.partition_point(|&c| c < bound);
-    let (lo, diag, hi) = (at(start), at(i), at(end));
-    if diag == hi || a.indices()[diag] != i || a.values()[diag] == 0.0 {
-        return Err(SparseError::ZeroDiagonal(i));
-    }
-    Ok((lo, diag, hi))
-}
-
 /// A diagonal block split into strict-lower triangle, diagonal and
 /// strict-upper triangle — the storage both incomplete factorisations
 /// compute in place and sweep over.  Every array is allocated once at its
@@ -245,44 +237,57 @@ impl Factors {
     fn split(a: &CsrMatrix, start: usize, len: usize) -> Result<Self, SparseError> {
         let end = start + len;
         idx32(len)?;
-        let mut l_ptr = Vec::with_capacity(len + 1);
-        let mut u_ptr = Vec::with_capacity(len + 1);
-        // Where each row's diagonal sits in `a`: with the row lengths, all
-        // the copy pass below needs.
-        let mut diag_at = Vec::with_capacity(len);
+        let rows = &a.indptr()[start..=end];
+        let (indices, values) = (a.indices(), a.values());
+        // Sizes first, so that every array is allocated once: `x − lo < hi −
+        // lo` in wrapping arithmetic is `lo ≤ x < hi` in one comparison.
         let (mut l_nnz, mut u_nnz) = (0usize, 0usize);
-        l_ptr.push(0u32);
-        u_ptr.push(0u32);
-        for i in start..end {
-            let (lo, diag, hi) = block_row(a, i, start, end)?;
-            l_nnz += diag - lo;
-            u_nnz += hi - (diag + 1);
-            l_ptr.push(idx32(l_nnz)?);
-            u_ptr.push(idx32(u_nnz)?);
-            diag_at.push(diag);
+        for (i, row) in (start..end).zip(rows.windows(2)) {
+            for &c in &indices[row[0]..row[1]] {
+                l_nnz += usize::from(c.wrapping_sub(start) < i - start);
+                u_nnz += usize::from(c.wrapping_sub(i + 1) < end - (i + 1));
+            }
         }
-        let triangle = |ptr, nnz| Triangle {
-            ptr,
-            cols: Vec::with_capacity(nnz),
-            vals: Vec::with_capacity(nnz),
+        idx32(l_nnz.max(u_nnz))?;
+        let triangle = |nnz| Triangle {
+            ptr: vec![0; len + 1],
+            cols: vec![0; nnz],
+            vals: vec![0.0; nnz],
         };
         let mut f = Factors {
-            lower: triangle(l_ptr, l_nnz),
-            diag: Vec::with_capacity(len),
-            upper: triangle(u_ptr, u_nnz),
+            lower: triangle(l_nnz),
+            diag: vec![0.0; len],
+            upper: triangle(u_nnz),
         };
-        for (i, &diag) in diag_at.iter().enumerate() {
-            f.diag.push(a.values()[diag]);
-            let lower = diag - row_range(&f.lower.ptr, i).len()..diag;
-            let upper = diag + 1..diag + 1 + row_range(&f.upper.ptr, i).len();
-            for (tri, part) in [(&mut f.lower, lower), (&mut f.upper, upper)] {
-                // In-block columns are `< len`, which `idx32` admitted.
-                let local = a.indices()[part.clone()]
-                    .iter()
-                    .map(|&c| (c - start) as u32);
-                tri.cols.extend(local);
-                tri.vals.extend_from_slice(&a.values()[part]);
+        // One pass over the block's rows fills them: the same two range
+        // tests route every entry, so the cursors end on the counts.
+        let (mut l_at, mut u_at) = (0, 0);
+        for ((i, row), pivot) in (start..end).zip(rows.windows(2)).zip(&mut f.diag) {
+            let mut floor = 0;
+            for (&c, &v) in indices[row[0]..row[1]].iter().zip(&values[row[0]..row[1]]) {
+                if c < floor {
+                    return Err(SparseError::InvalidStructure(format!(
+                        "row {i}: column indices are not strictly increasing"
+                    )));
+                }
+                floor = c + 1;
+                // In-block columns are `< len`, which `idx32` admitted; the
+                // others are not stored.
+                let local = c.wrapping_sub(start) as u32;
+                match c.cmp(&i) {
+                    Ordering::Less if c >= start => f.lower.put(&mut l_at, local, v),
+                    Ordering::Equal => *pivot = v,
+                    Ordering::Greater if c < end => f.upper.put(&mut u_at, local, v),
+                    _ => {}
+                }
             }
+            // A diagonal that is not stored reads as the zero it is.
+            if *pivot == 0.0 {
+                return Err(SparseError::ZeroDiagonal(i));
+            }
+            // The counts fit `u32`, as their totals were checked to.
+            f.lower.ptr[i - start + 1] = l_at as u32;
+            f.upper.ptr[i - start + 1] = u_at as u32;
         }
         Ok(f)
     }
@@ -307,8 +312,8 @@ impl Factors {
 }
 
 /// Calls `hit(ia, ib)` for every column the sorted patterns `a` and `b` both
-/// store, in ascending column order — the zero-fill-in merge walk both
-/// factorisations update through.
+/// store, in ascending column order — the zero-fill-in merge walk IC(0)
+/// updates through.
 fn for_each_common(a: &[u32], b: &[u32], mut hit: impl FnMut(usize, usize)) {
     let (mut ia, mut ib) = (0, 0);
     while ia < a.len() && ib < b.len() {
@@ -321,6 +326,19 @@ fn for_each_common(a: &[u32], b: &[u32], mut hit: impl FnMut(usize, usize)) {
                 ib += 1;
             }
         }
+    }
+}
+
+/// Moves `at` up the ascending `cols` to the first column not below `c`
+/// and, where that column is `c`, takes `delta` off its value — one step of
+/// a zero-fill-in merge whose other side the caller walks.
+#[inline]
+fn sub_at(cols: &[u32], vals: &mut [f64], at: &mut usize, c: u32, delta: f64) {
+    while cols.get(*at).is_some_and(|&have| have < c) {
+        *at += 1;
+    }
+    if cols.get(*at) == Some(&c) {
+        vals[*at] -= delta;
     }
 }
 
@@ -351,31 +369,33 @@ impl Ilu0Block {
             let u_row = row_range(&upper.ptr, i);
             // Rows `k < i` of U are final; row `i` is being eliminated.
             let (u_done, u_rest) = upper.vals.split_at_mut(u_row.start);
-            for kk in l_row.clone() {
-                let k = lower.cols[kk] as usize;
+            let (u_cols, u_vals) = (&upper.cols[u_row.clone()], &mut u_rest[..u_row.len()]);
+            let (l_cols, l_vals) = (&lower.cols[l_row.clone()], &mut lower.vals[l_row]);
+            for at in 0..l_cols.len() {
+                let k = l_cols[at] as usize;
                 let pivot = diag[k];
                 if pivot == 0.0 {
                     return Err(SparseError::ZeroDiagonal(start + k));
                 }
-                let lik = lower.vals[kk] / pivot;
-                lower.vals[kk] = lik;
+                let lik = l_vals[at] / pivot;
+                l_vals[at] = lik;
                 // Subtract `lik ·` row k of U from what is left of row i —
                 // the rest of its L part, its pivot, its U part — only
-                // where row i already has entries.  A stored zero in row k
-                // is skipped, as an entry-wise lookup would skip it.
+                // where row i already has entries: one walk over row k,
+                // both parts of row i followed alongside.  A stored zero in
+                // row k is skipped, as an entry-wise lookup would skip it.
                 let k_row = row_range(&upper.ptr, k);
-                let (k_cols, k_vals) = (&upper.cols[k_row.clone()], &u_done[k_row]);
-                let sub = |cols: &[u32], vals: &mut [f64]| {
-                    for_each_common(cols, k_cols, |t, s| {
-                        if k_vals[s] != 0.0 {
-                            vals[t] -= lik * k_vals[s];
-                        }
-                    });
-                };
-                let l_left = kk + 1..l_row.end;
-                sub(&lower.cols[l_left.clone()], &mut lower.vals[l_left]);
-                sub(&[i as u32], &mut diag[i..=i]);
-                sub(&upper.cols[u_row.clone()], &mut u_rest[..u_row.len()]);
+                let (mut l_at, mut u_at) = (at + 1, 0);
+                for (&c, &ukj) in upper.cols[k_row.clone()].iter().zip(&u_done[k_row]) {
+                    if ukj == 0.0 {
+                        continue;
+                    }
+                    match (c as usize).cmp(&i) {
+                        Ordering::Less => sub_at(l_cols, l_vals, &mut l_at, c, lik * ukj),
+                        Ordering::Equal => diag[i] -= lik * ukj,
+                        Ordering::Greater => sub_at(u_cols, u_vals, &mut u_at, c, lik * ukj),
+                    }
+                }
             }
         }
         // Final pivots must be non-zero for the triangular solves.
@@ -388,23 +408,60 @@ impl Ilu0Block {
     fn dim(&self) -> usize {
         self.f.diag.len()
     }
+}
 
-    /// Solves `L U z = r` with forward/backward substitution, writing into
-    /// a caller-provided buffer (every element is overwritten).  The
-    /// forward result `y` lives in `z` and the backward solve runs in
-    /// place, so no temporaries are allocated.
-    fn solve_into(&self, r: &[f64], z: &mut [f64]) {
-        let Factors { lower, diag, upper } = &self.f;
-        assert_eq!(r.len(), diag.len(), "dimension mismatch");
-        assert_eq!(z.len(), diag.len(), "dimension mismatch");
-        // Forward solve L y = r (unit diagonal), y stored in z.
-        for i in 0..diag.len() {
-            z[i] = lower.sub_row(i, r[i], z);
+/// Most blocks one sweep advances together.  A triangular sweep is one
+/// serial recurrence (`mul → sub → … → div` per row, each row waiting for
+/// the one before); a few of them interleaved fill the stalls, too many
+/// run out of registers and load streams.  Measured at 2, 3, 4 and 8.
+const LOCKSTEP_MAX: usize = 4;
+
+/// Solves `L U z = r` in each of the `W` consecutive `blocks`, whose slices
+/// of `r` and `z` lie back to back, advancing all of them one row at a
+/// time: the blocks share no data, so their recurrences overlap in the
+/// core while each block's own arithmetic, and so its result, is what a
+/// sweep of that block alone computes.  The forward result `y` lives in `z`
+/// and the backward solve runs in place (every element is overwritten, no
+/// temporaries).  A shorter block sits out the rows it does not have.
+fn sweep<const W: usize>(blocks: &[Ilu0Block], r: &[f64], z: &mut [f64]) {
+    let f: [&Factors; W] = std::array::from_fn(|b| &blocks[b].f);
+    let (mut r_rest, mut z_rest) = (r, z);
+    let r: [&[f64]; W] = std::array::from_fn(|b| {
+        let r_b = r_rest.split_off(..f[b].diag.len());
+        r_b.expect("dimension mismatch")
+    });
+    let z: [&mut [f64]; W] = std::array::from_fn(|b| {
+        let z_b = z_rest.split_off_mut(..f[b].diag.len());
+        z_b.expect("dimension mismatch")
+    });
+    assert!(r_rest.is_empty() && z_rest.is_empty(), "dimension mismatch");
+    let longest = f.iter().map(|f| f.diag.len()).max().unwrap_or(0);
+    // Forward solve L y = r (unit diagonal), y stored in z.
+    for i in 0..longest {
+        for b in 0..W {
+            if i < f[b].diag.len() {
+                z[b][i] = f[b].lower.sub_row(i, r[b][i], z[b]);
+            }
         }
-        // Backward solve U z = y, in place (z[j] for j > i is final).
-        for i in (0..diag.len()).rev() {
-            z[i] = upper.sub_row(i, z[i], z) / diag[i];
+    }
+    // Backward solve U z = y, in place (z[j] for j > i is final).
+    for i in (0..longest).rev() {
+        for b in 0..W {
+            if i < f[b].diag.len() {
+                z[b][i] = f[b].upper.sub_row(i, z[b][i], z[b]) / f[b].diag[i];
+            }
         }
+    }
+}
+
+/// [`sweep`] over a group of at most [`LOCKSTEP_MAX`] blocks.
+fn sweep_group(blocks: &[Ilu0Block], r: &[f64], z: &mut [f64]) {
+    match blocks.len() {
+        1 => sweep::<1>(blocks, r, z),
+        2 => sweep::<2>(blocks, r, z),
+        3 => sweep::<3>(blocks, r, z),
+        4 => sweep::<4>(blocks, r, z),
+        w => unreachable!("{w} blocks in a group of at most {LOCKSTEP_MAX}"),
     }
 }
 
@@ -488,8 +545,10 @@ impl Preconditioner for Ic0Preconditioner {
 ///
 /// The blocks share no data, so both the factorisation and every
 /// application hand them to the thread pool (above
-/// [`lcr_sparse::PAR_THRESHOLD`] rows); each block's arithmetic is the same
-/// on any thread, so results are bit-identical at any thread count.
+/// [`lcr_sparse::PAR_THRESHOLD`] rows), and an application sweeps a few
+/// consecutive blocks at a time, row by row in lockstep; each block's
+/// arithmetic is the same on any thread and in any company, so results are
+/// bit-identical at any thread count.
 #[derive(Debug, Clone)]
 pub struct BlockJacobiPreconditioner {
     /// Contiguous, non-empty blocks tiling `0..dim` in order.
@@ -558,23 +617,32 @@ impl Preconditioner for BlockJacobiPreconditioner {
     fn apply_into(&self, r: &Vector, out: &mut Vector) {
         assert_eq!(r.len(), self.dim, "dimension mismatch");
         assert_eq!(out.len(), self.dim, "dimension mismatch");
-        // Each block solves straight between its own slices of `r` and
-        // `out` — no per-block copies.
+        let threads = pool_width(self.dim);
+        // As wide as the core overlaps well, as narrow as it takes to leave
+        // every thread a group.
+        let width = (self.blocks.len() / threads).clamp(1, LOCKSTEP_MAX);
+        // Each group solves straight between its own slices of `r` and
+        // `out` — no copies, nothing allocated.
         let (mut r_rest, mut z_rest) = (r.as_slice(), out.as_mut_slice());
-        let solves = self.blocks.iter().map(|block| {
-            let (r_b, r_tail) = r_rest.split_at(block.dim());
-            let (z_b, z_tail) = std::mem::take(&mut z_rest).split_at_mut(block.dim());
-            (r_rest, z_rest) = (r_tail, z_tail);
-            (block, r_b, z_b)
+        let groups = self.blocks.chunks(width).map(|group| {
+            let rows = ..group.iter().map(Ilu0Block::dim).sum();
+            let r_g = r_rest.split_off(rows).expect("blocks tile r");
+            let z_g = z_rest.split_off_mut(rows).expect("blocks tile out");
+            (group, r_g, z_g)
         });
-        if self.dim >= PAR_THRESHOLD {
-            solves
-                .collect::<Vec<_>>()
-                .into_par_iter()
-                .with_min_len(1)
-                .for_each(|(block, r_b, z_b)| block.solve_into(r_b, z_b));
+        if threads > 1 {
+            // Slices can only be peeled off the front, so every pool task
+            // takes the next group, whichever that is: a group's result
+            // does not depend on who sweeps it.
+            let tasks = groups.len();
+            let groups = Mutex::new(groups);
+            rayon::run_ordered(tasks, |_| {
+                let next = groups.lock().expect("no task panics in `next`").next();
+                let (group, r_g, z_g) = next.expect("one group per task");
+                sweep_group(group, r_g, z_g);
+            });
         } else {
-            solves.for_each(|(block, r_b, z_b)| block.solve_into(r_b, z_b));
+            groups.for_each(|(group, r_g, z_g)| sweep_group(group, r_g, z_g));
         }
     }
 
