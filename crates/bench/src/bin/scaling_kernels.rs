@@ -11,7 +11,9 @@
 //! temporal (version-5) SZ encoder over a three-snapshot point-wise-relative
 //! chain of it (`sz_temporal_compress`, and `sz_temporal_compress_1blk` over
 //! a 64,000-element one-block chain — the shape of a per-iteration
-//! checkpoint), ZFP compression of the same buffer, single-stream Huffman
+//! checkpoint) and the replay of the chains it built (`sz_chain_decompress`,
+//! `sz_chain_decompress_1blk`: what a recovery costs), ZFP compression of
+//! the same buffer, single-stream Huffman
 //! decoding of SZ-like quantization codes, the order-2 temporal delta codec of the
 //! version-5 checkpoint streams (`delta_encode`/`delta_decode` over the
 //! same codes against two simulated prior snapshots), and the durable
@@ -37,8 +39,8 @@ use lcr_bench::{fmt, print_json, print_table};
 use lcr_ckpt::disk::crc32;
 use lcr_ckpt::{CheckpointBuffer, CheckpointLevel, DiskStore};
 use lcr_compress::{
-    delta, huffman, DeltaMode, ErrorBound, LossyCompressor, SzCompressor, SzTemporalState,
-    ZfpCompressor,
+    delta, huffman, Compressed, DeltaMode, ErrorBound, LossyCompressor, SzCompressor,
+    SzTemporalState, ZfpCompressor,
 };
 use lcr_solvers::{BlockJacobiPreconditioner, Preconditioner};
 use lcr_sparse::kernels;
@@ -185,9 +187,10 @@ fn main() {
             })
             .collect()
     };
+    // (encode row, decode row, snapshots)
     let temporal_chains = [
-        ("sz_temporal_compress", temporal_chain(sz_len)),
-        ("sz_temporal_compress_1blk", temporal_chain(64_000)),
+        ("sz_temporal_compress", "sz_chain_decompress", temporal_chain(sz_len)),
+        ("sz_temporal_compress_1blk", "sz_chain_decompress_1blk", temporal_chain(64_000)),
     ];
     // Huffman input: SZ-like quantization codes (second differences of the
     // smooth buffer on a 2e-4 grid, shifted into the SZ code range).
@@ -377,7 +380,7 @@ fn main() {
         // order-1 delta, then both delta orders on offer.  Every candidate
         // is sized per block on the pool and only the winner is packed; the
         // fingerprint covers the three streams and the modes chosen.
-        for (name, chain) in &temporal_chains {
+        for (name, decode_name, chain) in &temporal_chains {
             let mut streams = vec![Vec::new(); chain.len()];
             let mut modes = vec![DeltaMode::None; chain.len()];
             let secs = time_median(reps, || {
@@ -405,6 +408,27 @@ fn main() {
                 h.rotate_left(21) ^ u64::from(crc32(stream)) ^ ((mode as u64) << 40)
             });
             measured.push((name, chain.len() * chain[0].len(), 0, fp, secs));
+
+            // The recovery side of the same chain: all three links replayed
+            // through the one block decoder, the last reconstructed.
+            let links: Vec<Compressed> = streams
+                .into_iter()
+                .map(|bytes| Compressed {
+                    bytes,
+                    n_elements: chain[0].len(),
+                })
+                .collect();
+            let mut replayed: Vec<f64> = Vec::new();
+            let secs = time_median(reps, || {
+                replayed = sz.decompress_chain(&links).expect("SZ chain decode failed");
+            });
+            measured.push((
+                decode_name,
+                chain.len() * chain[0].len(),
+                0,
+                bits_fingerprint(&replayed),
+                secs,
+            ));
         }
 
         let mut restored: Vec<f64> = Vec::new();

@@ -270,6 +270,27 @@ struct ParsedHeader {
     file_len: usize,
 }
 
+impl ParsedHeader {
+    /// The checkpoint metadata the header records.
+    fn metadata(&self) -> CheckpointMetadata {
+        let variable_bytes: Vec<(String, usize)> = self
+            .segments
+            .iter()
+            .map(|(name, _, len, _)| (name.clone(), *len))
+            .collect();
+        CheckpointMetadata {
+            id: self.meta.id,
+            iteration: self.meta.iteration,
+            completed_at: self.meta.completed_at,
+            level: self.meta.level,
+            total_bytes: variable_bytes.iter().map(|(_, b)| *b).sum(),
+            original_bytes: self.meta.original_bytes,
+            encoding: self.meta.encoding,
+            variable_bytes,
+        }
+    }
+}
+
 fn parse_header(bytes: &[u8], path: &Path) -> Result<ParsedHeader> {
     let corrupt = |msg: &str| CkptError::Corrupt(format!("{}: {msg}", path.display()));
     if bytes.len() < 20 {
@@ -379,8 +400,8 @@ fn parse_checkpoint_bytes(bytes: &[u8], path: &Path) -> Result<DiskCheckpoint> {
             parsed.file_len
         )));
     }
+    let metadata = parsed.metadata();
     let mut payloads = Vec::with_capacity(parsed.segments.len());
-    let mut variable_bytes = Vec::with_capacity(parsed.segments.len());
     for (name, offset, len, expected_crc) in parsed.segments {
         let payload = &bytes[offset..offset + len];
         if crc32(payload) != expected_crc {
@@ -389,21 +410,10 @@ fn parse_checkpoint_bytes(bytes: &[u8], path: &Path) -> Result<DiskCheckpoint> {
                 path.display()
             )));
         }
-        variable_bytes.push((name.clone(), len));
         payloads.push((name, payload.to_vec()));
     }
-    let total_bytes = variable_bytes.iter().map(|(_, b)| *b).sum();
     Ok(DiskCheckpoint {
-        metadata: CheckpointMetadata {
-            id: parsed.meta.id,
-            iteration: parsed.meta.iteration,
-            completed_at: parsed.meta.completed_at,
-            level: parsed.meta.level,
-            total_bytes,
-            original_bytes: parsed.meta.original_bytes,
-            encoding: parsed.meta.encoding,
-            variable_bytes,
-        },
+        metadata,
         tag: parsed.meta.tag,
         scalars: parsed.meta.scalars,
         payloads,
@@ -701,22 +711,7 @@ impl DiskStore {
                 parsed.file_len
             )));
         }
-        let variable_bytes: Vec<(String, usize)> = parsed
-            .segments
-            .iter()
-            .map(|(name, _, len, _)| (name.clone(), *len))
-            .collect();
-        let total_bytes = variable_bytes.iter().map(|(_, b)| *b).sum();
-        Ok(CheckpointMetadata {
-            id: parsed.meta.id,
-            iteration: parsed.meta.iteration,
-            completed_at: parsed.meta.completed_at,
-            level: parsed.meta.level,
-            total_bytes,
-            original_bytes: parsed.meta.original_bytes,
-            encoding: parsed.meta.encoding,
-            variable_bytes,
-        })
+        Ok(parsed.metadata())
     }
 
     /// The directory this store writes to.

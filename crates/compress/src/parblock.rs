@@ -87,8 +87,8 @@ where
 
 /// Reads a framed container of exactly `expected_blocks` blocks from
 /// `buf[*pos..]`, decodes the blocks in parallel with
-/// `decode(block_index, block_bytes)`, and concatenates the results in
-/// block order.
+/// `decode(block_index, block_bytes)`, and returns the results in block
+/// order.
 ///
 /// # Errors
 /// Propagates truncation errors from the framing reads, reports a block
@@ -98,60 +98,16 @@ pub(crate) fn decode_blocks<T, F>(
     buf: &[u8],
     pos: &mut usize,
     expected_blocks: usize,
-    total_len: usize,
     label: &str,
     decode: F,
 ) -> Result<Vec<T>>
 where
     T: Send,
-    F: Fn(usize, &[u8]) -> Result<Vec<T>> + Sync,
+    F: Fn(usize, &[u8]) -> Result<T> + Sync,
 {
     let blocks = read_container(buf, pos, expected_blocks, label)?;
-    let decoded: Vec<Result<Vec<T>>> = (0..blocks.len())
-        .into_par_iter()
-        .with_min_len(1)
-        .map(|b| decode(b, blocks[b]))
-        .collect();
-    let mut out = Vec::with_capacity(total_len);
-    for block in decoded {
-        out.extend(block?);
-    }
-    Ok(out)
-}
-
-/// [`decode_blocks`] for decoders that produce two parallel streams per
-/// block (e.g. quantization codes plus the unpredictable values their
-/// reserved bins refer to); both are concatenated in block order.
-///
-/// # Errors
-/// Same failure modes as [`decode_blocks`].
-pub(crate) fn decode_blocks2<A, B, F>(
-    buf: &[u8],
-    pos: &mut usize,
-    expected_blocks: usize,
-    total_a: usize,
-    label: &str,
-    decode: F,
-) -> Result<(Vec<A>, Vec<B>)>
-where
-    A: Send,
-    B: Send,
-    F: Fn(usize, &[u8]) -> Result<(Vec<A>, Vec<B>)> + Sync,
-{
-    let blocks = read_container(buf, pos, expected_blocks, label)?;
-    let decoded: Vec<Result<(Vec<A>, Vec<B>)>> = (0..blocks.len())
-        .into_par_iter()
-        .with_min_len(1)
-        .map(|b| decode(b, blocks[b]))
-        .collect();
-    let mut out_a = Vec::with_capacity(total_a);
-    let mut out_b = Vec::new();
-    for block in decoded {
-        let (a, b) = block?;
-        out_a.extend(a);
-        out_b.extend(b);
-    }
-    Ok((out_a, out_b))
+    let decoded: Vec<Result<T>> = map_blocks(blocks.len(), |b| decode(b, blocks[b]));
+    decoded.into_iter().collect()
 }
 
 /// Reads the container framing and returns the per-block byte slices.
@@ -165,6 +121,14 @@ fn read_container<'a>(
     if nblocks != expected_blocks {
         return Err(CompressError::Corrupt(format!(
             "expected {expected_blocks} {label} blocks, found {nblocks}"
+        )));
+    }
+    // The length table alone takes 8 bytes a block: a count the remaining
+    // bytes cannot hold is rejected before it sizes an allocation.
+    let remaining = buf.len().saturating_sub(*pos);
+    if nblocks > remaining / 8 {
+        return Err(CompressError::Corrupt(format!(
+            "{nblocks} {label} blocks cannot be framed in the {remaining} bytes that remain"
         )));
     }
     let mut lens = Vec::with_capacity(nblocks);

@@ -38,11 +38,15 @@
 //! | 5       | v4 plus a per-variable [`DeltaMode`] byte before the block container: codes may be **temporal deltas** against the prior snapshot's codes, unpredictable values XOR-coded against the prior snapshot's bits (8 Huffman byte planes), and point-wise-relative zero/sign bitmaps either carried raw or inherited from the previous log link (see [`SzCompressor::compress_temporal_into`]) |
 //!
 //! Version 4 is what [`SzCompressor::compress`] emits; version 5 is what
-//! the temporal (anchored-delta-chain) entry points emit.  A version-5
-//! stream whose mode is [`DeltaMode::None`] is a self-contained **anchor**
-//! and decodes through the stateless [`LossyCompressor::decompress`];
-//! delta streams need their chain and decode through
-//! [`SzCompressor::decompress_chain`].
+//! the temporal (anchored-delta-chain) entry points emit.  Both decode
+//! through one decoder, [`SzCompressor::decompress_chain`]: one loop over
+//! links, one block decoder (Huffman symbols → un-delta against the
+//! retained prior links → tail count checked against the reserved bins →
+//! verbatim values or XOR planes), one reconstruction loop for the final
+//! link.  **A chain of one is a stateless decode** —
+//! [`LossyCompressor::decompress`] is `decompress_chain` of a single link —
+//! so a version-4 stream or a version-5 **anchor** ([`DeltaMode::None`])
+//! decodes on its own, and a delta stream decodes as the end of its chain.
 
 use crate::bitstream::{bytes, BitReader};
 use crate::delta::{self, DeltaMode};
@@ -297,66 +301,18 @@ impl SzCompressor {
         })
     }
 
-    /// Inverse of [`SzCompressor::compress_abs`]: reads the block length
-    /// table, then decodes the independent blocks in parallel and
-    /// concatenates them in block order.
-    fn decompress_abs(buf: &[u8], pos: &mut usize, n: usize, abs_eb: f64) -> Result<Vec<f64>> {
-        parblock::decode_blocks(buf, pos, n.div_ceil(PAR_BLOCK), n, "SZ", |b, block| {
-            let block_n = (((b + 1) * PAR_BLOCK).min(n)) - b * PAR_BLOCK;
-            Self::decode_block_abs(block, block_n, abs_eb)
-        })
-    }
-
-    /// Inverse of [`SzCompressor::encode_block_abs`].
-    fn decode_block_abs(block: &[u8], n: usize, abs_eb: f64) -> Result<Vec<f64>> {
-        QUANT_SCRATCH.with(|q| {
-            let quant = &mut q.borrow_mut();
-            let pos = &mut 0usize;
-            huffman::decode_block_into(block, pos, quant)?;
-            let n_unpred = bytes::get_varint(block, pos)? as usize;
-            if quant.len() != n {
-                return Err(CompressError::Corrupt(format!(
-                    "expected {n} quantization codes, found {}",
-                    quant.len()
-                )));
-            }
-            // The unpredictable values are read straight off the stream
-            // slice; the length pre-check keeps corrupt counts from
-            // over-allocating or wrapping.
-            let unpred_len = n_unpred
-                .checked_mul(8)
-                .ok_or_else(|| CompressError::Corrupt("unpredictable count overflow".into()))?;
-            let unpred_bytes = bytes::get_slice(block, pos, unpred_len)?;
-            Self::reconstruct_block_v4(quant, unpred_bytes, abs_eb)
-        })
-    }
-
-    /// Grid-space value reconstruction of one version-4/5 block from its
-    /// (fully un-delta'd) quantization codes and verbatim-value bytes —
-    /// the exact loop the v4 decoder runs, factored out so the delta-chain
-    /// decoder reconstructs the final link through the identical code path
-    /// (bit-identical restarts by construction).
-    fn reconstruct_block_v4(quant: &[u32], unpred_bytes: &[u8], abs_eb: f64) -> Result<Vec<f64>> {
-        let mut unpred_iter = unpred_bytes
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("chunk of 8")));
-        Self::reconstruct_block_from(quant, &mut unpred_iter, abs_eb)
-    }
-
-    /// [`SzCompressor::reconstruct_block_v4`] over an arbitrary source of
-    /// unpredictable values (the delta-chain decoder feeds the un-XORed
-    /// tail it materialized instead of raw stream bytes).
-    fn reconstruct_block_from(
-        quant: &[u32],
-        unpred_iter: &mut dyn Iterator<Item = f64>,
-        abs_eb: f64,
-    ) -> Result<Vec<f64>> {
+    /// Grid-space value reconstruction of one block from its (fully
+    /// un-delta'd) quantization codes and its unpredictable values, one per
+    /// reserved bin — the only reconstruction loop, so a chain replay and a
+    /// stateless decode of the same snapshot agree bit for bit.
+    fn reconstruct_block(codes: &[u32], unpred: &[f64], abs_eb: f64) -> Vec<f64> {
         let two_eb = 2.0 * abs_eb;
         let inv = 1.0 / two_eb;
-        let mut out = Vec::with_capacity(quant.len());
+        let mut unpred = unpred.iter();
+        let mut out = Vec::with_capacity(codes.len());
         let mut rp = 0.0f64;
         let mut rp2 = 0.0f64;
-        for (i, &code) in quant.iter().enumerate() {
+        for (i, &code) in codes.iter().enumerate() {
             let pred = if i >= 2 {
                 2.0 * rp - rp2
             } else if i == 1 {
@@ -366,9 +322,7 @@ impl SzCompressor {
             };
             rp2 = rp;
             let value = if code == 0 {
-                let x = unpred_iter
-                    .next()
-                    .ok_or_else(|| CompressError::Corrupt("missing unpredictable value".into()))?;
+                let &x = unpred.next().expect("decode_block checked the tail count");
                 rp = grid_round(x * inv);
                 x
             } else {
@@ -379,7 +333,7 @@ impl SzCompressor {
             };
             out.push(value);
         }
-        Ok(out)
+        out
     }
 
     /// Validates `bound` and resolves it against `data`: the transform,
@@ -485,54 +439,33 @@ impl SzCompressor {
         })
     }
 
-    /// Reads the point-wise-relative side channels (`zero` / `sign`
-    /// bitmaps and the log-magnitude count) off the stream.
-    fn read_log_side_channels<'a>(
-        buf: &'a [u8],
-        pos: &mut usize,
-    ) -> Result<(&'a [u8], &'a [u8], usize)> {
-        let zero_len = bytes::get_u64(buf, pos)? as usize;
-        let zero_bytes = bytes::get_slice(buf, pos, zero_len)?;
-        let sign_len = bytes::get_u64(buf, pos)? as usize;
-        let sign_bytes = bytes::get_slice(buf, pos, sign_len)?;
-        let n_logs = bytes::get_u64(buf, pos)? as usize;
-        Ok((zero_bytes, sign_bytes, n_logs))
-    }
-
-    /// Reads a delta stream's point-wise-relative side channels: each
-    /// bitmap is either flagged as inherited from the previous log link
-    /// of the chain or carried raw (`u8 flag`, then the raw section when
-    /// the flag is 0).
-    fn read_log_side_channels_delta(
+    /// Reads one point-wise-relative bitmap (inverse of
+    /// [`LogSide::put_bitmaps`]): a raw `u64 len` + bytes section on an
+    /// anchor; on a delta link a flag byte first, which either announces
+    /// the raw section (0) or stands for the previous log link's bitmap (1).
+    fn read_bitmap(
         buf: &[u8],
         pos: &mut usize,
-        idx: usize,
-        prev: Option<&(Vec<u8>, Vec<u8>)>,
-    ) -> Result<(Vec<u8>, Vec<u8>, usize)> {
-        let read_bitmap = |pos: &mut usize,
-                               which: &str,
-                               prev_bytes: Option<&[u8]>|
-         -> Result<Vec<u8>> {
-            let flag = bytes::get_slice(buf, pos, 1)?[0];
-            match flag {
-                0 => {
-                    let len = bytes::get_u64(buf, pos)? as usize;
-                    Ok(bytes::get_slice(buf, pos, len)?.to_vec())
-                }
-                1 => prev_bytes.map(<[u8]>::to_vec).ok_or_else(|| {
-                    CompressError::Corrupt(format!(
-                        "chain link {idx}: inherits its {which} bitmap with no prior log link"
-                    ))
-                }),
-                other => Err(CompressError::Corrupt(format!(
-                    "chain link {idx}: unknown {which} bitmap flag {other}"
-                ))),
-            }
+        delta: bool,
+        inherited: Option<&Vec<u8>>,
+    ) -> Result<Vec<u8>> {
+        let flag = if delta {
+            bytes::get_slice(buf, pos, 1)?[0]
+        } else {
+            0
         };
-        let zero = read_bitmap(pos, "zero", prev.map(|p| p.0.as_slice()))?;
-        let sign = read_bitmap(pos, "sign", prev.map(|p| p.1.as_slice()))?;
-        let n_logs = bytes::get_u64(buf, pos)? as usize;
-        Ok((zero, sign, n_logs))
+        match flag {
+            0 => {
+                let len = bytes::get_u64(buf, pos)? as usize;
+                Ok(bytes::get_slice(buf, pos, len)?.to_vec())
+            }
+            1 => inherited.cloned().ok_or_else(|| {
+                CompressError::Corrupt("bitmap inherited from a link that has none".into())
+            }),
+            other => Err(CompressError::Corrupt(format!(
+                "unknown bitmap flag {other}"
+            ))),
+        }
     }
 
     /// Reassembles point-wise-relative values from the decoded log
@@ -543,6 +476,14 @@ impl SzCompressor {
         logs: Vec<f64>,
         n: usize,
     ) -> Result<Vec<f64>> {
+        // A bit per value in each bitmap: checked before `n` sizes anything.
+        if zero_bytes.len().min(sign_bytes.len()) < n.div_ceil(8) {
+            return Err(CompressError::Corrupt(format!(
+                "zero/sign bitmaps of {} and {} bytes cannot cover {n} values",
+                zero_bytes.len(),
+                sign_bytes.len()
+            )));
+        }
         let mut zero_reader = BitReader::new(zero_bytes);
         let mut sign_reader = BitReader::new(sign_bytes);
         let mut log_iter = logs.into_iter();
@@ -877,23 +818,16 @@ impl SzCompressor {
         }
     }
 
-    /// Inverse of [`SzCompressor::append_unpred_delta`]: reads the eight
-    /// XOR byte planes and reconstructs the block's unpredictable values
-    /// from the prior snapshot's codes and values.
+    /// Inverse of [`SzCompressor::append_unpred_delta`] past the count:
+    /// reads the eight XOR byte planes of `n_unpred` values and un-XORs
+    /// them against the prior link's value at the same element position.
     fn read_unpred_delta(
         block: &[u8],
         pos: &mut usize,
+        n_unpred: usize,
         codes: &[u32],
-        prev_codes: &[u32],
-        prev_unpred: &[f64],
+        (prev_codes, prev_unpred): &DecodedBlock,
     ) -> Result<Vec<f64>> {
-        let n_unpred = bytes::get_varint(block, pos)? as usize;
-        let reserved = codes.iter().filter(|&&c| c == 0).count();
-        if n_unpred != reserved {
-            return Err(CompressError::Corrupt(format!(
-                "delta tail declares {n_unpred} unpredictable values, codes reserve {reserved}"
-            )));
-        }
         let mut xors = vec![0u64; n_unpred];
         if n_unpred > 0 {
             let mut plane = Vec::with_capacity(n_unpred);
@@ -930,301 +864,154 @@ impl SzCompressor {
         Ok(values)
     }
 
-    /// Decodes a delta chain back to the final snapshot's values.
+    /// Decodes one block of one link — the only SZ block decoder: `n`
+    /// Huffman symbols, un-delta'd under `mode` against the same block of
+    /// the prior link (`prior`) and of the one before it (`prior2`) into
+    /// the snapshot's own codes, then the tail, whose count must equal the
+    /// reserved bins of those codes: verbatim values on a direct block, XOR
+    /// planes against the prior link's values on a delta block.  The caller
+    /// vouches that the priors `mode` needs have `n` codes.
+    fn decode_block(
+        block: &[u8],
+        n: usize,
+        mode: DeltaMode,
+        prior: &DecodedBlock,
+        prior2: &[u32],
+    ) -> Result<DecodedBlock> {
+        let pos = &mut 0usize;
+        let mut codes = Vec::with_capacity(n);
+        QUANT_SCRATCH.with(|q| {
+            let syms = &mut q.borrow_mut();
+            huffman::decode_block_into(block, pos, syms)?;
+            if syms.len() != n {
+                return Err(CompressError::Corrupt(format!(
+                    "expected {n} quantization codes, found {}",
+                    syms.len()
+                )));
+            }
+            match mode {
+                DeltaMode::None => codes.extend_from_slice(syms),
+                DeltaMode::Order1 => delta::decode_order1(syms, &prior.0, &mut codes),
+                DeltaMode::Order2 => delta::decode_order2(syms, &prior.0, prior2, &mut codes),
+            }
+            Ok(())
+        })?;
+        let declared = bytes::get_varint(block, pos)? as usize;
+        let reserved = codes.iter().filter(|&&c| c == 0).count();
+        if declared != reserved {
+            return Err(CompressError::Corrupt(format!(
+                "block tail declares {declared} unpredictable values, its codes reserve {reserved}"
+            )));
+        }
+        let unpred = if mode == DeltaMode::None {
+            bytes::get_slice(block, pos, 8 * reserved)?
+                .chunks_exact(8)
+                .map(|c| f64::from_le_bytes(c.try_into().expect("chunk of 8")))
+                .collect()
+        } else {
+            Self::read_unpred_delta(block, pos, reserved, &codes, prior)?
+        };
+        Ok((codes, unpred))
+    }
+
+    /// Decodes a delta chain back to the final snapshot's values — the
+    /// only SZ decoder: **a chain of one is a stateless decode**, and
+    /// [`LossyCompressor::decompress`] is exactly that.
     ///
-    /// `links` is the chain in temporal order: an **anchor** stream
-    /// first ([`DeltaMode::None`]), then each dependent delta stream up
-    /// to the target snapshot.  Intermediate links replay their
-    /// quantization codes and unpredictable values (plus, for
-    /// log-transformed streams, their zero/sign bitmaps, which later
-    /// links may inherit) without reconstructing grid values; the final
-    /// link is reconstructed through the exact v4 decode path, so the
-    /// result is bit-identical to a direct decode of that snapshot.
+    /// `links` is the chain in temporal order: a self-contained stream
+    /// first (version 4, or version 5 with [`DeltaMode::None`]), then every
+    /// stream up to the target snapshot.  Each link is decoded block by
+    /// block to its quantization codes and unpredictable values (plus, for
+    /// log-transformed streams, its zero/sign bitmaps, which the next link
+    /// may inherit); the two newest links are retained for the deltas of
+    /// the next, and an anchor mid-chain simply stops consulting them.
+    /// Only the final link is reconstructed to values, through the one
+    /// reconstruction loop, so the result is bit-identical to a direct
+    /// decode of that snapshot.
     ///
     /// # Errors
-    /// Rejects empty chains, chains not starting at an anchor, order-2
-    /// links without two prior links, version/shape mismatches between
-    /// consecutive links, and any per-link corruption the stateless
-    /// decoder would reject.
+    /// Rejects empty chains, a delta link with fewer links before it than
+    /// its order needs, code-count mismatches between a delta link and the
+    /// links it codes against, a block tail whose count differs from the
+    /// reserved bins of its codes, and any other per-link corruption.
     pub fn decompress_chain(&self, links: &[Compressed]) -> Result<Vec<f64>> {
-        let last = links
-            .last()
-            .ok_or_else(|| CompressError::Corrupt("empty checkpoint chain".into()))?;
-        if links.len() == 1 {
-            return self.decompress(last);
-        }
-
-        let mut prev1: Vec<u32> = Vec::new();
-        let mut prev2: Vec<u32> = Vec::new();
-        // The previous link's unpredictable values (one per reserved bin
-        // in `prev1`): the base the next delta link's XOR tail codes
-        // against.
-        let mut prev_unpred: Vec<f64> = Vec::new();
-        // The previous log link's zero/sign bitmaps, which a delta link
-        // may inherit instead of carrying its own.
-        let mut prev_side: Option<(Vec<u8>, Vec<u8>)> = None;
-        let mut result = None;
+        // The two newest decoded links, newest first.
+        let mut priors: [DecodedLink; 2] = Default::default();
         for (idx, link) in links.iter().enumerate() {
-            let buf = &link.bytes;
-            let mut pos = 0usize;
-            let h = Self::parse_header(buf, &mut pos)?;
+            let (buf, pos) = (link.bytes.as_slice(), &mut 0usize);
+            let h = Self::parse_header(buf, pos)?;
             if h.n != link.n_elements {
                 return Err(CompressError::Corrupt(format!(
                     "chain link {idx}: element count mismatch: header {}, metadata {}",
                     h.n, link.n_elements
                 )));
             }
-            if idx == 0 && h.mode != DeltaMode::None {
-                return Err(CompressError::Corrupt(
-                    "delta chain must start at an anchor".into(),
-                ));
-            }
-            if h.mode == DeltaMode::Order2 && idx < 2 {
+            let needs = h.mode.prior_snapshots();
+            if needs > idx {
                 return Err(CompressError::Corrupt(format!(
-                    "chain link {idx}: order-2 delta without two prior links"
+                    "chain link {idx}: {:?} delta stream with {idx} of the {needs} links it \
+                     codes against; decode it as the end of its chain, anchor first",
+                    h.mode
                 )));
             }
-            let final_link = idx + 1 == links.len();
 
-            match h.transform {
-                t if t == Transform::Identity as u8 => {
-                    prev_side = None;
-                    Self::check_chain_shape(idx, h.mode, h.n, &prev1, &prev2)?;
-                    if final_link {
-                        result = Some(Self::decode_final_abs(
-                            buf,
-                            &mut pos,
-                            h.n,
-                            h.eb,
-                            h.mode,
-                            &prev1,
-                            &prev2,
-                            &prev_unpred,
-                        )?);
-                    } else {
-                        let (codes, unpred) = Self::decode_codes(
-                            buf,
-                            &mut pos,
-                            h.n,
-                            h.mode,
-                            &prev1,
-                            &prev2,
-                            &prev_unpred,
-                        )?;
-                        std::mem::swap(&mut prev1, &mut prev2);
-                        prev1 = codes;
-                        prev_unpred = unpred;
-                    }
-                }
+            // What the blocks code: the values themselves, or the log
+            // magnitudes of the non-zero ones behind the two bitmaps.
+            let (bitmaps, n_codes, abs_eb) = match h.transform {
+                t if t == Transform::Identity as u8 => (None, h.n, h.eb),
                 t if t == Transform::Log as u8 => {
-                    let (zero_bytes, sign_bytes, n_logs) = if h.mode == DeltaMode::None {
-                        let (z, s, n) = Self::read_log_side_channels(buf, &mut pos)?;
-                        (z.to_vec(), s.to_vec(), n)
-                    } else {
-                        Self::read_log_side_channels_delta(
-                            buf,
-                            &mut pos,
-                            idx,
-                            prev_side.as_ref(),
-                        )?
-                    };
-                    let log_eb = h.eb.ln_1p();
-                    Self::check_chain_shape(idx, h.mode, n_logs, &prev1, &prev2)?;
-                    if final_link {
-                        let logs = Self::decode_final_abs(
-                            buf,
-                            &mut pos,
-                            n_logs,
-                            log_eb,
-                            h.mode,
-                            &prev1,
-                            &prev2,
-                            &prev_unpred,
-                        )?;
-                        result = Some(Self::expand_log(&zero_bytes, &sign_bytes, logs, h.n)?);
-                    } else {
-                        let (codes, unpred) = Self::decode_codes(
-                            buf,
-                            &mut pos,
-                            n_logs,
-                            h.mode,
-                            &prev1,
-                            &prev2,
-                            &prev_unpred,
-                        )?;
-                        std::mem::swap(&mut prev1, &mut prev2);
-                        prev1 = codes;
-                        prev_unpred = unpred;
-                    }
-                    prev_side = Some((zero_bytes, sign_bytes));
+                    let inherited = priors[0].bitmaps.as_ref();
+                    let delta = needs > 0;
+                    let zeros = Self::read_bitmap(buf, pos, delta, inherited.map(|b| &b[0]))?;
+                    let signs = Self::read_bitmap(buf, pos, delta, inherited.map(|b| &b[1]))?;
+                    let n_logs = bytes::get_u64(buf, pos)? as usize;
+                    (Some([zeros, signs]), n_logs, h.eb.ln_1p())
                 }
                 other => {
                     return Err(CompressError::Corrupt(format!(
                         "unknown transform tag {other}"
                     )))
                 }
+            };
+            if priors[..needs].iter().any(|p| p.n_codes != n_codes) {
+                return Err(CompressError::Corrupt(format!(
+                    "chain link {idx}: {:?} delta over {n_codes} codes, the links before it \
+                     have {} and {}",
+                    h.mode, priors[0].n_codes, priors[1].n_codes
+                )));
             }
+
+            let nblocks = n_codes.div_ceil(PAR_BLOCK);
+            let decode = |b: usize, block: &[u8]| {
+                let prior = |k: usize| priors[k].blocks.get(b).unwrap_or(&NO_PRIOR);
+                let block_n = PAR_BLOCK.min(n_codes - b * PAR_BLOCK);
+                Self::decode_block(block, block_n, h.mode, prior(0), &prior(1).0)
+            };
+            if idx + 1 < links.len() {
+                let blocks = parblock::decode_blocks(buf, pos, nblocks, "SZ", decode)?;
+                let [newest, _] = priors;
+                priors = [
+                    DecodedLink {
+                        n_codes,
+                        blocks,
+                        bitmaps,
+                    },
+                    newest,
+                ];
+                continue;
+            }
+            // The final link alone goes on to values.
+            let values = parblock::decode_blocks(buf, pos, nblocks, "SZ", |b, block| {
+                let (codes, unpred) = decode(b, block)?;
+                Ok(Self::reconstruct_block(&codes, &unpred, abs_eb))
+            })?
+            .concat();
+            return match bitmaps {
+                Some([zeros, signs]) => Self::expand_log(&zeros, &signs, values, h.n),
+                None => Ok(values),
+            };
         }
-        Ok(result.expect("non-empty chain produced a final link"))
-    }
-
-    /// Validates that the retained prior-code buffers match the shape a
-    /// delta link expects (anchors need no priors).
-    fn check_chain_shape(
-        idx: usize,
-        mode: DeltaMode,
-        code_n: usize,
-        prev1: &[u32],
-        prev2: &[u32],
-    ) -> Result<()> {
-        if mode.prior_snapshots() >= 1 && prev1.len() != code_n {
-            return Err(CompressError::Corrupt(format!(
-                "chain link {idx}: delta stream over {code_n} codes, prior has {}",
-                prev1.len()
-            )));
-        }
-        if mode.prior_snapshots() >= 2 && prev2.len() != code_n {
-            return Err(CompressError::Corrupt(format!(
-                "chain link {idx}: order-2 stream over {code_n} codes, second prior has {}",
-                prev2.len()
-            )));
-        }
-        Ok(())
-    }
-
-    /// Replays one intermediate chain link to its quantization codes and
-    /// unpredictable values (Huffman decode + un-delta; the values are
-    /// materialized because the next link's XOR tail codes against them).
-    #[allow(clippy::too_many_arguments)]
-    fn decode_codes(
-        buf: &[u8],
-        pos: &mut usize,
-        code_n: usize,
-        mode: DeltaMode,
-        prev1: &[u32],
-        prev2: &[u32],
-        prev_unpred: &[f64],
-    ) -> Result<(Vec<u32>, Vec<f64>)> {
-        let offsets = (mode != DeltaMode::None).then(|| Self::unpred_offsets(prev1));
-        parblock::decode_blocks2(buf, pos, code_n.div_ceil(PAR_BLOCK), code_n, "SZ", |b, block| {
-            let start = b * PAR_BLOCK;
-            let block_n = (((b + 1) * PAR_BLOCK).min(code_n)) - start;
-            QUANT_SCRATCH.with(|q| {
-                let syms = &mut q.borrow_mut();
-                let bpos = &mut 0usize;
-                huffman::decode_block_into(block, bpos, syms)?;
-                if syms.len() != block_n {
-                    return Err(CompressError::Corrupt(format!(
-                        "expected {block_n} quantization codes, found {}",
-                        syms.len()
-                    )));
-                }
-                let mut codes = Vec::with_capacity(block_n);
-                match mode {
-                    DeltaMode::None => codes.extend_from_slice(syms),
-                    DeltaMode::Order1 => {
-                        delta::decode_order1(syms, &prev1[start..start + block_n], &mut codes)
-                    }
-                    DeltaMode::Order2 => delta::decode_order2(
-                        syms,
-                        &prev1[start..start + block_n],
-                        &prev2[start..start + block_n],
-                        &mut codes,
-                    ),
-                }
-                let unpred = match &offsets {
-                    None => Self::read_unpred_verbatim(block, bpos)?,
-                    Some(offs) => Self::read_unpred_delta(
-                        block,
-                        bpos,
-                        &codes,
-                        &prev1[start..start + block_n],
-                        &prev_unpred[offs[b]..offs[b + 1]],
-                    )?,
-                };
-                Ok((codes, unpred))
-            })
-        })
-    }
-
-    /// Decodes the final chain link to values: Huffman symbols, un-delta
-    /// to the snapshot's own v4 codes, un-XOR of the delta tail, then the
-    /// shared grid-space reconstruction.
-    #[allow(clippy::too_many_arguments)]
-    fn decode_final_abs(
-        buf: &[u8],
-        pos: &mut usize,
-        n: usize,
-        abs_eb: f64,
-        mode: DeltaMode,
-        prev1: &[u32],
-        prev2: &[u32],
-        prev_unpred: &[f64],
-    ) -> Result<Vec<f64>> {
-        let offsets = (mode != DeltaMode::None).then(|| Self::unpred_offsets(prev1));
-        parblock::decode_blocks(buf, pos, n.div_ceil(PAR_BLOCK), n, "SZ", |b, block| {
-            let start = b * PAR_BLOCK;
-            let block_n = (((b + 1) * PAR_BLOCK).min(n)) - start;
-            QUANT_SCRATCH.with(|q| {
-                let syms = &mut q.borrow_mut();
-                let bpos = &mut 0usize;
-                huffman::decode_block_into(block, bpos, syms)?;
-                if syms.len() != block_n {
-                    return Err(CompressError::Corrupt(format!(
-                        "expected {block_n} quantization codes, found {}",
-                        syms.len()
-                    )));
-                }
-                let mut codes = Vec::with_capacity(block_n);
-                match mode {
-                    DeltaMode::None => codes.extend_from_slice(syms),
-                    DeltaMode::Order1 => {
-                        delta::decode_order1(syms, &prev1[start..start + block_n], &mut codes)
-                    }
-                    DeltaMode::Order2 => delta::decode_order2(
-                        syms,
-                        &prev1[start..start + block_n],
-                        &prev2[start..start + block_n],
-                        &mut codes,
-                    ),
-                }
-                match &offsets {
-                    None => {
-                        let n_unpred = bytes::get_varint(block, bpos)? as usize;
-                        let unpred_len = n_unpred.checked_mul(8).ok_or_else(|| {
-                            CompressError::Corrupt("unpredictable count overflow".into())
-                        })?;
-                        let unpred_bytes = bytes::get_slice(block, bpos, unpred_len)?;
-                        Self::reconstruct_block_v4(&codes, unpred_bytes, abs_eb)
-                    }
-                    Some(offs) => {
-                        let unpred = Self::read_unpred_delta(
-                            block,
-                            bpos,
-                            &codes,
-                            &prev1[start..start + block_n],
-                            &prev_unpred[offs[b]..offs[b + 1]],
-                        )?;
-                        let mut it = unpred.iter().copied();
-                        Self::reconstruct_block_from(&codes, &mut it, abs_eb)
-                    }
-                }
-            })
-        })
-    }
-
-    /// Reads a block's verbatim-value tail into owned values
-    /// (bounds-checked).
-    fn read_unpred_verbatim(block: &[u8], pos: &mut usize) -> Result<Vec<f64>> {
-        let n_unpred = bytes::get_varint(block, pos)? as usize;
-        let len = n_unpred
-            .checked_mul(8)
-            .ok_or_else(|| CompressError::Corrupt("unpredictable count overflow".into()))?;
-        let unpred_bytes = bytes::get_slice(block, pos, len)?;
-        Ok(unpred_bytes
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("chunk of 8")))
-            .collect())
+        Err(CompressError::Corrupt("empty checkpoint chain".into()))
     }
 
     /// Block `b` of a stream-long array.
@@ -1245,6 +1032,22 @@ impl SzCompressor {
         }
         offs
     }
+}
+
+/// One decoded block as the next link's deltas need it: its quantization
+/// codes and its unpredictable values, one per reserved (code 0) bin.
+type DecodedBlock = (Vec<u32>, Vec<f64>);
+
+/// Stands in for the prior blocks an anchor never reads.
+static NO_PRIOR: DecodedBlock = (Vec::new(), Vec::new());
+
+/// A decoded chain link as the next links need it.
+#[derive(Default)]
+struct DecodedLink {
+    n_codes: usize,
+    blocks: Vec<DecodedBlock>,
+    /// The zero and sign bitmaps of a log-transformed link.
+    bitmaps: Option<[Vec<u8>; 2]>,
 }
 
 /// Parsed common stream prologue.
@@ -1432,39 +1235,7 @@ impl LossyCompressor for SzCompressor {
     }
 
     fn decompress(&self, compressed: &Compressed) -> Result<Vec<f64>> {
-        let buf = &compressed.bytes;
-        let mut pos = 0usize;
-        let h = SzCompressor::parse_header(buf, &mut pos)?;
-        if h.mode != DeltaMode::None {
-            return Err(CompressError::Corrupt(format!(
-                "version-5 {:?} delta stream needs its chain; decode via decompress_chain",
-                h.mode
-            )));
-        }
-        if h.n != compressed.n_elements {
-            return Err(CompressError::Corrupt(format!(
-                "element count mismatch: header {}, metadata {}",
-                h.n, compressed.n_elements
-            )));
-        }
-
-        match h.transform {
-            t if t == Transform::Identity as u8 => {
-                SzCompressor::decompress_abs(buf, &mut pos, h.n, h.eb)
-            }
-            t if t == Transform::Log as u8 => {
-                // The side channels are decoded straight from the borrowed
-                // stream slices — no intermediate copies.
-                let (zero_bytes, sign_bytes, n_logs) =
-                    SzCompressor::read_log_side_channels(buf, &mut pos)?;
-                let log_eb = h.eb.ln_1p();
-                let logs = SzCompressor::decompress_abs(buf, &mut pos, n_logs, log_eb)?;
-                SzCompressor::expand_log(zero_bytes, sign_bytes, logs, h.n)
-            }
-            other => Err(CompressError::Corrupt(format!(
-                "unknown transform tag {other}"
-            ))),
-        }
+        self.decompress_chain(std::slice::from_ref(compressed))
     }
 
     fn name(&self) -> &'static str {
@@ -1896,6 +1667,67 @@ mod tests {
         // And a chain that does not start at an anchor is rejected.
         assert!(sz.decompress_chain(&chain[1..]).is_err());
         assert!(sz.decompress_chain(&[]).is_err());
+    }
+
+    /// A one-block version-5 Identity stream assembled by hand: the
+    /// Huffman blob of `symbols`, then `tail`.
+    fn hand_built_link(mode: DeltaMode, symbols: &[u32], tail: &[u8]) -> Compressed {
+        let mut bytes = Vec::new();
+        SzCompressor::put_header(
+            &mut bytes,
+            TEMPORAL_VERSION,
+            symbols.len(),
+            Transform::Identity,
+            1e-3,
+        );
+        bytes.push(mode as u8);
+        let mut block = Vec::new();
+        huffman::encode_block_into(symbols, &mut block);
+        block.extend_from_slice(tail);
+        parblock::write_container(&mut bytes, &[block]);
+        Compressed {
+            bytes,
+            n_elements: symbols.len(),
+        }
+    }
+
+    #[test]
+    fn tail_count_must_equal_the_reserved_bins_on_every_link() {
+        let sz = SzCompressor::new();
+        // Two unpredictable values, then one on the zero bin.
+        let codes = [0, 0, ZERO_BIN];
+        let anchor = |declared: &[f64]| {
+            let mut tail = Vec::new();
+            SzCompressor::append_unpred(&mut tail, declared);
+            hand_built_link(DeltaMode::None, &codes, &tail)
+        };
+        // The same snapshot again: all-zero order-1 symbols and XORs.
+        let delta = |declared: usize| {
+            let mut tail = Vec::new();
+            bytes::put_varint(&mut tail, declared as u64);
+            for _ in 0..8 {
+                huffman::encode_block_into(&vec![0; declared], &mut tail);
+            }
+            hand_built_link(DeltaMode::Order1, &[0, 0, 0], &tail)
+        };
+        let well_formed = [anchor(&[7.0, -8.0]), delta(2)];
+        assert_eq!(sz.decompress_chain(&well_formed).unwrap()[..2], [7.0, -8.0]);
+        assert_eq!(sz.decompress(&well_formed[0]).unwrap()[..2], [7.0, -8.0]);
+
+        let rejected = |chain: &[Compressed]| match sz.decompress_chain(chain) {
+            Err(CompressError::Corrupt(msg)) => assert!(msg.contains("reserve 2"), "{msg}"),
+            other => panic!("expected a tail-count error, got {other:?}"),
+        };
+        // A verbatim tail one value short used to index past the retained
+        // values when the next link paired its XORs; one value long used
+        // to shift every later block's pairing by one.
+        for declared in [&[7.0][..], &[7.0, -8.0, 9.0]] {
+            rejected(&[anchor(declared), delta(2)]);
+            rejected(&[anchor(declared)]);
+        }
+        for declared in [1, 3] {
+            rejected(&[anchor(&[7.0, -8.0]), delta(declared)]);
+        }
     }
 
     #[test]

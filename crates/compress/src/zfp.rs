@@ -317,7 +317,7 @@ impl LossyCompressor for ZfpCompressor {
             return Err(CompressError::Corrupt("element count mismatch".into()));
         }
         let _abs_eb = bytes::get_f64(buf, &mut pos)?;
-        parblock::decode_blocks(buf, &mut pos, n.div_ceil(GROUP_ELEMS), n, "ZFP", |g, group| {
+        parblock::decode_blocks(buf, &mut pos, n.div_ceil(GROUP_ELEMS), "ZFP", |g, group| {
             let group_n = (((g + 1) * GROUP_ELEMS).min(n)) - g * GROUP_ELEMS;
             let mut reader = BitReader::new(group);
             let mut vals = Vec::with_capacity(group_n);
@@ -329,6 +329,7 @@ impl LossyCompressor for ZfpCompressor {
             }
             Ok(vals)
         })
+        .map(|groups| groups.concat())
     }
 
     fn name(&self) -> &'static str {

@@ -254,12 +254,14 @@ fn retired_zfp_v2_stream_is_rejected_as_unsupported() {
 
 // ---- temporal delta chains (stream v5) ---------------------------------
 
-/// Builds the v5 delta chain for a snapshot sequence: anchor first, then
-/// delta (or direct, if delta would be larger) streams in order.
+/// Builds the v5 delta chain for a snapshot sequence: anchor first (and
+/// again at snapshot `mid_anchor`, if given), otherwise delta — or direct,
+/// if delta would be larger — streams in order.
 fn temporal_chain(
     snaps: &[Vec<f64>],
     bound: ErrorBound,
     max_order: lcr_compress::DeltaMode,
+    mid_anchor: Option<usize>,
 ) -> Vec<lcr_compress::Compressed> {
     let sz = SzCompressor::new();
     let mut state = lcr_compress::SzTemporalState::new();
@@ -268,7 +270,8 @@ fn temporal_chain(
         .enumerate()
         .map(|(k, snap)| {
             let mut bytes = Vec::new();
-            sz.compress_temporal_into(snap, bound, max_order, k == 0, &mut state, &mut bytes)
+            let anchor = k == 0 || mid_anchor == Some(k);
+            sz.compress_temporal_into(snap, bound, max_order, anchor, &mut state, &mut bytes)
                 .unwrap();
             lcr_compress::Compressed {
                 bytes,
@@ -312,6 +315,7 @@ proptest! {
         snaps in snapshot_strategy(),
         exp in -8i32..-2,
         order2 in any::<bool>(),
+        mid_anchor in any::<bool>(),
     ) {
         let eb = 10f64.powi(exp);
         let max_order = if order2 {
@@ -325,7 +329,9 @@ proptest! {
             ErrorBound::PointwiseRel(eb),
             ErrorBound::ValueRangeRel(eb),
         ] {
-            let chain = temporal_chain(&snaps, bound, max_order);
+            // An anchor forced at snapshot 2 sits mid-chain in every longer
+            // prefix: the decoder must stop consulting what came before it.
+            let chain = temporal_chain(&snaps, bound, max_order, mid_anchor.then_some(2));
             for k in 0..chain.len() {
                 let replayed = sz.decompress_chain(&chain[..=k]).unwrap();
                 let direct = sz
@@ -340,20 +346,42 @@ proptest! {
     }
 
     /// Corrupt delta chains must error (or decode to garbage values) —
-    /// never panic, never over-allocate.
+    /// never panic, never over-allocate: under an absolute bound and under
+    /// a point-wise relative one (bitmap flags, inherited bitmaps), on
+    /// plain snapshots and on ones with exact zeros and values no bound
+    /// can quantize (NaN, ∞, 1e300 — verbatim tails on the anchors, XOR
+    /// planes on the deltas, some against a value that stayed put and some
+    /// against one that moved).
     #[test]
     fn corrupt_delta_chains_never_panic(
         snaps in snapshot_strategy(),
         cut_frac in 0.0f64..1.0,
         bit in 0u8..8,
         corrupt_link_frac in 0.0f64..1.0,
+        pointwise in any::<bool>(),
+        spikes in any::<bool>(),
     ) {
+        let mut snaps = snaps;
+        if spikes {
+            for (k, snap) in snaps.iter_mut().enumerate() {
+                for (i, v) in snap.iter_mut().enumerate() {
+                    match i % 11 {
+                        2 => *v = [f64::NAN, f64::INFINITY, -1e300][(i / 11) % 3],
+                        5 if (i / 11) % 2 == k % 2 => *v = 1e300,
+                        7 => *v = 0.0,
+                        _ => {}
+                    }
+                }
+            }
+        }
+        let bound = if pointwise {
+            ErrorBound::PointwiseRel(1e-4)
+        } else {
+            ErrorBound::Abs(1e-6)
+        };
         let sz = SzCompressor::new();
-        let mut chain = temporal_chain(
-            &snaps,
-            ErrorBound::Abs(1e-6),
-            lcr_compress::DeltaMode::Order2,
-        );
+        let mut chain = temporal_chain(&snaps, bound, lcr_compress::DeltaMode::Order2, None);
+        prop_assert!(sz.decompress_chain(&chain).is_ok());
         let link = ((chain.len() as f64 * corrupt_link_frac) as usize).min(chain.len() - 1);
 
         // Truncating any link makes the whole chain undecodable.
@@ -385,5 +413,41 @@ fn corrupt_sz_length_fields_do_not_overallocate() {
         let mut evil = c.clone();
         evil.bytes[start..start + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         let _ = sz.decompress(&evil);
+    }
+}
+
+/// A block count the stream's own header agrees with must still fit the
+/// bytes that follow it: an empty stream relabelled as 2^42 blocks (with
+/// the element counts of header and metadata patched to match, so no
+/// earlier check fires) is rejected before the count sizes the length
+/// table — 32 TiB, which ends the process rather than the call.
+#[test]
+fn huge_block_counts_are_rejected_before_allocating() {
+    const BLOCKS: u64 = 1 << 42;
+    let sz = SzCompressor::new();
+    let zfp = ZfpCompressor::new();
+    // (codec, empty stream, elements per block, offset of the count the
+    // block count is derived from — `n`, or SZ's `n_logs`).
+    let cases: [(&dyn LossyCompressor, ErrorBound, u64, usize); 3] = [
+        (&sz, ErrorBound::Abs(1e-6), 65_536, 2),
+        (&sz, ErrorBound::PointwiseRel(1e-4), 65_536, 35),
+        (&zfp, ErrorBound::Abs(1e-4), 4_096, 2),
+    ];
+    for (codec, bound, block_elems, count_at) in cases {
+        let mut evil = codec.compress(&[], bound).unwrap();
+        assert!(codec.decompress(&evil).unwrap().is_empty());
+        let elements = BLOCKS * block_elems;
+        evil.bytes[count_at..count_at + 8].copy_from_slice(&elements.to_le_bytes());
+        let container = evil.bytes.len() - 8;
+        evil.bytes[container..].copy_from_slice(&BLOCKS.to_le_bytes());
+        if count_at == 2 {
+            evil.n_elements = elements as usize;
+        }
+        match codec.decompress(&evil) {
+            Err(lcr_compress::CompressError::Corrupt(msg)) => {
+                assert!(msg.contains("cannot be framed"), "{}: {msg}", codec.name());
+            }
+            other => panic!("{}: expected a framing error, got {other:?}", codec.name()),
+        }
     }
 }

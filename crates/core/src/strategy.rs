@@ -458,9 +458,9 @@ impl CheckpointStrategy {
                         Self::unframe(bytes)
                     })
                     .collect::<Result<Vec<_>, StrategyError>>()?;
-                let x = match (links.as_slice(), codec) {
-                    ([only], _) => Self::lossy_codec(*codec).decompress(only),
-                    (_, LossyCodecKind::Sz) => SzCompressor::new().decompress_chain(&links),
+                let x = match (codec, links.as_slice()) {
+                    (LossyCodecKind::Sz, _) => SzCompressor::new().decompress_chain(&links),
+                    (_, [only]) => Self::lossy_codec(*codec).decompress(only),
                     _ => return Err(self_contained()),
                 };
                 vec![("x".to_string(), Vector::from_vec(x.map_err(compression)?))]
