@@ -16,8 +16,9 @@
 //! the same buffer, single-stream Huffman
 //! decoding of SZ-like quantization codes, the order-2 temporal delta codec of the
 //! version-5 checkpoint streams (`delta_encode`/`delta_decode` over the
-//! same codes against two simulated prior snapshots), and the durable
-//! checkpoint tier
+//! same codes against two simulated prior snapshots), the checkpoint
+//! files' checksum (`crc32` over the arena the disk rows write, in GB/s and
+//! as a fraction of triad), and the durable checkpoint tier
 //! (`disk_ckpt_write`: arena → crash-consistent file with CRCs + fsync +
 //! rename; `disk_ckpt_read`: read-back with full CRC validation), at 1, 2
 //! and N pool threads — verifying along the way that every result is
@@ -67,7 +68,8 @@ struct ScalingRow {
     /// Speedup relative to the 1-thread row of the same kernel.
     speedup_vs_1t: f64,
     /// GB/s over the bytes the kernel's arrays hold (computed from their
-    /// sizes, not measured traffic); `None` for codec and disk rows.
+    /// sizes, not measured traffic); `None` for codec and disk rows
+    /// (`crc32` has it: bytes checksummed).
     gb_per_s_computed: Option<f64>,
     /// `gb_per_s_computed` over the `triad` row's at the same thread count.
     frac_of_triad: Option<f64>,
@@ -495,6 +497,14 @@ fn main() {
             .iter()
             .fold(0u64, |h, &v| h.rotate_left(13) ^ u64::from(v));
         measured.push(("delta_decode", huff_symbols.len(), 0, delta_dec_fp, secs));
+
+        // The checksum every checkpoint file carries, over the arena the
+        // disk rows below write: one pass over its bytes, so it reads
+        // against the triad ceiling like the vector kernels.
+        let arena = disk_buffer.arena_bytes();
+        let mut checksum = 0u32;
+        let secs = time_median(reps, || checksum = crc32(arena));
+        measured.push(("crc32", arena.len(), arena.len(), u64::from(checksum), secs));
 
         // Durable disk tier: single-threaded file I/O, measured at every
         // thread count as a like-for-like row.  The write streams the

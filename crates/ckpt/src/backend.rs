@@ -3,19 +3,22 @@
 //! Every file-system operation the durable checkpoint tier performs is
 //! routed through the [`StorageBackend`] trait: directory scans, header
 //! reads, full reads, the temp-write / fsync / rename commit sequence and
-//! eviction.  Production uses [`OsBackend`] (plain `std::fs`); the
-//! `lcr-chaos` crate wraps any backend in a fault injector to exercise
-//! torn writes, fsync lies, transient `EIO` and post-commit bit flips
-//! without touching the store logic itself.
+//! eviction.  The durable tier uses [`OsBackend`] (plain `std::fs`), the
+//! in-memory tier [`MemBackend`] (a map from path to bytes that dies with
+//! the process); the `lcr-chaos` crate wraps any backend in a fault
+//! injector to exercise torn writes, fsync lies, transient `EIO` and
+//! post-commit bit flips without touching the store logic itself.
 //!
 //! The trait is deliberately *operation-shaped* rather than
 //! handle-shaped: each call names the path it touches, so a fault
 //! injector can key its schedule on the operation sequence and a future
 //! remote tier can map calls onto an object store.
 
+use std::collections::BTreeMap;
 use std::fs::{self, File};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, MutexGuard};
 
 /// The file-system surface [`DiskStore`](crate::disk::DiskStore) needs.
 ///
@@ -126,6 +129,78 @@ impl StorageBackend for OsBackend {
     }
 }
 
+/// A file system held in memory: each path maps to the bytes last written
+/// there, and nothing outlives the value.  [`FtiContext`](crate::FtiContext)
+/// keeps its in-memory tier in one; a test can crash a store over one as
+/// often as it likes without touching a disk.  Directories are implicit —
+/// a file is in the directory its path names.
+#[derive(Debug, Default)]
+pub struct MemBackend {
+    files: Mutex<BTreeMap<PathBuf, Vec<u8>>>,
+}
+
+impl MemBackend {
+    fn files(&self) -> MutexGuard<'_, BTreeMap<PathBuf, Vec<u8>>> {
+        self.files.lock().expect("in-memory file table poisoned")
+    }
+
+    /// `read` applied to the bytes at `path`; `NotFound` when there are none.
+    fn with_file<T>(&self, path: &Path, read: impl FnOnce(&[u8]) -> T) -> io::Result<T> {
+        let files = self.files();
+        let bytes = files.get(path).ok_or(io::ErrorKind::NotFound)?;
+        Ok(read(bytes))
+    }
+}
+
+impl StorageBackend for MemBackend {
+    fn create_dir_all(&self, _dir: &Path) -> io::Result<()> {
+        Ok(())
+    }
+
+    fn list_dir(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
+        let files = self.files();
+        Ok(files.keys().filter(|p| p.parent() == Some(dir)).cloned().collect())
+    }
+
+    fn file_len(&self, path: &Path) -> io::Result<u64> {
+        self.with_file(path, |bytes| bytes.len() as u64)
+    }
+
+    fn read_prefix(&self, path: &Path, len: usize) -> io::Result<Vec<u8>> {
+        self.with_file(path, |bytes| bytes.get(..len).map(<[u8]>::to_vec))?
+            .ok_or_else(|| io::ErrorKind::UnexpectedEof.into())
+    }
+
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        self.with_file(path, <[u8]>::to_vec)
+    }
+
+    fn write_file(&self, path: &Path, parts: &[&[u8]]) -> io::Result<()> {
+        self.files().insert(path.to_path_buf(), parts.concat());
+        Ok(())
+    }
+
+    fn fsync(&self, path: &Path) -> io::Result<()> {
+        self.with_file(path, |_| ())
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        let mut files = self.files();
+        let bytes = files.remove(from).ok_or(io::ErrorKind::NotFound)?;
+        files.insert(to.to_path_buf(), bytes);
+        Ok(())
+    }
+
+    fn fsync_dir(&self, _dir: &Path) -> io::Result<()> {
+        Ok(())
+    }
+
+    fn remove_file(&self, path: &Path) -> io::Result<()> {
+        let removed = self.files().remove(path);
+        removed.map(drop).ok_or_else(|| io::ErrorKind::NotFound.into())
+    }
+}
+
 /// Bounded exponential-backoff policy for *transient* storage errors.
 ///
 /// Only I/O errors are ever retried — a CRC/format validation failure is
@@ -192,25 +267,61 @@ impl RetryPolicy {
 mod tests {
     use super::*;
 
-    #[test]
-    fn os_backend_roundtrips_and_renames() {
-        let dir = std::env::temp_dir().join(format!("lcr-backend-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let b = OsBackend;
-        b.create_dir_all(&dir).unwrap();
+    /// What [`DiskStore`](crate::disk::DiskStore) relies on, as a script
+    /// every backend must pass over an empty `dir`.
+    fn conforms(b: &dyn StorageBackend, dir: &Path) {
+        b.create_dir_all(dir).unwrap();
         let tmp = dir.join("a.tmp");
         let fin = dir.join("a.bin");
         b.write_file(&tmp, &[b"hello ", b"world"]).unwrap();
         b.fsync(&tmp).unwrap();
         b.rename(&tmp, &fin).unwrap();
-        b.fsync_dir(&dir).unwrap();
+        b.fsync_dir(dir).unwrap();
         assert_eq!(b.file_len(&fin).unwrap(), 11);
         assert_eq!(b.read_prefix(&fin, 5).unwrap(), b"hello");
         assert_eq!(b.read(&fin).unwrap(), b"hello world");
-        assert_eq!(b.list_dir(&dir).unwrap(), vec![fin.clone()]);
+        // Writing truncates; a rename replaces what its target held.
+        b.write_file(&tmp, &[b"bye"]).unwrap();
+        b.rename(&tmp, &fin).unwrap();
+        assert_eq!(b.read(&fin).unwrap(), b"bye");
+        assert!(b.read_prefix(&fin, 4).is_err(), "a prefix longer than the file");
+
+        // A directory lists its own files only.
+        let sub = dir.join("sub");
+        b.create_dir_all(&sub).unwrap();
+        let nested = sub.join("b.bin");
+        b.write_file(&nested, &[b"x"]).unwrap();
+        let files = |d: &Path| -> Vec<PathBuf> {
+            let mut listed = b.list_dir(d).unwrap();
+            listed.retain(|p| *p != sub);
+            listed
+        };
+        assert_eq!(files(dir), vec![fin.clone()]);
+        assert_eq!(files(&sub), vec![nested.clone()]);
+
+        // The renamed-away name is gone, and a missing path is `NotFound`.
+        let not_found = |r: io::Result<()>| r.unwrap_err().kind() == io::ErrorKind::NotFound;
+        assert!(not_found(b.read(&tmp).map(drop)));
+        assert!(not_found(b.file_len(&tmp).map(drop)));
+        assert!(not_found(b.fsync(&tmp)));
+        assert!(not_found(b.rename(&tmp, &fin)));
+        assert!(not_found(b.remove_file(&tmp)));
         b.remove_file(&fin).unwrap();
-        assert!(b.list_dir(&dir).unwrap().is_empty());
+        b.remove_file(&nested).unwrap();
+        assert!(files(dir).is_empty());
+    }
+
+    #[test]
+    fn os_backend_conforms() {
+        let dir = std::env::temp_dir().join(format!("lcr-backend-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
+        conforms(&OsBackend, &dir);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn mem_backend_conforms() {
+        conforms(&MemBackend::default(), Path::new("memory"));
     }
 
     #[test]

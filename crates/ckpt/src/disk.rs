@@ -1,10 +1,14 @@
-//! Durable on-disk checkpoint tier with a crash-consistent file format.
+//! The checkpoint store, with a crash-consistent file format.
 //!
-//! The in-memory [`CheckpointStore`](crate::store::CheckpointStore) models
-//! FTI's metadata handling but evaporates with the process — useless for
-//! the one scenario checkpointing exists for.  [`DiskStore`] adds the
-//! durable tier: every committed checkpoint becomes one self-describing
-//! file that a *fresh* process can reopen, validate and resume from.
+//! [`DiskStore`] is the one store of this crate: every committed
+//! checkpoint becomes one self-describing file behind a
+//! [`StorageBackend`].  Over [`OsBackend`] that is the durable tier — a
+//! *fresh* process can reopen the directory, validate the files and resume
+//! from them; over [`MemBackend`](crate::backend::MemBackend) it is the
+//! in-memory tier of [`FtiContext`](crate::FtiContext), which survives an
+//! in-process failure and evaporates with the process.  Both tiers share
+//! the format, the CRC validation, the retention rule and the chain walk
+//! below.
 //!
 //! # File format (version 2, all integers little-endian)
 //!
@@ -61,9 +65,10 @@
 //! # Write-behind
 //!
 //! With [`DiskStore::set_write_behind`] the store hands the whole
-//! [`CheckpointBuffer`] arena to a background I/O thread and immediately
-//! returns a recycled arena, so file I/O overlaps the next solver
-//! iterations.  At most one write is in flight (double buffering): a
+//! [`CheckpointBuffer`] arena to a background I/O thread — which runs the
+//! same `write_checkpoint` a synchronous push runs inline — and
+//! immediately returns a recycled arena, so file I/O overlaps the next
+//! solver iterations.  At most one write is in flight (double buffering): a
 //! second push, [`DiskStore::flush`] or any recovery first joins the
 //! outstanding write, so recovery never races a half-written file.
 
@@ -83,8 +88,10 @@ pub const MAGIC: [u8; 8] = *b"LCRCKPT0";
 /// anchor-vs-delta encoding fields).
 const FORMAT_VERSION: u32 = 2;
 
-const fn make_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables of the IEEE polynomial: `[0]` is the byte-at-a-time
+/// table, `[k][b]` the CRC of byte `b` followed by `k` zero bytes.
+const fn make_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0usize;
     while i < 256 {
         let mut c = i as u32;
@@ -93,19 +100,43 @@ const fn make_crc_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1usize;
+    while k < 8 {
+        let mut i = 0usize;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = make_crc_table();
+static CRC_TABLES: [[u32; 256]; 8] = make_crc_tables();
 
-/// IEEE CRC-32 (the zip/PNG polynomial) of `bytes`.
+/// IEEE CRC-32 (the zip/PNG polynomial) of `bytes`, eight bytes a step.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = CRC_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][(lo >> 8 & 0xFF) as usize]
+            ^ t[5][(lo >> 16 & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][(hi >> 8 & 0xFF) as usize]
+            ^ t[1][(hi >> 16 & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = t[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -150,15 +181,11 @@ pub struct DiskCheckpoint {
     pub payloads: Vec<(String, Vec<u8>)>,
 }
 
-/// Everything the serializer needs to produce one checkpoint file.
+/// What a checkpoint file's header records: the metadata, the writing
+/// strategy's tag and the scalars.
 #[derive(Debug, Clone)]
-struct FileMeta {
-    id: u64,
-    iteration: usize,
-    completed_at: f64,
-    level: CheckpointLevel,
-    original_bytes: usize,
-    encoding: CheckpointEncoding,
+struct Header {
+    metadata: CheckpointMetadata,
     tag: String,
     scalars: Vec<(String, f64)>,
 }
@@ -171,7 +198,8 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
 
 /// Serializes the header (magic + version + metadata + metadata CRC) for a
 /// checkpoint whose payloads are the segments of `buffer`.
-fn encode_header(meta: &FileMeta, buffer: &CheckpointBuffer) -> Vec<u8> {
+fn encode_header(header: &Header, buffer: &CheckpointBuffer) -> Vec<u8> {
+    let meta = &header.metadata;
     let mut block = Vec::with_capacity(64 + 32 * buffer.n_variables());
     block.extend_from_slice(&meta.id.to_le_bytes());
     block.extend_from_slice(&(meta.iteration as u64).to_le_bytes());
@@ -185,9 +213,9 @@ fn encode_header(meta: &FileMeta, buffer: &CheckpointBuffer) -> Vec<u8> {
             block.extend_from_slice(&base_id.to_le_bytes());
         }
     }
-    put_str(&mut block, &meta.tag);
-    block.extend_from_slice(&(meta.scalars.len() as u32).to_le_bytes());
-    for (name, value) in &meta.scalars {
+    put_str(&mut block, &header.tag);
+    block.extend_from_slice(&(header.scalars.len() as u32).to_le_bytes());
+    for (name, value) in &header.scalars {
         put_str(&mut block, name);
         block.extend_from_slice(&value.to_bits().to_le_bytes());
     }
@@ -263,32 +291,11 @@ impl<'a> Reader<'a> {
 
 /// Parsed header plus where each payload lives in the file.
 struct ParsedHeader {
-    meta: FileMeta,
-    /// `(variable id, offset-in-file, length, crc)` per segment.
-    segments: Vec<(String, usize, usize, u32)>,
+    header: Header,
+    /// `(offset-in-file, crc)` per segment, in `variable_bytes` order.
+    segments: Vec<(usize, u32)>,
     /// Expected total file length.
     file_len: usize,
-}
-
-impl ParsedHeader {
-    /// The checkpoint metadata the header records.
-    fn metadata(&self) -> CheckpointMetadata {
-        let variable_bytes: Vec<(String, usize)> = self
-            .segments
-            .iter()
-            .map(|(name, _, len, _)| (name.clone(), *len))
-            .collect();
-        CheckpointMetadata {
-            id: self.meta.id,
-            iteration: self.meta.iteration,
-            completed_at: self.meta.completed_at,
-            level: self.meta.level,
-            total_bytes: variable_bytes.iter().map(|(_, b)| *b).sum(),
-            original_bytes: self.meta.original_bytes,
-            encoding: self.meta.encoding,
-            variable_bytes,
-        }
-    }
 }
 
 fn parse_header(bytes: &[u8], path: &Path) -> Result<ParsedHeader> {
@@ -338,14 +345,15 @@ fn parse_header(bytes: &[u8], path: &Path) -> Result<ParsedHeader> {
         scalars.push((name, value));
     }
     let n_segments = r.u32()? as usize;
+    let mut variable_bytes = Vec::with_capacity(n_segments.min(1024));
     let mut segments = Vec::with_capacity(n_segments.min(1024));
     let mut offset = crc_at + 4;
     for _ in 0..n_segments {
         let name = r.string()?;
         let len = usize::try_from(r.u64()?)
             .map_err(|_| corrupt("payload length does not fit in usize"))?;
-        let crc = r.u32()?;
-        segments.push((name, offset, len, crc));
+        segments.push((offset, r.u32()?));
+        variable_bytes.push((name, len));
         offset = offset
             .checked_add(len)
             .ok_or_else(|| corrupt("payload lengths overflow"))?;
@@ -354,13 +362,17 @@ fn parse_header(bytes: &[u8], path: &Path) -> Result<ParsedHeader> {
         return Err(corrupt("trailing bytes in metadata block"));
     }
     Ok(ParsedHeader {
-        meta: FileMeta {
-            id,
-            iteration,
-            completed_at,
-            level,
-            original_bytes,
-            encoding,
+        header: Header {
+            metadata: CheckpointMetadata {
+                id,
+                iteration,
+                completed_at,
+                level,
+                total_bytes: variable_bytes.iter().map(|(_, b)| *b).sum(),
+                original_bytes,
+                encoding,
+                variable_bytes,
+            },
             tag,
             scalars,
         },
@@ -400,9 +412,10 @@ fn parse_checkpoint_bytes(bytes: &[u8], path: &Path) -> Result<DiskCheckpoint> {
             parsed.file_len
         )));
     }
-    let metadata = parsed.metadata();
+    let Header { metadata, tag, scalars } = parsed.header;
     let mut payloads = Vec::with_capacity(parsed.segments.len());
-    for (name, offset, len, expected_crc) in parsed.segments {
+    let segments = metadata.variable_bytes.iter().zip(parsed.segments);
+    for ((name, len), (offset, expected_crc)) in segments {
         let payload = &bytes[offset..offset + len];
         if crc32(payload) != expected_crc {
             return Err(CkptError::Corrupt(format!(
@@ -410,12 +423,12 @@ fn parse_checkpoint_bytes(bytes: &[u8], path: &Path) -> Result<DiskCheckpoint> {
                 path.display()
             )));
         }
-        payloads.push((name, payload.to_vec()));
+        payloads.push((name.clone(), payload.to_vec()));
     }
     Ok(DiskCheckpoint {
         metadata,
-        tag: parsed.meta.tag,
-        scalars: parsed.meta.scalars,
+        tag,
+        scalars,
         payloads,
     })
 }
@@ -439,46 +452,42 @@ fn write_atomic(
     Ok(())
 }
 
-/// Runs one write-behind job with retries; returns the result plus the
-/// retry count and backoff schedule so the owning store can account for
-/// the supervision work done on the I/O thread.
-fn write_job(job: &Job) -> (std::result::Result<(), String>, u32, Vec<f64>) {
-    let header = encode_header(&job.meta, &job.buffer);
-    let (result, retries, backoff) = job.retry.run(|| {
+/// One checkpoint write: where the file goes and what goes into it.
+struct Job {
+    tmp: PathBuf,
+    fin: PathBuf,
+    header: Header,
+    backend: Arc<dyn StorageBackend>,
+    retry: RetryPolicy,
+}
+
+/// Serialises `job`'s header over `buffer` and commits the file,
+/// retrying transient failures; returns the result plus the retry count
+/// and backoff schedule for the owning store's accounting.  A synchronous
+/// push runs this inline, write-behind on the I/O thread.
+fn write_checkpoint(job: &Job, buffer: &CheckpointBuffer) -> (std::io::Result<()>, u32, Vec<f64>) {
+    let header = encode_header(&job.header, buffer);
+    job.retry.run(|| {
         write_atomic(
             job.backend.as_ref(),
             &job.tmp,
             &job.fin,
             &header,
-            job.buffer.arena_bytes(),
+            buffer.arena_bytes(),
         )
-    });
-    (
-        result.map_err(|e| format!("writing {}: {e}", job.fin.display())),
-        retries,
-        backoff,
-    )
-}
-
-struct Job {
-    tmp: PathBuf,
-    fin: PathBuf,
-    meta: FileMeta,
-    buffer: CheckpointBuffer,
-    backend: Arc<dyn StorageBackend>,
-    retry: RetryPolicy,
+    })
 }
 
 struct JobDone {
     id: u64,
     buffer: CheckpointBuffer,
-    result: std::result::Result<(), String>,
+    result: std::io::Result<()>,
     retries: u32,
     backoff: Vec<f64>,
 }
 
 struct WriteBehind {
-    tx: mpsc::Sender<Job>,
+    tx: mpsc::Sender<(Job, CheckpointBuffer)>,
     done_rx: mpsc::Receiver<JobDone>,
     handle: Option<thread::JoinHandle<()>>,
     in_flight: usize,
@@ -486,16 +495,16 @@ struct WriteBehind {
 
 impl WriteBehind {
     fn spawn() -> Self {
-        let (tx, rx) = mpsc::channel::<Job>();
+        let (tx, rx) = mpsc::channel::<(Job, CheckpointBuffer)>();
         let (done_tx, done_rx) = mpsc::channel::<JobDone>();
         let handle = thread::Builder::new()
             .name("lcr-ckpt-io".into())
             .spawn(move || {
-                while let Ok(job) = rx.recv() {
-                    let (result, retries, backoff) = write_job(&job);
+                while let Ok((job, buffer)) = rx.recv() {
+                    let (result, retries, backoff) = write_checkpoint(&job, &buffer);
                     let done = JobDone {
-                        id: job.meta.id,
-                        buffer: job.buffer,
+                        id: job.header.metadata.id,
+                        buffer,
                         result,
                         retries,
                         backoff,
@@ -517,25 +526,27 @@ impl WriteBehind {
 
 #[derive(Debug, Clone)]
 struct DiskEntry {
-    id: u64,
     path: PathBuf,
+    /// As the header records it; of a file whose header does not validate,
+    /// only the id (from the file name) means anything.
     metadata: CheckpointMetadata,
     /// Header-validated; cleared when a full read later finds corruption or
     /// the write-behind write for this entry fails.
     valid: bool,
 }
 
-/// Durable on-disk checkpoint store mirroring the in-memory
-/// [`CheckpointStore`](crate::store::CheckpointStore) API: push from a
-/// [`CheckpointBuffer`], read the newest *complete* checkpoint back, and
-/// evict stale files beyond the retention limit.
+/// The checkpoint store: push from a [`CheckpointBuffer`], read the newest
+/// *complete* checkpoint chain back, and evict stale files beyond the
+/// retention limit — durable over [`OsBackend`], in memory over
+/// [`MemBackend`](crate::backend::MemBackend).
 pub struct DiskStore {
     dir: PathBuf,
     retain: usize,
     next_id: u64,
     entries: VecDeque<DiskEntry>,
     write_behind: Option<WriteBehind>,
-    first_error: Option<String>,
+    /// The first deferred write-behind failure since the last flush.
+    first_error: Option<CkptError>,
     backend: Arc<dyn StorageBackend>,
     retry: RetryPolicy,
     /// Total transient-I/O retries performed (sync and write-behind).
@@ -644,14 +655,13 @@ impl DiskStore {
                 ),
             };
             entries.push(DiskEntry {
-                id,
                 path,
                 metadata,
                 valid,
             });
         }
-        entries.sort_by_key(|e| e.id);
-        let next_id = entries.last().map(|e| e.id + 1).unwrap_or(0);
+        entries.sort_by_key(|e| e.metadata.id);
+        let next_id = entries.last().map(|e| e.metadata.id + 1).unwrap_or(0);
         Ok(DiskStore {
             dir,
             retain,
@@ -711,23 +721,7 @@ impl DiskStore {
                 parsed.file_len
             )));
         }
-        Ok(parsed.metadata())
-    }
-
-    /// The directory this store writes to.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The retention limit.
-    pub fn retain(&self) -> usize {
-        self.retain
-    }
-
-    /// The storage backend every file operation of this store goes
-    /// through.
-    pub fn backend(&self) -> &Arc<dyn StorageBackend> {
-        &self.backend
+        Ok(parsed.header.metadata)
     }
 
     /// Replaces the transient-error retry policy (default:
@@ -800,33 +794,21 @@ impl DiskStore {
         }
     }
 
-    /// Whether a background I/O thread handles the writes.
-    pub fn write_behind_enabled(&self) -> bool {
-        self.write_behind.is_some()
-    }
-
-    fn paths_for(&self, id: u64) -> (PathBuf, PathBuf) {
-        let fin = self.dir.join(format!("ckpt-{id:010}.lcr"));
-        let tmp = self.dir.join(format!("ckpt-{id:010}.lcr.tmp"));
-        (fin, tmp)
+    /// Counts `retries` transient-I/O retries and the `backoff` slept
+    /// before them; `committed` says the push they belonged to landed.
+    fn account(&mut self, retries: u32, backoff: &[f64], committed: bool) {
+        self.io_retries += u64::from(retries);
+        self.backoff_log.extend_from_slice(backoff);
+        self.retried_pushes += u64::from(committed && retries > 0);
     }
 
     fn record_done(&mut self, done: JobDone) -> CheckpointBuffer {
-        self.io_retries += u64::from(done.retries);
-        self.backoff_log.extend_from_slice(&done.backoff);
-        match done.result {
-            Ok(()) => {
-                if done.retries > 0 {
-                    self.retried_pushes += 1;
-                }
-            }
-            Err(msg) => {
-                if let Some(entry) = self.entries.iter_mut().find(|e| e.id == done.id) {
-                    entry.valid = false;
-                }
-                self.chain_cache = None;
-                self.first_error.get_or_insert(msg);
-            }
+        self.account(done.retries, &done.backoff, done.result.is_ok());
+        if let Err(e) = done.result {
+            // The entry was registered when the job was enqueued.
+            self.invalidate(done.id);
+            let failed = io_err(&format!("writing checkpoint {}", done.id), e);
+            self.first_error.get_or_insert(failed);
         }
         done.buffer
     }
@@ -857,17 +839,16 @@ impl DiskStore {
     /// invalid and will never be selected for recovery).
     pub fn flush(&mut self) -> Result<()> {
         self.join_all();
-        match self.first_error.take() {
-            Some(msg) => Err(CkptError::Io(msg)),
-            None => Ok(()),
-        }
+        self.first_error.take().map_or(Ok(()), Err)
     }
 
-    fn register(&mut self, id: u64, path: PathBuf, metadata: CheckpointMetadata) {
+    /// Indexes the checkpoint written (or being written) at `path`, spends
+    /// its id, and applies retention.
+    fn register(&mut self, path: PathBuf, metadata: CheckpointMetadata) {
         self.total_bytes_written += metadata.total_bytes as u64;
         self.chain_cache = None;
+        self.next_id = metadata.id + 1;
         self.entries.push_back(DiskEntry {
-            id,
             path,
             metadata,
             valid: true,
@@ -900,7 +881,7 @@ impl DiskStore {
     fn front_chain_len(&self) -> usize {
         let mut len = 1;
         while len < self.entries.len() {
-            let prev_id = self.entries[len - 1].id;
+            let prev_id = self.entries[len - 1].metadata.id;
             match self.entries[len].metadata.encoding {
                 CheckpointEncoding::Delta { base_id, .. } if base_id == prev_id => len += 1,
                 _ => break,
@@ -925,54 +906,52 @@ impl DiskStore {
                     .back()
                     .expect("delta checkpoint pushed into an empty disk store");
                 CheckpointEncoding::Delta {
-                    base_id: base.id,
+                    base_id: base.metadata.id,
                     order,
                 }
             }
         }
     }
 
+    /// The write of the next checkpoint: its header — the next id, the
+    /// encoding `delta_order` resolves to, `buffer`'s segment sizes — and
+    /// the file names it commits through.
     #[allow(clippy::too_many_arguments)]
-    fn file_meta(
+    fn job_for(
         &self,
-        id: u64,
         iteration: usize,
         completed_at: f64,
         level: CheckpointLevel,
         original_bytes: usize,
-        encoding: CheckpointEncoding,
+        delta_order: Option<u8>,
         tag: &str,
         scalars: &[(String, f64)],
-    ) -> FileMeta {
-        FileMeta {
-            id,
-            iteration,
-            completed_at,
-            level,
-            original_bytes,
-            encoding,
-            tag: tag.to_string(),
-            scalars: scalars.to_vec(),
-        }
-    }
-
-    fn metadata_for(
-        meta: &FileMeta,
         buffer: &CheckpointBuffer,
-    ) -> CheckpointMetadata {
-        let variable_bytes: Vec<(String, usize)> = buffer
+    ) -> Job {
+        let id = self.next_id;
+        let variable_bytes = buffer
             .segments()
             .map(|(name, payload)| (name.to_string(), payload.len()))
             .collect();
-        CheckpointMetadata {
-            id: meta.id,
-            iteration: meta.iteration,
-            completed_at: meta.completed_at,
-            level: meta.level,
-            total_bytes: buffer.total_bytes(),
-            original_bytes: meta.original_bytes,
-            encoding: meta.encoding,
-            variable_bytes,
+        Job {
+            tmp: self.dir.join(format!("ckpt-{id:010}.lcr.tmp")),
+            fin: self.dir.join(format!("ckpt-{id:010}.lcr")),
+            header: Header {
+                metadata: CheckpointMetadata {
+                    id,
+                    iteration,
+                    completed_at,
+                    level,
+                    total_bytes: buffer.total_bytes(),
+                    original_bytes,
+                    encoding: self.encoding_for(delta_order),
+                    variable_bytes,
+                },
+                tag: tag.to_string(),
+                scalars: scalars.to_vec(),
+            },
+            backend: Arc::clone(&self.backend),
+            retry: self.retry,
         }
     }
 
@@ -1002,34 +981,21 @@ impl DiskStore {
         buffer: &CheckpointBuffer,
     ) -> Result<CheckpointMetadata> {
         self.flush()?;
-        let encoding = self.encoding_for(delta_order);
-        let id = self.next_id;
-        let meta = self.file_meta(
-            id,
+        let job = self.job_for(
             iteration,
             completed_at,
             level,
             original_bytes,
-            encoding,
+            delta_order,
             tag,
             scalars,
+            buffer,
         );
-        let (fin, tmp) = self.paths_for(id);
-        let header = encode_header(&meta, buffer);
-        let (result, retries, backoff) = self
-            .retry
-            .run(|| write_atomic(self.backend.as_ref(), &tmp, &fin, &header, buffer.arena_bytes()));
-        self.io_retries += u64::from(retries);
-        self.backoff_log.extend_from_slice(&backoff);
-        match result {
-            Ok(()) if retries > 0 => self.retried_pushes += 1,
-            Ok(()) => {}
-            Err(e) => return Err(io_err("writing checkpoint", e)),
-        }
-        self.next_id += 1;
-        let metadata = Self::metadata_for(&meta, buffer);
-        self.register(id, fin, metadata.clone());
-        Ok(metadata)
+        let (result, retries, backoff) = write_checkpoint(&job, buffer);
+        self.account(retries, &backoff, result.is_ok());
+        result.map_err(|e| io_err("writing checkpoint", e))?;
+        self.register(job.fin, job.header.metadata.clone());
+        Ok(job.header.metadata)
     }
 
     /// Hands the buffer to the background I/O thread and returns
@@ -1072,55 +1038,31 @@ impl DiskStore {
         }
         let recycled = self.join_one().unwrap_or_default();
         let deferred_error = self.first_error.take();
-        let encoding = self.encoding_for(delta_order);
-
-        let id = self.next_id;
-        self.next_id += 1;
-        let meta = self.file_meta(
-            id,
+        let job = self.job_for(
             iteration,
             completed_at,
             level,
             original_bytes,
-            encoding,
+            delta_order,
             tag,
             scalars,
+            &buffer,
         );
-        let (fin, tmp) = self.paths_for(id);
-        let metadata = Self::metadata_for(&meta, &buffer);
-        let backend = Arc::clone(&self.backend);
-        let retry = self.retry;
-        let sent = {
-            let wb = self.write_behind.as_mut().expect("write-behind checked above");
-            let sent = wb.tx.send(Job {
-                tmp,
-                fin: fin.clone(),
-                meta,
-                buffer,
-                backend,
-                retry,
-            });
-            if sent.is_ok() {
-                wb.in_flight += 1;
-            }
-            sent
-        };
-        if sent.is_err() {
+        let (fin, metadata) = (job.fin.clone(), job.header.metadata.clone());
+        let wb = self.write_behind.as_mut().expect("write-behind checked above");
+        if wb.tx.send((job, buffer)).is_err() {
             // Nothing was enqueued — register nothing, count nothing.
             return (
                 Err(CkptError::Io("checkpoint I/O thread is gone".into())),
                 recycled,
             );
         }
-        self.register(id, fin, metadata.clone());
-        let result = match deferred_error {
-            // Surface the *previous* checkpoint's deferred write failure on
-            // the first push after it (its entry is already invalidated);
-            // the current checkpoint is enqueued and will persist.
-            Some(msg) => Err(CkptError::Io(msg)),
-            None => Ok(metadata),
-        };
-        (result, recycled)
+        wb.in_flight += 1;
+        self.register(fin, metadata.clone());
+        // Surface the *previous* checkpoint's deferred write failure on the
+        // first push after it (its entry is already invalidated); the
+        // current checkpoint is enqueued and will persist.
+        (deferred_error.map_or(Ok(metadata), Err), recycled)
     }
 
     /// The newest *complete* checkpoint: the last link of
@@ -1197,10 +1139,8 @@ impl DiskStore {
     /// Validation failures (CRC/format) are deterministic and never
     /// retried.
     fn read_with_retry(&mut self, path: &Path) -> Result<DiskCheckpoint> {
-        let retry = self.retry;
-        let (bytes, retries, backoff) = retry.run(|| self.backend.read(path));
-        self.io_retries += u64::from(retries);
-        self.backoff_log.extend_from_slice(&backoff);
+        let (bytes, retries, backoff) = self.retry.run(|| self.backend.read(path));
+        self.account(retries, &backoff, false);
         let bytes = bytes.map_err(|e| io_err("reading checkpoint", e))?;
         parse_checkpoint_bytes(&bytes, path)
     }
@@ -1226,7 +1166,7 @@ impl DiskStore {
     /// never to be selected again: its bytes validated but did not decode.
     /// The file is kept, like one that fails its CRC.
     pub fn invalidate(&mut self, id: u64) {
-        if let Some(entry) = self.entries.iter_mut().find(|e| e.id == id) {
+        if let Some(entry) = self.entries.iter_mut().find(|e| e.metadata.id == id) {
             entry.valid = false;
             self.chain_cache = None;
         }
@@ -1240,7 +1180,7 @@ impl DiskStore {
         while let CheckpointEncoding::Delta { base_id, .. } = self.entries[cur].metadata.encoding {
             let base = (0..cur)
                 .rev()
-                .find(|&i| self.entries[i].id == base_id && self.entries[i].valid)?;
+                .find(|&i| self.entries[i].metadata.id == base_id && self.entries[i].valid)?;
             chain.push(base);
             cur = base;
         }
@@ -1275,7 +1215,10 @@ impl Drop for DiskStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::MemBackend;
     use std::fs;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Mutex;
 
     fn tempdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("lcr-disk-{tag}-{}", std::process::id()));
@@ -1316,13 +1259,31 @@ mod tests {
     }
 
     fn newest_file(dir: &Path) -> PathBuf {
-        let mut files: Vec<PathBuf> = fs::read_dir(dir)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .filter(|p| p.extension().map(|e| e == "lcr").unwrap_or(false))
-            .collect();
+        files_in(&OsBackend, dir).pop().expect("at least one checkpoint file")
+    }
+
+    /// The checkpoint files of `dir`, oldest first.
+    fn files_in(backend: &dyn StorageBackend, dir: &Path) -> Vec<PathBuf> {
+        let mut files = backend.list_dir(dir).unwrap();
+        files.retain(|p| p.extension().is_some_and(|e| e == "lcr"));
         files.sort();
-        files.pop().expect("at least one checkpoint file")
+        files
+    }
+
+    /// Runs `case` on a store directory of each backend — a temporary one
+    /// on the file system, and one held in memory.
+    fn on_each_backend(tag: &str, case: impl Fn(Arc<dyn StorageBackend>, &Path)) {
+        let dir = tempdir(tag);
+        case(Arc::new(OsBackend), &dir);
+        let _ = fs::remove_dir_all(&dir);
+        case(Arc::new(MemBackend::default()), Path::new("memory"));
+    }
+
+    /// Flips one bit of the last byte of the file at `path`.
+    fn flip_last_bit(backend: &dyn StorageBackend, path: &Path) {
+        let mut bytes = backend.read(path).unwrap();
+        *bytes.last_mut().unwrap() ^= 0x40;
+        backend.write_file(path, &[&bytes]).unwrap();
     }
 
     #[test]
@@ -1331,56 +1292,86 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// The byte-at-a-time loop `crc32` replaced, as its oracle.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        !bytes.iter().fold(!0u32, |crc, &b| {
+            CRC_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8)
+        })
+    }
+
+    #[test]
+    fn crc32_matches_the_bytewise_loop_at_every_length_and_alignment() {
+        // A seeded xorshift stream: no byte pattern the tables could favour.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let buffer: Vec<u8> = (0..(1usize << 20) + 8)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 32) as u8
+            })
+            .collect();
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let bytes = &buffer[offset..offset + len];
+                assert_eq!(crc32(bytes), crc32_bytewise(bytes), "offset {offset}, length {len}");
+            }
+        }
+        let mib = &buffer[3..3 + (1 << 20)];
+        assert_eq!(crc32(mib), crc32_bytewise(mib));
+    }
+
     #[test]
     fn roundtrip_preserves_everything() {
-        let dir = tempdir("roundtrip");
-        let mut store = DiskStore::open(&dir, 2).unwrap();
-        assert!(store.is_empty());
-        let meta = push_sample(&mut store, 7);
-        assert_eq!(meta.iteration, 7);
-        assert_eq!(meta.total_bytes, 45);
-        assert_eq!(meta.original_bytes, 800);
+        on_each_backend("roundtrip", |backend, dir| {
+            let mut store = DiskStore::open_with_backend(dir, 2, backend).unwrap();
+            assert!(store.is_empty());
+            assert_eq!(store.latest_valid().unwrap_err(), CkptError::NoCheckpoint);
+            let meta = push_sample(&mut store, 7);
+            assert_eq!(meta.iteration, 7);
+            assert_eq!(meta.total_bytes, 45);
+            assert_eq!(meta.original_bytes, 800);
 
-        let ckpt = store.latest_valid().unwrap();
-        assert_eq!(ckpt.metadata, meta);
-        assert_eq!(ckpt.tag, "traditional");
-        assert_eq!(
-            ckpt.scalars,
-            vec![("rho".to_string(), 0.25), ("beta".to_string(), -3.5)]
-        );
-        assert_eq!(
-            ckpt.payloads,
-            vec![
-                ("x".to_string(), vec![1u8, 2, 3, 4, 5]),
-                ("p".to_string(), vec![9u8; 40]),
-                ("empty".to_string(), vec![]),
-            ]
-        );
-        let _ = fs::remove_dir_all(&dir);
+            let ckpt = store.latest_valid().unwrap();
+            assert_eq!(ckpt.metadata, meta);
+            assert_eq!(ckpt.tag, "traditional");
+            assert_eq!(
+                ckpt.scalars,
+                vec![("rho".to_string(), 0.25), ("beta".to_string(), -3.5)]
+            );
+            assert_eq!(
+                ckpt.payloads,
+                vec![
+                    ("x".to_string(), vec![1u8, 2, 3, 4, 5]),
+                    ("p".to_string(), vec![9u8; 40]),
+                    ("empty".to_string(), vec![]),
+                ]
+            );
+        });
     }
 
     #[test]
     fn discard_newest_removes_the_file_and_keeps_older_checkpoints_and_ids() {
-        let dir = tempdir("discard");
-        let mut store = DiskStore::open(&dir, 2).unwrap();
-        let kept = push_sample(&mut store, 1);
-        let dropped = push_sample(&mut store, 2);
-        let dropped_file = newest_file(&dir);
-        assert_eq!(store.latest_valid().unwrap().metadata.iteration, 2);
+        on_each_backend("discard", |backend, dir| {
+            let mut store = DiskStore::open_with_backend(dir, 2, backend.clone()).unwrap();
+            let kept = push_sample(&mut store, 1);
+            let dropped = push_sample(&mut store, 2);
+            let dropped_file = files_in(backend.as_ref(), dir).pop().unwrap();
+            assert_eq!(store.latest_valid().unwrap().metadata.iteration, 2);
 
-        store.discard_newest();
-        assert!(!dropped_file.exists());
-        assert_eq!(store.len(), 1);
-        assert_eq!(store.latest_valid().unwrap().metadata, kept);
-        // The discarded id is spent, and the slot it held is free again.
-        assert_eq!(push_sample(&mut store, 3).id, dropped.id + 1);
-        assert_eq!(store.len(), 2);
+            store.discard_newest();
+            assert!(backend.file_len(&dropped_file).is_err());
+            assert_eq!(store.len(), 1);
+            assert_eq!(store.latest_valid().unwrap().metadata, kept);
+            // The discarded id is spent, and the slot it held is free again.
+            assert_eq!(push_sample(&mut store, 3).id, dropped.id + 1);
+            assert_eq!(store.len(), 2);
 
-        store.discard_newest();
-        store.discard_newest();
-        store.discard_newest(); // empty store: nothing to do
-        assert!(store.is_empty());
-        let _ = fs::remove_dir_all(&dir);
+            store.discard_newest();
+            store.discard_newest();
+            store.discard_newest(); // empty store: nothing to do
+            assert!(store.is_empty());
+        });
     }
 
     #[test]
@@ -1446,11 +1437,7 @@ mod tests {
         push_sample(&mut store, 20);
         // Flip one payload bit in the newest file (the last byte is payload
         // because `empty` contributes none and `p` ends the region).
-        let path = newest_file(&dir);
-        let mut bytes = fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x40;
-        fs::write(&path, &bytes).unwrap();
+        flip_last_bit(&OsBackend, &newest_file(&dir));
 
         let mut reopened = DiskStore::open(&dir, 2).unwrap();
         let ckpt = reopened.latest_valid().unwrap();
@@ -1523,7 +1510,7 @@ mod tests {
         let dir = tempdir("writebehind");
         let mut store = DiskStore::open(&dir, 2).unwrap();
         store.set_write_behind(true).unwrap();
-        assert!(store.write_behind_enabled());
+        assert!(store.write_behind.is_some());
 
         let mut buffer = CheckpointBuffer::new();
         for i in 0..4usize {
@@ -1618,51 +1605,117 @@ mod tests {
 
     #[test]
     fn retention_never_orphans_a_delta_whose_anchor_left_the_window() {
-        let dir = tempdir("chainretention");
-        let mut store = DiskStore::open(&dir, 2).unwrap();
-        push_sample(&mut store, 0);
-        for i in 1..4 {
-            push_sample_delta(&mut store, i, Some(1));
-        }
-        // The whole chain depends on the anchor, so nothing could be
-        // evicted: the window stretched to hold all four files.
-        assert_eq!(store.len(), 4, "anchor kept alive by its dependents");
-        assert_eq!(fs::read_dir(&dir).unwrap().count(), 4);
-        let chain = store.latest_valid_chain().unwrap();
-        assert_eq!(chain.len(), 4);
+        on_each_backend("chainretention", |backend, dir| {
+            let mut store = DiskStore::open_with_backend(dir, 2, backend.clone()).unwrap();
+            push_sample(&mut store, 0);
+            for i in 1..4 {
+                push_sample_delta(&mut store, i, Some(1));
+            }
+            // The whole chain depends on the anchor, so nothing could be
+            // evicted: the window stretched to hold all four files.
+            assert_eq!(store.len(), 4, "anchor kept alive by its dependents");
+            assert_eq!(files_in(backend.as_ref(), dir).len(), 4);
+            let chain = store.latest_valid_chain().unwrap();
+            assert_eq!(chain.len(), 4);
 
-        // A new anchor releases the old chain wholesale.
-        push_sample(&mut store, 4);
-        let ids: Vec<u64> = store.metadata().iter().map(|m| m.id).collect();
-        assert_eq!(ids, vec![4], "old chain evicted as one unit");
-        assert_eq!(fs::read_dir(&dir).unwrap().count(), 1);
-        assert_eq!(store.latest_valid_chain().unwrap().len(), 1);
-        let _ = fs::remove_dir_all(&dir);
+            // A new anchor releases the old chain wholesale.
+            push_sample(&mut store, 4);
+            let ids: Vec<u64> = store.metadata().iter().map(|m| m.id).collect();
+            assert_eq!(ids, vec![4], "old chain evicted as one unit");
+            assert_eq!(files_in(backend.as_ref(), dir).len(), 1);
+            assert_eq!(store.latest_valid_chain().unwrap().len(), 1);
+        });
+    }
+
+    #[test]
+    fn retention_evicts_the_oldest_chain_wholesale_and_never_splits_one() {
+        on_each_backend("twochains", |backend, dir| {
+            // Anchors only: the classic window.
+            let mut store = DiskStore::open_with_backend(dir, 3, backend).unwrap();
+            for i in 0..5 {
+                push_sample(&mut store, i);
+            }
+            let ids = |store: &DiskStore| store.metadata().iter().map(|m| m.id).collect::<Vec<_>>();
+            assert_eq!(ids(&store), vec![2, 3, 4]);
+
+            // Two chains [A5, d6] [A7, d8]: pushing d8 overflows the window
+            // while [A5, d6] sits at the front, so both leave together.
+            push_sample(&mut store, 5);
+            push_sample_delta(&mut store, 6, Some(1));
+            push_sample(&mut store, 7);
+            push_sample_delta(&mut store, 8, Some(2));
+            assert_eq!(ids(&store), vec![7, 8], "oldest chain evicted wholesale");
+            let chain = store.latest_valid_chain().unwrap();
+            assert_eq!(chain.iter().map(|c| c.metadata.id).collect::<Vec<_>>(), vec![7, 8]);
+            assert_eq!(
+                chain[1].metadata.encoding,
+                CheckpointEncoding::Delta { base_id: 7, order: 2 }
+            );
+        });
+    }
+
+    #[test]
+    fn retain_one_churn_keeps_only_newest_and_accounts_every_byte() {
+        // The tightest retention setting under sustained churn: after every
+        // push exactly one checkpoint survives, ids keep increasing, and
+        // total_bytes_written reflects every byte ever pushed (eviction
+        // must not rewind the I/O-volume counter).
+        on_each_backend("churn", |backend, dir| {
+            let mut store = DiskStore::open_with_backend(dir, 1, backend.clone()).unwrap();
+            let mut expected_written = 0u64;
+            for i in 0..100usize {
+                let len = 1 + (i % 7);
+                expected_written += len as u64;
+                let mut buf = CheckpointBuffer::new();
+                buf.push_with("x", |out| out.extend_from_slice(&vec![0xAB; len]));
+                let level = CheckpointLevel::Local;
+                let meta = store
+                    .push_from_buffer(i, i as f64, level, len * 10, None, "", &[], &buf)
+                    .unwrap();
+                assert_eq!(meta.id, i as u64);
+                assert_eq!(store.len(), 1);
+                assert_eq!(files_in(backend.as_ref(), dir).len(), 1);
+                assert_eq!(store.latest_valid().unwrap().metadata.iteration, i);
+                assert_eq!(store.total_bytes_written, expected_written);
+            }
+        });
+    }
+
+    #[test]
+    fn a_checkpoint_of_no_variables_roundtrips_with_ratio_one() {
+        on_each_backend("novars", |backend, dir| {
+            let mut store = DiskStore::open_with_backend(dir, 1, backend).unwrap();
+            let empty = CheckpointBuffer::new();
+            let meta = store
+                .push_from_buffer(0, 0.0, CheckpointLevel::Local, 0, None, "", &[], &empty)
+                .unwrap();
+            assert_eq!(meta.compression_ratio(), 1.0);
+            assert_eq!(meta.total_bytes, 0);
+            let ckpt = store.latest_valid().unwrap();
+            assert_eq!(ckpt.metadata, meta);
+            assert!(ckpt.payloads.is_empty());
+        });
     }
 
     #[test]
     fn corrupt_anchor_invalidates_dependents_and_falls_back() {
-        let dir = tempdir("chaincorrupt");
-        let mut store = DiskStore::open(&dir, 4).unwrap();
-        push_sample(&mut store, 10); // id 0, anchor
-        push_sample(&mut store, 20); // id 1, anchor
-        push_sample_delta(&mut store, 30, Some(1)); // id 2, delta on 1
+        on_each_backend("chaincorrupt", |backend, dir| {
+            let mut store = DiskStore::open_with_backend(dir, 4, backend.clone()).unwrap();
+            push_sample(&mut store, 10); // id 0, anchor
+            push_sample(&mut store, 20); // id 1, anchor
+            push_sample_delta(&mut store, 30, Some(1)); // id 2, delta on 1
 
-        // Flip a payload bit in the *anchor* of the newest chain (id 1).
-        let path = dir.join("ckpt-0000000001.lcr");
-        let mut bytes = fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x40;
-        fs::write(&path, &bytes).unwrap();
+            // Flip a payload bit in the *anchor* of the newest chain (id 1).
+            flip_last_bit(backend.as_ref(), &dir.join("ckpt-0000000001.lcr"));
 
-        // The delta (id 2) is intact but undecodable without its base;
-        // recovery must fall back to the older standalone anchor.
-        let mut reopened = DiskStore::open(&dir, 4).unwrap();
-        let chain = reopened.latest_valid_chain().unwrap();
-        assert_eq!(chain.len(), 1);
-        assert_eq!(chain[0].metadata.iteration, 10, "fell back past the broken chain");
-        assert_eq!(reopened.latest_valid().unwrap().metadata.iteration, 10);
-        let _ = fs::remove_dir_all(&dir);
+            // The delta (id 2) is intact but undecodable without its base;
+            // recovery must fall back to the older standalone anchor.
+            let mut reopened = DiskStore::open_with_backend(dir, 4, backend).unwrap();
+            let chain = reopened.latest_valid_chain().unwrap();
+            assert_eq!(chain.len(), 1);
+            assert_eq!(chain[0].metadata.iteration, 10, "fell back past the broken chain");
+            assert_eq!(reopened.latest_valid().unwrap().metadata.iteration, 10);
+        });
     }
 
     #[test]
@@ -1714,73 +1767,169 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A backend over `inner` that fails on schedule: some whole-file
+    /// reads, or every operation from an index on (the device is gone, or
+    /// the process died there).  It notes every rename that completed.
+    #[derive(Debug)]
+    struct Failing {
+        inner: Arc<dyn StorageBackend>,
+        ops: AtomicU64,
+        dead_from: u64,
+        flaky_reads: AtomicU64,
+        renamed: Mutex<Vec<PathBuf>>,
+    }
+
+    impl Failing {
+        fn over(inner: Arc<dyn StorageBackend>, dead_from: u64) -> Self {
+            Failing {
+                inner,
+                ops: AtomicU64::new(0),
+                dead_from,
+                flaky_reads: AtomicU64::new(0),
+                renamed: Mutex::new(Vec::new()),
+            }
+        }
+
+        fn op<T>(
+            &self,
+            run: impl FnOnce(&dyn StorageBackend) -> std::io::Result<T>,
+        ) -> std::io::Result<T> {
+            if self.ops.fetch_add(1, Ordering::SeqCst) >= self.dead_from {
+                return Err(std::io::Error::other("injected: device gone"));
+            }
+            run(self.inner.as_ref())
+        }
+    }
+
+    impl StorageBackend for Failing {
+        fn create_dir_all(&self, d: &Path) -> std::io::Result<()> {
+            self.op(|b| b.create_dir_all(d))
+        }
+        fn list_dir(&self, d: &Path) -> std::io::Result<Vec<PathBuf>> {
+            self.op(|b| b.list_dir(d))
+        }
+        fn file_len(&self, p: &Path) -> std::io::Result<u64> {
+            self.op(|b| b.file_len(p))
+        }
+        fn read_prefix(&self, p: &Path, n: usize) -> std::io::Result<Vec<u8>> {
+            self.op(|b| b.read_prefix(p, n))
+        }
+        fn read(&self, p: &Path) -> std::io::Result<Vec<u8>> {
+            let flaky = self
+                .flaky_reads
+                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1));
+            if flaky.is_ok() {
+                return Err(std::io::Error::other("injected transient EIO"));
+            }
+            self.op(|b| b.read(p))
+        }
+        fn write_file(&self, p: &Path, parts: &[&[u8]]) -> std::io::Result<()> {
+            self.op(|b| b.write_file(p, parts))
+        }
+        fn fsync(&self, p: &Path) -> std::io::Result<()> {
+            self.op(|b| b.fsync(p))
+        }
+        fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+            self.op(|b| b.rename(from, to))?;
+            self.renamed.lock().unwrap().push(to.to_path_buf());
+            Ok(())
+        }
+        fn fsync_dir(&self, d: &Path) -> std::io::Result<()> {
+            self.op(|b| b.fsync_dir(d))
+        }
+        fn remove_file(&self, p: &Path) -> std::io::Result<()> {
+            self.op(|b| b.remove_file(p))
+        }
+    }
+
+    const NO_DELAY: RetryPolicy = RetryPolicy {
+        max_retries: 3,
+        base_delay_seconds: 0.0,
+        multiplier: 2.0,
+    };
+
     #[test]
     fn transient_read_errors_are_retried_and_counted() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-
-        #[derive(Debug)]
-        struct FlakyReads {
-            inner: OsBackend,
-            fail_next_reads: AtomicUsize,
-        }
-        impl StorageBackend for FlakyReads {
-            fn create_dir_all(&self, d: &Path) -> std::io::Result<()> {
-                self.inner.create_dir_all(d)
-            }
-            fn list_dir(&self, d: &Path) -> std::io::Result<Vec<PathBuf>> {
-                self.inner.list_dir(d)
-            }
-            fn file_len(&self, p: &Path) -> std::io::Result<u64> {
-                self.inner.file_len(p)
-            }
-            fn read_prefix(&self, p: &Path, n: usize) -> std::io::Result<Vec<u8>> {
-                self.inner.read_prefix(p, n)
-            }
-            fn read(&self, p: &Path) -> std::io::Result<Vec<u8>> {
-                if self
-                    .fail_next_reads
-                    .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-                    .is_ok()
-                {
-                    return Err(std::io::Error::other("injected transient EIO"));
-                }
-                self.inner.read(p)
-            }
-            fn write_file(&self, p: &Path, parts: &[&[u8]]) -> std::io::Result<()> {
-                self.inner.write_file(p, parts)
-            }
-            fn fsync(&self, p: &Path) -> std::io::Result<()> {
-                self.inner.fsync(p)
-            }
-            fn rename(&self, a: &Path, b: &Path) -> std::io::Result<()> {
-                self.inner.rename(a, b)
-            }
-            fn fsync_dir(&self, d: &Path) -> std::io::Result<()> {
-                self.inner.fsync_dir(d)
-            }
-            fn remove_file(&self, p: &Path) -> std::io::Result<()> {
-                self.inner.remove_file(p)
-            }
-        }
-
         let dir = tempdir("flakyread");
-        let backend = Arc::new(FlakyReads {
-            inner: OsBackend,
-            fail_next_reads: AtomicUsize::new(0),
-        });
+        let backend = Arc::new(Failing::over(Arc::new(OsBackend), u64::MAX));
         let mut store = DiskStore::open_with_backend(&dir, 2, backend.clone()).unwrap();
-        store.set_retry_policy(RetryPolicy {
-            max_retries: 3,
-            base_delay_seconds: 0.0,
-            multiplier: 2.0,
-        });
+        store.set_retry_policy(NO_DELAY);
         push_sample(&mut store, 10);
-        backend.fail_next_reads.store(2, Ordering::SeqCst);
+        backend.flaky_reads.store(2, Ordering::SeqCst);
         let ckpt = store.latest_valid().unwrap();
         assert_eq!(ckpt.metadata.iteration, 10);
         assert_eq!(store.io_retries(), 2, "both transient read errors retried");
         assert_eq!(store.backoff_log().len(), 2);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Runs the script [anchor, delta, delta, anchor, delta] at `retain = 2`
+    /// over `backend` until a push fails — a dead process pushes no more.
+    fn run_crash_script(backend: Arc<dyn StorageBackend>) {
+        let Ok(mut store) = DiskStore::open_with_backend("ckpts", 2, backend) else {
+            return;
+        };
+        store.set_retry_policy(NO_DELAY);
+        let buf = sample_buffer();
+        let level = CheckpointLevel::Pfs;
+        for (iteration, delta) in [None, Some(1), Some(2), None, Some(1)].into_iter().enumerate() {
+            let pushed = store.push_from_buffer(iteration, 0.0, level, 800, delta, "t", &[], &buf);
+            if pushed.is_err() {
+                return;
+            }
+        }
+    }
+
+    #[test]
+    fn a_crash_at_every_operation_leaves_the_newest_renamed_checkpoint_recoverable() {
+        let id_of = |path: &Path| -> u64 {
+            let name = path.file_name().unwrap().to_str().unwrap();
+            name["ckpt-".len()..name.len() - ".lcr".len()].parse().unwrap()
+        };
+        let quiet = Arc::new(Failing::over(Arc::new(MemBackend::default()), u64::MAX));
+        run_crash_script(quiet.clone());
+        let total_ops = quiet.ops.load(Ordering::SeqCst);
+        assert_eq!(quiet.renamed.lock().unwrap().len(), 5, "fault-free, all five commit");
+
+        for crash_at in 0..=total_ops {
+            let files = Arc::new(MemBackend::default());
+            let dying = Arc::new(Failing::over(files.clone(), crash_at));
+            run_crash_script(dying.clone());
+            let renamed = dying.renamed.lock().unwrap();
+            let renamed: Vec<u64> = renamed.iter().map(|p| id_of(p)).collect();
+            assert!(renamed.windows(2).all(|w| w[0] < w[1]), "crash at {crash_at}: {renamed:?}");
+
+            // What a fresh process finds on the same file system.
+            let mut reopened = DiskStore::open_with_backend("ckpts", 2, files.clone()).unwrap();
+            let left = files.list_dir(Path::new("ckpts")).unwrap();
+            assert!(
+                left.iter().all(|p| p.extension().is_some_and(|e| e == "lcr")),
+                "crash at {crash_at}: stray files {left:?}"
+            );
+            match renamed.last() {
+                None => assert_eq!(
+                    reopened.latest_valid_chain().unwrap_err(),
+                    CkptError::NoCheckpoint,
+                    "crash at {crash_at}"
+                ),
+                Some(&newest) => {
+                    let chain = reopened.latest_valid_chain().unwrap();
+                    assert_eq!(chain.last().unwrap().metadata.id, newest, "crash at {crash_at}");
+                    assert_eq!(chain[0].metadata.encoding, CheckpointEncoding::Anchor);
+                    for link in chain.windows(2) {
+                        assert_eq!(link[1].metadata.encoding.base_id(), Some(link[0].metadata.id));
+                    }
+                    // Every link is a file that validates on its own.
+                    for link in &chain {
+                        let name = format!("ckpts/ckpt-{:010}.lcr", link.metadata.id);
+                        let on_its_own = read_checkpoint_with(files.as_ref(), Path::new(&name));
+                        assert_eq!(on_its_own.as_ref(), Ok(link));
+                    }
+                    // The next id is past every id a file was ever named by.
+                    assert!(push_sample(&mut reopened, 9).id > newest, "crash at {crash_at}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,12 @@
 //! (`Protect()`), then periodically *save or restore* them (`Snapshot()`).
 //! [`FtiContext`] reproduces that API over named binary buffers, charging
 //! the simulated clock with the PFS write/read time for every snapshot and
-//! recovery and recording everything in a [`CheckpointStore`].
+//! recovery and recording everything in up to two tiers of one store type,
+//! [`DiskStore`]: an in-memory tier (the store over a [`MemBackend`], which
+//! survives an in-process failure) and an optional durable one (the store
+//! over whatever backend the caller opened it with).  Both hold the same
+//! files — payloads, scalars, strategy tag — so a recovery is the same
+//! whichever tier serves it.
 //!
 //! The context does not know (or care) whether the buffers it is handed are
 //! raw vector bytes, losslessly compressed bytes, or SZ-compressed bytes —
@@ -13,13 +18,15 @@
 //! I/O time proportional to what it is actually given, which is precisely
 //! how lossy checkpointing wins in the paper.
 
+use crate::backend::MemBackend;
 use crate::clock::SimClock;
 use crate::cluster::ClusterConfig;
 use crate::disk::DiskStore;
 use crate::pfs::{CheckpointLevel, PfsModel};
-use crate::store::{CheckpointBuffer, CheckpointMetadata, CheckpointStore};
-use crate::Result;
+use crate::store::{CheckpointBuffer, CheckpointMetadata};
+use crate::{CkptError, Result};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A variable registered for checkpointing.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -46,16 +53,16 @@ pub struct RecoveredData {
     pub chain: Vec<Vec<(String, Vec<u8>)>>,
     /// Iteration at which the recovered checkpoint was taken.
     pub iteration: usize,
-    /// Scalars stored alongside the payloads.  Populated only when the
-    /// checkpoint came from the durable disk tier (the in-memory store does
-    /// not persist scalars — the runner tracks them itself in-process).
+    /// Scalars stored alongside the payloads.
     pub scalars: Vec<(String, f64)>,
-    /// Strategy tag recorded by the writer (empty for the in-memory tier).
+    /// Strategy tag recorded by the writer.
     pub tag: String,
-    /// The recovered checkpoint's id in the durable tier; `None` when it
-    /// came from the in-memory tier.  A caller that cannot decode the
-    /// payloads hands it to [`DiskStore::invalidate`] and recovers again.
-    pub durable_id: Option<u64>,
+    /// The recovered checkpoint's id in the tier that served it.  A caller
+    /// that cannot decode the payloads hands the whole value to
+    /// [`FtiContext::invalidate`] and recovers again.
+    pub id: u64,
+    /// Whether the durable tier served it (otherwise the in-memory one).
+    pub durable: bool,
     /// Simulated seconds spent reading from storage.
     pub read_seconds: f64,
 }
@@ -76,9 +83,9 @@ pub struct FtiContext {
     level: CheckpointLevel,
     protected: Vec<ProtectedVariable>,
     /// In-memory tier; `None` after [`FtiContext::without_memory_tier`].
-    store: Option<CheckpointStore>,
+    memory: Option<DiskStore>,
     /// Optional durable tier: every committed snapshot is mirrored into it
-    /// and, when attached, recovery reads (and CRC-validates) from it.
+    /// and, when attached, recovery reads from it first.
     disk: Option<DiskStore>,
     /// Multiplier applied to payload byte counts for I/O-time accounting.
     ///
@@ -102,12 +109,14 @@ pub struct FtiContext {
 impl FtiContext {
     /// Creates a context for the given cluster, PFS model and storage level.
     pub fn new(cluster: ClusterConfig, pfs: PfsModel, level: CheckpointLevel) -> Self {
+        let memory = DiskStore::open_with_backend("memory", 2, Arc::new(MemBackend::default()))
+            .expect("an in-memory backend cannot fail to open");
         FtiContext {
             cluster,
             pfs,
             level,
             protected: Vec::new(),
-            store: Some(CheckpointStore::new(2)),
+            memory: Some(memory),
             disk: None,
             byte_scale: 1.0,
             total_write_seconds: 0.0,
@@ -156,21 +165,16 @@ impl FtiContext {
         &self.pfs
     }
 
-    /// Access to the in-memory checkpoint store (metadata inspection).
-    pub fn store(&self) -> Option<&CheckpointStore> {
-        self.store.as_ref()
-    }
-
     /// Drops the in-memory tier, for a rank whose memory does not survive
     /// the failures it recovers from: every snapshot then lives in the
     /// attached durable tier alone, and recovery reads nothing else.
     pub fn without_memory_tier(mut self) -> Self {
-        self.store = None;
+        self.memory = None;
         self
     }
 
     /// Attaches a durable disk tier: every committed snapshot is mirrored
-    /// into it, and recovery reads the newest CRC-valid checkpoint from it.
+    /// into it, and recovery reads the newest valid checkpoint from it.
     pub fn attach_disk_store(&mut self, disk: DiskStore) {
         self.disk = Some(disk);
     }
@@ -180,13 +184,13 @@ impl FtiContext {
         self.disk.as_ref()
     }
 
-    /// The attached disk tier, to discard or invalidate a checkpoint in.
+    /// The attached disk tier, to discard a checkpoint from.
     pub fn disk_store_mut(&mut self) -> Option<&mut DiskStore> {
         self.disk.as_mut()
     }
 
     /// Detaches and returns the durable tier, leaving the context running
-    /// on the in-memory store alone — the *tier degradation* path: when
+    /// on the in-memory tier alone — the *tier degradation* path: when
     /// disk writes fail persistently, the supervisor drops to the memory
     /// tier and keeps the solver converging instead of aborting.  The
     /// returned store still holds its retry/backoff accounting.
@@ -207,12 +211,12 @@ impl FtiContext {
 
     /// Commits a snapshot whose write window already elapsed on the clock
     /// (`write_seconds` from [`FtiContext::planned_write_seconds`], clock
-    /// advanced by the caller): stores the payloads in the in-memory tier
-    /// (unless it was dropped) and, when a disk tier is attached, mirrors
-    /// them into a durable checkpoint file tagged with the writing
-    /// strategy's name.  With write-behind enabled
-    /// the buffer is handed to the I/O thread and replaced with a recycled
-    /// arena; otherwise it is left untouched.
+    /// advanced by the caller): writes the same checkpoint file — payloads,
+    /// `scalars`, the writing strategy's `tag` — into the in-memory tier
+    /// (unless it was dropped) and then into the durable tier (when one is
+    /// attached).  A tier with write-behind enabled keeps the buffer for
+    /// its I/O thread and hands back a recycled arena; otherwise the buffer
+    /// comes back untouched.
     ///
     /// `delta_order` of `Some(1 | 2)` records the checkpoint as a temporal
     /// delta of that order against the previous snapshot in *both* tiers
@@ -243,43 +247,25 @@ impl FtiContext {
             self.original_bytes_for(buffer.segments().map(|(id, b)| (id, b.len())));
         self.total_write_seconds += write_seconds;
         self.snapshots += 1;
-        let level = self.level;
-        let memory = self.store.as_mut().map(|store| {
-            store.push_from_buffer(iteration, completed_at, level, original_bytes, delta_order, buffer)
-        });
-        let durable = match &mut self.disk {
-            None => Ok(None),
-            Some(disk) if disk.write_behind_enabled() => {
-                let owned = std::mem::take(buffer);
-                let (result, recycled) = disk.push_from_buffer_async(
-                    iteration,
-                    completed_at,
-                    level,
-                    original_bytes,
-                    delta_order,
-                    tag,
-                    scalars,
-                    owned,
-                );
-                *buffer = recycled;
-                result.map(Some)
-            }
-            Some(disk) => disk
-                .push_from_buffer(
-                    iteration,
-                    completed_at,
-                    level,
-                    original_bytes,
-                    delta_order,
-                    tag,
-                    scalars,
-                    buffer,
-                )
-                .map(Some),
-        };
-        let metadata = memory
-            .or(durable?)
-            .ok_or_else(|| crate::CkptError::Io("no checkpoint tier to commit to".into()))?;
+        // Memory first: it writes synchronously and returns the buffer it
+        // was lent, so the durable tier may keep it.
+        let mut committed = None;
+        for tier in [&mut self.memory, &mut self.disk].into_iter().flatten() {
+            let (result, recycled) = tier.push_from_buffer_async(
+                iteration,
+                completed_at,
+                self.level,
+                original_bytes,
+                delta_order,
+                tag,
+                scalars,
+                std::mem::take(buffer),
+            );
+            *buffer = recycled;
+            committed.get_or_insert(result?);
+        }
+        let metadata =
+            committed.ok_or_else(|| CkptError::Io("no checkpoint tier to commit to".into()))?;
         Ok(self.scale_metadata(metadata))
     }
 
@@ -313,15 +299,17 @@ impl FtiContext {
     /// preconditioner, right-hand side), which the paper notes makes
     /// recovery slower than checkpointing — and returns the payloads.
     ///
-    /// With a disk tier attached, the read goes through the durable path:
-    /// any in-flight write-behind job is joined first, then the newest
-    /// checkpoint whose whole dependency chain validates (metadata *and*
-    /// payload CRCs of every link) is returned together with its persisted
-    /// scalars and strategy tag — a chain with a partially written or
-    /// bit-flipped member is skipped entirely, falling back to the newest
-    /// older complete chain.  If the durable tier holds no valid
-    /// checkpoint at all, recovery falls back to the in-memory tier (which
-    /// survives in-process failures even when the disk does not).
+    /// The first tier, durable before in-memory, that yields a valid chain
+    /// serves the read: any in-flight write-behind job is joined first,
+    /// then the newest checkpoint whose whole dependency chain validates
+    /// (metadata *and* payload CRCs of every link) is returned together
+    /// with its scalars and strategy tag — a chain with a partially written
+    /// or bit-flipped member is skipped entirely, falling back to the
+    /// newest older complete chain.  If the durable tier holds no valid
+    /// checkpoint at all, the in-memory tier (which survives in-process
+    /// failures even when the disk does not) is asked the same question —
+    /// multi-level FTI semantics: L1 can recover an in-process failure even
+    /// though L4 was lost.
     ///
     /// The read time covers *every* chain link: recovering a delta
     /// checkpoint re-reads its base checkpoints back to the nearest
@@ -329,39 +317,22 @@ impl FtiContext {
     /// encoding trades against its smaller writes.
     ///
     /// # Errors
-    /// Returns [`crate::CkptError::NoCheckpoint`] if no (valid) checkpoint
+    /// Returns [`CkptError::NoCheckpoint`] if no (valid) checkpoint
     /// is available.
     pub fn recover(
         &mut self,
         clock: &mut SimClock,
         static_bytes: usize,
     ) -> Result<RecoveredData> {
-        // Durable tier first; when it has no valid checkpoint (e.g. every
-        // disk write failed but the in-process snapshots are intact), fall
-        // back to the in-memory tier — multi-level FTI semantics: L1 can
-        // recover an in-process failure even though L4 was lost.
-        let disk_chain = self.disk.as_mut().and_then(|d| d.latest_valid_chain().ok());
-        let (chain, iteration, scalars, tag, durable_id, total_bytes) = match disk_chain {
-            Some(links) => {
-                let last = links.last().expect("a recovered chain is never empty");
-                let iteration = last.metadata.iteration;
-                let scalars = last.scalars.clone();
-                let tag = last.tag.clone();
-                let id = last.metadata.id;
-                let total_bytes = links.iter().map(|c| c.metadata.total_bytes).sum::<usize>();
-                let chain: Vec<_> = links.into_iter().map(|c| c.payloads).collect();
-                (chain, iteration, scalars, tag, Some(id), total_bytes)
-            }
-            None => {
-                let store = self.store.as_ref().ok_or(crate::CkptError::NoCheckpoint)?;
-                let links = store.latest_chain()?;
-                let last = links.last().expect("a recovered chain is never empty");
-                let iteration = last.metadata.iteration;
-                let total_bytes = links.iter().map(|c| c.metadata.total_bytes).sum::<usize>();
-                let chain: Vec<_> = links.iter().map(|c| c.payloads.clone()).collect();
-                (chain, iteration, Vec::new(), String::new(), None, total_bytes)
-            }
-        };
+        let (durable, links) = [(true, &mut self.disk), (false, &mut self.memory)]
+            .into_iter()
+            .find_map(|(durable, tier)| Some((durable, tier.as_mut()?.latest_valid_chain().ok()?)))
+            .ok_or(CkptError::NoCheckpoint)?;
+        let total_bytes = links.iter().map(|c| c.metadata.total_bytes).sum::<usize>();
+        let last = links.last().expect("a recovered chain is never empty");
+        let (iteration, id) = (last.metadata.iteration, last.metadata.id);
+        let (scalars, tag) = (last.scalars.clone(), last.tag.clone());
+        let chain = links.into_iter().map(|c| c.payloads).collect();
         let billed_bytes = (total_bytes as f64 * self.byte_scale) as usize + static_bytes;
         let read_seconds = self
             .pfs
@@ -374,9 +345,20 @@ impl FtiContext {
             iteration,
             scalars,
             tag,
-            durable_id,
+            id,
+            durable,
             read_seconds,
         })
+    }
+
+    /// Marks the checkpoint `recovered` was read from — and with it every
+    /// delta chained on it — as never to be served again, in the tier that
+    /// served it: its bytes validated but did not decode.
+    pub fn invalidate(&mut self, recovered: &RecoveredData) {
+        let tier = if recovered.durable { &mut self.disk } else { &mut self.memory };
+        if let Some(store) = tier {
+            store.invalidate(recovered.id);
+        }
     }
 }
 
@@ -444,7 +426,7 @@ mod tests {
         assert_eq!(meta.total_bytes, 1_000_000);
         assert!(meta.compression_ratio() > 1000.0);
         assert_eq!(fti.snapshots, 1);
-        assert_eq!(fti.store().unwrap().len(), 1);
+        assert_eq!(fti.memory.as_ref().unwrap().len(), 1);
     }
 
     #[test]
@@ -482,6 +464,33 @@ mod tests {
     }
 
     #[test]
+    fn the_memory_tier_keeps_scalars_and_tag_and_invalidates_like_the_durable_one() {
+        let mut fti = context(64);
+        let mut clock = SimClock::new();
+        let mut buf = CheckpointBuffer::new();
+        for (iteration, fill) in [(3, 1u8), (6, 2)] {
+            buf.clear();
+            buf.push_with("x", |bytes| bytes.extend_from_slice(&[fill; 32]));
+            let scalars = [("rho".to_string(), f64::from(fill))];
+            let tag = "traditional";
+            fti.commit_snapshot_from_buffer(0.0, iteration, tag, &scalars, None, &mut buf, 0.0)
+                .unwrap();
+        }
+        let newest = fti.recover(&mut clock, 0).unwrap();
+        assert_eq!((newest.iteration, newest.id, newest.durable), (6, 1, false));
+        assert_eq!(newest.tag, "traditional");
+        assert_eq!(newest.scalars, vec![("rho".to_string(), 2.0)]);
+
+        // Undecodable, says the caller: the next-older one is served.
+        fti.invalidate(&newest);
+        let older = fti.recover(&mut clock, 0).unwrap();
+        assert_eq!((older.iteration, older.id), (3, 0));
+        assert_eq!(older.scalars, vec![("rho".to_string(), 1.0)]);
+        fti.invalidate(&older);
+        assert_eq!(fti.recover(&mut clock, 0).unwrap_err(), CkptError::NoCheckpoint);
+    }
+
+    #[test]
     fn snapshot_bills_at_the_byte_scale_and_leaves_the_buffer_reusable() {
         let mut fti = context(2048);
         fti.set_byte_scale(1000.0);
@@ -499,7 +508,7 @@ mod tests {
         assert_eq!(secs, fti.planned_write_seconds(1050));
         assert_eq!(clock.now(), secs);
         assert_eq!(
-            fti.store().unwrap().latest().unwrap().payloads,
+            fti.memory.as_mut().unwrap().latest_valid().unwrap().payloads,
             vec![
                 ("x".to_string(), vec![9u8; 1000]),
                 ("y".to_string(), vec![7u8; 50]),
@@ -511,7 +520,7 @@ mod tests {
         buf.push_with("x", |bytes| bytes.extend_from_slice(&[1u8; 10]));
         let (meta2, _) = snapshot_from_buffer(&mut fti, &mut clock, 6, &mut buf);
         assert_eq!(meta2.iteration, 6);
-        assert_eq!(fti.store().unwrap().len(), 2);
+        assert_eq!(fti.memory.as_ref().unwrap().len(), 2);
     }
 
     #[test]
@@ -524,14 +533,14 @@ mod tests {
 
         // No tier at all: committing is a typed error, recovering finds nothing.
         let mut bare = context(64).without_memory_tier();
-        assert!(bare.store().is_none());
+        assert!(bare.memory.is_none());
         let mut buf = CheckpointBuffer::new();
         buf.push_with("x", |bytes| bytes.extend_from_slice(&[5u8; 64]));
         assert!(matches!(
             bare.commit_snapshot_from_buffer(0.0, 1, "t", &[], None, &mut buf, 0.0),
-            Err(crate::CkptError::Io(_))
+            Err(CkptError::Io(_))
         ));
-        assert_eq!(bare.recover(&mut clock, 0).unwrap_err(), crate::CkptError::NoCheckpoint);
+        assert_eq!(bare.recover(&mut clock, 0).unwrap_err(), CkptError::NoCheckpoint);
 
         let mut fti = context(64).without_memory_tier();
         fti.attach_disk_store(DiskStore::open(&dir, 2).unwrap());
@@ -540,12 +549,12 @@ mod tests {
             .unwrap();
         assert_eq!((meta.iteration, meta.total_bytes), (4, 64));
         let rec = fti.recover(&mut clock, 0).unwrap();
-        assert_eq!(rec.durable_id, Some(meta.id));
+        assert_eq!((rec.id, rec.durable), (meta.id, true));
         assert_eq!(rec.payloads().to_vec(), vec![("x".to_string(), vec![5u8; 64])]);
 
         // Discarding the only durable checkpoint leaves nothing to fall back to.
         fti.disk_store_mut().unwrap().discard_newest();
-        assert_eq!(fti.recover(&mut clock, 0).unwrap_err(), crate::CkptError::NoCheckpoint);
+        assert_eq!(fti.recover(&mut clock, 0).unwrap_err(), CkptError::NoCheckpoint);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -21,13 +21,15 @@
 //!   compression throughput, compute-speed factor).
 //! * [`FailureInjector`] — exponential fail-stop failure process with a
 //!   deterministic seed (§5.4).
-//! * [`FtiContext`] + [`CheckpointStore`] — an FTI-like `Protect()` /
-//!   `Snapshot()` / `recover()` API over named binary buffers with
-//!   checkpoint metadata and multi-level storage targets.
-//! * [`DiskStore`] — the durable on-disk tier: crash-consistent checkpoint
-//!   files (magic + CRC-validated segment table, temp-file + rename
-//!   atomicity, optional write-behind I/O thread) a *fresh* process can
-//!   reopen and resume from (see [`disk`]).
+//! * [`FtiContext`] — an FTI-like `Protect()` / `Snapshot()` / `recover()`
+//!   API over named binary buffers with checkpoint metadata and two
+//!   storage tiers, each a [`DiskStore`].
+//! * [`DiskStore`] — the one checkpoint store, over a [`StorageBackend`]:
+//!   crash-consistent checkpoint files (magic + CRC-validated segment
+//!   table, temp-file + rename atomicity, chain-aware retention, optional
+//!   write-behind I/O thread).  Over [`OsBackend`] it is the durable tier
+//!   a *fresh* process can reopen and resume from; over [`MemBackend`] it
+//!   is the in-memory tier (see [`disk`]).
 //!
 //! Numerical state never flows through this crate — the solvers operate on
 //! real vectors in `lcr-solvers`; this crate only accounts for *time* and
@@ -45,28 +47,24 @@ pub mod fti;
 pub mod pfs;
 pub mod store;
 
-pub use backend::{OsBackend, RetryPolicy, StorageBackend};
+pub use backend::{MemBackend, OsBackend, RetryPolicy, StorageBackend};
 pub use clock::SimClock;
 pub use cluster::ClusterConfig;
 pub use disk::{DiskCheckpoint, DiskStore};
 pub use failure::FailureInjector;
 pub use fti::{FtiContext, RecoveredData};
 pub use pfs::{CheckpointLevel, PfsModel};
-pub use store::{
-    CheckpointBuffer, CheckpointEncoding, CheckpointMetadata, CheckpointStore, StoredCheckpoint,
-};
+pub use store::{CheckpointBuffer, CheckpointEncoding, CheckpointMetadata};
 
 /// Errors produced by the checkpoint/restart substrate.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CkptError {
     /// No checkpoint is available to recover from.
     NoCheckpoint,
-    /// A protected variable id was not found.
-    UnknownVariable(String),
-    /// A stored checkpoint is malformed (e.g. missing variable payloads,
-    /// failed CRC validation, or a truncated on-disk file).
+    /// A stored checkpoint is malformed (e.g. failed CRC validation, or a
+    /// truncated file).
     Corrupt(String),
-    /// The durable tier hit a real I/O error (message carries the cause).
+    /// A tier hit a real I/O error (message carries the cause).
     Io(String),
 }
 
@@ -74,7 +72,6 @@ impl std::fmt::Display for CkptError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CkptError::NoCheckpoint => write!(f, "no checkpoint available"),
-            CkptError::UnknownVariable(id) => write!(f, "unknown protected variable: {id}"),
             CkptError::Corrupt(msg) => write!(f, "corrupt checkpoint: {msg}"),
             CkptError::Io(msg) => write!(f, "checkpoint I/O error: {msg}"),
         }
@@ -93,7 +90,6 @@ mod tests {
     #[test]
     fn error_display() {
         assert!(CkptError::NoCheckpoint.to_string().contains("no checkpoint"));
-        assert!(CkptError::UnknownVariable("x".into()).to_string().contains('x'));
         assert!(CkptError::Corrupt("bad".into()).to_string().contains("bad"));
         assert!(CkptError::Io("disk full".into()).to_string().contains("disk full"));
     }

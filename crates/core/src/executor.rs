@@ -28,8 +28,8 @@ use std::path::Path;
 use std::sync::Arc;
 
 use lcr_ckpt::{
-    CheckpointBuffer, CheckpointMetadata, CkptError, DiskStore, FtiContext, RecoveredData,
-    RetryPolicy, SimClock, StorageBackend,
+    CheckpointBuffer, CheckpointMetadata, CkptError, DiskStore, FtiContext, OsBackend,
+    RecoveredData, RetryPolicy, SimClock, StorageBackend,
 };
 use lcr_compress::DeltaMode;
 use lcr_solvers::DynamicState;
@@ -176,9 +176,6 @@ pub(crate) struct Checkpointer {
     /// (recovery, aborted or failed write) so a delta is never written
     /// against a checkpoint the store does not hold.
     selector: TemporalEncodingSelector,
-    /// Scalars of the last commit, for an exact recovery from the
-    /// in-memory tier (which does not persist scalars).
-    last_scalars: Vec<(String, f64)>,
     /// Consecutive hard durable-write failures …
     hard_failures: usize,
     /// … after this many, drop the durable tier and keep going in memory.
@@ -207,7 +204,6 @@ impl Checkpointer {
             fti,
             buffer: CheckpointBuffer::new(),
             selector: TemporalEncodingSelector::new(anchor_interval, DeltaMode::Order2),
-            last_scalars: Vec::new(),
             hard_failures: 0,
             degrade_after,
             retired: None,
@@ -232,11 +228,9 @@ impl Checkpointer {
         retry: Option<RetryPolicy>,
         write_behind: bool,
     ) -> Result<(), CkptError> {
-        let opened = match backend {
-            Some(backend) => DiskStore::open_with_backend(dir, retain, backend),
-            None => DiskStore::open(dir, retain),
-        };
-        let mut disk = opened.inspect_err(|_| self.tally.degraded = true)?;
+        let backend = backend.unwrap_or_else(|| Arc::new(OsBackend));
+        let mut disk = DiskStore::open_with_backend(dir, retain, backend)
+            .inspect_err(|_| self.tally.degraded = true)?;
         if let Some(retry) = retry {
             disk.set_retry_policy(retry);
         }
@@ -253,33 +247,29 @@ impl Checkpointer {
     }
 
     /// Decodes the newest committed checkpoint that still validates *and*
-    /// decodes: the store skips chains that fail a CRC, and a chain that
-    /// validates but does not decode is invalidated and the next-older one
-    /// tried — a fault met during recovery degrades to an earlier
-    /// checkpoint, then to `None`, never to a wrong answer.
+    /// decodes: the tiers skip chains that fail a CRC, and a chain that
+    /// validates but does not decode is invalidated in the tier that served
+    /// it and the next-older one tried — a fault met during recovery
+    /// degrades to an earlier checkpoint, then to `None`, never to a wrong
+    /// answer.
     fn restore(&mut self, regime: &mut impl Regime) -> Option<Recovered> {
         // The solver leaves the state the last snapshot was encoded from.
         self.selector.reset();
         loop {
             let read = regime.read(&mut self.fti).ok()?;
-            // A durable checkpoint tagged by another strategy family is
-            // not decodable by this one.
-            if read.durable_id.is_some() && !self.strategy.can_recover_from(&read.tag) {
+            // A checkpoint tagged by another strategy family is not
+            // decodable by this one.
+            if !self.strategy.can_recover_from(&read.tag) {
                 return None;
             }
-            let scalars = if read.scalars.is_empty() {
-                &self.last_scalars
-            } else {
-                &read.scalars
-            };
             match self
                 .strategy
-                .decode_chain(&read.chain, read.iteration, scalars)
+                .decode_chain(&read.chain, read.iteration, &read.scalars)
             {
                 Ok(recovered) => return Some(recovered),
                 Err(_) => {
                     self.tally.failed_recoveries += 1;
-                    self.fti.disk_store_mut()?.invalidate(read.durable_id?);
+                    self.fti.invalidate(&read);
                 }
             }
         }
@@ -415,9 +405,6 @@ fn checkpoint<R: Regime, Q: Quorum>(
             ckpt.tally.degraded = true;
         }
         landed = stored.ok().map(|metadata| Committed { epoch, metadata });
-        // The in-memory tier took the snapshot whatever the durable tier
-        // said: these are the scalars of its newest checkpoint.
-        ckpt.last_scalars = scalars;
     }
     match (rank.vote(landed.is_some())?, landed) {
         (true, Some(committed)) => ckpt.tally.committed.push(committed),
@@ -463,6 +450,51 @@ fn recover<R: Regime, Q: Quorum>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lcr_ckpt::{CheckpointLevel, ClusterConfig, PfsModel};
+    use lcr_sparse::Vector;
+
+    /// A regime in which nothing is billed and nothing strikes.
+    struct Idle;
+    impl Regime for Idle {}
+
+    #[test]
+    fn an_undecodable_memory_tier_checkpoint_falls_back_to_the_older_one() {
+        // No durable tier: both commits live in the in-memory tier only.
+        let fti = FtiContext::new(
+            ClusterConfig::bebop_like(4, 1.0),
+            PfsModel::bebop_like(),
+            CheckpointLevel::Pfs,
+        );
+        let strategy = CheckpointStrategy::Traditional;
+        let mut ckpt = Checkpointer::new(strategy.clone(), 1, 0, fti, 3);
+        let state = DynamicState {
+            iteration: 4,
+            scalars: vec![("rho".to_string(), 0.5)],
+            vectors: vec![("x".to_string(), Vector::filled(6, 1.25))],
+        };
+        let bound = strategy.bound_at(1.0, 1.0);
+        let (meta, _) = strategy
+            .encode_state_into(&state, bound, &mut ckpt.buffer, &mut ckpt.selector)
+            .unwrap();
+        let tag = strategy.name();
+        ckpt.fti
+            .commit_snapshot_from_buffer(0.0, 4, tag, &meta.scalars, None, &mut ckpt.buffer, 0.0)
+            .unwrap();
+        // The newer one validates (its CRCs are its own) but cannot decode:
+        // a raw vector payload whose length is not a multiple of 8.
+        ckpt.buffer.clear();
+        ckpt.buffer.push_with("x", |out| out.extend_from_slice(&[7u8; 13]));
+        ckpt.fti
+            .commit_snapshot_from_buffer(1.0, 8, tag, &meta.scalars, None, &mut ckpt.buffer, 0.0)
+            .unwrap();
+
+        let (recovered, mode) = ckpt
+            .restore(&mut Idle)
+            .expect("the older checkpoint is still held and decodes");
+        assert_eq!(mode, RecoveryMode::Exact);
+        assert_eq!(recovered, state);
+        assert_eq!(ckpt.tally.failed_recoveries, 1);
+    }
 
     #[test]
     fn original_share_distributes_the_remainder_exactly() {
