@@ -76,6 +76,8 @@ struct ScalingRow {
     /// Nanoseconds per matrix row, for the preconditioner rows: a
     /// triangular sweep is a latency chain per row, which GB/s hides.
     ns_per_row: Option<f64>,
+    /// Fingerprint of the kernel's result (hex), to compare across commits.
+    fingerprint: String,
     /// Whether the result was bit-identical to the 1-thread result.
     bit_identical: bool,
 }
@@ -559,6 +561,7 @@ fn main() {
                 frac_of_triad: gb_per_s_computed.map(|g| g / triad_gbs),
                 ns_per_row: matches!(name, "ilu0_factor" | "bjacobi_apply")
                     .then(|| seconds * 1e9 / n as f64),
+                fingerprint: format!("{fingerprint:016x}"),
                 bit_identical: fingerprint == base_fp,
             });
         }

@@ -841,10 +841,23 @@ mod tests {
 
     #[test]
     fn chunking_is_a_function_of_length_only() {
-        assert_eq!(chunk_count(10, DEFAULT_MIN_CHUNK), 1);
-        assert_eq!(chunk_count(4 * DEFAULT_MIN_CHUNK, DEFAULT_MIN_CHUNK), 4);
-        assert_eq!(chunk_count(usize::MAX / 2, DEFAULT_MIN_CHUNK), MAX_CHUNKS);
-        assert_eq!(chunk_count(100, 1), MAX_CHUNKS.min(100));
+        let chunks = |len, min_chunk| run_chunks(len, min_chunk, |start, end| (start, end));
+        assert_eq!(chunks(10, DEFAULT_MIN_CHUNK), [(0, 10)]);
+        assert_eq!(chunks(4 * DEFAULT_MIN_CHUNK, DEFAULT_MIN_CHUNK).len(), 4);
+        assert_eq!(chunks(1 << 40, DEFAULT_MIN_CHUNK).len(), MAX_CHUNKS);
+        assert_eq!(chunks(100, 1).len(), MAX_CHUNKS.min(100));
+        // Chunk `i` of `n` is `i·len/n .. (i+1)·len/n`, whoever runs it.
+        let len = 5 * DEFAULT_MIN_CHUNK + 321;
+        let expect: Vec<_> = (0..5).map(|i| (i * len / 5, (i + 1) * len / 5)).collect();
+        for cap in [1, 2, 0] {
+            set_max_active_threads(cap);
+            assert_eq!(chunks(len, DEFAULT_MIN_CHUNK), expect, "cap {cap}");
+        }
+    }
+
+    /// Runs `f` on every index of `0..len`, a pool chunk at a time.
+    fn for_each_index(len: usize, f: impl Fn(usize) + Sync) {
+        run_chunks(len, DEFAULT_MIN_CHUNK, |start, end| (start..end).for_each(&f));
     }
 
     #[test]
@@ -852,8 +865,7 @@ mod tests {
     fn panic_payload_survives_parallel_execution() {
         // Whether the panicking chunk lands on the caller or a worker
         // (LCR_NUM_THREADS decides), the original message must surface.
-        let v: Vec<usize> = (0..100_000).collect();
-        v.par_iter().for_each(|&i| {
+        for_each_index(100_000, |i| {
             assert!(i != 77_777, "deliberate kernel panic at {i}");
         });
     }
@@ -865,15 +877,15 @@ mod tests {
         // `wait_tickets` cannot deadlock), the payload must surface on the
         // caller, and the pool must stay fully usable afterwards.
         initialize_pool(4);
-        let v: Vec<usize> = (0..200_000).collect();
-        let expect: usize = v.len() * (v.len() - 1) / 2;
+        let len = 200_000usize;
+        let expect: usize = len * (len - 1) / 2;
         for round in 0..8usize {
-            let bomb = (round * 24_989) % v.len();
-            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                v.par_iter().for_each(|&i| {
+            let bomb = (round * 24_989) % len;
+            let err = std::panic::catch_unwind(|| {
+                for_each_index(len, |i| {
                     assert!(i != bomb, "deliberate stress panic at {i}");
                 });
-            }))
+            })
             .unwrap_err();
             let msg = err
                 .downcast_ref::<String>()
@@ -885,7 +897,9 @@ mod tests {
             );
             // The very next parallel call must run to completion with the
             // right answer — no leaked job, no stuck ticket.
-            let s: usize = v.par_iter().map(|&x| x).sum();
+            let s: usize = run_chunks(len, DEFAULT_MIN_CHUNK, |start, end| (start..end).sum::<usize>())
+                .into_iter()
+                .sum();
             assert_eq!(s, expect, "round {round}: pool corrupted after panic");
         }
     }
@@ -949,11 +963,8 @@ mod tests {
 
     #[test]
     fn empty_inputs() {
-        let v: Vec<f64> = Vec::new();
-        let s: f64 = v.par_iter().map(|x| *x).sum();
-        assert_eq!(s, 0.0);
-        let c: Vec<f64> = v.par_iter().map(|x| *x).collect();
-        assert!(c.is_empty());
-        assert_eq!((0..0).into_par_iter().count(), 0);
+        assert!(run_chunks(0, DEFAULT_MIN_CHUNK, |_, _| 0.0f64).is_empty());
+        assert!(run_chunks(0, 1, |_, _| ()).is_empty());
+        assert!(run_ordered(0, |_| ()).is_empty());
     }
 }

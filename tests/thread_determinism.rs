@@ -8,9 +8,11 @@
 
 use lossy_ckpt::compress::{ErrorBound, LossyCompressor, SzCompressor};
 use lossy_ckpt::core::{PaperWorkload, ScaledProblem};
-use lossy_ckpt::solvers::{BlockJacobiPreconditioner, Preconditioner, SolverKind};
+use lossy_ckpt::solvers::{
+    BlockJacobiPreconditioner, JacobiPreconditioner, Preconditioner, SolverKind,
+};
 use lossy_ckpt::sparse::poisson::poisson3d;
-use lossy_ckpt::sparse::vector::{dot, norm2};
+use lossy_ckpt::sparse::vector::{axpy, dot, norm2};
 use lossy_ckpt::sparse::{CsrMatrix, Vector, PAR_THRESHOLD};
 use proptest::prelude::*;
 
@@ -36,6 +38,10 @@ fn random_vector(len: usize, seed: u64) -> Vector {
     let mut v = Vector::zeros(len);
     v.fill_random(seed, -10.0, 10.0);
     v
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
 }
 
 /// Tridiagonal test matrix with `n` rows (≈ `3n` non-zeros, above the SpMV
@@ -153,7 +159,6 @@ fn preconditioned_solve_bits(
         let mut solver = workload.build_solver(problem, kind, 10_000);
         solver.run_to_convergence();
         assert!(solver.converged(), "{kind:?} did not converge");
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
         (
             bits(solver.history().residuals()),
             bits(solver.solution().as_slice()),
@@ -204,5 +209,108 @@ fn block_jacobi_apply_bit_identical_at_every_thread_cap() {
             apply_bits(threads) == one,
             "apply_into differs at a cap of {threads} threads"
         );
+    }
+}
+
+/// Above `PAR_THRESHOLD`, and a multiple neither of the eight SIMD lanes
+/// nor of the pool's 1,024-element minimum chunk: chunks are ragged.
+const RAGGED_LEN: usize = PAR_THRESHOLD + 1_037;
+
+#[test]
+fn elementwise_vector_kernels_match_a_sequential_loop_at_every_thread_cap() {
+    ensure_pool();
+    let x = random_vector(RAGGED_LEN, 11);
+    let y0 = random_vector(RAGGED_LEN, 12);
+    let (alpha, beta) = (0.37, -1.9);
+    let looped = |f: &dyn Fn(f64, f64) -> f64| -> Vec<u64> {
+        y0.iter().zip(x.iter()).map(|(&y, &x)| f(y, x).to_bits()).collect()
+    };
+    let scaled = looped(&|y, _| y * alpha);
+    let axpyed = looped(&|y, x| y + alpha * x);
+    let xpbyed = looped(&|y, x| x + beta * y);
+    for threads in 1..=rayon::pool_threads() {
+        with_threads(threads, || {
+            let mut y = y0.clone();
+            y.scale(alpha);
+            assert!(bits(&y) == scaled, "scale differs at {threads} threads");
+            let mut y = y0.clone();
+            y.axpy(alpha, &x);
+            assert!(bits(&y) == axpyed, "Vector::axpy differs at {threads} threads");
+            let mut y = y0.clone();
+            axpy(alpha, x.as_slice(), y.as_mut_slice());
+            assert!(bits(&y) == axpyed, "axpy differs at {threads} threads");
+            let mut y = y0.clone();
+            y.xpby(&x, beta);
+            assert!(bits(&y) == xpbyed, "xpby differs at {threads} threads");
+        });
+    }
+}
+
+#[test]
+fn vector_reductions_match_a_sequential_fold_at_every_thread_cap() {
+    ensure_pool();
+    let a = random_vector(RAGGED_LEN, 21);
+    let b = random_vector(RAGGED_LEN, 22);
+    let norm_inf = a.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
+    let max_abs_diff = a
+        .iter()
+        .zip(b.iter())
+        .fold(0.0_f64, |m, (x, y)| m.max((x - y).abs()));
+    let (min, max) = a
+        .iter()
+        .fold((f64::INFINITY, f64::NEG_INFINITY), |(mn, mx), &v| {
+            (mn.min(v), mx.max(v))
+        });
+    for threads in 1..=rayon::pool_threads() {
+        with_threads(threads, || {
+            assert_eq!(a.norm_inf().to_bits(), norm_inf.to_bits(), "{threads} threads");
+            assert_eq!(
+                a.max_abs_diff(&b).to_bits(),
+                max_abs_diff.to_bits(),
+                "{threads} threads"
+            );
+            assert_eq!(
+                a.value_range().to_bits(),
+                (max - min).to_bits(),
+                "{threads} threads"
+            );
+        });
+    }
+}
+
+#[test]
+fn jacobi_apply_matches_a_sequential_loop_at_every_thread_cap() {
+    ensure_pool();
+    let n = RAGGED_LEN;
+    let diag: Vec<f64> = (0..n).map(|i| 2.0 + (i % 13) as f64 * 0.375).collect();
+    let a = CsrMatrix::from_raw_unchecked(n, n, (0..=n).collect(), (0..n).collect(), diag.clone());
+    let pre = JacobiPreconditioner::new(&a).expect("non-zero diagonal");
+    let r = random_vector(n, 31);
+    let expect: Vec<u64> = r
+        .iter()
+        .zip(&diag)
+        .map(|(ri, d)| (ri * (1.0 / d)).to_bits())
+        .collect();
+    for threads in 1..=rayon::pool_threads() {
+        let mut z = Vector::filled(n, f64::NAN);
+        with_threads(threads, || pre.apply_into(&r, &mut z));
+        assert!(bits(&z) == expect, "apply_into differs at {threads} threads");
+    }
+}
+
+#[test]
+fn block_jacobi_factors_bit_identical_at_every_thread_cap() {
+    ensure_pool();
+    // 33³ rows in 16 uneven blocks, factorised on the pool.
+    let a = poisson3d(33);
+    assert!(a.nrows() >= PAR_THRESHOLD);
+    let factors = |threads: usize| -> Vec<(usize, usize, u64)> {
+        let pre = with_threads(threads, || BlockJacobiPreconditioner::new(&a, 16));
+        let pre = pre.expect("ILU(0) of Poisson");
+        pre.factor_entries().map(|(i, j, v)| (i, j, v.to_bits())).collect()
+    };
+    let one = factors(1);
+    for threads in 2..=rayon::pool_threads() {
+        assert!(factors(threads) == one, "factors differ at {threads} threads");
     }
 }
