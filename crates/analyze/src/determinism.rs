@@ -2,7 +2,7 @@
 //! machine-checked.
 //!
 //! The workspace's reproducibility claim rests on every parallel kernel
-//! routing through the rayon shim's chunk-ordered primitives and on kernel
+//! routing through the pool's item-ordered driver (`shims/rayon`) and on kernel
 //! code never consulting sources of nondeterminism.  These lints deny the
 //! known escape hatches:
 //!
@@ -19,8 +19,9 @@
 //!   must never steer a kernel-path decision.
 //! * `atomic-reduction` — atomic read-modify-write in kernel crates:
 //!   parallel float reductions must combine per-chunk partials in chunk
-//!   order via `rayon::run_chunks`/`run_ordered`, never accumulate through
-//!   atomics (whose arrival order is scheduling-dependent).
+//!   order via `rayon::run_items` (or `run_chunks`/`run_ordered` over it),
+//!   never accumulate through atomics (whose arrival order is
+//!   scheduling-dependent).
 //!
 //! A site that is sound for a documented reason carries a waiver comment:
 //!
@@ -157,7 +158,7 @@ const KERNEL_RULES: &[DenyRule] = &[
         ],
         message: "atomic read-modify-write accumulation is order-nondeterministic; \
                   parallel reductions must combine chunk partials in chunk order via \
-                  `rayon::run_chunks`/`run_ordered`",
+                  `rayon::run_items` (or `run_chunks`/`run_ordered` over it)",
     },
 ];
 

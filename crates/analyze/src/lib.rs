@@ -6,10 +6,12 @@
 //!
 //! The workspace's core correctness claim — bit-identical results at any
 //! `LCR_NUM_THREADS` — rests on two conventions: every parallel reduction
-//! combines fixed-chunk partials in chunk order, and every `unsafe`
-//! shared-pointer write targets a disjoint range.  This crate enforces the
-//! statically checkable half of that contract (the `racecheck` feature of
-//! the rayon shim and `lcr-sparse` enforces the dynamic half):
+//! combines fixed-chunk partials in chunk order, and every pool task
+//! writes only through the `&mut` pieces it owns, so the `unsafe` that
+//! remains (unchecked gathers, the pool's lifetime erasure) stays small
+//! and justified.  This crate enforces the statically checkable half of
+//! that contract (the `racecheck` feature of the pool, `shims/rayon`, and
+//! `lcr-sparse` checks the index arithmetic the types cannot):
 //!
 //! * **unsafe audit** (`unsafe_audit`) — every `unsafe` site carries an
 //!   adjacent `// SAFETY:` justification, raw-memory APIs stay inside the

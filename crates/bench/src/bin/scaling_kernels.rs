@@ -2,7 +2,8 @@
 //! execution layer.
 //!
 //! Measures a STREAM-style `triad` (the host's bandwidth ceiling through
-//! the same pool), `dot`/`norm2`/`spmv` — plus the fused solver kernels
+//! the same pool and the same slice driver, `kernels::run_len`, the vector
+//! kernels run on), `dot`/`norm2`/`spmv` — plus the fused solver kernels
 //! `spmv_dot`, `axpy2_norm2` and `residual_norm2` that the Krylov inner
 //! loops now run on, and the paper's preconditioner: `bjacobi_apply` (one
 //! block-Jacobi(16)/ILU(0) application) and `ilu0_factor` (building it) —
@@ -14,7 +15,10 @@
 //! checkpoint) and the replay of the chains it built (`sz_chain_decompress`,
 //! `sz_chain_decompress_1blk`: what a recovery costs), ZFP compression of
 //! the same buffer, single-stream Huffman
-//! decoding of SZ-like quantization codes, the order-2 temporal delta codec of the
+//! encoding and decoding of SZ-like quantization codes (`huffman_encode`,
+//! `huffman_decode`), the lossless baseline over a 131,072-value prefix of
+//! the buffer (`fpc`, and `fpc_lzss` with the LZSS stage behind it), the
+//! order-2 temporal delta codec of the
 //! version-5 checkpoint streams (`delta_encode`/`delta_decode` over the
 //! same codes against two simulated prior snapshots), the checkpoint
 //! files' checksum (`crc32` over the arena the disk rows write, in GB/s and
@@ -40,15 +44,14 @@ use lcr_bench::{fmt, print_json, print_table};
 use lcr_ckpt::disk::crc32;
 use lcr_ckpt::{CheckpointBuffer, CheckpointLevel, DiskStore};
 use lcr_compress::{
-    delta, huffman, Compressed, DeltaMode, ErrorBound, LossyCompressor, SzCompressor,
-    SzTemporalState, ZfpCompressor,
+    delta, huffman, Compressed, DeltaMode, ErrorBound, FpcCodec, LosslessCompressor,
+    LosslessPipeline, LossyCompressor, SzCompressor, SzTemporalState, ZfpCompressor,
 };
 use lcr_solvers::{BlockJacobiPreconditioner, Preconditioner};
 use lcr_sparse::kernels;
 use lcr_sparse::poisson::poisson3d;
 use lcr_sparse::vector::{dot, norm2};
 use lcr_sparse::{CsrMatrix, Vector};
-use rayon::prelude::*;
 use serde::Serialize;
 use std::time::Instant;
 
@@ -255,12 +258,12 @@ fn main() {
         // STREAM triad through the pool: the ceiling the rows below are
         // reported against.
         let secs = time_median(reps, || {
-            triad_out
-                .as_mut_slice()
-                .par_iter_mut()
-                .zip(a_vec.as_slice().par_iter())
-                .zip(b_vec.as_slice().par_iter())
-                .for_each(|((o, b), c)| *o = b + 3.0 * c);
+            kernels::run_len(vec_len, [triad_out.as_mut_slice()], |chunk, [out]| {
+                let (b, c) = (&a_vec.as_slice()[chunk.clone()], &b_vec.as_slice()[chunk]);
+                for (o, (b, c)) in out.iter_mut().zip(b.iter().zip(c)) {
+                    *o = b + 3.0 * c;
+                }
+            });
         });
         let triad_fp = bits_fingerprint(triad_out.as_slice());
         measured.push(("triad", vec_len, 3 * 8 * vec_len, triad_fp, secs));
@@ -462,8 +465,19 @@ fn main() {
         let zfp_fp = u64::from(zfp_bytes == zfp_reference);
         measured.push(("zfp_compress", sz_len, 0, zfp_fp, secs));
 
-        // Single-stream canonical-Huffman table decode (not pool-parallel;
-        // rides along at every thread count as a like-for-like row).
+        // Single-stream canonical-Huffman coding (not pool-parallel; rides
+        // along at every thread count as like-for-like rows): histogram,
+        // code lengths and bit-packing of one block, then its table decode.
+        let mut encoded: Vec<u8> = Vec::new();
+        let secs = time_median(reps, || encoded = huffman::encode_block(&huff_symbols));
+        measured.push((
+            "huffman_encode",
+            huff_symbols.len(),
+            0,
+            u64::from(crc32(&encoded)),
+            secs,
+        ));
+
         let mut decoded: Vec<u32> = Vec::new();
         let secs = time_median(reps, || {
             let mut pos = 0usize;
@@ -473,6 +487,20 @@ fn main() {
             .iter()
             .fold(0u64, |h, &v| h.rotate_left(13) ^ u64::from(v));
         measured.push(("huffman_decode", huff_symbols.len(), 0, huff_fp, secs));
+
+        // The lossless baseline (single-stream too): FPC's predictors
+        // alone, then with the LZSS stage the checkpoint strategy puts
+        // behind them.
+        let lossless: [(&str, &dyn LosslessCompressor); 2] =
+            [("fpc", &FpcCodec::new()), ("fpc_lzss", &LosslessPipeline::new())];
+        for (name, codec) in lossless {
+            let input = &sz_data[..1 << 17];
+            let mut stream: Vec<u8> = Vec::new();
+            let secs = time_median(reps, || {
+                stream = codec.compress(input).expect("lossless compression failed").bytes;
+            });
+            measured.push((name, input.len(), 0, u64::from(crc32(&stream)), secs));
+        }
 
         // Temporal delta codec of the version-5 streams: order-2 symbols
         // of this snapshot's codes against the two priors, and the

@@ -8,35 +8,12 @@
 //! [u64 nblocks][u64 len × nblocks][block bytes …]
 //! ```
 //!
-//! Blocks are produced/consumed through the deterministic rayon shim and
-//! concatenated in block order, so the container bytes (and the decoded
-//! values) are bit-identical at any thread count.
+//! Blocks are produced/consumed one pool task each (`rayon::run_ordered`,
+//! `rayon::run_items`) and concatenated in block order, so the container
+//! bytes (and the decoded values) are bit-identical at any thread count.
 
 use crate::bitstream::bytes;
 use crate::{CompressError, Result};
-use rayon::prelude::*;
-
-/// Runs `f(block_index)` for every block in parallel through the
-/// deterministic pool and returns the results in block order.
-pub(crate) fn map_blocks<T, F>(nblocks: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    (0..nblocks).into_par_iter().with_min_len(1).map(f).collect()
-}
-
-/// Cuts `buf` into consecutive pieces of the given lengths (which must sum
-/// to at most `buf.len()`), so pool tasks can fill them independently.
-pub(crate) fn split_mut<T>(buf: &mut [T], lens: impl Iterator<Item = usize>) -> Vec<&mut [T]> {
-    let mut rest = buf;
-    lens.map(|len| {
-        let (piece, after) = std::mem::take(&mut rest).split_at_mut(len);
-        rest = after;
-        piece
-    })
-    .collect()
-}
 
 /// Appends the container's length table: `[u64 nblocks][u64 len × nblocks]`.
 fn put_lengths(out: &mut Vec<u8>, lens: impl ExactSizeIterator<Item = usize>) {
@@ -65,14 +42,8 @@ where
     put_lengths(out, lens.iter().copied());
     let start = out.len();
     out.resize(start + lens.iter().sum::<usize>(), 0);
-    let slots: Vec<_> = split_mut(&mut out[start..], lens.iter().copied())
-        .into_iter()
-        .enumerate()
-        .collect();
-    slots
-        .into_par_iter()
-        .with_min_len(1)
-        .for_each(|(b, slot)| fill(b, slot));
+    let slots = rayon::split_mut(&mut out[start..], lens.iter().copied());
+    rayon::run_items(slots, fill);
 }
 
 /// Encodes `nblocks` independent blocks with `encode(block_index)` in
@@ -81,7 +52,7 @@ pub(crate) fn encode_blocks<F>(out: &mut Vec<u8>, nblocks: usize, encode: F)
 where
     F: Fn(usize) -> Vec<u8> + Sync,
 {
-    let encoded = map_blocks(nblocks, encode);
+    let encoded = rayon::run_ordered(nblocks, encode);
     write_container(out, &encoded);
 }
 
@@ -106,8 +77,7 @@ where
     F: Fn(usize, &[u8]) -> Result<T> + Sync,
 {
     let blocks = read_container(buf, pos, expected_blocks, label)?;
-    let decoded: Vec<Result<T>> = map_blocks(blocks.len(), |b| decode(b, blocks[b]));
-    decoded.into_iter().collect()
+    rayon::run_items(blocks, decode).into_iter().collect()
 }
 
 /// Reads the container framing and returns the per-block byte slices.

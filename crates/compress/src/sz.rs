@@ -52,7 +52,6 @@ use crate::bitstream::{bytes, BitReader};
 use crate::delta::{self, DeltaMode};
 use crate::{huffman, parblock};
 use crate::{CompressError, Compressed, ErrorBound, LossyCompressor, Result};
-use rayon::prelude::*;
 use std::cell::RefCell;
 
 /// Codec id stored in the stream header.
@@ -644,21 +643,17 @@ impl SzCompressor {
 
         // Quantize, a chunk per pool task.
         state.spare.resize(code_n, 0);
-        let chunks: Vec<_> = state.spare.chunks_mut(CHUNK).enumerate().collect();
-        chunks
-            .into_par_iter()
-            .with_min_len(1)
-            .for_each(|(j, chunk)| {
-                let at = j * CHUNK;
-                let block = Self::block_of(values, at / PAR_BLOCK);
-                Self::quantize_range(block, at % PAR_BLOCK, abs_eb, chunk);
-            });
+        rayon::run_items(state.spare.chunks_mut(CHUNK), |j, chunk| {
+            let at = j * CHUNK;
+            let block = Self::block_of(values, at / PAR_BLOCK);
+            Self::quantize_range(block, at % PAR_BLOCK, abs_eb, chunk);
+        });
         let (codes, prev1, prev2) = (&state.spare, &state.codes1, &state.codes2);
 
         // Per block: its unpredictable values, and the tail that follows
         // the Huffman blob under direct coding (verbatim) and under either
         // delta coding (XOR planes against the prior).
-        let tails: Vec<(Vec<f64>, [Vec<u8>; 2])> = parblock::map_blocks(nblocks, |b| {
+        let tails: Vec<(Vec<f64>, [Vec<u8>; 2])> = rayon::run_ordered(nblocks, |b| {
             let block_codes = Self::block_of(codes, b);
             let unpred = Self::unpredictable(Self::block_of(values, b), block_codes);
             let (mut direct, mut delta) = (Vec::new(), Vec::new());
@@ -673,7 +668,7 @@ impl SzCompressor {
 
         // One exact plan per (block × candidate), block-major.
         let ncand = candidates.len();
-        let plans: Vec<huffman::Plan> = parblock::map_blocks(nblocks * ncand, |task| {
+        let plans: Vec<huffman::Plan> = rayon::run_ordered(nblocks * ncand, |task| {
             let (b, mode) = (task / ncand, candidates[task % ncand]);
             Self::with_symbols(mode, b, codes, prev1, prev2, huffman::Plan::of)
         });
@@ -1117,16 +1112,12 @@ impl LogSide {
             offsets.push(nonzero);
         }
         let mut logs = vec![0.0f64; nonzero];
-        let pieces = parblock::split_mut(&mut logs, offsets.windows(2).map(|w| w[1] - w[0]));
-        let chunks: Vec<_> = data.chunks(CHUNK).zip(pieces).collect();
-        chunks
-            .into_par_iter()
-            .with_min_len(1)
-            .for_each(|(chunk, dst)| {
-                for (d, &x) in dst.iter_mut().zip(chunk.iter().filter(|&&x| x != 0.0)) {
-                    *d = x.abs().ln();
-                }
-            });
+        let pieces = rayon::split_mut(&mut logs, offsets.windows(2).map(|w| w[1] - w[0]));
+        rayon::run_items(data.chunks(CHUNK).zip(pieces), |_, (chunk, dst)| {
+            for (d, &x) in dst.iter_mut().zip(chunk.iter().filter(|&&x| x != 0.0)) {
+                *d = x.abs().ln();
+            }
+        });
         LogSide { zeros, signs, logs }
     }
 

@@ -6,11 +6,10 @@
 //! Figure 3.  This module implements those behind the [`Preconditioner`]
 //! trait (apply `z = M⁻¹ r`).
 
+use lcr_sparse::kernels::run_len;
 use lcr_sparse::{CsrMatrix, SparseError, Vector, PAR_THRESHOLD};
-use rayon::prelude::*;
 use std::cmp::Ordering;
 use std::ops::Range;
-use std::sync::Mutex;
 
 /// Applies the inverse of a preconditioning operator `M`.
 pub trait Preconditioner: Send + Sync {
@@ -103,18 +102,13 @@ impl Preconditioner for JacobiPreconditioner {
     fn apply_into(&self, r: &Vector, out: &mut Vector) {
         assert_eq!(r.len(), self.inv_diag.len(), "dimension mismatch");
         assert_eq!(out.len(), r.len(), "dimension mismatch");
-        if r.len() >= PAR_THRESHOLD {
-            out.as_mut_slice()
-                .par_iter_mut()
-                .zip(r.as_slice().par_iter())
-                .zip(self.inv_diag.as_slice().par_iter())
-                .for_each(|((z, ri), di)| *z = ri * di);
-        } else {
-            let scaled = r.as_slice().iter().zip(self.inv_diag.as_slice());
-            for (z, (ri, di)) in out.as_mut_slice().iter_mut().zip(scaled) {
+        let (r, inv_diag) = (r.as_slice(), self.inv_diag.as_slice());
+        run_len(r.len(), [out.as_mut_slice()], |rows, [zs]| {
+            let scaled = r[rows.clone()].iter().zip(&inv_diag[rows]);
+            for (z, (ri, di)) in zs.iter_mut().zip(scaled) {
                 *z = ri * di;
             }
-        }
+        });
     }
 
     fn name(&self) -> &'static str {
@@ -133,6 +127,21 @@ fn pool_width(rows: usize) -> usize {
         _ if rows < PAR_THRESHOLD => 1,
         0 => rayon::pool_threads(),
         cap => cap.min(rayon::pool_threads()),
+    }
+}
+
+/// Runs `work` on every item: on the pool, each task taking one, where a
+/// kernel over `rows` rows may use it ([`pool_width`]); in line otherwise.
+/// Results come back in item order either way.
+fn on_pool<P: Send, R: Send>(
+    rows: usize,
+    items: impl IntoIterator<Item = P, IntoIter: ExactSizeIterator>,
+    work: impl Fn(P) -> R + Sync,
+) -> Vec<R> {
+    if pool_width(rows) > 1 {
+        rayon::run_items(items, |_, item| work(item))
+    } else {
+        items.into_iter().map(work).collect()
     }
 }
 
@@ -584,18 +593,11 @@ impl BlockJacobiPreconditioner {
             })
             .filter(|&(_, len)| len > 0)
             .collect();
-        let factorise = |(start, len)| Ilu0Block::new(a, start, len);
-        let blocks: Result<Vec<_>, _> = if n >= PAR_THRESHOLD {
-            bounds
-                .into_par_iter()
-                .with_min_len(1)
-                .map(factorise)
-                .collect()
-        } else {
-            bounds.into_iter().map(factorise).collect()
-        };
+        let blocks = on_pool(n, bounds, |(start, len)| {
+            Ilu0Block::new(a, start, len)
+        });
         Ok(BlockJacobiPreconditioner {
-            blocks: blocks?,
+            blocks: blocks.into_iter().collect::<Result<_, _>>()?,
             dim: n,
         })
     }
@@ -622,7 +624,7 @@ impl Preconditioner for BlockJacobiPreconditioner {
         // every thread a group.
         let width = (self.blocks.len() / threads).clamp(1, LOCKSTEP_MAX);
         // Each group solves straight between its own slices of `r` and
-        // `out` — no copies, nothing allocated.
+        // `out` — no copies.
         let (mut r_rest, mut z_rest) = (r.as_slice(), out.as_mut_slice());
         let groups = self.blocks.chunks(width).map(|group| {
             let rows = ..group.iter().map(Ilu0Block::dim).sum();
@@ -630,20 +632,7 @@ impl Preconditioner for BlockJacobiPreconditioner {
             let z_g = z_rest.split_off_mut(rows).expect("blocks tile out");
             (group, r_g, z_g)
         });
-        if threads > 1 {
-            // Slices can only be peeled off the front, so every pool task
-            // takes the next group, whichever that is: a group's result
-            // does not depend on who sweeps it.
-            let tasks = groups.len();
-            let groups = Mutex::new(groups);
-            rayon::run_ordered(tasks, |_| {
-                let next = groups.lock().expect("no task panics in `next`").next();
-                let (group, r_g, z_g) = next.expect("one group per task");
-                sweep_group(group, r_g, z_g);
-            });
-        } else {
-            groups.for_each(|(group, r_g, z_g)| sweep_group(group, r_g, z_g));
-        }
+        on_pool(self.dim, groups, |(group, r_g, z_g)| sweep_group(group, r_g, z_g));
     }
 
     fn name(&self) -> &'static str {

@@ -104,7 +104,7 @@ impl ColIdx for u32 {
 /// Validates one chunk's block decomposition under the `racecheck`
 /// feature: the blocks' row ranges must be disjoint, in bounds and tile
 /// the chunk's row range exactly, and every slab's storage extent must
-/// stay within the matrix's stored non-zeros.  Reuses the rayon shim's
+/// stay within the matrix's stored non-zeros.  Reuses the pool's
 /// [`ClaimSet`](rayon::racecheck::ClaimSet), so violations panic with the
 /// checker's standard "overlaps" / "out of bounds" reports.
 #[cfg(feature = "racecheck")]
@@ -858,10 +858,10 @@ impl CsrMatrix {
     /// Infinity norm of the matrix (maximum absolute row sum), chunked over
     /// the precomputed [`SpmvPlan`] row partition.
     pub fn norm_inf(&self) -> f64 {
-        let partials = kernels::run_plan(self.plan(), |_ci, r0, r1| {
+        let partials = kernels::run_plan(self.plan(), [], |_ci, rows, []| {
             let mut m = 0.0f64;
-            let mut k = self.indptr[r0];
-            for i in r0..r1 {
+            let mut k = self.indptr[rows.start];
+            for i in rows {
                 let end = self.indptr[i + 1];
                 let s: f64 = self.values[k..end].iter().map(|v| v.abs()).sum();
                 m = m.max(s);

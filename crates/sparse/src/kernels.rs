@@ -9,16 +9,20 @@
 //!
 //! ## Determinism contract
 //!
-//! Every reduction here is computed over **fixed chunks**, and the
-//! per-chunk partials are combined **in chunk order** on the calling
+//! Every kernel here hands the pool *owned* pieces of its output buffers
+//! ([`run_len`], `run_plan`: each task gets its rows of every output,
+//! peeled off with `split_off_mut`, so no two tasks can reach the same
+//! element and a partition that does not tile the buffer is refused before
+//! anything runs), computes every reduction over **fixed chunks**, and
+//! combines the per-chunk partials **in chunk order** on the calling
 //! thread:
 //!
-//! * vector kernels split `0..len` with the same formula the rayon shim's
-//!   iterator path uses (`len / DEFAULT_MIN_CHUNK`, clamped to
-//!   `MAX_CHUNKS`), and every chunk body is one of the
-//!   [`simd`](crate::simd) lane kernels (eight lane accumulators combined
-//!   by a fixed pairwise tree), so e.g. the ‖r‖² returned by
-//!   [`axpy2_norm2`] is bit-identical to a separate `dot(r, r)` sweep;
+//! * vector kernels split `0..len` with [`rayon::chunk_ranges`]
+//!   (`len / DEFAULT_MIN_CHUNK` chunks, clamped to `MAX_CHUNKS`), and every
+//!   chunk body is one of the [`simd`](crate::simd) lane kernels (eight
+//!   lane accumulators combined by a fixed pairwise tree), so e.g. the
+//!   ‖r‖² returned by [`axpy2_norm2`] is bit-identical to a separate
+//!   `dot(r, r)` sweep;
 //! * SpMV-shaped kernels follow the matrix's precomputed
 //!   [`SpmvPlan`](crate::csr::SpmvPlan) row partition and its SELL-style
 //!   row blocks, which depend only on the matrix structure.
@@ -34,81 +38,91 @@
 use crate::csr::{CsrMatrix, RowSink, SpmvPlan};
 use crate::simd;
 use crate::vector::PAR_THRESHOLD;
+use std::ops::Range;
 
-/// Shared-pointer wrapper so disjoint chunk ranges of one output buffer can
-/// be written from pool workers.
-#[derive(Clone, Copy)]
-struct SendPtr(*mut f64);
-
-// SAFETY: the drivers below hand out non-overlapping index ranges, so
-// concurrent `range_mut` views never alias.
-unsafe impl Send for SendPtr {}
-// SAFETY: same disjoint-range contract as `Send` above — a `&SendPtr`
-// shared across threads only ever materialises non-aliasing views.
-unsafe impl Sync for SendPtr {}
-
-impl SendPtr {
-    /// Mutable view of `start..end` of the wrapped buffer, registered with
-    /// `claims` — under the `racecheck` feature every claimed range is
-    /// checked for overlap and bounds before the view is created.
-    ///
-    /// # Safety
-    /// Ranges materialised across threads must be disjoint and in bounds —
-    /// exactly what the chunk drivers below guarantee (and what `claims`
-    /// asserts when `racecheck` is enabled).
-    unsafe fn range_mut<'a>(self, claims: &rayon::racecheck::ClaimSet, start: usize, end: usize) -> &'a mut [f64] {
-        claims.claim(start, end);
-        // SAFETY: caller contract — `start..end` is in bounds of the
-        // wrapped buffer and disjoint from every concurrently claimed
-        // range.
-        unsafe { std::slice::from_raw_parts_mut(self.0.add(start), end - start) }
-    }
-}
-
-/// Runs `work(start, end)` over the deterministic length-based chunking of
-/// `0..len` and returns the partials in chunk order.  Sequential below
-/// [`PAR_THRESHOLD`]; above it, this delegates to the rayon shim's own
-/// [`rayon::run_chunks`] so the split is **the same code** the
-/// `par_iter()` reductions use — which is what makes a fused norm
-/// bit-identical to a separate `dot` sweep.
-pub(crate) fn run_len<R: Send>(len: usize, work: impl Fn(usize, usize) -> R + Sync) -> Vec<R> {
-    if len < PAR_THRESHOLD {
-        return vec![work(0, len)];
-    }
-    rayon::run_chunks(len, rayon::DEFAULT_MIN_CHUNK, work)
-}
-
-/// Runs `work(ci, r0, r1)` over the plan's nnz-balanced row chunks (chunk
-/// index first, so SpMV-shaped kernels can reach the chunk's precomputed
-/// row blocks), returning the partials in chunk order.
-pub(crate) fn run_plan<R: Send>(
-    plan: &SpmvPlan,
-    work: impl Fn(usize, usize, usize) -> R + Sync,
-) -> Vec<R> {
-    let chunks = plan.chunks();
-    if !plan.is_parallel() || chunks.len() == 1 {
-        return chunks
-            .iter()
-            .enumerate()
-            .map(|(ci, &(r0, r1))| work(ci, r0, r1))
-            .collect();
-    }
-    rayon::run_ordered(chunks.len(), |i| {
-        let (r0, r1) = chunks[i];
-        work(i, r0, r1)
+/// Pairs each of `ranges` with its piece of every buffer in `outs`, peeled
+/// off the front with `split_off_mut` — so the ranges have to tile the
+/// buffers in order, and ones that do not are refused here, in every
+/// build, before a task could write through them.
+///
+/// # Panics
+/// Names both ranges when one overlaps or leaves a gap after the one
+/// before it, the range and the buffer length when one runs out of bounds
+/// or the last one stops short.
+fn pieces<const N: usize>(
+    mut outs: [&mut [f64]; N],
+    ranges: impl ExactSizeIterator<Item = Range<usize>>,
+) -> impl ExactSizeIterator<Item = (Range<usize>, [&mut [f64]; N])> {
+    let mut prev = 0..0;
+    let mut left = ranges.len();
+    ranges.map(move |range| {
+        let Range { start, end } = range;
+        assert!(start <= end, "malformed range {start}..{end} (start > end)");
+        assert!(
+            start >= prev.end,
+            "mutable range {start}..{end} overlaps previously claimed {prev:?}"
+        );
+        assert!(
+            start == prev.end,
+            "mutable range {start}..{end} leaves a gap after {prev:?}"
+        );
+        left -= 1;
+        let piece = outs.each_mut().map(|out| {
+            let len = start + out.len();
+            assert!(
+                end <= len,
+                "range {start}..{end} out of bounds for buffer of len {len}"
+            );
+            assert!(
+                left > 0 || end == len,
+                "last range {start}..{end} stops short of buffer of len {len}"
+            );
+            out.split_off_mut(..end - start).expect("length checked")
+        });
+        prev = start..end;
+        (start..end, piece)
     })
+}
+
+/// Runs `work(range, pieces)` over the deterministic length-based chunking
+/// of `0..len` — [`rayon::chunk_ranges`], one chunk below
+/// [`PAR_THRESHOLD`] — handing each call its chunk of every buffer in
+/// `outs` (each `len` long), and returns the partials in chunk order.
+/// Every length-chunked kernel and reduction of the workspace runs through
+/// here, which is what makes a fused norm bit-identical to a separate
+/// `dot` sweep.
+pub fn run_len<const N: usize, R: Send>(
+    len: usize,
+    outs: [&mut [f64]; N],
+    work: impl Fn(Range<usize>, [&mut [f64]; N]) -> R + Sync,
+) -> Vec<R> {
+    if len < PAR_THRESHOLD {
+        return vec![work(0..len, outs)];
+    }
+    let chunks = rayon::chunk_ranges(len, rayon::DEFAULT_MIN_CHUNK);
+    rayon::run_items(pieces(outs, chunks), |_, (range, outs)| work(range, outs))
+}
+
+/// Runs `work(ci, rows, pieces)` over the plan's nnz-balanced row chunks
+/// (chunk index first, so SpMV-shaped kernels can reach the chunk's
+/// precomputed row blocks), handing each call its rows of every buffer in
+/// `outs` (each `nrows` long), and returns the partials in chunk order.  A
+/// plan below the parallel gate has one chunk, which runs in line.
+pub(crate) fn run_plan<const N: usize, R: Send>(
+    plan: &SpmvPlan,
+    outs: [&mut [f64]; N],
+    work: impl Fn(usize, Range<usize>, [&mut [f64]; N]) -> R + Sync,
+) -> Vec<R> {
+    let rows = plan.chunks().iter().map(|&(r0, r1)| r0..r1);
+    rayon::run_items(pieces(outs, rows), |ci, (rows, outs)| work(ci, rows, outs))
 }
 
 /// `y = A·x` over the plan's row chunks (used by [`CsrMatrix::spmv`]).
 /// Dimensions are checked by the caller.
 pub(crate) fn spmv_into(a: &CsrMatrix, x: &[f64], y: &mut [f64]) {
     let plan = a.plan();
-    let yp = SendPtr(y.as_mut_ptr());
-    let yc = rayon::racecheck::ClaimSet::new(y.len());
-    run_plan(plan, |ci, r0, r1| {
-        // SAFETY: plan chunks are disjoint row ranges within `0..nrows`.
-        let ys = unsafe { yp.range_mut(&yc, r0, r1) };
-        a.apply_chunk(plan, ci, x, |i, sum| ys[i - r0] = sum);
+    run_plan(plan, [y], |ci, rows, [ys]| {
+        a.apply_chunk(plan, ci, x, |i, sum| ys[i - rows.start] = sum);
     });
 }
 
@@ -117,12 +131,8 @@ pub(crate) fn spmv_into(a: &CsrMatrix, x: &[f64], y: &mut [f64]) {
 /// caller.
 pub(crate) fn residual_into(a: &CsrMatrix, x: &[f64], b: &[f64], r: &mut [f64]) {
     let plan = a.plan();
-    let rp = SendPtr(r.as_mut_ptr());
-    let rc = rayon::racecheck::ClaimSet::new(r.len());
-    run_plan(plan, |ci, r0, r1| {
-        // SAFETY: plan chunks are disjoint row ranges within `0..nrows`.
-        let rs = unsafe { rp.range_mut(&rc, r0, r1) };
-        let bs = &b[r0..r1];
+    run_plan(plan, [r], |ci, rows, [rs]| {
+        let (r0, bs) = (rows.start, &b[rows]);
         a.apply_chunk(plan, ci, x, |i, sum| rs[i - r0] = bs[i - r0] - sum);
     });
 }
@@ -202,16 +212,11 @@ pub fn spmv_dot(a: &CsrMatrix, x: &[f64], y: &mut [f64], w: &[f64]) -> f64 {
     assert_eq!(y.len(), a.nrows(), "spmv_dot: y length mismatch");
     assert_eq!(w.len(), a.nrows(), "spmv_dot: w length mismatch");
     let plan = a.plan();
-    let yp = SendPtr(y.as_mut_ptr());
-    let yc = rayon::racecheck::ClaimSet::new(y.len());
-    let partials = run_plan(plan, |ci, r0, r1| {
-        // SAFETY: plan chunks are disjoint row ranges within `0..nrows`.
-        let ys = unsafe { yp.range_mut(&yc, r0, r1) };
-        let ws = &w[r0..r1];
+    let partials = run_plan(plan, [y], |ci, rows, [ys]| {
         let mut sink = SpmvDotSink {
             ys,
-            ws,
-            r0,
+            r0: rows.start,
+            ws: &w[rows],
             acc: [0.0; simd::LANES],
         };
         a.apply_chunk_sink(plan, ci, x, &mut sink);
@@ -231,16 +236,11 @@ pub fn residual_norm2(a: &CsrMatrix, x: &[f64], b: &[f64], r: &mut [f64]) -> f64
     assert_eq!(b.len(), a.nrows(), "residual_norm2: b length mismatch");
     assert_eq!(r.len(), a.nrows(), "residual_norm2: r length mismatch");
     let plan = a.plan();
-    let rp = SendPtr(r.as_mut_ptr());
-    let rc = rayon::racecheck::ClaimSet::new(r.len());
-    let partials = run_plan(plan, |ci, r0, r1| {
-        // SAFETY: plan chunks are disjoint row ranges within `0..nrows`.
-        let rs = unsafe { rp.range_mut(&rc, r0, r1) };
-        let bs = &b[r0..r1];
+    let partials = run_plan(plan, [r], |ci, rows, [rs]| {
         let mut sink = ResidualNorm2Sink {
             rs,
-            bs,
-            r0,
+            r0: rows.start,
+            bs: &b[rows],
             acc: [0.0; simd::LANES],
         };
         a.apply_chunk_sink(plan, ci, x, &mut sink);
@@ -260,15 +260,8 @@ pub fn axpy2_norm2(alpha: f64, p: &[f64], q: &[f64], x: &mut [f64], r: &mut [f64
     assert_eq!(p.len(), n, "axpy2_norm2: p length mismatch");
     assert_eq!(q.len(), n, "axpy2_norm2: q length mismatch");
     assert_eq!(r.len(), n, "axpy2_norm2: r length mismatch");
-    let xp = SendPtr(x.as_mut_ptr());
-    let rp = SendPtr(r.as_mut_ptr());
-    let xc = rayon::racecheck::ClaimSet::new(n);
-    let rc = rayon::racecheck::ClaimSet::new(n);
-    let partials = run_len(n, |s, e| {
-        // SAFETY: length chunks are disjoint, and `x` and `r` are distinct
-        // `&mut` buffers, so the two views never alias each other either.
-        let (xs, rs) = unsafe { (xp.range_mut(&xc, s, e), rp.range_mut(&rc, s, e)) };
-        crate::simd::axpy2_norm2(alpha, &p[s..e], &q[s..e], xs, rs)
+    let partials = run_len(n, [x, r], |c, [xs, rs]| {
+        simd::axpy2_norm2(alpha, &p[c.clone()], &q[c], xs, rs)
     });
     partials.into_iter().sum()
 }
@@ -283,12 +276,8 @@ pub fn waxpy_norm2(out: &mut [f64], x: &[f64], alpha: f64, y: &[f64]) -> f64 {
     let n = out.len();
     assert_eq!(x.len(), n, "waxpy_norm2: x length mismatch");
     assert_eq!(y.len(), n, "waxpy_norm2: y length mismatch");
-    let op = SendPtr(out.as_mut_ptr());
-    let oc = rayon::racecheck::ClaimSet::new(n);
-    let partials = run_len(n, |s, e| {
-        // SAFETY: length chunks are disjoint.
-        let os = unsafe { op.range_mut(&oc, s, e) };
-        crate::simd::waxpy_norm2(os, &x[s..e], alpha, &y[s..e])
+    let partials = run_len(n, [out], |c, [os]| {
+        simd::waxpy_norm2(os, &x[c.clone()], alpha, &y[c])
     });
     partials.into_iter().sum()
 }
@@ -302,13 +291,7 @@ pub fn waxpy_norm2(out: &mut [f64], x: &[f64], alpha: f64, y: &[f64]) -> f64 {
 pub fn axpy_norm2(alpha: f64, x: &[f64], y: &mut [f64]) -> f64 {
     let n = y.len();
     assert_eq!(x.len(), n, "axpy_norm2: x length mismatch");
-    let yp = SendPtr(y.as_mut_ptr());
-    let yc = rayon::racecheck::ClaimSet::new(n);
-    let partials = run_len(n, |s, e| {
-        // SAFETY: length chunks are disjoint.
-        let ys = unsafe { yp.range_mut(&yc, s, e) };
-        crate::simd::axpy_norm2(alpha, &x[s..e], ys)
-    });
+    let partials = run_len(n, [y], |c, [ys]| simd::axpy_norm2(alpha, &x[c], ys));
     partials.into_iter().sum()
 }
 
@@ -321,9 +304,7 @@ pub fn dot2(s: &[f64], a: &[f64], b: &[f64]) -> (f64, f64) {
     let n = s.len();
     assert_eq!(a.len(), n, "dot2: a length mismatch");
     assert_eq!(b.len(), n, "dot2: b length mismatch");
-    let partials = run_len(n, |lo, hi| {
-        crate::simd::dot2(&s[lo..hi], &a[lo..hi], &b[lo..hi])
-    });
+    let partials = run_len(n, [], |c, []| simd::dot2(&s[c.clone()], &a[c.clone()], &b[c]));
     partials
         .into_iter()
         .fold((0.0, 0.0), |(ta, tb), (pa, pb)| (ta + pa, tb + pb))
@@ -336,12 +317,8 @@ pub fn dot2(s: &[f64], a: &[f64], b: &[f64]) -> (f64, f64) {
 pub fn axpby(alpha: f64, x: &[f64], beta: f64, y: &mut [f64]) {
     let n = y.len();
     assert_eq!(x.len(), n, "axpby: x length mismatch");
-    let yp = SendPtr(y.as_mut_ptr());
-    let yc = rayon::racecheck::ClaimSet::new(n);
-    run_len(n, |s, e| {
-        // SAFETY: length chunks are disjoint.
-        let ys = unsafe { yp.range_mut(&yc, s, e) };
-        for (yi, xi) in ys.iter_mut().zip(&x[s..e]) {
+    run_len(n, [y], |c, [ys]| {
+        for (yi, xi) in ys.iter_mut().zip(&x[c]) {
             *yi = alpha * xi + beta * *yi;
         }
     });
@@ -356,12 +333,8 @@ pub fn axpy2(y: &mut [f64], alpha: f64, a: &[f64], beta: f64, b: &[f64]) {
     let n = y.len();
     assert_eq!(a.len(), n, "axpy2: a length mismatch");
     assert_eq!(b.len(), n, "axpy2: b length mismatch");
-    let yp = SendPtr(y.as_mut_ptr());
-    let yc = rayon::racecheck::ClaimSet::new(n);
-    run_len(n, |s, e| {
-        // SAFETY: length chunks are disjoint.
-        let ys = unsafe { yp.range_mut(&yc, s, e) };
-        for (yi, (ai, bi)) in ys.iter_mut().zip(a[s..e].iter().zip(&b[s..e])) {
+    run_len(n, [y], |c, [ys]| {
+        for (yi, (ai, bi)) in ys.iter_mut().zip(a[c.clone()].iter().zip(&b[c])) {
             *yi = (*yi + alpha * ai) + beta * bi;
         }
     });
@@ -378,12 +351,8 @@ pub fn bicgstab_p_update(p: &mut [f64], r: &[f64], v: &[f64], beta: f64, omega: 
     let n = p.len();
     assert_eq!(r.len(), n, "bicgstab_p_update: r length mismatch");
     assert_eq!(v.len(), n, "bicgstab_p_update: v length mismatch");
-    let pp = SendPtr(p.as_mut_ptr());
-    let pc = rayon::racecheck::ClaimSet::new(n);
-    run_len(n, |s, e| {
-        // SAFETY: length chunks are disjoint.
-        let ps = unsafe { pp.range_mut(&pc, s, e) };
-        crate::simd::bicgstab_p_update(ps, &r[s..e], &v[s..e], beta, omega);
+    run_len(n, [p], |c, [ps]| {
+        simd::bicgstab_p_update(ps, &r[c.clone()], &v[c], beta, omega);
     });
 }
 
@@ -395,12 +364,8 @@ pub fn bicgstab_p_update(p: &mut [f64], r: &[f64], v: &[f64], beta: f64, omega: 
 pub fn scale_into(out: &mut [f64], alpha: f64, x: &[f64]) {
     let n = out.len();
     assert_eq!(x.len(), n, "scale_into: x length mismatch");
-    let op = SendPtr(out.as_mut_ptr());
-    let oc = rayon::racecheck::ClaimSet::new(n);
-    run_len(n, |s, e| {
-        // SAFETY: length chunks are disjoint.
-        let os = unsafe { op.range_mut(&oc, s, e) };
-        for (oi, xi) in os.iter_mut().zip(&x[s..e]) {
+    run_len(n, [out], |c, [os]| {
+        for (oi, xi) in os.iter_mut().zip(&x[c]) {
             *oi = alpha * xi;
         }
     });
@@ -421,13 +386,10 @@ pub fn jacobi_sweep(a: &CsrMatrix, x: &[f64], b: &[f64], out: &mut [f64]) {
     assert_eq!(out.len(), a.nrows(), "jacobi_sweep: out length mismatch");
     let plan = a.plan();
     let (indptr, indices, values) = (a.indptr(), a.indices(), a.values());
-    let op = SendPtr(out.as_mut_ptr());
-    let oc = rayon::racecheck::ClaimSet::new(out.len());
-    run_plan(plan, |_ci, r0, r1| {
-        // SAFETY: plan chunks are disjoint row ranges within `0..nrows`.
-        let os = unsafe { op.range_mut(&oc, r0, r1) };
+    run_plan(plan, [out], |_ci, rows, [os]| {
+        let r0 = rows.start;
         let mut k = indptr[r0];
-        for i in r0..r1 {
+        for i in rows {
             let end = indptr[i + 1];
             let mut sigma = 0.0;
             let mut diag = 0.0;
@@ -457,6 +419,31 @@ mod tests {
         let mut v = Vector::zeros(n);
         v.fill_random(seed, -1.0, 1.0);
         v
+    }
+
+    #[test]
+    fn ranges_that_do_not_tile_the_buffer_are_refused_in_every_build() {
+        // What a broken `SpmvPlan` would hand `run_plan`: no feature flag
+        // stands between it and this report.
+        let refusal = |ranges: &[Range<usize>]| -> String {
+            let mut buf = [0.0; 64];
+            let split = || pieces([&mut buf[..]], ranges.iter().cloned()).count();
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(split)).unwrap_err();
+            err.downcast_ref::<String>().cloned().unwrap_or_default()
+        };
+        let overlap = refusal(&[0..33, 32..64]);
+        assert!(overlap.contains("32..64 overlaps") && overlap.contains("0..33"), "{overlap}");
+        let overrun = refusal(&[0..32, 32..65]);
+        assert!(overrun.contains("32..65 out of bounds"), "{overrun}");
+        let gap = refusal(&[0..30, 32..64]);
+        assert!(gap.contains("32..64 leaves a gap") && gap.contains("0..30"), "{gap}");
+        let short = refusal(&[0..32, 32..60]);
+        assert!(short.contains("32..60 stops short"), "{short}");
+
+        let mut buf = [0.0; 64];
+        let lens = pieces([&mut buf[..]], [0..17, 17..17, 17..64].into_iter())
+            .map(|(range, [piece])| (range.len(), piece.len()));
+        assert!(lens.eq([(17, 17), (0, 0), (47, 47)]));
     }
 
     #[test]

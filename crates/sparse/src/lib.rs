@@ -8,7 +8,7 @@
 //! need to operate on the paper's workloads without any external numerical
 //! library:
 //!
-//! * [`CsrMatrix`] — compressed sparse row storage with rayon-parallel
+//! * [`CsrMatrix`] — compressed sparse row storage with pool-parallel
 //!   matrix–vector products, transposition, diagonal extraction and
 //!   structural queries.
 //! * [`CooMatrix`] — triplet builder used by the generators.
@@ -18,8 +18,8 @@
 //! * [`kkt`] — a synthetic symmetric-indefinite KKT (saddle-point) system
 //!   generator standing in for the SuiteSparse `KKT240` matrix used in
 //!   Figure 3 of the paper.
-//! * [`vector`] — dense-vector kernels (axpy, dot, norms) with sequential
-//!   and rayon-parallel variants.
+//! * [`vector`] — dense-vector kernels (axpy, dot, norms), each one body
+//!   over the pool's fixed length chunks.
 //! * [`simd`] — the portable eight-lane vector layer underneath every hot
 //!   reduction: chunk-ordered lane accumulators plus a fixed pairwise
 //!   horizontal-sum tree, bit-identical to its scalar mirror at any

@@ -191,10 +191,10 @@ impl HaloPlan {
     }
 
     /// Validates the receive side of the plan: ranges must be in-bounds,
-    /// mutually disjoint and cover the halo buffer exactly.  Runs the same
-    /// [`ClaimSet`](rayon::racecheck::ClaimSet) discipline as the fused
-    /// kernels, so under the `racecheck` feature an overlapping or
-    /// out-of-bounds range panics with the claim diagnostics.
+    /// mutually disjoint and cover the halo buffer exactly.  Claims each in
+    /// a [`ClaimSet`](rayon::racecheck::ClaimSet), so under the `racecheck`
+    /// feature an overlapping or out-of-bounds range panics with the claim
+    /// diagnostics.
     ///
     /// # Panics
     /// Panics if the ranges overlap, run out of bounds, or leave gaps.
@@ -670,17 +670,6 @@ impl ShardComm {
         }
     }
 
-    /// Infallible [`ShardComm::try_reduce`].
-    ///
-    /// # Panics
-    /// Panics on any communication failure.
-    pub fn reduce(&mut self, partials: Vec<Vec<f64>>) -> Vec<f64> {
-        match self.try_reduce(partials) {
-            Ok(v) => v,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// All-ok barrier: blocks until every shard has voted and returns the
     /// conjunction (the epoch-commit rule: an epoch is recoverable only
     /// when *all* shard segments landed).
@@ -1115,7 +1104,7 @@ mod tests {
                 // coordinator protocol needs real concurrent endpoints.
                 std::thread::spawn(move || {
                     let s = comm.shard() as f64;
-                    let r = comm.reduce(vec![vec![s, 1.0], vec![2.0 * s]]);
+                    let r = comm.try_reduce(vec![vec![s, 1.0], vec![2.0 * s]]).unwrap();
                     let ok = comm.try_barrier_all_ok(comm.shard() != 1).unwrap();
                     let all = comm.try_barrier_all_ok(true).unwrap();
                     comm.finish();

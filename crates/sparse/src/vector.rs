@@ -2,23 +2,21 @@
 //!
 //! The paper's dynamic variables are dense `f64` vectors (the approximate
 //! solution `x`, the search direction `p`, the residual `r`, …).  This module
-//! provides the handful of BLAS-1 kernels the solvers need, each in a
-//! sequential and a rayon-parallel flavour.  The parallel variants switch on
-//! automatically above [`PAR_THRESHOLD`] elements so that tiny test problems
-//! do not pay thread-pool overhead.
-//!
-//! The parallel flavour is deterministic: the shim pool splits work into
-//! chunks that depend only on the data length and combines partial
-//! reductions in chunk order, so `dot`/norms are bit-identical at any
-//! `LCR_NUM_THREADS` setting.
+//! provides the handful of BLAS-1 kernels the solvers need, each one body
+//! over slices run through [`run_len`]: a single chunk below
+//! [`PAR_THRESHOLD`] elements, so that tiny test problems do not pay
+//! thread-pool overhead, and the pool's fixed length-based chunks above
+//! it.  Chunk boundaries depend only on the data length and partial
+//! reductions are combined in chunk order, so every result is
+//! bit-identical at any `LCR_NUM_THREADS` setting.
 
-use rayon::prelude::*;
+use crate::kernels::run_len;
 use serde::{Deserialize, Serialize};
 use std::ops::{Deref, DerefMut, Index, IndexMut};
 
 /// Number of elements (for SpMV: non-zeros) above which the kernels use the
-/// rayon pool.  Re-tuned for the threaded shim: dispatching a parallel call
-/// costs a few microseconds of pool hand-off, while these memory-bound
+/// thread pool: dispatching a parallel call costs a few microseconds of
+/// pool hand-off, while these memory-bound
 /// kernels move ~1–2 elements/ns per core, so the break-even sits in the
 /// tens of thousands of elements.
 pub const PAR_THRESHOLD: usize = 32_768;
@@ -93,14 +91,10 @@ impl Vector {
 
     /// Infinity norm (maximum absolute value); 0 for the empty vector.
     pub fn norm_inf(&self) -> f64 {
-        if self.data.len() >= PAR_THRESHOLD {
-            self.data
-                .par_iter()
-                .map(|v| v.abs())
-                .reduce(|| 0.0, f64::max)
-        } else {
-            self.data.iter().fold(0.0_f64, |acc, v| acc.max(v.abs()))
-        }
+        let data = &self.data;
+        run_len(data.len(), [], |c, []| data[c].iter().fold(0.0_f64, |acc, v| acc.max(v.abs())))
+            .into_iter()
+            .fold(0.0, f64::max)
     }
 
     /// Dot product with another vector.
@@ -114,11 +108,9 @@ impl Vector {
 
     /// `self = self * alpha`.
     pub fn scale(&mut self, alpha: f64) {
-        if self.data.len() >= PAR_THRESHOLD {
-            self.data.par_iter_mut().for_each(|v| *v *= alpha);
-        } else {
-            self.data.iter_mut().for_each(|v| *v *= alpha);
-        }
+        run_len(self.data.len(), [&mut self.data], |_, [ys]| {
+            ys.iter_mut().for_each(|v| *v *= alpha);
+        });
     }
 
     /// `self = self + alpha * x` (the classic axpy update).
@@ -126,18 +118,7 @@ impl Vector {
     /// # Panics
     /// Panics if the lengths differ.
     pub fn axpy(&mut self, alpha: f64, x: &Vector) {
-        assert_eq!(self.len(), x.len(), "axpy: length mismatch");
-        if self.data.len() >= PAR_THRESHOLD {
-            self.data
-                .par_iter_mut()
-                .zip(x.data.par_iter())
-                .for_each(|(y, xi)| *y += alpha * xi);
-        } else {
-            self.data
-                .iter_mut()
-                .zip(x.data.iter())
-                .for_each(|(y, xi)| *y += alpha * xi);
-        }
+        axpy(alpha, &x.data, &mut self.data);
     }
 
     /// `self = x + beta * self` (the "xpby" update used by CG's direction
@@ -147,17 +128,11 @@ impl Vector {
     /// Panics if the lengths differ.
     pub fn xpby(&mut self, x: &Vector, beta: f64) {
         assert_eq!(self.len(), x.len(), "xpby: length mismatch");
-        if self.data.len() >= PAR_THRESHOLD {
-            self.data
-                .par_iter_mut()
-                .zip(x.data.par_iter())
-                .for_each(|(p, xi)| *p = xi + beta * *p);
-        } else {
-            self.data
-                .iter_mut()
-                .zip(x.data.iter())
-                .for_each(|(p, xi)| *p = xi + beta * *p);
-        }
+        run_len(self.data.len(), [&mut self.data], |c, [ps]| {
+            for (p, xi) in ps.iter_mut().zip(&x.data[c]) {
+                *p = xi + beta * *p;
+            }
+        });
     }
 
     /// Element-wise maximum absolute difference to another vector.
@@ -166,19 +141,13 @@ impl Vector {
     /// Panics if the lengths differ.
     pub fn max_abs_diff(&self, other: &Vector) -> f64 {
         assert_eq!(self.len(), other.len(), "max_abs_diff: length mismatch");
-        if self.data.len() >= PAR_THRESHOLD {
-            self.data
-                .par_iter()
-                .zip(other.data.par_iter())
-                .map(|(a, b)| (a - b).abs())
-                .reduce(|| 0.0, f64::max)
-        } else {
-            self.data
-                .iter()
-                .zip(other.data.iter())
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0_f64, f64::max)
-        }
+        let (a, b) = (&self.data, &other.data);
+        run_len(a.len(), [], |c, []| {
+            let diffs = a[c.clone()].iter().zip(&b[c]).map(|(a, b)| (a - b).abs());
+            diffs.fold(0.0_f64, f64::max)
+        })
+        .into_iter()
+        .fold(0.0, f64::max)
     }
 
     /// Value range (max − min); 0 for the empty vector.  Used by the
@@ -187,24 +156,14 @@ impl Vector {
         if self.data.is_empty() {
             return 0.0;
         }
-        let (min, max) = if self.data.len() >= PAR_THRESHOLD {
-            self.data
-                .par_iter()
-                .fold(
-                    || (f64::INFINITY, f64::NEG_INFINITY),
-                    |(mn, mx), &v| (mn.min(v), mx.max(v)),
-                )
-                .reduce(
-                    || (f64::INFINITY, f64::NEG_INFINITY),
-                    |(amn, amx), (bmn, bmx)| (amn.min(bmn), amx.max(bmx)),
-                )
-        } else {
-            self.data
-                .iter()
-                .fold((f64::INFINITY, f64::NEG_INFINITY), |(mn, mx), &v| {
-                    (mn.min(v), mx.max(v))
-                })
-        };
+        let data = &self.data;
+        let none = (f64::INFINITY, f64::NEG_INFINITY);
+        let extremes = run_len(data.len(), [], |c, []| {
+            data[c].iter().fold(none, |(mn, mx), &v| (mn.min(v), mx.max(v)))
+        });
+        let (min, max) = extremes
+            .into_iter()
+            .fold(none, |(amn, amx), (bmn, bmx)| (amn.min(bmn), amx.max(bmx)));
         max - min
     }
 
@@ -277,7 +236,7 @@ impl FromIterator<f64> for Vector {
 /// Panics if the lengths differ.
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "dot: length mismatch");
-    crate::kernels::run_len(a.len(), |s, e| crate::simd::dot(&a[s..e], &b[s..e]))
+    run_len(a.len(), [], |c, []| crate::simd::dot(&a[c.clone()], &b[c]))
         .into_iter()
         .sum()
 }
@@ -288,15 +247,11 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 /// Panics if the lengths differ.
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    if x.len() >= PAR_THRESHOLD {
-        y.par_iter_mut()
-            .zip(x.par_iter())
-            .for_each(|(yi, xi)| *yi += alpha * xi);
-    } else {
-        y.iter_mut()
-            .zip(x.iter())
-            .for_each(|(yi, xi)| *yi += alpha * xi);
-    }
+    run_len(y.len(), [y], |c, [ys]| {
+        for (yi, xi) in ys.iter_mut().zip(&x[c]) {
+            *yi += alpha * xi;
+        }
+    });
 }
 
 /// Euclidean norm of a slice.

@@ -115,7 +115,7 @@ pub mod strategy {
         fn generate(&self, rng: &mut TestRng) -> Self::Value;
 
         /// Map generated values through `f`.
-        fn prop_map<U, F: Fn(Self::Value) -> U>(self, f: F) -> Map<Self, F>
+        fn prop_map<U, F: Fn(Self::Value) -> U>(self, f: F) -> impl Strategy<Value = U>
         where
             Self: Sized,
         {
@@ -161,7 +161,7 @@ pub mod strategy {
     }
 
     /// See [`Strategy::prop_map`].
-    pub struct Map<S, F> {
+    struct Map<S, F> {
         inner: S,
         f: F,
     }

@@ -1,25 +1,23 @@
-//! Persistent worker pool with deterministic fixed-chunk scheduling.
+//! Persistent worker pool: the threads behind [`run_items`](crate::run_items).
 //!
 //! The pool is process-global and lazily initialised on the first parallel
 //! call: `LCR_NUM_THREADS` (or, unset, `std::thread::available_parallelism`)
 //! fixes the total thread count — the calling thread plus `N − 1` detached
 //! workers that live for the rest of the process.
 //!
-//! Scheduling is *deterministic by construction*: a parallel call is split
-//! into chunks whose boundaries depend only on the data length (never on the
-//! thread count), workers claim chunk indices from a shared atomic counter,
-//! and each chunk's partial result is written into its own slot so the
-//! caller can combine partials in chunk order.  Which thread runs which
-//! chunk is racy; what is computed per chunk and the combination order are
-//! not — which is what makes floating-point reductions bit-identical
-//! regardless of the thread count.
+//! A parallel call is a fixed number of tasks; the caller and the workers
+//! it recruits claim task indices from a shared atomic counter until none
+//! are left.  Which thread runs which task is racy; how the work was cut
+//! into tasks and the order their results are combined in are the
+//! caller's, and never depend on the thread count — which is what makes
+//! floating-point reductions bit-identical regardless of it.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
-/// One queued "ticket": a worker that pops it joins `job`'s chunk loop.
+/// One queued "ticket": a worker that pops it joins `job`'s task loop.
 struct Shared {
     queue: Mutex<VecDeque<Arc<Job>>>,
     available: Condvar,
@@ -96,13 +94,19 @@ pub fn max_active_threads() -> usize {
     ACTIVE_LIMIT.with(|c| c.get())
 }
 
-/// Threads a parallel call issued from this thread would use.
-pub fn effective_threads() -> usize {
-    let total = pool_threads();
-    match max_active_threads() {
-        0 => total,
-        n => n.min(total),
+/// Pool workers a call of `ntasks` tasks issued from this thread may
+/// recruit besides the caller: none for fewer than two tasks, under a cap
+/// of one thread, or from inside a worker — nested parallelism runs in
+/// line, the pool must never block one of its own threads on pool capacity.
+pub(crate) fn helpers(ntasks: usize) -> usize {
+    if ntasks < 2 || IN_WORKER.with(|c| c.get()) {
+        return 0;
     }
+    let threads = match max_active_threads() {
+        0 => pool_threads(),
+        n => n.min(pool_threads()),
+    };
+    (threads - 1).min(ntasks - 1)
 }
 
 impl Pool {
@@ -164,7 +168,7 @@ fn worker_loop(shared: Arc<Shared>) {
 /// pointer never outlives its referent.
 struct Job {
     body: *const (dyn Fn(usize) + Sync),
-    nchunks: usize,
+    ntasks: usize,
     next: AtomicUsize,
     tickets: usize,
     finished: Mutex<usize>,
@@ -185,21 +189,21 @@ unsafe impl Send for Job {}
 unsafe impl Sync for Job {}
 
 impl Job {
-    /// Claims chunk indices until the counter runs past `nchunks`.
+    /// Claims task indices until the counter runs past `ntasks`.
     fn claim_loop(&self) {
         // SAFETY: `execute` does not return before every ticket finishes,
         // so the closure behind `body` is still alive.
         let body = unsafe { &*self.body };
         loop {
             let i = self.next.fetch_add(1, Ordering::Relaxed);
-            if i >= self.nchunks {
+            if i >= self.ntasks {
                 break;
             }
             body(i);
         }
     }
 
-    /// A worker's share of the job: claim chunks, then check in — even on
+    /// A worker's share of the job: claim tasks, then check in — even on
     /// panic, so the caller never deadlocks waiting for this ticket.
     /// Notifies on every check-in because ticket revocation means the
     /// caller may be waiting for fewer than `tickets` check-ins.
@@ -223,26 +227,11 @@ impl Job {
     }
 }
 
-/// Runs `body(chunk_index)` for every index in `0..nchunks`, recruiting up
-/// to `effective_threads() - 1` pool workers.  Blocks until every chunk has
-/// completed.  Chunk→thread assignment is racy; chunk *contents* are the
-/// caller's responsibility and must not overlap between indices.
-pub(crate) fn execute(nchunks: usize, body: &(dyn Fn(usize) + Sync)) {
-    if nchunks == 0 {
-        return;
-    }
-    // Nested parallelism inside a worker runs inline: the pool must never
-    // block one of its own threads on pool capacity.
-    let in_worker = IN_WORKER.with(|c| c.get());
-    let threads = if in_worker { 1 } else { effective_threads() };
-    let helpers = (threads.saturating_sub(1)).min(nchunks.saturating_sub(1));
-    if helpers == 0 {
-        for i in 0..nchunks {
-            body(i);
-        }
-        return;
-    }
-
+/// Runs `body(task_index)` for every index in `0..ntasks` on the calling
+/// thread and `helpers` pool workers (see [`helpers`]; with none, the
+/// caller runs every task).  Blocks until every task has completed.  Task→thread assignment is racy; what a task
+/// touches is the caller's to keep apart.
+pub(crate) fn execute(ntasks: usize, helpers: usize, body: &(dyn Fn(usize) + Sync)) {
     let body_ptr: *const (dyn Fn(usize) + Sync) = body;
     // SAFETY: erases the closure's lifetime so it can sit in the 'static
     // queue; sound because `execute` does not return until every popped
@@ -255,7 +244,7 @@ pub(crate) fn execute(nchunks: usize, body: &(dyn Fn(usize) + Sync)) {
     };
     let job = Arc::new(Job {
         body: erased,
-        nchunks,
+        ntasks,
         next: AtomicUsize::new(0),
         tickets: helpers,
         finished: Mutex::new(0),

@@ -1,33 +1,33 @@
-//! Dynamic race/aliasing checker for caller-partitioned parallel work.
+//! Dynamic overlap/bounds checker for partitions the borrow checker
+//! cannot see.
 //!
-//! The pool's determinism contract has a dynamic half the compiler cannot
-//! see: callers that write one output buffer from many workers through a
-//! shared pointer (the sparse crate's `SendPtr`) promise that the ranges
-//! they materialise are **disjoint and in bounds**.  A future bug in a
-//! partition plan — two chunks overlapping by one row, a chunk running past
-//! the buffer — would be silent memory unsoundness racing under load.
+//! Pool tasks own the `&mut` pieces they write ([`run_items`](crate::run_items)
+//! hands them out, `split_at_mut` cuts them), so two tasks cannot alias by
+//! construction.  What remains a promise is index arithmetic *inside* one
+//! piece or one thread: an `SpmvPlan`'s SELL blocks must tile their chunk's
+//! rows and stay within the stored non-zeros (the traversal skips bounds
+//! checks on that strength), a halo plan's receive ranges must partition
+//! the halo buffer, and the pool's own length split must tile `0..len`.  A
+//! bug there would be a wrong answer or an out-of-bounds read that only
+//! shows under load.
 //!
-//! [`ClaimSet`] turns that promise into a checked assertion.  Each parallel
-//! call creates one claim set per output buffer; every range materialised
-//! is claimed first.  With the `racecheck` feature **off** (the default)
-//! the type is a zero-sized no-op and the claim calls compile away.  With
-//! `racecheck` **on**, every claim is recorded under a mutex and checked
-//! against all previously claimed ranges of the same buffer: any overlap
-//! or out-of-bounds claim panics with both offending ranges, and the
-//! pool's panic plumbing carries the report back to the caller regardless
-//! of which worker thread detected it.
-//!
-//! The shim's own drivers use the same mechanism: under `racecheck`,
-//! [`run_chunks`](crate::run_chunks) claims every chunk range it computes
-//! (guarding the split formula itself) and `par_iter_mut`'s source tracks
-//! per-index delivery so no index can be driven twice.
+//! [`ClaimSet`] turns that promise into a checked assertion: one claim set
+//! per index space, every range claimed before it is used.  With the
+//! `racecheck` feature **off** (the default) the type is a zero-sized no-op
+//! and the claim calls compile away.  With `racecheck` **on**, every claim
+//! is recorded under a mutex and checked against all previously claimed
+//! ranges of the same space: any overlap or out-of-bounds claim panics with
+//! both offending ranges, and the pool's panic plumbing carries the report
+//! back to the caller regardless of which worker thread detected it.
+//! [`run_chunks`](crate::run_chunks) claims every chunk range it computes,
+//! guarding the split formula itself.
 
 #[cfg(feature = "racecheck")]
 mod imp {
     use std::sync::Mutex;
 
-    /// Records the mutable ranges claimed against one output buffer and
-    /// panics on any overlap or out-of-bounds claim.
+    /// Records the ranges claimed against one index space and panics on
+    /// any overlap or out-of-bounds claim.
     #[derive(Debug)]
     pub struct ClaimSet {
         len: usize,
@@ -35,7 +35,7 @@ mod imp {
     }
 
     impl ClaimSet {
-        /// A fresh claim set for a buffer of `len` elements.
+        /// A fresh claim set for an index space of `len` elements.
         pub fn new(len: usize) -> ClaimSet {
             ClaimSet {
                 len,
