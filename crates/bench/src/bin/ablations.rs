@@ -11,8 +11,7 @@
 
 use lcr_bench::{fmt, print_json, print_table, BenchScale};
 use lcr_compress::{
-    CompressionStats, ErrorBound, LosslessCompressor, LosslessPipeline, LossyCompressor,
-    SzCompressor, ZfpCompressor,
+    Codec, CompressionStats, ErrorBound, LosslessPipeline, SzCompressor, ZfpCompressor,
 };
 use lcr_core::strategy::{CheckpointStrategy, ErrorBoundPolicy, LossyCodecKind};
 use lcr_core::workload::PaperWorkload;
@@ -42,32 +41,22 @@ struct AblationSummary {
 
 fn compressor_ablation(x: &[f64]) -> Vec<CompressorRow> {
     let mb = (x.len() * 8) as f64 / 1e6;
-    let mut rows = Vec::new();
-    for (name, codec) in [
-        ("sz", Box::new(SzCompressor::new()) as Box<dyn LossyCompressor>),
-        ("zfp", Box::new(ZfpCompressor::new())),
-    ] {
-        let (stats, _) =
-            CompressionStats::measure_lossy(codec.as_ref(), x, ErrorBound::PointwiseRel(1e-4))
-                .expect("lossy compression");
-        rows.push(CompressorRow {
-            codec: name.to_string(),
-            ratio: stats.ratio,
-            max_abs_error: stats.max_abs_error,
-            compress_mb_per_s: mb / stats.compress_seconds.max(1e-9),
-            decompress_mb_per_s: mb / stats.decompress_seconds.max(1e-9),
-        });
-    }
-    let lossless = LosslessPipeline::new();
-    let (stats, _) = CompressionStats::measure_lossless(&lossless, x).expect("lossless");
-    rows.push(CompressorRow {
-        codec: lossless.name().to_string(),
-        ratio: stats.ratio,
-        max_abs_error: 0.0,
-        compress_mb_per_s: mb / stats.compress_seconds.max(1e-9),
-        decompress_mb_per_s: mb / stats.decompress_seconds.max(1e-9),
-    });
-    rows
+    let codecs: [&dyn Codec; 3] = [&SzCompressor, &ZfpCompressor, &LosslessPipeline];
+    codecs
+        .into_iter()
+        .map(|codec| {
+            // The lossless pipeline ignores the bound.
+            let (stats, _) = CompressionStats::measure(codec, x, ErrorBound::PointwiseRel(1e-4))
+                .expect("compression");
+            CompressorRow {
+                codec: codec.name().to_string(),
+                ratio: stats.ratio,
+                max_abs_error: stats.max_abs_error,
+                compress_mb_per_s: mb / stats.compress_seconds.max(1e-9),
+                decompress_mb_per_s: mb / stats.decompress_seconds.max(1e-9),
+            }
+        })
+        .collect()
 }
 
 /// Extra iterations of CG after one mid-run lossy recovery, either with the

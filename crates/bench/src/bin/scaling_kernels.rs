@@ -44,8 +44,8 @@ use lcr_bench::{fmt, print_json, print_table};
 use lcr_ckpt::disk::crc32;
 use lcr_ckpt::{CheckpointBuffer, CheckpointLevel, DiskStore};
 use lcr_compress::{
-    delta, huffman, Compressed, DeltaMode, ErrorBound, FpcCodec, LosslessCompressor,
-    LosslessPipeline, LossyCompressor, SzCompressor, SzTemporalState, ZfpCompressor,
+    delta, huffman, Codec, Compressed, DeltaMode, ErrorBound, FpcCodec, LosslessPipeline,
+    SzCompressor, SzTemporalState, ZfpCompressor,
 };
 use lcr_solvers::{BlockJacobiPreconditioner, Preconditioner};
 use lcr_sparse::kernels;
@@ -243,9 +243,6 @@ fn main() {
     let mut rows: Vec<ScalingRow> = Vec::new();
     let mut baseline: std::collections::HashMap<String, (f64, u64)> =
         std::collections::HashMap::new();
-    // Compressed reference bytes at 1 thread, for the bit-identity check.
-    let mut sz_reference: Vec<u8> = Vec::new();
-    let mut zfp_reference: Vec<u8> = Vec::new();
 
     for &threads in &thread_counts {
         rayon::set_max_active_threads(threads);
@@ -370,18 +367,26 @@ fn main() {
             secs,
         ));
 
-        let mut compressed_bytes: Vec<u8> = Vec::new();
-        let secs = time_median(reps, || {
-            compressed_bytes = sz
-                .compress(&sz_data, sz_bound)
-                .expect("SZ compression failed")
-                .bytes;
-        });
-        if threads == 1 {
-            sz_reference = compressed_bytes.clone();
+        // Every codec through the one trait: the two pool-parallel lossy
+        // ones over the whole buffer, then the lossless baseline
+        // (single-stream: it rides along at every thread count) over a
+        // prefix — FPC's predictors alone, then with the LZSS stage the
+        // checkpoint strategy puts behind them.  The exact codecs ignore
+        // the bound.
+        let prefix = &sz_data[..1 << 17];
+        let codecs: [(&str, &dyn Codec, &[f64], ErrorBound); 4] = [
+            ("sz_compress", &sz, &sz_data, sz_bound),
+            ("zfp_compress", &zfp, &sz_data, zfp_bound),
+            ("fpc", &FpcCodec, prefix, sz_bound),
+            ("fpc_lzss", &LosslessPipeline, prefix, sz_bound),
+        ];
+        for (name, codec, input, bound) in codecs {
+            let mut stream: Vec<u8> = Vec::new();
+            let secs = time_median(reps, || {
+                stream = codec.compress(input, bound).expect("compression failed").bytes;
+            });
+            measured.push((name, input.len(), 0, u64::from(crc32(&stream)), secs));
         }
-        let sz_fp = u64::from(compressed_bytes == sz_reference);
-        measured.push(("sz_compress", sz_len, 0, sz_fp, secs));
 
         // The anchored delta chain of a checkpointing run: an anchor, an
         // order-1 delta, then both delta orders on offer.  Every candidate
@@ -452,19 +457,6 @@ fn main() {
             secs,
         ));
 
-        let mut zfp_bytes: Vec<u8> = Vec::new();
-        let secs = time_median(reps, || {
-            zfp_bytes = zfp
-                .compress(&sz_data, zfp_bound)
-                .expect("ZFP compression failed")
-                .bytes;
-        });
-        if threads == 1 {
-            zfp_reference = zfp_bytes.clone();
-        }
-        let zfp_fp = u64::from(zfp_bytes == zfp_reference);
-        measured.push(("zfp_compress", sz_len, 0, zfp_fp, secs));
-
         // Single-stream canonical-Huffman coding (not pool-parallel; rides
         // along at every thread count as like-for-like rows): histogram,
         // code lengths and bit-packing of one block, then its table decode.
@@ -487,20 +479,6 @@ fn main() {
             .iter()
             .fold(0u64, |h, &v| h.rotate_left(13) ^ u64::from(v));
         measured.push(("huffman_decode", huff_symbols.len(), 0, huff_fp, secs));
-
-        // The lossless baseline (single-stream too): FPC's predictors
-        // alone, then with the LZSS stage the checkpoint strategy puts
-        // behind them.
-        let lossless: [(&str, &dyn LosslessCompressor); 2] =
-            [("fpc", &FpcCodec::new()), ("fpc_lzss", &LosslessPipeline::new())];
-        for (name, codec) in lossless {
-            let input = &sz_data[..1 << 17];
-            let mut stream: Vec<u8> = Vec::new();
-            let secs = time_median(reps, || {
-                stream = codec.compress(input).expect("lossless compression failed").bytes;
-            });
-            measured.push((name, input.len(), 0, u64::from(crc32(&stream)), secs));
-        }
 
         // Temporal delta codec of the version-5 streams: order-2 symbols
         // of this snapshot's codes against the two priors, and the

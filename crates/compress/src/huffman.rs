@@ -423,13 +423,6 @@ impl Plan {
             }
         });
     }
-
-    /// [`Plan::emit`] appending to a vector.
-    pub(crate) fn emit_into(&self, symbols: &[u32], out: &mut Vec<u8>) {
-        let start = out.len();
-        out.resize(start + self.blob_len(), 0);
-        self.emit(symbols, &mut out[start..]);
-    }
 }
 
 /// Concatenates the codes of `symbols` MSB-first into `dst`, which must be
@@ -681,7 +674,10 @@ impl HuffmanCode {
 /// (varint count, compact table, varint bit-stream length, bits), appended
 /// to `out`.
 pub fn encode_block_into(symbols: &[u32], out: &mut Vec<u8>) {
-    Plan::of(symbols, 0).emit_into(symbols, out);
+    let plan = Plan::of(symbols, 0);
+    let start = out.len();
+    out.resize(start + plan.blob_len(), 0);
+    plan.emit(symbols, &mut out[start..]);
 }
 
 /// Convenience: Huffman-encodes a symbol stream into a self-contained v2
@@ -976,12 +972,11 @@ mod tests {
     /// the byte, decodes it back, and returns the blob.
     fn plan_emit_roundtrip(symbols: &[u32], center: u32) -> Vec<u8> {
         let plan = Plan::of(symbols, center);
-        let mut blob = vec![0xEE];
-        plan.emit_into(symbols, &mut blob);
-        assert_eq!(blob.len() - 1, plan.blob_len(), "planned size is exact");
+        let mut blob = vec![0xEE; 1 + plan.blob_len()];
+        plan.emit(symbols, &mut blob[1..]);
         let mut pos = 1;
         assert_eq!(decode_block(&blob, &mut pos).unwrap(), symbols);
-        assert_eq!(pos, blob.len());
+        assert_eq!(pos, blob.len(), "planned size is exact");
         blob.split_off(1)
     }
 

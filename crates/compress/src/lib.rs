@@ -8,19 +8,23 @@
 //! with the SZ error-bounded lossy compressor before writing checkpoints,
 //! and compares against Gzip lossless compression and uncompressed
 //! checkpoints.  This crate re-implements that compressor stack from
-//! scratch:
+//! scratch, behind one trait: a [`Codec`] appends a vector's stream to a
+//! buffer (`encode_into`, optionally within a [`Chain`] of earlier
+//! snapshots) and decodes a chain of streams back (`decode_chain`; a chain
+//! of one is the stateless case).
 //!
 //! * [`sz`] — an SZ-style prediction-based, error-bounded lossy compressor:
 //!   Lorenzo/linear prediction + linear-scaling quantization + Huffman
 //!   coding of the quantization bins, with unpredictable values stored
 //!   verbatim.  Supports absolute, point-wise-relative (the paper's
-//!   definition) and value-range-relative error bounds.
+//!   definition) and value-range-relative error bounds.  The only codec
+//!   with a temporal encoder.
 //! * [`zfp`] — a ZFP-style transform-based lossy compressor (1-D blocks,
 //!   fixed-point block conversion, orthogonal lifting transform, bit-plane
 //!   truncation) used for the compressor-choice ablation.
-//! * [`lossless`] — lossless floating-point codecs standing in for Gzip:
-//!   an FPC-style XOR/leading-zero codec and an LZSS byte codec, plus a
-//!   combined pipeline.
+//! * [`lossless`] — the exact codecs: raw IEEE-754 bytes (the traditional
+//!   checkpoint), and an FPC-style XOR/leading-zero codec, an LZSS byte
+//!   codec and their pipeline standing in for Gzip.
 //! * [`delta`] — temporal delta codec for SZ quantization-code streams:
 //!   checkpoint *k*'s codes coded as order-1/order-2 deltas against
 //!   checkpoint *k−1*'s, powering the anchored delta-chain checkpoint
@@ -93,11 +97,6 @@ pub struct Compressed {
 }
 
 impl Compressed {
-    /// Size of the compressed representation in bytes.
-    pub fn compressed_bytes(&self) -> usize {
-        self.bytes.len()
-    }
-
     /// Size of the original data in bytes.
     pub fn original_bytes(&self) -> usize {
         self.n_elements * std::mem::size_of::<f64>()
@@ -146,71 +145,94 @@ impl std::error::Error for CompressError {}
 /// Result alias for compressor operations.
 pub type Result<T> = std::result::Result<T, CompressError>;
 
-/// A lossy floating-point compressor with an error-bound guarantee.
-pub trait LossyCompressor: Send + Sync {
-    /// Compresses `data` honouring `bound`.
+/// Where a snapshot stands in a checkpoint chain: what the previous
+/// snapshots of the same variable left behind, and how far the encoder may
+/// lean on them.
+pub struct Chain<'a> {
+    /// Highest delta order the encoder may choose.
+    pub max_order: DeltaMode,
+    /// Pins the stream to a self-contained anchor (the periodic anchors
+    /// that bound a chain's length).
+    pub force_anchor: bool,
+    /// The retained codes of the previous snapshots; always left holding
+    /// this snapshot's.
+    pub state: &'a mut SzTemporalState,
+}
+
+/// What turns a dynamic vector into checkpoint bytes and back — the one
+/// line in which the paper's Algorithms 1 and 2 differ: raw IEEE-754
+/// ([`RawCodec`]), the Gzip-like lossless baseline ([`LosslessPipeline`]
+/// and its two stages), SZ ([`SzCompressor`]) or ZFP ([`ZfpCompressor`]).
+///
+/// The lossy codecs honour the bound they are handed; the exact ones
+/// ignore it.  Only SZ has a temporal encoder; every other codec ignores
+/// `chain` and writes self-contained streams.
+pub trait Codec: Send + Sync {
+    /// Short human-readable name ("raw", "fpc", "lzss", "fpc+lzss", "sz",
+    /// "zfp").
+    fn name(&self) -> &'static str;
+
+    /// Appends the encoded stream of `data` to `out` — compressors write
+    /// straight into a reusable checkpoint buffer — and returns how it
+    /// leans on the chain: [`DeltaMode::None`] for a stream that decodes
+    /// on its own, which is all a codec can write without a `chain`.
     ///
     /// # Errors
-    /// Returns [`CompressError::InvalidBound`] for non-positive or NaN
-    /// bounds.
-    fn compress(&self, data: &[f64], bound: ErrorBound) -> Result<Compressed>;
+    /// A lossy codec returns [`CompressError::InvalidBound`] for
+    /// non-positive or NaN bounds.
+    fn encode_into(
+        &self,
+        data: &[f64],
+        bound: ErrorBound,
+        chain: Option<Chain<'_>>,
+        out: &mut Vec<u8>,
+    ) -> Result<DeltaMode>;
 
-    /// Compresses `data` honouring `bound`, appending the encoded stream to
-    /// `out` and returning the element count — the zero-copy path the
-    /// checkpoint layer uses to encode straight into a reusable checkpoint
-    /// buffer.  The SZ and ZFP codecs write directly into `out`; the
-    /// default implementation falls back to [`LossyCompressor::compress`]
-    /// plus one copy.
-    ///
-    /// # Errors
-    /// Returns [`CompressError::InvalidBound`] for non-positive or NaN
-    /// bounds.
-    fn compress_into(&self, data: &[f64], bound: ErrorBound, out: &mut Vec<u8>) -> Result<usize> {
-        let compressed = self.compress(data, bound)?;
-        out.extend_from_slice(&compressed.bytes);
-        Ok(compressed.n_elements)
-    }
-
-    /// Decompresses a stream produced by [`LossyCompressor::compress`].
+    /// Decodes one self-contained stream of `n_elements` values.
     ///
     /// # Errors
     /// Returns [`CompressError::Corrupt`] or [`CompressError::WrongCodec`]
     /// for invalid streams.
-    fn decompress(&self, compressed: &Compressed) -> Result<Vec<f64>>;
+    fn decode(&self, stream: &[u8], n_elements: usize) -> Result<Vec<f64>>;
 
-    /// Short human-readable name ("sz", "zfp").
-    fn name(&self) -> &'static str;
-}
-
-/// A lossless byte/floating-point compressor.
-pub trait LosslessCompressor: Send + Sync {
-    /// Compresses `data` exactly.
+    /// Decodes the final snapshot of a chain of streams in temporal order,
+    /// a self-contained one first; `n_elements` is that snapshot's length.
+    /// A codec whose streams are all self-contained accepts a chain of one.
     ///
     /// # Errors
-    /// Currently infallible for in-memory inputs but kept fallible for
-    /// symmetry with the lossy trait.
-    fn compress(&self, data: &[f64]) -> Result<Compressed>;
-
-    /// Compresses `data` exactly, appending the encoded stream to `out`
-    /// and returning the element count (see
-    /// [`LossyCompressor::compress_into`]).
-    ///
-    /// # Errors
-    /// Propagates [`LosslessCompressor::compress`] errors.
-    fn compress_into(&self, data: &[f64], out: &mut Vec<u8>) -> Result<usize> {
-        let compressed = self.compress(data)?;
-        out.extend_from_slice(&compressed.bytes);
-        Ok(compressed.n_elements)
+    /// As [`Codec::decode`]; a longer chain than the codec can have
+    /// written is [`CompressError::Corrupt`].
+    fn decode_chain(&self, links: &[&[u8]], n_elements: usize) -> Result<Vec<f64>> {
+        match links {
+            [only] => self.decode(only, n_elements),
+            _ => Err(CompressError::Corrupt(format!(
+                "{} streams are self-contained, but a {}-link chain was recovered",
+                self.name(),
+                links.len()
+            ))),
+        }
     }
 
-    /// Decompresses, recovering the input bit-exactly.
+    /// [`Codec::encode_into`] without a chain, into a stream of its own.
     ///
     /// # Errors
-    /// Returns [`CompressError::Corrupt`] for invalid streams.
-    fn decompress(&self, compressed: &Compressed) -> Result<Vec<f64>>;
+    /// As [`Codec::encode_into`].
+    fn compress(&self, data: &[f64], bound: ErrorBound) -> Result<Compressed> {
+        let mut bytes = Vec::new();
+        self.encode_into(data, bound, None, &mut bytes)?;
+        Ok(Compressed {
+            bytes,
+            n_elements: data.len(),
+        })
+    }
 
-    /// Short human-readable name ("fpc", "lzss", "fpc+lzss").
-    fn name(&self) -> &'static str;
+    /// Decodes a stream produced by [`Codec::compress`].
+    ///
+    /// # Errors
+    /// As [`Codec::decode_chain`].
+    fn decompress(&self, compressed: &Compressed) -> Result<Vec<f64>> {
+        self.decode_chain(&[&compressed.bytes], compressed.n_elements)
+    }
 }
 
 /// Statistics describing one compression run; used by the experiment
@@ -236,8 +258,8 @@ impl CompressionStats {
     ///
     /// # Errors
     /// Propagates compressor errors.
-    pub fn measure_lossy(
-        codec: &dyn LossyCompressor,
+    pub fn measure(
+        codec: &dyn Codec,
         data: &[f64],
         bound: ErrorBound,
     ) -> Result<(Self, Compressed)> {
@@ -257,39 +279,9 @@ impl CompressionStats {
         Ok((
             CompressionStats {
                 original_bytes: compressed.original_bytes(),
-                compressed_bytes: compressed.compressed_bytes(),
+                compressed_bytes: compressed.bytes.len(),
                 ratio: compressed.ratio(),
                 max_abs_error,
-                compress_seconds,
-                decompress_seconds,
-            },
-            compressed,
-        ))
-    }
-
-    /// Computes statistics for a lossless codec.
-    ///
-    /// # Errors
-    /// Propagates compressor errors.
-    pub fn measure_lossless(
-        codec: &dyn LosslessCompressor,
-        data: &[f64],
-    ) -> Result<(Self, Compressed)> {
-        // lcr-analyze: allow(wall-clock): measurement helper; timings are reported, never steer compression
-        let t0 = std::time::Instant::now();
-        let compressed = codec.compress(data)?;
-        let compress_seconds = t0.elapsed().as_secs_f64();
-        // lcr-analyze: allow(wall-clock): measurement helper, as above.
-        let t1 = std::time::Instant::now();
-        let restored = codec.decompress(&compressed)?;
-        let decompress_seconds = t1.elapsed().as_secs_f64();
-        debug_assert_eq!(restored.len(), data.len());
-        Ok((
-            CompressionStats {
-                original_bytes: compressed.original_bytes(),
-                compressed_bytes: compressed.compressed_bytes(),
-                ratio: compressed.ratio(),
-                max_abs_error: 0.0,
                 compress_seconds,
                 decompress_seconds,
             },
@@ -299,8 +291,8 @@ impl CompressionStats {
 }
 
 pub use delta::DeltaMode;
-pub use lossless::{FpcCodec, LosslessPipeline, LzssCodec};
-pub use sz::{stream_delta_mode, SzCompressor, SzTemporalState};
+pub use lossless::{FpcCodec, LosslessPipeline, LzssCodec, RawCodec};
+pub use sz::{SzCompressor, SzTemporalState};
 pub use zfp::ZfpCompressor;
 
 #[cfg(test)]
@@ -327,7 +319,6 @@ mod tests {
             n_elements: 100,
         };
         assert_eq!(c.original_bytes(), 800);
-        assert_eq!(c.compressed_bytes(), 100);
         assert!((c.ratio() - 8.0).abs() < 1e-12);
 
         let empty = Compressed {

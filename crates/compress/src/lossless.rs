@@ -1,4 +1,5 @@
-//! Lossless floating-point codecs (the "Gzip" baseline of the paper).
+//! Exact floating-point codecs: raw IEEE-754 bytes (the traditional
+//! checkpoint) and the lossless "Gzip" baseline of the paper.
 //!
 //! The paper's lossless-checkpointing baseline compresses checkpoint files
 //! with Gzip and observes compression ratios of at most ≈6× (Table 3) —
@@ -14,15 +15,82 @@
 //!   window, standing in for DEFLATE's string matching.
 //! * [`LosslessPipeline`] — FPC followed by LZSS on the residual bytes,
 //!   which is the closest analogue of "gzip on a scientific dataset" and is
-//!   the codec the lossless-checkpointing strategy uses by default.
+//!   the codec the lossless-checkpointing strategy uses.  It costs some
+//!   thirty times SZ's encode for a tenth off the raw size: a correctness
+//!   baseline, not a headline comparator.
+//! * [`RawCodec`] — every value's eight little-endian bytes, headerless.
+//!
+//! All four are [`Codec`]s that ignore the bound and the chain they are
+//! handed and write self-contained streams.
 
 use crate::bitstream::bytes;
-use crate::{CompressError, Compressed, LosslessCompressor, Result};
+use crate::{Chain, Codec, CompressError, DeltaMode, ErrorBound, Result};
 
 /// Codec ids stored in stream headers.
 const FPC_ID: u8 = 10;
 const LZSS_ID: u8 = 11;
 const PIPELINE_ID: u8 = 12;
+
+/// Reads the `[id][u64 n]` prologue the three compressed streams share.
+fn open(stream: &[u8], pos: &mut usize, expected: u8, n_elements: usize) -> Result<()> {
+    let found = bytes::get_slice(stream, pos, 1)?[0];
+    if found != expected {
+        return Err(CompressError::WrongCodec { found, expected });
+    }
+    let n = bytes::get_u64(stream, pos)? as usize;
+    if n != n_elements {
+        return Err(CompressError::Corrupt(format!(
+            "element count mismatch: header {n}, metadata {n_elements}"
+        )));
+    }
+    Ok(())
+}
+
+/// The `f64`s a run of little-endian bytes holds, eight bytes each.
+fn doubles(raw: &[u8], n_elements: usize) -> Result<Vec<f64>> {
+    if raw.len() != n_elements.saturating_mul(8) {
+        return Err(CompressError::Corrupt(format!(
+            "{} raw bytes do not hold {n_elements} values",
+            raw.len()
+        )));
+    }
+    Ok(raw
+        .chunks_exact(8)
+        .map(|c| f64::from_le_bytes(c.try_into().expect("chunk of 8")))
+        .collect())
+}
+
+// ---------------------------------------------------------------------------
+// Raw IEEE-754
+// ---------------------------------------------------------------------------
+
+/// The traditional checkpoint's encoding: every value's eight
+/// little-endian bytes and nothing else, so a payload is its own length.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RawCodec;
+
+impl Codec for RawCodec {
+    fn name(&self) -> &'static str {
+        "raw"
+    }
+
+    fn encode_into(
+        &self,
+        data: &[f64],
+        _: ErrorBound,
+        _: Option<Chain<'_>>,
+        out: &mut Vec<u8>,
+    ) -> Result<DeltaMode> {
+        out.reserve(data.len() * 8);
+        data.iter()
+            .for_each(|x| out.extend_from_slice(&x.to_le_bytes()));
+        Ok(DeltaMode::None)
+    }
+
+    fn decode(&self, stream: &[u8], n_elements: usize) -> Result<Vec<f64>> {
+        doubles(stream, n_elements)
+    }
+}
 
 // ---------------------------------------------------------------------------
 // FPC-style codec
@@ -84,11 +152,21 @@ impl FpcPredictors {
     }
 }
 
-impl LosslessCompressor for FpcCodec {
-    fn compress(&self, data: &[f64]) -> Result<Compressed> {
-        let mut out = Vec::with_capacity(data.len() * 8 / 2 + 64);
+impl Codec for FpcCodec {
+    fn name(&self) -> &'static str {
+        "fpc"
+    }
+
+    fn encode_into(
+        &self,
+        data: &[f64],
+        _: ErrorBound,
+        _: Option<Chain<'_>>,
+        out: &mut Vec<u8>,
+    ) -> Result<DeltaMode> {
+        out.reserve(data.len() * 8 / 2 + 64);
         out.push(FPC_ID);
-        bytes::put_u64(&mut out, data.len() as u64);
+        bytes::put_u64(out, data.len() as u64);
 
         let mut pred = FpcPredictors::new();
         // Header nibbles: bit3 = predictor used (0 fcm, 1 dfcm),
@@ -126,27 +204,16 @@ impl LosslessCompressor for FpcCodec {
             headers.push(first << 4);
         }
 
-        bytes::put_u64(&mut out, headers.len() as u64);
+        bytes::put_u64(out, headers.len() as u64);
         out.extend_from_slice(&headers);
-        bytes::put_u64(&mut out, residuals.len() as u64);
+        bytes::put_u64(out, residuals.len() as u64);
         out.extend_from_slice(&residuals);
-        Ok(Compressed {
-            bytes: out,
-            n_elements: data.len(),
-        })
+        Ok(DeltaMode::None)
     }
 
-    fn decompress(&self, compressed: &Compressed) -> Result<Vec<f64>> {
-        let buf = &compressed.bytes;
+    fn decode(&self, buf: &[u8], n: usize) -> Result<Vec<f64>> {
         let mut pos = 0usize;
-        let id = *bytes::get_slice(buf, &mut pos, 1)?.first().unwrap();
-        if id != FPC_ID {
-            return Err(CompressError::WrongCodec {
-                found: id,
-                expected: FPC_ID,
-            });
-        }
-        let n = bytes::get_u64(buf, &mut pos)? as usize;
+        open(buf, &mut pos, FPC_ID, n)?;
         let header_len = bytes::get_u64(buf, &mut pos)? as usize;
         let headers = bytes::get_slice(buf, &mut pos, header_len)?.to_vec();
         let resid_len = bytes::get_u64(buf, &mut pos)? as usize;
@@ -176,10 +243,6 @@ impl LosslessCompressor for FpcCodec {
             out.push(f64::from_bits(bits));
         }
         Ok(out)
-    }
-
-    fn name(&self) -> &'static str {
-        "fpc"
     }
 }
 
@@ -348,46 +411,30 @@ impl LzssCodec {
     }
 }
 
-impl LosslessCompressor for LzssCodec {
-    fn compress(&self, data: &[f64]) -> Result<Compressed> {
-        let mut raw = Vec::with_capacity(data.len() * 8);
-        for v in data {
-            raw.extend_from_slice(&v.to_le_bytes());
-        }
-        let mut out = Vec::with_capacity(raw.len() / 2 + 16);
-        out.push(LZSS_ID);
-        bytes::put_u64(&mut out, data.len() as u64);
-        let body = self.compress_bytes(&raw);
-        out.extend_from_slice(&body);
-        Ok(Compressed {
-            bytes: out,
-            n_elements: data.len(),
-        })
-    }
-
-    fn decompress(&self, compressed: &Compressed) -> Result<Vec<f64>> {
-        let buf = &compressed.bytes;
-        let mut pos = 0usize;
-        let id = *bytes::get_slice(buf, &mut pos, 1)?.first().unwrap();
-        if id != LZSS_ID {
-            return Err(CompressError::WrongCodec {
-                found: id,
-                expected: LZSS_ID,
-            });
-        }
-        let n = bytes::get_u64(buf, &mut pos)? as usize;
-        let raw = self.decompress_bytes(&buf[pos..])?;
-        if raw.len() != n * 8 {
-            return Err(CompressError::Corrupt("decoded length mismatch".into()));
-        }
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("chunk of 8")))
-            .collect())
-    }
-
+impl Codec for LzssCodec {
     fn name(&self) -> &'static str {
         "lzss"
+    }
+
+    fn encode_into(
+        &self,
+        data: &[f64],
+        bound: ErrorBound,
+        _: Option<Chain<'_>>,
+        out: &mut Vec<u8>,
+    ) -> Result<DeltaMode> {
+        let mut raw = Vec::new();
+        RawCodec.encode_into(data, bound, None, &mut raw)?;
+        out.push(LZSS_ID);
+        bytes::put_u64(out, data.len() as u64);
+        out.extend_from_slice(&self.compress_bytes(&raw));
+        Ok(DeltaMode::None)
+    }
+
+    fn decode(&self, buf: &[u8], n: usize) -> Result<Vec<f64>> {
+        let mut pos = 0usize;
+        open(buf, &mut pos, LZSS_ID, n)?;
+        doubles(&self.decompress_bytes(&buf[pos..])?, n)
     }
 }
 
@@ -408,42 +455,30 @@ impl LosslessPipeline {
     }
 }
 
-impl LosslessCompressor for LosslessPipeline {
-    fn compress(&self, data: &[f64]) -> Result<Compressed> {
-        let fpc = FpcCodec::new().compress(data)?;
-        let lz = LzssCodec::new();
-        let body = lz.compress_bytes(&fpc.bytes);
-        let mut out = Vec::with_capacity(body.len() + 16);
-        out.push(PIPELINE_ID);
-        bytes::put_u64(&mut out, data.len() as u64);
-        out.extend_from_slice(&body);
-        Ok(Compressed {
-            bytes: out,
-            n_elements: data.len(),
-        })
-    }
-
-    fn decompress(&self, compressed: &Compressed) -> Result<Vec<f64>> {
-        let buf = &compressed.bytes;
-        let mut pos = 0usize;
-        let id = *bytes::get_slice(buf, &mut pos, 1)?.first().unwrap();
-        if id != PIPELINE_ID {
-            return Err(CompressError::WrongCodec {
-                found: id,
-                expected: PIPELINE_ID,
-            });
-        }
-        let n = bytes::get_u64(buf, &mut pos)? as usize;
-        let fpc_bytes = LzssCodec::new().decompress_bytes(&buf[pos..])?;
-        let inner = Compressed {
-            bytes: fpc_bytes,
-            n_elements: n,
-        };
-        FpcCodec::new().decompress(&inner)
-    }
-
+impl Codec for LosslessPipeline {
     fn name(&self) -> &'static str {
         "fpc+lzss"
+    }
+
+    fn encode_into(
+        &self,
+        data: &[f64],
+        bound: ErrorBound,
+        _: Option<Chain<'_>>,
+        out: &mut Vec<u8>,
+    ) -> Result<DeltaMode> {
+        let mut fpc = Vec::new();
+        FpcCodec.encode_into(data, bound, None, &mut fpc)?;
+        out.push(PIPELINE_ID);
+        bytes::put_u64(out, data.len() as u64);
+        out.extend_from_slice(&LzssCodec.compress_bytes(&fpc));
+        Ok(DeltaMode::None)
+    }
+
+    fn decode(&self, buf: &[u8], n: usize) -> Result<Vec<f64>> {
+        let mut pos = 0usize;
+        open(buf, &mut pos, PIPELINE_ID, n)?;
+        FpcCodec.decode(&LzssCodec.decompress_bytes(&buf[pos..])?, n)
     }
 }
 
@@ -472,13 +507,30 @@ mod tests {
             .collect()
     }
 
-    fn roundtrip_exact(codec: &dyn LosslessCompressor, data: &[f64]) {
-        let c = codec.compress(data).unwrap();
+    /// The bound every exact codec ignores.
+    const ANY: ErrorBound = ErrorBound::Abs(0.0);
+
+    fn roundtrip_exact(codec: &dyn Codec, data: &[f64]) {
+        let c = codec.compress(data, ANY).unwrap();
         let r = codec.decompress(&c).unwrap();
         assert_eq!(r.len(), data.len());
         for (a, b) in data.iter().zip(r.iter()) {
             assert_eq!(a.to_bits(), b.to_bits(), "codec {}", codec.name());
         }
+    }
+
+    #[test]
+    fn raw_roundtrip_exact_and_headerless() {
+        roundtrip_exact(&RawCodec, &noisy_signal(1_000));
+        roundtrip_exact(&RawCodec, &[]);
+        roundtrip_exact(&RawCodec, &[0.0, -0.0, f64::NAN, f64::INFINITY]);
+        let c = RawCodec.compress(&[1.5, -2.0], ANY).unwrap();
+        assert_eq!(c.bytes, [1.5f64.to_le_bytes(), (-2.0f64).to_le_bytes()].concat());
+        // A payload that is not `n_elements` doubles long is rejected, and
+        // so is a chain: raw streams are self-contained.
+        assert!(RawCodec.decode(&c.bytes[..13], 1).is_err());
+        assert!(RawCodec.decode(&c.bytes, 3).is_err());
+        assert!(RawCodec.decode_chain(&[&c.bytes, &c.bytes], 2).is_err());
     }
 
     #[test]
@@ -494,7 +546,7 @@ mod tests {
     fn fpc_nan_preserved_bitwise() {
         let data = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
         let codec = FpcCodec::new();
-        let c = codec.compress(&data).unwrap();
+        let c = codec.compress(&data, ANY).unwrap();
         let r = codec.decompress(&c).unwrap();
         assert!(r[0].is_nan());
         assert_eq!(r[1], f64::INFINITY);
@@ -556,19 +608,19 @@ mod tests {
         // ratio (>1.2), while noise should stay near 1 — mirroring the
         // paper's observation that lossless compression tops out low.
         let smooth = smooth_signal(50_000);
-        let c = codec.compress(&smooth).unwrap();
+        let c = codec.compress(&smooth, ANY).unwrap();
         assert!(c.ratio() > 1.2, "smooth ratio {:.3}", c.ratio());
 
         let noise = noisy_signal(50_000);
-        let cn = codec.compress(&noise).unwrap();
+        let cn = codec.compress(&noise, ANY).unwrap();
         assert!(cn.ratio() < 1.5, "noise ratio {:.3}", cn.ratio());
     }
 
     #[test]
     fn lossless_ratio_below_lossy_on_smooth_data() {
-        use crate::{ErrorBound, LossyCompressor, SzCompressor};
+        use crate::SzCompressor;
         let data = smooth_signal(50_000);
-        let lossless = LosslessPipeline::new().compress(&data).unwrap();
+        let lossless = LosslessPipeline::new().compress(&data, ANY).unwrap();
         let lossy = SzCompressor::new()
             .compress(&data, ErrorBound::ValueRangeRel(1e-4))
             .unwrap();
@@ -583,7 +635,7 @@ mod tests {
     #[test]
     fn wrong_codec_and_corrupt_streams() {
         let data = smooth_signal(100);
-        let fpc = FpcCodec::new().compress(&data).unwrap();
+        let fpc = FpcCodec::new().compress(&data, ANY).unwrap();
         assert!(matches!(
             LzssCodec::new().decompress(&fpc),
             Err(CompressError::WrongCodec { .. })
@@ -593,17 +645,18 @@ mod tests {
             Err(CompressError::WrongCodec { .. })
         ));
 
-        let mut trunc = FpcCodec::new().compress(&data).unwrap();
+        let mut trunc = FpcCodec::new().compress(&data, ANY).unwrap();
         trunc.bytes.truncate(trunc.bytes.len() / 3);
         assert!(FpcCodec::new().decompress(&trunc).is_err());
 
-        let mut lz = LzssCodec::new().compress(&data).unwrap();
+        let mut lz = LzssCodec::new().compress(&data, ANY).unwrap();
         lz.bytes.truncate(12);
         assert!(LzssCodec::new().decompress(&lz).is_err());
     }
 
     #[test]
     fn names() {
+        assert_eq!(RawCodec.name(), "raw");
         assert_eq!(FpcCodec::new().name(), "fpc");
         assert_eq!(LzssCodec::new().name(), "lzss");
         assert_eq!(LosslessPipeline::new().name(), "fpc+lzss");

@@ -18,11 +18,12 @@
 //! 4. **Unpredictable values** whose bin index would overflow the code range
 //!    are stored verbatim (IEEE-754 bits) and flagged with the reserved bin 0.
 //!
-//! Prediction and quantization run as one fused, branch-light pass per
-//! parallel block, and the entropy stage is the plan-then-emit canonical
-//! Huffman codec: a block's blob is sized exactly from its histogram, and
-//! the temporal encoder — which weighs up to three candidate codings of
-//! every snapshot — sizes them all and bit-packs only the winner.
+//! Prediction and quantization run as one fused, branch-light pass over
+//! pool-sized chunks of each block, and the entropy stage is the
+//! plan-then-emit canonical Huffman codec: a block's blob is sized exactly
+//! from its histogram, and the encoder — which weighs up to three
+//! candidate codings of every snapshot — sizes them all and bit-packs only
+//! the winner.
 //!
 //! Point-wise relative bounds (`ErrorBound::PointwiseRel`) are honoured with
 //! the standard SZ trick: compress `ln|x|` under an absolute bound
@@ -34,32 +35,38 @@
 //!
 //! | version | layout                                                        |
 //! |---------|---------------------------------------------------------------|
-//! | 4       | block-split; per block Huffman blob + varint unpredictable count (stateless) |
-//! | 5       | v4 plus a per-variable [`DeltaMode`] byte before the block container: codes may be **temporal deltas** against the prior snapshot's codes, unpredictable values XOR-coded against the prior snapshot's bits (8 Huffman byte planes), and point-wise-relative zero/sign bitmaps either carried raw or inherited from the previous log link (see [`SzCompressor::compress_temporal_into`]) |
+//! | 4       | block-split; per block Huffman blob + varint unpredictable count + verbatim values; always an anchor, so no mode byte |
+//! | 5       | v4 plus a per-variable [`DeltaMode`] byte before the block container: codes may be **temporal deltas** against the prior snapshot's codes, unpredictable values XOR-coded against the prior snapshot's bits (8 Huffman byte planes), and point-wise-relative zero/sign bitmaps either carried raw or inherited from the previous log link |
 //!
-//! Version 4 is what [`SzCompressor::compress`] emits; version 5 is what
-//! the temporal (anchored-delta-chain) entry points emit.  Both decode
-//! through one decoder, [`SzCompressor::decompress_chain`]: one loop over
-//! links, one block decoder (Huffman symbols → un-delta against the
-//! retained prior links → tail count checked against the reserved bins →
-//! verbatim values or XOR planes), one reconstruction loop for the final
-//! link.  **A chain of one is a stateless decode** —
-//! [`LossyCompressor::decompress`] is `decompress_chain` of a single link —
-//! so a version-4 stream or a version-5 **anchor** ([`DeltaMode::None`])
-//! decodes on its own, and a delta stream decodes as the end of its chain.
+//! Both come out of one encoder, [`Codec::encode_into`] (size every
+//! candidate → emit the winner): within a [`Chain`] it writes version 5;
+//! **without one it runs as a forced anchor** over a state that lives for
+//! the call and writes the version-4 prologue, so a chainless stream is a
+//! version-5 anchor minus its mode byte.  (Writing version 5 everywhere
+//! would cost one byte per chainless stream and move the simulated-clock
+//! goldens; it waits for their re-pin.)  Both decode through one decoder,
+//! [`Codec::decode_chain`]: one loop over links, one block decoder
+//! (Huffman symbols → un-delta against the retained prior links → tail
+//! count checked against the reserved bins → verbatim values or XOR
+//! planes), one reconstruction loop for the final link.  **A chain of one
+//! is a stateless decode** — [`Codec::decode`] is `decode_chain` of a
+//! single link — so a version-4 stream or a version-5 **anchor**
+//! ([`DeltaMode::None`]) decodes on its own, and a delta stream decodes as
+//! the end of its chain.
 
 use crate::bitstream::{bytes, BitReader};
 use crate::delta::{self, DeltaMode};
 use crate::{huffman, parblock};
-use crate::{CompressError, Compressed, ErrorBound, LossyCompressor, Result};
+use crate::{Chain, Codec, CompressError, Compressed, ErrorBound, Result};
 use std::cell::RefCell;
 
 /// Codec id stored in the stream header.
 const CODEC_ID: u8 = 1;
-/// Stream-format version written by the stateless compressor.
+/// Stream-format version of a chainless stream: always an anchor, so its
+/// prologue carries no mode byte.
 const VERSION: u8 = 4;
-/// Stream-format version written by the temporal (delta-chain) entry
-/// points; carries the per-variable [`DeltaMode`] header byte.
+/// Stream-format version of a stream encoded within a [`Chain`]; carries
+/// the per-variable [`DeltaMode`] header byte.
 const TEMPORAL_VERSION: u8 = 5;
 
 /// Half the number of quantization bins on each side of the zero bin.
@@ -75,12 +82,11 @@ const QUANT_RADIUS: i64 = 32_768;
 const PAR_BLOCK: usize = 65_536;
 
 thread_local! {
-    /// Per-thread quantization-code scratch, reused across blocks (the
-    /// worker threads of the deterministic pool persist, so each thread
-    /// allocates these once).
-    static QUANT_SCRATCH: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
-    /// Per-thread temporal-delta symbol scratch.
-    static DELTA_SCRATCH: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
+    /// Per-thread Huffman-symbol scratch, reused across blocks (the worker
+    /// threads of the deterministic pool persist, so each thread allocates
+    /// it once): a block's temporal-delta symbols on the way in, its
+    /// decoded symbols on the way out.
+    static SYMBOL_SCRATCH: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// The code of the zero bin (`0` is reserved for "unpredictable", then the
@@ -267,39 +273,6 @@ impl SzCompressor {
         unpred
     }
 
-    /// Core absolute-error-bound compression of a pre-transformed stream.
-    ///
-    /// The stream is cut into [`PAR_BLOCK`]-element blocks that are
-    /// predicted, quantized and Huffman-coded independently (and therefore
-    /// in parallel), then concatenated in block order behind a length
-    /// table:
-    ///
-    /// ```text
-    /// [u64 nblocks][u64 len × nblocks][block bytes …]
-    /// ```
-    fn compress_abs(values: &[f64], abs_eb: f64, out: &mut Vec<u8>) {
-        parblock::encode_blocks(out, values.len().div_ceil(PAR_BLOCK), |b| {
-            Self::encode_block_abs(Self::block_of(values, b), abs_eb)
-        });
-    }
-
-    /// Quantization + entropy coding of one block in the version-4 layout:
-    ///
-    /// ```text
-    /// [huffman v2 blob][varint n_unpred][f64 × n_unpred]
-    /// ```
-    fn encode_block_abs(values: &[f64], abs_eb: f64) -> Vec<u8> {
-        QUANT_SCRATCH.with(|q| {
-            let quant = &mut q.borrow_mut();
-            quant.resize(values.len(), 0);
-            Self::quantize_range(values, 0, abs_eb, quant);
-            let mut out = Vec::with_capacity(values.len() / 2 + 32);
-            huffman::Plan::of(quant, ZERO_BIN).emit_into(quant, &mut out);
-            Self::append_unpred(&mut out, &Self::unpredictable(values, quant));
-            out
-        })
-    }
-
     /// Grid-space value reconstruction of one block from its (fully
     /// un-delta'd) quantization codes and its unpredictable values, one per
     /// reserved bin — the only reconstruction loop, so a chain replay and a
@@ -378,29 +351,6 @@ impl SzCompressor {
         out.push(transform as u8);
         bytes::put_f64(out, eb);
     }
-
-    /// Shared body of [`LossyCompressor::compress`] /
-    /// [`LossyCompressor::compress_into`]: appends a complete stream to
-    /// `out`.
-    fn compress_to(&self, data: &[f64], bound: ErrorBound, out: &mut Vec<u8>) -> Result<()> {
-        let (transform, stream_eb, abs_eb) = Self::resolve_bound(data, bound)?;
-        Self::put_header(out, VERSION, data.len(), transform, stream_eb);
-        match transform {
-            Transform::Identity => Self::compress_abs(data, abs_eb, out),
-            Transform::Log => {
-                // Sign bits + zero flags side channel, then log magnitudes.
-                let side = LogSide::of(data);
-                side.put_bitmaps(out, None);
-                bytes::put_u64(out, side.logs.len() as u64);
-                Self::compress_abs(&side.logs, abs_eb, out);
-            }
-        }
-        Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Temporal (anchored delta-chain) layer — stream version 5.
-    // ------------------------------------------------------------------
 
     /// Parses the common stream prologue (any supported version).  For
     /// version-5 streams the per-variable [`DeltaMode`] byte follows the
@@ -503,29 +453,10 @@ impl SzCompressor {
         Ok(out)
     }
 
-    /// Compresses one snapshot of a variable into a version-5 stream,
-    /// encoding its quantization codes as temporal deltas against the
-    /// prior snapshot's codes retained in `state` whenever that is both
-    /// possible and smaller than direct coding.
-    ///
-    /// The candidate codings (direct, order-1, and — with two retained
-    /// priors and `max_order == Order2` — order-2) are **sized** exactly,
-    /// block by block, from their symbol histograms; the smallest total
-    /// wins, ties prefer the lower order (so an anchor is emitted whenever
-    /// delta coding does not pay), and only the winner is bit-packed.
-    /// `force_anchor` pins the stream to [`DeltaMode::None`] regardless
-    /// (the periodic anchors of a checkpoint chain).  The delta transform
-    /// is lossless on the codes, so replaying the chain reconstructs values
-    /// bit-identically to a direct decode of the same snapshot.
-    ///
-    /// `state` is always updated to hold this snapshot's codes (even
-    /// when direct coding wins) and is never consulted when the shape or
-    /// transform of the stream changed — such snapshots fall back to
-    /// direct coding automatically.  Returns the mode actually written.
+    /// [`Codec::encode_into`] within the chain these arguments spell out.
     ///
     /// # Errors
-    /// Rejects non-finite or non-positive error bounds; the stream
-    /// layout itself cannot fail to encode.
+    /// As [`Codec::encode_into`].
     pub fn compress_temporal_into(
         &self,
         data: &[f64],
@@ -535,65 +466,12 @@ impl SzCompressor {
         state: &mut SzTemporalState,
         out: &mut Vec<u8>,
     ) -> Result<DeltaMode> {
-        let (transform, stream_eb, abs_eb) = Self::resolve_bound(data, bound)?;
-        Self::put_header(out, TEMPORAL_VERSION, data.len(), transform, stream_eb);
-
-        // The temporal delta applies to the coded sub-stream: the values
-        // themselves, or the log magnitudes of the non-zero ones — a
-        // changed zero pattern changes `n_codes` and falls back to an
-        // anchor via the state key.
-        let side = (transform == Transform::Log).then(|| LogSide::of(data));
-        let values = side.as_ref().map_or(data, |s| s.logs.as_slice());
-        let key = StateKey {
-            transform: transform as u8,
-            n_codes: values.len(),
-        };
-
-        // A delta stream inherits each bitmap from the prior link when it
-        // is byte-identical (the common case: zero and sign patterns of an
-        // iterative solve are stable), paying one flag byte instead of the
-        // raw section.  The raw / delta side-channel costs feed the mode
-        // decision, so a stream whose bitmaps dominate can still pick
-        // delta.
-        let mut inherit = [false; 2];
-        let (mut side_raw, mut side_delta) = (0, 0);
-        if let Some(s) = &side {
-            inherit = [
-                !force_anchor && state.zeros1 == s.zeros,
-                !force_anchor && state.signs1 == s.signs,
-            ];
-            for (bitmap, same) in [&s.zeros, &s.signs].into_iter().zip(inherit) {
-                side_raw += 8 + bitmap.len();
-                side_delta += 1 + if same { 0 } else { 8 + bitmap.len() };
-            }
-        }
-
-        // Size every candidate, then write what the winner's mode decides:
-        // the mode byte, the side channels, and only then the blocks.
-        let sized = Self::size_temporal(
-            values,
-            abs_eb,
-            key,
+        let chain = Chain {
             max_order,
             force_anchor,
-            [side_raw, side_delta],
             state,
-        );
-        let mode = sized.mode;
-        out.push(mode as u8);
-        match side {
-            Some(s) => {
-                s.put_bitmaps(out, (mode != DeltaMode::None).then_some(inherit));
-                bytes::put_u64(out, s.logs.len() as u64);
-                (state.zeros1, state.signs1) = (s.zeros, s.signs);
-            }
-            None => {
-                state.zeros1.clear();
-                state.signs1.clear();
-            }
-        }
-        Self::emit_temporal(sized, state, out);
-        Ok(mode)
+        };
+        self.encode_into(data, bound, Some(chain), out)
     }
 
     /// The sizing pass of the temporal encoder: quantizes the snapshot
@@ -604,7 +482,9 @@ impl SzCompressor {
     /// retained priors are only read; [`SzCompressor::emit_temporal`]
     /// finishes the job.
     ///
-    /// `side_costs` are the byte costs of the stream's side channels under
+    /// `max_order` is the highest order the retained priors may be used at
+    /// ([`DeltaMode::None`]: not at all).  `side_costs` are the byte costs
+    /// of the stream's side channels under
     /// direct and delta coding respectively (the Log transform's bitmaps
     /// inherit from the prior link when unchanged, so a delta stream can
     /// be cheaper than its blocks alone suggest); the winner is picked on
@@ -612,16 +492,13 @@ impl SzCompressor {
     fn size_temporal(
         values: &[f64],
         abs_eb: f64,
-        key: StateKey,
         max_order: DeltaMode,
-        force_anchor: bool,
         side_costs: [usize; 2],
         state: &mut SzTemporalState,
     ) -> SizedSnapshot {
         let code_n = values.len();
         let nblocks = code_n.div_ceil(PAR_BLOCK);
-        let shape_ok = state.key == Some(key) && state.codes1.len() == code_n;
-        let mut prior1_ok = !force_anchor && max_order != DeltaMode::None && shape_ok;
+        let mut prior1_ok = max_order != DeltaMode::None;
 
         // The delta tail XORs each unpredictable value against the prior
         // snapshot's value at the same element position, so each block
@@ -702,8 +579,6 @@ impl SzCompressor {
             mode: candidates[winner],
             blocks,
             unpred,
-            key,
-            shape_ok,
         }
     }
 
@@ -732,9 +607,7 @@ impl SzCompressor {
         // snapshot's spare — no steady-state reallocation, no copy.
         std::mem::swap(&mut state.codes1, &mut state.codes2);
         std::mem::swap(&mut state.codes1, &mut state.spare);
-        state.prev2_valid = sized.shape_ok;
         state.unpred1 = sized.unpred;
-        state.key = Some(sized.key);
     }
 
     /// Runs `f` on the symbols block `b` of `codes` is coded as under
@@ -752,7 +625,7 @@ impl SzCompressor {
         if mode == DeltaMode::None {
             return f(codes, ZERO_BIN);
         }
-        DELTA_SCRATCH.with(|d| {
+        SYMBOL_SCRATCH.with(|d| {
             let syms = &mut d.borrow_mut();
             let prev1 = Self::block_of(prev1, b);
             match mode {
@@ -875,7 +748,7 @@ impl SzCompressor {
     ) -> Result<DecodedBlock> {
         let pos = &mut 0usize;
         let mut codes = Vec::with_capacity(n);
-        QUANT_SCRATCH.with(|q| {
+        SYMBOL_SCRATCH.with(|q| {
             let syms = &mut q.borrow_mut();
             huffman::decode_block_into(block, pos, syms)?;
             if syms.len() != n {
@@ -909,104 +782,14 @@ impl SzCompressor {
         Ok((codes, unpred))
     }
 
-    /// Decodes a delta chain back to the final snapshot's values — the
-    /// only SZ decoder: **a chain of one is a stateless decode**, and
-    /// [`LossyCompressor::decompress`] is exactly that.
-    ///
-    /// `links` is the chain in temporal order: a self-contained stream
-    /// first (version 4, or version 5 with [`DeltaMode::None`]), then every
-    /// stream up to the target snapshot.  Each link is decoded block by
-    /// block to its quantization codes and unpredictable values (plus, for
-    /// log-transformed streams, its zero/sign bitmaps, which the next link
-    /// may inherit); the two newest links are retained for the deltas of
-    /// the next, and an anchor mid-chain simply stops consulting them.
-    /// Only the final link is reconstructed to values, through the one
-    /// reconstruction loop, so the result is bit-identical to a direct
-    /// decode of that snapshot.
+    /// [`Codec::decode_chain`] over links that carry their own metadata;
+    /// the final link's element count is the one checked.
     ///
     /// # Errors
-    /// Rejects empty chains, a delta link with fewer links before it than
-    /// its order needs, code-count mismatches between a delta link and the
-    /// links it codes against, a block tail whose count differs from the
-    /// reserved bins of its codes, and any other per-link corruption.
+    /// As [`Codec::decode_chain`].
     pub fn decompress_chain(&self, links: &[Compressed]) -> Result<Vec<f64>> {
-        // The two newest decoded links, newest first.
-        let mut priors: [DecodedLink; 2] = Default::default();
-        for (idx, link) in links.iter().enumerate() {
-            let (buf, pos) = (link.bytes.as_slice(), &mut 0usize);
-            let h = Self::parse_header(buf, pos)?;
-            if h.n != link.n_elements {
-                return Err(CompressError::Corrupt(format!(
-                    "chain link {idx}: element count mismatch: header {}, metadata {}",
-                    h.n, link.n_elements
-                )));
-            }
-            let needs = h.mode.prior_snapshots();
-            if needs > idx {
-                return Err(CompressError::Corrupt(format!(
-                    "chain link {idx}: {:?} delta stream with {idx} of the {needs} links it \
-                     codes against; decode it as the end of its chain, anchor first",
-                    h.mode
-                )));
-            }
-
-            // What the blocks code: the values themselves, or the log
-            // magnitudes of the non-zero ones behind the two bitmaps.
-            let (bitmaps, n_codes, abs_eb) = match h.transform {
-                t if t == Transform::Identity as u8 => (None, h.n, h.eb),
-                t if t == Transform::Log as u8 => {
-                    let inherited = priors[0].bitmaps.as_ref();
-                    let delta = needs > 0;
-                    let zeros = Self::read_bitmap(buf, pos, delta, inherited.map(|b| &b[0]))?;
-                    let signs = Self::read_bitmap(buf, pos, delta, inherited.map(|b| &b[1]))?;
-                    let n_logs = bytes::get_u64(buf, pos)? as usize;
-                    (Some([zeros, signs]), n_logs, h.eb.ln_1p())
-                }
-                other => {
-                    return Err(CompressError::Corrupt(format!(
-                        "unknown transform tag {other}"
-                    )))
-                }
-            };
-            if priors[..needs].iter().any(|p| p.n_codes != n_codes) {
-                return Err(CompressError::Corrupt(format!(
-                    "chain link {idx}: {:?} delta over {n_codes} codes, the links before it \
-                     have {} and {}",
-                    h.mode, priors[0].n_codes, priors[1].n_codes
-                )));
-            }
-
-            let nblocks = n_codes.div_ceil(PAR_BLOCK);
-            let decode = |b: usize, block: &[u8]| {
-                let prior = |k: usize| priors[k].blocks.get(b).unwrap_or(&NO_PRIOR);
-                let block_n = PAR_BLOCK.min(n_codes - b * PAR_BLOCK);
-                Self::decode_block(block, block_n, h.mode, prior(0), &prior(1).0)
-            };
-            if idx + 1 < links.len() {
-                let blocks = parblock::decode_blocks(buf, pos, nblocks, "SZ", decode)?;
-                let [newest, _] = priors;
-                priors = [
-                    DecodedLink {
-                        n_codes,
-                        blocks,
-                        bitmaps,
-                    },
-                    newest,
-                ];
-                continue;
-            }
-            // The final link alone goes on to values.
-            let values = parblock::decode_blocks(buf, pos, nblocks, "SZ", |b, block| {
-                let (codes, unpred) = decode(b, block)?;
-                Ok(Self::reconstruct_block(&codes, &unpred, abs_eb))
-            })?
-            .concat();
-            return match bitmaps {
-                Some([zeros, signs]) => Self::expand_log(&zeros, &signs, values, h.n),
-                None => Ok(values),
-            };
-        }
-        Err(CompressError::Corrupt("empty checkpoint chain".into()))
+        let streams: Vec<&[u8]> = links.iter().map(|l| l.bytes.as_slice()).collect();
+        self.decode_chain(&streams, links.last().map_or(0, |l| l.n_elements))
     }
 
     /// Block `b` of a stream-long array.
@@ -1070,10 +853,6 @@ struct SizedSnapshot {
     blocks: Vec<(huffman::Plan, Vec<u8>)>,
     /// The snapshot's unpredictable values, in stream order.
     unpred: Vec<f64>,
-    key: StateKey,
-    /// Whether the prior snapshot had this one's shape (it becomes a valid
-    /// second-order prior).
-    shape_ok: bool,
 }
 
 /// The point-wise-relative transform of a snapshot: which values are zero
@@ -1187,13 +966,7 @@ impl SzTemporalState {
     /// Drops all retained prior-snapshot codes; the next temporal
     /// compression emits an anchor.
     pub fn reset(&mut self) {
-        self.key = None;
-        self.prev2_valid = false;
-        self.codes1.clear();
-        self.codes2.clear();
-        self.unpred1.clear();
-        self.zeros1.clear();
-        self.signs1.clear();
+        *self = Self::default();
     }
 
     /// True if a prior snapshot's codes are retained (the next
@@ -1203,34 +976,225 @@ impl SzTemporalState {
     }
 }
 
-/// Reads the [`DeltaMode`] of an SZ stream from its header without
-/// decoding the payload (version-4 streams report [`DeltaMode::None`]).
-pub fn stream_delta_mode(stream: &[u8]) -> Result<DeltaMode> {
-    let mut pos = 0usize;
-    SzCompressor::parse_header(stream, &mut pos).map(|h| h.mode)
-}
-
-impl LossyCompressor for SzCompressor {
-    fn compress(&self, data: &[f64], bound: ErrorBound) -> Result<Compressed> {
-        let mut out = Vec::new();
-        self.compress_to(data, bound, &mut out)?;
-        Ok(Compressed {
-            bytes: out,
-            n_elements: data.len(),
-        })
-    }
-
-    fn compress_into(&self, data: &[f64], bound: ErrorBound, out: &mut Vec<u8>) -> Result<usize> {
-        self.compress_to(data, bound, out)?;
-        Ok(data.len())
-    }
-
-    fn decompress(&self, compressed: &Compressed) -> Result<Vec<f64>> {
-        self.decompress_chain(std::slice::from_ref(compressed))
-    }
-
+impl Codec for SzCompressor {
     fn name(&self) -> &'static str {
         "sz"
+    }
+
+    /// Encodes one snapshot of a variable, its quantization codes as
+    /// temporal deltas against the prior snapshot's codes retained in the
+    /// chain's state whenever that is both possible and smaller than direct
+    /// coding.
+    ///
+    /// The candidate codings (direct, order-1, and — with two retained
+    /// priors and `max_order == Order2` — order-2) are **sized** exactly,
+    /// block by block, from their symbol histograms; the smallest total
+    /// wins, ties prefer the lower order (so an anchor is emitted whenever
+    /// delta coding does not pay), and only the winner is bit-packed.
+    /// `force_anchor` pins the stream to [`DeltaMode::None`] regardless
+    /// (the periodic anchors of a checkpoint chain).  The delta transform
+    /// is lossless on the codes, so replaying the chain reconstructs values
+    /// bit-identically to a direct decode of the same snapshot.
+    ///
+    /// The state is always updated to hold this snapshot's codes (even
+    /// when direct coding wins) and is never consulted when the shape or
+    /// transform of the stream changed — such snapshots fall back to
+    /// direct coding automatically.  Returns the mode actually written.
+    ///
+    /// **Without a chain the same body runs as a forced anchor** and
+    /// writes the version-4 prologue, which has no mode byte to spend on
+    /// the only mode it can have; within a chain it writes version 5.
+    ///
+    /// # Errors
+    /// Rejects non-finite or non-positive error bounds; the stream
+    /// layout itself cannot fail to encode.
+    fn encode_into(
+        &self,
+        data: &[f64],
+        bound: ErrorBound,
+        chain: Option<Chain<'_>>,
+        out: &mut Vec<u8>,
+    ) -> Result<DeltaMode> {
+        let (transform, stream_eb, abs_eb) = Self::resolve_bound(data, bound)?;
+        // A chainless stream is a forced anchor over a state that lives for
+        // the call, behind the version-4 prologue: no mode byte.
+        let mut own = SzTemporalState::new();
+        let (version, max_order, force_anchor, state) = match chain {
+            Some(c) => (TEMPORAL_VERSION, c.max_order, c.force_anchor, c.state),
+            None => (VERSION, DeltaMode::None, true, &mut own),
+        };
+        Self::put_header(out, version, data.len(), transform, stream_eb);
+
+        // The temporal delta applies to the coded sub-stream: the values
+        // themselves, or the log magnitudes of the non-zero ones — a
+        // changed zero pattern changes `n_codes` and falls back to an
+        // anchor via the state key.
+        let side = (transform == Transform::Log).then(|| LogSide::of(data));
+        let values = side.as_ref().map_or(data, |s| s.logs.as_slice());
+        let key = StateKey {
+            transform: transform as u8,
+            n_codes: values.len(),
+        };
+
+        // The prior snapshot is a base for this one only if it had its
+        // shape, and never on a forced anchor.
+        let shape_ok = state.key == Some(key) && state.codes1.len() == values.len();
+        let max_order = if force_anchor || !shape_ok {
+            DeltaMode::None
+        } else {
+            max_order
+        };
+
+        // A delta stream inherits each bitmap from the prior link when it
+        // is byte-identical (the common case: zero and sign patterns of an
+        // iterative solve are stable), paying one flag byte instead of the
+        // raw section.  The raw / delta side-channel costs feed the mode
+        // decision, so a stream whose bitmaps dominate can still pick
+        // delta.
+        let mut inherit = [false; 2];
+        let (mut side_raw, mut side_delta) = (0, 0);
+        if let Some(s) = &side {
+            let delta = max_order != DeltaMode::None;
+            inherit = [
+                delta && state.zeros1 == s.zeros,
+                delta && state.signs1 == s.signs,
+            ];
+            for (bitmap, same) in [&s.zeros, &s.signs].into_iter().zip(inherit) {
+                side_raw += 8 + bitmap.len();
+                side_delta += 1 + if same { 0 } else { 8 + bitmap.len() };
+            }
+        }
+
+        // Size every candidate, then write what the winner's mode decides:
+        // the mode byte, the side channels, and only then the blocks.
+        let sized =
+            Self::size_temporal(values, abs_eb, max_order, [side_raw, side_delta], state);
+        let mode = sized.mode;
+        if version == TEMPORAL_VERSION {
+            out.push(mode as u8);
+        }
+        match side {
+            Some(s) => {
+                s.put_bitmaps(out, (mode != DeltaMode::None).then_some(inherit));
+                bytes::put_u64(out, s.logs.len() as u64);
+                (state.zeros1, state.signs1) = (s.zeros, s.signs);
+            }
+            None => {
+                state.zeros1.clear();
+                state.signs1.clear();
+            }
+        }
+        Self::emit_temporal(sized, state, out);
+        // The rotated-out prior is a valid second-order base if it had this
+        // snapshot's shape.
+        state.prev2_valid = shape_ok;
+        state.key = Some(key);
+        Ok(mode)
+    }
+
+    fn decode(&self, stream: &[u8], n_elements: usize) -> Result<Vec<f64>> {
+        self.decode_chain(&[stream], n_elements)
+    }
+
+    /// Decodes a delta chain back to the final snapshot's values — the
+    /// only SZ decoder: **a chain of one is a stateless decode**, and
+    /// [`Codec::decode`] is exactly that.
+    ///
+    /// `links` is the chain in temporal order: a self-contained stream
+    /// first (version 4, or version 5 with [`DeltaMode::None`]), then every
+    /// stream up to the target snapshot.  Each link is decoded block by
+    /// block to its quantization codes and unpredictable values (plus, for
+    /// log-transformed streams, its zero/sign bitmaps, which the next link
+    /// may inherit); the two newest links are retained for the deltas of
+    /// the next, and an anchor mid-chain simply stops consulting them.
+    /// Only the final link is reconstructed to values, through the one
+    /// reconstruction loop, so the result is bit-identical to a direct
+    /// decode of that snapshot.
+    ///
+    /// # Errors
+    /// Rejects empty chains, a final link whose header disagrees with
+    /// `n_elements`, a delta link with fewer links before it than
+    /// its order needs, code-count mismatches between a delta link and the
+    /// links it codes against, a block tail whose count differs from the
+    /// reserved bins of its codes, and any other per-link corruption.
+    fn decode_chain(&self, links: &[&[u8]], n_elements: usize) -> Result<Vec<f64>> {
+        // The two newest decoded links, newest first.
+        let mut priors: [DecodedLink; 2] = Default::default();
+        for (idx, &buf) in links.iter().enumerate() {
+            let pos = &mut 0usize;
+            let h = Self::parse_header(buf, pos)?;
+            if idx + 1 == links.len() && h.n != n_elements {
+                return Err(CompressError::Corrupt(format!(
+                    "chain link {idx}: element count mismatch: header {}, metadata {n_elements}",
+                    h.n
+                )));
+            }
+            let needs = h.mode.prior_snapshots();
+            if needs > idx {
+                return Err(CompressError::Corrupt(format!(
+                    "chain link {idx}: {:?} delta stream with {idx} of the {needs} links it \
+                     codes against; decode it as the end of its chain, anchor first",
+                    h.mode
+                )));
+            }
+
+            // What the blocks code: the values themselves, or the log
+            // magnitudes of the non-zero ones behind the two bitmaps.
+            let (bitmaps, n_codes, abs_eb) = match h.transform {
+                t if t == Transform::Identity as u8 => (None, h.n, h.eb),
+                t if t == Transform::Log as u8 => {
+                    let inherited = priors[0].bitmaps.as_ref();
+                    let delta = needs > 0;
+                    let zeros = Self::read_bitmap(buf, pos, delta, inherited.map(|b| &b[0]))?;
+                    let signs = Self::read_bitmap(buf, pos, delta, inherited.map(|b| &b[1]))?;
+                    let n_logs = bytes::get_u64(buf, pos)? as usize;
+                    (Some([zeros, signs]), n_logs, h.eb.ln_1p())
+                }
+                other => {
+                    return Err(CompressError::Corrupt(format!(
+                        "unknown transform tag {other}"
+                    )))
+                }
+            };
+            if priors[..needs].iter().any(|p| p.n_codes != n_codes) {
+                return Err(CompressError::Corrupt(format!(
+                    "chain link {idx}: {:?} delta over {n_codes} codes, the links before it \
+                     have {} and {}",
+                    h.mode, priors[0].n_codes, priors[1].n_codes
+                )));
+            }
+
+            let nblocks = n_codes.div_ceil(PAR_BLOCK);
+            let decode = |b: usize, block: &[u8]| {
+                let prior = |k: usize| priors[k].blocks.get(b).unwrap_or(&NO_PRIOR);
+                let block_n = PAR_BLOCK.min(n_codes - b * PAR_BLOCK);
+                Self::decode_block(block, block_n, h.mode, prior(0), &prior(1).0)
+            };
+            if idx + 1 < links.len() {
+                let blocks = parblock::decode_blocks(buf, pos, nblocks, "SZ", decode)?;
+                let [newest, _] = priors;
+                priors = [
+                    DecodedLink {
+                        n_codes,
+                        blocks,
+                        bitmaps,
+                    },
+                    newest,
+                ];
+                continue;
+            }
+            // The final link alone goes on to values.
+            let values = parblock::decode_blocks(buf, pos, nblocks, "SZ", |b, block| {
+                let (codes, unpred) = decode(b, block)?;
+                Ok(Self::reconstruct_block(&codes, &unpred, abs_eb))
+            })?
+            .concat();
+            return match bitmaps {
+                Some([zeros, signs]) => Self::expand_log(&zeros, &signs, values, h.n),
+                None => Ok(values),
+            };
+        }
+        Err(CompressError::Corrupt("empty checkpoint chain".into()))
     }
 }
 
@@ -1415,20 +1379,6 @@ mod tests {
     }
 
     #[test]
-    fn compress_into_appends_identical_stream() {
-        let data = smooth_signal(4_000);
-        let sz = SzCompressor::new();
-        let bound = ErrorBound::Abs(1e-6);
-        let c = sz.compress(&data, bound).unwrap();
-
-        let mut buf = vec![0xEE, 0xFF];
-        let n = sz.compress_into(&data, bound, &mut buf).unwrap();
-        assert_eq!(n, data.len());
-        assert_eq!(&buf[..2], &[0xEE, 0xFF]);
-        assert_eq!(&buf[2..], c.bytes.as_slice());
-    }
-
-    #[test]
     fn invalid_bounds_rejected() {
         let sz = SzCompressor::new();
         let data = [1.0, 2.0];
@@ -1515,7 +1465,6 @@ mod tests {
             .unwrap();
         assert_eq!(mode, DeltaMode::None, "forced anchor must be direct");
         assert_eq!(bytes[1], 5, "temporal streams carry version 5");
-        assert_eq!(stream_delta_mode(&bytes).unwrap(), DeltaMode::None);
         let anchor = Compressed {
             bytes,
             n_elements: data.len(),
@@ -1596,7 +1545,6 @@ mod tests {
             )
             .unwrap();
         assert_eq!(mode, DeltaMode::Order1, "correlated snapshots should delta");
-        assert_eq!(stream_delta_mode(&delta_bytes).unwrap(), DeltaMode::Order1);
         let direct = sz.compress(&snaps[1], bound).unwrap();
         assert!(
             delta_bytes.len() < direct.bytes.len(),
@@ -1641,16 +1589,18 @@ mod tests {
         let snaps = snapshots(6_000, 2);
         let mut state = SzTemporalState::new();
         let mut chain = Vec::new();
+        let mut mode = DeltaMode::None;
         for (k, snap) in snaps.iter().enumerate() {
             let mut bytes = Vec::new();
-            sz.compress_temporal_into(snap, bound, DeltaMode::Order1, k == 0, &mut state, &mut bytes)
+            mode = sz
+                .compress_temporal_into(snap, bound, DeltaMode::Order1, k == 0, &mut state, &mut bytes)
                 .unwrap();
             chain.push(Compressed {
                 bytes,
                 n_elements: snap.len(),
             });
         }
-        assert_eq!(stream_delta_mode(&chain[1].bytes).unwrap(), DeltaMode::Order1);
+        assert_eq!(mode, DeltaMode::Order1);
         assert!(
             sz.decompress(&chain[1]).is_err(),
             "a delta stream must not decode without its chain"

@@ -18,7 +18,9 @@
 //!
 //! The result honours the same error-bound contract as the SZ-style
 //! compressor (verified by property tests), though with lower compression
-//! ratios on 1-D data — which is exactly the paper's observation.
+//! ratios on 1-D data — which is exactly the paper's observation.  As a
+//! [`Codec`] it ignores the chain it is handed: every stream is
+//! self-contained.
 //!
 //! ## Stream version
 //!
@@ -28,7 +30,7 @@
 
 use crate::bitstream::{bytes, BitReader, BitWriter};
 use crate::parblock;
-use crate::{CompressError, Compressed, ErrorBound, LossyCompressor, Result};
+use crate::{Chain, Codec, CompressError, DeltaMode, ErrorBound, Result};
 
 /// Codec id stored in the stream header.
 const CODEC_ID: u8 = 2;
@@ -248,11 +250,20 @@ impl ZfpCompressor {
             }
         }
     }
+}
 
-    /// Shared body of [`LossyCompressor::compress`] /
-    /// [`LossyCompressor::compress_into`]: appends a complete stream to
-    /// `out`.
-    fn compress_to(&self, data: &[f64], bound: ErrorBound, out: &mut Vec<u8>) -> Result<()> {
+impl Codec for ZfpCompressor {
+    fn name(&self) -> &'static str {
+        "zfp"
+    }
+
+    fn encode_into(
+        &self,
+        data: &[f64],
+        bound: ErrorBound,
+        _: Option<Chain<'_>>,
+        out: &mut Vec<u8>,
+    ) -> Result<DeltaMode> {
         let eb = bound.value();
         if !(eb.is_finite() && eb > 0.0) {
             return Err(CompressError::InvalidBound(eb));
@@ -277,27 +288,10 @@ impl ZfpCompressor {
             }
             writer.into_bytes()
         });
-        Ok(())
-    }
-}
-
-impl LossyCompressor for ZfpCompressor {
-    fn compress(&self, data: &[f64], bound: ErrorBound) -> Result<Compressed> {
-        let mut out = Vec::new();
-        self.compress_to(data, bound, &mut out)?;
-        Ok(Compressed {
-            bytes: out,
-            n_elements: data.len(),
-        })
+        Ok(DeltaMode::None)
     }
 
-    fn compress_into(&self, data: &[f64], bound: ErrorBound, out: &mut Vec<u8>) -> Result<usize> {
-        self.compress_to(data, bound, out)?;
-        Ok(data.len())
-    }
-
-    fn decompress(&self, compressed: &Compressed) -> Result<Vec<f64>> {
-        let buf = &compressed.bytes;
+    fn decode(&self, buf: &[u8], n_elements: usize) -> Result<Vec<f64>> {
         let mut pos = 0usize;
         let codec = bytes::get_slice(buf, &mut pos, 1)?[0];
         if codec != CODEC_ID {
@@ -313,7 +307,7 @@ impl LossyCompressor for ZfpCompressor {
             )));
         }
         let n = bytes::get_u64(buf, &mut pos)? as usize;
-        if n != compressed.n_elements {
+        if n != n_elements {
             return Err(CompressError::Corrupt("element count mismatch".into()));
         }
         let _abs_eb = bytes::get_f64(buf, &mut pos)?;
@@ -330,10 +324,6 @@ impl LossyCompressor for ZfpCompressor {
             Ok(vals)
         })
         .map(|groups| groups.concat())
-    }
-
-    fn name(&self) -> &'static str {
-        "zfp"
     }
 }
 
@@ -442,17 +432,6 @@ mod tests {
         let c = zfp.compress(&data, ErrorBound::Abs(1e-7)).unwrap();
         let r = zfp.decompress(&c).unwrap();
         check_abs_bound(&data, &r, 1e-7);
-    }
-
-    #[test]
-    fn compress_into_appends_identical_stream() {
-        let data = smooth_signal(512);
-        let zfp = ZfpCompressor::new();
-        let c = zfp.compress(&data, ErrorBound::Abs(1e-5)).unwrap();
-        let mut buf = vec![7u8];
-        let n = zfp.compress_into(&data, ErrorBound::Abs(1e-5), &mut buf).unwrap();
-        assert_eq!(n, data.len());
-        assert_eq!(&buf[1..], c.bytes.as_slice());
     }
 
     #[test]

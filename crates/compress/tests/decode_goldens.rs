@@ -10,9 +10,7 @@
 
 mod scripts;
 
-use lcr_compress::{
-    Compressed, DeltaMode, ErrorBound, LossyCompressor, SzCompressor, SzTemporalState,
-};
+use lcr_compress::{Codec, Compressed, DeltaMode, ErrorBound, SzCompressor, SzTemporalState};
 use scripts::{cg_script, ensure_pool, linear_drift, synthetic_script, Step, BOUNDS};
 
 /// FNV-1a over the bits of `values`, a 64-bit word at a time, continuing

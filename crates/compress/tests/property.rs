@@ -7,8 +7,7 @@
 //! bit-exact.
 
 use lcr_compress::{
-    ErrorBound, FpcCodec, LosslessCompressor, LosslessPipeline, LossyCompressor, LzssCodec,
-    SzCompressor, ZfpCompressor,
+    Codec, ErrorBound, FpcCodec, LosslessPipeline, LzssCodec, SzCompressor, ZfpCompressor,
 };
 use proptest::prelude::*;
 
@@ -112,11 +111,12 @@ proptest! {
     #[test]
     fn lossless_codecs_are_bit_exact(data in data_strategy()) {
         for codec in [
-            Box::new(FpcCodec::new()) as Box<dyn LosslessCompressor>,
+            Box::new(FpcCodec::new()) as Box<dyn Codec>,
             Box::new(LzssCodec::new()),
             Box::new(LosslessPipeline::new()),
         ] {
-            let c = codec.compress(&data).unwrap();
+            // Exact codecs ignore the bound, even one no lossy codec accepts.
+            let c = codec.compress(&data, ErrorBound::Abs(0.0)).unwrap();
             let r = codec.decompress(&c).unwrap();
             prop_assert_eq!(r.len(), data.len());
             for (a, b) in data.iter().zip(r.iter()) {
@@ -213,7 +213,7 @@ proptest! {
 /// A header of a retired stream version (SZ 3, ZFP 2) claiming `u64::MAX`
 /// elements: the decoder must stop at the version byte with the typed
 /// unsupported-version error, before it trusts any length in the stream.
-fn assert_retired_version_rejected(codec: &dyn LossyCompressor, codec_id: u8, version: u8) {
+fn assert_retired_version_rejected(codec: &dyn Codec, codec_id: u8, version: u8) {
     let mut bytes = vec![codec_id, version];
     bytes.extend_from_slice(&u64::MAX.to_le_bytes());
     bytes.push(0);
@@ -238,13 +238,12 @@ fn assert_retired_version_rejected(codec: &dyn LossyCompressor, codec_id: u8, ve
 fn retired_sz_v3_stream_is_rejected_as_unsupported() {
     assert_retired_version_rejected(&SzCompressor::new(), 1, 3);
     // A live stream relabelled as version 3 is rejected the same way, by
-    // the chain decoder and the header probe too.
+    // the chain decoder too.
     let sz = SzCompressor::new();
     let mut live = sz.compress(&[1.0, 2.0, 3.0], ErrorBound::Abs(1e-6)).unwrap();
     live.bytes[1] = 3;
     assert!(sz.decompress(&live).is_err());
     assert!(sz.decompress_chain(&[live.clone(), live.clone()]).is_err());
-    assert!(lcr_compress::sz::stream_delta_mode(&live.bytes).is_err());
 }
 
 #[test]
@@ -428,7 +427,7 @@ fn huge_block_counts_are_rejected_before_allocating() {
     let zfp = ZfpCompressor::new();
     // (codec, empty stream, elements per block, offset of the count the
     // block count is derived from — `n`, or SZ's `n_logs`).
-    let cases: [(&dyn LossyCompressor, ErrorBound, u64, usize); 3] = [
+    let cases: [(&dyn Codec, ErrorBound, u64, usize); 3] = [
         (&sz, ErrorBound::Abs(1e-6), 65_536, 2),
         (&sz, ErrorBound::PointwiseRel(1e-4), 65_536, 35),
         (&zfp, ErrorBound::Abs(1e-4), 4_096, 2),

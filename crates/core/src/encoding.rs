@@ -21,7 +21,7 @@
 //!
 //! [`reset`]: TemporalEncodingSelector::reset
 
-use lcr_compress::{DeltaMode, SzTemporalState};
+use lcr_compress::{Chain, DeltaMode, SzTemporalState};
 
 /// Decides, per checkpoint, whether the SZ encoder may temporal-delta
 /// against the previous checkpoint and carries the encoder state between
@@ -56,34 +56,36 @@ impl TemporalEncodingSelector {
         }
     }
 
-    /// Whether delta coding is enabled at all.
-    pub fn delta_enabled(&self) -> bool {
-        self.anchor_interval > 1 && self.max_order != DeltaMode::None
-    }
-
-    /// The highest delta order the encoder may choose.
-    pub fn max_order(&self) -> DeltaMode {
-        self.max_order
-    }
-
-    /// Starts the next snapshot: returns `true` when this snapshot must be
-    /// an anchor (the first after construction or a reset, and every
-    /// `anchor_interval`-th thereafter) and advances the snapshot counter.
-    pub fn begin_snapshot(&mut self) -> bool {
-        let force_anchor =
-            !self.delta_enabled() || self.snapshot_index.is_multiple_of(self.anchor_interval);
-        self.snapshot_index += 1;
-        force_anchor
-    }
-
-    /// The retained compressor state for variable `name`, created empty on
-    /// first use.
-    pub fn state_for(&mut self, name: &str) -> &mut SzTemporalState {
-        if let Some(idx) = self.states.iter().position(|(n, _)| n == name) {
-            return &mut self.states[idx].1;
+    /// Starts the next snapshot: `None` while delta coding is off (an
+    /// interval of `0`/`1` or a `None` order — every checkpoint is a
+    /// chainless anchor), else whether this snapshot must be an anchor (the
+    /// first after construction or a reset, and every `anchor_interval`-th
+    /// thereafter).
+    pub(crate) fn begin_snapshot(&mut self) -> Option<bool> {
+        if self.anchor_interval <= 1 || self.max_order == DeltaMode::None {
+            return None;
         }
-        self.states.push((name.to_string(), SzTemporalState::new()));
-        &mut self.states.last_mut().expect("just pushed").1
+        let force_anchor = self.snapshot_index.is_multiple_of(self.anchor_interval);
+        self.snapshot_index += 1;
+        Some(force_anchor)
+    }
+
+    /// Where variable `name` stands in its chain for the snapshot
+    /// [`begin_snapshot`](Self::begin_snapshot) opened; its retained
+    /// compressor state is created empty on first use.
+    pub(crate) fn chain_for(&mut self, name: &str, force_anchor: bool) -> Chain<'_> {
+        let idx = match self.states.iter().position(|(n, _)| n == name) {
+            Some(idx) => idx,
+            None => {
+                self.states.push((name.to_string(), SzTemporalState::new()));
+                self.states.len() - 1
+            }
+        };
+        Chain {
+            max_order: self.max_order,
+            force_anchor,
+            state: &mut self.states[idx].1,
+        }
     }
 
     /// Drops all retained state and restarts the anchor cadence.  Must be
@@ -106,43 +108,46 @@ mod tests {
     #[test]
     fn anchor_cadence_is_every_kth_snapshot() {
         let mut sel = TemporalEncodingSelector::new(3, DeltaMode::Order1);
-        let forced: Vec<bool> = (0..7).map(|_| sel.begin_snapshot()).collect();
+        let forced: Vec<bool> = (0..7).map(|_| sel.begin_snapshot().unwrap()).collect();
         assert_eq!(forced, vec![true, false, false, true, false, false, true]);
     }
 
     #[test]
     fn reset_restarts_the_cadence_and_clears_state() {
         let mut sel = TemporalEncodingSelector::new(4, DeltaMode::Order2);
-        assert!(sel.begin_snapshot());
-        assert!(!sel.begin_snapshot());
-        sel.state_for("x");
+        assert_eq!(sel.begin_snapshot(), Some(true));
+        assert_eq!(sel.begin_snapshot(), Some(false));
+        sel.chain_for("x", false);
         sel.reset();
-        assert!(sel.begin_snapshot(), "first snapshot after reset is an anchor");
-        assert!(!sel.state_for("x").has_prior());
+        assert_eq!(
+            sel.begin_snapshot(),
+            Some(true),
+            "first snapshot after reset is an anchor"
+        );
+        let chain = sel.chain_for("x", true);
+        assert_eq!(chain.max_order, DeltaMode::Order2);
+        assert!(chain.force_anchor && !chain.state.has_prior());
     }
 
     #[test]
-    fn zero_or_one_interval_always_anchors() {
-        for interval in [0, 1] {
-            let mut sel = TemporalEncodingSelector::new(interval, DeltaMode::Order1);
-            assert!(!sel.delta_enabled());
-            assert!((0..5).all(|_| sel.begin_snapshot()));
+    fn zero_or_one_interval_or_none_order_never_chains() {
+        for (interval, order) in [
+            (0, DeltaMode::Order1),
+            (1, DeltaMode::Order1),
+            (8, DeltaMode::None),
+        ] {
+            let mut sel = TemporalEncodingSelector::new(interval, order);
+            assert!((0..5).all(|_| sel.begin_snapshot().is_none()));
         }
-    }
-
-    #[test]
-    fn none_max_order_disables_delta() {
-        let mut sel = TemporalEncodingSelector::new(8, DeltaMode::None);
-        assert!(!sel.delta_enabled());
-        assert!((0..5).all(|_| sel.begin_snapshot()));
+        assert!(TemporalEncodingSelector::default().begin_snapshot().is_none());
     }
 
     #[test]
     fn state_is_per_variable_and_order_stable() {
         let mut sel = TemporalEncodingSelector::new(4, DeltaMode::Order1);
-        sel.state_for("x");
-        sel.state_for("p");
-        sel.state_for("x");
+        sel.chain_for("x", true);
+        sel.chain_for("p", true);
+        sel.chain_for("x", false);
         assert_eq!(sel.states.len(), 2);
         assert_eq!(sel.states[0].0, "x");
         assert_eq!(sel.states[1].0, "p");

@@ -4,11 +4,17 @@
 //! their bytes are encoded, and (c) *how* the solver is brought back to
 //! life from those bytes:
 //!
-//! | scheme       | saved variables            | encoding           | recovery |
-//! |--------------|----------------------------|--------------------|----------|
-//! | traditional  | all dynamic vars (Alg. 1)  | raw IEEE-754       | exact [`RecoveryMode::Exact`] |
-//! | lossless     | all dynamic vars           | FPC + LZSS         | exact |
-//! | lossy        | only `x` (+ counter)       | SZ, error-bounded  | restart from `x` (Alg. 2), [`RecoveryMode::Restart`] |
+//! | scheme       | saved variables            | codec                        | recovery |
+//! |--------------|----------------------------|------------------------------|----------|
+//! | traditional  | all dynamic vars (Alg. 1)  | raw IEEE-754, unframed       | exact [`RecoveryMode::Exact`] |
+//! | lossless     | all dynamic vars           | FPC + LZSS                   | exact |
+//! | lossy        | only `x` (+ counter)       | SZ (or ZFP), error-bounded   | restart from `x` (Alg. 2), [`RecoveryMode::Restart`] |
+//!
+//! (a) and (c) follow the [`RecoveryMode`]; (b) is one private function
+//! from strategy to [`Codec`], the only place a concrete codec is named.
+//! Encoding and decoding are then one loop over the saved variables each:
+//! an 8-byte element-count frame (raw payloads are their own length) and
+//! the codec's stream.
 //!
 //! The lossy strategy's error bound follows the paper's per-method policy
 //! ([`ErrorBoundPolicy`]): a fixed point-wise relative bound (10⁻⁴ by
@@ -17,10 +23,7 @@
 
 use crate::encoding::TemporalEncodingSelector;
 use lcr_ckpt::CheckpointBuffer;
-use lcr_compress::{
-    Compressed, DeltaMode, ErrorBound, LosslessCompressor, LosslessPipeline, LossyCompressor,
-    SzCompressor, ZfpCompressor,
-};
+use lcr_compress::{Codec, DeltaMode, ErrorBound};
 use lcr_perfmodel::theorem3_gmres_error_bound;
 use lcr_solvers::{DynamicState, IterativeMethod};
 use lcr_sparse::Vector;
@@ -113,7 +116,7 @@ pub enum CheckpointStrategy {
     /// The paper's traditional checkpointing: raw dynamic variables.
     Traditional,
     /// Lossless-compressed checkpointing (the Gzip baseline: FPC followed
-    /// by LZSS, [`LosslessPipeline`]).
+    /// by LZSS).
     Lossless,
     /// The paper's lossy checkpointing scheme.
     Lossy {
@@ -233,11 +236,20 @@ impl CheckpointStrategy {
         }
     }
 
-    fn lossy_codec(kind: LossyCodecKind) -> Box<dyn LossyCompressor> {
-        match kind {
-            LossyCodecKind::Sz => Box::new(SzCompressor::new()),
-            LossyCodecKind::Zfp => Box::new(ZfpCompressor::new()),
-        }
+    /// Which codec: the one behind this strategy's payloads, and whether
+    /// they carry the element-count frame in front of its stream (raw
+    /// payloads are their own length).  `None` saves nothing.
+    fn codec(&self) -> Option<(&'static dyn Codec, bool)> {
+        use CheckpointStrategy::{Lossless, Lossy, Traditional};
+        Some(match self {
+            CheckpointStrategy::None => return None,
+            Traditional => (&lcr_compress::RawCodec, false),
+            Lossless => (&lcr_compress::LosslessPipeline, true),
+            Lossy { codec, .. } => match codec {
+                LossyCodecKind::Sz => (&lcr_compress::SzCompressor, true),
+                LossyCodecKind::Zfp => (&lcr_compress::ZfpCompressor, true),
+            },
+        })
     }
 
     /// Encodes the solver's dynamic state into checkpoint payloads.
@@ -290,19 +302,19 @@ impl CheckpointStrategy {
     }
 
     /// Encodes a captured dynamic state into `buffer` (cleared first) —
-    /// the zero-copy checkpoint path: compressors append to the buffer
-    /// arena through their `compress_into` entry points, so no
-    /// intermediate per-variable `Vec<u8>` is built or copied.
+    /// the zero-copy checkpoint path: the codec appends to the buffer
+    /// arena, so no intermediate per-variable `Vec<u8>` is built or copied.
     ///
-    /// * `Traditional` and `Lossless` save every dynamic variable
-    ///   (Algorithm 1 line 4) and the scalars.
-    /// * `Lossy` saves only the solution vector `x` (Algorithm 2
-    ///   lines 4–5), compressed under `bound` — taken from the captured
-    ///   state, not the solver's `solution()`, because GMRES folds a
-    ///   partial correction into the checkpointed `x`.  When `selector`
-    ///   enables it, the SZ codec may encode `x` as a temporal delta
-    ///   against the previous checkpoint's quantization codes (retained in
-    ///   `selector`), whenever that stream actually comes out smaller.
+    /// * An exact strategy saves every dynamic variable (Algorithm 1
+    ///   line 4) and the scalars.
+    /// * A restart strategy saves only the solution vector `x`
+    ///   (Algorithm 2 lines 4–5), compressed under `bound` — taken from the
+    ///   captured state, not the solver's `solution()`, because GMRES folds
+    ///   a partial correction into the checkpointed `x`.  When `selector`
+    ///   enables it, a codec with a temporal encoder may encode `x` as a
+    ///   delta against the previous checkpoint's quantization codes
+    ///   (retained in `selector`), whenever that stream actually comes out
+    ///   smaller.
     ///
     /// Returns the checkpoint metadata plus the delta order chosen: `None`
     /// for a self-contained anchor, `Some(1 | 2)` for a delta that must be
@@ -318,95 +330,46 @@ impl CheckpointStrategy {
         selector: &mut TemporalEncodingSelector,
     ) -> Result<(EncodedCheckpointMeta, Option<u8>), StrategyError> {
         buffer.clear();
-        let saved: Vec<&(String, Vector)> = match self {
-            CheckpointStrategy::None => Vec::new(),
-            CheckpointStrategy::Lossy { .. } => {
-                let x = state.vectors.iter().find(|(name, _)| name == "x");
-                vec![x.ok_or_else(|| StrategyError::Malformed("dynamic state lacks x".into()))?]
-            }
-            _ => state.vectors.iter().collect(),
-        };
-        // Only the SZ codec has a temporal encoder; everything else always
-        // writes self-contained anchors.
-        let temporal = (matches!(
-            self,
-            CheckpointStrategy::Lossy {
-                codec: LossyCodecKind::Sz,
-                ..
-            }
-        ) && selector.delta_enabled())
-        .then(|| (selector.begin_snapshot(), selector.max_order()));
-        let mut mode = DeltaMode::None;
-        for (name, v) in &saved {
-            let v = v.as_slice();
-            let encoded = buffer.push_with(name, |out| match (self, temporal) {
-                (CheckpointStrategy::Lossy { .. }, Some((force_anchor, max_order))) => {
-                    Self::frame_into(out, v.len());
-                    let prior = selector.state_for(name);
-                    SzCompressor::new()
-                        .compress_temporal_into(v, bound, max_order, force_anchor, prior, out)
-                        .map(|chosen| mode = chosen)
-                }
-                (CheckpointStrategy::Lossy { codec, .. }, None) => {
-                    Self::frame_into(out, v.len());
-                    Self::lossy_codec(*codec)
-                        .compress_into(v, bound, out)
-                        .map(|_| ())
-                }
-                (CheckpointStrategy::Lossless, _) => {
-                    Self::frame_into(out, v.len());
-                    LosslessPipeline::new().compress_into(v, out).map(|_| ())
-                }
-                _ => {
-                    out.reserve(v.len() * 8);
-                    v.iter()
-                        .for_each(|x| out.extend_from_slice(&x.to_le_bytes()));
-                    Ok(())
-                }
-            });
-            encoded.map_err(|e| StrategyError::Compression(e.to_string()))?;
-        }
-        let meta = EncodedCheckpointMeta {
-            original_bytes: saved
-                .iter()
-                .map(|(_, v)| v.len() * std::mem::size_of::<f64>())
-                .sum(),
+        let exact = self.recovery_mode() == RecoveryMode::Exact;
+        let mut meta = EncodedCheckpointMeta {
+            original_bytes: 0,
             iteration: state.iteration,
-            scalars: match self.recovery_mode() {
-                RecoveryMode::Exact => state.scalars.clone(),
-                RecoveryMode::Restart => Vec::new(),
-            },
+            scalars: if exact { state.scalars.clone() } else { Vec::new() },
         };
+        let Some((codec, framed)) = self.codec() else {
+            return Ok((meta, None));
+        };
+        let force_anchor = selector.begin_snapshot();
+        let mut mode = DeltaMode::None;
+        for (name, v) in state.vectors.iter().filter(|(name, _)| exact || name == "x") {
+            let chain = force_anchor.map(|force| selector.chain_for(name, force));
+            mode = buffer
+                .push_with(name, |out| {
+                    if framed {
+                        out.extend_from_slice(&(v.len() as u64).to_le_bytes());
+                    }
+                    codec.encode_into(v.as_slice(), bound, chain, out)
+                })
+                .map_err(|e| StrategyError::Compression(e.to_string()))?;
+            meta.original_bytes += v.len() * std::mem::size_of::<f64>();
+        }
+        if buffer.is_empty() && !exact {
+            return Err(StrategyError::Malformed("dynamic state lacks x".into()));
+        }
         Ok((meta, (mode != DeltaMode::None).then_some(mode as u8)))
     }
 
-    fn bytes_to_vector(bytes: &[u8]) -> Result<Vector, StrategyError> {
-        if !bytes.len().is_multiple_of(8) {
-            return Err(StrategyError::Malformed(
-                "raw vector payload length not a multiple of 8".into(),
-            ));
+    /// Splits a payload into its element count — the 8-byte frame
+    /// `encode_state_into` wrote, or, unframed, the doubles the bytes hold
+    /// — and the codec's stream.
+    fn unframe(bytes: &[u8], framed: bool) -> Result<(usize, &[u8]), StrategyError> {
+        if !framed {
+            return Ok((bytes.len() / 8, bytes));
         }
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("chunk of 8")))
-            .collect())
-    }
-
-    /// Writes the element-count frame prefix a compressed blob follows, so
-    /// decoding stays self-contained.
-    fn frame_into(out: &mut Vec<u8>, n_elements: usize) {
-        out.extend_from_slice(&(n_elements as u64).to_le_bytes());
-    }
-
-    fn unframe(bytes: &[u8]) -> Result<Compressed, StrategyError> {
-        if bytes.len() < 8 {
-            return Err(StrategyError::Malformed("framed payload too short".into()));
-        }
-        let n_elements = u64::from_le_bytes(bytes[..8].try_into().expect("8-byte prefix")) as usize;
-        Ok(Compressed {
-            bytes: bytes[8..].to_vec(),
-            n_elements,
-        })
+        let (frame, stream) = bytes
+            .split_first_chunk::<8>()
+            .ok_or_else(|| StrategyError::Malformed("framed payload too short".into()))?;
+        Ok((u64::from_le_bytes(*frame) as usize, stream))
     }
 
     /// Decodes a recovered checkpoint *chain* (anchor first, the recovered
@@ -415,14 +378,16 @@ impl CheckpointStrategy {
     /// for an exact restore (Algorithm 1 lines 7–8), the solution vector
     /// alone for a restart (Algorithm 2 lines 8–13).  The caller applies
     /// it, because only the caller knows whether its solver can fail
-    /// doing so.  Multi-link chains are replayed through the SZ temporal
-    /// decoder, which reconstructs the final `x` bit-identically to what a
-    /// direct (anchor) decode of that checkpoint would have produced.
+    /// doing so.  Each variable's links are handed to the codec as they
+    /// lie in the recovered payloads; a multi-link chain is replayed by the
+    /// codec's temporal decoder, which reconstructs the final `x`
+    /// bit-identically to what a direct (anchor) decode of that checkpoint
+    /// would have produced.
     ///
     /// # Errors
     /// Returns [`StrategyError`] if the chain is empty, a payload is
-    /// missing or undecodable, or a multi-link chain reaches a strategy
-    /// whose checkpoints are always self-contained.
+    /// missing or undecodable, or a multi-link chain reaches a codec whose
+    /// streams are always self-contained.
     pub(crate) fn decode_chain<L: AsRef<[(String, Vec<u8>)]>>(
         &self,
         chain: &[L],
@@ -432,55 +397,34 @@ impl CheckpointStrategy {
         let Some(last) = chain.last() else {
             return Err(StrategyError::Malformed("empty checkpoint chain".into()));
         };
-        let compression =
-            |e: lcr_compress::CompressError| StrategyError::Compression(e.to_string());
-        let self_contained = || {
-            StrategyError::Malformed(format!(
-                "{} checkpoints are self-contained, but a {}-link chain was recovered",
-                self.name(),
-                chain.len()
-            ))
+        let Some((codec, framed)) = self.codec() else {
+            return Err(StrategyError::Malformed(
+                "the no-checkpoint strategy cannot recover".into(),
+            ));
         };
-        let vectors = match self {
-            CheckpointStrategy::None => {
-                return Err(StrategyError::Malformed(
-                    "the no-checkpoint strategy cannot recover".into(),
-                ))
+        let exact = self.recovery_mode() == RecoveryMode::Exact;
+        let saved = last.as_ref().iter().filter(|(name, _)| exact || name == "x");
+        let mut vectors = Vec::new();
+        for (name, _) in saved {
+            let mut n_elements = 0;
+            let mut links = Vec::with_capacity(chain.len());
+            for link in chain {
+                let payload = link.as_ref().iter().find(|(n, _)| n == name);
+                let (_, bytes) = payload.ok_or_else(|| {
+                    StrategyError::Malformed(format!("a link of the chain lacks {name}"))
+                })?;
+                let (n, stream) = Self::unframe(bytes, framed)?;
+                n_elements = n;
+                links.push(stream);
             }
-            CheckpointStrategy::Lossy { codec, .. } => {
-                let links = chain
-                    .iter()
-                    .map(|payloads| {
-                        let x = payloads.as_ref().iter().find(|(name, _)| name == "x");
-                        let (_, bytes) = x.ok_or_else(|| {
-                            StrategyError::Malformed("lossy checkpoint lacks x".into())
-                        })?;
-                        Self::unframe(bytes)
-                    })
-                    .collect::<Result<Vec<_>, StrategyError>>()?;
-                let x = match (codec, links.as_slice()) {
-                    (LossyCodecKind::Sz, _) => SzCompressor::new().decompress_chain(&links),
-                    (_, [only]) => Self::lossy_codec(*codec).decompress(only),
-                    _ => return Err(self_contained()),
-                };
-                vec![("x".to_string(), Vector::from_vec(x.map_err(compression)?))]
-            }
-            _ if chain.len() > 1 => return Err(self_contained()),
-            _ => last
-                .as_ref()
-                .iter()
-                .map(|(name, bytes)| {
-                    let vector = match self {
-                        CheckpointStrategy::Lossless => {
-                            let data = LosslessPipeline::new().decompress(&Self::unframe(bytes)?);
-                            Vector::from_vec(data.map_err(compression)?)
-                        }
-                        _ => Self::bytes_to_vector(bytes)?,
-                    };
-                    Ok((name.clone(), vector))
-                })
-                .collect::<Result<Vec<_>, StrategyError>>()?,
-        };
+            let values = codec
+                .decode_chain(&links, n_elements)
+                .map_err(|e| StrategyError::Compression(e.to_string()))?;
+            vectors.push((name.clone(), Vector::from_vec(values)));
+        }
+        if vectors.is_empty() && !exact {
+            return Err(StrategyError::Malformed("lossy checkpoint lacks x".into()));
+        }
         let state = DynamicState {
             iteration,
             scalars: scalars.to_vec(),

@@ -11,7 +11,7 @@
 //! thread-count independent.
 
 use lossy_ckpt::compress::{
-    Compressed, DeltaMode, ErrorBound, LossyCompressor, SzCompressor, SzTemporalState,
+    Codec, Compressed, DeltaMode, ErrorBound, SzCompressor, SzTemporalState,
 };
 use lossy_ckpt::core::workload::PaperWorkload;
 use lossy_ckpt::solvers::SolverKind;

@@ -3,7 +3,7 @@
 //! run still converges to a solution within the user-set accuracy, and the
 //! spread between runs is far below the convergence tolerance.
 
-use lossy_ckpt::compress::{ErrorBound, LossyCompressor, SzCompressor};
+use lossy_ckpt::compress::{Codec, ErrorBound, SzCompressor};
 use lossy_ckpt::core::strategy::CheckpointStrategy;
 use lossy_ckpt::core::workload::PaperWorkload;
 use lossy_ckpt::solvers::SolverKind;

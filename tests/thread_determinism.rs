@@ -6,7 +6,7 @@
 //! block-Jacobi-preconditioned CG and GMRES(30) solves, whose blocks are
 //! factorised and swept on the pool, a few at a time per task.
 
-use lossy_ckpt::compress::{ErrorBound, LossyCompressor, SzCompressor};
+use lossy_ckpt::compress::{Codec, ErrorBound, SzCompressor};
 use lossy_ckpt::core::{PaperWorkload, ScaledProblem};
 use lossy_ckpt::solvers::{
     BlockJacobiPreconditioner, JacobiPreconditioner, Preconditioner, SolverKind,

@@ -5,7 +5,7 @@
 //! sparse → compress → solvers stack and pool misbehaviour under
 //! concurrent top-level callers.
 
-use lossy_ckpt::compress::{ErrorBound, LossyCompressor, SzCompressor};
+use lossy_ckpt::compress::{Codec, ErrorBound, SzCompressor};
 use lossy_ckpt::solvers::{ConjugateGradient, IterativeMethod, LinearSystem, StoppingCriteria};
 use lossy_ckpt::sparse::poisson::{manufactured_rhs, poisson3d};
 use lossy_ckpt::sparse::{Vector, PAR_THRESHOLD};

@@ -6,7 +6,7 @@
 use lossy_ckpt::ckpt::{
     CheckpointBuffer, CheckpointLevel, ClusterConfig, FtiContext, PfsModel, SimClock,
 };
-use lossy_ckpt::compress::{Compressed, ErrorBound, LossyCompressor, SzCompressor};
+use lossy_ckpt::compress::{Codec, Compressed, ErrorBound, SzCompressor};
 use lossy_ckpt::solvers::{ConjugateGradient, IterativeMethod, LinearSystem, StoppingCriteria};
 use lossy_ckpt::sparse::poisson::{manufactured_rhs, poisson3d};
 use lossy_ckpt::sparse::Vector;
