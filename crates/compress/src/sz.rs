@@ -921,7 +921,9 @@ impl LogSide {
 /// Retained prior-snapshot quantization codes for one variable, enabling
 /// temporal delta coding of the next snapshot.  `codes1` is the newest
 /// prior; `codes2` the one before it (order-2 extrapolation), valid only
-/// while `prev2_valid` and the shapes agree.  `unpred1` holds the newest
+/// while `prev2_valid` — the newest prior is itself a delta against it, so
+/// both lie in the chain a store keeps from the last anchor — and the
+/// shapes agree.  `unpred1` holds the newest
 /// prior's unpredictable values (one per reserved bin in `codes1`) — the
 /// base the next delta stream's XOR tail codes against — and `zeros1` /
 /// `signs1` its point-wise-relative bitmaps, which the next delta stream
@@ -1085,9 +1087,10 @@ impl Codec for SzCompressor {
             }
         }
         Self::emit_temporal(sized, state, out);
-        // The rotated-out prior is a valid second-order base if it had this
-        // snapshot's shape.
-        state.prev2_valid = shape_ok;
+        // The rotated-out prior is a second-order base for the next snapshot
+        // only if this one leans on it: a chain is stored from its anchor
+        // on, so order 2 needs two links after the anchor.
+        state.prev2_valid = shape_ok && mode != DeltaMode::None;
         state.key = Some(key);
         Ok(mode)
     }

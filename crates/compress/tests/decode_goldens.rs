@@ -60,11 +60,10 @@ fn decode_fingerprint(steps: &[Step], bound: ErrorBound, max_order: DeltaMode) -
         });
         modes.push(mode);
         // The shortest chain that decodes this snapshot starts at the
-        // nearest anchor — unless the link after that anchor is an order-2
-        // delta, which reaches one snapshot behind it.
-        let anchor = (0..modes.len())
-            .rev()
-            .find(|&a| modes[a] == DeltaMode::None && modes.get(a + 1) != Some(&DeltaMode::Order2))
+        // nearest anchor, which is where a store's chain for it starts.
+        let anchor = modes
+            .iter()
+            .rposition(|&mode| mode == DeltaMode::None)
             .expect("a session starts at an anchor");
         replayed += usize::from(session.len() - anchor > 1);
 

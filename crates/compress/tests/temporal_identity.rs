@@ -8,7 +8,8 @@
 //! order-1 / order-2 fully entropy-coded per block through a heap-built
 //! code book and a per-call dense or binary-searched symbol index, the
 //! losers thrown away, the point-wise relative bitmaps written a bit at a
-//! time.  The production encoder must
+//! time.  It has been taught one rule since — the snapshot after an
+//! anchor is not offered order 2.  The production encoder must
 //! reproduce its streams to the byte, its chosen [`DeltaMode`]s and the
 //! state it retains, at any thread count.
 
@@ -1064,7 +1065,10 @@ mod oracle {
             // the same stream shape) and the freed buffer absorbs the new
             // codes — no steady-state reallocation.
             std::mem::swap(&mut state.codes1, &mut state.codes2);
-            state.prev2_valid = shape_ok;
+            // The one rule newer than this oracle: an anchor, forced or
+            // chosen, is no second-order base (a chain is stored from its
+            // anchor on).
+            state.prev2_valid = shape_ok && mode != DeltaMode::None;
             state.codes1.clear();
             state.codes1.reserve(code_n);
             state.unpred1.clear();
