@@ -4,14 +4,16 @@
 //! `spmv` and SZ compression/decompression are **bit-identical** whether
 //! they run on 1 thread or on the whole pool — and so are whole
 //! block-Jacobi-preconditioned CG and GMRES(30) solves, whose blocks are
-//! factorised and swept on the pool, a few at a time per task.
+//! factorised and swept on the pool, a few at a time per task, and the
+//! fused inner loops of unpreconditioned CG, BiCGStab and GMRES(30).
 
 use lossy_ckpt::compress::{Codec, ErrorBound, SzCompressor};
 use lossy_ckpt::core::{PaperWorkload, ScaledProblem};
 use lossy_ckpt::solvers::{
-    BlockJacobiPreconditioner, JacobiPreconditioner, Preconditioner, SolverKind,
+    BiCgStab, BlockJacobiPreconditioner, ConjugateGradient, Gmres, IterativeMethod,
+    JacobiPreconditioner, LinearSystem, Preconditioner, SolverKind, StoppingCriteria,
 };
-use lossy_ckpt::sparse::poisson::poisson3d;
+use lossy_ckpt::sparse::poisson::{manufactured_rhs, poisson3d};
 use lossy_ckpt::sparse::vector::{axpy, dot, norm2};
 use lossy_ckpt::sparse::{CsrMatrix, Vector, PAR_THRESHOLD};
 use proptest::prelude::*;
@@ -186,6 +188,41 @@ fn preconditioned_cg_and_gmres_traces_bit_identical_at_1_vs_n_threads() {
                 one.1 == many.1,
                 "{kind:?}: solution differs at {threads} threads"
             );
+        }
+    }
+}
+
+#[test]
+fn unpreconditioned_cg_bicgstab_and_gmres_traces_bit_identical_at_1_vs_2_vs_n_threads() {
+    ensure_pool();
+    // The paper-sign Poisson system for BiCGStab and GMRES; CG needs the
+    // equivalent SPD one.  33³ unknowns: every fused kernel goes to the pool.
+    let a = poisson3d(33);
+    assert!(a.nrows() >= PAR_THRESHOLD);
+    let (_, b) = manufactured_rhs(&a);
+    let mut minus_b = b.clone();
+    minus_b.scale(-1.0);
+    let (plain, spd) = (LinearSystem::new(a.clone(), b), LinearSystem::new(a.negated(), minus_b));
+    let x0 = || Vector::zeros(a.nrows());
+    // 40 steps under criteria that never trigger: GMRES(30) restarts once.
+    let open = StoppingCriteria::new(0.0, usize::MAX);
+    let solvers: [(&str, &dyn Fn() -> Box<dyn IterativeMethod>); 3] = [
+        ("cg", &|| Box::new(ConjugateGradient::unpreconditioned(spd.clone(), x0(), open))),
+        ("bicgstab", &|| Box::new(BiCgStab::unpreconditioned(plain.clone(), x0(), open))),
+        ("gmres(30)", &|| Box::new(Gmres::unpreconditioned(plain.clone(), x0(), 30, open))),
+    ];
+    for (name, make) in solvers {
+        let trace = |threads: usize| {
+            with_threads(threads, || {
+                let mut solver = make();
+                (0..40).for_each(|_| solver.step());
+                bits(solver.history().residuals())
+            })
+        };
+        let one = trace(1);
+        assert!(one.len() >= 40, "{name}: {} residuals", one.len());
+        for threads in [2, 0] {
+            assert!(trace(threads) == one, "{name}: trace differs at {threads} threads");
         }
     }
 }
