@@ -1457,29 +1457,6 @@ mod tests {
     }
 
     #[test]
-    fn temporal_anchor_decodes_like_v4() {
-        let data = smooth_signal(10_000);
-        let sz = SzCompressor::new();
-        let bound = ErrorBound::Abs(1e-6);
-        let mut state = SzTemporalState::new();
-        let mut bytes = Vec::new();
-        let mode = sz
-            .compress_temporal_into(&data, bound, DeltaMode::Order1, true, &mut state, &mut bytes)
-            .unwrap();
-        assert_eq!(mode, DeltaMode::None, "forced anchor must be direct");
-        assert_eq!(bytes[1], 5, "temporal streams carry version 5");
-        let anchor = Compressed {
-            bytes,
-            n_elements: data.len(),
-        };
-        // A v5 anchor is self-contained and decodes bit-identically to
-        // the plain v4 stream of the same data.
-        let via_v5 = sz.decompress(&anchor).unwrap();
-        let via_v4 = sz.decompress(&sz.compress(&data, bound).unwrap()).unwrap();
-        assert_eq!(via_v5, via_v4);
-    }
-
-    #[test]
     fn delta_chain_replay_is_bit_identical_to_direct_decode() {
         let sz = SzCompressor::new();
         for bound in [

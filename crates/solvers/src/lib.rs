@@ -47,7 +47,7 @@
 pub mod bicgstab;
 pub mod cg;
 pub mod convergence;
-pub mod gmres;
+mod gmres;
 pub mod precond;
 mod progress;
 pub mod space;

@@ -206,7 +206,8 @@ fn unpreconditioned_cg_bicgstab_and_gmres_traces_bit_identical_at_1_vs_2_vs_n_th
     let x0 = || Vector::zeros(a.nrows());
     // 40 steps under criteria that never trigger: GMRES(30) restarts once.
     let open = StoppingCriteria::new(0.0, usize::MAX);
-    let solvers: [(&str, &dyn Fn() -> Box<dyn IterativeMethod>); 3] = [
+    type Make<'a> = &'a dyn Fn() -> Box<dyn IterativeMethod>;
+    let solvers: [(&str, Make); 3] = [
         ("cg", &|| Box::new(ConjugateGradient::unpreconditioned(spd.clone(), x0(), open))),
         ("bicgstab", &|| Box::new(BiCgStab::unpreconditioned(plain.clone(), x0(), open))),
         ("gmres(30)", &|| Box::new(Gmres::unpreconditioned(plain.clone(), x0(), 30, open))),
