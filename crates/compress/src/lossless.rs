@@ -32,7 +32,7 @@ const LZSS_ID: u8 = 11;
 const PIPELINE_ID: u8 = 12;
 
 /// Reads the `[id][u64 n]` prologue the three compressed streams share.
-fn open(stream: &[u8], pos: &mut usize, expected: u8, n_elements: usize) -> Result<()> {
+fn read_prologue(stream: &[u8], pos: &mut usize, expected: u8, n_elements: usize) -> Result<()> {
     let found = bytes::get_slice(stream, pos, 1)?[0];
     if found != expected {
         return Err(CompressError::WrongCodec { found, expected });
@@ -213,7 +213,7 @@ impl Codec for FpcCodec {
 
     fn decode(&self, buf: &[u8], n: usize) -> Result<Vec<f64>> {
         let mut pos = 0usize;
-        open(buf, &mut pos, FPC_ID, n)?;
+        read_prologue(buf, &mut pos, FPC_ID, n)?;
         let header_len = bytes::get_u64(buf, &mut pos)? as usize;
         let headers = bytes::get_slice(buf, &mut pos, header_len)?.to_vec();
         let resid_len = bytes::get_u64(buf, &mut pos)? as usize;
@@ -433,7 +433,7 @@ impl Codec for LzssCodec {
 
     fn decode(&self, buf: &[u8], n: usize) -> Result<Vec<f64>> {
         let mut pos = 0usize;
-        open(buf, &mut pos, LZSS_ID, n)?;
+        read_prologue(buf, &mut pos, LZSS_ID, n)?;
         doubles(&self.decompress_bytes(&buf[pos..])?, n)
     }
 }
@@ -477,7 +477,7 @@ impl Codec for LosslessPipeline {
 
     fn decode(&self, buf: &[u8], n: usize) -> Result<Vec<f64>> {
         let mut pos = 0usize;
-        open(buf, &mut pos, PIPELINE_ID, n)?;
+        read_prologue(buf, &mut pos, PIPELINE_ID, n)?;
         FpcCodec.decode(&LzssCodec.decompress_bytes(&buf[pos..])?, n)
     }
 }

@@ -474,7 +474,7 @@ impl SzCompressor {
         self.encode_into(data, bound, Some(chain), out)
     }
 
-    /// The sizing pass of the temporal encoder: quantizes the snapshot
+    /// The sizing pass of the encoder: quantizes the snapshot
     /// straight into the state's spare code buffer, plans the exact Huffman
     /// blob of every (block × candidate) pair on the pool — a one-block
     /// stream still keeps as many threads busy as it has candidates — and
@@ -845,7 +845,7 @@ struct StateKey {
     n_codes: usize,
 }
 
-/// A snapshot after the temporal encoder's sizing pass: the coding that won
+/// A snapshot after the encoder's sizing pass: the coding that won
 /// and what emitting it takes.
 struct SizedSnapshot {
     mode: DeltaMode,

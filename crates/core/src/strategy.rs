@@ -240,16 +240,14 @@ impl CheckpointStrategy {
     /// they carry the element-count frame in front of its stream (raw
     /// payloads are their own length).  `None` saves nothing.
     fn codec(&self) -> Option<(&'static dyn Codec, bool)> {
-        use CheckpointStrategy::{Lossless, Lossy, Traditional};
-        Some(match self {
-            CheckpointStrategy::None => return None,
-            Traditional => (&lcr_compress::RawCodec, false),
-            Lossless => (&lcr_compress::LosslessPipeline, true),
-            Lossy { codec, .. } => match codec {
-                LossyCodecKind::Sz => (&lcr_compress::SzCompressor, true),
-                LossyCodecKind::Zfp => (&lcr_compress::ZfpCompressor, true),
-            },
-        })
+        use LossyCodecKind::{Sz, Zfp};
+        match self {
+            CheckpointStrategy::None => None,
+            CheckpointStrategy::Traditional => Some((&lcr_compress::RawCodec, false)),
+            CheckpointStrategy::Lossless => Some((&lcr_compress::LosslessPipeline, true)),
+            CheckpointStrategy::Lossy { codec: Sz, .. } => Some((&lcr_compress::SzCompressor, true)),
+            CheckpointStrategy::Lossy { codec: Zfp, .. } => Some((&lcr_compress::ZfpCompressor, true)),
+        }
     }
 
     /// Encodes the solver's dynamic state into checkpoint payloads.
