@@ -220,6 +220,7 @@ impl PaperWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lcr_solvers::BiCgStab;
 
     #[test]
     fn paper_tolerances() {
@@ -275,6 +276,28 @@ mod tests {
             solver.run_to_convergence();
             assert!(solver.converged(), "{kind:?} did not converge");
             assert!(!solver.history().limit_reached, "{kind:?} hit the limit");
+        }
+    }
+
+    #[test]
+    fn traditional_checkpoint_vectors_are_what_capture_state_saves() {
+        let w = PaperWorkload::poisson(256, 4);
+        let p = w.build();
+        let n = p.system.dim();
+        for kind in [SolverKind::Jacobi, SolverKind::Cg, SolverKind::Gmres, SolverKind::BiCgStab] {
+            let solver: Box<dyn IterativeMethod> = match kind {
+                SolverKind::BiCgStab => Box::new(BiCgStab::unpreconditioned(
+                    p.system.clone(),
+                    Vector::zeros(n),
+                    StoppingCriteria::new(paper_rtol(kind), 10),
+                )),
+                _ => w.build_solver(&p, kind, 10),
+            };
+            assert_eq!(
+                solver.capture_state().vectors.len(),
+                kind.traditional_checkpoint_vectors(),
+                "{kind:?}"
+            );
         }
     }
 

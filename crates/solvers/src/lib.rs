@@ -106,10 +106,12 @@ impl SolverKind {
     }
 
     /// Number of dynamic *vectors* a traditional checkpoint stores for this
-    /// method (Table 3: CG checkpoints `x` and `p`, the others only `x`).
+    /// method (Table 3: CG checkpoints `x` and `p`, Jacobi and GMRES only
+    /// `x`; BiCGStab `x`, `p`, `v` and `r̂`).
     pub fn traditional_checkpoint_vectors(&self) -> usize {
         match self {
             SolverKind::Cg => 2,
+            SolverKind::BiCgStab => 4,
             _ => 1,
         }
     }
