@@ -136,8 +136,7 @@ fn measure_strategy_ratios(
 /// checkpoint path: runs the local instance on the sharded executor with
 /// per-shard SZ epoch checkpoints and returns `original_bytes /
 /// stored_bytes` of the newest committed epoch (all shard segments
-/// summed).  `None` for solvers the sharded backend does not support
-/// (GMRES & the stationary variants beyond Jacobi).
+/// summed).  `None` for GMRES, which the sharded backend does not run.
 fn measured_shard_segment_ratio(
     problem: &ScaledProblem,
     kind: SolverKind,
@@ -148,7 +147,7 @@ fn measured_shard_segment_ratio(
         SolverKind::Cg => ShardedMethod::Cg,
         SolverKind::Jacobi => ShardedMethod::Jacobi,
         SolverKind::BiCgStab => ShardedMethod::BiCgStab,
-        _ => return None,
+        SolverKind::Gmres => return None,
     };
     let mut a = (*problem.system.a).clone();
     let mut b = (*problem.system.b).clone();

@@ -38,7 +38,7 @@ pub enum WorkloadKind {
 /// The paper's relative convergence tolerances (§5.1).
 pub fn paper_rtol(kind: SolverKind) -> f64 {
     match kind {
-        SolverKind::Jacobi | SolverKind::GaussSeidel | SolverKind::Sor | SolverKind::Ssor => 1e-4,
+        SolverKind::Jacobi => 1e-4,
         SolverKind::Gmres => 7e-5,
         SolverKind::Cg => 1e-7,
         SolverKind::BiCgStab => 1e-6,

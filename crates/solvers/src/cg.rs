@@ -210,7 +210,7 @@ impl<S: Space> crate::TryIterativeMethod for ConjugateGradient<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::precond::{Ic0Preconditioner, JacobiPreconditioner};
+    use crate::precond::{BlockJacobiPreconditioner, JacobiPreconditioner};
     use crate::IterativeMethod;
     use lcr_sparse::poisson::{manufactured_rhs, poisson2d, poisson3d};
     use lcr_sparse::CsrMatrix;
@@ -251,13 +251,13 @@ mod tests {
         let plain =
             ConjugateGradient::unpreconditioned(sys.clone(), Vector::zeros(n), criteria(1e-10))
                 .run_to_convergence();
-        let ic = Arc::new(Ic0Preconditioner::new(&sys.a).unwrap());
-        let pcg = ConjugateGradient::new(sys.clone(), ic, Vector::zeros(n), criteria(1e-10))
+        let ilu = Arc::new(BlockJacobiPreconditioner::new(&sys.a, 1).unwrap());
+        let pcg = ConjugateGradient::new(sys.clone(), ilu, Vector::zeros(n), criteria(1e-10))
             .run_to_convergence();
         let jac = Arc::new(JacobiPreconditioner::new(&sys.a).unwrap());
         let jcg = ConjugateGradient::new(sys, jac, Vector::zeros(n), criteria(1e-10))
             .run_to_convergence();
-        assert!(pcg < plain, "IC(0)-PCG {pcg} vs CG {plain}");
+        assert!(pcg < plain, "ILU(0)-PCG {pcg} vs CG {plain}");
         // Jacobi preconditioning of the constant-diagonal Poisson matrix is
         // a pure scaling, so it cannot be slower than plain CG by more than
         // rounding noise.

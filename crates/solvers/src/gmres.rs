@@ -15,19 +15,22 @@
 //! iteration (one new Krylov vector), which matches the per-iteration
 //! checkpointing granularity used by the fault-tolerance driver.
 
-use crate::convergence::{ConvergenceHistory, StoppingCriteria};
+use crate::convergence::StoppingCriteria;
 use crate::precond::{IdentityPreconditioner, Preconditioner};
-use crate::{DynamicState, IterativeMethod, LinearSystem};
+use crate::progress::Progress;
+use crate::{DynamicState, LinearSystem};
 use lcr_sparse::{kernels, Vector};
+use std::convert::Infallible;
 use std::sync::Arc;
 
 /// Restarted GMRES(m) solver.
 pub struct Gmres {
     system: LinearSystem,
     precond: Arc<dyn Preconditioner>,
-    criteria: StoppingCriteria,
     restart: usize,
-    x: Vector,
+    /// The iterate, the stopping rule and the history; the residual it
+    /// tracks is the left-preconditioned one, `‖M⁻¹(b − A x)‖`.
+    state: Progress,
     /// Krylov basis vectors (up to `restart + 1`).
     basis: Vec<Vector>,
     /// Upper-Hessenberg matrix stored column-wise: `hessenberg[j]` holds
@@ -45,10 +48,6 @@ pub struct Gmres {
     w: Vector,
     /// Inner iteration index within the current cycle.
     inner: usize,
-    iteration: usize,
-    residual_norm: f64,
-    reference_norm: f64,
-    history: ConvergenceHistory,
 }
 
 impl Gmres {
@@ -65,32 +64,26 @@ impl Gmres {
     ) -> Self {
         assert!(restart > 0, "restart length must be positive");
         assert_eq!(x0.len(), system.dim(), "x0 dimension mismatch");
-        let reference_norm = {
-            // Left preconditioning: convergence is measured on M⁻¹(b − Ax).
-            let pb = precond.apply(&system.b);
-            pb.norm2()
-        };
         let n = system.dim();
+        let (mut av, mut w) = (Vector::zeros(n), Vector::zeros(n));
+        // Left preconditioning: convergence is measured on M⁻¹(b − Ax).
+        precond.apply_into(&system.b, &mut w);
+        let reference_norm = w.norm2();
+        let beta = left_residual(&system, precond.as_ref(), &x0, &mut av, &mut w);
         let mut solver = Gmres {
             system,
             precond,
-            criteria,
             restart,
-            x: x0,
+            state: Progress::new(x0, criteria, reference_norm, beta),
             basis: Vec::new(),
             hessenberg: Vec::new(),
             givens: Vec::new(),
             g: Vec::new(),
-            av: Vector::zeros(n),
-            w: Vector::zeros(n),
+            av,
+            w,
             inner: 0,
-            iteration: 0,
-            residual_norm: 0.0,
-            reference_norm,
-            history: ConvergenceHistory::new(0.0),
         };
-        solver.begin_cycle();
-        solver.history = ConvergenceHistory::new(solver.residual_norm);
+        solver.open_basis(beta);
         solver
     }
 
@@ -110,17 +103,17 @@ impl Gmres {
         )
     }
 
-    /// Starts a new outer cycle from the current `x`, reusing the `av`/`w`
-    /// scratch for the residual and its preconditioned image.
+    /// Starts a new outer cycle from the current `x`.
     fn begin_cycle(&mut self) {
-        self.system.a.residual_into(
-            self.x.as_slice(),
-            self.system.b.as_slice(),
-            self.av.as_mut_slice(),
-        );
-        self.precond.apply_into(&self.av, &mut self.w);
-        let beta = self.w.norm2();
-        self.residual_norm = beta;
+        let (system, precond) = (&self.system, self.precond.as_ref());
+        let beta = left_residual(system, precond, &self.state.x, &mut self.av, &mut self.w);
+        self.state.residual_norm = beta;
+        self.open_basis(beta);
+    }
+
+    /// Empties the cycle and opens the basis with `v0 = w / β`, where `w`
+    /// holds the preconditioned residual and `β` its norm.
+    fn open_basis(&mut self, beta: f64) {
         self.basis.clear();
         self.hessenberg.clear();
         self.givens.clear();
@@ -158,51 +151,51 @@ impl Gmres {
         }
         let y = self.solve_correction();
         for (j, &yj) in y.iter().enumerate() {
-            self.x.axpy(yj, &self.basis[j]);
+            self.state.x.axpy(yj, &self.basis[j]);
         }
     }
 
     /// True (unpreconditioned) residual norm of the current `x`.
     #[cfg(test)]
     fn true_residual_norm(&self) -> f64 {
-        self.system.a.residual(&self.x, &self.system.b).norm2()
+        self.system.a.residual(&self.state.x, &self.system.b).norm2()
     }
 }
 
-impl IterativeMethod for Gmres {
+/// `w = M⁻¹(b − A x)` through the `av` scratch; returns `‖w‖`.
+fn left_residual(
+    system: &LinearSystem,
+    precond: &dyn Preconditioner,
+    x: &Vector,
+    av: &mut Vector,
+    w: &mut Vector,
+) -> f64 {
+    system
+        .a
+        .residual_into(x.as_slice(), system.b.as_slice(), av.as_mut_slice());
+    precond.apply_into(av, w);
+    w.norm2()
+}
+
+impl crate::TryIterativeMethod for Gmres {
+    type Error = Infallible;
+
     fn name(&self) -> &'static str {
         "gmres"
     }
 
-    fn iteration(&self) -> usize {
-        self.iteration
+    fn progress(&self) -> &Progress {
+        &self.state
     }
 
-    fn residual_norm(&self) -> f64 {
-        self.residual_norm
+    fn progress_mut(&mut self) -> &mut Progress {
+        &mut self.state
     }
 
-    fn reference_norm(&self) -> f64 {
-        self.reference_norm
-    }
-
-    fn solution(&self) -> &Vector {
-        &self.x
-    }
-
-    fn converged(&self) -> bool {
-        self.criteria
-            .is_satisfied(self.residual_norm, self.reference_norm)
-            || self.criteria.limit_reached(self.iteration)
-    }
-
-    fn step(&mut self) {
-        if self.converged() {
-            return;
-        }
-        if self.basis.is_empty() {
-            // Exact solution already (zero residual) — nothing to do.
-            return;
+    fn try_step(&mut self) -> Result<(), Infallible> {
+        // An empty basis means a zero residual: the solve is exact.
+        if self.state.converged() || self.basis.is_empty() {
+            return Ok(());
         }
 
         let j = self.inner;
@@ -256,16 +249,11 @@ impl IterativeMethod for Gmres {
 
         self.hessenberg.push(h_col);
         self.inner += 1;
-        self.iteration += 1;
-        self.residual_norm = self.g[self.inner].abs();
-        self.history.record(self.residual_norm);
-        if self.criteria.limit_reached(self.iteration) {
-            self.history.limit_reached = true;
-        }
+        self.state.accept(self.g[self.inner].abs());
 
         let happy_breakdown = h_next == 0.0;
         let cycle_full = self.inner == self.restart;
-        if self.converged() || cycle_full || happy_breakdown {
+        if self.state.converged() || cycle_full || happy_breakdown {
             // Fold the accumulated correction into x and restart the cycle.
             self.update_solution();
             self.begin_cycle();
@@ -277,6 +265,7 @@ impl IterativeMethod for Gmres {
             kernels::scale_into(v_next.as_mut_slice(), 1.0 / h_next, self.w.as_slice());
             self.basis.push(v_next);
         }
+        Ok(())
     }
 
     fn capture_state(&self) -> DynamicState {
@@ -284,35 +273,30 @@ impl IterativeMethod for Gmres {
         // is x — the Krylov basis is discarded at restarts anyway.  To keep
         // the checkpoint consistent we capture the *restart-consistent*
         // solution: x with the current partial correction folded in.
-        let mut x = self.x.clone();
+        let mut x = self.state.x.clone();
         for (j, &yj) in self.solve_correction().iter().enumerate() {
             x.axpy(yj, &self.basis[j]);
         }
         DynamicState {
-            iteration: self.iteration,
+            iteration: self.state.iteration(),
             scalars: Vec::new(),
             vectors: vec![("x".to_string(), x)],
         }
     }
 
-    fn restore_state(&mut self, state: &DynamicState) {
-        let x = state
+    fn try_restore_state(&mut self, state: &DynamicState) -> Result<(), Infallible> {
+        self.state.x = state
             .vector("x")
             .expect("GMRES checkpoint must contain x")
             .clone();
-        self.restart_from_solution(x, state.iteration);
+        self.try_restart(state.iteration)
     }
 
-    fn restart_from_solution(&mut self, x: Vector, iteration: usize) {
-        assert_eq!(x.len(), self.system.dim(), "restart vector dimension");
-        self.x = x;
-        self.iteration = iteration;
+    fn try_restart(&mut self, iteration: usize) -> Result<(), Infallible> {
+        // A restart is a new cycle from x: the Krylov state is rebuilt.
+        self.state.restarted(iteration);
         self.begin_cycle();
-        self.history.record_restart(iteration);
-    }
-
-    fn history(&self) -> &ConvergenceHistory {
-        &self.history
+        Ok(())
     }
 }
 
@@ -320,6 +304,7 @@ impl IterativeMethod for Gmres {
 mod tests {
     use super::*;
     use crate::precond::JacobiPreconditioner;
+    use crate::IterativeMethod;
     use lcr_sparse::kkt::{kkt_system, KktConfig};
     use lcr_sparse::poisson::{manufactured_rhs, poisson2d, poisson3d};
     use lcr_sparse::CsrMatrix;

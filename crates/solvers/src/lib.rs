@@ -7,9 +7,10 @@
 //! The paper evaluates three families of solvers provided by PETSc:
 //! stationary methods (represented by Jacobi), the restarted generalized
 //! minimum residual method GMRES(m), and the (restarted) conjugate gradient
-//! method CG/PCG.  This crate provides all of them, plus Gauss–Seidel,
-//! SOR, SSOR and BiCGStab, and the preconditioners the paper uses
-//! (Jacobi, block Jacobi, ILU(0), IC(0), SSOR).
+//! method CG/PCG.  This crate provides all of them, plus BiCGStab, and the
+//! preconditioners the paper uses: Jacobi (diagonal) for GMRES on KKT240,
+//! and block Jacobi with ILU(0) inside the blocks for CG and GMRES on
+//! Poisson.
 //!
 //! ## Step-wise execution and checkpointable state
 //!
@@ -34,12 +35,16 @@
 //!
 //! ## One loop, two spaces
 //!
+//! Every method is one recurrence over a [`Progress`] — the iterate, both
+//! norms, the history, the stopping rule and the limit flag — behind
+//! [`TryIterativeMethod`]: a step ends in accepting the new residual, and a
+//! recovery restarts the recurrence from the solution the progress holds.
 //! CG, BiCGStab and Jacobi are each written once, over the [`Space`] their
 //! vectors live in ([`space`]): the whole system or one shard of it.  A
-//! space that can fail makes `step` fallible, so the generic solvers
-//! implement [`TryIterativeMethod`]; [`IterativeMethod`] is the same
-//! interface for a space that cannot, and both executors of `lcr-core`
-//! drive their solver one step at a time through one of the two.
+//! space that can fail makes `step` fallible; [`IterativeMethod`] is the
+//! same interface for a method that cannot (any method on [`LocalSpace`],
+//! and GMRES, which runs on the whole system only), and both executors of
+//! `lcr-core` drive their solver one step at a time through one of the two.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,10 +53,10 @@ pub mod bicgstab;
 pub mod cg;
 pub mod convergence;
 mod gmres;
+mod jacobi;
 pub mod precond;
 mod progress;
 pub mod space;
-mod stationary;
 
 use std::convert::Infallible;
 use std::sync::Arc;
@@ -63,13 +68,12 @@ pub use bicgstab::BiCgStab;
 pub use cg::ConjugateGradient;
 pub use convergence::{ConvergenceHistory, StoppingCriteria};
 pub use gmres::Gmres;
+pub use jacobi::Jacobi;
 pub use precond::{
-    BlockJacobiPreconditioner, Ic0Preconditioner, IdentityPreconditioner, JacobiPreconditioner,
-    Preconditioner,
+    BlockJacobiPreconditioner, IdentityPreconditioner, JacobiPreconditioner, Preconditioner,
 };
 pub use progress::Progress;
 pub use space::{LocalSpace, ShardSpace, Space};
-pub use stationary::{GaussSeidel, Jacobi, Sor, Ssor, StationarySolver};
 
 /// Which iterative method a configuration refers to; used by the experiment
 /// harness to build solvers generically.
@@ -77,12 +81,6 @@ pub use stationary::{GaussSeidel, Jacobi, Sor, Ssor, StationarySolver};
 pub enum SolverKind {
     /// The Jacobi stationary method (the paper's stationary representative).
     Jacobi,
-    /// Gauss–Seidel stationary method.
-    GaussSeidel,
-    /// Successive over-relaxation.
-    Sor,
-    /// Symmetric successive over-relaxation.
-    Ssor,
     /// Conjugate gradient (restarted variant under lossy checkpointing).
     Cg,
     /// Restarted GMRES(m).
@@ -96,9 +94,6 @@ impl SolverKind {
     pub fn name(&self) -> &'static str {
         match self {
             SolverKind::Jacobi => "jacobi",
-            SolverKind::GaussSeidel => "gauss-seidel",
-            SolverKind::Sor => "sor",
-            SolverKind::Ssor => "ssor",
             SolverKind::Cg => "cg",
             SolverKind::Gmres => "gmres",
             SolverKind::BiCgStab => "bicgstab",
@@ -112,7 +107,7 @@ impl SolverKind {
         match self {
             SolverKind::Cg => 2,
             SolverKind::BiCgStab => 4,
-            _ => 1,
+            SolverKind::Jacobi | SolverKind::Gmres => 1,
         }
     }
 }

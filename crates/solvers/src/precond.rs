@@ -1,7 +1,7 @@
 //! Preconditioners.
 //!
 //! The paper uses PETSc's default preconditioning set-up — block Jacobi with
-//! ILU(0)/IC(0) inside the blocks — for the Poisson experiments, and a plain
+//! ILU(0) inside the blocks — for the Poisson experiments, and a plain
 //! Jacobi (diagonal) preconditioner for the KKT240/GMRES experiment of
 //! Figure 3.  This module implements those behind the [`Preconditioner`]
 //! trait (apply `z = M⁻¹ r`).
@@ -189,34 +189,6 @@ impl Triangle {
         sum
     }
 
-    /// The transpose, with every row's entries in *descending* column
-    /// order.  A backward sweep over it subtracts row `i`'s terms in the
-    /// order a column-oriented sweep over `self` scatters them (last row
-    /// first), so the two round identically.
-    fn transposed_descending(&self) -> Triangle {
-        let n = self.ptr.len() - 1;
-        let mut ptr = vec![0u32; n + 1];
-        for &c in &self.cols {
-            ptr[c as usize + 1] += 1;
-        }
-        for i in 0..n {
-            ptr[i + 1] += ptr[i];
-        }
-        let mut next = ptr.clone();
-        let mut cols = vec![0u32; self.cols.len()];
-        let mut vals = vec![0.0f64; self.vals.len()];
-        for i in (0..n).rev() {
-            for k in row_range(&self.ptr, i) {
-                let dst = &mut next[self.cols[k] as usize];
-                // `i < n ≤ u32::MAX`: `n` row pointers already index with u32.
-                cols[*dst as usize] = i as u32;
-                vals[*dst as usize] = self.vals[k];
-                *dst += 1;
-            }
-        }
-        Triangle { ptr, cols, vals }
-    }
-
     fn bytes(&self) -> usize {
         (self.ptr.len() + self.cols.len()) * std::mem::size_of::<u32>()
             + self.vals.len() * std::mem::size_of::<f64>()
@@ -224,8 +196,8 @@ impl Triangle {
 }
 
 /// A diagonal block split into strict-lower triangle, diagonal and
-/// strict-upper triangle — the storage both incomplete factorisations
-/// compute in place and sweep over.  Every array is allocated once at its
+/// strict-upper triangle — the storage ILU(0) computes in place and
+/// sweeps over.  Every array is allocated once at its
 /// exact size, straight from the parent matrix's rows.
 #[derive(Debug, Clone)]
 struct Factors {
@@ -317,24 +289,6 @@ impl Factors {
 
     fn bytes(&self) -> usize {
         self.lower.bytes() + self.upper.bytes() + self.diag.len() * std::mem::size_of::<f64>()
-    }
-}
-
-/// Calls `hit(ia, ib)` for every column the sorted patterns `a` and `b` both
-/// store, in ascending column order — the zero-fill-in merge walk IC(0)
-/// updates through.
-fn for_each_common(a: &[u32], b: &[u32], mut hit: impl FnMut(usize, usize)) {
-    let (mut ia, mut ib) = (0, 0);
-    while ia < a.len() && ib < b.len() {
-        match a[ia].cmp(&b[ib]) {
-            Ordering::Less => ia += 1,
-            Ordering::Greater => ib += 1,
-            Ordering::Equal => {
-                hit(ia, ib);
-                ia += 1;
-                ib += 1;
-            }
-        }
     }
 }
 
@@ -471,80 +425,6 @@ fn sweep_group(blocks: &[Ilu0Block], r: &[f64], z: &mut [f64]) {
         3 => sweep::<3>(blocks, r, z),
         4 => sweep::<4>(blocks, r, z),
         w => unreachable!("{w} blocks in a group of at most {LOCKSTEP_MAX}"),
-    }
-}
-
-/// Incomplete Cholesky factorisation with zero fill-in, IC(0), for SPD
-/// matrices: `M = L·Lᵀ` on the lower-triangular pattern of `A`.
-#[derive(Debug, Clone)]
-pub struct Ic0Preconditioner {
-    /// `lower` = strict part of L, `diag` = its diagonal, `upper` = the
-    /// strict part of Lᵀ stored explicitly, so the backward solve is a row
-    /// sweep like the forward one.
-    f: Factors,
-}
-
-impl Ic0Preconditioner {
-    /// Computes the IC(0) factorisation of the (assumed SPD) matrix `a`.
-    ///
-    /// # Errors
-    /// Returns [`SparseError::ZeroDiagonal`] if a pivot becomes non-positive
-    /// (matrix not SPD enough for IC(0)) and
-    /// [`SparseError::InvalidStructure`] if a row's column indices are not
-    /// strictly increasing.
-    pub fn new(a: &CsrMatrix) -> Result<Self, SparseError> {
-        let mut f = Factors::split(a, 0, a.nrows())?;
-        let Factors { lower, diag, .. } = &mut f;
-        for i in 0..diag.len() {
-            let l_row = row_range(&lower.ptr, i);
-            // Rows `j < i` of L are final; row `i` is being computed.
-            let (l_done, l_rest) = lower.vals.split_at_mut(l_row.start);
-            let i_cols = &lower.cols[l_row.clone()];
-            let i_vals = &mut l_rest[..l_row.len()];
-            for pos in 0..i_cols.len() {
-                // L[i][j] = (A[i][j] − Σ_{k<j} L[i][k]·L[j][k]) / L[j][j].
-                let j = i_cols[pos] as usize;
-                let j_row = row_range(&lower.ptr, j);
-                let mut sum = i_vals[pos];
-                for_each_common(&i_cols[..pos], &lower.cols[j_row.clone()], |ik, jk| {
-                    sum -= i_vals[ik] * l_done[j_row.start + jk];
-                });
-                i_vals[pos] = sum / diag[j];
-            }
-            // L[i][i] = sqrt(A[i][i] − Σ_k L[i][k]²).
-            let pivot = i_vals.iter().fold(diag[i], |sum, v| sum - v * v);
-            if pivot <= 0.0 {
-                return Err(SparseError::ZeroDiagonal(i));
-            }
-            diag[i] = pivot.sqrt();
-        }
-        f.upper = f.lower.transposed_descending();
-        Ok(Ic0Preconditioner { f })
-    }
-}
-
-impl Preconditioner for Ic0Preconditioner {
-    fn apply_into(&self, r: &Vector, out: &mut Vector) {
-        let Factors { lower, diag, upper } = &self.f;
-        assert_eq!(r.len(), diag.len(), "dimension mismatch");
-        assert_eq!(out.len(), r.len(), "dimension mismatch");
-        let (r, z) = (r.as_slice(), out.as_mut_slice());
-        // Forward solve L y = r, y stored in z.
-        for i in 0..diag.len() {
-            z[i] = lower.sub_row(i, r[i], z) / diag[i];
-        }
-        // Backward solve Lᵀ z = y, in place.
-        for i in (0..diag.len()).rev() {
-            z[i] = upper.sub_row(i, z[i], z) / diag[i];
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "ic0"
-    }
-
-    fn storage_bytes(&self) -> usize {
-        self.f.bytes()
     }
 }
 
@@ -746,32 +626,9 @@ mod tests {
     }
 
     #[test]
-    fn ic0_matches_ilu0_direction_for_spd() {
-        let a = spd_poisson2d(5);
-        let ic = Ic0Preconditioner::new(&a).unwrap();
-        let r = Vector::filled(25, 1.0);
-        let z = ic.apply(&r);
-        let exact = dense_solve(&a, &r);
-        // IC(0) of a 2-D Poisson matrix is a good approximation of A⁻¹: the
-        // preconditioned residual should be far closer to the exact solve
-        // than the unpreconditioned right-hand side is.
-        let err_prec = z.max_abs_diff(&exact);
-        let err_raw = r.max_abs_diff(&exact);
-        assert!(err_prec < err_raw);
-        assert_eq!(ic.name(), "ic0");
-        assert!(ic.storage_bytes() > 0);
-    }
-
-    #[test]
-    fn ic0_rejects_indefinite_matrix() {
-        let indef = CsrMatrix::from_dense(2, 2, &[1.0, 2.0, 2.0, 1.0]);
-        assert!(Ic0Preconditioner::new(&indef).is_err());
-    }
-
-    #[test]
     fn unsorted_rows_are_rejected_not_misfactorised() {
         // Row 1 stores columns 2, 0, 1: valid for `from_raw`, but the
-        // factorisations split and merge rows by column order.
+        // factorisation splits and merges rows by column order.
         let a = CsrMatrix::from_raw(
             3,
             3,
@@ -783,7 +640,6 @@ mod tests {
         for err in [
             BlockJacobiPreconditioner::new(&a, 1).err(),
             BlockJacobiPreconditioner::new(&a, 3).err(),
-            Ic0Preconditioner::new(&a).err(),
         ] {
             assert!(
                 matches!(&err, Some(SparseError::InvalidStructure(msg)) if msg.contains("row 1")),

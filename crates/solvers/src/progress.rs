@@ -1,4 +1,4 @@
-//! The bookkeeping every method written over a [`Space`] shares.
+//! The bookkeeping every method shares.
 
 use lcr_sparse::Vector;
 
@@ -6,7 +6,7 @@ use crate::convergence::{ConvergenceHistory, StoppingCriteria};
 use crate::space::Space;
 
 /// The iterate, the stopping rule and how far the solve has come — what
-/// CG, BiCGStab and Jacobi track besides their own recurrence vectors.
+/// every method tracks besides its own recurrence state.
 #[derive(Debug, Clone)]
 pub struct Progress {
     pub(crate) x: Vector,
@@ -47,16 +47,28 @@ impl Progress {
             }
         };
         let rr = space.dot(&r, &r)?;
-        let progress = Progress {
+        Ok((Self::new(x, criteria, reference_norm, rr.sqrt()), r, rr))
+    }
+
+    /// Starts a solve at `x` whose residual norm is `residual_norm`,
+    /// measured against `reference_norm` — for a method that converges on
+    /// something other than `b − A x` relative to ‖b‖ (GMRES: `M⁻¹(b − A x)`
+    /// relative to ‖M⁻¹b‖).
+    pub(crate) fn new(
+        x: Vector,
+        criteria: StoppingCriteria,
+        reference_norm: f64,
+        residual_norm: f64,
+    ) -> Self {
+        Progress {
             x,
             criteria,
             iteration: 0,
-            residual_norm: rr.sqrt(),
+            residual_norm,
             reference_norm,
-            history: ConvergenceHistory::new(rr.sqrt()),
+            history: ConvergenceHistory::new(residual_norm),
             breakdowns: 0,
-        };
-        Ok((progress, r, rr))
+        }
     }
 
     /// Iterations completed so far.
@@ -69,7 +81,7 @@ impl Progress {
         self.residual_norm
     }
 
-    /// Norm used as the convergence reference (‖b‖).
+    /// Norm used as the convergence reference (‖b‖; ‖M⁻¹b‖ for GMRES).
     pub fn reference_norm(&self) -> f64 {
         self.reference_norm
     }

@@ -1,17 +1,16 @@
-//! Bit-identity of the split-factor preconditioners against the
-//! implementation they replaced.
+//! Bit-identity of the split-factor block-Jacobi preconditioner against
+//! the implementation it replaced.
 //!
-//! The oracles below are that implementation, kept verbatim: ILU(0) on a
+//! The oracle below is that implementation, kept verbatim: ILU(0) on a
 //! materialised `diagonal_block` with the combined LU in one CSR matrix,
 //! binary-search `get(k, j)` lookups and sweeps that branch on
-//! `j < i / j == i / j > i`; IC(0) on per-row `(col, value)` lists with a
-//! column-oriented backward sweep.  The production code must reproduce
-//! their factors and their `apply_into` output to the last bit, at any
-//! thread count.
+//! `j < i / j == i / j > i`.  The production code must reproduce its
+//! factors and its `apply_into` output to the last bit, at any thread
+//! count.
 
-use lcr_solvers::{BlockJacobiPreconditioner, Ic0Preconditioner, Preconditioner};
+use lcr_solvers::{BlockJacobiPreconditioner, Preconditioner};
 use lcr_sparse::kkt::{kkt_system, KktConfig};
-use lcr_sparse::poisson::{poisson2d, poisson3d};
+use lcr_sparse::poisson::poisson3d;
 use lcr_sparse::{CsrMatrix, Vector, PAR_THRESHOLD};
 
 /// Gives this test binary a multi-thread pool even on single-core hosts,
@@ -224,74 +223,4 @@ fn banded_matrix_with_stored_zeros_matches_the_oracle() {
     assert!(a.values().iter().filter(|&&v| v == 0.0).count() > a.nrows() / 2);
     assert_block_jacobi_identical(&a, 16, "banded/16");
     assert_block_jacobi_identical(&a, 1, "banded/1");
-}
-
-/// IC(0) as row lists, with the column-oriented backward sweep.
-fn oracle_ic0_apply(a: &CsrMatrix, r: &[f64]) -> Vec<f64> {
-    let n = a.nrows();
-    let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
-    for i in 0..n {
-        for (pos, &j) in a.row_indices(i).iter().enumerate() {
-            if j > i {
-                break;
-            }
-            let mut sum = a.row_values(i)[pos];
-            for &(ki, vi) in &rows[i] {
-                if ki >= j {
-                    break;
-                }
-                if let Some(&(_, vj)) = rows[j].iter().find(|&&(kj, _)| kj == ki) {
-                    sum -= vi * vj;
-                }
-            }
-            if j == i {
-                assert!(sum > 0.0, "oracle: non-positive pivot at {i}");
-                rows[i].push((j, sum.sqrt()));
-            } else {
-                let ljj = rows[j].last().unwrap().1;
-                rows[i].push((j, sum / ljj));
-            }
-        }
-    }
-    let mut z = vec![0.0; n];
-    for i in 0..n {
-        let mut sum = r[i];
-        let mut diag = 1.0;
-        for &(j, v) in &rows[i] {
-            if j < i {
-                sum -= v * z[j];
-            } else {
-                diag = v;
-            }
-        }
-        z[i] = sum / diag;
-    }
-    for i in (0..n).rev() {
-        let diag = rows[i].last().unwrap().1;
-        z[i] /= diag;
-        let zi = z[i];
-        for &(j, v) in &rows[i] {
-            if j < i {
-                z[j] -= v * zi;
-            }
-        }
-    }
-    z
-}
-
-#[test]
-fn ic0_apply_matches_the_row_list_oracle() {
-    for (label, a) in [
-        ("poisson2d(17)", poisson2d(17).negated()),
-        ("poisson3d(9)", poisson3d(9).negated()),
-    ] {
-        let mut r = Vector::zeros(a.nrows());
-        r.fill_random(7, -2.0, 2.0);
-        let expect = oracle_ic0_apply(&a, r.as_slice());
-        let mut z = Vector::filled(a.nrows(), f64::NAN);
-        Ic0Preconditioner::new(&a).unwrap().apply_into(&r, &mut z);
-        for (i, (got, want)) in z.iter().zip(&expect).enumerate() {
-            assert_eq!(got.to_bits(), want.to_bits(), "{label}: z[{i}]");
-        }
-    }
 }

@@ -872,43 +872,6 @@ impl CsrMatrix {
         partials.into_iter().fold(0.0, f64::max)
     }
 
-    /// Extracts the strictly lower-triangular, diagonal, and strictly
-    /// upper-triangular parts `(L, D, U)` such that `A = L + D + U`.
-    pub fn split_ldu(&self) -> (CsrMatrix, Vector, CsrMatrix) {
-        let n = self.nrows;
-        let mut l_indptr = vec![0usize; n + 1];
-        let mut u_indptr = vec![0usize; n + 1];
-        let mut l_indices = Vec::new();
-        let mut l_values = Vec::new();
-        let mut u_indices = Vec::new();
-        let mut u_values = Vec::new();
-        let mut d = Vector::zeros(n);
-        for i in 0..n {
-            for k in self.indptr[i]..self.indptr[i + 1] {
-                let j = self.indices[k];
-                let v = self.values[k];
-                match j.cmp(&i) {
-                    std::cmp::Ordering::Less => {
-                        l_indices.push(j);
-                        l_values.push(v);
-                    }
-                    std::cmp::Ordering::Equal => d[i] = v,
-                    std::cmp::Ordering::Greater => {
-                        u_indices.push(j);
-                        u_values.push(v);
-                    }
-                }
-            }
-            l_indptr[i + 1] = l_indices.len();
-            u_indptr[i + 1] = u_indices.len();
-        }
-        (
-            CsrMatrix::from_raw_unchecked(n, self.ncols, l_indptr, l_indices, l_values),
-            d,
-            CsrMatrix::from_raw_unchecked(n, self.ncols, u_indptr, u_indices, u_values),
-        )
-    }
-
     /// Extracts the square sub-block with rows and columns in
     /// `[start, start+len)`.  Entries outside the block are dropped.  Used by
     /// the block-Jacobi preconditioner.
@@ -1017,23 +980,6 @@ mod tests {
     fn norms() {
         let a = small();
         assert!((a.norm_inf() - 6.0).abs() < 1e-14);
-    }
-
-    #[test]
-    fn split_ldu_reassembles() {
-        let a = small();
-        let (l, d, u) = a.split_ldu();
-        assert_eq!(d.as_slice(), &[4.0, 4.0, 4.0]);
-        assert_eq!(l.get(1, 0), -1.0);
-        assert_eq!(u.get(1, 2), -1.0);
-        assert_eq!(l.get(0, 1), 0.0);
-        // Reassemble and compare.
-        for i in 0..3 {
-            for j in 0..3 {
-                let total = l.get(i, j) + u.get(i, j) + if i == j { d[i] } else { 0.0 };
-                assert!((total - a.get(i, j)).abs() < 1e-14);
-            }
-        }
     }
 
     #[test]

@@ -28,8 +28,8 @@ pub enum SparseError {
     /// The CSR structure is internally inconsistent (e.g. row pointers not
     /// monotonically non-decreasing).
     InvalidStructure(String),
-    /// A matrix that must have a non-zero diagonal (Jacobi, Gauss–Seidel,
-    /// ILU) is missing or has a zero diagonal entry.
+    /// A matrix that must have a non-zero diagonal (Jacobi, ILU) is
+    /// missing or has a zero diagonal entry.
     ZeroDiagonal(usize),
 }
 

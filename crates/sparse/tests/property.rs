@@ -65,20 +65,6 @@ proptest! {
     }
 
     #[test]
-    fn split_ldu_reassembles((n, _, data) in (1usize..10).prop_flat_map(|n| {
-        prop::collection::vec(-5.0f64..5.0, n * n).prop_map(move |d| (n, n, d))
-    })) {
-        let a = CsrMatrix::from_dense(n, n, &data);
-        let (l, d, u) = a.split_ldu();
-        for i in 0..n {
-            for j in 0..n {
-                let total = l.get(i, j) + u.get(i, j) + if i == j { d[i] } else { 0.0 };
-                prop_assert!((total - a.get(i, j)).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
     fn partition_covers_every_row_exactly_once(n in 1usize..5000, ranks in 1usize..256) {
         let p = BlockRowPartition::new(n, ranks);
         let mut covered = 0usize;
