@@ -137,7 +137,7 @@ fn check_blocks((r0, r1): (usize, usize), blocks: &[RowBlock], nnz: usize) {
 /// first use, eagerly at the [`CsrMatrix::from_raw`] / COO-conversion
 /// finalize points) and reused by every [`CsrMatrix::spmv`] and fused
 /// kernel call, replacing the per-call chunk-policy recomputation the seed
-/// implementation performed.  The plan fixes three decisions:
+/// implementation performed.  The plan fixes four decisions:
 ///
 /// * an **nnz-balanced row partition**: chunk boundaries are chosen so each
 ///   chunk carries roughly `nnz / n_chunks` non-zeros, keeping load
@@ -146,9 +146,6 @@ fn check_blocks((r0, r1): (usize, usize), blocks: &[RowBlock], nnz: usize) {
 ///   shared by `spmv`, `residual_into` and every fused kernel — previously
 ///   `residual_into` gated its subtraction pass on `nrows` while `spmv`
 ///   gated on `nnz`;
-/// * a **uniform-row fast path**: when every row stores exactly the same
-///   number of entries (identity, diagonal and dense-block matrices), row
-///   extents are computed as `i * w` with no `indptr` reads at all;
 /// * a **SELL-style block decomposition** of every chunk ([`RowBlock`]):
 ///   maximal runs of equal-width rows become lockstep-traversable slabs,
 ///   irregular rows keep the carried-start traversal;
@@ -165,7 +162,6 @@ fn check_blocks((r0, r1): (usize, usize), blocks: &[RowBlock], nnz: usize) {
 pub struct SpmvPlan {
     chunks: Vec<(usize, usize)>,
     parallel: bool,
-    uniform_row_nnz: Option<usize>,
     blocks: Vec<Vec<RowBlock>>,
     cols32: Option<Vec<u32>>,
 }
@@ -200,9 +196,6 @@ impl SpmvPlan {
             chunks.push((row, end));
             row = end;
         }
-        let uniform_row_nnz = (nrows > 0)
-            .then(|| indptr[1] - indptr[0])
-            .filter(|&w| indptr.windows(2).all(|p| p[1] - p[0] == w));
         let blocks = chunks
             .iter()
             .map(|&(r0, r1)| Self::build_blocks(indptr, r0, r1))
@@ -212,7 +205,6 @@ impl SpmvPlan {
         SpmvPlan {
             chunks,
             parallel,
-            uniform_row_nnz,
             blocks,
             cols32,
         }
@@ -266,11 +258,6 @@ impl SpmvPlan {
         self.parallel
     }
 
-    /// `Some(w)` when every row stores exactly `w` entries.
-    pub fn uniform_row_nnz(&self) -> Option<usize> {
-        self.uniform_row_nnz
-    }
-
     /// The SELL-style block decomposition of chunk `ci`.
     pub fn blocks(&self, ci: usize) -> &[RowBlock] {
         &self.blocks[ci]
@@ -288,7 +275,7 @@ impl SpmvPlan {
     /// prove the checker catches them.  Each chunk becomes a single
     /// [`RowBlock::Tail`], so the traversal exercises the general path.
     #[cfg(feature = "racecheck")]
-    pub fn for_racecheck(chunks: Vec<(usize, usize)>, uniform_row_nnz: Option<usize>) -> SpmvPlan {
+    pub fn for_racecheck(chunks: Vec<(usize, usize)>) -> SpmvPlan {
         let blocks = chunks
             .iter()
             .map(|&rows| vec![RowBlock::Tail { rows }])
@@ -296,7 +283,6 @@ impl SpmvPlan {
         SpmvPlan {
             chunks,
             parallel: true,
-            uniform_row_nnz,
             blocks,
             cols32: None,
         }
@@ -316,7 +302,6 @@ impl SpmvPlan {
         SpmvPlan {
             chunks,
             parallel: true,
-            uniform_row_nnz: None,
             blocks,
             cols32: None,
         }
@@ -1097,26 +1082,12 @@ mod tests {
     }
 
     #[test]
-    fn plan_uniform_row_detection() {
-        assert_eq!(CsrMatrix::identity(8).plan().uniform_row_nnz(), Some(1));
-        assert_eq!(
-            CsrMatrix::from_diagonal(&[1.0, 2.0]).plan().uniform_row_nnz(),
-            Some(1)
-        );
-        let dense = CsrMatrix::from_dense(4, 3, &[1.0; 12]);
-        assert_eq!(dense.plan().uniform_row_nnz(), Some(3));
-        // The Poisson-like band matrix has shorter boundary rows.
-        assert_eq!(small().plan().uniform_row_nnz(), None);
-    }
-
-    #[test]
     fn uniform_fast_path_spmv_matches_general() {
-        // Identity and dense matrices take the uniform-row fast path; their
-        // products must match the entry-wise reference exactly.
+        // A diagonal matrix is one equal-width slab; its product must
+        // match the entry-wise reference exactly.
         let n = 50;
         let d: Vec<f64> = (0..n).map(|i| 1.0 + i as f64).collect();
         let a = CsrMatrix::from_diagonal(&d);
-        assert!(a.plan().uniform_row_nnz().is_some());
         let mut x = Vector::zeros(n);
         x.fill_random(5, -1.0, 1.0);
         let y = a.mul_vec(&x);

@@ -208,13 +208,10 @@ mod tests {
     fn poisson_matrices_ship_with_a_finalized_plan() {
         // The COO → CSR finalize point builds the SpMV plan eagerly, so the
         // stencil matrices the experiments solve never pay for plan
-        // construction inside a timed solver loop.  The 7-point stencil has
-        // shorter boundary rows, so it takes the general (carried-start)
-        // path, not the uniform-row one.
+        // construction inside a timed solver loop.
         let a = poisson3d(8);
         let plan = a.plan();
         assert_eq!(plan.chunks().last().unwrap().1, a.nrows());
-        assert_eq!(plan.uniform_row_nnz(), None);
         assert_eq!(plan.is_parallel(), a.nnz() >= crate::PAR_THRESHOLD);
     }
 

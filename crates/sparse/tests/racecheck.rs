@@ -46,10 +46,7 @@ fn disjoint_custom_plan_matches_default_plan() {
     // A hand-written disjoint partition, forced parallel, must produce
     // bit-identical results under the live claim checker.
     let mut a = matrix();
-    a.override_plan_for_racecheck(SpmvPlan::for_racecheck(
-        vec![(0, 17), (17, 32), (32, N)],
-        None,
-    ));
+    a.override_plan_for_racecheck(SpmvPlan::for_racecheck(vec![(0, 17), (17, 32), (32, N)]));
     let mut y = vec![0.0; N];
     a.spmv(&x0(), &mut y);
     assert_eq!(y, reference);
@@ -60,7 +57,7 @@ fn overlapping_plan_panics_with_both_ranges() {
     let mut a = matrix();
     // Chunks 0..33 and 32..N overlap on row 32 — exactly the
     // off-by-one a buggy split formula would produce.
-    a.override_plan_for_racecheck(SpmvPlan::for_racecheck(vec![(0, 33), (32, N)], None));
+    a.override_plan_for_racecheck(SpmvPlan::for_racecheck(vec![(0, 33), (32, N)]));
     let x = x0();
     let mut y = vec![0.0; N];
     let err = catch_unwind(AssertUnwindSafe(|| a.spmv(&x, &mut y))).unwrap_err();
@@ -75,7 +72,7 @@ fn overlapping_plan_panics_with_both_ranges() {
 fn out_of_bounds_plan_panics() {
     let mut a = matrix();
     // Final chunk runs one row past the matrix.
-    a.override_plan_for_racecheck(SpmvPlan::for_racecheck(vec![(0, 32), (32, N + 1)], None));
+    a.override_plan_for_racecheck(SpmvPlan::for_racecheck(vec![(0, 32), (32, N + 1)]));
     let x = x0();
     let mut y = vec![0.0; N];
     let err = catch_unwind(AssertUnwindSafe(|| a.spmv(&x, &mut y))).unwrap_err();
@@ -326,7 +323,7 @@ fn checker_reports_survive_the_thread_hop() {
             }
         })
         .collect();
-    a.override_plan_for_racecheck(SpmvPlan::for_racecheck(chunks, None));
+    a.override_plan_for_racecheck(SpmvPlan::for_racecheck(chunks));
     let x = x0();
     let mut y = vec![0.0; N];
     let err = catch_unwind(AssertUnwindSafe(|| a.spmv(&x, &mut y))).unwrap_err();
