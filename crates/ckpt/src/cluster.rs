@@ -8,10 +8,10 @@
 //! system absorbs it.  [`ClusterConfig`] carries (a)–(b); the PFS model in
 //! [`crate::pfs`] carries (c).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Description of the simulated machine for one experiment configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ClusterConfig {
     /// Number of MPI ranks (processes) in the simulated run.
     pub ranks: usize,

@@ -25,11 +25,11 @@ use crate::disk::DiskStore;
 use crate::pfs::{CheckpointLevel, PfsModel};
 use crate::store::{CheckpointBuffer, CheckpointMetadata};
 use crate::{CkptError, Result};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::Arc;
 
 /// A variable registered for checkpointing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 struct ProtectedVariable {
     /// Identifier (e.g. `"x"`, `"p"`, `"iteration"`).
     pub id: String,

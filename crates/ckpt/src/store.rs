@@ -16,11 +16,11 @@
 //! dependency in retention and in recovery (see the `disk` module docs).
 
 use crate::pfs::CheckpointLevel;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// How one checkpoint's payload streams are encoded relative to earlier
 /// checkpoints.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub enum CheckpointEncoding {
     /// Self-contained anchor: decodes on its own.
     #[default]
@@ -52,7 +52,7 @@ impl CheckpointEncoding {
 }
 
 /// Metadata describing one stored checkpoint.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CheckpointMetadata {
     /// Monotonically increasing checkpoint id.
     pub id: u64,

@@ -53,10 +53,10 @@ mod parblock;
 pub mod sz;
 pub mod zfp;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Error-bound mode for lossy compression.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum ErrorBound {
     /// Absolute bound: `|x − x'| ≤ eb`.
     Abs(f64),
@@ -88,7 +88,7 @@ impl ErrorBound {
 }
 
 /// Outcome of one compression call.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Compressed {
     /// The encoded byte stream (self-describing; feed back to `decompress`).
     pub bytes: Vec<u8>,
@@ -237,7 +237,7 @@ pub trait Codec: Send + Sync {
 
 /// Statistics describing one compression run; used by the experiment
 /// harness to fill Table 3 and the checkpoint-time figures.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct CompressionStats {
     /// Original size in bytes.
     pub original_bytes: usize,

@@ -16,7 +16,7 @@ use lcr_perfmodel::{
     young_optimal_interval, young_optimal_interval_iterations,
 };
 use lcr_solvers::SolverKind;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The process counts of the paper's weak-scaling study.
 pub const PAPER_PROCESS_COUNTS: &[usize] = &[256, 512, 768, 1024, 1280, 1536, 1792, 2048];
@@ -34,7 +34,7 @@ pub fn paper_baseline_seconds(kind: SolverKind) -> f64 {
 
 /// Compression ratios measured on real solver state, used to extrapolate
 /// paper-scale checkpoint sizes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 struct MeasuredRatios {
     /// Lossless (FPC+LZSS) compression ratio on the dynamic vectors.
     pub lossless: f64,
@@ -182,7 +182,7 @@ fn measured_shard_segment_ratio(
 
 /// One row of Table 3: per-process checkpoint sizes for one solver at one
 /// scale under the three schemes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 // lcr-analyze: allow(dead-public-item): row type of `table3`; the bench bins print it by inference
 pub struct Table3Row {
     /// Number of processes.
@@ -257,7 +257,7 @@ pub fn table3(
 
 /// One row of Figures 4–6: average time of one checkpoint and one recovery
 /// for a solver/scheme/scale combination.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 // lcr-analyze: allow(dead-public-item): row type of `checkpoint_recovery_times`; the bench bins print it by inference
 pub struct CheckpointTimeRow {
     /// Number of processes.
@@ -343,7 +343,7 @@ pub fn checkpoint_recovery_times(
 // ---------------------------------------------------------------------------
 
 /// One point of Figure 7: the model-predicted fault-tolerance overhead.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 // lcr-analyze: allow(dead-public-item): row type of `expected_overhead`; the bench bins print it by inference
 pub struct ExpectedOverheadRow {
     /// Number of processes.
@@ -423,7 +423,7 @@ pub fn expected_overhead(
 
 /// One bar of Figure 10: experimental and expected fault-tolerance overhead
 /// for one solver under one scheme.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 // lcr-analyze: allow(dead-public-item): row type of `fault_tolerance_overhead`; the bench bins print it by inference
 pub struct FaultToleranceOverheadRow {
     /// Solver.
@@ -447,7 +447,7 @@ pub struct FaultToleranceOverheadRow {
 }
 
 /// Configuration of the Figure 8/10 experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct OverheadExperimentConfig {
     /// Number of simulated processes (the paper uses 2,048).
     pub processes: usize,

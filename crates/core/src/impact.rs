@@ -18,10 +18,10 @@ use lcr_compress::ErrorBound;
 use lcr_solvers::SolverKind;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Result of the lossy-recovery impact experiment for one error bound.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 // lcr-analyze: allow(dead-public-item): row type of `figure2_sweep`; the bench bin prints it by inference
 pub struct ImpactResult {
     /// Solver evaluated.

@@ -34,7 +34,7 @@ use lcr_ckpt::{
 };
 use lcr_solvers::{DynamicState, IterativeMethod};
 use lcr_sparse::Vector;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::convert::Infallible;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -161,7 +161,7 @@ impl RunConfig {
 }
 
 /// Outcome of one fault-tolerant run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RunReport {
     /// Strategy name ("none", "traditional", "lossless", "lossy").
     pub strategy: String,

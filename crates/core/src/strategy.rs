@@ -27,10 +27,10 @@ use lcr_compress::{Codec, DeltaMode, ErrorBound};
 use lcr_perfmodel::theorem3_gmres_error_bound;
 use lcr_solvers::{DynamicState, IterativeMethod};
 use lcr_sparse::Vector;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// How the error bound for a lossy checkpoint is chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum ErrorBoundPolicy {
     /// A fixed bound used for every checkpoint (the paper's 10⁻⁴ relative
     /// bound for Jacobi and CG).
@@ -88,7 +88,7 @@ impl ErrorBoundPolicy {
 }
 
 /// Which lossy compressor backs the lossy strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum LossyCodecKind {
     /// The SZ-style prediction-based compressor (the paper's choice for 1-D
     /// checkpoint vectors).
@@ -98,7 +98,7 @@ pub enum LossyCodecKind {
 }
 
 /// How a strategy restores a solver from recovered payloads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum RecoveryMode {
     /// Exact restore of every dynamic variable (Algorithm 1 lines 7–8).
     Exact,
@@ -108,7 +108,7 @@ pub enum RecoveryMode {
 }
 
 /// A checkpoint strategy: variable selection + encoding + recovery.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum CheckpointStrategy {
     /// No checkpointing at all (failure-free baseline, or "restart from
     /// scratch" under failures).

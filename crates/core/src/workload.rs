@@ -22,11 +22,11 @@ use lcr_solvers::{
 use lcr_sparse::kkt::{kkt_system, KktConfig};
 use lcr_sparse::poisson::{manufactured_rhs, poisson3d, table3_grid_edge};
 use lcr_sparse::Vector;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::Arc;
 
 /// Which of the paper's workloads to build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 // lcr-analyze: allow(dead-public-item): type of the public field `PaperWorkload::kind`; callers build workloads through `poisson`/`kkt`
 pub enum WorkloadKind {
     /// The 3-D Poisson weak-scaling workload (Table 3, Figures 4–10).
@@ -83,7 +83,7 @@ impl ScaledProblem {
 }
 
 /// Builder for the paper's workloads.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PaperWorkload {
     /// Which workload family.
     pub kind: WorkloadKind,

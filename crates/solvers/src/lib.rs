@@ -62,7 +62,7 @@ use std::convert::Infallible;
 use std::sync::Arc;
 
 use lcr_sparse::{CsrMatrix, Vector};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 pub use bicgstab::BiCgStab;
 pub use cg::ConjugateGradient;
@@ -77,7 +77,7 @@ pub use space::{LocalSpace, ShardSpace, Space};
 
 /// Which iterative method a configuration refers to; used by the experiment
 /// harness to build solvers generically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum SolverKind {
     /// The Jacobi stationary method (the paper's stationary representative).
     Jacobi,
@@ -138,7 +138,7 @@ impl ShardedMethod {
 /// scalar state, and named vectors, exactly the classification of Section 3
 /// of the paper (static variables are shared and recomputed variables are
 /// rebuilt on recovery).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DynamicState {
     /// Iteration counter `i`.
     pub iteration: usize,

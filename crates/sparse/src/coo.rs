@@ -5,10 +5,10 @@
 //! triplets and then convert once to [`crate::CsrMatrix`] for computation.
 
 use crate::{CsrMatrix, Result, SparseError};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A sparse matrix in coordinate (triplet) format.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CooMatrix {
     nrows: usize,
     ncols: usize,

@@ -4,7 +4,7 @@ use crate::kernels;
 use crate::simd::LANES;
 use crate::vector::{Vector, PAR_THRESHOLD};
 use crate::{Result, SparseError};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::OnceLock;
 
 /// Minimum run of equal-width rows promoted to a SELL-style [`RowBlock::Slab`].
@@ -327,15 +327,13 @@ impl Serialize for PlanCell {
     }
 }
 
-impl Deserialize for PlanCell {}
-
 /// A sparse matrix in compressed sparse row (CSR) format.
 ///
 /// This is the computational format: all solver kernels (`SpMV`, triangular
 /// sweeps, preconditioner applications) operate on it.  Row pointers,
 /// column indices and values are stored in three flat arrays, matching the
 /// layout PETSc's `MATAIJ` uses.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CsrMatrix {
     nrows: usize,
     ncols: usize,

@@ -3,10 +3,10 @@
 //!
 //! * a [`Serialize`] trait that renders the value as JSON into a `String`
 //!   (consumed by the `serde_json` shim's `to_string`);
-//! * a marker [`Deserialize`] trait (derived but never driven by a real
-//!   deserializer anywhere in the workspace);
-//! * `#[derive(Serialize, Deserialize)]` via the sibling `serde_derive`
-//!   proc-macro shim.
+//! * `#[derive(Serialize)]` via the sibling `serde_derive` proc-macro shim.
+//!
+//! Nothing in the workspace deserializes into a typed value —
+//! `serde_json::from_str` returns a `Value` — so there is no `Deserialize`.
 //!
 //! The derive and the impls below cover structs (named, tuple, unit) and
 //! enums (unit, newtype, tuple and struct variants) with serde's default
@@ -15,7 +15,7 @@
 
 #![forbid(unsafe_code)]
 
-pub use serde_derive::{Deserialize, Serialize};
+pub use serde_derive::Serialize;
 
 /// JSON-render the value into `out`.
 ///
@@ -26,12 +26,6 @@ pub trait Serialize {
     /// Append the JSON encoding of `self` to `out`.
     fn serialize_json(&self, out: &mut String);
 }
-
-/// Marker trait standing in for serde's `Deserialize`.
-///
-/// Nothing in the workspace drives a deserializer, so the derive only has
-/// to record that the type opted in.
-pub trait Deserialize: Sized {}
 
 /// Escape and append a JSON string literal.
 fn write_json_string(s: &str, out: &mut String) {
@@ -59,7 +53,6 @@ macro_rules! impl_int {
                 out.push_str(&self.to_string());
             }
         }
-        impl Deserialize for $t {}
     )*};
 }
 
@@ -79,7 +72,6 @@ macro_rules! impl_float {
                 }
             }
         }
-        impl Deserialize for $t {}
     )*};
 }
 
@@ -90,14 +82,12 @@ impl Serialize for bool {
         out.push_str(if *self { "true" } else { "false" });
     }
 }
-impl Deserialize for bool {}
 
 impl Serialize for char {
     fn serialize_json(&self, out: &mut String) {
         write_json_string(&self.to_string(), out);
     }
 }
-impl Deserialize for char {}
 
 impl Serialize for str {
     fn serialize_json(&self, out: &mut String) {
@@ -110,7 +100,6 @@ impl Serialize for String {
         write_json_string(self, out);
     }
 }
-impl Deserialize for String {}
 
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn serialize_json(&self, out: &mut String) {
@@ -123,7 +112,6 @@ impl<T: Serialize + ?Sized> Serialize for Box<T> {
         (**self).serialize_json(out);
     }
 }
-impl<T: Deserialize> Deserialize for Box<T> {}
 
 fn write_json_seq<'a, T: Serialize + 'a>(
     items: impl Iterator<Item = &'a T>,
@@ -156,7 +144,6 @@ impl<T: Serialize> Serialize for Vec<T> {
         write_json_seq(self.iter(), out);
     }
 }
-impl<T: Deserialize> Deserialize for Vec<T> {}
 
 impl<T: Serialize> Serialize for Option<T> {
     fn serialize_json(&self, out: &mut String) {
@@ -166,14 +153,12 @@ impl<T: Serialize> Serialize for Option<T> {
         }
     }
 }
-impl<T: Deserialize> Deserialize for Option<T> {}
 
 impl Serialize for () {
     fn serialize_json(&self, out: &mut String) {
         out.push_str("null");
     }
 }
-impl Deserialize for () {}
 
 macro_rules! impl_tuple {
     ($(($($name:ident . $idx:tt),+))*) => {$(
@@ -190,7 +175,6 @@ macro_rules! impl_tuple {
                 out.push(']');
             }
         }
-        impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {}
     )*};
 }
 

@@ -1,4 +1,4 @@
-//! Hand-rolled `#[derive(Serialize, Deserialize)]` for the in-tree serde
+//! Hand-rolled `#[derive(Serialize)]` for the in-tree serde
 //! shim.  The registry (and therefore `syn`/`quote`) is unavailable, so the
 //! item is parsed directly from the `proc_macro` token stream and the impl
 //! is emitted as a source string.
@@ -308,13 +308,4 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
          fn serialize_json(&self, out: &mut String) {{\n{body}}}\n}}\n"
     );
     out.parse().expect("serde_derive shim: generated impl failed to parse")
-}
-
-#[proc_macro_derive(Deserialize)]
-// lcr-analyze: allow(dead-public-item): proc-macro entry point; rustc calls it for `#[derive]`
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let item = parse_item(input);
-    format!("impl ::serde::Deserialize for {} {{}}", item.name)
-        .parse()
-        .expect("serde_derive shim: generated impl failed to parse")
 }
