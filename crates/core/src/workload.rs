@@ -284,7 +284,12 @@ mod tests {
         let w = PaperWorkload::poisson(256, 4);
         let p = w.build();
         let n = p.system.dim();
-        for kind in [SolverKind::Jacobi, SolverKind::Cg, SolverKind::Gmres, SolverKind::BiCgStab] {
+        for kind in [
+            SolverKind::Jacobi,
+            SolverKind::Cg,
+            SolverKind::Gmres,
+            SolverKind::BiCgStab,
+        ] {
             let solver: Box<dyn IterativeMethod> = match kind {
                 SolverKind::BiCgStab => Box::new(BiCgStab::unpreconditioned(
                     p.system.clone(),

@@ -11,9 +11,10 @@
 //!
 //! The implementation uses left preconditioning, the Arnoldi process with
 //! modified Gram–Schmidt, and Givens rotations to maintain the residual
-//! norm estimate cheaply.  One call to [`Gmres::step`] performs one *inner*
-//! iteration (one new Krylov vector), which matches the per-iteration
-//! checkpointing granularity used by the fault-tolerance driver.
+//! norm estimate cheaply.  One [`step`](crate::IterativeMethod::step)
+//! performs one *inner* iteration (one new Krylov vector), which matches the
+//! per-iteration checkpointing granularity used by the fault-tolerance
+//! driver.
 
 use crate::convergence::StoppingCriteria;
 use crate::precond::{IdentityPreconditioner, Preconditioner};
@@ -128,9 +129,9 @@ impl Gmres {
         }
     }
 
-    /// Solves the `k×k` upper-triangular least-squares system `R y = g` of
-    /// the current cycle.
-    fn solve_correction(&self) -> Vec<f64> {
+    /// `x + Σ y_j v_j`, where `y` solves the `k×k` upper-triangular
+    /// least-squares system `R y = g` of the current cycle.
+    fn corrected(&self, mut x: Vector) -> Vector {
         let k = self.inner;
         let mut y = vec![0.0f64; k];
         for i in (0..k).rev() {
@@ -140,25 +141,19 @@ impl Gmres {
             }
             y[i] = sum / self.hessenberg[i][i];
         }
-        y
-    }
-
-    /// Assembles the solution update from the current least-squares system
-    /// and folds it into `x`.
-    fn update_solution(&mut self) {
-        if self.inner == 0 {
-            return;
-        }
-        let y = self.solve_correction();
         for (j, &yj) in y.iter().enumerate() {
-            self.state.x.axpy(yj, &self.basis[j]);
+            x.axpy(yj, &self.basis[j]);
         }
+        x
     }
 
     /// True (unpreconditioned) residual norm of the current `x`.
     #[cfg(test)]
     fn true_residual_norm(&self) -> f64 {
-        self.system.a.residual(&self.state.x, &self.system.b).norm2()
+        self.system
+            .a
+            .residual(&self.state.x, &self.system.b)
+            .norm2()
     }
 }
 
@@ -255,7 +250,8 @@ impl crate::TryIterativeMethod for Gmres {
         let cycle_full = self.inner == self.restart;
         if self.state.converged() || cycle_full || happy_breakdown {
             // Fold the accumulated correction into x and restart the cycle.
-            self.update_solution();
+            let x = std::mem::take(&mut self.state.x);
+            self.state.x = self.corrected(x);
             self.begin_cycle();
         } else {
             // Extend the basis (the one allocation the Arnoldi process
@@ -273,14 +269,10 @@ impl crate::TryIterativeMethod for Gmres {
         // is x — the Krylov basis is discarded at restarts anyway.  To keep
         // the checkpoint consistent we capture the *restart-consistent*
         // solution: x with the current partial correction folded in.
-        let mut x = self.state.x.clone();
-        for (j, &yj) in self.solve_correction().iter().enumerate() {
-            x.axpy(yj, &self.basis[j]);
-        }
         DynamicState {
             iteration: self.state.iteration(),
             scalars: Vec::new(),
-            vectors: vec![("x".to_string(), x)],
+            vectors: vec![("x".to_string(), self.corrected(self.state.x.clone()))],
         }
     }
 

@@ -195,18 +195,35 @@ impl Triangle {
     }
 }
 
-/// A diagonal block split into strict-lower triangle, diagonal and
-/// strict-upper triangle — the storage ILU(0) computes in place and
-/// sweeps over.  Every array is allocated once at its
-/// exact size, straight from the parent matrix's rows.
+/// Moves `at` up the ascending `cols` to the first column not below `c`
+/// and, where that column is `c`, takes `delta` off its value — one step of
+/// a zero-fill-in merge whose other side the caller walks.
+#[inline]
+fn sub_at(cols: &[u32], vals: &mut [f64], at: &mut usize, c: u32, delta: f64) {
+    while cols.get(*at).is_some_and(|&have| have < c) {
+        *at += 1;
+    }
+    if cols.get(*at) == Some(&c) {
+        vals[*at] -= delta;
+    }
+}
+
+/// Incomplete LU factorisation with zero fill-in, ILU(0), of one diagonal
+/// block: `M = L·U` where `L`/`U` keep exactly the block's sparsity
+/// pattern.  The factors are computed in place in the block's split
+/// storage, every array allocated once at its exact size, straight from
+/// the parent matrix's rows.
 #[derive(Debug, Clone)]
-struct Factors {
+struct Ilu0Block {
+    /// L without its unit diagonal.
     lower: Triangle,
+    /// The pivots of U.
     diag: Vec<f64>,
+    /// U without its diagonal.
     upper: Triangle,
 }
 
-impl Factors {
+impl Ilu0Block {
     /// Copies the block of `a` with rows and columns in
     /// `[start, start + len)`; entries outside the block are dropped.
     ///
@@ -235,7 +252,7 @@ impl Factors {
             cols: vec![0; nnz],
             vals: vec![0.0; nnz],
         };
-        let mut f = Factors {
+        let mut f = Ilu0Block {
             lower: triangle(l_nnz),
             diag: vec![0.0; len],
             upper: triangle(u_nnz),
@@ -290,32 +307,7 @@ impl Factors {
     fn bytes(&self) -> usize {
         self.lower.bytes() + self.upper.bytes() + self.diag.len() * std::mem::size_of::<f64>()
     }
-}
 
-/// Moves `at` up the ascending `cols` to the first column not below `c`
-/// and, where that column is `c`, takes `delta` off its value — one step of
-/// a zero-fill-in merge whose other side the caller walks.
-#[inline]
-fn sub_at(cols: &[u32], vals: &mut [f64], at: &mut usize, c: u32, delta: f64) {
-    while cols.get(*at).is_some_and(|&have| have < c) {
-        *at += 1;
-    }
-    if cols.get(*at) == Some(&c) {
-        vals[*at] -= delta;
-    }
-}
-
-/// Incomplete LU factorisation with zero fill-in, ILU(0), of one diagonal
-/// block: `M = L·U` where `L`/`U` keep exactly the block's sparsity
-/// pattern.
-#[derive(Debug, Clone)]
-struct Ilu0Block {
-    /// `lower` = L without its unit diagonal, `diag` = the pivots of U,
-    /// `upper` = U without its diagonal.
-    f: Factors,
-}
-
-impl Ilu0Block {
     /// ILU(0) of the diagonal block `[start, start + len)` of `a`, read
     /// straight from `a`'s rows.
     ///
@@ -324,8 +316,8 @@ impl Ilu0Block {
     /// (or becomes) zero, [`SparseError::InvalidStructure`] for a row whose
     /// column indices are not strictly increasing.
     fn new(a: &CsrMatrix, start: usize, len: usize) -> Result<Self, SparseError> {
-        let mut f = Factors::split(a, start, len)?;
-        let Factors { lower, diag, upper } = &mut f;
+        let mut f = Self::split(a, start, len)?;
+        let Ilu0Block { lower, diag, upper } = &mut f;
         // IKJ-variant ILU(0) restricted to the original pattern.
         for i in 0..len {
             let l_row = row_range(&lower.ptr, i);
@@ -365,11 +357,11 @@ impl Ilu0Block {
         if let Some(i) = diag.iter().position(|&d| d == 0.0) {
             return Err(SparseError::ZeroDiagonal(start + i));
         }
-        Ok(Ilu0Block { f })
+        Ok(f)
     }
 
     fn dim(&self) -> usize {
-        self.f.diag.len()
+        self.diag.len()
     }
 }
 
@@ -387,7 +379,7 @@ const LOCKSTEP_MAX: usize = 4;
 /// and the backward solve runs in place (every element is overwritten, no
 /// temporaries).  A shorter block sits out the rows it does not have.
 fn sweep<const W: usize>(blocks: &[Ilu0Block], r: &[f64], z: &mut [f64]) {
-    let f: [&Factors; W] = std::array::from_fn(|b| &blocks[b].f);
+    let f: [&Ilu0Block; W] = std::array::from_fn(|b| &blocks[b]);
     let (mut r_rest, mut z_rest) = (r, z);
     let r: [&[f64]; W] = std::array::from_fn(|b| {
         let r_b = r_rest.split_off(..f[b].diag.len());
@@ -490,7 +482,7 @@ impl BlockJacobiPreconditioner {
         self.blocks.iter().flat_map(move |block| {
             let offset = start;
             start += block.dim();
-            block.f.entries(offset)
+            block.entries(offset)
         })
     }
 }
@@ -520,7 +512,7 @@ impl Preconditioner for BlockJacobiPreconditioner {
     }
 
     fn storage_bytes(&self) -> usize {
-        self.blocks.iter().map(|b| b.f.bytes()).sum()
+        self.blocks.iter().map(Ilu0Block::bytes).sum()
     }
 }
 

@@ -280,12 +280,7 @@ impl SpmvPlan {
             .iter()
             .map(|&rows| vec![RowBlock::Tail { rows }])
             .collect();
-        SpmvPlan {
-            chunks,
-            parallel: true,
-            blocks,
-            cols32: None,
-        }
+        Self::for_racecheck_with_blocks(chunks, blocks)
     }
 
     /// Builds a plan with explicit chunk ranges **and** explicit per-chunk
