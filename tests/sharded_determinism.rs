@@ -11,8 +11,9 @@
 use lossy_ckpt::core::sharded::{try_run_sharded, KillSpec, ShardedReport, ShardedRunConfig};
 use lossy_ckpt::solvers::ShardedMethod;
 use lossy_ckpt::sparse::poisson::{manufactured_rhs, poisson2d, poisson3d};
-use lossy_ckpt::sparse::{CsrMatrix, Vector};
+use lossy_ckpt::sparse::{CommAction, CommInterposer, CsrMatrix, Vector};
 use proptest::prelude::*;
+use std::sync::{Arc, Mutex};
 
 /// The paper's Poisson operator is negative definite; CG needs SPD.
 fn spd_poisson(edge: usize) -> (CsrMatrix, Vector) {
@@ -131,6 +132,112 @@ fn sharded_kill_and_recover_run_is_pinned() {
     assert_eq!(report.iterations, 60);
     assert_eq!(fingerprint(&report.residual_trace), 0xddf19ae897cbfced);
     assert_eq!(fingerprint(report.solution.as_slice()), 0x300e48be1a24b020);
+}
+
+/// Delivers every halo message and logs `(from, to, seq)` as FNV-1a over
+/// the three values' little-endian bytes.
+struct Recorder(Arc<Mutex<u64>>);
+
+impl CommInterposer for Recorder {
+    fn on_halo_send(&mut self, from: usize, to: usize, seq: u64) -> CommAction {
+        let mut h = self.0.lock().unwrap();
+        for v in [from as u64, to as u64, seq] {
+            for byte in v.to_le_bytes() {
+                *h = (*h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        CommAction::Deliver
+    }
+}
+
+/// The message schedule of three kill-and-recover runs, per shard:
+/// `(halo_doubles_sent, reduce_rounds, rollbacks, halo_replays, FNV of
+/// the interposer's (from, to, seq) log)`.  Chaos seeds and the
+/// benchmark's per-iteration message and round counts name messages by
+/// this schedule, so it must not move when the transport does.
+#[test]
+fn sharded_comm_schedule_is_pinned() {
+    let cg = golden_system(true, true);
+    let bicgstab = golden_system(true, false);
+    for (label, method, (a, b), shards, killed, golden) in [
+        (
+            "cg/2",
+            ShardedMethod::Cg,
+            &cg,
+            2,
+            1,
+            vec![
+                (0x2250, 0x7b, 0, 1, 0x8c48493ff9ca68b8),
+                (0x2250, 0x7b, 1, 0, 0xdbf43f7d7064ead8),
+            ],
+        ),
+        (
+            "cg/4",
+            ShardedMethod::Cg,
+            &cg,
+            4,
+            1,
+            vec![
+                (0x2250, 0x7b, 0, 1, 0x8c48493ff9ca68b8),
+                (0x44a0, 0x7b, 1, 0, 0x4b2b6bf0ab66f766),
+                (0x44a0, 0x7b, 0, 1, 0x0d43f915621ea1e6),
+                (0x2250, 0x7b, 0, 1, 0x90d787fab9dbce98),
+            ],
+        ),
+        (
+            "bicgstab/3",
+            ShardedMethod::BiCgStab,
+            &bicgstab,
+            3,
+            2,
+            vec![
+                (0x3210, 0xdf, 0, 1, 0x914bdc894842d79c),
+                (0x6420, 0xdf, 0, 1, 0x82ab466bb0745de6),
+                (0x3210, 0xdf, 1, 0, 0x06aa9abb9c603c5e),
+            ],
+        ),
+    ] {
+        let dir = std::env::temp_dir().join(format!(
+            "lcr-shard-schedule-{}-{}",
+            label.replace('/', "-"),
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let logs: Vec<Arc<Mutex<u64>>> = (0..shards)
+            .map(|_| Arc::new(Mutex::new(0xcbf2_9ce4_8422_2325)))
+            .collect();
+        let mut cfg = ShardedRunConfig::new(shards, method);
+        cfg.rtol = 1e-10;
+        cfg.reduce_block = 64;
+        cfg.checkpoint_interval = 5;
+        cfg.ckpt_dir = Some(dir.clone());
+        cfg.kills = vec![KillSpec {
+            shard: killed,
+            at_iteration: 12,
+        }];
+        let factory_logs = logs.clone();
+        cfg.interposer_factory = Some(Arc::new(move |shard| {
+            Box::new(Recorder(Arc::clone(&factory_logs[shard]))) as Box<dyn CommInterposer>
+        }));
+        let report = try_run_sharded(a, b, &cfg).expect("kill-and-recover run");
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(report.converged, "{label}");
+        let schedule: Vec<(u64, u64, usize, usize, u64)> = report
+            .shards
+            .iter()
+            .zip(&logs)
+            .map(|(s, log)| {
+                (
+                    s.halo_doubles_sent,
+                    s.reduce_rounds,
+                    s.rollbacks,
+                    s.halo_replays,
+                    *log.lock().unwrap(),
+                )
+            })
+            .collect();
+        assert_eq!(schedule, golden, "{label}");
+    }
 }
 
 /// The acceptance benchmark: sharded CG on the 64³ Poisson system produces
