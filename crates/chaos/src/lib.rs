@@ -68,16 +68,16 @@ pub struct ChaosPlan {
     /// subsequent *mutating* operation fails with a hard `EIO`.  `None`
     /// keeps the device alive.
     pub persistent_fail_after: Option<u64>,
-    /// Probability that a halo message is dropped (the receiver times out
-    /// with a typed error).
+    /// Probability that a halo message is dropped (withheld: its reader
+    /// ends with a typed error).
     pub msg_drop: f64,
     /// Probability that a halo message is delayed by [`ChaosPlan::delay`].
     pub msg_delay: f64,
     /// Delay applied to delayed messages.
     pub delay: Duration,
-    /// One-shot peer stall: before sending halo message number `n`
-    /// (0-based, per shard), the shard sleeps [`ChaosPlan::stall`] —
-    /// long enough to trip the coordinator heartbeat.
+    /// One-shot peer stall: before publishing halo message number `n`
+    /// (0-based, per shard), the shard sleeps [`ChaosPlan::stall`] — long
+    /// enough for a peer's wait at the barrier to outlast the heartbeat.
     pub stall_at_msg: Option<u64>,
     /// Sleep length of the one-shot stall.
     pub stall: Duration,

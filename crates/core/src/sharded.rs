@@ -6,10 +6,11 @@
 //! one: [`try_run_sharded`] carves the global system into
 //! [`ShardedCsr`](lcr_sparse::ShardedCsr) views via
 //! [`partition_csr`](lcr_sparse::shard::partition_csr), spawns one scoped
-//! thread per shard, and services the reduction/barrier coordinator on the
-//! calling thread.  Each shard owns its solver state, its halo endpoints
-//! and — when checkpointing is enabled — its *own* durable store under
-//! `ckpt_dir/shard-{k}/`, and runs the very loop of
+//! thread per shard on one shared board
+//! ([`build_comms`](lcr_sparse::shard::build_comms)) and joins them;
+//! nothing runs between shards.  Each shard owns its solver state, its
+//! board endpoint and — when checkpointing is enabled — its *own* durable
+//! store under `ckpt_dir/shard-{k}/`, and runs the very loop of
 //! [`FaultTolerantRunner::run`](crate::FaultTolerantRunner::run)
 //! (the private `executor` module): one solver step, a checkpoint of its slice when
 //! one is due, then the recovery round when a kill fired.  The checkpoint
@@ -147,10 +148,11 @@ pub struct ShardedRunConfig {
     /// `at_iteration` and different shards model a *double fault*: both
     /// shards roll back in the same recovery round.
     pub kills: Vec<KillSpec>,
-    /// Supervision heartbeat: when set, the coordinator flags a shard that
-    /// stays silent this long as stalled ([`CommError::Stalled`]) and
-    /// aborts the run with typed errors everywhere, and halo receives time
-    /// out with [`CommError::PeerTimeout`] instead of blocking forever.
+    /// Supervision heartbeat: the longest a shard waits at a crossing of
+    /// the shard board.  A shard that waits longer flags the shards that
+    /// have not arrived as stalled ([`CommError::Stalled`]) and the run
+    /// ends with typed errors everywhere.  `None` waits until every shard
+    /// arrives or one leaves (a departed shard aborts the wait either way).
     pub heartbeat_timeout: Option<Duration>,
     /// Retry policy installed on each shard's checkpoint store (bounded
     /// exponential backoff for transient I/O faults).  `None` keeps the
@@ -470,9 +472,11 @@ fn residual_trace(progress: &Progress) -> Vec<f64> {
 /// merges the per-shard outcomes, asserting the determinism contract
 /// (every shard's residual trace bit-identical) on the way out.  Storage
 /// failures and comm failures (stalls, aborts, injected drops) surface as
-/// a typed [`ShardedError`].  All shard threads are always joined before
-/// returning — the coordinator aborts and drains survivors when any shard
-/// dies early, so an error return never leaks a thread.
+/// a typed [`ShardedError`]: a storage failure first, then the first comm
+/// error other than [`CommError::Aborted`] in shard order, then an abort.
+/// All shard threads are always joined before returning — a shard that
+/// leaves early, by error or panic, aborts its peers' next crossing, so an
+/// error return never leaks a thread.
 ///
 /// The caller must hand over an operator matching the method's
 /// requirements (CG needs SPD — negate the paper's negative-definite
@@ -497,56 +501,45 @@ pub fn try_run_sharded(
     }
     let layout = ShardLayout::with_block(a.nrows(), cfg.shards, cfg.reduce_block);
     let parts = partition_csr(a, &layout);
-    let (comms, mut coord) = build_comms(cfg.shards);
-    coord.set_timeout(cfg.heartbeat_timeout);
+    let comms = build_comms(cfg.shards, cfg.heartbeat_timeout);
     let b_all = b.as_slice();
 
     let start = Instant::now();
-    let (coord_result, results) = std::thread::scope(|scope| {
+    let results: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = parts
             .iter()
             .zip(comms)
             .map(|(part, mut comm)| {
                 let layout = &layout;
                 scope.spawn(move || {
-                    comm.set_timeout(cfg.heartbeat_timeout);
                     if let Some(factory) = &cfg.interposer_factory {
                         comm.set_interposer(factory(part.shard));
                     }
                     let (r0, r1) = layout.range(part.shard);
-                    let comm = RefCell::new(comm);
-                    let outcome = run_shard(cfg, part, &b_all[r0..r1], &comm);
-                    // Announce completion whatever the outcome, so the
-                    // coordinator can abort the round and drain cleanly.
-                    comm.into_inner().finish();
-                    outcome
+                    run_shard(cfg, part, &b_all[r0..r1], &RefCell::new(comm))
                 })
             })
             .collect();
-        let coord_result = coord.try_serve();
-        let results: Vec<_> = handles
+        handles
             .into_iter()
             .map(|h| h.join().expect("shard thread panicked"))
-            .collect();
-        (coord_result, results)
+            .collect()
     });
     let wall_seconds = start.elapsed().as_secs_f64();
 
-    // Error aggregation: a storage failure is the root cause (comm aborts
-    // are its fallout), then a coordinator-detected stall/abort, then the
-    // first shard comm error.
-    let first_error = |storage_only: bool| {
-        let mut errors = results.iter().filter_map(|r| r.as_ref().err());
-        errors
-            .find(|e| !storage_only || matches!(e, ShardedError::Storage { .. }))
-            .cloned()
+    // A storage failure is the root cause and an abort only the fallout of
+    // another shard's failure; `min_by_key` keeps the first in shard order.
+    let precedence = |e: &&ShardedError| match e {
+        ShardedError::Storage { .. } => 0,
+        ShardedError::Comm(CommError::Aborted { .. }) => 2,
+        ShardedError::Comm(_) => 1,
     };
-    if let Some(e) = first_error(true) {
-        return Err(e);
-    }
-    coord_result?;
-    if let Some(e) = first_error(false) {
-        return Err(e);
+    if let Some(e) = results
+        .iter()
+        .filter_map(|r| r.as_ref().err())
+        .min_by_key(precedence)
+    {
+        return Err(e.clone());
     }
     let results: Vec<_> = results
         .into_iter()

@@ -6,8 +6,8 @@
 //! A [`Space`] owns the operator, the right-hand side and the
 //! preconditioner; the solvers own the iterates.  Every operation that
 //! needs data from outside the caller's slices — an operator application
-//! (halo exchange when sharded) or a reduction (a coordinator round when
-//! sharded) — is fallible with the space's own error; the purely
+//! (halo exchange when sharded) or a reduction (a crossing of the shard
+//! board when sharded) — is fallible with the space's own error; the purely
 //! position-local updates are not.  The fused operations default to
 //! their unfused composition.
 //!

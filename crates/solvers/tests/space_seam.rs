@@ -208,26 +208,14 @@ fn one_shard_cg_agrees_with_local_cg() {
 
     let layout = ShardLayout::with_block(sys.dim(), 1, 32);
     let parts = partition_csr(&sys.a, &layout);
-    let (mut comms, mut coordinator) = build_comms(1);
-    let comm = comms.pop().unwrap();
-    let (history, reduce_rounds) = std::thread::scope(|scope| {
-        let shard = scope.spawn(|| {
-            let comm = RefCell::new(comm);
-            let space = ShardSpace::new(&parts[0], sys.b.as_slice(), &comm);
-            let mut sharded = ConjugateGradient::on(space, None, criteria).unwrap();
-            while !sharded.progress().converged() {
-                sharded.try_step().unwrap();
-            }
-            let history = sharded.progress().history().clone();
-            drop(sharded);
-            let comm = comm.into_inner();
-            let reduce_rounds = comm.reduce_rounds();
-            comm.finish();
-            (history, reduce_rounds)
-        });
-        coordinator.try_serve().unwrap();
-        shard.join().unwrap()
-    });
+    let comm = RefCell::new(build_comms(1, None).pop().unwrap());
+    let space = ShardSpace::new(&parts[0], sys.b.as_slice(), &comm);
+    let mut sharded = ConjugateGradient::on(space, None, criteria).unwrap();
+    while !sharded.progress().converged() {
+        sharded.try_step().unwrap();
+    }
+    let history = sharded.progress().history().clone();
+    let reduce_rounds = comm.borrow().reduce_rounds();
 
     assert_eq!(history.iterations(), local.iterations());
     assert_eq!(

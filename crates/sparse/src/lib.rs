@@ -54,8 +54,8 @@ pub use csr::{CsrMatrix, RowBlock, SpmvPlan};
 pub use error::SparseError;
 pub use partition::{BlockRowPartition, RankRange};
 pub use shard::{
-    CommAction, CommError, CommInterposer, HaloPlan, ShardComm, ShardCoordinator, ShardLayout,
-    ShardedCsr, REDUCE_BLOCK,
+    CommAction, CommError, CommInterposer, HaloPlan, ShardComm, ShardLayout, ShardedCsr,
+    REDUCE_BLOCK,
 };
 pub use vector::{Vector, PAR_THRESHOLD};
 

@@ -1,6 +1,6 @@
 //! Domain-decomposed (sharded) view of the global system: the distributed
-//! CSR layout, the halo-exchange plan, and the channel-based communication
-//! substrate the sharded solver loops run on.
+//! CSR layout, the halo-exchange plan, and the shared board the sharded
+//! solver loops communicate on.
 //!
 //! The paper's evaluation runs on 256–2,048 MPI ranks; this module makes
 //! that decomposition *real* inside one process.  [`ShardLayout`] extends
@@ -28,21 +28,33 @@
 //!    formed by pre-summing a shard's rows (shard-sized fold trees would
 //!    differ across shard counts).  Instead every shard emits one partial
 //!    *per reduction block* — a pure function of the block's contents —
-//!    and the coordinator concatenates the shard vectors in shard order
-//!    (equal to ascending global block order, because shards own
-//!    contiguous block ranges) and folds them sequentially.  The fold
-//!    sequence is identical for 1, 2 or 4 shards.
+//!    and every shard folds all shards' partials itself, concatenated in
+//!    shard order (equal to ascending global block order, because shards
+//!    own contiguous block ranges).  The fold sequence is identical for 1,
+//!    2 or 4 shards, and identical on every shard.
 //!
-//! The exchange itself runs over per-pair `std::sync::mpsc` channels with
-//! a fixed gather order (ascending peer rank), so message contents are
-//! deterministic regardless of thread scheduling.  Under the `racecheck`
-//! feature every halo receive range is claimed in a
-//! [`ClaimSet`](rayon::racecheck::ClaimSet), catching overlapping or
+//! # The board
+//!
+//! Shards are threads of one process, so they meet the way MPI ranks meet
+//! in an allreduce: no rank serves the others.  [`build_comms`] hands each
+//! shard a [`ShardComm`] on one shared board.  Every operation — halo
+//! exchange, reduction, all-ok vote — publishes into the shard's own post
+//! (only it writes there), crosses one generation barrier and reads the
+//! peers' posts directly; posts alternate by the generation's parity, so a
+//! fast shard never overwrites what a slow one still reads.  Halo messages
+//! are copied in ascending peer order, so their contents are deterministic
+//! regardless of thread scheduling.  A withheld message, a barrier wait
+//! past the heartbeat, a departed peer or mismatched operations end in a
+//! typed [`CommError`].  Under the `racecheck` feature every halo receive
+//! range is claimed in a [`ClaimSet`](rayon::racecheck::ClaimSet),
+//! catching overlapping or
 //! out-of-bounds scatter targets at runtime.
 
 use crate::partition::BlockRowPartition;
 use crate::{simd, CsrMatrix, Vector};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::{
+    Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
+};
 use std::time::Duration;
 
 /// Rows per reduction block: the unit of the deterministic two-phase
@@ -385,69 +397,55 @@ pub fn gather_solution(layout: &ShardLayout, locals: &[Vec<f64>]) -> Vector {
 }
 
 // ---------------------------------------------------------------------------
-// Communication substrate
+// Communication substrate: the shard board
 // ---------------------------------------------------------------------------
 
 /// A typed communication failure in the sharded protocol.
 ///
-/// Every supervised failure mode — peer stall, dropped message, dead
-/// coordinator, coordinated abort — surfaces as one of these instead of a
-/// panic or a hang, so a faulted run always ends in a *typed* error the
-/// caller can classify (the safety invariant of the chaos soak).
+/// Every supervised failure mode — withheld message, stalled or departed
+/// peer, broken lockstep — surfaces as one of these instead of a panic or
+/// a hang, so a faulted run always ends in a *typed* error the caller can
+/// classify (the safety invariant of the chaos soak).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CommError {
-    /// A halo receive from `peer` did not arrive within the timeout.
-    PeerTimeout {
-        /// The waiting shard.
+    /// `peer` withheld the halo message `shard` reads this round.
+    Withheld {
+        /// The reading shard.
         shard: usize,
-        /// The peer whose message never came.
+        /// The peer whose message was withheld.
         peer: usize,
     },
-    /// A halo channel to/from `peer` disconnected (the peer exited).
-    PeerClosed {
-        /// The shard observing the disconnect.
-        shard: usize,
-        /// The disconnected peer.
-        peer: usize,
-    },
-    /// The coordinator's request/reply channel is gone.
-    CoordinatorGone {
-        /// The shard observing the disconnect.
-        shard: usize,
-    },
-    /// The coordinator aborted the round (another shard stalled, failed,
-    /// or broke lockstep) and this shard must unwind.
+    /// The crossing can never complete (a peer stalled, failed or left)
+    /// and this shard must unwind.
     Aborted {
         /// The aborted shard.
         shard: usize,
     },
-    /// The coordinator detected a stall: no request arrived within the
-    /// heartbeat timeout while these shards still owed one.
+    /// A crossing stayed incomplete for the heartbeat timeout while these
+    /// shards had not reached it.
     Stalled {
-        /// Live shards that never sent their round request.
+        /// Shards that never arrived.
         waiting_on: Vec<usize>,
     },
-    /// The lockstep protocol was violated (mixed round / wrong reply).
+    /// The lockstep protocol was violated (shards posted different
+    /// operations at one crossing).
     Protocol(String),
 }
 
 impl std::fmt::Display for CommError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CommError::PeerTimeout { shard, peer } => {
-                write!(f, "shard {shard}: halo receive from peer {peer} timed out")
-            }
-            CommError::PeerClosed { shard, peer } => {
-                write!(f, "shard {shard}: peer {peer} disconnected")
-            }
-            CommError::CoordinatorGone { shard } => {
-                write!(f, "shard {shard}: coordinator disconnected")
+            CommError::Withheld { shard, peer } => {
+                write!(f, "shard {shard}: peer {peer} withheld its halo message")
             }
             CommError::Aborted { shard } => {
-                write!(f, "shard {shard}: round aborted by the coordinator")
+                write!(
+                    f,
+                    "shard {shard}: crossing aborted by a stalled or departed peer"
+                )
             }
             CommError::Stalled { waiting_on } => {
-                write!(f, "coordinator: stall detected waiting on shards {waiting_on:?}")
+                write!(f, "stall detected waiting on shards {waiting_on:?}")
             }
             CommError::Protocol(msg) => write!(f, "sharded protocol desync: {msg}"),
         }
@@ -461,70 +459,165 @@ impl std::error::Error for CommError {}
 pub enum CommAction {
     /// Deliver the message normally.
     Deliver,
-    /// Silently drop it — the receiving peer's timeout turns the loss
-    /// into a typed [`CommError::PeerTimeout`].
+    /// Withhold it — the receiving peer turns the loss into a typed
+    /// [`CommError::Withheld`] as soon as it has crossed.
     Drop,
 }
 
-/// Hook invoked before every outbound halo message — the seam the chaos
-/// engine injects message delay, drop, and peer stall through.  An
-/// implementation may sleep before returning (delay/stall) and decides
-/// per message whether it is delivered.  The production path has no
-/// interposer and pays nothing.
+/// Hook invoked before every outbound halo message is published — the
+/// seam the chaos engine injects message delay, drop, and peer stall
+/// through.  An implementation may sleep before returning (delay/stall)
+/// and decides per message whether it is delivered.  The production path
+/// has no interposer and pays nothing.
 pub trait CommInterposer: Send {
     /// Called before halo message number `seq` (per sending endpoint,
     /// 0-based) from `from` to `to`.
     fn on_halo_send(&mut self, from: usize, to: usize, seq: u64) -> CommAction;
 }
 
-/// A request from one shard to the coordinator.  Lockstep execution
-/// guarantees every live shard issues the *same* variant each round.
-enum Request {
-    /// Phase-one partials of a batched reduction: one inner vector per
-    /// reduced quantity, each holding this shard's per-block partials.
-    Reduce { shard: usize, partials: Vec<Vec<f64>> },
-    /// An all-ok barrier vote (epoch commit, recovery synchronisation).
-    Barrier { shard: usize, ok: bool },
-    /// The shard's solver loop has finished.
-    Done { shard: usize },
+/// The operation a post was published for; every shard posts the same one
+/// at each crossing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+enum Op {
+    #[default]
+    Idle,
+    Halo,
+    Reduce,
+    Vote,
 }
 
-impl Request {
-    fn shard(&self) -> usize {
-        match *self {
-            Request::Reduce { shard, .. }
-            | Request::Barrier { shard, .. }
-            | Request::Done { shard } => shard,
+/// One shard's contribution to one crossing.  Only its shard writes it.
+#[derive(Default)]
+struct Post {
+    op: Op,
+    /// Per peer: the halo values sent to it, in a buffer reused across
+    /// rounds (`None`: withheld, or never sent).
+    halo: Vec<Option<Vec<f64>>>,
+    /// Per reduced quantity: this shard's per-block partials.
+    partials: Vec<Vec<f64>>,
+    vote: bool,
+}
+
+/// The generation barrier's state.
+struct Gate {
+    /// Crossings completed.
+    generation: u64,
+    /// Per shard: the crossings it has arrived at.
+    arrived: Vec<u64>,
+    /// A shard stalled or left, so no crossing completes any more.
+    broken: bool,
+}
+
+/// What the shards share: two posts per shard, selected by the parity of
+/// the generation, and one generation barrier.  A shard publishes into
+/// post `g % 2`, crosses barrier `g`, then reads every post `g % 2`.  The
+/// owner writes that post again only after crossing `g + 1`, which every
+/// shard reaches only after its reads of generation `g`.
+struct Board {
+    posts: Vec<[RwLock<Post>; 2]>,
+    gate: Mutex<Gate>,
+    turned: Condvar,
+    /// The heartbeat: the longest a shard waits at a crossing.
+    timeout: Option<Duration>,
+}
+
+// A poisoned lock is recovered: every gate update is a single assignment,
+// and a post whose writer panicked is never read, since its writer never
+// arrives at that crossing.
+impl Board {
+    fn gate(&self) -> MutexGuard<'_, Gate> {
+        self.gate.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// `shard`'s post for crossing `g`, stamped with `op`.
+    fn post(&self, shard: usize, g: u64, op: Op) -> RwLockWriteGuard<'_, Post> {
+        let mut post = self.posts[shard][(g % 2) as usize]
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        post.op = op;
+        post
+    }
+
+    /// Crosses barrier `g` and hands back every shard's post of it, in
+    /// shard order.
+    fn cross(
+        &self,
+        shard: usize,
+        g: u64,
+        op: Op,
+    ) -> Result<Vec<RwLockReadGuard<'_, Post>>, CommError> {
+        self.arrive(shard, g)?;
+        let posts: Vec<_> = self
+            .posts
+            .iter()
+            .map(|p| {
+                p[(g % 2) as usize]
+                    .read()
+                    .unwrap_or_else(PoisonError::into_inner)
+            })
+            .collect();
+        match posts.iter().position(|p| p.op != op) {
+            Some(s) => Err(CommError::Protocol(format!(
+                "shard {shard} posted {op:?}, shard {s} posted {:?}",
+                posts[s].op
+            ))),
+            None => Ok(posts),
+        }
+    }
+
+    /// Arrives at barrier `g` and waits until every shard has.  A released
+    /// shard is never aborted: the generation is checked before the
+    /// broken flag.
+    fn arrive(&self, shard: usize, g: u64) -> Result<(), CommError> {
+        let mut gate = self.gate();
+        gate.arrived[shard] = g + 1;
+        if !gate.broken && gate.arrived.iter().all(|&a| a > g) {
+            gate.generation = g + 1;
+            self.turned.notify_all();
+            return Ok(());
+        }
+        let pending = |gate: &mut Gate| gate.generation == g && !gate.broken;
+        let mut gate = match self.timeout {
+            None => self
+                .turned
+                .wait_while(gate, pending)
+                .unwrap_or_else(PoisonError::into_inner),
+            Some(t) => {
+                self.turned
+                    .wait_timeout_while(gate, t, pending)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0
+            }
+        };
+        if gate.generation > g {
+            Ok(())
+        } else if gate.broken {
+            Err(CommError::Aborted { shard })
+        } else {
+            gate.broken = true;
+            self.turned.notify_all();
+            let waiting_on = (0..gate.arrived.len())
+                .filter(|&s| gate.arrived[s] <= g)
+                .collect();
+            Err(CommError::Stalled { waiting_on })
         }
     }
 }
 
-/// A coordinator reply broadcast to every live shard.
-#[derive(Clone)]
-enum Reply {
-    /// One reduced scalar per quantity.
-    Reduced(Vec<f64>),
-    /// Conjunction of the barrier votes.
-    Barrier(bool),
-    /// The round cannot complete (a peer stalled, failed, or broke
-    /// lockstep): unwind with a typed error.
-    Abort,
-}
-
-/// One shard's endpoint of the communication substrate: direct per-pair
-/// channels for halo exchange plus a request/reply pair to the
-/// [`ShardCoordinator`] for reductions and barriers.
+/// One shard's endpoint on the board shared with its peers.  Every
+/// operation publishes into this shard's post, crosses the generation
+/// barrier and reads the peers' posts, so no thread sits between shards:
+/// each folds every reduction and vote itself.  Dropping the endpoint
+/// (normal exit, error return or panic) breaks the board, so a crossing
+/// still waiting for this shard aborts instead of hanging.
 pub struct ShardComm {
     shard: usize,
-    shards: usize,
-    to_coord: Sender<Request>,
-    from_coord: Receiver<Reply>,
-    halo_tx: Vec<Option<Sender<Vec<f64>>>>,
-    halo_rx: Vec<Option<Receiver<Vec<f64>>>>,
+    board: Arc<Board>,
+    /// Crossings started.
+    generation: u64,
     halo_doubles: u64,
     reduce_rounds: u64,
     halo_msgs: u64,
-    timeout: Option<Duration>,
     interposer: Option<Box<dyn CommInterposer>>,
 }
 
@@ -536,7 +629,7 @@ impl ShardComm {
 
     /// Number of shards in the run.
     pub fn shards(&self) -> usize {
-        self.shards
+        self.board.posts.len()
     }
 
     /// Total `f64` values this shard has sent in halo messages.
@@ -549,30 +642,27 @@ impl ShardComm {
         self.reduce_rounds
     }
 
-    /// Sets the halo-receive timeout.  `None` (the default) waits
-    /// forever — the pre-supervision behaviour; with a timeout a stalled
-    /// or dropped peer message becomes [`CommError::PeerTimeout`] instead
-    /// of a hang.
-    pub fn set_timeout(&mut self, timeout: Option<Duration>) {
-        self.timeout = timeout;
-    }
-
     /// Installs a [`CommInterposer`] on this endpoint's outbound halo
     /// messages (the chaos-injection seam).
     pub fn set_interposer(&mut self, interposer: Box<dyn CommInterposer>) {
         self.interposer = Some(interposer);
     }
 
-    /// One deterministic halo exchange: scatters `owned` values to every
-    /// peer per `plan.send_rows`, then gathers peer messages into `halo`
-    /// in ascending peer order.  Receive ranges are claimed in a
+    fn next_generation(&mut self) -> u64 {
+        self.generation += 1;
+        self.generation - 1
+    }
+
+    /// One deterministic halo exchange: publishes `owned` values for every
+    /// peer per `plan.send_rows`, then copies the peers' messages into
+    /// `halo` in ascending peer order.  Receive ranges are claimed in a
     /// [`ClaimSet`](rayon::racecheck::ClaimSet) so the `racecheck` feature
     /// verifies disjointness and bounds on every exchange.
     ///
     /// # Errors
-    /// [`CommError::PeerClosed`] if a peer endpoint is gone,
-    /// [`CommError::PeerTimeout`] if a receive exceeds the configured
-    /// timeout.
+    /// [`CommError::Withheld`] if a peer withheld a message this shard
+    /// reads, or any error of the crossing ([`CommError::Aborted`],
+    /// [`CommError::Stalled`], [`CommError::Protocol`]).
     ///
     /// # Panics
     /// Panics on plan/buffer length mismatch.
@@ -583,7 +673,8 @@ impl ShardComm {
         halo: &mut [f64],
     ) -> Result<(), CommError> {
         assert_eq!(halo.len(), plan.halo_len(), "halo buffer length");
-        let claims = rayon::racecheck::ClaimSet::new(halo.len());
+        let g = self.next_generation();
+        let mut post = self.board.post(self.shard, g, Op::Halo);
         for (peer, rows) in plan.send_rows.iter().enumerate() {
             if rows.is_empty() {
                 continue;
@@ -592,384 +683,119 @@ impl ShardComm {
             self.halo_msgs += 1;
             if let Some(interposer) = self.interposer.as_mut() {
                 if interposer.on_halo_send(self.shard, peer, seq) == CommAction::Drop {
+                    post.halo[peer] = None;
                     continue;
                 }
             }
-            let msg: Vec<f64> = rows.iter().map(|&i| owned[i]).collect();
-            self.halo_doubles += msg.len() as u64;
-            if self.halo_tx[peer]
-                .as_ref()
-                .expect("send list targets a peer channel")
-                .send(msg)
-                .is_err()
-            {
-                return Err(CommError::PeerClosed {
-                    shard: self.shard,
-                    peer,
-                });
-            }
+            let msg = post.halo[peer].get_or_insert_with(Vec::new);
+            msg.clear();
+            msg.extend(rows.iter().map(|&i| owned[i]));
+            self.halo_doubles += rows.len() as u64;
         }
+        drop(post);
+        let posts = self.board.cross(self.shard, g, Op::Halo)?;
+        let claims = rayon::racecheck::ClaimSet::new(halo.len());
         for (peer, &(s, e)) in plan.recv_ranges.iter().enumerate() {
             if s == e {
                 continue;
             }
             claims.claim(s, e);
-            let rx = self.halo_rx[peer]
-                .as_ref()
-                .expect("recv range names a peer channel");
-            let msg = match self.timeout {
-                None => rx.recv().map_err(|_| CommError::PeerClosed {
+            let msg = posts[peer].halo[self.shard]
+                .as_deref()
+                .ok_or(CommError::Withheld {
                     shard: self.shard,
                     peer,
-                })?,
-                Some(t) => rx.recv_timeout(t).map_err(|e| match e {
-                    RecvTimeoutError::Timeout => CommError::PeerTimeout {
-                        shard: self.shard,
-                        peer,
-                    },
-                    RecvTimeoutError::Disconnected => CommError::PeerClosed {
-                        shard: self.shard,
-                        peer,
-                    },
-                })?,
-            };
+                })?;
             assert_eq!(msg.len(), e - s, "halo message length mismatch");
-            halo[s..e].copy_from_slice(&msg);
+            halo[s..e].copy_from_slice(msg);
         }
         Ok(())
     }
 
-    fn recv_reply(&mut self) -> Result<Reply, CommError> {
-        self.from_coord.recv().map_err(|_| CommError::CoordinatorGone {
-            shard: self.shard,
-        })
-    }
-
-    /// Phase two of the deterministic reduction: submits this shard's
-    /// per-block partials (one inner vector per quantity) and blocks until
-    /// the coordinator returns the globally folded scalars.
+    /// The deterministic reduction: publishes this shard's per-block
+    /// partials (one inner vector per quantity) and folds every shard's,
+    /// in shard order and then block order from `0.0` — ascending global
+    /// block order, so every shard computes the same bits at any shard
+    /// count.
     ///
     /// # Errors
-    /// [`CommError::CoordinatorGone`] if the coordinator is gone,
-    /// [`CommError::Aborted`] if it aborted the round, or
-    /// [`CommError::Protocol`] on a desynchronized reply.
+    /// Any error of the crossing ([`CommError::Aborted`],
+    /// [`CommError::Stalled`], [`CommError::Protocol`]).
     pub fn try_reduce(&mut self, partials: Vec<Vec<f64>>) -> Result<Vec<f64>, CommError> {
         self.reduce_rounds += 1;
-        self.to_coord
-            .send(Request::Reduce {
-                shard: self.shard,
-                partials,
-            })
-            .map_err(|_| CommError::CoordinatorGone { shard: self.shard })?;
-        match self.recv_reply()? {
-            Reply::Reduced(v) => Ok(v),
-            Reply::Abort => Err(CommError::Aborted { shard: self.shard }),
-            Reply::Barrier(_) => Err(CommError::Protocol(
-                "expected reduction reply, got barrier".into(),
-            )),
+        let g = self.next_generation();
+        self.board.post(self.shard, g, Op::Reduce).partials = partials;
+        let posts = self.board.cross(self.shard, g, Op::Reduce)?;
+        let mut scalars = vec![0.0f64; posts[0].partials.len()];
+        for post in &posts {
+            assert_eq!(
+                post.partials.len(),
+                scalars.len(),
+                "reduction quantity count"
+            );
+            for (sum, blocks) in scalars.iter_mut().zip(&post.partials) {
+                for &p in blocks {
+                    *sum += p;
+                }
+            }
         }
+        Ok(scalars)
     }
 
-    /// All-ok barrier: blocks until every shard has voted and returns the
-    /// conjunction (the epoch-commit rule: an epoch is recoverable only
-    /// when *all* shard segments landed).
+    /// All-ok barrier: the conjunction of every shard's vote (the
+    /// epoch-commit rule: an epoch is recoverable only when *all* shard
+    /// segments landed).
     ///
     /// # Errors
     /// Same contract as [`ShardComm::try_reduce`].
     pub fn try_barrier_all_ok(&mut self, ok: bool) -> Result<bool, CommError> {
-        self.to_coord
-            .send(Request::Barrier {
-                shard: self.shard,
-                ok,
-            })
-            .map_err(|_| CommError::CoordinatorGone { shard: self.shard })?;
-        match self.recv_reply()? {
-            Reply::Barrier(all_ok) => Ok(all_ok),
-            Reply::Abort => Err(CommError::Aborted { shard: self.shard }),
-            Reply::Reduced(_) => Err(CommError::Protocol(
-                "expected barrier reply, got reduction".into(),
-            )),
-        }
-    }
-
-    /// Announces this shard's completion and consumes the endpoint.
-    pub fn finish(self) {
-        // The coordinator exits once every shard reports done; a shard
-        // racing ahead of a coordinator that already shut down is fine.
-        let _ = self.to_coord.send(Request::Done { shard: self.shard });
+        let g = self.next_generation();
+        self.board.post(self.shard, g, Op::Vote).vote = ok;
+        let posts = self.board.cross(self.shard, g, Op::Vote)?;
+        Ok(posts.iter().all(|p| p.vote))
     }
 }
 
-/// The reduction/barrier coordinator: runs on the executor thread,
-/// servicing lockstep rounds until every shard reports done.
-// lcr-analyze: allow(dead-public-item): returned by `build_comms`; the executor drives it by inference
-pub struct ShardCoordinator {
-    shards: usize,
-    rx: Receiver<Request>,
-    tx: Vec<Sender<Reply>>,
-    timeout: Option<Duration>,
-}
-
-impl ShardCoordinator {
-    /// Sets the heartbeat timeout for stall detection: if a round stays
-    /// incomplete for this long, the coordinator declares the missing
-    /// shards stalled, aborts every waiting shard, drains the rest and
-    /// returns [`CommError::Stalled`] from
-    /// [`try_serve`](ShardCoordinator::try_serve).  `None` (the default)
-    /// waits forever — the pre-supervision behaviour where only an
-    /// explicit kill was detectable.
-    pub fn set_timeout(&mut self, timeout: Option<Duration>) {
-        self.timeout = timeout;
-    }
-
-    /// Services rounds until every shard has sent [`ShardComm::finish`],
-    /// with supervision.
-    ///
-    /// Each round collects exactly one request per live shard, requires
-    /// them to be the same variant (the solver loops run in lockstep),
-    /// folds reduction partials in shard order — ascending global block
-    /// order — and broadcasts the reply.
-    ///
-    /// Supervision departs from the strict lockstep in two ways.  If a
-    /// round stays incomplete past the heartbeat timeout, the missing
-    /// shards are declared stalled ([`CommError::Stalled`]).  If `Done`
-    /// arrives mixed into a reduce/barrier round — a shard unwound with
-    /// an error while its peers kept computing — the round can never
-    /// complete and is aborted.  In both cases every waiting shard
-    /// receives an abort reply (so it unwinds with
-    /// [`CommError::Aborted`] instead of hanging), remaining requests are
-    /// drained until all shards finished, and the first failure is
-    /// returned — shards are always joinable afterwards.
-    ///
-    /// # Errors
-    /// [`CommError::Stalled`] on heartbeat expiry,
-    /// [`CommError::Aborted`] when lockstep broke,
-    /// [`CommError::CoordinatorGone`] if a shard endpoint vanished
-    /// mid-round, [`CommError::Protocol`] on a duplicate or mixed
-    /// non-`Done` request.
-    pub fn try_serve(&mut self) -> Result<(), CommError> {
-        let mut done = vec![false; self.shards];
-        let mut live = self.shards;
-        while live > 0 {
-            let mut slots: Vec<Option<Request>> = (0..self.shards).map(|_| None).collect();
-            let round = live;
-            for _ in 0..round {
-                let req = match self.recv_request() {
-                    Ok(req) => req,
-                    Err(e) => {
-                        // Stall or disconnect mid-round: abort everyone
-                        // already waiting for a reply, then drain.
-                        let waiting: Vec<usize> = slots
-                            .iter()
-                            .enumerate()
-                            .filter_map(|(s, r)| r.as_ref().map(|_| s))
-                            .collect();
-                        let err = match e {
-                            RecvTimeoutError::Timeout => CommError::Stalled {
-                                waiting_on: (0..self.shards)
-                                    .filter(|&s| !done[s] && slots[s].is_none())
-                                    .collect(),
-                            },
-                            RecvTimeoutError::Disconnected => {
-                                CommError::CoordinatorGone { shard: usize::MAX }
-                            }
-                        };
-                        consume_done_slots(&slots, &mut done, &mut live);
-                        self.abort_and_drain(waiting, &mut done, &mut live);
-                        return Err(err);
-                    }
-                };
-                let s = req.shard();
-                if done[s] || slots[s].is_some() {
-                    return Err(CommError::Protocol(format!(
-                        "duplicate request from shard {s}"
-                    )));
-                }
-                slots[s] = Some(req);
-            }
-            let requests: Vec<(usize, Request)> = slots
-                .into_iter()
-                .enumerate()
-                .filter_map(|(s, r)| r.map(|r| (s, r)))
-                .collect();
-            let n_done = requests
-                .iter()
-                .filter(|(_, r)| matches!(r, Request::Done { .. }))
-                .count();
-            if n_done > 0 {
-                // Every Done shard is finished for good; if anything else
-                // is in the round, lockstep broke (a shard erred out early)
-                // and the survivors must unwind.
-                let mut waiting = Vec::new();
-                for (s, req) in &requests {
-                    if matches!(req, Request::Done { .. }) {
-                        done[*s] = true;
-                        live -= 1;
-                    } else {
-                        waiting.push(*s);
-                    }
-                }
-                if !waiting.is_empty() {
-                    self.abort_and_drain(waiting.clone(), &mut done, &mut live);
-                    return Err(CommError::Aborted {
-                        shard: waiting[0],
-                    });
-                }
-                continue;
-            }
-            match requests.first() {
-                Some((_, Request::Reduce { .. })) => {
-                    let nq = match &requests[0].1 {
-                        Request::Reduce { partials, .. } => partials.len(),
-                        _ => unreachable!(),
-                    };
-                    let mut scalars = vec![0.0f64; nq];
-                    // Shard order == ascending global block order: the
-                    // fold sequence is independent of the shard count.
-                    for (_, req) in &requests {
-                        let Request::Reduce { partials, .. } = req else {
-                            return Err(CommError::Protocol("mixed reduce round".into()));
-                        };
-                        assert_eq!(partials.len(), nq, "reduction quantity count");
-                        for (q, blocks) in partials.iter().enumerate() {
-                            for &p in blocks {
-                                scalars[q] += p;
-                            }
-                        }
-                    }
-                    for (s, _) in &requests {
-                        let _ = self.tx[*s].send(Reply::Reduced(scalars.clone()));
-                    }
-                }
-                Some((_, Request::Barrier { .. })) => {
-                    let mut all_ok = true;
-                    for (_, req) in &requests {
-                        let Request::Barrier { ok, .. } = req else {
-                            return Err(CommError::Protocol("mixed barrier round".into()));
-                        };
-                        all_ok &= ok;
-                    }
-                    for (s, _) in &requests {
-                        let _ = self.tx[*s].send(Reply::Barrier(all_ok));
-                    }
-                }
-                _ => unreachable!("done rounds handled above; rounds are never empty"),
-            }
-        }
-        Ok(())
-    }
-
-    fn recv_request(&mut self) -> Result<Request, RecvTimeoutError> {
-        match self.timeout {
-            None => self
-                .rx
-                .recv()
-                .map_err(|_| RecvTimeoutError::Disconnected),
-            Some(t) => self.rx.recv_timeout(t),
-        }
-    }
-
-    /// Sends [`Reply::Abort`] to every shard in `waiting`, then keeps
-    /// servicing requests — replying abort to everything but `Done` —
-    /// until every live shard has finished, so the executor can always
-    /// join its shard threads.
-    fn abort_and_drain(&mut self, waiting: Vec<usize>, done: &mut [bool], live: &mut usize) {
-        for s in waiting {
-            let _ = self.tx[s].send(Reply::Abort);
-        }
-        while *live > 0 {
-            let req = match self.recv_request() {
-                Ok(req) => req,
-                // Disconnect means every endpoint is gone — nothing left
-                // to join.  A timeout here means a shard is still stalled;
-                // keep waiting (its own halo timeout bounds the stall) so
-                // the join below cannot deadlock while endpoints exist.
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => break,
-            };
-            match req {
-                Request::Done { shard } => {
-                    if !done[shard] {
-                        done[shard] = true;
-                        *live -= 1;
-                    }
-                }
-                other => {
-                    let _ = self.tx[other.shard()].send(Reply::Abort);
-                }
-            }
-        }
+impl Drop for ShardComm {
+    fn drop(&mut self) {
+        self.board.gate().broken = true;
+        self.board.turned.notify_all();
     }
 }
 
-/// Helper for the mid-round failure path: consumes any `Done` requests
-/// already collected in `slots` — those shards are finished and must not
-/// be waited for during the drain.
-fn consume_done_slots(slots: &[Option<Request>], done: &mut [bool], live: &mut usize) {
-    for (s, slot) in slots.iter().enumerate() {
-        if let Some(Request::Done { .. }) = slot {
-            if !done[s] {
-                done[s] = true;
-                *live -= 1;
-            }
-        }
-    }
-}
-
-/// Builds the communication substrate for `shards` shards: one
-/// [`ShardComm`] endpoint per shard plus the [`ShardCoordinator`] the
-/// executor thread must [`try_serve`](ShardCoordinator::try_serve).
-pub fn build_comms(shards: usize) -> (Vec<ShardComm>, ShardCoordinator) {
+/// Builds the board for `shards` shards and one [`ShardComm`] endpoint on
+/// it per shard.  `timeout` is the heartbeat: the longest a shard waits at
+/// a crossing before it declares the shards that have not arrived stalled
+/// (`None` waits until they arrive or leave).
+pub fn build_comms(shards: usize, timeout: Option<Duration>) -> Vec<ShardComm> {
     assert!(shards > 0, "at least one shard");
-    let (req_tx, req_rx) = channel::<Request>();
-    let mut reply_tx = Vec::with_capacity(shards);
-    let mut reply_rx = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        let (tx, rx) = channel::<Reply>();
-        reply_tx.push(tx);
-        reply_rx.push(rx);
-    }
-    // Per-ordered-pair halo channels: halo[(from, to)].
-    let mut halo_tx: Vec<Vec<Option<Sender<Vec<f64>>>>> =
-        (0..shards).map(|_| (0..shards).map(|_| None).collect()).collect();
-    let mut halo_rx: Vec<Vec<Option<Receiver<Vec<f64>>>>> =
-        (0..shards).map(|_| (0..shards).map(|_| None).collect()).collect();
-    for from in 0..shards {
-        for to in 0..shards {
-            if from == to {
-                continue;
-            }
-            let (tx, rx) = channel::<Vec<f64>>();
-            halo_tx[from][to] = Some(tx);
-            halo_rx[to][from] = Some(rx);
-        }
-    }
-    let comms = reply_rx
-        .into_iter()
-        .zip(halo_tx)
-        .zip(halo_rx)
-        .enumerate()
-        .map(|(shard, ((from_coord, tx), rx))| ShardComm {
+    let post = || {
+        RwLock::new(Post {
+            halo: vec![None; shards],
+            ..Post::default()
+        })
+    };
+    let board = Arc::new(Board {
+        posts: (0..shards).map(|_| [post(), post()]).collect(),
+        gate: Mutex::new(Gate {
+            generation: 0,
+            arrived: vec![0; shards],
+            broken: false,
+        }),
+        turned: Condvar::new(),
+        timeout,
+    });
+    (0..shards)
+        .map(|shard| ShardComm {
             shard,
-            shards,
-            to_coord: req_tx.clone(),
-            from_coord,
-            halo_tx: tx,
-            halo_rx: rx,
+            board: Arc::clone(&board),
+            generation: 0,
             halo_doubles: 0,
             reduce_rounds: 0,
             halo_msgs: 0,
-            timeout: None,
             interposer: None,
         })
-        .collect();
-    let coordinator = ShardCoordinator {
-        shards,
-        rx: req_rx,
-        tx: reply_tx,
-        timeout: None,
-    };
-    (comms, coordinator)
+        .collect()
 }
 
 #[cfg(test)]
@@ -1094,27 +920,34 @@ mod tests {
         }
     }
 
+    /// Runs `body` on every endpoint of a `shards`-shard board, each on its
+    /// own scoped thread, and returns the results in shard order.  An
+    /// endpoint leaves the board when `body` returns.
+    fn on_board<T: Send>(
+        shards: usize,
+        timeout: Option<Duration>,
+        body: impl Fn(ShardComm) -> T + Sync,
+    ) -> Vec<T> {
+        let body = &body;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = build_comms(shards, timeout)
+                .into_iter()
+                .map(|comm| scope.spawn(move || body(comm)))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+    }
+
     #[test]
-    fn comm_reduce_and_barrier_roundtrip() {
-        let (comms, mut coord) = build_comms(3);
-        let handles: Vec<_> = comms
-            .into_iter()
-            .map(|mut comm| {
-                // lcr-analyze: allow(thread-spawn): unit test exercising the
-                // coordinator protocol needs real concurrent endpoints.
-                std::thread::spawn(move || {
-                    let s = comm.shard() as f64;
-                    let r = comm.try_reduce(vec![vec![s, 1.0], vec![2.0 * s]]).unwrap();
-                    let ok = comm.try_barrier_all_ok(comm.shard() != 1).unwrap();
-                    let all = comm.try_barrier_all_ok(true).unwrap();
-                    comm.finish();
-                    (r, ok, all)
-                })
-            })
-            .collect();
-        coord.try_serve().unwrap();
-        for h in handles {
-            let (r, ok, all) = h.join().unwrap();
+    fn board_reduce_and_vote_roundtrip() {
+        let results = on_board(3, None, |mut comm| {
+            let s = comm.shard() as f64;
+            let r = comm.try_reduce(vec![vec![s, 1.0], vec![2.0 * s]]).unwrap();
+            let ok = comm.try_barrier_all_ok(comm.shard() != 1).unwrap();
+            let all = comm.try_barrier_all_ok(true).unwrap();
+            (r, ok, all)
+        });
+        for (r, ok, all) in results {
             assert_eq!(r, vec![0.0 + 1.0 + 1.0 + 1.0 + 2.0 + 1.0, 6.0]);
             assert!(!ok, "one dissenting vote fails the barrier");
             assert!(all);
@@ -1122,121 +955,106 @@ mod tests {
     }
 
     #[test]
-    fn coordinator_detects_a_stalled_shard_and_aborts_the_rest() {
-        let (comms, mut coord) = build_comms(3);
-        coord.set_timeout(Some(Duration::from_millis(50)));
-        let handles: Vec<_> = comms
-            .into_iter()
-            .map(|mut comm| {
-                // lcr-analyze: allow(thread-spawn): unit test exercising the
-                // supervised coordinator needs real concurrent endpoints.
-                std::thread::spawn(move || {
-                    let result = if comm.shard() == 2 {
-                        // Shard 2 stalls for 10x the heartbeat before ever
-                        // sending its round request.
-                        std::thread::sleep(Duration::from_millis(500));
-                        comm.try_reduce(vec![vec![1.0]])
-                    } else {
-                        comm.try_reduce(vec![vec![1.0]])
-                    };
-                    comm.finish();
-                    result
-                })
-            })
-            .collect();
-        let served = coord.try_serve();
+    fn a_stalled_shard_is_named_and_every_shard_ends_typed() {
+        let peers_gave_up = std::sync::Barrier::new(3);
+        let results = on_board(3, Some(Duration::from_millis(50)), |mut comm| {
+            if comm.shard() == 2 {
+                peers_gave_up.wait();
+                return comm.try_reduce(vec![vec![1.0]]);
+            }
+            let result = comm.try_reduce(vec![vec![1.0]]);
+            peers_gave_up.wait();
+            result
+        });
+        let stalled = Err(CommError::Stalled {
+            waiting_on: vec![2],
+        });
         assert_eq!(
-            served,
-            Err(CommError::Stalled { waiting_on: vec![2] }),
-            "heartbeat must name the stalled shard"
+            results.iter().filter(|&r| *r == stalled).count(),
+            1,
+            "the first shard to time out names the stalled shard: {results:?}"
         );
-        let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        // The healthy shards were aborted (typed error, no hang); the
-        // stalled shard's late request is aborted by the drain.
         for (s, r) in results.iter().enumerate() {
-            assert!(r.is_err(), "shard {s} must surface a typed error, got {r:?}");
+            assert!(
+                *r == stalled || *r == Err(CommError::Aborted { shard: s }),
+                "shard {s} must end in a typed error, got {r:?}"
+            );
         }
     }
 
     #[test]
-    fn early_shard_exit_aborts_survivors_instead_of_hanging() {
-        let (comms, mut coord) = build_comms(2);
-        coord.set_timeout(Some(Duration::from_millis(2000)));
-        let handles: Vec<_> = comms
-            .into_iter()
-            .map(|mut comm| {
-                // lcr-analyze: allow(thread-spawn): unit test exercising the
-                // supervised coordinator needs real concurrent endpoints.
-                std::thread::spawn(move || {
-                    if comm.shard() == 0 {
-                        // Shard 0 errors out before the round (simulating an
-                        // unrecoverable local failure) and reports done.
-                        comm.finish();
-                        Ok(Vec::new())
-                    } else {
-                        let r = comm.try_reduce(vec![vec![1.0]]);
-                        comm.finish();
-                        r
-                    }
-                })
-            })
-            .collect();
-        let served = coord.try_serve();
-        assert!(served.is_err(), "mixed done round must fail the run");
-        let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+    fn early_exit_aborts_the_survivor_instead_of_hanging() {
+        let results = on_board(2, None, |mut comm| {
+            if comm.shard() == 0 {
+                // Leaves before the round, as an unrecoverable local
+                // failure would.
+                return Ok(Vec::new());
+            }
+            comm.try_reduce(vec![vec![1.0]])
+        });
         assert!(results[0].is_ok());
         assert_eq!(results[1], Err(CommError::Aborted { shard: 1 }));
     }
 
     #[test]
-    fn dropped_halo_message_times_out_with_a_typed_error() {
+    fn a_withheld_message_is_typed_without_a_timeout() {
         struct DropAll;
         impl CommInterposer for DropAll {
             fn on_halo_send(&mut self, _from: usize, _to: usize, _seq: u64) -> CommAction {
                 CommAction::Drop
             }
         }
-        let plan01 = HaloPlan {
-            halo_cols: vec![1],
-            recv_ranges: vec![(0, 0), (0, 1)],
-            send_rows: vec![Vec::new(), vec![0]],
-        };
-        let plan10 = HaloPlan {
-            halo_cols: vec![0],
-            recv_ranges: vec![(0, 1), (0, 0)],
-            send_rows: vec![vec![0], Vec::new()],
-        };
-        let (mut comms, mut coord) = build_comms(2);
-        let mut c1 = comms.pop().unwrap();
-        let mut c0 = comms.pop().unwrap();
-        c0.set_timeout(Some(Duration::from_millis(40)));
-        c1.set_timeout(Some(Duration::from_millis(40)));
-        c1.set_interposer(Box::new(DropAll));
-        coord.set_timeout(Some(Duration::from_millis(2000)));
-        // lcr-analyze: allow(thread-spawn): unit test exercising the halo
-        // timeout path needs a real concurrent peer endpoint.
-        let h1 = std::thread::spawn(move || {
-            let mut halo = vec![0.0; 1];
-            // Shard 1 drops its outbound message but still receives fine.
-            let r = c1.try_halo_exchange(&plan10, &[2.0], &mut halo);
-            c1.finish();
-            r
+        let plans = [
+            HaloPlan {
+                halo_cols: vec![1],
+                recv_ranges: vec![(0, 0), (0, 1)],
+                send_rows: vec![Vec::new(), vec![0]],
+            },
+            HaloPlan {
+                halo_cols: vec![0],
+                recv_ranges: vec![(0, 1), (0, 0)],
+                send_rows: vec![vec![0], Vec::new()],
+            },
+        ];
+        let results = on_board(2, None, |mut comm| {
+            let s = comm.shard();
+            if s == 1 {
+                comm.set_interposer(Box::new(DropAll));
+            }
+            let mut halo = [0.0];
+            comm.try_halo_exchange(&plans[s], &[s as f64 + 1.0], &mut halo)
+                .map(|()| halo[0])
         });
-        let mut halo = vec![0.0; 1];
-        let r0 = c0.try_halo_exchange(&plan01, &[1.0], &mut halo);
-        // Depending on timing the loss surfaces as a timeout (peer still
-        // alive) or a disconnect (peer already exited) — both are typed.
-        assert!(
-            matches!(
-                r0,
-                Err(CommError::PeerTimeout { shard: 0, peer: 1 })
-                    | Err(CommError::PeerClosed { shard: 0, peer: 1 })
-            ),
-            "dropped message must surface as a typed error, got {r0:?}"
-        );
-        c0.finish();
-        coord.try_serve().unwrap();
-        h1.join().unwrap().unwrap();
+        assert_eq!(results[0], Err(CommError::Withheld { shard: 0, peer: 1 }));
+        assert_eq!(results[1], Ok(1.0), "shard 0's message still arrives");
+    }
+
+    #[test]
+    fn mismatched_ops_are_a_protocol_error() {
+        let results = on_board(2, None, |mut comm| {
+            if comm.shard() == 0 {
+                comm.try_reduce(vec![vec![1.0]]).map(drop)
+            } else {
+                comm.try_barrier_all_ok(true).map(drop)
+            }
+        });
+        for r in results {
+            assert!(matches!(r, Err(CommError::Protocol(_))), "got {r:?}");
+        }
+    }
+
+    #[test]
+    fn a_one_shard_board_crosses_without_waiting() {
+        let mut comm = build_comms(1, None).pop().unwrap();
+        let plan = HaloPlan {
+            halo_cols: Vec::new(),
+            recv_ranges: vec![(0, 0)],
+            send_rows: vec![Vec::new()],
+        };
+        comm.try_halo_exchange(&plan, &[1.0], &mut []).unwrap();
+        assert_eq!(comm.try_reduce(vec![vec![1.0, 2.0]]), Ok(vec![3.0]));
+        assert_eq!(comm.try_barrier_all_ok(false), Ok(false));
+        assert_eq!((comm.halo_doubles_sent(), comm.reduce_rounds()), (0, 1));
     }
 
     #[test]
