@@ -439,10 +439,7 @@ impl std::fmt::Display for CommError {
                 write!(f, "shard {shard}: peer {peer} withheld its halo message")
             }
             CommError::Aborted { shard } => {
-                write!(
-                    f,
-                    "shard {shard}: crossing aborted by a stalled or departed peer"
-                )
+                write!(f, "shard {shard}: aborted, a peer stalled or left")
             }
             CommError::Stalled { waiting_on } => {
                 write!(f, "stall detected waiting on shards {waiting_on:?}")
@@ -576,19 +573,14 @@ impl Board {
             self.turned.notify_all();
             return Ok(());
         }
+        // `Duration::MAX` outlasts any run: with no heartbeat the wait is
+        // unbounded.
+        let heartbeat = self.timeout.unwrap_or(Duration::MAX);
         let pending = |gate: &mut Gate| gate.generation == g && !gate.broken;
-        let mut gate = match self.timeout {
-            None => self
-                .turned
-                .wait_while(gate, pending)
-                .unwrap_or_else(PoisonError::into_inner),
-            Some(t) => {
-                self.turned
-                    .wait_timeout_while(gate, t, pending)
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .0
-            }
-        };
+        let (mut gate, _) = self
+            .turned
+            .wait_timeout_while(gate, heartbeat, pending)
+            .unwrap_or_else(PoisonError::into_inner);
         if gate.generation > g {
             Ok(())
         } else if gate.broken {
