@@ -19,7 +19,7 @@ use lcr_sparse::ShardLayout;
 struct Counts {
     /// Operations that read off-slice entries (one halo exchange each).
     halo_ops: Cell<usize>,
-    /// Global reductions (one coordinator round each).
+    /// Global reductions (one board crossing each).
     reductions: Cell<usize>,
 }
 
