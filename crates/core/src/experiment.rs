@@ -136,22 +136,15 @@ fn measure_strategy_ratios(
 /// checkpoint path: runs the local instance on the sharded executor with
 /// per-shard SZ epoch checkpoints and returns `original_bytes /
 /// stored_bytes` of the newest committed epoch (all shard segments
-/// summed).  `None` for GMRES, which the sharded backend does not run.
+/// summed), `None` if no epoch committed.
 fn measured_shard_segment_ratio(
     problem: &ScaledProblem,
     kind: SolverKind,
     max_iterations: usize,
 ) -> Option<f64> {
-    use lcr_solvers::ShardedMethod;
-    let method = match kind {
-        SolverKind::Cg => ShardedMethod::Cg,
-        SolverKind::Jacobi => ShardedMethod::Jacobi,
-        SolverKind::BiCgStab => ShardedMethod::BiCgStab,
-        SolverKind::Gmres => return None,
-    };
     let mut a = (*problem.system.a).clone();
     let mut b = (*problem.system.b).clone();
-    if method == ShardedMethod::Cg {
+    if kind == SolverKind::Cg {
         // The paper's Poisson operator is negative definite; CG needs SPD.
         for v in a.values_mut() {
             *v = -*v;
@@ -166,7 +159,7 @@ fn measured_shard_segment_ratio(
         kind.name()
     ));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut cfg = crate::sharded::ShardedRunConfig::new(shards, method);
+    let mut cfg = crate::sharded::ShardedRunConfig::new(shards, kind);
     cfg.rtol = paper_rtol(kind);
     cfg.max_iterations = max_iterations.min(2_000);
     // Small local instances must still span all shards.
@@ -203,8 +196,8 @@ pub struct Table3Row {
     /// *Measured* lossy checkpoint size per process, MB: the per-shard SZ
     /// segment sizes actually written by the sharded checkpoint path
     /// (newest committed epoch), extrapolated to paper scale with the same
-    /// per-process byte accounting as the estimate columns.  `None` for
-    /// solvers the sharded backend does not run (e.g. GMRES).
+    /// per-process byte accounting as the estimate columns.  `None` when the
+    /// sharded run committed no epoch.
     pub measured_shard_mb: Option<f64>,
 }
 

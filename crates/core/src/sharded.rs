@@ -49,7 +49,7 @@ use std::time::{Duration, Instant};
 use lcr_ckpt::{CheckpointLevel, ClusterConfig, FtiContext, PfsModel, RetryPolicy, StorageBackend};
 use lcr_compress::ErrorBound;
 use lcr_solvers::{
-    BiCgStab, ConjugateGradient, DynamicState, Jacobi, Progress, ShardSpace, ShardedMethod,
+    BiCgStab, ConjugateGradient, DynamicState, Gmres, Jacobi, Progress, ShardSpace, SolverKind,
     StoppingCriteria, TryIterativeMethod,
 };
 use lcr_sparse::shard::{build_comms, gather_solution, partition_csr, CommError, CommInterposer};
@@ -57,6 +57,7 @@ use lcr_sparse::{CsrMatrix, ShardComm, ShardLayout, ShardedCsr, Vector, REDUCE_B
 
 use crate::executor::{execute, Checkpointer, Committed, Quorum, Recovered, Regime};
 use crate::strategy::{CheckpointStrategy, ErrorBoundPolicy, LossyCodecKind};
+use crate::workload::GMRES_RESTART;
 
 /// Deterministic fail-stop injection: at the end of iteration
 /// `at_iteration`, shard `shard` crashes and recovers from its newest
@@ -123,7 +124,7 @@ pub struct ShardedRunConfig {
     /// Number of shards (concurrent worker threads).
     pub shards: usize,
     /// Which method to run.
-    pub method: ShardedMethod,
+    pub method: SolverKind,
     /// Relative convergence tolerance (`‖r‖ ≤ rtol · ‖b‖`).
     pub rtol: f64,
     /// Iteration cap.
@@ -191,7 +192,7 @@ impl ShardedRunConfig {
     /// A checkpoint-free, failure-free configuration with paper-style
     /// defaults (`reduce_block = `[`REDUCE_BLOCK`], SZ value-range bound
     /// `1e-4`, 4 retained checkpoints).
-    pub fn new(shards: usize, method: ShardedMethod) -> Self {
+    pub fn new(shards: usize, method: SolverKind) -> Self {
         ShardedRunConfig {
             shards,
             method,
@@ -429,9 +430,10 @@ fn run_shard(
         max_iterations: cfg.max_iterations,
     };
     let solver: Box<dyn TryIterativeMethod<Error = CommError> + '_> = match cfg.method {
-        ShardedMethod::Cg => Box::new(ConjugateGradient::on(space, None, criteria)?),
-        ShardedMethod::BiCgStab => Box::new(BiCgStab::on(space, None, criteria)?),
-        ShardedMethod::Jacobi => Box::new(Jacobi::on(space, None, criteria)?),
+        SolverKind::Cg => Box::new(ConjugateGradient::on(space, None, criteria)?),
+        SolverKind::BiCgStab => Box::new(BiCgStab::on(space, None, criteria)?),
+        SolverKind::Jacobi => Box::new(Jacobi::on(space, None, criteria)?),
+        SolverKind::Gmres => Box::new(Gmres::on(space, None, GMRES_RESTART, criteria)?),
     };
     let mut rank = Shard {
         solver,
@@ -621,7 +623,7 @@ mod tests {
         let (a, b) = spd_poisson(8);
         let dir = std::env::temp_dir().join(format!("lcr-shard-epochs-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut cfg = ShardedRunConfig::new(2, ShardedMethod::Cg);
+        let mut cfg = ShardedRunConfig::new(2, SolverKind::Cg);
         cfg.rtol = 1e-8;
         cfg.reduce_block = 64;
         cfg.checkpoint_interval = 5;
@@ -645,7 +647,7 @@ mod tests {
     fn jacobi_and_bicgstab_run_sharded() {
         let a = poisson3d(6);
         let b = Vector::filled(a.nrows(), 1.0);
-        for method in [ShardedMethod::Jacobi, ShardedMethod::BiCgStab] {
+        for method in [SolverKind::Jacobi, SolverKind::BiCgStab] {
             let mut cfg = ShardedRunConfig::new(3, method);
             cfg.rtol = 1e-6;
             cfg.reduce_block = 32;

@@ -35,6 +35,10 @@ pub enum WorkloadKind {
     Kkt,
 }
 
+/// The paper's GMRES restart length, the `m` of GMRES(m) (§4.4.2; PETSc's
+/// default), on both fronts.
+pub(crate) const GMRES_RESTART: usize = 30;
+
 /// The paper's relative convergence tolerances (§5.1).
 pub fn paper_rtol(kind: SolverKind) -> f64 {
     match kind {
@@ -196,19 +200,19 @@ impl PaperWorkload {
                 );
                 Box::new(ConjugateGradient::new(system, pre, x0, criteria))
             }
-            (WorkloadKind::Poisson3d, SolverKind::Gmres) => {
-                let pre: Arc<dyn Preconditioner> = Arc::new(
-                    BlockJacobiPreconditioner::new(&problem.system.a, 16.min(n))
-                        .expect("block Jacobi on Poisson"),
-                );
-                Box::new(Gmres::new(problem.system.clone(), pre, x0, 30, criteria))
-            }
-            (WorkloadKind::Kkt, SolverKind::Gmres) => {
-                let pre: Arc<dyn Preconditioner> = Arc::new(
-                    JacobiPreconditioner::new(&problem.system.a)
-                        .expect("Jacobi preconditioner on KKT"),
-                );
-                Box::new(Gmres::new(problem.system.clone(), pre, x0, 30, criteria))
+            (workload, SolverKind::Gmres) => {
+                let a = &problem.system.a;
+                let pre: Arc<dyn Preconditioner> = match workload {
+                    WorkloadKind::Poisson3d => Arc::new(
+                        BlockJacobiPreconditioner::new(a, 16.min(n))
+                            .expect("block Jacobi on Poisson"),
+                    ),
+                    WorkloadKind::Kkt => Arc::new(
+                        JacobiPreconditioner::new(a).expect("Jacobi preconditioner on KKT"),
+                    ),
+                };
+                let system = problem.system.clone();
+                Box::new(Gmres::new(system, pre, x0, GMRES_RESTART, criteria))
             }
             (workload, solver) => panic!(
                 "the paper does not evaluate {solver:?} on the {workload:?} workload"

@@ -14,41 +14,50 @@
 //! norm estimate cheaply.  One [`step`](crate::IterativeMethod::step)
 //! performs one *inner* iteration (one new Krylov vector), which matches the
 //! per-iteration checkpointing granularity used by the fault-tolerance
-//! driver.
+//! driver.  The basis vectors live in a [`Space`], so the method runs on the
+//! whole system or on one shard of it; the Hessenberg, Givens and
+//! least-squares state are scalars derived from reductions, held identically
+//! by every shard.
 
 use crate::convergence::StoppingCriteria;
-use crate::precond::{IdentityPreconditioner, Preconditioner};
+use crate::precond::Preconditioner;
 use crate::progress::Progress;
+use crate::space::{residual, LocalSpace, Space};
 use crate::{DynamicState, LinearSystem};
-use lcr_sparse::{kernels, Vector};
-use std::convert::Infallible;
+use lcr_sparse::Vector;
 use std::sync::Arc;
 
-/// Restarted GMRES(m) solver.
-pub struct Gmres {
-    system: LinearSystem,
-    precond: Arc<dyn Preconditioner>,
+/// Restarted GMRES(m) on any [`Space`] ([`LocalSpace`] unless named
+/// otherwise).
+///
+/// An inner step is one operator application ([`Space::apply`]), the left
+/// preconditioner of the space, and modified Gram–Schmidt on
+/// [`Space::dot`] and [`Space::axpy`], whose last projection returns the
+/// norm of what remains in the same pass ([`Space::axpy_norm2`]).
+pub struct Gmres<S = LocalSpace> {
+    space: S,
     restart: usize,
     /// The iterate, the stopping rule and the history; the residual it
-    /// tracks is the left-preconditioned one, `‖M⁻¹(b − A x)‖`.
+    /// tracks is the left-preconditioned one, `‖M⁻¹(b − A x)‖`.  `x`
+    /// excludes the open cycle's correction.
     state: Progress,
-    /// Krylov basis vectors (up to `restart + 1`).
+    /// Krylov basis vectors (up to `restart + 1`); empty while no cycle is
+    /// open.
     basis: Vec<Vector>,
     /// Upper-Hessenberg matrix stored column-wise: `hessenberg[j]` holds
-    /// column `j` (length `j + 2`).
+    /// column `j` (length `j + 2`); its length is the inner iteration index
+    /// within the cycle.
     hessenberg: Vec<Vec<f64>>,
     /// Givens rotation cosines/sines.
     givens: Vec<(f64, f64)>,
     /// Right-hand side of the least-squares problem.
     g: Vec<f64>,
-    /// Preallocated scratch for `A v_j` (also reused as the residual buffer
-    /// at cycle starts).
+    /// Preallocated scratch for `A v_j` and for the residual at cycle
+    /// starts.
     av: Vector,
     /// Preallocated scratch for the vector being orthogonalised,
     /// `w = M⁻¹ A v_j`; only cloned when it actually extends the basis.
     w: Vector,
-    /// Inner iteration index within the current cycle.
-    inner: usize,
 }
 
 impl Gmres {
@@ -63,28 +72,8 @@ impl Gmres {
         restart: usize,
         criteria: StoppingCriteria,
     ) -> Self {
-        assert!(restart > 0, "restart length must be positive");
-        assert_eq!(x0.len(), system.dim(), "x0 dimension mismatch");
-        let n = system.dim();
-        let (mut av, mut w) = (Vector::zeros(n), Vector::zeros(n));
-        // Left preconditioning: convergence is measured on M⁻¹(b − Ax).
-        precond.apply_into(&system.b, &mut w);
-        let reference_norm = w.norm2();
-        let beta = left_residual(&system, precond.as_ref(), &x0, &mut av, &mut w);
-        let mut solver = Gmres {
-            system,
-            precond,
-            restart,
-            state: Progress::new(x0, criteria, reference_norm, beta),
-            basis: Vec::new(),
-            hessenberg: Vec::new(),
-            givens: Vec::new(),
-            g: Vec::new(),
-            av,
-            w,
-            inner: 0,
-        };
-        solver.open_basis(beta);
+        let space = LocalSpace::new(system, precond);
+        let Ok(solver) = Self::on(space, Some(x0), restart, criteria);
         solver
     }
 
@@ -95,44 +84,93 @@ impl Gmres {
         restart: usize,
         criteria: StoppingCriteria,
     ) -> Self {
-        Self::new(
-            system,
-            Arc::new(IdentityPreconditioner::new()),
-            x0,
+        let space = LocalSpace::unpreconditioned(system);
+        let Ok(solver) = Self::on(space, Some(x0), restart, criteria);
+        solver
+    }
+}
+
+impl<S: Space> Gmres<S> {
+    /// Creates a GMRES(m) solver with restart length `restart` on `space`,
+    /// starting from `x0` (`None`: the zero guess, whose residual is `b`).
+    ///
+    /// # Panics
+    /// Panics if `restart == 0` or on dimension mismatch.
+    pub fn on(
+        mut space: S,
+        x0: Option<Vector>,
+        restart: usize,
+        criteria: StoppingCriteria,
+    ) -> Result<Self, S::Error> {
+        assert!(restart > 0, "restart length must be positive");
+        let n = space.rhs().len();
+        let (mut av, mut w) = (Vector::from_vec(space.rhs().to_vec()), Vector::zeros(n));
+        // Left preconditioning: convergence is measured on M⁻¹(b − Ax).
+        precondition(&space, &mut av, &mut w);
+        let reference_norm = space.dot(&w, &w)?.sqrt();
+        let (x, beta) = match x0 {
+            None => (Vector::zeros(n), reference_norm),
+            Some(x0) => {
+                assert_eq!(x0.len(), n, "x0 dimension mismatch");
+                let beta = left_residual(&mut space, &x0, &mut av, &mut w)?;
+                (x0, beta)
+            }
+        };
+        let mut solver = Gmres {
+            space,
             restart,
-            criteria,
-        )
+            state: Progress::new(x, criteria, reference_norm, beta),
+            basis: Vec::new(),
+            hessenberg: Vec::new(),
+            givens: Vec::new(),
+            g: Vec::new(),
+            av,
+            w,
+        };
+        solver.open_basis(beta);
+        Ok(solver)
     }
 
     /// Starts a new outer cycle from the current `x`.
-    fn begin_cycle(&mut self) {
-        let (system, precond) = (&self.system, self.precond.as_ref());
-        let beta = left_residual(system, precond, &self.state.x, &mut self.av, &mut self.w);
+    fn begin_cycle(&mut self) -> Result<(), S::Error> {
+        let beta = left_residual(&mut self.space, &self.state.x, &mut self.av, &mut self.w)?;
         self.state.residual_norm = beta;
         self.open_basis(beta);
+        Ok(())
     }
 
-    /// Empties the cycle and opens the basis with `v0 = w / β`, where `w`
-    /// holds the preconditioned residual and `β` its norm.
+    /// Opens the basis with `v0 = w / β`, where `w` holds the preconditioned
+    /// residual and `β` its norm; a zero residual opens none.
     fn open_basis(&mut self, beta: f64) {
-        self.basis.clear();
-        self.hessenberg.clear();
-        self.givens.clear();
-        self.g.clear();
-        self.inner = 0;
         if beta > 0.0 {
             // v0 = w / beta written in one pass (no clone + rescale).
             let mut v0 = Vector::zeros(self.w.len());
-            kernels::scale_into(v0.as_mut_slice(), 1.0 / beta, self.w.as_slice());
+            self.space.scale_into(&mut v0, 1.0 / beta, &self.w);
             self.basis.push(v0);
             self.g.push(beta);
         }
     }
 
+    /// Closes the open cycle without its correction: until the next
+    /// [`Gmres::begin_cycle`] a step does nothing.
+    fn drop_cycle(&mut self) {
+        self.basis.clear();
+        self.hessenberg.clear();
+        self.givens.clear();
+        self.g.clear();
+    }
+
+    /// Folds the open cycle's correction into `x` and closes the cycle.
+    fn close_cycle(&mut self) {
+        let x = std::mem::take(&mut self.state.x);
+        self.state.x = self.corrected(x);
+        self.drop_cycle();
+    }
+
     /// `x + Σ y_j v_j`, where `y` solves the `k×k` upper-triangular
     /// least-squares system `R y = g` of the current cycle.
     fn corrected(&self, mut x: Vector) -> Vector {
-        let k = self.inner;
+        let k = self.hessenberg.len();
         let mut y = vec![0.0f64; k];
         for i in (0..k).rev() {
             let mut sum = self.g[i];
@@ -142,38 +180,35 @@ impl Gmres {
             y[i] = sum / self.hessenberg[i][i];
         }
         for (j, &yj) in y.iter().enumerate() {
-            x.axpy(yj, &self.basis[j]);
+            self.space.axpy(&mut x, yj, &self.basis[j]);
         }
         x
     }
+}
 
-    /// True (unpreconditioned) residual norm of the current `x`.
-    #[cfg(test)]
-    fn true_residual_norm(&self) -> f64 {
-        self.system
-            .a
-            .residual(&self.state.x, &self.system.b)
-            .norm2()
+/// `w = M⁻¹ av`; for `M = I` the two buffers trade places, which leaves in
+/// `w` the bits the identity's copy would.
+fn precondition<S: Space>(space: &S, av: &mut Vector, w: &mut Vector) {
+    match space.precond() {
+        None => std::mem::swap(av, w),
+        Some(m) => m.apply_into(av, w),
     }
 }
 
 /// `w = M⁻¹(b − A x)` through the `av` scratch; returns `‖w‖`.
-fn left_residual(
-    system: &LinearSystem,
-    precond: &dyn Preconditioner,
-    x: &Vector,
+fn left_residual<S: Space>(
+    space: &mut S,
+    x: &[f64],
     av: &mut Vector,
     w: &mut Vector,
-) -> f64 {
-    system
-        .a
-        .residual_into(x.as_slice(), system.b.as_slice(), av.as_mut_slice());
-    precond.apply_into(av, w);
-    w.norm2()
+) -> Result<f64, S::Error> {
+    residual(space, x, av)?;
+    precondition(space, av, w);
+    Ok(space.dot(w, w)?.sqrt())
 }
 
-impl crate::TryIterativeMethod for Gmres {
-    type Error = Infallible;
+impl<S: Space> crate::TryIterativeMethod for Gmres<S> {
+    type Error = S::Error;
 
     fn name(&self) -> &'static str {
         "gmres"
@@ -183,33 +218,35 @@ impl crate::TryIterativeMethod for Gmres {
         &self.state
     }
 
+    /// The caller overwrites `x` before it restarts, so the open cycle,
+    /// whose correction belongs to the old `x`, is dropped.
     fn progress_mut(&mut self) -> &mut Progress {
+        self.drop_cycle();
         &mut self.state
     }
 
-    fn try_step(&mut self) -> Result<(), Infallible> {
-        // An empty basis means a zero residual: the solve is exact.
+    fn try_step(&mut self) -> Result<(), S::Error> {
+        // An empty basis means a zero residual (the solve is exact) or a
+        // cycle dropped for a restart that has not come yet.
         if self.state.converged() || self.basis.is_empty() {
             return Ok(());
         }
 
-        let j = self.inner;
+        let j = self.hessenberg.len();
         // Arnoldi: w = M⁻¹ A v_j, computed in the preallocated scratch.
-        self.system
-            .a
-            .spmv(self.basis[j].as_slice(), self.av.as_mut_slice());
-        self.precond.apply_into(&self.av, &mut self.w);
+        self.space.apply(&self.basis[j], &mut self.av)?;
+        precondition(&self.space, &mut self.av, &mut self.w);
         // Modified Gram–Schmidt.  The last projection is fused with the
         // norm of what remains: one pass instead of an axpy sweep followed
         // by a separate norm sweep.
         let mut h_col = Vec::with_capacity(j + 2);
         let mut w_norm2 = 0.0;
         for (i, vi) in self.basis.iter().take(j + 1).enumerate() {
-            let hij = self.w.dot(vi);
+            let hij = self.space.dot(&self.w, vi)?;
             if i == j {
-                w_norm2 = kernels::axpy_norm2(-hij, vi.as_slice(), self.w.as_mut_slice());
+                w_norm2 = self.space.axpy_norm2(&mut self.w, -hij, vi)?;
             } else {
-                self.w.axpy(-hij, vi);
+                self.space.axpy(&mut self.w, -hij, vi);
             }
             h_col.push(hij);
         }
@@ -243,22 +280,20 @@ impl crate::TryIterativeMethod for Gmres {
         self.g[j] = c * gj;
 
         self.hessenberg.push(h_col);
-        self.inner += 1;
-        self.state.accept(self.g[self.inner].abs());
+        self.state.accept(self.g[j + 1].abs());
 
         let happy_breakdown = h_next == 0.0;
-        let cycle_full = self.inner == self.restart;
+        let cycle_full = j + 1 == self.restart;
         if self.state.converged() || cycle_full || happy_breakdown {
             // Fold the accumulated correction into x and restart the cycle.
-            let x = std::mem::take(&mut self.state.x);
-            self.state.x = self.corrected(x);
-            self.begin_cycle();
+            self.close_cycle();
+            self.begin_cycle()?;
         } else {
             // Extend the basis (the one allocation the Arnoldi process
             // genuinely needs: the basis keeps growing until the restart),
             // normalising in a single write pass instead of clone + scale.
             let mut v_next = Vector::zeros(self.w.len());
-            kernels::scale_into(v_next.as_mut_slice(), 1.0 / h_next, self.w.as_slice());
+            self.space.scale_into(&mut v_next, 1.0 / h_next, &self.w);
             self.basis.push(v_next);
         }
         Ok(())
@@ -276,19 +311,20 @@ impl crate::TryIterativeMethod for Gmres {
         }
     }
 
-    fn try_restore_state(&mut self, state: &DynamicState) -> Result<(), Infallible> {
-        self.state.x = state
+    fn try_restore_state(&mut self, state: &DynamicState) -> Result<(), S::Error> {
+        self.progress_mut().x = state
             .vector("x")
             .expect("GMRES checkpoint must contain x")
             .clone();
         self.try_restart(state.iteration)
     }
 
-    fn try_restart(&mut self, iteration: usize) -> Result<(), Infallible> {
-        // A restart is a new cycle from x: the Krylov state is rebuilt.
+    fn try_restart(&mut self, iteration: usize) -> Result<(), S::Error> {
+        // A restart is a new cycle from the restart-consistent x, the one
+        // `capture_state` saves: the open cycle's correction goes in first.
+        self.close_cycle();
         self.state.restarted(iteration);
-        self.begin_cycle();
-        Ok(())
+        self.begin_cycle()
     }
 }
 
@@ -296,10 +332,19 @@ impl crate::TryIterativeMethod for Gmres {
 mod tests {
     use super::*;
     use crate::precond::JacobiPreconditioner;
-    use crate::IterativeMethod;
+    use crate::{IterativeMethod, TryIterativeMethod};
     use lcr_sparse::kkt::{kkt_system, KktConfig};
     use lcr_sparse::poisson::{manufactured_rhs, poisson2d, poisson3d};
-    use lcr_sparse::CsrMatrix;
+    use lcr_sparse::{vector, CsrMatrix};
+
+    impl Gmres {
+        /// True (unpreconditioned) residual norm of the current `x`.
+        fn true_residual_norm(&mut self) -> f64 {
+            let mut r = Vector::zeros(self.state.x.len());
+            let Ok(rr) = self.space.residual_norm2(&self.state.x, &mut r);
+            rr.sqrt()
+        }
+    }
 
     fn criteria(rtol: f64) -> StoppingCriteria {
         StoppingCriteria::new(rtol, 100_000)
@@ -320,7 +365,7 @@ mod tests {
         assert!(g.converged());
         assert!(g.solution().max_abs_diff(&xstar) < 1e-5);
         assert!(g.true_residual_norm() < 1e-6);
-        assert_eq!(g.name(), "gmres");
+        assert_eq!(IterativeMethod::name(&g), "gmres");
         assert_eq!(g.restart, 30);
     }
 
@@ -400,7 +445,7 @@ mod tests {
         for _ in 0..7 {
             g.step();
         }
-        let state = g.capture_state();
+        let state = IterativeMethod::capture_state(&g);
         assert_eq!(state.vectors.len(), 1);
         // The captured x folds in the partial Krylov correction: restoring
         // it and continuing must converge to the same solution.
@@ -411,6 +456,39 @@ mod tests {
         restored.run_to_convergence();
         assert!(restored.converged());
         assert!(restored.true_residual_norm() < 1e-6);
+    }
+
+    #[test]
+    fn mid_cycle_restart_keeps_the_open_cycle_and_a_handed_in_x_stays() {
+        // A sharded survivor restarts without handing in x: the 12 steps of
+        // the open cycle must survive as the captured x.  A recovery that
+        // hands x in gets exactly that x, whatever cycle was open.
+        let (sys, _) = poisson_system(8, false);
+        let n = sys.dim();
+        let mut g = Gmres::unpreconditioned(sys, Vector::zeros(n), 30, criteria(1e-12));
+        for _ in 0..12 {
+            g.step();
+        }
+        let x = IterativeMethod::capture_state(&g).vectors.remove(0).1;
+        assert_ne!(g.solution(), &x, "the open cycle corrects x");
+        let Ok(()) = g.try_restart(12);
+        let bits = |v: &Vector| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(g.solution()),
+            bits(&x),
+            "try_restart dropped the open cycle"
+        );
+        for _ in 0..5 {
+            g.step();
+        }
+        let handed_in = IterativeMethod::capture_state(&g).vectors.remove(0).1;
+        assert_ne!(g.solution(), &handed_in);
+        g.restart_from_solution(x.clone(), 17);
+        assert_eq!(
+            bits(g.solution()),
+            bits(&x),
+            "restart_from_solution kept a stale cycle"
+        );
     }
 
     #[test]
@@ -428,10 +506,10 @@ mod tests {
         for _ in 0..clean_total / 2 {
             lossy.step();
         }
-        let state = lossy.capture_state();
+        let state = IterativeMethod::capture_state(&lossy);
         let x = state.vector("x").unwrap().clone();
         // Perturb with the Theorem-3 error bound eb = ||r|| / ||b||.
-        let eb = lossy.true_residual_norm() / lossy.system.b.norm2();
+        let eb = lossy.true_residual_norm() / vector::norm2(lossy.space.rhs());
         let mut xp = x;
         for (i, v) in xp.iter_mut().enumerate() {
             *v *= 1.0 + eb * if i % 2 == 0 { 0.9 } else { -0.9 };

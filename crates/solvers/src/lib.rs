@@ -39,12 +39,12 @@
 //! norms, the history, the stopping rule and the limit flag — behind
 //! [`TryIterativeMethod`]: a step ends in accepting the new residual, and a
 //! recovery restarts the recurrence from the solution the progress holds.
-//! CG, BiCGStab and Jacobi are each written once, over the [`Space`] their
-//! vectors live in ([`space`]): the whole system or one shard of it.  A
-//! space that can fail makes `step` fallible; [`IterativeMethod`] is the
-//! same interface for a method that cannot (any method on [`LocalSpace`],
-//! and GMRES, which runs on the whole system only), and both executors of
-//! `lcr-core` drive their solver one step at a time through one of the two.
+//! CG, BiCGStab, GMRES and Jacobi are each written once, over the [`Space`]
+//! their vectors live in ([`space`]): the whole system or one shard of it.
+//! A space that can fail makes `step` fallible; [`IterativeMethod`] is the
+//! same interface for a method that cannot (any method on [`LocalSpace`]),
+//! and both executors of `lcr-core` drive their solver one step at a time
+//! through one of the two.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -112,27 +112,10 @@ impl SolverKind {
     }
 }
 
-/// Which of the methods written over [`Space`] a sharded run executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardedMethod {
-    /// Conjugate gradient (requires an SPD operator).
-    Cg,
-    /// BiCGStab.
-    BiCgStab,
-    /// Jacobi relaxation.
-    Jacobi,
-}
-
-impl ShardedMethod {
-    /// Solver name, matching [`IterativeMethod::name`] spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            ShardedMethod::Cg => "cg",
-            ShardedMethod::BiCgStab => "bicgstab",
-            ShardedMethod::Jacobi => "jacobi",
-        }
-    }
-}
+/// Which method a sharded run executes: every method is written over
+/// [`Space`], so this is [`SolverKind`] under the name the sharded front
+/// has always used.
+pub type ShardedMethod = SolverKind;
 
 /// The dynamic variables of a solver at a checkpoint: iteration counter,
 /// scalar state, and named vectors, exactly the classification of Section 3

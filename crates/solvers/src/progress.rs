@@ -3,7 +3,7 @@
 use lcr_sparse::Vector;
 
 use crate::convergence::{ConvergenceHistory, StoppingCriteria};
-use crate::space::Space;
+use crate::space::{residual, Space};
 
 /// The iterate, the stopping rule and how far the solve has come — what
 /// every method tracks besides its own recurrence state.
@@ -39,10 +39,7 @@ impl Progress {
             None => Vector::zeros(r.len()),
             Some(x0) => {
                 assert_eq!(x0.len(), r.len(), "x0 dimension mismatch");
-                space.apply(&x0, &mut r)?;
-                for (ri, bi) in r.iter_mut().zip(space.rhs()) {
-                    *ri = bi - *ri;
-                }
+                residual(space, &x0, &mut r)?;
                 x0
             }
         };

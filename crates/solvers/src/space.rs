@@ -25,7 +25,7 @@ use lcr_sparse::{kernels, simd, vector};
 use crate::precond::{IdentityPreconditioner, Preconditioner};
 use crate::LinearSystem;
 
-/// The operations CG, BiCGStab and Jacobi need from the space their
+/// The operations CG, BiCGStab, GMRES and Jacobi need from the space their
 /// vectors live in.  All slices are the caller's locally owned part.
 pub trait Space {
     /// Failure of an operator application or a reduction.
@@ -71,10 +71,7 @@ pub trait Space {
 
     /// `r = b − A x`, returning ‖r‖².
     fn residual_norm2(&mut self, x: &[f64], r: &mut [f64]) -> Result<f64, Self::Error> {
-        self.apply(x, r)?;
-        for (ri, bi) in r.iter_mut().zip(self.rhs()) {
-            *ri = bi - *ri;
-        }
+        residual(self, x, r)?;
         self.dot(r, r)
     }
 
@@ -93,6 +90,39 @@ pub trait Space {
 
     /// `y += α a + β b`.
     fn axpy2(&self, y: &mut [f64], alpha: f64, a: &[f64], beta: f64, b: &[f64]);
+
+    /// `y += α x`.
+    fn axpy(&self, y: &mut [f64], alpha: f64, x: &[f64]) {
+        for (yi, xi) in y.iter_mut().zip(x) {
+            *yi += alpha * xi;
+        }
+    }
+
+    /// `y += α x`, returning ‖y‖².
+    fn axpy_norm2(&mut self, y: &mut [f64], alpha: f64, x: &[f64]) -> Result<f64, Self::Error> {
+        self.axpy(y, alpha, x);
+        self.dot(y, y)
+    }
+
+    /// `out = α x`.
+    fn scale_into(&self, out: &mut [f64], alpha: f64, x: &[f64]) {
+        for (oi, xi) in out.iter_mut().zip(x) {
+            *oi = alpha * xi;
+        }
+    }
+}
+
+/// `r = b − A x` on `space`.
+pub(crate) fn residual<S: Space + ?Sized>(
+    space: &mut S,
+    x: &[f64],
+    r: &mut [f64],
+) -> Result<(), S::Error> {
+    space.apply(x, r)?;
+    for (ri, bi) in r.iter_mut().zip(space.rhs()) {
+        *ri = bi - *ri;
+    }
+    Ok(())
 }
 
 /// The whole system in one address space: the pool-parallel kernels of
@@ -189,6 +219,18 @@ impl Space for LocalSpace {
 
     fn axpy2(&self, y: &mut [f64], alpha: f64, a: &[f64], beta: f64, b: &[f64]) {
         kernels::axpy2(y, alpha, a, beta, b);
+    }
+
+    fn axpy(&self, y: &mut [f64], alpha: f64, x: &[f64]) {
+        vector::axpy(alpha, x, y);
+    }
+
+    fn axpy_norm2(&mut self, y: &mut [f64], alpha: f64, x: &[f64]) -> Result<f64, Infallible> {
+        Ok(kernels::axpy_norm2(alpha, x, y))
+    }
+
+    fn scale_into(&self, out: &mut [f64], alpha: f64, x: &[f64]) {
+        kernels::scale_into(out, alpha, x);
     }
 }
 

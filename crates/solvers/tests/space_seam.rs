@@ -7,8 +7,8 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use lcr_solvers::{
-    BiCgStab, ConjugateGradient, Jacobi, LinearSystem, LocalSpace, Preconditioner, ShardSpace,
-    Space, StoppingCriteria, TryIterativeMethod,
+    BiCgStab, ConjugateGradient, Gmres, Jacobi, LinearSystem, LocalSpace, Preconditioner,
+    ShardSpace, Space, StoppingCriteria, TryIterativeMethod,
 };
 use lcr_sparse::poisson::{manufactured_rhs, poisson3d};
 use lcr_sparse::shard::{build_comms, partition_csr};
@@ -122,6 +122,19 @@ impl<S: Space> Space for Counting<S> {
     fn axpy2(&self, y: &mut [f64], alpha: f64, a: &[f64], beta: f64, b: &[f64]) {
         self.inner.axpy2(y, alpha, a, beta, b);
     }
+
+    fn axpy(&self, y: &mut [f64], alpha: f64, x: &[f64]) {
+        self.inner.axpy(y, alpha, x);
+    }
+
+    fn axpy_norm2(&mut self, y: &mut [f64], alpha: f64, x: &[f64]) -> Result<f64, S::Error> {
+        self.reduction();
+        self.inner.axpy_norm2(y, alpha, x)
+    }
+
+    fn scale_into(&self, out: &mut [f64], alpha: f64, x: &[f64]) {
+        self.inner.scale_into(out, alpha, x);
+    }
 }
 
 /// 6³ Poisson with a manufactured solution, negated (SPD) for CG.
@@ -188,6 +201,19 @@ fn per_iteration_budgets_are_pinned() {
     let (space, counts) = counted(false);
     let mut jacobi = Jacobi::on(space, None, open).unwrap();
     assert_eq!(budget_per_iteration(&mut jacobi, &counts), (2, 1));
+
+    // GMRES grows with the basis: inner step j applies A once and reduces
+    // j + 2 times, MGS's j + 1 projections and then ‖w‖, fused into the
+    // last of them.
+    let (space, counts) = counted(false);
+    let mut gmres = Gmres::on(space, None, 30, open).unwrap();
+    assert_eq!(counts.snapshot(), (0, 1), "zero-guess start: ‖b‖ only");
+    for j in 0..10 {
+        let (h0, r0) = counts.snapshot();
+        gmres.try_step().unwrap();
+        let (h1, r1) = counts.snapshot();
+        assert_eq!((h1 - h0, r1 - r0), (1, j + 2), "inner step {j}");
+    }
 }
 
 /// One shard holds the whole system, so `ShardSpace` and `LocalSpace` run

@@ -65,7 +65,7 @@ fn fingerprint(values: &[f64]) -> u64 {
 }
 
 /// The 24² / 12³ manufactured-solution systems of `tests/fused_kernels.rs`
-/// (negated for CG, paper sign for BiCGStab).
+/// (negated for CG, paper sign for BiCGStab and GMRES(30)).
 fn golden_system(three_d: bool, negate: bool) -> (CsrMatrix, Vector) {
     let mut a = if three_d { poisson3d(12) } else { poisson2d(24) };
     if negate {
@@ -88,6 +88,8 @@ fn sharded_krylov_iterations_and_traces_are_pinned() {
         (ShardedMethod::Cg, true, 55, 0x92700cb59ed23efa),
         (ShardedMethod::BiCgStab, false, 65, 0x07ebf10b372dccc6),
         (ShardedMethod::BiCgStab, true, 40, 0xf955e0236e4b659f),
+        (ShardedMethod::Gmres, false, 124, 0x55dba5a4eaed06a5),
+        (ShardedMethod::Gmres, true, 67, 0xcaca7484acc6c837),
     ] {
         let (a, b) = golden_system(three_d, method == ShardedMethod::Cg);
         for shards in [1, 2, 4] {
@@ -288,29 +290,29 @@ fn sharded_traces_ignore_thread_pool_cap() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// CG and BiCGStab shard-count invariance on small random-shaped
-    /// grids: any shard count (including shards > blocks, leaving some
-    /// shards empty) reproduces the single-shard bits for a fixed
-    /// reduction-block size.
+    /// CG, BiCGStab and GMRES(30) shard-count invariance on small
+    /// random-shaped grids: any shard count (including shards > blocks,
+    /// leaving some shards empty) reproduces the single-shard bits for a
+    /// fixed reduction-block size.  GMRES runs past its first restart.
     #[test]
     fn krylov_traces_are_shard_count_invariant(
         edge in 4usize..8,
         shards in 2usize..6,
         block_pow in 3u32..6,
-        cg in any::<bool>(),
+        which in 0usize..3,
     ) {
         let block = 1usize << block_pow;
-        let (a, b) = if cg {
+        let method = [ShardedMethod::Cg, ShardedMethod::BiCgStab, ShardedMethod::Gmres][which];
+        let (a, b) = if method == ShardedMethod::Cg {
             spd_poisson(edge)
         } else {
             let a = poisson3d(edge);
             let b = Vector::filled(a.nrows(), 1.0);
             (a, b)
         };
-        let method = if cg { ShardedMethod::Cg } else { ShardedMethod::BiCgStab };
         let run = |s: usize| {
             let mut cfg = ShardedRunConfig::new(s, method);
-            cfg.max_iterations = 20;
+            cfg.max_iterations = if method == ShardedMethod::Gmres { 40 } else { 20 };
             cfg.rtol = 1e-30;
             cfg.reduce_block = block;
             solve(&a, &b, &cfg)

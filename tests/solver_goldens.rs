@@ -230,3 +230,68 @@ fn sharded_jacobi_kill_and_recover_is_pinned() {
         "sharded Jacobi on poisson3d(10), shard killed at 45, 1 and 2 shards: {got:#x?}"
     );
 }
+
+/// Shard 1 dies at iteration 12, mid-way through GMRES(30)'s first cycle,
+/// and reloads its slice of the epoch at 10; the survivors keep their
+/// slices, the open cycle's correction folded in, and only replay halos.
+#[test]
+fn sharded_gmres_kill_and_recover_is_pinned() {
+    let a = poisson3d(12);
+    let (_, b) = manufactured_rhs(&a);
+    let got = [2, 4].map(|shards| {
+        let dir = std::env::temp_dir().join(format!(
+            "lcr-solver-golden-gmres-{}-{shards}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cfg = ShardedRunConfig::new(shards, ShardedMethod::Gmres);
+        cfg.rtol = 1e-10;
+        cfg.reduce_block = 64;
+        cfg.checkpoint_interval = 5;
+        cfg.ckpt_dir = Some(dir.clone());
+        cfg.kills = vec![KillSpec {
+            shard: 1,
+            at_iteration: 12,
+        }];
+        let report = try_run_sharded(&a, &b, &cfg).expect("kill-and-recover run");
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(report.converged, "{shards} shards");
+        for s in &report.shards {
+            let (rollbacks, replays) = if s.shard == 1 { (1, 0) } else { (0, 1) };
+            assert_eq!(
+                (s.rollbacks, s.halo_replays),
+                (rollbacks, replays),
+                "shard {}",
+                s.shard
+            );
+        }
+        assert_eq!(report.shards[1].resumed_from_iteration, Some(10));
+        (
+            report.iterations,
+            report.restart_iterations,
+            fnv(&report.residual_trace),
+            fnv(report.solution.as_slice()),
+            report.shards[0].reduce_rounds,
+        )
+    });
+    assert_eq!(
+        got,
+        [
+            (
+                73,
+                vec![12],
+                0xb4a6_653c_e325_b139,
+                0x6e9b_d90d_bfab_ad9f,
+                1087
+            ),
+            (
+                71,
+                vec![12],
+                0xb65e_1c7d_a910_b71f,
+                0x112f_cfc3_b7c5_8549,
+                1053
+            )
+        ],
+        "sharded GMRES(30) on poisson3d(12), shard 1 killed at 12, 2 and 4 shards: {got:#x?}"
+    );
+}
