@@ -103,10 +103,19 @@ fn time_median<F: FnMut()>(reps: usize, mut f: F) -> f64 {
     median(samples)
 }
 
+/// FNV-1a over the little-endian bytes of `words`, in order.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    words
+        .into_iter()
+        .flat_map(u64::to_le_bytes)
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
 /// Order-sensitive bit fingerprint of an `f64` buffer.
 fn bits_fingerprint(data: &[f64]) -> u64 {
-    data.iter()
-        .fold(0u64, |h, v| h.rotate_left(13) ^ v.to_bits())
+    fnv1a(data.iter().map(|v| v.to_bits()))
 }
 
 fn smooth_signal(n: usize) -> Vec<f64> {
@@ -416,9 +425,12 @@ fn main() {
                 DeltaMode::None,
                 "a drifting snapshot must delta-code"
             );
-            let fp = streams.iter().zip(&modes).fold(0u64, |h, (stream, &mode)| {
-                h.rotate_left(21) ^ u64::from(crc32(stream)) ^ ((mode as u64) << 40)
-            });
+            let fp = fnv1a(
+                streams
+                    .iter()
+                    .zip(&modes)
+                    .flat_map(|(stream, &mode)| [u64::from(crc32(stream)), mode as u64]),
+            );
             measured.push((name, chain.len() * chain[0].len(), 0, fp, secs));
 
             // The recovery side of the same chain: all three links replayed
@@ -475,9 +487,7 @@ fn main() {
             let mut pos = 0usize;
             decoded = huffman::decode_block(&huff_blob, &mut pos).expect("Huffman decode failed");
         });
-        let huff_fp = decoded
-            .iter()
-            .fold(0u64, |h, &v| h.rotate_left(13) ^ u64::from(v));
+        let huff_fp = fnv1a(decoded.iter().map(|&v| u64::from(v)));
         measured.push(("huffman_decode", huff_symbols.len(), 0, huff_fp, secs));
 
         // Temporal delta codec of the version-5 streams: order-2 symbols
@@ -488,9 +498,7 @@ fn main() {
         let secs = time_median(reps, || {
             delta::encode_order2(&huff_symbols, &delta_prev1, &delta_prev2, &mut delta_syms);
         });
-        let delta_enc_fp = delta_syms
-            .iter()
-            .fold(0u64, |h, &v| h.rotate_left(13) ^ u64::from(v));
+        let delta_enc_fp = fnv1a(delta_syms.iter().map(|&v| u64::from(v)));
         measured.push(("delta_encode", huff_symbols.len(), 0, delta_enc_fp, secs));
 
         let mut delta_codes: Vec<u32> = Vec::new();
@@ -501,9 +509,7 @@ fn main() {
             delta_codes, huff_symbols,
             "temporal delta round-trip must reproduce the codes exactly"
         );
-        let delta_dec_fp = delta_codes
-            .iter()
-            .fold(0u64, |h, &v| h.rotate_left(13) ^ u64::from(v));
+        let delta_dec_fp = fnv1a(delta_codes.iter().map(|&v| u64::from(v)));
         measured.push(("delta_decode", huff_symbols.len(), 0, delta_dec_fp, secs));
 
         // The checksum every checkpoint file carries, over the arena the
