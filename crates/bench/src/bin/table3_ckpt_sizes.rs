@@ -52,14 +52,13 @@ fn main() {
          6.2/32.7/67.9 MB, lossy 1.2/1.2/1.3 MB for Jacobi/GMRES/CG.\n\
          Reproduction note: compression ratios are measured on the locally solved \
          instance and extrapolated to the paper-scale vector sizes; the lossless \
-         ratio for Jacobi is the one quantity that differs qualitatively (see \
-         EXPERIMENTS.md).  The \"lossy delta\" column is this repo's anchored \
+         ratio for Jacobi is the one quantity that differs qualitatively.  The \
+         \"lossy delta\" column is this repo's anchored \
          delta-chain extension (not in the paper): average per-checkpoint size \
          when successive snapshots delta-code against their predecessor, anchors \
          included.  The \"lossy (measured)\" column replaces the even-division \
          estimate with the per-shard SZ segment sizes actually written by the \
-         sharded checkpoint path (— where the sharded backend does not run the \
-         solver, e.g. GMRES)."
+         sharded checkpoint path (— where that run committed no epoch)."
     );
     print_json("table3", &rows);
 }

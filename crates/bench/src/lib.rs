@@ -2,8 +2,8 @@
 //!
 //! Benchmark harness for the lossy-checkpointing reproduction: one binary
 //! per table/figure of the paper's evaluation section (run with
-//! `cargo run -p lcr-bench --release --bin <name>`), plus Criterion
-//! micro-benchmarks (`cargo bench -p lcr-bench`).
+//! `cargo run -p lcr-bench --release --bin <name>`), plus `scaling_kernels`,
+//! the per-kernel throughput table.
 //!
 //! Every binary prints two things:
 //!
@@ -14,7 +14,7 @@
 //! The binaries accept a `--quick` flag (also enabled by setting
 //! `LCR_QUICK=1`) that shrinks the locally solved problem and the number of
 //! repetitions so the full suite completes in a couple of minutes; without
-//! it the defaults match the configuration recorded in `EXPERIMENTS.md`.
+//! it they run at [`BenchScale::full`].
 //!
 //! The repo's performance yardstick is the stand-alone `lcr_benchmark`
 //! package under `src/bin/lcr_benchmark/` (see `BENCHMARK.json`).
