@@ -266,7 +266,7 @@ fn assert_safe_outcome(
 }
 
 /// 80 seeded storage schedules on the real sharded executor, CG and
-/// BiCGStab alternating, with a fail-stop kill (a double fault every 10th
+/// GMRES(30) alternating, with a fail-stop kill (a double fault every 10th
 /// seed) layered on top of the injected disk faults.  Every failing seed
 /// must replay to the *same* typed error; sampled succeeding seeds must
 /// replay the identical trace.
@@ -275,7 +275,7 @@ fn sharded_storage_soak_with_kills() {
     let (a, b) = spd_poisson(6);
     let run = |seed: u64| {
         let shards = 2 + (seed % 2) as usize;
-        let method = if seed.is_multiple_of(2) { ShardedMethod::Cg } else { ShardedMethod::BiCgStab };
+        let method = if seed.is_multiple_of(2) { ShardedMethod::Cg } else { ShardedMethod::Gmres };
         let plan = ChaosPlan::storage_mix(seed);
         let dir = tempdir("shard", seed);
         let mut cfg = sharded_cfg(plan, shards, method, &dir);

@@ -160,7 +160,7 @@ impl CommInterposer for Recorder {
 #[test]
 fn sharded_comm_schedule_is_pinned() {
     let cg = golden_system(true, true);
-    let bicgstab = golden_system(true, false);
+    let paper_sign = golden_system(true, false);
     for (label, method, (a, b), shards, killed, golden) in [
         (
             "cg/2",
@@ -189,13 +189,25 @@ fn sharded_comm_schedule_is_pinned() {
         (
             "bicgstab/3",
             ShardedMethod::BiCgStab,
-            &bicgstab,
+            &paper_sign,
             3,
             2,
             vec![
                 (0x3210, 0xdf, 0, 1, 0x914bdc894842d79c),
                 (0x6420, 0xdf, 0, 1, 0x82ab466bb0745de6),
                 (0x3210, 0xdf, 1, 0, 0x06aa9abb9c603c5e),
+            ],
+        ),
+        (
+            "gmres/3",
+            ShardedMethod::Gmres,
+            &paper_sign,
+            3,
+            2,
+            vec![
+                (0x2b50, 0x43f, 0, 1, 0x654facbffe332288),
+                (0x56a0, 0x43f, 0, 1, 0xc377dfd79c009ce6),
+                (0x2b50, 0x43f, 1, 0, 0x54e8ca07dfdc474a),
             ],
         ),
     ] {
