@@ -325,7 +325,7 @@ fn main() {
             secs,
         ));
 
-        // Fused solver kernels (the CG/BiCGStab inner-loop primitives):
+        // Fused solver kernels (the CG inner-loop primitives):
         // q = A·x with xᵀq in the same traversal, the fused x/r update
         // returning ‖r‖², and the fused residual + norm.  All follow the
         // matrix's SpmvPlan / the deterministic length chunking, so their

@@ -45,7 +45,6 @@ pub fn paper_rtol(kind: SolverKind) -> f64 {
         SolverKind::Jacobi => 1e-4,
         SolverKind::Gmres => 7e-5,
         SolverKind::Cg => 1e-7,
-        SolverKind::BiCgStab => 1e-6,
     }
 }
 
@@ -224,7 +223,6 @@ impl PaperWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lcr_solvers::BiCgStab;
 
     #[test]
     fn paper_tolerances() {
@@ -287,21 +285,8 @@ mod tests {
     fn traditional_checkpoint_vectors_are_what_capture_state_saves() {
         let w = PaperWorkload::poisson(256, 4);
         let p = w.build();
-        let n = p.system.dim();
-        for kind in [
-            SolverKind::Jacobi,
-            SolverKind::Cg,
-            SolverKind::Gmres,
-            SolverKind::BiCgStab,
-        ] {
-            let solver: Box<dyn IterativeMethod> = match kind {
-                SolverKind::BiCgStab => Box::new(BiCgStab::unpreconditioned(
-                    p.system.clone(),
-                    Vector::zeros(n),
-                    StoppingCriteria::new(paper_rtol(kind), 10),
-                )),
-                _ => w.build_solver(&p, kind, 10),
-            };
+        for kind in [SolverKind::Jacobi, SolverKind::Cg, SolverKind::Gmres] {
+            let solver = w.build_solver(&p, kind, 10);
             assert_eq!(
                 solver.capture_state().vectors.len(),
                 kind.traditional_checkpoint_vectors(),

@@ -7,10 +7,9 @@
 //! The paper evaluates three families of solvers provided by PETSc:
 //! stationary methods (represented by Jacobi), the restarted generalized
 //! minimum residual method GMRES(m), and the (restarted) conjugate gradient
-//! method CG/PCG.  This crate provides all of them, plus BiCGStab, and the
-//! preconditioners the paper uses: Jacobi (diagonal) for GMRES on KKT240,
-//! and block Jacobi with ILU(0) inside the blocks for CG and GMRES on
-//! Poisson.
+//! method CG/PCG.  This crate provides those three, and the preconditioners
+//! the paper uses: Jacobi (diagonal) for GMRES on KKT240, and block Jacobi
+//! with ILU(0) inside the blocks for CG and GMRES on Poisson.
 //!
 //! ## Step-wise execution and checkpointable state
 //!
@@ -39,8 +38,8 @@
 //! norms, the history, the stopping rule and the limit flag — behind
 //! [`TryIterativeMethod`]: a step ends in accepting the new residual, and a
 //! recovery restarts the recurrence from the solution the progress holds.
-//! CG, BiCGStab, GMRES and Jacobi are each written once, over the [`Space`]
-//! their vectors live in ([`space`]): the whole system or one shard of it.
+//! CG, GMRES and Jacobi are each written once, over the [`Space`] their
+//! vectors live in ([`space`]): the whole system or one shard of it.
 //! A space that can fail makes `step` fallible; [`IterativeMethod`] is the
 //! same interface for a method that cannot (any method on [`LocalSpace`]),
 //! and both executors of `lcr-core` drive their solver one step at a time
@@ -49,7 +48,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bicgstab;
 pub mod cg;
 pub mod convergence;
 mod gmres;
@@ -64,7 +62,6 @@ use std::sync::Arc;
 use lcr_sparse::{CsrMatrix, Vector};
 use serde::Serialize;
 
-pub use bicgstab::BiCgStab;
 pub use cg::ConjugateGradient;
 pub use convergence::{ConvergenceHistory, StoppingCriteria};
 pub use gmres::Gmres;
@@ -85,8 +82,6 @@ pub enum SolverKind {
     Cg,
     /// Restarted GMRES(m).
     Gmres,
-    /// BiCGStab.
-    BiCgStab,
 }
 
 impl SolverKind {
@@ -96,17 +91,15 @@ impl SolverKind {
             SolverKind::Jacobi => "jacobi",
             SolverKind::Cg => "cg",
             SolverKind::Gmres => "gmres",
-            SolverKind::BiCgStab => "bicgstab",
         }
     }
 
     /// Number of dynamic *vectors* a traditional checkpoint stores for this
     /// method (Table 3: CG checkpoints `x` and `p`, Jacobi and GMRES only
-    /// `x`; BiCGStab `x`, `p`, `v` and `r̂`).
+    /// `x`).
     pub fn traditional_checkpoint_vectors(&self) -> usize {
         match self {
             SolverKind::Cg => 2,
-            SolverKind::BiCgStab => 4,
             SolverKind::Jacobi | SolverKind::Gmres => 1,
         }
     }

@@ -25,8 +25,8 @@ use lcr_sparse::{kernels, simd, vector};
 use crate::precond::{IdentityPreconditioner, Preconditioner};
 use crate::LinearSystem;
 
-/// The operations CG, BiCGStab, GMRES and Jacobi need from the space their
-/// vectors live in.  All slices are the caller's locally owned part.
+/// The operations CG, GMRES and Jacobi need from the space their vectors
+/// live in.  All slices are the caller's locally owned part.
 pub trait Space {
     /// Failure of an operator application or a reduction.
     type Error;
@@ -47,9 +47,6 @@ pub trait Space {
     /// `aᵀb`.
     fn dot(&mut self, a: &[f64], b: &[f64]) -> Result<f64, Self::Error>;
 
-    /// `(sᵀa, sᵀb)` in one reduction.
-    fn dot2(&mut self, s: &[f64], a: &[f64], b: &[f64]) -> Result<(f64, f64), Self::Error>;
-
     /// `x += α p`, `r −= α q`, returning ‖r‖².
     fn axpy2_norm2(
         &mut self,
@@ -58,15 +55,6 @@ pub trait Space {
         q: &[f64],
         x: &mut [f64],
         r: &mut [f64],
-    ) -> Result<f64, Self::Error>;
-
-    /// `out = x + α y`, returning ‖out‖².
-    fn waxpy_norm2(
-        &mut self,
-        out: &mut [f64],
-        x: &[f64],
-        alpha: f64,
-        y: &[f64],
     ) -> Result<f64, Self::Error>;
 
     /// `r = b − A x`, returning ‖r‖².
@@ -84,12 +72,6 @@ pub trait Space {
 
     /// `p = x + β p`.
     fn xpby(&self, p: &mut [f64], x: &[f64], beta: f64);
-
-    /// `p = r + β (p − ω v)`.
-    fn bicgstab_p_update(&self, p: &mut [f64], r: &[f64], v: &[f64], beta: f64, omega: f64);
-
-    /// `y += α a + β b`.
-    fn axpy2(&self, y: &mut [f64], alpha: f64, a: &[f64], beta: f64, b: &[f64]);
 
     /// `y += α x`.
     fn axpy(&self, y: &mut [f64], alpha: f64, x: &[f64]) {
@@ -166,10 +148,6 @@ impl Space for LocalSpace {
         Ok(vector::dot(a, b))
     }
 
-    fn dot2(&mut self, s: &[f64], a: &[f64], b: &[f64]) -> Result<(f64, f64), Infallible> {
-        Ok(kernels::dot2(s, a, b))
-    }
-
     fn axpy2_norm2(
         &mut self,
         alpha: f64,
@@ -179,16 +157,6 @@ impl Space for LocalSpace {
         r: &mut [f64],
     ) -> Result<f64, Infallible> {
         Ok(kernels::axpy2_norm2(alpha, p, q, x, r))
-    }
-
-    fn waxpy_norm2(
-        &mut self,
-        out: &mut [f64],
-        x: &[f64],
-        alpha: f64,
-        y: &[f64],
-    ) -> Result<f64, Infallible> {
-        Ok(kernels::waxpy_norm2(out, x, alpha, y))
     }
 
     fn residual_norm2(&mut self, x: &[f64], r: &mut [f64]) -> Result<f64, Infallible> {
@@ -211,14 +179,6 @@ impl Space for LocalSpace {
 
     fn xpby(&self, p: &mut [f64], x: &[f64], beta: f64) {
         kernels::axpby(1.0, x, beta, p);
-    }
-
-    fn bicgstab_p_update(&self, p: &mut [f64], r: &[f64], v: &[f64], beta: f64, omega: f64) {
-        kernels::bicgstab_p_update(p, r, v, beta, omega);
-    }
-
-    fn axpy2(&self, y: &mut [f64], alpha: f64, a: &[f64], beta: f64, b: &[f64]) {
-        kernels::axpy2(y, alpha, a, beta, b);
     }
 
     fn axpy(&self, y: &mut [f64], alpha: f64, x: &[f64]) {
@@ -283,13 +243,9 @@ impl<'a> ShardSpace<'a> {
             .try_halo_exchange(&self.mat.halo, own, halo)
     }
 
-    /// Folds per-block partials of one quantity into its global scalar.
-    fn reduce1(&mut self, partials: Vec<f64>) -> Result<f64, CommError> {
-        Ok(self.comm.borrow_mut().try_reduce(vec![partials])?[0])
-    }
-
-    fn block_dot(&self, a: &[f64], b: &[f64]) -> Vec<f64> {
-        self.mat.layout.block_dot(self.mat.shard, a, b)
+    /// Folds this shard's per-block partials into the global scalar.
+    fn reduce(&self, partials: &[f64]) -> Result<f64, CommError> {
+        self.comm.borrow_mut().try_reduce(partials)
     }
 }
 
@@ -307,13 +263,7 @@ impl Space for ShardSpace<'_> {
     }
 
     fn dot(&mut self, a: &[f64], b: &[f64]) -> Result<f64, CommError> {
-        self.reduce1(self.block_dot(a, b))
-    }
-
-    fn dot2(&mut self, s: &[f64], a: &[f64], b: &[f64]) -> Result<(f64, f64), CommError> {
-        let partials = vec![self.block_dot(s, a), self.block_dot(s, b)];
-        let sums = self.comm.borrow_mut().try_reduce(partials)?;
-        Ok((sums[0], sums[1]))
+        self.reduce(&self.mat.layout.block_dot(self.mat.shard, a, b))
     }
 
     fn axpy2_norm2(
@@ -324,29 +274,13 @@ impl Space for ShardSpace<'_> {
         x: &mut [f64],
         r: &mut [f64],
     ) -> Result<f64, CommError> {
-        let partials = self
+        let partials: Vec<f64> = self
             .mat
             .layout
             .local_block_ranges(self.mat.shard)
             .map(|(s, e)| simd::axpy2_norm2(alpha, &p[s..e], &q[s..e], &mut x[s..e], &mut r[s..e]))
             .collect();
-        self.reduce1(partials)
-    }
-
-    fn waxpy_norm2(
-        &mut self,
-        out: &mut [f64],
-        x: &[f64],
-        alpha: f64,
-        y: &[f64],
-    ) -> Result<f64, CommError> {
-        let partials = self
-            .mat
-            .layout
-            .local_block_ranges(self.mat.shard)
-            .map(|(s, e)| simd::waxpy_norm2(&mut out[s..e], &x[s..e], alpha, &y[s..e]))
-            .collect();
-        self.reduce1(partials)
+        self.reduce(&partials)
     }
 
     fn jacobi_sweep(&mut self, x: &[f64], out: &mut [f64]) -> Result<(), CommError> {
@@ -379,16 +313,6 @@ impl Space for ShardSpace<'_> {
     fn xpby(&self, p: &mut [f64], x: &[f64], beta: f64) {
         for (pi, xi) in p.iter_mut().zip(x) {
             *pi = xi + beta * *pi;
-        }
-    }
-
-    fn bicgstab_p_update(&self, p: &mut [f64], r: &[f64], v: &[f64], beta: f64, omega: f64) {
-        simd::bicgstab_p_update(p, r, v, beta, omega);
-    }
-
-    fn axpy2(&self, y: &mut [f64], alpha: f64, a: &[f64], beta: f64, b: &[f64]) {
-        for (yi, (ai, bi)) in y.iter_mut().zip(a.iter().zip(b)) {
-            *yi += alpha * ai + beta * bi;
         }
     }
 }

@@ -7,8 +7,8 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use lcr_solvers::{
-    BiCgStab, ConjugateGradient, Gmres, Jacobi, LinearSystem, LocalSpace, Preconditioner,
-    ShardSpace, Space, StoppingCriteria, TryIterativeMethod,
+    ConjugateGradient, Gmres, Jacobi, LinearSystem, LocalSpace, Preconditioner, ShardSpace, Space,
+    StoppingCriteria, TryIterativeMethod,
 };
 use lcr_sparse::poisson::{manufactured_rhs, poisson3d};
 use lcr_sparse::shard::{build_comms, partition_csr};
@@ -68,11 +68,6 @@ impl<S: Space> Space for Counting<S> {
         self.inner.dot(a, b)
     }
 
-    fn dot2(&mut self, s: &[f64], a: &[f64], b: &[f64]) -> Result<(f64, f64), S::Error> {
-        self.reduction();
-        self.inner.dot2(s, a, b)
-    }
-
     fn axpy2_norm2(
         &mut self,
         alpha: f64,
@@ -83,17 +78,6 @@ impl<S: Space> Space for Counting<S> {
     ) -> Result<f64, S::Error> {
         self.reduction();
         self.inner.axpy2_norm2(alpha, p, q, x, r)
-    }
-
-    fn waxpy_norm2(
-        &mut self,
-        out: &mut [f64],
-        x: &[f64],
-        alpha: f64,
-        y: &[f64],
-    ) -> Result<f64, S::Error> {
-        self.reduction();
-        self.inner.waxpy_norm2(out, x, alpha, y)
     }
 
     fn residual_norm2(&mut self, x: &[f64], r: &mut [f64]) -> Result<f64, S::Error> {
@@ -113,14 +97,6 @@ impl<S: Space> Space for Counting<S> {
 
     fn xpby(&self, p: &mut [f64], x: &[f64], beta: f64) {
         self.inner.xpby(p, x, beta);
-    }
-
-    fn bicgstab_p_update(&self, p: &mut [f64], r: &[f64], v: &[f64], beta: f64, omega: f64) {
-        self.inner.bicgstab_p_update(p, r, v, beta, omega);
-    }
-
-    fn axpy2(&self, y: &mut [f64], alpha: f64, a: &[f64], beta: f64, b: &[f64]) {
-        self.inner.axpy2(y, alpha, a, beta, b);
     }
 
     fn axpy(&self, y: &mut [f64], alpha: f64, x: &[f64]) {
@@ -193,10 +169,6 @@ fn per_iteration_budgets_are_pinned() {
         "zero-guess start: ‖b‖ and ‖r‖ only"
     );
     assert_eq!(budget_per_iteration(&mut cg, &counts), (1, 2));
-
-    let (space, counts) = counted(false);
-    let mut bicgstab = BiCgStab::on(space, None, open).unwrap();
-    assert_eq!(budget_per_iteration(&mut bicgstab, &counts), (2, 5));
 
     let (space, counts) = counted(false);
     let mut jacobi = Jacobi::on(space, None, open).unwrap();

@@ -31,9 +31,9 @@
 //! **bit-identical at any `LCR_NUM_THREADS`** — the reproducibility
 //! property the repository's thread-determinism tests pin.
 //!
-//! Elementwise kernels ([`axpby`], [`axpy2`], [`bicgstab_p_update`],
-//! [`scale_into`], [`jacobi_sweep`]) are deterministic by construction:
-//! each output element is a fixed expression of its inputs.
+//! Elementwise kernels ([`axpby`], [`scale_into`], [`jacobi_sweep`]) are
+//! deterministic by construction: each output element is a fixed expression
+//! of its inputs.
 
 use crate::csr::{CsrMatrix, RowSink, SpmvPlan};
 use crate::simd;
@@ -203,7 +203,7 @@ impl RowSink for ResidualNorm2Sink<'_> {
 
 /// Fused SpMV + dot: `y = A·x` and `wᵀy`, in one traversal of the matrix.
 ///
-/// CG calls this with `w = x = p` (for `pᵀA p`), BiCGStab with `w = r̂`.
+/// CG calls this with `w = x = p` (for `pᵀA p`).
 ///
 /// # Panics
 /// Panics on dimension mismatch.
@@ -266,22 +266,6 @@ pub fn axpy2_norm2(alpha: f64, p: &[f64], q: &[f64], x: &mut [f64], r: &mut [f64
     partials.into_iter().sum()
 }
 
-/// Fused write-axpy + norm: `out = x + α·y`, returning ‖out‖² — BiCGStab's
-/// `s = r − α v` and `r = s − ω t` updates, each previously a copy, an
-/// axpy and a norm sweep.
-///
-/// # Panics
-/// Panics on length mismatch.
-pub fn waxpy_norm2(out: &mut [f64], x: &[f64], alpha: f64, y: &[f64]) -> f64 {
-    let n = out.len();
-    assert_eq!(x.len(), n, "waxpy_norm2: x length mismatch");
-    assert_eq!(y.len(), n, "waxpy_norm2: y length mismatch");
-    let partials = run_len(n, [out], |c, [os]| {
-        simd::waxpy_norm2(os, &x[c.clone()], alpha, &y[c])
-    });
-    partials.into_iter().sum()
-}
-
 /// Fused axpy + norm: `y += α·x`, returning ‖y‖² — GMRES folds the last
 /// Gram–Schmidt subtraction and the next basis vector's norm into one
 /// pass.
@@ -295,21 +279,6 @@ pub fn axpy_norm2(alpha: f64, x: &[f64], y: &mut [f64]) -> f64 {
     partials.into_iter().sum()
 }
 
-/// Two dot products sharing an operand, in one sweep: `(sᵀa, sᵀb)` —
-/// BiCGStab's `(tᵀt, tᵀs)` stabilisation pair.
-///
-/// # Panics
-/// Panics on length mismatch.
-pub fn dot2(s: &[f64], a: &[f64], b: &[f64]) -> (f64, f64) {
-    let n = s.len();
-    assert_eq!(a.len(), n, "dot2: a length mismatch");
-    assert_eq!(b.len(), n, "dot2: b length mismatch");
-    let partials = run_len(n, [], |c, []| simd::dot2(&s[c.clone()], &a[c.clone()], &b[c]));
-    partials
-        .into_iter()
-        .fold((0.0, 0.0), |(ta, tb), (pa, pb)| (ta + pa, tb + pb))
-}
-
 /// `y = α·x + β·y` in one pass.
 ///
 /// # Panics
@@ -321,38 +290,6 @@ pub fn axpby(alpha: f64, x: &[f64], beta: f64, y: &mut [f64]) {
         for (yi, xi) in ys.iter_mut().zip(&x[c]) {
             *yi = alpha * xi + beta * *yi;
         }
-    });
-}
-
-/// `y += α·a + β·b` in one pass — BiCGStab's solution update
-/// `x += α p̂ + ω ŝ`, previously two separate axpys.
-///
-/// # Panics
-/// Panics on length mismatch.
-pub fn axpy2(y: &mut [f64], alpha: f64, a: &[f64], beta: f64, b: &[f64]) {
-    let n = y.len();
-    assert_eq!(a.len(), n, "axpy2: a length mismatch");
-    assert_eq!(b.len(), n, "axpy2: b length mismatch");
-    run_len(n, [y], |c, [ys]| {
-        for (yi, (ai, bi)) in ys.iter_mut().zip(a[c.clone()].iter().zip(&b[c])) {
-            *yi = (*yi + alpha * ai) + beta * bi;
-        }
-    });
-}
-
-/// BiCGStab search-direction refresh `p = r + β (p − ω v)` in one pass —
-/// previously an axpy, a scale and a second axpy: three passes over `p`.
-/// The per-element arithmetic order matches the unfused chain, so the
-/// result is bit-identical to it.
-///
-/// # Panics
-/// Panics on length mismatch.
-pub fn bicgstab_p_update(p: &mut [f64], r: &[f64], v: &[f64], beta: f64, omega: f64) {
-    let n = p.len();
-    assert_eq!(r.len(), n, "bicgstab_p_update: r length mismatch");
-    assert_eq!(v.len(), n, "bicgstab_p_update: v length mismatch");
-    run_len(n, [p], |c, [ps]| {
-        simd::bicgstab_p_update(ps, &r[c.clone()], &v[c], beta, omega);
     });
 }
 
@@ -497,17 +434,10 @@ mod tests {
     }
 
     #[test]
-    fn waxpy_and_axpy_norms_match() {
+    fn axpy_norm2_matches_composition() {
         let n = 1234;
         let x = rand_vec(n, 9);
         let y = rand_vec(n, 10);
-        let mut out = Vector::zeros(n);
-        let ss = waxpy_norm2(out.as_mut_slice(), &x, -0.25, &y);
-        let mut ref_out = x.clone();
-        ref_out.axpy(-0.25, &y);
-        assert_eq!(out, ref_out);
-        assert_eq!(ss.to_bits(), ref_out.dot(&ref_out).to_bits());
-
         let mut y2 = y.clone();
         let nn = axpy_norm2(0.5, &x, y2.as_mut_slice());
         let mut y_ref = y.clone();
@@ -517,38 +447,10 @@ mod tests {
     }
 
     #[test]
-    fn dot2_matches_two_dots() {
-        let n = PAR_THRESHOLD + 5;
-        let s = rand_vec(n, 11);
-        let a = rand_vec(n, 12);
-        let b = rand_vec(n, 13);
-        let (sa, sb) = dot2(&s, &a, &b);
-        assert_eq!(sa.to_bits(), s.dot(&a).to_bits());
-        assert_eq!(sb.to_bits(), s.dot(&b).to_bits());
-    }
-
-    #[test]
     fn elementwise_kernels_match_chains() {
         let n = 777;
         let r = rand_vec(n, 14);
-        let v = rand_vec(n, 15);
         let p0 = rand_vec(n, 16);
-        let (beta, omega) = (1.7, 0.6);
-
-        let mut p_fused = p0.clone();
-        bicgstab_p_update(p_fused.as_mut_slice(), &r, &v, beta, omega);
-        let mut p_ref = p0.clone();
-        p_ref.axpy(-omega, &v);
-        p_ref.scale(beta);
-        p_ref.axpy(1.0, &r);
-        assert_eq!(p_fused, p_ref);
-
-        let mut y = p0.clone();
-        axpy2(y.as_mut_slice(), 0.3, &r, -0.8, &v);
-        let mut y_ref = p0.clone();
-        y_ref.axpy(0.3, &r);
-        y_ref.axpy(-0.8, &v);
-        assert_eq!(y, y_ref);
 
         let mut z = p0.clone();
         axpby(2.0, &r, -0.5, z.as_mut_slice());

@@ -490,8 +490,9 @@ struct Post {
     /// Per peer: the halo values sent to it, in a buffer reused across
     /// rounds (`None`: withheld, or never sent).
     halo: Vec<Option<Vec<f64>>>,
-    /// Per reduced quantity: this shard's per-block partials.
-    partials: Vec<Vec<f64>>,
+    /// This shard's per-block partials of the reduced quantity, in a
+    /// buffer reused across rounds.
+    partials: Vec<f64>,
     vote: bool,
 }
 
@@ -705,33 +706,26 @@ impl ShardComm {
     }
 
     /// The deterministic reduction: publishes this shard's per-block
-    /// partials (one inner vector per quantity) and folds every shard's,
-    /// in shard order and then block order from `0.0` — ascending global
-    /// block order, so every shard computes the same bits at any shard
-    /// count.
+    /// partials of one quantity and folds every shard's, in shard order and
+    /// then block order from `0.0` — ascending global block order, so every
+    /// shard computes the same bits at any shard count.
     ///
     /// # Errors
     /// Any error of the crossing ([`CommError::Aborted`],
     /// [`CommError::Stalled`], [`CommError::Protocol`]).
-    pub fn try_reduce(&mut self, partials: Vec<Vec<f64>>) -> Result<Vec<f64>, CommError> {
+    pub fn try_reduce(&mut self, partials: &[f64]) -> Result<f64, CommError> {
         self.reduce_rounds += 1;
         let g = self.next_generation();
-        self.board.post(self.shard, g, Op::Reduce).partials = partials;
+        let mut post = self.board.post(self.shard, g, Op::Reduce);
+        post.partials.clear();
+        post.partials.extend_from_slice(partials);
+        drop(post);
         let posts = self.board.cross(self.shard, g, Op::Reduce)?;
-        let mut scalars = vec![0.0f64; posts[0].partials.len()];
-        for post in &posts {
-            assert_eq!(
-                post.partials.len(),
-                scalars.len(),
-                "reduction quantity count"
-            );
-            for (sum, blocks) in scalars.iter_mut().zip(&post.partials) {
-                for &p in blocks {
-                    *sum += p;
-                }
-            }
+        let mut sum = 0.0;
+        for &p in posts.iter().flat_map(|post| &post.partials) {
+            sum += p;
         }
-        Ok(scalars)
+        Ok(sum)
     }
 
     /// All-ok barrier: the conjunction of every shard's vote (the
@@ -934,13 +928,13 @@ mod tests {
     fn board_reduce_and_vote_roundtrip() {
         let results = on_board(3, None, |mut comm| {
             let s = comm.shard() as f64;
-            let r = comm.try_reduce(vec![vec![s, 1.0], vec![2.0 * s]]).unwrap();
+            let r = comm.try_reduce(&[s, 1.0]).unwrap();
             let ok = comm.try_barrier_all_ok(comm.shard() != 1).unwrap();
             let all = comm.try_barrier_all_ok(true).unwrap();
             (r, ok, all)
         });
         for (r, ok, all) in results {
-            assert_eq!(r, vec![0.0 + 1.0 + 1.0 + 1.0 + 2.0 + 1.0, 6.0]);
+            assert_eq!(r, 0.0 + 1.0 + 1.0 + 1.0 + 2.0 + 1.0);
             assert!(!ok, "one dissenting vote fails the barrier");
             assert!(all);
         }
@@ -952,9 +946,9 @@ mod tests {
         let results = on_board(3, Some(Duration::from_millis(50)), |mut comm| {
             if comm.shard() == 2 {
                 peers_gave_up.wait();
-                return comm.try_reduce(vec![vec![1.0]]);
+                return comm.try_reduce(&[1.0]);
             }
-            let result = comm.try_reduce(vec![vec![1.0]]);
+            let result = comm.try_reduce(&[1.0]);
             peers_gave_up.wait();
             result
         });
@@ -980,9 +974,9 @@ mod tests {
             if comm.shard() == 0 {
                 // Leaves before the round, as an unrecoverable local
                 // failure would.
-                return Ok(Vec::new());
+                return Ok(0.0);
             }
-            comm.try_reduce(vec![vec![1.0]])
+            comm.try_reduce(&[1.0])
         });
         assert!(results[0].is_ok());
         assert_eq!(results[1], Err(CommError::Aborted { shard: 1 }));
@@ -1025,7 +1019,7 @@ mod tests {
     fn mismatched_ops_are_a_protocol_error() {
         let results = on_board(2, None, |mut comm| {
             if comm.shard() == 0 {
-                comm.try_reduce(vec![vec![1.0]]).map(drop)
+                comm.try_reduce(&[1.0]).map(drop)
             } else {
                 comm.try_barrier_all_ok(true).map(drop)
             }
@@ -1044,7 +1038,7 @@ mod tests {
             send_rows: vec![Vec::new()],
         };
         comm.try_halo_exchange(&plan, &[1.0], &mut []).unwrap();
-        assert_eq!(comm.try_reduce(vec![vec![1.0, 2.0]]), Ok(vec![3.0]));
+        assert_eq!(comm.try_reduce(&[1.0, 2.0]), Ok(3.0));
         assert_eq!(comm.try_barrier_all_ok(false), Ok(false));
         assert_eq!((comm.halo_doubles_sent(), comm.reduce_rounds()), (0, 1));
     }

@@ -27,7 +27,7 @@
 //!   vectorize); the `simd_equivalence` proptests pin the vectorized and
 //!   scalar paths bit-for-bit against each other at 1 and N threads.
 //!
-//! Because `vector::dot`, `dot2` and the fused `*_norm2` kernels all use
+//! Because `vector::dot` and the fused `*_norm2` kernels all use
 //! these same lane kernels over the same chunk partition, identities like
 //! "the ‖r‖² returned by `axpy2_norm2` equals a separate `dot(r, r)`
 //! sweep" continue to hold bit-for-bit.
@@ -70,37 +70,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     hsum(acc)
 }
 
-/// Two lane-structured dot products sharing the operand `s`:
-/// `(Σ s[i]·a[i], Σ s[i]·b[i])`.  Each component is bit-identical to a
-/// separate [`dot`] call over the same chunk.
-///
-/// # Panics
-/// Panics if the lengths differ.
-#[inline]
-pub fn dot2(s: &[f64], a: &[f64], b: &[f64]) -> (f64, f64) {
-    assert_eq!(s.len(), a.len(), "simd::dot2: length mismatch");
-    assert_eq!(s.len(), b.len(), "simd::dot2: length mismatch");
-    let mut aa = [0.0f64; LANES];
-    let mut ab = [0.0f64; LANES];
-    let mut blocks = s
-        .chunks_exact(LANES)
-        .zip(a.chunks_exact(LANES).zip(b.chunks_exact(LANES)));
-    for (vs, (va, vb)) in &mut blocks {
-        for j in 0..LANES {
-            aa[j] += vs[j] * va[j];
-            ab[j] += vs[j] * vb[j];
-        }
-    }
-    let ts = s.chunks_exact(LANES).remainder();
-    let ta = a.chunks_exact(LANES).remainder();
-    let tb = b.chunks_exact(LANES).remainder();
-    for j in 0..ts.len() {
-        aa[j] += ts[j] * ta[j];
-        ab[j] += ts[j] * tb[j];
-    }
-    (hsum(aa), hsum(ab))
-}
-
 /// Fused CG update over one chunk: `x += α·p`, `r −= α·q`, returning the
 /// lane-structured `Σ r_new²` (bit-identical to [`dot`] of the updated `r`
 /// with itself over the same chunk).
@@ -138,37 +107,6 @@ pub fn axpy2_norm2(alpha: f64, p: &[f64], q: &[f64], x: &mut [f64], r: &mut [f64
     hsum(acc)
 }
 
-/// Fused write-axpy + norm over one chunk: `out = x + α·y`, returning the
-/// lane-structured `Σ out²`.
-///
-/// # Panics
-/// Panics if the lengths differ.
-#[inline]
-pub fn waxpy_norm2(out: &mut [f64], x: &[f64], alpha: f64, y: &[f64]) -> f64 {
-    let n = out.len();
-    assert_eq!(x.len(), n, "simd::waxpy_norm2: length mismatch");
-    assert_eq!(y.len(), n, "simd::waxpy_norm2: length mismatch");
-    let mut acc = [0.0f64; LANES];
-    let head = n - n % LANES;
-    let (oh, ot) = out.split_at_mut(head);
-    let mut blocks = oh
-        .chunks_exact_mut(LANES)
-        .zip(x.chunks_exact(LANES).zip(y.chunks_exact(LANES)));
-    for (vo, (vx, vy)) in &mut blocks {
-        for j in 0..LANES {
-            let v = vx[j] + alpha * vy[j];
-            vo[j] = v;
-            acc[j] += v * v;
-        }
-    }
-    for j in 0..ot.len() {
-        let v = x[head + j] + alpha * y[head + j];
-        ot[j] = v;
-        acc[j] += v * v;
-    }
-    hsum(acc)
-}
-
 /// Fused axpy + norm over one chunk: `y += α·x`, returning the
 /// lane-structured `Σ y_new²`.
 ///
@@ -197,32 +135,6 @@ pub fn axpy_norm2(alpha: f64, x: &[f64], y: &mut [f64]) -> f64 {
     hsum(acc)
 }
 
-/// BiCGStab search-direction refresh over one chunk:
-/// `p = (p − ω·v)·β + r`, element-wise (no reduction — per-element bits are
-/// unchanged from the scalar formulation, the blocks only widen the loop).
-///
-/// # Panics
-/// Panics if the lengths differ.
-#[inline]
-pub fn bicgstab_p_update(p: &mut [f64], r: &[f64], v: &[f64], beta: f64, omega: f64) {
-    let n = p.len();
-    assert_eq!(r.len(), n, "simd::bicgstab_p_update: length mismatch");
-    assert_eq!(v.len(), n, "simd::bicgstab_p_update: length mismatch");
-    let head = n - n % LANES;
-    let (ph, pt) = p.split_at_mut(head);
-    let mut blocks = ph
-        .chunks_exact_mut(LANES)
-        .zip(r.chunks_exact(LANES).zip(v.chunks_exact(LANES)));
-    for (vp, (vr, vv)) in &mut blocks {
-        for j in 0..LANES {
-            vp[j] = (vp[j] - omega * vv[j]) * beta + vr[j];
-        }
-    }
-    for j in 0..pt.len() {
-        pt[j] = (pt[j] - omega * v[head + j]) * beta + r[head + j];
-    }
-}
-
 /// Scalar reference implementations of every lane kernel above.
 ///
 /// These compute the **same lane recurrence** (element `i` feeds
@@ -245,19 +157,6 @@ pub mod scalar {
         hsum(acc)
     }
 
-    /// Scalar mirror of [`super::dot2`].
-    pub fn dot2(s: &[f64], a: &[f64], b: &[f64]) -> (f64, f64) {
-        assert_eq!(s.len(), a.len(), "scalar::dot2: length mismatch");
-        assert_eq!(s.len(), b.len(), "scalar::dot2: length mismatch");
-        let mut aa = [0.0f64; LANES];
-        let mut ab = [0.0f64; LANES];
-        for i in 0..s.len() {
-            aa[i % LANES] += s[i] * a[i];
-            ab[i % LANES] += s[i] * b[i];
-        }
-        (hsum(aa), hsum(ab))
-    }
-
     /// Scalar mirror of [`super::axpy2_norm2`].
     pub fn axpy2_norm2(alpha: f64, p: &[f64], q: &[f64], x: &mut [f64], r: &mut [f64]) -> f64 {
         let n = x.len();
@@ -274,20 +173,6 @@ pub mod scalar {
         hsum(acc)
     }
 
-    /// Scalar mirror of [`super::waxpy_norm2`].
-    pub fn waxpy_norm2(out: &mut [f64], x: &[f64], alpha: f64, y: &[f64]) -> f64 {
-        let n = out.len();
-        assert_eq!(x.len(), n, "scalar::waxpy_norm2: length mismatch");
-        assert_eq!(y.len(), n, "scalar::waxpy_norm2: length mismatch");
-        let mut acc = [0.0f64; LANES];
-        for i in 0..n {
-            let v = x[i] + alpha * y[i];
-            out[i] = v;
-            acc[i % LANES] += v * v;
-        }
-        hsum(acc)
-    }
-
     /// Scalar mirror of [`super::axpy_norm2`].
     pub fn axpy_norm2(alpha: f64, x: &[f64], y: &mut [f64]) -> f64 {
         let n = y.len();
@@ -299,16 +184,6 @@ pub mod scalar {
             acc[i % LANES] += v * v;
         }
         hsum(acc)
-    }
-
-    /// Scalar mirror of [`super::bicgstab_p_update`].
-    pub fn bicgstab_p_update(p: &mut [f64], r: &[f64], v: &[f64], beta: f64, omega: f64) {
-        let n = p.len();
-        assert_eq!(r.len(), n, "scalar::bicgstab_p_update: length mismatch");
-        assert_eq!(v.len(), n, "scalar::bicgstab_p_update: length mismatch");
-        for i in 0..n {
-            p[i] = (p[i] - omega * v[i]) * beta + r[i];
-        }
     }
 }
 
@@ -338,10 +213,6 @@ mod tests {
             let b = rand(n, 2);
             let c = rand(n, 3);
             assert_eq!(dot(&a, &b).to_bits(), scalar::dot(&a, &b).to_bits());
-            let (u, v) = dot2(&a, &b, &c);
-            let (su, sv) = scalar::dot2(&a, &b, &c);
-            assert_eq!(u.to_bits(), su.to_bits());
-            assert_eq!(v.to_bits(), sv.to_bits());
 
             let (mut x1, mut r1) = (a.clone(), b.clone());
             let (mut x2, mut r2) = (a.clone(), b.clone());
@@ -359,19 +230,13 @@ mod tests {
         // separate lane dot of the result with itself.
         let n = 1003;
         let x = rand(n, 4);
-        let y = rand(n, 5);
-        let mut out = vec![0.0; n];
-        let ss = waxpy_norm2(&mut out, &x, -0.25, &y);
-        assert_eq!(ss.to_bits(), dot(&out, &out).to_bits());
-
-        let mut y2 = y.clone();
-        let nn = axpy_norm2(0.5, &x, &mut y2);
-        assert_eq!(nn.to_bits(), dot(&y2, &y2).to_bits());
+        let mut y = rand(n, 5);
+        let nn = axpy_norm2(0.5, &x, &mut y);
+        assert_eq!(nn.to_bits(), dot(&y, &y).to_bits());
     }
 
     #[test]
     fn empty_chunks_reduce_to_zero() {
         assert_eq!(dot(&[], &[]), 0.0);
-        assert_eq!(dot2(&[], &[], &[]), (0.0, 0.0));
     }
 }

@@ -70,11 +70,6 @@ impl Vector {
         &mut self.data
     }
 
-    /// Sets every element to zero, preserving the allocation.
-    pub fn set_zero(&mut self) {
-        self.data.iter_mut().for_each(|v| *v = 0.0);
-    }
-
     /// Copies the contents of `other` into `self`.
     ///
     /// # Panics
@@ -302,12 +297,10 @@ mod tests {
     }
 
     #[test]
-    fn scale_and_zero() {
+    fn scale_matches_manual() {
         let mut v = Vector::from_vec(vec![1.0, -2.0]);
         v.scale(-3.0);
         assert_eq!(v.as_slice(), &[-3.0, 6.0]);
-        v.set_zero();
-        assert_eq!(v.as_slice(), &[0.0, 0.0]);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Breakdown must end a solve, not spin it.
 //!
 //! On `A = diag(1, −1)`, `b = (1, 1)` the first CG direction has
-//! `pᵀAp = 0` and the first BiCGStab direction has `r̂ᵀv = 0`.  The
-//! breakdown restart rebuilds exactly the state that broke down, so a
-//! second restart can change nothing: the solve must stop there,
-//! unconverged and flagged, on the local space and on a sharded run alike.
+//! `pᵀAp = 0`.  The breakdown restart rebuilds exactly the state that
+//! broke down, so a second restart can change nothing: the solve must stop
+//! there, unconverged and flagged, on the local space and on a sharded run
+//! alike.
 //! Each solve runs on its own thread under a deadline so that a livelock
 //! fails the test instead of hanging it.  So do two sharded runs whose
 //! shard dies mid-run, which must end without a heartbeat.
@@ -12,7 +12,7 @@
 use lossy_ckpt::ckpt::{MemBackend, StorageBackend};
 use lossy_ckpt::core::sharded::{try_run_sharded, ShardedError, ShardedRunConfig};
 use lossy_ckpt::solvers::{
-    BiCgStab, ConjugateGradient, IterativeMethod, LinearSystem, ShardedMethod, StoppingCriteria,
+    ConjugateGradient, IterativeMethod, LinearSystem, ShardedMethod, StoppingCriteria,
 };
 use lossy_ckpt::sparse::poisson::poisson3d;
 use lossy_ckpt::sparse::{CommAction, CommError, CommInterposer, CsrMatrix, Vector};
@@ -58,23 +58,10 @@ fn local_cg_breakdown_ends_the_solve() {
 }
 
 #[test]
-fn local_bicgstab_breakdown_ends_the_solve() {
-    within_deadline(|| {
+fn sharded_cg_breakdown_ends_the_run() {
+    let report = within_deadline(|| {
         let (a, b) = indefinite();
-        let mut solver = BiCgStab::unpreconditioned(
-            LinearSystem::new(a, b),
-            Vector::zeros(2),
-            StoppingCriteria::new(1e-8, 10_000),
-        );
-        solver.run_to_convergence();
-        assert_stopped_unconverged(&solver);
-    });
-}
-
-fn sharded_breakdown_ends_the_run(method: ShardedMethod) {
-    let report = within_deadline(move || {
-        let (a, b) = indefinite();
-        let mut cfg = ShardedRunConfig::new(2, method);
+        let mut cfg = ShardedRunConfig::new(2, ShardedMethod::Cg);
         cfg.reduce_block = 1; // one row per shard
         cfg.max_iterations = 100;
         cfg.heartbeat_timeout = Some(Duration::from_millis(200));
@@ -85,16 +72,6 @@ fn sharded_breakdown_ends_the_run(method: ShardedMethod) {
     assert_eq!(report.iterations, 0);
     assert_eq!(report.restart_iterations, vec![0]);
     assert_eq!(report.residual_trace.len(), 1, "only the initial residual");
-}
-
-#[test]
-fn sharded_cg_breakdown_ends_the_run() {
-    sharded_breakdown_ends_the_run(ShardedMethod::Cg);
-}
-
-#[test]
-fn sharded_bicgstab_breakdown_ends_the_run() {
-    sharded_breakdown_ends_the_run(ShardedMethod::BiCgStab);
 }
 
 /// CG on the negated `poisson3d(8)` over 2 shards with no heartbeat (the
