@@ -140,10 +140,10 @@ pub struct ShardedRunConfig {
     /// Root directory for per-shard stores (`<dir>/shard-{k}/`).  Required
     /// when `checkpoint_interval > 0`.
     pub ckpt_dir: Option<PathBuf>,
-    /// Checkpoints retained per shard store.  A segment is written before
-    /// its epoch's vote, so with `retain = 1` the write of an epoch that
-    /// then aborts has already evicted the last committed one; keep at
-    /// least 2.
+    /// Checkpoints retained per shard store; at least 2 when checkpointing.
+    /// A segment is written before its epoch's vote, so with `retain = 1`
+    /// the write of an epoch that then aborts would already have evicted
+    /// the last committed one.
     pub retain: usize,
     /// Deterministic fail-stop injections.  Two entries with the same
     /// `at_iteration` and different shards model a *double fault*: both
@@ -485,8 +485,9 @@ fn residual_trace(progress: &Progress) -> Vec<f64> {
 ///
 /// # Panics
 /// Panics on dimension mismatch, a configuration requiring a missing
-/// `ckpt_dir`, a kill naming a nonexistent shard, a shard thread panic,
-/// or a determinism-contract violation between shards.
+/// `ckpt_dir`, checkpointing with `retain < 2`, a kill naming a nonexistent
+/// shard, a shard thread panic, or a determinism-contract violation between
+/// shards.
 pub fn try_run_sharded(
     a: &CsrMatrix,
     b: &Vector,
@@ -496,6 +497,10 @@ pub fn try_run_sharded(
     assert!(
         cfg.checkpoint_interval == 0 || cfg.ckpt_dir.is_some(),
         "checkpoint_interval > 0 requires ckpt_dir"
+    );
+    assert!(
+        cfg.checkpoint_interval == 0 || cfg.retain >= 2,
+        "checkpoint_interval > 0 requires retain >= 2"
     );
     for kill in &cfg.kills {
         assert!(kill.shard < cfg.shards, "kill names a nonexistent shard");

@@ -444,6 +444,21 @@ fn aborted_epochs_do_not_evict_the_last_committed_epoch() {
     );
 }
 
+/// A segment is written, evicting the one before it, ahead of its epoch's
+/// vote: with one retained checkpoint an aborted epoch would leave the
+/// shard's store empty, and its next rollback would restart from zero
+/// although a committed epoch exists.  So the run is refused up front.
+#[test]
+#[should_panic(expected = "requires retain >= 2")]
+fn checkpointing_with_one_retained_epoch_is_refused() {
+    let (a, b) = spd_poisson(8);
+    let mut cfg = ShardedRunConfig::new(2, ShardedMethod::Cg);
+    cfg.checkpoint_interval = 5;
+    cfg.ckpt_dir = Some(tempdir("retain1"));
+    cfg.retain = 1;
+    let _ = try_run_sharded(&a, &b, &cfg);
+}
+
 /// A probe solver of dimension `n` for `CheckpointStrategy::recover` to
 /// restart: only its solution vector is looked at.
 fn probe(n: usize) -> impl IterativeMethod {
