@@ -28,7 +28,7 @@ pub fn paper_baseline_seconds(kind: SolverKind) -> f64 {
     match kind {
         SolverKind::Gmres => 120.0 * 60.0,
         SolverKind::Cg => 35.0 * 60.0,
-        _ => 50.0 * 60.0,
+        SolverKind::Jacobi => 50.0 * 60.0,
     }
 }
 
@@ -359,7 +359,7 @@ fn paper_n_extra(kind: SolverKind, total_iterations: usize) -> f64 {
     match kind {
         SolverKind::Gmres => 0.0,
         SolverKind::Cg => 0.25 * total_iterations as f64,
-        _ => theorem2_extra_iterations_upper_bound(0.99998, 1e-4, 3941),
+        SolverKind::Jacobi => theorem2_extra_iterations_upper_bound(0.99998, 1e-4, 3941),
     }
 }
 
@@ -370,7 +370,7 @@ fn paper_iteration_count(kind: SolverKind) -> usize {
     match kind {
         SolverKind::Gmres => 5875,
         SolverKind::Cg => 2376,
-        _ => 3941,
+        SolverKind::Jacobi => 3941,
     }
 }
 
