@@ -242,11 +242,6 @@ impl<'a> ShardSpace<'a> {
             .borrow_mut()
             .try_halo_exchange(&self.mat.halo, own, halo)
     }
-
-    /// Folds this shard's per-block partials into the global scalar.
-    fn reduce(&self, partials: &[f64]) -> Result<f64, CommError> {
-        self.comm.borrow_mut().try_reduce(partials)
-    }
 }
 
 impl Space for ShardSpace<'_> {
@@ -263,7 +258,8 @@ impl Space for ShardSpace<'_> {
     }
 
     fn dot(&mut self, a: &[f64], b: &[f64]) -> Result<f64, CommError> {
-        self.reduce(&self.mat.layout.block_dot(self.mat.shard, a, b))
+        let partials = self.mat.layout.block_dot(self.mat.shard, a, b);
+        self.comm.borrow_mut().try_reduce(&partials)
     }
 
     fn axpy2_norm2(
@@ -280,7 +276,7 @@ impl Space for ShardSpace<'_> {
             .local_block_ranges(self.mat.shard)
             .map(|(s, e)| simd::axpy2_norm2(alpha, &p[s..e], &q[s..e], &mut x[s..e], &mut r[s..e]))
             .collect();
-        self.reduce(&partials)
+        self.comm.borrow_mut().try_reduce(&partials)
     }
 
     fn jacobi_sweep(&mut self, x: &[f64], out: &mut [f64]) -> Result<(), CommError> {
