@@ -537,7 +537,7 @@ fn main() {
                     None,
                     "traditional",
                     &[],
-                    &disk_buffer,
+                    &mut disk_buffer,
                 )
                 .expect("disk checkpoint write failed");
             iteration += 1;

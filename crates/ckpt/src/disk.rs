@@ -64,13 +64,17 @@
 //!
 //! # Write-behind
 //!
-//! With [`DiskStore::set_write_behind`] the store hands the whole
-//! [`CheckpointBuffer`] arena to a background I/O thread — which runs the
-//! same `write_checkpoint` a synchronous push runs inline — and
-//! immediately returns a recycled arena, so file I/O overlaps the next
-//! solver iterations.  At most one write is in flight (double buffering): a
-//! second push, [`DiskStore::flush`] or any recovery first joins the
-//! outstanding write, so recovery never races a half-written file.
+//! There is one write path, [`DiskStore::push_from_buffer`].  With
+//! [`DiskStore::set_write_behind`] it spawns one I/O thread per write,
+//! which runs the same `write_checkpoint` a synchronous push runs inline,
+//! and hands the caller back the previous write's arena in exchange for
+//! the one it takes, so file I/O overlaps the next solver iterations.  At
+//! most one write is in flight (double buffering): the next push,
+//! [`DiskStore::flush`], any recovery, [`DiskStore::discard_newest`] and
+//! the store's drop first join it, so recovery never races a half-written
+//! file.  A failed write invalidates its own checkpoint and surfaces on the
+//! next push or flush; a panic on the I/O thread invalidates it and
+//! re-raises on the caller at the join.
 
 use crate::backend::{OsBackend, RetryPolicy, StorageBackend};
 use crate::pfs::CheckpointLevel;
@@ -78,9 +82,8 @@ use crate::store::{CheckpointBuffer, CheckpointEncoding, CheckpointMetadata};
 use crate::{CkptError, Result};
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
-use std::sync::mpsc;
 use std::sync::Arc;
-use std::thread;
+use std::thread::{self, JoinHandle};
 
 /// Magic bytes opening every checkpoint file.
 pub const MAGIC: [u8; 8] = *b"LCRCKPT0";
@@ -478,50 +481,13 @@ fn write_checkpoint(job: &Job, buffer: &CheckpointBuffer) -> (std::io::Result<()
     })
 }
 
+/// What a write-behind write hands back when joined: its arena, for the
+/// next push to reuse, and `write_checkpoint`'s result and retry counts.
 struct JobDone {
-    id: u64,
     buffer: CheckpointBuffer,
     result: std::io::Result<()>,
     retries: u32,
     backoff: Vec<f64>,
-}
-
-struct WriteBehind {
-    tx: mpsc::Sender<(Job, CheckpointBuffer)>,
-    done_rx: mpsc::Receiver<JobDone>,
-    handle: Option<thread::JoinHandle<()>>,
-    in_flight: usize,
-}
-
-impl WriteBehind {
-    fn spawn() -> Self {
-        let (tx, rx) = mpsc::channel::<(Job, CheckpointBuffer)>();
-        let (done_tx, done_rx) = mpsc::channel::<JobDone>();
-        let handle = thread::Builder::new()
-            .name("lcr-ckpt-io".into())
-            .spawn(move || {
-                while let Ok((job, buffer)) = rx.recv() {
-                    let (result, retries, backoff) = write_checkpoint(&job, &buffer);
-                    let done = JobDone {
-                        id: job.header.metadata.id,
-                        buffer,
-                        result,
-                        retries,
-                        backoff,
-                    };
-                    if done_tx.send(done).is_err() {
-                        break;
-                    }
-                }
-            })
-            .expect("spawning the checkpoint I/O thread");
-        WriteBehind {
-            tx,
-            done_rx,
-            handle: Some(handle),
-            in_flight: 0,
-        }
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -544,7 +510,9 @@ pub struct DiskStore {
     retain: usize,
     next_id: u64,
     entries: VecDeque<DiskEntry>,
-    write_behind: Option<WriteBehind>,
+    write_behind: bool,
+    /// The write-behind write of the newest entry, until joined.
+    in_flight: Option<JoinHandle<JobDone>>,
     /// The first deferred write-behind failure since the last flush.
     first_error: Option<CkptError>,
     backend: Arc<dyn StorageBackend>,
@@ -571,7 +539,7 @@ impl std::fmt::Debug for DiskStore {
             .field("retain", &self.retain)
             .field("next_id", &self.next_id)
             .field("entries", &self.entries.len())
-            .field("write_behind", &self.write_behind.is_some())
+            .field("write_behind", &self.write_behind)
             .field("io_retries", &self.io_retries)
             .field("total_bytes_written", &self.total_bytes_written)
             .finish()
@@ -667,7 +635,8 @@ impl DiskStore {
             retain,
             next_id,
             entries: entries.into(),
-            write_behind: None,
+            write_behind: false,
+            in_flight: None,
             first_error: None,
             backend,
             retry: RetryPolicy::default(),
@@ -780,17 +749,11 @@ impl DiskStore {
     /// # Errors
     /// [`CkptError::Io`] if a deferred write failed while disabling.
     pub fn set_write_behind(&mut self, enabled: bool) -> Result<()> {
+        self.write_behind = enabled;
         if enabled {
-            if self.write_behind.is_none() {
-                self.write_behind = Some(WriteBehind::spawn());
-            }
             Ok(())
         } else {
-            let result = self.flush();
-            if let Some(wb) = self.write_behind.take() {
-                Self::shutdown_worker(wb);
-            }
-            result
+            self.flush()
         }
     }
 
@@ -802,43 +765,37 @@ impl DiskStore {
         self.retried_pushes += u64::from(committed && retries > 0);
     }
 
-    fn record_done(&mut self, done: JobDone) -> CheckpointBuffer {
+    /// Joins the write in flight, if any, and returns its arena.  A failed
+    /// write invalidates its entry and waits in `first_error` for the next
+    /// push or flush; a panic on the I/O thread invalidates it and
+    /// re-raises here.
+    fn join(&mut self) -> Option<CheckpointBuffer> {
+        let joined = self.in_flight.take()?.join();
+        // The write in flight is the newest entry: it was registered when
+        // spawned, every later push joins it first, and retention never
+        // evicts the newest entry.
+        let id = self.entries.back().expect("a write in flight is indexed").metadata.id;
+        let done = joined.unwrap_or_else(|panic| {
+            self.invalidate(id);
+            std::panic::resume_unwind(panic)
+        });
         self.account(done.retries, &done.backoff, done.result.is_ok());
         if let Err(e) = done.result {
-            // The entry was registered when the job was enqueued.
-            self.invalidate(done.id);
-            let failed = io_err(&format!("writing checkpoint {}", done.id), e);
+            self.invalidate(id);
+            let failed = io_err(&format!("writing checkpoint {id}"), e);
             self.first_error.get_or_insert(failed);
         }
-        done.buffer
+        Some(done.buffer)
     }
 
-    /// Joins the outstanding write-behind job, if any, returning its
-    /// recycled buffer.
-    fn join_one(&mut self) -> Option<CheckpointBuffer> {
-        let done = {
-            let wb = self.write_behind.as_mut()?;
-            if wb.in_flight == 0 {
-                return None;
-            }
-            wb.in_flight -= 1;
-            wb.done_rx.recv().ok()
-        };
-        done.map(|d| self.record_done(d))
-    }
-
-    fn join_all(&mut self) {
-        while self.join_one().is_some() {}
-    }
-
-    /// Waits for all in-flight writes to reach disk.
+    /// Waits for the write in flight, if any, to reach disk.
     ///
     /// # Errors
     /// [`CkptError::Io`] carrying the first deferred write error, if any
     /// write failed since the last flush (the failed checkpoint is marked
     /// invalid and will never be selected for recovery).
     pub fn flush(&mut self) -> Result<()> {
-        self.join_all();
+        self.join();
         self.first_error.take().map_or(Ok(()), Err)
     }
 
@@ -860,7 +817,7 @@ impl DiskStore {
         // and the window temporarily stretches past `retain` when the
         // front chain reaches the newest entry.  Only entries strictly
         // older than the newest are ever popped, and pushes join the
-        // previous async write first, so an in-flight file is never
+        // previous write-behind write first, so an in-flight file is never
         // evicted.
         while self.len() > self.retain {
             let chain_len = self.front_chain_len();
@@ -955,19 +912,28 @@ impl DiskStore {
         }
     }
 
-    /// Writes one checkpoint synchronously (temp file + fsync + rename),
-    /// registers it, and evicts checkpoints beyond the retention limit.
+    /// Writes one checkpoint (temp file + fsync + rename), registers it,
+    /// and evicts checkpoints beyond the retention limit — the store's one
+    /// write path.
+    ///
+    /// Synchronously, the write is done when this returns and `buffer` is
+    /// left as it was.  Under write-behind this first joins the previous
+    /// write, then swaps `buffer` for that write's arena (an empty one the
+    /// first time) and writes the checkpoint on a new I/O thread, so the
+    /// caller encodes the next checkpoint while this one reaches storage.
     ///
     /// `delta_order` of `Some(1 | 2)` records the payloads as temporal
     /// deltas of that order against the newest checkpoint in the store
     /// (see the module docs on delta chains); `None` records an anchor.
     ///
     /// # Errors
-    /// [`CkptError::Io`] if the write fails (nothing is registered), or if
-    /// a previously deferred write-behind error is pending.
+    /// [`CkptError::Io`] if a synchronous write fails (nothing is
+    /// registered), or if the previous write-behind write failed (this
+    /// checkpoint is written all the same).
     ///
     /// # Panics
-    /// Panics if a delta is pushed into an empty store.
+    /// Panics if a delta is pushed into an empty store, and re-raises a
+    /// panic of the previous write's I/O thread.
     #[allow(clippy::too_many_arguments)]
     pub fn push_from_buffer(
         &mut self,
@@ -978,9 +944,10 @@ impl DiskStore {
         delta_order: Option<u8>,
         tag: &str,
         scalars: &[(String, f64)],
-        buffer: &CheckpointBuffer,
+        buffer: &mut CheckpointBuffer,
     ) -> Result<CheckpointMetadata> {
-        self.flush()?;
+        let recycled = self.join();
+        let deferred_error = self.first_error.take();
         let job = self.job_for(
             iteration,
             completed_at,
@@ -991,78 +958,26 @@ impl DiskStore {
             scalars,
             buffer,
         );
-        let (result, retries, backoff) = write_checkpoint(&job, buffer);
-        self.account(retries, &backoff, result.is_ok());
-        result.map_err(|e| io_err("writing checkpoint", e))?;
-        self.register(job.fin, job.header.metadata.clone());
-        Ok(job.header.metadata)
-    }
-
-    /// Hands the buffer to the background I/O thread and returns
-    /// immediately with a recycled buffer to encode the next checkpoint
-    /// into (double buffering).  If write-behind is not enabled, falls back
-    /// to a synchronous write and returns the same buffer.
-    ///
-    /// At most one write is in flight: a second push joins the previous
-    /// one first, so checkpoint I/O overlaps at most one checkpoint
-    /// interval of solver iterations.
-    ///
-    /// # Errors
-    /// [`CkptError::Io`] if the *previous* deferred write failed (the new
-    /// checkpoint is still enqueued) or, in the synchronous fallback, if
-    /// this write fails.
-    #[allow(clippy::too_many_arguments)]
-    pub fn push_from_buffer_async(
-        &mut self,
-        iteration: usize,
-        completed_at: f64,
-        level: CheckpointLevel,
-        original_bytes: usize,
-        delta_order: Option<u8>,
-        tag: &str,
-        scalars: &[(String, f64)],
-        buffer: CheckpointBuffer,
-    ) -> (Result<CheckpointMetadata>, CheckpointBuffer) {
-        if self.write_behind.is_none() {
-            let result = self.push_from_buffer(
-                iteration,
-                completed_at,
-                level,
-                original_bytes,
-                delta_order,
-                tag,
-                scalars,
-                &buffer,
-            );
-            return (result, buffer);
-        }
-        let recycled = self.join_one().unwrap_or_default();
-        let deferred_error = self.first_error.take();
-        let job = self.job_for(
-            iteration,
-            completed_at,
-            level,
-            original_bytes,
-            delta_order,
-            tag,
-            scalars,
-            &buffer,
-        );
         let (fin, metadata) = (job.fin.clone(), job.header.metadata.clone());
-        let wb = self.write_behind.as_mut().expect("write-behind checked above");
-        if wb.tx.send((job, buffer)).is_err() {
-            // Nothing was enqueued — register nothing, count nothing.
-            return (
-                Err(CkptError::Io("checkpoint I/O thread is gone".into())),
-                recycled,
-            );
+        if self.write_behind {
+            let buffer = std::mem::replace(buffer, recycled.unwrap_or_default());
+            let write = thread::Builder::new()
+                .name("lcr-ckpt-io".into())
+                .spawn(move || {
+                    let (result, retries, backoff) = write_checkpoint(&job, &buffer);
+                    JobDone { buffer, result, retries, backoff }
+                })
+                .expect("spawning the checkpoint I/O thread");
+            self.in_flight = Some(write);
+        } else {
+            let (result, retries, backoff) = write_checkpoint(&job, buffer);
+            self.account(retries, &backoff, result.is_ok());
+            result.map_err(|e| io_err("writing checkpoint", e))?;
         }
-        wb.in_flight += 1;
         self.register(fin, metadata.clone());
-        // Surface the *previous* checkpoint's deferred write failure on the
-        // first push after it (its entry is already invalidated); the
-        // current checkpoint is enqueued and will persist.
-        (deferred_error.map_or(Ok(metadata), Err), recycled)
+        // The previous write's failure surfaces on the first push after it
+        // (its entry is already invalidated).
+        deferred_error.map_or(Ok(metadata), Err)
     }
 
     /// The newest *complete* checkpoint: the last link of
@@ -1101,7 +1016,7 @@ impl DiskStore {
         }
         // Deferred write errors only invalidate their own entry; older
         // checkpoints remain recoverable, so do not surface them here.
-        self.join_all();
+        self.join();
         self.chain_scans += 1;
         // Each restart invalidates at least one previously valid entry, so
         // the scan terminates.
@@ -1151,7 +1066,7 @@ impl DiskStore {
     /// reused.  If the file cannot be removed the entry stays, marked
     /// invalid, so this store never selects it.
     pub fn discard_newest(&mut self) {
-        self.join_all();
+        self.join();
         let Some(mut entry) = self.entries.pop_back() else {
             return;
         };
@@ -1187,27 +1102,12 @@ impl DiskStore {
         chain.reverse();
         Some(chain)
     }
-
-    fn shutdown_worker(wb: WriteBehind) {
-        let WriteBehind {
-            tx,
-            done_rx,
-            handle,
-            ..
-        } = wb;
-        drop(tx);
-        // Drain any completed jobs so the worker's sends do not block.
-        while done_rx.recv().is_ok() {}
-        if let Some(handle) = handle {
-            let _ = handle.join();
-        }
-    }
 }
 
 impl Drop for DiskStore {
     fn drop(&mut self) {
-        if let Some(wb) = self.write_behind.take() {
-            Self::shutdown_worker(wb);
+        if let Some(write) = self.in_flight.take() {
+            let _ = write.join();
         }
     }
 }
@@ -1243,7 +1143,7 @@ mod tests {
         iteration: usize,
         delta_order: Option<u8>,
     ) -> CheckpointMetadata {
-        let buf = sample_buffer();
+        let mut buf = sample_buffer();
         store
             .push_from_buffer(
                 iteration,
@@ -1253,7 +1153,7 @@ mod tests {
                 delta_order,
                 "traditional",
                 &[("rho".to_string(), 0.25), ("beta".to_string(), -3.5)],
-                &buf,
+                &mut buf,
             )
             .unwrap()
     }
@@ -1510,24 +1410,18 @@ mod tests {
         let dir = tempdir("writebehind");
         let mut store = DiskStore::open(&dir, 2).unwrap();
         store.set_write_behind(true).unwrap();
-        assert!(store.write_behind.is_some());
+        assert!(store.write_behind);
 
         let mut buffer = CheckpointBuffer::new();
         for i in 0..4usize {
             buffer.clear();
             buffer.push_with("x", |out| out.extend_from_slice(&[i as u8; 100]));
-            let (result, recycled) = store.push_from_buffer_async(
-                i,
-                i as f64,
-                CheckpointLevel::Pfs,
-                100,
-                None,
-                "lossy",
-                &[],
-                buffer,
-            );
-            result.unwrap();
-            buffer = recycled;
+            store
+                .push_from_buffer(i, i as f64, CheckpointLevel::Pfs, 100, None, "lossy", &[], &mut buffer)
+                .unwrap();
+            // The push kept this arena and handed back the previous one.
+            let previous = i.checked_sub(1).map(|p| ("x".to_string(), vec![p as u8; 100]));
+            assert_eq!(buffer.to_payloads(), Vec::from_iter(previous));
         }
         store.flush().unwrap();
         assert_eq!(store.len(), 2);
@@ -1552,17 +1446,9 @@ mod tests {
             store.set_write_behind(true).unwrap();
             let mut buffer = CheckpointBuffer::new();
             buffer.push_with("x", |out| out.extend_from_slice(&[7u8; 64]));
-            let (result, _) = store.push_from_buffer_async(
-                1,
-                1.0,
-                CheckpointLevel::Pfs,
-                64,
-                None,
-                "lossy",
-                &[],
-                buffer,
-            );
-            result.unwrap();
+            store
+                .push_from_buffer(1, 1.0, CheckpointLevel::Pfs, 64, None, "lossy", &[], &mut buffer)
+                .unwrap();
             // Dropped with the write possibly still in flight.
         }
         let mut reopened = DiskStore::open(&dir, 1).unwrap();
@@ -1670,7 +1556,7 @@ mod tests {
                 buf.push_with("x", |out| out.extend_from_slice(&vec![0xAB; len]));
                 let level = CheckpointLevel::Local;
                 let meta = store
-                    .push_from_buffer(i, i as f64, level, len * 10, None, "", &[], &buf)
+                    .push_from_buffer(i, i as f64, level, len * 10, None, "", &[], &mut buf)
                     .unwrap();
                 assert_eq!(meta.id, i as u64);
                 assert_eq!(store.len(), 1);
@@ -1685,9 +1571,9 @@ mod tests {
     fn a_checkpoint_of_no_variables_roundtrips_with_ratio_one() {
         on_each_backend("novars", |backend, dir| {
             let mut store = DiskStore::open_with_backend(dir, 1, backend).unwrap();
-            let empty = CheckpointBuffer::new();
+            let mut empty = CheckpointBuffer::new();
             let meta = store
-                .push_from_buffer(0, 0.0, CheckpointLevel::Local, 0, None, "", &[], &empty)
+                .push_from_buffer(0, 0.0, CheckpointLevel::Local, 0, None, "", &[], &mut empty)
                 .unwrap();
             assert_eq!(meta.compression_ratio(), 1.0);
             assert_eq!(meta.total_bytes, 0);
@@ -1769,13 +1655,15 @@ mod tests {
 
     /// A backend over `inner` that fails on schedule: some whole-file
     /// reads, or every operation from an index on (the device is gone, or
-    /// the process died there).  It notes every rename that completed.
+    /// the process died there), or every file write panics.  It notes
+    /// every rename that completed.
     #[derive(Debug)]
     struct Failing {
         inner: Arc<dyn StorageBackend>,
         ops: AtomicU64,
         dead_from: u64,
         flaky_reads: AtomicU64,
+        exploding_writes: bool,
         renamed: Mutex<Vec<PathBuf>>,
     }
 
@@ -1786,8 +1674,15 @@ mod tests {
                 ops: AtomicU64::new(0),
                 dead_from,
                 flaky_reads: AtomicU64::new(0),
+                exploding_writes: false,
                 renamed: Mutex::new(Vec::new()),
             }
+        }
+
+        /// A backend over memory whose every file write panics.
+        fn exploding() -> Self {
+            let backend = Failing::over(Arc::new(MemBackend::default()), u64::MAX);
+            Failing { exploding_writes: true, ..backend }
         }
 
         fn op<T>(
@@ -1824,6 +1719,7 @@ mod tests {
             self.op(|b| b.read(p))
         }
         fn write_file(&self, p: &Path, parts: &[&[u8]]) -> std::io::Result<()> {
+            assert!(!self.exploding_writes, "backend exploded");
             self.op(|b| b.write_file(p, parts))
         }
         fn fsync(&self, p: &Path) -> std::io::Result<()> {
@@ -1863,6 +1759,31 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A write-behind store over a backend whose file writes panic, with
+    /// one push in flight.
+    fn exploding_write_in_flight() -> DiskStore {
+        let mut store = DiskStore::open_with_backend("ckpts", 2, Arc::new(Failing::exploding())).unwrap();
+        store.set_write_behind(true).unwrap();
+        push_sample(&mut store, 1);
+        store
+    }
+
+    #[test]
+    #[should_panic(expected = "backend exploded")]
+    fn a_panic_on_the_io_thread_re_raises_on_flush() {
+        let _ = exploding_write_in_flight().flush();
+    }
+
+    #[test]
+    fn a_write_that_panicked_on_the_io_thread_is_not_indexed_as_landed() {
+        let mut store = exploding_write_in_flight();
+        let joined = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| store.flush()));
+        assert!(joined.is_err(), "the panic reaches the caller");
+        assert!(store.is_empty());
+        assert_eq!(store.latest_valid().unwrap_err(), CkptError::NoCheckpoint);
+        assert_eq!(store.flush(), Ok(()), "the panic is raised once");
+    }
+
     /// Runs the script [anchor, delta, delta, anchor, delta] at `retain = 2`
     /// over `backend` until a push fails — a dead process pushes no more.
     fn run_crash_script(backend: Arc<dyn StorageBackend>) {
@@ -1870,10 +1791,10 @@ mod tests {
             return;
         };
         store.set_retry_policy(NO_DELAY);
-        let buf = sample_buffer();
+        let mut buf = sample_buffer();
         let level = CheckpointLevel::Pfs;
         for (iteration, delta) in [None, Some(1), Some(2), None, Some(1)].into_iter().enumerate() {
-            let pushed = store.push_from_buffer(iteration, 0.0, level, 800, delta, "t", &[], &buf);
+            let pushed = store.push_from_buffer(iteration, 0.0, level, 800, delta, "t", &[], &mut buf);
             if pushed.is_err() {
                 return;
             }

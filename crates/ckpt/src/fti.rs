@@ -96,14 +96,6 @@ pub struct FtiContext {
     /// the simulated clock as if the full-size data had been written, while
     /// the *real* (small) payload is stored for genuine recovery.
     byte_scale: f64,
-    /// Cumulative simulated seconds spent writing checkpoints.
-    pub total_write_seconds: f64,
-    /// Cumulative simulated seconds spent reading checkpoints.
-    pub total_read_seconds: f64,
-    /// Number of snapshots taken.
-    pub snapshots: usize,
-    /// Number of recoveries performed.
-    pub recoveries: usize,
 }
 
 impl FtiContext {
@@ -119,10 +111,6 @@ impl FtiContext {
             memory: Some(memory),
             disk: None,
             byte_scale: 1.0,
-            total_write_seconds: 0.0,
-            total_read_seconds: 0.0,
-            snapshots: 0,
-            recoveries: 0,
         }
     }
 
@@ -153,11 +141,6 @@ impl FtiContext {
                 original_bytes,
             });
         }
-    }
-
-    /// The cluster configuration.
-    pub fn cluster(&self) -> &ClusterConfig {
-        &self.cluster
     }
 
     /// The PFS model.
@@ -210,13 +193,17 @@ impl FtiContext {
     }
 
     /// Commits a snapshot whose write window already elapsed on the clock
-    /// (`write_seconds` from [`FtiContext::planned_write_seconds`], clock
-    /// advanced by the caller): writes the same checkpoint file — payloads,
-    /// `scalars`, the writing strategy's `tag` — into the in-memory tier
-    /// (unless it was dropped) and then into the durable tier (when one is
-    /// attached).  A tier with write-behind enabled keeps the buffer for
-    /// its I/O thread and hands back a recycled arena; otherwise the buffer
-    /// comes back untouched.
+    /// (the caller advanced it by [`FtiContext::planned_write_seconds`]):
+    /// writes the same checkpoint file — payloads, `scalars`, the writing
+    /// strategy's `tag` — into the in-memory tier (unless it was dropped)
+    /// and then into the durable tier (when one is attached), each through
+    /// [`DiskStore::push_from_buffer`].  A tier with write-behind enabled
+    /// keeps the buffer for its I/O thread and hands back a recycled arena;
+    /// otherwise the buffer comes back untouched.
+    ///
+    /// `_write_seconds` is not read: the clock already holds it.  The
+    /// parameter stays only because `lcr_benchmark`'s replica of the runner
+    /// passes it.
     ///
     /// `delta_order` of `Some(1 | 2)` records the checkpoint as a temporal
     /// delta of that order against the previous snapshot in *both* tiers
@@ -241,17 +228,15 @@ impl FtiContext {
         scalars: &[(String, f64)],
         delta_order: Option<u8>,
         buffer: &mut CheckpointBuffer,
-        write_seconds: f64,
+        _write_seconds: f64,
     ) -> Result<CheckpointMetadata> {
         let original_bytes =
             self.original_bytes_for(buffer.segments().map(|(id, b)| (id, b.len())));
-        self.total_write_seconds += write_seconds;
-        self.snapshots += 1;
-        // Memory first: it writes synchronously and returns the buffer it
-        // was lent, so the durable tier may keep it.
+        // Memory first: it writes synchronously and leaves the buffer as it
+        // was, so the durable tier may swap it.
         let mut committed = None;
         for tier in [&mut self.memory, &mut self.disk].into_iter().flatten() {
-            let (result, recycled) = tier.push_from_buffer_async(
+            let result = tier.push_from_buffer(
                 iteration,
                 completed_at,
                 self.level,
@@ -259,9 +244,8 @@ impl FtiContext {
                 delta_order,
                 tag,
                 scalars,
-                std::mem::take(buffer),
+                buffer,
             );
-            *buffer = recycled;
             committed.get_or_insert(result?);
         }
         let metadata =
@@ -338,8 +322,6 @@ impl FtiContext {
             .pfs
             .read_seconds(billed_bytes, self.cluster.ranks, self.level);
         clock.advance(read_seconds);
-        self.total_read_seconds += read_seconds;
-        self.recoveries += 1;
         Ok(RecoveredData {
             chain,
             iteration,
@@ -425,7 +407,6 @@ mod tests {
         assert_eq!(meta.original_bytes, 78_800_000_000);
         assert_eq!(meta.total_bytes, 1_000_000);
         assert!(meta.compression_ratio() > 1000.0);
-        assert_eq!(fti.snapshots, 1);
         assert_eq!(fti.memory.as_ref().unwrap().len(), 1);
     }
 
@@ -453,7 +434,6 @@ mod tests {
         assert_eq!(rec.payloads()[0].1[0], 2);
         assert!(rec.read_seconds > 0.0);
         assert_eq!(clock.now(), before + rec.read_seconds);
-        assert_eq!(fti.recoveries, 1);
 
         // Recovering with larger static data takes longer.
         let mut fti2 = context(1024);

@@ -45,7 +45,7 @@ fn write_reference(dir: &PathBuf, payloads: &[Vec<u8>]) -> (PathBuf, Vec<u8>) {
             None,
             "lossy",
             &[("rho".to_string(), 0.5)],
-            &buffer,
+            &mut buffer,
         )
         .expect("write reference checkpoint");
     let path = std::fs::read_dir(dir)
@@ -81,7 +81,7 @@ fn write_chain(dir: &PathBuf, payloads: &[Vec<u8>]) -> Vec<PathBuf> {
                 delta,
                 "lossy-delta",
                 &[],
-                &buffer,
+                &mut buffer,
             )
             .expect("write chain link");
     }

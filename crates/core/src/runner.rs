@@ -211,14 +211,16 @@ pub struct RunReport {
     pub failed_recoveries: usize,
     /// Total simulated wall-clock seconds.
     pub total_seconds: f64,
-    /// Simulated seconds of productive computation (convergence_iterations
-    /// × iteration time).
+    /// Simulated seconds of productive computation: the iterations this
+    /// run advanced the solve by (`convergence_iterations`, less
+    /// `resumed_from_iteration`) × iteration time.
     pub productive_seconds: f64,
     /// Simulated seconds spent writing checkpoints (including compression).
     pub checkpoint_seconds: f64,
     /// Simulated seconds spent in recovery I/O (including decompression).
     pub recovery_seconds: f64,
-    /// Simulated seconds of re-executed (rolled-back) computation.
+    /// Simulated seconds of re-executed (rolled-back) computation: the
+    /// executed iterations beyond the productive ones.
     pub rollback_seconds: f64,
     /// Fault-tolerance overhead: `total - productive` (the paper's metric).
     pub overhead_seconds: f64,
@@ -378,10 +380,12 @@ pub struct FaultTolerantRunner {
     /// Retry policy for transient durable-tier I/O errors; `None` keeps
     /// the store default.
     retry: Option<RetryPolicy>,
-    /// Consecutive hard durable-commit failures after which the runner
-    /// drops the disk tier and keeps going in memory.
-    degrade_after: usize,
 }
+
+/// Consecutive hard durable-commit failures after which a run drops the
+/// disk tier and keeps going in memory (flagged in
+/// [`RunReport::degraded_tier`]).
+const DEGRADE_AFTER: usize = 3;
 
 impl FaultTolerantRunner {
     /// Creates a runner for the given configuration.
@@ -390,7 +394,6 @@ impl FaultTolerantRunner {
             config,
             storage_backend: None,
             retry: None,
-            degrade_after: 3,
         }
     }
 
@@ -411,18 +414,6 @@ impl FaultTolerantRunner {
     /// exponential backoff; retries are counted in the [`RunReport`]).
     pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
         self.retry = Some(retry);
-        self
-    }
-
-    /// Sets how many *consecutive* hard durable-commit failures the runner
-    /// tolerates before degrading to the in-memory tier (default 3; the
-    /// degradation is flagged in [`RunReport::degraded_tier`]).
-    ///
-    /// # Panics
-    /// Panics if `n` is zero.
-    pub fn with_degrade_after(mut self, n: usize) -> Self {
-        assert!(n > 0, "degrade threshold must be at least 1");
-        self.degrade_after = n;
         self
     }
 
@@ -472,7 +463,7 @@ impl FaultTolerantRunner {
             cfg.checkpoint_interval_iterations,
             cfg.anchor_interval_snapshots,
             fti,
-            self.degrade_after,
+            DEGRADE_AFTER,
         );
         if let Persistence::Disk { dir, write_behind } = &cfg.persistence {
             let backend = self.storage_backend.clone();
@@ -497,10 +488,13 @@ impl FaultTolerantRunner {
 
         let convergence_iterations = solver.iteration();
         let t_it = cfg.cluster.iteration_seconds;
-        let productive_seconds = convergence_iterations as f64 * t_it;
-        let total_seconds = regime.clock.now();
         let (io_retries, retried_checkpoints, io_backoff_seconds) = ckpt.io_counters();
         let tally = ckpt.tally;
+        // A resumed run computed only the iterations after its checkpoint.
+        let productive_iterations =
+            convergence_iterations.saturating_sub(tally.resumed_from.unwrap_or(0));
+        let productive_seconds = productive_iterations as f64 * t_it;
+        let total_seconds = regime.clock.now();
         let stored = tally.committed.iter().map(|c| &c.metadata);
         let checkpoints_taken = stored.len();
         let delta_checkpoints = stored.clone().filter(|m| m.encoding.is_delta()).count();
@@ -527,7 +521,7 @@ impl FaultTolerantRunner {
             productive_seconds,
             checkpoint_seconds: tally.checkpoint_seconds,
             recovery_seconds: tally.recovery_seconds,
-            rollback_seconds: executed_iterations.saturating_sub(convergence_iterations) as f64
+            rollback_seconds: executed_iterations.saturating_sub(productive_iterations) as f64
                 * t_it,
             overhead_seconds: (total_seconds - productive_seconds).max(0.0),
             residual_history: solver.history().residuals().to_vec(),
@@ -891,6 +885,35 @@ mod tests {
         assert!(resumed > 0 && resumed <= 18);
         assert!(!phase2.hit_iteration_limit, "resumed run converges");
         assert!(phase2.convergence_iterations > resumed);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_resumed_run_counts_only_the_iterations_it_computed_as_productive() {
+        // Phase 1 stops after 18 iterations with iteration 15 on disk;
+        // phase 2 resumes there and converges.
+        let (w, p) = small_poisson();
+        let dir = std::env::temp_dir().join(format!("lcr-resume-overhead-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cfg = config(CheckpointStrategy::Traditional, 5, f64::MAX, None);
+        cfg.persistence = Persistence::disk(&dir);
+        cfg.max_executed_iterations = 18;
+        let mut s1 = w.build_solver(&p, SolverKind::Cg, 200_000);
+        FaultTolerantRunner::new(cfg.clone()).run(s1.as_mut(), &p);
+
+        cfg.max_executed_iterations = 500_000;
+        let mut s2 = w.build_solver(&p, SolverKind::Cg, 200_000);
+        let r = FaultTolerantRunner::new(cfg).run(s2.as_mut(), &p);
+        let counts = (r.resumed_from_iteration, r.executed_iterations, r.convergence_iterations);
+        assert_eq!(counts, (Some(15), 7, 22));
+        assert_eq!(r.productive_seconds, 7.0 * 0.5);
+        assert_eq!(r.rollback_seconds, 0.0);
+        let parts = r.checkpoint_seconds + r.recovery_seconds + r.rollback_seconds;
+        assert!(
+            (r.overhead_seconds - parts).abs() <= 1e-9 * r.total_seconds,
+            "overhead {} vs checkpoint + recovery + rollback {parts}",
+            r.overhead_seconds
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

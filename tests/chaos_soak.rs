@@ -210,7 +210,6 @@ fn dying_disk_degrades_to_memory_and_converges() {
         let report = FaultTolerantRunner::new(cfg)
             .with_storage_backend(backend as Arc<dyn StorageBackend>)
             .with_retry_policy(fast_retry())
-            .with_degrade_after(3)
             .run(solver.as_mut(), &problem);
         assert!(
             report.degraded_tier,

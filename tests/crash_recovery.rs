@@ -391,7 +391,7 @@ fn undecodable_checkpoint_is_counted_as_a_failed_recovery() {
                 None,
                 strategy.name(),
                 &[],
-                &buffer,
+                &mut buffer,
             )
             .unwrap();
     }

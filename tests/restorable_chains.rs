@@ -44,7 +44,7 @@ fn commit_and_recover(n: usize, bound: ErrorBound, quantum: f64) -> String {
         modes.push(char::from(b'0' + mode as u8));
         let order = (mode != DeltaMode::None).then_some(mode as u8);
         store
-            .push_from_buffer(k, 0.0, CheckpointLevel::Pfs, 8 * n, order, "lossy", &[], &buffer)
+            .push_from_buffer(k, 0.0, CheckpointLevel::Pfs, 8 * n, order, "lossy", &[], &mut buffer)
             .expect("commit");
 
         let chain = store.latest_valid_chain().expect("a committed chain");
