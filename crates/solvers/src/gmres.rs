@@ -381,7 +381,7 @@ mod tests {
             let values = a.values_mut();
             for i in 0..n {
                 for k in indptr[i]..indptr[i + 1] {
-                    if indices[k] == i + 1 {
+                    if indices[k] as usize == i + 1 {
                         values[k] += 0.3;
                     }
                 }

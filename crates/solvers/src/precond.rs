@@ -229,12 +229,11 @@ impl Ilu0Block {
     ///
     /// # Errors
     /// [`SparseError::InvalidStructure`] for a row whose columns are not
-    /// strictly increasing (or a block too large for `u32` indices),
-    /// [`SparseError::ZeroDiagonal`] naming the first row of `a` whose
-    /// diagonal is missing or zero.
+    /// strictly increasing (or a triangle too large for `u32` row
+    /// pointers), [`SparseError::ZeroDiagonal`] naming the first row of
+    /// `a` whose diagonal is missing or zero.
     fn split(a: &CsrMatrix, start: usize, len: usize) -> Result<Self, SparseError> {
         let end = start + len;
-        idx32(len)?;
         let rows = &a.indptr()[start..=end];
         let (indices, values) = (a.indices(), a.values());
         // Sizes first, so that every array is allocated once: `x − lo < hi −
@@ -242,6 +241,7 @@ impl Ilu0Block {
         let (mut l_nnz, mut u_nnz) = (0usize, 0usize);
         for (i, row) in (start..end).zip(rows.windows(2)) {
             for &c in &indices[row[0]..row[1]] {
+                let c = c as usize;
                 l_nnz += usize::from(c.wrapping_sub(start) < i - start);
                 u_nnz += usize::from(c.wrapping_sub(i + 1) < end - (i + 1));
             }
@@ -263,14 +263,15 @@ impl Ilu0Block {
         for ((i, row), pivot) in (start..end).zip(rows.windows(2)).zip(&mut f.diag) {
             let mut floor = 0;
             for (&c, &v) in indices[row[0]..row[1]].iter().zip(&values[row[0]..row[1]]) {
+                let c = c as usize;
                 if c < floor {
                     return Err(SparseError::InvalidStructure(format!(
                         "row {i}: column indices are not strictly increasing"
                     )));
                 }
                 floor = c + 1;
-                // In-block columns are `< len`, which `idx32` admitted; the
-                // others are not stored.
+                // An in-block offset `c − start` is at most the `u32`
+                // column `c`; the others are not stored.
                 let local = c.wrapping_sub(start) as u32;
                 match c.cmp(&i) {
                     Ordering::Less if c >= start => f.lower.put(&mut l_at, local, v),
@@ -619,16 +620,16 @@ mod tests {
 
     #[test]
     fn unsorted_rows_are_rejected_not_misfactorised() {
-        // Row 1 stores columns 2, 0, 1: valid for `from_raw`, but the
-        // factorisation splits and merges rows by column order.
-        let a = CsrMatrix::from_raw(
+        // Row 1 stores columns 2, 0, 1: `from_raw` refuses it, the
+        // unchecked constructor does not, and the factorisation splits and
+        // merges rows by column order.
+        let a = CsrMatrix::from_raw_unchecked(
             3,
             3,
             vec![0, 2, 5, 7],
             vec![0, 1, 2, 0, 1, 1, 2],
             vec![4.0, -1.0, -1.0, -1.0, 4.0, -1.0, 4.0],
-        )
-        .unwrap();
+        );
         for err in [
             BlockJacobiPreconditioner::new(&a, 1).err(),
             BlockJacobiPreconditioner::new(&a, 3).err(),

@@ -293,8 +293,9 @@ impl Space for ShardSpace<'_> {
         for (i, oi) in out.iter_mut().enumerate() {
             let mut acc = self.b[i];
             for k in indptr[i]..indptr[i + 1] {
-                if indices[k] != i {
-                    acc -= values[k] * self.ext[indices[k]];
+                let c = indices[k] as usize;
+                if c != i {
+                    acc -= values[k] * self.ext[c];
                 }
             }
             *oi = acc / self.diag[i];

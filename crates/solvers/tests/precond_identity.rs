@@ -38,7 +38,7 @@ fn oracle_ilu0(a: &CsrMatrix) -> CsrMatrix {
         let row_start = factors.indptr()[i];
         let row_end = factors.indptr()[i + 1];
         for kk in row_start..row_end {
-            let k = factors.indices()[kk];
+            let k = factors.indices()[kk] as usize;
             if k >= i {
                 break;
             }
@@ -47,7 +47,7 @@ fn oracle_ilu0(a: &CsrMatrix) -> CsrMatrix {
             let lik = factors.values()[kk] / pivot;
             factors.values_mut()[kk] = lik;
             for jj in (kk + 1)..row_end {
-                let j = factors.indices()[jj];
+                let j = factors.indices()[jj] as usize;
                 let ukj = factors.get(k, j);
                 if ukj != 0.0 {
                     factors.values_mut()[jj] -= lik * ukj;
@@ -64,6 +64,7 @@ fn oracle_ilu0_solve(factors: &CsrMatrix, r: &[f64], z: &mut [f64]) {
     for i in 0..n {
         let mut sum = r[i];
         for (pos, &j) in factors.row_indices(i).iter().enumerate() {
+            let j = j as usize;
             if j >= i {
                 break;
             }
@@ -75,6 +76,7 @@ fn oracle_ilu0_solve(factors: &CsrMatrix, r: &[f64], z: &mut [f64]) {
         let mut sum = z[i];
         let mut diag = 1.0;
         for (pos, &j) in factors.row_indices(i).iter().enumerate() {
+            let j = j as usize;
             let v = factors.row_values(i)[pos];
             if j > i {
                 sum -= v * z[j];
@@ -116,7 +118,7 @@ fn assert_block_jacobi_identical(a: &CsrMatrix, n_blocks: usize, label: &str) {
                 f.row_indices(i)
                     .iter()
                     .zip(f.row_values(i))
-                    .map(move |(&j, v)| (start + i, start + j, v.to_bits()))
+                    .map(move |(&j, v)| (start + i, start + j as usize, v.to_bits()))
             })
         })
         .collect();
@@ -168,7 +170,7 @@ fn banded_with_stored_zeros(n: usize) -> CsrMatrix {
         ] {
             let j = i as isize + offset;
             if (0..n as isize).contains(&j) {
-                indices.push(j as usize);
+                indices.push(j as u32);
                 values.push(value);
             }
         }

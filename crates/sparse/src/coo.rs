@@ -4,6 +4,7 @@
 //! generators ([`crate::poisson`], [`crate::kkt`]) push `(row, col, value)`
 //! triplets and then convert once to [`crate::CsrMatrix`] for computation.
 
+use crate::csr::col32;
 use crate::{CsrMatrix, Result, SparseError};
 use serde::Serialize;
 
@@ -78,6 +79,10 @@ impl CooMatrix {
 
     /// Converts to CSR, summing duplicate entries and dropping explicit
     /// zeros that result from cancellation.
+    ///
+    /// # Panics
+    /// Panics if a stored column exceeds `u32::MAX`, the widest column
+    /// index [`CsrMatrix`] stores.
     pub fn to_csr(&self) -> CsrMatrix {
         // Count entries per row.
         let mut counts = vec![0usize; self.nrows + 1];
@@ -123,7 +128,7 @@ impl CooMatrix {
                     sum += scratch[j].1;
                     j += 1;
                 }
-                indices.push(col);
+                indices.push(col32(col));
                 values.push(sum);
                 i = j;
             }

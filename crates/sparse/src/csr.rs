@@ -80,25 +80,14 @@ impl<F: FnMut(usize, f64)> RowSink for FnSink<F> {
     }
 }
 
-/// Column-index storage width the blocked traversal gathers through —
-/// either the CSR `usize` array or the plan's narrow `u32` copy.
-trait ColIdx: Copy {
-    /// The index as a `usize`.
-    fn idx(self) -> usize;
-}
-
-impl ColIdx for usize {
-    #[inline(always)]
-    fn idx(self) -> usize {
-        self
-    }
-}
-
-impl ColIdx for u32 {
-    #[inline(always)]
-    fn idx(self) -> usize {
-        self as usize
-    }
+/// Narrows a column index to the `u32` that [`CsrMatrix`] stores — the one
+/// place an index builder narrows.
+///
+/// # Panics
+/// Panics if `c` does not fit in `u32`.
+#[inline]
+pub(crate) fn col32(c: usize) -> u32 {
+    u32::try_from(c).expect("column index exceeds the u32 index range")
 }
 
 /// Validates one chunk's block decomposition under the `racecheck`
@@ -137,7 +126,7 @@ fn check_blocks((r0, r1): (usize, usize), blocks: &[RowBlock], nnz: usize) {
 /// first use, eagerly at the [`CsrMatrix::from_raw`] / COO-conversion
 /// finalize points) and reused by every [`CsrMatrix::spmv`] and fused
 /// kernel call, replacing the per-call chunk-policy recomputation the seed
-/// implementation performed.  The plan fixes four decisions:
+/// implementation performed.  The plan fixes three decisions:
 ///
 /// * an **nnz-balanced row partition**: chunk boundaries are chosen so each
 ///   chunk carries roughly `nnz / n_chunks` non-zeros, keeping load
@@ -148,12 +137,7 @@ fn check_blocks((r0, r1): (usize, usize), blocks: &[RowBlock], nnz: usize) {
 ///   gated on `nnz`;
 /// * a **SELL-style block decomposition** of every chunk ([`RowBlock`]):
 ///   maximal runs of equal-width rows become lockstep-traversable slabs,
-///   irregular rows keep the carried-start traversal;
-/// * a **narrow column-index copy**: when the column count fits in `u32`
-///   (every matrix in this repository), the plan carries a `u32` copy of
-///   the index array, cutting SpMV traffic from 16 to 12 bytes per
-///   non-zero — these kernels are bandwidth-bound, so that is a direct
-///   throughput win worth the one-time 4 bytes/nnz of derived state.
+///   irregular rows keep the carried-start traversal.
 ///
 /// Because the partition depends only on the matrix structure — never on
 /// the thread count — fused reductions that combine per-chunk partials in
@@ -163,12 +147,11 @@ pub struct SpmvPlan {
     chunks: Vec<(usize, usize)>,
     parallel: bool,
     blocks: Vec<Vec<RowBlock>>,
-    cols32: Option<Vec<u32>>,
 }
 
 impl SpmvPlan {
-    /// Builds the plan from the CSR structure arrays.
-    fn build(indptr: &[usize], indices: &[usize], ncols: usize) -> SpmvPlan {
+    /// Builds the plan from the CSR row pointers.
+    fn build(indptr: &[usize]) -> SpmvPlan {
         let nrows = indptr.len() - 1;
         let nnz = *indptr.last().unwrap();
         let parallel = nnz >= PAR_THRESHOLD;
@@ -200,13 +183,10 @@ impl SpmvPlan {
             .iter()
             .map(|&(r0, r1)| Self::build_blocks(indptr, r0, r1))
             .collect();
-        let cols32 = (ncols <= u32::MAX as usize)
-            .then(|| indices.iter().map(|&c| c as u32).collect());
         SpmvPlan {
             chunks,
             parallel,
             blocks,
-            cols32,
         }
     }
 
@@ -263,12 +243,6 @@ impl SpmvPlan {
         &self.blocks[ci]
     }
 
-    /// The narrow (`u32`) copy of the column-index array, when the column
-    /// count fits.
-    pub(crate) fn cols32(&self) -> Option<&[u32]> {
-        self.cols32.as_deref()
-    }
-
     /// Builds a plan with explicit chunk ranges — racecheck-test support
     /// only, so deliberately broken partitions (overlapping or
     /// out-of-bounds chunks) can be driven through the real kernels to
@@ -298,7 +272,6 @@ impl SpmvPlan {
             chunks,
             parallel: true,
             blocks,
-            cols32: None,
         }
     }
 }
@@ -327,13 +300,15 @@ impl Serialize for PlanCell {
 /// This is the computational format: all solver kernels (`SpMV`, triangular
 /// sweeps, preconditioner applications) operate on it.  Row pointers,
 /// column indices and values are stored in three flat arrays, matching the
-/// layout PETSc's `MATAIJ` uses.
+/// layout PETSc's `MATAIJ` uses.  Column indices are `u32` — the one index
+/// array every traversal gathers through, 12 bytes per non-zero with its
+/// value — so a matrix has at most `u32::MAX` columns.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CsrMatrix {
     nrows: usize,
     ncols: usize,
     indptr: Vec<usize>,
-    indices: Vec<usize>,
+    indices: Vec<u32>,
     values: Vec<f64>,
     plan: PlanCell,
 }
@@ -342,17 +317,25 @@ impl CsrMatrix {
     /// Builds a CSR matrix from raw arrays after validating the structure.
     ///
     /// # Errors
-    /// Returns [`SparseError::InvalidStructure`] if the row pointer array has
-    /// the wrong length, is not monotone, or points past the data arrays, and
-    /// [`SparseError::IndexOutOfBounds`] if any column index is out of range.
+    /// Returns [`SparseError::InvalidStructure`] if `ncols` exceeds
+    /// `u32::MAX`, if the row pointer array has the wrong length, is not
+    /// monotone, or points past the data arrays, or if a row's column
+    /// indices are not strictly increasing (the lookups binary-search
+    /// rows), and [`SparseError::IndexOutOfBounds`] if any column index is
+    /// out of range.
     // lcr-analyze: allow(dead-public-item): the checked constructor for caller-supplied arrays; `from_raw_unchecked` is its trusted twin
     pub fn from_raw(
         nrows: usize,
         ncols: usize,
         indptr: Vec<usize>,
-        indices: Vec<usize>,
+        indices: Vec<u32>,
         values: Vec<f64>,
     ) -> Result<Self> {
+        if ncols > u32::MAX as usize {
+            return Err(SparseError::InvalidStructure(format!(
+                "ncols {ncols} exceeds the u32 column-index range"
+            )));
+        }
         if indptr.len() != nrows + 1 {
             return Err(SparseError::InvalidStructure(format!(
                 "indptr length {} != nrows + 1 = {}",
@@ -380,7 +363,9 @@ impl CsrMatrix {
             }
         }
         for (row, w) in indptr.windows(2).enumerate() {
+            let mut floor = 0;
             for &c in &indices[w[0]..w[1]] {
+                let c = c as usize;
                 if c >= ncols {
                     return Err(SparseError::IndexOutOfBounds {
                         row,
@@ -389,6 +374,12 @@ impl CsrMatrix {
                         ncols,
                     });
                 }
+                if c < floor {
+                    return Err(SparseError::InvalidStructure(format!(
+                        "row {row}: column indices are not strictly increasing"
+                    )));
+                }
+                floor = c + 1;
             }
         }
         let m = CsrMatrix {
@@ -408,14 +399,18 @@ impl CsrMatrix {
     /// Builds a CSR matrix from raw arrays without validation.
     ///
     /// Used by the trusted converters inside this crate (COO → CSR, the
-    /// generators).  The arrays must satisfy the CSR invariants.
+    /// generators).  The arrays must satisfy the CSR invariants: `ncols`
+    /// fits `u32` and every column index is below it.  Rows need not be
+    /// column-sorted (the sharded local views are not), but [`Self::get`]
+    /// and the lookups built on it read only sorted rows correctly.
     pub fn from_raw_unchecked(
         nrows: usize,
         ncols: usize,
         indptr: Vec<usize>,
-        indices: Vec<usize>,
+        indices: Vec<u32>,
         values: Vec<f64>,
     ) -> Self {
+        debug_assert!(ncols <= u32::MAX as usize);
         debug_assert_eq!(indptr.len(), nrows + 1);
         debug_assert_eq!(indices.len(), values.len());
         CsrMatrix {
@@ -429,25 +424,24 @@ impl CsrMatrix {
     }
 
     /// Builds an `n x n` identity matrix.
+    ///
+    /// # Panics
+    /// Panics if `n` exceeds `u32::MAX`.
     pub fn identity(n: usize) -> Self {
-        CsrMatrix {
-            nrows: n,
-            ncols: n,
-            indptr: (0..=n).collect(),
-            indices: (0..n).collect(),
-            values: vec![1.0; n],
-            plan: PlanCell::default(),
-        }
+        Self::from_diagonal(&vec![1.0; n])
     }
 
     /// Builds a diagonal matrix from the given diagonal entries.
+    ///
+    /// # Panics
+    /// Panics if `diag.len()` exceeds `u32::MAX`.
     pub fn from_diagonal(diag: &[f64]) -> Self {
         let n = diag.len();
         CsrMatrix {
             nrows: n,
             ncols: n,
             indptr: (0..=n).collect(),
-            indices: (0..n).collect(),
+            indices: (0..col32(n)).collect(),
             values: diag.to_vec(),
             plan: PlanCell::default(),
         }
@@ -455,6 +449,10 @@ impl CsrMatrix {
 
     /// Builds a dense matrix given row-major data (test/helper utility;
     /// zero entries are dropped).
+    ///
+    /// # Panics
+    /// Panics if `data.len() != nrows * ncols` or a stored column exceeds
+    /// `u32::MAX`.
     pub fn from_dense(nrows: usize, ncols: usize, data: &[f64]) -> Self {
         assert_eq!(data.len(), nrows * ncols, "from_dense: bad data length");
         let mut indptr = Vec::with_capacity(nrows + 1);
@@ -465,7 +463,7 @@ impl CsrMatrix {
             for j in 0..ncols {
                 let v = data[i * ncols + j];
                 if v != 0.0 {
-                    indices.push(j);
+                    indices.push(col32(j));
                     values.push(v);
                 }
             }
@@ -502,7 +500,7 @@ impl CsrMatrix {
     }
 
     /// Column index array.
-    pub fn indices(&self) -> &[usize] {
+    pub fn indices(&self) -> &[u32] {
         &self.indices
     }
 
@@ -531,7 +529,7 @@ impl CsrMatrix {
     }
 
     /// Column indices of row `i`.
-    pub fn row_indices(&self, i: usize) -> &[usize] {
+    pub fn row_indices(&self, i: usize) -> &[u32] {
         &self.indices[self.indptr[i]..self.indptr[i + 1]]
     }
 
@@ -543,7 +541,7 @@ impl CsrMatrix {
     /// Returns entry `(i, j)`, or `0.0` if it is not stored.
     pub fn get(&self, i: usize, j: usize) -> f64 {
         let (start, end) = (self.indptr[i], self.indptr[i + 1]);
-        match self.indices[start..end].binary_search(&j) {
+        match self.indices[start..end].binary_search_by(|&c| (c as usize).cmp(&j)) {
             Ok(pos) => self.values[start + pos],
             Err(_) => 0.0,
         }
@@ -574,7 +572,7 @@ impl CsrMatrix {
             let end = self.indptr[i + 1];
             let found = self.indices[start..end]
                 .iter()
-                .position(|&c| c == i)
+                .position(|&c| c as usize == i)
                 .is_some_and(|p| self.values[start + p] != 0.0);
             if !found {
                 return Err(SparseError::ZeroDiagonal(i));
@@ -587,9 +585,7 @@ impl CsrMatrix {
     /// The matrix's precomputed [`SpmvPlan`], built on first use (and
     /// eagerly at the `from_raw` / COO-conversion finalize points).
     pub fn plan(&self) -> &SpmvPlan {
-        self.plan
-            .0
-            .get_or_init(|| SpmvPlan::build(&self.indptr, &self.indices, self.ncols))
+        self.plan.0.get_or_init(|| SpmvPlan::build(&self.indptr))
     }
 
     /// Replaces the precomputed plan — racecheck-test support only (see
@@ -606,8 +602,7 @@ impl CsrMatrix {
     ///
     /// The chunk is traversed block by block ([`RowBlock`]): slabs in
     /// lockstep groups of [`LANES`] rows with arithmetic row extents,
-    /// tails with the carried-start `indptr` walk.  When the plan carries
-    /// a `u32` index copy the whole traversal gathers through it.
+    /// tails with the carried-start `indptr` walk.
     ///
     /// Callers must have checked `x.len() == self.ncols()`: the gather
     /// through `x` relies on the CSR invariant `indices[k] < ncols` and
@@ -643,25 +638,17 @@ impl CsrMatrix {
         let blocks = plan.blocks(ci);
         #[cfg(feature = "racecheck")]
         check_blocks(plan.chunks()[ci], blocks, self.values.len());
-        match plan.cols32() {
-            Some(c32) => self.apply_blocks(blocks, c32, x, sink),
-            None => self.apply_blocks(blocks, &self.indices, x, sink),
-        }
+        self.apply_blocks(blocks, x, sink);
     }
 
-    /// Block traversal over either index width — see [`Self::apply_chunk`].
+    /// The block traversal itself — see [`Self::apply_chunk`].
     #[inline]
-    fn apply_blocks<I: ColIdx, S: RowSink>(
-        &self,
-        blocks: &[RowBlock],
-        cols: &[I],
-        x: &[f64],
-        emit: &mut S,
-    ) {
-        let gather = |vals: &[f64], cs: &[I]| -> f64 {
+    fn apply_blocks<S: RowSink>(&self, blocks: &[RowBlock], x: &[f64], emit: &mut S) {
+        let cols = &self.indices;
+        let gather = |vals: &[f64], cs: &[u32]| -> f64 {
             let mut sum = 0.0;
-            for (v, c) in vals.iter().zip(cs) {
-                let c = c.idx();
+            for (v, &c) in vals.iter().zip(cs) {
+                let c = c as usize;
                 debug_assert!(c < x.len(), "CSR column {c} out of bounds for x of len {}", x.len());
                 // SAFETY: `c < ncols` (CSR invariant, validated by
                 // `from_raw` and documented for `from_raw_unchecked`) and
@@ -695,7 +682,7 @@ impl CsrMatrix {
                                 let (v, c) = unsafe {
                                     (
                                         *vals.get_unchecked(l * w + j),
-                                        cs.get_unchecked(l * w + j).idx(),
+                                        *cs.get_unchecked(l * w + j) as usize,
                                     )
                                 };
                                 debug_assert!(c < x.len(), "CSR column {c} out of bounds");
@@ -776,22 +763,25 @@ impl CsrMatrix {
     }
 
     /// Transposes the matrix.
+    ///
+    /// # Panics
+    /// Panics if `nrows` (the transpose's column count) exceeds `u32::MAX`.
     pub fn transpose(&self) -> CsrMatrix {
         let mut counts = vec![0usize; self.ncols + 1];
         for &c in &self.indices {
-            counts[c + 1] += 1;
+            counts[c as usize + 1] += 1;
         }
         for i in 0..self.ncols {
             counts[i + 1] += counts[i];
         }
-        let mut indices = vec![0usize; self.nnz()];
+        let mut indices = vec![0u32; self.nnz()];
         let mut values = vec![0.0f64; self.nnz()];
         let mut next = counts.clone();
         for row in 0..self.nrows {
             for k in self.indptr[row]..self.indptr[row + 1] {
-                let col = self.indices[k];
+                let col = self.indices[k] as usize;
                 let dst = next[col];
-                indices[dst] = row;
+                indices[dst] = col32(row);
                 values[dst] = self.values[k];
                 next[col] += 1;
             }
@@ -818,7 +808,7 @@ impl CsrMatrix {
             for i in 0..self.nrows {
                 for (pos, &j) in self.row_indices(i).iter().enumerate() {
                     let a_ij = self.row_values(i)[pos];
-                    if (a_ij - self.get(j, i)).abs() > tol {
+                    if (a_ij - self.get(j as usize, i)).abs() > tol {
                         return false;
                     }
                 }
@@ -853,6 +843,10 @@ impl CsrMatrix {
     /// Extracts the square sub-block with rows and columns in
     /// `[start, start+len)`.  Entries outside the block are dropped.  Used by
     /// the block-Jacobi preconditioner.
+    ///
+    /// # Panics
+    /// Panics if a block column exceeds `u32::MAX` (it cannot: every
+    /// column of `self` fits).
     pub fn diagonal_block(&self, start: usize, len: usize) -> CsrMatrix {
         let end = (start + len).min(self.nrows);
         let mut indptr = Vec::with_capacity(end - start + 1);
@@ -861,9 +855,9 @@ impl CsrMatrix {
         indptr.push(0usize);
         for i in start..end {
             for k in self.indptr[i]..self.indptr[i + 1] {
-                let j = self.indices[k];
+                let j = self.indices[k] as usize;
                 if j >= start && j < end {
-                    indices.push(j - start);
+                    indices.push(col32(j - start));
                     values.push(self.values[k]);
                 }
             }
@@ -873,10 +867,11 @@ impl CsrMatrix {
     }
 
     /// Number of bytes needed to store the matrix values + structure
-    /// (8 bytes per value, 8 per column index, 8 per row pointer).  Used by
-    /// the checkpoint-size accounting of static variables.
+    /// (8 bytes per value, 4 per column index, 8 per row pointer) — also
+    /// what one SpMV reads of the matrix.  Used by the checkpoint-size
+    /// accounting of static variables.
     pub fn storage_bytes(&self) -> usize {
-        self.values.len() * 8 + self.indices.len() * 8 + self.indptr.len() * 8
+        self.values.len() * 8 + self.indices.len() * 4 + self.indptr.len() * 8
     }
 }
 
@@ -988,6 +983,54 @@ mod tests {
     }
 
     #[test]
+    fn from_raw_rejects_rows_whose_columns_do_not_increase() {
+        // The symmetric tridiagonal [4 -1 0; -1 4 -1; 0 -1 4] with row 1
+        // stored as columns 0, 2, 1: `get` binary-searches the row, so
+        // accepting it would read a_11 as 0 and the diagonal as [4, 0, 4].
+        let unsorted = CsrMatrix::from_raw(
+            3,
+            3,
+            vec![0, 2, 5, 7],
+            vec![0, 1, 0, 2, 1, 1, 2],
+            vec![4.0, -1.0, -1.0, -1.0, 4.0, -1.0, 4.0],
+        );
+        assert!(
+            matches!(&unsorted, Err(SparseError::InvalidStructure(msg)) if msg.contains("row 1")),
+            "{unsorted:?}"
+        );
+        // A duplicate column is not strictly increasing either.
+        let duplicate = CsrMatrix::from_raw(1, 2, vec![0, 2], vec![1, 1], vec![1.0, 1.0]);
+        assert!(matches!(duplicate, Err(SparseError::InvalidStructure(_))));
+        // The same matrix stored sorted reads back as written.
+        let sorted = CsrMatrix::from_raw(
+            3,
+            3,
+            vec![0, 2, 5, 7],
+            vec![0, 1, 0, 1, 2, 1, 2],
+            vec![4.0, -1.0, -1.0, 4.0, -1.0, -1.0, 4.0],
+        )
+        .unwrap();
+        assert_eq!(sorted.diagonal().as_slice(), &[4.0, 4.0, 4.0]);
+        assert!(sorted.is_symmetric(0.0));
+    }
+
+    #[test]
+    fn from_raw_rejects_more_columns_than_u32_indexes() {
+        let wide = CsrMatrix::from_raw(1, u32::MAX as usize + 1, vec![0, 0], vec![], vec![]);
+        assert!(
+            matches!(wide, Err(SparseError::InvalidStructure(_))),
+            "{wide:?}"
+        );
+        assert!(CsrMatrix::from_raw(1, u32::MAX as usize, vec![0, 0], vec![], vec![]).is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "u32 index range")]
+    fn col32_refuses_an_index_past_u32() {
+        col32(u32::MAX as usize + 1);
+    }
+
+    #[test]
     fn nonzero_diagonal_requirement() {
         assert!(small().require_nonzero_diagonal().is_ok());
         let bad = CsrMatrix::from_dense(2, 2, &[1.0, 1.0, 1.0, 0.0]);
@@ -1000,7 +1043,7 @@ mod tests {
     #[test]
     fn storage_bytes_accounting() {
         let a = small();
-        assert_eq!(a.storage_bytes(), a.nnz() * 16 + (a.nrows() + 1) * 8);
+        assert_eq!(a.storage_bytes(), a.nnz() * 12 + (a.nrows() + 1) * 8);
     }
 
     #[test]
@@ -1099,13 +1142,13 @@ mod tests {
         indptr.push(0usize);
         for i in 0..n {
             if i > 0 {
-                indices.push(i - 1);
+                indices.push((i - 1) as u32);
                 values.push(1.0);
             }
-            indices.push(i);
+            indices.push(i as u32);
             values.push(-2.0);
             if i + 1 < n {
-                indices.push(i + 1);
+                indices.push((i + 1) as u32);
                 values.push(1.0);
             }
             indptr.push(indices.len());

@@ -331,6 +331,7 @@ pub fn jacobi_sweep(a: &CsrMatrix, x: &[f64], b: &[f64], out: &mut [f64]) {
             let mut sigma = 0.0;
             let mut diag = 0.0;
             for (v, &c) in values[k..end].iter().zip(&indices[k..end]) {
+                let c = c as usize;
                 if c == i {
                     diag = *v;
                 } else {
@@ -477,10 +478,10 @@ mod tests {
             let mut sigma = 0.0;
             let mut diag = 0.0;
             for (pos, &j) in a.row_indices(i).iter().enumerate() {
-                if j == i {
+                if j as usize == i {
                     diag = a.row_values(i)[pos];
                 } else {
-                    sigma += a.row_values(i)[pos] * x[j];
+                    sigma += a.row_values(i)[pos] * x[j as usize];
                 }
             }
             let expect = (b[i] - sigma) / diag;

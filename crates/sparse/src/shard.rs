@@ -50,6 +50,7 @@
 //! catching overlapping or
 //! out-of-bounds scatter targets at runtime.
 
+use crate::csr::col32;
 use crate::partition::BlockRowPartition;
 use crate::{simd, CsrMatrix, Vector};
 use std::sync::{
@@ -239,7 +240,10 @@ pub struct ShardedCsr {
     /// First global row owned by this shard.
     pub row_start: usize,
     /// Local rows with columns remapped to `[owned | halo]` coordinates
-    /// (`ncols == rows + halo_len`).
+    /// (`ncols == rows + halo_len`).  The remap puts every halo column
+    /// after every owned one, so a row that reads a lower-numbered shard
+    /// is not column-sorted: `get` and `diagonal` misread it, which is
+    /// why [`ShardedCsr::diagonal_local`] scans each row instead.
     pub local: CsrMatrix,
     /// The halo-exchange plan.
     pub halo: HaloPlan,
@@ -272,7 +276,7 @@ impl ShardedCsr {
         for (i, out) in y.iter_mut().enumerate() {
             let mut acc = 0.0;
             for k in indptr[i]..indptr[i + 1] {
-                acc += values[k] * x_ext[indices[k]];
+                acc += values[k] * x_ext[indices[k] as usize];
             }
             *out = acc;
         }
@@ -287,7 +291,7 @@ impl ShardedCsr {
         (0..self.rows())
             .map(|i| {
                 (indptr[i]..indptr[i + 1])
-                    .find(|&k| indices[k] == i)
+                    .find(|&k| indices[k] as usize == i)
                     .map_or(0.0, |k| values[k])
             })
             .collect()
@@ -315,7 +319,7 @@ pub fn partition_csr(a: &CsrMatrix, layout: &ShardLayout) -> Vec<ShardedCsr> {
             // Sorted, deduplicated off-shard columns.
             let mut halo_cols: Vec<usize> = indices[indptr[r0]..indptr[r1]]
                 .iter()
-                .copied()
+                .map(|&c| c as usize)
                 .filter(|&c| c < r0 || c >= r1)
                 .collect();
             halo_cols.sort_unstable();
@@ -339,13 +343,13 @@ pub fn partition_csr(a: &CsrMatrix, layout: &ShardLayout) -> Vec<ShardedCsr> {
             let mut l_values = Vec::with_capacity(nnz);
             for row in r0..r1 {
                 for k in indptr[row]..indptr[row + 1] {
-                    let c = indices[k];
+                    let c = indices[k] as usize;
                     let lc = if c >= r0 && c < r1 {
                         c - r0
                     } else {
                         rows + halo_cols.binary_search(&c).expect("halo column indexed")
                     };
-                    l_indices.push(lc);
+                    l_indices.push(col32(lc));
                     l_values.push(values[k]);
                 }
                 l_indptr.push(l_indices.len());
@@ -849,7 +853,7 @@ mod tests {
         for i in 0..n {
             let mut acc = 0.0;
             for k in ip[i]..ip[i + 1] {
-                acc += vs[k] * x[ix[k]];
+                acc += vs[k] * x[ix[k] as usize];
             }
             y_global[i] = acc;
         }

@@ -50,13 +50,13 @@ fn banded(n: usize) -> CsrMatrix {
     indptr.push(0usize);
     for i in 0..n {
         if i > 0 {
-            indices.push(i - 1);
+            indices.push((i - 1) as u32);
             values.push(1.0);
         }
-        indices.push(i);
+        indices.push(i as u32);
         values.push(-2.0);
         if i + 1 < n {
-            indices.push(i + 1);
+            indices.push((i + 1) as u32);
             values.push(1.0);
         }
         indptr.push(indices.len());

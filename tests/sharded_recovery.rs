@@ -67,7 +67,7 @@ fn residual_norm(a: &CsrMatrix, b: &Vector, x: &Vector) -> f64 {
     for i in 0..b.len() {
         let mut acc = 0.0;
         for k in ip[i]..ip[i + 1] {
-            acc += vs[k] * x.as_slice()[ix[k]];
+            acc += vs[k] * x.as_slice()[ix[k] as usize];
         }
         r[i] = b.as_slice()[i] - acc;
     }

@@ -55,13 +55,13 @@ fn banded(n: usize) -> CsrMatrix {
     indptr.push(0usize);
     for i in 0..n {
         if i > 0 {
-            indices.push(i - 1);
+            indices.push((i - 1) as u32);
             values.push(1.0);
         }
-        indices.push(i);
+        indices.push(i as u32);
         values.push(-2.0);
         if i + 1 < n {
-            indices.push(i + 1);
+            indices.push((i + 1) as u32);
             values.push(1.0);
         }
         indptr.push(indices.len());
@@ -320,7 +320,13 @@ fn jacobi_apply_matches_a_sequential_loop_at_every_thread_cap() {
     ensure_pool();
     let n = RAGGED_LEN;
     let diag: Vec<f64> = (0..n).map(|i| 2.0 + (i % 13) as f64 * 0.375).collect();
-    let a = CsrMatrix::from_raw_unchecked(n, n, (0..=n).collect(), (0..n).collect(), diag.clone());
+    let a = CsrMatrix::from_raw_unchecked(
+        n,
+        n,
+        (0..=n).collect(),
+        (0..n as u32).collect(),
+        diag.clone(),
+    );
     let pre = JacobiPreconditioner::new(&a).expect("non-zero diagonal");
     let r = random_vector(n, 31);
     let expect: Vec<u64> = r
