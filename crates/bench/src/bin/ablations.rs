@@ -17,9 +17,7 @@ use lcr_core::strategy::{CheckpointStrategy, ErrorBoundPolicy, LossyCodecKind};
 use lcr_core::workload::PaperWorkload;
 use lcr_solvers::{ConjugateGradient, IterativeMethod, LinearSystem, StoppingCriteria};
 use lcr_sparse::Vector;
-use serde::Serialize;
 
-#[derive(Serialize)]
 struct CompressorRow {
     codec: String,
     ratio: f64,
@@ -28,7 +26,10 @@ struct CompressorRow {
     decompress_mb_per_s: f64,
 }
 
-#[derive(Serialize)]
+lcr_bench::json_object!(CompressorRow {
+    codec, ratio, max_abs_error, compress_mb_per_s, decompress_mb_per_s,
+});
+
 struct AblationSummary {
     compressors: Vec<CompressorRow>,
     restarted_cg_extra_iters: f64,
@@ -38,6 +39,11 @@ struct AblationSummary {
     gmres_adaptive_extra_iters: f64,
     gmres_loose_fixed_extra_iters: f64,
 }
+
+lcr_bench::json_object!(AblationSummary {
+    compressors, restarted_cg_extra_iters, nonrestarted_cg_extra_iters, cg_x_only_bytes,
+    cg_x_and_p_bytes, gmres_adaptive_extra_iters, gmres_loose_fixed_extra_iters,
+});
 
 fn compressor_ablation(x: &[f64]) -> Vec<CompressorRow> {
     let mb = (x.len() * 8) as f64 / 1e6;

@@ -14,14 +14,14 @@
 use lcr_bench::{fmt, print_json, print_table, BenchScale};
 use lcr_core::workload::PaperWorkload;
 use lcr_solvers::SolverKind;
-use serde::Serialize;
 
-#[derive(Serialize)]
 struct Fig3Row {
     processes: usize,
     iterations: usize,
     projected_seconds: f64,
 }
+
+lcr_bench::json_object!(Fig3Row { processes, iterations, projected_seconds });
 
 fn main() {
     let scale = BenchScale::from_env_and_args();

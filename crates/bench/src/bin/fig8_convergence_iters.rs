@@ -15,9 +15,7 @@ use lcr_core::strategy::CheckpointStrategy;
 use lcr_core::workload::PaperWorkload;
 use lcr_perfmodel::young_optimal_interval_iterations;
 use lcr_solvers::SolverKind;
-use serde::Serialize;
 
-#[derive(Serialize)]
 struct Fig8Row {
     processes: usize,
     solver: String,
@@ -26,6 +24,10 @@ struct Fig8Row {
     delay_percent: f64,
     mean_failures: f64,
 }
+
+lcr_bench::json_object!(Fig8Row {
+    processes, solver, failure_free_iterations, lossy_iterations, delay_percent, mean_failures,
+});
 
 fn main() {
     let scale = BenchScale::from_env_and_args();

@@ -11,9 +11,7 @@ use lcr_core::runner::{ExecutionBackend, FaultTolerantRunner, Persistence, RunCo
 use lcr_core::strategy::CheckpointStrategy;
 use lcr_core::workload::PaperWorkload;
 use lcr_solvers::SolverKind;
-use serde::Serialize;
 
-#[derive(Serialize)]
 struct Fig9Trace {
     label: String,
     failures: usize,
@@ -21,6 +19,10 @@ struct Fig9Trace {
     convergence_iterations: usize,
     residuals: Vec<f64>,
 }
+
+lcr_bench::json_object!(Fig9Trace {
+    label, failures, restart_iterations, convergence_iterations, residuals,
+});
 
 fn run_trace(
     workload: &PaperWorkload,

@@ -52,11 +52,10 @@ use lcr_sparse::kernels;
 use lcr_sparse::poisson::poisson3d;
 use lcr_sparse::vector::{dot, norm2};
 use lcr_sparse::{CsrMatrix, Vector};
-use serde::Serialize;
 use std::time::Instant;
 
 /// One measured (kernel, thread-count) point.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 struct ScalingRow {
     /// Kernel name.
     kernel: String,
@@ -84,6 +83,11 @@ struct ScalingRow {
     /// Whether the result was bit-identical to the 1-thread result.
     bit_identical: bool,
 }
+
+lcr_bench::json_object!(ScalingRow {
+    kernel, threads, elements, seconds, melem_per_s, speedup_vs_1t, gb_per_s_computed,
+    frac_of_triad, ns_per_row, fingerprint, bit_identical,
+});
 
 fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(f64::total_cmp);

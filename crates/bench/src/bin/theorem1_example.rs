@@ -11,9 +11,7 @@ use lcr_perfmodel::{
     lossy_overhead_ratio, theorem1_max_extra_iterations, traditional_overhead_ratio,
     Theorem1Inputs,
 };
-use serde::Serialize;
 
-#[derive(Serialize)]
 struct Theorem1Report {
     t_trad_ckp: f64,
     t_lossy_ckp: f64,
@@ -25,6 +23,11 @@ struct Theorem1Report {
     traditional_overhead: f64,
     lossy_overhead_at_bound: f64,
 }
+
+lcr_bench::json_object!(Theorem1Report {
+    t_trad_ckp, t_lossy_ckp, mtti_hours, iterations, t_it, max_extra_iterations,
+    max_extra_fraction, traditional_overhead, lossy_overhead_at_bound,
+});
 
 fn main() {
     let iterations = 5875usize;

@@ -22,7 +22,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use serde::Serialize;
+use lcr_core::impact::ImpactResult;
+use lcr_core::{CheckpointTimeRow, ExpectedOverheadRow, FaultToleranceOverheadRow, Table3Row};
+use lcr_perfmodel::OverheadPoint;
 
 /// Scale knobs shared by the figure binaries.
 #[derive(Debug, Clone, Copy)]
@@ -96,12 +98,136 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Prints the machine-readable JSON payload for a figure/table.
-pub fn print_json<T: Serialize>(label: &str, rows: &T) {
-    match serde_json::to_string(rows) {
-        Ok(json) => println!("\nJSON {label}: {json}"),
-        Err(err) => eprintln!("failed to serialise {label}: {err}"),
+/// A value a bin's trailing `JSON` line can hold.
+///
+/// Numbers print with Rust's `Display` (`120`, `0.25`), a non-finite `f64`
+/// and `None` print as `null`, sequences as arrays, and a struct as an
+/// object through [`json_object!`].
+// lcr-analyze: allow(dead-public-item): the bins reach it through the `json_object!` expansion and `print_json`
+pub trait ToJson {
+    /// Appends the JSON text of `self` to `out`.
+    fn write_json(&self, out: &mut String);
+}
+
+impl ToJson for usize {
+    fn write_json(&self, out: &mut String) {
+        out.push_str(&self.to_string());
     }
+}
+
+impl ToJson for bool {
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+}
+
+impl ToJson for f64 {
+    fn write_json(&self, out: &mut String) {
+        if self.is_finite() {
+            out.push_str(&self.to_string());
+        } else {
+            out.push_str("null");
+        }
+    }
+}
+
+impl ToJson for str {
+    fn write_json(&self, out: &mut String) {
+        out.push('"');
+        for c in self.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+}
+
+impl ToJson for String {
+    fn write_json(&self, out: &mut String) {
+        self.as_str().write_json(out);
+    }
+}
+
+impl<T: ToJson> ToJson for Option<T> {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write_json(out),
+            None => out.push_str("null"),
+        }
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.write_json(out);
+        }
+        out.push(']');
+    }
+}
+
+/// Implements [`ToJson`] for structs as JSON objects of the listed fields,
+/// in the order listed: `json_object!(Row { a, b });`.
+#[macro_export]
+macro_rules! json_object {
+    ($($ty:ty { $($field:ident),+ $(,)? })+) => {$(
+        impl $crate::ToJson for $ty {
+            fn write_json(&self, out: &mut String) {
+                let fields: &[(&str, &dyn $crate::ToJson)] =
+                    &[$((stringify!($field), &self.$field)),+];
+                out.push('{');
+                for (i, (name, value)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    name.write_json(out);
+                    out.push(':');
+                    value.write_json(out);
+                }
+                out.push('}');
+            }
+        }
+    )+};
+}
+
+json_object! {
+    OverheadPoint { failures_per_hour, checkpoint_seconds, overhead_ratio }
+    ImpactResult {
+        solver, error_bound, clean_iterations, mean_extra_iterations,
+        max_extra_iterations, mean_extra_fraction, trials,
+    }
+    Table3Row {
+        processes, problem_edge, solver, traditional_mb, lossless_mb, lossy_mb,
+        lossy_delta_mb, measured_shard_mb,
+    }
+    CheckpointTimeRow { processes, solver, strategy, checkpoint_seconds, recovery_seconds }
+    ExpectedOverheadRow { processes, solver, strategy, mtti_hours, expected_overhead }
+    FaultToleranceOverheadRow {
+        solver, strategy, processes, checkpoint_interval_seconds, experimental_overhead,
+        expected_overhead, mean_failures, mean_convergence_iterations, baseline_iterations,
+    }
+}
+
+fn to_json<T: ToJson + ?Sized>(value: &T) -> String {
+    let mut out = String::new();
+    value.write_json(&mut out);
+    out
+}
+
+/// Prints the machine-readable JSON payload for a figure/table.
+pub fn print_json<T: ToJson + ?Sized>(label: &str, rows: &T) {
+    println!("\nJSON {label}: {}", to_json(rows));
 }
 
 /// Formats a float with the given number of decimals (helper for the row
@@ -128,6 +254,52 @@ mod tests {
         assert_eq!(fmt(10.0, 0), "10");
     }
 
+    struct Row {
+        name: String,
+        x: f64,
+        ok: bool,
+        gap: Option<f64>,
+        trace: Vec<usize>,
+    }
+
+    json_object!(Row { name, x, ok, gap, trace });
+
+    #[test]
+    fn writes_objects_in_field_order_with_display_numbers() {
+        let row = Row {
+            name: "sz \"quoted\" \\ path\nline\u{1}".into(),
+            x: -12.5e3,
+            ok: true,
+            gap: None,
+            trace: vec![3, 1],
+        };
+        assert_eq!(
+            to_json(&vec![row]),
+            r#"[{"name":"sz \"quoted\" \\ path\nline\u0001","x":-12500,"ok":true,"gap":null,"trace":[3,1]}]"#
+        );
+        assert_eq!(to_json(&vec![0.1, 1.5e-7, 1e21]), "[0.1,0.00000015,1000000000000000000000]");
+        assert_eq!(to_json(&vec![f64::NAN, f64::INFINITY, -f64::INFINITY]), "[null,null,null]");
+        assert_eq!(to_json(&Some(2.0)), "2");
+        assert_eq!(to_json(&Vec::<usize>::new()), "[]");
+    }
+
+    #[test]
+    fn output_parses_back() {
+        let row = Row {
+            name: "tab\there \u{7f} é".into(),
+            x: 0.00014844594633878216,
+            ok: false,
+            gap: Some(4700.0),
+            trace: vec![],
+        };
+        let v = serde_json::from_str(&to_json(&row)).unwrap();
+        assert_eq!(v.get("name").and_then(|n| n.as_str()), Some(row.name.as_str()));
+        assert_eq!(v.get("x").and_then(|x| x.as_f64()), Some(row.x));
+        assert_eq!(v.get("ok"), Some(&serde_json::Value::Bool(false)));
+        assert_eq!(v.get("gap").and_then(|g| g.as_f64()), Some(4700.0));
+        assert_eq!(v.get("trace").and_then(|t| t.as_array()).map(Vec::len), Some(0));
+    }
+
     #[test]
     fn print_helpers_do_not_panic() {
         print_table(
@@ -135,6 +307,6 @@ mod tests {
             &["a", "b"],
             &[vec!["1".into(), "2".into()], vec!["30".into(), "4".into()]],
         );
-        print_json("demo", &vec![1, 2, 3]);
+        print_json("demo", &vec![1usize, 2, 3]);
     }
 }

@@ -7,10 +7,9 @@
 //! time is what lets a 2,048-rank study with hour-scale MTTIs run in
 //! seconds on one node while keeping the *relative* overheads faithful.
 
-use serde::Serialize;
 
 /// A simulated wall clock measured in seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SimClock {
     now: f64,
 }

@@ -8,10 +8,9 @@
 //! system absorbs it.  [`ClusterConfig`] carries (a)–(b); the PFS model in
 //! [`crate::pfs`] carries (c).
 
-use serde::Serialize;
 
 /// Description of the simulated machine for one experiment configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterConfig {
     /// Number of MPI ranks (processes) in the simulated run.
     pub ranks: usize,

@@ -25,11 +25,10 @@ use crate::disk::DiskStore;
 use crate::pfs::{CheckpointLevel, PfsModel};
 use crate::store::{CheckpointBuffer, CheckpointMetadata};
 use crate::{CkptError, Result};
-use serde::Serialize;
 use std::sync::Arc;
 
 /// A variable registered for checkpointing.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct ProtectedVariable {
     /// Identifier (e.g. `"x"`, `"p"`, `"iteration"`).
     pub id: String,

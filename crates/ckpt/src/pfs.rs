@@ -14,12 +14,11 @@
 //! costs.  The default calibration reproduces the paper's measurement that
 //! one uncompressed ≈78.8 GB checkpoint at 2,048 ranks takes ≈120 s.
 
-use serde::Serialize;
 
 /// Storage level a checkpoint is written to, following FTI's four levels.
 /// Only the relative speeds matter for the reproduction; the defaults give
 /// node-local storage a much higher aggregate bandwidth than the PFS.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CheckpointLevel {
     /// L1: node-local storage (fast, lost if the node dies).
     Local,
@@ -45,7 +44,7 @@ impl CheckpointLevel {
 }
 
 /// Parameters of the parallel-file-system model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PfsModel {
     /// Aggregate write bandwidth of the file system in bytes/second, shared
     /// by all ranks.

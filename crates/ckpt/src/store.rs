@@ -16,11 +16,10 @@
 //! dependency in retention and in recovery (see the `disk` module docs).
 
 use crate::pfs::CheckpointLevel;
-use serde::Serialize;
 
 /// How one checkpoint's payload streams are encoded relative to earlier
 /// checkpoints.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CheckpointEncoding {
     /// Self-contained anchor: decodes on its own.
     #[default]
@@ -52,7 +51,7 @@ impl CheckpointEncoding {
 }
 
 /// Metadata describing one stored checkpoint.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointMetadata {
     /// Monotonically increasing checkpoint id.
     pub id: u64,

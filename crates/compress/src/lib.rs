@@ -53,10 +53,9 @@ mod parblock;
 pub mod sz;
 pub mod zfp;
 
-use serde::Serialize;
 
 /// Error-bound mode for lossy compression.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ErrorBound {
     /// Absolute bound: `|x − x'| ≤ eb`.
     Abs(f64),
@@ -88,7 +87,7 @@ impl ErrorBound {
 }
 
 /// Outcome of one compression call.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Compressed {
     /// The encoded byte stream (self-describing; feed back to `decompress`).
     pub bytes: Vec<u8>,
@@ -237,7 +236,7 @@ pub trait Codec: Send + Sync {
 
 /// Statistics describing one compression run; used by the experiment
 /// harness to fill Table 3 and the checkpoint-time figures.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompressionStats {
     /// Original size in bytes.
     pub original_bytes: usize,

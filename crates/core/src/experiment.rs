@@ -1,8 +1,8 @@
 //! Experiment harness: the rows behind Table 3 and Figures 4–10.
 //!
 //! Each function regenerates the data of one table or figure of the paper's
-//! evaluation section, returning serialisable row structs that the
-//! `lcr-bench` binaries print as aligned text and JSON.  The shape of each
+//! evaluation section, returning plain row structs that the `lcr-bench`
+//! binaries print as aligned text and JSON.  The shape of each
 //! result (who wins, by what factor, how it scales) is the reproduction
 //! target; absolute seconds come from the simulated Bebop-like PFS model.
 
@@ -16,7 +16,6 @@ use lcr_perfmodel::{
     young_optimal_interval, young_optimal_interval_iterations,
 };
 use lcr_solvers::SolverKind;
-use serde::Serialize;
 
 /// The process counts of the paper's weak-scaling study.
 pub const PAPER_PROCESS_COUNTS: &[usize] = &[256, 512, 768, 1024, 1280, 1536, 1792, 2048];
@@ -34,7 +33,7 @@ pub fn paper_baseline_seconds(kind: SolverKind) -> f64 {
 
 /// Compression ratios measured on real solver state, used to extrapolate
 /// paper-scale checkpoint sizes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct MeasuredRatios {
     /// Lossless (FPC+LZSS) compression ratio on the dynamic vectors.
     pub lossless: f64,
@@ -175,8 +174,7 @@ fn measured_shard_segment_ratio(
 
 /// One row of Table 3: per-process checkpoint sizes for one solver at one
 /// scale under the three schemes.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-// lcr-analyze: allow(dead-public-item): row type of `table3`; the bench bins print it by inference
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table3Row {
     /// Number of processes.
     pub processes: usize,
@@ -250,8 +248,7 @@ pub fn table3(
 
 /// One row of Figures 4–6: average time of one checkpoint and one recovery
 /// for a solver/scheme/scale combination.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-// lcr-analyze: allow(dead-public-item): row type of `checkpoint_recovery_times`; the bench bins print it by inference
+#[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointTimeRow {
     /// Number of processes.
     pub processes: usize,
@@ -336,8 +333,7 @@ pub fn checkpoint_recovery_times(
 // ---------------------------------------------------------------------------
 
 /// One point of Figure 7: the model-predicted fault-tolerance overhead.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-// lcr-analyze: allow(dead-public-item): row type of `expected_overhead`; the bench bins print it by inference
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExpectedOverheadRow {
     /// Number of processes.
     pub processes: usize,
@@ -416,8 +412,7 @@ pub fn expected_overhead(
 
 /// One bar of Figure 10: experimental and expected fault-tolerance overhead
 /// for one solver under one scheme.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-// lcr-analyze: allow(dead-public-item): row type of `fault_tolerance_overhead`; the bench bins print it by inference
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultToleranceOverheadRow {
     /// Solver.
     pub solver: String,
@@ -440,7 +435,7 @@ pub struct FaultToleranceOverheadRow {
 }
 
 /// Configuration of the Figure 8/10 experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverheadExperimentConfig {
     /// Number of simulated processes (the paper uses 2,048).
     pub processes: usize,

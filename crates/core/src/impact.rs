@@ -18,11 +18,9 @@ use lcr_compress::ErrorBound;
 use lcr_solvers::SolverKind;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::Serialize;
 
 /// Result of the lossy-recovery impact experiment for one error bound.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-// lcr-analyze: allow(dead-public-item): row type of `figure2_sweep`; the bench bin prints it by inference
+#[derive(Debug, Clone, PartialEq)]
 pub struct ImpactResult {
     /// Solver evaluated.
     pub solver: String,

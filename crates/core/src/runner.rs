@@ -34,7 +34,6 @@ use lcr_ckpt::{
 };
 use lcr_solvers::{DynamicState, IterativeMethod};
 use lcr_sparse::Vector;
-use serde::Serialize;
 use std::convert::Infallible;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -161,7 +160,7 @@ impl RunConfig {
 }
 
 /// Outcome of one fault-tolerant run.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// Strategy name ("none", "traditional", "lossless", "lossy").
     pub strategy: String,

@@ -27,10 +27,9 @@ use lcr_compress::{Codec, DeltaMode, ErrorBound};
 use lcr_perfmodel::theorem3_gmres_error_bound;
 use lcr_solvers::{DynamicState, IterativeMethod};
 use lcr_sparse::Vector;
-use serde::Serialize;
 
 /// How the error bound for a lossy checkpoint is chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ErrorBoundPolicy {
     /// A fixed bound used for every checkpoint (the paper's 10⁻⁴ relative
     /// bound for Jacobi and CG).
@@ -88,7 +87,7 @@ impl ErrorBoundPolicy {
 }
 
 /// Which lossy compressor backs the lossy strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LossyCodecKind {
     /// The SZ-style prediction-based compressor (the paper's choice for 1-D
     /// checkpoint vectors).
@@ -98,7 +97,7 @@ pub enum LossyCodecKind {
 }
 
 /// How a strategy restores a solver from recovered payloads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryMode {
     /// Exact restore of every dynamic variable (Algorithm 1 lines 7–8).
     Exact,
@@ -108,7 +107,7 @@ pub enum RecoveryMode {
 }
 
 /// A checkpoint strategy: variable selection + encoding + recovery.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CheckpointStrategy {
     /// No checkpointing at all (failure-free baseline, or "restart from
     /// scratch" under failures).

@@ -22,11 +22,10 @@ use lcr_solvers::{
 use lcr_sparse::kkt::{kkt_system, KktConfig};
 use lcr_sparse::poisson::{manufactured_rhs, poisson3d, table3_grid_edge};
 use lcr_sparse::Vector;
-use serde::Serialize;
 use std::sync::Arc;
 
 /// Which of the paper's workloads to build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 // lcr-analyze: allow(dead-public-item): type of the public field `PaperWorkload::kind`; callers build workloads through `poisson`/`kkt`
 pub enum WorkloadKind {
     /// The 3-D Poisson weak-scaling workload (Table 3, Figures 4–10).
@@ -86,7 +85,7 @@ impl ScaledProblem {
 }
 
 /// Builder for the paper's workloads.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PaperWorkload {
     /// Which workload family.
     pub kind: WorkloadKind,

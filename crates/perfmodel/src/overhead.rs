@@ -13,7 +13,6 @@
 //! as the surface of Figure 1.  The lossy model adds the extra-iteration
 //! penalty `λ·N′·T_it` (Equations 7–8, Figure 7).
 
-use serde::Serialize;
 
 /// The helper `f(t, λ) = sqrt(2λt) + λt` used throughout Section 4.
 fn f(t_ckp: f64, lambda: f64) -> f64 {
@@ -64,8 +63,7 @@ pub fn lossy_overhead_ratio(t_lossy_ckp: f64, lambda: f64, n_extra: f64, t_it: f
 }
 
 /// One point of the Figure 1 / Figure 7 overhead surfaces.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-// lcr-analyze: allow(dead-public-item): element type of the public `ExpectedOverheadSurface::points`
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverheadPoint {
     /// Failure rate in failures per hour.
     pub failures_per_hour: f64,
@@ -77,7 +75,7 @@ pub struct OverheadPoint {
 
 /// The Figure 1 surface: expected traditional-checkpointing overhead over a
 /// grid of failure rates and checkpoint times.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExpectedOverheadSurface {
     /// Grid points in row-major order (failure rate varying slowest).
     pub points: Vec<OverheadPoint>,

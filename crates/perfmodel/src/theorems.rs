@@ -1,10 +1,9 @@
 //! Theorems 1–3 of the paper: when lossy checkpointing pays off, and how
 //! much convergence delay the compression error can cause.
 
-use serde::Serialize;
 
 /// Inputs of Theorem 1 (the sufficient condition for a performance gain).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Theorem1Inputs {
     /// Mean time of one traditional checkpoint, seconds.
     pub t_trad_ckp: f64,

@@ -1,12 +1,11 @@
 //! Stopping criteria and convergence history.
 
-use serde::Serialize;
 
 /// Stopping criteria shared by all solvers, following PETSc's convention
 /// used in the paper: convergence when the (possibly preconditioned)
 /// residual norm has decreased by the relative tolerance `rtol` with respect
 /// to the reference norm, or has fallen below the absolute tolerance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StoppingCriteria {
     /// Relative tolerance (the paper uses 1e-4 for Jacobi, 7e-5 for GMRES
     /// and 1e-7 for CG in §5.1).
@@ -53,7 +52,7 @@ impl StoppingCriteria {
 
 /// Residual-norm history of a solve, including restart/recovery markers so
 /// the Figure 9-style residual traces can be reconstructed.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ConvergenceHistory {
     /// Residual norm after each iteration (`residuals[k]` is the norm after
     /// iteration `k+1`; the norm of the initial guess is `initial`).

@@ -60,7 +60,6 @@ use std::convert::Infallible;
 use std::sync::Arc;
 
 use lcr_sparse::{CsrMatrix, Vector};
-use serde::Serialize;
 
 pub use cg::ConjugateGradient;
 pub use convergence::{ConvergenceHistory, StoppingCriteria};
@@ -74,7 +73,7 @@ pub use space::{LocalSpace, ShardSpace, Space};
 
 /// Which iterative method a configuration refers to; used by the experiment
 /// harness to build solvers generically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SolverKind {
     /// The Jacobi stationary method (the paper's stationary representative).
     Jacobi,
@@ -114,7 +113,7 @@ pub type ShardedMethod = SolverKind;
 /// scalar state, and named vectors, exactly the classification of Section 3
 /// of the paper (static variables are shared and recomputed variables are
 /// rebuilt on recovery).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DynamicState {
     /// Iteration counter `i`.
     pub iteration: usize,

@@ -6,10 +6,9 @@
 
 use crate::csr::col32;
 use crate::{CsrMatrix, Result, SparseError};
-use serde::Serialize;
 
 /// A sparse matrix in coordinate (triplet) format.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CooMatrix {
     nrows: usize,
     ncols: usize,

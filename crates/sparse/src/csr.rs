@@ -4,7 +4,6 @@ use crate::kernels;
 use crate::simd::LANES;
 use crate::vector::{Vector, PAR_THRESHOLD};
 use crate::{Result, SparseError};
-use serde::Serialize;
 use std::sync::OnceLock;
 
 /// Minimum run of equal-width rows promoted to a SELL-style [`RowBlock::Slab`].
@@ -279,19 +278,13 @@ impl SpmvPlan {
 /// Interior cell holding the lazily built [`SpmvPlan`].
 ///
 /// The plan is derived state, rebuildable from `indptr` at any time, so
-/// equality and serialisation ignore it entirely.
+/// equality ignores it entirely.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PlanCell(OnceLock<SpmvPlan>);
 
 impl PartialEq for PlanCell {
     fn eq(&self, _: &Self) -> bool {
         true
-    }
-}
-
-impl Serialize for PlanCell {
-    fn serialize_json(&self, out: &mut String) {
-        out.push_str("null");
     }
 }
 
@@ -303,7 +296,7 @@ impl Serialize for PlanCell {
 /// layout PETSc's `MATAIJ` uses.  Column indices are `u32` — the one index
 /// array every traversal gathers through, 12 bytes per non-zero with its
 /// value — so a matrix has at most `u32::MAX` columns.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     nrows: usize,
     ncols: usize,

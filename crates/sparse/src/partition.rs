@@ -7,10 +7,9 @@
 //! needs to compute per-rank checkpoint sizes (Table 3) and aggregate I/O
 //! times (Figures 4–6).
 
-use serde::Serialize;
 
 /// The contiguous row range owned by one rank.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 // lcr-analyze: allow(dead-public-item): return type of `BlockRowPartition::range`; callers take it by inference
 pub struct RankRange {
     /// Rank id (0-based).
@@ -40,7 +39,7 @@ impl RankRange {
 
 /// A balanced block-row partition of `n` rows over `ranks` ranks: the first
 /// `n % ranks` ranks get one extra row, mirroring PETSc's default layout.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockRowPartition {
     n: usize,
     ranks: usize,

@@ -11,7 +11,6 @@
 //! bit-identical at any `LCR_NUM_THREADS` setting.
 
 use crate::kernels::run_len;
-use serde::Serialize;
 use std::ops::{Deref, DerefMut, Index, IndexMut};
 
 /// Number of elements (for SpMV: non-zeros) above which the kernels use the
@@ -25,9 +24,8 @@ pub const PAR_THRESHOLD: usize = 32_768;
 /// iterative methods.
 ///
 /// `Vector` dereferences to `[f64]`, so slice methods are available
-/// directly.  It is `serde`-serialisable because checkpoint payloads are
-/// built from it.
-#[derive(Debug, Clone, PartialEq, Serialize, Default)]
+/// directly.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Vector {
     data: Vec<f64>,
 }

@@ -1,6 +1,7 @@
-//! In-tree stand-in for `serde_json`: [`to_string`] (the bench binaries'
-//! trailing `JSON:` lines) and a minimal [`Value`] tree with [`from_str`]
-//! (the perf-regression gate's baseline reader).
+//! In-tree stand-in for `serde_json`: a minimal [`Value`] tree and
+//! [`from_str`], which the benchmark uses to read `BENCHMARK.json` and its
+//! own child runs' output.  Nothing here writes JSON; the bench binaries'
+//! trailing `JSON` lines come from `lcr_bench::ToJson`.
 
 #![forbid(unsafe_code)]
 
@@ -24,13 +25,6 @@ impl fmt::Display for Error {
 }
 
 impl std::error::Error for Error {}
-
-/// Serialize `value` as a JSON string.
-pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    value.serialize_json(&mut out);
-    Ok(out)
-}
 
 /// A parsed JSON value, mirroring `serde_json::Value` for the accessor
 /// subset the workspace uses (`get`, `as_*`, array/object walking).
@@ -289,29 +283,6 @@ mod tests {
             Some(1364.25)
         );
         assert_eq!(v.get("note"), Some(&Value::Null));
-    }
-
-    #[test]
-    fn roundtrips_own_serializer_output() {
-        #[derive(serde::Serialize)]
-        struct Row {
-            name: String,
-            x: f64,
-            ok: bool,
-        }
-        let row = Row {
-            name: "sz \"quoted\" \\ path\nline".into(),
-            x: -12.5e3,
-            ok: true,
-        };
-        let s = to_string(&row).unwrap();
-        let v = from_str(&s).unwrap();
-        assert_eq!(
-            v.get("name").and_then(Value::as_str),
-            Some("sz \"quoted\" \\ path\nline")
-        );
-        assert_eq!(v.get("x").and_then(Value::as_f64), Some(-12.5e3));
-        assert_eq!(v.get("ok"), Some(&Value::Bool(true)));
     }
 
     #[test]
