@@ -123,35 +123,24 @@ impl ToJson for bool {
 
 impl ToJson for f64 {
     fn write_json(&self, out: &mut String) {
-        if self.is_finite() {
-            out.push_str(&self.to_string());
-        } else {
-            out.push_str("null");
-        }
-    }
-}
-
-impl ToJson for str {
-    fn write_json(&self, out: &mut String) {
-        out.push('"');
-        for c in self.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out.push('"');
+        out.push_str(&if self.is_finite() { self.to_string() } else { "null".into() });
     }
 }
 
 impl ToJson for String {
     fn write_json(&self, out: &mut String) {
-        self.as_str().write_json(out);
+        out.push('"');
+        for c in self.chars() {
+            match c {
+                '"' | '\\' => out.extend(['\\', c]),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if c < ' ' => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
     }
 }
 
@@ -181,20 +170,15 @@ impl<T: ToJson> ToJson for Vec<T> {
 /// in the order listed: `json_object!(Row { a, b });`.
 #[macro_export]
 macro_rules! json_object {
-    ($($ty:ty { $($field:ident),+ $(,)? })+) => {$(
+    ($($ty:ty { $first:ident $(, $field:ident)* $(,)? })+) => {$(
         impl $crate::ToJson for $ty {
             fn write_json(&self, out: &mut String) {
-                let fields: &[(&str, &dyn $crate::ToJson)] =
-                    &[$((stringify!($field), &self.$field)),+];
-                out.push('{');
-                for (i, (name, value)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    name.write_json(out);
-                    out.push(':');
-                    value.write_json(out);
-                }
+                out.push_str(concat!("{\"", stringify!($first), "\":"));
+                $crate::ToJson::write_json(&self.$first, out);
+                $(
+                    out.push_str(concat!(",\"", stringify!($field), "\":"));
+                    $crate::ToJson::write_json(&self.$field, out);
+                )*
                 out.push('}');
             }
         }
@@ -265,39 +249,26 @@ mod tests {
     json_object!(Row { name, x, ok, gap, trace });
 
     #[test]
-    fn writes_objects_in_field_order_with_display_numbers() {
+    fn writes_what_serde_json_wrote_and_parses_back() {
         let row = Row {
-            name: "sz \"quoted\" \\ path\nline\u{1}".into(),
+            name: "sz \"quoted\" \\ path\nline\u{1} é".into(),
             x: -12.5e3,
             ok: true,
             gap: None,
             trace: vec![3, 1],
         };
+        let json = to_json(&row);
         assert_eq!(
-            to_json(&vec![row]),
-            r#"[{"name":"sz \"quoted\" \\ path\nline\u0001","x":-12500,"ok":true,"gap":null,"trace":[3,1]}]"#
+            json,
+            r#"{"name":"sz \"quoted\" \\ path\nline\u0001 é","x":-12500,"ok":true,"gap":null,"trace":[3,1]}"#
         );
-        assert_eq!(to_json(&vec![0.1, 1.5e-7, 1e21]), "[0.1,0.00000015,1000000000000000000000]");
-        assert_eq!(to_json(&vec![f64::NAN, f64::INFINITY, -f64::INFINITY]), "[null,null,null]");
-        assert_eq!(to_json(&Some(2.0)), "2");
-        assert_eq!(to_json(&Vec::<usize>::new()), "[]");
-    }
-
-    #[test]
-    fn output_parses_back() {
-        let row = Row {
-            name: "tab\there \u{7f} é".into(),
-            x: 0.00014844594633878216,
-            ok: false,
-            gap: Some(4700.0),
-            trace: vec![],
-        };
-        let v = serde_json::from_str(&to_json(&row)).unwrap();
+        let v = serde_json::from_str(&json).unwrap();
         assert_eq!(v.get("name").and_then(|n| n.as_str()), Some(row.name.as_str()));
         assert_eq!(v.get("x").and_then(|x| x.as_f64()), Some(row.x));
-        assert_eq!(v.get("ok"), Some(&serde_json::Value::Bool(false)));
-        assert_eq!(v.get("gap").and_then(|g| g.as_f64()), Some(4700.0));
-        assert_eq!(v.get("trace").and_then(|t| t.as_array()).map(Vec::len), Some(0));
+        assert_eq!(to_json(&vec![0.1, 1.5e-7, 1e21]), "[0.1,0.00000015,1000000000000000000000]");
+        assert_eq!(to_json(&vec![f64::NAN, f64::INFINITY]), "[null,null]");
+        assert_eq!(to_json(&Some(2.0)), "2");
+        assert_eq!(to_json(&Vec::<usize>::new()), "[]");
     }
 
     #[test]
