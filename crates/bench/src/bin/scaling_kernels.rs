@@ -21,8 +21,9 @@
 //! order-2 temporal delta codec of the
 //! version-5 checkpoint streams (`delta_encode`/`delta_decode` over the
 //! same codes against two simulated prior snapshots), the checkpoint
-//! files' checksum (`crc32` over the arena the disk rows write, in GB/s and
-//! as a fraction of triad), and the durable checkpoint tier
+//! files' checksum (`crc32` over the arena the disk rows write) and the
+//! traditional checkpoint's encode of the values in it (`raw_encode`), both
+//! in GB/s and as a fraction of triad, and the durable checkpoint tier
 //! (`disk_ckpt_write`: arena → crash-consistent file with CRCs + fsync +
 //! rename; `disk_ckpt_read`: read-back with full CRC validation), at 1, 2
 //! and N pool threads — verifying along the way that every result is
@@ -45,7 +46,7 @@ use lcr_ckpt::disk::crc32;
 use lcr_ckpt::{CheckpointBuffer, CheckpointLevel, DiskStore};
 use lcr_compress::{
     delta, huffman, Codec, Compressed, DeltaMode, ErrorBound, FpcCodec, LosslessPipeline,
-    SzCompressor, SzTemporalState, ZfpCompressor,
+    RawCodec, SzCompressor, SzTemporalState, ZfpCompressor,
 };
 use lcr_solvers::{BlockJacobiPreconditioner, Preconditioner};
 use lcr_sparse::kernels;
@@ -71,7 +72,8 @@ struct ScalingRow {
     speedup_vs_1t: f64,
     /// GB/s over the bytes the kernel's arrays hold (computed from their
     /// sizes, not measured traffic); `None` for codec and disk rows
-    /// (`crc32` has it: bytes checksummed).
+    /// (`crc32` has it: bytes checksummed; so has `raw_encode`: bytes read
+    /// plus bytes written).
     gb_per_s_computed: Option<f64>,
     /// `gb_per_s_computed` over the `triad` row's at the same thread count.
     frac_of_triad: Option<f64>,
@@ -523,6 +525,17 @@ fn main() {
         let mut checksum = 0u32;
         let secs = time_median(reps, || checksum = crc32(arena));
         measured.push(("crc32", arena.len(), arena.len(), u64::from(checksum), secs));
+
+        // The traditional checkpoint's encode of the values behind that
+        // arena, into a reused output: it reads eight bytes and writes
+        // eight per value, and its output is the arena (same fingerprint).
+        let mut raw = Vec::new();
+        let secs = time_median(reps, || {
+            raw.clear();
+            RawCodec.encode_into(&sz_data, sz_bound, None, &mut raw).expect("raw encode");
+        });
+        let raw_fp = u64::from(crc32(&raw));
+        measured.push(("raw_encode", sz_data.len(), 16 * sz_data.len(), raw_fp, secs));
 
         // Durable disk tier: single-threaded file I/O, measured at every
         // thread count as a like-for-like row.  The write streams the

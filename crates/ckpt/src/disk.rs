@@ -91,6 +91,9 @@ pub const MAGIC: [u8; 8] = *b"LCRCKPT0";
 /// anchor-vs-delta encoding fields).
 const FORMAT_VERSION: u32 = 2;
 
+/// The IEEE polynomial in the CRC's reflected bit order (bit 31 is `x^0`).
+const POLY: u32 = 0xEDB8_8320;
+
 /// Slicing-by-8 tables of the IEEE polynomial: `[0]` is the byte-at-a-time
 /// table, `[k][b]` the CRC of byte `b` followed by `k` zero bytes.
 const fn make_crc_tables() -> [[u32; 256]; 8] {
@@ -100,7 +103,7 @@ const fn make_crc_tables() -> [[u32; 256]; 8] {
         let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
         tables[0][i] = c;
@@ -121,27 +124,129 @@ const fn make_crc_tables() -> [[u32; 256]; 8] {
 
 static CRC_TABLES: [[u32; 256]; 8] = make_crc_tables();
 
-/// IEEE CRC-32 (the zip/PNG polynomial) of `bytes`, eight bytes a step.
-pub fn crc32(bytes: &[u8]) -> u32 {
+/// `a·b mod P` over GF(2), both in the reflected bit order.
+const fn multmodp(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    let mut m = 1u32 << 31;
+    while m != 0 {
+        if a & m != 0 {
+            product ^= b;
+        }
+        b = if b & 1 != 0 { (b >> 1) ^ POLY } else { b >> 1 };
+        m >>= 1;
+    }
+    product
+}
+
+/// `[j]` is `x^(8·2^j) mod P`: the shift past `2^j` zero bytes.
+const fn make_x8n_table() -> [u32; 64] {
+    let mut table = [0u32; 64];
+    let mut p = 1u32 << (31 - 8); // x^8
+    let mut j = 0;
+    while j < 64 {
+        table[j] = p;
+        p = multmodp(p, p);
+        j += 1;
+    }
+    table
+}
+
+static X8N_TABLE: [u32; 64] = make_x8n_table();
+
+/// `x^(8n) mod P`: the shift past `n` zero bytes, one product per set bit
+/// of `n`.
+fn x8nmodp(n: usize) -> u32 {
+    let mut p = 1u32 << 31; // x^0
+    let mut bits = n as u64;
+    let mut j = 0;
+    while bits != 0 {
+        if bits & 1 != 0 {
+            p = multmodp(X8N_TABLE[j], p);
+        }
+        bits >>= 1;
+        j += 1;
+    }
+    p
+}
+
+/// `crc32(A‖B)` from `crc32(A)`, `crc32(B)` and `|B|` (zlib's
+/// `crc32_combine`): A's CRC shifted past `|B|` zero bytes, plus B's.
+fn crc32_combine(crc_a: u32, crc_b: u32, len_b: usize) -> u32 {
+    multmodp(x8nmodp(len_b), crc_a) ^ crc_b
+}
+
+/// One slicing-by-8 step: the register after the eight bytes of `word`
+/// (little-endian), from `crc`.
+#[inline(always)]
+fn step8(crc: u32, word: u64) -> u32 {
     let t = &CRC_TABLES;
-    let mut crc = !0u32;
+    let lo = crc ^ word as u32;
+    let hi = (word >> 32) as u32;
+    t[7][(lo & 0xFF) as usize]
+        ^ t[6][(lo >> 8 & 0xFF) as usize]
+        ^ t[5][(lo >> 16 & 0xFF) as usize]
+        ^ t[4][(lo >> 24) as usize]
+        ^ t[3][(hi & 0xFF) as usize]
+        ^ t[2][(hi >> 8 & 0xFF) as usize]
+        ^ t[1][(hi >> 16 & 0xFF) as usize]
+        ^ t[0][(hi >> 24) as usize]
+}
+
+fn word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("eight bytes"))
+}
+
+/// The register after `bytes` from `crc`, eight bytes a step (no
+/// inversion on either side).
+fn advance(mut crc: u32, bytes: &[u8]) -> u32 {
     let mut words = bytes.chunks_exact(8);
     for w in &mut words {
-        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-        crc = t[7][(lo & 0xFF) as usize]
-            ^ t[6][(lo >> 8 & 0xFF) as usize]
-            ^ t[5][(lo >> 16 & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][(hi >> 8 & 0xFF) as usize]
-            ^ t[1][(hi >> 16 & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
+        crc = step8(crc, word(w));
     }
     for &b in words.remainder() {
-        crc = t[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+        crc = CRC_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
-    !crc
+    crc
+}
+
+/// Bytes per lane below which [`crc32`] runs one lane: the three combines
+/// cost a few hundred table-free steps, which a shorter buffer would not
+/// earn back.
+const MIN_LANE_BYTES: usize = 256;
+
+/// IEEE CRC-32 (the zip/PNG polynomial) of `bytes`.
+///
+/// One slicing-by-8 lane waits on its own table loads at every step, so a
+/// buffer of at least four [`MIN_LANE_BYTES`] lanes is cut into four
+/// contiguous quarters (the first three a multiple of eight bytes, the
+/// last taking the rest) whose CRCs advance side by side, and the four are
+/// merged with the GF(2) combine — `crc32(A‖B)` from `crc32(A)`,
+/// `crc32(B)` and `|B|`.  The value is the one-lane value at every length.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let lane = (bytes.len() / 4) & !7;
+    if lane < MIN_LANE_BYTES {
+        return !advance(!0, bytes);
+    }
+    let (a, rest) = bytes.split_at(lane);
+    let (b, rest) = rest.split_at(lane);
+    let (c, d) = rest.split_at(lane);
+    let mut s = [!0u32; 4];
+    let quads = a
+        .chunks_exact(8)
+        .zip(b.chunks_exact(8))
+        .zip(c.chunks_exact(8))
+        .zip(d.chunks_exact(8));
+    for (((wa, wb), wc), wd) in quads {
+        s = [
+            step8(s[0], word(wa)),
+            step8(s[1], word(wb)),
+            step8(s[2], word(wc)),
+            step8(s[3], word(wd)),
+        ];
+    }
+    let shift = x8nmodp(lane);
+    let abc = multmodp(shift, multmodp(shift, !s[0]) ^ !s[1]) ^ !s[2];
+    crc32_combine(abc, !advance(s[3], &d[lane..]), d.len())
 }
 
 fn level_to_u8(level: CheckpointLevel) -> u8 {
@@ -200,7 +305,8 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
 }
 
 /// Serializes the header (magic + version + metadata + metadata CRC) for a
-/// checkpoint whose payloads are the segments of `buffer`.
+/// checkpoint whose payloads are the segments of `buffer`, with the
+/// payload CRCs `buffer` computes once for every tier.
 fn encode_header(header: &Header, buffer: &CheckpointBuffer) -> Vec<u8> {
     let meta = &header.metadata;
     let mut block = Vec::with_capacity(64 + 32 * buffer.n_variables());
@@ -223,10 +329,10 @@ fn encode_header(header: &Header, buffer: &CheckpointBuffer) -> Vec<u8> {
         block.extend_from_slice(&value.to_bits().to_le_bytes());
     }
     block.extend_from_slice(&(buffer.n_variables() as u32).to_le_bytes());
-    for (name, payload) in buffer.segments() {
+    for ((name, payload), crc) in buffer.segments().zip(buffer.segment_crcs()) {
         put_str(&mut block, name);
         block.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        block.extend_from_slice(&crc32(payload).to_le_bytes());
+        block.extend_from_slice(&crc.to_le_bytes());
     }
 
     let mut out = Vec::with_capacity(16 + block.len() + 4);
@@ -1199,18 +1305,23 @@ mod tests {
         })
     }
 
-    #[test]
-    fn crc32_matches_the_bytewise_loop_at_every_length_and_alignment() {
-        // A seeded xorshift stream: no byte pattern the tables could favour.
+    /// A seeded xorshift stream of `len` bytes: no byte pattern the
+    /// tables could favour.
+    fn xorshift_bytes(len: usize) -> Vec<u8> {
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let buffer: Vec<u8> = (0..(1usize << 20) + 8)
+        (0..len)
             .map(|_| {
                 state ^= state << 13;
                 state ^= state >> 7;
                 state ^= state << 17;
                 (state >> 32) as u8
             })
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn crc32_matches_the_bytewise_loop_at_every_length_and_alignment() {
+        let buffer = xorshift_bytes((1usize << 20) + 40);
         for offset in 0..8 {
             for len in 0..=64 {
                 let bytes = &buffer[offset..offset + len];
@@ -1219,6 +1330,39 @@ mod tests {
         }
         let mib = &buffer[3..3 + (1 << 20)];
         assert_eq!(crc32(mib), crc32_bytewise(mib));
+    }
+
+    #[test]
+    fn crc32_lanes_match_the_bytewise_loop_around_the_split() {
+        let buffer = xorshift_bytes((1usize << 20) + 40);
+        // Below four lanes, at the threshold and three lane widths past it,
+        // where the last lane's tail runs from 0 to 31 bytes.
+        for offset in 0..8 {
+            for len in 0..=7 * MIN_LANE_BYTES {
+                let bytes = &buffer[offset..offset + len];
+                assert_eq!(crc32(bytes), crc32_bytewise(bytes), "offset {offset}, length {len}");
+            }
+        }
+        // 1 MiB + 0..=31: the oracle's register is carried one byte on
+        // rather than recomputed from the start.
+        let mib = 1usize << 20;
+        let mut register = !crc32_bytewise(&buffer[..mib]);
+        for len in mib..=mib + 31 {
+            assert_eq!(crc32(&buffer[..len]), !register, "length {len}");
+            register = CRC_TABLES[0][((register ^ u32::from(buffer[len])) & 0xFF) as usize]
+                ^ (register >> 8);
+        }
+    }
+
+    #[test]
+    fn crc32_combine_joins_the_crcs_of_every_split() {
+        let buffer = xorshift_bytes(4096);
+        let whole = crc32_bytewise(&buffer);
+        for split in 0..=buffer.len() {
+            let (a, b) = buffer.split_at(split);
+            let joined = crc32_combine(crc32_bytewise(a), crc32_bytewise(b), b.len());
+            assert_eq!(joined, whole, "split at {split}");
+        }
     }
 
     #[test]

@@ -631,6 +631,59 @@ mod tests {
     }
 
     #[test]
+    fn a_reused_buffer_is_checksummed_afresh_for_every_commit() {
+        use crate::disk::{read_checkpoint_file, DiskStore};
+
+        for write_behind in [false, true] {
+            let dir = std::env::temp_dir()
+                .join(format!("lcr-fti-crc-{write_behind}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut disk = DiskStore::open(&dir, 2).unwrap();
+            disk.set_write_behind(write_behind).unwrap();
+            let mut fti = context(64);
+            fti.attach_disk_store(disk);
+            // Equal lengths, different bytes: a CRC the buffer kept from
+            // the first commit would be wrong for the second.
+            let mut buf = CheckpointBuffer::new();
+            for fill in [1u8, 2] {
+                buf.clear();
+                buf.push_with("x", |bytes| bytes.extend_from_slice(&[fill; 2048]));
+                buf.push_with("p", |bytes| bytes.extend((0..40u8).map(|i| i ^ fill)));
+                let iteration = usize::from(fill);
+                fti.commit_snapshot_from_buffer(0.0, iteration, "", &[], None, &mut buf, 0.0)
+                    .unwrap();
+            }
+            fti.disk_store_mut().unwrap().flush().unwrap();
+
+            let mut files: Vec<_> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|entry| entry.unwrap().path())
+                .collect();
+            files.sort();
+            assert_eq!(files.len(), 2);
+            for (path, fill) in files.iter().zip([1u8, 2]) {
+                let ckpt = read_checkpoint_file(path).unwrap();
+                assert_eq!(ckpt.payloads[0].1, vec![fill; 2048], "{}", path.display());
+            }
+            let memory = fti.memory.as_mut().unwrap();
+            assert_eq!(memory.latest_valid().unwrap().metadata.iteration, 2);
+            memory.invalidate(1);
+            assert_eq!(memory.latest_valid().unwrap().metadata.iteration, 1);
+
+            // One byte of the second file's first payload flipped: it fails
+            // its CRC, and recovery falls back to the first file.
+            let mut bytes = std::fs::read(&files[1]).unwrap();
+            let at = bytes.len() - 40 - 1024;
+            bytes[at] ^= 0x10;
+            std::fs::write(&files[1], &bytes).unwrap();
+            assert!(matches!(read_checkpoint_file(&files[1]), Err(CkptError::Corrupt(_))));
+            let recovered = fti.recover(&mut SimClock::new(), 0).unwrap();
+            assert_eq!((recovered.durable, recovered.iteration), (true, 1));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
     fn unregistered_payload_uses_its_own_size_as_original() {
         let mut fti = context(64);
         let mut clock = SimClock::new();

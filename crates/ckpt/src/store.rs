@@ -15,7 +15,9 @@
 //! the nearest self-contained **anchor**.  The store honours that
 //! dependency in retention and in recovery (see the `disk` module docs).
 
+use crate::disk::crc32;
 use crate::pfs::CheckpointLevel;
+use std::sync::OnceLock;
 
 /// How one checkpoint's payload streams are encoded relative to earlier
 /// checkpoints.
@@ -89,11 +91,20 @@ impl CheckpointMetadata {
 /// alive across checkpoints, so after the first snapshot the *encode*
 /// side writes into already-sized memory; storing a snapshot copies the
 /// arena once, into the checkpoint file.
+///
+/// The buffer also carries each segment's CRC-32, computed lazily: the
+/// first tier that writes the checkpoint computes it on its commit path,
+/// every later tier reads the same values, and [`CheckpointBuffer::clear`]
+/// and [`CheckpointBuffer::push_with`] drop it.  So a commit checksums
+/// each payload once however many tiers it writes.
 #[derive(Debug, Clone, Default)]
 pub struct CheckpointBuffer {
     bytes: Vec<u8>,
     /// `(variable id, end offset)`; the segment starts at the previous end.
     segments: Vec<(String, usize)>,
+    /// Each segment's CRC-32, once a tier asked for it; empty again
+    /// whenever the bytes change.
+    crcs: OnceLock<Vec<u32>>,
 }
 
 impl CheckpointBuffer {
@@ -102,10 +113,12 @@ impl CheckpointBuffer {
         Self::default()
     }
 
-    /// Discards all payloads, keeping the allocations for reuse.
+    /// Discards all payloads and their CRCs, keeping the allocations for
+    /// reuse.
     pub fn clear(&mut self) {
         self.bytes.clear();
         self.segments.clear();
+        self.crcs.take();
     }
 
     /// Appends one variable's payload: `write` receives the underlying byte
@@ -113,6 +126,7 @@ impl CheckpointBuffer {
     /// bytes; whatever it appended becomes the payload of `id`.  Returns
     /// `write`'s result so fallible encoders compose with `?`.
     pub fn push_with<R>(&mut self, id: &str, write: impl FnOnce(&mut Vec<u8>) -> R) -> R {
+        self.crcs.take();
         let result = write(&mut self.bytes);
         self.segments.push((id.to_string(), self.bytes.len()));
         result
@@ -146,6 +160,13 @@ impl CheckpointBuffer {
             let start = if i == 0 { 0 } else { self.segments[i - 1].1 };
             (id.as_str(), &self.bytes[start..*end])
         })
+    }
+
+    /// Each segment's CRC-32, in insertion order: computed on the first
+    /// call since the bytes last changed, then read back.
+    pub(crate) fn segment_crcs(&self) -> &[u32] {
+        self.crcs
+            .get_or_init(|| self.segments().map(|(_, payload)| crc32(payload)).collect())
     }
 
     /// Copies the payloads out into owned per-variable vectors (the form a

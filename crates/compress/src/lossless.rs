@@ -81,9 +81,11 @@ impl Codec for RawCodec {
         _: Option<Chain<'_>>,
         out: &mut Vec<u8>,
     ) -> Result<DeltaMode> {
-        out.reserve(data.len() * 8);
-        data.iter()
-            .for_each(|x| out.extend_from_slice(&x.to_le_bytes()));
+        let start = out.len();
+        out.resize(start + data.len() * 8, 0);
+        for (bytes, x) in out[start..].chunks_exact_mut(8).zip(data) {
+            bytes.copy_from_slice(&x.to_le_bytes());
+        }
         Ok(DeltaMode::None)
     }
 
