@@ -155,15 +155,14 @@ static X8N_TABLE: [u32; 64] = make_x8n_table();
 
 /// `x^(8n) mod P`: the shift past `n` zero bytes, one product per set bit
 /// of `n`.
-fn x8nmodp(n: usize) -> u32 {
+fn x8nmodp(mut n: usize) -> u32 {
     let mut p = 1u32 << 31; // x^0
-    let mut bits = n as u64;
     let mut j = 0;
-    while bits != 0 {
-        if bits & 1 != 0 {
+    while n != 0 {
+        if n & 1 != 0 {
             p = multmodp(X8N_TABLE[j], p);
         }
-        bits >>= 1;
+        n >>= 1;
         j += 1;
     }
     p
@@ -244,8 +243,8 @@ pub fn crc32(bytes: &[u8]) -> u32 {
             step8(s[3], word(wd)),
         ];
     }
-    let shift = x8nmodp(lane);
-    let abc = multmodp(shift, multmodp(shift, !s[0]) ^ !s[1]) ^ !s[2];
+    let ab = crc32_combine(!s[0], !s[1], lane);
+    let abc = crc32_combine(ab, !s[2], lane);
     crc32_combine(abc, !advance(s[3], &d[lane..]), d.len())
 }
 
