@@ -247,12 +247,9 @@ fn main() {
     let disk_dir = std::env::temp_dir().join(format!("lcr-scaling-disk-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&disk_dir);
     let mut disk_buffer = CheckpointBuffer::new();
-    disk_buffer.push_with("x", |out| {
-        out.reserve(sz_data.len() * 8);
-        for v in &sz_data {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    });
+    disk_buffer
+        .push_with("x", |out| RawCodec.encode_into(&sz_data, sz_bound, None, out))
+        .expect("raw encode");
 
     // --- measurement ------------------------------------------------------
     let mut rows: Vec<ScalingRow> = Vec::new();

@@ -232,7 +232,8 @@ impl FtiContext {
         let original_bytes =
             self.original_bytes_for(buffer.segments().map(|(id, b)| (id, b.len())));
         // Memory first: it writes synchronously and leaves the buffer as it
-        // was, so the durable tier may swap it.
+        // was, so the durable tier may swap it and reads the payload CRCs
+        // the memory tier left in it.
         let mut committed = None;
         for tier in [&mut self.memory, &mut self.disk].into_iter().flatten() {
             let result = tier.push_from_buffer(
