@@ -24,17 +24,23 @@
 //!   kernel crates.
 //! * **dead public items** (`dead_items`) — no `pub` item in the library
 //!   crates that no other file of the workspace names.
+//! * **architecture** ([`architecture`]) — a table of structural
+//!   invariants: a retired name stays gone from its scope, and a token
+//!   meant to appear once (one definition, one call site) does.  Rules take
+//!   no waiver; changing one means editing its row.
 //! * **inventory** ([`render_unsafe_md`]) — a generated `UNSAFE.md` listing
 //!   every remaining unsafe site with its justification, plus every lint
 //!   waiver, so the whole unsafe surface is reviewable in one page.
 //!
 //! Run it as `cargo run -p lcr-analyze` (nonzero exit on any violation) or
-//! let the workspace test suite run it — `crates/analyze/tests/` contains
-//! a test that scans the live tree and fails on any regression.
+//! let the test suite run it: the root package's `tests/workspace_clean.rs`
+//! scans the live tree under a plain `cargo test`, and
+//! `crates/analyze/tests/seeded_violations.rs` proves every lint fires.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod architecture;
 mod dead_items;
 mod determinism;
 pub mod source;
@@ -100,6 +106,7 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Report> {
     }
     dead_items::lint_workspace(&files, &waived, &mut diagnostics);
     unsafe_audit::audit_dangerous_tokens(&files, &mut diagnostics);
+    architecture::check(&files, &mut diagnostics);
     for krate in &crates {
         unsafe_audit::audit_crate(krate, &files, &mut diagnostics);
     }

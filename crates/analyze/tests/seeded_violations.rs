@@ -1,10 +1,12 @@
 //! Seeded-violation tests: build a throwaway fake workspace on disk with
-//! one deliberate violation per lint class and assert `lcr-analyze` flags
-//! each — the analyzer's false-negative gate.  (All fixture source lives
-//! in string literals, which the scanner blanks, so this file does not
-//! trip the live-tree scan.)
+//! one deliberate violation per lint class — and, generated from the
+//! `architecture` table, one per row — and assert `lcr-analyze` flags
+//! each: the analyzer's false-negative gate.  (All fixture source lives
+//! in string literals or comes from the table at run time, so this file
+//! does not trip the live-tree scan.)
 
 use lcr_analyze::analyze_workspace;
+use lcr_analyze::architecture::{Rule, Scope, RULES};
 use std::path::{Path, PathBuf};
 
 struct Fixture {
@@ -53,6 +55,12 @@ fn lints_for<'a>(
         .filter(|d| d.rel == rel)
         .map(|d| (d.lint, d.line))
         .collect()
+}
+
+/// Every diagnostic but the architecture table's, whose rows name files
+/// of the real tree that a fixture workspace does not have.
+fn per_file_lints(report: &lcr_analyze::Report) -> Vec<&lcr_analyze::Diagnostic> {
+    report.diagnostics.iter().filter(|d| d.lint != "architecture").collect()
 }
 
 #[test]
@@ -104,7 +112,7 @@ fn documented_unsafe_with_attrs_is_clean() {
     );
     let report = analyze_workspace(fx.root()).unwrap();
     assert!(
-        report.diagnostics.is_empty(),
+        per_file_lints(&report).is_empty(),
         "clean fixture must produce no diagnostics, got {:?}",
         report.diagnostics
     );
@@ -276,7 +284,7 @@ fn violations_inside_strings_and_test_code_are_ignored() {
     );
     let report = analyze_workspace(fx.root()).unwrap();
     assert!(
-        report.diagnostics.is_empty(),
+        per_file_lints(&report).is_empty(),
         "string contents and #[cfg(test)] code must not be linted, got {:?}",
         report.diagnostics
     );
@@ -345,4 +353,93 @@ fn dead_public_items_are_flagged_unless_used_elsewhere_or_waived() {
         report.diagnostics
     );
     assert_eq!(report.waivers.len(), 1, "the waiver must be recorded");
+}
+
+/// A fixture file inside `scope`: the scope's first path, or a file in it.
+fn path_in(scope: &Scope) -> String {
+    let first = scope.paths[0];
+    if first.ends_with('/') {
+        format!("{first}fixture.rs")
+    } else {
+        first.to_string()
+    }
+}
+
+/// Whether the architecture row naming `token` and `why` fires on a
+/// workspace holding only `body` at `rel`.
+fn row_fires(rel: &str, body: &str, token: &str, why: &str) -> bool {
+    let fx = Fixture::new("architecture", &[("Cargo.toml", WORKSPACE_MANIFEST), (rel, body)]);
+    let report = analyze_workspace(fx.root()).unwrap();
+    report.diagnostics.iter().any(|d| {
+        d.lint == "architecture"
+            && d.message.contains(&format!("`{token}`"))
+            && d.message.ends_with(&format!(": {why}"))
+    })
+}
+
+#[test]
+fn every_architecture_rule_fires_on_its_seeded_violation() {
+    let whys: Vec<&str> = RULES
+        .iter()
+        .map(|rule| match rule {
+            Rule::Retired { why, .. } | Rule::Count { why, .. } => *why,
+        })
+        .collect();
+    for (i, why) in whys.iter().enumerate() {
+        assert!(!whys[..i].contains(why), "two rows give the reason `{why}`");
+    }
+    for rule in RULES {
+        match rule {
+            Rule::Retired { tokens, scope, why } => {
+                for token in *tokens {
+                    assert!(
+                        row_fires(&path_in(scope), &format!("{token}\n"), token, why),
+                        "`{token}` in {:?} must fire: {why}",
+                        scope.paths
+                    );
+                }
+            }
+            Rule::Count { token, scope, n, at_least, why } => {
+                // All on one line: a line with two occurrences counts two.
+                let seeded = |k: usize| {
+                    let body = vec![*token; k].join(" ");
+                    row_fires(&path_in(scope), &format!("{body}\n"), token, why)
+                };
+                assert!(seeded(n - 1), "{} x `{token}` must fire: {why}", n - 1);
+                assert_eq!(
+                    seeded(n + 1),
+                    !at_least,
+                    "{} x `{token}` fires only under an exact count: {why}",
+                    n + 1
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn architecture_rules_read_production_code_and_take_no_waiver() {
+    let (token, scope, why) = RULES
+        .iter()
+        .find_map(|rule| match rule {
+            Rule::Retired { tokens, scope, why } if scope.production => Some((tokens[0], scope, *why)),
+            _ => None,
+        })
+        .expect("the table has a production-only retired row");
+    let rel = path_in(scope);
+    let seeded = |body: &str| row_fires(&rel, body, token, why);
+    assert!(
+        !seeded(&format!("// {token}\nconst S: &str = \"{token}\";\n")),
+        "a comment or a string literal is not code"
+    );
+    let test_item = format!("#[cfg(test)]\nmod tests {{\n    fn f() {{ {token}; }}\n}}\n");
+    assert!(!seeded(&test_item), "a production-only rule skips #[cfg(test)] items");
+    assert!(
+        seeded(&format!("{test_item}fn after() {{ {token}; }}\n")),
+        "code after a #[cfg(test)] item is production code"
+    );
+    assert!(
+        seeded(&format!("// lcr-analyze: allow(architecture): a reason of some length\n{token}\n")),
+        "no waiver silences an architecture rule"
+    );
 }

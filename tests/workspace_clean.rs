@@ -1,16 +1,14 @@
 //! The live-tree gate: scanning this workspace must come back clean, and
-//! the committed `UNSAFE.md` inventory must match a fresh render.  This is
-//! what makes `cargo test` enforce the static-analysis invariants without
-//! a separate CI step.
+//! the committed `UNSAFE.md` inventory must match a fresh render.  It lives
+//! in the root package, so a plain `cargo test` from the root enforces the
+//! static-analysis invariants — `lcr-analyze`'s architecture table
+//! included — without a separate CI step.
 
 use std::path::PathBuf;
 
 fn workspace_root() -> PathBuf {
-    // crates/analyze/../.. — the workspace root this crate lives in.
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .unwrap();
+    // The root package's manifest directory is the workspace root.
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     assert!(
         root.join("Cargo.toml").exists(),
         "workspace root not found at {}",
