@@ -1,6 +1,9 @@
-//! Architecture rules: the structural invariants the simplicity changes
-//! established (one codec seam, one checkpoint store, one way onto the
-//! pool, …) as one table, so `cargo test` keeps a deleted copy deleted.
+//! Architecture rules: every "not here" rule of the workspace as one table
+//! — the structural invariants the simplicity changes established (one
+//! codec seam, one checkpoint store, one way onto the pool, …), the
+//! determinism contract (no hash iteration, clock read, atomic
+//! accumulation or raw thread where it could reach a kernel's bits) and the
+//! raw-memory allowlist — so `cargo test` keeps a deleted copy deleted.
 //!
 //! Each row of [`RULES`] has one of two shapes:
 //!
@@ -13,7 +16,7 @@
 //! so comments and string contents never match — which is also why the
 //! table's own literals never match themselves.  A violation is an
 //! `architecture` diagnostic ending in the row's `why`.  Rules take no
-//! waiver: to change one, edit its row.  A new structural invariant is a
+//! waiver: to change one, edit its row.  A new "not here" rule is a
 //! new row.
 
 use crate::source::{cfg_test_mask, find_token, SourceFile};
@@ -24,8 +27,8 @@ use crate::Diagnostic;
 pub struct Scope {
     /// Workspace-relative path prefixes: a directory ending in `/`, or a file.
     pub paths: &'static [&'static str],
-    /// Files whose path contains this segment are skipped.
-    pub skip: Option<&'static str>,
+    /// Files whose path contains any of these segments are skipped.
+    pub skip: &'static [&'static str],
     /// Only production code counts: `#[cfg(test)]` items are skipped.
     pub production: bool,
 }
@@ -33,7 +36,7 @@ pub struct Scope {
 impl Scope {
     fn covers(&self, rel: &str) -> bool {
         self.paths.iter().any(|p| rel.starts_with(p))
-            && !self.skip.is_some_and(|s| rel.contains(s))
+            && !self.skip.iter().any(|s| rel.contains(s))
     }
 }
 
@@ -66,11 +69,11 @@ pub enum Rule {
 }
 
 const fn code(paths: &'static [&'static str]) -> Scope {
-    Scope { paths, skip: None, production: true }
+    Scope { paths, skip: &[], production: true }
 }
 
 const fn tree(paths: &'static [&'static str]) -> Scope {
-    Scope { paths, skip: None, production: false }
+    Scope { paths, skip: &[], production: false }
 }
 
 const fn retired(tokens: &'static [&'static str], scope: Scope, why: &'static str) -> Rule {
@@ -99,12 +102,14 @@ const GMRES: &[&str] = &["crates/solvers/src/gmres.rs"];
 const JACOBI: &[&str] = &["crates/solvers/src/jacobi.rs"];
 const CKPT: &[&str] = &["crates/ckpt/src/"];
 const SHARD: &[&str] = &["crates/sparse/src/shard.rs"];
+/// The kernel crates, whose results are bit-identical at any thread count.
+const KERNELS: &[&str] = &["crates/sparse/src/", "crates/compress/src/", "crates/solvers/src/"];
 /// Every tree that holds Rust code.
 const ALL: &[&str] = &["crates/", "shims/", "src/", "examples/", "tests/"];
 /// The crates and the umbrella package's sources, tests and examples.
 const USERS: &[&str] = &["crates/", "src/", "tests/", "examples/"];
 
-/// The structural invariants, grouped by the change that established them.
+/// The rules, grouped by the change or contract that established them.
 pub const RULES: &[Rule] = &[
     // One checkpoint path in lcr-core: both fronts and their shared loop
     // encode through `CheckpointStrategy`, and the checkpointer alone opens
@@ -125,12 +130,14 @@ pub const RULES: &[Rule] = &[
         "a deleted SZ decoder is back; decode through Codec::decode_chain"),
     retired(&["decode_blocks2"], tree(&["crates/compress/src/parblock.rs"]),
         "parblock::decode_blocks returns one result per block"),
+    retired(&["fn compress_temporal_into", "fn decompress_chain"], SZ,
+        "SZ chains go through Codec::encode_into and Codec::decode_chain, not a wrapper"),
     // One codec seam: raw, lossless, SZ and ZFP are `Codec`s (the oracle
     // under `tests/` keeps its own encoder).
     retired(&["trait LossyCompressor", "trait LosslessCompressor", "measure_lossless",
         "fn compress_abs", "fn encode_block_abs", "QUANT_SCRATCH", "fn lossy_codec",
         "fn bytes_to_vector", "stream_delta_mode"],
-        Scope { paths: &["crates/"], skip: Some("/tests/"), production: false },
+        Scope { paths: &["crates/"], skip: &["/tests/"], production: false },
         "a second codec trait, SZ encoder or inline codec is back; implement Codec"),
     once("huffman::Plan::of", SZ, "sz.rs plans a Huffman blob in one place: one encoder"),
     once("SzCompressor", STRATEGY, "strategy.rs maps the SZ strategy to its codec once"),
@@ -140,7 +147,7 @@ pub const RULES: &[Rule] = &[
     // One solver shape: every method is one recurrence over `Progress`
     // behind `TryIterativeMethod`, written over a `Space`.
     once("IterativeMethod for",
-        Scope { paths: &["crates/"], skip: Some("/bin/"), production: true },
+        Scope { paths: &["crates/"], skip: &["/bin/"], production: true },
         "IterativeMethod has one impl; implement TryIterativeMethod over Progress"),
     once("IterativeMethod for", code(&["crates/solvers/src/lib.rs"]),
         "the one IterativeMethod impl is the blanket impl in lcr-solvers"),
@@ -171,8 +178,8 @@ pub const RULES: &[Rule] = &[
     // One way onto the pool: `rayon::run_items` hands every task an owned
     // item.
     retired(&["par_iter", "into_par_iter", "rayon::prelude", "ParSource", "SendPtr",
-        "from_raw_parts_mut", "ptr::read"], tree(&["crates/", "shims/rayon/", "tests/",
-        "examples/"]), "a hand-rolled way onto the pool is back; hand tasks owned items"),
+        "from_raw_parts_mut", "ptr::read"], tree(ALL),
+        "a hand-rolled way onto the pool is back; hand tasks owned items"),
     once("fn run_items", tree(ALL), "run_items is defined once: one way onto the pool"),
     once("pool::execute", tree(&["shims/rayon/src/"]), "run_items is the pool's only caller"),
     // One shard board: shards publish into their own posts and cross one
@@ -185,6 +192,26 @@ pub const RULES: &[Rule] = &[
     retired(&["cols32", "ColIdx"], tree(USERS), "a second column-index array is back"),
     retired(&["indices: Vec<usize>", "fn indices(&self) -> &[usize]"],
         code(&["crates/sparse/src/csr.rs"]), "CsrMatrix holds its column indices as u32"),
+    // Bit-identical at any thread count: kernel code never iterates a hash,
+    // reads a clock or accumulates through atomics, and only the pool and
+    // the write-behind spawn threads.
+    retired(&["HashMap", "HashSet"], code(KERNELS),
+        "hash iteration order is nondeterministic; kernel crates use ordered collections"),
+    retired(&["Instant::now", "SystemTime", "UNIX_EPOCH"], code(KERNELS),
+        "timing must never steer a kernel path; time it from the caller"),
+    retired(&["fetch_add", "fetch_sub", "fetch_update", "fetch_or", "fetch_and", "fetch_xor",
+        "compare_exchange", "compare_exchange_weak"], code(KERNELS),
+        "atomic accumulation is order-nondeterministic; combine chunk partials via run_items"),
+    retired(&["thread::spawn", "thread::Builder"], Scope { paths: &["crates/", "shims/", "src/"],
+        skip: &["/tests/", "/benches/", "/examples/", "shims/rayon/src/pool.rs",
+            "crates/ckpt/src/disk.rs"], production: true },
+        "raw threads are the pool's and the write-behind's; run parallel work on the pool"),
+    // Raw memory: the unsafe surface stays in the two crates that own it,
+    // tests included.
+    retired(&["get_unchecked", "get_unchecked_mut", "transmute", "from_raw_parts", "ptr::write",
+        "read_volatile", "write_volatile", "drop_in_place", "set_len", "assume_init"],
+        Scope { paths: ALL, skip: &["crates/sparse/", "shims/rayon/"], production: false },
+        "raw-memory APIs are confined to crates/sparse and shims/rayon"),
 ];
 
 /// Runs every row of [`RULES`] over the scanned files.

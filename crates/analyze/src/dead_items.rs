@@ -13,12 +13,9 @@
 //! wide complement, lexical like the rest of the crate (a name shared with
 //! an unrelated live item is not flagged — the lint errs towards silence).
 //!
-//! An item that is public for a reason no caller shows carries the same
-//! waiver comment as the determinism lints, directly above its `pub` line:
-//!
-//! ```text
-//! // lcr-analyze: allow(dead-public-item): callers only name it through inference
-//! ```
+//! An item that is public for a reason no caller shows carries a waiver
+//! comment (see `waiver`) directly above its `pub` line; this is the only
+//! lint that reads one.
 
 use crate::source::{cfg_test_mask, is_ident_char, SourceFile};
 use crate::Diagnostic;
@@ -84,12 +81,8 @@ fn used_identifiers(file: &SourceFile) -> BTreeSet<&str> {
 }
 
 /// Runs the lint over the whole tree.  `waived[i]` is the per-line waiver
-/// map of `files[i]` (see `determinism::lint_file`).
-pub fn lint_workspace(
-    files: &[SourceFile],
-    waived: &[Vec<Vec<String>>],
-    diags: &mut Vec<Diagnostic>,
-) {
+/// map of `files[i]` (see `waiver::scan`).
+pub fn lint_workspace(files: &[SourceFile], waived: &[Vec<bool>], diags: &mut Vec<Diagnostic>) {
     let used: Vec<BTreeSet<&str>> = files.iter().map(used_identifiers).collect();
     for (fi, file) in files.iter().enumerate() {
         if !is_library_source(&file.rel) {
@@ -107,10 +100,7 @@ pub fn lint_workspace(
                 .iter()
                 .enumerate()
                 .any(|(other, idents)| other != fi && idents.contains(name));
-            let is_waived = waived[fi]
-                .get(idx)
-                .is_some_and(|w| w.iter().any(|l| l == "dead-public-item"));
-            if !used_elsewhere && !is_waived {
+            if !used_elsewhere && !waived[fi][idx] {
                 diags.push(Diagnostic {
                     lint: "dead-public-item",
                     rel: file.rel.clone(),

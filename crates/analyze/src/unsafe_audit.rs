@@ -1,17 +1,14 @@
 //! The unsafe audit: every `unsafe` site must justify itself.
 //!
-//! Three rules, mirroring the workspace's safety conventions:
+//! Two rules, mirroring the workspace's safety conventions (where the
+//! raw-memory APIs may appear at all is a row of the `architecture` table):
 //!
 //! 1. **Documented unsafe** — every `unsafe` keyword in code must carry an
 //!    adjacent justification: a `// SAFETY:` comment on the same line or in
 //!    the contiguous comment/attribute block directly above, or (for
 //!    `unsafe fn`/`unsafe trait` declarations) a `# Safety` section in the
 //!    doc comment block above.
-//! 2. **Dangerous-token allowlist** — `get_unchecked`, `transmute`,
-//!    raw-pointer constructors and friends may only appear in the crates
-//!    that own the workspace's unsafe surface (`crates/sparse`,
-//!    `shims/rayon`).
-//! 3. **Crate-root attributes** — crates whose sources contain no `unsafe`
+//! 2. **Crate-root attributes** — crates whose sources contain no `unsafe`
 //!    must pin that with `#![forbid(unsafe_code)]`; crates that do use
 //!    `unsafe` must compile under `#![deny(unsafe_op_in_unsafe_fn)]` so
 //!    every unsafe operation sits in an explicit, commentable block.
@@ -19,27 +16,6 @@
 use crate::source::{contains_token, find_token, SourceFile};
 use crate::workspace::CrateInfo;
 use crate::Diagnostic;
-
-/// Tokens whose presence marks a file as touching the raw-memory API
-/// surface, confined to [`DANGEROUS_ALLOWLIST`] crates.
-const DANGEROUS_TOKENS: &[&str] = &[
-    "get_unchecked",
-    "get_unchecked_mut",
-    "transmute",
-    "from_raw_parts",
-    "from_raw_parts_mut",
-    "ptr::read",
-    "ptr::write",
-    "read_volatile",
-    "write_volatile",
-    "drop_in_place",
-    "set_len",
-    "assume_init",
-];
-
-/// Workspace-relative path prefixes allowed to use [`DANGEROUS_TOKENS`]:
-/// the two crates that own the deterministic-parallelism unsafe surface.
-const DANGEROUS_ALLOWLIST: &[&str] = &["crates/sparse/", "shims/rayon/"];
 
 /// One audited `unsafe` occurrence, for the `UNSAFE.md` inventory.
 #[derive(Debug, Clone)]
@@ -156,31 +132,6 @@ fn adjacent_justification(file: &SourceFile, idx: usize, kind: &'static str) -> 
         return Some(text.join(" "));
     }
     None
-}
-
-/// Whole-tree pass: dangerous raw-memory tokens are confined to the
-/// allowlisted crates, *including* their tests and benches — nothing else
-/// in the tree may use them at all.
-pub fn audit_dangerous_tokens(files: &[SourceFile], diags: &mut Vec<Diagnostic>) {
-    for file in files {
-        if DANGEROUS_ALLOWLIST.iter().any(|p| file.rel.starts_with(p)) {
-            continue;
-        }
-        for (idx, line) in file.lines.iter().enumerate() {
-            for tok in DANGEROUS_TOKENS {
-                if contains_token(&line.code, tok) {
-                    diags.push(Diagnostic {
-                        lint: "unsafe-outside-allowlist",
-                        rel: file.rel.clone(),
-                        line: idx + 1,
-                        message: format!(
-                            "`{tok}` is confined to {DANGEROUS_ALLOWLIST:?}"
-                        ),
-                    });
-                }
-            }
-        }
-    }
 }
 
 /// Per-crate attribute checks.

@@ -1,13 +1,15 @@
 //! Seeded-violation tests: build a throwaway fake workspace on disk with
 //! one deliberate violation per lint class — and, generated from the
-//! `architecture` table, one per row — and assert `lcr-analyze` flags
-//! each: the analyzer's false-negative gate.  (All fixture source lives
+//! `architecture` table, one per row token plus one per `skip` entry — and
+//! assert `lcr-analyze` flags each violation and honours each skip: the
+//! analyzer's false-negative (and allowlist) gate.  (All fixture source lives
 //! in string literals or comes from the table at run time, so this file
 //! does not trip the live-tree scan.)
 
 use lcr_analyze::analyze_workspace;
 use lcr_analyze::architecture::{Rule, Scope, RULES};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 struct Fixture {
     root: PathBuf,
@@ -15,9 +17,12 @@ struct Fixture {
 
 impl Fixture {
     fn new(tag: &str, files: &[(&str, &str)]) -> Fixture {
+        // Unique per call: the tests run in parallel, several per tag.
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
         let root = std::env::temp_dir().join(format!(
-            "lcr-analyze-{tag}-{}",
-            std::process::id()
+            "lcr-analyze-{tag}-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
         ));
         let _ = std::fs::remove_dir_all(&root);
         for (rel, content) in files {
@@ -121,30 +126,6 @@ fn documented_unsafe_with_attrs_is_clean() {
 }
 
 #[test]
-fn dangerous_tokens_outside_allowlist_are_flagged() {
-    let manifest = package_manifest("other");
-    let fx = Fixture::new(
-        "danger",
-        &[
-            ("Cargo.toml", WORKSPACE_MANIFEST),
-            ("crates/other/Cargo.toml", &manifest),
-            (
-                "crates/other/src/lib.rs",
-                "#![forbid(unsafe_code)]\n\
-                 pub fn bits(x: f64) -> u64 {\n    \
-                 std::mem::transmute(x)\n}\n",
-            ),
-        ],
-    );
-    let report = analyze_workspace(fx.root()).unwrap();
-    let lints = lints_for(&report, "crates/other/src/lib.rs");
-    assert!(
-        lints.contains(&("unsafe-outside-allowlist", 3)),
-        "transmute outside the allowlist must be flagged, got {lints:?}"
-    );
-}
-
-#[test]
 fn missing_forbid_unsafe_is_flagged() {
     let manifest = package_manifest("clean-crate");
     let fx = Fixture::new(
@@ -164,100 +145,61 @@ fn missing_forbid_unsafe_is_flagged() {
 }
 
 #[test]
-fn thread_spawn_outside_allowlist_is_flagged() {
-    let manifest = package_manifest("other");
-    let fx = Fixture::new(
-        "spawn",
-        &[
-            ("Cargo.toml", WORKSPACE_MANIFEST),
-            ("crates/other/Cargo.toml", &manifest),
-            (
-                "crates/other/src/lib.rs",
-                "#![forbid(unsafe_code)]\n\
-                 pub fn go() {\n    \
-                 std::thread::spawn(|| {});\n}\n",
-            ),
-        ],
-    );
-    let report = analyze_workspace(fx.root()).unwrap();
-    let lints = lints_for(&report, "crates/other/src/lib.rs");
-    assert!(
-        lints.contains(&("thread-spawn", 3)),
-        "raw thread spawn must be flagged, got {lints:?}"
-    );
-}
-
-#[test]
-fn kernel_crate_determinism_rules_fire_and_waivers_silence_them() {
-    let manifest = package_manifest("fake-sparse");
-    let fx = Fixture::new(
-        "kernel",
-        &[
-            ("Cargo.toml", WORKSPACE_MANIFEST),
-            ("crates/sparse/Cargo.toml", &manifest),
-            (
-                "crates/sparse/src/lib.rs",
-                "#![forbid(unsafe_code)]\n\
-                 use std::collections::HashMap;\n\
-                 use std::sync::atomic::{AtomicU64, Ordering};\n\
-                 pub fn bad(m: &HashMap<u32, u64>, a: &AtomicU64) -> u64 {\n    \
-                 let t = std::time::Instant::now();\n    \
-                 a.fetch_add(1, Ordering::Relaxed);\n    \
-                 let _ = t.elapsed();\n    \
-                 m.len() as u64\n}\n\
-                 // lcr-analyze: allow(hash-collection): fixture waiver with a real reason\n\
-                 pub fn waived(m: &HashMap<u32, u64>) -> usize { m.len() }\n",
-            ),
-        ],
-    );
-    let report = analyze_workspace(fx.root()).unwrap();
-    let lints = lints_for(&report, "crates/sparse/src/lib.rs");
-    assert!(
-        lints.iter().any(|&(l, n)| l == "hash-collection" && n <= 4),
-        "HashMap in a kernel crate must be flagged, got {lints:?}"
-    );
-    assert!(
-        lints.contains(&("wall-clock", 5)),
-        "Instant::now in a kernel crate must be flagged, got {lints:?}"
-    );
-    assert!(
-        lints.contains(&("atomic-reduction", 6)),
-        "fetch_add in a kernel crate must be flagged, got {lints:?}"
-    );
-    assert!(
-        !lints.iter().any(|&(l, n)| l == "hash-collection" && n >= 10),
-        "the waived HashMap line must not be flagged, got {lints:?}"
-    );
-    assert_eq!(report.waivers.len(), 1, "the waiver must be recorded");
-}
-
-#[test]
 fn waiver_without_reason_is_itself_a_violation() {
-    let manifest = package_manifest("fake-sparse");
     let fx = Fixture::new(
         "waiver",
         &[
             ("Cargo.toml", WORKSPACE_MANIFEST),
-            ("crates/sparse/Cargo.toml", &manifest),
             (
                 "crates/sparse/src/lib.rs",
                 "#![forbid(unsafe_code)]\n\
-                 use std::collections::HashMap;\n\
-                 // lcr-analyze: allow(hash-collection):\n\
-                 pub fn f(m: &HashMap<u32, u64>) -> usize { m.len() }\n",
+                 // lcr-analyze: allow(dead-public-item):\n\
+                 pub fn orphan() {}\n",
             ),
         ],
     );
     let report = analyze_workspace(fx.root()).unwrap();
     let lints = lints_for(&report, "crates/sparse/src/lib.rs");
     assert!(
-        lints.contains(&("waiver-missing-reason", 3)),
+        lints.contains(&("waiver-missing-reason", 2)),
         "a reason-less waiver must be flagged, got {lints:?}"
     );
     assert!(
-        lints.contains(&("hash-collection", 4)),
+        lints.contains(&("dead-public-item", 3)),
         "a reason-less waiver must not silence the lint, got {lints:?}"
     );
+    assert!(report.waivers.is_empty(), "a reason-less waiver is not recorded");
+}
+
+#[test]
+fn waiver_must_name_the_lint_that_reads_waivers() {
+    let fx = Fixture::new(
+        "waiver-lint",
+        &[
+            ("Cargo.toml", WORKSPACE_MANIFEST),
+            (
+                "crates/sparse/src/lib.rs",
+                "#![forbid(unsafe_code)]\n\
+                 // lcr-analyze: allow(architecture): a reason of some length\n\
+                 fn f() {}\n\
+                 // lcr-analyze: allow(dead-public-itme): a reason of some length\n\
+                 pub fn orphan() {}\n",
+            ),
+        ],
+    );
+    let report = analyze_workspace(fx.root()).unwrap();
+    let lints = lints_for(&report, "crates/sparse/src/lib.rs");
+    for line in [2, 4] {
+        assert!(
+            lints.contains(&("waiver-missing-reason", line)),
+            "a waiver naming a lint that reads none must be flagged at line {line}, got {lints:?}"
+        );
+    }
+    assert!(
+        lints.contains(&("dead-public-item", 5)),
+        "a misspelt waiver must not silence the lint, got {lints:?}"
+    );
+    assert!(report.waivers.is_empty(), "neither waiver is recorded");
 }
 
 #[test]
@@ -271,13 +213,10 @@ fn violations_inside_strings_and_test_code_are_ignored() {
             (
                 "crates/sparse/src/lib.rs",
                 "#![forbid(unsafe_code)]\n\
-                 const DOC: &str = \"std::thread::spawn and HashMap here\";\n\
+                 const DOC: &str = \"unsafe { *v.get_unchecked(0) } and pub fn orphan() {}\";\n\
                  #[cfg(test)]\n\
                  mod tests {\n    \
-                 #[test]\n    \
-                 fn timing() {\n        \
-                 let _ = std::time::Instant::now();\n    \
-                 }\n\
+                 pub fn helper() {}\n\
                  }\n",
             ),
         ],
@@ -365,16 +304,41 @@ fn path_in(scope: &Scope) -> String {
     }
 }
 
-/// Whether the architecture row naming `token` and `why` fires on a
-/// workspace holding only `body` at `rel`.
-fn row_fires(rel: &str, body: &str, token: &str, why: &str) -> bool {
-    let fx = Fixture::new("architecture", &[("Cargo.toml", WORKSPACE_MANIFEST), (rel, body)]);
+/// A fixture file that `scope`'s entry `skip` excludes: the file it names,
+/// a file in the directory it names, or, for a segment such as `/tests/`,
+/// a file under that segment inside the scope's first path.
+fn path_skipped(scope: &Scope, skip: &str) -> String {
+    if skip.starts_with('/') {
+        format!("{}x{skip}fixture.rs", scope.paths[0])
+    } else if skip.ends_with('/') {
+        format!("{skip}fixture.rs")
+    } else {
+        skip.to_string()
+    }
+}
+
+/// The files at which the architecture row naming `token` and `why` fires
+/// on a workspace holding only `files`.
+fn row_hits(files: &[(&str, &str)], token: &str, why: &str) -> Vec<String> {
+    let mut tree = vec![("Cargo.toml", WORKSPACE_MANIFEST)];
+    tree.extend_from_slice(files);
+    let fx = Fixture::new("architecture", &tree);
     let report = analyze_workspace(fx.root()).unwrap();
-    report.diagnostics.iter().any(|d| {
-        d.lint == "architecture"
-            && d.message.contains(&format!("`{token}`"))
-            && d.message.ends_with(&format!(": {why}"))
-    })
+    report
+        .diagnostics
+        .iter()
+        .filter(|d| {
+            d.lint == "architecture"
+                && d.message.contains(&format!("`{token}`"))
+                && d.message.ends_with(&format!(": {why}"))
+        })
+        .map(|d| d.rel.clone())
+        .collect()
+}
+
+/// Whether that row fires on a workspace holding only `body` at `rel`.
+fn row_fires(rel: &str, body: &str, token: &str, why: &str) -> bool {
+    !row_hits(&[(rel, body)], token, why).is_empty()
 }
 
 #[test]
@@ -413,6 +377,41 @@ fn every_architecture_rule_fires_on_its_seeded_violation() {
                     n + 1
                 );
             }
+        }
+    }
+}
+
+#[test]
+fn every_skip_entry_of_an_architecture_rule_is_honoured() {
+    for rule in RULES {
+        // The row's first token, as often as a clean scope may hold it: a
+        // retired token fires once in scope, a count holds at its count.
+        let (token, scope, why, copies, fires) = match rule {
+            Rule::Retired { tokens, scope, why } => (tokens[0], scope, *why, 1, true),
+            Rule::Count { token, scope, n, at_least: false, why } => (*token, scope, *why, *n, false),
+            Rule::Count { scope, why, .. } => {
+                assert!(scope.skip.is_empty(), "a skip of an at-least count is untestable: {why}");
+                continue;
+            }
+        };
+        let covered = path_in(scope);
+        let in_scope = format!("{}\n", vec![token; copies].join(" "));
+        for skip in scope.skip {
+            let skipped = path_skipped(scope, skip);
+            assert!(
+                scope.paths.iter().any(|p| skipped.starts_with(p)),
+                "`{skip}` skips nothing in {:?}: {why}",
+                scope.paths
+            );
+            // Were the skipped token read, a retired row would fire there
+            // too and a count would be off by one (reported at `covered`).
+            let hits = row_hits(
+                &[(&covered, &in_scope), (&skipped, &format!("{token}\n"))],
+                token,
+                why,
+            );
+            let expected = if fires { vec![covered.clone()] } else { Vec::new() };
+            assert_eq!(hits, expected, "`{token}` in {skipped} must be skipped: {why}");
         }
     }
 }

@@ -45,8 +45,8 @@ use lcr_bench::{fmt, print_json, print_table};
 use lcr_ckpt::disk::crc32;
 use lcr_ckpt::{CheckpointBuffer, CheckpointLevel, DiskStore};
 use lcr_compress::{
-    delta, huffman, Codec, Compressed, DeltaMode, ErrorBound, FpcCodec, LosslessPipeline,
-    RawCodec, SzCompressor, SzTemporalState, ZfpCompressor,
+    delta, huffman, Chain, Codec, DeltaMode, ErrorBound, FpcCodec, LosslessPipeline, RawCodec,
+    SzCompressor, SzTemporalState, ZfpCompressor,
 };
 use lcr_solvers::{BlockJacobiPreconditioner, Preconditioner};
 use lcr_sparse::kernels;
@@ -411,15 +411,14 @@ fn main() {
                 let mut state = SzTemporalState::new();
                 for (k, snapshot) in chain.iter().enumerate() {
                     streams[k].clear();
+                    let link = Chain {
+                        max_order: DeltaMode::Order2,
+                        force_anchor: k == 0,
+                        state: &mut state,
+                    };
+                    let bound = ErrorBound::PointwiseRel(1e-4);
                     modes[k] = sz
-                        .compress_temporal_into(
-                            snapshot,
-                            ErrorBound::PointwiseRel(1e-4),
-                            DeltaMode::Order2,
-                            k == 0,
-                            &mut state,
-                            &mut streams[k],
-                        )
+                        .encode_into(snapshot, bound, Some(link), &mut streams[k])
                         .expect("temporal SZ compression failed");
                 }
             });
@@ -438,16 +437,10 @@ fn main() {
 
             // The recovery side of the same chain: all three links replayed
             // through the one block decoder, the last reconstructed.
-            let links: Vec<Compressed> = streams
-                .into_iter()
-                .map(|bytes| Compressed {
-                    bytes,
-                    n_elements: chain[0].len(),
-                })
-                .collect();
+            let links: Vec<&[u8]> = streams.iter().map(Vec::as_slice).collect();
             let mut replayed: Vec<f64> = Vec::new();
             let secs = time_median(reps, || {
-                replayed = sz.decompress_chain(&links).expect("SZ chain decode failed");
+                replayed = sz.decode_chain(&links, chain[0].len()).expect("SZ chain decode failed");
             });
             measured.push((
                 decode_name,

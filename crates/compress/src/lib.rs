@@ -234,61 +234,6 @@ pub trait Codec: Send + Sync {
     }
 }
 
-/// Statistics describing one compression run; used by the experiment
-/// harness to fill Table 3 and the checkpoint-time figures.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CompressionStats {
-    /// Original size in bytes.
-    pub original_bytes: usize,
-    /// Compressed size in bytes.
-    pub compressed_bytes: usize,
-    /// Compression ratio (original / compressed).
-    pub ratio: f64,
-    /// Maximum point-wise absolute error introduced (0 for lossless).
-    pub max_abs_error: f64,
-    /// Wall-clock seconds spent compressing.
-    pub compress_seconds: f64,
-    /// Wall-clock seconds spent decompressing (if measured).
-    pub decompress_seconds: f64,
-}
-
-impl CompressionStats {
-    /// Computes statistics by compressing and immediately decompressing.
-    ///
-    /// # Errors
-    /// Propagates compressor errors.
-    pub fn measure(
-        codec: &dyn Codec,
-        data: &[f64],
-        bound: ErrorBound,
-    ) -> Result<(Self, Compressed)> {
-        // lcr-analyze: allow(wall-clock): measurement helper; timings are reported, never steer compression
-        let t0 = std::time::Instant::now();
-        let compressed = codec.compress(data, bound)?;
-        let compress_seconds = t0.elapsed().as_secs_f64();
-        // lcr-analyze: allow(wall-clock): measurement helper, as above.
-        let t1 = std::time::Instant::now();
-        let restored = codec.decompress(&compressed)?;
-        let decompress_seconds = t1.elapsed().as_secs_f64();
-        let max_abs_error = data
-            .iter()
-            .zip(restored.iter())
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0_f64, f64::max);
-        Ok((
-            CompressionStats {
-                original_bytes: compressed.original_bytes(),
-                compressed_bytes: compressed.bytes.len(),
-                ratio: compressed.ratio(),
-                max_abs_error,
-                compress_seconds,
-                decompress_seconds,
-            },
-            compressed,
-        ))
-    }
-}
-
 pub use delta::DeltaMode;
 pub use lossless::{FpcCodec, LosslessPipeline, LzssCodec, RawCodec};
 pub use sz::{SzCompressor, SzTemporalState};

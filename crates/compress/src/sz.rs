@@ -57,7 +57,7 @@
 use crate::bitstream::{bytes, BitReader};
 use crate::delta::{self, DeltaMode};
 use crate::{huffman, parblock};
-use crate::{Chain, Codec, CompressError, Compressed, ErrorBound, Result};
+use crate::{Chain, Codec, CompressError, ErrorBound, Result};
 use std::cell::RefCell;
 
 /// Codec id stored in the stream header.
@@ -453,27 +453,6 @@ impl SzCompressor {
         Ok(out)
     }
 
-    /// [`Codec::encode_into`] within the chain these arguments spell out.
-    ///
-    /// # Errors
-    /// As [`Codec::encode_into`].
-    pub fn compress_temporal_into(
-        &self,
-        data: &[f64],
-        bound: ErrorBound,
-        max_order: DeltaMode,
-        force_anchor: bool,
-        state: &mut SzTemporalState,
-        out: &mut Vec<u8>,
-    ) -> Result<DeltaMode> {
-        let chain = Chain {
-            max_order,
-            force_anchor,
-            state,
-        };
-        self.encode_into(data, bound, Some(chain), out)
-    }
-
     /// The sizing pass of the encoder: quantizes the snapshot
     /// straight into the state's spare code buffer, plans the exact Huffman
     /// blob of every (block × candidate) pair on the pool — a one-block
@@ -780,16 +759,6 @@ impl SzCompressor {
             Self::read_unpred_delta(block, pos, reserved, &codes, prior)?
         };
         Ok((codes, unpred))
-    }
-
-    /// [`Codec::decode_chain`] over links that carry their own metadata;
-    /// the final link's element count is the one checked.
-    ///
-    /// # Errors
-    /// As [`Codec::decode_chain`].
-    pub fn decompress_chain(&self, links: &[Compressed]) -> Result<Vec<f64>> {
-        let streams: Vec<&[u8]> = links.iter().map(|l| l.bytes.as_slice()).collect();
-        self.decode_chain(&streams, links.last().map_or(0, |l| l.n_elements))
     }
 
     /// Block `b` of a stream-long array.
@@ -1251,6 +1220,7 @@ fn min_max(data: &[f64]) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Compressed;
 
     fn smooth_signal(n: usize) -> Vec<f64> {
         (0..n)
@@ -1426,6 +1396,11 @@ mod tests {
         assert_eq!(SzCompressor::new().name(), "sz");
     }
 
+    /// The streams of `links`, as `Codec::decode_chain` takes them.
+    fn streams(links: &[Compressed]) -> Vec<&[u8]> {
+        links.iter().map(|l| l.bytes.as_slice()).collect()
+    }
+
     /// Correlated snapshot sequence: a *rough* persistent base field (so
     /// spatial prediction is mediocre and the direct codes carry real
     /// entropy) plus a slowly drifting smooth perturbation — the regime
@@ -1470,11 +1445,8 @@ mod tests {
                 let mut chain: Vec<Compressed> = Vec::new();
                 for (k, snap) in snaps.iter().enumerate() {
                     let mut bytes = Vec::new();
-                    let mode = sz
-                        .compress_temporal_into(
-                            snap, bound, max_order, k == 0, &mut state, &mut bytes,
-                        )
-                        .unwrap();
+                    let chain_at = Chain { max_order, force_anchor: k == 0, state: &mut state };
+                    let mode = sz.encode_into(snap, bound, Some(chain_at), &mut bytes).unwrap();
                     if k == 0 {
                         assert_eq!(mode, DeltaMode::None);
                     }
@@ -1486,7 +1458,7 @@ mod tests {
                     // Chain replay must reconstruct snapshot k's values
                     // bit-identically to a direct (stateless) decode of
                     // the same snapshot.
-                    let replayed = sz.decompress_chain(&chain).unwrap();
+                    let replayed = sz.decode_chain(&streams(&chain), snap.len()).unwrap();
                     let direct = sz.decompress(&sz.compress(snap, bound).unwrap()).unwrap();
                     assert_eq!(
                         replayed, direct,
@@ -1504,26 +1476,11 @@ mod tests {
         let snaps = snapshots(50_000, 2);
         let mut state = SzTemporalState::new();
         let mut anchor = Vec::new();
-        sz.compress_temporal_into(
-            &snaps[0],
-            bound,
-            DeltaMode::Order1,
-            true,
-            &mut state,
-            &mut anchor,
-        )
-        .unwrap();
+        let chain = Chain { max_order: DeltaMode::Order1, force_anchor: true, state: &mut state };
+        sz.encode_into(&snaps[0], bound, Some(chain), &mut anchor).unwrap();
         let mut delta_bytes = Vec::new();
-        let mode = sz
-            .compress_temporal_into(
-                &snaps[1],
-                bound,
-                DeltaMode::Order1,
-                false,
-                &mut state,
-                &mut delta_bytes,
-            )
-            .unwrap();
+        let chain = Chain { max_order: DeltaMode::Order1, force_anchor: false, state: &mut state };
+        let mode = sz.encode_into(&snaps[1], bound, Some(chain), &mut delta_bytes).unwrap();
         assert_eq!(mode, DeltaMode::Order1, "correlated snapshots should delta");
         let direct = sz.compress(&snaps[1], bound).unwrap();
         assert!(
@@ -1542,23 +1499,21 @@ mod tests {
         let a = smooth_signal(4_000);
         let b = smooth_signal(5_000);
         let mut out = Vec::new();
-        sz.compress_temporal_into(&a, bound, DeltaMode::Order1, false, &mut state, &mut out)
-            .unwrap();
+        let chain = Chain { max_order: DeltaMode::Order1, force_anchor: false, state: &mut state };
+        sz.encode_into(&a, bound, Some(chain), &mut out).unwrap();
         assert!(state.has_prior());
         // Different element count: the state key mismatches, so the next
         // stream anchors even though a prior is retained.
         out.clear();
-        let mode = sz
-            .compress_temporal_into(&b, bound, DeltaMode::Order1, false, &mut state, &mut out)
-            .unwrap();
+        let chain = Chain { max_order: DeltaMode::Order1, force_anchor: false, state: &mut state };
+        let mode = sz.encode_into(&b, bound, Some(chain), &mut out).unwrap();
         assert_eq!(mode, DeltaMode::None);
         // Reset drops the prior outright.
         state.reset();
         assert!(!state.has_prior());
         out.clear();
-        let mode = sz
-            .compress_temporal_into(&b, bound, DeltaMode::Order1, false, &mut state, &mut out)
-            .unwrap();
+        let chain = Chain { max_order: DeltaMode::Order1, force_anchor: false, state: &mut state };
+        let mode = sz.encode_into(&b, bound, Some(chain), &mut out).unwrap();
         assert_eq!(mode, DeltaMode::None);
     }
 
@@ -1572,9 +1527,9 @@ mod tests {
         let mut mode = DeltaMode::None;
         for (k, snap) in snaps.iter().enumerate() {
             let mut bytes = Vec::new();
-            mode = sz
-                .compress_temporal_into(snap, bound, DeltaMode::Order1, k == 0, &mut state, &mut bytes)
-                .unwrap();
+            let chain_at =
+                Chain { max_order: DeltaMode::Order1, force_anchor: k == 0, state: &mut state };
+            mode = sz.encode_into(snap, bound, Some(chain_at), &mut bytes).unwrap();
             chain.push(Compressed {
                 bytes,
                 n_elements: snap.len(),
@@ -1586,8 +1541,8 @@ mod tests {
             "a delta stream must not decode without its chain"
         );
         // And a chain that does not start at an anchor is rejected.
-        assert!(sz.decompress_chain(&chain[1..]).is_err());
-        assert!(sz.decompress_chain(&[]).is_err());
+        assert!(sz.decode_chain(&streams(&chain[1..]), 6_000).is_err());
+        assert!(sz.decode_chain(&[], 0).is_err());
     }
 
     /// A one-block version-5 Identity stream assembled by hand: the
@@ -1632,10 +1587,10 @@ mod tests {
             hand_built_link(DeltaMode::Order1, &[0, 0, 0], &tail)
         };
         let well_formed = [anchor(&[7.0, -8.0]), delta(2)];
-        assert_eq!(sz.decompress_chain(&well_formed).unwrap()[..2], [7.0, -8.0]);
+        assert_eq!(sz.decode_chain(&streams(&well_formed), 3).unwrap()[..2], [7.0, -8.0]);
         assert_eq!(sz.decompress(&well_formed[0]).unwrap()[..2], [7.0, -8.0]);
 
-        let rejected = |chain: &[Compressed]| match sz.decompress_chain(chain) {
+        let rejected = |chain: &[Compressed]| match sz.decode_chain(&streams(chain), 3) {
             Err(CompressError::Corrupt(msg)) => assert!(msg.contains("reserve 2"), "{msg}"),
             other => panic!("expected a tail-count error, got {other:?}"),
         };
@@ -1660,21 +1615,15 @@ mod tests {
             let mut chain = Vec::new();
             for k in 0..3 {
                 let mut bytes = Vec::new();
-                sz.compress_temporal_into(
-                    &data,
-                    bound,
-                    DeltaMode::Order2,
-                    k == 0,
-                    &mut state,
-                    &mut bytes,
-                )
-                .unwrap();
+                let chain_at =
+                    Chain { max_order: DeltaMode::Order2, force_anchor: k == 0, state: &mut state };
+                sz.encode_into(&data, bound, Some(chain_at), &mut bytes).unwrap();
                 chain.push(Compressed {
                     bytes,
                     n_elements: data.len(),
                 });
             }
-            let replayed = sz.decompress_chain(&chain).unwrap();
+            let replayed = sz.decode_chain(&streams(&chain), data.len()).unwrap();
             let direct = sz.decompress(&sz.compress(&data, bound).unwrap()).unwrap();
             assert_eq!(replayed, direct);
         }

@@ -17,9 +17,8 @@ const MODE_BYTE: usize = 19;
 
 fn forced_anchor(data: &[f64], bound: ErrorBound, mut state: SzTemporalState) -> Vec<u8> {
     let mut out = Vec::new();
-    let mode = SzCompressor::new()
-        .compress_temporal_into(data, bound, DeltaMode::Order2, true, &mut state, &mut out)
-        .unwrap();
+    let chain = Chain { max_order: DeltaMode::Order2, force_anchor: true, state: &mut state };
+    let mode = SzCompressor::new().encode_into(data, bound, Some(chain), &mut out).unwrap();
     assert_eq!(mode, DeltaMode::None);
     out
 }
@@ -46,16 +45,12 @@ fn assert_chainless_is_forced_anchor(what: &str, steps: &[Step]) {
                 patched.remove(MODE_BYTE);
                 assert!(patched == chainless.bytes, "{at}");
             }
-            SzCompressor::new()
-                .compress_temporal_into(
-                    data,
-                    bound,
-                    DeltaMode::Order2,
-                    *force_anchor,
-                    &mut session,
-                    &mut Vec::new(),
-                )
-                .unwrap();
+            let chain = Chain {
+                max_order: DeltaMode::Order2,
+                force_anchor: *force_anchor,
+                state: &mut session,
+            };
+            SzCompressor::new().encode_into(data, bound, Some(chain), &mut Vec::new()).unwrap();
         }
     }
 }

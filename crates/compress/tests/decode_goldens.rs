@@ -10,7 +10,9 @@
 
 mod scripts;
 
-use lcr_compress::{Codec, Compressed, DeltaMode, ErrorBound, SzCompressor, SzTemporalState};
+use lcr_compress::{
+    Chain, Codec, Compressed, DeltaMode, ErrorBound, SzCompressor, SzTemporalState,
+};
 use scripts::{cg_script, ensure_pool, linear_drift, synthetic_script, Step, BOUNDS};
 
 /// FNV-1a over the bits of `values`, a 64-bit word at a time, continuing
@@ -44,15 +46,13 @@ fn decode_fingerprint(steps: &[Step], bound: ErrorBound, max_order: DeltaMode) -
             continue;
         };
         let mut bytes = Vec::new();
+        let chain = Chain {
+            max_order,
+            force_anchor: *force_anchor,
+            state: &mut state,
+        };
         let mode = sz
-            .compress_temporal_into(
-                data,
-                bound,
-                max_order,
-                *force_anchor,
-                &mut state,
-                &mut bytes,
-            )
+            .encode_into(data, bound, Some(chain), &mut bytes)
             .unwrap();
         session.push(Compressed {
             bytes,
@@ -68,10 +68,11 @@ fn decode_fingerprint(steps: &[Step], bound: ErrorBound, max_order: DeltaMode) -
         replayed += usize::from(session.len() - anchor > 1);
 
         let at = format!("{bound:?}, max {max_order:?}, step {k}");
-        let from_anchor = sz.decompress_chain(&session[anchor..]).expect(&at);
+        let links: Vec<&[u8]> = session.iter().map(|l| l.bytes.as_slice()).collect();
+        let from_anchor = sz.decode_chain(&links[anchor..], data.len()).expect(&at);
         assert_eq!(from_anchor.len(), data.len(), "{at}");
         if anchor > 0 {
-            let whole_session = sz.decompress_chain(&session).expect(&at);
+            let whole_session = sz.decode_chain(&links, data.len()).expect(&at);
             assert!(
                 same_bits(&whole_session, &from_anchor),
                 "whole session: {at}"

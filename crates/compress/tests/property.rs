@@ -7,7 +7,7 @@
 //! bit-exact.
 
 use lcr_compress::{
-    Codec, ErrorBound, FpcCodec, LosslessPipeline, LzssCodec, SzCompressor, ZfpCompressor,
+    Chain, Codec, ErrorBound, FpcCodec, LosslessPipeline, LzssCodec, SzCompressor, ZfpCompressor,
 };
 use proptest::prelude::*;
 
@@ -243,7 +243,7 @@ fn retired_sz_v3_stream_is_rejected_as_unsupported() {
     let mut live = sz.compress(&[1.0, 2.0, 3.0], ErrorBound::Abs(1e-6)).unwrap();
     live.bytes[1] = 3;
     assert!(sz.decompress(&live).is_err());
-    assert!(sz.decompress_chain(&[live.clone(), live.clone()]).is_err());
+    assert!(sz.decode_chain(&[&live.bytes, &live.bytes], live.n_elements).is_err());
 }
 
 #[test]
@@ -270,14 +270,19 @@ fn temporal_chain(
         .map(|(k, snap)| {
             let mut bytes = Vec::new();
             let anchor = k == 0 || mid_anchor == Some(k);
-            sz.compress_temporal_into(snap, bound, max_order, anchor, &mut state, &mut bytes)
-                .unwrap();
+            let chain = Chain { max_order, force_anchor: anchor, state: &mut state };
+            sz.encode_into(snap, bound, Some(chain), &mut bytes).unwrap();
             lcr_compress::Compressed {
                 bytes,
                 n_elements: snap.len(),
             }
         })
         .collect()
+}
+
+/// The streams of `links`, as [`Codec::decode_chain`] takes them.
+fn streams(links: &[lcr_compress::Compressed]) -> Vec<&[u8]> {
+    links.iter().map(|l| l.bytes.as_slice()).collect()
 }
 
 /// Snapshot sequences as proptest input: a base array plus per-snapshot
@@ -332,7 +337,7 @@ proptest! {
             // prefix: the decoder must stop consulting what came before it.
             let chain = temporal_chain(&snaps, bound, max_order, mid_anchor.then_some(2));
             for k in 0..chain.len() {
-                let replayed = sz.decompress_chain(&chain[..=k]).unwrap();
+                let replayed = sz.decode_chain(&streams(&chain[..=k]), snaps[k].len()).unwrap();
                 let direct = sz
                     .decompress(&sz.compress(&snaps[k], bound).unwrap())
                     .unwrap();
@@ -380,7 +385,8 @@ proptest! {
         };
         let sz = SzCompressor::new();
         let mut chain = temporal_chain(&snaps, bound, lcr_compress::DeltaMode::Order2, None);
-        prop_assert!(sz.decompress_chain(&chain).is_ok());
+        let n = snaps[snaps.len() - 1].len();
+        prop_assert!(sz.decode_chain(&streams(&chain), n).is_ok());
         let link = ((chain.len() as f64 * corrupt_link_frac) as usize).min(chain.len() - 1);
 
         // Truncating any link makes the whole chain undecodable.
@@ -388,13 +394,13 @@ proptest! {
         let cut = ((truncated[link].bytes.len() as f64 * cut_frac) as usize)
             .min(truncated[link].bytes.len() - 1);
         truncated[link].bytes.truncate(cut);
-        prop_assert!(sz.decompress_chain(&truncated).is_err());
+        prop_assert!(sz.decode_chain(&streams(&truncated), n).is_err());
 
         // A flipped bit may or may not be detected (no checksum at this
         // layer — the disk tier CRCs whole files) but must never panic.
         let pos = cut.min(chain[link].bytes.len() - 1);
         chain[link].bytes[pos] ^= 1 << bit;
-        let _ = sz.decompress_chain(&chain);
+        let _ = sz.decode_chain(&streams(&chain), n);
     }
 }
 

@@ -15,7 +15,7 @@
 
 mod scripts;
 
-use lcr_compress::{DeltaMode, ErrorBound, SzCompressor, SzTemporalState};
+use lcr_compress::{Chain, Codec, DeltaMode, ErrorBound, SzCompressor, SzTemporalState};
 use scripts::{cg_script, ensure_pool, linear_drift, synthetic_script, Step, BOUNDS};
 use std::fmt::Write;
 
@@ -93,8 +93,13 @@ fn run_production(steps: &[Step], bound: ErrorBound, max_order: DeltaMode) -> Ve
         SzTemporalState::new(),
         SzTemporalState::reset,
         |data, force_anchor, state, out| {
+            let chain = Chain {
+                max_order,
+                force_anchor,
+                state,
+            };
             SzCompressor::new()
-                .compress_temporal_into(data, bound, max_order, force_anchor, state, out)
+                .encode_into(data, bound, Some(chain), out)
                 .unwrap()
         },
     )

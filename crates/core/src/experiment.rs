@@ -10,7 +10,7 @@ use crate::runner::{ExecutionBackend, FaultTolerantRunner, Persistence, RunConfi
 use crate::strategy::CheckpointStrategy;
 use crate::workload::{paper_rtol, PaperWorkload, ScaledProblem};
 use lcr_ckpt::{CheckpointLevel, ClusterConfig, PfsModel};
-use lcr_compress::{DeltaMode, ErrorBound, SzCompressor, SzTemporalState};
+use lcr_compress::{Chain, Codec, DeltaMode, ErrorBound, SzCompressor, SzTemporalState};
 use lcr_perfmodel::{
     lossy_overhead_ratio, theorem2_extra_iterations_upper_bound, traditional_overhead_ratio,
     young_optimal_interval, young_optimal_interval_iterations,
@@ -91,25 +91,18 @@ fn measure_strategy_ratios(
         let x = solver.solution().clone();
         let mut direct_state = SzTemporalState::new();
         let mut direct = Vec::new();
-        sz.compress_temporal_into(
-            x.as_slice(),
-            bound,
-            DeltaMode::Order2,
-            true,
-            &mut direct_state,
-            &mut direct,
-        )
-        .expect("direct compression");
+        let anchor =
+            Chain { max_order: DeltaMode::Order2, force_anchor: true, state: &mut direct_state };
+        sz.encode_into(x.as_slice(), bound, Some(anchor), &mut direct)
+            .expect("direct compression");
         let mut encoded = Vec::new();
-        sz.compress_temporal_into(
-            x.as_slice(),
-            bound,
-            DeltaMode::Order2,
-            snapshot == 0,
-            &mut chain_state,
-            &mut encoded,
-        )
-        .expect("chain compression");
+        let link = Chain {
+            max_order: DeltaMode::Order2,
+            force_anchor: snapshot == 0,
+            state: &mut chain_state,
+        };
+        sz.encode_into(x.as_slice(), bound, Some(link), &mut encoded)
+            .expect("chain compression");
         direct_bytes += direct.len();
         chain_bytes += encoded.len();
         for _ in 0..5 {

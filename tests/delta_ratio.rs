@@ -11,7 +11,7 @@
 //! thread-count independent.
 
 use lossy_ckpt::compress::{
-    Codec, Compressed, DeltaMode, ErrorBound, SzCompressor, SzTemporalState,
+    Chain, Codec, Compressed, DeltaMode, ErrorBound, SzCompressor, SzTemporalState,
 };
 use lossy_ckpt::core::workload::PaperWorkload;
 use lossy_ckpt::solvers::SolverKind;
@@ -50,27 +50,23 @@ fn delta_payloads_beat_direct_coding_by_1_3x_on_64cubed_poisson_cg() {
         // Direct (anchor) coding of this snapshot, for the comparison.
         let mut direct_state = SzTemporalState::new();
         let mut direct = Vec::new();
-        sz.compress_temporal_into(
-            x.as_slice(),
-            BOUND,
-            DeltaMode::Order2,
-            true,
-            &mut direct_state,
-            &mut direct,
-        )
-        .expect("direct compression failed");
+        let anchor = Chain {
+            max_order: DeltaMode::Order2,
+            force_anchor: true,
+            state: &mut direct_state,
+        };
+        sz.encode_into(x.as_slice(), BOUND, Some(anchor), &mut direct)
+            .expect("direct compression failed");
 
         // Chain coding: the encoder picks delta only when it wins.
         let mut encoded = Vec::new();
+        let link = Chain {
+            max_order: DeltaMode::Order2,
+            force_anchor: snapshots == 0,
+            state: &mut chain_state,
+        };
         let mode = sz
-            .compress_temporal_into(
-                x.as_slice(),
-                BOUND,
-                DeltaMode::Order2,
-                snapshots == 0,
-                &mut chain_state,
-                &mut encoded,
-            )
+            .encode_into(x.as_slice(), BOUND, Some(link), &mut encoded)
             .expect("chain compression failed");
         if mode != DeltaMode::None {
             delta_snapshots += 1;
@@ -85,7 +81,10 @@ fn delta_payloads_beat_direct_coding_by_1_3x_on_64cubed_poisson_cg() {
 
         // Bit-identity at every chain length: replaying the chain equals
         // decoding the equivalent direct stream.
-        let replayed = sz.decompress_chain(&chain).expect("chain replay failed");
+        let links: Vec<&[u8]> = chain.iter().map(|l| l.bytes.as_slice()).collect();
+        let replayed = sz
+            .decode_chain(&links, x.len())
+            .expect("chain replay failed");
         let direct_decoded = sz
             .decompress(&Compressed {
                 bytes: direct,

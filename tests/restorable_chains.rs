@@ -16,7 +16,7 @@
 mod scripts;
 
 use lossy_ckpt::ckpt::{CheckpointBuffer, CheckpointLevel, DiskStore, MemBackend};
-use lossy_ckpt::compress::{Codec, DeltaMode, ErrorBound, SzCompressor, SzTemporalState};
+use lossy_ckpt::compress::{Chain, Codec, DeltaMode, ErrorBound, SzCompressor, SzTemporalState};
 use scripts::linear_drift;
 use std::sync::Arc;
 
@@ -38,7 +38,9 @@ fn commit_and_recover(n: usize, bound: ErrorBound, quantum: f64) -> String {
         buffer.clear();
         let mode = buffer
             .push_with("x", |out| {
-                sz.compress_temporal_into(&data, bound, DeltaMode::Order2, k % 4 == 0, &mut state, out)
+                let chain =
+                    Chain { max_order: DeltaMode::Order2, force_anchor: k % 4 == 0, state: &mut state };
+                sz.encode_into(&data, bound, Some(chain), out)
             })
             .expect("encode");
         modes.push(char::from(b'0' + mode as u8));
