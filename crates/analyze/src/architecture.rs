@@ -139,6 +139,8 @@ pub const RULES: &[Rule] = &[
         "fn bytes_to_vector", "stream_delta_mode"],
         Scope { paths: &["crates/"], skip: &["/tests/"], production: false },
         "a second codec trait, SZ encoder or inline codec is back; implement Codec"),
+    retired(&["LZSS_ID"], tree(&["crates/compress/"]),
+        "LZSS is the lossless pipeline's byte stage, not a Codec with a stream of its own"),
     once("huffman::Plan::of", SZ, "sz.rs plans a Huffman blob in one place: one encoder"),
     once("SzCompressor", STRATEGY, "strategy.rs maps the SZ strategy to its codec once"),
     once("ZfpCompressor", STRATEGY, "strategy.rs maps the ZFP strategy to its codec once"),
@@ -175,6 +177,11 @@ pub const RULES: &[Rule] = &[
         "total_write_seconds", "with_degrade_after"], tree(USERS),
         "a second commit path is back; write-behind joins one thread per write"),
     retired(&["mpsc"], tree(CKPT), "write-behind has no worker and no channels"),
+    retired(&["chain_cache", "chain_scans"], tree(CKPT),
+        "recovery reads and validates what is on disk: the store keeps no chain memo"),
+    // One storage level: every checkpoint goes to FTI's L4, the PFS.
+    retired(&["ReedSolomon", "bandwidth_factor"], tree(USERS),
+        "every checkpoint is written to the PFS; CheckpointLevel has no faster level"),
     // One way onto the pool: `rayon::run_items` hands every task an owned
     // item.
     retired(&["par_iter", "into_par_iter", "rayon::prelude", "ParSource", "SendPtr",
@@ -188,6 +195,11 @@ pub const RULES: &[Rule] = &[
         "CoordinatorGone"], code(SHARD), "shards meet on the board: no channel, no protocol"),
     retired(&["ShardCoordinator", "try_serve", "abort_and_drain"], tree(ALL),
         "the shard coordinator is back; shards meet on the board"),
+    // One row partition: `ShardLayout` deals out the blocks of a system.
+    retired(&["BlockRowPartition", "RankRange"], tree(USERS),
+        "ShardLayout is the one block-row partition"),
+    retired(&["diagonal_block"], tree(USERS),
+        "block-Jacobi slices its blocks itself; CsrMatrix has no sub-block copy"),
     // One column-index array: `CsrMatrix` stores its columns once, as `u32`.
     retired(&["cols32", "ColIdx"], tree(USERS), "a second column-index array is back"),
     retired(&["indices: Vec<usize>", "fn indices(&self) -> &[usize]"],

@@ -124,7 +124,7 @@ fn gmres_bound_ablation(workload: &PaperWorkload, adaptive: bool, max_iterations
     let strategy = CheckpointStrategy::Lossy {
         codec: LossyCodecKind::Sz,
         policy: if adaptive {
-            ErrorBoundPolicy::adaptive_gmres()
+            ErrorBoundPolicy::AdaptiveGmres
         } else {
             ErrorBoundPolicy::Fixed(ErrorBound::PointwiseRel(1e-2))
         },

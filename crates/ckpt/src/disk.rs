@@ -248,23 +248,18 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     crc32_combine(abc, !advance(s[3], &d[lane..]), d.len())
 }
 
+/// The header's storage-level byte: FTI's L4, the PFS, is level 3 of 0–3.
 fn level_to_u8(level: CheckpointLevel) -> u8 {
     match level {
-        CheckpointLevel::Local => 0,
-        CheckpointLevel::Partner => 1,
-        CheckpointLevel::ReedSolomon => 2,
         CheckpointLevel::Pfs => 3,
     }
 }
 
 fn level_from_u8(v: u8) -> Result<CheckpointLevel> {
-    Ok(match v {
-        0 => CheckpointLevel::Local,
-        1 => CheckpointLevel::Partner,
-        2 => CheckpointLevel::ReedSolomon,
-        3 => CheckpointLevel::Pfs,
-        _ => return Err(CkptError::Corrupt(format!("unknown storage level {v}"))),
-    })
+    match v {
+        3 => Ok(CheckpointLevel::Pfs),
+        _ => Err(CkptError::Corrupt(format!("unknown storage level {v}"))),
+    }
 }
 
 fn io_err(context: &str, err: std::io::Error) -> CkptError {
@@ -628,11 +623,6 @@ pub struct DiskStore {
     retried_pushes: u64,
     /// Seconds slept before each retry, in order (the backoff schedule).
     backoff_log: Vec<f64>,
-    /// Memoized result of the last newest-valid-chain scan; invalidated
-    /// on push, eviction, or any entry invalidation.
-    chain_cache: Option<Vec<DiskCheckpoint>>,
-    /// Cold (uncached) newest-valid scans performed.
-    chain_scans: u64,
     /// Cumulative bytes handed to the durable tier (payloads only).
     pub total_bytes_written: u64,
 }
@@ -748,8 +738,6 @@ impl DiskStore {
             io_retries: 0,
             retried_pushes: 0,
             backoff_log: Vec::new(),
-            chain_cache: None,
-            chain_scans: 0,
             total_bytes_written: 0,
         })
     }
@@ -819,14 +807,6 @@ impl DiskStore {
     /// schedule.
     pub fn backoff_log(&self) -> &[f64] {
         &self.backoff_log
-    }
-
-    /// Cold newest-valid-chain scans performed (cache misses).  The
-    /// memoized result is served in between, so repeated recoveries
-    /// without new pushes cost one scan.
-    // lcr-analyze: allow(dead-public-item): read by this file's tests to pin the chain-cache behaviour
-    pub fn chain_scans(&self) -> u64 {
-        self.chain_scans
     }
 
     /// Number of (header-)valid checkpoints currently indexed.
@@ -908,7 +888,6 @@ impl DiskStore {
     /// its id, and applies retention.
     fn register(&mut self, path: PathBuf, metadata: CheckpointMetadata) {
         self.total_bytes_written += metadata.total_bytes as u64;
-        self.chain_cache = None;
         self.next_id = metadata.id + 1;
         self.entries.push_back(DiskEntry {
             path,
@@ -1106,23 +1085,15 @@ impl DiskStore {
     /// validation is marked invalid, which abandons every chain that
     /// depends on it, and the scan restarts — so a bit-flipped or
     /// truncated anchor makes recovery fall back to the newest older
-    /// complete chain rather than returning undecodable deltas.
+    /// complete chain rather than returning undecodable deltas.  Nothing
+    /// is kept between calls: each one reads the files as they are now.
     ///
     /// # Errors
     /// [`CkptError::NoCheckpoint`] if no complete chain exists.
     pub fn latest_valid_chain(&mut self) -> Result<Vec<DiskCheckpoint>> {
-        // Serve the memoized scan when nothing changed since: recovery can
-        // run hundreds of times per soak and each cold scan re-reads and
-        // re-CRCs every chain member.  The cache is dropped on push,
-        // eviction, and any entry invalidation, and a cache hit implies no
-        // push since the last scan, so no write can be in flight either.
-        if let Some(chain) = &self.chain_cache {
-            return Ok(chain.clone());
-        }
         // Deferred write errors only invalidate their own entry; older
         // checkpoints remain recoverable, so do not surface them here.
         self.join();
-        self.chain_scans += 1;
         // Each restart invalidates at least one previously valid entry, so
         // the scan terminates.
         'scan: loop {
@@ -1142,12 +1113,10 @@ impl DiskStore {
                         Ok(ckpt) => links.push(ckpt),
                         Err(_) => {
                             self.entries[i].valid = false;
-                            self.chain_cache = None;
                             continue 'scan;
                         }
                     }
                 }
-                self.chain_cache = Some(links.clone());
                 return Ok(links);
             }
             return Err(CkptError::NoCheckpoint);
@@ -1175,7 +1144,6 @@ impl DiskStore {
         let Some(mut entry) = self.entries.pop_back() else {
             return;
         };
-        self.chain_cache = None;
         if self.backend.remove_file(&entry.path).is_err() {
             entry.valid = false;
             self.entries.push_back(entry);
@@ -1188,7 +1156,6 @@ impl DiskStore {
     pub fn invalidate(&mut self, id: u64) {
         if let Some(entry) = self.entries.iter_mut().find(|e| e.metadata.id == id) {
             entry.valid = false;
-            self.chain_cache = None;
         }
     }
 
@@ -1697,7 +1664,7 @@ mod tests {
                 expected_written += len as u64;
                 let mut buf = CheckpointBuffer::new();
                 buf.push_with("x", |out| out.extend_from_slice(&vec![0xAB; len]));
-                let level = CheckpointLevel::Local;
+                let level = CheckpointLevel::Pfs;
                 let meta = store
                     .push_from_buffer(i, i as f64, level, len * 10, None, "", &[], &mut buf)
                     .unwrap();
@@ -1716,7 +1683,7 @@ mod tests {
             let mut store = DiskStore::open_with_backend(dir, 1, backend).unwrap();
             let mut empty = CheckpointBuffer::new();
             let meta = store
-                .push_from_buffer(0, 0.0, CheckpointLevel::Local, 0, None, "", &[], &mut empty)
+                .push_from_buffer(0, 0.0, CheckpointLevel::Pfs, 0, None, "", &[], &mut empty)
                 .unwrap();
             assert_eq!(meta.compression_ratio(), 1.0);
             assert_eq!(meta.total_bytes, 0);
@@ -1773,27 +1740,20 @@ mod tests {
     }
 
     #[test]
-    fn chain_scan_is_memoized_until_the_index_changes() {
-        let dir = tempdir("memoize");
-        let mut store = DiskStore::open(&dir, 4).unwrap();
-        push_sample(&mut store, 10);
-        push_sample_delta(&mut store, 20, Some(1));
-        assert_eq!(store.chain_scans(), 0);
+    fn every_recovery_validates_what_is_on_disk_now() {
+        on_each_backend("rescan", |backend, dir| {
+            let mut store = DiskStore::open_with_backend(dir, 4, backend.clone()).unwrap();
+            push_sample(&mut store, 10); // id 0, anchor
+            push_sample_delta(&mut store, 20, Some(1)); // id 1, delta on 0
+            assert_eq!(store.latest_valid_chain().unwrap().len(), 2);
 
-        // Repeated recoveries hit the cache: exactly one cold scan.
-        for _ in 0..3 {
+            // Corrupt the newest link behind the store's back; no push
+            // follows, so only a fresh read can notice.
+            flip_last_bit(backend.as_ref(), &dir.join("ckpt-0000000001.lcr"));
             let chain = store.latest_valid_chain().unwrap();
-            assert_eq!(chain.len(), 2);
-            assert_eq!(chain.last().unwrap().metadata.iteration, 20);
-        }
-        assert_eq!(store.latest_valid().unwrap().metadata.iteration, 20);
-        assert_eq!(store.chain_scans(), 1, "cache served repeated recoveries");
-
-        // A push invalidates the memo and the next recovery rescans.
-        push_sample(&mut store, 30);
-        assert_eq!(store.latest_valid().unwrap().metadata.iteration, 30);
-        assert_eq!(store.chain_scans(), 2);
-        let _ = fs::remove_dir_all(&dir);
+            assert_eq!(chain.len(), 1);
+            assert_eq!(chain[0].metadata.iteration, 10, "fell back to the anchor");
+        });
     }
 
     /// A backend over `inner` that fails on schedule: some whole-file

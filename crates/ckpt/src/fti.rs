@@ -187,8 +187,7 @@ impl FtiContext {
     /// discarded, never committed).
     pub fn planned_write_seconds(&self, stored_bytes: usize) -> f64 {
         let billed_bytes = (stored_bytes as f64 * self.byte_scale) as usize;
-        self.pfs
-            .write_seconds(billed_bytes, self.cluster.ranks, self.level)
+        self.pfs.write_seconds(billed_bytes, self.cluster.ranks)
     }
 
     /// Commits a snapshot whose write window already elapsed on the clock
@@ -318,9 +317,7 @@ impl FtiContext {
         let (scalars, tag) = (last.scalars.clone(), last.tag.clone());
         let chain = links.into_iter().map(|c| c.payloads).collect();
         let billed_bytes = (total_bytes as f64 * self.byte_scale) as usize + static_bytes;
-        let read_seconds = self
-            .pfs
-            .read_seconds(billed_bytes, self.cluster.ranks, self.level);
+        let read_seconds = self.pfs.read_seconds(billed_bytes, self.cluster.ranks);
         clock.advance(read_seconds);
         Ok(RecoveredData {
             chain,
@@ -627,7 +624,7 @@ mod tests {
         // Reading the chain costs what reading all three links costs — more
         // than the newest link alone would.
         let chain_bytes = 1000 + 200 + 200;
-        let expected = fti.pfs().read_seconds(chain_bytes, 2048, CheckpointLevel::Pfs);
+        let expected = fti.pfs().read_seconds(chain_bytes, 2048);
         assert_eq!(rec.read_seconds, expected);
     }
 

@@ -167,8 +167,7 @@ pub struct Chain<'a> {
 /// ignore it.  Only SZ has a temporal encoder; every other codec ignores
 /// `chain` and writes self-contained streams.
 pub trait Codec: Send + Sync {
-    /// Short human-readable name ("raw", "fpc", "lzss", "fpc+lzss", "sz",
-    /// "zfp").
+    /// Short human-readable name ("raw", "fpc", "fpc+lzss", "sz", "zfp").
     fn name(&self) -> &'static str;
 
     /// Appends the encoded stream of `data` to `out` — compressors write

@@ -12,7 +12,8 @@
 //!   residual is stored with a leading-zero-byte count.  Fast, and captures
 //!   most of the redundancy in smooth scientific data.
 //! * [`LzssCodec`] — a general-purpose LZSS byte compressor with a 64 KiB
-//!   window, standing in for DEFLATE's string matching.
+//!   window, standing in for DEFLATE's string matching.  It compresses
+//!   bytes, not values: the pipeline's second stage.
 //! * [`LosslessPipeline`] — FPC followed by LZSS on the residual bytes,
 //!   which is the closest analogue of "gzip on a scientific dataset" and is
 //!   the codec the lossless-checkpointing strategy uses.  It costs some
@@ -20,18 +21,17 @@
 //!   baseline, not a headline comparator.
 //! * [`RawCodec`] — every value's eight little-endian bytes, headerless.
 //!
-//! All four are [`Codec`]s that ignore the bound and the chain they are
-//! handed and write self-contained streams.
+//! All but [`LzssCodec`] are [`Codec`]s that ignore the bound and the
+//! chain they are handed and write self-contained streams.
 
 use crate::bitstream::bytes;
 use crate::{Chain, Codec, CompressError, DeltaMode, ErrorBound, Result};
 
 /// Codec ids stored in stream headers.
 const FPC_ID: u8 = 10;
-const LZSS_ID: u8 = 11;
 const PIPELINE_ID: u8 = 12;
 
-/// Reads the `[id][u64 n]` prologue the three compressed streams share.
+/// Reads the `[id][u64 n]` prologue the two compressed streams share.
 fn read_prologue(stream: &[u8], pos: &mut usize, expected: u8, n_elements: usize) -> Result<()> {
     let found = bytes::get_slice(stream, pos, 1)?[0];
     if found != expected {
@@ -413,33 +413,6 @@ impl LzssCodec {
     }
 }
 
-impl Codec for LzssCodec {
-    fn name(&self) -> &'static str {
-        "lzss"
-    }
-
-    fn encode_into(
-        &self,
-        data: &[f64],
-        bound: ErrorBound,
-        _: Option<Chain<'_>>,
-        out: &mut Vec<u8>,
-    ) -> Result<DeltaMode> {
-        let mut raw = Vec::new();
-        RawCodec.encode_into(data, bound, None, &mut raw)?;
-        out.push(LZSS_ID);
-        bytes::put_u64(out, data.len() as u64);
-        out.extend_from_slice(&self.compress_bytes(&raw));
-        Ok(DeltaMode::None)
-    }
-
-    fn decode(&self, buf: &[u8], n: usize) -> Result<Vec<f64>> {
-        let mut pos = 0usize;
-        read_prologue(buf, &mut pos, LZSS_ID, n)?;
-        doubles(&self.decompress_bytes(&buf[pos..])?, n)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Pipeline: FPC residuals further compressed with LZSS
 // ---------------------------------------------------------------------------
@@ -594,13 +567,6 @@ mod tests {
     }
 
     #[test]
-    fn lzss_f64_roundtrip() {
-        roundtrip_exact(&LzssCodec::new(), &smooth_signal(5_000));
-        roundtrip_exact(&LzssCodec::new(), &noisy_signal(2_000));
-        roundtrip_exact(&LzssCodec::new(), &[]);
-    }
-
-    #[test]
     fn pipeline_roundtrip_and_ratio() {
         let codec = LosslessPipeline::new();
         roundtrip_exact(&codec, &smooth_signal(20_000));
@@ -639,10 +605,6 @@ mod tests {
         let data = smooth_signal(100);
         let fpc = FpcCodec::new().compress(&data, ANY).unwrap();
         assert!(matches!(
-            LzssCodec::new().decompress(&fpc),
-            Err(CompressError::WrongCodec { .. })
-        ));
-        assert!(matches!(
             LosslessPipeline::new().decompress(&fpc),
             Err(CompressError::WrongCodec { .. })
         ));
@@ -650,17 +612,12 @@ mod tests {
         let mut trunc = FpcCodec::new().compress(&data, ANY).unwrap();
         trunc.bytes.truncate(trunc.bytes.len() / 3);
         assert!(FpcCodec::new().decompress(&trunc).is_err());
-
-        let mut lz = LzssCodec::new().compress(&data, ANY).unwrap();
-        lz.bytes.truncate(12);
-        assert!(LzssCodec::new().decompress(&lz).is_err());
     }
 
     #[test]
     fn names() {
         assert_eq!(RawCodec.name(), "raw");
         assert_eq!(FpcCodec::new().name(), "fpc");
-        assert_eq!(LzssCodec::new().name(), "lzss");
         assert_eq!(LosslessPipeline::new().name(), "fpc+lzss");
     }
 }

@@ -112,7 +112,6 @@ proptest! {
     fn lossless_codecs_are_bit_exact(data in data_strategy()) {
         for codec in [
             Box::new(FpcCodec::new()) as Box<dyn Codec>,
-            Box::new(LzssCodec::new()),
             Box::new(LosslessPipeline::new()),
         ] {
             // Exact codecs ignore the bound, even one no lossy codec accepts.

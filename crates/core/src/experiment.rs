@@ -283,9 +283,8 @@ pub fn checkpoint_recovery_times(
         let static_bytes = p.paper_vector_bytes();
 
         let mk = |strategy: &str, ckpt_bytes: f64, with_codec: bool, lossy: bool| {
-            let write = pfs.write_seconds(ckpt_bytes as usize, procs, CheckpointLevel::Pfs);
-            let read =
-                pfs.read_seconds(ckpt_bytes as usize + static_bytes, procs, CheckpointLevel::Pfs);
+            let write = pfs.write_seconds(ckpt_bytes as usize, procs);
+            let read = pfs.read_seconds(ckpt_bytes as usize + static_bytes, procs);
             let (comp, decomp) = if with_codec {
                 let original = if lossy { lossy_dynamic_bytes } else { dynamic_bytes };
                 (

@@ -322,9 +322,7 @@ impl Regime for Simulated<'_> {
 
     fn reread_static(&mut self) {
         let cfg = self.cfg;
-        let seconds = cfg
-            .pfs
-            .read_seconds(self.vector_bytes, cfg.cluster.ranks, cfg.level);
+        let seconds = cfg.pfs.read_seconds(self.vector_bytes, cfg.cluster.ranks);
         self.clock.advance(seconds);
     }
 }

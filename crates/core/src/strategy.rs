@@ -35,30 +35,21 @@ pub enum ErrorBoundPolicy {
     /// bound for Jacobi and CG).
     Fixed(ErrorBound),
     /// Theorem 3's adaptive bound for GMRES: the point-wise relative bound
-    /// is `safety·‖r‖/‖b‖`, clamped to `[min_bound, max_bound]`.
-    AdaptiveGmres {
-        /// Multiplier on the relative residual.
-        safety: f64,
-        /// Smallest bound the policy will emit.
-        min_bound: f64,
-        /// Largest bound the policy will emit.
-        max_bound: f64,
-    },
+    /// is `‖r‖/‖b‖`, clamped to `[1e-12, 1e-2]`.
+    AdaptiveGmres,
 }
+
+/// Multiplier on the relative residual in [`ErrorBoundPolicy::AdaptiveGmres`].
+const GMRES_SAFETY: f64 = 1.0;
+/// Smallest bound [`ErrorBoundPolicy::AdaptiveGmres`] emits.
+const GMRES_MIN_BOUND: f64 = 1e-12;
+/// Largest bound [`ErrorBoundPolicy::AdaptiveGmres`] emits.
+const GMRES_MAX_BOUND: f64 = 1e-2;
 
 impl ErrorBoundPolicy {
     /// The paper's default for stationary methods and CG.
     fn fixed_relative(eb: f64) -> Self {
         ErrorBoundPolicy::Fixed(ErrorBound::PointwiseRel(eb))
-    }
-
-    /// The paper's Theorem-3 policy for GMRES.
-    pub fn adaptive_gmres() -> Self {
-        ErrorBoundPolicy::AdaptiveGmres {
-            safety: 1.0,
-            min_bound: 1e-12,
-            max_bound: 1e-2,
-        }
     }
 
     /// Resolves the bound for the current solver state.
@@ -71,16 +62,12 @@ impl ErrorBoundPolicy {
     fn at(&self, residual_norm: f64, reference_norm: f64) -> ErrorBound {
         match *self {
             ErrorBoundPolicy::Fixed(bound) => bound,
-            ErrorBoundPolicy::AdaptiveGmres {
-                safety,
-                min_bound,
-                max_bound,
-            } => ErrorBound::PointwiseRel(theorem3_gmres_error_bound(
+            ErrorBoundPolicy::AdaptiveGmres => ErrorBound::PointwiseRel(theorem3_gmres_error_bound(
                 residual_norm,
                 reference_norm,
-                safety,
-                min_bound,
-                max_bound,
+                GMRES_SAFETY,
+                GMRES_MIN_BOUND,
+                GMRES_MAX_BOUND,
             )),
         }
     }
@@ -196,7 +183,7 @@ impl CheckpointStrategy {
     pub fn lossy_gmres() -> Self {
         CheckpointStrategy::Lossy {
             codec: LossyCodecKind::Sz,
-            policy: ErrorBoundPolicy::adaptive_gmres(),
+            policy: ErrorBoundPolicy::AdaptiveGmres,
         }
     }
 
@@ -720,7 +707,7 @@ mod tests {
             30,
             StoppingCriteria::new(1e-10, 10_000),
         );
-        let policy = ErrorBoundPolicy::adaptive_gmres();
+        let policy = ErrorBoundPolicy::AdaptiveGmres;
         let early = policy.resolve(&g);
         for _ in 0..40 {
             g.step();

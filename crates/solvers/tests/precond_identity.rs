@@ -2,7 +2,7 @@
 //! the implementation it replaced.
 //!
 //! The oracle below is that implementation, kept verbatim: ILU(0) on a
-//! materialised `diagonal_block` with the combined LU in one CSR matrix,
+//! materialised diagonal block with the combined LU in one CSR matrix,
 //! binary-search `get(k, j)` lookups and sweeps that branch on
 //! `j < i / j == i / j > i`.  The production code must reproduce its
 //! factors and its `apply_into` output to the last bit, at any thread
@@ -28,6 +28,24 @@ fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
     let out = f();
     rayon::set_max_active_threads(0);
     out
+}
+
+/// The square sub-block of `a` with rows and columns in
+/// `[start, start + len)`; entries outside it are dropped.
+fn oracle_diagonal_block(a: &CsrMatrix, start: usize, len: usize) -> CsrMatrix {
+    let end = start + len;
+    let mut indptr = vec![0];
+    let (mut indices, mut values) = (Vec::new(), Vec::new());
+    for i in start..end {
+        for (&j, &v) in a.row_indices(i).iter().zip(a.row_values(i)) {
+            if (start..end).contains(&(j as usize)) {
+                indices.push(j - start as u32);
+                values.push(v);
+            }
+        }
+        indptr.push(indices.len());
+    }
+    CsrMatrix::from_raw_unchecked(len, len, indptr, indices, values)
 }
 
 /// Combined ILU(0) factors in the pattern of `a`, computed entry-wise.
@@ -100,7 +118,7 @@ fn oracle_block_jacobi(a: &CsrMatrix, n_blocks: usize) -> Vec<(usize, CsrMatrix)
             start += len;
             (
                 start - len,
-                oracle_ilu0(&a.diagonal_block(start - len, len)),
+                oracle_ilu0(&oracle_diagonal_block(a, start - len, len)),
             )
         })
         .collect()

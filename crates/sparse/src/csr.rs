@@ -833,32 +833,6 @@ impl CsrMatrix {
         partials.into_iter().fold(0.0, f64::max)
     }
 
-    /// Extracts the square sub-block with rows and columns in
-    /// `[start, start+len)`.  Entries outside the block are dropped.  Used by
-    /// the block-Jacobi preconditioner.
-    ///
-    /// # Panics
-    /// Panics if a block column exceeds `u32::MAX` (it cannot: every
-    /// column of `self` fits).
-    pub fn diagonal_block(&self, start: usize, len: usize) -> CsrMatrix {
-        let end = (start + len).min(self.nrows);
-        let mut indptr = Vec::with_capacity(end - start + 1);
-        let mut indices = Vec::new();
-        let mut values = Vec::new();
-        indptr.push(0usize);
-        for i in start..end {
-            for k in self.indptr[i]..self.indptr[i + 1] {
-                let j = self.indices[k] as usize;
-                if j >= start && j < end {
-                    indices.push(col32(j - start));
-                    values.push(self.values[k]);
-                }
-            }
-            indptr.push(indices.len());
-        }
-        CsrMatrix::from_raw_unchecked(end - start, end - start, indptr, indices, values)
-    }
-
     /// Number of bytes needed to store the matrix values + structure
     /// (8 bytes per value, 4 per column index, 8 per row pointer) — also
     /// what one SpMV reads of the matrix.  Used by the checkpoint-size
@@ -946,20 +920,6 @@ mod tests {
     fn norms() {
         let a = small();
         assert!((a.norm_inf() - 6.0).abs() < 1e-14);
-    }
-
-    #[test]
-    fn diagonal_block_extraction() {
-        let a = small();
-        let b = a.diagonal_block(1, 2);
-        assert_eq!(b.nrows(), 2);
-        assert_eq!(b.get(0, 0), 4.0);
-        assert_eq!(b.get(0, 1), -1.0);
-        assert_eq!(b.get(1, 0), -1.0);
-        // Block clipped at the matrix edge.
-        let c = a.diagonal_block(2, 5);
-        assert_eq!(c.nrows(), 1);
-        assert_eq!(c.get(0, 0), 4.0);
     }
 
     #[test]

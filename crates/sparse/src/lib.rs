@@ -28,9 +28,9 @@
 //!   `residual_norm2`, …) that cut the memory passes of the Krylov inner
 //!   loops roughly in half while staying bit-identical at any thread
 //!   count, driven by the precomputed per-matrix [`SpmvPlan`].
-//! * [`partition`] — block-row partitioning helpers mirroring how an MPI
-//!   code would decompose the global system over ranks; used by the
-//!   cluster/PFS model in `lcr-ckpt` to compute per-rank checkpoint sizes.
+//! * [`shard`] — the block-row decomposition of the global system over
+//!   shards (one per simulated rank), its halo-exchange plan and the
+//!   board the sharded solver loops communicate on.
 //!
 //! All floating point data is `f64`, matching the paper (78.8 GB of
 //! double-precision data for the 1e10-element vector at 2,048 ranks).
@@ -43,7 +43,6 @@ pub mod csr;
 pub mod error;
 pub mod kernels;
 pub mod kkt;
-pub mod partition;
 pub mod poisson;
 pub mod shard;
 pub mod simd;
@@ -52,7 +51,6 @@ pub mod vector;
 pub use coo::CooMatrix;
 pub use csr::{CsrMatrix, RowBlock, SpmvPlan};
 pub use error::SparseError;
-pub use partition::{BlockRowPartition, RankRange};
 pub use shard::{
     CommAction, CommError, CommInterposer, HaloPlan, ShardComm, ShardLayout, ShardedCsr,
     REDUCE_BLOCK,

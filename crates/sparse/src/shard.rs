@@ -3,9 +3,8 @@
 //! solver loops communicate on.
 //!
 //! The paper's evaluation runs on 256–2,048 MPI ranks; this module makes
-//! that decomposition *real* inside one process.  [`ShardLayout`] extends
-//! [`BlockRowPartition`](crate::partition::BlockRowPartition) from a
-//! byte-accounting description into an executable layout: the global rows
+//! that decomposition *real* inside one process.  [`ShardLayout`] is
+//! PETSc's balanced block-row layout made executable: the global rows
 //! are grouped into fixed *reduction blocks* of [`REDUCE_BLOCK`] rows and
 //! whole blocks are dealt to shards, so every shard boundary is a block
 //! boundary.  [`partition_csr`] then carves the global matrix into one
@@ -51,7 +50,6 @@
 //! out-of-bounds scatter targets at runtime.
 
 use crate::csr::col32;
-use crate::partition::BlockRowPartition;
 use crate::{simd, CsrMatrix, Vector};
 use std::sync::{
     Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
@@ -69,15 +67,16 @@ pub const REDUCE_BLOCK: usize = 1024;
 /// Block-aligned assignment of global rows to shards.
 ///
 /// The `n` global rows form `ceil(n / block)` reduction blocks; whole
-/// blocks are distributed over shards via [`BlockRowPartition`] (first
-/// `nblocks % shards` shards get one extra block), so every shard owns a
-/// contiguous, block-aligned row range.  Shards beyond the block count own
-/// zero rows but still participate in every reduction and barrier.
+/// blocks are dealt out like PETSc's default row layout (each shard gets
+/// `nblocks / shards`, the first `nblocks % shards` one more), so every
+/// shard owns a contiguous, block-aligned row range.  Shards beyond the
+/// block count own zero rows but still participate in every reduction and
+/// barrier.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardLayout {
     n: usize,
     block: usize,
-    blocks: BlockRowPartition,
+    shards: usize,
 }
 
 impl ShardLayout {
@@ -99,12 +98,13 @@ impl ShardLayout {
     pub fn with_block(n: usize, shards: usize, block: usize) -> Self {
         assert!(shards > 0, "layout requires at least one shard");
         assert!(block > 0, "reduction block must be non-empty");
-        let nblocks = n.div_ceil(block);
-        ShardLayout {
-            n,
-            block,
-            blocks: BlockRowPartition::new(nblocks, shards),
-        }
+        ShardLayout { n, block, shards }
+    }
+
+    /// Blocks every shard owns, and how many leading shards own one more.
+    fn blocks_per_shard(&self) -> (usize, usize) {
+        let nblocks = self.n.div_ceil(self.block);
+        (nblocks / self.shards, nblocks % self.shards)
     }
 
     /// Total number of rows.
@@ -114,7 +114,7 @@ impl ShardLayout {
 
     /// Number of shards.
     pub fn shards(&self) -> usize {
-        self.blocks.ranks()
+        self.shards
     }
 
     /// Reduction-block size in rows.
@@ -127,11 +127,11 @@ impl ShardLayout {
     /// # Panics
     /// Panics if `shard >= shards`.
     pub fn range(&self, shard: usize) -> (usize, usize) {
-        let r = self.blocks.range(shard);
-        (
-            (r.start * self.block).min(self.n),
-            (r.end * self.block).min(self.n),
-        )
+        assert!(shard < self.shards, "shard out of range");
+        let (base, extra) = self.blocks_per_shard();
+        let start = shard * base + shard.min(extra);
+        let end = start + base + usize::from(shard < extra);
+        ((start * self.block).min(self.n), (end * self.block).min(self.n))
     }
 
     /// Number of rows owned by `shard`.
@@ -140,14 +140,20 @@ impl ShardLayout {
         e - s
     }
 
-    /// The shard owning global row `row` (closed-form via the block
-    /// partition's O(1) owner computation).
+    /// The shard owning global row `row`, in closed form: the first
+    /// `extra` shards own `base + 1` blocks each, the rest `base`.
     ///
     /// # Panics
     /// Panics if `row >= n`.
     pub fn owner(&self, row: usize) -> usize {
         assert!(row < self.n, "row out of range");
-        self.blocks.owner(row / self.block)
+        let (base, extra) = self.blocks_per_shard();
+        let (block, boundary) = (row / self.block, extra * (base + 1));
+        if block < boundary {
+            block / (base + 1)
+        } else {
+            extra + (block - boundary) / base.max(1)
+        }
     }
 
     /// Iterates the reduction-block sub-ranges of `shard`'s local rows, as

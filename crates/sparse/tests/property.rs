@@ -1,6 +1,6 @@
 //! Property-based tests of the sparse-matrix substrate's invariants.
 
-use lcr_sparse::{BlockRowPartition, CooMatrix, CsrMatrix, Vector};
+use lcr_sparse::{CooMatrix, CsrMatrix, ShardLayout, Vector};
 use proptest::prelude::*;
 
 /// Strategy producing a random small dense matrix as (nrows, ncols, data).
@@ -66,21 +66,26 @@ proptest! {
 
     #[test]
     fn partition_covers_every_row_exactly_once(n in 1usize..5000, ranks in 1usize..256) {
-        let p = BlockRowPartition::new(n, ranks);
+        // One-row blocks: the layout is the plain balanced row partition.
+        let p = ShardLayout::with_block(n, ranks, 1);
         let mut covered = 0usize;
         let mut prev_end = 0usize;
-        for range in p.iter() {
-            prop_assert_eq!(range.start, prev_end);
-            prev_end = range.end;
-            covered += range.len();
-            prop_assert!(range.len() <= p.max_local_rows());
+        let (mut min, mut max) = (usize::MAX, 0);
+        for rank in 0..ranks {
+            let (start, end) = p.range(rank);
+            prop_assert_eq!(start, prev_end);
+            prev_end = end;
+            covered += end - start;
+            (min, max) = (min.min(end - start), max.max(end - start));
         }
         prop_assert_eq!(prev_end, n);
         prop_assert_eq!(covered, n);
+        // Balanced: range lengths differ by at most one row.
+        prop_assert!(max - min <= 1, "lengths {}..={}", min, max);
         // Owner lookup is consistent with the ranges.
         for row in (0..n).step_by((n / 17).max(1)) {
-            let owner = p.owner(row);
-            prop_assert!(p.range(owner).contains(row));
+            let (start, end) = p.range(p.owner(row));
+            prop_assert!(start <= row && row < end);
         }
     }
 
@@ -132,15 +137,15 @@ proptest! {
     /// answer: the unique rank whose range contains the row.
     #[test]
     fn owner_matches_iterator_reference((n, ranks) in partition_shapes()) {
-        let p = BlockRowPartition::new(n, ranks);
+        let p = ShardLayout::with_block(n, ranks, 1);
         // Probe every row for small n, a boundary-heavy sample otherwise.
         let rows: Vec<usize> = if n <= 512 {
             (0..n).collect()
         } else {
             let mut rows: Vec<usize> = (0..ranks.min(n))
                 .flat_map(|r| {
-                    let range = p.range(r);
-                    [range.start, range.end.saturating_sub(1)]
+                    let (start, end) = p.range(r);
+                    [start, end.saturating_sub(1)]
                 })
                 .chain([0, n / 2, n - 1])
                 .filter(|&row| row < n)
@@ -150,15 +155,16 @@ proptest! {
             rows
         };
         for row in rows {
-            let reference = p
-                .iter()
-                .find(|range| range.contains(row))
-                .expect("every row is owned by exactly one rank")
-                .rank;
+            let reference = (0..ranks)
+                .find(|&r| {
+                    let (start, end) = p.range(r);
+                    start <= row && row < end
+                })
+                .expect("every row is owned by exactly one rank");
             prop_assert_eq!(p.owner(row), reference, "row {}", row);
         }
         // Ranges partition [0, n) exactly.
-        let covered: usize = p.iter().map(|r| r.len()).sum();
+        let covered: usize = (0..ranks).map(|r| p.rows(r)).sum();
         prop_assert_eq!(covered, n);
     }
 }
