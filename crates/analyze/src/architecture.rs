@@ -189,6 +189,10 @@ pub const RULES: &[Rule] = &[
         "a hand-rolled way onto the pool is back; hand tasks owned items"),
     once("fn run_items", tree(ALL), "run_items is defined once: one way onto the pool"),
     once("pool::execute", tree(&["shims/rayon/src/"]), "run_items is the pool's only caller"),
+    // One build: no feature flag; each partition is checked where it is made.
+    retired(&["racecheck", "ClaimSet", "for_racecheck", "override_plan_for_racecheck",
+        "run_chunks"], tree(ALL),
+        "the racecheck build is retired; check a partition where it is made, in every build"),
     // One shard board: shards publish into their own posts and cross one
     // generation barrier.
     retired(&["mpsc", "ShardCoordinator", "try_serve", "enum Request", "enum Reply",

@@ -10,8 +10,8 @@
 //! writes only through the `&mut` pieces it owns, so the `unsafe` that
 //! remains (unchecked gathers, the pool's lifetime erasure) stays small
 //! and justified.  This crate enforces the statically checkable half of
-//! that contract (the `racecheck` feature of the pool, `shims/rayon`, and
-//! `lcr-sparse` checks the index arithmetic the types cannot):
+//! that contract (the index arithmetic the types cannot see is checked
+//! where each partition is made, in every build):
 //!
 //! * **unsafe audit** (`unsafe_audit`) — every `unsafe` site carries an
 //!   adjacent `// SAFETY:` justification, unsafe-free crates pin

@@ -1204,14 +1204,13 @@ fn min_max(data: &[f64]) -> (f64, f64) {
         // value-range-relative mode doesn't serialise the compressor
         // (lane-parallel min/max per chunk, combined in chunk order —
         // deterministic at any thread count).
-        rayon::run_chunks(data.len(), rayon::DEFAULT_MIN_CHUNK, |s, e| {
-            min_max_lanes(&data[s..e])
-        })
-        .into_iter()
-        .fold(
-            (f64::INFINITY, f64::NEG_INFINITY),
-            |(amn, amx), (bmn, bmx)| (amn.min(bmn), amx.max(bmx)),
-        )
+        let chunks = rayon::chunk_ranges(data.len(), rayon::DEFAULT_MIN_CHUNK);
+        rayon::run_items(chunks, |_, chunk| min_max_lanes(&data[chunk]))
+            .into_iter()
+            .fold(
+                (f64::INFINITY, f64::NEG_INFINITY),
+                |(amn, amx), (bmn, bmx)| (amn.min(bmn), amx.max(bmx)),
+            )
     } else {
         min_max_lanes(data)
     }

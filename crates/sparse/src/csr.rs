@@ -21,7 +21,7 @@ const SELL_MIN_ROWS: usize = LANES;
 /// the entries are still visited in ascending storage order, so the per-row
 /// sums are **bit-identical** to the scalar traversal's.
 #[derive(Debug, Clone, PartialEq)]
-pub enum RowBlock {
+pub(crate) enum RowBlock {
     /// Rows `rows.0..rows.1` all store exactly `width` entries; row `r`'s
     /// entries occupy `k + (r − rows.0)·width ..` in the value/index arrays.
     Slab {
@@ -38,15 +38,6 @@ pub enum RowBlock {
         /// Half-open row range of the tail.
         rows: (usize, usize),
     },
-}
-
-impl RowBlock {
-    /// The half-open row range the block covers.
-    pub fn rows(&self) -> (usize, usize) {
-        match *self {
-            RowBlock::Slab { rows, .. } | RowBlock::Tail { rows } => rows,
-        }
-    }
 }
 
 /// Consumer of row sums produced by the blocked traversal.
@@ -87,36 +78,6 @@ impl<F: FnMut(usize, f64)> RowSink for FnSink<F> {
 #[inline]
 pub(crate) fn col32(c: usize) -> u32 {
     u32::try_from(c).expect("column index exceeds the u32 index range")
-}
-
-/// Validates one chunk's block decomposition under the `racecheck`
-/// feature: the blocks' row ranges must be disjoint, in bounds and tile
-/// the chunk's row range exactly, and every slab's storage extent must
-/// stay within the matrix's stored non-zeros.  Reuses the pool's
-/// [`ClaimSet`](rayon::racecheck::ClaimSet), so violations panic with the
-/// checker's standard "overlaps" / "out of bounds" reports.
-#[cfg(feature = "racecheck")]
-fn check_blocks((r0, r1): (usize, usize), blocks: &[RowBlock], nnz: usize) {
-    let row_claims = rayon::racecheck::ClaimSet::new(r1);
-    let extent_claims = rayon::racecheck::ClaimSet::new(nnz);
-    let mut covered = 0usize;
-    for b in blocks {
-        let (s, e) = b.rows();
-        assert!(
-            s >= r0,
-            "racecheck: block rows {s}..{e} start before chunk rows {r0}..{r1}"
-        );
-        row_claims.claim(s, e);
-        covered += e - s;
-        if let RowBlock::Slab { width, k, .. } = *b {
-            extent_claims.claim(k, k + (e - s) * width);
-        }
-    }
-    assert_eq!(
-        covered,
-        r1 - r0,
-        "racecheck: blocks do not tile chunk rows {r0}..{r1}"
-    );
 }
 
 /// Precomputed execution plan for SpMV-shaped traversals of one matrix.
@@ -238,40 +199,8 @@ impl SpmvPlan {
     }
 
     /// The SELL-style block decomposition of chunk `ci`.
-    pub fn blocks(&self, ci: usize) -> &[RowBlock] {
+    pub(crate) fn blocks(&self, ci: usize) -> &[RowBlock] {
         &self.blocks[ci]
-    }
-
-    /// Builds a plan with explicit chunk ranges — racecheck-test support
-    /// only, so deliberately broken partitions (overlapping or
-    /// out-of-bounds chunks) can be driven through the real kernels to
-    /// prove the checker catches them.  Each chunk becomes a single
-    /// [`RowBlock::Tail`], so the traversal exercises the general path.
-    #[cfg(feature = "racecheck")]
-    pub fn for_racecheck(chunks: Vec<(usize, usize)>) -> SpmvPlan {
-        let blocks = chunks
-            .iter()
-            .map(|&rows| vec![RowBlock::Tail { rows }])
-            .collect();
-        Self::for_racecheck_with_blocks(chunks, blocks)
-    }
-
-    /// Builds a plan with explicit chunk ranges **and** explicit per-chunk
-    /// block decompositions — racecheck-test support only, so deliberately
-    /// broken slab layouts (overlapping rows, mis-tiled chunks, slab
-    /// extents running past the value array) can be driven through the
-    /// real traversal to prove the block validator catches them.
-    #[cfg(feature = "racecheck")]
-    pub fn for_racecheck_with_blocks(
-        chunks: Vec<(usize, usize)>,
-        blocks: Vec<Vec<RowBlock>>,
-    ) -> SpmvPlan {
-        assert_eq!(chunks.len(), blocks.len(), "one block list per chunk");
-        SpmvPlan {
-            chunks,
-            parallel: true,
-            blocks,
-        }
     }
 }
 
@@ -581,14 +510,6 @@ impl CsrMatrix {
         self.plan.0.get_or_init(|| SpmvPlan::build(&self.indptr))
     }
 
-    /// Replaces the precomputed plan — racecheck-test support only (see
-    /// [`SpmvPlan::for_racecheck`]).  Never part of the production API:
-    /// plans are always derived from `indptr`.
-    #[cfg(feature = "racecheck")]
-    pub fn override_plan_for_racecheck(&mut self, plan: SpmvPlan) {
-        self.plan = PlanCell(std::sync::OnceLock::from(plan));
-    }
-
     /// Computes the row sums `(A x)_i` for the rows of plan chunk `ci`,
     /// handing each to `emit(i, sum)` in row order — the traversal core
     /// shared by `spmv` and the fused kernels.
@@ -601,10 +522,10 @@ impl CsrMatrix {
     /// through `x` relies on the CSR invariant `indices[k] < ncols` and
     /// skips per-element bounds checks.
     ///
-    /// Under the `racecheck` feature, the chunk's block list is first
-    /// validated against the plan's chunk range and the value array: the
-    /// blocks must tile the chunk's rows exactly, and slab extents must
-    /// stay within the stored non-zeros.
+    /// The plan is the matrix's own ([`SpmvPlan::build`] is the only way to
+    /// make one), so its blocks tile the chunk's rows; the unit tests pin
+    /// that.  Slab values and indices are cut with checked subslices, so a
+    /// slab extent past the stored non-zeros panics in every build.
     #[inline]
     pub(crate) fn apply_chunk<F: FnMut(usize, f64)>(
         &self,
@@ -625,18 +546,9 @@ impl CsrMatrix {
         plan: &SpmvPlan,
         ci: usize,
         x: &[f64],
-        sink: &mut S,
+        emit: &mut S,
     ) {
         debug_assert_eq!(x.len(), self.ncols);
-        let blocks = plan.blocks(ci);
-        #[cfg(feature = "racecheck")]
-        check_blocks(plan.chunks()[ci], blocks, self.values.len());
-        self.apply_blocks(blocks, x, sink);
-    }
-
-    /// The block traversal itself — see [`Self::apply_chunk`].
-    #[inline]
-    fn apply_blocks<S: RowSink>(&self, blocks: &[RowBlock], x: &[f64], emit: &mut S) {
         let cols = &self.indices;
         let gather = |vals: &[f64], cs: &[u32]| -> f64 {
             let mut sum = 0.0;
@@ -650,7 +562,7 @@ impl CsrMatrix {
             }
             sum
         };
-        for b in blocks {
+        for b in plan.blocks(ci) {
             match *b {
                 RowBlock::Slab { rows: (s, e), width: w, k } => {
                     let mut r = s;
@@ -1021,10 +933,14 @@ mod tests {
 
     #[test]
     fn plan_partition_covers_all_rows_in_order() {
+        use crate::poisson::{poisson1d, poisson3d};
         for a in [
             small(),
             CsrMatrix::identity(10),
             CsrMatrix::from_dense(96, 600, &vec![1.0; 96 * 600]),
+            poisson1d(64),
+            poisson3d(6),
+            poisson3d(20),
         ] {
             let plan = a.plan();
             let chunks = plan.chunks();
@@ -1035,6 +951,25 @@ mod tests {
             }
             assert_eq!(plan.chunks.len(), chunks.len());
             assert_eq!(plan.is_parallel(), a.nnz() >= PAR_THRESHOLD);
+            // Each chunk's blocks tile its rows in order, and every slab's
+            // rows store `width` entries each, starting at `k`, within nnz.
+            let indptr = a.indptr();
+            for (ci, &(r0, r1)) in chunks.iter().enumerate() {
+                let mut next = r0;
+                for b in plan.blocks(ci) {
+                    let (RowBlock::Slab { rows: (s, e), .. } | RowBlock::Tail { rows: (s, e) }) =
+                        *b;
+                    assert!(s == next && e > s, "block {s}..{e} of chunk {r0}..{r1}");
+                    next = e;
+                    if let RowBlock::Slab { width, k, .. } = *b {
+                        assert!(e - s >= SELL_MIN_ROWS, "short slab {s}..{e}");
+                        assert_eq!(k, indptr[s], "slab {s}..{e} offset");
+                        assert!((s..e).all(|r| indptr[r + 1] - indptr[r] == width));
+                        assert!(k + (e - s) * width <= a.nnz(), "slab {s}..{e} extent");
+                    }
+                }
+                assert_eq!(next, r1, "blocks must tile chunk rows {r0}..{r1}");
+            }
         }
     }
 

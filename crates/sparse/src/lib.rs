@@ -49,7 +49,7 @@ pub mod simd;
 pub mod vector;
 
 pub use coo::CooMatrix;
-pub use csr::{CsrMatrix, RowBlock, SpmvPlan};
+pub use csr::{CsrMatrix, SpmvPlan};
 pub use error::SparseError;
 pub use shard::{
     CommAction, CommError, CommInterposer, HaloPlan, ShardComm, ShardLayout, ShardedCsr,

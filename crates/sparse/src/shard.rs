@@ -44,10 +44,10 @@
 //! are copied in ascending peer order, so their contents are deterministic
 //! regardless of thread scheduling.  A withheld message, a barrier wait
 //! past the heartbeat, a departed peer or mismatched operations end in a
-//! typed [`CommError`].  Under the `racecheck` feature every halo receive
-//! range is claimed in a [`ClaimSet`](rayon::racecheck::ClaimSet),
-//! catching overlapping or
-//! out-of-bounds scatter targets at runtime.
+//! typed [`CommError`].  A halo plan's receive ranges must tile the halo
+//! buffer in peer order: [`HaloPlan::validate`] checks it when
+//! [`partition_csr`] builds the plan, and every exchange checks it again
+//! as it copies, in every build.
 
 use crate::csr::col32;
 use crate::{simd, CsrMatrix, Vector};
@@ -209,26 +209,37 @@ impl HaloPlan {
         self.halo_cols.len()
     }
 
-    /// Validates the receive side of the plan: ranges must be in-bounds,
-    /// mutually disjoint and cover the halo buffer exactly.  Claims each in
-    /// a [`ClaimSet`](rayon::racecheck::ClaimSet), so under the `racecheck`
-    /// feature an overlapping or out-of-bounds range panics with the claim
-    /// diagnostics.
+    /// Validates the receive side of the plan: every range is in bounds,
+    /// and the non-empty ones, taken in peer order, tile the halo buffer —
+    /// each starts where the one before it ended and the last ends at
+    /// `halo_len` (peers own ascending column ranges, so this is the order
+    /// [`partition_csr`] builds).  [`ShardComm::try_halo_exchange`] runs
+    /// the same cursor as it copies.
     ///
     /// # Panics
-    /// Panics if the ranges overlap, run out of bounds, or leave gaps.
+    /// Panics if a range runs out of bounds, overlaps the one before it,
+    /// leaves a gap, or the ranges stop short of the buffer.
     pub fn validate(&self) {
-        let claims = rayon::racecheck::ClaimSet::new(self.halo_len());
-        let mut covered = 0usize;
+        let mut next = 0;
         for &(s, e) in &self.recv_ranges {
-            assert!(s <= e && e <= self.halo_len(), "halo recv range bounds");
+            assert!(s <= e && e <= self.halo_len(), "halo recv range bounds {s}..{e}");
             if s != e {
-                claims.claim(s, e);
-                covered += e - s;
+                next = recv_cursor(next, s, e);
             }
         }
-        assert_eq!(covered, self.halo_len(), "halo recv ranges must cover the buffer");
+        assert_eq!(next, self.halo_len(), "halo recv ranges must cover the buffer");
     }
+}
+
+/// Advances the receive cursor `next` over the non-empty range `s..e`.
+///
+/// # Panics
+/// Names the range when it overlaps what was received before it or leaves
+/// a gap after it.
+fn recv_cursor(next: usize, s: usize, e: usize) -> usize {
+    assert!(s >= next, "halo recv range {s}..{e} overlaps the ranges before it (up to {next})");
+    assert!(s == next, "halo recv range {s}..{e} leaves a gap after {next}");
+    e
 }
 
 /// One shard's view of the global matrix: the locally owned rows stored as
@@ -658,9 +669,9 @@ impl ShardComm {
 
     /// One deterministic halo exchange: publishes `owned` values for every
     /// peer per `plan.send_rows`, then copies the peers' messages into
-    /// `halo` in ascending peer order.  Receive ranges are claimed in a
-    /// [`ClaimSet`](rayon::racecheck::ClaimSet) so the `racecheck` feature
-    /// verifies disjointness and bounds on every exchange.
+    /// `halo` in ascending peer order.  The non-empty receive ranges must
+    /// tile `halo` in that order (the cursor of [`HaloPlan::validate`],
+    /// checked range by range as each is copied).
     ///
     /// # Errors
     /// [`CommError::Withheld`] if a peer withheld a message this shard
@@ -668,7 +679,8 @@ impl ShardComm {
     /// [`CommError::Stalled`], [`CommError::Protocol`]).
     ///
     /// # Panics
-    /// Panics on plan/buffer length mismatch.
+    /// Panics on plan/buffer length mismatch, or if the receive ranges do
+    /// not tile `halo`.
     pub fn try_halo_exchange(
         &mut self,
         plan: &HaloPlan,
@@ -697,12 +709,12 @@ impl ShardComm {
         }
         drop(post);
         let posts = self.board.cross(self.shard, g, Op::Halo)?;
-        let claims = rayon::racecheck::ClaimSet::new(halo.len());
+        let mut next = 0;
         for (peer, &(s, e)) in plan.recv_ranges.iter().enumerate() {
             if s == e {
                 continue;
             }
-            claims.claim(s, e);
+            next = recv_cursor(next, s, e);
             let msg = posts[peer].halo[self.shard]
                 .as_deref()
                 .ok_or(CommError::Withheld {
@@ -712,6 +724,7 @@ impl ShardComm {
             assert_eq!(msg.len(), e - s, "halo message length mismatch");
             halo[s..e].copy_from_slice(msg);
         }
+        assert_eq!(next, halo.len(), "halo recv ranges must cover the buffer");
         Ok(())
     }
 
@@ -1060,6 +1073,30 @@ mod tests {
             halo_cols: vec![3, 9],
             recv_ranges: vec![(0, 1), (1, 1)],
             send_rows: vec![Vec::new(), Vec::new()],
+        };
+        plan.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "halo recv range 1..2 overlaps")]
+    fn aliased_halo_recv_ranges_panic() {
+        // Two peers scatter into slot 1 while slot 2 stays unwritten: the
+        // lengths add up (2 + 1 = 3 = halo_len), the cursor does not.
+        let plan = HaloPlan {
+            halo_cols: vec![3, 7, 9],
+            recv_ranges: vec![(0, 2), (1, 2)],
+            send_rows: vec![Vec::new(), Vec::new()],
+        };
+        plan.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "halo recv range bounds")]
+    fn out_of_bounds_halo_recv_range_panics() {
+        let plan = HaloPlan {
+            halo_cols: vec![3, 7],
+            recv_ranges: vec![(0, 3)],
+            send_rows: vec![Vec::new()],
         };
         plan.validate();
     }

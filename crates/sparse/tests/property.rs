@@ -1,6 +1,6 @@
 //! Property-based tests of the sparse-matrix substrate's invariants.
 
-use lcr_sparse::{CooMatrix, CsrMatrix, ShardLayout, Vector};
+use lcr_sparse::{CooMatrix, CsrMatrix, HaloPlan, ShardLayout, Vector};
 use proptest::prelude::*;
 
 /// Strategy producing a random small dense matrix as (nrows, ncols, data).
@@ -166,5 +166,32 @@ proptest! {
         // Ranges partition [0, n) exactly.
         let covered: usize = (0..ranks).map(|r| p.rows(r)).sum();
         prop_assert_eq!(covered, n);
+    }
+}
+
+/// The stencil partition's halo plans validate, and sliding any one
+/// receive range by one slot — same length, so the lengths still add up to
+/// the buffer — makes a plan `validate` refuses: two peers write one slot
+/// and another slot is never written, or the range runs off the buffer.
+#[test]
+fn halo_plans_validate_and_refuse_every_slid_range() {
+    let a = lcr_sparse::poisson::poisson3d(6);
+    for shards in [2usize, 3, 4] {
+        let layout = ShardLayout::with_block(a.nrows(), shards, 27);
+        for view in lcr_sparse::shard::partition_csr(&a, &layout) {
+            view.halo.validate();
+            for (peer, &(s, e)) in view.halo.recv_ranges.iter().enumerate() {
+                if s == e {
+                    continue;
+                }
+                for slid in [(s + 1, e + 1), (s.wrapping_sub(1), e - 1)] {
+                    let mut recv_ranges = view.halo.recv_ranges.clone();
+                    recv_ranges[peer] = slid;
+                    let plan = HaloPlan { recv_ranges, ..view.halo.clone() };
+                    let refused = std::panic::catch_unwind(|| plan.validate()).is_err();
+                    assert!(refused, "{shards} shards, shard {}: {slid:?} for {s}..{e}", view.shard);
+                }
+            }
+        }
     }
 }

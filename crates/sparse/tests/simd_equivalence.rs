@@ -90,11 +90,10 @@ proptest! {
         let chunked: f64 = if a.len() < vector::PAR_THRESHOLD {
             simd::dot(&a, &b)
         } else {
-            rayon::run_chunks(a.len(), rayon::DEFAULT_MIN_CHUNK, |s, e| {
-                simd::dot(&a[s..e], &b[s..e])
-            })
-            .into_iter()
-            .sum()
+            let chunks = rayon::chunk_ranges(a.len(), rayon::DEFAULT_MIN_CHUNK);
+            rayon::run_items(chunks, |_, c| simd::dot(&a[c.clone()], &b[c]))
+                .into_iter()
+                .sum()
         };
         prop_assert_eq!(bits(threaded), bits(chunked));
     }

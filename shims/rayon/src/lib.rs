@@ -26,7 +26,6 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 mod pool;
-pub mod racecheck;
 
 pub use pool::{initialize_pool, max_active_threads, pool_threads, set_max_active_threads};
 
@@ -119,23 +118,6 @@ where
     slots.into_iter().map(result).collect()
 }
 
-/// [`run_items`] over [`chunk_ranges`]`(len, min_chunk)`: evaluates
-/// `work(start, end)` for each chunk and returns the partials in chunk
-/// order.  Under `racecheck` every range is claimed first, so a regression
-/// in the split formula (overlap, out of bounds) panics instead of
-/// computing on.
-pub fn run_chunks<R: Send>(
-    len: usize,
-    min_chunk: usize,
-    work: impl Fn(usize, usize) -> R + Sync,
-) -> Vec<R> {
-    let claims = racecheck::ClaimSet::new(len);
-    run_items(chunk_ranges(len, min_chunk), |_, chunk| {
-        claims.claim(chunk.start, chunk.end);
-        work(chunk.start, chunk.end)
-    })
-}
-
 /// [`run_items`] over the indices `0..ntasks`, for callers whose partition
 /// is a table they index themselves (compression blocks, block × candidate
 /// pairs): `work(task_index)`, results in task order.
@@ -208,7 +190,9 @@ mod tests {
 
     #[test]
     fn chunking_is_a_function_of_length_only() {
-        let chunks = |len, min_chunk| run_chunks(len, min_chunk, |start, end| (start, end));
+        let chunks = |len, min_chunk| {
+            run_items(chunk_ranges(len, min_chunk), |_, chunk| (chunk.start, chunk.end))
+        };
         assert_eq!(chunks(10, DEFAULT_MIN_CHUNK), [(0, 10)]);
         assert_eq!(chunks(4 * DEFAULT_MIN_CHUNK, DEFAULT_MIN_CHUNK).len(), 4);
         assert_eq!(chunks(1 << 40, DEFAULT_MIN_CHUNK).len(), MAX_CHUNKS);
@@ -220,11 +204,24 @@ mod tests {
             set_max_active_threads(cap);
             assert_eq!(chunks(len, DEFAULT_MIN_CHUNK), expect, "cap {cap}");
         }
+        // Every split tiles `0..len`: no chunk is empty, each starts where
+        // the one before it ended, and the last ends at `len`.
+        for len in (0..300).chain([1023, 1024, 1025, 4097, 65_535, 65_536, 1 << 20, 1 << 40]) {
+            for min_chunk in [0, 1, 2, 3, 7, 64, 1000, DEFAULT_MIN_CHUNK, usize::MAX] {
+                let mut end = 0;
+                for chunk in chunk_ranges(len, min_chunk) {
+                    assert_eq!(chunk.start, end, "gap or overlap at len {len}, min {min_chunk}");
+                    assert!(chunk.end > chunk.start, "empty chunk at len {len}, min {min_chunk}");
+                    end = chunk.end;
+                }
+                assert_eq!(end, len, "split stops short at len {len}, min {min_chunk}");
+            }
+        }
     }
 
     /// Runs `f` on every index of `0..len`, a pool chunk at a time.
     fn for_each_index(len: usize, f: impl Fn(usize) + Sync) {
-        run_chunks(len, DEFAULT_MIN_CHUNK, |start, end| (start..end).for_each(&f));
+        run_items(chunk_ranges(len, DEFAULT_MIN_CHUNK), |_, chunk| chunk.for_each(&f));
     }
 
     #[test]
@@ -264,9 +261,11 @@ mod tests {
             );
             // The very next parallel call must run to completion with the
             // right answer — no leaked job, no stuck ticket.
-            let s: usize = run_chunks(len, DEFAULT_MIN_CHUNK, |start, end| (start..end).sum::<usize>())
-                .into_iter()
-                .sum();
+            let s: usize = run_items(chunk_ranges(len, DEFAULT_MIN_CHUNK), |_, chunk| {
+                chunk.sum::<usize>()
+            })
+            .into_iter()
+            .sum();
             assert_eq!(s, expect, "round {round}: pool corrupted after panic");
         }
     }
@@ -294,8 +293,8 @@ mod tests {
 
     #[test]
     fn empty_inputs() {
-        assert!(run_chunks(0, DEFAULT_MIN_CHUNK, |_, _| 0.0f64).is_empty());
-        assert!(run_chunks(0, 1, |_, _| ()).is_empty());
+        assert!(run_items(chunk_ranges(0, DEFAULT_MIN_CHUNK), |_, _| 0.0f64).is_empty());
+        assert!(run_items(chunk_ranges(0, 1), |_, _| ()).is_empty());
         assert!(run_ordered(0, |_| ()).is_empty());
     }
 }
