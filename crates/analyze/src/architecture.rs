@@ -142,6 +142,10 @@ pub const RULES: &[Rule] = &[
     retired(&["LZSS_ID"], tree(&["crates/compress/"]),
         "LZSS is the lossless pipeline's byte stage, not a Codec with a stream of its own"),
     once("huffman::Plan::of", SZ, "sz.rs plans a Huffman blob in one place: one encoder"),
+    // One Huffman alphabet and one code-length limit: the entropy stage
+    // codes only what SZ writes (the oracle under `tests/` keeps its own).
+    retired(&["limit_depths", "BUILD_MAX_LEN"], tree(&["crates/compress/src/"]),
+        "Huffman codes are at most 32 bits by construction; no SZ blob needs a length limiter"),
     once("SzCompressor", STRATEGY, "strategy.rs maps the SZ strategy to its codec once"),
     once("ZfpCompressor", STRATEGY, "strategy.rs maps the ZFP strategy to its codec once"),
     once("LosslessPipeline", STRATEGY, "strategy.rs maps Lossless to its codec once"),
@@ -166,6 +170,8 @@ pub const RULES: &[Rule] = &[
         "derive_deserialize", "BiCgStab", "bicgstab_p_update", "waxpy_norm2", "fn dot2",
         "fn axpy2"], tree(ALL), "a deleted solver, preconditioner or dead item is back"),
     retired(&["Vec<Vec<f64>>"], tree(SHARD), "the shard board reduces one quantity per round"),
+    retired(&["StoppingCriteria {"], code(CORE),
+        "one stopping rule on both fronts: build criteria with StoppingCriteria::new"),
     // One checkpoint store: both tiers of `FtiContext` are a `DiskStore`,
     // with one commit path.
     once("fn front_chain_len", code(CKPT), "chain-aware eviction is defined once: one store"),

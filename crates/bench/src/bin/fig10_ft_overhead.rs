@@ -26,7 +26,6 @@ fn main() {
             runs: scale.repetitions.max(3),
             seed: 20180611,
             max_iterations: scale.max_iterations,
-            num_threads: 0,
         };
         let rows = fault_tolerance_overhead(kind, &cfg, &pfs);
         all.extend(rows);

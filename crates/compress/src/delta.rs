@@ -13,14 +13,12 @@
 //!
 //! The kernels follow the `lcr_sparse::simd` style: chunk-of-8 `[u32; 8]`
 //! blocks the compiler auto-vectorizes (no intrinsics, no `unsafe` — this
-//! crate forbids it), eight independent min/max lane accumulators for the
-//! symbol range, and a [`scalar`] submodule with plain one-element loops
-//! that the equivalence tests pin the vectorized paths against.
+//! crate forbids it), and a [`scalar`] submodule with plain one-element
+//! loops that the equivalence tests pin the vectorized paths against.
 //!
 //! Symbol ranges (codes are `0..=65_537`): order-1 deltas lie in
 //! `±65_537`, so zigzag symbols stay below `2^18`; order-2 deltas lie in
-//! `±131_074`, below `2^19`.  Both fit the dense-histogram Huffman stage
-//! with a modest scratch table.
+//! `±131_074`, below `2^19` — inside the Huffman stage's one alphabet.
 
 /// Number of lanes in the chunked kernels (matches `lcr_sparse::simd`).
 pub const LANES: usize = 8;
@@ -77,42 +75,27 @@ fn unzigzag(z: u32) -> i64 {
 }
 
 /// Order-1 temporal delta: `out[i] = zigzag(curr[i] − prev[i])`, appended
-/// to `out` (cleared first).  Returns the inclusive `(min, max)` range of
-/// the emitted symbols (`min > max` for empty input) so the Huffman
-/// builder can scan only the live histogram span.
+/// to `out` (cleared first).
 ///
 /// # Panics
 /// Panics if the lengths differ.
-pub fn encode_order1(curr: &[u32], prev: &[u32], out: &mut Vec<u32>) -> (u32, u32) {
+pub fn encode_order1(curr: &[u32], prev: &[u32], out: &mut Vec<u32>) {
     assert_eq!(curr.len(), prev.len(), "delta::encode_order1: length mismatch");
     out.clear();
     out.reserve(curr.len());
-    let mut lane_min = [u32::MAX; LANES];
-    let mut lane_max = [0u32; LANES];
     let mut blocks = curr.chunks_exact(LANES).zip(prev.chunks_exact(LANES));
     for (vc, vp) in &mut blocks {
         let mut syms = [0u32; LANES];
         for j in 0..LANES {
             syms[j] = zigzag((vc[j] as i32).wrapping_sub(vp[j] as i32));
         }
-        for j in 0..LANES {
-            lane_min[j] = lane_min[j].min(syms[j]);
-            lane_max[j] = lane_max[j].max(syms[j]);
-        }
         out.extend_from_slice(&syms);
     }
     let tc = curr.chunks_exact(LANES).remainder();
     let tp = prev.chunks_exact(LANES).remainder();
     for j in 0..tc.len() {
-        let sym = zigzag((tc[j] as i32).wrapping_sub(tp[j] as i32));
-        lane_min[j] = lane_min[j].min(sym);
-        lane_max[j] = lane_max[j].max(sym);
-        out.push(sym);
+        out.push(zigzag((tc[j] as i32).wrapping_sub(tp[j] as i32)));
     }
-    (
-        lane_min.into_iter().min().unwrap_or(u32::MAX),
-        lane_max.into_iter().max().unwrap_or(0),
-    )
 }
 
 /// Inverse of [`encode_order1`]: `out[i] = prev[i] + unzigzag(syms[i])`,
@@ -144,17 +127,14 @@ pub fn decode_order1(syms: &[u32], prev: &[u32], out: &mut Vec<u32>) {
 /// Order-2 temporal delta against the linear extrapolation of the two
 /// prior snapshots: `out[i] = zigzag(curr[i] − (2·prev1[i] − prev2[i]))`,
 /// appended to `out` (cleared first).  `prev1` is the newer prior.
-/// Returns the live `(min, max)` symbol range like [`encode_order1`].
 ///
 /// # Panics
 /// Panics if the lengths differ.
-pub fn encode_order2(curr: &[u32], prev1: &[u32], prev2: &[u32], out: &mut Vec<u32>) -> (u32, u32) {
+pub fn encode_order2(curr: &[u32], prev1: &[u32], prev2: &[u32], out: &mut Vec<u32>) {
     assert_eq!(curr.len(), prev1.len(), "delta::encode_order2: length mismatch");
     assert_eq!(curr.len(), prev2.len(), "delta::encode_order2: length mismatch");
     out.clear();
     out.reserve(curr.len());
-    let mut lane_min = [u32::MAX; LANES];
-    let mut lane_max = [0u32; LANES];
     let mut blocks = curr
         .chunks_exact(LANES)
         .zip(prev1.chunks_exact(LANES).zip(prev2.chunks_exact(LANES)));
@@ -164,10 +144,6 @@ pub fn encode_order2(curr: &[u32], prev1: &[u32], prev2: &[u32], out: &mut Vec<u
             let pred = (v1[j] as i32).wrapping_mul(2).wrapping_sub(v2[j] as i32);
             syms[j] = zigzag((vc[j] as i32).wrapping_sub(pred));
         }
-        for j in 0..LANES {
-            lane_min[j] = lane_min[j].min(syms[j]);
-            lane_max[j] = lane_max[j].max(syms[j]);
-        }
         out.extend_from_slice(&syms);
     }
     let tc = curr.chunks_exact(LANES).remainder();
@@ -175,15 +151,8 @@ pub fn encode_order2(curr: &[u32], prev1: &[u32], prev2: &[u32], out: &mut Vec<u
     let t2 = prev2.chunks_exact(LANES).remainder();
     for j in 0..tc.len() {
         let pred = (t1[j] as i32).wrapping_mul(2).wrapping_sub(t2[j] as i32);
-        let sym = zigzag((tc[j] as i32).wrapping_sub(pred));
-        lane_min[j] = lane_min[j].min(sym);
-        lane_max[j] = lane_max[j].max(sym);
-        out.push(sym);
+        out.push(zigzag((tc[j] as i32).wrapping_sub(pred)));
     }
-    (
-        lane_min.into_iter().min().unwrap_or(u32::MAX),
-        lane_max.into_iter().max().unwrap_or(0),
-    )
 }
 
 /// Inverse of [`encode_order2`]:
@@ -225,17 +194,12 @@ pub mod scalar {
     use super::{unzigzag, zigzag};
 
     /// Scalar mirror of [`super::encode_order1`].
-    pub fn encode_order1(curr: &[u32], prev: &[u32], out: &mut Vec<u32>) -> (u32, u32) {
+    pub fn encode_order1(curr: &[u32], prev: &[u32], out: &mut Vec<u32>) {
         assert_eq!(curr.len(), prev.len(), "delta::scalar::encode_order1: length mismatch");
         out.clear();
-        let (mut lo, mut hi) = (u32::MAX, 0u32);
         for i in 0..curr.len() {
-            let sym = zigzag((i64::from(curr[i]) - i64::from(prev[i])) as i32);
-            lo = lo.min(sym);
-            hi = hi.max(sym);
-            out.push(sym);
+            out.push(zigzag((i64::from(curr[i]) - i64::from(prev[i])) as i32));
         }
-        (lo, hi)
     }
 
     /// Scalar mirror of [`super::decode_order1`].
@@ -248,24 +212,14 @@ pub mod scalar {
     }
 
     /// Scalar mirror of [`super::encode_order2`].
-    pub fn encode_order2(
-        curr: &[u32],
-        prev1: &[u32],
-        prev2: &[u32],
-        out: &mut Vec<u32>,
-    ) -> (u32, u32) {
+    pub fn encode_order2(curr: &[u32], prev1: &[u32], prev2: &[u32], out: &mut Vec<u32>) {
         assert_eq!(curr.len(), prev1.len(), "delta::scalar::encode_order2: length mismatch");
         assert_eq!(curr.len(), prev2.len(), "delta::scalar::encode_order2: length mismatch");
         out.clear();
-        let (mut lo, mut hi) = (u32::MAX, 0u32);
         for i in 0..curr.len() {
             let pred = 2 * i64::from(prev1[i]) - i64::from(prev2[i]);
-            let sym = zigzag((i64::from(curr[i]) - pred) as i32);
-            lo = lo.min(sym);
-            hi = hi.max(sym);
-            out.push(sym);
+            out.push(zigzag((i64::from(curr[i]) - pred) as i32));
         }
-        (lo, hi)
     }
 
     /// Scalar mirror of [`super::decode_order2`].
@@ -321,15 +275,10 @@ mod tests {
             let curr = codes(n, 1);
             let prev = codes(n, 2);
             let mut syms = Vec::new();
-            let (lo, hi) = encode_order1(&curr, &prev, &mut syms);
+            encode_order1(&curr, &prev, &mut syms);
             let mut back = Vec::new();
             decode_order1(&syms, &prev, &mut back);
             assert_eq!(back, curr, "n={n}");
-            if n > 0 {
-                assert!(syms.iter().all(|&s| (lo..=hi).contains(&s)));
-            } else {
-                assert!(lo > hi, "empty input reports an empty range");
-            }
         }
     }
 
@@ -340,13 +289,10 @@ mod tests {
             let prev1 = codes(n, 4);
             let prev2 = codes(n, 5);
             let mut syms = Vec::new();
-            let (lo, hi) = encode_order2(&curr, &prev1, &prev2, &mut syms);
+            encode_order2(&curr, &prev1, &prev2, &mut syms);
             let mut back = Vec::new();
             decode_order2(&syms, &prev1, &prev2, &mut back);
             assert_eq!(back, curr, "n={n}");
-            if n > 0 {
-                assert!(syms.iter().all(|&s| (lo..=hi).contains(&s)));
-            }
         }
     }
 
@@ -358,17 +304,13 @@ mod tests {
             let prev2 = codes(n, 8);
 
             let (mut a, mut b) = (Vec::new(), Vec::new());
-            assert_eq!(
-                encode_order1(&curr, &prev1, &mut a),
-                scalar::encode_order1(&curr, &prev1, &mut b)
-            );
+            encode_order1(&curr, &prev1, &mut a);
+            scalar::encode_order1(&curr, &prev1, &mut b);
             assert_eq!(a, b);
 
             let (mut a2, mut b2) = (Vec::new(), Vec::new());
-            assert_eq!(
-                encode_order2(&curr, &prev1, &prev2, &mut a2),
-                scalar::encode_order2(&curr, &prev1, &prev2, &mut b2)
-            );
+            encode_order2(&curr, &prev1, &prev2, &mut a2);
+            scalar::encode_order2(&curr, &prev1, &prev2, &mut b2);
             assert_eq!(a2, b2);
 
             let (mut da, mut db) = (Vec::new(), Vec::new());
@@ -387,9 +329,8 @@ mod tests {
     fn identical_snapshots_give_all_zero_symbols() {
         let curr = codes(1000, 9);
         let mut syms = Vec::new();
-        let (lo, hi) = encode_order1(&curr, &curr, &mut syms);
+        encode_order1(&curr, &curr, &mut syms);
         assert!(syms.iter().all(|&s| s == 0));
-        assert_eq!((lo, hi), (0, 0));
     }
 
     #[test]

@@ -3,9 +3,16 @@
 //! SZ's speed and ratio come from the fact that after prediction and
 //! linear-scaling quantization almost all symbols fall into a handful of
 //! bins around zero; Huffman coding then shrinks them to a few bits each.
-//! This module implements a length-limited canonical Huffman encoder and a
-//! table-driven decoder over `u32` symbols, built for word-at-a-time
-//! throughput:
+//! This module implements a canonical Huffman encoder and a table-driven
+//! decoder over the symbols SZ writes, built for word-at-a-time throughput.
+//!
+//! Its one alphabet is `0..`[`DENSE_SPAN_MAX`] (2^19): quantization codes
+//! are at most 65,537, order-2 zigzag deltas stay below 2^19 and XOR byte
+//! planes below 2^8.  Its one code-length limit is [`MAX_CODE_LEN`] = 32
+//! bits, for writer and reader alike, and it holds by construction, not by
+//! a limiter: a tree with a leaf at depth 33 needs at least F(35) =
+//! 9,227,465 symbols (the Fibonacci bound), so a blob of one `PAR_BLOCK`
+//! (at most 65,536 symbols) is at most 22 levels deep.
 //!
 //! * **Encoding** is two steps.  [`Plan::of`] counts the symbols and turns
 //!   the histogram into code lengths and the blob's **exact** size without
@@ -17,7 +24,9 @@
 //! * **Decoding** resolves every code of ≤ [`TABLE_BITS`] bits with a
 //!   single table probe ([`BitReader::peek_bits`] + lookup + consume) and
 //!   falls back to the canonical first-code/offset method only for the
-//!   rare longer codes.
+//!   rare longer codes.  It accepts only what the encoder writes: a table
+//!   naming a symbol of 2^19 or more, or a code longer than 32 bits, is
+//!   [`CompressError::Corrupt`].
 //!
 //! One serialised format exists: the v2 blob (varint count, length-grouped
 //! delta-coded table) written by [`encode_block`].
@@ -26,23 +35,17 @@ use crate::bitstream::{bytes, BitReader};
 use crate::{CompressError, Result};
 use std::cell::RefCell;
 
-/// Maximum code length accepted when deserialising a table (the builder
-/// itself stops at [`BUILD_MAX_LEN`]).
-const MAX_CODE_LEN: u8 = 48;
-
-/// Maximum code length the builder emits.  Codes are length-limited to
-/// this depth (Kraft-preserving rebalance) so decoder tables stay small
-/// and the packer can take any code in half a word.
-const BUILD_MAX_LEN: u8 = 32;
+/// Longest code the builder emits and the reader accepts.  No SZ blob
+/// comes near it (see the module docs), and it lets the packer take any
+/// code in half a word.
+const MAX_CODE_LEN: u8 = 32;
 
 /// Bits resolved per decode-table probe; codes no longer than this decode
 /// with a single peek + lookup.
 const TABLE_BITS: u8 = 12;
 
-/// Symbols in `0..DENSE_SPAN_MAX` are counted and looked up in dense
-/// per-thread tables; larger ones (no SZ stream has any: quantization
-/// codes stay below 2^17 and their order-2 temporal deltas below 2^19)
-/// are sorted and binary-searched.
+/// The alphabet is `0..DENSE_SPAN_MAX`: every symbol is counted and looked
+/// up in dense per-thread tables.
 const DENSE_SPAN_MAX: usize = 1 << 19;
 
 /// Width of the window of symbols around a stream's expected mode that is
@@ -70,15 +73,15 @@ thread_local! {
 
 /// Grows the dense table to hold `index`, in powers of two (short-lived
 /// threads, such as a shard's, should not pay for alphabets they never
-/// see); `false` if `index` is beyond what the dense table holds.
-fn cover(table: &mut Vec<u32>, index: usize) -> bool {
+/// see).
+///
+/// # Panics
+/// Panics if `index` is not in the alphabet `0..DENSE_SPAN_MAX`.
+fn cover(table: &mut Vec<u32>, index: usize) {
     if index >= table.len() {
-        if index >= DENSE_SPAN_MAX {
-            return false;
-        }
+        assert!(index < DENSE_SPAN_MAX, "symbol {index} is beyond the 2^19 alphabet");
         table.resize((index + 1).next_power_of_two(), 0);
     }
-    true
 }
 
 /// Counts `symbols` into `(symbol, count)` pairs sorted by symbol.
@@ -94,7 +97,6 @@ fn cover(table: &mut Vec<u32>, index: usize) -> bool {
 fn count(symbols: &[u32], center: u32) -> Vec<(u32, u64)> {
     let base = center.saturating_sub(NEAR as u32 / 2);
     let mut near = [0u32; NEAR * 4];
-    let mut far: Vec<u32> = Vec::new();
     let mut present: Vec<(u32, u64)> = Vec::new();
     SCRATCH.with(|s| {
         let s = &mut *s.borrow_mut();
@@ -102,14 +104,13 @@ fn count(symbols: &[u32], center: u32) -> Vec<(u32, u64)> {
             let k = sym.wrapping_sub(base) as usize;
             if k < NEAR {
                 near[k * 4 + lane] += 1;
-            } else if cover(&mut s.table, sym as usize) {
+            } else {
+                cover(&mut s.table, sym as usize);
                 let c = &mut s.table[sym as usize];
                 if *c == 0 {
                     s.touched.push(sym);
                 }
                 *c += 1;
-            } else {
-                far.push(sym);
             }
         };
         let mut chunks = symbols.chunks_exact(4);
@@ -134,16 +135,13 @@ fn count(symbols: &[u32], center: u32) -> Vec<(u32, u64)> {
             present.push((base + k as u32, c));
         }
     }
-    far.sort_unstable();
-    for run in far.chunk_by(|a, b| a == b) {
-        present.push((run[0], run.len() as u64));
-    }
     present.sort_unstable_by_key(|&(sym, _)| sym);
     present
 }
 
 /// Huffman code length of every entry of `present` (`(symbol, count)`
-/// pairs sorted by symbol, counts positive), in the same order.
+/// pairs sorted by symbol, counts positive), in the same order: the depths
+/// of the tree, unlimited.
 ///
 /// The tree is built with the sort + two-queue construction: leaves sorted
 /// by `(weight, index)` in one queue, internal nodes in creation order in
@@ -193,57 +191,14 @@ fn code_depths(present: &[(u32, u64)]) -> Vec<u8> {
         internal.push(weight);
     }
     // A node's parent has a larger id, so one descending sweep settles
-    // every depth.  Depth saturates at 255 to stay well-defined even for
-    // pathological weight distributions; the length limiter rebalances
-    // anything deeper than BUILD_MAX_LEN.
+    // every depth.  A depth of `d` needs a total weight of at least
+    // F(d + 2), so `u64` counts keep it below 93.
     let mut depth = vec![0u8; 2 * n - 1];
     for id in (0..2 * n - 2).rev() {
-        depth[id] = depth[parent[id] as usize].saturating_add(1);
+        depth[id] = depth[parent[id] as usize] + 1;
     }
     depth.truncate(n);
-    if depth.iter().any(|&d| d > BUILD_MAX_LEN) {
-        return limit_depths(present, &depth);
-    }
     depth
-}
-
-/// Length-limits a too-deep code to [`BUILD_MAX_LEN`] bits: clamp the
-/// overlong lengths, restore the Kraft inequality by splitting shorter
-/// codes (the classic zlib rebalance), then hand the shortest lengths to
-/// the most frequent symbols.
-fn limit_depths(present: &[(u32, u64)], depths: &[u8]) -> Vec<u8> {
-    let max = BUILD_MAX_LEN as usize;
-    let mut bl_count = vec![0u64; max + 2];
-    for &d in depths {
-        bl_count[(d as usize).min(max)] += 1;
-    }
-    // Kraft sum in units of 2^-BUILD_MAX_LEN.
-    let kraft = |bl: &[u64]| -> u128 { (1..=max).map(|l| (bl[l] as u128) << (max - l)).sum() };
-    while kraft(&bl_count) > 1u128 << max {
-        // Split one code of the deepest non-max length into two and
-        // retire one max-length slot.
-        let mut bits = max - 1;
-        while bl_count[bits] == 0 {
-            bits -= 1;
-        }
-        bl_count[bits] -= 1;
-        bl_count[bits + 1] += 2;
-        bl_count[max] -= 1;
-    }
-    // Most frequent symbols take the shortest lengths; ties break on
-    // symbol value (= index: `present` is sorted by symbol) for determinism.
-    let mut by_freq: Vec<usize> = (0..present.len()).collect();
-    by_freq.sort_unstable_by(|&a, &b| present[b].1.cmp(&present[a].1).then(a.cmp(&b)));
-    let mut out = vec![0u8; present.len()];
-    let mut len = 1usize;
-    for i in by_freq {
-        while bl_count[len] == 0 {
-            len += 1;
-        }
-        bl_count[len] -= 1;
-        out[i] = len as u8;
-    }
-    out
 }
 
 /// Number of codes of each length in a canonically sorted length list.
@@ -325,6 +280,10 @@ impl Plan {
     /// Plans the blob of `symbols` (at most `u32::MAX` of them).  `center`
     /// is where the caller expects the most frequent symbol; it steers the
     /// counting pass only, never the result.
+    ///
+    /// # Panics
+    /// Panics if a symbol is not below 2^19, or if the tree is deeper than
+    /// [`MAX_CODE_LEN`] (which takes more than 9 M symbols).
     pub(crate) fn of(symbols: &[u32], center: u32) -> Plan {
         if symbols.is_empty() {
             return Plan {
@@ -338,10 +297,19 @@ impl Plan {
 
     /// Plans the blob of any stream with the given `(symbol, count)` pairs
     /// (sorted by symbol, every count positive).
+    ///
+    /// # Panics
+    /// Panics if the Huffman tree is deeper than [`MAX_CODE_LEN`].
     fn from_frequencies(present: &[(u32, u64)]) -> Plan {
         let depths = code_depths(present);
+        let deepest = depths.iter().copied().max().unwrap_or(0);
+        assert!(
+            deepest <= MAX_CODE_LEN,
+            "Huffman tree is {deepest} levels deep, beyond the {MAX_CODE_LEN}-bit code limit \
+             (a depth of 33 takes at least F(35) = 9,227,465 symbols)"
+        );
         let (mut n_symbols, mut bits) = (0u64, 0u64);
-        let mut offsets = [0usize; BUILD_MAX_LEN as usize + 2];
+        let mut offsets = [0usize; MAX_CODE_LEN as usize + 2];
         for (&(_, w), &d) in present.iter().zip(&depths) {
             n_symbols += w;
             bits += w * u64::from(d);
@@ -378,10 +346,10 @@ impl Plan {
     /// from — into `dst`, which must be exactly [`Plan::blob_len`] long.
     ///
     /// One symbol → code table is filled per blob (the dense per-thread
-    /// table pointing into the blob's `code << 8 | len` list; a sorted list
-    /// for symbols beyond it), and the codes are concatenated MSB-first in
-    /// a 64-bit accumulator that spills whole big-endian words straight
-    /// into `dst` — [`BitWriter`]'s byte layout, final byte zero-padded.
+    /// table pointing into the blob's `code << 8 | len` list), and the
+    /// codes are concatenated MSB-first in a 64-bit accumulator that spills
+    /// whole big-endian words straight into `dst` — [`BitWriter`]'s byte
+    /// layout, final byte zero-padded.
     ///
     /// [`BitWriter`]: crate::bitstream::BitWriter
     pub(crate) fn emit(&self, symbols: &[u32], dst: &mut [u8]) {
@@ -403,23 +371,13 @@ impl Plan {
             .collect();
         SCRATCH.with(|s| {
             let table = &mut s.borrow_mut().table;
-            let mut far: Vec<(u32, u64)> = Vec::new();
             for (entry, &(sym, _)) in (1u32..).zip(&self.lengths) {
-                if cover(table, sym as usize) {
-                    table[sym as usize] = entry;
-                } else {
-                    far.push((sym, codes[entry as usize]));
-                }
+                cover(table, sym as usize);
+                table[sym as usize] = entry;
             }
-            far.sort_unstable();
-            pack(symbols, bits, |sym| match table.get(sym as usize) {
-                Some(&entry) => codes[entry as usize],
-                None => far[far.partition_point(|&(s, _)| s < sym)].1,
-            });
+            pack(symbols, bits, |sym| codes[table[sym as usize] as usize]);
             for &(sym, _) in &self.lengths {
-                if let Some(entry) = table.get_mut(sym as usize) {
-                    *entry = 0;
-                }
+                table[sym as usize] = 0;
             }
         });
     }
@@ -566,39 +524,31 @@ impl HuffmanCode {
         // Multi-bit lookup table: one probe resolves any code of <= `tb`
         // bits to (entry << 8 | len); 0 marks longer codes (and invalid
         // prefixes), handled by the canonical first-code/offset fallback.
-        // Entry indices are packed into 24 bits; the (purely theoretical)
-        // >16M-symbol book falls back to the first-code search throughout.
-        let use_lut = self.lengths.len() < (1 << 24);
+        // A book has at most 2^19 entries, so an index fits the top 24 bits.
         let tb = TABLE_BITS.min(self.max_len);
-        let mut lut = vec![0u32; if use_lut { 1usize << tb } else { 0 }];
-        if use_lut {
-            for (entry, (&(_, len), &pc)) in
-                self.lengths.iter().zip(self.packed.iter()).enumerate()
-            {
-                if len <= tb {
-                    let base = ((pc >> 8) << (tb - len)) as usize;
-                    let packed = ((entry as u32) << 8) | u32::from(len);
-                    for slot in &mut lut[base..base + (1usize << (tb - len))] {
-                        *slot = packed;
-                    }
+        let mut lut = vec![0u32; 1usize << tb];
+        for (entry, (&(_, len), &pc)) in self.lengths.iter().zip(self.packed.iter()).enumerate() {
+            if len <= tb {
+                let base = ((pc >> 8) << (tb - len)) as usize;
+                let packed = ((entry as u32) << 8) | u32::from(len);
+                for slot in &mut lut[base..base + (1usize << (tb - len))] {
+                    *slot = packed;
                 }
             }
         }
 
         for _ in 0..count {
-            if use_lut {
-                let probe = reader.peek_bits(tb) as usize;
-                let packed = lut[probe];
-                if packed != 0 {
-                    // `peek_bits` zero-pads past the end of the stream, so
-                    // the consume is what detects truncation.
-                    reader.consume((packed & 0xFF) as u8)?;
-                    out.push(self.lengths[(packed >> 8) as usize].0);
-                    continue;
-                }
+            let probe = reader.peek_bits(tb) as usize;
+            let packed = lut[probe];
+            if packed != 0 {
+                // `peek_bits` zero-pads past the end of the stream, so the
+                // consume is what detects truncation.
+                reader.consume((packed & 0xFF) as u8)?;
+                out.push(self.lengths[(packed >> 8) as usize].0);
+                continue;
             }
-            // Long (or table-excluded) code: canonical first-code search.
-            let mut l = if use_lut { tb + 1 } else { 1 };
+            // Long code: canonical first-code search.
+            let mut l = tb + 1;
             loop {
                 if l > self.max_len {
                     return Err(CompressError::Corrupt("invalid Huffman code".into()));
@@ -624,8 +574,8 @@ impl HuffmanCode {
     /// Reads a v2 code book previously serialised by [`write_table_v2`].
     ///
     /// # Errors
-    /// Returns [`CompressError::Corrupt`] if the table is truncated or
-    /// internally inconsistent.
+    /// Returns [`CompressError::Corrupt`] if the table is truncated,
+    /// internally inconsistent, or names a symbol outside the alphabet.
     fn read_table_v2(buf: &[u8], pos: &mut usize) -> Result<Self> {
         let max_len = bytes::get_slice(buf, pos, 1)?[0];
         if max_len == 0 || max_len > MAX_CODE_LEN {
@@ -652,16 +602,12 @@ impl HuffmanCode {
             let mut prev: Option<u32> = None;
             for _ in 0..count {
                 let raw = bytes::get_varint(buf, pos)?;
-                let wide = match prev {
-                    None => Some(raw),
-                    Some(p) => u64::from(p)
-                        .checked_add(1)
-                        .and_then(|v| v.checked_add(raw)),
-                };
-                let sym = wide
-                    .map(u32::try_from)
-                    .ok_or_else(|| CompressError::Corrupt("symbol overflow in table".into()))?
-                    .map_err(|_| CompressError::Corrupt("symbol overflow in table".into()))?;
+                let sym = prev
+                    .map_or(Some(raw), |p| raw.checked_add(u64::from(p) + 1))
+                    .filter(|&s| s < DENSE_SPAN_MAX as u64)
+                    .ok_or_else(|| {
+                        CompressError::Corrupt("table symbol beyond the 2^19 alphabet".into())
+                    })? as u32;
                 lengths.push((sym, len as u8));
                 prev = Some(sym);
             }
@@ -673,6 +619,9 @@ impl HuffmanCode {
 /// Huffman-encodes a symbol stream into a self-contained v2 byte blob
 /// (varint count, compact table, varint bit-stream length, bits), appended
 /// to `out`.
+///
+/// # Panics
+/// Panics if a symbol is not below 2^19.
 pub fn encode_block_into(symbols: &[u32], out: &mut Vec<u8>) {
     let plan = Plan::of(symbols, 0);
     let start = out.len();
@@ -762,10 +711,47 @@ mod tests {
     }
 
     #[test]
-    fn wide_symbol_values() {
-        // Spans the full u32 range, exercising the sparse encode index.
-        let symbols = vec![0u32, u32::MAX, 5, u32::MAX, 0, 123456789];
-        roundtrip(&symbols);
+    fn largest_symbol_roundtrips() {
+        let top = DENSE_SPAN_MAX as u32 - 1;
+        roundtrip(&[0, top, 5, top, 0, 123_456]);
+    }
+
+    /// A one-symbol blob whose table names `sym` with a 1-bit code.
+    fn one_symbol_blob(sym: u64) -> Vec<u8> {
+        let mut blob = vec![1, 1, 1]; // count 1; max length 1, one code of it
+        bytes::put_varint(&mut blob, sym);
+        blob.extend_from_slice(&[1, 0]); // one byte of bits: the code `0`
+        blob
+    }
+
+    #[test]
+    fn table_symbol_beyond_the_alphabet_rejected() {
+        let top = DENSE_SPAN_MAX as u64 - 1;
+        assert_eq!(decode_block(&one_symbol_blob(top), &mut 0).unwrap(), [top as u32]);
+        for sym in [DENSE_SPAN_MAX as u64, u64::from(u32::MAX) + 1] {
+            match decode_block(&one_symbol_blob(sym), &mut 0) {
+                Err(CompressError::Corrupt(msg)) => assert!(msg.contains("2^19"), "{msg}"),
+                other => panic!("symbol {sym}: expected a Corrupt error, got {other:?}"),
+            }
+        }
+    }
+
+    /// A complete v2 table as deep as `max_len`: one code of each length
+    /// below it and two of `max_len`, symbols `0..=max_len`.
+    fn deep_table(max_len: u8) -> Vec<u8> {
+        let mut buf = vec![max_len];
+        buf.extend((1..max_len).map(|_| 1u8));
+        buf.push(2);
+        buf.extend(0..max_len); // the first symbol of each length group
+        buf.push(0); // the last group's second symbol: delta − 1
+        buf
+    }
+
+    #[test]
+    fn codes_longer_than_the_limit_rejected() {
+        let code = HuffmanCode::read_table_v2(&deep_table(MAX_CODE_LEN), &mut 0).unwrap();
+        assert_eq!(code.max_len, MAX_CODE_LEN);
+        assert!(HuffmanCode::read_table_v2(&deep_table(MAX_CODE_LEN + 1), &mut 0).is_err());
     }
 
     #[test]
@@ -780,8 +766,8 @@ mod tests {
         roundtrip(&symbols);
     }
 
-    /// Fibonacci weights build the deepest possible Huffman tree; with
-    /// ~50 symbols the unlimited tree would exceed BUILD_MAX_LEN.
+    /// Fibonacci weights build the deepest possible Huffman tree: `n`
+    /// symbols, `n − 1` levels, F(n + 2) − 1 occurrences in all.
     fn fibonacci_frequencies(n: u32) -> Vec<(u32, u64)> {
         let (mut a, mut b) = (1u64, 1u64);
         (0..n)
@@ -794,12 +780,9 @@ mod tests {
     }
 
     #[test]
-    fn pathological_depths_are_length_limited() {
-        let plan = Plan::from_frequencies(&fibonacci_frequencies(50));
-        assert_eq!(plan.lengths.len(), 50);
-        assert_eq!(plan.lengths.last().unwrap().1, BUILD_MAX_LEN);
-        // Still a prefix code (Kraft), as the decoder checks it.
-        HuffmanCode::from_lengths_checked(plan.lengths.clone()).unwrap();
+    #[should_panic(expected = "beyond the 32-bit code limit")]
+    fn trees_deeper_than_the_code_limit_panic() {
+        Plan::from_frequencies(&fibonacci_frequencies(50));
     }
 
     #[test]
@@ -905,9 +888,6 @@ mod tests {
                 stack.push((b, depth.saturating_add(1)));
             }
         }
-        if depths.iter().any(|&d| d > BUILD_MAX_LEN) {
-            return limit_depths(present, &depths);
-        }
         depths
     }
 
@@ -1005,26 +985,15 @@ mod tests {
                 assert_eq!(at_zero, elsewhere, "the centre steers counting only");
             }
         }
-        // Fibonacci-weighted: the lightest stream (15 M symbols) whose
-        // tree is deeper than BUILD_MAX_LEN, so the lengths are limited.
-        let symbols: Vec<u32> = fibonacci_frequencies(34)
+        // Fibonacci-weighted: 46,367 symbols, the deepest tree one
+        // 65,536-symbol block can build.
+        let symbols: Vec<u32> = fibonacci_frequencies(22)
             .iter()
             .flat_map(|&(s, w)| std::iter::repeat_n(s, w as usize))
             .collect();
-        let plan = Plan::of(&symbols, 0);
-        assert_eq!(plan.lengths.last().unwrap().1, BUILD_MAX_LEN);
+        assert_eq!(symbols.len(), 46_367);
+        assert!(Plan::of(&symbols, 0).lengths.last().unwrap().1 <= 22);
         plan_emit_roundtrip(&symbols, 0);
-        // Symbols beyond the dense tables: sorted counting and the
-        // binary-searched code list.
-        let wide: Vec<u32> = (0..5_000u64)
-            .map(|i| match next() % 4 {
-                0 => u32::MAX - (next() % 100) as u32,
-                1 => DENSE_SPAN_MAX as u32 + (next() % 100_000) as u32,
-                2 => (next() % DENSE_SPAN_MAX as u64) as u32,
-                _ => (i % 3) as u32,
-            })
-            .collect();
-        plan_emit_roundtrip(&wide, 0);
     }
 
     #[test]

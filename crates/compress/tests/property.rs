@@ -178,7 +178,7 @@ proptest! {
 
     #[test]
     fn corrupted_huffman_blobs_error_not_panic(
-        symbols in prop::collection::vec(0u32..70_000, 1..500),
+        symbols in prop::collection::vec(0u32..1 << 19, 1..500),
         cut_frac in 0.0f64..1.0,
         flip_frac in 0.0f64..1.0,
         bit in 0u8..8,

@@ -1153,10 +1153,11 @@ mod oracle {
                 DELTA_HIST_SCRATCH.with(|h| {
                     let syms = &mut d.borrow_mut();
                     let hist = &mut h.borrow_mut();
-                    let (lo, hi) = match prev2 {
+                    match prev2 {
                         None => delta::encode_order1(codes, prev1, syms),
                         Some(p2) => delta::encode_order2(codes, prev1, p2, syms),
-                    };
+                    }
+                    let (lo, hi) = syms.iter().fold((u32::MAX, 0), |(l, h), &s| (l.min(s), h.max(s)));
                     if lo <= hi {
                         let need = hi as usize + 1;
                         if hist.len() < need {

@@ -441,23 +441,6 @@ pub struct OverheadExperimentConfig {
     pub seed: u64,
     /// Iteration cap per run.
     pub max_iterations: usize,
-    /// Kernel thread count forwarded to [`RunConfig::num_threads`]
-    /// (`0` inherits the process-wide setting).
-    pub num_threads: usize,
-}
-
-impl Default for OverheadExperimentConfig {
-    fn default() -> Self {
-        OverheadExperimentConfig {
-            processes: 2048,
-            local_grid_edge: 10,
-            mtti_seconds: 3600.0,
-            runs: 10,
-            seed: 20180611,
-            max_iterations: 500_000,
-            num_threads: 0,
-        }
-    }
 }
 
 /// Runs the Figure 10 experiment (which also yields the Figure 8 iteration
@@ -527,7 +510,7 @@ pub fn fault_tolerance_overhead(
                 failure_seed: Some(cfg.seed + run as u64 * 7919),
                 max_failures: 1000,
                 max_executed_iterations: cfg.max_iterations,
-                num_threads: cfg.num_threads,
+                num_threads: 0,
                 persistence: Persistence::InMemory,
                 backend: ExecutionBackend::Simulated,
             };
@@ -693,7 +676,6 @@ mod tests {
             runs: 2,
             seed: 1,
             max_iterations: 200_000,
-            num_threads: 0,
         };
         let rows = fault_tolerance_overhead(SolverKind::Jacobi, &cfg, &PfsModel::bebop_like());
         assert_eq!(rows.len(), 3);

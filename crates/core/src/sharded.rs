@@ -424,11 +424,7 @@ fn run_shard(
             })?;
     }
     let space = ShardSpace::new(part, b_local, comm);
-    let criteria = StoppingCriteria {
-        rtol: cfg.rtol,
-        atol: 0.0,
-        max_iterations: cfg.max_iterations,
-    };
+    let criteria = StoppingCriteria::new(cfg.rtol, cfg.max_iterations);
     let solver: Box<dyn TryIterativeMethod<Error = CommError> + '_> = match cfg.method {
         SolverKind::Cg => Box::new(ConjugateGradient::on(space, None, criteria)?),
         SolverKind::Jacobi => Box::new(Jacobi::on(space, None, criteria)?),
@@ -645,6 +641,26 @@ mod tests {
             assert!(shard_dir.is_dir());
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn both_fronts_stop_at_the_same_absolute_residual() {
+        // ‖b‖ = 8e-60 is below the absolute tolerance of 1e-50, while the
+        // relative one is unmet at x₀ = 0: converged before any iteration.
+        let (a, mut b) = spd_poisson(4);
+        b.scale(1e-60);
+        let cfg = ShardedRunConfig::new(2, SolverKind::Cg);
+        let criteria = StoppingCriteria::new(cfg.rtol, cfg.max_iterations);
+        let local = ConjugateGradient::unpreconditioned(
+            lcr_solvers::LinearSystem::new(a.clone(), b.clone()),
+            Vector::zeros(b.len()),
+            criteria,
+        );
+        assert!(local.progress().converged());
+        assert_eq!(local.progress().iteration(), 0);
+        let rep = try_run_sharded(&a, &b, &cfg).unwrap();
+        assert!(rep.converged);
+        assert_eq!(rep.iterations, 0, "the sharded front stops where the local one does");
     }
 
     #[test]
