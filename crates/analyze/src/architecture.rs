@@ -141,6 +141,8 @@ pub const RULES: &[Rule] = &[
         "a second codec trait, SZ encoder or inline codec is back; implement Codec"),
     retired(&["LZSS_ID"], tree(&["crates/compress/"]),
         "LZSS is the lossless pipeline's byte stage, not a Codec with a stream of its own"),
+    retired(&["FpcCodec", "LzssCodec"], tree(ALL),
+        "FPC and LZSS are LosslessPipeline's private stages: one Codec per strategy"),
     once("huffman::Plan::of", SZ, "sz.rs plans a Huffman blob in one place: one encoder"),
     // One Huffman alphabet and one code-length limit: the entropy stage
     // codes only what SZ writes (the oracle under `tests/` keeps its own).
@@ -165,6 +167,8 @@ pub const RULES: &[Rule] = &[
     at_least_once("Space", JACOBI, "Jacobi is written over Space, so both fronts run it"),
     retired(&["enum ShardedMethod"], tree(&["crates/"]),
         "a second method list is back; ShardedMethod is an alias of SolverKind"),
+    once("ShardedMethod", Scope { paths: ALL, skip: &["crates/bench/src/bin/lcr_benchmark/"],
+        production: false }, "spell SolverKind: the alias is kept only for lcr_benchmark"),
     retired(&["GaussSeidel", "Sor", "Ssor", "StationarySolver", "enum Sweep", "relaxed_sweep",
         "Ic0Preconditioner", "split_ldu", "uniform_row_nnz", "trait Deserialize",
         "derive_deserialize", "BiCgStab", "bicgstab_p_update", "waxpy_norm2", "fn dot2",
@@ -210,6 +214,9 @@ pub const RULES: &[Rule] = &[
         "ShardLayout is the one block-row partition"),
     retired(&["diagonal_block"], tree(USERS),
         "block-Jacobi slices its blocks itself; CsrMatrix has no sub-block copy"),
+    // One SpMV: a shard's product runs its local matrix's own plan.
+    retired(&["spmv_seq"], tree(ALL),
+        "one SpMV serves both fronts: ShardedCsr::spmv runs the local matrix's plan"),
     // One column-index array: `CsrMatrix` stores its columns once, as `u32`.
     retired(&["cols32", "ColIdx"], tree(USERS), "a second column-index array is back"),
     retired(&["indices: Vec<usize>", "fn indices(&self) -> &[usize]"],

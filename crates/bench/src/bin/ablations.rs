@@ -166,10 +166,7 @@ fn main() {
 
     // 2. Restarted vs non-restarted CG recovery.
     let spd_system = {
-        let mut a = (*problem.system.a).clone();
-        for v in a.values_mut() {
-            *v = -*v;
-        }
+        let a = problem.system.a.negated();
         let mut b = (*problem.system.b).clone();
         b.scale(-1.0);
         LinearSystem::new(a, b)

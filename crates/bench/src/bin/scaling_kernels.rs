@@ -17,7 +17,7 @@
 //! the same buffer, single-stream Huffman
 //! encoding and decoding of SZ-like quantization codes (`huffman_encode`,
 //! `huffman_decode`), the lossless baseline over a 131,072-value prefix of
-//! the buffer (`fpc`, and `fpc_lzss` with the LZSS stage behind it), the
+//! the buffer (`fpc_lzss`: FPC predictors with the LZSS stage behind them), the
 //! order-2 temporal delta codec of the
 //! version-5 checkpoint streams (`delta_encode`/`delta_decode` over the
 //! same codes against two simulated prior snapshots), the checkpoint
@@ -45,7 +45,7 @@ use lcr_bench::{fmt, print_json, print_table};
 use lcr_ckpt::disk::crc32;
 use lcr_ckpt::{CheckpointBuffer, CheckpointLevel, DiskStore};
 use lcr_compress::{
-    delta, huffman, Chain, Codec, DeltaMode, ErrorBound, FpcCodec, LosslessPipeline, RawCodec,
+    delta, huffman, Chain, Codec, DeltaMode, ErrorBound, LosslessPipeline, RawCodec,
     SzCompressor, SzTemporalState, ZfpCompressor,
 };
 use lcr_solvers::{BlockJacobiPreconditioner, Preconditioner};
@@ -379,17 +379,14 @@ fn main() {
             secs,
         ));
 
-        // Every codec through the one trait: the two pool-parallel lossy
-        // ones over the whole buffer, then the lossless baseline
-        // (single-stream: it rides along at every thread count) over a
-        // prefix — FPC's predictors alone, then with the LZSS stage the
-        // checkpoint strategy puts behind them.  The exact codecs ignore
-        // the bound.
+        // Every compressing codec through the one trait: the two
+        // pool-parallel lossy ones over the whole buffer, then the lossless
+        // baseline (single-stream: it rides along at every thread count)
+        // over a prefix.  The exact codec ignores the bound.
         let prefix = &sz_data[..1 << 17];
-        let codecs: [(&str, &dyn Codec, &[f64], ErrorBound); 4] = [
+        let codecs: [(&str, &dyn Codec, &[f64], ErrorBound); 3] = [
             ("sz_compress", &sz, &sz_data, sz_bound),
             ("zfp_compress", &zfp, &sz_data, zfp_bound),
-            ("fpc", &FpcCodec, prefix, sz_bound),
             ("fpc_lzss", &LosslessPipeline, prefix, sz_bound),
         ];
         for (name, codec, input, bound) in codecs {

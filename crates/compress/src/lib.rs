@@ -167,7 +167,7 @@ pub struct Chain<'a> {
 /// ignore it.  Only SZ has a temporal encoder; every other codec ignores
 /// `chain` and writes self-contained streams.
 pub trait Codec: Send + Sync {
-    /// Short human-readable name ("raw", "fpc", "fpc+lzss", "sz", "zfp").
+    /// Short human-readable name ("raw", "fpc+lzss", "sz", "zfp").
     fn name(&self) -> &'static str;
 
     /// Appends the encoded stream of `data` to `out` — compressors write
@@ -234,7 +234,7 @@ pub trait Codec: Send + Sync {
 }
 
 pub use delta::DeltaMode;
-pub use lossless::{FpcCodec, LosslessPipeline, LzssCodec, RawCodec};
+pub use lossless::{LosslessPipeline, RawCodec};
 pub use sz::{SzCompressor, SzTemporalState};
 pub use zfp::ZfpCompressor;
 

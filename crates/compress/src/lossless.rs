@@ -5,24 +5,22 @@
 //! with Gzip and observes compression ratios of at most ≈6× (Table 3) —
 //! far below the 20–60× of error-bounded lossy compression, because the
 //! trailing mantissa bits of floating-point data are effectively random
-//! (§2, "Scientific Data Compression").  This module provides:
+//! (§2, "Scientific Data Compression").  This module provides one
+//! [`Codec`] per strategy:
 //!
-//! * [`FpcCodec`] — an FPC-style predictor codec: each double is XOR-ed
-//!   with a predicted value (finite-context-hash predictors) and the XOR
-//!   residual is stored with a leading-zero-byte count.  Fast, and captures
-//!   most of the redundancy in smooth scientific data.
-//! * [`LzssCodec`] — a general-purpose LZSS byte compressor with a 64 KiB
-//!   window, standing in for DEFLATE's string matching.  It compresses
-//!   bytes, not values: the pipeline's second stage.
-//! * [`LosslessPipeline`] — FPC followed by LZSS on the residual bytes,
-//!   which is the closest analogue of "gzip on a scientific dataset" and is
-//!   the codec the lossless-checkpointing strategy uses.  It costs some
+//! * [`LosslessPipeline`] — the codec the lossless-checkpointing strategy
+//!   uses, the closest analogue of "gzip on a scientific dataset".  It has
+//!   two private stages: an FPC-style predictor pass (each double is
+//!   XOR-ed with a predicted value from finite-context-hash predictors and
+//!   the residual is stored with a leading-zero-byte count), then a
+//!   general-purpose LZSS byte compressor with a 64 KiB window, standing
+//!   in for DEFLATE's string matching, on the FPC output.  It costs some
 //!   thirty times SZ's encode for a tenth off the raw size: a correctness
 //!   baseline, not a headline comparator.
 //! * [`RawCodec`] — every value's eight little-endian bytes, headerless.
 //!
-//! All but [`LzssCodec`] are [`Codec`]s that ignore the bound and the
-//! chain they are handed and write self-contained streams.
+//! Both ignore the bound and the chain they are handed and write
+//! self-contained streams.
 
 use crate::bitstream::bytes;
 use crate::{Chain, Codec, CompressError, DeltaMode, ErrorBound, Result};
@@ -95,25 +93,11 @@ impl Codec for RawCodec {
 }
 
 // ---------------------------------------------------------------------------
-// FPC-style codec
+// FPC stage
 // ---------------------------------------------------------------------------
 
 /// Size (log2) of the FCM/DFCM predictor tables.
 const FPC_TABLE_BITS: usize = 16;
-
-/// An FPC-style lossless compressor for `f64` streams (Burtscher &
-/// Ratanaworabhan's FPC, simplified): two hash-based predictors (FCM and
-/// DFCM), pick whichever XORs to more leading zero bytes, emit a 4-bit
-/// header per value plus the non-zero residual bytes.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FpcCodec;
-
-impl FpcCodec {
-    /// Creates the codec.
-    pub fn new() -> Self {
-        FpcCodec
-    }
-}
 
 struct FpcPredictors {
     fcm: Vec<u64>,
@@ -154,102 +138,96 @@ impl FpcPredictors {
     }
 }
 
-impl Codec for FpcCodec {
-    fn name(&self) -> &'static str {
-        "fpc"
+/// The pipeline's first stage, an FPC-style predictor pass (Burtscher &
+/// Ratanaworabhan's FPC, simplified): two hash-based predictors (FCM and
+/// DFCM), pick whichever XORs to more leading zero bytes, emit a 4-bit
+/// header per value plus the non-zero residual bytes, after an
+/// `[FPC_ID][u64 n]` prologue of its own.
+fn fpc_encode(data: &[f64]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(data.len() * 8 / 2 + 64);
+    out.push(FPC_ID);
+    bytes::put_u64(&mut out, data.len() as u64);
+
+    let mut pred = FpcPredictors::new();
+    // Header nibbles: bit3 = predictor used (0 fcm, 1 dfcm),
+    // bits 0-2 = number of leading zero BYTES (0..=7) of the residual;
+    // residual always stores (8 - lzb) bytes... except lzb==8 encoded as 7
+    // with 1 stored byte of 0 to keep the nibble in 3 bits (FPC does the
+    // same).
+    let mut headers: Vec<u8> = Vec::with_capacity(data.len().div_ceil(2));
+    let mut residuals: Vec<u8> = Vec::with_capacity(data.len() * 4);
+    let mut nibble_pending: Option<u8> = None;
+    for &v in data {
+        let bits = v.to_bits();
+        let (p_fcm, p_dfcm) = pred.predict();
+        let x_fcm = bits ^ p_fcm;
+        let x_dfcm = bits ^ p_dfcm;
+        let (sel, resid) = if x_fcm.leading_zeros() >= x_dfcm.leading_zeros() {
+            (0u8, x_fcm)
+        } else {
+            (1u8, x_dfcm)
+        };
+        pred.update(bits);
+        let mut lzb = (resid.leading_zeros() / 8) as u8;
+        if lzb > 7 {
+            lzb = 7;
+        }
+        let nbytes = 8 - lzb as usize;
+        let nibble = (sel << 3) | lzb;
+        match nibble_pending.take() {
+            None => nibble_pending = Some(nibble),
+            Some(first) => headers.push((first << 4) | nibble),
+        }
+        residuals.extend_from_slice(&resid.to_be_bytes()[8 - nbytes..]);
+    }
+    if let Some(first) = nibble_pending {
+        headers.push(first << 4);
     }
 
-    fn encode_into(
-        &self,
-        data: &[f64],
-        _: ErrorBound,
-        _: Option<Chain<'_>>,
-        out: &mut Vec<u8>,
-    ) -> Result<DeltaMode> {
-        out.reserve(data.len() * 8 / 2 + 64);
-        out.push(FPC_ID);
-        bytes::put_u64(out, data.len() as u64);
+    bytes::put_u64(&mut out, headers.len() as u64);
+    out.extend_from_slice(&headers);
+    bytes::put_u64(&mut out, residuals.len() as u64);
+    out.extend_from_slice(&residuals);
+    out
+}
 
-        let mut pred = FpcPredictors::new();
-        // Header nibbles: bit3 = predictor used (0 fcm, 1 dfcm),
-        // bits 0-2 = number of leading zero BYTES (0..=7) of the residual;
-        // residual always stores (8 - lzb) bytes... except lzb==8 encoded as 7
-        // with 1 stored byte of 0 to keep the nibble in 3 bits (FPC does the
-        // same).
-        let mut headers: Vec<u8> = Vec::with_capacity(data.len().div_ceil(2));
-        let mut residuals: Vec<u8> = Vec::with_capacity(data.len() * 4);
-        let mut nibble_pending: Option<u8> = None;
-        for &v in data {
-            let bits = v.to_bits();
-            let (p_fcm, p_dfcm) = pred.predict();
-            let x_fcm = bits ^ p_fcm;
-            let x_dfcm = bits ^ p_dfcm;
-            let (sel, resid) = if x_fcm.leading_zeros() >= x_dfcm.leading_zeros() {
-                (0u8, x_fcm)
-            } else {
-                (1u8, x_dfcm)
-            };
-            pred.update(bits);
-            let mut lzb = (resid.leading_zeros() / 8) as u8;
-            if lzb > 7 {
-                lzb = 7;
-            }
-            let nbytes = 8 - lzb as usize;
-            let nibble = (sel << 3) | lzb;
-            match nibble_pending.take() {
-                None => nibble_pending = Some(nibble),
-                Some(first) => headers.push((first << 4) | nibble),
-            }
-            residuals.extend_from_slice(&resid.to_be_bytes()[8 - nbytes..]);
-        }
-        if let Some(first) = nibble_pending {
-            headers.push(first << 4);
-        }
+/// Inverts [`fpc_encode`].
+fn fpc_decode(buf: &[u8], n: usize) -> Result<Vec<f64>> {
+    let mut pos = 0usize;
+    read_prologue(buf, &mut pos, FPC_ID, n)?;
+    let header_len = bytes::get_u64(buf, &mut pos)? as usize;
+    let headers = bytes::get_slice(buf, &mut pos, header_len)?.to_vec();
+    let resid_len = bytes::get_u64(buf, &mut pos)? as usize;
+    let residuals = bytes::get_slice(buf, &mut pos, resid_len)?;
 
-        bytes::put_u64(out, headers.len() as u64);
-        out.extend_from_slice(&headers);
-        bytes::put_u64(out, residuals.len() as u64);
-        out.extend_from_slice(&residuals);
-        Ok(DeltaMode::None)
+    let mut pred = FpcPredictors::new();
+    let mut out = Vec::with_capacity(n);
+    let mut rpos = 0usize;
+    for i in 0..n {
+        let byte = headers
+            .get(i / 2)
+            .ok_or_else(|| CompressError::Corrupt("missing FPC header".into()))?;
+        let nibble = if i % 2 == 0 { byte >> 4 } else { byte & 0x0F };
+        let sel = nibble >> 3;
+        let lzb = (nibble & 0x7) as usize;
+        let nbytes = 8 - lzb;
+        if rpos + nbytes > residuals.len() {
+            return Err(CompressError::Corrupt("truncated FPC residuals".into()));
+        }
+        let mut resid_bytes = [0u8; 8];
+        resid_bytes[8 - nbytes..].copy_from_slice(&residuals[rpos..rpos + nbytes]);
+        rpos += nbytes;
+        let resid = u64::from_be_bytes(resid_bytes);
+        let (p_fcm, p_dfcm) = pred.predict();
+        let bits = resid ^ if sel == 0 { p_fcm } else { p_dfcm };
+        pred.update(bits);
+        out.push(f64::from_bits(bits));
     }
-
-    fn decode(&self, buf: &[u8], n: usize) -> Result<Vec<f64>> {
-        let mut pos = 0usize;
-        read_prologue(buf, &mut pos, FPC_ID, n)?;
-        let header_len = bytes::get_u64(buf, &mut pos)? as usize;
-        let headers = bytes::get_slice(buf, &mut pos, header_len)?.to_vec();
-        let resid_len = bytes::get_u64(buf, &mut pos)? as usize;
-        let residuals = bytes::get_slice(buf, &mut pos, resid_len)?;
-
-        let mut pred = FpcPredictors::new();
-        let mut out = Vec::with_capacity(n);
-        let mut rpos = 0usize;
-        for i in 0..n {
-            let byte = headers
-                .get(i / 2)
-                .ok_or_else(|| CompressError::Corrupt("missing FPC header".into()))?;
-            let nibble = if i % 2 == 0 { byte >> 4 } else { byte & 0x0F };
-            let sel = nibble >> 3;
-            let lzb = (nibble & 0x7) as usize;
-            let nbytes = 8 - lzb;
-            if rpos + nbytes > residuals.len() {
-                return Err(CompressError::Corrupt("truncated FPC residuals".into()));
-            }
-            let mut resid_bytes = [0u8; 8];
-            resid_bytes[8 - nbytes..].copy_from_slice(&residuals[rpos..rpos + nbytes]);
-            rpos += nbytes;
-            let resid = u64::from_be_bytes(resid_bytes);
-            let (p_fcm, p_dfcm) = pred.predict();
-            let bits = resid ^ if sel == 0 { p_fcm } else { p_dfcm };
-            pred.update(bits);
-            out.push(f64::from_bits(bits));
-        }
-        Ok(out)
-    }
+    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
-// LZSS codec
+// LZSS stage
 // ---------------------------------------------------------------------------
 
 /// Sliding-window size for LZSS matches.  A match offset is stored in two
@@ -260,157 +238,146 @@ const LZSS_MIN_MATCH: usize = 4;
 /// Maximum match length (fits in one byte after bias).
 const LZSS_MAX_MATCH: usize = LZSS_MIN_MATCH + 254;
 
-/// A byte-oriented LZSS compressor with a 64 KiB window and hash-chain
-/// match finding; the general-purpose half of the "gzip-like" baseline.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LzssCodec;
+/// The pipeline's second stage: a byte-oriented LZSS compressor with a
+/// 64 KiB window and hash-chain match finding, the general-purpose half
+/// of the "gzip-like" baseline.
+fn lzss_compress(input: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(input.len() / 2 + 16);
+    bytes::put_u64(&mut out, input.len() as u64);
 
-impl LzssCodec {
-    /// Creates the codec.
-    pub fn new() -> Self {
-        LzssCodec
+    const HASH_BITS: usize = 15;
+    let hash = |a: u8, b: u8, c: u8| -> usize {
+        ((a as usize) << 7 ^ (b as usize) << 3 ^ (c as usize)) & ((1 << HASH_BITS) - 1)
+    };
+    let mut head = vec![usize::MAX; 1 << HASH_BITS];
+    let mut prev = vec![usize::MAX; input.len()];
+
+    // Token stream: flag bytes each describing 8 items, followed by the
+    // items (literal byte, or 2-byte offset + 1-byte length).
+    let mut flags: Vec<u8> = Vec::new();
+    let mut items: Vec<u8> = Vec::new();
+    let mut flag_byte = 0u8;
+    let mut flag_count = 0u8;
+    let push_flag = |bit: bool, flags: &mut Vec<u8>, flag_byte: &mut u8, flag_count: &mut u8| {
+        if bit {
+            *flag_byte |= 1 << *flag_count;
+        }
+        *flag_count += 1;
+        if *flag_count == 8 {
+            flags.push(*flag_byte);
+            *flag_byte = 0;
+            *flag_count = 0;
+        }
+    };
+
+    let mut i = 0usize;
+    while i < input.len() {
+        let mut best_len = 0usize;
+        let mut best_off = 0usize;
+        if i + LZSS_MIN_MATCH <= input.len() {
+            let h = hash(input[i], input[i + 1], input[i + 2]);
+            let mut cand = head[h];
+            let mut chain = 0;
+            while cand != usize::MAX && i - cand < LZSS_WINDOW && chain < 32 {
+                let max_len = (input.len() - i).min(LZSS_MAX_MATCH);
+                let mut l = 0usize;
+                while l < max_len && input[cand + l] == input[i + l] {
+                    l += 1;
+                }
+                if l > best_len {
+                    best_len = l;
+                    best_off = i - cand;
+                    if l == max_len {
+                        break;
+                    }
+                }
+                cand = prev[cand];
+                chain += 1;
+            }
+            // Insert current position into the chain.
+            prev[i] = head[h];
+            head[h] = i;
+        }
+        if best_len >= LZSS_MIN_MATCH {
+            push_flag(true, &mut flags, &mut flag_byte, &mut flag_count);
+            items.extend_from_slice(&(best_off as u16).to_le_bytes());
+            items.push((best_len - LZSS_MIN_MATCH) as u8);
+            // Insert skipped positions into the hash chains so later
+            // matches can reference them.
+            let end = (i + best_len).min(input.len());
+            let mut j = i + 1;
+            while j + LZSS_MIN_MATCH <= input.len() && j < end {
+                let h = hash(input[j], input[j + 1], input[j + 2]);
+                prev[j] = head[h];
+                head[h] = j;
+                j += 1;
+            }
+            i += best_len;
+        } else {
+            push_flag(false, &mut flags, &mut flag_byte, &mut flag_count);
+            items.push(input[i]);
+            i += 1;
+        }
+    }
+    if flag_count > 0 {
+        flags.push(flag_byte);
     }
 
-    /// Compresses raw bytes.
-    pub fn compress_bytes(&self, input: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(input.len() / 2 + 16);
-        bytes::put_u64(&mut out, input.len() as u64);
+    bytes::put_u64(&mut out, flags.len() as u64);
+    out.extend_from_slice(&flags);
+    bytes::put_u64(&mut out, items.len() as u64);
+    out.extend_from_slice(&items);
+    out
+}
 
-        const HASH_BITS: usize = 15;
-        let hash = |a: u8, b: u8, c: u8| -> usize {
-            ((a as usize) << 7 ^ (b as usize) << 3 ^ (c as usize)) & ((1 << HASH_BITS) - 1)
-        };
-        let mut head = vec![usize::MAX; 1 << HASH_BITS];
-        let mut prev = vec![usize::MAX; input.len()];
+/// Inverts [`lzss_compress`].
+///
+/// # Errors
+/// Returns [`CompressError::Corrupt`] for malformed streams.
+fn lzss_decompress(input: &[u8]) -> Result<Vec<u8>> {
+    let mut pos = 0usize;
+    let n = bytes::get_u64(input, &mut pos)? as usize;
+    let flags_len = bytes::get_u64(input, &mut pos)? as usize;
+    let flags = bytes::get_slice(input, &mut pos, flags_len)?.to_vec();
+    let items_len = bytes::get_u64(input, &mut pos)? as usize;
+    let items = bytes::get_slice(input, &mut pos, items_len)?;
 
-        // Token stream: flag bytes each describing 8 items, followed by the
-        // items (literal byte, or 2-byte offset + 1-byte length).
-        let mut flags: Vec<u8> = Vec::new();
-        let mut items: Vec<u8> = Vec::new();
-        let mut flag_byte = 0u8;
-        let mut flag_count = 0u8;
-        let push_flag = |bit: bool, flags: &mut Vec<u8>, flag_byte: &mut u8, flag_count: &mut u8| {
-            if bit {
-                *flag_byte |= 1 << *flag_count;
+    let mut out = Vec::with_capacity(n);
+    let mut item_pos = 0usize;
+    let mut flag_index = 0usize;
+    while out.len() < n {
+        let flag_byte = *flags
+            .get(flag_index / 8)
+            .ok_or_else(|| CompressError::Corrupt("missing LZSS flags".into()))?;
+        let is_match = (flag_byte >> (flag_index % 8)) & 1 == 1;
+        flag_index += 1;
+        if is_match {
+            if item_pos + 3 > items.len() {
+                return Err(CompressError::Corrupt("truncated LZSS match".into()));
             }
-            *flag_count += 1;
-            if *flag_count == 8 {
-                flags.push(*flag_byte);
-                *flag_byte = 0;
-                *flag_count = 0;
+            let off = u16::from_le_bytes([items[item_pos], items[item_pos + 1]]) as usize;
+            let len = items[item_pos + 2] as usize + LZSS_MIN_MATCH;
+            item_pos += 3;
+            if off == 0 || off > out.len() {
+                return Err(CompressError::Corrupt("invalid LZSS offset".into()));
             }
-        };
-
-        let mut i = 0usize;
-        while i < input.len() {
-            let mut best_len = 0usize;
-            let mut best_off = 0usize;
-            if i + LZSS_MIN_MATCH <= input.len() {
-                let h = hash(input[i], input[i + 1], input[i + 2]);
-                let mut cand = head[h];
-                let mut chain = 0;
-                while cand != usize::MAX && i - cand < LZSS_WINDOW && chain < 32 {
-                    let max_len = (input.len() - i).min(LZSS_MAX_MATCH);
-                    let mut l = 0usize;
-                    while l < max_len && input[cand + l] == input[i + l] {
-                        l += 1;
-                    }
-                    if l > best_len {
-                        best_len = l;
-                        best_off = i - cand;
-                        if l == max_len {
-                            break;
-                        }
-                    }
-                    cand = prev[cand];
-                    chain += 1;
-                }
-                // Insert current position into the chain.
-                prev[i] = head[h];
-                head[h] = i;
-            }
-            if best_len >= LZSS_MIN_MATCH {
-                push_flag(true, &mut flags, &mut flag_byte, &mut flag_count);
-                items.extend_from_slice(&(best_off as u16).to_le_bytes());
-                items.push((best_len - LZSS_MIN_MATCH) as u8);
-                // Insert skipped positions into the hash chains so later
-                // matches can reference them.
-                let end = (i + best_len).min(input.len());
-                let mut j = i + 1;
-                while j + LZSS_MIN_MATCH <= input.len() && j < end {
-                    let h = hash(input[j], input[j + 1], input[j + 2]);
-                    prev[j] = head[h];
-                    head[h] = j;
-                    j += 1;
-                }
-                i += best_len;
-            } else {
-                push_flag(false, &mut flags, &mut flag_byte, &mut flag_count);
-                items.push(input[i]);
-                i += 1;
-            }
-        }
-        if flag_count > 0 {
-            flags.push(flag_byte);
-        }
-
-        bytes::put_u64(&mut out, flags.len() as u64);
-        out.extend_from_slice(&flags);
-        bytes::put_u64(&mut out, items.len() as u64);
-        out.extend_from_slice(&items);
-        out
-    }
-
-    /// Decompresses bytes produced by [`LzssCodec::compress_bytes`].
-    ///
-    /// # Errors
-    /// Returns [`CompressError::Corrupt`] for malformed streams.
-    pub fn decompress_bytes(&self, input: &[u8]) -> Result<Vec<u8>> {
-        let mut pos = 0usize;
-        let n = bytes::get_u64(input, &mut pos)? as usize;
-        let flags_len = bytes::get_u64(input, &mut pos)? as usize;
-        let flags = bytes::get_slice(input, &mut pos, flags_len)?.to_vec();
-        let items_len = bytes::get_u64(input, &mut pos)? as usize;
-        let items = bytes::get_slice(input, &mut pos, items_len)?;
-
-        let mut out = Vec::with_capacity(n);
-        let mut item_pos = 0usize;
-        let mut flag_index = 0usize;
-        while out.len() < n {
-            let flag_byte = *flags
-                .get(flag_index / 8)
-                .ok_or_else(|| CompressError::Corrupt("missing LZSS flags".into()))?;
-            let is_match = (flag_byte >> (flag_index % 8)) & 1 == 1;
-            flag_index += 1;
-            if is_match {
-                if item_pos + 3 > items.len() {
-                    return Err(CompressError::Corrupt("truncated LZSS match".into()));
-                }
-                let off =
-                    u16::from_le_bytes([items[item_pos], items[item_pos + 1]]) as usize;
-                let len = items[item_pos + 2] as usize + LZSS_MIN_MATCH;
-                item_pos += 3;
-                if off == 0 || off > out.len() {
-                    return Err(CompressError::Corrupt("invalid LZSS offset".into()));
-                }
-                let start = out.len() - off;
-                for k in 0..len {
-                    let b = out[start + k];
-                    out.push(b);
-                }
-            } else {
-                let b = *items
-                    .get(item_pos)
-                    .ok_or_else(|| CompressError::Corrupt("truncated LZSS literal".into()))?;
-                item_pos += 1;
+            let start = out.len() - off;
+            for k in 0..len {
+                let b = out[start + k];
                 out.push(b);
             }
+        } else {
+            let b = *items
+                .get(item_pos)
+                .ok_or_else(|| CompressError::Corrupt("truncated LZSS literal".into()))?;
+            item_pos += 1;
+            out.push(b);
         }
-        if out.len() != n {
-            return Err(CompressError::Corrupt("LZSS length mismatch".into()));
-        }
-        Ok(out)
     }
+    if out.len() != n {
+        return Err(CompressError::Corrupt("LZSS length mismatch".into()));
+    }
+    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -438,28 +405,27 @@ impl Codec for LosslessPipeline {
     fn encode_into(
         &self,
         data: &[f64],
-        bound: ErrorBound,
+        _: ErrorBound,
         _: Option<Chain<'_>>,
         out: &mut Vec<u8>,
     ) -> Result<DeltaMode> {
-        let mut fpc = Vec::new();
-        FpcCodec.encode_into(data, bound, None, &mut fpc)?;
         out.push(PIPELINE_ID);
         bytes::put_u64(out, data.len() as u64);
-        out.extend_from_slice(&LzssCodec.compress_bytes(&fpc));
+        out.extend_from_slice(&lzss_compress(&fpc_encode(data)));
         Ok(DeltaMode::None)
     }
 
     fn decode(&self, buf: &[u8], n: usize) -> Result<Vec<f64>> {
         let mut pos = 0usize;
         read_prologue(buf, &mut pos, PIPELINE_ID, n)?;
-        FpcCodec.decode(&LzssCodec.decompress_bytes(&buf[pos..])?, n)
+        fpc_decode(&lzss_decompress(&buf[pos..])?, n)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn smooth_signal(n: usize) -> Vec<f64> {
         (0..n)
@@ -508,21 +474,28 @@ mod tests {
         assert!(RawCodec.decode_chain(&[&c.bytes, &c.bytes], 2).is_err());
     }
 
+    /// The FPC stage's round trip, bit for bit.
+    fn fpc_roundtrip(data: &[f64]) -> Vec<f64> {
+        let r = fpc_decode(&fpc_encode(data), data.len()).unwrap();
+        assert_eq!(r.len(), data.len());
+        for (a, b) in data.iter().zip(r.iter()) {
+            assert_eq!(a.to_bits(), b.to_bits(), "fpc");
+        }
+        r
+    }
+
     #[test]
     fn fpc_roundtrip_exact() {
-        roundtrip_exact(&FpcCodec::new(), &smooth_signal(10_000));
-        roundtrip_exact(&FpcCodec::new(), &noisy_signal(10_000));
-        roundtrip_exact(&FpcCodec::new(), &[]);
-        roundtrip_exact(&FpcCodec::new(), &[0.0, -0.0, f64::MAX, f64::MIN_POSITIVE]);
-        roundtrip_exact(&FpcCodec::new(), &[f64::NAN]);
+        fpc_roundtrip(&smooth_signal(10_000));
+        fpc_roundtrip(&noisy_signal(10_000));
+        fpc_roundtrip(&[]);
+        fpc_roundtrip(&[0.0, -0.0, f64::MAX, f64::MIN_POSITIVE]);
+        fpc_roundtrip(&[f64::NAN]);
     }
 
     #[test]
     fn fpc_nan_preserved_bitwise() {
-        let data = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
-        let codec = FpcCodec::new();
-        let c = codec.compress(&data, ANY).unwrap();
-        let r = codec.decompress(&c).unwrap();
+        let r = fpc_roundtrip(&[f64::NAN, f64::INFINITY, f64::NEG_INFINITY]);
         assert!(r[0].is_nan());
         assert_eq!(r[1], f64::INFINITY);
         assert_eq!(r[2], f64::NEG_INFINITY);
@@ -530,7 +503,6 @@ mod tests {
 
     #[test]
     fn lzss_bytes_roundtrip() {
-        let lz = LzssCodec::new();
         for data in [
             b"".to_vec(),
             b"a".to_vec(),
@@ -538,9 +510,7 @@ mod tests {
             vec![0u8; 10_000],
             (0..=255u8).cycle().take(5000).collect::<Vec<_>>(),
         ] {
-            let c = lz.compress_bytes(&data);
-            let r = lz.decompress_bytes(&c).unwrap();
-            assert_eq!(r, data);
+            assert_eq!(lzss_decompress(&lzss_compress(&data)).unwrap(), data);
         }
     }
 
@@ -553,17 +523,42 @@ mod tests {
         let mut data = pattern.to_vec();
         data.resize(LZSS_WINDOW, 0);
         data.extend_from_slice(&pattern);
-        let lz = LzssCodec::new();
-        let c = lz.compress_bytes(&data);
-        assert_eq!(lz.decompress_bytes(&c).unwrap(), data);
+        assert_eq!(lzss_decompress(&lzss_compress(&data)).unwrap(), data);
     }
 
     #[test]
     fn lzss_compresses_repetitive_data() {
-        let lz = LzssCodec::new();
         let data = vec![42u8; 100_000];
-        let c = lz.compress_bytes(&data);
-        assert!(c.len() < data.len() / 10);
+        assert!(lzss_compress(&data).len() < data.len() / 10);
+    }
+
+    /// Scientifically plausible values: a mix of magnitudes, signs, exact
+    /// zeros and smooth segments.
+    fn data_strategy() -> impl Strategy<Value = Vec<f64>> {
+        prop::collection::vec(
+            prop_oneof![
+                3 => -1.0e3f64..1.0e3,
+                2 => -1.0f64..1.0,
+                1 => -1.0e-6f64..1.0e-6,
+                1 => Just(0.0f64),
+                1 => 1.0f64..1.0e9,
+            ],
+            0..400,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn fpc_is_bit_exact_on_arbitrary_data(data in data_strategy()) {
+            fpc_roundtrip(&data);
+        }
+
+        #[test]
+        fn lzss_roundtrips_arbitrary_bytes(bytes in prop::collection::vec(any::<u8>(), 0..2000)) {
+            prop_assert_eq!(lzss_decompress(&lzss_compress(&bytes)).unwrap(), bytes);
+        }
     }
 
     #[test]
@@ -603,21 +598,19 @@ mod tests {
     #[test]
     fn wrong_codec_and_corrupt_streams() {
         let data = smooth_signal(100);
-        let fpc = FpcCodec::new().compress(&data, ANY).unwrap();
+        let mut fpc = fpc_encode(&data);
         assert!(matches!(
-            LosslessPipeline::new().decompress(&fpc),
+            LosslessPipeline::new().decode(&fpc, data.len()),
             Err(CompressError::WrongCodec { .. })
         ));
 
-        let mut trunc = FpcCodec::new().compress(&data, ANY).unwrap();
-        trunc.bytes.truncate(trunc.bytes.len() / 3);
-        assert!(FpcCodec::new().decompress(&trunc).is_err());
+        fpc.truncate(fpc.len() / 3);
+        assert!(fpc_decode(&fpc, data.len()).is_err());
     }
 
     #[test]
     fn names() {
         assert_eq!(RawCodec.name(), "raw");
-        assert_eq!(FpcCodec::new().name(), "fpc");
         assert_eq!(LosslessPipeline::new().name(), "fpc+lzss");
     }
 }

@@ -134,15 +134,14 @@ fn measured_shard_segment_ratio(
     kind: SolverKind,
     max_iterations: usize,
 ) -> Option<f64> {
-    let mut a = (*problem.system.a).clone();
     let mut b = (*problem.system.b).clone();
-    if kind == SolverKind::Cg {
+    let a = if kind == SolverKind::Cg {
         // The paper's Poisson operator is negative definite; CG needs SPD.
-        for v in a.values_mut() {
-            *v = -*v;
-        }
         b.scale(-1.0);
-    }
+        problem.system.a.negated()
+    } else {
+        (*problem.system.a).clone()
+    };
     let n = a.nrows();
     let shards = 4.min(n);
     let dir = std::env::temp_dir().join(format!(

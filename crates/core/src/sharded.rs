@@ -610,10 +610,7 @@ mod tests {
 
     /// The paper's Poisson operator is negative definite; CG needs SPD.
     fn spd_poisson(edge: usize) -> (CsrMatrix, Vector) {
-        let mut a = poisson3d(edge);
-        for v in a.values_mut() {
-            *v = -*v;
-        }
+        let a = poisson3d(edge).negated();
         let b = Vector::filled(a.nrows(), 1.0);
         (a, b)
     }

@@ -481,10 +481,7 @@ mod tests {
     use lcr_sparse::Vector;
 
     fn spd_system(n: usize) -> LinearSystem {
-        let mut a = poisson2d(n);
-        for v in a.values_mut() {
-            *v = -*v;
-        }
+        let a = poisson2d(n).negated();
         let (_, b) = manufactured_rhs(&a);
         LinearSystem::new(a, b)
     }

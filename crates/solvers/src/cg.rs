@@ -218,10 +218,7 @@ mod tests {
     /// SPD Poisson system (the paper's generator is negative definite, CG
     /// needs positive definite, so flip the sign of both sides).
     fn spd_system(n: usize, three_d: bool) -> (LinearSystem, Vector) {
-        let mut a = if three_d { poisson3d(n) } else { poisson2d(n) };
-        for v in a.values_mut() {
-            *v = -*v;
-        }
+        let a = if three_d { poisson3d(n) } else { poisson2d(n) }.negated();
         let (xstar, b) = manufactured_rhs(&a);
         (LinearSystem::new(a, b), xstar)
     }

@@ -525,11 +525,7 @@ mod tests {
     /// SPD version of the 2-D Poisson matrix (the generators use the paper's
     /// negative-definite sign convention).
     fn spd_poisson2d(n: usize) -> CsrMatrix {
-        let mut a = poisson2d(n);
-        for v in a.values_mut() {
-            *v = -*v;
-        }
-        a
+        poisson2d(n).negated()
     }
 
     fn dense_solve(a: &CsrMatrix, b: &Vector) -> Vector {

@@ -201,7 +201,8 @@ impl Space for LocalSpace {
 /// derives from globally reduced scalars, so the shards never diverge and
 /// their comm calls line up.  Under the determinism contract of
 /// [`lcr_sparse::shard`] — reductions are per-block partials folded in
-/// global block order, the local product is the carried-start traversal,
+/// global block order, the local product is the local matrix's own
+/// `SpmvPlan` run on the shard's thread (the one SpMV traversal),
 /// elementwise updates run on the [`simd`] lane kernels — traces are
 /// bit-identical across shard counts and never touch the thread pool: the
 /// shards are the parallelism.
@@ -253,7 +254,7 @@ impl Space for ShardSpace<'_> {
 
     fn apply(&mut self, w: &[f64], y: &mut [f64]) -> Result<(), CommError> {
         self.exchange(w)?;
-        self.mat.spmv_seq(&self.ext, y);
+        self.mat.spmv(&self.ext, y);
         Ok(())
     }
 

@@ -117,9 +117,7 @@ impl<S: Space> Space for Counting<S> {
 fn system(spd: bool) -> LinearSystem {
     let mut a = poisson3d(6);
     if spd {
-        for v in a.values_mut() {
-            *v = -*v;
-        }
+        a = a.negated();
     }
     let (_, b) = manufactured_rhs(&a);
     LinearSystem::new(a, b)

@@ -19,10 +19,13 @@
 //! loops never consult).  Two structural properties deliver that:
 //!
 //! 1. **Row-local products.**  The local CSR keeps the global entry
-//!    storage order; only column *indices* are remapped.  Every per-row
-//!    sum in [`ShardedCsr::spmv_seq`] therefore traverses the same values
-//!    in the same order at any shard count, and halo values are exact
-//!    copies of their owners, so `y = A x` is reproduced bit-for-bit.
+//!    storage order; only column *indices* are remapped.
+//!    [`ShardedCsr::spmv`] runs the local matrix's own plan through the
+//!    traversal [`CsrMatrix::spmv`] runs, in which every row, slab or
+//!    tail, sums its entries from `0.0` in storage order.  So each row's
+//!    sum traverses the same values in the same order at any shard count,
+//!    and halo values are exact copies of their owners, so `y = A x` is
+//!    reproduced bit-for-bit.
 //! 2. **Blockwise two-phase reductions.**  A global dot product is never
 //!    formed by pre-summing a shard's rows (shard-sized fold trees would
 //!    differ across shard counts).  Instead every shard emits one partial
@@ -260,7 +263,8 @@ pub struct ShardedCsr {
     /// (`ncols == rows + halo_len`).  The remap puts every halo column
     /// after every owned one, so a row that reads a lower-numbered shard
     /// is not column-sorted: `get` and `diagonal` misread it, which is
-    /// why [`ShardedCsr::diagonal_local`] scans each row instead.
+    /// why [`ShardedCsr::diagonal_local`] scans each row instead.  Its
+    /// own plan drives [`ShardedCsr::spmv`].
     pub local: CsrMatrix,
     /// The halo-exchange plan.
     pub halo: HaloPlan,
@@ -277,25 +281,20 @@ impl ShardedCsr {
         self.local.ncols()
     }
 
-    /// Sequential local product `y = A_local · x_ext` traversing every
-    /// row's entries in global storage order — the carried-start traversal
-    /// whose per-row sums are identical at any shard count.  The shard
-    /// loops are the unit of parallelism here; no pool is consulted.
+    /// The local product `y = A_local · x_ext`: the local matrix's own
+    /// [`SpmvPlan`](crate::SpmvPlan), chunk by chunk on the calling thread.
+    /// Every row sums its entries from `0.0` in global storage order, so
+    /// the sums are identical at any shard count.  The shards are the
+    /// parallelism here; no pool is consulted.
     ///
     /// # Panics
     /// Panics on dimension mismatch.
-    pub fn spmv_seq(&self, x_ext: &[f64], y: &mut [f64]) {
-        assert_eq!(x_ext.len(), self.ext_len(), "spmv_seq: x length");
-        assert_eq!(y.len(), self.rows(), "spmv_seq: y length");
-        let indptr = self.local.indptr();
-        let indices = self.local.indices();
-        let values = self.local.values();
-        for (i, out) in y.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for k in indptr[i]..indptr[i + 1] {
-                acc += values[k] * x_ext[indices[k] as usize];
-            }
-            *out = acc;
+    pub fn spmv(&self, x_ext: &[f64], y: &mut [f64]) {
+        assert_eq!(x_ext.len(), self.ext_len(), "spmv: x length");
+        assert_eq!(y.len(), self.rows(), "spmv: y length");
+        let plan = self.local.plan();
+        for ci in 0..plan.chunks().len() {
+            self.local.apply_chunk(plan, ci, x_ext, |i, sum| y[i] = sum);
         }
     }
 
@@ -863,36 +862,38 @@ mod tests {
 
     #[test]
     fn partitioned_spmv_matches_global_bitwise() {
-        let a = poisson3d(8); // 512 rows
-        let n = a.nrows();
-        let x: Vec<f64> = (0..n).map(|i| (i as f64).cos()).collect();
-        let mut y_global = vec![0.0; n];
-        // Reference: the same carried-start traversal on the global matrix.
-        let (ip, ix, vs) = (a.indptr(), a.indices(), a.values());
-        for i in 0..n {
-            let mut acc = 0.0;
-            for k in ip[i]..ip[i + 1] {
-                acc += vs[k] * x[ix[k] as usize];
-            }
-            y_global[i] = acc;
-        }
-        for shards in [1, 2, 3, 4] {
-            let layout = ShardLayout::with_block(n, shards, 64);
-            let parts = partition_csr(&a, &layout);
-            for part in &parts {
-                let (r0, r1) = layout.range(part.shard);
-                // Assemble the extended vector by hand (exact halo copies).
-                let mut x_ext = x[r0..r1].to_vec();
-                x_ext.extend(part.halo.halo_cols.iter().map(|&c| x[c]));
-                let mut y = vec![0.0; part.rows()];
-                part.spmv_seq(&x_ext, &mut y);
-                for (i, &v) in y.iter().enumerate() {
-                    assert_eq!(
-                        v.to_bits(),
-                        y_global[r0 + i].to_bits(),
-                        "row {} at {shards} shards",
-                        r0 + i
-                    );
+        use crate::csr::RowBlock::Slab;
+        // 8³ has one plan chunk per shard; 24³ (~93k non-zeros) has many
+        // chunks and SELL slabs at 1 and 2 shards.
+        for (edge, shard_counts) in [(8, &[1, 2, 3, 4][..]), (24, &[1, 2, 3, 4, 7][..])] {
+            let a = poisson3d(edge);
+            let n = a.nrows();
+            let x: Vec<f64> = (0..n).map(|i| (i as f64).cos()).collect();
+            let mut y_global = vec![0.0; n];
+            a.spmv(&x, &mut y_global);
+            for &shards in shard_counts {
+                let layout = ShardLayout::with_block(n, shards, 64);
+                for part in partition_csr(&a, &layout) {
+                    if edge == 24 {
+                        let plan = part.local.plan();
+                        let slab = |ci| plan.blocks(ci).iter().any(|b| matches!(b, Slab { .. }));
+                        assert!((0..plan.chunks().len()).any(slab), "{shards} shards: no slab");
+                        assert!(shards > 2 || plan.chunks().len() > 1, "{shards} shards: 1 chunk");
+                    }
+                    let (r0, r1) = layout.range(part.shard);
+                    // Assemble the extended vector by hand (exact halo copies).
+                    let mut x_ext = x[r0..r1].to_vec();
+                    x_ext.extend(part.halo.halo_cols.iter().map(|&c| x[c]));
+                    let mut y = vec![0.0; part.rows()];
+                    part.spmv(&x_ext, &mut y);
+                    for (i, &v) in y.iter().enumerate() {
+                        assert_eq!(
+                            v.to_bits(),
+                            y_global[r0 + i].to_bits(),
+                            "{edge}³, row {} at {shards} shards",
+                            r0 + i
+                        );
+                    }
                 }
             }
         }

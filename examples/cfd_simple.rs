@@ -31,10 +31,8 @@ const ALPHA_U: f64 = 0.7;
 
 /// Builds the SPD pressure-Poisson matrix for the cavity.
 fn pressure_matrix() -> LinearSystem {
-    let mut a = poisson2d(N);
-    for v in a.values_mut() {
-        *v = -*v; // SPD sign convention for CG
-    }
+    // SPD sign convention for CG.
+    let a = poisson2d(N).negated();
     LinearSystem::new(a, Vector::zeros(N * N))
 }
 

@@ -25,7 +25,7 @@ use lossy_ckpt::core::runner::{ExecutionBackend, FaultTolerantRunner, Persistenc
 use lossy_ckpt::core::sharded::{try_run_sharded, ShardedRunConfig};
 use lossy_ckpt::core::strategy::CheckpointStrategy;
 use lossy_ckpt::core::workload::PaperWorkload;
-use lossy_ckpt::solvers::{ShardedMethod, SolverKind};
+use lossy_ckpt::solvers::SolverKind;
 use lossy_ckpt::sparse::poisson::poisson3d;
 use lossy_ckpt::sparse::{CommInterposer, Vector};
 use std::sync::Arc;
@@ -98,17 +98,15 @@ fn main() {
 
     // --- Scenario 2: a stalled shard under a heartbeat.
     println!("\n=== chaos drill: peer stall under heartbeat ===");
-    let mut a = poisson3d(6);
-    for v in a.values_mut() {
-        *v = -*v; // the Poisson operator is negative definite; CG needs SPD
-    }
+    // The Poisson operator is negative definite; CG needs SPD.
+    let a = poisson3d(6).negated();
     let b = Vector::filled(a.nrows(), 1.0);
     let stall_plan = ChaosPlan {
         stall_at_msg: Some(3),
         stall: Duration::from_millis(300),
         ..ChaosPlan::quiet(seed)
     };
-    let mut cfg = ShardedRunConfig::new(2, ShardedMethod::Cg);
+    let mut cfg = ShardedRunConfig::new(2, SolverKind::Cg);
     cfg.rtol = 1e-7;
     cfg.reduce_block = 128;
     cfg.heartbeat_timeout = Some(Duration::from_millis(50));

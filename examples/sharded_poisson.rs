@@ -15,7 +15,7 @@
 //! ```
 
 use lossy_ckpt::core::sharded::{try_run_sharded, KillSpec, ShardedError, ShardedRunConfig};
-use lossy_ckpt::solvers::ShardedMethod;
+use lossy_ckpt::solvers::SolverKind;
 use lossy_ckpt::sparse::poisson::poisson3d;
 use lossy_ckpt::sparse::Vector;
 
@@ -29,10 +29,7 @@ fn main() -> Result<(), ShardedError> {
     let _ = std::fs::remove_dir_all(&dir);
 
     // 24³ Poisson; the paper's operator is negative definite, CG needs SPD.
-    let mut a = poisson3d(24);
-    for v in a.values_mut() {
-        *v = -*v;
-    }
+    let a = poisson3d(24).negated();
     let b = Vector::filled(a.nrows(), 1.0);
     println!(
         "solving {} unknowns over {} shard(s), killing shard {} at iteration 12",
@@ -41,7 +38,7 @@ fn main() -> Result<(), ShardedError> {
         1.min(shards - 1)
     );
 
-    let mut cfg = ShardedRunConfig::new(shards, ShardedMethod::Cg);
+    let mut cfg = ShardedRunConfig::new(shards, SolverKind::Cg);
     cfg.rtol = 1e-7;
     cfg.checkpoint_interval = 5;
     cfg.reduce_block = 512; // 27 reduction blocks: every shard owns some

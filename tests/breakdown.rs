@@ -12,7 +12,7 @@
 use lossy_ckpt::ckpt::{MemBackend, StorageBackend};
 use lossy_ckpt::core::sharded::{try_run_sharded, ShardedError, ShardedRunConfig};
 use lossy_ckpt::solvers::{
-    ConjugateGradient, IterativeMethod, LinearSystem, ShardedMethod, StoppingCriteria,
+    ConjugateGradient, IterativeMethod, LinearSystem, SolverKind, StoppingCriteria,
 };
 use lossy_ckpt::sparse::poisson::poisson3d;
 use lossy_ckpt::sparse::{CommAction, CommError, CommInterposer, CsrMatrix, Vector};
@@ -61,7 +61,7 @@ fn local_cg_breakdown_ends_the_solve() {
 fn sharded_cg_breakdown_ends_the_run() {
     let report = within_deadline(|| {
         let (a, b) = indefinite();
-        let mut cfg = ShardedRunConfig::new(2, ShardedMethod::Cg);
+        let mut cfg = ShardedRunConfig::new(2, SolverKind::Cg);
         cfg.reduce_block = 1; // one row per shard
         cfg.max_iterations = 100;
         cfg.heartbeat_timeout = Some(Duration::from_millis(200));
@@ -81,12 +81,9 @@ fn sharded_cg_within_deadline(
     tweak: impl FnOnce(&mut ShardedRunConfig) + Send + 'static,
 ) -> Result<Result<(), ShardedError>, String> {
     within_deadline(move || {
-        let mut a = poisson3d(8);
-        for v in a.values_mut() {
-            *v = -*v;
-        }
+        let a = poisson3d(8).negated();
         let b = Vector::filled(a.nrows(), 1.0);
-        let mut cfg = ShardedRunConfig::new(2, ShardedMethod::Cg);
+        let mut cfg = ShardedRunConfig::new(2, SolverKind::Cg);
         cfg.reduce_block = 64;
         tweak(&mut cfg);
         catch_unwind(AssertUnwindSafe(|| try_run_sharded(&a, &b, &cfg).map(drop))).map_err(

@@ -18,7 +18,7 @@ use lossy_ckpt::core::runner::{ExecutionBackend, FaultTolerantRunner, Persistenc
 use lossy_ckpt::core::sharded::{try_run_sharded, KillSpec, ShardedError, ShardedRunConfig};
 use lossy_ckpt::core::strategy::CheckpointStrategy;
 use lossy_ckpt::core::workload::PaperWorkload;
-use lossy_ckpt::solvers::{ShardedMethod, SolverKind};
+use lossy_ckpt::solvers::SolverKind;
 use lossy_ckpt::sparse::poisson::poisson3d;
 use lossy_ckpt::sparse::{CommInterposer, CsrMatrix, Vector};
 use std::fs;
@@ -44,10 +44,7 @@ fn fast_retry() -> RetryPolicy {
 
 /// The paper's Poisson operator is negative definite; CG needs SPD.
 fn spd_poisson(edge: usize) -> (CsrMatrix, Vector) {
-    let mut a = poisson3d(edge);
-    for v in a.values_mut() {
-        *v = -*v;
-    }
+    let a = poisson3d(edge).negated();
     let b = Vector::filled(a.nrows(), 1.0);
     (a, b)
 }
@@ -223,7 +220,7 @@ fn dying_disk_degrades_to_memory_and_converges() {
     }
 }
 
-fn sharded_cfg(plan: ChaosPlan, shards: usize, method: ShardedMethod, dir: &Path) -> ShardedRunConfig {
+fn sharded_cfg(plan: ChaosPlan, shards: usize, method: SolverKind, dir: &Path) -> ShardedRunConfig {
     let mut cfg = ShardedRunConfig::new(shards, method);
     cfg.rtol = 1e-7;
     cfg.reduce_block = 128;
@@ -274,7 +271,7 @@ fn sharded_storage_soak_with_kills() {
     let (a, b) = spd_poisson(6);
     let run = |seed: u64| {
         let shards = 2 + (seed % 2) as usize;
-        let method = if seed.is_multiple_of(2) { ShardedMethod::Cg } else { ShardedMethod::Gmres };
+        let method = if seed.is_multiple_of(2) { SolverKind::Cg } else { SolverKind::Gmres };
         let plan = ChaosPlan::storage_mix(seed);
         let dir = tempdir("shard", seed);
         let mut cfg = sharded_cfg(plan, shards, method, &dir);
@@ -344,7 +341,7 @@ fn sharded_comm_chaos_is_typed_or_correct() {
             ..ChaosPlan::quiet(seed)
         };
         let dir = tempdir("comm", seed);
-        let mut cfg = sharded_cfg(ChaosPlan::quiet(seed), 3, ShardedMethod::Cg, &dir);
+        let mut cfg = sharded_cfg(ChaosPlan::quiet(seed), 3, SolverKind::Cg, &dir);
         cfg.heartbeat_timeout = Some(Duration::from_millis(250));
         cfg.interposer_factory = Some(Arc::new(move |shard| {
             plan.interposer(shard as u64) as Box<dyn CommInterposer>
@@ -369,7 +366,7 @@ fn peer_stall_trips_heartbeat_into_typed_error() {
             ..ChaosPlan::quiet(seed)
         };
         let dir = tempdir("stall", seed);
-        let mut cfg = sharded_cfg(ChaosPlan::quiet(seed), 2, ShardedMethod::Cg, &dir);
+        let mut cfg = sharded_cfg(ChaosPlan::quiet(seed), 2, SolverKind::Cg, &dir);
         cfg.heartbeat_timeout = Some(Duration::from_millis(120));
         cfg.interposer_factory = Some(Arc::new(move |shard| {
             let plan = if shard == 1 { stall_plan } else { ChaosPlan::quiet(seed) };

@@ -294,19 +294,13 @@ fn cg_iteration_count_is_unchanged_by_fusion() {
 }
 
 fn spd_poisson2d(n: usize) -> LinearSystem {
-    let mut a = poisson2d(n);
-    for v in a.values_mut() {
-        *v = -*v;
-    }
+    let a = poisson2d(n).negated();
     let (_, b) = manufactured_rhs(&a);
     LinearSystem::new(a, b)
 }
 
 fn spd_poisson3d(n: usize) -> LinearSystem {
-    let mut a = poisson3d(n);
-    for v in a.values_mut() {
-        *v = -*v;
-    }
+    let a = poisson3d(n).negated();
     let (_, b) = manufactured_rhs(&a);
     LinearSystem::new(a, b)
 }

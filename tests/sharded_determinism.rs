@@ -9,7 +9,7 @@
 //! caps directly.
 
 use lossy_ckpt::core::sharded::{try_run_sharded, KillSpec, ShardedReport, ShardedRunConfig};
-use lossy_ckpt::solvers::ShardedMethod;
+use lossy_ckpt::solvers::SolverKind;
 use lossy_ckpt::sparse::poisson::{manufactured_rhs, poisson2d, poisson3d};
 use lossy_ckpt::sparse::{CommAction, CommInterposer, CsrMatrix, Vector};
 use proptest::prelude::*;
@@ -17,10 +17,7 @@ use std::sync::{Arc, Mutex};
 
 /// The paper's Poisson operator is negative definite; CG needs SPD.
 fn spd_poisson(edge: usize) -> (CsrMatrix, Vector) {
-    let mut a = poisson3d(edge);
-    for v in a.values_mut() {
-        *v = -*v;
-    }
+    let a = poisson3d(edge).negated();
     let b = Vector::filled(a.nrows(), 1.0);
     (a, b)
 }
@@ -69,9 +66,7 @@ fn fingerprint(values: &[f64]) -> u64 {
 fn golden_system(three_d: bool, negate: bool) -> (CsrMatrix, Vector) {
     let mut a = if three_d { poisson3d(12) } else { poisson2d(24) };
     if negate {
-        for v in a.values_mut() {
-            *v = -*v;
-        }
+        a = a.negated();
     }
     let (_, b) = manufactured_rhs(&a);
     (a, b)
@@ -84,12 +79,12 @@ fn golden_system(three_d: bool, negate: bool) -> (CsrMatrix, Vector) {
 #[test]
 fn sharded_krylov_iterations_and_traces_are_pinned() {
     for (method, three_d, golden_iters, golden_fp) in [
-        (ShardedMethod::Cg, false, 86usize, 0xbbcdd1b2cadc8ffcu64),
-        (ShardedMethod::Cg, true, 55, 0x92700cb59ed23efa),
-        (ShardedMethod::Gmres, false, 124, 0x55dba5a4eaed06a5),
-        (ShardedMethod::Gmres, true, 67, 0xcaca7484acc6c837),
+        (SolverKind::Cg, false, 86usize, 0xbbcdd1b2cadc8ffcu64),
+        (SolverKind::Cg, true, 55, 0x92700cb59ed23efa),
+        (SolverKind::Gmres, false, 124, 0x55dba5a4eaed06a5),
+        (SolverKind::Gmres, true, 67, 0xcaca7484acc6c837),
     ] {
-        let (a, b) = golden_system(three_d, method == ShardedMethod::Cg);
+        let (a, b) = golden_system(three_d, method == SolverKind::Cg);
         for shards in [1, 2, 4] {
             let mut cfg = ShardedRunConfig::new(shards, method);
             cfg.rtol = 1e-10;
@@ -115,7 +110,7 @@ fn sharded_kill_and_recover_run_is_pinned() {
     let (a, b) = golden_system(true, true);
     let dir = std::env::temp_dir().join(format!("lcr-shard-golden-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut cfg = ShardedRunConfig::new(2, ShardedMethod::Cg);
+    let mut cfg = ShardedRunConfig::new(2, SolverKind::Cg);
     cfg.rtol = 1e-10;
     cfg.reduce_block = 64;
     cfg.checkpoint_interval = 5;
@@ -162,7 +157,7 @@ fn sharded_comm_schedule_is_pinned() {
     for (label, method, (a, b), shards, killed, golden) in [
         (
             "cg/2",
-            ShardedMethod::Cg,
+            SolverKind::Cg,
             &cg,
             2,
             1,
@@ -173,7 +168,7 @@ fn sharded_comm_schedule_is_pinned() {
         ),
         (
             "cg/4",
-            ShardedMethod::Cg,
+            SolverKind::Cg,
             &cg,
             4,
             1,
@@ -186,7 +181,7 @@ fn sharded_comm_schedule_is_pinned() {
         ),
         (
             "gmres/3",
-            ShardedMethod::Gmres,
+            SolverKind::Gmres,
             &paper_sign,
             3,
             2,
@@ -247,7 +242,7 @@ fn sharded_comm_schedule_is_pinned() {
 fn cg_64cube_trace_bit_identical_at_1_2_4_shards() {
     let (a, b) = spd_poisson(64);
     let run = |shards: usize| {
-        let mut cfg = ShardedRunConfig::new(shards, ShardedMethod::Cg);
+        let mut cfg = ShardedRunConfig::new(shards, SolverKind::Cg);
         // Capped: the contract is about the trace, not convergence.
         cfg.max_iterations = 30;
         cfg.rtol = 1e-30;
@@ -269,7 +264,7 @@ fn cg_64cube_trace_bit_identical_at_1_2_4_shards() {
 #[test]
 fn sharded_traces_ignore_thread_pool_cap() {
     let (a, b) = spd_poisson(16);
-    let mut cfg = ShardedRunConfig::new(3, ShardedMethod::Cg);
+    let mut cfg = ShardedRunConfig::new(3, SolverKind::Cg);
     cfg.max_iterations = 25;
     cfg.rtol = 1e-30;
     cfg.reduce_block = 256;
@@ -300,8 +295,8 @@ proptest! {
         which in 0usize..2,
     ) {
         let block = 1usize << block_pow;
-        let method = [ShardedMethod::Cg, ShardedMethod::Gmres][which];
-        let (a, b) = if method == ShardedMethod::Cg {
+        let method = [SolverKind::Cg, SolverKind::Gmres][which];
+        let (a, b) = if method == SolverKind::Cg {
             spd_poisson(edge)
         } else {
             let a = poisson3d(edge);
@@ -310,7 +305,7 @@ proptest! {
         };
         let run = |s: usize| {
             let mut cfg = ShardedRunConfig::new(s, method);
-            cfg.max_iterations = if method == ShardedMethod::Gmres { 40 } else { 20 };
+            cfg.max_iterations = if method == SolverKind::Gmres { 40 } else { 20 };
             cfg.rtol = 1e-30;
             cfg.reduce_block = block;
             solve(&a, &b, &cfg)
@@ -336,7 +331,7 @@ proptest! {
         let a = poisson3d(edge);
         let b = Vector::filled(a.nrows(), 1.0);
         let run = |s: usize| {
-            let mut cfg = ShardedRunConfig::new(s, ShardedMethod::Jacobi);
+            let mut cfg = ShardedRunConfig::new(s, SolverKind::Jacobi);
             cfg.max_iterations = 15;
             cfg.rtol = 1e-30;
             cfg.reduce_block = 16;

@@ -20,7 +20,7 @@ use lossy_ckpt::core::sharded::{try_run_sharded, KillSpec, ShardedReport, Sharde
 use lossy_ckpt::core::strategy::{CheckpointStrategy, ErrorBoundPolicy, LossyCodecKind};
 use lossy_ckpt::core::ScaledProblem;
 use lossy_ckpt::solvers::{
-    ConjugateGradient, IterativeMethod, Jacobi, LinearSystem, ShardedMethod, StoppingCriteria,
+    ConjugateGradient, IterativeMethod, Jacobi, LinearSystem, SolverKind, StoppingCriteria,
 };
 use lossy_ckpt::sparse::poisson::{poisson1d, poisson3d};
 use lossy_ckpt::sparse::{CsrMatrix, Vector};
@@ -47,10 +47,7 @@ fn env_shards() -> usize {
 
 /// The paper's Poisson operator is negative definite; CG needs SPD.
 fn spd_poisson(edge: usize) -> (CsrMatrix, Vector) {
-    let mut a = poisson3d(edge);
-    for v in a.values_mut() {
-        *v = -*v;
-    }
+    let a = poisson3d(edge).negated();
     let b = Vector::filled(a.nrows(), 1.0);
     (a, b)
 }
@@ -81,7 +78,7 @@ fn kill_one_shard_recovers_only_that_shard_and_converges() {
     let dir = tempdir("kill");
     let victim = 1.min(shards - 1);
 
-    let mut cfg = ShardedRunConfig::new(shards, ShardedMethod::Cg);
+    let mut cfg = ShardedRunConfig::new(shards, SolverKind::Cg);
     cfg.rtol = 1e-7;
     cfg.reduce_block = 128; // 32 blocks: every shard count up to 32 is non-empty
     cfg.checkpoint_interval = 5;
@@ -133,7 +130,7 @@ fn kill_one_shard_recovers_only_that_shard_and_converges() {
 fn kill_before_first_epoch_restarts_from_zero() {
     let shards = env_shards();
     let (a, b) = spd_poisson(12);
-    let mut cfg = ShardedRunConfig::new(shards, ShardedMethod::Cg);
+    let mut cfg = ShardedRunConfig::new(shards, SolverKind::Cg);
     cfg.rtol = 1e-7;
     cfg.reduce_block = 64;
     cfg.kills = vec![KillSpec {
@@ -160,7 +157,7 @@ fn double_fault_rolls_back_both_shards_in_one_round() {
     let dir = tempdir("double");
     let (v0, v1) = (0, 1);
 
-    let mut cfg = ShardedRunConfig::new(shards, ShardedMethod::Cg);
+    let mut cfg = ShardedRunConfig::new(shards, SolverKind::Cg);
     cfg.rtol = 1e-7;
     cfg.reduce_block = 128;
     cfg.checkpoint_interval = 5;
@@ -271,7 +268,7 @@ fn corrupted_newest_epoch_falls_back_to_older_epoch_during_recovery() {
     let dir = tempdir("replayfault");
     let victim = 1.min(shards - 1);
 
-    let mut cfg = ShardedRunConfig::new(shards, ShardedMethod::Cg);
+    let mut cfg = ShardedRunConfig::new(shards, SolverKind::Cg);
     cfg.rtol = 1e-7;
     cfg.reduce_block = 128;
     cfg.checkpoint_interval = 5;
@@ -373,7 +370,7 @@ fn run_with_a_failing_peer(
 ) -> ShardedReport {
     let (a, b) = spd_poisson(16);
     let dir = tempdir(tag);
-    let mut cfg = ShardedRunConfig::new(shards, ShardedMethod::Cg);
+    let mut cfg = ShardedRunConfig::new(shards, SolverKind::Cg);
     cfg.rtol = 1e-7;
     cfg.reduce_block = 128;
     cfg.checkpoint_interval = interval;
@@ -452,7 +449,7 @@ fn aborted_epochs_do_not_evict_the_last_committed_epoch() {
 #[should_panic(expected = "requires retain >= 2")]
 fn checkpointing_with_one_retained_epoch_is_refused() {
     let (a, b) = spd_poisson(8);
-    let mut cfg = ShardedRunConfig::new(2, ShardedMethod::Cg);
+    let mut cfg = ShardedRunConfig::new(2, SolverKind::Cg);
     cfg.checkpoint_interval = 5;
     cfg.ckpt_dir = Some(tempdir("retain1"));
     cfg.retain = 1;
@@ -519,7 +516,7 @@ fn both_fronts_write_and_recover_one_checkpoint_format() {
     // CG checkpointing every 5 iterations, shard 0 killed at `kills`.
     let sharded = |shards: usize, tag: &str, kills: &[usize], max_iterations: usize| {
         let dir = tempdir(tag);
-        let mut cfg = ShardedRunConfig::new(shards, ShardedMethod::Cg);
+        let mut cfg = ShardedRunConfig::new(shards, SolverKind::Cg);
         cfg.rtol = 1e-12;
         cfg.max_iterations = max_iterations;
         cfg.reduce_block = 64;

@@ -10,7 +10,7 @@
 use lossy_ckpt::core::sharded::{try_run_sharded, KillSpec, ShardedRunConfig};
 use lossy_ckpt::core::PaperWorkload;
 use lossy_ckpt::solvers::{
-    Gmres, IterativeMethod, Jacobi, LinearSystem, ShardedMethod, SolverKind, StoppingCriteria,
+    Gmres, IterativeMethod, Jacobi, LinearSystem, SolverKind, StoppingCriteria,
 };
 use lossy_ckpt::sparse::poisson::{manufactured_rhs, poisson2d, poisson3d};
 use lossy_ckpt::sparse::Vector;
@@ -202,7 +202,7 @@ fn sharded_jacobi_kill_and_recover_is_pinned() {
         let dir =
             std::env::temp_dir().join(format!("lcr-solver-golden-{}-{shards}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut cfg = ShardedRunConfig::new(shards, ShardedMethod::Jacobi);
+        let mut cfg = ShardedRunConfig::new(shards, SolverKind::Jacobi);
         cfg.rtol = 1e-4;
         cfg.reduce_block = 64;
         cfg.checkpoint_interval = 10;
@@ -244,7 +244,7 @@ fn sharded_gmres_kill_and_recover_is_pinned() {
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut cfg = ShardedRunConfig::new(shards, ShardedMethod::Gmres);
+        let mut cfg = ShardedRunConfig::new(shards, SolverKind::Gmres);
         cfg.rtol = 1e-10;
         cfg.reduce_block = 64;
         cfg.checkpoint_interval = 5;

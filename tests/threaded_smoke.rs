@@ -26,9 +26,7 @@ fn concurrent_cg_lossy_checkpoint_roundtrips_under_pool() {
                 let mut a = poisson3d(32);
                 assert!(a.nrows() >= PAR_THRESHOLD);
                 // The paper's generator is negative definite; CG needs SPD.
-                for v in a.values_mut() {
-                    *v = -*v;
-                }
+                a = a.negated();
                 let (_xstar, b) = manufactured_rhs(&a);
                 let system = LinearSystem::new(a, b);
                 let n = system.dim();
