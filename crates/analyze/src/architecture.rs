@@ -217,6 +217,12 @@ pub const RULES: &[Rule] = &[
     // One SpMV: a shard's product runs its local matrix's own plan.
     retired(&["spmv_seq"], tree(ALL),
         "one SpMV serves both fronts: ShardedCsr::spmv runs the local matrix's plan"),
+    // One operator per rank: the stencil generators write CSR directly, and
+    // CG runs on the paper's negative-definite matrix as is.
+    retired(&["CooMatrix"], code(&["crates/sparse/src/poisson.rs"]),
+        "the Poisson generators write CSR rows directly: no triplet list, no sort"),
+    retired(&["negated"], code(&["crates/core/src/", "crates/solvers/src/"]),
+        "CG runs on the paper's system as is; a negated copy of A doubles the operator"),
     // One column-index array: `CsrMatrix` stores its columns once, as `u32`.
     retired(&["cols32", "ColIdx"], tree(USERS), "a second column-index array is back"),
     retired(&["indices: Vec<usize>", "fn indices(&self) -> &[usize]"],

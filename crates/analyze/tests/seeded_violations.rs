@@ -442,3 +442,32 @@ fn architecture_rules_read_production_code_and_take_no_waiver() {
         "no waiver silences an architecture rule"
     );
 }
+
+#[test]
+fn the_one_operator_rows_fire_in_every_path_and_spare_test_code() {
+    // The table-driven test seeds only a scope's first path; these two rows
+    // name more than one place, and poisson.rs keeps the triplet route as
+    // its unit tests' reference.
+    let seeds = [
+        ("CooMatrix", "let coo = CooMatrix::with_capacity(8, 8, 24);"),
+        ("negated", "let a = problem.system.a.negated();"),
+    ];
+    for (token, statement) in seeds {
+        let (scope, why) = RULES
+            .iter()
+            .find_map(|rule| match rule {
+                Rule::Retired { tokens, scope, why } if tokens.contains(&token) => {
+                    Some((scope, *why))
+                }
+                _ => None,
+            })
+            .unwrap_or_else(|| panic!("the table retires `{token}`"));
+        for path in scope.paths {
+            let rel = path_in(&Scope { paths: std::slice::from_ref(path), ..*scope });
+            let production = format!("fn build() {{\n    {statement}\n}}\n");
+            assert!(row_fires(&rel, &production, token, why), "`{token}` in {rel} must fire: {why}");
+            let test_item = format!("#[cfg(test)]\nmod tests {{\n    {production}}}\n");
+            assert!(!row_fires(&rel, &test_item, token, why), "`{token}` in a test of {rel}: {why}");
+        }
+    }
+}

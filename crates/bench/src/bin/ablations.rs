@@ -164,15 +164,9 @@ fn main() {
         &table,
     );
 
-    // 2. Restarted vs non-restarted CG recovery.
-    let spd_system = {
-        let a = problem.system.a.negated();
-        let mut b = (*problem.system.b).clone();
-        b.scale(-1.0);
-        LinearSystem::new(a, b)
-    };
-    let restarted = cg_recovery_ablation(&spd_system, true);
-    let nonrestarted = cg_recovery_ablation(&spd_system, false);
+    // 2. Restarted vs non-restarted CG recovery, on the paper's system as is.
+    let restarted = cg_recovery_ablation(&problem.system, true);
+    let nonrestarted = cg_recovery_ablation(&problem.system, false);
     print_table(
         "Ablation 2 — CG recovery style after one lossy recovery",
         &["recovery", "extra iterations"],
@@ -184,8 +178,8 @@ fn main() {
 
     // 3. Checkpoint payload: x only vs x and p.
     let mut cg = ConjugateGradient::unpreconditioned(
-        spd_system.clone(),
-        Vector::zeros(spd_system.dim()),
+        problem.system.clone(),
+        Vector::zeros(problem.system.dim()),
         StoppingCriteria::new(1e-7, 200_000),
     );
     for _ in 0..10 {

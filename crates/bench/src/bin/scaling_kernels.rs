@@ -7,7 +7,8 @@
 //! `spmv_dot`, `axpy2_norm2` and `residual_norm2` that the Krylov inner
 //! loops now run on, and the paper's preconditioner: `bjacobi_apply` (one
 //! block-Jacobi(16)/ILU(0) application) and `ilu0_factor` (building it) —
-//! on a large 3-D Poisson problem, SZ
+//! on a large 3-D Poisson problem, whose assembly is a row of its own
+//! (`poisson3d_assemble`: Melem/s of non-zeros written), SZ
 //! compression *and decompression* of a ≥1M-element smooth buffer, the
 //! temporal (version-5) SZ encoder over a three-snapshot point-wise-relative
 //! chain of it (`sz_temporal_compress`, and `sz_temporal_compress_1blk` over
@@ -301,6 +302,18 @@ fn main() {
             spmv_fp,
             secs,
         ));
+
+        // Assembling the operator itself: the stencil written row by row
+        // straight into the CSR arrays, on one thread (the fingerprint
+        // covers indptr, indices and value bits).
+        let mut assembled = poisson3d(grid_edge);
+        let secs = time_median(reps, || assembled = poisson3d(grid_edge));
+        let assembled_fp = fnv1a(
+            assembled.indptr().iter().map(|&p| p as u64)
+                .chain(assembled.indices().iter().map(|&c| u64::from(c)))
+                .chain(assembled.values().iter().map(|v| v.to_bits())),
+        );
+        measured.push(("poisson3d_assemble", assembled.nnz(), 0, assembled_fp, secs));
 
         // The preconditioner: factorising the 16 diagonal blocks straight
         // from the matrix rows (parent read once + factors written once),

@@ -134,14 +134,8 @@ fn measured_shard_segment_ratio(
     kind: SolverKind,
     max_iterations: usize,
 ) -> Option<f64> {
-    let mut b = (*problem.system.b).clone();
-    let a = if kind == SolverKind::Cg {
-        // The paper's Poisson operator is negative definite; CG needs SPD.
-        b.scale(-1.0);
-        problem.system.a.negated()
-    } else {
-        (*problem.system.a).clone()
-    };
+    // Every method, CG included, runs on the paper's system as is.
+    let (a, b) = (&*problem.system.a, &*problem.system.b);
     let n = a.nrows();
     let shards = 4.min(n);
     let dir = std::env::temp_dir().join(format!(
@@ -157,7 +151,7 @@ fn measured_shard_segment_ratio(
     cfg.reduce_block = cfg.reduce_block.min(n.div_ceil(shards * 4).max(1));
     cfg.checkpoint_interval = 5;
     cfg.ckpt_dir = Some(dir.clone());
-    let report = crate::sharded::try_run_sharded(&a, &b, &cfg);
+    let report = crate::sharded::try_run_sharded(a, b, &cfg);
     let _ = std::fs::remove_dir_all(&dir);
     let report = report.expect("fault-free sharded run on the OS temp directory");
     let stored = report.committed_epochs.last()?.total_bytes();

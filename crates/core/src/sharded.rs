@@ -476,8 +476,8 @@ fn residual_trace(progress: &Progress) -> Vec<f64> {
 /// error return never leaks a thread.
 ///
 /// The caller must hand over an operator matching the method's
-/// requirements (CG needs SPD — negate the paper's negative-definite
-/// Poisson system first, as [`crate::workload`] does).
+/// requirements (CG needs a definite operator of either sign: the paper's
+/// negative-definite Poisson system runs as is, as in [`crate::workload`]).
 ///
 /// # Panics
 /// Panics on dimension mismatch, a configuration requiring a missing

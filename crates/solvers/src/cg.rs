@@ -215,8 +215,8 @@ mod tests {
     use lcr_sparse::poisson::{manufactured_rhs, poisson2d, poisson3d};
     use lcr_sparse::CsrMatrix;
 
-    /// SPD Poisson system (the paper's generator is negative definite, CG
-    /// needs positive definite, so flip the sign of both sides).
+    /// SPD Poisson system: the paper's generator negated on both sides
+    /// (CG on the paper's sign is pinned against this twin below).
     fn spd_system(n: usize, three_d: bool) -> (LinearSystem, Vector) {
         let a = if three_d { poisson3d(n) } else { poisson2d(n) }.negated();
         let (xstar, b) = manufactured_rhs(&a);
@@ -298,6 +298,89 @@ mod tests {
         for expected in reference_iters {
             restored.step();
             assert!((restored.residual_norm() - expected).abs() <= 1e-12 * expected.max(1.0));
+        }
+    }
+
+    /// Bits of `sign · v`, with a zero of either sign read as `+0.0`: the
+    /// sign of an exact zero is the one thing negating a system may move.
+    fn signed_bits(v: &Vector, sign: f64) -> Vec<u64> {
+        v.iter().map(|&x| if x == 0.0 { 0 } else { (sign * x).to_bits() }).collect()
+    }
+
+    /// CG on the paper's `poisson3d(8)` as is and on its negated twin,
+    /// `M = I` or block Jacobi(16) built from each system's own matrix.
+    fn paper_and_twin(preconditioned: bool) -> [ConjugateGradient; 2] {
+        let a = poisson3d(8);
+        let (_, b) = manufactured_rhs(&a);
+        let mut minus_b = b.clone();
+        minus_b.scale(-1.0);
+        let twin = LinearSystem::new(a.negated(), minus_b);
+        [LinearSystem::new(a, b), twin].map(|sys| {
+            let x0 = Vector::zeros(sys.dim());
+            if preconditioned {
+                let m = Arc::new(BlockJacobiPreconditioner::new(&sys.a, 16).unwrap());
+                ConjugateGradient::new(sys, m, x0, criteria(1e-10))
+            } else {
+                ConjugateGradient::unpreconditioned(sys, x0, criteria(1e-10))
+            }
+        })
+    }
+
+    /// Asserts the sign relation between the two solvers' states: `x` and
+    /// the residual history share their bits, `r` is negated, and so is
+    /// `ρ` where `M` flips with `A` (block Jacobi) or `p` where it does not
+    /// (`M = I`: then `ρ = ‖r‖²` and `α` flips with `p`).
+    fn assert_twins(on_a: &ConjugateGradient, twin: &ConjugateGradient, preconditioned: bool) {
+        let it = on_a.iteration();
+        assert_eq!(it, twin.iteration());
+        let (x, twin_x) = (&on_a.state.x, &twin.state.x);
+        assert!(x.iter().zip(twin_x.iter()).all(|(a, b)| a.to_bits() == b.to_bits()), "x at {it}");
+        assert_eq!(signed_bits(&on_a.r, 1.0), signed_bits(&twin.r, -1.0), "r at {it}");
+        let p_sign = if preconditioned { 1.0 } else { -1.0 };
+        assert_eq!(signed_bits(&on_a.p, 1.0), signed_bits(&twin.p, p_sign), "p at {it}");
+        assert_eq!(on_a.rho.to_bits(), (-p_sign * twin.rho).to_bits(), "rho at {it}");
+        let bits = |cg: &ConjugateGradient| -> Vec<u64> {
+            cg.history().residuals().iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(on_a), bits(twin), "residual history at {it}");
+    }
+
+    #[test]
+    fn cg_on_the_paper_matrix_runs_the_negated_systems_iterates() {
+        for preconditioned in [false, true] {
+            let [mut on_a, mut twin] = paper_and_twin(preconditioned);
+            assert_twins(&on_a, &twin, preconditioned);
+            while !on_a.converged() {
+                on_a.step();
+                twin.step();
+                assert_twins(&on_a, &twin, preconditioned);
+            }
+            assert!(twin.converged() && on_a.iteration() > 10);
+        }
+    }
+
+    #[test]
+    fn traditional_round_trip_on_the_paper_matrix_resumes_as_its_twin() {
+        for preconditioned in [false, true] {
+            let [mut on_a, mut twin] = paper_and_twin(preconditioned);
+            for _ in 0..10 {
+                on_a.step();
+                twin.step();
+            }
+            // The checkpoints hold the same x; ρ (or, with M = I, p) with
+            // the opposite sign.
+            let (saved, twin_saved) = (on_a.capture_state(), twin.capture_state());
+            let [mut resumed, mut twin_resumed] = paper_and_twin(preconditioned);
+            resumed.restore_state(&saved);
+            twin_resumed.restore_state(&twin_saved);
+            assert_twins(&resumed, &twin_resumed, preconditioned);
+            assert_eq!(signed_bits(&resumed.p, 1.0), signed_bits(&on_a.p, 1.0));
+            assert_eq!(resumed.rho.to_bits(), on_a.rho.to_bits());
+            for _ in 0..10 {
+                resumed.step();
+                twin_resumed.step();
+                assert_twins(&resumed, &twin_resumed, preconditioned);
+            }
         }
     }
 

@@ -1,8 +1,10 @@
 //! Coordinate (triplet) sparse matrix builder.
 //!
-//! The COO format is the convenient *construction* format: the matrix
-//! generators ([`crate::poisson`], [`crate::kkt`]) push `(row, col, value)`
-//! triplets and then convert once to [`crate::CsrMatrix`] for computation.
+//! The COO format is the convenient *construction* format: the KKT
+//! generator ([`crate::kkt`]) pushes `(row, col, value)` triplets and then
+//! converts once to [`crate::CsrMatrix`] for computation.  (The Poisson
+//! stencils know each row's sorted entries up front and write CSR
+//! directly.)
 
 use crate::csr::col32;
 use crate::{CsrMatrix, Result, SparseError};

@@ -11,10 +11,10 @@
 //! * [`CsrMatrix`] — compressed sparse row storage with pool-parallel
 //!   matrix–vector products, transposition, diagonal extraction and
 //!   structural queries.
-//! * [`CooMatrix`] — triplet builder used by the generators.
+//! * [`CooMatrix`] — triplet builder used by the KKT generator.
 //! * [`poisson`] — the 3-D (and 2-D/1-D) Poisson stencil matrices used in
 //!   the paper's evaluation (Equation 15 of the paper: a 7-point stencil
-//!   with `-6` on the diagonal).
+//!   with `-6` on the diagonal), written straight into CSR.
 //! * [`kkt`] — a synthetic symmetric-indefinite KKT (saddle-point) system
 //!   generator standing in for the SuiteSparse `KKT240` matrix used in
 //!   Figure 3 of the paper.

@@ -14,88 +14,72 @@
 //! checkpoint sizes* of Table 3 through the rank/PFS model instead (see
 //! `lcr-ckpt`).  This module generates the same matrix family at any `n`.
 
-use crate::{CooMatrix, CsrMatrix, Vector};
+use crate::csr::col32;
+use crate::{CsrMatrix, Vector};
+
+/// The `(2·dims + 1)`-point Laplacian stencil (`-2·dims` diagonal, `+1`
+/// couplings) on an `n^dims` grid, row-major with `i` fastest.  Each row's
+/// entries go straight into the CSR arrays in ascending column order —
+/// `k−1, j−1, i−1`, diagonal, `i+1, j+1, k+1` — so no triplet list is made
+/// and nothing is sorted.  Like the COO conversion, the SpMV plan is built
+/// here, the finalize point.
+fn stencil(n: usize, dims: u32) -> CsrMatrix {
+    let rows = n.pow(dims);
+    let extent = |axis: u32| if axis < dims { n } else { 1 };
+    let (n2, diag) = (n * n, -2.0 * f64::from(dims));
+    // Every axis drops its two boundary couplings on each of its n^(dims−1) lines.
+    let nnz = (2 * dims as usize + 1) * rows - 2 * dims as usize * (rows / n.max(1));
+    let mut indptr = Vec::with_capacity(rows + 1);
+    let mut indices = Vec::with_capacity(nnz);
+    let mut values = Vec::with_capacity(nnz);
+    indptr.push(0);
+    for k in 0..extent(2) {
+        for j in 0..extent(1) {
+            for i in 0..n {
+                let row = k * n2 + j * n + i;
+                for (present, col, v) in [
+                    (k > 0, row.wrapping_sub(n2), 1.0),
+                    (j > 0, row.wrapping_sub(n), 1.0),
+                    (i > 0, row.wrapping_sub(1), 1.0),
+                    (true, row, diag),
+                    (i + 1 < n, row + 1, 1.0),
+                    (j + 1 < extent(1), row + n, 1.0),
+                    (k + 1 < extent(2), row + n2, 1.0),
+                ] {
+                    if present {
+                        indices.push(col32(col));
+                        values.push(v);
+                    }
+                }
+                indptr.push(indices.len());
+            }
+        }
+    }
+    let a = CsrMatrix::from_raw_unchecked(rows, rows, indptr, indices, values);
+    a.plan();
+    a
+}
 
 /// Generates the paper's 3-D Poisson matrix of dimension `n³ × n³`
 /// (Equation 15): 7-point stencil, `-6` diagonal, `+1` off-diagonals.
 ///
 /// The matrix is symmetric negative definite; iterative solvers in this
-/// repository conventionally solve `A x = b` with this sign, exactly as the
-/// paper states it.
+/// repository solve `A x = b` with this sign, exactly as the paper states
+/// it (CG included: its iterates are those of the negated system).
 pub fn poisson3d(n: usize) -> CsrMatrix {
-    let n2 = n * n;
-    let n3 = n2 * n;
-    // 7 entries per interior point.
-    let mut coo = CooMatrix::with_capacity(n3, n3, 7 * n3);
-    for k in 0..n {
-        for j in 0..n {
-            for i in 0..n {
-                let row = k * n2 + j * n + i;
-                coo.push(row, row, -6.0).expect("diagonal in bounds");
-                if i > 0 {
-                    coo.push(row, row - 1, 1.0).unwrap();
-                }
-                if i + 1 < n {
-                    coo.push(row, row + 1, 1.0).unwrap();
-                }
-                if j > 0 {
-                    coo.push(row, row - n, 1.0).unwrap();
-                }
-                if j + 1 < n {
-                    coo.push(row, row + n, 1.0).unwrap();
-                }
-                if k > 0 {
-                    coo.push(row, row - n2, 1.0).unwrap();
-                }
-                if k + 1 < n {
-                    coo.push(row, row + n2, 1.0).unwrap();
-                }
-            }
-        }
-    }
-    coo.to_csr()
+    stencil(n, 3)
 }
 
 /// Generates the 2-D 5-point Poisson matrix (`-4` diagonal) of dimension
 /// `n² × n²`.  Useful for faster tests and the CFD example.
 pub fn poisson2d(n: usize) -> CsrMatrix {
-    let n2 = n * n;
-    let mut coo = CooMatrix::with_capacity(n2, n2, 5 * n2);
-    for j in 0..n {
-        for i in 0..n {
-            let row = j * n + i;
-            coo.push(row, row, -4.0).unwrap();
-            if i > 0 {
-                coo.push(row, row - 1, 1.0).unwrap();
-            }
-            if i + 1 < n {
-                coo.push(row, row + 1, 1.0).unwrap();
-            }
-            if j > 0 {
-                coo.push(row, row - n, 1.0).unwrap();
-            }
-            if j + 1 < n {
-                coo.push(row, row + n, 1.0).unwrap();
-            }
-        }
-    }
-    coo.to_csr()
+    stencil(n, 2)
 }
 
 /// Generates the 1-D second-difference matrix (`-2` diagonal) of dimension
 /// `n × n`.
 pub fn poisson1d(n: usize) -> CsrMatrix {
-    let mut coo = CooMatrix::with_capacity(n, n, 3 * n);
-    for i in 0..n {
-        coo.push(i, i, -2.0).unwrap();
-        if i > 0 {
-            coo.push(i, i - 1, 1.0).unwrap();
-        }
-        if i + 1 < n {
-            coo.push(i, i + 1, 1.0).unwrap();
-        }
-    }
-    coo.to_csr()
+    stencil(n, 1)
 }
 
 /// Builds a right-hand side `b = A x*` for a smooth manufactured solution
@@ -206,13 +190,51 @@ mod tests {
 
     #[test]
     fn poisson_matrices_ship_with_a_finalized_plan() {
-        // The COO → CSR finalize point builds the SpMV plan eagerly, so the
-        // stencil matrices the experiments solve never pay for plan
+        // Assembly is a finalize point: it builds the SpMV plan eagerly, so
+        // the stencil matrices the experiments solve never pay for plan
         // construction inside a timed solver loop.
         let a = poisson3d(8);
         let plan = a.plan();
         assert_eq!(plan.chunks().last().unwrap().1, a.nrows());
         assert_eq!(plan.is_parallel(), a.nnz() >= crate::PAR_THRESHOLD);
+    }
+
+    /// The triplet route the generators took before they wrote CSR
+    /// directly: diagonal first, then `±1` along `i`, `j` and `k`, pushed
+    /// through `CooMatrix` and sorted by `to_csr`.
+    fn stencil_via_triplets(n: usize, dims: u32) -> CsrMatrix {
+        let rows = n.pow(dims);
+        let mut coo = crate::CooMatrix::with_capacity(rows, rows, (2 * dims as usize + 1) * rows);
+        for row in 0..rows {
+            coo.push(row, row, -2.0 * f64::from(dims)).unwrap();
+            for axis in 0..dims {
+                let (stride, coord) = (n.pow(axis), row / n.pow(axis) % n);
+                if coord > 0 {
+                    coo.push(row, row - stride, 1.0).unwrap();
+                }
+                if coord + 1 < n {
+                    coo.push(row, row + stride, 1.0).unwrap();
+                }
+            }
+        }
+        coo.to_csr()
+    }
+
+    #[test]
+    fn direct_assembly_matches_the_triplet_route_bit_for_bit() {
+        let bits = |a: &CsrMatrix| a.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let generators = [(1, poisson1d as fn(usize) -> CsrMatrix), (2, poisson2d), (3, poisson3d)];
+        for (dims, generate) in generators {
+            for n in [0, 1, 2, 3, 5, 12] {
+                let (direct, reference) = (generate(n), stencil_via_triplets(n, dims));
+                let what = format!("{dims}-D, n = {n}");
+                assert_eq!(direct.ncols(), reference.ncols(), "{what}");
+                assert_eq!(direct.indptr(), reference.indptr(), "{what}");
+                assert_eq!(direct.indices(), reference.indices(), "{what}");
+                assert_eq!(bits(&direct), bits(&reference), "{what}");
+                assert_eq!(direct.plan().chunks(), reference.plan().chunks(), "{what}");
+            }
+        }
     }
 
     #[test]
