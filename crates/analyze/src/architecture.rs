@@ -223,6 +223,13 @@ pub const RULES: &[Rule] = &[
         "the Poisson generators write CSR rows directly: no triplet list, no sort"),
     retired(&["negated"], code(&["crates/core/src/", "crates/solvers/src/"]),
         "CG runs on the paper's system as is; a negated copy of A doubles the operator"),
+    // One memory pass per basis vector: GMRES keeps its Krylov basis across
+    // cycles, so a step allocates no vector once a cycle has reached it,
+    // and ILU(0) factors have one format, fixed-width rows.
+    Rule::Count { token: "zeros", scope: code(GMRES), n: 3, at_least: false,
+        why: "GMRES makes w, x0 and each basis vector once; a step allocates no vector" },
+    retired(&["Triangle", "row_range"], code(&["crates/solvers/src/precond.rs"]),
+        "ILU(0) factors are fixed-width rows: one factor format, no CSR triangle beside it"),
     // One column-index array: `CsrMatrix` stores its columns once, as `u32`.
     retired(&["cols32", "ColIdx"], tree(USERS), "a second column-index array is back"),
     retired(&["indices: Vec<usize>", "fn indices(&self) -> &[usize]"],

@@ -4,9 +4,12 @@
 //! Measures a STREAM-style `triad` (the host's bandwidth ceiling through
 //! the same pool and the same slice driver, `kernels::run_len`, the vector
 //! kernels run on), `dot`/`norm2`/`spmv` — plus the fused solver kernels
-//! `spmv_dot`, `axpy2_norm2` and `residual_norm2` that the Krylov inner
-//! loops now run on, and the paper's preconditioner: `bjacobi_apply` (one
-//! block-Jacobi(16)/ILU(0) application) and `ilu0_factor` (building it) —
+//! `spmv_dot`, `axpy2_norm2`, `axpy_dot` (GMRES's Gram–Schmidt step) and
+//! `residual_norm2` that the Krylov inner loops now run on, the paper's
+//! preconditioner: `bjacobi_apply` (one block-Jacobi(16)/ILU(0)
+//! application) and `ilu0_factor` (building it), and one whole
+//! GMRES(30) + block-Jacobi(16) cycle (`gmres_cycle`: ms per iteration,
+//! fingerprint of the residual history) —
 //! on a large 3-D Poisson problem, whose assembly is a row of its own
 //! (`poisson3d_assemble`: Melem/s of non-zeros written), SZ
 //! compression *and decompression* of a ≥1M-element smooth buffer, the
@@ -49,11 +52,15 @@ use lcr_compress::{
     delta, huffman, Chain, Codec, DeltaMode, ErrorBound, LosslessPipeline, RawCodec,
     SzCompressor, SzTemporalState, ZfpCompressor,
 };
-use lcr_solvers::{BlockJacobiPreconditioner, Preconditioner};
+use lcr_solvers::{
+    BlockJacobiPreconditioner, Gmres, IterativeMethod, LinearSystem, Preconditioner,
+    StoppingCriteria,
+};
 use lcr_sparse::kernels;
 use lcr_sparse::poisson::poisson3d;
 use lcr_sparse::vector::{dot, norm2};
 use lcr_sparse::{CsrMatrix, Vector};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One measured (kernel, thread-count) point.
@@ -81,6 +88,8 @@ struct ScalingRow {
     /// Nanoseconds per matrix row, for the preconditioner rows: a
     /// triangular sweep is a latency chain per row, which GB/s hides.
     ns_per_row: Option<f64>,
+    /// Milliseconds per solver iteration, for the solver-cycle row.
+    ms_per_iter: Option<f64>,
     /// Fingerprint of the kernel's result (hex), to compare across commits.
     fingerprint: String,
     /// Whether the result was bit-identical to the 1-thread result.
@@ -89,7 +98,7 @@ struct ScalingRow {
 
 lcr_bench::json_object!(ScalingRow {
     kernel, threads, elements, seconds, melem_per_s, speedup_vs_1t, gb_per_s_computed,
-    frac_of_triad, ns_per_row, fingerprint, bit_identical,
+    frac_of_triad, ns_per_row, ms_per_iter, fingerprint, bit_identical,
 });
 
 fn median(mut samples: Vec<f64>) -> f64 {
@@ -133,6 +142,9 @@ fn smooth_signal(n: usize) -> Vec<f64> {
         })
         .collect()
 }
+
+/// The restart length of the paper's GMRES runs (PETSc's default).
+const GMRES_RESTART: usize = 30;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick")
@@ -341,6 +353,22 @@ fn main() {
             secs,
         ));
 
+        // GMRES(30) cycles with the block-Jacobi(16) preconditioner above,
+        // from the zero guess: each sample is 30 inner steps, the last one
+        // closing the cycle and opening the next.  One untimed cycle first
+        // fills the kept basis, so every sample is the steady-state Arnoldi
+        // loop of one solver; the fingerprint covers all its cycles'
+        // residual history.
+        let system = LinearSystem::new(matrix.clone(), pb.clone());
+        let precond: Arc<dyn Preconditioner> = Arc::new(pre.clone());
+        let open = StoppingCriteria::new(1e-30, 1_000);
+        let mut gmres = Gmres::new(system, precond, Vector::zeros(n), GMRES_RESTART, open);
+        let cycle = |gmres: &mut Gmres| (0..GMRES_RESTART).for_each(|_| gmres.step());
+        cycle(&mut gmres);
+        let secs = time_median(reps, || cycle(&mut gmres));
+        let history = gmres.history().residuals().iter().map(|r| r.to_bits());
+        measured.push(("gmres_cycle", GMRES_RESTART, 0, fnv1a(history), secs));
+
         // Fused solver kernels (the CG inner-loop primitives):
         // q = A·x with xᵀq in the same traversal, the fused x/r update
         // returning ‖r‖², and the fused residual + norm.  All follow the
@@ -376,6 +404,25 @@ fn main() {
             vec_len,
             6 * 8 * vec_len,
             fused_rr.to_bits(),
+            secs,
+        ));
+
+        // GMRES's Gram–Schmidt step: y −= h·v_i with the next coefficient
+        // yᵀv_{i+1} in the same pass (α = 0 again keeps y stable).
+        let mut projected = 0.0f64;
+        let secs = time_median(reps, || {
+            projected = kernels::axpy_dot(
+                0.0,
+                a_vec.as_slice(),
+                ax_scratch.as_mut_slice(),
+                b_vec.as_slice(),
+            );
+        });
+        measured.push((
+            "axpy_dot",
+            vec_len,
+            4 * 8 * vec_len,
+            bits_fingerprint(ax_scratch.as_slice()) ^ projected.to_bits(),
             secs,
         ));
 
@@ -590,6 +637,7 @@ fn main() {
                 frac_of_triad: gb_per_s_computed.map(|g| g / triad_gbs),
                 ns_per_row: matches!(name, "ilu0_factor" | "bjacobi_apply")
                     .then(|| seconds * 1e9 / n as f64),
+                ms_per_iter: (name == "gmres_cycle").then(|| seconds * 1e3 / elements as f64),
                 fingerprint: format!("{fingerprint:016x}"),
                 bit_identical: fingerprint == base_fp,
             });
@@ -612,6 +660,7 @@ fn main() {
                 r.gb_per_s_computed.map_or("-".into(), |g| fmt(g, 2)),
                 r.frac_of_triad.map_or("-".into(), |f| fmt(f, 2)),
                 r.ns_per_row.map_or("-".into(), |t| fmt(t, 2)),
+                r.ms_per_iter.map_or("-".into(), |t| fmt(t, 3)),
                 if r.bit_identical { "yes" } else { "NO" }.to_string(),
             ]
         })
@@ -628,6 +677,7 @@ fn main() {
             "GB/s",
             "of triad",
             "ns/row",
+            "ms/iter",
             "bit-identical",
         ],
         &table,

@@ -31,9 +31,11 @@ use std::sync::Arc;
 /// otherwise).
 ///
 /// An inner step is one operator application ([`Space::apply`]), the left
-/// preconditioner of the space, and modified Gram–Schmidt on
-/// [`Space::dot`] and [`Space::axpy`], whose last projection returns the
-/// norm of what remains in the same pass ([`Space::axpy_norm2`]).
+/// preconditioner of the space, and modified Gram–Schmidt at one pass per
+/// basis vector: each projection takes the next vector's coefficient in the
+/// same pass ([`Space::axpy_dot`]), and the last one the norm of what
+/// remains ([`Space::axpy_norm2`]).  After its first cycle a step
+/// allocates no vector.
 pub struct Gmres<S = LocalSpace> {
     space: S,
     restart: usize,
@@ -41,22 +43,24 @@ pub struct Gmres<S = LocalSpace> {
     /// tracks is the left-preconditioned one, `‖M⁻¹(b − A x)‖`.  `x`
     /// excludes the open cycle's correction.
     state: Progress,
-    /// Krylov basis vectors (up to `restart + 1`); empty while no cycle is
-    /// open.
+    /// Krylov basis vectors, kept for the solver's life: the open cycle
+    /// uses the first `givens.len() + 1`, each made the first time a cycle
+    /// reaches it and overwritten by every later cycle.
     basis: Vec<Vector>,
-    /// Upper-Hessenberg matrix stored column-wise: `hessenberg[j]` holds
-    /// column `j` (length `j + 2`); its length is the inner iteration index
-    /// within the cycle.
-    hessenberg: Vec<Vec<f64>>,
-    /// Givens rotation cosines/sines.
+    /// Upper-Hessenberg matrix stored column-wise: column `j` holds `j + 2`
+    /// entries from offset `j(j + 3)/2` ([`Gmres::h`]).
+    hessenberg: Vec<f64>,
+    /// Givens rotation cosines/sines; its length is the inner iteration
+    /// index within the cycle.
     givens: Vec<(f64, f64)>,
-    /// Right-hand side of the least-squares problem.
+    /// Right-hand side of the least-squares problem; empty while no cycle
+    /// is open.
     g: Vec<f64>,
     /// Preallocated scratch for `A v_j` and for the residual at cycle
     /// starts.
     av: Vector,
     /// Preallocated scratch for the vector being orthogonalised,
-    /// `w = M⁻¹ A v_j`; only cloned when it actually extends the basis.
+    /// `w = M⁻¹ A v_j`.
     w: Vector,
 }
 
@@ -143,18 +147,28 @@ impl<S: Space> Gmres<S> {
     /// residual and `β` its norm; a zero residual opens none.
     fn open_basis(&mut self, beta: f64) {
         if beta > 0.0 {
-            // v0 = w / beta written in one pass (no clone + rescale).
-            let mut v0 = Vector::zeros(self.w.len());
-            self.space.scale_into(&mut v0, 1.0 / beta, &self.w);
-            self.basis.push(v0);
+            self.keep(0, 1.0 / beta);
             self.g.push(beta);
         }
     }
 
+    /// Writes `v_i = scale · w` over the kept basis vector `i`, making it
+    /// the first time a cycle reaches `i`.
+    fn keep(&mut self, i: usize, scale: f64) {
+        if i == self.basis.len() {
+            self.basis.push(Vector::zeros(self.w.len()));
+        }
+        self.space.scale_into(&mut self.basis[i], scale, &self.w);
+    }
+
+    /// Entry `(i, j)` of the upper-Hessenberg matrix.
+    fn h(&self, i: usize, j: usize) -> f64 {
+        self.hessenberg[j * (j + 3) / 2 + i]
+    }
+
     /// Closes the open cycle without its correction: until the next
-    /// [`Gmres::begin_cycle`] a step does nothing.
+    /// [`Gmres::begin_cycle`] a step does nothing.  The basis stays.
     fn drop_cycle(&mut self) {
-        self.basis.clear();
         self.hessenberg.clear();
         self.givens.clear();
         self.g.clear();
@@ -170,18 +184,16 @@ impl<S: Space> Gmres<S> {
     /// `x + Σ y_j v_j`, where `y` solves the `k×k` upper-triangular
     /// least-squares system `R y = g` of the current cycle.
     fn corrected(&self, mut x: Vector) -> Vector {
-        let k = self.hessenberg.len();
+        let k = self.givens.len();
         let mut y = vec![0.0f64; k];
         for i in (0..k).rev() {
             let mut sum = self.g[i];
-            for (j, yj) in y.iter().enumerate().take(k).skip(i + 1) {
-                sum -= self.hessenberg[j][i] * yj;
+            for (j, yj) in y.iter().enumerate().skip(i + 1) {
+                sum -= self.h(i, j) * yj;
             }
-            y[i] = sum / self.hessenberg[i][i];
+            y[i] = sum / self.h(i, i);
         }
-        for (j, &yj) in y.iter().enumerate() {
-            self.space.axpy(&mut x, yj, &self.basis[j]);
-        }
+        self.space.multi_axpy(&mut x, &y, &self.basis[..k]);
         x
     }
 }
@@ -226,32 +238,30 @@ impl<S: Space> crate::TryIterativeMethod for Gmres<S> {
     }
 
     fn try_step(&mut self) -> Result<(), S::Error> {
-        // An empty basis means a zero residual (the solve is exact) or a
+        // No open cycle means a zero residual (the solve is exact) or a
         // cycle dropped for a restart that has not come yet.
-        if self.state.converged() || self.basis.is_empty() {
+        if self.state.converged() || self.g.is_empty() {
             return Ok(());
         }
 
-        let j = self.hessenberg.len();
+        let j = self.givens.len();
         // Arnoldi: w = M⁻¹ A v_j, computed in the preallocated scratch.
         self.space.apply(&self.basis[j], &mut self.av)?;
         precondition(&self.space, &mut self.av, &mut self.w);
-        // Modified Gram–Schmidt.  The last projection is fused with the
-        // norm of what remains: one pass instead of an axpy sweep followed
-        // by a separate norm sweep.
-        let mut h_col = Vec::with_capacity(j + 2);
-        let mut w_norm2 = 0.0;
-        for (i, vi) in self.basis.iter().take(j + 1).enumerate() {
-            let hij = self.space.dot(&self.w, vi)?;
-            if i == j {
-                w_norm2 = self.space.axpy_norm2(&mut self.w, -hij, vi)?;
-            } else {
-                self.space.axpy(&mut self.w, -hij, vi);
-            }
-            h_col.push(hij);
+        // Modified Gram–Schmidt, one pass per basis vector: projecting v_i
+        // out of w takes h_{i+1,j} = wᵀv_{i+1} in the same pass, and the
+        // last projection the norm of what remains.
+        let (basis, w) = (&self.basis[..=j], &mut self.w);
+        let col = self.hessenberg.len();
+        let mut hij = self.space.dot(w, &basis[0])?;
+        for i in 0..j {
+            self.hessenberg.push(hij);
+            hij = self.space.axpy_dot(w, -hij, &basis[i], &basis[i + 1])?;
         }
-        let h_next = w_norm2.sqrt();
-        h_col.push(h_next);
+        self.hessenberg.push(hij);
+        let h_next = self.space.axpy_norm2(w, -hij, &basis[j])?.sqrt();
+        self.hessenberg.push(h_next);
+        let h_col = &mut self.hessenberg[col..];
 
         // Apply the accumulated Givens rotations to the new column.
         for (i, &(c, s)) in self.givens.iter().enumerate() {
@@ -279,7 +289,6 @@ impl<S: Space> crate::TryIterativeMethod for Gmres<S> {
         self.g.push(-s * gj);
         self.g[j] = c * gj;
 
-        self.hessenberg.push(h_col);
         self.state.accept(self.g[j + 1].abs());
 
         let happy_breakdown = h_next == 0.0;
@@ -289,12 +298,9 @@ impl<S: Space> crate::TryIterativeMethod for Gmres<S> {
             self.close_cycle();
             self.begin_cycle()?;
         } else {
-            // Extend the basis (the one allocation the Arnoldi process
-            // genuinely needs: the basis keeps growing until the restart),
-            // normalising in a single write pass instead of clone + scale.
-            let mut v_next = Vector::zeros(self.w.len());
-            self.space.scale_into(&mut v_next, 1.0 / h_next, &self.w);
-            self.basis.push(v_next);
+            // Extend the basis over the kept v_{j+1}, normalising in the
+            // write.
+            self.keep(j + 1, 1.0 / h_next);
         }
         Ok(())
     }

@@ -8,6 +8,7 @@
 
 use lcr_sparse::kernels::run_len;
 use lcr_sparse::{CsrMatrix, SparseError, Vector, PAR_THRESHOLD};
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::ops::Range;
 
@@ -154,22 +155,32 @@ fn idx32(v: usize) -> Result<u32, SparseError> {
     })
 }
 
-/// Storage range of row `i` under the row pointers `ptr`.
-#[inline]
-fn row_range(ptr: &[u32], i: usize) -> Range<usize> {
-    ptr[i] as usize..ptr[i + 1] as usize
-}
-
-/// One strict triangle of an incomplete factor: CSR with `u32` row
-/// pointers and `u32` columns local to the factorised block.
+/// One strict triangle of an incomplete factor of a block of `len` rows:
+/// every row exactly `width` entries wide — the block's widest row — with
+/// `u32` columns local to the block.  A shorter row is padded after its
+/// entries with `(len, +0.0)`: column `len` is the +0.0 slot that ends
+/// every sweep's scratch, so a padding term subtracts an exact zero and a
+/// row's sum, taken in storage order, keeps its bits.  Rows need no
+/// pointers and every row's loop runs the same length, a compile-time one
+/// on the 7-point stencil; the price is that one wide row widens every row
+/// of its block.
 #[derive(Debug, Clone)]
-struct Triangle {
-    ptr: Vec<u32>,
+struct Rows {
+    width: usize,
     cols: Vec<u32>,
     vals: Vec<f64>,
 }
 
-impl Triangle {
+impl Rows {
+    /// `len` rows of `width` padding entries.
+    fn padded(len: usize, width: usize) -> Self {
+        Rows {
+            width,
+            cols: vec![len as u32; len * width],
+            vals: vec![0.0; len * width],
+        }
+    }
+
     /// Stores an entry at `at` and moves `at` past it.
     #[inline]
     fn put(&mut self, at: &mut usize, col: u32, val: f64) {
@@ -177,21 +188,56 @@ impl Triangle {
         *at += 1;
     }
 
-    /// `init − Σ v·z[col]` over row `i`'s entries in storage order — the
-    /// whole inner loop of every triangular sweep.
+    /// Storage range of row `i`.
     #[inline]
-    fn sub_row(&self, i: usize, init: f64, z: &[f64]) -> f64 {
-        let row = row_range(&self.ptr, i);
+    fn span(&self, i: usize) -> Range<usize> {
+        i * self.width..(i + 1) * self.width
+    }
+
+    /// `init − Σ v·z[col]` over row `i`'s entries in storage order, its
+    /// padding last — the whole inner loop of every triangular sweep.
+    #[inline(always)]
+    fn sub_row<R: Width>(&self, i: usize, init: f64, z: &[f64]) -> f64 {
+        let (cols, vals) = R::row(self, i);
         let mut sum = init;
-        for (&c, &v) in self.cols[row.clone()].iter().zip(&self.vals[row]) {
+        for (&c, &v) in cols.iter().zip(vals) {
             sum -= v * z[c as usize];
         }
         sum
     }
 
     fn bytes(&self) -> usize {
-        (self.ptr.len() + self.cols.len()) * std::mem::size_of::<u32>()
-            + self.vals.len() * std::mem::size_of::<f64>()
+        self.cols.len() * std::mem::size_of::<u32>() + self.vals.len() * std::mem::size_of::<f64>()
+    }
+}
+
+/// How a sweep finds a factor row: [`Fixed`] knows its width when
+/// compiled, which makes the row a fixed sequence of loads, multiplies and
+/// subtractions, and [`Any`] reads it from the block.
+trait Width {
+    fn row(t: &Rows, i: usize) -> (&[u32], &[f64]);
+}
+
+/// Rows `K` wide.
+struct Fixed<const K: usize>;
+
+impl<const K: usize> Width for Fixed<K> {
+    #[inline(always)]
+    fn row(t: &Rows, i: usize) -> (&[u32], &[f64]) {
+        let cols: &[u32; K] = t.cols[i * K..][..K].try_into().expect("K wide");
+        let vals: &[f64; K] = t.vals[i * K..][..K].try_into().expect("K wide");
+        (cols, vals)
+    }
+}
+
+/// Rows as wide as their block's.
+struct Any;
+
+impl Width for Any {
+    #[inline(always)]
+    fn row(t: &Rows, i: usize) -> (&[u32], &[f64]) {
+        let row = t.span(i);
+        (&t.cols[row.clone()], &t.vals[row])
     }
 }
 
@@ -211,16 +257,16 @@ fn sub_at(cols: &[u32], vals: &mut [f64], at: &mut usize, c: u32, delta: f64) {
 /// Incomplete LU factorisation with zero fill-in, ILU(0), of one diagonal
 /// block: `M = L·U` where `L`/`U` keep exactly the block's sparsity
 /// pattern.  The factors are computed in place in the block's split
-/// storage, every array allocated once at its exact size, straight from
-/// the parent matrix's rows.
+/// fixed-width storage, every array allocated once, straight from the
+/// parent matrix's rows.
 #[derive(Debug, Clone)]
 struct Ilu0Block {
     /// L without its unit diagonal.
-    lower: Triangle,
+    lower: Rows,
     /// The pivots of U.
     diag: Vec<f64>,
     /// U without its diagonal.
-    upper: Triangle,
+    upper: Rows,
 }
 
 impl Ilu0Block {
@@ -229,38 +275,37 @@ impl Ilu0Block {
     ///
     /// # Errors
     /// [`SparseError::InvalidStructure`] for a row whose columns are not
-    /// strictly increasing (or a triangle too large for `u32` row
-    /// pointers), [`SparseError::ZeroDiagonal`] naming the first row of
-    /// `a` whose diagonal is missing or zero.
+    /// strictly increasing (or a block too large for `u32` columns),
+    /// [`SparseError::ZeroDiagonal`] naming the first row of `a` whose
+    /// diagonal is missing or zero.
     fn split(a: &CsrMatrix, start: usize, len: usize) -> Result<Self, SparseError> {
         let end = start + len;
         let rows = &a.indptr()[start..=end];
         let (indices, values) = (a.indices(), a.values());
-        // Sizes first, so that every array is allocated once: `x − lo < hi −
-        // lo` in wrapping arithmetic is `lo ≤ x < hi` in one comparison.
-        let (mut l_nnz, mut u_nnz) = (0usize, 0usize);
+        // The width first, so that every array is allocated once: `x − lo <
+        // hi − lo` in wrapping arithmetic is `lo ≤ x < hi` in one comparison.
+        let mut width = 0usize;
         for (i, row) in (start..end).zip(rows.windows(2)) {
+            let (mut l_row, mut u_row) = (0usize, 0usize);
             for &c in &indices[row[0]..row[1]] {
                 let c = c as usize;
-                l_nnz += usize::from(c.wrapping_sub(start) < i - start);
-                u_nnz += usize::from(c.wrapping_sub(i + 1) < end - (i + 1));
+                l_row += usize::from(c.wrapping_sub(start) < i - start);
+                u_row += usize::from(c.wrapping_sub(i + 1) < end - (i + 1));
             }
+            width = width.max(l_row).max(u_row);
         }
-        idx32(l_nnz.max(u_nnz))?;
-        let triangle = |nnz| Triangle {
-            ptr: vec![0; len + 1],
-            cols: vec![0; nnz],
-            vals: vec![0.0; nnz],
-        };
+        // The padding column `len` is stored as a `u32` too.
+        idx32(len)?;
         let mut f = Ilu0Block {
-            lower: triangle(l_nnz),
+            lower: Rows::padded(len, width),
             diag: vec![0.0; len],
-            upper: triangle(u_nnz),
+            upper: Rows::padded(len, width),
         };
         // One pass over the block's rows fills them: the same two range
-        // tests route every entry, so the cursors end on the counts.
-        let (mut l_at, mut u_at) = (0, 0);
+        // tests route every entry, each row's cursors starting at its span
+        // and stopping at most at its end, before the padding.
         for ((i, row), pivot) in (start..end).zip(rows.windows(2)).zip(&mut f.diag) {
+            let (mut l_at, mut u_at) = ((i - start) * width, (i - start) * width);
             let mut floor = 0;
             for (&c, &v) in indices[row[0]..row[1]].iter().zip(&values[row[0]..row[1]]) {
                 let c = c as usize;
@@ -284,23 +329,23 @@ impl Ilu0Block {
             if *pivot == 0.0 {
                 return Err(SparseError::ZeroDiagonal(i));
             }
-            // The counts fit `u32`, as their totals were checked to.
-            f.lower.ptr[i - start + 1] = l_at as u32;
-            f.upper.ptr[i - start + 1] = u_at as u32;
         }
         Ok(f)
     }
 
     /// Every stored entry as `(row, column, value)`, shifted by `offset`:
-    /// row by row, lower part, diagonal, upper part.
+    /// row by row, lower part, diagonal, upper part; padding is not an
+    /// entry.
     fn entries(&self, offset: usize) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
-        fn part(t: &Triangle, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
-            row_range(&t.ptr, i).map(|k| (t.cols[k] as usize, t.vals[k]))
+        fn part(t: &Rows, i: usize, len: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+            let row = t.span(i).map(|k| (t.cols[k] as usize, t.vals[k]));
+            row.take_while(move |&(j, _)| j < len)
         }
-        (0..self.diag.len()).flat_map(move |i| {
-            part(&self.lower, i)
+        let len = self.dim();
+        (0..len).flat_map(move |i| {
+            part(&self.lower, i, len)
                 .chain(std::iter::once((i, self.diag[i])))
-                .chain(part(&self.upper, i))
+                .chain(part(&self.upper, i, len))
                 .map(move |(j, v)| (offset + i, offset + j, v))
         })
     }
@@ -320,14 +365,15 @@ impl Ilu0Block {
         let mut f = Self::split(a, start, len)?;
         let Ilu0Block { lower, diag, upper } = &mut f;
         // IKJ-variant ILU(0) restricted to the original pattern.
+        let width = upper.width;
         for i in 0..len {
-            let l_row = row_range(&lower.ptr, i);
-            let u_row = row_range(&upper.ptr, i);
+            let (l_row, u_row) = (lower.span(i), upper.span(i));
             // Rows `k < i` of U are final; row `i` is being eliminated.
             let (u_done, u_rest) = upper.vals.split_at_mut(u_row.start);
             let (u_cols, u_vals) = (&upper.cols[u_row.clone()], &mut u_rest[..u_row.len()]);
             let (l_cols, l_vals) = (&lower.cols[l_row.clone()], &mut lower.vals[l_row]);
-            for at in 0..l_cols.len() {
+            // Row i's L entries, up to its padding.
+            for at in 0..l_cols.partition_point(|&k| (k as usize) < len) {
                 let k = l_cols[at] as usize;
                 let pivot = diag[k];
                 if pivot == 0.0 {
@@ -339,8 +385,9 @@ impl Ilu0Block {
                 // the rest of its L part, its pivot, its U part — only
                 // where row i already has entries: one walk over row k,
                 // both parts of row i followed alongside.  A stored zero in
-                // row k is skipped, as an entry-wise lookup would skip it.
-                let k_row = row_range(&upper.ptr, k);
+                // row k is skipped, as an entry-wise lookup would skip it,
+                // and so is row k's padding.
+                let k_row = k * width..(k + 1) * width;
                 let (mut l_at, mut u_at) = (at + 1, 0);
                 for (&c, &ukj) in upper.cols[k_row.clone()].iter().zip(&u_done[k_row]) {
                     if ukj == 0.0 {
@@ -364,6 +411,11 @@ impl Ilu0Block {
     fn dim(&self) -> usize {
         self.diag.len()
     }
+
+    /// The width of every factor row.
+    fn width(&self) -> usize {
+        self.lower.width
+    }
 }
 
 /// Most blocks one sweep advances together.  A triangular sweep is one
@@ -372,16 +424,31 @@ impl Ilu0Block {
 /// run out of registers and load streams.  Measured at 2, 3, 4 and 8.
 const LOCKSTEP_MAX: usize = 4;
 
-/// Solves `L U z = r` in each of the `W` consecutive `blocks`, whose slices
+thread_local! {
+    /// Per-thread sweep workspace, reused across applications (the pool's
+    /// worker threads persist, so each thread grows it once): `len + 1`
+    /// slots per block swept, the last one the +0.0 that factor padding
+    /// reads.
+    static SWEEP_SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Solves `L U z = r` in each of the `W` consecutive `blocks`, whose rows
+/// `R` reads and whose slices
 /// of `r` and `z` lie back to back, advancing all of them one row at a
 /// time: the blocks share no data, so their recurrences overlap in the
 /// core while each block's own arithmetic, and so its result, is what a
-/// sweep of that block alone computes.  The forward result `y` lives in `z`
-/// and the backward solve runs in place (every element is overwritten, no
-/// temporaries).  A shorter block sits out the rows it does not have.
-fn sweep<const W: usize>(blocks: &[Ilu0Block], r: &[f64], z: &mut [f64]) {
+/// sweep of that block alone computes.  The forward result `y` lives in
+/// the thread's scratch, the backward solve runs in place there and stores
+/// each final value to `z` as it goes.  A shorter block sits out the rows
+/// it does not have.
+fn sweep<const W: usize, R: Width>(
+    blocks: &[Ilu0Block],
+    r: &[f64],
+    z: &mut [f64],
+    scratch: &mut [f64],
+) {
     let f: [&Ilu0Block; W] = std::array::from_fn(|b| &blocks[b]);
-    let (mut r_rest, mut z_rest) = (r, z);
+    let (mut r_rest, mut z_rest, mut y_rest) = (r, z, scratch);
     let r: [&[f64]; W] = std::array::from_fn(|b| {
         let r_b = r_rest.split_off(..f[b].diag.len());
         r_b.expect("dimension mismatch")
@@ -390,34 +457,59 @@ fn sweep<const W: usize>(blocks: &[Ilu0Block], r: &[f64], z: &mut [f64]) {
         let z_b = z_rest.split_off_mut(..f[b].diag.len());
         z_b.expect("dimension mismatch")
     });
+    let y: [&mut [f64]; W] = std::array::from_fn(|b| {
+        let y_b = y_rest.split_off_mut(..f[b].dim() + 1).expect("scratch sized to fit");
+        y_b[f[b].dim()] = 0.0;
+        y_b
+    });
     assert!(r_rest.is_empty() && z_rest.is_empty(), "dimension mismatch");
     let longest = f.iter().map(|f| f.diag.len()).max().unwrap_or(0);
-    // Forward solve L y = r (unit diagonal), y stored in z.
+    // Forward solve L y = r (unit diagonal).
     for i in 0..longest {
         for b in 0..W {
             if i < f[b].diag.len() {
-                z[b][i] = f[b].lower.sub_row(i, r[b][i], z[b]);
+                y[b][i] = f[b].lower.sub_row::<R>(i, r[b][i], y[b]);
             }
         }
     }
-    // Backward solve U z = y, in place (z[j] for j > i is final).
+    // Backward solve U z = y, in place in y (y[j] for j > i is final).
     for i in (0..longest).rev() {
         for b in 0..W {
             if i < f[b].diag.len() {
-                z[b][i] = f[b].upper.sub_row(i, z[b][i], z[b]) / f[b].diag[i];
+                let zi = f[b].upper.sub_row::<R>(i, y[b][i], y[b]) / f[b].diag[i];
+                (y[b][i], z[b][i]) = (zi, zi);
             }
         }
     }
 }
 
-/// [`sweep`] over a group of at most [`LOCKSTEP_MAX`] blocks.
+/// [`sweep`] over a group of at most [`LOCKSTEP_MAX`] blocks, in this
+/// thread's scratch.
 fn sweep_group(blocks: &[Ilu0Block], r: &[f64], z: &mut [f64]) {
-    match blocks.len() {
-        1 => sweep::<1>(blocks, r, z),
-        2 => sweep::<2>(blocks, r, z),
-        3 => sweep::<3>(blocks, r, z),
-        4 => sweep::<4>(blocks, r, z),
-        w => unreachable!("{w} blocks in a group of at most {LOCKSTEP_MAX}"),
+    SWEEP_SCRATCH.with(|scratch| {
+        let scratch = &mut *scratch.borrow_mut();
+        let len = blocks.iter().map(|b| b.dim() + 1).sum();
+        if scratch.len() < len {
+            scratch.resize(len, 0.0);
+        }
+        let y = &mut scratch[..len];
+        match blocks.len() {
+            1 => sweep_rows::<1>(blocks, r, z, y),
+            2 => sweep_rows::<2>(blocks, r, z, y),
+            3 => sweep_rows::<3>(blocks, r, z, y),
+            4 => sweep_rows::<4>(blocks, r, z, y),
+            w => unreachable!("{w} blocks in a group of at most {LOCKSTEP_MAX}"),
+        }
+    });
+}
+
+/// [`sweep`] over `W` blocks, with rows of the compile-time width 3 the
+/// 7-point stencil gives where all of them have it.
+fn sweep_rows<const W: usize>(blocks: &[Ilu0Block], r: &[f64], z: &mut [f64], y: &mut [f64]) {
+    if blocks.iter().all(|b| b.width() == 3) {
+        sweep::<W, Fixed<3>>(blocks, r, z, y)
+    } else {
+        sweep::<W, Any>(blocks, r, z, y)
     }
 }
 
@@ -442,6 +534,13 @@ impl BlockJacobiPreconditioner {
     /// Builds a block-Jacobi preconditioner with `n_blocks` contiguous
     /// diagonal blocks, each factorised with ILU(0).  `n_blocks` mirrors the
     /// number of ranks in the simulated run.
+    ///
+    /// Each block stores both strict triangles of its factor as rows as
+    /// wide as the block's widest: a block of `len` rows whose widest
+    /// strict-triangle row has `K` entries holds `len × K` entries per
+    /// triangle however few its other rows have, so one dense coupling row
+    /// makes the block's storage grow as `len²`
+    /// ([`Preconditioner::storage_bytes`] counts that padding).
     ///
     /// # Errors
     /// [`SparseError::ZeroDiagonal`] naming the row of `a` whose pivot is
@@ -520,7 +619,187 @@ impl Preconditioner for BlockJacobiPreconditioner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lcr_sparse::poisson::{poisson1d, poisson2d};
+    use lcr_sparse::poisson::{poisson1d, poisson2d, poisson3d};
+
+    /// The factor storage before rows were fixed-width: each strict
+    /// triangle as CSR with `u32` row pointers, factorised by the same
+    /// IKJ merge and swept in place in the output — kept as the reference
+    /// the fixed-width rows must reproduce bit for bit.
+    mod csr_route {
+        use super::super::{sub_at, Ordering, Range};
+        use lcr_sparse::CsrMatrix;
+
+        fn row_range(ptr: &[u32], i: usize) -> Range<usize> {
+            ptr[i] as usize..ptr[i + 1] as usize
+        }
+
+        #[derive(Default)]
+        pub struct Triangle {
+            ptr: Vec<u32>,
+            cols: Vec<u32>,
+            vals: Vec<f64>,
+        }
+
+        impl Triangle {
+            fn sub_row(&self, i: usize, init: f64, z: &[f64]) -> f64 {
+                let row = row_range(&self.ptr, i);
+                let mut sum = init;
+                for (&c, &v) in self.cols[row.clone()].iter().zip(&self.vals[row]) {
+                    sum -= v * z[c as usize];
+                }
+                sum
+            }
+        }
+
+        pub struct Block {
+            lower: Triangle,
+            diag: Vec<f64>,
+            upper: Triangle,
+        }
+
+        impl Block {
+            /// ILU(0) of the diagonal block `[start, start + len)` of `a`.
+            pub fn new(a: &CsrMatrix, start: usize, len: usize) -> Self {
+                let end = start + len;
+                let (mut lower, mut upper) = (Triangle::default(), Triangle::default());
+                let mut diag = vec![0.0; len];
+                lower.ptr.push(0);
+                upper.ptr.push(0);
+                for i in start..end {
+                    for (&c, &v) in a.row_indices(i).iter().zip(a.row_values(i)) {
+                        let (c, local) = (c as usize, c.wrapping_sub(start as u32));
+                        match c.cmp(&i) {
+                            Ordering::Less if c >= start => {
+                                lower.cols.push(local);
+                                lower.vals.push(v);
+                            }
+                            Ordering::Equal => diag[i - start] = v,
+                            Ordering::Greater if c < end => {
+                                upper.cols.push(local);
+                                upper.vals.push(v);
+                            }
+                            _ => {}
+                        }
+                    }
+                    lower.ptr.push(lower.cols.len() as u32);
+                    upper.ptr.push(upper.cols.len() as u32);
+                }
+                for i in 0..len {
+                    let (l_row, u_row) = (row_range(&lower.ptr, i), row_range(&upper.ptr, i));
+                    let (u_done, u_rest) = upper.vals.split_at_mut(u_row.start);
+                    let (u_cols, u_vals) = (&upper.cols[u_row.clone()], &mut u_rest[..u_row.len()]);
+                    let (l_cols, l_vals) = (&lower.cols[l_row.clone()], &mut lower.vals[l_row]);
+                    for at in 0..l_cols.len() {
+                        let k = l_cols[at] as usize;
+                        let lik = l_vals[at] / diag[k];
+                        l_vals[at] = lik;
+                        let k_row = row_range(&upper.ptr, k);
+                        let (mut l_at, mut u_at) = (at + 1, 0);
+                        for (&c, &ukj) in upper.cols[k_row.clone()].iter().zip(&u_done[k_row]) {
+                            if ukj == 0.0 {
+                                continue;
+                            }
+                            match (c as usize).cmp(&i) {
+                                Ordering::Less => sub_at(l_cols, l_vals, &mut l_at, c, lik * ukj),
+                                Ordering::Equal => diag[i] -= lik * ukj,
+                                Ordering::Greater => {
+                                    sub_at(u_cols, u_vals, &mut u_at, c, lik * ukj)
+                                }
+                            }
+                        }
+                    }
+                }
+                Block { lower, diag, upper }
+            }
+
+            /// Every entry as `(row, column, value bits)`, shifted by
+            /// `offset`: row by row, lower part, pivot, upper part.
+            pub fn entries(&self, offset: usize) -> Vec<(usize, usize, u64)> {
+                let part = |t: &Triangle, i: usize| {
+                    row_range(&t.ptr, i).map(|k| (t.cols[k] as usize, t.vals[k])).collect::<Vec<_>>()
+                };
+                let mut out = Vec::new();
+                for i in 0..self.diag.len() {
+                    let row = part(&self.lower, i)
+                        .into_iter()
+                        .chain([(i, self.diag[i])])
+                        .chain(part(&self.upper, i));
+                    out.extend(row.map(|(j, v)| (offset + i, offset + j, v.to_bits())));
+                }
+                out
+            }
+
+            /// `L U z = r`, forward into `z` and backward in place.
+            pub fn solve(&self, r: &[f64], z: &mut [f64]) {
+                for i in 0..self.diag.len() {
+                    z[i] = self.lower.sub_row(i, r[i], z);
+                }
+                for i in (0..self.diag.len()).rev() {
+                    z[i] = self.upper.sub_row(i, z[i], z) / self.diag[i];
+                }
+            }
+        }
+    }
+
+    /// A tridiagonal matrix whose row 5 also couples to columns 0..=10,
+    /// so the first block's rows are wider than any stencil's.
+    fn wide_row_matrix(n: usize) -> CsrMatrix {
+        let mut dense = vec![0.0; n * n];
+        for i in 0..n {
+            dense[i * n + i] = 4.0 + (i % 3) as f64;
+            if i > 0 {
+                dense[i * n + i - 1] = -1.0;
+            }
+            if i + 1 < n {
+                dense[i * n + i + 1] = -1.5;
+            }
+        }
+        for j in (0..=10).filter(|&j| j != 5) {
+            dense[5 * n + j] = -0.25 - 0.01 * j as f64;
+        }
+        dense[5 * n + 5] = 9.0;
+        CsrMatrix::from_dense(n, n, &dense)
+    }
+
+    #[test]
+    fn fixed_width_rows_match_the_csr_triangle_route_bit_for_bit() {
+        let cases = [
+            ("1-D", poisson1d(50)),
+            ("2-D", poisson2d(9)),
+            ("3-D", poisson3d(6)),
+            ("wide row", wide_row_matrix(40)),
+        ];
+        for (name, a) in cases {
+            let n = a.nrows();
+            let mut r = Vector::zeros(n);
+            r.fill_random(7, -1.0, 1.0);
+            for n_blocks in [1, 3, 16] {
+                let pre = BlockJacobiPreconditioner::new(&a, n_blocks).unwrap();
+                let (mut start, mut expected, mut z_ref) = (0, Vec::new(), Vector::zeros(n));
+                for block in &pre.blocks {
+                    let len = block.dim();
+                    let reference = csr_route::Block::new(&a, start, len);
+                    expected.extend(reference.entries(start));
+                    reference.solve(&r.as_slice()[start..start + len], &mut z_ref.as_mut_slice()[start..start + len]);
+                    start += len;
+                }
+                let got: Vec<_> =
+                    pre.factor_entries().map(|(i, j, v)| (i, j, v.to_bits())).collect();
+                assert_eq!(got, expected, "{name}, {n_blocks} blocks: factors");
+                let z = pre.apply(&r);
+                let bits = |v: &Vector| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&z), bits(&z_ref), "{name}, {n_blocks} blocks: apply_into");
+            }
+        }
+        // The last block is the short one; the wide row is wider than a
+        // stencil's, so K follows the matrix, block by block.
+        let per_block = |a: &CsrMatrix, of: fn(&Ilu0Block) -> usize| -> Vec<usize> {
+            let pre = BlockJacobiPreconditioner::new(a, 3).unwrap();
+            pre.blocks.iter().map(of).collect()
+        };
+        assert_eq!(per_block(&poisson1d(50), Ilu0Block::dim), [17, 17, 16]);
+        assert_eq!(per_block(&wide_row_matrix(40), Ilu0Block::width), [5, 1, 1]);
+    }
 
     /// SPD version of the 2-D Poisson matrix (the generators use the paper's
     /// negative-definite sign convention).

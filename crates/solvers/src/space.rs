@@ -20,7 +20,7 @@ use std::convert::Infallible;
 use std::sync::Arc;
 
 use lcr_sparse::shard::{CommError, ShardComm, ShardedCsr};
-use lcr_sparse::{kernels, simd, vector};
+use lcr_sparse::{kernels, simd, vector, Vector};
 
 use crate::precond::{IdentityPreconditioner, Preconditioner};
 use crate::LinearSystem;
@@ -84,6 +84,25 @@ pub trait Space {
     fn axpy_norm2(&mut self, y: &mut [f64], alpha: f64, x: &[f64]) -> Result<f64, Self::Error> {
         self.axpy(y, alpha, x);
         self.dot(y, y)
+    }
+
+    /// `y += α x`, returning `yᵀu` of the updated `y`.
+    fn axpy_dot(
+        &mut self,
+        y: &mut [f64],
+        alpha: f64,
+        x: &[f64],
+        u: &[f64],
+    ) -> Result<f64, Self::Error> {
+        self.axpy(y, alpha, x);
+        self.dot(y, u)
+    }
+
+    /// `y += Σ_j α_j x_j`, each element's terms added in `j` order.
+    fn multi_axpy(&self, y: &mut [f64], alphas: &[f64], xs: &[Vector]) {
+        for (&alpha, x) in alphas.iter().zip(xs) {
+            self.axpy(y, alpha, x);
+        }
     }
 
     /// `out = α x`.
@@ -187,6 +206,20 @@ impl Space for LocalSpace {
 
     fn axpy_norm2(&mut self, y: &mut [f64], alpha: f64, x: &[f64]) -> Result<f64, Infallible> {
         Ok(kernels::axpy_norm2(alpha, x, y))
+    }
+
+    fn axpy_dot(
+        &mut self,
+        y: &mut [f64],
+        alpha: f64,
+        x: &[f64],
+        u: &[f64],
+    ) -> Result<f64, Infallible> {
+        Ok(kernels::axpy_dot(alpha, x, y, u))
+    }
+
+    fn multi_axpy(&self, y: &mut [f64], alphas: &[f64], xs: &[Vector]) {
+        kernels::multi_axpy(y, alphas, xs);
     }
 
     fn scale_into(&self, out: &mut [f64], alpha: f64, x: &[f64]) {

@@ -1,18 +1,21 @@
 //! The `Space` seam, tested with a fake: a counting wrapper pins the
-//! per-iteration operation budget of each method (the numbers the README's
-//! pass table and `sparse.shard.reduce_rounds_per_iter` rely on), and the
-//! two real spaces are checked against each other on one system.
+//! per-iteration operation budget of each method and GMRES's full-vector
+//! passes per inner step (the numbers the README's pass table and
+//! `sparse.shard.reduce_rounds_per_iter` rely on), and the two real spaces
+//! are checked against each other on one system.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use lcr_solvers::{
-    ConjugateGradient, Gmres, Jacobi, LinearSystem, LocalSpace, Preconditioner, ShardSpace, Space,
-    StoppingCriteria, TryIterativeMethod,
+    ConjugateGradient, Gmres, Jacobi, JacobiPreconditioner, LinearSystem, LocalSpace,
+    Preconditioner, ShardSpace, Space, StoppingCriteria, TryIterativeMethod,
 };
 use lcr_sparse::poisson::{manufactured_rhs, poisson3d};
 use lcr_sparse::shard::{build_comms, partition_csr};
-use lcr_sparse::ShardLayout;
+use lcr_sparse::{ShardLayout, Vector};
 
 /// What a sharded run pays for beyond its own slices.
 #[derive(Default)]
@@ -21,15 +24,22 @@ struct Counts {
     halo_ops: Cell<usize>,
     /// Global reductions (one board crossing each).
     reductions: Cell<usize>,
+    /// Operations that sweep full vectors (one memory pass each).
+    passes: Cell<usize>,
 }
 
 impl Counts {
     fn snapshot(&self) -> (usize, usize) {
         (self.halo_ops.get(), self.reductions.get())
     }
+
+    fn passes(&self) -> usize {
+        self.passes.get()
+    }
 }
 
-/// Delegates to `inner`, counting the operations that would communicate.
+/// Delegates to `inner`, counting the operations that would communicate and
+/// the full-vector passes.
 struct Counting<S> {
     inner: S,
     counts: Rc<Counts>,
@@ -43,6 +53,10 @@ impl<S> Counting<S> {
     fn reduction(&self) {
         self.counts.reductions.set(self.counts.reductions.get() + 1);
     }
+
+    fn pass(&self) {
+        self.counts.passes.set(self.counts.passes.get() + 1);
+    }
 }
 
 impl<S: Space> Space for Counting<S> {
@@ -54,17 +68,20 @@ impl<S: Space> Space for Counting<S> {
 
     fn apply(&mut self, w: &[f64], y: &mut [f64]) -> Result<(), S::Error> {
         self.halo_op();
+        self.pass();
         self.inner.apply(w, y)
     }
 
     fn apply_dot(&mut self, w: &[f64], y: &mut [f64], u: &[f64]) -> Result<f64, S::Error> {
         self.halo_op();
+        self.pass();
         self.reduction();
         self.inner.apply_dot(w, y, u)
     }
 
     fn dot(&mut self, a: &[f64], b: &[f64]) -> Result<f64, S::Error> {
         self.reduction();
+        self.pass();
         self.inner.dot(a, b)
     }
 
@@ -77,17 +94,20 @@ impl<S: Space> Space for Counting<S> {
         r: &mut [f64],
     ) -> Result<f64, S::Error> {
         self.reduction();
+        self.pass();
         self.inner.axpy2_norm2(alpha, p, q, x, r)
     }
 
     fn residual_norm2(&mut self, x: &[f64], r: &mut [f64]) -> Result<f64, S::Error> {
         self.halo_op();
+        self.pass();
         self.reduction();
         self.inner.residual_norm2(x, r)
     }
 
     fn jacobi_sweep(&mut self, x: &[f64], out: &mut [f64]) -> Result<(), S::Error> {
         self.halo_op();
+        self.pass();
         self.inner.jacobi_sweep(x, out)
     }
 
@@ -96,20 +116,62 @@ impl<S: Space> Space for Counting<S> {
     }
 
     fn xpby(&self, p: &mut [f64], x: &[f64], beta: f64) {
+        self.pass();
         self.inner.xpby(p, x, beta);
     }
 
     fn axpy(&self, y: &mut [f64], alpha: f64, x: &[f64]) {
+        self.pass();
         self.inner.axpy(y, alpha, x);
     }
 
     fn axpy_norm2(&mut self, y: &mut [f64], alpha: f64, x: &[f64]) -> Result<f64, S::Error> {
         self.reduction();
+        self.pass();
         self.inner.axpy_norm2(y, alpha, x)
     }
 
+    fn axpy_dot(
+        &mut self,
+        y: &mut [f64],
+        alpha: f64,
+        x: &[f64],
+        u: &[f64],
+    ) -> Result<f64, S::Error> {
+        self.pass();
+        self.reduction();
+        self.inner.axpy_dot(y, alpha, x, u)
+    }
+
+    fn multi_axpy(&self, y: &mut [f64], alphas: &[f64], xs: &[Vector]) {
+        self.pass();
+        self.inner.multi_axpy(y, alphas, xs);
+    }
+
     fn scale_into(&self, out: &mut [f64], alpha: f64, x: &[f64]) {
+        self.pass();
         self.inner.scale_into(out, alpha, x);
+    }
+}
+
+/// A preconditioner that counts its applications (one pass each).
+struct CountingPrecond {
+    inner: JacobiPreconditioner,
+    applies: AtomicUsize,
+}
+
+impl Preconditioner for CountingPrecond {
+    fn apply_into(&self, r: &Vector, out: &mut Vector) {
+        self.applies.fetch_add(1, Ordering::Relaxed);
+        self.inner.apply_into(r, out);
+    }
+
+    fn name(&self) -> &'static str {
+        "counting"
+    }
+
+    fn storage_bytes(&self) -> usize {
+        self.inner.storage_bytes()
     }
 }
 
@@ -173,8 +235,8 @@ fn per_iteration_budgets_are_pinned() {
     assert_eq!(budget_per_iteration(&mut jacobi, &counts), (2, 1));
 
     // GMRES grows with the basis: inner step j applies A once and reduces
-    // j + 2 times, MGS's j + 1 projections and then ‖w‖, fused into the
-    // last of them.
+    // j + 2 times, MGS's first coefficient, the j coefficients its
+    // projections take in passing and ‖w‖, taken by the last projection.
     let (space, counts) = counted(false);
     let mut gmres = Gmres::on(space, None, 30, open).unwrap();
     assert_eq!(counts.snapshot(), (0, 1), "zero-guess start: ‖b‖ only");
@@ -184,6 +246,35 @@ fn per_iteration_budgets_are_pinned() {
         let (h1, r1) = counts.snapshot();
         assert_eq!((h1 - h0, r1 - r0), (1, j + 2), "inner step {j}");
     }
+}
+
+/// Modified Gram–Schmidt costs one pass per basis vector: inner step `j`
+/// of a left-preconditioned GMRES on `LocalSpace` sweeps full vectors
+/// `j + 5` times — `A v_j`, `M⁻¹`, the first coefficient, `j` fused
+/// projections, the last projection with ‖w‖, and the normalisation of
+/// `v_{j+1}` — and the correction of a capture is one more pass.
+#[test]
+fn gmres_inner_step_j_makes_j_plus_five_passes() {
+    let sys = system(false);
+    let precond = Arc::new(CountingPrecond {
+        inner: JacobiPreconditioner::new(&sys.a).unwrap(),
+        applies: AtomicUsize::new(0),
+    });
+    let counts = Rc::new(Counts::default());
+    let space = Counting {
+        inner: LocalSpace::new(sys, Arc::clone(&precond) as Arc<dyn Preconditioner>),
+        counts: Rc::clone(&counts),
+    };
+    let passes = || counts.passes() + precond.applies.load(Ordering::Relaxed);
+    let mut gmres = Gmres::on(space, None, 30, StoppingCriteria::new(1e-30, 1_000)).unwrap();
+    for j in 0..12 {
+        let before = passes();
+        gmres.try_step().unwrap();
+        assert_eq!(passes() - before, j + 5, "inner step {j}");
+    }
+    let before = passes();
+    let _ = gmres.capture_state();
+    assert_eq!(passes() - before, 1, "x + Σ y_j v_j is one pass");
 }
 
 /// One shard holds the whole system, so `ShardSpace` and `LocalSpace` run

@@ -31,13 +31,13 @@
 //! **bit-identical at any `LCR_NUM_THREADS`** — the reproducibility
 //! property the repository's thread-determinism tests pin.
 //!
-//! Elementwise kernels ([`axpby`], [`scale_into`], [`jacobi_sweep`]) are
-//! deterministic by construction: each output element is a fixed expression
-//! of its inputs.
+//! Elementwise kernels ([`axpby`], [`scale_into`], [`multi_axpy`],
+//! [`jacobi_sweep`]) are deterministic by construction: each output element
+//! is a fixed expression of its inputs.
 
 use crate::csr::{CsrMatrix, RowSink, SpmvPlan};
 use crate::simd;
-use crate::vector::PAR_THRESHOLD;
+use crate::vector::{Vector, PAR_THRESHOLD};
 use std::ops::Range;
 
 /// Pairs each of `ranges` with its piece of every buffer in `outs`, peeled
@@ -279,6 +279,57 @@ pub fn axpy_norm2(alpha: f64, x: &[f64], y: &mut [f64]) -> f64 {
     partials.into_iter().sum()
 }
 
+/// Fused axpy + dot: `y += α·x`, returning `yᵀu` of the updated `y` —
+/// GMRES's modified Gram–Schmidt subtracts one basis vector and takes the
+/// next one's coefficient in one pass.  Bit-identical to [`vector::axpy`]
+/// followed by [`vector::dot`]`(y, u)`.
+///
+/// [`vector::axpy`]: crate::vector::axpy
+/// [`vector::dot`]: crate::vector::dot
+///
+/// # Panics
+/// Panics on length mismatch.
+pub fn axpy_dot(alpha: f64, x: &[f64], y: &mut [f64], u: &[f64]) -> f64 {
+    let n = y.len();
+    assert_eq!(x.len(), n, "axpy_dot: x length mismatch");
+    assert_eq!(u.len(), n, "axpy_dot: u length mismatch");
+    let partials = run_len(n, [y], |c, [ys]| simd::axpy_dot(alpha, &x[c.clone()], ys, &u[c]));
+    partials.into_iter().sum()
+}
+
+/// Elements of `y` one [`multi_axpy`] block carries through every term:
+/// 2 KiB, so the block stays in L1 while the `x`s stream past it.
+const MULTI_AXPY_BLOCK: usize = 256;
+
+/// `y += Σ_j α_j·x_j` in one pass over `y` and each `x_j` — GMRES's
+/// correction `x + Σ y_j v_j`.  Each element adds its terms in `j` order,
+/// so the result is bit-identical to one [`vector::axpy`] per term.
+///
+/// [`vector::axpy`]: crate::vector::axpy
+///
+/// # Panics
+/// Panics if `alphas` and `xs` differ in length or an `x_j` in length from
+/// `y`.
+pub fn multi_axpy(y: &mut [f64], alphas: &[f64], xs: &[Vector]) {
+    let n = y.len();
+    assert_eq!(alphas.len(), xs.len(), "multi_axpy: one coefficient per vector");
+    assert!(xs.iter().all(|x| x.len() == n), "multi_axpy: x length mismatch");
+    if xs.is_empty() {
+        return;
+    }
+    run_len(n, [y], |c, [ys]| {
+        for (b, yb) in ys.chunks_mut(MULTI_AXPY_BLOCK).enumerate() {
+            let start = c.start + b * MULTI_AXPY_BLOCK;
+            let block = start..start + yb.len();
+            for (&alpha, x) in alphas.iter().zip(xs) {
+                for (yi, xi) in yb.iter_mut().zip(&x.as_slice()[block.clone()]) {
+                    *yi += alpha * xi;
+                }
+            }
+        }
+    });
+}
+
 /// `y = α·x + β·y` in one pass.
 ///
 /// # Panics
@@ -351,7 +402,6 @@ pub fn jacobi_sweep(a: &CsrMatrix, x: &[f64], b: &[f64], out: &mut [f64]) {
 mod tests {
     use super::*;
     use crate::poisson::poisson2d;
-    use crate::Vector;
 
     fn rand_vec(n: usize, seed: u64) -> Vector {
         let mut v = Vector::zeros(n);

@@ -27,7 +27,7 @@
 //!   vectorize); the `simd_equivalence` proptests pin the vectorized and
 //!   scalar paths bit-for-bit against each other at 1 and N threads.
 //!
-//! Because `vector::dot` and the fused `*_norm2` kernels all use
+//! Because `vector::dot` and the fused `*_norm2` / `axpy_dot` kernels all use
 //! these same lane kernels over the same chunk partition, identities like
 //! "the ‖r‖² returned by `axpy2_norm2` equals a separate `dot(r, r)`
 //! sweep" continue to hold bit-for-bit.
@@ -135,6 +135,38 @@ pub fn axpy_norm2(alpha: f64, x: &[f64], y: &mut [f64]) -> f64 {
     hsum(acc)
 }
 
+/// Fused axpy + dot over one chunk: `y += α·x`, returning the
+/// lane-structured `Σ y_new·u` (bit-identical to [`dot`] of the updated `y`
+/// with `u` over the same chunk).
+///
+/// # Panics
+/// Panics if the lengths differ.
+#[inline]
+pub fn axpy_dot(alpha: f64, x: &[f64], y: &mut [f64], u: &[f64]) -> f64 {
+    let n = y.len();
+    assert_eq!(x.len(), n, "simd::axpy_dot: length mismatch");
+    assert_eq!(u.len(), n, "simd::axpy_dot: length mismatch");
+    let mut acc = [0.0f64; LANES];
+    let head = n - n % LANES;
+    let (yh, yt) = y.split_at_mut(head);
+    let mut blocks = yh
+        .chunks_exact_mut(LANES)
+        .zip(x.chunks_exact(LANES).zip(u.chunks_exact(LANES)));
+    for (vy, (vx, vu)) in &mut blocks {
+        for j in 0..LANES {
+            let v = vy[j] + alpha * vx[j];
+            vy[j] = v;
+            acc[j] += v * vu[j];
+        }
+    }
+    for j in 0..yt.len() {
+        let v = yt[j] + alpha * x[head + j];
+        yt[j] = v;
+        acc[j] += v * u[head + j];
+    }
+    hsum(acc)
+}
+
 /// Scalar reference implementations of every lane kernel above.
 ///
 /// These compute the **same lane recurrence** (element `i` feeds
@@ -169,6 +201,20 @@ pub mod scalar {
             let rv = r[i] - alpha * q[i];
             r[i] = rv;
             acc[i % LANES] += rv * rv;
+        }
+        hsum(acc)
+    }
+
+    /// Scalar mirror of [`super::axpy_dot`].
+    pub fn axpy_dot(alpha: f64, x: &[f64], y: &mut [f64], u: &[f64]) -> f64 {
+        let n = y.len();
+        assert_eq!(x.len(), n, "scalar::axpy_dot: length mismatch");
+        assert_eq!(u.len(), n, "scalar::axpy_dot: length mismatch");
+        let mut acc = [0.0f64; LANES];
+        for i in 0..n {
+            let v = y[i] + alpha * x[i];
+            y[i] = v;
+            acc[i % LANES] += v * u[i];
         }
         hsum(acc)
     }
@@ -233,6 +279,9 @@ mod tests {
         let mut y = rand(n, 5);
         let nn = axpy_norm2(0.5, &x, &mut y);
         assert_eq!(nn.to_bits(), dot(&y, &y).to_bits());
+        let u = rand(n, 6);
+        let yu = axpy_dot(-0.25, &x, &mut y, &u);
+        assert_eq!(yu.to_bits(), dot(&y, &u).to_bits());
     }
 
     #[test]

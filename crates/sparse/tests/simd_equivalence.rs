@@ -4,10 +4,11 @@
 //! included) and arbitrary finite values.  The CI thread matrix runs this
 //! suite at `LCR_NUM_THREADS=1` and `4`; the threaded wrappers
 //! (`vector::dot`, the fused `kernels::*`) are additionally pinned against
-//! single-slice lane results through the deterministic chunk reduction.
+//! single-slice lane results through the deterministic chunk reduction, and
+//! GMRES's one-pass kernels against the sweeps they replace.
 
 use lcr_sparse::simd::{self, scalar};
-use lcr_sparse::vector;
+use lcr_sparse::{kernels, vector, Vector};
 use proptest::prelude::*;
 
 /// Random finite doubles with a spread of magnitudes: lane reassociation
@@ -74,6 +75,60 @@ proptest! {
         let n2 = scalar::axpy_norm2(alpha, &x, &mut y2);
         prop_assert_eq!(bits(n1), bits(n2));
         prop_assert_eq!(y1, y2);
+    }
+
+    #[test]
+    fn axpy_dot_lane_equals_scalar(
+        (x, y, u) in lengths().prop_flat_map(|n| (values(n), values(n), values(n))),
+        alpha in -2.0f64..2.0,
+    ) {
+        let mut y1 = y.clone();
+        let mut y2 = y;
+        let n1 = simd::axpy_dot(alpha, &x, &mut y1, &u);
+        let n2 = scalar::axpy_dot(alpha, &x, &mut y2, &u);
+        prop_assert_eq!(bits(n1), bits(n2));
+        prop_assert_eq!(y1, y2);
+    }
+
+    /// The fused Gram–Schmidt step is the two sweeps it replaces:
+    /// `vector::axpy`, then `vector::dot` of the updated `y` with `u`.
+    #[test]
+    fn axpy_dot_equals_axpy_then_dot(
+        (x, y, u) in prop_oneof![3 => lengths(), 1 => Just(vector::PAR_THRESHOLD + 137)]
+            .prop_flat_map(|n| (values(n), values(n), values(n))),
+        alpha in -2.0f64..2.0,
+    ) {
+        let mut fused = y.clone();
+        let yu = kernels::axpy_dot(alpha, &x, &mut fused, &u);
+        let mut swept = y;
+        vector::axpy(alpha, &x, &mut swept);
+        prop_assert_eq!(bits(yu), bits(vector::dot(&swept, &u)));
+        prop_assert_eq!(fused.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            swept.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+    }
+
+    /// The one-pass correction `y += Σ α_j x_j` is one `vector::axpy` per
+    /// term, in term order, element for element.
+    #[test]
+    fn multi_axpy_equals_sequential_axpys(
+        (y, xs, alphas) in prop_oneof![3 => lengths(), 1 => Just(vector::PAR_THRESHOLD + 137)]
+            .prop_flat_map(|n| {
+                let terms = 0usize..6;
+                (values(n), terms.prop_flat_map(move |k| {
+                    (prop::collection::vec(values(n), k), prop::collection::vec(-2.0f64..2.0, k))
+                }))
+            })
+            .prop_map(|(y, (xs, alphas))| (y, xs, alphas)),
+    ) {
+        let xs: Vec<Vector> = xs.into_iter().map(Vector::from_vec).collect();
+        let mut fused = y.clone();
+        kernels::multi_axpy(&mut fused, &alphas, &xs);
+        let mut swept = y;
+        for (&alpha, x) in alphas.iter().zip(&xs) {
+            vector::axpy(alpha, x, &mut swept);
+        }
+        prop_assert_eq!(fused.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            swept.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
     }
 
     /// The threaded `vector::dot` is the chunk-ordered sum of per-chunk
