@@ -242,3 +242,33 @@ proptest! {
         prop_assert_ne!(crc32(&flipped), reference);
     }
 }
+
+/// The header's storage-level byte (offset 40: the 16-byte fixed header,
+/// then the id, iteration and completed-at words) is always FTI's L4, `3`.
+/// A CRC-valid file carrying any other level is corrupt, and the store's
+/// scan never selects it.
+#[test]
+fn a_crc_valid_file_of_another_storage_level_is_rejected() {
+    const LEVEL_AT: usize = 40;
+    for level in [2u8, 4] {
+        let dir = scratch();
+        let (path, mut bytes) = write_reference(&dir, &[vec![1, 2, 3], vec![]]);
+        assert_eq!(bytes[LEVEL_AT], 3, "the writer records FTI's L4");
+        bytes[LEVEL_AT] = level;
+        let meta_len = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+        let crc_at = 16 + meta_len;
+        let crc = crc32(&bytes[..crc_at]);
+        bytes[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+
+        match read_checkpoint_file(&path) {
+            Err(CkptError::Corrupt(msg)) => {
+                assert!(msg.contains(&format!("unknown storage level {level}")), "{msg}");
+            }
+            other => panic!("level {level} must be rejected as corrupt, got {other:?}"),
+        }
+        let mut reopened = DiskStore::open(&dir, 1).unwrap();
+        assert_eq!(reopened.latest_valid().unwrap_err(), CkptError::NoCheckpoint);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
