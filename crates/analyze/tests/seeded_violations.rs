@@ -471,3 +471,65 @@ fn the_one_operator_rows_fire_in_every_path_and_spare_test_code() {
         }
     }
 }
+
+#[test]
+fn the_benchmark_adapter_rows_fire_on_a_fresh_use_outside_the_benchmark() {
+    // The benchmark's exhaustive literal and the library's own spellings of
+    // the names it pins, at their real paths: a clean tree.
+    let runner = "pub enum ExecutionBackend { Simulated }\n\
+                  pub struct RunConfig { pub backend: ExecutionBackend }\n\
+                  impl RunConfig {\n    \
+                  pub fn baseline() -> Self {\n        \
+                  RunConfig { backend: ExecutionBackend::Simulated }\n    }\n}\n";
+    let clean: [(&str, &str); 4] = [
+        ("crates/core/src/runner.rs", runner),
+        ("crates/core/src/lib.rs", "pub use runner::{ExecutionBackend, RunConfig};\n"),
+        (
+            "crates/bench/src/bin/lcr_benchmark/series.rs",
+            "fn run() {\n    let _ = RunConfig { backend: ExecutionBackend::Simulated };\n}\n",
+        ),
+        ("crates/ckpt/src/pfs.rs", "pub enum CheckpointLevel { Pfs }\n"),
+    ];
+    let seeds = [
+        (
+            "ExecutionBackend",
+            "tests/fixture.rs",
+            "#[test]\nfn t() {\n    let _ = ExecutionBackend::Simulated;\n}\n",
+        ),
+        (
+            "RunConfig {",
+            "examples/fixture.rs",
+            "fn main() {\n    let _ = RunConfig { ..RunConfig::baseline() };\n}\n",
+        ),
+        (
+            "CheckpointLevel",
+            "crates/ckpt/src/store.rs",
+            "pub struct CheckpointMetadata {\n    pub level: CheckpointLevel,\n}\n",
+        ),
+    ];
+    for (token, rel, body) in seeds {
+        let why = RULES
+            .iter()
+            .find_map(|rule| match rule {
+                Rule::Retired { tokens, why, .. } if tokens.contains(&token) => Some(*why),
+                Rule::Count { token: t, why, .. } if *t == token => Some(*why),
+                _ => None,
+            })
+            .unwrap_or_else(|| panic!("the table has a row for `{token}`"));
+        let fires = |files: &[(&str, &str)]| {
+            let mut tree = vec![("Cargo.toml", WORKSPACE_MANIFEST)];
+            tree.extend_from_slice(files);
+            let fx = Fixture::new("adapter", &tree);
+            let report = analyze_workspace(fx.root()).unwrap();
+            report.diagnostics.iter().any(|d| {
+                d.lint == "architecture"
+                    && d.message.ends_with(&format!(": {why}"))
+                    && (d.rel == rel || d.message.contains(&format!("{rel}:")))
+            })
+        };
+        assert!(!fires(&clean), "the library's own spellings of `{token}` are clean: {why}");
+        let mut seeded = clean.to_vec();
+        seeded.push((rel, body));
+        assert!(fires(&seeded), "`{token}` in {rel} must fire: {why}");
+    }
+}

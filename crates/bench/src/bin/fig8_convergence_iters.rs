@@ -6,11 +6,11 @@
 //! *accelerated*, and CG is delayed by ≈25 % on average.
 
 use lcr_bench::{fmt, print_json, print_table, BenchScale};
-use lcr_ckpt::{CheckpointLevel, ClusterConfig, PfsModel};
+use lcr_ckpt::{ClusterConfig, PfsModel};
 use lcr_core::experiment::{
     checkpoint_recovery_times, paper_baseline_seconds,
 };
-use lcr_core::runner::{ExecutionBackend, FaultTolerantRunner, Persistence, RunConfig};
+use lcr_core::runner::{FaultTolerantRunner, RunConfig};
 use lcr_core::strategy::CheckpointStrategy;
 use lcr_core::workload::PaperWorkload;
 use lcr_perfmodel::young_optimal_interval_iterations;
@@ -71,22 +71,14 @@ fn main() {
             let mut failures_sum = 0.0;
             for rep in 0..scale.repetitions {
                 let mut solver = workload.build_solver(&problem, kind, scale.max_iterations);
-                let report = FaultTolerantRunner::new(RunConfig {
-                    strategy: strategy.clone(),
-                    checkpoint_interval_iterations: interval,
-                    anchor_interval_snapshots: 0,
-                    cluster,
-                    pfs,
-                    level: CheckpointLevel::Pfs,
-                    mtti_seconds: mtti,
-                    failure_seed: Some(42 + rep as u64 * 1009 + procs as u64),
-                    max_failures: 1000,
-                    max_executed_iterations: scale.max_iterations,
-                    num_threads: 0,
-                    persistence: Persistence::InMemory,
-                    backend: ExecutionBackend::Simulated,
-                })
-                .run(solver.as_mut(), &problem);
+                let mut cfg = RunConfig::baseline(cluster, pfs);
+                cfg.strategy = strategy.clone();
+                cfg.checkpoint_interval_iterations = interval;
+                cfg.mtti_seconds = mtti;
+                cfg.failure_seed = Some(42 + rep as u64 * 1009 + procs as u64);
+                cfg.max_failures = 1000;
+                cfg.max_executed_iterations = scale.max_iterations;
+                let report = FaultTolerantRunner::new(cfg).run(solver.as_mut(), &problem);
                 iters_sum += report.convergence_iterations as f64;
                 failures_sum += report.failures as f64;
             }

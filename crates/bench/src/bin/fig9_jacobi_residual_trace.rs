@@ -6,8 +6,8 @@
 //! failure-free trajectory almost immediately (no extra iterations).
 
 use lcr_bench::{fmt, print_json, print_table, BenchScale};
-use lcr_ckpt::{CheckpointLevel, ClusterConfig, PfsModel};
-use lcr_core::runner::{ExecutionBackend, FaultTolerantRunner, Persistence, RunConfig};
+use lcr_ckpt::{ClusterConfig, PfsModel};
+use lcr_core::runner::{FaultTolerantRunner, RunConfig};
 use lcr_core::strategy::CheckpointStrategy;
 use lcr_core::workload::PaperWorkload;
 use lcr_solvers::SolverKind;
@@ -33,22 +33,14 @@ fn run_trace(
 ) -> Fig9Trace {
     let problem = workload.build();
     let mut solver = workload.build_solver(&problem, SolverKind::Jacobi, scale.max_iterations);
-    let report = FaultTolerantRunner::new(RunConfig {
-        strategy: CheckpointStrategy::lossy_default(),
-        checkpoint_interval_iterations: 10,
-        anchor_interval_snapshots: 0,
-        cluster: ClusterConfig::bebop_like(2048, 1.0),
-        pfs: PfsModel::bebop_like(),
-        level: CheckpointLevel::Pfs,
-        mtti_seconds: mtti,
-        failure_seed: seed,
-        max_failures,
-        max_executed_iterations: scale.max_iterations,
-        num_threads: 0,
-        persistence: Persistence::InMemory,
-        backend: ExecutionBackend::Simulated,
-    })
-    .run(solver.as_mut(), &problem);
+    let mut cfg = RunConfig::baseline(ClusterConfig::bebop_like(2048, 1.0), PfsModel::bebop_like());
+    cfg.strategy = CheckpointStrategy::lossy_default();
+    cfg.checkpoint_interval_iterations = 10;
+    cfg.mtti_seconds = mtti;
+    cfg.failure_seed = seed;
+    cfg.max_failures = max_failures;
+    cfg.max_executed_iterations = scale.max_iterations;
+    let report = FaultTolerantRunner::new(cfg).run(solver.as_mut(), &problem);
     Fig9Trace {
         label: format!("{} failure(s)", report.failures),
         failures: report.failures,

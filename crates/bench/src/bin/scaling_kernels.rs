@@ -47,7 +47,7 @@
 
 use lcr_bench::{fmt, print_json, print_table};
 use lcr_ckpt::disk::crc32;
-use lcr_ckpt::{CheckpointBuffer, CheckpointLevel, DiskStore};
+use lcr_ckpt::{CheckpointBuffer, DiskStore};
 use lcr_compress::{
     delta, huffman, Chain, Codec, DeltaMode, ErrorBound, LosslessPipeline, RawCodec,
     SzCompressor, SzTemporalState, ZfpCompressor,
@@ -596,7 +596,6 @@ fn main() {
                 .push_from_buffer(
                     iteration,
                     iteration as f64,
-                    CheckpointLevel::Pfs,
                     sz_len * 8,
                     None,
                     "traditional",

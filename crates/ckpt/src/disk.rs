@@ -22,9 +22,10 @@
 //! | 20+M | payloads, concatenated in segment-table order |
 //!
 //! Metadata block: checkpoint id `u64` · iteration `u64` · completed-at
-//! `f64` bits · storage level `u8` · original bytes `u64` · **encoding tag
-//! `u8`** (0 = anchor, 1/2 = temporal delta of that order) · **base
-//! checkpoint id `u64`** (*only when the tag is 1 or 2*) ·
+//! `f64` bits · storage level `u8` (always 3, FTI's L4; any other value is
+//! corrupt) · original bytes `u64` · **encoding tag `u8`** (0 = anchor,
+//! 1/2 = temporal delta of that order) · **base checkpoint id `u64`**
+//! (*only when the tag is 1 or 2*) ·
 //! strategy tag (`u16` length + UTF-8) · scalar count `u32` + per scalar
 //! (`u16` name length + name + `f64` bits) · segment count `u32` + per
 //! segment (`u16` name length + name + payload length `u64` + payload
@@ -77,7 +78,6 @@
 //! re-raises on the caller at the join.
 
 use crate::backend::{OsBackend, RetryPolicy, StorageBackend};
-use crate::pfs::CheckpointLevel;
 use crate::store::{CheckpointBuffer, CheckpointEncoding, CheckpointMetadata};
 use crate::{CkptError, Result};
 use std::collections::VecDeque;
@@ -248,19 +248,9 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     crc32_combine(abc, !advance(s[3], &d[lane..]), d.len())
 }
 
-/// The header's storage-level byte: FTI's L4, the PFS, is level 3 of 0–3.
-fn level_to_u8(level: CheckpointLevel) -> u8 {
-    match level {
-        CheckpointLevel::Pfs => 3,
-    }
-}
-
-fn level_from_u8(v: u8) -> Result<CheckpointLevel> {
-    match v {
-        3 => Ok(CheckpointLevel::Pfs),
-        _ => Err(CkptError::Corrupt(format!("unknown storage level {v}"))),
-    }
-}
+/// The header's storage-level byte: every checkpoint goes to FTI's L4, the
+/// PFS, level 3 of 0–3.
+const PFS_LEVEL: u8 = 3;
 
 fn io_err(context: &str, err: std::io::Error) -> CkptError {
     CkptError::Io(format!("{context}: {err}"))
@@ -307,7 +297,7 @@ fn encode_header(header: &Header, buffer: &CheckpointBuffer) -> Vec<u8> {
     block.extend_from_slice(&meta.id.to_le_bytes());
     block.extend_from_slice(&(meta.iteration as u64).to_le_bytes());
     block.extend_from_slice(&meta.completed_at.to_bits().to_le_bytes());
-    block.push(level_to_u8(meta.level));
+    block.push(PFS_LEVEL);
     block.extend_from_slice(&(meta.original_bytes as u64).to_le_bytes());
     match meta.encoding {
         CheckpointEncoding::Anchor => block.push(0),
@@ -428,7 +418,10 @@ fn parse_header(bytes: &[u8], path: &Path) -> Result<ParsedHeader> {
     let iteration = usize::try_from(r.u64()?)
         .map_err(|_| corrupt("iteration does not fit in usize"))?;
     let completed_at = r.f64()?;
-    let level = level_from_u8(r.u8()?)?;
+    match r.u8()? {
+        PFS_LEVEL => {}
+        v => return Err(CkptError::Corrupt(format!("unknown storage level {v}"))),
+    }
     let original_bytes = usize::try_from(r.u64()?)
         .map_err(|_| corrupt("original size does not fit in usize"))?;
     let encoding = match r.u8()? {
@@ -470,7 +463,6 @@ fn parse_header(bytes: &[u8], path: &Path) -> Result<ParsedHeader> {
                 id,
                 iteration,
                 completed_at,
-                level,
                 total_bytes: variable_bytes.iter().map(|(_, b)| *b).sum(),
                 original_bytes,
                 encoding,
@@ -708,7 +700,6 @@ impl DiskStore {
                         id,
                         iteration: 0,
                         completed_at: 0.0,
-                        level: CheckpointLevel::Pfs,
                         total_bytes: 0,
                         original_bytes: 0,
                         encoding: CheckpointEncoding::Anchor,
@@ -962,7 +953,6 @@ impl DiskStore {
         &self,
         iteration: usize,
         completed_at: f64,
-        level: CheckpointLevel,
         original_bytes: usize,
         delta_order: Option<u8>,
         tag: &str,
@@ -982,7 +972,6 @@ impl DiskStore {
                     id,
                     iteration,
                     completed_at,
-                    level,
                     total_bytes: buffer.total_bytes(),
                     original_bytes,
                     encoding: self.encoding_for(delta_order),
@@ -1023,7 +1012,6 @@ impl DiskStore {
         &mut self,
         iteration: usize,
         completed_at: f64,
-        level: CheckpointLevel,
         original_bytes: usize,
         delta_order: Option<u8>,
         tag: &str,
@@ -1035,7 +1023,6 @@ impl DiskStore {
         let job = self.job_for(
             iteration,
             completed_at,
-            level,
             original_bytes,
             delta_order,
             tag,
@@ -1220,7 +1207,6 @@ mod tests {
             .push_from_buffer(
                 iteration,
                 iteration as f64,
-                CheckpointLevel::Pfs,
                 800,
                 delta_order,
                 "traditional",
@@ -1527,7 +1513,7 @@ mod tests {
             buffer.clear();
             buffer.push_with("x", |out| out.extend_from_slice(&[i as u8; 100]));
             store
-                .push_from_buffer(i, i as f64, CheckpointLevel::Pfs, 100, None, "lossy", &[], &mut buffer)
+                .push_from_buffer(i, i as f64, 100, None, "lossy", &[], &mut buffer)
                 .unwrap();
             // The push kept this arena and handed back the previous one.
             let previous = i.checked_sub(1).map(|p| ("x".to_string(), vec![p as u8; 100]));
@@ -1557,7 +1543,7 @@ mod tests {
             let mut buffer = CheckpointBuffer::new();
             buffer.push_with("x", |out| out.extend_from_slice(&[7u8; 64]));
             store
-                .push_from_buffer(1, 1.0, CheckpointLevel::Pfs, 64, None, "lossy", &[], &mut buffer)
+                .push_from_buffer(1, 1.0, 64, None, "lossy", &[], &mut buffer)
                 .unwrap();
             // Dropped with the write possibly still in flight.
         }
@@ -1664,9 +1650,8 @@ mod tests {
                 expected_written += len as u64;
                 let mut buf = CheckpointBuffer::new();
                 buf.push_with("x", |out| out.extend_from_slice(&vec![0xAB; len]));
-                let level = CheckpointLevel::Pfs;
                 let meta = store
-                    .push_from_buffer(i, i as f64, level, len * 10, None, "", &[], &mut buf)
+                    .push_from_buffer(i, i as f64, len * 10, None, "", &[], &mut buf)
                     .unwrap();
                 assert_eq!(meta.id, i as u64);
                 assert_eq!(store.len(), 1);
@@ -1683,7 +1668,7 @@ mod tests {
             let mut store = DiskStore::open_with_backend(dir, 1, backend).unwrap();
             let mut empty = CheckpointBuffer::new();
             let meta = store
-                .push_from_buffer(0, 0.0, CheckpointLevel::Pfs, 0, None, "", &[], &mut empty)
+                .push_from_buffer(0, 0.0, 0, None, "", &[], &mut empty)
                 .unwrap();
             assert_eq!(meta.compression_ratio(), 1.0);
             assert_eq!(meta.total_bytes, 0);
@@ -1895,9 +1880,8 @@ mod tests {
         };
         store.set_retry_policy(NO_DELAY);
         let mut buf = sample_buffer();
-        let level = CheckpointLevel::Pfs;
         for (iteration, delta) in [None, Some(1), Some(2), None, Some(1)].into_iter().enumerate() {
-            let pushed = store.push_from_buffer(iteration, 0.0, level, 800, delta, "t", &[], &mut buf);
+            let pushed = store.push_from_buffer(iteration, 0.0, 800, delta, "t", &[], &mut buf);
             if pushed.is_err() {
                 return;
             }

@@ -79,7 +79,6 @@ impl RecoveredData {
 pub struct FtiContext {
     cluster: ClusterConfig,
     pfs: PfsModel,
-    level: CheckpointLevel,
     protected: Vec<ProtectedVariable>,
     /// In-memory tier; `None` after [`FtiContext::without_memory_tier`].
     memory: Option<DiskStore>,
@@ -98,14 +97,17 @@ pub struct FtiContext {
 }
 
 impl FtiContext {
-    /// Creates a context for the given cluster, PFS model and storage level.
-    pub fn new(cluster: ClusterConfig, pfs: PfsModel, level: CheckpointLevel) -> Self {
+    /// Creates a context for the given cluster and PFS model.
+    ///
+    /// `_level` is not read: every checkpoint goes to FTI's L4, the PFS.
+    /// The parameter stays only because `lcr_benchmark`'s replica of the
+    /// runner passes it.
+    pub fn new(cluster: ClusterConfig, pfs: PfsModel, _level: CheckpointLevel) -> Self {
         let memory = DiskStore::open_with_backend("memory", 2, Arc::new(MemBackend::default()))
             .expect("an in-memory backend cannot fail to open");
         FtiContext {
             cluster,
             pfs,
-            level,
             protected: Vec::new(),
             memory: Some(memory),
             disk: None,
@@ -238,7 +240,6 @@ impl FtiContext {
             let result = tier.push_from_buffer(
                 iteration,
                 completed_at,
-                self.level,
                 original_bytes,
                 delta_order,
                 tag,

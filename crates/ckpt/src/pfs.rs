@@ -17,7 +17,10 @@
 
 /// Storage level a checkpoint is written to.  FTI numbers its levels L1–L4;
 /// the paper's evaluation writes every checkpoint to L4, the shared
-/// parallel file system, and so does every run here.
+/// parallel file system, and so does every run here.  Nothing reads it:
+/// it exists only because `lcr_benchmark` passes it to
+/// [`FtiContext::new`](crate::FtiContext::new) and names it in its
+/// `RunConfig` literal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CheckpointLevel {
     /// L4: the shared parallel file system (survives whole-system failures).

@@ -1,7 +1,7 @@
 //! Checkpoint metadata and the encoding arena.
 //!
 //! What every checkpoint store of this crate speaks: [`CheckpointMetadata`]
-//! (sizes, iteration, completion time, storage level — what the experiment
+//! (sizes, iteration, completion time — what the experiment
 //! harness reports), [`CheckpointEncoding`] (anchor or temporal delta) and
 //! the [`CheckpointBuffer`] arena a checkpoint *strategy* (in `lcr-core`)
 //! encodes its payloads into.  The store itself is
@@ -16,7 +16,6 @@
 //! dependency in retention and in recovery (see the `disk` module docs).
 
 use crate::disk::crc32;
-use crate::pfs::CheckpointLevel;
 use std::sync::OnceLock;
 
 /// How one checkpoint's payload streams are encoded relative to earlier
@@ -61,8 +60,6 @@ pub struct CheckpointMetadata {
     pub iteration: usize,
     /// Simulated time at which the checkpoint write completed.
     pub completed_at: f64,
-    /// Storage level holding the checkpoint.
-    pub level: CheckpointLevel,
     /// Total encoded bytes across all variables.
     pub total_bytes: usize,
     /// Original (uncompressed) bytes across all variables.

@@ -5,7 +5,7 @@
 //! byte-perfect or it does not exist.
 
 use lcr_ckpt::disk::{crc32, read_checkpoint_file, DiskStore};
-use lcr_ckpt::{CheckpointBuffer, CheckpointLevel, CkptError};
+use lcr_ckpt::{CheckpointBuffer, CkptError};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,7 +40,6 @@ fn write_reference(dir: &PathBuf, payloads: &[Vec<u8>]) -> (PathBuf, Vec<u8>) {
         .push_from_buffer(
             7,
             3.25,
-            CheckpointLevel::Pfs,
             4096,
             None,
             "lossy",
@@ -76,7 +75,6 @@ fn write_chain(dir: &PathBuf, payloads: &[Vec<u8>]) -> Vec<PathBuf> {
             .push_from_buffer(
                 100 * (k + 1),
                 k as f64,
-                CheckpointLevel::Pfs,
                 4096,
                 delta,
                 "lossy-delta",

@@ -6,10 +6,10 @@
 //! result (who wins, by what factor, how it scales) is the reproduction
 //! target; absolute seconds come from the simulated Bebop-like PFS model.
 
-use crate::runner::{ExecutionBackend, FaultTolerantRunner, Persistence, RunConfig, RunReport};
+use crate::runner::{FaultTolerantRunner, RunConfig, RunReport};
 use crate::strategy::CheckpointStrategy;
 use crate::workload::{paper_rtol, PaperWorkload, ScaledProblem};
-use lcr_ckpt::{CheckpointLevel, ClusterConfig, PfsModel};
+use lcr_ckpt::{ClusterConfig, PfsModel};
 use lcr_compress::{Chain, Codec, DeltaMode, ErrorBound, SzCompressor, SzTemporalState};
 use lcr_perfmodel::{
     lossy_overhead_ratio, theorem2_extra_iterations_upper_bound, traditional_overhead_ratio,
@@ -492,21 +492,13 @@ pub fn fault_tolerance_overhead(
         let mut total_iters = 0.0;
         for run in 0..cfg.runs {
             let mut solver = workload.build_solver(&problem, kind, cfg.max_iterations);
-            let run_cfg = RunConfig {
-                strategy: strategy.clone(),
-                checkpoint_interval_iterations: interval_iterations,
-                anchor_interval_snapshots: 0,
-                cluster,
-                pfs: *pfs,
-                level: CheckpointLevel::Pfs,
-                mtti_seconds: cfg.mtti_seconds,
-                failure_seed: Some(cfg.seed + run as u64 * 7919),
-                max_failures: 1000,
-                max_executed_iterations: cfg.max_iterations,
-                num_threads: 0,
-                persistence: Persistence::InMemory,
-                backend: ExecutionBackend::Simulated,
-            };
+            let mut run_cfg = RunConfig::baseline(cluster, *pfs);
+            run_cfg.strategy = strategy.clone();
+            run_cfg.checkpoint_interval_iterations = interval_iterations;
+            run_cfg.mtti_seconds = cfg.mtti_seconds;
+            run_cfg.failure_seed = Some(cfg.seed + run as u64 * 7919);
+            run_cfg.max_failures = 1000;
+            run_cfg.max_executed_iterations = cfg.max_iterations;
             let report: RunReport =
                 FaultTolerantRunner::new(run_cfg).run(solver.as_mut(), &problem);
             total_overhead += report.overhead_ratio();

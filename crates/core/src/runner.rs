@@ -83,6 +83,8 @@ impl Persistence {
 /// cluster — one global solver advancing a [`SimClock`], with
 /// checkpoint/recovery **time** modelled by the [`PfsModel`].  Real
 /// domain-decomposed runs go through [`crate::sharded::try_run_sharded`].
+/// Nothing reads it: it exists only because `lcr_benchmark`'s exhaustive
+/// [`RunConfig`] literal names it.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub enum ExecutionBackend {
     /// The simulated cluster (SimClock + PfsModel).
@@ -90,7 +92,8 @@ pub enum ExecutionBackend {
     Simulated,
 }
 
-/// Configuration of one fault-tolerant run.
+/// Configuration of one fault-tolerant run.  Build one with
+/// [`RunConfig::baseline`] and assign the fields that differ.
 #[derive(Debug, Clone)]
 pub struct RunConfig {
     /// The checkpoint strategy to use.
@@ -110,7 +113,9 @@ pub struct RunConfig {
     pub cluster: ClusterConfig,
     /// Parallel-file-system model.
     pub pfs: PfsModel,
-    /// Storage level checkpoints are written to.
+    /// Storage level checkpoints are written to; always FTI's L4 and read
+    /// by nothing.  `lcr_benchmark`'s exhaustive literal is the only reason
+    /// it exists.
     pub level: CheckpointLevel,
     /// Mean time to interruption in seconds (`f64::INFINITY` or a huge
     /// value with `failure_seed = None` for failure-free runs).
@@ -133,8 +138,8 @@ pub struct RunConfig {
     /// runner pointed at the same directory resumes from the newest
     /// complete checkpoint instead of starting from scratch.
     pub persistence: Persistence,
-    /// Execution substrate; a single value, kept because `lcr_benchmark`
-    /// names it.
+    /// Execution substrate; a single value, read by nothing.
+    /// `lcr_benchmark`'s exhaustive literal is the only reason it exists.
     pub backend: ExecutionBackend,
 }
 
@@ -394,11 +399,6 @@ impl FaultTolerantRunner {
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &RunConfig {
-        &self.config
-    }
-
     /// Routes all durable-tier file I/O through `backend` — the seam a
     /// chaos campaign uses to inject storage faults.  Only affects
     /// [`Persistence::Disk`] runs on the simulated backend.
@@ -453,7 +453,7 @@ impl FaultTolerantRunner {
             ),
         };
         // Store real payloads, bill I/O time at the paper's scale.
-        let mut fti = FtiContext::new(cfg.cluster, cfg.pfs, cfg.level);
+        let mut fti = FtiContext::new(cfg.cluster, cfg.pfs, CheckpointLevel::Pfs);
         fti.set_byte_scale(problem.byte_scale_factor());
         let mut ckpt = Checkpointer::new(
             cfg.strategy.clone(),
@@ -553,21 +553,14 @@ mod tests {
     }
 
     fn config(strategy: CheckpointStrategy, interval: usize, mtti: f64, seed: Option<u64>) -> RunConfig {
-        RunConfig {
-            strategy,
-            checkpoint_interval_iterations: interval,
-            anchor_interval_snapshots: 0,
-            cluster: cluster(),
-            pfs: PfsModel::bebop_like(),
-            level: CheckpointLevel::Pfs,
-            mtti_seconds: mtti,
-            failure_seed: seed,
-            max_failures: 50,
-            max_executed_iterations: 500_000,
-            num_threads: 0,
-            persistence: Persistence::InMemory,
-            backend: ExecutionBackend::Simulated,
-        }
+        let mut cfg = RunConfig::baseline(cluster(), PfsModel::bebop_like());
+        cfg.strategy = strategy;
+        cfg.checkpoint_interval_iterations = interval;
+        cfg.mtti_seconds = mtti;
+        cfg.failure_seed = seed;
+        cfg.max_failures = 50;
+        cfg.max_executed_iterations = 500_000;
+        cfg
     }
 
     #[test]

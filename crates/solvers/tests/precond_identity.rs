@@ -197,6 +197,27 @@ fn banded_with_stored_zeros(n: usize) -> CsrMatrix {
     CsrMatrix::from_raw(n, n, indptr, indices, values).unwrap()
 }
 
+/// A tridiagonal matrix whose row 5 also couples to columns 0..=10, so
+/// the first block's rows are wider than any stencil's (block widths
+/// K = 5, 1, 1 at three blocks).
+fn wide_row_matrix(n: usize) -> CsrMatrix {
+    let mut dense = vec![0.0; n * n];
+    for i in 0..n {
+        dense[i * n + i] = 4.0 + (i % 3) as f64;
+        if i > 0 {
+            dense[i * n + i - 1] = -1.0;
+        }
+        if i + 1 < n {
+            dense[i * n + i + 1] = -1.5;
+        }
+    }
+    for j in (0..=10).filter(|&j| j != 5) {
+        dense[5 * n + j] = -0.25 - 0.01 * j as f64;
+    }
+    dense[5 * n + 5] = 9.0;
+    CsrMatrix::from_dense(n, n, &dense)
+}
+
 #[test]
 fn poisson3d_uneven_blocks_match_the_oracle() {
     // 33³ = 35 937 rows: above the pool threshold, and 35 937 % 16 = 1.
@@ -243,4 +264,13 @@ fn banded_matrix_with_stored_zeros_matches_the_oracle() {
     assert!(a.values().iter().filter(|&&v| v == 0.0).count() > a.nrows() / 2);
     assert_block_jacobi_identical(&a, 16, "banded/16");
     assert_block_jacobi_identical(&a, 1, "banded/1");
+}
+
+#[test]
+fn a_block_with_one_wide_row_matches_the_oracle() {
+    // Every row of the first block is padded to the wide row's width.
+    let a = wide_row_matrix(40);
+    for n_blocks in [1, 3, 16] {
+        assert_block_jacobi_identical(&a, n_blocks, &format!("wide row/{n_blocks}"));
+    }
 }

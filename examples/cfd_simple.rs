@@ -14,8 +14,8 @@
 //! cargo run --release --example cfd_simple
 //! ```
 
-use lossy_ckpt::ckpt::{CheckpointLevel, ClusterConfig, PfsModel};
-use lossy_ckpt::core::runner::{ExecutionBackend, FaultTolerantRunner, Persistence, RunConfig};
+use lossy_ckpt::ckpt::{ClusterConfig, PfsModel};
+use lossy_ckpt::core::runner::{FaultTolerantRunner, RunConfig};
 use lossy_ckpt::core::strategy::CheckpointStrategy;
 use lossy_ckpt::core::workload::{PaperWorkload, ScaledProblem};
 use lossy_ckpt::solvers::{ConjugateGradient, IterativeMethod, LinearSystem, StoppingCriteria};
@@ -101,22 +101,14 @@ fn main() {
             StoppingCriteria::new(1e-6, 100_000),
         );
 
-        let report = FaultTolerantRunner::new(RunConfig {
-            strategy: CheckpointStrategy::lossy_default(),
-            checkpoint_interval_iterations: 10,
-            anchor_interval_snapshots: 0,
-            cluster,
-            pfs,
-            level: CheckpointLevel::Pfs,
-            mtti_seconds: 120.0,
-            failure_seed: Some(1000 + outer as u64),
-            max_failures: 20,
-            max_executed_iterations: 100_000,
-            num_threads: 0,
-            persistence: Persistence::InMemory,
-            backend: ExecutionBackend::Simulated,
-        })
-        .run(&mut solver, &accounting);
+        let mut config = RunConfig::baseline(cluster, pfs);
+        config.strategy = CheckpointStrategy::lossy_default();
+        config.checkpoint_interval_iterations = 10;
+        config.mtti_seconds = 120.0;
+        config.failure_seed = Some(1000 + outer as u64);
+        config.max_failures = 20;
+        config.max_executed_iterations = 100_000;
+        let report = FaultTolerantRunner::new(config).run(&mut solver, &accounting);
 
         let p = solver.solution().clone();
         correct_velocity(&mut u, &mut v, &p);

@@ -18,10 +18,8 @@
 //! ```
 
 use lossy_ckpt::chaos::ChaosPlan;
-use lossy_ckpt::ckpt::{
-    CheckpointLevel, ClusterConfig, PfsModel, RetryPolicy, StorageBackend,
-};
-use lossy_ckpt::core::runner::{ExecutionBackend, FaultTolerantRunner, Persistence, RunConfig};
+use lossy_ckpt::ckpt::{ClusterConfig, PfsModel, RetryPolicy, StorageBackend};
+use lossy_ckpt::core::runner::{FaultTolerantRunner, Persistence, RunConfig};
 use lossy_ckpt::core::sharded::{try_run_sharded, ShardedRunConfig};
 use lossy_ckpt::core::strategy::CheckpointStrategy;
 use lossy_ckpt::core::workload::PaperWorkload;
@@ -52,21 +50,11 @@ fn main() {
     let workload = PaperWorkload::poisson(4, 8);
     let problem = workload.build();
     let mut solver = workload.build_solver(&problem, SolverKind::Cg, 200_000);
-    let config = RunConfig {
-        strategy: CheckpointStrategy::Traditional,
-        checkpoint_interval_iterations: 5,
-        anchor_interval_snapshots: 0,
-        cluster: ClusterConfig::bebop_like(4, 1.0),
-        pfs: PfsModel::bebop_like(),
-        level: CheckpointLevel::Pfs,
-        mtti_seconds: f64::MAX,
-        failure_seed: None,
-        max_failures: 0,
-        max_executed_iterations: 200_000,
-        num_threads: 0,
-        persistence: Persistence::disk(&dir),
-        backend: ExecutionBackend::Simulated,
-    };
+    let mut config = RunConfig::baseline(ClusterConfig::bebop_like(4, 1.0), PfsModel::bebop_like());
+    config.strategy = CheckpointStrategy::Traditional;
+    config.checkpoint_interval_iterations = 5;
+    config.max_executed_iterations = 200_000;
+    config.persistence = Persistence::disk(&dir);
     let report = FaultTolerantRunner::new(config)
         .with_storage_backend(backend.clone() as Arc<dyn StorageBackend>)
         .with_retry_policy(RetryPolicy {

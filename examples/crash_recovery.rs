@@ -12,32 +12,12 @@
 //! cargo run --release --example crash_recovery
 //! ```
 
-use lossy_ckpt::ckpt::{CheckpointLevel, ClusterConfig, PfsModel};
-use lossy_ckpt::core::runner::{ExecutionBackend, FaultTolerantRunner, Persistence, RunConfig};
+use lossy_ckpt::ckpt::{ClusterConfig, PfsModel};
+use lossy_ckpt::core::runner::{FaultTolerantRunner, Persistence, RunConfig};
 use lossy_ckpt::core::strategy::CheckpointStrategy;
 use lossy_ckpt::core::workload::PaperWorkload;
 use lossy_ckpt::solvers::SolverKind;
 use std::path::{Path, PathBuf};
-
-fn config(dir: &Path, max_executed_iterations: usize) -> RunConfig {
-    RunConfig {
-        strategy: CheckpointStrategy::Traditional,
-        checkpoint_interval_iterations: 10,
-        anchor_interval_snapshots: 0,
-        cluster: ClusterConfig::bebop_like(256, 0.5),
-        pfs: PfsModel::bebop_like(),
-        level: CheckpointLevel::Pfs,
-        mtti_seconds: f64::MAX,
-        failure_seed: None,
-        max_failures: 0,
-        max_executed_iterations,
-        num_threads: 0,
-        // Write-behind: checkpoint files are written by a background I/O
-        // thread while the solver keeps iterating.
-        persistence: Persistence::disk_write_behind(dir),
-        backend: ExecutionBackend::Simulated,
-    }
-}
 
 fn checkpoint_files(dir: &Path) -> Vec<PathBuf> {
     let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
@@ -51,13 +31,24 @@ fn checkpoint_files(dir: &Path) -> Vec<PathBuf> {
 fn main() {
     let dir = std::env::temp_dir().join(format!("lcr-example-crash-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
+    let config = |max_executed_iterations| {
+        let mut config =
+            RunConfig::baseline(ClusterConfig::bebop_like(256, 0.5), PfsModel::bebop_like());
+        config.strategy = CheckpointStrategy::Traditional;
+        config.checkpoint_interval_iterations = 10;
+        config.max_executed_iterations = max_executed_iterations;
+        // Write-behind: checkpoint files are written by a background I/O
+        // thread while the solver keeps iterating.
+        config.persistence = Persistence::disk_write_behind(&dir);
+        config
+    };
 
     let workload = PaperWorkload::poisson(256, 8);
     let problem = workload.build();
 
     // --- phase 1: run with durable checkpoints, die mid-run ---------------
     let mut solver = workload.build_solver(&problem, SolverKind::Jacobi, 200_000);
-    let report = FaultTolerantRunner::new(config(&dir, 35)).run(solver.as_mut(), &problem);
+    let report = FaultTolerantRunner::new(config(35)).run(solver.as_mut(), &problem);
     println!(
         "phase 1: executed {} iterations, wrote {} durable checkpoint(s), then \"crashed\"",
         report.executed_iterations, report.checkpoints_taken
@@ -81,7 +72,7 @@ fn main() {
 
     // --- phase 2: a fresh runner + fresh solver over the same directory ---
     let mut fresh = workload.build_solver(&problem, SolverKind::Jacobi, 200_000);
-    let report = FaultTolerantRunner::new(config(&dir, 500_000)).run(fresh.as_mut(), &problem);
+    let report = FaultTolerantRunner::new(config(500_000)).run(fresh.as_mut(), &problem);
     match report.resumed_from_iteration {
         Some(it) => println!(
             "phase 2: resumed from the newest COMPLETE checkpoint (iteration {it}), \

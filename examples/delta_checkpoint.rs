@@ -18,31 +18,22 @@
 //! cargo run --release --example delta_checkpoint
 //! ```
 
-use lossy_ckpt::ckpt::{CheckpointLevel, ClusterConfig, PfsModel};
-use lossy_ckpt::core::runner::{ExecutionBackend, FaultTolerantRunner, Persistence, RunConfig};
+use lossy_ckpt::ckpt::{ClusterConfig, PfsModel};
+use lossy_ckpt::core::runner::{FaultTolerantRunner, Persistence, RunConfig};
 use lossy_ckpt::core::strategy::CheckpointStrategy;
 use lossy_ckpt::core::workload::PaperWorkload;
 use lossy_ckpt::solvers::SolverKind;
 
-fn config(anchor_interval_snapshots: usize) -> RunConfig {
-    RunConfig {
-        strategy: CheckpointStrategy::lossy_default(),
-        checkpoint_interval_iterations: 2,
-        anchor_interval_snapshots,
-        cluster: ClusterConfig::bebop_like(256, 0.5),
-        pfs: PfsModel::bebop_like(),
-        level: CheckpointLevel::Pfs,
-        mtti_seconds: f64::MAX,
-        failure_seed: None,
-        max_failures: 0,
-        max_executed_iterations: 500_000,
-        num_threads: 0,
-        persistence: Persistence::InMemory,
-        backend: ExecutionBackend::Simulated,
-    }
-}
-
 fn main() {
+    let config = |anchor_interval_snapshots| {
+        let mut config =
+            RunConfig::baseline(ClusterConfig::bebop_like(256, 0.5), PfsModel::bebop_like());
+        config.strategy = CheckpointStrategy::lossy_default();
+        config.checkpoint_interval_iterations = 2;
+        config.anchor_interval_snapshots = anchor_interval_snapshots;
+        config.max_executed_iterations = 500_000;
+        config
+    };
     let workload = PaperWorkload::poisson(256, 8);
     let problem = workload.build();
 

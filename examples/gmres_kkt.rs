@@ -6,8 +6,8 @@
 //! cargo run --release --example gmres_kkt
 //! ```
 
-use lossy_ckpt::ckpt::{CheckpointLevel, ClusterConfig, PfsModel};
-use lossy_ckpt::core::runner::{ExecutionBackend, FaultTolerantRunner, Persistence, RunConfig};
+use lossy_ckpt::ckpt::{ClusterConfig, PfsModel};
+use lossy_ckpt::core::runner::{FaultTolerantRunner, RunConfig};
 use lossy_ckpt::core::strategy::CheckpointStrategy;
 use lossy_ckpt::core::workload::PaperWorkload;
 use lossy_ckpt::solvers::SolverKind;
@@ -37,22 +37,15 @@ fn main() {
     // Lossy-checkpointed run with failures every ~10 minutes of simulated
     // time and the Theorem-3 adaptive error bound.
     let mut solver = workload.build_solver(&problem, SolverKind::Gmres, 500_000);
-    let report = FaultTolerantRunner::new(RunConfig {
-        strategy: CheckpointStrategy::lossy_gmres(),
-        checkpoint_interval_iterations: 25,
-        anchor_interval_snapshots: 0,
-        cluster: ClusterConfig::bebop_like(4096, 1.2),
-        pfs: PfsModel::bebop_like(),
-        level: CheckpointLevel::Pfs,
-        mtti_seconds: 600.0,
-        failure_seed: Some(99),
-        max_failures: 100,
-        max_executed_iterations: 500_000,
-        num_threads: 0,
-        persistence: Persistence::InMemory,
-        backend: ExecutionBackend::Simulated,
-    })
-    .run(solver.as_mut(), &problem);
+    let mut config =
+        RunConfig::baseline(ClusterConfig::bebop_like(4096, 1.2), PfsModel::bebop_like());
+    config.strategy = CheckpointStrategy::lossy_gmres();
+    config.checkpoint_interval_iterations = 25;
+    config.mtti_seconds = 600.0;
+    config.failure_seed = Some(99);
+    config.max_failures = 100;
+    config.max_executed_iterations = 500_000;
+    let report = FaultTolerantRunner::new(config).run(solver.as_mut(), &problem);
 
     println!("\n--- lossy-checkpointed run ---");
     println!("iterations to converge:  {}", report.convergence_iterations);

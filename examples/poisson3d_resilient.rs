@@ -7,9 +7,9 @@
 //! cargo run --release --example poisson3d_resilient
 //! ```
 
-use lossy_ckpt::ckpt::{CheckpointLevel, ClusterConfig, PfsModel};
+use lossy_ckpt::ckpt::{ClusterConfig, PfsModel};
 use lossy_ckpt::core::experiment::paper_baseline_seconds;
-use lossy_ckpt::core::runner::{ExecutionBackend, FaultTolerantRunner, Persistence, RunConfig};
+use lossy_ckpt::core::runner::{FaultTolerantRunner, RunConfig};
 use lossy_ckpt::core::strategy::CheckpointStrategy;
 use lossy_ckpt::core::workload::PaperWorkload;
 use lossy_ckpt::perfmodel::young_optimal_interval_iterations;
@@ -63,22 +63,14 @@ fn main() {
                 .max(1);
 
             let mut solver = workload.build_solver(&problem, kind, 500_000);
-            let report = FaultTolerantRunner::new(RunConfig {
-                strategy: strategy.clone(),
-                checkpoint_interval_iterations: interval,
-                anchor_interval_snapshots: 0,
-                cluster,
-                pfs,
-                level: CheckpointLevel::Pfs,
-                mtti_seconds: mtti,
-                failure_seed: Some(20180611),
-                max_failures: 200,
-                max_executed_iterations: 500_000,
-                num_threads: 0,
-                persistence: Persistence::InMemory,
-                backend: ExecutionBackend::Simulated,
-            })
-            .run(solver.as_mut(), &problem);
+            let mut config = RunConfig::baseline(cluster, pfs);
+            config.strategy = strategy.clone();
+            config.checkpoint_interval_iterations = interval;
+            config.mtti_seconds = mtti;
+            config.failure_seed = Some(20180611);
+            config.max_failures = 200;
+            config.max_executed_iterations = 500_000;
+            let report = FaultTolerantRunner::new(config).run(solver.as_mut(), &problem);
 
             println!(
                 "{:<8} {:<12} {:>10} {:>10} {:>12.1} {:>9.1}% {:>12}",

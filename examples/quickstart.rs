@@ -6,8 +6,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use lossy_ckpt::ckpt::{CheckpointLevel, ClusterConfig, PfsModel};
-use lossy_ckpt::core::runner::{ExecutionBackend, FaultTolerantRunner, Persistence, RunConfig};
+use lossy_ckpt::ckpt::{ClusterConfig, PfsModel};
+use lossy_ckpt::core::runner::{FaultTolerantRunner, RunConfig};
 use lossy_ckpt::core::strategy::CheckpointStrategy;
 use lossy_ckpt::core::workload::PaperWorkload;
 use lossy_ckpt::solvers::SolverKind;
@@ -33,21 +33,14 @@ fn main() {
     // 3. Configure the fault-tolerant run: lossy (SZ, 1e-4 relative bound)
     //    checkpoints every 20 iterations, failures with a 30-minute MTTI on
     //    the simulated Bebop-like cluster.
-    let config = RunConfig {
-        strategy: CheckpointStrategy::lossy_default(),
-        checkpoint_interval_iterations: 20,
-        anchor_interval_snapshots: 0,
-        cluster: ClusterConfig::bebop_like(2048, 0.9),
-        pfs: PfsModel::bebop_like(),
-        level: CheckpointLevel::Pfs,
-        mtti_seconds: 1800.0,
-        failure_seed: Some(42),
-        max_failures: 100,
-        max_executed_iterations: 500_000,
-        num_threads: 0,
-        persistence: Persistence::InMemory,
-        backend: ExecutionBackend::Simulated,
-    };
+    let mut config =
+        RunConfig::baseline(ClusterConfig::bebop_like(2048, 0.9), PfsModel::bebop_like());
+    config.strategy = CheckpointStrategy::lossy_default();
+    config.checkpoint_interval_iterations = 20;
+    config.mtti_seconds = 1800.0;
+    config.failure_seed = Some(42);
+    config.max_failures = 100;
+    config.max_executed_iterations = 500_000;
 
     // 4. Run and report.
     let report = FaultTolerantRunner::new(config).run(solver.as_mut(), &problem);

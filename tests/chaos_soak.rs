@@ -11,10 +11,8 @@
 
 use lossy_ckpt::chaos::ChaosPlan;
 use lossy_ckpt::ckpt::disk::read_checkpoint_file;
-use lossy_ckpt::ckpt::{
-    CheckpointLevel, ClusterConfig, DiskStore, PfsModel, RetryPolicy, StorageBackend,
-};
-use lossy_ckpt::core::runner::{ExecutionBackend, FaultTolerantRunner, Persistence, RunConfig};
+use lossy_ckpt::ckpt::{ClusterConfig, DiskStore, PfsModel, RetryPolicy, StorageBackend};
+use lossy_ckpt::core::runner::{FaultTolerantRunner, Persistence, RunConfig};
 use lossy_ckpt::core::sharded::{try_run_sharded, KillSpec, ShardedError, ShardedRunConfig};
 use lossy_ckpt::core::strategy::CheckpointStrategy;
 use lossy_ckpt::core::workload::PaperWorkload;
@@ -63,23 +61,17 @@ fn residual_norm(a: &CsrMatrix, b: &Vector, x: &Vector) -> f64 {
 }
 
 fn sim_config(dir: &Path, failure_seed: u64) -> RunConfig {
-    RunConfig {
-        strategy: CheckpointStrategy::Traditional,
-        checkpoint_interval_iterations: 5,
-        anchor_interval_snapshots: 0,
-        cluster: ClusterConfig::bebop_like(4, 1.0),
-        pfs: PfsModel::bebop_like(),
-        level: CheckpointLevel::Pfs,
-        mtti_seconds: 37.0,
-        failure_seed: Some(failure_seed),
-        max_failures: 10,
-        max_executed_iterations: 200_000,
-        num_threads: 0,
-        // Synchronous disk mirror: the chaos fault schedule is a pure
-        // function of the op sequence only without write-behind.
-        persistence: Persistence::disk(dir),
-        backend: ExecutionBackend::Simulated,
-    }
+    let mut cfg = RunConfig::baseline(ClusterConfig::bebop_like(4, 1.0), PfsModel::bebop_like());
+    cfg.strategy = CheckpointStrategy::Traditional;
+    cfg.checkpoint_interval_iterations = 5;
+    cfg.mtti_seconds = 37.0;
+    cfg.failure_seed = Some(failure_seed);
+    cfg.max_failures = 10;
+    cfg.max_executed_iterations = 200_000;
+    // Synchronous disk mirror: the chaos fault schedule is a pure
+    // function of the op sequence only without write-behind.
+    cfg.persistence = Persistence::disk(dir);
+    cfg
 }
 
 fn run_simulated(plan: ChaosPlan, dir: &Path) -> (lossy_ckpt::core::runner::RunReport, Vec<PathBuf>) {

@@ -8,8 +8,8 @@
 //! CI runs this file at `LCR_NUM_THREADS=1` and `=4`; the deterministic
 //! kernels make every assertion thread-count independent.
 
-use lossy_ckpt::ckpt::{CheckpointBuffer, CheckpointLevel, ClusterConfig, DiskStore, PfsModel};
-use lossy_ckpt::core::runner::{ExecutionBackend, FaultTolerantRunner, Persistence, RunConfig, RunReport};
+use lossy_ckpt::ckpt::{CheckpointBuffer, ClusterConfig, DiskStore, PfsModel};
+use lossy_ckpt::core::runner::{FaultTolerantRunner, Persistence, RunConfig, RunReport};
 use lossy_ckpt::core::strategy::CheckpointStrategy;
 use lossy_ckpt::core::workload::PaperWorkload;
 use lossy_ckpt::solvers::SolverKind;
@@ -28,25 +28,16 @@ fn config(
     write_behind: bool,
     max_executed_iterations: usize,
 ) -> RunConfig {
-    RunConfig {
-        strategy,
-        checkpoint_interval_iterations: 10,
-        anchor_interval_snapshots: 0,
-        cluster: ClusterConfig::bebop_like(256, 0.5),
-        pfs: PfsModel::bebop_like(),
-        level: CheckpointLevel::Pfs,
-        mtti_seconds: f64::MAX,
-        failure_seed: None,
-        max_failures: 0,
-        max_executed_iterations,
-        num_threads: 0,
-        persistence: if write_behind {
-            Persistence::disk_write_behind(dir)
-        } else {
-            Persistence::disk(dir)
-        },
-        backend: ExecutionBackend::Simulated,
-    }
+    let mut cfg = RunConfig::baseline(ClusterConfig::bebop_like(256, 0.5), PfsModel::bebop_like());
+    cfg.strategy = strategy;
+    cfg.checkpoint_interval_iterations = 10;
+    cfg.max_executed_iterations = max_executed_iterations;
+    cfg.persistence = if write_behind {
+        Persistence::disk_write_behind(dir)
+    } else {
+        Persistence::disk(dir)
+    };
+    cfg
 }
 
 /// Phase 1 of every scenario: run with durable checkpoints but stop the
@@ -386,7 +377,6 @@ fn undecodable_checkpoint_is_counted_as_a_failed_recovery() {
             .push_from_buffer(
                 30,
                 0.0,
-                CheckpointLevel::Pfs,
                 problem.system.dim() * 8,
                 None,
                 strategy.name(),

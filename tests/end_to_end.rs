@@ -2,11 +2,11 @@
 //! (solvers + compressors + checkpoint substrate + performance model)
 //! exercised end to end through the public API of the umbrella crate.
 
-use lossy_ckpt::ckpt::{CheckpointLevel, ClusterConfig, PfsModel};
+use lossy_ckpt::ckpt::{ClusterConfig, PfsModel};
 use lossy_ckpt::core::experiment::{
     checkpoint_recovery_times, expected_overhead, table3, PAPER_PROCESS_COUNTS,
 };
-use lossy_ckpt::core::runner::{ExecutionBackend, FaultTolerantRunner, Persistence, RunConfig};
+use lossy_ckpt::core::runner::{FaultTolerantRunner, RunConfig};
 use lossy_ckpt::core::strategy::CheckpointStrategy;
 use lossy_ckpt::core::workload::PaperWorkload;
 use lossy_ckpt::perfmodel::{theorem1_max_extra_iterations, Theorem1Inputs};
@@ -19,21 +19,15 @@ const EDGE: usize = 12;
 const MAX_ITERS: usize = 200_000;
 
 fn run_config(strategy: CheckpointStrategy, mtti: f64, seed: u64, t_it: f64) -> RunConfig {
-    RunConfig {
-        strategy,
-        checkpoint_interval_iterations: 10,
-        anchor_interval_snapshots: 0,
-        cluster: ClusterConfig::bebop_like(2048, t_it),
-        pfs: PfsModel::bebop_like(),
-        level: CheckpointLevel::Pfs,
-        mtti_seconds: mtti,
-        failure_seed: Some(seed),
-        max_failures: 200,
-        max_executed_iterations: MAX_ITERS,
-        num_threads: 0,
-        persistence: Persistence::InMemory,
-        backend: ExecutionBackend::Simulated,
-    }
+    let mut cfg =
+        RunConfig::baseline(ClusterConfig::bebop_like(2048, t_it), PfsModel::bebop_like());
+    cfg.strategy = strategy;
+    cfg.checkpoint_interval_iterations = 10;
+    cfg.mtti_seconds = mtti;
+    cfg.failure_seed = Some(seed);
+    cfg.max_failures = 200;
+    cfg.max_executed_iterations = MAX_ITERS;
+    cfg
 }
 
 #[test]

@@ -15,7 +15,7 @@
 #[path = "../crates/compress/tests/scripts/mod.rs"]
 mod scripts;
 
-use lossy_ckpt::ckpt::{CheckpointBuffer, CheckpointLevel, DiskStore, MemBackend};
+use lossy_ckpt::ckpt::{CheckpointBuffer, DiskStore, MemBackend};
 use lossy_ckpt::compress::{Chain, Codec, DeltaMode, ErrorBound, SzCompressor, SzTemporalState};
 use scripts::linear_drift;
 use std::sync::Arc;
@@ -46,7 +46,7 @@ fn commit_and_recover(n: usize, bound: ErrorBound, quantum: f64) -> String {
         modes.push(char::from(b'0' + mode as u8));
         let order = (mode != DeltaMode::None).then_some(mode as u8);
         store
-            .push_from_buffer(k, 0.0, CheckpointLevel::Pfs, 8 * n, order, "lossy", &[], &mut buffer)
+            .push_from_buffer(k, 0.0, 8 * n, order, "lossy", &[], &mut buffer)
             .expect("commit");
 
         let chain = store.latest_valid_chain().expect("a committed chain");

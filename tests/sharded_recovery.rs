@@ -11,9 +11,7 @@
 //! selects the shard count (default 4).
 
 use lossy_ckpt::ckpt::disk::read_checkpoint_file;
-use lossy_ckpt::ckpt::{
-    CheckpointLevel, ClusterConfig, OsBackend, PfsModel, RetryPolicy, StorageBackend,
-};
+use lossy_ckpt::ckpt::{ClusterConfig, OsBackend, PfsModel, RetryPolicy, StorageBackend};
 use lossy_ckpt::compress::ErrorBound;
 use lossy_ckpt::core::runner::{FaultTolerantRunner, Persistence, RunConfig};
 use lossy_ckpt::core::sharded::{try_run_sharded, KillSpec, ShardedReport, ShardedRunConfig};
@@ -576,7 +574,6 @@ fn both_fronts_write_and_recover_one_checkpoint_format() {
         let mut cfg = RunConfig::baseline(ClusterConfig::bebop_like(1, 1.0), PfsModel::bebop_like());
         cfg.strategy = strategy.clone();
         cfg.checkpoint_interval_iterations = 5;
-        cfg.level = CheckpointLevel::Pfs;
         cfg.max_executed_iterations = max_executed_iterations;
         cfg.persistence = Persistence::disk(&local_dir);
         let mut solver = ConjugateGradient::unpreconditioned(

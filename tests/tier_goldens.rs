@@ -9,10 +9,8 @@
 //! CI runs this file at `LCR_NUM_THREADS=1` and `=4`.
 
 use lossy_ckpt::chaos::ChaosPlan;
-use lossy_ckpt::ckpt::{CheckpointLevel, ClusterConfig, PfsModel, RetryPolicy, StorageBackend};
-use lossy_ckpt::core::runner::{
-    ExecutionBackend, FaultTolerantRunner, Persistence, RunConfig, RunReport,
-};
+use lossy_ckpt::ckpt::{ClusterConfig, PfsModel, RetryPolicy, StorageBackend};
+use lossy_ckpt::core::runner::{FaultTolerantRunner, Persistence, RunConfig, RunReport};
 use lossy_ckpt::core::strategy::CheckpointStrategy;
 use lossy_ckpt::core::workload::PaperWorkload;
 use lossy_ckpt::solvers::SolverKind;
@@ -28,21 +26,15 @@ fn workload() -> PaperWorkload {
 /// A checkpoint every 2 iterations of 5 simulated seconds each, failures
 /// 60 seconds apart on average: a few hundred seconds, several failures.
 fn config(strategy: CheckpointStrategy, anchor_interval: usize, seed: u64) -> RunConfig {
-    RunConfig {
-        strategy,
-        checkpoint_interval_iterations: 2,
-        anchor_interval_snapshots: anchor_interval,
-        cluster: ClusterConfig::bebop_like(64, 5.0),
-        pfs: PfsModel::bebop_like(),
-        level: CheckpointLevel::Pfs,
-        mtti_seconds: 60.0,
-        failure_seed: Some(seed),
-        max_failures: 200,
-        max_executed_iterations: MAX_ITERS,
-        num_threads: 0,
-        persistence: Persistence::InMemory,
-        backend: ExecutionBackend::Simulated,
-    }
+    let mut cfg = RunConfig::baseline(ClusterConfig::bebop_like(64, 5.0), PfsModel::bebop_like());
+    cfg.strategy = strategy;
+    cfg.checkpoint_interval_iterations = 2;
+    cfg.anchor_interval_snapshots = anchor_interval;
+    cfg.mtti_seconds = 60.0;
+    cfg.failure_seed = Some(seed);
+    cfg.max_failures = 200;
+    cfg.max_executed_iterations = MAX_ITERS;
+    cfg
 }
 
 /// Order-sensitive fingerprint of the committed-bytes trace.
