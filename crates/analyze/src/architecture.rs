@@ -189,6 +189,11 @@ pub const RULES: &[Rule] = &[
     retired(&["mpsc"], tree(CKPT), "write-behind has no worker and no channels"),
     retired(&["chain_cache", "chain_scans"], tree(CKPT),
         "recovery reads and validates what is on disk: the store keeps no chain memo"),
+    // An evicted checkpoint's file becomes the next commit's storage, so a
+    // steady-state commit unlinks nothing.
+    Rule::Count { token: "remove_file", scope: code(&["crates/ckpt/src/disk.rs"]), n: 3,
+        at_least: false, why: "the store removes a file only when it opens (stray .tmp and \
+            spare files), when an evicted file cannot become the spare, and in discard_newest" },
     // One storage level: every checkpoint goes to FTI's L4, the PFS.
     retired(&["ReedSolomon", "bandwidth_factor"], tree(USERS),
         "every checkpoint is written to the PFS; CheckpointLevel has no faster level"),
@@ -265,10 +270,13 @@ pub const RULES: &[Rule] = &[
             "crates/ckpt/src/disk.rs"], production: true },
         "raw threads are the pool's and the write-behind's; run parallel work on the pool"),
     // Raw memory: the unsafe surface stays in the two crates that own it,
-    // tests included.
+    // tests included.  The storage backend cuts a recycled file with the
+    // safe `File::set_len`; its crate forbids unsafe code, so no other
+    // `set_len` compiles there.
     retired(&["get_unchecked", "get_unchecked_mut", "transmute", "from_raw_parts", "ptr::write",
         "read_volatile", "write_volatile", "drop_in_place", "set_len", "assume_init"],
-        Scope { paths: ALL, skip: &["crates/sparse/", "shims/rayon/"], production: false },
+        Scope { paths: ALL, skip: &["crates/sparse/", "shims/rayon/", "crates/ckpt/src/backend.rs"],
+            production: false },
         "raw-memory APIs are confined to crates/sparse and shims/rayon"),
 ];
 

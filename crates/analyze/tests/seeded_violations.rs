@@ -382,6 +382,27 @@ fn every_architecture_rule_fires_on_its_seeded_violation() {
 }
 
 #[test]
+fn an_eviction_that_unlinks_its_file_fires_the_remove_file_count() {
+    let why = RULES
+        .iter()
+        .find_map(|rule| match rule {
+            Rule::Count { token: "remove_file", why, .. } => Some(*why),
+            _ => None,
+        })
+        .expect("the table has a remove_file row");
+    let disk = "crates/ckpt/src/disk.rs";
+    let sites = "fn open(b: &dyn B) {\n    let _ = b.remove_file(&stray);\n}\n\
+        fn retire(s: &S) {\n    let _ = s.backend.remove_file(&evicted);\n}\n\
+        fn discard_newest(s: &S) {\n    let _ = s.backend.remove_file(&newest);\n}\n";
+    let tests = "#[cfg(test)]\nmod tests {\n    fn clean(b: &dyn B) {\n        \
+        b.remove_file(&p).unwrap();\n    }\n}\n";
+    let clean = format!("{sites}{tests}");
+    assert!(row_hits(&[(disk, &clean)], "remove_file", why).is_empty());
+    let evicting = format!("{sites}fn register(s: &S) {{\n    let _ = s.backend.remove_file(&old);\n}}\n{tests}");
+    assert_eq!(row_hits(&[(disk, &evicting)], "remove_file", why), [disk]);
+}
+
+#[test]
 fn every_skip_entry_of_an_architecture_rule_is_honoured() {
     for rule in RULES {
         // The row's first token, as often as a clean scope may hold it: a

@@ -43,7 +43,10 @@ pub trait StorageBackend: std::fmt::Debug + Send + Sync {
     /// Reads the whole file at `path`.
     fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
 
-    /// Creates (truncating) `path` and writes `parts` back to back.
+    /// Makes `path` hold exactly `parts`, back to back: a missing file is
+    /// created, an existing one is overwritten in place and cut to the new
+    /// length, so its storage is reused rather than freed and allocated
+    /// again.
     ///
     /// Durability is *not* implied — callers follow up with
     /// [`StorageBackend::fsync`] before relying on the data surviving a
@@ -97,11 +100,11 @@ impl StorageBackend for OsBackend {
     }
 
     fn write_file(&self, path: &Path, parts: &[&[u8]]) -> io::Result<()> {
-        let mut file = File::create(path)?;
+        let mut file = File::options().write(true).create(true).truncate(false).open(path)?;
         for part in parts {
             file.write_all(part)?;
         }
-        Ok(())
+        file.set_len(parts.iter().map(|part| part.len() as u64).sum())
     }
 
     fn fsync(&self, path: &Path) -> io::Result<()> {
@@ -176,7 +179,12 @@ impl StorageBackend for MemBackend {
     }
 
     fn write_file(&self, path: &Path, parts: &[&[u8]]) -> io::Result<()> {
-        self.files().insert(path.to_path_buf(), parts.concat());
+        let mut files = self.files();
+        let bytes = files.entry(path.to_path_buf()).or_default();
+        bytes.clear();
+        for part in parts {
+            bytes.extend_from_slice(part);
+        }
         Ok(())
     }
 
@@ -280,7 +288,13 @@ mod tests {
         assert_eq!(b.file_len(&fin).unwrap(), 11);
         assert_eq!(b.read_prefix(&fin, 5).unwrap(), b"hello");
         assert_eq!(b.read(&fin).unwrap(), b"hello world");
-        // Writing truncates; a rename replaces what its target held.
+        // A write over an existing file leaves exactly the new bytes,
+        // shorter or longer; a rename replaces what its target held.
+        b.rename(&fin, &tmp).unwrap();
+        b.write_file(&tmp, &[b"bye"]).unwrap();
+        assert_eq!(b.read(&tmp).unwrap(), b"bye");
+        b.write_file(&tmp, &[b"farewell", b"!"]).unwrap();
+        assert_eq!(b.read(&tmp).unwrap(), b"farewell!");
         b.write_file(&tmp, &[b"bye"]).unwrap();
         b.rename(&tmp, &fin).unwrap();
         assert_eq!(b.read(&fin).unwrap(), b"bye");

@@ -40,10 +40,17 @@
 //! (see `lcr-compress`); the base link is recorded in the header.
 //! Two rules keep the durable tier consistent with that dependency:
 //!
-//! * **Retention** evicts whole chains: the oldest file is deleted only
+//! * **Retention** evicts whole chains: the oldest file is evicted only
 //!   together with every file that (transitively) delta-depends on it, so
 //!   a live delta never loses its base — the window temporarily stretches
-//!   past `retain` instead ([`DiskStore::register`]).
+//!   past `retain` instead ([`DiskStore::register`]).  The first evicted
+//!   file is renamed to `ckpt-{id}.lcr.spare` (its own id: no two spares
+//!   ever share a name), outside the `ckpt-*.lcr` scan, and the next
+//!   write renames it to its `.tmp` and overwrites it, so a steady-state
+//!   commit reuses the blocks of the file it retires instead of freeing
+//!   one file's and allocating another's.  At most one spare is kept;
+//!   further evictees, and an evictee that cannot be renamed, are
+//!   removed.
 //! * **Recovery** returns whole chains: [`DiskStore::latest_valid_chain`]
 //!   walks candidates newest→oldest, follows base links back to the
 //!   nearest anchor, and CRC-validates *every* member.  If any member is
@@ -56,7 +63,14 @@
 //!   its final name (and the directory is fsynced best-effort): the rename
 //!   is the commit point, so a crash mid-write leaves only a `.tmp` file
 //!   that [`DiskStore::open`] discards.  A complete file never coexists
-//!   with a partial one under the same final name.
+//!   with a partial one under the same final name.  Recycling adds two
+//!   renames outside the commit: a spare becomes the `.tmp` before the
+//!   write (which then makes it hold exactly the new bytes, or creates the
+//!   file fresh if that rename failed), and an evicted checkpoint becomes
+//!   the spare after the commit.  Neither name is a checkpoint's, so a
+//!   crash between any two operations leaves the same checkpoints a crash
+//!   without recycling would; [`DiskStore::open`] removes spares as it
+//!   removes `.tmp` files.
 //! * The segment table pins the exact file length, the metadata CRC covers
 //!   everything up to the payloads and each payload carries its own CRC32
 //!   — a truncated, extended or bit-flipped file is rejected, and
@@ -551,6 +565,9 @@ fn write_atomic(
 struct Job {
     tmp: PathBuf,
     fin: PathBuf,
+    /// A retired checkpoint's file, renamed to `tmp` to become this one's
+    /// storage.
+    spare: Option<PathBuf>,
     header: Header,
     backend: Arc<dyn StorageBackend>,
     retry: RetryPolicy,
@@ -562,6 +579,10 @@ struct Job {
 /// push runs this inline, write-behind on the I/O thread.
 fn write_checkpoint(job: &Job, buffer: &CheckpointBuffer) -> (std::io::Result<()>, u32, Vec<f64>) {
     let header = encode_header(&job.header, buffer);
+    if let Some(spare) = &job.spare {
+        // Should the rename fail, the write creates `tmp` fresh.
+        let _ = job.backend.rename(spare, &job.tmp);
+    }
     job.retry.run(|| {
         write_atomic(
             job.backend.as_ref(),
@@ -602,6 +623,9 @@ pub struct DiskStore {
     retain: usize,
     next_id: u64,
     entries: VecDeque<DiskEntry>,
+    /// The file of an evicted checkpoint, kept for the next write to
+    /// overwrite.
+    spare: Option<PathBuf>,
     write_behind: bool,
     /// The write-behind write of the newest entry, until joined.
     in_flight: Option<JoinHandle<JobDone>>,
@@ -637,9 +661,10 @@ impl DiskStore {
     /// Opens (creating if needed) a checkpoint directory, keeping the
     /// `retain` most recent checkpoints.
     ///
-    /// Stray `.tmp` files — the residue of a crash mid-write — are deleted;
-    /// existing checkpoint files are header-validated and indexed so a
-    /// fresh process can resume from [`DiskStore::latest_valid`].
+    /// Stray `.tmp` files — the residue of a crash mid-write — and spares
+    /// are deleted; existing checkpoint files are header-validated and
+    /// indexed so a fresh process can resume from
+    /// [`DiskStore::latest_valid`].
     /// Corrupt or incomplete files are kept on disk but never selected.
     ///
     /// # Errors
@@ -680,9 +705,12 @@ impl DiskStore {
             let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
                 continue;
             };
-            if name.ends_with(".tmp") {
+            if name.ends_with(".tmp") || name.ends_with(".lcr.spare") {
                 // A crash interrupted this write before the rename commit
-                // point — by construction it is not a checkpoint.
+                // point, or this is an evicted checkpoint kept for the
+                // next write to overwrite — by construction neither is a
+                // checkpoint, and a reopened directory holds checkpoints
+                // only.
                 let _ = backend.remove_file(&path);
                 continue;
             }
@@ -721,6 +749,7 @@ impl DiskStore {
             retain,
             next_id,
             entries: entries.into(),
+            spare: None,
             write_behind: false,
             in_flight: None,
             first_error: None,
@@ -901,10 +930,25 @@ impl DiskStore {
             }
             for _ in 0..chain_len {
                 if let Some(old) = self.entries.pop_front() {
-                    let _ = self.backend.remove_file(&old.path);
+                    self.retire(old);
                 }
             }
         }
+    }
+
+    /// Takes an evicted checkpoint's file out of the directory's
+    /// checkpoints: while no spare is kept it becomes the spare, named by
+    /// its own id (module docs, *Retention*); otherwise, or if that rename
+    /// fails, it is removed.
+    fn retire(&mut self, old: DiskEntry) {
+        if self.spare.is_none() {
+            let spare = self.dir.join(format!("ckpt-{:010}.lcr.spare", old.metadata.id));
+            if self.backend.rename(&old.path, &spare).is_ok() {
+                self.spare = Some(spare);
+                return;
+            }
+        }
+        let _ = self.backend.remove_file(&old.path);
     }
 
     /// Length of the dependency chain at the front of the index: the
@@ -950,7 +994,7 @@ impl DiskStore {
     /// the file names it commits through.
     #[allow(clippy::too_many_arguments)]
     fn job_for(
-        &self,
+        &mut self,
         iteration: usize,
         completed_at: f64,
         original_bytes: usize,
@@ -967,6 +1011,7 @@ impl DiskStore {
         Job {
             tmp: self.dir.join(format!("ckpt-{id:010}.lcr.tmp")),
             fin: self.dir.join(format!("ckpt-{id:010}.lcr")),
+            spare: self.spare.take(),
             header: Header {
                 metadata: CheckpointMetadata {
                     id,
@@ -1397,9 +1442,12 @@ mod tests {
         assert_eq!(store.len(), 2);
         let ids: Vec<u64> = store.metadata().iter().map(|m| m.id).collect();
         assert_eq!(ids, vec![3, 4]);
-        // Only two files remain on disk.
+        // Only two checkpoint files remain on disk, and one evicted file
+        // kept as the next write's storage.
+        assert_eq!(files_in(&OsBackend, &dir).len(), 2);
         let n_files = fs::read_dir(&dir).unwrap().count();
-        assert_eq!(n_files, 2);
+        assert_eq!(n_files, 3);
+        assert!(dir.join("ckpt-0000000002.lcr.spare").exists());
         assert_eq!(store.total_bytes_written, 5 * 45);
         assert_eq!(store.latest_valid().unwrap().metadata.iteration, 4);
         let _ = fs::remove_dir_all(&dir);
@@ -1493,10 +1541,12 @@ mod tests {
         let dir = tempdir("straytmp");
         fs::create_dir_all(&dir).unwrap();
         fs::write(dir.join("ckpt-0000000009.lcr.tmp"), b"half a checkpoint").unwrap();
+        fs::write(dir.join("ckpt-0000000007.lcr.spare"), b"an evicted checkpoint").unwrap();
         fs::write(dir.join("unrelated.txt"), b"left alone").unwrap();
         let store = DiskStore::open(&dir, 1).unwrap();
         assert!(store.is_empty());
         assert!(!dir.join("ckpt-0000000009.lcr.tmp").exists());
+        assert!(!dir.join("ckpt-0000000007.lcr.spare").exists());
         assert!(dir.join("unrelated.txt").exists());
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1742,17 +1792,21 @@ mod tests {
     }
 
     /// A backend over `inner` that fails on schedule: some whole-file
-    /// reads, or every operation from an index on (the device is gone, or
-    /// the process died there), or every file write panics.  It notes
-    /// every rename that completed.
+    /// reads, some renames from or to a spare, or every operation from an
+    /// index on (the device is gone, or the process died there), or every
+    /// file write panics.  It notes every commit that completed — a rename
+    /// to a checkpoint's name — and logs each completed write, sync,
+    /// rename and removal by the file names it names.
     #[derive(Debug)]
     struct Failing {
         inner: Arc<dyn StorageBackend>,
         ops: AtomicU64,
         dead_from: u64,
         flaky_reads: AtomicU64,
+        flaky_spare_renames: AtomicU64,
         exploding_writes: bool,
         renamed: Mutex<Vec<PathBuf>>,
+        log: Mutex<Vec<String>>,
     }
 
     impl Failing {
@@ -1762,8 +1816,10 @@ mod tests {
                 ops: AtomicU64::new(0),
                 dead_from,
                 flaky_reads: AtomicU64::new(0),
+                flaky_spare_renames: AtomicU64::new(0),
                 exploding_writes: false,
                 renamed: Mutex::new(Vec::new()),
+                log: Mutex::new(Vec::new()),
             }
         }
 
@@ -1782,6 +1838,35 @@ mod tests {
             }
             run(self.inner.as_ref())
         }
+
+        /// [`Failing::op`], logged as `what` and the names of `paths` when
+        /// it completes.
+        fn logged(
+            &self,
+            what: &str,
+            paths: &[&Path],
+            run: impl FnOnce(&dyn StorageBackend) -> std::io::Result<()>,
+        ) -> std::io::Result<()> {
+            self.op(run)?;
+            let mut line = what.to_string();
+            for path in paths {
+                line = format!("{line} {}", path.file_name().unwrap().to_str().unwrap());
+            }
+            self.log.lock().unwrap().push(line);
+            Ok(())
+        }
+
+        /// Takes the log so far.
+        fn take_log(&self) -> Vec<String> {
+            std::mem::take(&mut *self.log.lock().unwrap())
+        }
+    }
+
+    /// One countdown of injected failures: whether this call takes one.
+    fn fails(countdown: &AtomicU64) -> bool {
+        countdown
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+            .is_ok()
     }
 
     impl StorageBackend for Failing {
@@ -1798,31 +1883,34 @@ mod tests {
             self.op(|b| b.read_prefix(p, n))
         }
         fn read(&self, p: &Path) -> std::io::Result<Vec<u8>> {
-            let flaky = self
-                .flaky_reads
-                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1));
-            if flaky.is_ok() {
+            if fails(&self.flaky_reads) {
                 return Err(std::io::Error::other("injected transient EIO"));
             }
             self.op(|b| b.read(p))
         }
         fn write_file(&self, p: &Path, parts: &[&[u8]]) -> std::io::Result<()> {
             assert!(!self.exploding_writes, "backend exploded");
-            self.op(|b| b.write_file(p, parts))
+            self.logged("write_file", &[p], |b| b.write_file(p, parts))
         }
         fn fsync(&self, p: &Path) -> std::io::Result<()> {
-            self.op(|b| b.fsync(p))
+            self.logged("fsync", &[p], |b| b.fsync(p))
         }
         fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
-            self.op(|b| b.rename(from, to))?;
-            self.renamed.lock().unwrap().push(to.to_path_buf());
+            let spare = [from, to].iter().any(|p| p.extension().is_some_and(|e| e == "spare"));
+            if spare && fails(&self.flaky_spare_renames) {
+                return Err(std::io::Error::other("injected transient EIO"));
+            }
+            self.logged("rename", &[from, to], |b| b.rename(from, to))?;
+            if to.extension().is_some_and(|e| e == "lcr") {
+                self.renamed.lock().unwrap().push(to.to_path_buf());
+            }
             Ok(())
         }
         fn fsync_dir(&self, d: &Path) -> std::io::Result<()> {
-            self.op(|b| b.fsync_dir(d))
+            self.logged("fsync_dir", &[d], |b| b.fsync_dir(d))
         }
         fn remove_file(&self, p: &Path) -> std::io::Result<()> {
-            self.op(|b| b.remove_file(p))
+            self.logged("remove_file", &[p], |b| b.remove_file(p))
         }
     }
 
@@ -1938,6 +2026,104 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The names of `dir`'s files, sorted.
+    fn names_in(backend: &dyn StorageBackend, dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = backend
+            .list_dir(dir)
+            .unwrap()
+            .iter()
+            .map(|p| p.file_name().unwrap().to_str().unwrap().to_string())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn a_steady_state_commit_overwrites_the_evicted_file_and_removes_none() {
+        let backend = Arc::new(Failing::over(Arc::new(MemBackend::default()), u64::MAX));
+        let mut store = DiskStore::open_with_backend("ckpts", 2, backend.clone()).unwrap();
+        for iteration in 0..3 {
+            push_sample(&mut store, iteration);
+        }
+        backend.take_log();
+        push_sample(&mut store, 3);
+        assert_eq!(
+            backend.take_log(),
+            [
+                "rename ckpt-0000000000.lcr.spare ckpt-0000000003.lcr.tmp",
+                "write_file ckpt-0000000003.lcr.tmp",
+                "fsync ckpt-0000000003.lcr.tmp",
+                "rename ckpt-0000000003.lcr.tmp ckpt-0000000003.lcr",
+                "fsync_dir ckpts",
+                "rename ckpt-0000000001.lcr ckpt-0000000001.lcr.spare",
+            ]
+        );
+        assert_eq!(
+            names_in(backend.as_ref(), Path::new("ckpts")),
+            ["ckpt-0000000001.lcr.spare", "ckpt-0000000002.lcr", "ckpt-0000000003.lcr"]
+        );
+        assert_eq!(store.latest_valid().unwrap().metadata.iteration, 3);
+    }
+
+    #[test]
+    fn a_recycled_file_holds_exactly_the_new_checkpoint_shorter_or_longer() {
+        on_each_backend("recycle", |backend, dir| {
+            // At `retain = 1` a push overwrites the file of the push two
+            // before it: 3 and 4 write short over long, 5 long over short.
+            let mut store = DiskStore::open_with_backend(dir, 1, backend.clone()).unwrap();
+            let fresh_dir = dir.join("fresh");
+            let mut fresh = DiskStore::open_with_backend(&fresh_dir, 9, backend.clone()).unwrap();
+            for (i, len) in [900usize, 700, 900, 5, 9, 800].into_iter().enumerate() {
+                let mut buf = CheckpointBuffer::new();
+                buf.push_with("x", |out| out.extend((0..len).map(|k| (k * 7 + i) as u8)));
+                for s in [&mut store, &mut fresh] {
+                    s.push_from_buffer(i, i as f64, 8 * len, None, "t", &[], &mut buf).unwrap();
+                }
+                let name = format!("ckpt-{i:010}.lcr");
+                let recycled = backend.read(&dir.join(&name)).unwrap();
+                assert_eq!(recycled, backend.read(&fresh_dir.join(&name)).unwrap(), "push {i}");
+                assert_eq!(store.latest_valid().unwrap().payloads[0].1.len(), len);
+            }
+        });
+    }
+
+    #[test]
+    fn a_failed_spare_rename_still_lands_the_commit() {
+        on_each_backend("sparefail", |inner, dir| {
+            let backend = Arc::new(Failing::over(inner, u64::MAX));
+            let mut store = DiskStore::open_with_backend(dir, 2, backend.clone()).unwrap();
+            push_sample(&mut store, 0);
+            push_sample(&mut store, 1);
+            // Evicting checkpoint 0 cannot rename it: it is removed instead.
+            backend.flaky_spare_renames.store(1, Ordering::SeqCst);
+            push_sample(&mut store, 2);
+            assert_eq!(names_in(backend.as_ref(), dir), ["ckpt-0000000001.lcr", "ckpt-0000000002.lcr"]);
+            push_sample(&mut store, 3);
+            assert!(backend.file_len(&dir.join("ckpt-0000000001.lcr.spare")).is_ok());
+            // Checkpoint 4 cannot take over the spare: it is written fresh,
+            // and the spare stays until the directory is reopened.
+            backend.flaky_spare_renames.store(1, Ordering::SeqCst);
+            backend.take_log();
+            push_sample(&mut store, 4);
+            assert_eq!(backend.take_log()[0], "write_file ckpt-0000000004.lcr.tmp");
+            assert_eq!(store.io_retries(), 0);
+            assert_eq!(store.latest_valid().unwrap().metadata.iteration, 4);
+            assert_eq!(
+                names_in(backend.as_ref(), dir),
+                [
+                    "ckpt-0000000001.lcr.spare",
+                    "ckpt-0000000002.lcr.spare",
+                    "ckpt-0000000003.lcr",
+                    "ckpt-0000000004.lcr",
+                ]
+            );
+            drop(store);
+            let mut reopened = DiskStore::open_with_backend(dir, 2, backend.clone()).unwrap();
+            assert_eq!(names_in(backend.as_ref(), dir), ["ckpt-0000000003.lcr", "ckpt-0000000004.lcr"]);
+            assert_eq!(reopened.latest_valid().unwrap().metadata.iteration, 4);
+        });
     }
 
     #[test]
