@@ -192,8 +192,9 @@ pub const RULES: &[Rule] = &[
     // An evicted checkpoint's file becomes the next commit's storage, so a
     // steady-state commit unlinks nothing.
     Rule::Count { token: "remove_file", scope: code(&["crates/ckpt/src/disk.rs"]), n: 3,
-        at_least: false, why: "the store removes a file only when it opens (stray .tmp and \
-            spare files), when an evicted file cannot become the spare, and in discard_newest" },
+        at_least: false, why: "the store removes a file only when it opens (stray .tmp files), \
+            when a commit evicts more than one file or cannot rename its evictee to the next \
+            .tmp, and in discard_newest" },
     // One storage level: every checkpoint goes to FTI's L4, the PFS.
     retired(&["ReedSolomon", "bandwidth_factor"], tree(USERS),
         "every checkpoint is written to the PFS; CheckpointLevel has no faster level"),

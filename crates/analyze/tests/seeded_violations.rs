@@ -392,13 +392,14 @@ fn an_eviction_that_unlinks_its_file_fires_the_remove_file_count() {
         .expect("the table has a remove_file row");
     let disk = "crates/ckpt/src/disk.rs";
     let sites = "fn open(b: &dyn B) {\n    let _ = b.remove_file(&stray);\n}\n\
-        fn retire(s: &S) {\n    let _ = s.backend.remove_file(&evicted);\n}\n\
+        fn register(s: &S) {\n    let _ = s.backend.remove_file(&evicted);\n}\n\
         fn discard_newest(s: &S) {\n    let _ = s.backend.remove_file(&newest);\n}\n";
     let tests = "#[cfg(test)]\nmod tests {\n    fn clean(b: &dyn B) {\n        \
         b.remove_file(&p).unwrap();\n    }\n}\n";
     let clean = format!("{sites}{tests}");
     assert!(row_hits(&[(disk, &clean)], "remove_file", why).is_empty());
-    let evicting = format!("{sites}fn register(s: &S) {{\n    let _ = s.backend.remove_file(&old);\n}}\n{tests}");
+    let evicting =
+        format!("{sites}fn evict(s: &S) {{\n    let _ = s.backend.remove_file(&old);\n}}\n{tests}");
     assert_eq!(row_hits(&[(disk, &evicting)], "remove_file", why), [disk]);
 }
 

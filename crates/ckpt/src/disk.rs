@@ -43,14 +43,13 @@
 //! * **Retention** evicts whole chains: the oldest file is evicted only
 //!   together with every file that (transitively) delta-depends on it, so
 //!   a live delta never loses its base — the window temporarily stretches
-//!   past `retain` instead ([`DiskStore::register`]).  The first evicted
-//!   file is renamed to `ckpt-{id}.lcr.spare` (its own id: no two spares
-//!   ever share a name), outside the `ckpt-*.lcr` scan, and the next
-//!   write renames it to its `.tmp` and overwrites it, so a steady-state
-//!   commit reuses the blocks of the file it retires instead of freeing
-//!   one file's and allocating another's.  At most one spare is kept;
-//!   further evictees, and an evictee that cannot be renamed, are
-//!   removed.
+//!   past `retain` instead ([`DiskStore::register`]).  The first file a
+//!   commit evicts is renamed to the next checkpoint's `.tmp` (ids are
+//!   never reused, so the name is that commit's alone), and the next write
+//!   overwrites it in place, so a steady-state commit reuses the blocks of
+//!   the file it retires instead of freeing one file's and allocating
+//!   another's.  Further evictees, and an evictee that cannot be renamed,
+//!   are removed.
 //! * **Recovery** returns whole chains: [`DiskStore::latest_valid_chain`]
 //!   walks candidates newest→oldest, follows base links back to the
 //!   nearest anchor, and CRC-validates *every* member.  If any member is
@@ -63,14 +62,11 @@
 //!   its final name (and the directory is fsynced best-effort): the rename
 //!   is the commit point, so a crash mid-write leaves only a `.tmp` file
 //!   that [`DiskStore::open`] discards.  A complete file never coexists
-//!   with a partial one under the same final name.  Recycling adds two
-//!   renames outside the commit: a spare becomes the `.tmp` before the
-//!   write (which then makes it hold exactly the new bytes, or creates the
-//!   file fresh if that rename failed), and an evicted checkpoint becomes
-//!   the spare after the commit.  Neither name is a checkpoint's, so a
-//!   crash between any two operations leaves the same checkpoints a crash
-//!   without recycling would; [`DiskStore::open`] removes spares as it
-//!   removes `.tmp` files.
+//!   with a partial one under the same final name.  Recycling adds one
+//!   rename outside the commit, of an evicted checkpoint to the next
+//!   `.tmp`; should a crash keep the bytes written into that file but not
+//!   the rename, the old name holds a checkpoint whose header names
+//!   another id, and [`DiskStore::open`] indexes it as corrupt.
 //! * The segment table pins the exact file length, the metadata CRC covers
 //!   everything up to the payloads and each payload carries its own CRC32
 //!   — a truncated, extended or bit-flipped file is rejected, and
@@ -565,9 +561,6 @@ fn write_atomic(
 struct Job {
     tmp: PathBuf,
     fin: PathBuf,
-    /// A retired checkpoint's file, renamed to `tmp` to become this one's
-    /// storage.
-    spare: Option<PathBuf>,
     header: Header,
     backend: Arc<dyn StorageBackend>,
     retry: RetryPolicy,
@@ -579,10 +572,6 @@ struct Job {
 /// push runs this inline, write-behind on the I/O thread.
 fn write_checkpoint(job: &Job, buffer: &CheckpointBuffer) -> (std::io::Result<()>, u32, Vec<f64>) {
     let header = encode_header(&job.header, buffer);
-    if let Some(spare) = &job.spare {
-        // Should the rename fail, the write creates `tmp` fresh.
-        let _ = job.backend.rename(spare, &job.tmp);
-    }
     job.retry.run(|| {
         write_atomic(
             job.backend.as_ref(),
@@ -623,9 +612,6 @@ pub struct DiskStore {
     retain: usize,
     next_id: u64,
     entries: VecDeque<DiskEntry>,
-    /// The file of an evicted checkpoint, kept for the next write to
-    /// overwrite.
-    spare: Option<PathBuf>,
     write_behind: bool,
     /// The write-behind write of the newest entry, until joined.
     in_flight: Option<JoinHandle<JobDone>>,
@@ -661,11 +647,12 @@ impl DiskStore {
     /// Opens (creating if needed) a checkpoint directory, keeping the
     /// `retain` most recent checkpoints.
     ///
-    /// Stray `.tmp` files — the residue of a crash mid-write — and spares
-    /// are deleted; existing checkpoint files are header-validated and
-    /// indexed so a fresh process can resume from
-    /// [`DiskStore::latest_valid`].
-    /// Corrupt or incomplete files are kept on disk but never selected.
+    /// Stray `.tmp` files — the residue of a crash mid-write, or an evicted
+    /// checkpoint awaiting the next write — are deleted; existing
+    /// checkpoint files are header-validated and indexed so a fresh process
+    /// can resume from [`DiskStore::latest_valid`].
+    /// Corrupt or incomplete files, and files whose header names another id
+    /// than their file name, are kept on disk but never selected.
     ///
     /// # Errors
     /// [`CkptError::Io`] if the directory cannot be created or scanned.
@@ -705,7 +692,7 @@ impl DiskStore {
             let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
                 continue;
             };
-            if name.ends_with(".tmp") || name.ends_with(".lcr.spare") {
+            if name.ends_with(".tmp") {
                 // A crash interrupted this write before the rename commit
                 // point, or this is an evicted checkpoint kept for the
                 // next write to overwrite — by construction neither is a
@@ -721,9 +708,12 @@ impl DiskStore {
             else {
                 continue;
             };
+            // A header naming another id is an evicted file that took the
+            // bytes of the next write while its rename to that write's
+            // `.tmp` was lost in a crash: never a checkpoint of this name.
             let (metadata, valid) = match Self::validate_header(backend.as_ref(), &path) {
-                Ok(metadata) => (metadata, true),
-                Err(_) => (
+                Ok(metadata) if metadata.id == id => (metadata, true),
+                _ => (
                     CheckpointMetadata {
                         id,
                         iteration: 0,
@@ -749,7 +739,6 @@ impl DiskStore {
             retain,
             next_id,
             entries: entries.into(),
-            spare: None,
             write_behind: false,
             in_flight: None,
             first_error: None,
@@ -922,33 +911,31 @@ impl DiskStore {
         // front chain reaches the newest entry.  Only entries strictly
         // older than the newest are ever popped, and pushes join the
         // previous write-behind write first, so an in-flight file is never
-        // evicted.
+        // evicted.  The first evictee becomes the next write's `.tmp`, for
+        // it to overwrite (module docs, *Retention*); the rest, and one
+        // whose rename fails, are removed.
+        let mut first = true;
         while self.len() > self.retain {
             let chain_len = self.front_chain_len();
             if chain_len >= self.entries.len() {
                 break;
             }
             for _ in 0..chain_len {
-                if let Some(old) = self.entries.pop_front() {
-                    self.retire(old);
+                let Some(old) = self.entries.pop_front() else {
+                    break;
+                };
+                let tmp = self.tmp_path(self.next_id);
+                if std::mem::take(&mut first) && self.backend.rename(&old.path, &tmp).is_ok() {
+                    continue;
                 }
+                let _ = self.backend.remove_file(&old.path);
             }
         }
     }
 
-    /// Takes an evicted checkpoint's file out of the directory's
-    /// checkpoints: while no spare is kept it becomes the spare, named by
-    /// its own id (module docs, *Retention*); otherwise, or if that rename
-    /// fails, it is removed.
-    fn retire(&mut self, old: DiskEntry) {
-        if self.spare.is_none() {
-            let spare = self.dir.join(format!("ckpt-{:010}.lcr.spare", old.metadata.id));
-            if self.backend.rename(&old.path, &spare).is_ok() {
-                self.spare = Some(spare);
-                return;
-            }
-        }
-        let _ = self.backend.remove_file(&old.path);
+    /// Where checkpoint `id` is written before its commit rename.
+    fn tmp_path(&self, id: u64) -> PathBuf {
+        self.dir.join(format!("ckpt-{id:010}.lcr.tmp"))
     }
 
     /// Length of the dependency chain at the front of the index: the
@@ -994,7 +981,7 @@ impl DiskStore {
     /// the file names it commits through.
     #[allow(clippy::too_many_arguments)]
     fn job_for(
-        &mut self,
+        &self,
         iteration: usize,
         completed_at: f64,
         original_bytes: usize,
@@ -1009,9 +996,8 @@ impl DiskStore {
             .map(|(name, payload)| (name.to_string(), payload.len()))
             .collect();
         Job {
-            tmp: self.dir.join(format!("ckpt-{id:010}.lcr.tmp")),
+            tmp: self.tmp_path(id),
             fin: self.dir.join(format!("ckpt-{id:010}.lcr")),
-            spare: self.spare.take(),
             header: Header {
                 metadata: CheckpointMetadata {
                     id,
@@ -1447,7 +1433,7 @@ mod tests {
         assert_eq!(files_in(&OsBackend, &dir).len(), 2);
         let n_files = fs::read_dir(&dir).unwrap().count();
         assert_eq!(n_files, 3);
-        assert!(dir.join("ckpt-0000000002.lcr.spare").exists());
+        assert!(dir.join("ckpt-0000000005.lcr.tmp").exists());
         assert_eq!(store.total_bytes_written, 5 * 45);
         assert_eq!(store.latest_valid().unwrap().metadata.iteration, 4);
         let _ = fs::remove_dir_all(&dir);
@@ -1541,12 +1527,10 @@ mod tests {
         let dir = tempdir("straytmp");
         fs::create_dir_all(&dir).unwrap();
         fs::write(dir.join("ckpt-0000000009.lcr.tmp"), b"half a checkpoint").unwrap();
-        fs::write(dir.join("ckpt-0000000007.lcr.spare"), b"an evicted checkpoint").unwrap();
         fs::write(dir.join("unrelated.txt"), b"left alone").unwrap();
         let store = DiskStore::open(&dir, 1).unwrap();
         assert!(store.is_empty());
         assert!(!dir.join("ckpt-0000000009.lcr.tmp").exists());
-        assert!(!dir.join("ckpt-0000000007.lcr.spare").exists());
         assert!(dir.join("unrelated.txt").exists());
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1792,18 +1776,19 @@ mod tests {
     }
 
     /// A backend over `inner` that fails on schedule: some whole-file
-    /// reads, some renames from or to a spare, or every operation from an
-    /// index on (the device is gone, or the process died there), or every
-    /// file write panics.  It notes every commit that completed — a rename
-    /// to a checkpoint's name — and logs each completed write, sync,
-    /// rename and removal by the file names it names.
+    /// reads, some renames of an evicted file to the next `.tmp`, or every
+    /// operation from an index on (the device is gone, or the process died
+    /// there), or every file write panics.  It notes every commit that
+    /// completed — a rename to a checkpoint's name — and logs each
+    /// completed write, sync, rename and removal by the file names it
+    /// names.
     #[derive(Debug)]
     struct Failing {
         inner: Arc<dyn StorageBackend>,
         ops: AtomicU64,
         dead_from: u64,
         flaky_reads: AtomicU64,
-        flaky_spare_renames: AtomicU64,
+        flaky_recycles: AtomicU64,
         exploding_writes: bool,
         renamed: Mutex<Vec<PathBuf>>,
         log: Mutex<Vec<String>>,
@@ -1816,7 +1801,7 @@ mod tests {
                 ops: AtomicU64::new(0),
                 dead_from,
                 flaky_reads: AtomicU64::new(0),
-                flaky_spare_renames: AtomicU64::new(0),
+                flaky_recycles: AtomicU64::new(0),
                 exploding_writes: false,
                 renamed: Mutex::new(Vec::new()),
                 log: Mutex::new(Vec::new()),
@@ -1896,8 +1881,8 @@ mod tests {
             self.logged("fsync", &[p], |b| b.fsync(p))
         }
         fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
-            let spare = [from, to].iter().any(|p| p.extension().is_some_and(|e| e == "spare"));
-            if spare && fails(&self.flaky_spare_renames) {
+            let recycle = to.extension().is_some_and(|e| e == "tmp");
+            if recycle && fails(&self.flaky_recycles) {
                 return Err(std::io::Error::other("injected transient EIO"));
             }
             self.logged("rename", &[from, to], |b| b.rename(from, to))?;
@@ -2052,17 +2037,16 @@ mod tests {
         assert_eq!(
             backend.take_log(),
             [
-                "rename ckpt-0000000000.lcr.spare ckpt-0000000003.lcr.tmp",
                 "write_file ckpt-0000000003.lcr.tmp",
                 "fsync ckpt-0000000003.lcr.tmp",
                 "rename ckpt-0000000003.lcr.tmp ckpt-0000000003.lcr",
                 "fsync_dir ckpts",
-                "rename ckpt-0000000001.lcr ckpt-0000000001.lcr.spare",
+                "rename ckpt-0000000001.lcr ckpt-0000000004.lcr.tmp",
             ]
         );
         assert_eq!(
             names_in(backend.as_ref(), Path::new("ckpts")),
-            ["ckpt-0000000001.lcr.spare", "ckpt-0000000002.lcr", "ckpt-0000000003.lcr"]
+            ["ckpt-0000000002.lcr", "ckpt-0000000003.lcr", "ckpt-0000000004.lcr.tmp"]
         );
         assert_eq!(store.latest_valid().unwrap().metadata.iteration, 3);
     }
@@ -2090,39 +2074,60 @@ mod tests {
     }
 
     #[test]
-    fn a_failed_spare_rename_still_lands_the_commit() {
-        on_each_backend("sparefail", |inner, dir| {
+    fn a_failed_recycle_rename_removes_the_evictee_and_still_lands_the_commit() {
+        on_each_backend("recyclefail", |inner, dir| {
             let backend = Arc::new(Failing::over(inner, u64::MAX));
             let mut store = DiskStore::open_with_backend(dir, 2, backend.clone()).unwrap();
             push_sample(&mut store, 0);
             push_sample(&mut store, 1);
-            // Evicting checkpoint 0 cannot rename it: it is removed instead.
-            backend.flaky_spare_renames.store(1, Ordering::SeqCst);
+            // Evicting checkpoint 0 cannot rename it: it is removed
+            // instead, and checkpoint 3 is written into a fresh file.
+            backend.flaky_recycles.store(1, Ordering::SeqCst);
             push_sample(&mut store, 2);
-            assert_eq!(names_in(backend.as_ref(), dir), ["ckpt-0000000001.lcr", "ckpt-0000000002.lcr"]);
-            push_sample(&mut store, 3);
-            assert!(backend.file_len(&dir.join("ckpt-0000000001.lcr.spare")).is_ok());
-            // Checkpoint 4 cannot take over the spare: it is written fresh,
-            // and the spare stays until the directory is reopened.
-            backend.flaky_spare_renames.store(1, Ordering::SeqCst);
-            backend.take_log();
-            push_sample(&mut store, 4);
-            assert_eq!(backend.take_log()[0], "write_file ckpt-0000000004.lcr.tmp");
-            assert_eq!(store.io_retries(), 0);
-            assert_eq!(store.latest_valid().unwrap().metadata.iteration, 4);
             assert_eq!(
                 names_in(backend.as_ref(), dir),
-                [
-                    "ckpt-0000000001.lcr.spare",
-                    "ckpt-0000000002.lcr.spare",
-                    "ckpt-0000000003.lcr",
-                    "ckpt-0000000004.lcr",
-                ]
+                ["ckpt-0000000001.lcr", "ckpt-0000000002.lcr"]
             );
+            push_sample(&mut store, 3);
+            assert_eq!(store.io_retries(), 0);
+            assert_eq!(store.latest_valid().unwrap().metadata.iteration, 3);
+            assert_eq!(
+                names_in(backend.as_ref(), dir),
+                ["ckpt-0000000002.lcr", "ckpt-0000000003.lcr", "ckpt-0000000004.lcr.tmp"]
+            );
+            // A reopened directory holds checkpoints only.
             drop(store);
             let mut reopened = DiskStore::open_with_backend(dir, 2, backend.clone()).unwrap();
-            assert_eq!(names_in(backend.as_ref(), dir), ["ckpt-0000000003.lcr", "ckpt-0000000004.lcr"]);
-            assert_eq!(reopened.latest_valid().unwrap().metadata.iteration, 4);
+            assert_eq!(
+                names_in(backend.as_ref(), dir),
+                ["ckpt-0000000002.lcr", "ckpt-0000000003.lcr"]
+            );
+            assert_eq!(reopened.latest_valid().unwrap().metadata.iteration, 3);
+        });
+    }
+
+    #[test]
+    fn a_checkpoint_under_another_ids_name_is_never_selected() {
+        on_each_backend("lostrename", |backend, dir| {
+            let mut store = DiskStore::open_with_backend(dir, 9, backend.clone()).unwrap();
+            for iteration in 0..4 {
+                push_sample(&mut store, iteration);
+            }
+            drop(store);
+            // Checkpoint 3 was written into checkpoint 0's evicted file and
+            // fsynced, but a crash lost that file's rename to checkpoint
+            // 3's `.tmp`: complete, CRC-valid bytes under the old name.
+            let name = |id: u64| dir.join(format!("ckpt-{id:010}.lcr"));
+            let bytes = backend.read(&name(3)).unwrap();
+            backend.remove_file(&name(3)).unwrap();
+            backend.write_file(&name(0), &[&bytes]).unwrap();
+
+            let mut reopened = DiskStore::open_with_backend(dir, 9, backend.clone()).unwrap();
+            let ids: Vec<u64> = reopened.metadata().iter().map(|m| m.id).collect();
+            assert_eq!(ids, [1, 2]);
+            assert_eq!(reopened.latest_valid().unwrap().metadata.iteration, 2);
+            assert!(backend.file_len(&name(0)).is_ok(), "kept on disk, like any corrupt file");
+            assert_eq!(push_sample(&mut reopened, 9).id, 3);
         });
     }
 

@@ -17,7 +17,7 @@
 
 use lcr_solvers::{
     BlockJacobiPreconditioner, ConjugateGradient, Gmres, IterativeMethod, JacobiPreconditioner,
-    Jacobi, LinearSystem, LocalSpace, Preconditioner, SolverKind, StoppingCriteria,
+    Jacobi, LinearSystem, Preconditioner, SolverKind, StoppingCriteria,
 };
 use lcr_sparse::kkt::{kkt_system, KktConfig};
 use lcr_sparse::poisson::{manufactured_rhs, poisson3d, table3_grid_edge};
@@ -180,6 +180,7 @@ impl PaperWorkload {
     ) -> Box<dyn IterativeMethod> {
         let criteria = StoppingCriteria::new(paper_rtol(kind), max_iterations);
         let (a, n) = (&problem.system.a, problem.system.dim());
+        let x0 = Vector::zeros(n);
         let precond = || -> Arc<dyn Preconditioner> {
             match self.kind {
                 WorkloadKind::Poisson3d => Arc::new(
@@ -191,27 +192,19 @@ impl PaperWorkload {
             }
         };
         let system = problem.system.clone();
-        // Every solver starts from the zero guess (`None`), whose residual
-        // is `b` itself: no operator or preconditioner application.
         match (self.kind, kind) {
-            // The 7-point stencil's diagonal is never zero.
             (WorkloadKind::Poisson3d, SolverKind::Jacobi) => {
-                let Ok(solver) = Jacobi::on(LocalSpace::unpreconditioned(system), None, criteria);
-                Box::new(solver)
+                Box::new(Jacobi::new(system, x0, criteria))
             }
             // CG runs on the paper's negative-definite matrix as is: IEEE
             // rounding is sign-symmetric, so x, p, α, β and every residual
             // norm are bit for bit those of the SPD system −A x = −b, and
             // only r, q and ρ carry the opposite sign.
             (WorkloadKind::Poisson3d, SolverKind::Cg) => {
-                let space = LocalSpace::new(system, precond());
-                let Ok(solver) = ConjugateGradient::on(space, None, criteria);
-                Box::new(solver)
+                Box::new(ConjugateGradient::new(system, precond(), x0, criteria))
             }
             (_, SolverKind::Gmres) => {
-                let space = LocalSpace::new(system, precond());
-                let Ok(solver) = Gmres::on(space, None, GMRES_RESTART, criteria);
-                Box::new(solver)
+                Box::new(Gmres::new(system, precond(), x0, GMRES_RESTART, criteria))
             }
             (workload, solver) => panic!(
                 "the paper does not evaluate {solver:?} on the {workload:?} workload"

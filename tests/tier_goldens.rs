@@ -176,8 +176,8 @@ fn storage_mix_with_a_visible_fault_is_pinned() {
     );
     assert_eq!(
         summary(&report),
-        "conv=36 exec=43 taken=17 aborted=3 failed=0 retried=2 io_retries=3 degraded=false \
-         anchors=17 deltas=0 resumed=None failures=4 recoveries=4 failed_recoveries=0 \
-         limit=false restarts=[8, 22, 28, 30] bytes=0x9f55c829361024ba total=0x407af8670f65798b"
+        "conv=36 exec=45 taken=18 aborted=3 failed=0 retried=4 io_retries=5 degraded=false \
+         anchors=18 deltas=0 resumed=None failures=4 recoveries=4 failed_recoveries=0 \
+         limit=false restarts=[8, 22, 26, 28] bytes=0xb90526c3361024ba total=0x407c24a9b2e7236a"
     );
 }
