@@ -1,18 +1,13 @@
 //! Absolute goldens of what the SZ decoder returns, over the scripted
-//! encoder sessions of `temporal_identity.rs`: every snapshot of every
-//! script is decoded three ways — the shortest chain that holds its
-//! priors, the whole session up to it (anchors, shape changes and resets
-//! mid-chain),
-//! and the stateless `decompress(compress(x))` — which must agree bit for
-//! bit, and the bits are pinned.  Any change to the decode half of the
-//! codec that moves one bit of one restart fails here, at whatever pool
-//! size `LCR_NUM_THREADS` sets (the CI matrix runs 1, 2, 3 and 4).
+//! snapshot sequences of `scripts/mod.rs`: every snapshot of every script
+//! is encoded into a stream of its own and decoded back, and the bits of
+//! every decoded value are pinned.  Any change to the codec that moves one
+//! bit of one restart fails here, at whatever pool size `LCR_NUM_THREADS`
+//! sets (the CI matrix runs 1, 2, 3 and 4).
 
 mod scripts;
 
-use lcr_compress::{
-    Chain, Codec, Compressed, DeltaMode, ErrorBound, SzCompressor, SzTemporalState,
-};
+use lcr_compress::{Codec, ErrorBound, SzCompressor};
 use scripts::{cg_script, ensure_pool, linear_drift, synthetic_script, Step, BOUNDS};
 
 /// FNV-1a over the bits of `values`, a 64-bit word at a time, continuing
@@ -23,68 +18,24 @@ fn fnv(h: u64, values: &[f64]) -> u64 {
         .fold(h, |h, v| (h ^ v.to_bits()).wrapping_mul(0x0100_0000_01b3))
 }
 
-/// Bitwise equality (`NaN == NaN`, `0.0 != -0.0`).
-fn same_bits(a: &[f64], b: &[f64]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-}
-
-/// Plays `steps` through the temporal encoder and returns one fingerprint
-/// of everything the decoder returned along the way, plus how many links
-/// decoded as part of a chain longer than one (a script that never leaves
-/// its anchors pins nothing about the replay).
-fn decode_fingerprint(steps: &[Step], bound: ErrorBound, max_order: DeltaMode) -> (u64, usize) {
+/// Encodes every snapshot of `steps` on its own and returns one
+/// fingerprint of everything the decoder returned, in snapshot order.
+fn decode_fingerprint(steps: &[Step], bound: ErrorBound) -> u64 {
     ensure_pool();
     let sz = SzCompressor::new();
-    let mut state = SzTemporalState::new();
-    let mut session: Vec<Compressed> = Vec::new();
-    let mut modes: Vec<DeltaMode> = Vec::new();
     let mut fingerprint = 0xcbf2_9ce4_8422_2325;
-    let mut replayed = 0;
     for (k, step) in steps.iter().enumerate() {
-        let Step::Encode { data, force_anchor } = step else {
-            state.reset();
+        let Step::Encode { data, .. } = step else {
             continue;
         };
-        let mut bytes = Vec::new();
-        let chain = Chain {
-            max_order,
-            force_anchor: *force_anchor,
-            state: &mut state,
-        };
-        let mode = sz
-            .encode_into(data, bound, Some(chain), &mut bytes)
-            .unwrap();
-        session.push(Compressed {
-            bytes,
-            n_elements: data.len(),
-        });
-        modes.push(mode);
-        // The shortest chain that decodes this snapshot starts at the
-        // nearest anchor, which is where a store's chain for it starts.
-        let anchor = modes
-            .iter()
-            .rposition(|&mode| mode == DeltaMode::None)
-            .expect("a session starts at an anchor");
-        replayed += usize::from(session.len() - anchor > 1);
-
-        let at = format!("{bound:?}, max {max_order:?}, step {k}");
-        let links: Vec<&[u8]> = session.iter().map(|l| l.bytes.as_slice()).collect();
-        let from_anchor = sz.decode_chain(&links[anchor..], data.len()).expect(&at);
-        assert_eq!(from_anchor.len(), data.len(), "{at}");
-        if anchor > 0 {
-            let whole_session = sz.decode_chain(&links, data.len()).expect(&at);
-            assert!(
-                same_bits(&whole_session, &from_anchor),
-                "whole session: {at}"
-            );
-        }
-        let stateless = sz
-            .decompress(&sz.compress(data, bound).unwrap())
+        let at = format!("{bound:?}, step {k}");
+        let decoded = sz
+            .decompress(&sz.compress(data, bound).expect(&at))
             .expect(&at);
-        assert!(same_bits(&stateless, &from_anchor), "stateless: {at}");
-        fingerprint = fnv(fingerprint, &from_anchor);
+        assert_eq!(decoded.len(), data.len(), "{at}");
+        fingerprint = fnv(fingerprint, &decoded);
     }
-    (fingerprint, replayed)
+    fingerprint
 }
 
 /// Compares every case of one test at once, so a failure prints the whole
@@ -93,28 +44,12 @@ fn assert_pinned(what: &str, got: &[u64], golden: &[u64]) {
     assert_eq!(got, golden, "{what}: {got:#018x?}");
 }
 
-/// The decoded bits depend on the data and the bound only — the delta
-/// order is lossless on the codes — so the orders share one golden.
-fn same_under_every_order(steps: &[Step], bound: ErrorBound, orders: &[DeltaMode]) -> u64 {
-    let prints: Vec<u64> = orders
-        .iter()
-        .map(|&max_order| decode_fingerprint(steps, bound, max_order).0)
-        .collect();
-    assert!(
-        prints.iter().all(|&p| p == prints[0]),
-        "{bound:?}: {prints:#x?}"
-    );
-    prints[0]
-}
-
-const ORDERS: [DeltaMode; 3] = [DeltaMode::None, DeltaMode::Order1, DeltaMode::Order2];
-
 #[test]
 fn short_stream_decodes_are_pinned() {
     let mut got = Vec::new();
     for n in [0, 1, 7, 300, 5_000] {
         for bound in BOUNDS {
-            got.push(same_under_every_order(&synthetic_script(n), bound, &ORDERS));
+            got.push(decode_fingerprint(&synthetic_script(n), bound));
         }
     }
     assert_pinned("synthetic n=0/1/7/300/5000 × bound", &got, &SHORT);
@@ -125,17 +60,14 @@ fn block_boundary_and_multi_block_decodes_are_pinned() {
     let mut got = Vec::new();
     for n in [65_536, 65_537, 200_000] {
         for bound in BOUNDS {
-            let (print, replayed) =
-                decode_fingerprint(&synthetic_script(n), bound, DeltaMode::Order2);
-            assert!(replayed >= 1, "{bound:?} n={n}: no chain was replayed");
-            got.push(print);
+            got.push(decode_fingerprint(&synthetic_script(n), bound));
         }
     }
     assert_pinned("synthetic n=65536/65537/200000 × bound", &got, &MULTI_BLOCK);
 }
 
 #[test]
-fn second_order_decodes_are_pinned() {
+fn linear_drift_decodes_are_pinned() {
     let mut got = Vec::new();
     for n in [4_000, 70_000] {
         for (bound, quantum, log_space) in [
@@ -148,12 +80,7 @@ fn second_order_decodes_are_pinned() {
                     force_anchor: false,
                 })
                 .collect();
-            let (print, replayed) = decode_fingerprint(&script, bound, DeltaMode::Order2);
-            assert!(
-                replayed >= 4,
-                "{bound:?} n={n}: {replayed} replayed links of 5"
-            );
-            got.push(print);
+            got.push(decode_fingerprint(&script, bound));
         }
     }
     assert_pinned("linear drift n=4000/70000 × log/abs", &got, &SECOND_ORDER);
@@ -165,13 +92,9 @@ fn cg_iterate_decodes_are_pinned() {
     let one_block = cg_script(40, 18);
     let mut got: Vec<u64> = BOUNDS
         .iter()
-        .map(|&bound| decode_fingerprint(&one_block, bound, DeltaMode::Order2).0)
+        .map(|&bound| decode_fingerprint(&one_block, bound))
         .collect();
-    got.push(same_under_every_order(
-        &cg_script(52, 10),
-        ErrorBound::PointwiseRel(1e-4),
-        &ORDERS[1..],
-    ));
+    got.push(decode_fingerprint(&cg_script(52, 10), ErrorBound::PointwiseRel(1e-4)));
     assert_pinned("CG 40^3 × bound, CG 52^3", &got, &CG);
 }
 
