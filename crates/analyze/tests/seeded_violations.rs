@@ -555,3 +555,73 @@ fn the_benchmark_adapter_rows_fire_on_a_fresh_use_outside_the_benchmark() {
         assert!(fires(&seeded), "`{token}` in {rel} must fire: {why}");
     }
 }
+
+#[test]
+fn a_revived_delta_chain_fires_the_chain_rows_outside_the_benchmark() {
+    // The library's own spellings of the chain adapters, and the
+    // benchmark's use of them: a clean tree.
+    let clean: [(&str, &str); 4] = [
+        (
+            "crates/compress/src/lib.rs",
+            "pub enum DeltaMode { Order2 }
+",
+        ),
+        (
+            "crates/core/src/strategy.rs",
+            "use lcr_compress::{DeltaMode};
+             pub struct TemporalEncodingSelector;
+             impl TemporalEncodingSelector {
+    \
+             pub fn new(_: usize, _: DeltaMode) -> Self { Self }
+}
+             fn encode_temporal_into(_: &mut TemporalEncodingSelector) {}
+",
+        ),
+        ("crates/core/src/lib.rs", "pub use strategy::TemporalEncodingSelector;
+"),
+        (
+            "crates/bench/src/bin/lcr_benchmark/traced.rs",
+            "fn run() {
+    let _ = TemporalEncodingSelector::new(8, DeltaMode::Order2);
+}
+",
+        ),
+    ];
+    let diagnostics = |files: &[(&str, &str)]| -> Vec<String> {
+        let mut tree = vec![("Cargo.toml", WORKSPACE_MANIFEST)];
+        tree.extend_from_slice(files);
+        let fx = Fixture::new("chains", &tree);
+        let report = analyze_workspace(fx.root()).unwrap();
+        report
+            .diagnostics
+            .iter()
+            .filter(|d| {
+                d.lint == "architecture"
+                    && ["`TemporalEncodingSelector`", "`DeltaMode`"]
+                        .iter()
+                        .any(|token| d.message.contains(token))
+            })
+            .map(|d| d.message.clone())
+            .collect()
+    };
+    assert_eq!(diagnostics(&clean), Vec::<String>::new());
+    // A test that drives the selector again, and a store that walks chains.
+    let mut seeded = clean.to_vec();
+    seeded.push((
+        "tests/fixture.rs",
+        "#[test]
+fn t() {
+    let _ = TemporalEncodingSelector::new(4, DeltaMode::Order2);
+}
+",
+    ));
+    let fired = diagnostics(&seeded);
+    assert!(fired.iter().any(|m| m.contains("`TemporalEncodingSelector` appears 5 times")), "{fired:?}");
+    assert!(fired.iter().any(|m| m.contains("`DeltaMode` appears 4 times")), "{fired:?}");
+    let revived = row_hits(
+        &[("crates/ckpt/src/disk.rs", "fn latest_valid_chain(&mut self) {}\n")],
+        "latest_valid_chain",
+        "a delta chain is back: a checkpoint is one self-contained SZ stream",
+    );
+    assert_eq!(revived, ["crates/ckpt/src/disk.rs"]);
+}

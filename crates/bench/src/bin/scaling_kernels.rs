@@ -12,20 +12,12 @@
 //! fingerprint of the residual history) —
 //! on a large 3-D Poisson problem, whose assembly is a row of its own
 //! (`poisson3d_assemble`: Melem/s of non-zeros written), SZ
-//! compression *and decompression* of a ≥1M-element smooth buffer, the
-//! temporal (version-5) SZ encoder over a three-snapshot point-wise-relative
-//! chain of it (`sz_temporal_compress`, and `sz_temporal_compress_1blk` over
-//! a 64,000-element one-block chain — the shape of a per-iteration
-//! checkpoint) and the replay of the chains it built (`sz_chain_decompress`,
-//! `sz_chain_decompress_1blk`: what a recovery costs), ZFP compression of
-//! the same buffer, single-stream Huffman
+//! compression *and decompression* of a ≥1M-element smooth buffer, ZFP
+//! compression of the same buffer, single-stream Huffman
 //! encoding and decoding of SZ-like quantization codes (`huffman_encode`,
 //! `huffman_decode`), the lossless baseline over a 131,072-value prefix of
-//! the buffer (`fpc_lzss`: FPC predictors with the LZSS stage behind them), the
-//! order-2 temporal delta codec of the
-//! version-5 checkpoint streams (`delta_encode`/`delta_decode` over the
-//! same codes against two simulated prior snapshots), the checkpoint
-//! files' checksum (`crc32` over the arena the disk rows write) and the
+//! the buffer (`fpc_lzss`: FPC predictors with the LZSS stage behind them),
+//! the checkpoint files' checksum (`crc32` over the arena the disk rows write) and the
 //! traditional checkpoint's encode of the values in it (`raw_encode`), both
 //! in GB/s and as a fraction of triad, and the durable checkpoint tier
 //! (`disk_ckpt_write`: arena → crash-consistent file with CRCs + fsync +
@@ -49,8 +41,7 @@ use lcr_bench::{fmt, print_json, print_table};
 use lcr_ckpt::disk::crc32;
 use lcr_ckpt::{CheckpointBuffer, DiskStore};
 use lcr_compress::{
-    delta, huffman, Chain, Codec, DeltaMode, ErrorBound, LosslessPipeline, RawCodec,
-    SzCompressor, SzTemporalState, ZfpCompressor,
+    huffman, Codec, ErrorBound, LosslessPipeline, RawCodec, SzCompressor, ZfpCompressor,
 };
 use lcr_solvers::{
     BlockJacobiPreconditioner, Gmres, IterativeMethod, LinearSystem, Preconditioner,
@@ -208,25 +199,6 @@ fn main() {
     // Decompression input: one reference stream, decoded at every thread
     // count so the rows are comparable.
     let sz_compressed = sz.compress(&sz_data, sz_bound).expect("SZ compression failed");
-    // Temporal-encoder input: three successive "snapshots" of the smooth
-    // buffer (the multiplicative drift of the delta rows below, every
-    // third value negative so the sign bitmap is not trivial), one chain
-    // spanning many blocks and one of a single block.
-    let temporal_chain = |len: usize| -> Vec<Vec<f64>> {
-        (0..3)
-            .map(|k| {
-                let drift = 1.0 - 3e-5 * (2 - k) as f64;
-                let signed =
-                    |(i, &x): (usize, &f64)| if i % 3 == 0 { -x * drift } else { x * drift };
-                sz_data[..len].iter().enumerate().map(signed).collect()
-            })
-            .collect()
-    };
-    // (encode row, decode row, snapshots)
-    let temporal_chains = [
-        ("sz_temporal_compress", "sz_chain_decompress", temporal_chain(sz_len)),
-        ("sz_temporal_compress_1blk", "sz_chain_decompress_1blk", temporal_chain(64_000)),
-    ];
     // Huffman input: SZ-like quantization codes (second differences of the
     // smooth buffer on a 2e-4 grid, shifted into the SZ code range).
     let quantize_codes = |data: &[f64]| -> Vec<u32> {
@@ -245,15 +217,6 @@ fn main() {
     };
     let huff_symbols = quantize_codes(&sz_data);
     let huff_blob = huffman::encode_block(&huff_symbols);
-    // Temporal-delta inputs: the codes of two slightly earlier "snapshots"
-    // of the same buffer (small multiplicative drift, as a converging
-    // solver state would show between checkpoints).
-    let delta_prev1 = quantize_codes(
-        &sz_data.iter().map(|&x| x * (1.0 - 3e-5)).collect::<Vec<f64>>(),
-    );
-    let delta_prev2 = quantize_codes(
-        &sz_data.iter().map(|&x| x * (1.0 - 6e-5)).collect::<Vec<f64>>(),
-    );
     // Durable-tier input: the smooth buffer as raw little-endian doubles in
     // a checkpoint arena, written through the crash-consistent file format
     // (header + CRCs + fsync + rename) into a scratch directory.
@@ -261,7 +224,7 @@ fn main() {
     let _ = std::fs::remove_dir_all(&disk_dir);
     let mut disk_buffer = CheckpointBuffer::new();
     disk_buffer
-        .push_with("x", |out| RawCodec.encode_into(&sz_data, sz_bound, None, out))
+        .push_with("x", |out| RawCodec.encode_into(&sz_data, sz_bound, out))
         .expect("raw encode");
 
     // --- measurement ------------------------------------------------------
@@ -457,57 +420,6 @@ fn main() {
             measured.push((name, input.len(), 0, u64::from(crc32(&stream)), secs));
         }
 
-        // The anchored delta chain of a checkpointing run: an anchor, an
-        // order-1 delta, then both delta orders on offer.  Every candidate
-        // is sized per block on the pool and only the winner is packed; the
-        // fingerprint covers the three streams and the modes chosen.
-        for (name, decode_name, chain) in &temporal_chains {
-            let mut streams = vec![Vec::new(); chain.len()];
-            let mut modes = vec![DeltaMode::None; chain.len()];
-            let secs = time_median(reps, || {
-                let mut state = SzTemporalState::new();
-                for (k, snapshot) in chain.iter().enumerate() {
-                    streams[k].clear();
-                    let link = Chain {
-                        max_order: DeltaMode::Order2,
-                        force_anchor: k == 0,
-                        state: &mut state,
-                    };
-                    let bound = ErrorBound::PointwiseRel(1e-4);
-                    modes[k] = sz
-                        .encode_into(snapshot, bound, Some(link), &mut streams[k])
-                        .expect("temporal SZ compression failed");
-                }
-            });
-            assert_ne!(
-                modes[1],
-                DeltaMode::None,
-                "a drifting snapshot must delta-code"
-            );
-            let fp = fnv1a(
-                streams
-                    .iter()
-                    .zip(&modes)
-                    .flat_map(|(stream, &mode)| [u64::from(crc32(stream)), mode as u64]),
-            );
-            measured.push((name, chain.len() * chain[0].len(), 0, fp, secs));
-
-            // The recovery side of the same chain: all three links replayed
-            // through the one block decoder, the last reconstructed.
-            let links: Vec<&[u8]> = streams.iter().map(Vec::as_slice).collect();
-            let mut replayed: Vec<f64> = Vec::new();
-            let secs = time_median(reps, || {
-                replayed = sz.decode_chain(&links, chain[0].len()).expect("SZ chain decode failed");
-            });
-            measured.push((
-                decode_name,
-                chain.len() * chain[0].len(),
-                0,
-                bits_fingerprint(&replayed),
-                secs,
-            ));
-        }
-
         let mut restored: Vec<f64> = Vec::new();
         let secs = time_median(reps, || {
             restored = sz
@@ -543,28 +455,6 @@ fn main() {
         let huff_fp = fnv1a(decoded.iter().map(|&v| u64::from(v)));
         measured.push(("huffman_decode", huff_symbols.len(), 0, huff_fp, secs));
 
-        // Temporal delta codec of the version-5 streams: order-2 symbols
-        // of this snapshot's codes against the two priors, and the
-        // inverse.  The chunk-of-8 kernels are single-stream; like the
-        // Huffman row they ride along at every thread count.
-        let mut delta_syms: Vec<u32> = Vec::new();
-        let secs = time_median(reps, || {
-            delta::encode_order2(&huff_symbols, &delta_prev1, &delta_prev2, &mut delta_syms);
-        });
-        let delta_enc_fp = fnv1a(delta_syms.iter().map(|&v| u64::from(v)));
-        measured.push(("delta_encode", huff_symbols.len(), 0, delta_enc_fp, secs));
-
-        let mut delta_codes: Vec<u32> = Vec::new();
-        let secs = time_median(reps, || {
-            delta::decode_order2(&delta_syms, &delta_prev1, &delta_prev2, &mut delta_codes);
-        });
-        assert_eq!(
-            delta_codes, huff_symbols,
-            "temporal delta round-trip must reproduce the codes exactly"
-        );
-        let delta_dec_fp = fnv1a(delta_codes.iter().map(|&v| u64::from(v)));
-        measured.push(("delta_decode", huff_symbols.len(), 0, delta_dec_fp, secs));
-
         // The checksum every checkpoint file carries, over the arena the
         // disk rows below write: one pass over its bytes, so it reads
         // against the triad ceiling like the vector kernels.
@@ -579,7 +469,7 @@ fn main() {
         let mut raw = Vec::new();
         let secs = time_median(reps, || {
             raw.clear();
-            RawCodec.encode_into(&sz_data, sz_bound, None, &mut raw).expect("raw encode");
+            RawCodec.encode_into(&sz_data, sz_bound, &mut raw).expect("raw encode");
         });
         let raw_fp = u64::from(crc32(&raw));
         measured.push(("raw_encode", sz_data.len(), 16 * sz_data.len(), raw_fp, secs));
@@ -599,7 +489,6 @@ fn main() {
                     iteration,
                     iteration as f64,
                     sz_len * 8,
-                    None,
                     "traditional",
                     &[],
                     &mut disk_buffer,

@@ -27,8 +27,6 @@ fn main() {
                 fmt(r.lossless_mb, 2),
                 fmt(r.lossy_mb, 2),
                 r.measured_shard_mb.map_or_else(|| "—".to_string(), |mb| fmt(mb, 2)),
-                fmt(r.lossy_delta_mb, 2),
-                format!("{:.2}x", r.lossy_mb / r.lossy_delta_mb.max(f64::MIN_POSITIVE)),
             ]
         })
         .collect();
@@ -42,8 +40,6 @@ fn main() {
             "lossless",
             "lossy (est)",
             "lossy (measured)",
-            "lossy delta",
-            "delta vs direct",
         ],
         &table,
     );
@@ -53,10 +49,7 @@ fn main() {
          Reproduction note: compression ratios are measured on the locally solved \
          instance and extrapolated to the paper-scale vector sizes; the lossless \
          ratio for Jacobi is the one quantity that differs qualitatively.  The \
-         \"lossy delta\" column is this repo's anchored \
-         delta-chain extension (not in the paper): average per-checkpoint size \
-         when successive snapshots delta-code against their predecessor, anchors \
-         included.  The \"lossy (measured)\" column replaces the even-division \
+         \"lossy (measured)\" column replaces the even-division \
          estimate with the per-shard SZ segment sizes actually written by the \
          sharded checkpoint path (— where that run committed no epoch)."
     );

@@ -193,7 +193,7 @@ json_object! {
     }
     Table3Row {
         processes, problem_edge, solver, traditional_mb, lossless_mb, lossy_mb,
-        lossy_delta_mb, measured_shard_mb,
+        measured_shard_mb,
     }
     CheckpointTimeRow { processes, solver, strategy, checkpoint_seconds, recovery_seconds }
     ExpectedOverheadRow { processes, solver, strategy, mtti_hours, expected_overhead }

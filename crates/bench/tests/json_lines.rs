@@ -52,12 +52,12 @@ fn computed_rows_print_their_pinned_line() {
         (env!("CARGO_BIN_EXE_fig1_overhead_surface"), 0x4cd1_ea88_63f4_9428_u64, 5236),
         (env!("CARGO_BIN_EXE_fig2_cg_extra_iters"), 0x5108_52fa_743f_c6f0, 719),
         (env!("CARGO_BIN_EXE_fig3_kkt_gmres"), 0x522b_3129_98d3_0b7f, 365),
-        (env!("CARGO_BIN_EXE_fig456_ckpt_recovery_time"), 0x359e_3e91_becc_72c2, 9654),
-        (env!("CARGO_BIN_EXE_fig7_expected_overhead"), 0x5332_71f6_2013_ed27, 16097),
-        (env!("CARGO_BIN_EXE_fig8_convergence_iters"), 0x5c35_e799_0d12_99a1, 1586),
+        (env!("CARGO_BIN_EXE_fig456_ckpt_recovery_time"), 0x6873_aaab_c814_2e28, 9653),
+        (env!("CARGO_BIN_EXE_fig7_expected_overhead"), 0x2ad4_3881_8b90_0e1a, 16098),
+        (env!("CARGO_BIN_EXE_fig8_convergence_iters"), 0x8f7b_fb26_eca9_805d, 1588),
         (env!("CARGO_BIN_EXE_fig9_jacobi_residual_trace"), 0x19f0_0337_1c09_0808, 4714),
-        (env!("CARGO_BIN_EXE_fig10_ft_overhead"), 0x8684_c72d_8a6f_ea29, 2597),
-        (env!("CARGO_BIN_EXE_table3_ckpt_sizes"), 0xea8a_2e80_a4d3_0929, 4984),
+        (env!("CARGO_BIN_EXE_fig10_ft_overhead"), 0x5bf8_8981_4bd2_c7ed, 2580),
+        (env!("CARGO_BIN_EXE_table3_ckpt_sizes"), 0x180f_90c4_2843_44c7, 4136),
         (env!("CARGO_BIN_EXE_theorem1_example"), 0x3a74_e9ab_165f_98cb, 278),
     ];
     let mut moved = Vec::new();

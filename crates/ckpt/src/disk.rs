@@ -7,8 +7,7 @@
 //! from them; over [`MemBackend`](crate::backend::MemBackend) it is the
 //! in-memory tier of [`FtiContext`](crate::FtiContext), which survives an
 //! in-process failure and evaporates with the process.  Both tiers share
-//! the format, the CRC validation, the retention rule and the chain walk
-//! below.
+//! the format, the CRC validation and the retention rule below.
 //!
 //! # File format (version 2, all integers little-endian)
 //!
@@ -23,38 +22,24 @@
 //!
 //! Metadata block: checkpoint id `u64` · iteration `u64` · completed-at
 //! `f64` bits · storage level `u8` (always 3, FTI's L4; any other value is
-//! corrupt) · original bytes `u64` · **encoding tag `u8`** (0 = anchor,
-//! 1/2 = temporal delta of that order) · **base checkpoint id `u64`**
-//! (*only when the tag is 1 or 2*) ·
-//! strategy tag (`u16` length + UTF-8) · scalar count `u32` + per scalar
+//! corrupt) · original bytes `u64` · encoding tag `u8` (always 0: every
+//! payload decodes on its own; the retired delta tags 1 and 2, and any
+//! other value, are corrupt) · strategy tag (`u16` length + UTF-8) · scalar count `u32` + per scalar
 //! (`u16` name length + name + `f64` bits) · segment count `u32` + per
 //! segment (`u16` name length + name + payload length `u64` + payload
 //! CRC32 `u32`).
 //!
 //! Files of any other format version are rejected as unsupported.
 //!
-//! # Delta chains
+//! # Retention
 //!
-//! A delta-encoded checkpoint stores temporally delta-coded payload
-//! streams that decode only against its base checkpoint's streams
-//! (see `lcr-compress`); the base link is recorded in the header.
-//! Two rules keep the durable tier consistent with that dependency:
-//!
-//! * **Retention** evicts whole chains: the oldest file is evicted only
-//!   together with every file that (transitively) delta-depends on it, so
-//!   a live delta never loses its base — the window temporarily stretches
-//!   past `retain` instead ([`DiskStore::register`]).  The first file a
-//!   commit evicts is renamed to the next checkpoint's `.tmp` (ids are
-//!   never reused, so the name is that commit's alone), and the next write
-//!   overwrites it in place, so a steady-state commit reuses the blocks of
-//!   the file it retires instead of freeing one file's and allocating
-//!   another's.  Further evictees, and an evictee that cannot be renamed,
-//!   are removed.
-//! * **Recovery** returns whole chains: [`DiskStore::latest_valid_chain`]
-//!   walks candidates newest→oldest, follows base links back to the
-//!   nearest anchor, and CRC-validates *every* member.  If any member is
-//!   corrupt the whole dependent chain is abandoned and recovery falls
-//!   back to the newest older complete chain.
+//! A commit evicts the oldest files until `retain` valid checkpoints
+//! remain.  The first file it evicts is renamed to the next checkpoint's
+//! `.tmp` (ids are never reused, so the name is that commit's alone), and
+//! the next write overwrites it in place, so a steady-state commit reuses
+//! the blocks of the file it retires instead of freeing one file's and
+//! allocating another's.  Further evictees, and an evictee that cannot be
+//! renamed, are removed.
 //!
 //! # Atomicity and crash consistency
 //!
@@ -88,7 +73,7 @@
 //! re-raises on the caller at the join.
 
 use crate::backend::{OsBackend, RetryPolicy, StorageBackend};
-use crate::store::{CheckpointBuffer, CheckpointEncoding, CheckpointMetadata};
+use crate::store::{CheckpointBuffer, CheckpointMetadata};
 use crate::{CkptError, Result};
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
@@ -97,8 +82,8 @@ use std::thread::{self, JoinHandle};
 
 /// Magic bytes opening every checkpoint file.
 pub const MAGIC: [u8; 8] = *b"LCRCKPT0";
-/// The on-disk format version written and read (2 carries the
-/// anchor-vs-delta encoding fields).
+/// The on-disk format version written and read (2 carries the encoding
+/// tag, always 0).
 const FORMAT_VERSION: u32 = 2;
 
 /// The IEEE polynomial in the CRC's reflected bit order (bit 31 is `x^0`).
@@ -262,6 +247,9 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// PFS, level 3 of 0–3.
 const PFS_LEVEL: u8 = 3;
 
+/// The header's encoding tag: every payload decodes on its own.
+const ENCODING_TAG: u8 = 0;
+
 fn io_err(context: &str, err: std::io::Error) -> CkptError {
     CkptError::Io(format!("{context}: {err}"))
 }
@@ -309,13 +297,7 @@ fn encode_header(header: &Header, buffer: &CheckpointBuffer) -> Vec<u8> {
     block.extend_from_slice(&meta.completed_at.to_bits().to_le_bytes());
     block.push(PFS_LEVEL);
     block.extend_from_slice(&(meta.original_bytes as u64).to_le_bytes());
-    match meta.encoding {
-        CheckpointEncoding::Anchor => block.push(0),
-        CheckpointEncoding::Delta { base_id, order } => {
-            block.push(order);
-            block.extend_from_slice(&base_id.to_le_bytes());
-        }
-    }
+    block.push(ENCODING_TAG);
     put_str(&mut block, &header.tag);
     block.extend_from_slice(&(header.scalars.len() as u32).to_le_bytes());
     for (name, value) in &header.scalars {
@@ -434,14 +416,10 @@ fn parse_header(bytes: &[u8], path: &Path) -> Result<ParsedHeader> {
     }
     let original_bytes = usize::try_from(r.u64()?)
         .map_err(|_| corrupt("original size does not fit in usize"))?;
-    let encoding = match r.u8()? {
-        0 => CheckpointEncoding::Anchor,
-        order @ (1 | 2) => CheckpointEncoding::Delta {
-            base_id: r.u64()?,
-            order,
-        },
-        other => return Err(corrupt(&format!("unknown encoding tag {other}"))),
-    };
+    match r.u8()? {
+        ENCODING_TAG => {}
+        v => return Err(corrupt(&format!("unknown encoding tag {v}"))),
+    }
     let tag = r.string()?;
     let n_scalars = r.u32()? as usize;
     let mut scalars = Vec::with_capacity(n_scalars.min(1024));
@@ -475,7 +453,6 @@ fn parse_header(bytes: &[u8], path: &Path) -> Result<ParsedHeader> {
                 completed_at,
                 total_bytes: variable_bytes.iter().map(|(_, b)| *b).sum(),
                 original_bytes,
-                encoding,
                 variable_bytes,
             },
             tag,
@@ -604,7 +581,7 @@ struct DiskEntry {
 }
 
 /// The checkpoint store: push from a [`CheckpointBuffer`], read the newest
-/// *complete* checkpoint chain back, and evict stale files beyond the
+/// *complete* checkpoint back, and evict stale files beyond the
 /// retention limit — durable over [`OsBackend`], in memory over
 /// [`MemBackend`](crate::backend::MemBackend).
 pub struct DiskStore {
@@ -720,7 +697,6 @@ impl DiskStore {
                         completed_at: 0.0,
                         total_bytes: 0,
                         original_bytes: 0,
-                        encoding: CheckpointEncoding::Anchor,
                         variable_bytes: Vec::new(),
                     },
                     false,
@@ -904,32 +880,22 @@ impl DiskStore {
             valid: true,
         });
         // Retention: drop oldest files until at most `retain` valid
-        // checkpoints remain — but only whole dependency chains.  Deleting
-        // an anchor while a retained delta still decodes against it would
-        // orphan that delta, so the front chain is evicted all-or-nothing
-        // and the window temporarily stretches past `retain` when the
-        // front chain reaches the newest entry.  Only entries strictly
-        // older than the newest are ever popped, and pushes join the
-        // previous write-behind write first, so an in-flight file is never
-        // evicted.  The first evictee becomes the next write's `.tmp`, for
-        // it to overwrite (module docs, *Retention*); the rest, and one
-        // whose rename fails, are removed.
+        // checkpoints remain.  `retain` is at least one, so the newest
+        // entry is never popped, and pushes join the previous write-behind
+        // write first, so an in-flight file is never evicted.  The first
+        // evictee becomes the next write's `.tmp`, for it to overwrite
+        // (module docs, *Retention*); the rest, and one whose rename
+        // fails, are removed.
         let mut first = true;
         while self.len() > self.retain {
-            let chain_len = self.front_chain_len();
-            if chain_len >= self.entries.len() {
+            let Some(old) = self.entries.pop_front() else {
                 break;
+            };
+            let tmp = self.tmp_path(self.next_id);
+            if std::mem::take(&mut first) && self.backend.rename(&old.path, &tmp).is_ok() {
+                continue;
             }
-            for _ in 0..chain_len {
-                let Some(old) = self.entries.pop_front() else {
-                    break;
-                };
-                let tmp = self.tmp_path(self.next_id);
-                if std::mem::take(&mut first) && self.backend.rename(&old.path, &tmp).is_ok() {
-                    continue;
-                }
-                let _ = self.backend.remove_file(&old.path);
-            }
+            let _ = self.backend.remove_file(&old.path);
         }
     }
 
@@ -938,54 +904,13 @@ impl DiskStore {
         self.dir.join(format!("ckpt-{id:010}.lcr.tmp"))
     }
 
-    /// Length of the dependency chain at the front of the index: the
-    /// oldest file plus every following file that (directly or
-    /// transitively) delta-depends on it.
-    fn front_chain_len(&self) -> usize {
-        let mut len = 1;
-        while len < self.entries.len() {
-            let prev_id = self.entries[len - 1].metadata.id;
-            match self.entries[len].metadata.encoding {
-                CheckpointEncoding::Delta { base_id, .. } if base_id == prev_id => len += 1,
-                _ => break,
-            }
-        }
-        len
-    }
-
-    /// Resolves `delta_order` into the encoding recorded in the header: a
-    /// delta is always coded against the checkpoint pushed immediately
-    /// before it (the newest indexed entry at push time).
-    ///
-    /// # Panics
-    /// Panics if a delta is pushed into an empty store — a delta without a
-    /// base is undecodable by construction, so this is a caller bug.
-    fn encoding_for(&self, delta_order: Option<u8>) -> CheckpointEncoding {
-        match delta_order {
-            None => CheckpointEncoding::Anchor,
-            Some(order) => {
-                let base = self
-                    .entries
-                    .back()
-                    .expect("delta checkpoint pushed into an empty disk store");
-                CheckpointEncoding::Delta {
-                    base_id: base.metadata.id,
-                    order,
-                }
-            }
-        }
-    }
-
-    /// The write of the next checkpoint: its header — the next id, the
-    /// encoding `delta_order` resolves to, `buffer`'s segment sizes — and
-    /// the file names it commits through.
-    #[allow(clippy::too_many_arguments)]
+    /// The write of the next checkpoint: its header — the next id,
+    /// `buffer`'s segment sizes — and the file names it commits through.
     fn job_for(
         &self,
         iteration: usize,
         completed_at: f64,
         original_bytes: usize,
-        delta_order: Option<u8>,
         tag: &str,
         scalars: &[(String, f64)],
         buffer: &CheckpointBuffer,
@@ -1005,7 +930,6 @@ impl DiskStore {
                     completed_at,
                     total_bytes: buffer.total_bytes(),
                     original_bytes,
-                    encoding: self.encoding_for(delta_order),
                     variable_bytes,
                 },
                 tag: tag.to_string(),
@@ -1026,40 +950,25 @@ impl DiskStore {
     /// first time) and writes the checkpoint on a new I/O thread, so the
     /// caller encodes the next checkpoint while this one reaches storage.
     ///
-    /// `delta_order` of `Some(1 | 2)` records the payloads as temporal
-    /// deltas of that order against the newest checkpoint in the store
-    /// (see the module docs on delta chains); `None` records an anchor.
-    ///
     /// # Errors
     /// [`CkptError::Io`] if a synchronous write fails (nothing is
     /// registered), or if the previous write-behind write failed (this
     /// checkpoint is written all the same).
     ///
     /// # Panics
-    /// Panics if a delta is pushed into an empty store, and re-raises a
-    /// panic of the previous write's I/O thread.
-    #[allow(clippy::too_many_arguments)]
+    /// Re-raises a panic of the previous write's I/O thread.
     pub fn push_from_buffer(
         &mut self,
         iteration: usize,
         completed_at: f64,
         original_bytes: usize,
-        delta_order: Option<u8>,
         tag: &str,
         scalars: &[(String, f64)],
         buffer: &mut CheckpointBuffer,
     ) -> Result<CheckpointMetadata> {
         let recycled = self.join();
         let deferred_error = self.first_error.take();
-        let job = self.job_for(
-            iteration,
-            completed_at,
-            original_bytes,
-            delta_order,
-            tag,
-            scalars,
-            buffer,
-        );
+        let job = self.job_for(iteration, completed_at, original_bytes, tag, scalars, buffer);
         let (fin, metadata) = (job.fin.clone(), job.header.metadata.clone());
         if self.write_behind {
             let buffer = std::mem::replace(buffer, recycled.unwrap_or_default());
@@ -1082,63 +991,30 @@ impl DiskStore {
         deferred_error.map_or(Ok(metadata), Err)
     }
 
-    /// The newest *complete* checkpoint: the last link of
-    /// [`DiskStore::latest_valid_chain`].  For anchor-only stores this is
-    /// the historical single-file behaviour; a delta checkpoint returned
-    /// here still needs the rest of its chain to decode, so chain-aware
-    /// callers should use [`DiskStore::latest_valid_chain`] directly.
+    /// The newest *complete* checkpoint: joins any in-flight write, then
+    /// fully reads and CRC-validates candidates newest to oldest and
+    /// returns the first that passes.  A candidate that fails is marked
+    /// invalid, so a bit-flipped or truncated file makes recovery fall back
+    /// to the newest older complete checkpoint.  Nothing is kept between
+    /// calls: each one reads the files as they are now.
     ///
     /// # Errors
     /// [`CkptError::NoCheckpoint`] if no complete checkpoint exists.
     pub fn latest_valid(&mut self) -> Result<DiskCheckpoint> {
-        let mut chain = self.latest_valid_chain()?;
-        Ok(chain.pop().expect("a recovered chain is never empty"))
-    }
-
-    /// The newest *complete* checkpoint chain, anchor first: joins any
-    /// in-flight write, then scans candidates newest-to-oldest.  For each
-    /// candidate the base links are followed back to the nearest anchor
-    /// and every member file is fully CRC-validated; the first candidate
-    /// whose whole chain passes is returned.  A member that fails
-    /// validation is marked invalid, which abandons every chain that
-    /// depends on it, and the scan restarts — so a bit-flipped or
-    /// truncated anchor makes recovery fall back to the newest older
-    /// complete chain rather than returning undecodable deltas.  Nothing
-    /// is kept between calls: each one reads the files as they are now.
-    ///
-    /// # Errors
-    /// [`CkptError::NoCheckpoint`] if no complete chain exists.
-    pub fn latest_valid_chain(&mut self) -> Result<Vec<DiskCheckpoint>> {
         // Deferred write errors only invalidate their own entry; older
         // checkpoints remain recoverable, so do not surface them here.
         self.join();
-        // Each restart invalidates at least one previously valid entry, so
-        // the scan terminates.
-        'scan: loop {
-            for idx in (0..self.entries.len()).rev() {
-                if !self.entries[idx].valid {
-                    continue;
-                }
-                let Some(member_idx) = self.chain_indices(idx) else {
-                    // A base link is missing or invalid — this candidate
-                    // can never decode; try the next-newest.
-                    continue;
-                };
-                let mut links = Vec::with_capacity(member_idx.len());
-                for &i in &member_idx {
-                    let path = self.entries[i].path.clone();
-                    match self.read_with_retry(&path) {
-                        Ok(ckpt) => links.push(ckpt),
-                        Err(_) => {
-                            self.entries[i].valid = false;
-                            continue 'scan;
-                        }
-                    }
-                }
-                return Ok(links);
+        for idx in (0..self.entries.len()).rev() {
+            if !self.entries[idx].valid {
+                continue;
             }
-            return Err(CkptError::NoCheckpoint);
+            let path = self.entries[idx].path.clone();
+            match self.read_with_retry(&path) {
+                Ok(ckpt) => return Ok(ckpt),
+                Err(_) => self.entries[idx].valid = false,
+            }
         }
+        Err(CkptError::NoCheckpoint)
     }
 
     /// Fully reads and validates one checkpoint file through the backend,
@@ -1168,29 +1044,13 @@ impl DiskStore {
         }
     }
 
-    /// Marks checkpoint `id` — and with it every delta chained on it — as
-    /// never to be selected again: its bytes validated but did not decode.
-    /// The file is kept, like one that fails its CRC.
+    /// Marks checkpoint `id` as never to be selected again: its bytes
+    /// validated but did not decode.  The file is kept, like one that fails
+    /// its CRC.
     pub fn invalidate(&mut self, id: u64) {
         if let Some(entry) = self.entries.iter_mut().find(|e| e.metadata.id == id) {
             entry.valid = false;
         }
-    }
-
-    /// Entry indices of the chain ending at `idx`, anchor first, or `None`
-    /// if any base link is missing from the index or marked invalid.
-    fn chain_indices(&self, idx: usize) -> Option<Vec<usize>> {
-        let mut chain = vec![idx];
-        let mut cur = idx;
-        while let CheckpointEncoding::Delta { base_id, .. } = self.entries[cur].metadata.encoding {
-            let base = (0..cur)
-                .rev()
-                .find(|&i| self.entries[i].metadata.id == base_id && self.entries[i].valid)?;
-            chain.push(base);
-            cur = base;
-        }
-        chain.reverse();
-        Some(chain)
     }
 }
 
@@ -1225,21 +1085,12 @@ mod tests {
     }
 
     fn push_sample(store: &mut DiskStore, iteration: usize) -> CheckpointMetadata {
-        push_sample_delta(store, iteration, None)
-    }
-
-    fn push_sample_delta(
-        store: &mut DiskStore,
-        iteration: usize,
-        delta_order: Option<u8>,
-    ) -> CheckpointMetadata {
         let mut buf = sample_buffer();
         store
             .push_from_buffer(
                 iteration,
                 iteration as f64,
                 800,
-                delta_order,
                 "traditional",
                 &[("rho".to_string(), 0.25), ("beta".to_string(), -3.5)],
                 &mut buf,
@@ -1402,15 +1253,14 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_hides_a_checkpoint_and_every_delta_chained_on_it() {
+    fn invalidate_hides_a_checkpoint() {
         let dir = tempdir("invalidate");
         let mut store = DiskStore::open(&dir, 4).unwrap();
         let older = push_sample(&mut store, 1);
-        let anchor = push_sample(&mut store, 2);
-        push_sample_delta(&mut store, 3, Some(1));
-        assert_eq!(store.latest_valid_chain().unwrap().len(), 2);
+        let newer = push_sample(&mut store, 2);
+        assert_eq!(store.latest_valid().unwrap().metadata, newer);
 
-        store.invalidate(anchor.id);
+        store.invalidate(newer.id);
         assert_eq!(store.latest_valid().unwrap().metadata, older);
         assert!(newest_file(&dir).exists(), "invalidated files stay on disk");
         store.invalidate(older.id);
@@ -1547,7 +1397,7 @@ mod tests {
             buffer.clear();
             buffer.push_with("x", |out| out.extend_from_slice(&[i as u8; 100]));
             store
-                .push_from_buffer(i, i as f64, 100, None, "lossy", &[], &mut buffer)
+                .push_from_buffer(i, i as f64, 100, "lossy", &[], &mut buffer)
                 .unwrap();
             // The push kept this arena and handed back the previous one.
             let previous = i.checked_sub(1).map(|p| ("x".to_string(), vec![p as u8; 100]));
@@ -1577,7 +1427,7 @@ mod tests {
             let mut buffer = CheckpointBuffer::new();
             buffer.push_with("x", |out| out.extend_from_slice(&[7u8; 64]));
             store
-                .push_from_buffer(1, 1.0, 64, None, "lossy", &[], &mut buffer)
+                .push_from_buffer(1, 1.0, 64, "lossy", &[], &mut buffer)
                 .unwrap();
             // Dropped with the write possibly still in flight.
         }
@@ -1590,84 +1440,6 @@ mod tests {
     #[should_panic(expected = "retain at least one")]
     fn zero_retention_panics() {
         let _ = DiskStore::open(std::env::temp_dir().join("lcr-disk-zero"), 0);
-    }
-
-    #[test]
-    fn delta_encoding_roundtrips_through_the_file_format() {
-        let dir = tempdir("deltameta");
-        let mut store = DiskStore::open(&dir, 4).unwrap();
-        push_sample(&mut store, 10);
-        push_sample_delta(&mut store, 20, Some(1));
-        push_sample_delta(&mut store, 30, Some(2));
-
-        // Both the live index and a fresh open agree on the chain links.
-        for mut s in [store, DiskStore::open(&dir, 4).unwrap()] {
-            let encodings: Vec<CheckpointEncoding> =
-                s.metadata().iter().map(|m| m.encoding).collect();
-            assert_eq!(
-                encodings,
-                vec![
-                    CheckpointEncoding::Anchor,
-                    CheckpointEncoding::Delta { base_id: 0, order: 1 },
-                    CheckpointEncoding::Delta { base_id: 1, order: 2 },
-                ]
-            );
-            let chain = s.latest_valid_chain().unwrap();
-            let ids: Vec<u64> = chain.iter().map(|c| c.metadata.id).collect();
-            assert_eq!(ids, vec![0, 1, 2], "anchor first, newest last");
-        }
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn retention_never_orphans_a_delta_whose_anchor_left_the_window() {
-        on_each_backend("chainretention", |backend, dir| {
-            let mut store = DiskStore::open_with_backend(dir, 2, backend.clone()).unwrap();
-            push_sample(&mut store, 0);
-            for i in 1..4 {
-                push_sample_delta(&mut store, i, Some(1));
-            }
-            // The whole chain depends on the anchor, so nothing could be
-            // evicted: the window stretched to hold all four files.
-            assert_eq!(store.len(), 4, "anchor kept alive by its dependents");
-            assert_eq!(files_in(backend.as_ref(), dir).len(), 4);
-            let chain = store.latest_valid_chain().unwrap();
-            assert_eq!(chain.len(), 4);
-
-            // A new anchor releases the old chain wholesale.
-            push_sample(&mut store, 4);
-            let ids: Vec<u64> = store.metadata().iter().map(|m| m.id).collect();
-            assert_eq!(ids, vec![4], "old chain evicted as one unit");
-            assert_eq!(files_in(backend.as_ref(), dir).len(), 1);
-            assert_eq!(store.latest_valid_chain().unwrap().len(), 1);
-        });
-    }
-
-    #[test]
-    fn retention_evicts_the_oldest_chain_wholesale_and_never_splits_one() {
-        on_each_backend("twochains", |backend, dir| {
-            // Anchors only: the classic window.
-            let mut store = DiskStore::open_with_backend(dir, 3, backend).unwrap();
-            for i in 0..5 {
-                push_sample(&mut store, i);
-            }
-            let ids = |store: &DiskStore| store.metadata().iter().map(|m| m.id).collect::<Vec<_>>();
-            assert_eq!(ids(&store), vec![2, 3, 4]);
-
-            // Two chains [A5, d6] [A7, d8]: pushing d8 overflows the window
-            // while [A5, d6] sits at the front, so both leave together.
-            push_sample(&mut store, 5);
-            push_sample_delta(&mut store, 6, Some(1));
-            push_sample(&mut store, 7);
-            push_sample_delta(&mut store, 8, Some(2));
-            assert_eq!(ids(&store), vec![7, 8], "oldest chain evicted wholesale");
-            let chain = store.latest_valid_chain().unwrap();
-            assert_eq!(chain.iter().map(|c| c.metadata.id).collect::<Vec<_>>(), vec![7, 8]);
-            assert_eq!(
-                chain[1].metadata.encoding,
-                CheckpointEncoding::Delta { base_id: 7, order: 2 }
-            );
-        });
     }
 
     #[test]
@@ -1685,7 +1457,7 @@ mod tests {
                 let mut buf = CheckpointBuffer::new();
                 buf.push_with("x", |out| out.extend_from_slice(&vec![0xAB; len]));
                 let meta = store
-                    .push_from_buffer(i, i as f64, len * 10, None, "", &[], &mut buf)
+                    .push_from_buffer(i, i as f64, len * 10, "", &[], &mut buf)
                     .unwrap();
                 assert_eq!(meta.id, i as u64);
                 assert_eq!(store.len(), 1);
@@ -1702,7 +1474,7 @@ mod tests {
             let mut store = DiskStore::open_with_backend(dir, 1, backend).unwrap();
             let mut empty = CheckpointBuffer::new();
             let meta = store
-                .push_from_buffer(0, 0.0, 0, None, "", &[], &mut empty)
+                .push_from_buffer(0, 0.0, 0, "", &[], &mut empty)
                 .unwrap();
             assert_eq!(meta.compression_ratio(), 1.0);
             assert_eq!(meta.total_bytes, 0);
@@ -1713,65 +1485,17 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_anchor_invalidates_dependents_and_falls_back() {
-        on_each_backend("chaincorrupt", |backend, dir| {
-            let mut store = DiskStore::open_with_backend(dir, 4, backend.clone()).unwrap();
-            push_sample(&mut store, 10); // id 0, anchor
-            push_sample(&mut store, 20); // id 1, anchor
-            push_sample_delta(&mut store, 30, Some(1)); // id 2, delta on 1
-
-            // Flip a payload bit in the *anchor* of the newest chain (id 1).
-            flip_last_bit(backend.as_ref(), &dir.join("ckpt-0000000001.lcr"));
-
-            // The delta (id 2) is intact but undecodable without its base;
-            // recovery must fall back to the older standalone anchor.
-            let mut reopened = DiskStore::open_with_backend(dir, 4, backend).unwrap();
-            let chain = reopened.latest_valid_chain().unwrap();
-            assert_eq!(chain.len(), 1);
-            assert_eq!(chain[0].metadata.iteration, 10, "fell back past the broken chain");
-            assert_eq!(reopened.latest_valid().unwrap().metadata.iteration, 10);
-        });
-    }
-
-    #[test]
-    fn truncated_delta_falls_back_to_its_base_chain() {
-        let dir = tempdir("chaintruncate");
-        let mut store = DiskStore::open(&dir, 4).unwrap();
-        push_sample(&mut store, 10); // id 0, anchor
-        push_sample_delta(&mut store, 20, Some(1)); // id 1, delta on 0
-        let path = dir.join("ckpt-0000000001.lcr");
-        let bytes = fs::read(&path).unwrap();
-        fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
-
-        let mut reopened = DiskStore::open(&dir, 4).unwrap();
-        let chain = reopened.latest_valid_chain().unwrap();
-        assert_eq!(chain.len(), 1);
-        assert_eq!(chain[0].metadata.iteration, 10, "anchor alone still recovers");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty disk store")]
-    fn delta_into_empty_disk_store_panics() {
-        let dir = tempdir("deltaempty");
-        let mut store = DiskStore::open(&dir, 2).unwrap();
-        let _ = push_sample_delta(&mut store, 0, Some(1));
-    }
-
-    #[test]
     fn every_recovery_validates_what_is_on_disk_now() {
         on_each_backend("rescan", |backend, dir| {
             let mut store = DiskStore::open_with_backend(dir, 4, backend.clone()).unwrap();
-            push_sample(&mut store, 10); // id 0, anchor
-            push_sample_delta(&mut store, 20, Some(1)); // id 1, delta on 0
-            assert_eq!(store.latest_valid_chain().unwrap().len(), 2);
+            push_sample(&mut store, 10);
+            push_sample(&mut store, 20);
+            assert_eq!(store.latest_valid().unwrap().metadata.iteration, 20);
 
-            // Corrupt the newest link behind the store's back; no push
+            // Corrupt the newest file behind the store's back; no push
             // follows, so only a fresh read can notice.
             flip_last_bit(backend.as_ref(), &dir.join("ckpt-0000000001.lcr"));
-            let chain = store.latest_valid_chain().unwrap();
-            assert_eq!(chain.len(), 1);
-            assert_eq!(chain[0].metadata.iteration, 10, "fell back to the anchor");
+            assert_eq!(store.latest_valid().unwrap().metadata.iteration, 10, "fell back");
         });
     }
 
@@ -1945,17 +1669,16 @@ mod tests {
         assert_eq!(store.flush(), Ok(()), "the panic is raised once");
     }
 
-    /// Runs the script [anchor, delta, delta, anchor, delta] at `retain = 2`
-    /// over `backend` until a push fails — a dead process pushes no more.
+    /// Pushes five checkpoints at `retain = 2` over `backend` until a push
+    /// fails — a dead process pushes no more.
     fn run_crash_script(backend: Arc<dyn StorageBackend>) {
         let Ok(mut store) = DiskStore::open_with_backend("ckpts", 2, backend) else {
             return;
         };
         store.set_retry_policy(NO_DELAY);
         let mut buf = sample_buffer();
-        for (iteration, delta) in [None, Some(1), Some(2), None, Some(1)].into_iter().enumerate() {
-            let pushed = store.push_from_buffer(iteration, 0.0, 800, delta, "t", &[], &mut buf);
-            if pushed.is_err() {
+        for iteration in 0..5 {
+            if store.push_from_buffer(iteration, 0.0, 800, "t", &[], &mut buf).is_err() {
                 return;
             }
         }
@@ -1989,23 +1712,17 @@ mod tests {
             );
             match renamed.last() {
                 None => assert_eq!(
-                    reopened.latest_valid_chain().unwrap_err(),
+                    reopened.latest_valid().unwrap_err(),
                     CkptError::NoCheckpoint,
                     "crash at {crash_at}"
                 ),
                 Some(&newest) => {
-                    let chain = reopened.latest_valid_chain().unwrap();
-                    assert_eq!(chain.last().unwrap().metadata.id, newest, "crash at {crash_at}");
-                    assert_eq!(chain[0].metadata.encoding, CheckpointEncoding::Anchor);
-                    for link in chain.windows(2) {
-                        assert_eq!(link[1].metadata.encoding.base_id(), Some(link[0].metadata.id));
-                    }
-                    // Every link is a file that validates on its own.
-                    for link in &chain {
-                        let name = format!("ckpts/ckpt-{:010}.lcr", link.metadata.id);
-                        let on_its_own = read_checkpoint_with(files.as_ref(), Path::new(&name));
-                        assert_eq!(on_its_own.as_ref(), Ok(link));
-                    }
+                    let recovered = reopened.latest_valid().unwrap();
+                    assert_eq!(recovered.metadata.id, newest, "crash at {crash_at}");
+                    // It is a file that validates on its own.
+                    let name = format!("ckpts/ckpt-{newest:010}.lcr");
+                    let on_its_own = read_checkpoint_with(files.as_ref(), Path::new(&name));
+                    assert_eq!(on_its_own, Ok(recovered));
                     // The next id is past every id a file was ever named by.
                     assert!(push_sample(&mut reopened, 9).id > newest, "crash at {crash_at}");
                 }
@@ -2063,7 +1780,7 @@ mod tests {
                 let mut buf = CheckpointBuffer::new();
                 buf.push_with("x", |out| out.extend((0..len).map(|k| (k * 7 + i) as u8)));
                 for s in [&mut store, &mut fresh] {
-                    s.push_from_buffer(i, i as f64, 8 * len, None, "t", &[], &mut buf).unwrap();
+                    s.push_from_buffer(i, i as f64, 8 * len, "t", &[], &mut buf).unwrap();
                 }
                 let name = format!("ckpt-{i:010}.lcr");
                 let recycled = backend.read(&dir.join(&name)).unwrap();

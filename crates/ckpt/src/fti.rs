@@ -38,17 +38,14 @@ struct ProtectedVariable {
 }
 
 /// Data handed back by a recovery: the encoded payloads of the recovered
-/// checkpoint's whole dependency chain and the simulated seconds the read
-/// took.
+/// checkpoint and the simulated seconds the read took.
 #[derive(Debug, Clone, PartialEq)]
 // lcr-analyze: allow(dead-public-item): return type of `FtiContext::recover`; callers take it by inference
 pub struct RecoveredData {
-    /// Encoded payloads of every checkpoint in the recovered dependency
-    /// chain, anchor first — the last link is the recovered checkpoint
-    /// itself.  Anchor-encoded checkpoints recover as a single link;
-    /// temporal-delta checkpoints carry their base links so the strategy
-    /// can replay the chain (see `lcr-compress`).  Each link is the
-    /// payload list per variable id, exactly as snapshot.
+    /// The recovered checkpoint's payload list per variable id, exactly as
+    /// snapshot, as the one link of a chain: every checkpoint decodes on
+    /// its own.  The shape stays only because `lcr_benchmark` reads it;
+    /// the library reads [`RecoveredData::payloads`].
     pub chain: Vec<Vec<(String, Vec<u8>)>>,
     /// Iteration at which the recovered checkpoint was taken.
     pub iteration: usize,
@@ -67,8 +64,7 @@ pub struct RecoveredData {
 }
 
 impl RecoveredData {
-    /// Payloads of the recovered checkpoint itself (the newest chain
-    /// link).  Sufficient on its own only for anchor-encoded checkpoints.
+    /// Payloads of the recovered checkpoint.
     pub fn payloads(&self) -> &[(String, Vec<u8>)] {
         self.chain.last().map(Vec::as_slice).unwrap_or(&[])
     }
@@ -201,24 +197,16 @@ impl FtiContext {
     /// keeps the buffer for its I/O thread and hands back a recycled arena;
     /// otherwise the buffer comes back untouched.
     ///
-    /// `_write_seconds` is not read: the clock already holds it.  The
-    /// parameter stays only because `lcr_benchmark`'s replica of the runner
-    /// passes it.
-    ///
-    /// `delta_order` of `Some(1 | 2)` records the checkpoint as a temporal
-    /// delta of that order against the previous snapshot in *both* tiers
-    /// (the encoding must match what the strategy actually wrote into the
-    /// buffer); `None` records a self-contained anchor.
+    /// `_delta_order` and `_write_seconds` are not read: every checkpoint
+    /// decodes on its own, and the clock already holds the write.  The
+    /// parameters stay only because `lcr_benchmark`'s replica of the runner
+    /// passes them.
     ///
     /// # Errors
     /// [`crate::CkptError::Io`] if the durable write fails (the in-memory
     /// tier keeps the snapshot either way, matching a multi-level FTI
     /// set-up where L1 succeeded and L4 failed), or if the context has no
     /// tier left to commit to.
-    ///
-    /// # Panics
-    /// Panics if a delta is committed while either tier holds no earlier
-    /// checkpoint for it to decode against.
     #[allow(clippy::too_many_arguments)]
     pub fn commit_snapshot_from_buffer(
         &mut self,
@@ -226,7 +214,7 @@ impl FtiContext {
         iteration: usize,
         tag: &str,
         scalars: &[(String, f64)],
-        delta_order: Option<u8>,
+        _delta_order: Option<u8>,
         buffer: &mut CheckpointBuffer,
         _write_seconds: f64,
     ) -> Result<CheckpointMetadata> {
@@ -237,15 +225,8 @@ impl FtiContext {
         // the memory tier left in it.
         let mut committed = None;
         for tier in [&mut self.memory, &mut self.disk].into_iter().flatten() {
-            let result = tier.push_from_buffer(
-                iteration,
-                completed_at,
-                original_bytes,
-                delta_order,
-                tag,
-                scalars,
-                buffer,
-            );
+            let result =
+                tier.push_from_buffer(iteration, completed_at, original_bytes, tag, scalars, buffer);
             committed.get_or_insert(result?);
         }
         let metadata =
@@ -283,22 +264,16 @@ impl FtiContext {
     /// preconditioner, right-hand side), which the paper notes makes
     /// recovery slower than checkpointing — and returns the payloads.
     ///
-    /// The first tier, durable before in-memory, that yields a valid chain
-    /// serves the read: any in-flight write-behind job is joined first,
-    /// then the newest checkpoint whose whole dependency chain validates
-    /// (metadata *and* payload CRCs of every link) is returned together
-    /// with its scalars and strategy tag — a chain with a partially written
-    /// or bit-flipped member is skipped entirely, falling back to the
-    /// newest older complete chain.  If the durable tier holds no valid
+    /// The first tier, durable before in-memory, that yields a valid
+    /// checkpoint serves the read: any in-flight write-behind job is joined
+    /// first, then the newest checkpoint that validates (metadata *and*
+    /// payload CRCs) is returned together with its scalars and strategy tag
+    /// — a partially written or bit-flipped file is skipped, falling back to
+    /// the newest older complete one.  If the durable tier holds no valid
     /// checkpoint at all, the in-memory tier (which survives in-process
     /// failures even when the disk does not) is asked the same question —
     /// multi-level FTI semantics: L1 can recover an in-process failure even
     /// though L4 was lost.
-    ///
-    /// The read time covers *every* chain link: recovering a delta
-    /// checkpoint re-reads its base checkpoints back to the nearest
-    /// anchor, which is exactly the restart-cost asymmetry the temporal
-    /// encoding trades against its smaller writes.
     ///
     /// # Errors
     /// Returns [`CkptError::NoCheckpoint`] if no (valid) checkpoint
@@ -308,32 +283,28 @@ impl FtiContext {
         clock: &mut SimClock,
         static_bytes: usize,
     ) -> Result<RecoveredData> {
-        let (durable, links) = [(true, &mut self.disk), (false, &mut self.memory)]
+        let (durable, ckpt) = [(true, &mut self.disk), (false, &mut self.memory)]
             .into_iter()
-            .find_map(|(durable, tier)| Some((durable, tier.as_mut()?.latest_valid_chain().ok()?)))
+            .find_map(|(durable, tier)| Some((durable, tier.as_mut()?.latest_valid().ok()?)))
             .ok_or(CkptError::NoCheckpoint)?;
-        let total_bytes = links.iter().map(|c| c.metadata.total_bytes).sum::<usize>();
-        let last = links.last().expect("a recovered chain is never empty");
-        let (iteration, id) = (last.metadata.iteration, last.metadata.id);
-        let (scalars, tag) = (last.scalars.clone(), last.tag.clone());
-        let chain = links.into_iter().map(|c| c.payloads).collect();
-        let billed_bytes = (total_bytes as f64 * self.byte_scale) as usize + static_bytes;
+        let billed_bytes =
+            (ckpt.metadata.total_bytes as f64 * self.byte_scale) as usize + static_bytes;
         let read_seconds = self.pfs.read_seconds(billed_bytes, self.cluster.ranks);
         clock.advance(read_seconds);
         Ok(RecoveredData {
-            chain,
-            iteration,
-            scalars,
-            tag,
-            id,
+            chain: vec![ckpt.payloads],
+            iteration: ckpt.metadata.iteration,
+            scalars: ckpt.scalars,
+            tag: ckpt.tag,
+            id: ckpt.metadata.id,
             durable,
             read_seconds,
         })
     }
 
-    /// Marks the checkpoint `recovered` was read from — and with it every
-    /// delta chained on it — as never to be served again, in the tier that
-    /// served it: its bytes validated but did not decode.
+    /// Marks the checkpoint `recovered` was read from as never to be served
+    /// again, in the tier that served it: its bytes validated but did not
+    /// decode.
     pub fn invalidate(&mut self, recovered: &RecoveredData) {
         let tier = if recovered.durable { &mut self.disk } else { &mut self.memory };
         if let Some(store) = tier {
@@ -428,7 +399,7 @@ mod tests {
         let before = clock.now();
         let rec = fti.recover(&mut clock, 500_000_000).unwrap();
         assert_eq!(rec.iteration, 6);
-        assert_eq!(rec.chain.len(), 1, "anchor recovers as a single link");
+        assert_eq!(rec.chain.len(), 1, "a checkpoint recovers as a single link");
         assert_eq!(rec.payloads()[0].1[0], 2);
         assert!(rec.read_seconds > 0.0);
         assert_eq!(clock.now(), before + rec.read_seconds);
@@ -589,44 +560,6 @@ mod tests {
         assert_eq!(rec2.chain, rec.chain);
         assert_eq!(rec2.scalars, rec.scalars);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn delta_snapshot_recovers_the_whole_chain_and_bills_every_link() {
-        let mut fti = context(2048);
-        fti.protect("x", 1_000_000);
-        let mut clock = SimClock::new();
-        let mut buf = CheckpointBuffer::new();
-
-        let commit = |fti: &mut FtiContext,
-                          clock: &mut SimClock,
-                          buf: &mut CheckpointBuffer,
-                          iteration: usize,
-                          fill: u8,
-                          len: usize,
-                          delta: Option<u8>| {
-            buf.clear();
-            buf.push_with("x", |out| out.extend_from_slice(&vec![fill; len]));
-            let secs = fti.planned_write_seconds(buf.total_bytes());
-            clock.advance(secs);
-            fti.commit_snapshot_from_buffer(clock.now(), iteration, "", &[], delta, buf, secs)
-                .unwrap();
-        };
-        commit(&mut fti, &mut clock, &mut buf, 0, 1, 1000, None);
-        commit(&mut fti, &mut clock, &mut buf, 5, 2, 200, Some(1));
-        commit(&mut fti, &mut clock, &mut buf, 10, 3, 200, Some(1));
-
-        let rec = fti.recover(&mut clock, 0).unwrap();
-        assert_eq!(rec.iteration, 10);
-        assert_eq!(rec.chain.len(), 3, "delta recovery replays from the anchor");
-        assert_eq!(rec.chain[0][0].1, vec![1u8; 1000]);
-        assert_eq!(rec.payloads()[0].1, vec![3u8; 200]);
-
-        // Reading the chain costs what reading all three links costs — more
-        // than the newest link alone would.
-        let chain_bytes = 1000 + 200 + 200;
-        let expected = fti.pfs().read_seconds(chain_bytes, 2048);
-        assert_eq!(rec.read_seconds, expected);
     }
 
     #[test]

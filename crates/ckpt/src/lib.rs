@@ -26,7 +26,7 @@
 //!   storage tiers, each a [`DiskStore`].
 //! * [`DiskStore`] — the one checkpoint store, over a [`StorageBackend`]:
 //!   crash-consistent checkpoint files (magic + CRC-validated segment
-//!   table, temp-file + rename atomicity, chain-aware retention, optional
+//!   table, temp-file + rename atomicity, retention of the newest files, optional
 //!   write-behind I/O thread).  Over [`OsBackend`] it is the durable tier
 //!   a *fresh* process can reopen and resume from; over [`MemBackend`] it
 //!   is the in-memory tier (see [`disk`]).
@@ -54,7 +54,7 @@ pub use disk::{DiskCheckpoint, DiskStore};
 pub use failure::FailureInjector;
 pub use fti::{FtiContext, RecoveredData};
 pub use pfs::{CheckpointLevel, PfsModel};
-pub use store::{CheckpointBuffer, CheckpointEncoding, CheckpointMetadata};
+pub use store::{CheckpointBuffer, CheckpointMetadata};
 
 /// Errors produced by the checkpoint/restart substrate.
 #[derive(Debug, Clone, PartialEq)]

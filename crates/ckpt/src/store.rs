@@ -2,54 +2,12 @@
 //!
 //! What every checkpoint store of this crate speaks: [`CheckpointMetadata`]
 //! (sizes, iteration, completion time — what the experiment
-//! harness reports), [`CheckpointEncoding`] (anchor or temporal delta) and
-//! the [`CheckpointBuffer`] arena a checkpoint *strategy* (in `lcr-core`)
-//! encodes its payloads into.  The store itself is
-//! [`DiskStore`](crate::disk::DiskStore), for both tiers.
-//!
-//! ## Delta chains
-//!
-//! A checkpoint may be stored as a **temporal delta** against the
-//! checkpoint pushed immediately before it ([`CheckpointEncoding::Delta`]);
-//! such a checkpoint only decodes together with its whole chain back to
-//! the nearest self-contained **anchor**.  The store honours that
-//! dependency in retention and in recovery (see the `disk` module docs).
+//! harness reports) and the [`CheckpointBuffer`] arena a checkpoint
+//! *strategy* (in `lcr-core`) encodes its payloads into.  The store itself
+//! is [`DiskStore`](crate::disk::DiskStore), for both tiers.
 
 use crate::disk::crc32;
 use std::sync::OnceLock;
-
-/// How one checkpoint's payload streams are encoded relative to earlier
-/// checkpoints.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CheckpointEncoding {
-    /// Self-contained anchor: decodes on its own.
-    #[default]
-    Anchor,
-    /// Temporal delta against an earlier checkpoint's streams: decodes
-    /// only by replaying the chain from the nearest anchor.
-    Delta {
-        /// Id of the checkpoint this delta is coded against (always the
-        /// checkpoint pushed immediately before this one).
-        base_id: u64,
-        /// Temporal delta order (1 or 2).
-        order: u8,
-    },
-}
-
-impl CheckpointEncoding {
-    /// True for delta-encoded checkpoints.
-    pub fn is_delta(&self) -> bool {
-        matches!(self, CheckpointEncoding::Delta { .. })
-    }
-
-    /// The base checkpoint id a delta depends on (`None` for anchors).
-    pub fn base_id(&self) -> Option<u64> {
-        match *self {
-            CheckpointEncoding::Anchor => None,
-            CheckpointEncoding::Delta { base_id, .. } => Some(base_id),
-        }
-    }
-}
 
 /// Metadata describing one stored checkpoint.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,8 +22,6 @@ pub struct CheckpointMetadata {
     pub total_bytes: usize,
     /// Original (uncompressed) bytes across all variables.
     pub original_bytes: usize,
-    /// Anchor-vs-delta encoding of the payload streams.
-    pub encoding: CheckpointEncoding,
     /// Per-variable encoded sizes.
     pub variable_bytes: Vec<(String, usize)>,
 }
@@ -167,7 +123,7 @@ impl CheckpointBuffer {
     }
 
     /// Copies the payloads out into owned per-variable vectors (the form a
-    /// recovered chain link has).
+    /// recovered checkpoint has).
     pub fn to_payloads(&self) -> Vec<(String, Vec<u8>)> {
         self.segments()
             .map(|(id, bytes)| (id.to_string(), bytes.to_vec()))

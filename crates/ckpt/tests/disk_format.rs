@@ -41,7 +41,6 @@ fn write_reference(dir: &PathBuf, payloads: &[Vec<u8>]) -> (PathBuf, Vec<u8>) {
             7,
             3.25,
             4096,
-            None,
             "lossy",
             &[("rho".to_string(), 0.5)],
             &mut buffer,
@@ -56,32 +55,22 @@ fn write_reference(dir: &PathBuf, payloads: &[Vec<u8>]) -> (PathBuf, Vec<u8>) {
     (path, bytes)
 }
 
-/// Writes four checkpoints: a standalone anchor (iteration 100) followed
-/// by a delta chain anchor→delta→delta (iterations 200/300/400), deriving
-/// each link's payloads from `payloads`.  Returns the four file paths in
-/// id order.
-fn write_chain(dir: &PathBuf, payloads: &[Vec<u8>]) -> Vec<PathBuf> {
+/// Writes four checkpoints (iterations 100 to 400), deriving each one's
+/// payloads from `payloads`.  Returns the four file paths in id order.
+fn write_four(dir: &PathBuf, payloads: &[Vec<u8>]) -> Vec<PathBuf> {
     let mut store = DiskStore::open(dir, 4).expect("open scratch store");
     let mut buffer = CheckpointBuffer::new();
-    for (k, delta) in [None, None, Some(1u8), Some(2u8)].into_iter().enumerate() {
+    for k in 0..4 {
         buffer.clear();
         for (i, p) in payloads.iter().enumerate() {
             buffer.push_with(&format!("v{i}"), |out| {
                 out.extend_from_slice(p);
-                out.push(k as u8); // make every link's bytes distinct
+                out.push(k as u8); // make every checkpoint's bytes distinct
             });
         }
         store
-            .push_from_buffer(
-                100 * (k + 1),
-                k as f64,
-                4096,
-                delta,
-                "lossy-delta",
-                &[],
-                &mut buffer,
-            )
-            .expect("write chain link");
+            .push_from_buffer(100 * (k + 1), k as f64, 4096, "lossy", &[], &mut buffer)
+            .expect("write checkpoint");
     }
     let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
         .unwrap()
@@ -93,17 +82,13 @@ fn write_chain(dir: &PathBuf, payloads: &[Vec<u8>]) -> Vec<PathBuf> {
     paths
 }
 
-/// Iteration recovery must land on when chain member `member` (0 = the
-/// standalone anchor, 1..=3 = the delta chain) is destroyed: corrupting a
-/// link abandons every dependent, falling back to the newest link that
-/// still has a complete chain.
+/// Iteration recovery must land on when checkpoint `member` (0 = the
+/// oldest) is destroyed: the newest intact one.
 fn expected_fallback_iteration(member: usize) -> usize {
-    match member {
-        0 => 400, // the delta chain is untouched
-        1 => 100, // chain anchor gone: every dependent dies with it
-        2 => 200, // mid-chain delta gone: its base anchor still recovers
-        3 => 300, // only the newest delta gone
-        _ => unreachable!(),
+    if member == 3 {
+        300
+    } else {
+        400
     }
 }
 
@@ -111,47 +96,40 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn bit_flipped_chain_member_invalidates_dependents_not_ancestors(
+    fn a_bit_flipped_checkpoint_leaves_the_newest_intact_one_recoverable(
         payloads in payload_strategy(),
         member in 0usize..4,
         flip_pos in 0usize..10_000,
         flip_bit in 0u8..8,
     ) {
         let dir = scratch();
-        let paths = write_chain(&dir, &payloads);
+        let paths = write_four(&dir, &payloads);
         let mut bytes = std::fs::read(&paths[member]).unwrap();
         let pos = flip_pos % bytes.len();
         bytes[pos] ^= 1 << flip_bit;
         std::fs::write(&paths[member], &bytes).unwrap();
 
         let mut reopened = DiskStore::open(&dir, 4).unwrap();
-        let chain = reopened.latest_valid_chain().expect("some chain survives");
-        let last = chain.last().unwrap();
-        prop_assert_eq!(last.metadata.iteration, expected_fallback_iteration(member));
-        // The recovered chain is complete: anchor first, contiguous links.
-        prop_assert!(!chain[0].metadata.encoding.is_delta());
-        for pair in chain.windows(2) {
-            prop_assert_eq!(pair[1].metadata.encoding.base_id(), Some(pair[0].metadata.id));
-        }
+        let recovered = reopened.latest_valid().expect("some checkpoint survives");
+        prop_assert_eq!(recovered.metadata.iteration, expected_fallback_iteration(member));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn truncated_chain_member_invalidates_dependents_not_ancestors(
+    fn a_truncated_checkpoint_leaves_the_newest_intact_one_recoverable(
         payloads in payload_strategy(),
         member in 0usize..4,
         cut in 0usize..10_000,
     ) {
         let dir = scratch();
-        let paths = write_chain(&dir, &payloads);
+        let paths = write_four(&dir, &payloads);
         let bytes = std::fs::read(&paths[member]).unwrap();
         let keep = cut % bytes.len();
         std::fs::write(&paths[member], &bytes[..keep]).unwrap();
 
         let mut reopened = DiskStore::open(&dir, 4).unwrap();
-        let chain = reopened.latest_valid_chain().expect("some chain survives");
-        let last = chain.last().unwrap();
-        prop_assert_eq!(last.metadata.iteration, expected_fallback_iteration(member));
+        let recovered = reopened.latest_valid().expect("some checkpoint survives");
+        prop_assert_eq!(recovered.metadata.iteration, expected_fallback_iteration(member));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -264,6 +242,36 @@ fn a_crc_valid_file_of_another_storage_level_is_rejected() {
                 assert!(msg.contains(&format!("unknown storage level {level}")), "{msg}");
             }
             other => panic!("level {level} must be rejected as corrupt, got {other:?}"),
+        }
+        let mut reopened = DiskStore::open(&dir, 1).unwrap();
+        assert_eq!(reopened.latest_valid().unwrap_err(), CkptError::NoCheckpoint);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// The header's encoding tag (offset 49: the level byte at 40, then the
+/// original-bytes word) is always 0.  A CRC-valid file carrying a delta
+/// order of the retired chains (1, 2) or any other tag is corrupt, and the
+/// store's scan never selects it.
+#[test]
+fn a_crc_valid_file_of_a_delta_encoding_tag_is_rejected() {
+    const TAG_AT: usize = 49;
+    for tag in [1u8, 2, 3] {
+        let dir = scratch();
+        let (path, mut bytes) = write_reference(&dir, &[vec![1, 2, 3], vec![]]);
+        assert_eq!(bytes[TAG_AT], 0, "the writer records encoding tag 0");
+        bytes[TAG_AT] = tag;
+        let meta_len = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+        let crc_at = 16 + meta_len;
+        let crc = crc32(&bytes[..crc_at]);
+        bytes[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+
+        match read_checkpoint_file(&path) {
+            Err(CkptError::Corrupt(msg)) => {
+                assert!(msg.contains(&format!("unknown encoding tag {tag}")), "{msg}");
+            }
+            other => panic!("tag {tag} must be rejected as corrupt, got {other:?}"),
         }
         let mut reopened = DiskStore::open(&dir, 1).unwrap();
         assert_eq!(reopened.latest_valid().unwrap_err(), CkptError::NoCheckpoint);

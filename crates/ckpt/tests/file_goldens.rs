@@ -41,7 +41,7 @@ const FILES: [(&str, usize, u64); 7] = [
     ("ckpt-0000000003.lcr", 1132, 0xaa0c_837f_114f_d7fc),
     ("ckpt-0000000004.lcr", 65644, 0x29a6_8e77_e88f_5156),
     ("ckpt-0000000005.lcr", 1048682, 0xbac7_5c9b_2d5c_640b),
-    ("ckpt-0000000006.lcr", 66718, 0xe1c5_34eb_f0e3_c3d8),
+    ("ckpt-0000000006.lcr", 66710, 0x8934_590a_702a_0c9c),
 ];
 
 /// `len` bytes of a xorshift64 stream seeded with `seed`.
@@ -63,28 +63,28 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// One checkpoint: its payloads and its delta order.
-type Checkpoint = (Vec<(String, Vec<u8>)>, Option<u8>);
+/// One checkpoint: its payloads.
+type Checkpoint = Vec<(String, Vec<u8>)>;
 
-/// The commits, in order: one anchor per entry of `LENGTHS`, then the
-/// three segments of `SEGMENTS` as an order-1 delta.
+/// The commits, in order: one per entry of `LENGTHS`, then the three
+/// segments of `SEGMENTS`.
 fn schedule() -> Vec<Checkpoint> {
     let single = LENGTHS
         .iter()
         .enumerate()
-        .map(|(k, &len)| (vec![("x".to_string(), xorshift_bytes(k as u64 + 1, len))], None));
+        .map(|(k, &len)| vec![("x".to_string(), xorshift_bytes(k as u64 + 1, len))]);
     let segments = SEGMENTS
         .iter()
         .map(|&(name, len, seed)| (name.to_string(), xorshift_bytes(seed, len)))
         .collect();
-    single.chain([(segments, Some(1))]).collect()
+    single.chain([segments]).collect()
 }
 
 /// Commits the schedule through `fti`, reusing one buffer as a solver run
 /// does, and waits for the durable tier's last write.
 fn commit_all(fti: &mut FtiContext) {
     let mut buffer = CheckpointBuffer::new();
-    for (k, (payloads, order)) in schedule().into_iter().enumerate() {
+    for (k, payloads) in schedule().into_iter().enumerate() {
         buffer.clear();
         for (name, bytes) in &payloads {
             buffer.push_with(name, |out| out.extend_from_slice(bytes));
@@ -95,7 +95,7 @@ fn commit_all(fti: &mut FtiContext) {
             10 * k,
             "traditional",
             &scalars,
-            order,
+            None,
             &mut buffer,
             0.0,
         )
@@ -129,7 +129,7 @@ fn tempdir(tag: &str) -> PathBuf {
 /// Commits the schedule into a context with the memory tier (unless
 /// `memory_tier` is false) and a durable tier over `backend` in `dir`,
 /// checks the durable files against `FILES` and that every tier recovers
-/// the last checkpoint's chain.
+/// the last checkpoint.
 fn check(
     tag: &str,
     backend: Arc<dyn StorageBackend>,
@@ -155,17 +155,15 @@ fn check(
     assert_eq!(file_table(backend.as_ref(), dir), expected, "{tag}: durable files");
 
     // The durable tier serves first; with it detached, the memory tier.
-    let schedule = schedule();
-    let last_chain: Vec<Vec<(String, Vec<u8>)>> =
-        schedule[schedule.len() - 2..].iter().map(|(payloads, _)| payloads.clone()).collect();
+    let last = schedule().pop().unwrap();
     let recovered = fti.recover(&mut SimClock::new(), 0).unwrap();
     assert_eq!((recovered.durable, recovered.id), (true, 6), "{tag}");
-    assert_eq!(recovered.chain, last_chain, "{tag}: durable chain");
+    assert_eq!(recovered.payloads(), last, "{tag}: durable checkpoint");
     fti.detach_disk_store();
     if memory_tier {
         let recovered = fti.recover(&mut SimClock::new(), 0).unwrap();
         assert_eq!((recovered.durable, recovered.id), (false, 6), "{tag}");
-        assert_eq!(recovered.chain, last_chain, "{tag}: memory chain");
+        assert_eq!(recovered.payloads(), last, "{tag}: memory checkpoint");
     }
 }
 
@@ -173,7 +171,7 @@ fn check(
 fn payload_crcs_are_pinned() {
     let crcs: Vec<u32> = schedule()
         .iter()
-        .flat_map(|(payloads, _)| payloads.iter().map(|(_, bytes)| crc32(bytes)))
+        .flat_map(|payloads| payloads.iter().map(|(_, bytes)| crc32(bytes)))
         .collect();
     assert_eq!(crcs, PAYLOAD_CRCS);
 }

@@ -31,17 +31,13 @@ fn commit(
     fti: &mut FtiContext,
     buffer: &mut CheckpointBuffer,
     k: usize,
-    delta_order: Option<u8>,
 ) -> Result<CheckpointMetadata, CkptError> {
     buffer.clear();
     buffer.push_with("x", |out| out.extend((0..40 + 8 * k).map(|i| (i * 7 + k) as u8)));
     buffer.push_with("p", |out| out.extend_from_slice(&[k as u8; 24]));
     let scalars = [("rho".to_string(), 0.5 * k as f64)];
-    fti.commit_snapshot_from_buffer(k as f64, 10 * k, "lossy-delta", &scalars, delta_order, buffer, 0.0)
+    fti.commit_snapshot_from_buffer(k as f64, 10 * k, "lossy", &scalars, None, buffer, 0.0)
 }
-
-/// Two anchored chains, each an anchor, an order-1 and an order-2 delta.
-const SCHEDULE: [Option<u8>; 6] = [None, Some(1), Some(2), None, Some(1), Some(2)];
 
 fn tempdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("lcr-write-behind-{tag}-{}", std::process::id()));
@@ -72,11 +68,8 @@ fn write_behind_leaves_the_files_a_synchronous_store_leaves() {
         disk.set_write_behind(write_behind).unwrap();
         let mut fti = context(disk);
         let mut buffer = CheckpointBuffer::new();
-        let committed: Vec<CheckpointMetadata> = SCHEDULE
-            .into_iter()
-            .enumerate()
-            .map(|(k, order)| commit(&mut fti, &mut buffer, k, order).unwrap())
-            .collect();
+        let committed: Vec<CheckpointMetadata> =
+            (0..6).map(|k| commit(&mut fti, &mut buffer, k).unwrap()).collect();
         fti.disk_store_mut().unwrap().flush().unwrap();
         let recovered = fti.recover(&mut SimClock::new(), 0).unwrap();
         let files = files(&dir);
@@ -94,12 +87,12 @@ fn write_behind_leaves_the_files_a_synchronous_store_leaves() {
     let names: Vec<&str> = sync.1.iter().map(|(name, _)| name.as_str()).collect();
     assert_eq!(
         names,
-        ["ckpt-0000000003.lcr", "ckpt-0000000004.lcr", "ckpt-0000000005.lcr"],
-        "retention evicted the first chain whole"
+        ["ckpt-0000000004.lcr", "ckpt-0000000005.lcr", "ckpt-0000000006.lcr.tmp"],
+        "retention keeps two, and the third is the next commit's storage"
     );
     assert!(sync.1 == write_behind.1, "the files differ byte for byte");
     assert_eq!(sync.2, write_behind.2, "recovery");
-    assert_eq!((sync.2.id, sync.2.chain.len()), (5, 3));
+    assert_eq!((sync.2.id, sync.2.chain.len()), (5, 1));
 }
 
 /// A backend over memory whose `fail_at`-th `write_file` (1-based) fails.
@@ -179,10 +172,10 @@ fn valid_ids(fti: &mut FtiContext) -> Vec<u64> {
 fn a_failed_write_behind_write_surfaces_on_the_next_commit_and_only_its_checkpoint_is_lost() {
     let mut fti = failing_second_write();
     let mut buffer = CheckpointBuffer::new();
-    assert_eq!(commit(&mut fti, &mut buffer, 0, None).unwrap().id, 0);
-    assert_eq!(commit(&mut fti, &mut buffer, 1, None).unwrap().id, 1);
+    assert_eq!(commit(&mut fti, &mut buffer, 0).unwrap().id, 0);
+    assert_eq!(commit(&mut fti, &mut buffer, 1).unwrap().id, 1);
     assert_eq!(
-        commit(&mut fti, &mut buffer, 2, None),
+        commit(&mut fti, &mut buffer, 2),
         Err(CkptError::Io("writing checkpoint 1: injected".into()))
     );
     // The error was reported once, and the third checkpoint landed.
@@ -195,8 +188,8 @@ fn a_failed_write_behind_write_surfaces_on_the_next_commit_and_only_its_checkpoi
 fn a_failed_last_write_behind_write_surfaces_on_flush_and_recovery_falls_back() {
     let mut fti = failing_second_write();
     let mut buffer = CheckpointBuffer::new();
-    assert_eq!(commit(&mut fti, &mut buffer, 0, None).unwrap().id, 0);
-    assert_eq!(commit(&mut fti, &mut buffer, 1, None).unwrap().id, 1);
+    assert_eq!(commit(&mut fti, &mut buffer, 0).unwrap().id, 0);
+    assert_eq!(commit(&mut fti, &mut buffer, 1).unwrap().id, 1);
     assert_eq!(
         fti.disk_store_mut().unwrap().flush(),
         Err(CkptError::Io("writing checkpoint 1: injected".into()))

@@ -6,9 +6,8 @@
 //! This module implements a canonical Huffman encoder and a table-driven
 //! decoder over the symbols SZ writes, built for word-at-a-time throughput.
 //!
-//! Its one alphabet is `0..`[`DENSE_SPAN_MAX`] (2^19): quantization codes
-//! are at most 65,537, order-2 zigzag deltas stay below 2^19 and XOR byte
-//! planes below 2^8.  Its one code-length limit is [`MAX_CODE_LEN`] = 32
+//! Its one alphabet is `0..`[`DENSE_SPAN_MAX`] (2^19), which holds every
+//! quantization code (at most 65,537).  Its one code-length limit is [`MAX_CODE_LEN`] = 32
 //! bits, for writer and reader alike, and it holds by construction, not by
 //! a limiter: a tree with a leaf at depth 33 needs at least F(35) =
 //! 9,227,465 symbols (the Fibonacci bound), so a blob of one `PAR_BLOCK`
@@ -16,8 +15,8 @@
 //!
 //! * **Encoding** is two steps.  [`Plan::of`] counts the symbols and turns
 //!   the histogram into code lengths and the blob's **exact** size without
-//!   packing a bit, so a caller weighing several candidate encodings sizes
-//!   them all and writes only the winner; [`Plan::emit`] then packs the
+//!   packing a bit, so a caller places every block before writing any;
+//!   [`Plan::emit`] then packs the
 //!   symbols 64 bits at a time straight into the destination through one
 //!   symbol → packed-code table.  Every cost follows the number of
 //!   *present* symbols, never the symbol span.
@@ -617,23 +616,14 @@ impl HuffmanCode {
 }
 
 /// Huffman-encodes a symbol stream into a self-contained v2 byte blob
-/// (varint count, compact table, varint bit-stream length, bits), appended
-/// to `out`.
+/// (varint count, compact table, varint bit-stream length, bits).
 ///
 /// # Panics
 /// Panics if a symbol is not below 2^19.
-pub fn encode_block_into(symbols: &[u32], out: &mut Vec<u8>) {
-    let plan = Plan::of(symbols, 0);
-    let start = out.len();
-    out.resize(start + plan.blob_len(), 0);
-    plan.emit(symbols, &mut out[start..]);
-}
-
-/// Convenience: Huffman-encodes a symbol stream into a self-contained v2
-/// byte blob (table + bit stream).
 pub fn encode_block(symbols: &[u32]) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_block_into(symbols, &mut out);
+    let plan = Plan::of(symbols, 0);
+    let mut out = vec![0; plan.blob_len()];
+    plan.emit(symbols, &mut out);
     out
 }
 

@@ -9,26 +9,19 @@
 //! and compares against Gzip lossless compression and uncompressed
 //! checkpoints.  This crate re-implements that compressor stack from
 //! scratch, behind one trait: a [`Codec`] appends a vector's stream to a
-//! buffer (`encode_into`, optionally within a [`Chain`] of earlier
-//! snapshots) and decodes a chain of streams back (`decode_chain`; a chain
-//! of one is the stateless case).
+//! buffer (`encode_into`) and decodes one stream back (`decode`).
 //!
 //! * [`sz`] — an SZ-style prediction-based, error-bounded lossy compressor:
 //!   Lorenzo/linear prediction + linear-scaling quantization + Huffman
 //!   coding of the quantization bins, with unpredictable values stored
 //!   verbatim.  Supports absolute, point-wise-relative (the paper's
-//!   definition) and value-range-relative error bounds.  The only codec
-//!   with a temporal encoder.
+//!   definition) and value-range-relative error bounds.
 //! * [`zfp`] — a ZFP-style transform-based lossy compressor (1-D blocks,
 //!   fixed-point block conversion, orthogonal lifting transform, bit-plane
 //!   truncation) used for the compressor-choice ablation.
 //! * [`lossless`] — the exact codecs: raw IEEE-754 bytes (the traditional
 //!   checkpoint), and an FPC-style XOR/leading-zero codec, an LZSS byte
 //!   codec and their pipeline standing in for Gzip.
-//! * [`delta`] — temporal delta codec for SZ quantization-code streams:
-//!   checkpoint *k*'s codes coded as order-1/order-2 deltas against
-//!   checkpoint *k−1*'s, powering the anchored delta-chain checkpoint
-//!   streams (SZ stream version 5).
 //! * [`huffman`] / [`bitstream`] — the entropy-coding substrate shared by
 //!   the lossy compressors.
 //!
@@ -46,7 +39,6 @@
 #![warn(missing_docs)]
 
 pub mod bitstream;
-pub mod delta;
 pub mod huffman;
 pub mod lossless;
 mod parblock;
@@ -144,80 +136,39 @@ impl std::error::Error for CompressError {}
 /// Result alias for compressor operations.
 pub type Result<T> = std::result::Result<T, CompressError>;
 
-/// Where a snapshot stands in a checkpoint chain: what the previous
-/// snapshots of the same variable left behind, and how far the encoder may
-/// lean on them.
-pub struct Chain<'a> {
-    /// Highest delta order the encoder may choose.
-    pub max_order: DeltaMode,
-    /// Pins the stream to a self-contained anchor (the periodic anchors
-    /// that bound a chain's length).
-    pub force_anchor: bool,
-    /// The retained codes of the previous snapshots; always left holding
-    /// this snapshot's.
-    pub state: &'a mut SzTemporalState,
-}
-
 /// What turns a dynamic vector into checkpoint bytes and back — the one
 /// line in which the paper's Algorithms 1 and 2 differ: raw IEEE-754
 /// ([`RawCodec`]), the Gzip-like lossless baseline ([`LosslessPipeline`]
 /// and its two stages), SZ ([`SzCompressor`]) or ZFP ([`ZfpCompressor`]).
 ///
 /// The lossy codecs honour the bound they are handed; the exact ones
-/// ignore it.  Only SZ has a temporal encoder; every other codec ignores
-/// `chain` and writes self-contained streams.
+/// ignore it.  Every stream decodes on its own.
 pub trait Codec: Send + Sync {
     /// Short human-readable name ("raw", "fpc+lzss", "sz", "zfp").
     fn name(&self) -> &'static str;
 
     /// Appends the encoded stream of `data` to `out` — compressors write
-    /// straight into a reusable checkpoint buffer — and returns how it
-    /// leans on the chain: [`DeltaMode::None`] for a stream that decodes
-    /// on its own, which is all a codec can write without a `chain`.
+    /// straight into a reusable checkpoint buffer.
     ///
     /// # Errors
     /// A lossy codec returns [`CompressError::InvalidBound`] for
     /// non-positive or NaN bounds.
-    fn encode_into(
-        &self,
-        data: &[f64],
-        bound: ErrorBound,
-        chain: Option<Chain<'_>>,
-        out: &mut Vec<u8>,
-    ) -> Result<DeltaMode>;
+    fn encode_into(&self, data: &[f64], bound: ErrorBound, out: &mut Vec<u8>) -> Result<()>;
 
-    /// Decodes one self-contained stream of `n_elements` values.
+    /// Decodes one stream of `n_elements` values.
     ///
     /// # Errors
     /// Returns [`CompressError::Corrupt`] or [`CompressError::WrongCodec`]
     /// for invalid streams.
     fn decode(&self, stream: &[u8], n_elements: usize) -> Result<Vec<f64>>;
 
-    /// Decodes the final snapshot of a chain of streams in temporal order,
-    /// a self-contained one first; `n_elements` is that snapshot's length.
-    /// A codec whose streams are all self-contained accepts a chain of one.
-    ///
-    /// # Errors
-    /// As [`Codec::decode`]; a longer chain than the codec can have
-    /// written is [`CompressError::Corrupt`].
-    fn decode_chain(&self, links: &[&[u8]], n_elements: usize) -> Result<Vec<f64>> {
-        match links {
-            [only] => self.decode(only, n_elements),
-            _ => Err(CompressError::Corrupt(format!(
-                "{} streams are self-contained, but a {}-link chain was recovered",
-                self.name(),
-                links.len()
-            ))),
-        }
-    }
-
-    /// [`Codec::encode_into`] without a chain, into a stream of its own.
+    /// [`Codec::encode_into`] into a stream of its own.
     ///
     /// # Errors
     /// As [`Codec::encode_into`].
     fn compress(&self, data: &[f64], bound: ErrorBound) -> Result<Compressed> {
         let mut bytes = Vec::new();
-        self.encode_into(data, bound, None, &mut bytes)?;
+        self.encode_into(data, bound, &mut bytes)?;
         Ok(Compressed {
             bytes,
             n_elements: data.len(),
@@ -227,15 +178,23 @@ pub trait Codec: Send + Sync {
     /// Decodes a stream produced by [`Codec::compress`].
     ///
     /// # Errors
-    /// As [`Codec::decode_chain`].
+    /// As [`Codec::decode`].
     fn decompress(&self, compressed: &Compressed) -> Result<Vec<f64>> {
-        self.decode_chain(&[&compressed.bytes], compressed.n_elements)
+        self.decode(&compressed.bytes, compressed.n_elements)
     }
 }
 
-pub use delta::DeltaMode;
+/// A temporal delta order, read by nothing: every SZ stream decodes on its
+/// own.  Kept only because `lcr_benchmark` names `DeltaMode::Order2` when
+/// it builds `lcr_core::TemporalEncodingSelector`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DeltaMode {
+    /// The order the benchmark names.
+    Order2,
+}
+
 pub use lossless::{LosslessPipeline, RawCodec};
-pub use sz::{SzCompressor, SzTemporalState};
+pub use sz::SzCompressor;
 pub use zfp::ZfpCompressor;
 
 #[cfg(test)]

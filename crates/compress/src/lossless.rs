@@ -19,11 +19,10 @@
 //!   baseline, not a headline comparator.
 //! * [`RawCodec`] — every value's eight little-endian bytes, headerless.
 //!
-//! Both ignore the bound and the chain they are handed and write
-//! self-contained streams.
+//! Both ignore the bound they are handed.
 
 use crate::bitstream::bytes;
-use crate::{Chain, Codec, CompressError, DeltaMode, ErrorBound, Result};
+use crate::{Codec, CompressError, ErrorBound, Result};
 
 /// Codec ids stored in stream headers.
 const FPC_ID: u8 = 10;
@@ -72,19 +71,13 @@ impl Codec for RawCodec {
         "raw"
     }
 
-    fn encode_into(
-        &self,
-        data: &[f64],
-        _: ErrorBound,
-        _: Option<Chain<'_>>,
-        out: &mut Vec<u8>,
-    ) -> Result<DeltaMode> {
+    fn encode_into(&self, data: &[f64], _: ErrorBound, out: &mut Vec<u8>) -> Result<()> {
         let start = out.len();
         out.resize(start + data.len() * 8, 0);
         for (bytes, x) in out[start..].chunks_exact_mut(8).zip(data) {
             bytes.copy_from_slice(&x.to_le_bytes());
         }
-        Ok(DeltaMode::None)
+        Ok(())
     }
 
     fn decode(&self, stream: &[u8], n_elements: usize) -> Result<Vec<f64>> {
@@ -402,17 +395,11 @@ impl Codec for LosslessPipeline {
         "fpc+lzss"
     }
 
-    fn encode_into(
-        &self,
-        data: &[f64],
-        _: ErrorBound,
-        _: Option<Chain<'_>>,
-        out: &mut Vec<u8>,
-    ) -> Result<DeltaMode> {
+    fn encode_into(&self, data: &[f64], _: ErrorBound, out: &mut Vec<u8>) -> Result<()> {
         out.push(PIPELINE_ID);
         bytes::put_u64(out, data.len() as u64);
         out.extend_from_slice(&lzss_compress(&fpc_encode(data)));
-        Ok(DeltaMode::None)
+        Ok(())
     }
 
     fn decode(&self, buf: &[u8], n: usize) -> Result<Vec<f64>> {
@@ -467,11 +454,9 @@ mod tests {
         roundtrip_exact(&RawCodec, &[0.0, -0.0, f64::NAN, f64::INFINITY]);
         let c = RawCodec.compress(&[1.5, -2.0], ANY).unwrap();
         assert_eq!(c.bytes, [1.5f64.to_le_bytes(), (-2.0f64).to_le_bytes()].concat());
-        // A payload that is not `n_elements` doubles long is rejected, and
-        // so is a chain: raw streams are self-contained.
+        // A payload that is not `n_elements` doubles long is rejected.
         assert!(RawCodec.decode(&c.bytes[..13], 1).is_err());
         assert!(RawCodec.decode(&c.bytes, 3).is_err());
-        assert!(RawCodec.decode_chain(&[&c.bytes, &c.bytes], 2).is_err());
     }
 
     /// The FPC stage's round trip, bit for bit.

@@ -18,9 +18,7 @@
 //!
 //! The result honours the same error-bound contract as the SZ-style
 //! compressor (verified by property tests), though with lower compression
-//! ratios on 1-D data — which is exactly the paper's observation.  As a
-//! [`Codec`] it ignores the chain it is handed: every stream is
-//! self-contained.
+//! ratios on 1-D data — which is exactly the paper's observation.
 //!
 //! ## Stream version
 //!
@@ -30,7 +28,7 @@
 
 use crate::bitstream::{bytes, BitReader, BitWriter};
 use crate::parblock;
-use crate::{Chain, Codec, CompressError, DeltaMode, ErrorBound, Result};
+use crate::{Codec, CompressError, ErrorBound, Result};
 
 /// Codec id stored in the stream header.
 const CODEC_ID: u8 = 2;
@@ -257,13 +255,7 @@ impl Codec for ZfpCompressor {
         "zfp"
     }
 
-    fn encode_into(
-        &self,
-        data: &[f64],
-        bound: ErrorBound,
-        _: Option<Chain<'_>>,
-        out: &mut Vec<u8>,
-    ) -> Result<DeltaMode> {
+    fn encode_into(&self, data: &[f64], bound: ErrorBound, out: &mut Vec<u8>) -> Result<()> {
         let eb = bound.value();
         if !(eb.is_finite() && eb > 0.0) {
             return Err(CompressError::InvalidBound(eb));
@@ -288,7 +280,7 @@ impl Codec for ZfpCompressor {
             }
             writer.into_bytes()
         });
-        Ok(DeltaMode::None)
+        Ok(())
     }
 
     fn decode(&self, buf: &[u8], n_elements: usize) -> Result<Vec<f64>> {

@@ -8,7 +8,7 @@
 mod scripts;
 
 use lcr_compress::{Codec, ErrorBound, SzCompressor};
-use scripts::{cg_script, ensure_pool, linear_drift, synthetic_script, Step, BOUNDS};
+use scripts::{cg_script, ensure_pool, linear_drift, synthetic_script, BOUNDS};
 
 /// FNV-1a over the bits of `values`, a 64-bit word at a time, continuing
 /// from `h`.
@@ -18,17 +18,14 @@ fn fnv(h: u64, values: &[f64]) -> u64 {
         .fold(h, |h, v| (h ^ v.to_bits()).wrapping_mul(0x0100_0000_01b3))
 }
 
-/// Encodes every snapshot of `steps` on its own and returns one
+/// Encodes every snapshot of `snapshots` on its own and returns one
 /// fingerprint of everything the decoder returned, in snapshot order.
-fn decode_fingerprint(steps: &[Step], bound: ErrorBound) -> u64 {
+fn decode_fingerprint(snapshots: &[Vec<f64>], bound: ErrorBound) -> u64 {
     ensure_pool();
     let sz = SzCompressor::new();
     let mut fingerprint = 0xcbf2_9ce4_8422_2325;
-    for (k, step) in steps.iter().enumerate() {
-        let Step::Encode { data, .. } = step else {
-            continue;
-        };
-        let at = format!("{bound:?}, step {k}");
+    for (k, data) in snapshots.iter().enumerate() {
+        let at = format!("{bound:?}, snapshot {k}");
         let decoded = sz
             .decompress(&sz.compress(data, bound).expect(&at))
             .expect(&at);
@@ -74,12 +71,8 @@ fn linear_drift_decodes_are_pinned() {
             (ErrorBound::PointwiseRel(1e-4), 2.0 * 1e-4f64.ln_1p(), true),
             (ErrorBound::Abs(1e-6), 2e-6, false),
         ] {
-            let script: Vec<Step> = (0..6)
-                .map(|k| Step::Encode {
-                    data: linear_drift(n, k, quantum, log_space),
-                    force_anchor: false,
-                })
-                .collect();
+            let script: Vec<Vec<f64>> =
+                (0..6).map(|k| linear_drift(n, k, quantum, log_space)).collect();
             got.push(decode_fingerprint(&script, bound));
         }
     }

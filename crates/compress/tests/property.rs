@@ -6,7 +6,7 @@
 //! must stay within the bound element-wise, and the lossless codecs must be
 //! bit-exact.
 
-use lcr_compress::{Chain, Codec, ErrorBound, LosslessPipeline, SzCompressor, ZfpCompressor};
+use lcr_compress::{Codec, ErrorBound, LosslessPipeline, SzCompressor, ZfpCompressor};
 use proptest::prelude::*;
 
 /// Generates scientifically-plausible values: a mix of magnitudes, signs,
@@ -22,6 +22,36 @@ fn data_strategy() -> impl Strategy<Value = Vec<f64>> {
         ],
         0..400,
     )
+}
+
+/// An SZ stream of `data` as the decoder-hardening tests take it: under an
+/// absolute bound, or under the point-wise-relative one with the first
+/// `zeros` values exact zeros and — unless `random_signs` — the values from
+/// `negative_from` on negative and the rest positive, so the zero and the
+/// sign bitmap take every coding (all clear, all set, runs, raw) across
+/// cases.
+fn sz_stream(
+    data: &[f64],
+    pointwise: bool,
+    zeros: usize,
+    negative_from: usize,
+    random_signs: bool,
+) -> lcr_compress::Compressed {
+    let sz = SzCompressor::new();
+    if !pointwise {
+        return sz.compress(data, ErrorBound::Abs(1e-6)).unwrap();
+    }
+    let shaped: Vec<f64> = data
+        .iter()
+        .enumerate()
+        .map(|(i, &v)| match i {
+            _ if i < zeros => 0.0,
+            _ if random_signs => v,
+            _ if i < negative_from => v.abs(),
+            _ => -v.abs(),
+        })
+        .collect();
+    sz.compress(&shaped, ErrorBound::PointwiseRel(1e-4)).unwrap()
 }
 
 /// The proper prefix of `compressed` cut at `cut_frac` of its length.
@@ -137,11 +167,16 @@ proptest! {
     fn truncated_sz_streams_error_not_panic(
         data in prop::collection::vec(-1.0e3f64..1.0e3, 1..300),
         cut_frac in 0.0f64..1.0,
+        pointwise in any::<bool>(),
+        zeros in 0usize..300,
+        negative_from in 0usize..300,
+        random_signs in any::<bool>(),
     ) {
         // Any proper prefix must produce CompressError::Corrupt — never a
-        // panic, never a huge allocation from a truncated length field.
+        // panic, never a huge allocation from a truncated length field or
+        // run list.
         let sz = SzCompressor::new();
-        let compressed = sz.compress(&data, ErrorBound::Abs(1e-6)).unwrap();
+        let compressed = sz_stream(&data, pointwise, zeros, negative_from, random_signs);
         prop_assert!(sz.decompress(&truncated(&compressed, cut_frac)).is_err());
     }
 
@@ -150,12 +185,16 @@ proptest! {
         data in prop::collection::vec(-1.0e3f64..1.0e3, 1..300),
         flip_frac in 0.0f64..1.0,
         bit in 0u8..8,
+        pointwise in any::<bool>(),
+        zeros in 0usize..300,
+        negative_from in 0usize..300,
+        random_signs in any::<bool>(),
     ) {
         // A single flipped bit anywhere in the stream may decode to
         // garbage values (lossy streams carry no checksum) but must never
         // panic or over-allocate.
         let sz = SzCompressor::new();
-        let mut compressed = sz.compress(&data, ErrorBound::Abs(1e-6)).unwrap();
+        let mut compressed = sz_stream(&data, pointwise, zeros, negative_from, random_signs);
         let pos = ((compressed.bytes.len() as f64 * flip_frac) as usize)
             .min(compressed.bytes.len() - 1);
         compressed.bytes[pos] ^= 1 << bit;
@@ -195,7 +234,7 @@ proptest! {
 
 // ---- retired stream versions ---------------------------------------------
 
-/// A header of a retired stream version (SZ 3, ZFP 2) claiming `u64::MAX`
+/// A header of a retired stream version (SZ 3 to 5, ZFP 2) claiming `u64::MAX`
 /// elements: the decoder must stop at the version byte with the typed
 /// unsupported-version error, before it trusts any length in the stream.
 fn assert_retired_version_rejected(codec: &dyn Codec, codec_id: u8, version: u8) {
@@ -222,13 +261,25 @@ fn assert_retired_version_rejected(codec: &dyn Codec, codec_id: u8, version: u8)
 #[test]
 fn retired_sz_v3_stream_is_rejected_as_unsupported() {
     assert_retired_version_rejected(&SzCompressor::new(), 1, 3);
-    // A live stream relabelled as version 3 is rejected the same way, by
-    // the chain decoder too.
+    // A live stream relabelled as version 3 is rejected the same way.
     let sz = SzCompressor::new();
     let mut live = sz.compress(&[1.0, 2.0, 3.0], ErrorBound::Abs(1e-6)).unwrap();
     live.bytes[1] = 3;
     assert!(sz.decompress(&live).is_err());
-    assert!(sz.decode_chain(&[&live.bytes, &live.bytes], live.n_elements).is_err());
+}
+
+#[test]
+fn retired_sz_v4_and_v5_streams_are_rejected_as_unsupported() {
+    let sz = SzCompressor::new();
+    for version in [4, 5] {
+        assert_retired_version_rejected(&sz, 1, version);
+        // A live stream of either transform relabelled as `version`.
+        for bound in [ErrorBound::Abs(1e-6), ErrorBound::PointwiseRel(1e-4)] {
+            let mut live = sz.compress(&[1.0, -2.0, 0.0], bound).unwrap();
+            live.bytes[1] = version;
+            assert!(sz.decompress(&live).is_err(), "version {version} under {bound:?}");
+        }
+    }
 }
 
 #[test]
@@ -236,156 +287,68 @@ fn retired_zfp_v2_stream_is_rejected_as_unsupported() {
     assert_retired_version_rejected(&ZfpCompressor::new(), 2, 2);
 }
 
-// ---- temporal delta chains (stream v5) ---------------------------------
+// ---- point-wise-relative bitmaps (stream v6) -----------------------------
 
-/// Builds the v5 delta chain for a snapshot sequence: anchor first (and
-/// again at snapshot `mid_anchor`, if given), otherwise delta — or direct,
-/// if delta would be larger — streams in order.
-fn temporal_chain(
-    snaps: &[Vec<f64>],
-    bound: ErrorBound,
-    max_order: lcr_compress::DeltaMode,
-    mid_anchor: Option<usize>,
-) -> Vec<lcr_compress::Compressed> {
-    let sz = SzCompressor::new();
-    let mut state = lcr_compress::SzTemporalState::new();
-    snaps
-        .iter()
-        .enumerate()
-        .map(|(k, snap)| {
-            let mut bytes = Vec::new();
-            let anchor = k == 0 || mid_anchor == Some(k);
-            let chain = Chain { max_order, force_anchor: anchor, state: &mut state };
-            sz.encode_into(snap, bound, Some(chain), &mut bytes).unwrap();
-            lcr_compress::Compressed {
-                bytes,
-                n_elements: snap.len(),
-            }
-        })
-        .collect()
-}
-
-/// The streams of `links`, as [`Codec::decode_chain`] takes them.
-fn streams(links: &[lcr_compress::Compressed]) -> Vec<&[u8]> {
-    links.iter().map(|l| l.bytes.as_slice()).collect()
-}
-
-/// Snapshot sequences as proptest input: a base array plus per-snapshot
-/// perturbations scaled by `drift`, so consecutive snapshots correlate.
-fn snapshot_strategy() -> impl Strategy<Value = Vec<Vec<f64>>> {
-    (
-        prop::collection::vec(-1.0e2f64..1.0e2, 1..300),
-        2usize..5,
-        -6i32..-1,
-    )
-        .prop_map(|(base, count, drift_exp)| {
-            let drift = 10f64.powi(drift_exp);
-            (0..count)
-                .map(|k| {
-                    base.iter()
-                        .enumerate()
-                        .map(|(i, &v)| v + drift * (k * (i % 13 + 1)) as f64)
-                        .collect()
-                })
-                .collect()
-        })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The tentpole restart-bit-identity guarantee: replaying a delta
-    /// chain reconstructs the final snapshot bit-identically to a direct
-    /// (stateless, anchor-only) decode of the same snapshot — for every
-    /// bound mode and delta order, at any thread count (CI runs this
-    /// suite at LCR_NUM_THREADS=1 and 4).
-    #[test]
-    fn delta_chain_replay_matches_direct_decode_bitwise(
-        snaps in snapshot_strategy(),
-        exp in -8i32..-2,
-        order2 in any::<bool>(),
-        mid_anchor in any::<bool>(),
-    ) {
-        let eb = 10f64.powi(exp);
-        let max_order = if order2 {
-            lcr_compress::DeltaMode::Order2
-        } else {
-            lcr_compress::DeltaMode::Order1
-        };
-        let sz = SzCompressor::new();
-        for bound in [
-            ErrorBound::Abs(eb),
-            ErrorBound::PointwiseRel(eb),
-            ErrorBound::ValueRangeRel(eb),
-        ] {
-            // An anchor forced at snapshot 2 sits mid-chain in every longer
-            // prefix: the decoder must stop consulting what came before it.
-            let chain = temporal_chain(&snaps, bound, max_order, mid_anchor.then_some(2));
-            for k in 0..chain.len() {
-                let replayed = sz.decode_chain(&streams(&chain[..=k]), snaps[k].len()).unwrap();
-                let direct = sz
-                    .decompress(&sz.compress(&snaps[k], bound).unwrap())
-                    .unwrap();
-                prop_assert_eq!(replayed.len(), direct.len());
-                for (a, b) in replayed.iter().zip(direct.iter()) {
-                    prop_assert_eq!(a.to_bits(), b.to_bits());
-                }
-            }
-        }
+/// A hand-built version-6 point-wise-relative stream of `n` values, every
+/// one an exact zero: the zero bitmap coded as `zero_bitmap` (strategy byte
+/// and payload), the sign bitmap all clear, no log magnitudes, no blocks.
+fn all_zero_stream(n: u64, zero_bitmap: &[u8]) -> lcr_compress::Compressed {
+    let mut bytes = vec![1, 6];
+    bytes.extend_from_slice(&n.to_le_bytes());
+    bytes.push(1); // the log transform
+    bytes.extend_from_slice(&1e-4f64.to_le_bytes());
+    bytes.extend_from_slice(zero_bitmap);
+    bytes.push(1); // sign bitmap: all clear
+    bytes.extend_from_slice(&0u64.to_le_bytes()); // no log magnitudes
+    bytes.extend_from_slice(&0u64.to_le_bytes()); // no blocks
+    lcr_compress::Compressed {
+        bytes,
+        n_elements: n as usize,
     }
+}
 
-    /// Corrupt delta chains must error (or decode to garbage values) —
-    /// never panic, never over-allocate: under an absolute bound and under
-    /// a point-wise relative one (bitmap flags, inherited bitmaps), on
-    /// plain snapshots and on ones with exact zeros and values no bound
-    /// can quantize (NaN, ∞, 1e300 — verbatim tails on the anchors, XOR
-    /// planes on the deltas, some against a value that stayed put and some
-    /// against one that moved).
-    #[test]
-    fn corrupt_delta_chains_never_panic(
-        snaps in snapshot_strategy(),
-        cut_frac in 0.0f64..1.0,
-        bit in 0u8..8,
-        corrupt_link_frac in 0.0f64..1.0,
-        pointwise in any::<bool>(),
-        spikes in any::<bool>(),
-    ) {
-        let mut snaps = snaps;
-        if spikes {
-            for (k, snap) in snaps.iter_mut().enumerate() {
-                for (i, v) in snap.iter_mut().enumerate() {
-                    match i % 11 {
-                        2 => *v = [f64::NAN, f64::INFINITY, -1e300][(i / 11) % 3],
-                        5 if (i / 11) % 2 == k % 2 => *v = 1e300,
-                        7 => *v = 0.0,
-                        _ => {}
-                    }
-                }
+#[test]
+fn hand_built_bitmap_codings_decode_or_are_corrupt() {
+    let sz = SzCompressor::new();
+    // Well formed: all set, and the same as runs (an empty clear run, then
+    // 16 set); the decoder returns 16 exact zeros either way.
+    for zero_bitmap in [&[2u8][..], &[3, 2, 0, 16]] {
+        let decoded = sz.decompress(&all_zero_stream(16, zero_bitmap)).unwrap();
+        assert_eq!(decoded, vec![0.0; 16], "{zero_bitmap:?}");
+    }
+    let corrupt = |zero_bitmap: &[u8], why: &str| {
+        match sz.decompress(&all_zero_stream(16, zero_bitmap)) {
+            Err(lcr_compress::CompressError::Corrupt(msg)) => {
+                assert!(msg.contains(why), "{zero_bitmap:?}: {msg}")
             }
+            other => panic!("{zero_bitmap:?} must be corrupt ({why}), got {other:?}"),
         }
-        let bound = if pointwise {
-            ErrorBound::PointwiseRel(1e-4)
-        } else {
-            ErrorBound::Abs(1e-6)
-        };
-        let sz = SzCompressor::new();
-        let mut chain = temporal_chain(&snaps, bound, lcr_compress::DeltaMode::Order2, None);
-        let n = snaps[snaps.len() - 1].len();
-        prop_assert!(sz.decode_chain(&streams(&chain), n).is_ok());
-        let link = ((chain.len() as f64 * corrupt_link_frac) as usize).min(chain.len() - 1);
-
-        // Truncating any link makes the whole chain undecodable.
-        let mut truncated = chain.clone();
-        let cut = ((truncated[link].bytes.len() as f64 * cut_frac) as usize)
-            .min(truncated[link].bytes.len() - 1);
-        truncated[link].bytes.truncate(cut);
-        prop_assert!(sz.decode_chain(&streams(&truncated), n).is_err());
-
-        // A flipped bit may or may not be detected (no checksum at this
-        // layer — the disk tier CRCs whole files) but must never panic.
-        let pos = cut.min(chain[link].bytes.len() - 1);
-        chain[link].bytes[pos] ^= 1 << bit;
-        let _ = sz.decode_chain(&streams(&chain), n);
+    };
+    corrupt(&[4], "unknown bitmap strategy 4");
+    corrupt(&[0xFF], "unknown bitmap strategy 255");
+    // Runs that cover 17 or 15 of the 16 values.
+    corrupt(&[3, 2, 0, 17], "cover more than");
+    corrupt(&[3, 3, 0, 15, 2], "cover more than");
+    corrupt(&[3, 2, 0, 15], "cover 15 of its 16");
+    corrupt(&[3, 0], "cover 0 of its 16");
+    // 18 runs for 16 bits, decided before a single run is read.
+    corrupt(&[3, 18], "18 runs");
+    corrupt(&[3, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F], "runs cannot code");
+    // Overlong varints: eleven bytes, and ten whose last overflows 64 bits.
+    let overlong = [0x80u8; 10].iter().chain(&[0x01]).copied();
+    corrupt(&[3].into_iter().chain(overlong.clone()).collect::<Vec<_>>(), "varint overflow");
+    corrupt(&[3, 2, 0].into_iter().chain(overlong).collect::<Vec<_>>(), "varint overflow");
+    let too_wide = [0xFFu8; 9].iter().chain(&[0x02]).copied();
+    corrupt(&[3, 2, 0].into_iter().chain(too_wide).collect::<Vec<_>>(), "varint overflow");
+    // A run length past `usize` is never added to a position.
+    corrupt(&[3, 2, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01], "cover more than");
+    // A raw section shorter than its 16 bits, and a stream cut mid-list.
+    corrupt(&[0, 1, 0, 0, 0, 0, 0, 0, 0, 0xFF], "cannot cover 16 values");
+    let mut cut = all_zero_stream(16, &[3, 2, 0, 16]);
+    cut.bytes.truncate(19 + 3);
+    match sz.decompress(&cut) {
+        Err(lcr_compress::CompressError::Corrupt(msg)) => assert!(msg.contains("truncated"), "{msg}"),
+        other => panic!("a stream cut mid-list must be corrupt, got {other:?}"),
     }
 }
 
@@ -417,10 +380,11 @@ fn huge_block_counts_are_rejected_before_allocating() {
     let sz = SzCompressor::new();
     let zfp = ZfpCompressor::new();
     // (codec, empty stream, elements per block, offset of the count the
-    // block count is derived from — `n`, or SZ's `n_logs`).
+    // block count is derived from — `n`, or SZ's `n_logs` behind the two
+    // one-byte all-clear bitmaps of an empty stream).
     let cases: [(&dyn Codec, ErrorBound, u64, usize); 3] = [
         (&sz, ErrorBound::Abs(1e-6), 65_536, 2),
-        (&sz, ErrorBound::PointwiseRel(1e-4), 65_536, 35),
+        (&sz, ErrorBound::PointwiseRel(1e-4), 65_536, 21),
         (&zfp, ErrorBound::Abs(1e-4), 4_096, 2),
     ];
     for (codec, bound, block_elems, count_at) in cases {

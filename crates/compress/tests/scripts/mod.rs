@@ -1,6 +1,6 @@
-//! The scripted encoder sessions shared by the oracle identity test
-//! (`temporal_identity.rs`) and the decode goldens (`decode_goldens.rs`):
-//! every input case lives here once, and the pool both run them on.
+//! The scripted snapshot sequences of the decode goldens
+//! (`decode_goldens.rs`): every input case lives here once, with the pool
+//! they run on.
 
 use lcr_compress::ErrorBound;
 
@@ -10,12 +10,6 @@ pub fn ensure_pool() {
     if std::env::var("LCR_NUM_THREADS").is_err() {
         rayon::initialize_pool(4);
     }
-}
-
-/// One step of a scripted encoder session.
-pub enum Step {
-    Encode { data: Vec<f64>, force_anchor: bool },
-    Reset,
 }
 
 pub const BOUNDS: [ErrorBound; 3] = [
@@ -36,18 +30,16 @@ fn rng(seed: u64) -> impl FnMut() -> f64 {
 }
 
 /// Snapshot `k` of a correlated sequence of `n` values: a rough
-/// persistent field (so direct codes carry real entropy) under a slowly
-/// drifting smooth one (so temporal deltas pay), with
+/// persistent field (so the codes carry real entropy) under a slowly
+/// drifting smooth one, with
 ///
 /// * exact `0.0` and `-0.0` at fixed positions and every third value
-///   negative — stable bitmaps a delta stream inherits — except that
-///   snapshot 2 flips more signs and snapshots from 4 on gain a zero (the
-///   point-wise-relative code count changes: a forced anchor by key);
+///   negative — bitmaps of many runs, coded raw — except that snapshot 2
+///   flips more signs and snapshots from 4 on gain a zero;
 /// * values no bound can quantize — NaN, and 1e12-sized outliers that
 ///   also poison their two successors' predictors — at positions that
-///   partly stay (XOR tails against a prior value) and partly move
-///   (against a predictable prior);
-/// * snapshot 5 unrelated to its predecessors, so direct coding wins.
+///   partly stay and partly move from snapshot to snapshot;
+/// * snapshot 5 unrelated to its predecessors.
 fn synthetic(n: usize, k: usize) -> Vec<f64> {
     let mut rough = rng(42);
     let mut fresh = rng(1000 + k as u64);
@@ -85,35 +77,18 @@ fn synthetic(n: usize, k: usize) -> Vec<f64> {
         .collect()
 }
 
-/// The scripted session every synthetic length runs: free choice, a
-/// forced anchor mid-chain, a shape change and back, a reset.
-pub fn synthetic_script(n: usize) -> Vec<Step> {
-    let encode = |len: usize, k: usize, force_anchor: bool| Step::Encode {
-        data: synthetic(len, k),
-        force_anchor,
-    };
-    vec![
-        encode(n, 0, false),
-        encode(n, 1, false),
-        encode(n, 2, false),
-        encode(n, 3, true),
-        encode(n, 3, false), // identical snapshot: all-zero delta symbols
-        encode(n, 4, false),
-        encode(n / 2 + 3, 4, false), // shape change
-        encode(n, 5, false),
-        encode(n, 6, false),
-        Step::Reset,
-        encode(n, 7, false),
-        encode(n, 8, false),
-    ]
+/// The snapshots every synthetic length runs: a repeated snapshot, a
+/// shape change and back.
+pub fn synthetic_script(n: usize) -> Vec<Vec<f64>> {
+    let lens = [n, n, n, n, n, n, n / 2 + 3, n, n, n, n];
+    let ks = [0, 1, 2, 3, 3, 4, 4, 5, 6, 7, 8];
+    lens.into_iter().zip(ks).map(|(len, k)| synthetic(len, k)).collect()
 }
 
 /// Snapshot `k` of a sequence whose every value moves by its own constant
 /// number of quantization steps per snapshot (of its logarithm, for a
-/// point-wise relative bound): order-1
-/// deltas carry the rough step field, order-2 deltas vanish, so the
-/// second-order candidate wins and gets emitted.  A few NaNs give its
-/// blocks an XOR tail.
+/// point-wise relative bound), with alternating signs under the log
+/// transform and a few NaNs in every block's verbatim tail.
 pub fn linear_drift(n: usize, k: usize, quantum: f64, log_space: bool) -> Vec<f64> {
     let mut field = rng(7);
     (0..n)
@@ -134,8 +109,9 @@ pub fn linear_drift(n: usize, k: usize, quantum: f64, log_space: bool) -> Vec<f6
 
 /// Iterates of unpreconditioned CG on the 7-point Poisson problem of a
 /// `g³` grid (matrix-free), right-hand side manufactured from three
-/// sinusoids: what the checkpointing runner actually hands the encoder.
-fn cg_snapshots(g: usize, count: usize) -> Vec<Vec<f64>> {
+/// sinusoids: what the checkpointing runner actually hands the encoder,
+/// checkpointing after every iteration as `ckpt_heavy` does.
+pub fn cg_script(g: usize, count: usize) -> Vec<Vec<f64>> {
     let n = g * g * g;
     let apply = |x: &[f64], y: &mut [f64]| {
         for k in 0..g {
@@ -200,15 +176,3 @@ fn cg_snapshots(g: usize, count: usize) -> Vec<Vec<f64>> {
     snaps
 }
 
-/// A checkpoint-after-every-iteration session with an anchor forced every
-/// eighth snapshot — the `ckpt_heavy` configuration.
-pub fn cg_script(g: usize, count: usize) -> Vec<Step> {
-    cg_snapshots(g, count)
-        .into_iter()
-        .enumerate()
-        .map(|(k, data)| Step::Encode {
-            data,
-            force_anchor: k % 8 == 0,
-        })
-        .collect()
-}

@@ -31,10 +31,8 @@ use lcr_ckpt::{
     CheckpointBuffer, CheckpointMetadata, CkptError, DiskStore, FtiContext, OsBackend,
     RecoveredData, RetryPolicy, SimClock, StorageBackend,
 };
-use lcr_compress::DeltaMode;
 use lcr_solvers::DynamicState;
 
-use crate::encoding::TemporalEncodingSelector;
 use crate::strategy::{CheckpointStrategy, RecoveryMode};
 
 /// A decoded checkpoint and how a solver is brought back from it.
@@ -172,10 +170,6 @@ pub(crate) struct Checkpointer {
     /// Reusable encoding arena: after the first checkpoint the encode side
     /// writes into already-sized memory, and each payload is copied once.
     buffer: CheckpointBuffer,
-    /// Anchored temporal-delta selection; reset whenever the chain breaks
-    /// (recovery, aborted or failed write) so a delta is never written
-    /// against a checkpoint the store does not hold.
-    selector: TemporalEncodingSelector,
     /// Consecutive hard durable-write failures …
     hard_failures: usize,
     /// … after this many, drop the durable tier and keep going in memory.
@@ -189,12 +183,10 @@ pub(crate) struct Checkpointer {
 
 impl Checkpointer {
     /// A checkpointer writing through `fti` (not yet durable) every
-    /// `interval` iterations, forcing an anchor every `anchor_interval`
-    /// checkpoints (0 or 1: every checkpoint is one).
+    /// `interval` iterations.
     pub(crate) fn new(
         strategy: CheckpointStrategy,
         interval: usize,
-        anchor_interval: usize,
         fti: FtiContext,
         degrade_after: usize,
     ) -> Self {
@@ -203,7 +195,6 @@ impl Checkpointer {
             interval,
             fti,
             buffer: CheckpointBuffer::new(),
-            selector: TemporalEncodingSelector::new(anchor_interval, DeltaMode::Order2),
             hard_failures: 0,
             degrade_after,
             retired: None,
@@ -240,21 +231,13 @@ impl Checkpointer {
         Ok(())
     }
 
-    /// A checkpoint did not count: the next one must be an anchor.
-    fn abort(&mut self) {
-        self.tally.aborted += 1;
-        self.selector.reset();
-    }
-
     /// Decodes the newest committed checkpoint that still validates *and*
-    /// decodes: the tiers skip chains that fail a CRC, and a chain that
+    /// decodes: the tiers skip files that fail a CRC, and a checkpoint that
     /// validates but does not decode is invalidated in the tier that served
     /// it and the next-older one tried — a fault met during recovery
     /// degrades to an earlier checkpoint, then to `None`, never to a wrong
     /// answer.
     fn restore(&mut self, regime: &mut impl Regime) -> Option<Recovered> {
-        // The solver leaves the state the last snapshot was encoded from.
-        self.selector.reset();
         loop {
             let read = regime.read(&mut self.fti).ok()?;
             // A checkpoint tagged by another strategy family is not
@@ -264,7 +247,7 @@ impl Checkpointer {
             }
             match self
                 .strategy
-                .decode_chain(&read.chain, read.iteration, &read.scalars)
+                .decode(read.payloads(), read.iteration, &read.scalars)
             {
                 Ok(recovered) => return Some(recovered),
                 Err(_) => {
@@ -356,11 +339,9 @@ fn checkpoint<R: Regime, Q: Quorum>(
     let started = regime.now();
     let (state, residual_norm, reference_norm) = rank.capture();
     let bound = ckpt.strategy.bound_at(residual_norm, reference_norm);
-    let encoded =
-        ckpt.strategy
-            .encode_state_into(&state, bound, &mut ckpt.buffer, &mut ckpt.selector);
+    let encoded = ckpt.strategy.encode_state_into(&state, bound, &mut ckpt.buffer);
     let mut landed = None;
-    if let Ok((meta, delta_order)) = encoded {
+    if let Ok(meta) = encoded {
         // Register each saved variable with its paper-scale original size
         // so the metadata reports Table-3-style per-variable numbers.
         let paper_original_bytes = (meta.original_bytes as f64 * ckpt.fti.byte_scale()) as usize;
@@ -377,7 +358,7 @@ fn checkpoint<R: Regime, Q: Quorum>(
         let fault = regime.wrote(paper_original_bytes, write_seconds);
         ckpt.tally.checkpoint_seconds += regime.now() - started;
         if fault.is_some() {
-            ckpt.abort();
+            ckpt.tally.aborted += 1;
             return Ok(fault);
         }
         let mut scalars = meta.scalars;
@@ -387,7 +368,7 @@ fn checkpoint<R: Regime, Q: Quorum>(
             meta.iteration,
             ckpt.strategy.name(),
             &scalars,
-            delta_order,
+            None,
             &mut ckpt.buffer,
             write_seconds,
         );
@@ -416,13 +397,10 @@ fn checkpoint<R: Regime, Q: Quorum>(
             if let Some(disk) = ckpt.fti.disk_store_mut() {
                 disk.discard_newest();
             }
-            ckpt.abort();
+            ckpt.tally.aborted += 1;
         }
         // This rank could not encode or store it: counted, never silent.
-        (_, None) => {
-            ckpt.tally.failed += 1;
-            ckpt.selector.reset();
-        }
+        (_, None) => ckpt.tally.failed += 1,
     }
     Ok(None)
 }
@@ -466,16 +444,14 @@ mod tests {
             CheckpointLevel::Pfs,
         );
         let strategy = CheckpointStrategy::Traditional;
-        let mut ckpt = Checkpointer::new(strategy.clone(), 1, 0, fti, 3);
+        let mut ckpt = Checkpointer::new(strategy.clone(), 1, fti, 3);
         let state = DynamicState {
             iteration: 4,
             scalars: vec![("rho".to_string(), 0.5)],
             vectors: vec![("x".to_string(), Vector::filled(6, 1.25))],
         };
         let bound = strategy.bound_at(1.0, 1.0);
-        let (meta, _) = strategy
-            .encode_state_into(&state, bound, &mut ckpt.buffer, &mut ckpt.selector)
-            .unwrap();
+        let meta = strategy.encode_state_into(&state, bound, &mut ckpt.buffer).unwrap();
         let tag = strategy.name();
         ckpt.fti
             .commit_snapshot_from_buffer(0.0, 4, tag, &meta.scalars, None, &mut ckpt.buffer, 0.0)

@@ -10,7 +10,6 @@ use crate::runner::{FaultTolerantRunner, RunConfig, RunReport};
 use crate::strategy::CheckpointStrategy;
 use crate::workload::{paper_rtol, PaperWorkload, ScaledProblem};
 use lcr_ckpt::{ClusterConfig, PfsModel};
-use lcr_compress::{Chain, Codec, DeltaMode, ErrorBound, SzCompressor, SzTemporalState};
 use lcr_perfmodel::{
     lossy_overhead_ratio, theorem2_extra_iterations_upper_bound, traditional_overhead_ratio,
     young_optimal_interval, young_optimal_interval_iterations,
@@ -39,10 +38,6 @@ struct MeasuredRatios {
     pub lossless: f64,
     /// Lossy (SZ, paper error-bound policy) compression ratio.
     pub lossy: f64,
-    /// Additional factor the anchored delta chain saves over direct
-    /// (anchor-every-snapshot) lossy coding of the same checkpoint
-    /// sequence: direct stream bytes ÷ chain stream bytes, ≥ 1.
-    pub lossy_delta: f64,
 }
 
 /// Measures lossless and lossy compression ratios on the converged dynamic
@@ -78,45 +73,12 @@ fn measure_strategy_ratios(
         .map(|s| s.encode(solver.as_ref()).expect("encode").encoded_bytes())
         .collect();
 
-    // Delta-chain factor: snapshot the solution every 5 iterations from the
-    // halfway state onward, coding the sequence once as an anchored delta
-    // chain and once direct (anchor every snapshot), both with the paper's
-    // default point-wise relative bound.
-    let sz = SzCompressor::new();
-    let bound = ErrorBound::PointwiseRel(1e-4);
-    let mut chain_state = SzTemporalState::new();
-    let mut chain_bytes = 0usize;
-    let mut direct_bytes = 0usize;
-    for snapshot in 0..4 {
-        let x = solver.solution().clone();
-        let mut direct_state = SzTemporalState::new();
-        let mut direct = Vec::new();
-        let anchor =
-            Chain { max_order: DeltaMode::Order2, force_anchor: true, state: &mut direct_state };
-        sz.encode_into(x.as_slice(), bound, Some(anchor), &mut direct)
-            .expect("direct compression");
-        let mut encoded = Vec::new();
-        let link = Chain {
-            max_order: DeltaMode::Order2,
-            force_anchor: snapshot == 0,
-            state: &mut chain_state,
-        };
-        sz.encode_into(x.as_slice(), bound, Some(link), &mut encoded)
-            .expect("chain compression");
-        direct_bytes += direct.len();
-        chain_bytes += encoded.len();
-        for _ in 0..5 {
-            solver.step();
-        }
-    }
-
     // A production checkpointing system falls back to storing the raw bytes
     // when compression would expand them (as gzip's "stored" blocks do), so
     // the effective ratio never drops below 1.
     MeasuredRatios {
         lossless: (sizes[0] as f64 / sizes[1] as f64).max(1.0),
         lossy: (sizes[0] as f64 / sizes[2] as f64).max(1.0),
-        lossy_delta: (direct_bytes as f64 / chain_bytes as f64).max(1.0),
     }
 }
 
@@ -174,9 +136,6 @@ pub struct Table3Row {
     pub lossless_mb: f64,
     /// Lossy checkpoint size per process, MB.
     pub lossy_mb: f64,
-    /// Lossy size per process with the anchored delta chain (average over
-    /// the chain, anchors included), MB.
-    pub lossy_delta_mb: f64,
     /// *Measured* lossy checkpoint size per process, MB: the per-shard SZ
     /// segment sizes actually written by the sharded checkpoint path
     /// (newest committed epoch), extrapolated to paper scale with the same
@@ -218,8 +177,6 @@ pub fn table3(
                 lossless_mb: trad_mb / ratios.lossless,
                 // The lossy scheme always checkpoints a single vector (x).
                 lossy_mb: (p.paper_vector_bytes_per_process() / 1e6) / ratios.lossy,
-                lossy_delta_mb: (p.paper_vector_bytes_per_process() / 1e6)
-                    / (ratios.lossy * ratios.lossy_delta),
                 measured_shard_mb: shard_ratio
                     .map(|r| (p.paper_vector_bytes_per_process() / 1e6) / r),
             });
@@ -543,7 +500,6 @@ mod tests {
         assert!(r.lossless >= 1.0, "lossless ratio {}", r.lossless);
         assert!(r.lossy > r.lossless, "lossy {} vs lossless {}", r.lossy, r.lossless);
         assert!(r.lossy > 3.0);
-        assert!(r.lossy_delta >= 1.0, "delta-chain factor {}", r.lossy_delta);
     }
 
     #[test]
@@ -563,12 +519,6 @@ mod tests {
         assert!((jacobi_256.traditional_mb - 38.4).abs() < 2.0);
         assert!(jacobi_256.lossless_mb < jacobi_256.traditional_mb);
         assert!(jacobi_256.lossy_mb < jacobi_256.lossless_mb);
-        assert!(
-            jacobi_256.lossy_delta_mb <= jacobi_256.lossy_mb,
-            "delta chain must not expand the lossy checkpoints: {} vs {}",
-            jacobi_256.lossy_delta_mb,
-            jacobi_256.lossy_mb
-        );
 
         // CG traditional checkpoints are twice the Jacobi size (x and p).
         let cg_256 = rows.iter().find(|r| r.solver == "cg" && r.processes == 256).unwrap();

@@ -10,10 +10,6 @@
 //!   no-checkpointing baseline.  The lossy strategy implements the paper's
 //!   per-method error-bound policy: a fixed point-wise relative bound for
 //!   Jacobi/CG and the adaptive `‖r‖/‖b‖` bound of Theorem 3 for GMRES.
-//! * [`encoding`] — the anchored temporal-delta selector: between forced
-//!   anchor checkpoints the SZ-backed lossy strategy may encode a
-//!   checkpoint as a delta against the previous one's quantization codes,
-//!   shrinking the stream; recovery replays the chain from the anchor.
 //! * `executor` (private) — the one fault-tolerant executor: a per-rank
 //!   checkpointer (the only code here that opens a `DiskStore`; encode
 //!   through the strategy, write, commit or abort, restore the newest
@@ -45,7 +41,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod encoding;
 mod executor;
 pub mod experiment;
 pub mod impact;
@@ -54,11 +49,10 @@ pub mod sharded;
 pub mod strategy;
 pub mod workload;
 
-pub use encoding::TemporalEncodingSelector;
 pub use experiment::{
     CheckpointTimeRow, ExpectedOverheadRow, FaultToleranceOverheadRow, Table3Row,
 };
 pub use runner::{ExecutionBackend, FaultTolerantRunner, RunConfig, RunReport};
 pub use sharded::{EpochRecord, KillSpec, ShardStats, ShardedReport, ShardedRunConfig};
-pub use strategy::{CheckpointStrategy, ErrorBoundPolicy, RecoveryMode};
+pub use strategy::{CheckpointStrategy, ErrorBoundPolicy, RecoveryMode, TemporalEncodingSelector};
 pub use workload::{PaperWorkload, ScaledProblem, WorkloadKind};

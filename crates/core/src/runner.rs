@@ -101,13 +101,8 @@ pub struct RunConfig {
     /// Checkpoint every this many solver iterations (0 disables periodic
     /// checkpointing, e.g. for the failure-free baseline).
     pub checkpoint_interval_iterations: usize,
-    /// Force a self-contained *anchor* checkpoint every this many snapshots
-    /// and allow the SZ-backed lossy strategy to temporal-delta-encode the
-    /// checkpoints in between (`0` or `1` disables delta coding: every
-    /// checkpoint is an anchor).  Deltas shrink the write at the cost of a
-    /// recovery that replays the chain from the nearest anchor; only the
-    /// lossy strategy uses this — the others always write self-contained
-    /// checkpoints.
+    /// Read by nothing: every checkpoint decodes on its own.
+    /// `lcr_benchmark`'s exhaustive literal is the only reason it exists.
     pub anchor_interval_snapshots: usize,
     /// Simulated cluster.
     pub cluster: ClusterConfig,
@@ -195,11 +190,11 @@ pub struct RunReport {
     /// hard failures (graceful degradation to the in-memory tier: the run
     /// keeps converging, but nothing durable survives the process).
     pub degraded_tier: bool,
-    /// Committed checkpoints that are self-contained anchors.
+    /// Committed checkpoints, all of which decode on their own: always
+    /// `checkpoints_taken`.  `lcr_benchmark` is the only reason it exists.
     pub anchor_checkpoints: usize,
-    /// Committed checkpoints that are temporal deltas against their
-    /// predecessor (only possible for the lossy strategy with
-    /// `anchor_interval_snapshots > 1`).
+    /// Always 0: no checkpoint leans on another.  `lcr_benchmark` is the
+    /// only reason it exists.
     pub delta_checkpoints: usize,
     /// Iteration this run resumed from via the durable on-disk tier
     /// (`None` when the run started from scratch).
@@ -235,8 +230,7 @@ pub struct RunReport {
     /// Whether the solver hit its iteration limit instead of converging.
     pub hit_iteration_limit: bool,
     /// Encoded bytes of every committed checkpoint in commit order (same
-    /// scale as [`RunReport::mean_checkpoint_bytes`]) — the payload-size
-    /// trace that makes anchor spikes and delta troughs visible.
+    /// scale as [`RunReport::mean_checkpoint_bytes`]).
     pub checkpoint_bytes_trace: Vec<usize>,
     /// Mean encoded checkpoint bytes (paper-scale) per checkpoint.
     pub mean_checkpoint_bytes: f64,
@@ -458,7 +452,6 @@ impl FaultTolerantRunner {
         let mut ckpt = Checkpointer::new(
             cfg.strategy.clone(),
             cfg.checkpoint_interval_iterations,
-            cfg.anchor_interval_snapshots,
             fti,
             DEGRADE_AFTER,
         );
@@ -494,7 +487,6 @@ impl FaultTolerantRunner {
         let total_seconds = regime.clock.now();
         let stored = tally.committed.iter().map(|c| &c.metadata);
         let checkpoints_taken = stored.len();
-        let delta_checkpoints = stored.clone().filter(|m| m.encoding.is_delta()).count();
         let mean_over_checkpoints = |sum: f64| sum / checkpoints_taken.max(1) as f64;
         RunReport {
             strategy: cfg.strategy.name().to_string(),
@@ -507,8 +499,8 @@ impl FaultTolerantRunner {
             io_retries: io_retries as usize,
             io_backoff_seconds,
             degraded_tier: tally.degraded,
-            anchor_checkpoints: checkpoints_taken - delta_checkpoints,
-            delta_checkpoints,
+            anchor_checkpoints: checkpoints_taken,
+            delta_checkpoints: 0,
             checkpoint_bytes_trace: stored.clone().map(|m| m.total_bytes).collect(),
             resumed_from_iteration: tally.resumed_from,
             failures: regime.failures,
@@ -766,116 +758,6 @@ mod tests {
                 || a.executed_iterations != c.executed_iterations
                 || (a.total_seconds - c.total_seconds).abs() > 1e-9
         );
-    }
-
-    #[test]
-    fn delta_checkpoints_appear_between_anchors_and_shrink_the_stream() {
-        let (w, p) = small_poisson();
-        let mut solver = w.build_solver(&p, SolverKind::Cg, 200_000);
-        let mut cfg = config(CheckpointStrategy::lossy_default(), 5, f64::MAX, None);
-        cfg.anchor_interval_snapshots = 4;
-        let report = FaultTolerantRunner::new(cfg).run(solver.as_mut(), &p);
-        assert!(report.checkpoints_taken >= 4, "need a few checkpoints");
-        assert_eq!(
-            report.anchor_checkpoints + report.delta_checkpoints,
-            report.checkpoints_taken
-        );
-        assert!(
-            report.delta_checkpoints > 0,
-            "a converging CG run must produce delta checkpoints between anchors"
-        );
-        // Every 4th snapshot is a forced anchor, so at least ⌈n/4⌉ anchors.
-        assert!(report.anchor_checkpoints >= report.checkpoints_taken.div_ceil(4));
-        assert_eq!(
-            report.checkpoint_bytes_trace.len(),
-            report.checkpoints_taken
-        );
-        // The first checkpoint is always an anchor; deltas are only kept
-        // when smaller, so the smallest trace entry must undercut the
-        // first anchor whenever any delta committed.
-        let anchor0 = report.checkpoint_bytes_trace[0];
-        let min = *report.checkpoint_bytes_trace.iter().min().unwrap();
-        assert!(
-            min < anchor0,
-            "smallest delta payload {min} must undercut the anchor {anchor0}"
-        );
-    }
-
-    #[test]
-    fn delta_run_without_failures_matches_anchor_only_convergence() {
-        // Checkpoint encoding must never perturb the solver: with no
-        // failures, a delta-enabled run converges identically (same
-        // iteration count, same residual history) to an anchor-only run.
-        let (w, p) = small_poisson();
-        let mut s1 = w.build_solver(&p, SolverKind::Cg, 200_000);
-        let plain = FaultTolerantRunner::new(config(
-            CheckpointStrategy::lossy_default(),
-            5,
-            f64::MAX,
-            None,
-        ))
-        .run(s1.as_mut(), &p);
-        let mut s2 = w.build_solver(&p, SolverKind::Cg, 200_000);
-        let mut cfg = config(CheckpointStrategy::lossy_default(), 5, f64::MAX, None);
-        cfg.anchor_interval_snapshots = 4;
-        let delta = FaultTolerantRunner::new(cfg).run(s2.as_mut(), &p);
-        assert_eq!(plain.convergence_iterations, delta.convergence_iterations);
-        assert_eq!(plain.residual_history, delta.residual_history);
-        assert_eq!(plain.checkpoints_taken, delta.checkpoints_taken);
-        // The delta run writes no more bytes than the anchor-only run.
-        assert!(delta.mean_checkpoint_bytes <= plain.mean_checkpoint_bytes);
-    }
-
-    #[test]
-    fn delta_run_recovers_and_converges_under_failures() {
-        let (w, p) = small_poisson();
-        let mut solver = w.build_solver(&p, SolverKind::Cg, 200_000);
-        let mut cfg = config(CheckpointStrategy::lossy_default(), 5, 15.0, Some(11));
-        cfg.anchor_interval_snapshots = 3;
-        let report = FaultTolerantRunner::new(cfg).run(solver.as_mut(), &p);
-        assert!(report.failures > 0);
-        assert!(report.recoveries > 0);
-        assert!(!report.hit_iteration_limit, "CG must still converge");
-        // After every recovery the selector resets, so the checkpoint
-        // immediately after a restart is an anchor — the chain never spans
-        // a rollback.
-        assert!(report.anchor_checkpoints > 0);
-    }
-
-    #[test]
-    fn fresh_runner_resumes_from_a_disk_delta_chain() {
-        // Phase 1 stops mid-solve with delta chains on disk; phase 2 is a
-        // brand-new runner that must replay the newest chain (anchor +
-        // deltas) to resume — the end-to-end proof that chain recovery
-        // works through the durable tier.
-        let (w, p) = small_poisson();
-        let dir = std::env::temp_dir().join(format!("lcr-delta-resume-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut cfg = config(CheckpointStrategy::lossy_default(), 5, f64::MAX, None);
-        cfg.anchor_interval_snapshots = 4;
-        cfg.persistence = Persistence::disk(&dir);
-        cfg.max_executed_iterations = 18;
-        let mut s1 = w.build_solver(&p, SolverKind::Cg, 200_000);
-        let phase1 = FaultTolerantRunner::new(cfg.clone()).run(s1.as_mut(), &p);
-        assert_eq!(
-            phase1.executed_iterations, 18,
-            "phase 1 must stop mid-solve"
-        );
-        assert!(
-            phase1.delta_checkpoints > 0,
-            "phase 1 must leave a delta chain behind"
-        );
-
-        cfg.max_executed_iterations = 500_000;
-        let mut s2 = w.build_solver(&p, SolverKind::Cg, 200_000);
-        let phase2 = FaultTolerantRunner::new(cfg).run(s2.as_mut(), &p);
-        let resumed = phase2
-            .resumed_from_iteration
-            .expect("phase 2 must resume from the disk chain");
-        assert!(resumed > 0 && resumed <= 18);
-        assert!(!phase2.hit_iteration_limit, "resumed run converges");
-        assert!(phase2.convergence_iterations > resumed);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -409,7 +409,7 @@ fn run_shard(
     let cluster = ClusterConfig::bebop_like(cfg.shards, 0.0);
     let fti = FtiContext::new(cluster, PfsModel::bebop_like(), CheckpointLevel::Pfs)
         .without_memory_tier();
-    let mut ckpt = Checkpointer::new(strategy, cfg.checkpoint_interval, 0, fti, usize::MAX);
+    let mut ckpt = Checkpointer::new(strategy, cfg.checkpoint_interval, fti, usize::MAX);
     if cfg.checkpoint_interval > 0 {
         let root = cfg
             .ckpt_dir

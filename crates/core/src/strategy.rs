@@ -21,7 +21,6 @@
 //! default) for the stationary methods and CG, and the adaptive
 //! `‖r‖/‖b‖` bound of Theorem 3 for GMRES.
 
-use crate::encoding::TemporalEncodingSelector;
 use lcr_ckpt::CheckpointBuffer;
 use lcr_compress::{Codec, DeltaMode, ErrorBound};
 use lcr_perfmodel::theorem3_gmres_error_bound;
@@ -236,18 +235,17 @@ impl CheckpointStrategy {
         }
     }
 
-    /// Encodes the solver's dynamic state into checkpoint payloads.
+    /// Encodes the solver's dynamic state into checkpoint payloads, under
+    /// the bound its policy resolves for the current residual.
     ///
-    /// Allocating convenience wrapper around
-    /// [`CheckpointStrategy::encode_temporal_into`] with delta coding off;
-    /// the executor's hot path encodes into a reused buffer.
+    /// Allocating convenience wrapper around `encode_state_into`; the
+    /// executor's hot path encodes into a reused buffer.
     ///
     /// # Errors
     /// Returns [`StrategyError::Compression`] if a codec fails.
     pub fn encode(&self, solver: &dyn IterativeMethod) -> Result<EncodedCheckpoint, StrategyError> {
         let mut buffer = CheckpointBuffer::new();
-        let mut anchors_only = TemporalEncodingSelector::default();
-        let (meta, _) = self.encode_temporal_into(solver, &mut buffer, &mut anchors_only)?;
+        let meta = self.encode_solver_into(solver, &mut buffer)?;
         Ok(EncodedCheckpoint {
             payloads: buffer.to_payloads(),
             original_bytes: meta.original_bytes,
@@ -257,22 +255,30 @@ impl CheckpointStrategy {
     }
 
     /// Encodes the solver's dynamic state directly into a reusable
-    /// [`CheckpointBuffer`] — `encode_state_into` on
-    /// the solver's captured state, under the bound its policy resolves
-    /// for the current residual.
+    /// [`CheckpointBuffer`]: `encode_state_into` on the solver's captured
+    /// state, under the bound its policy resolves for the current residual.
+    fn encode_solver_into(
+        &self,
+        solver: &dyn IterativeMethod,
+        buffer: &mut CheckpointBuffer,
+    ) -> Result<EncodedCheckpointMeta, StrategyError> {
+        let bound = self.bound_at(solver.residual_norm(), solver.reference_norm());
+        self.encode_state_into(&solver.capture_state(), bound, buffer)
+    }
+
+    /// The reused-buffer encode as `lcr_benchmark` calls it: the delta
+    /// order it returns is always `None` (every checkpoint decodes on its
+    /// own), and `_selector` is not read.
     ///
     /// # Errors
-    /// Returns [`StrategyError::Compression`] if a codec fails; the
-    /// selector state is then stale and must be
-    /// [reset](TemporalEncodingSelector::reset) by the caller.
+    /// Returns [`StrategyError::Compression`] if a codec fails.
     pub fn encode_temporal_into(
         &self,
         solver: &dyn IterativeMethod,
         buffer: &mut CheckpointBuffer,
-        selector: &mut TemporalEncodingSelector,
+        _selector: &mut TemporalEncodingSelector,
     ) -> Result<(EncodedCheckpointMeta, Option<u8>), StrategyError> {
-        let bound = self.bound_at(solver.residual_norm(), solver.reference_norm());
-        self.encode_state_into(&solver.capture_state(), bound, buffer, selector)
+        Ok((self.encode_solver_into(solver, buffer)?, None))
     }
 
     /// The error bound for a checkpoint taken when the residual and
@@ -294,25 +300,16 @@ impl CheckpointStrategy {
     /// * A restart strategy saves only the solution vector `x`
     ///   (Algorithm 2 lines 4–5), compressed under `bound` — taken from the
     ///   captured state, not the solver's `solution()`, because GMRES folds
-    ///   a partial correction into the checkpointed `x`.  When `selector`
-    ///   enables it, a codec with a temporal encoder may encode `x` as a
-    ///   delta against the previous checkpoint's quantization codes
-    ///   (retained in `selector`), whenever that stream actually comes out
-    ///   smaller.
-    ///
-    /// Returns the checkpoint metadata plus the delta order chosen: `None`
-    /// for a self-contained anchor, `Some(1 | 2)` for a delta that must be
-    /// committed with a matching base link in the checkpoint store.
+    ///   a partial correction into the checkpointed `x`.
     ///
     /// # Errors
-    /// As [`CheckpointStrategy::encode_temporal_into`].
+    /// Returns [`StrategyError::Compression`] if a codec fails.
     pub(crate) fn encode_state_into(
         &self,
         state: &DynamicState,
         bound: ErrorBound,
         buffer: &mut CheckpointBuffer,
-        selector: &mut TemporalEncodingSelector,
-    ) -> Result<(EncodedCheckpointMeta, Option<u8>), StrategyError> {
+    ) -> Result<EncodedCheckpointMeta, StrategyError> {
         buffer.clear();
         let exact = self.recovery_mode() == RecoveryMode::Exact;
         let mut meta = EncodedCheckpointMeta {
@@ -321,18 +318,15 @@ impl CheckpointStrategy {
             scalars: if exact { state.scalars.clone() } else { Vec::new() },
         };
         let Some((codec, framed)) = self.codec() else {
-            return Ok((meta, None));
+            return Ok(meta);
         };
-        let force_anchor = selector.begin_snapshot();
-        let mut mode = DeltaMode::None;
         for (name, v) in state.vectors.iter().filter(|(name, _)| exact || name == "x") {
-            let chain = force_anchor.map(|force| selector.chain_for(name, force));
-            mode = buffer
+            buffer
                 .push_with(name, |out| {
                     if framed {
                         out.extend_from_slice(&(v.len() as u64).to_le_bytes());
                     }
-                    codec.encode_into(v.as_slice(), bound, chain, out)
+                    codec.encode_into(v.as_slice(), bound, out)
                 })
                 .map_err(|e| StrategyError::Compression(e.to_string()))?;
             meta.original_bytes += v.len() * std::mem::size_of::<f64>();
@@ -340,7 +334,7 @@ impl CheckpointStrategy {
         if buffer.is_empty() && !exact {
             return Err(StrategyError::Malformed("dynamic state lacks x".into()));
         }
-        Ok((meta, (mode != DeltaMode::None).then_some(mode as u8)))
+        Ok(meta)
     }
 
     /// Splits a payload into its element count — the 8-byte frame
@@ -356,53 +350,32 @@ impl CheckpointStrategy {
         Ok((u64::from_le_bytes(*frame) as usize, stream))
     }
 
-    /// Decodes a recovered checkpoint *chain* (anchor first, the recovered
-    /// checkpoint last) into the dynamic state it holds and how a solver
-    /// is to be brought back from it: every saved variable and the scalars
-    /// for an exact restore (Algorithm 1 lines 7–8), the solution vector
-    /// alone for a restart (Algorithm 2 lines 8–13).  The caller applies
-    /// it, because only the caller knows whether its solver can fail
-    /// doing so.  Each variable's links are handed to the codec as they
-    /// lie in the recovered payloads; a multi-link chain is replayed by the
-    /// codec's temporal decoder, which reconstructs the final `x`
-    /// bit-identically to what a direct (anchor) decode of that checkpoint
-    /// would have produced.
+    /// Decodes recovered payloads into the dynamic state they hold and how
+    /// a solver is to be brought back from it: every saved variable and the
+    /// scalars for an exact restore (Algorithm 1 lines 7–8), the solution
+    /// vector alone for a restart (Algorithm 2 lines 8–13).  The caller
+    /// applies it, because only the caller knows whether its solver can
+    /// fail doing so.
     ///
     /// # Errors
-    /// Returns [`StrategyError`] if the chain is empty, a payload is
-    /// missing or undecodable, or a multi-link chain reaches a codec whose
-    /// streams are always self-contained.
-    pub(crate) fn decode_chain<L: AsRef<[(String, Vec<u8>)]>>(
+    /// Returns [`StrategyError`] if a payload is missing or undecodable.
+    pub(crate) fn decode(
         &self,
-        chain: &[L],
+        payloads: &[(String, Vec<u8>)],
         iteration: usize,
         scalars: &[(String, f64)],
     ) -> Result<(DynamicState, RecoveryMode), StrategyError> {
-        let Some(last) = chain.last() else {
-            return Err(StrategyError::Malformed("empty checkpoint chain".into()));
-        };
         let Some((codec, framed)) = self.codec() else {
             return Err(StrategyError::Malformed(
                 "the no-checkpoint strategy cannot recover".into(),
             ));
         };
         let exact = self.recovery_mode() == RecoveryMode::Exact;
-        let saved = last.as_ref().iter().filter(|(name, _)| exact || name == "x");
         let mut vectors = Vec::new();
-        for (name, _) in saved {
-            let mut n_elements = 0;
-            let mut links = Vec::with_capacity(chain.len());
-            for link in chain {
-                let payload = link.as_ref().iter().find(|(n, _)| n == name);
-                let (_, bytes) = payload.ok_or_else(|| {
-                    StrategyError::Malformed(format!("a link of the chain lacks {name}"))
-                })?;
-                let (n, stream) = Self::unframe(bytes, framed)?;
-                n_elements = n;
-                links.push(stream);
-            }
+        for (name, bytes) in payloads.iter().filter(|(name, _)| exact || name == "x") {
+            let (n_elements, stream) = Self::unframe(bytes, framed)?;
             let values = codec
-                .decode_chain(&links, n_elements)
+                .decode(stream, n_elements)
                 .map_err(|e| StrategyError::Compression(e.to_string()))?;
             vectors.push((name.clone(), Vector::from_vec(values)));
         }
@@ -430,16 +403,17 @@ impl CheckpointStrategy {
         iteration: usize,
         scalars: &[(String, f64)],
     ) -> Result<(), StrategyError> {
-        let (state, mode) = self.decode_chain(&[payloads], iteration, scalars)?;
+        let (state, mode) = self.decode(payloads, iteration, scalars)?;
         apply_recovered(solver, state, mode);
         Ok(())
     }
 
-    /// Chain-aware counterpart of [`CheckpointStrategy::recover`]:
-    /// `decode_chain`, applied to the solver.
+    /// [`CheckpointStrategy::recover`] as `lcr_benchmark` calls it, on a
+    /// chain of exactly one link: every checkpoint decodes on its own.
     ///
     /// # Errors
-    /// As `decode_chain`.
+    /// As [`CheckpointStrategy::recover`]; a chain of any other length is
+    /// [`StrategyError::Malformed`].
     pub fn recover_chain(
         &self,
         solver: &mut dyn IterativeMethod,
@@ -447,10 +421,31 @@ impl CheckpointStrategy {
         iteration: usize,
         scalars: &[(String, f64)],
     ) -> Result<(), StrategyError> {
-        let (state, mode) = self.decode_chain(chain, iteration, scalars)?;
-        apply_recovered(solver, state, mode);
-        Ok(())
+        match chain {
+            [payloads] => self.recover(solver, payloads, iteration, scalars),
+            _ => Err(StrategyError::Malformed(format!(
+                "a checkpoint is one link, not {}",
+                chain.len()
+            ))),
+        }
     }
+}
+
+/// What `lcr_benchmark` hands [`CheckpointStrategy::encode_temporal_into`]:
+/// it holds nothing and is read by nothing, because every checkpoint
+/// decodes on its own.
+#[derive(Debug, Clone, Default)]
+pub struct TemporalEncodingSelector;
+
+impl TemporalEncodingSelector {
+    /// Takes the anchor interval and delta order the benchmark passes, and
+    /// reads neither.
+    pub fn new(_anchor_interval: usize, _max_order: DeltaMode) -> Self {
+        Self
+    }
+
+    /// Does nothing: there is no encoder state to drop.
+    pub fn reset(&mut self) {}
 }
 
 /// Brings an infallible solver back from a decoded checkpoint: every
@@ -535,7 +530,7 @@ mod tests {
     }
 
     #[test]
-    fn encode_temporal_into_matches_encode_for_every_strategy() {
+    fn encoding_into_a_reused_buffer_matches_encode_for_every_strategy() {
         let sys = spd_system(8);
         let n = sys.dim();
         let mut cg = ConjugateGradient::unpreconditioned(
@@ -556,11 +551,7 @@ mod tests {
             let enc = strategy.encode(&cg).unwrap();
             // The buffer is reused (not recreated) across strategies, as
             // the runner reuses it across checkpoints.
-            let mut anchors_only = TemporalEncodingSelector::default();
-            let (meta, delta) = strategy
-                .encode_temporal_into(&cg, &mut buffer, &mut anchors_only)
-                .unwrap();
-            assert_eq!(delta, None);
+            let meta = strategy.encode_solver_into(&cg, &mut buffer).unwrap();
             assert_eq!(meta.original_bytes, enc.original_bytes);
             assert_eq!(meta.iteration, enc.iteration);
             assert_eq!(meta.scalars, enc.scalars);

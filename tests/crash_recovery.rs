@@ -209,125 +209,6 @@ fn mismatched_strategy_tag_starts_fresh_but_still_converges() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// Delta-enabled lossy config: checkpoints every 5 iterations with an
-/// anchor every 4 snapshots and temporal deltas in between.
-fn delta_config(dir: &Path, max_executed_iterations: usize) -> RunConfig {
-    let mut cfg = config(
-        CheckpointStrategy::lossy_default(),
-        dir,
-        false,
-        max_executed_iterations,
-    );
-    cfg.checkpoint_interval_iterations = 5;
-    cfg.anchor_interval_snapshots = 4;
-    cfg
-}
-
-/// Phase 1 of the delta scenarios: crash at iteration 63, after the
-/// checkpoints at 5, 10, …, 60.  A forced anchor lands every 4th snapshot
-/// (iterations 5, 25, 45); early deltas lose to their anchors (the
-/// solution still moves fast) so the encoder keeps direct coding at
-/// first, while the late snapshots delta-code.  Chain-aware retention
-/// leaves exactly anchor(45) → delta(50) → delta(55) → delta(60) on
-/// disk.  Asserts that structure and returns the sorted file paths.
-fn crashed_delta_run(workload: &PaperWorkload, dir: &Path) -> Vec<PathBuf> {
-    let problem = workload.build();
-    let mut solver = workload.build_solver(&problem, SolverKind::Jacobi, 200_000);
-    let report =
-        FaultTolerantRunner::new(delta_config(dir, 63)).run(solver.as_mut(), &problem);
-    assert_eq!(report.checkpoints_taken, 12);
-    assert_eq!(
-        report.anchor_checkpoints + report.delta_checkpoints,
-        report.checkpoints_taken
-    );
-    assert!(report.delta_checkpoints >= 3, "the late snapshots delta-code");
-    // Chain-aware retention: the retain-2 window stretches so the chain
-    // the newest checkpoint depends on survives complete.
-    let files = checkpoint_files(dir);
-    assert_eq!(files.len(), 4, "anchor(45) + three deltas stay on disk");
-    for (i, path) in files.iter().enumerate() {
-        let ckpt = lossy_ckpt::ckpt::disk::read_checkpoint_file(path).unwrap();
-        assert_eq!(ckpt.metadata.iteration, 45 + 5 * i);
-        assert_eq!(ckpt.metadata.encoding.is_delta(), i > 0);
-    }
-    files
-}
-
-#[test]
-fn fresh_runner_resumes_from_a_mid_chain_delta_checkpoint() {
-    let workload = PaperWorkload::poisson(256, 8);
-    let problem = workload.build();
-    let dir = tempdir("deltaresume");
-    crashed_delta_run(&workload, &dir);
-
-    // Phase 2: the fresh runner must replay anchor(45) → … → delta(60).
-    let mut solver = workload.build_solver(&problem, SolverKind::Jacobi, 200_000);
-    let report =
-        FaultTolerantRunner::new(delta_config(&dir, 500_000)).run(solver.as_mut(), &problem);
-    assert_eq!(
-        report.resumed_from_iteration,
-        Some(60),
-        "resume target is the newest delta, reached by chain replay"
-    );
-    assert!(!report.hit_iteration_limit);
-    assert!(solver.converged());
-    assert_eq!(solver.history().restarts(), &[60]);
-
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn corrupt_mid_chain_delta_falls_back_to_its_ancestor_prefix() {
-    let workload = PaperWorkload::poisson(256, 8);
-    let problem = workload.build();
-    let dir = tempdir("deltamidcorrupt");
-    let files = crashed_delta_run(&workload, &dir);
-
-    // Destroy delta(55): delta(60) loses its base and dies with it, but
-    // the prefix anchor(45) → delta(50) is still a complete chain.
-    let mut bytes = fs::read(&files[2]).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x01;
-    fs::write(&files[2], &bytes).unwrap();
-
-    let mut solver = workload.build_solver(&problem, SolverKind::Jacobi, 200_000);
-    let report =
-        FaultTolerantRunner::new(delta_config(&dir, 500_000)).run(solver.as_mut(), &problem);
-    assert_eq!(
-        report.resumed_from_iteration,
-        Some(50),
-        "a corrupt mid-chain delta invalidates dependents, not ancestors"
-    );
-    assert!(!report.hit_iteration_limit);
-    assert!(solver.converged());
-
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn corrupt_chain_anchor_kills_every_dependent_and_starts_fresh() {
-    let workload = PaperWorkload::poisson(256, 8);
-    let problem = workload.build();
-    let dir = tempdir("deltaanchorcorrupt");
-    let files = crashed_delta_run(&workload, &dir);
-
-    // Destroy the anchor: every delta in the chain is now undecodable, so
-    // the run starts from scratch — never from a half-replayable chain.
-    let mut bytes = fs::read(&files[0]).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0xFF;
-    fs::write(&files[0], &bytes).unwrap();
-
-    let mut solver = workload.build_solver(&problem, SolverKind::Jacobi, 200_000);
-    let report =
-        FaultTolerantRunner::new(delta_config(&dir, 500_000)).run(solver.as_mut(), &problem);
-    assert_eq!(report.resumed_from_iteration, None);
-    assert!(!report.hit_iteration_limit);
-    assert!(solver.converged());
-
-    let _ = fs::remove_dir_all(&dir);
-}
-
 #[test]
 fn all_checkpoints_corrupt_means_scratch_start() {
     let workload = PaperWorkload::poisson(256, 8);
@@ -378,7 +259,6 @@ fn undecodable_checkpoint_is_counted_as_a_failed_recovery() {
                 30,
                 0.0,
                 problem.system.dim() * 8,
-                None,
                 strategy.name(),
                 &[],
                 &mut buffer,

@@ -25,11 +25,10 @@ fn workload() -> PaperWorkload {
 
 /// A checkpoint every 2 iterations of 5 simulated seconds each, failures
 /// 60 seconds apart on average: a few hundred seconds, several failures.
-fn config(strategy: CheckpointStrategy, anchor_interval: usize, seed: u64) -> RunConfig {
+fn config(strategy: CheckpointStrategy, seed: u64) -> RunConfig {
     let mut cfg = RunConfig::baseline(ClusterConfig::bebop_like(64, 5.0), PfsModel::bebop_like());
     cfg.strategy = strategy;
     cfg.checkpoint_interval_iterations = 2;
-    cfg.anchor_interval_snapshots = anchor_interval;
     cfg.mtti_seconds = 60.0;
     cfg.failure_seed = Some(seed);
     cfg.max_failures = 200;
@@ -48,7 +47,7 @@ fn fingerprint(values: &[usize]) -> u64 {
 fn summary(r: &RunReport) -> String {
     format!(
         "conv={} exec={} taken={} aborted={} failed={} retried={} io_retries={} degraded={} \
-         anchors={} deltas={} resumed={:?} failures={} recoveries={} failed_recoveries={} \
+         resumed={:?} failures={} recoveries={} failed_recoveries={} \
          limit={} restarts={:?} bytes={:#x} total={:#x}",
         r.convergence_iterations,
         r.executed_iterations,
@@ -58,8 +57,6 @@ fn summary(r: &RunReport) -> String {
         r.retried_checkpoints,
         r.io_retries,
         r.degraded_tier,
-        r.anchor_checkpoints,
-        r.delta_checkpoints,
         r.resumed_from_iteration,
         r.failures,
         r.recoveries,
@@ -72,16 +69,11 @@ fn summary(r: &RunReport) -> String {
 }
 
 /// One seeded-failure run on the in-memory tier alone.
-fn in_memory(
-    kind: SolverKind,
-    strategy: CheckpointStrategy,
-    anchor_interval: usize,
-    seed: u64,
-) -> RunReport {
+fn in_memory(kind: SolverKind, strategy: CheckpointStrategy, seed: u64) -> RunReport {
     let workload = workload();
     let problem = workload.build();
     let mut solver = workload.build_solver(&problem, kind, MAX_ITERS);
-    let report = FaultTolerantRunner::new(config(strategy, anchor_interval, seed))
+    let report = FaultTolerantRunner::new(config(strategy, seed))
         .run(solver.as_mut(), &problem);
     assert!(report.recoveries > 1, "the run must recover from checkpoints");
     report
@@ -95,7 +87,7 @@ fn over_chaos(tag: &str, plan: ChaosPlan) -> RunReport {
     let workload = workload();
     let problem = workload.build();
     let mut solver = workload.build_solver(&problem, SolverKind::Cg, MAX_ITERS);
-    let mut cfg = config(CheckpointStrategy::Traditional, 0, 11);
+    let mut cfg = config(CheckpointStrategy::Traditional, 11);
     cfg.persistence = Persistence::disk(&dir);
     let report = FaultTolerantRunner::new(cfg)
         .with_storage_backend(plan.backend(0) as Arc<dyn StorageBackend>)
@@ -111,46 +103,45 @@ fn over_chaos(tag: &str, plan: ChaosPlan) -> RunReport {
 
 #[test]
 fn traditional_cg_on_the_memory_tier_is_pinned() {
-    let report = in_memory(SolverKind::Cg, CheckpointStrategy::Traditional, 0, 11);
+    let report = in_memory(SolverKind::Cg, CheckpointStrategy::Traditional, 11);
     assert_eq!(
         summary(&report),
         "conv=36 exec=43 taken=17 aborted=3 failed=0 retried=0 io_retries=0 degraded=false \
-         anchors=17 deltas=0 resumed=None failures=4 recoveries=4 failed_recoveries=0 \
+         resumed=None failures=4 recoveries=4 failed_recoveries=0 \
          limit=false restarts=[8, 22, 28, 30] bytes=0x9f55c829361024ba total=0x407af8670f65798b"
     );
 }
 
 #[test]
 fn lossless_jacobi_on_the_memory_tier_is_pinned() {
-    let report = in_memory(SolverKind::Jacobi, CheckpointStrategy::lossless_default(), 0, 11);
+    let report = in_memory(SolverKind::Jacobi, CheckpointStrategy::lossless_default(), 11);
     assert_eq!(
         summary(&report),
         "conv=231 exec=242 taken=115 aborted=3 failed=0 retried=0 io_retries=0 degraded=false \
-         anchors=115 deltas=0 resumed=None failures=7 recoveries=7 failed_recoveries=0 \
+         resumed=None failures=7 recoveries=7 failed_recoveries=0 \
          limit=false restarts=[10, 28, 36, 40, 58, 64, 68] bytes=0x607491f0139e96d0 total=0x409cef36e432b55d"
     );
 }
 
 #[test]
-fn lossy_cg_delta_chains_on_the_memory_tier_are_pinned() {
-    let report = in_memory(SolverKind::Cg, CheckpointStrategy::lossy_default(), 4, 7);
-    assert!(report.delta_checkpoints > 0, "the run must commit deltas");
+fn lossy_cg_on_the_memory_tier_is_pinned() {
+    let report = in_memory(SolverKind::Cg, CheckpointStrategy::lossy_default(), 7);
     assert_eq!(
         summary(&report),
-        "conv=37 exec=43 taken=18 aborted=0 failed=0 retried=0 io_retries=0 degraded=false \
-         anchors=9 deltas=9 resumed=None failures=3 recoveries=3 failed_recoveries=0 \
-         limit=false restarts=[2, 12, 12] bytes=0xa2074dcdad6dbdbb total=0x40707827ddd67241"
+        "conv=37 exec=42 taken=18 aborted=1 failed=0 retried=0 io_retries=0 degraded=false \
+         resumed=None failures=3 recoveries=3 failed_recoveries=0 \
+         limit=false restarts=[2, 12, 12] bytes=0x977c8a9c452abdf0 total=0x407030d253c6b3fa"
     );
 }
 
 #[test]
 fn lossy_gmres_on_the_memory_tier_is_pinned() {
-    let report = in_memory(SolverKind::Gmres, CheckpointStrategy::lossy_gmres(), 0, 7);
+    let report = in_memory(SolverKind::Gmres, CheckpointStrategy::lossy_gmres(), 7);
     assert_eq!(
         summary(&report),
         "conv=24 exec=28 taken=11 aborted=0 failed=0 retried=0 io_retries=0 degraded=false \
-         anchors=11 deltas=0 resumed=None failures=3 recoveries=3 failed_recoveries=0 \
-         limit=false restarts=[2, 14, 14] bytes=0xe32479a29e098436 total=0x4065b76bf49ba91b"
+         resumed=None failures=3 recoveries=3 failed_recoveries=0 \
+         limit=false restarts=[2, 14, 14] bytes=0xedfc250f9ea7de3c total=0x406583fe9eb79333"
     );
 }
 
@@ -162,7 +153,7 @@ fn dying_disk_degrading_to_the_memory_tier_is_pinned() {
     assert_eq!(
         summary(&report),
         "conv=36 exec=43 taken=14 aborted=3 failed=3 retried=0 io_retries=9 degraded=true \
-         anchors=14 deltas=0 resumed=None failures=4 recoveries=4 failed_recoveries=0 \
+         resumed=None failures=4 recoveries=4 failed_recoveries=0 \
          limit=false restarts=[8, 22, 28, 30] bytes=0x4b54faa7d5373fe7 total=0x407af8670f65798b"
     );
 }
@@ -177,7 +168,7 @@ fn storage_mix_with_a_visible_fault_is_pinned() {
     assert_eq!(
         summary(&report),
         "conv=36 exec=45 taken=18 aborted=3 failed=0 retried=4 io_retries=5 degraded=false \
-         anchors=18 deltas=0 resumed=None failures=4 recoveries=4 failed_recoveries=0 \
+         resumed=None failures=4 recoveries=4 failed_recoveries=0 \
          limit=false restarts=[8, 22, 26, 28] bytes=0xb90526c3361024ba total=0x407c24a9b2e7236a"
     );
 }
