@@ -24,7 +24,7 @@
 //!
 //! The safety invariant this crate exists to prove: under any plan, a run
 //! either converges with a correct residual or fails with a *typed* error
-//! — injected corruption is always detected (CRC/chain validation), never
+//! — injected corruption is always detected (CRC validation), never
 //! silently returned as an answer.
 
 #![forbid(unsafe_code)]

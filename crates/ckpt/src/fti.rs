@@ -401,7 +401,8 @@ mod tests {
         assert_eq!(rec.iteration, 6);
         assert_eq!(rec.chain.len(), 1, "a checkpoint recovers as a single link");
         assert_eq!(rec.payloads()[0].1[0], 2);
-        assert!(rec.read_seconds > 0.0);
+        // The read bills the recovered file's bytes and the static ones.
+        assert_eq!(rec.read_seconds, fti.pfs().read_seconds(1000 + 500_000_000, 1024));
         assert_eq!(clock.now(), before + rec.read_seconds);
 
         // Recovering with larger static data takes longer.

@@ -975,6 +975,30 @@ mod tests {
         assert_eq!(SzCompressor::new().name(), "sz");
     }
 
+    #[test]
+    fn tail_count_must_equal_the_reserved_bins() {
+        // A one-block stream assembled by hand: two unpredictable values,
+        // then one on the zero bin, behind a tail that declares `declared`.
+        let stream = |declared: &[f64]| {
+            let mut bytes = Vec::new();
+            SzCompressor::put_header(&mut bytes, 3, Transform::Identity, 1e-3);
+            let mut block = huffman::encode_block(&[0, 0, ZERO_BIN]);
+            SzCompressor::append_unpred(&mut block, declared);
+            parblock::write_container(&mut bytes, &[block]);
+            bytes
+        };
+        let sz = SzCompressor::new();
+        assert_eq!(sz.decode(&stream(&[7.0, -8.0]), 3).unwrap()[..2], [7.0, -8.0]);
+        // One value short would read past the tail; one long would shift
+        // every later value.
+        for declared in [&[7.0][..], &[7.0, -8.0, 9.0]] {
+            match sz.decode(&stream(declared), 3) {
+                Err(CompressError::Corrupt(msg)) => assert!(msg.contains("reserve 2"), "{msg}"),
+                other => panic!("expected a tail-count error, got {other:?}"),
+            }
+        }
+    }
+
     /// Writes the bitmap of `bits` as `put_bitmap` does, reads it back,
     /// and returns the strategy byte and the bytes it took.
     fn bitmap_roundtrip(bits: &[bool]) -> (u8, usize) {

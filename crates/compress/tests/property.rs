@@ -29,19 +29,29 @@ fn data_strategy() -> impl Strategy<Value = Vec<f64>> {
 /// `zeros` values exact zeros and — unless `random_signs` — the values from
 /// `negative_from` on negative and the rest positive, so the zero and the
 /// sign bitmap take every coding (all clear, all set, runs, raw) across
-/// cases.
+/// cases.  With `spikes`, every eleventh value is one no bound can
+/// quantize (NaN, ∞, −1e300), so blocks carry verbatim tails.
 fn sz_stream(
     data: &[f64],
     pointwise: bool,
     zeros: usize,
     negative_from: usize,
     random_signs: bool,
+    spikes: bool,
 ) -> lcr_compress::Compressed {
+    let spiked: Vec<f64> = data
+        .iter()
+        .enumerate()
+        .map(|(i, &v)| match i % 11 {
+            2 if spikes => [f64::NAN, f64::INFINITY, -1e300][(i / 11) % 3],
+            _ => v,
+        })
+        .collect();
     let sz = SzCompressor::new();
     if !pointwise {
-        return sz.compress(data, ErrorBound::Abs(1e-6)).unwrap();
+        return sz.compress(&spiked, ErrorBound::Abs(1e-6)).unwrap();
     }
-    let shaped: Vec<f64> = data
+    let shaped: Vec<f64> = spiked
         .iter()
         .enumerate()
         .map(|(i, &v)| match i {
@@ -171,12 +181,13 @@ proptest! {
         zeros in 0usize..300,
         negative_from in 0usize..300,
         random_signs in any::<bool>(),
+        spikes in any::<bool>(),
     ) {
         // Any proper prefix must produce CompressError::Corrupt — never a
         // panic, never a huge allocation from a truncated length field or
         // run list.
         let sz = SzCompressor::new();
-        let compressed = sz_stream(&data, pointwise, zeros, negative_from, random_signs);
+        let compressed = sz_stream(&data, pointwise, zeros, negative_from, random_signs, spikes);
         prop_assert!(sz.decompress(&truncated(&compressed, cut_frac)).is_err());
     }
 
@@ -189,12 +200,14 @@ proptest! {
         zeros in 0usize..300,
         negative_from in 0usize..300,
         random_signs in any::<bool>(),
+        spikes in any::<bool>(),
     ) {
         // A single flipped bit anywhere in the stream may decode to
         // garbage values (lossy streams carry no checksum) but must never
         // panic or over-allocate.
         let sz = SzCompressor::new();
-        let mut compressed = sz_stream(&data, pointwise, zeros, negative_from, random_signs);
+        let mut compressed =
+            sz_stream(&data, pointwise, zeros, negative_from, random_signs, spikes);
         let pos = ((compressed.bytes.len() as f64 * flip_frac) as usize)
             .min(compressed.bytes.len() - 1);
         compressed.bytes[pos] ^= 1 << bit;
