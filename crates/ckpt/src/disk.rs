@@ -24,7 +24,8 @@
 //! `f64` bits · storage level `u8` (always 3, FTI's L4; any other value is
 //! corrupt) · original bytes `u64` · encoding tag `u8` (always 0: every
 //! payload decodes on its own; the retired delta tags 1 and 2, and any
-//! other value, are corrupt) · strategy tag (`u16` length + UTF-8) · scalar count `u32` + per scalar
+//! other value, are corrupt) · strategy tag (`u16` length + UTF-8) ·
+//! scalar count `u32` + per scalar
 //! (`u16` name length + name + `f64` bits) · segment count `u32` + per
 //! segment (`u16` name length + name + payload length `u64` + payload
 //! CRC32 `u32`).
