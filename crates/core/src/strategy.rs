@@ -245,7 +245,7 @@ impl CheckpointStrategy {
     /// Returns [`StrategyError::Compression`] if a codec fails.
     pub fn encode(&self, solver: &dyn IterativeMethod) -> Result<EncodedCheckpoint, StrategyError> {
         let mut buffer = CheckpointBuffer::new();
-        let meta = self.encode_solver_into(solver, &mut buffer)?;
+        let meta = self.encode_into(solver, &mut buffer)?;
         Ok(EncodedCheckpoint {
             payloads: buffer.to_payloads(),
             original_bytes: meta.original_bytes,
@@ -257,7 +257,10 @@ impl CheckpointStrategy {
     /// Encodes the solver's dynamic state directly into a reusable
     /// [`CheckpointBuffer`]: `encode_state_into` on the solver's captured
     /// state, under the bound its policy resolves for the current residual.
-    fn encode_solver_into(
+    ///
+    /// # Errors
+    /// Returns [`StrategyError::Compression`] if a codec fails.
+    pub fn encode_into(
         &self,
         solver: &dyn IterativeMethod,
         buffer: &mut CheckpointBuffer,
@@ -278,7 +281,7 @@ impl CheckpointStrategy {
         buffer: &mut CheckpointBuffer,
         _selector: &mut TemporalEncodingSelector,
     ) -> Result<(EncodedCheckpointMeta, Option<u8>), StrategyError> {
-        Ok((self.encode_solver_into(solver, buffer)?, None))
+        Ok((self.encode_into(solver, buffer)?, None))
     }
 
     /// The error bound for a checkpoint taken when the residual and
@@ -551,7 +554,7 @@ mod tests {
             let enc = strategy.encode(&cg).unwrap();
             // The buffer is reused (not recreated) across strategies, as
             // the runner reuses it across checkpoints.
-            let meta = strategy.encode_solver_into(&cg, &mut buffer).unwrap();
+            let meta = strategy.encode_into(&cg, &mut buffer).unwrap();
             assert_eq!(meta.original_bytes, enc.original_bytes);
             assert_eq!(meta.iteration, enc.iteration);
             assert_eq!(meta.scalars, enc.scalars);
