@@ -8,8 +8,9 @@
 //! [`CheckpointStrategy`]; everything else is here, once:
 //!
 //! * [`Checkpointer`] — a rank's checkpoint → commit → recover path: it
-//!   opens the durable tier, encodes a [`DynamicState`] through the
-//!   strategy into a reused arena, writes, commits or aborts it, restores
+//!   opens the durable tier, encodes the solver's [`StateView`] (its
+//!   vectors where it holds them) through the strategy into a reused
+//!   arena, writes, commits or aborts it, restores
 //!   the newest checkpoint that was committed *and still decodes*, and
 //!   counts what it did where the fronts read it.
 //! * [`execute`] (after [`resume`], for a front that adopts a dead
@@ -31,7 +32,7 @@ use lcr_ckpt::{
     CheckpointBuffer, CheckpointMetadata, CkptError, DiskStore, FtiContext, OsBackend,
     RecoveredData, RetryPolicy, SimClock, StorageBackend,
 };
-use lcr_solvers::DynamicState;
+use lcr_solvers::{DynamicState, StateView};
 
 use crate::strategy::{CheckpointStrategy, RecoveryMode};
 
@@ -100,9 +101,10 @@ pub(crate) trait Quorum {
     /// Whether the solve has ended.
     fn converged(&self) -> bool;
 
-    /// The dynamic state a checkpoint saves, with the residual and
-    /// reference norms an adaptive error bound is resolved from.
-    fn capture(&self) -> (DynamicState, f64, f64);
+    /// The dynamic state a checkpoint saves, as the solver holds it, with
+    /// the residual and reference norms an adaptive error bound is
+    /// resolved from.
+    fn capture(&self) -> (StateView<'_>, f64, f64);
 
     /// Scalars the group records in the header of checkpoint `epoch`.
     fn epoch_scalars(&self, _epoch: u64, _iteration: usize) -> Vec<(String, f64)> {
@@ -451,7 +453,8 @@ mod tests {
             vectors: vec![("x".to_string(), Vector::filled(6, 1.25))],
         };
         let bound = strategy.bound_at(1.0, 1.0);
-        let meta = strategy.encode_state_into(&state, bound, &mut ckpt.buffer).unwrap();
+        let view = StateView::from(state.clone());
+        let meta = strategy.encode_state_into(&view, bound, &mut ckpt.buffer).unwrap();
         let tag = strategy.name();
         ckpt.fti
             .commit_snapshot_from_buffer(0.0, 4, tag, &meta.scalars, None, &mut ckpt.buffer, 0.0)

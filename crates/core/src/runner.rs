@@ -32,7 +32,7 @@ use lcr_ckpt::{
     CheckpointLevel, CkptError, ClusterConfig, FailureInjector, FtiContext, PfsModel,
     RecoveredData, RetryPolicy, SimClock, StorageBackend,
 };
-use lcr_solvers::{DynamicState, IterativeMethod};
+use lcr_solvers::{IterativeMethod, StateView};
 use lcr_sparse::Vector;
 use std::convert::Infallible;
 use std::path::PathBuf;
@@ -346,9 +346,9 @@ impl Quorum for Solo<'_> {
         self.0.converged()
     }
 
-    fn capture(&self) -> (DynamicState, f64, f64) {
+    fn capture(&self) -> (StateView<'_>, f64, f64) {
         (
-            self.0.capture_state(),
+            self.0.state_view(),
             self.0.residual_norm(),
             self.0.reference_norm(),
         )

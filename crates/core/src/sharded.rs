@@ -49,7 +49,7 @@ use std::time::{Duration, Instant};
 use lcr_ckpt::{CheckpointLevel, ClusterConfig, FtiContext, PfsModel, RetryPolicy, StorageBackend};
 use lcr_compress::ErrorBound;
 use lcr_solvers::{
-    ConjugateGradient, DynamicState, Gmres, Jacobi, Progress, ShardSpace, SolverKind,
+    ConjugateGradient, Gmres, Jacobi, Progress, ShardSpace, SolverKind, StateView,
     StoppingCriteria, TryIterativeMethod,
 };
 use lcr_sparse::shard::{build_comms, gather_solution, partition_csr, CommError, CommInterposer};
@@ -342,10 +342,10 @@ impl Quorum for Shard<'_> {
         self.solver.progress().converged()
     }
 
-    fn capture(&self) -> (DynamicState, f64, f64) {
+    fn capture(&self) -> (StateView<'_>, f64, f64) {
         let progress = self.solver.progress();
         (
-            self.solver.capture_state(),
+            self.solver.state_view(),
             progress.residual_norm(),
             progress.reference_norm(),
         )

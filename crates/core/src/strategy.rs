@@ -24,7 +24,7 @@
 use lcr_ckpt::CheckpointBuffer;
 use lcr_compress::{Codec, DeltaMode, ErrorBound};
 use lcr_perfmodel::theorem3_gmres_error_bound;
-use lcr_solvers::{DynamicState, IterativeMethod};
+use lcr_solvers::{DynamicState, IterativeMethod, StateView};
 use lcr_sparse::Vector;
 
 /// How the error bound for a lossy checkpoint is chosen.
@@ -255,8 +255,9 @@ impl CheckpointStrategy {
     }
 
     /// Encodes the solver's dynamic state directly into a reusable
-    /// [`CheckpointBuffer`]: `encode_state_into` on the solver's captured
-    /// state, under the bound its policy resolves for the current residual.
+    /// [`CheckpointBuffer`]: `encode_state_into` on the vectors where the
+    /// solver holds them, under the bound its policy resolves for the
+    /// current residual.
     ///
     /// # Errors
     /// Returns [`StrategyError::Compression`] if a codec fails.
@@ -266,7 +267,7 @@ impl CheckpointStrategy {
         buffer: &mut CheckpointBuffer,
     ) -> Result<EncodedCheckpointMeta, StrategyError> {
         let bound = self.bound_at(solver.residual_norm(), solver.reference_norm());
-        self.encode_state_into(&solver.capture_state(), bound, buffer)
+        self.encode_state_into(&solver.state_view(), bound, buffer)
     }
 
     /// The reused-buffer encode as `lcr_benchmark` calls it: the delta
@@ -294,31 +295,33 @@ impl CheckpointStrategy {
         }
     }
 
-    /// Encodes a captured dynamic state into `buffer` (cleared first) —
-    /// the zero-copy checkpoint path: the codec appends to the buffer
-    /// arena, so no intermediate per-variable `Vec<u8>` is built or copied.
+    /// Encodes a solver's dynamic state into `buffer` (cleared first) —
+    /// the zero-copy checkpoint path: the codec reads the vectors where the
+    /// view finds them and appends to the buffer arena, so neither a state
+    /// copy nor an intermediate per-variable `Vec<u8>` is built.
     ///
     /// * An exact strategy saves every dynamic variable (Algorithm 1
     ///   line 4) and the scalars.
     /// * A restart strategy saves only the solution vector `x`
     ///   (Algorithm 2 lines 4–5), compressed under `bound` — taken from the
-    ///   captured state, not the solver's `solution()`, because GMRES folds
-    ///   a partial correction into the checkpointed `x`.
+    ///   view, not the solver's `solution()`, because GMRES folds a partial
+    ///   correction into the checkpointed `x`.
     ///
     /// # Errors
     /// Returns [`StrategyError::Compression`] if a codec fails.
     pub(crate) fn encode_state_into(
         &self,
-        state: &DynamicState,
+        state: &StateView<'_>,
         bound: ErrorBound,
         buffer: &mut CheckpointBuffer,
     ) -> Result<EncodedCheckpointMeta, StrategyError> {
         buffer.clear();
         let exact = self.recovery_mode() == RecoveryMode::Exact;
+        let scalars = state.scalars.iter().map(|(name, v)| (name.to_string(), *v));
         let mut meta = EncodedCheckpointMeta {
             original_bytes: 0,
             iteration: state.iteration,
-            scalars: if exact { state.scalars.clone() } else { Vec::new() },
+            scalars: if exact { scalars.collect() } else { Vec::new() },
         };
         let Some((codec, framed)) = self.codec() else {
             return Ok(meta);
@@ -329,7 +332,7 @@ impl CheckpointStrategy {
                     if framed {
                         out.extend_from_slice(&(v.len() as u64).to_le_bytes());
                     }
-                    codec.encode_into(v.as_slice(), bound, out)
+                    codec.encode_into(v, bound, out)
                 })
                 .map_err(|e| StrategyError::Compression(e.to_string()))?;
             meta.original_bytes += v.len() * std::mem::size_of::<f64>();

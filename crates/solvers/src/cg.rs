@@ -17,7 +17,7 @@ use crate::convergence::StoppingCriteria;
 use crate::precond::Preconditioner;
 use crate::progress::Progress;
 use crate::space::{LocalSpace, Space};
-use crate::{DynamicState, LinearSystem};
+use crate::{DynamicState, LinearSystem, StateView};
 use lcr_sparse::Vector;
 use std::sync::Arc;
 
@@ -171,14 +171,14 @@ impl<S: Space> crate::TryIterativeMethod for ConjugateGradient<S> {
         Ok(())
     }
 
-    fn capture_state(&self) -> DynamicState {
+    fn state_view(&self) -> StateView<'_> {
         // Algorithm 1 line 4: checkpoint i, ρ, p, x.
-        DynamicState {
+        StateView {
             iteration: self.state.iteration(),
-            scalars: vec![("rho".to_string(), self.rho)],
+            scalars: vec![("rho".into(), self.rho)],
             vectors: vec![
-                ("x".to_string(), self.state.x.clone()),
-                ("p".to_string(), self.p.clone()),
+                ("x".into(), self.state.x.as_slice().into()),
+                ("p".into(), self.p.as_slice().into()),
             ],
         }
     }

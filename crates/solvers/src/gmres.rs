@@ -23,7 +23,7 @@ use crate::convergence::StoppingCriteria;
 use crate::precond::Preconditioner;
 use crate::progress::Progress;
 use crate::space::{residual, LocalSpace, Space};
-use crate::{DynamicState, LinearSystem};
+use crate::{DynamicState, LinearSystem, StateView};
 use lcr_sparse::Vector;
 use std::sync::Arc;
 
@@ -305,15 +305,17 @@ impl<S: Space> crate::TryIterativeMethod for Gmres<S> {
         Ok(())
     }
 
-    fn capture_state(&self) -> DynamicState {
+    fn state_view(&self) -> StateView<'_> {
         // §4.4.2: for restarted GMRES the only dynamic vector worth saving
         // is x — the Krylov basis is discarded at restarts anyway.  To keep
         // the checkpoint consistent we capture the *restart-consistent*
-        // solution: x with the current partial correction folded in.
-        DynamicState {
+        // solution: x with the current partial correction folded in, which
+        // the view owns.
+        let x = self.corrected(self.state.x.clone());
+        StateView {
             iteration: self.state.iteration(),
             scalars: Vec::new(),
-            vectors: vec![("x".to_string(), self.corrected(self.state.x.clone()))],
+            vectors: vec![("x".into(), x.into_vec().into())],
         }
     }
 
@@ -327,7 +329,7 @@ impl<S: Space> crate::TryIterativeMethod for Gmres<S> {
 
     fn try_restart(&mut self, iteration: usize) -> Result<(), S::Error> {
         // A restart is a new cycle from the restart-consistent x, the one
-        // `capture_state` saves: the open cycle's correction goes in first.
+        // `state_view` saves: the open cycle's correction goes in first.
         self.close_cycle();
         self.state.restarted(iteration);
         self.begin_cycle()

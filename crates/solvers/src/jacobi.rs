@@ -17,7 +17,7 @@
 use crate::convergence::StoppingCriteria;
 use crate::progress::Progress;
 use crate::space::{LocalSpace, Space};
-use crate::{DynamicState, LinearSystem};
+use crate::{DynamicState, LinearSystem, StateView};
 use lcr_sparse::Vector;
 
 /// The Jacobi method on any [`Space`] ([`LocalSpace`] unless named
@@ -94,11 +94,11 @@ impl<S: Space> crate::TryIterativeMethod for Jacobi<S> {
         Ok(())
     }
 
-    fn capture_state(&self) -> DynamicState {
-        DynamicState {
+    fn state_view(&self) -> StateView<'_> {
+        StateView {
             iteration: self.state.iteration(),
             scalars: Vec::new(),
-            vectors: vec![("x".to_string(), self.state.x.clone())],
+            vectors: vec![("x".into(), self.state.x.as_slice().into())],
         }
     }
 

@@ -18,10 +18,13 @@
 //! [`IterativeMethod`]: a step-at-a-time interface exposing
 //!
 //! * [`IterativeMethod::step`] — run one iteration;
-//! * [`IterativeMethod::capture_state`] — the *dynamic variables* that a
+//! * [`IterativeMethod::state_view`] — the *dynamic variables* that a
 //!   traditional checkpoint must save (for CG: `i`, `ρ`, `p`, `x`; for
 //!   Jacobi and GMRES: `i`, `x` — exactly the classification of §3 of the
-//!   paper);
+//!   paper), as a [`StateView`] that borrows the vectors where the solver
+//!   holds them, so a checkpoint encodes them in place;
+//!   [`IterativeMethod::capture_state`] is the same state copied into a
+//!   [`DynamicState`] of its own;
 //! * [`IterativeMethod::restore_state`] — exact recovery (traditional /
 //!   lossless checkpointing);
 //! * [`IterativeMethod::restart_from_solution`] — lossy recovery: treat a
@@ -56,6 +59,7 @@ pub mod precond;
 mod progress;
 pub mod space;
 
+use std::borrow::Cow;
 use std::convert::Infallible;
 use std::sync::Arc;
 
@@ -150,6 +154,60 @@ impl DynamicState {
     }
 }
 
+/// The dynamic variables of a solver as it holds them: what a checkpoint
+/// reads, borrowed in place where the solver keeps them (CG's `x` and `p`,
+/// Jacobi's `x`) and owned where they have to be computed first (GMRES's
+/// `x` with the open cycle's correction folded in), so encoding a
+/// checkpoint copies no vector the solver already holds.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StateView<'a> {
+    /// Iteration counter `i`.
+    pub iteration: usize,
+    /// Named scalar dynamic variables (e.g. CG's `ρ`).
+    pub scalars: Vec<(Cow<'static, str>, f64)>,
+    /// Named vector dynamic variables (e.g. `x`, and `p` for CG).
+    pub vectors: Vec<(Cow<'static, str>, Cow<'a, [f64]>)>,
+}
+
+impl StateView<'_> {
+    /// The view as a [`DynamicState`] of its own: borrowed vectors are
+    /// copied, owned ones move.
+    pub fn into_owned(self) -> DynamicState {
+        DynamicState {
+            iteration: self.iteration,
+            scalars: self
+                .scalars
+                .into_iter()
+                .map(|(name, value)| (name.into_owned(), value))
+                .collect(),
+            vectors: self
+                .vectors
+                .into_iter()
+                .map(|(name, v)| (name.into_owned(), Vector::from_vec(v.into_owned())))
+                .collect(),
+        }
+    }
+}
+
+impl From<DynamicState> for StateView<'static> {
+    /// A view that owns everything a captured state held.
+    fn from(state: DynamicState) -> Self {
+        StateView {
+            iteration: state.iteration,
+            scalars: state
+                .scalars
+                .into_iter()
+                .map(|(name, value)| (Cow::Owned(name), value))
+                .collect(),
+            vectors: state
+                .vectors
+                .into_iter()
+                .map(|(name, v)| (Cow::Owned(name), Cow::Owned(v.into_vec())))
+                .collect(),
+        }
+    }
+}
+
 /// A linear system `A x = b` shared by solvers, checkpointing and the
 /// experiment harness.  `A`, `M`-defining data and `b` are the *static
 /// variables* of the paper's classification.
@@ -214,6 +272,14 @@ pub trait IterativeMethod {
     /// Captures the dynamic variables a traditional checkpoint must save.
     fn capture_state(&self) -> DynamicState;
 
+    /// The dynamic variables as the solver holds them, for a checkpoint to
+    /// encode in place.  By default a view that owns
+    /// [`IterativeMethod::capture_state`]'s copy; every
+    /// [`TryIterativeMethod`] borrows what it can.
+    fn state_view(&self) -> StateView<'_> {
+        self.capture_state().into()
+    }
+
     /// Restores the solver exactly from a previously captured state
     /// (traditional / lossless recovery).
     fn restore_state(&mut self, state: &DynamicState);
@@ -260,8 +326,14 @@ pub trait TryIterativeMethod {
     /// in a breakdown restart completes no iteration.
     fn try_step(&mut self) -> Result<(), Self::Error>;
 
-    /// Captures the dynamic variables a traditional checkpoint must save.
-    fn capture_state(&self) -> DynamicState;
+    /// The dynamic variables a traditional checkpoint must save, as the
+    /// solver holds them.
+    fn state_view(&self) -> StateView<'_>;
+
+    /// [`TryIterativeMethod::state_view`], copied into a state of its own.
+    fn capture_state(&self) -> DynamicState {
+        self.state_view().into_owned()
+    }
 
     /// Restores the solver exactly from a previously captured state.
     fn try_restore_state(&mut self, state: &DynamicState) -> Result<(), Self::Error>;
@@ -303,6 +375,10 @@ impl<M: TryIterativeMethod<Error = Infallible>> IterativeMethod for M {
 
     fn capture_state(&self) -> DynamicState {
         TryIterativeMethod::capture_state(self)
+    }
+
+    fn state_view(&self) -> StateView<'_> {
+        TryIterativeMethod::state_view(self)
     }
 
     fn restore_state(&mut self, state: &DynamicState) {

@@ -48,6 +48,11 @@ impl Vector {
         Vector { data }
     }
 
+    /// Unwraps the underlying `Vec<f64>`.
+    pub fn into_vec(self) -> Vec<f64> {
+        self.data
+    }
+
     /// Number of elements.
     pub fn len(&self) -> usize {
         self.data.len()

@@ -110,8 +110,8 @@ type Pin = (usize, usize, usize);
 /// the task slots of its 64-chunk kernel calls.
 const PINS: &[(&str, Pin, Pin)] = &[
     ("cg_step", (3, 1504, 0), (10, 31032, 4)),
-    ("lossy_encode", (38, 1841633, 8), (42, 1843505, 8)),
-    ("traditional_encode", (11, 1024170, 2), (11, 1024170, 2)),
+    ("lossy_encode", (33, 817628, 6), (37, 819500, 6)),
+    ("traditional_encode", (6, 165, 0), (6, 165, 0)),
     ("memory_commit", (27, 646, 0), (27, 646, 0)),
 ];
 
