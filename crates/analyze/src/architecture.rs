@@ -154,7 +154,7 @@ pub const RULES: &[Rule] = &[
         "LZSS is the lossless pipeline's byte stage, not a Codec with a stream of its own"),
     retired(&["FpcCodec", "LzssCodec"], tree(ALL),
         "FPC and LZSS are LosslessPipeline's private stages: one Codec per strategy"),
-    once("huffman::Plan::of", SZ, "sz.rs plans a Huffman blob in one place: one encoder"),
+    once("Plan::of_tallies", SZ, "sz.rs plans a Huffman blob in one place: one encoder"),
     // One Huffman alphabet and one code-length limit: the entropy stage
     // codes only what SZ writes (the oracle under `tests/` keeps its own).
     retired(&["limit_depths", "BUILD_MAX_LEN"], tree(&["crates/compress/src/"]),

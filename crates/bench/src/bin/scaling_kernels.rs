@@ -12,8 +12,11 @@
 //! fingerprint of the residual history) —
 //! on a large 3-D Poisson problem, whose assembly is a row of its own
 //! (`poisson3d_assemble`: Melem/s of non-zeros written), SZ
-//! compression *and decompression* of a ≥1M-element smooth buffer, ZFP
-//! compression of the same buffer, single-stream Huffman
+//! compression *and decompression* of a ≥1M-element smooth buffer under a
+//! value-range relative bound and of a converged 40³ CG iterate under the
+//! paper's point-wise relative bound (`sz_compress_pwrel`,
+//! `sz_decompress_pwrel`: the log transform, the lossy checkpoint's own
+//! path), ZFP compression of the smooth buffer, single-stream Huffman
 //! encoding and decoding of SZ-like quantization codes (`huffman_encode`,
 //! `huffman_decode`), the lossless baseline over a 131,072-value prefix of
 //! the buffer (`fpc_lzss`: FPC predictors with the LZSS stage behind them),
@@ -199,6 +202,19 @@ fn main() {
     // Decompression input: one reference stream, decoded at every thread
     // count so the rows are comparable.
     let sz_compressed = sz.compress(&sz_data, sz_bound).expect("SZ compression failed");
+    // The paper's default lossy checkpoint, and the only input of the
+    // log transform: a converged 40³ CG + block-Jacobi(16) iterate under a
+    // point-wise relative bound of 1e-4 (`sz_compress_pwrel`,
+    // `sz_decompress_pwrel`).
+    let iterate = {
+        let workload = lcr_core::PaperWorkload::poisson(1, 40);
+        let problem = workload.build();
+        let mut cg = workload.build_solver(&problem, lcr_solvers::SolverKind::Cg, 10_000);
+        cg.run_to_convergence();
+        cg.solution().as_slice().to_vec()
+    };
+    let pwrel_bound = ErrorBound::PointwiseRel(1e-4);
+    let pwrel_compressed = sz.compress(&iterate, pwrel_bound).expect("SZ compression failed");
     // Huffman input: SZ-like quantization codes (second differences of the
     // smooth buffer on a 2e-4 grid, shifted into the SZ code range).
     let quantize_codes = |data: &[f64]| -> Vec<u32> {
@@ -407,10 +423,11 @@ fn main() {
         // baseline (single-stream: it rides along at every thread count)
         // over a prefix.  The exact codec ignores the bound.
         let prefix = &sz_data[..1 << 17];
-        let codecs: [(&str, &dyn Codec, &[f64], ErrorBound); 3] = [
+        let codecs: [(&str, &dyn Codec, &[f64], ErrorBound); 4] = [
             ("sz_compress", &sz, &sz_data, sz_bound),
             ("zfp_compress", &zfp, &sz_data, zfp_bound),
             ("fpc_lzss", &LosslessPipeline, prefix, sz_bound),
+            ("sz_compress_pwrel", &sz, &iterate, pwrel_bound),
         ];
         for (name, codec, input, bound) in codecs {
             let mut stream: Vec<u8> = Vec::new();
@@ -429,6 +446,18 @@ fn main() {
         measured.push((
             "sz_decompress",
             sz_len,
+            0,
+            bits_fingerprint(&restored),
+            secs,
+        ));
+        let secs = time_median(reps, || {
+            restored = sz
+                .decompress(&pwrel_compressed)
+                .expect("SZ decompression failed");
+        });
+        measured.push((
+            "sz_decompress_pwrel",
+            iterate.len(),
             0,
             bits_fingerprint(&restored),
             secs,

@@ -251,12 +251,26 @@ pub mod bytes {
 
     /// Appends a `u64` as a LEB128 varint (1 byte for values < 128; the
     /// common case for counts and lengths in the stream formats).
-    pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
+    pub fn put_varint(buf: &mut Vec<u8>, v: u64) {
+        let mut varint = [0u8; 10];
+        let len = write_varint(&mut varint, v);
+        buf.extend_from_slice(&varint[..len]);
+    }
+
+    /// Writes `v` as a LEB128 varint at the head of `dst`, for a writer
+    /// that fills a slot sized in advance; returns the bytes it took.
+    ///
+    /// # Panics
+    /// Panics if `dst` is shorter than the varint.
+    pub fn write_varint(dst: &mut [u8], mut v: u64) -> usize {
+        let mut len = 0;
         while v >= 0x80 {
-            buf.push((v as u8 & 0x7F) | 0x80);
+            dst[len] = (v as u8 & 0x7F) | 0x80;
             v >>= 7;
+            len += 1;
         }
-        buf.push(v as u8);
+        dst[len] = v as u8;
+        len + 1
     }
 
     /// Reads a LEB128 varint at `*pos`, advancing it.

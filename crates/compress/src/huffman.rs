@@ -13,8 +13,9 @@
 //! 9,227,465 symbols (the Fibonacci bound), so a blob of one `PAR_BLOCK`
 //! (at most 65,536 symbols) is at most 22 levels deep.
 //!
-//! * **Encoding** is two steps.  [`Plan::of`] counts the symbols and turns
-//!   the histogram into code lengths and the blob's **exact** size without
+//! * **Encoding** is two steps.  [`Plan::of_tallies`] turns the histogram
+//!   of a blob's symbols — [`Tally`]s taken where the symbols are made, one
+//!   per stretch — into code lengths and the blob's **exact** size without
 //!   packing a bit, so a caller places every block before writing any;
 //!   [`Plan::emit`] then packs the
 //!   symbols 64 bits at a time straight into the destination through one
@@ -48,25 +49,54 @@ const TABLE_BITS: u8 = 12;
 const DENSE_SPAN_MAX: usize = 1 << 19;
 
 /// Width of the window of symbols around a stream's expected mode that is
-/// counted in four interleaved lanes (see [`count`]).
+/// counted in four interleaved lanes (see [`Tally`]).
 const NEAR: usize = 1024;
 
 /// The per-thread dense symbol table, grown (by [`cover`]) to the largest
 /// symbol the thread has met and kept **all-zero between calls**: each user
 /// clears exactly the entries it set, so set-up and tear-down cost follow
 /// the number of present symbols, not the table size.  One table serves
-/// both passes, which never overlap on a thread: while counting, an entry
+/// both passes, which never overlap on a thread: while planning, an entry
 /// is the symbol's occurrence count (symbols outside the near window);
 /// while emitting, its 1-based position in the blob's code list.
+/// The plan's other working arrays live beside it, so planning a blob of
+/// an alphabet the thread has met before allocates only the plan itself.
 struct Scratch {
     table: Vec<u32>,
     /// Symbols whose entry left zero during the current count.
     touched: Vec<u32>,
+    /// The `(symbol, count)` pairs of the blob being planned.
+    present: Vec<(u32, u64)>,
+    /// [`code_depths`]' tree.
+    tree: Tree,
+}
+
+/// The working arrays of [`code_depths`], reused across calls.
+#[derive(Default)]
+struct Tree {
+    /// `(weight, leaf id)`, sorted.
+    leaves: Vec<(u64, u32)>,
+    /// Each node's parent id.
+    parent: Vec<u32>,
+    /// Internal-node weights, in creation order.
+    internal: Vec<u64>,
+    /// Each node's depth; the leaves' come first.
+    depth: Vec<u8>,
 }
 
 thread_local! {
     static SCRATCH: RefCell<Scratch> = const {
-        RefCell::new(Scratch { table: Vec::new(), touched: Vec::new() })
+        RefCell::new(Scratch {
+            table: Vec::new(),
+            touched: Vec::new(),
+            present: Vec::new(),
+            tree: Tree {
+                leaves: Vec::new(),
+                parent: Vec::new(),
+                internal: Vec::new(),
+                depth: Vec::new(),
+            },
+        })
     };
 }
 
@@ -83,33 +113,45 @@ fn cover(table: &mut Vec<u32>, index: usize) {
     }
 }
 
-/// Counts `symbols` into `(symbol, count)` pairs sorted by symbol.
+/// The histogram of one stretch of a symbol stream, taken where the
+/// symbols are made (a pool chunk of quantization codes), so that a blob's
+/// plan sums its chunks' tallies instead of counting its symbols again.
 ///
 /// Runs of one symbol — the common case on smooth data, where one or two
 /// bins dominate — would serialise a single histogram behind the
 /// store-to-load dependency of `hist[s] += 1`.  The [`NEAR`] symbols around
-/// `center` (where the caller expects the mode: the zero bin for
-/// quantization codes, zero for temporal deltas and byte planes) are
-/// therefore counted in four interleaved lanes on the stack; everything
-/// else goes to the per-thread dense table, which records first touches so
-/// the present symbols are collected without scanning the span.
-fn count(symbols: &[u32], center: u32) -> Vec<(u32, u64)> {
-    let base = center.saturating_sub(NEAR as u32 / 2);
-    let mut near = [0u32; NEAR * 4];
-    let mut present: Vec<(u32, u64)> = Vec::new();
-    SCRATCH.with(|s| {
-        let s = &mut *s.borrow_mut();
+/// the `center` the caller names (where it expects the mode: the zero bin
+/// for quantization codes) are therefore counted in four interleaved lanes
+/// on the stack; every other symbol is kept as it comes and counted once
+/// per blob by [`Plan::of_tallies`].  A tally reused across calls keeps
+/// its capacity, so a steady stream of encodes allocates nothing here.
+#[derive(Debug, Default)]
+pub(crate) struct Tally {
+    /// Occurrences of each symbol of the near window, from its base.
+    near: Vec<u32>,
+    /// The symbols outside the near window, in stream order.
+    far: Vec<u32>,
+}
+
+/// First symbol of the near window around `center`.
+fn near_base(center: u32) -> u32 {
+    center.saturating_sub(NEAR as u32 / 2)
+}
+
+impl Tally {
+    /// Replaces the tally with the histogram of `symbols` (at most
+    /// `u32::MAX` of them), its near window around `center`.
+    pub(crate) fn count(&mut self, symbols: &[u32], center: u32) {
+        let base = near_base(center);
+        let mut lanes = [0u32; NEAR * 4];
+        let far = &mut self.far;
+        far.clear();
         let mut tally = |sym: u32, lane: usize| {
             let k = sym.wrapping_sub(base) as usize;
             if k < NEAR {
-                near[k * 4 + lane] += 1;
+                lanes[k * 4 + lane] += 1;
             } else {
-                cover(&mut s.table, sym as usize);
-                let c = &mut s.table[sym as usize];
-                if *c == 0 {
-                    s.touched.push(sym);
-                }
-                *c += 1;
+                far.push(sym);
             }
         };
         let mut chunks = symbols.chunks_exact(4);
@@ -122,20 +164,10 @@ fn count(symbols: &[u32], center: u32) -> Vec<(u32, u64)> {
         for &sym in chunks.remainder() {
             tally(sym, 0);
         }
-        present.reserve(s.touched.len() + 64);
-        for sym in s.touched.drain(..) {
-            let c = std::mem::take(&mut s.table[sym as usize]);
-            present.push((sym, u64::from(c)));
-        }
-    });
-    for (k, lanes) in near.chunks_exact(4).enumerate() {
-        let c: u64 = lanes.iter().map(|&l| u64::from(l)).sum();
-        if c > 0 {
-            present.push((base + k as u32, c));
-        }
+        self.near.clear();
+        self.near
+            .extend(lanes.chunks_exact(4).map(|l| l.iter().sum::<u32>()));
     }
-    present.sort_unstable_by_key(|&(sym, _)| sym);
-    present
 }
 
 /// Huffman code length of every entry of `present` (`(symbol, count)`
@@ -152,23 +184,24 @@ fn count(symbols: &[u32], center: u32) -> Vec<(u32, u64)> {
 ///
 /// # Panics
 /// Panics if `present` is empty.
-fn code_depths(present: &[(u32, u64)]) -> Vec<u8> {
+fn code_depths<'t>(present: &[(u32, u64)], tree: &'t mut Tree) -> &'t [u8] {
     let n = present.len();
     assert!(n > 0, "Huffman code requires at least one symbol");
+    let Tree { leaves, parent, internal, depth } = tree;
+    depth.clear();
     // Special case: a single distinct symbol gets a 1-bit code.
     if n == 1 {
-        return vec![1];
+        depth.push(1);
+        return depth;
     }
-    let mut leaves: Vec<(u64, u32)> = present
-        .iter()
-        .enumerate()
-        .map(|(id, &(_, w))| (w, id as u32))
-        .collect();
+    leaves.clear();
+    leaves.extend(present.iter().enumerate().map(|(id, &(_, w))| (w, id as u32)));
     leaves.sort_unstable();
     // Node ids: leaves `0..n` (index into `present`), internal nodes
     // `n..2n-1` in creation order; the last one is the root.
-    let mut parent = vec![0u32; 2 * n - 1];
-    let mut internal: Vec<u64> = Vec::with_capacity(n - 1);
+    parent.clear();
+    parent.resize(2 * n - 1, 0);
+    internal.clear();
     let (mut next_leaf, mut next_internal) = (0usize, 0usize);
     for id in n..2 * n - 1 {
         let mut weight = 0u64;
@@ -192,12 +225,11 @@ fn code_depths(present: &[(u32, u64)]) -> Vec<u8> {
     // A node's parent has a larger id, so one descending sweep settles
     // every depth.  A depth of `d` needs a total weight of at least
     // F(d + 2), so `u64` counts keep it below 93.
-    let mut depth = vec![0u8; 2 * n - 1];
+    depth.resize(2 * n - 1, 0);
     for id in (0..2 * n - 2).rev() {
         depth[id] = depth[parent[id] as usize] + 1;
     }
-    depth.truncate(n);
-    depth
+    &depth[..n]
 }
 
 /// Number of codes of each length in a canonically sorted length list.
@@ -284,14 +316,56 @@ impl Plan {
     /// Panics if a symbol is not below 2^19, or if the tree is deeper than
     /// [`MAX_CODE_LEN`] (which takes more than 9 M symbols).
     pub(crate) fn of(symbols: &[u32], center: u32) -> Plan {
-        if symbols.is_empty() {
-            return Plan {
-                lengths: Vec::new(),
-                head: vec![0],
-                bit_bytes: 0,
-            };
-        }
-        Self::from_frequencies(&count(symbols, center))
+        let mut tally = Tally::default();
+        tally.count(symbols, center);
+        Self::of_tallies([&tally], center)
+    }
+
+    /// Plans the blob of the stream whose consecutive stretches were
+    /// counted into `tallies`, each around `center`: their near windows
+    /// are summed, and their far symbols counted in the per-thread dense
+    /// table, which records first touches so the present symbols are
+    /// collected without scanning the span.
+    ///
+    /// # Panics
+    /// As [`Plan::of`].
+    pub(crate) fn of_tallies<'a>(
+        tallies: impl IntoIterator<Item = &'a Tally, IntoIter: Clone>,
+        center: u32,
+    ) -> Plan {
+        let tallies = tallies.into_iter();
+        let base = near_base(center);
+        SCRATCH.with(|s| {
+            let Scratch { table, touched, present, tree } = &mut *s.borrow_mut();
+            present.clear();
+            for &sym in tallies.clone().flat_map(|t| &t.far) {
+                cover(table, sym as usize);
+                let c = &mut table[sym as usize];
+                if *c == 0 {
+                    touched.push(sym);
+                }
+                *c += 1;
+            }
+            for sym in touched.drain(..) {
+                let c = std::mem::take(&mut table[sym as usize]);
+                present.push((sym, u64::from(c)));
+            }
+            for k in 0..NEAR {
+                let c: u64 = tallies.clone().map(|t| u64::from(t.near[k])).sum();
+                if c > 0 {
+                    present.push((base + k as u32, c));
+                }
+            }
+            if present.is_empty() {
+                return Plan {
+                    lengths: Vec::new(),
+                    head: vec![0],
+                    bit_bytes: 0,
+                };
+            }
+            present.sort_unstable_by_key(|&(sym, _)| sym);
+            Self::from_frequencies(present, tree)
+        })
     }
 
     /// Plans the blob of any stream with the given `(symbol, count)` pairs
@@ -299,8 +373,8 @@ impl Plan {
     ///
     /// # Panics
     /// Panics if the Huffman tree is deeper than [`MAX_CODE_LEN`].
-    fn from_frequencies(present: &[(u32, u64)]) -> Plan {
-        let depths = code_depths(present);
+    fn from_frequencies(present: &[(u32, u64)], tree: &mut Tree) -> Plan {
+        let depths = code_depths(present, tree);
         let deepest = depths.iter().copied().max().unwrap_or(0);
         assert!(
             deepest <= MAX_CODE_LEN,
@@ -309,7 +383,7 @@ impl Plan {
         );
         let (mut n_symbols, mut bits) = (0u64, 0u64);
         let mut offsets = [0usize; MAX_CODE_LEN as usize + 2];
-        for (&(_, w), &d) in present.iter().zip(&depths) {
+        for (&(_, w), &d) in present.iter().zip(depths) {
             n_symbols += w;
             bits += w * u64::from(d);
             offsets[d as usize + 1] += 1;
@@ -320,7 +394,7 @@ impl Plan {
             offsets[l] += offsets[l - 1];
         }
         let mut lengths = vec![(0u32, 0u8); present.len()];
-        for (&(sym, _), &d) in present.iter().zip(&depths) {
+        for (&(sym, _), &d) in present.iter().zip(depths) {
             lengths[offsets[d as usize]] = (sym, d);
             offsets[d as usize] += 1;
         }
@@ -772,7 +846,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "beyond the 32-bit code limit")]
     fn trees_deeper_than_the_code_limit_panic() {
-        Plan::from_frequencies(&fibonacci_frequencies(50));
+        Plan::from_frequencies(&fibonacci_frequencies(50), &mut Tree::default());
     }
 
     #[test]
@@ -834,7 +908,7 @@ mod tests {
 
     #[test]
     fn table_roundtrip() {
-        let plan = Plan::from_frequencies(&[(10, 5), (20, 1), (30, 1)]);
+        let plan = Plan::from_frequencies(&[(10, 5), (20, 1), (30, 1)], &mut Tree::default());
         assert_eq!(plan.lengths, vec![(10, 1), (20, 2), (30, 2)]);
         let mut buf = Vec::new();
         write_table_v2(&plan.lengths, &mut buf);
@@ -929,7 +1003,7 @@ mod tests {
                     .collect()
             };
             assert_eq!(
-                lengths(code_depths(present)),
+                lengths(code_depths(present, &mut Tree::default()).to_vec()),
                 lengths(heap_depths(present)),
                 "{} symbols, first {:?}",
                 present.len(),

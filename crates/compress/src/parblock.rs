@@ -80,8 +80,12 @@ where
     rayon::run_items(blocks, decode).into_iter().collect()
 }
 
-/// Reads the container framing and returns the per-block byte slices.
-fn read_container<'a>(
+/// Reads the container framing and returns the per-block byte slices, for
+/// a decoder that places each block's values itself.
+///
+/// # Errors
+/// As [`decode_blocks`], before any block is decoded.
+pub(crate) fn read_container<'a>(
     buf: &'a [u8],
     pos: &mut usize,
     expected_blocks: usize,

@@ -51,7 +51,11 @@
 //! Versions 3 to 5 are retired: their streams are rejected with the
 //! typed unsupported-version error.
 
-use crate::bitstream::{bytes, BitReader};
+use std::borrow::Cow;
+use std::cell::RefCell;
+
+use crate::bitstream::bytes;
+use crate::huffman::{Plan, Tally};
 use crate::{huffman, parblock};
 use crate::{Codec, CompressError, ErrorBound, Result};
 
@@ -78,11 +82,18 @@ const PAR_BLOCK: usize = 65_536;
 /// expect it.
 const ZERO_BIN: u32 = QUANT_RADIUS as u32 + 1;
 
-/// Elements per pool task of the element-wise passes that run inside one
-/// block (`ln` of the point-wise-relative transform, quantization): a
-/// multiple of 64, so chunks start on bitmap word boundaries, that divides
-/// [`PAR_BLOCK`], so no chunk straddles a block.
+/// Elements of the coded stream per pool task of the fused pass (`ln` of
+/// the point-wise-relative transform, quantization, the unpredictable
+/// tail and the histogram): a multiple of 64 that divides [`PAR_BLOCK`],
+/// so no chunk straddles a block and at most one chunk starts in a 64-value
+/// bitmap word.
 const CHUNK: usize = 8192;
+
+const _: () = assert!(CHUNK.is_multiple_of(64) && PAR_BLOCK.is_multiple_of(CHUNK));
+
+/// Log magnitudes a point-wise-relative chunk takes at a time, in a window
+/// on its stack behind the two the quantizer predicts the first from.
+const LOG_WINDOW: usize = 1024;
 
 /// Strategy byte of a bitmap stored raw: `u64` length + its bytes.
 const BITMAP_RAW: u8 = 0;
@@ -255,29 +266,20 @@ impl SzCompressor {
         }
     }
 
-    /// The values the quantizer could not code (reserved code 0), in order.
-    /// Fully predictable blocks — the rule — cost one vectorized count.
-    fn unpredictable(values: &[f64], codes: &[u32]) -> Vec<f64> {
-        let reserved = codes.iter().filter(|&&c| c == 0).count();
-        let mut unpred = Vec::with_capacity(reserved);
-        if reserved > 0 {
-            let coded = values.iter().zip(codes);
-            unpred.extend(coded.filter(|&(_, &c)| c == 0).map(|(&x, _)| x));
-        }
-        unpred
-    }
-
-    /// Grid-space value reconstruction of one block from its quantization
-    /// codes and its unpredictable values, one per reserved bin — the only
-    /// reconstruction loop.
-    fn reconstruct_block(codes: &[u32], unpred: &[f64], abs_eb: f64) -> Vec<f64> {
+    /// Grid-space value reconstruction of one block into `out`, from its
+    /// quantization codes and its unpredictable values, one per reserved
+    /// bin — the only reconstruction loop.
+    fn reconstruct_block(
+        codes: &[u32],
+        mut unpred: impl Iterator<Item = f64>,
+        abs_eb: f64,
+        out: &mut [f64],
+    ) {
         let two_eb = 2.0 * abs_eb;
         let inv = 1.0 / two_eb;
-        let mut unpred = unpred.iter();
-        let mut out = Vec::with_capacity(codes.len());
         let mut rp = 0.0f64;
         let mut rp2 = 0.0f64;
-        for (i, &code) in codes.iter().enumerate() {
+        for (i, (&code, value)) in codes.iter().zip(out).enumerate() {
             let pred = if i >= 2 {
                 2.0 * rp - rp2
             } else if i == 1 {
@@ -286,8 +288,8 @@ impl SzCompressor {
                 0.0
             };
             rp2 = rp;
-            let value = if code == 0 {
-                let &x = unpred.next().expect("decode_block checked the tail count");
+            *value = if code == 0 {
+                let x = unpred.next().expect("decode_block checked the tail count");
                 rp = grid_round(x * inv);
                 x
             } else {
@@ -296,9 +298,7 @@ impl SzCompressor {
                 rp = r;
                 r * two_eb
             };
-            out.push(value);
         }
-        out
     }
 
     /// Validates `bound` and resolves it against `data`: the transform,
@@ -373,12 +373,12 @@ impl SzCompressor {
     /// checked against the caller's element count before this sizes
     /// anything; a run list must cover exactly `n` bits in at most `n + 1`
     /// runs, and no count read from the stream sizes an allocation.
-    fn read_bitmap(buf: &[u8], pos: &mut usize, n: usize) -> Result<Vec<u8>> {
+    fn read_bitmap<'a>(buf: &'a [u8], pos: &mut usize, n: usize) -> Result<Cow<'a, [u8]>> {
         let strategy = bytes::get_slice(buf, pos, 1)?[0];
         if strategy == BITMAP_RAW {
-            // `expand_log` checks that the section covers `n` bits.
+            // `check_log_side` checks that the section covers `n` bits.
             let len = bytes::get_u64(buf, pos)? as usize;
-            return Ok(bytes::get_slice(buf, pos, len)?.to_vec());
+            return Ok(Cow::Borrowed(bytes::get_slice(buf, pos, len)?));
         }
         let mut bitmap = vec![0u8; n.div_ceil(8)];
         match strategy {
@@ -420,95 +420,207 @@ impl SzCompressor {
                 )))
             }
         }
-        Ok(bitmap)
+        Ok(Cow::Owned(bitmap))
     }
 
-    /// Reassembles point-wise-relative values from the decoded log
-    /// magnitudes and the zero/sign bitmaps.
-    fn expand_log(
-        zero_bytes: &[u8],
-        sign_bytes: &[u8],
-        logs: Vec<f64>,
-        n: usize,
-    ) -> Result<Vec<f64>> {
-        // A bit per value in each bitmap: checked before `n` sizes anything.
-        if zero_bytes.len().min(sign_bytes.len()) < n.div_ceil(8) {
+    /// Checks the point-wise-relative side channels against the stream
+    /// before they size anything: each bitmap holds a bit per value, and
+    /// the stream one log magnitude per value the zero bitmap leaves
+    /// non-zero.
+    fn check_log_side(zeros: &[u8], signs: &[u8], n: usize, n_logs: usize) -> Result<()> {
+        if zeros.len().min(signs.len()) < n.div_ceil(8) {
             return Err(CompressError::Corrupt(format!(
                 "zero/sign bitmaps of {} and {} bytes cannot cover {n} values",
-                zero_bytes.len(),
-                sign_bytes.len()
+                zeros.len(),
+                signs.len()
             )));
         }
-        let mut zero_reader = BitReader::new(zero_bytes);
-        let mut sign_reader = BitReader::new(sign_bytes);
-        let mut log_iter = logs.into_iter();
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            let is_zero = zero_reader.read_bit()?;
-            let is_neg = sign_reader.read_bit()?;
-            if is_zero {
-                out.push(if is_neg { -0.0 } else { 0.0 });
-            } else {
-                let mag = log_iter
-                    .next()
-                    .ok_or_else(|| CompressError::Corrupt("missing log magnitude".into()))?
-                    .exp();
-                out.push(if is_neg { -mag } else { mag });
+        let whole: usize = zeros[..n / 8].iter().map(|b| b.count_ones() as usize).sum();
+        let last = zeros.get(n / 8).map_or(0, |&b| (b & !(0xFF >> (n % 8))).count_ones());
+        let nonzero = n - whole - last as usize;
+        if nonzero != n_logs {
+            return Err(CompressError::Corrupt(format!(
+                "{n_logs} log magnitudes for {nonzero} non-zero values"
+            )));
+        }
+        Ok(())
+    }
+
+    /// Reassembles point-wise-relative values in place: `out[first..]`
+    /// holds the decoded log magnitudes, and each value is written at or
+    /// before the magnitude it reads (the zeros before it are at most all
+    /// `first` of them), so no magnitude is overwritten before it is read.
+    /// Both bitmaps are read a 64-bit word at a time, and a word without
+    /// zeros — every word of a converged iterate — takes no per-bit branch.
+    fn expand_log(zeros: &[u8], signs: &[u8], out: &mut [f64], first: usize) {
+        let word = |bytes: &[u8]| {
+            let mut w = [0u8; 8];
+            w[..bytes.len()].copy_from_slice(bytes);
+            u64::from_be_bytes(w)
+        };
+        let n = out.len();
+        let mut read = first;
+        for (w, (z, s)) in zeros.chunks(8).zip(signs.chunks(8)).enumerate() {
+            let base = 64 * w;
+            if base >= n {
+                break;
+            }
+            let len = (n - base).min(64);
+            let (z, s) = (word(z) & (u64::MAX << (64 - len)), word(s));
+            let negative = |j: usize| (s << j) >> 63 == 1;
+            if z == 0 {
+                for j in 0..len {
+                    let mag = out[read + j].exp();
+                    out[base + j] = if negative(j) { -mag } else { mag };
+                }
+                read += len;
+                continue;
+            }
+            for j in 0..len {
+                out[base + j] = if (z << j) >> 63 == 1 {
+                    if negative(j) {
+                        -0.0
+                    } else {
+                        0.0
+                    }
+                } else {
+                    let mag = out[read].exp();
+                    read += 1;
+                    if negative(j) {
+                        -mag
+                    } else {
+                        mag
+                    }
+                };
             }
         }
-        Ok(out)
     }
 
-    /// Appends the block container of `values` quantized under `abs_eb`:
-    /// quantization a [`CHUNK`] per pool task, then a block per task its
-    /// unpredictable tail and the exact plan of its Huffman blob, and
-    /// finally every block bit-packed in place, on the pool, at the offset
-    /// its exact length gives it.
-    fn put_blocks(values: &[f64], abs_eb: f64, out: &mut Vec<u8>) {
-        let mut codes = vec![0u32; values.len()];
-        rayon::run_items(codes.chunks_mut(CHUNK), |j, chunk| {
-            let at = j * CHUNK;
-            let block = Self::block_of(values, at / PAR_BLOCK);
-            Self::quantize_range(block, at % PAR_BLOCK, abs_eb, chunk);
-        });
-        let blocks: Vec<(huffman::Plan, Vec<u8>)> =
-            rayon::run_ordered(values.len().div_ceil(PAR_BLOCK), |b| {
-                let block_codes = Self::block_of(&codes, b);
-                let unpred = Self::unpredictable(Self::block_of(values, b), block_codes);
-                let mut tail = Vec::new();
-                Self::append_unpred(&mut tail, &unpred);
-                (huffman::Plan::of(block_codes, ZERO_BIN), tail)
-            });
-        let lens: Vec<usize> = blocks
-            .iter()
-            .map(|(plan, tail)| plan.blob_len() + tail.len())
-            .collect();
-        parblock::encode_blocks_in_place(out, &lens, |b, slot| {
-            let (plan, tail) = &blocks[b];
-            let (blob, after) = slot.split_at_mut(plan.blob_len());
-            plan.emit(Self::block_of(&codes, b), blob);
-            after.copy_from_slice(tail);
-        });
+    /// Codes pool chunk `j` of the coded stream into `codes`, in one pass:
+    /// quantization, then the values it could not code and the histogram
+    /// of its codes, while the chunk is still in cache.
+    fn code_chunk(coded: Coded<'_>, j: usize, abs_eb: f64, codes: &mut [u32], out: &mut ChunkCoded) {
+        let at = j * CHUNK;
+        let start = at % PAR_BLOCK;
+        out.unpred.clear();
+        match coded {
+            Coded::Values(values) => {
+                let block = Self::block_of(values, at / PAR_BLOCK);
+                Self::quantize_range(block, start, abs_eb, codes);
+                let coded = codes.iter().zip(&block[start..]);
+                out.unpred.extend(coded.filter(|(&c, _)| c == 0).map(|(_, &x)| x));
+            }
+            Coded::Logs { data, firsts } => {
+                Self::code_logs(data, firsts[j], start, abs_eb, codes, &mut out.unpred);
+            }
+        }
+        out.tally.count(codes, ZERO_BIN);
     }
 
-    /// Appends a block's verbatim-value tail: `varint n_unpred` + raw f64s.
-    fn append_unpred(out: &mut Vec<u8>, unpred: &[f64]) {
-        bytes::put_varint(out, unpred.len() as u64);
-        for &v in unpred {
-            bytes::put_f64(out, v);
+    /// [`SzCompressor::code_chunk`] under the point-wise-relative transform:
+    /// `ln|x|` of the non-zero values from `data[first..]`, a
+    /// [`LOG_WINDOW`] at a time, each window behind the two log magnitudes
+    /// before it.  A chunk that does not start its block recomputes its
+    /// first two predecessors from the data, as `quantize_range`
+    /// recomputes its carried roundings: `ln` is pure, so the codes are
+    /// those of one pass over the whole log stream.
+    fn code_logs(
+        data: &[f64],
+        first: usize,
+        start: usize,
+        abs_eb: f64,
+        codes: &mut [u32],
+        unpred: &mut Vec<f64>,
+    ) {
+        let ln = |x: f64| x.abs().ln();
+        let mut window = [0.0f64; 2 + LOG_WINDOW];
+        if start > 0 {
+            // The chunk's block holds at least `start >= CHUNK` non-zero
+            // values before it.
+            let mut before = data[..first].iter().rev().filter(|&&x| x != 0.0);
+            let mut previous = || ln(*before.next().expect("a chunk inside a block has predecessors"));
+            window[1] = previous();
+            window[0] = previous();
+        }
+        let mut nonzero = data[first..].iter().filter(|&&x| x != 0.0);
+        for (w, piece) in codes.chunks_mut(LOG_WINDOW).enumerate() {
+            let len = piece.len();
+            for (v, &x) in window[2..2 + len].iter_mut().zip(&mut nonzero) {
+                *v = ln(x);
+            }
+            if start == 0 && w == 0 {
+                Self::quantize_range(&window[2..2 + len], 0, abs_eb, piece);
+            } else {
+                Self::quantize_range(&window[..2 + len], 2, abs_eb, piece);
+            }
+            let coded = piece.iter().zip(&window[2..]);
+            unpred.extend(coded.filter(|(&c, _)| c == 0).map(|(_, &v)| v));
+            window.copy_within(len..len + 2, 0);
         }
     }
 
-    /// Decodes one block of `n` values to its quantization codes and its
-    /// unpredictable values: `n` Huffman symbols, then the tail, whose
-    /// count must equal the reserved bins of those codes.
-    fn decode_block(block: &[u8], n: usize) -> Result<(Vec<u32>, Vec<f64>)> {
+    /// Appends the block container of the `n` values `coded` names,
+    /// quantized under `abs_eb` into `codes`: the fused pass a [`CHUNK`]
+    /// per pool task, each block's Huffman plan summed from its chunks'
+    /// tallies, and finally every block bit-packed in place, on the pool,
+    /// at the offset its exact length gives it, its unpredictable tail
+    /// written straight from its chunks.
+    fn put_blocks(
+        coded: Coded<'_>,
+        n: usize,
+        abs_eb: f64,
+        codes: &mut Vec<u32>,
+        chunks: &mut Vec<ChunkCoded>,
+        out: &mut Vec<u8>,
+    ) {
+        if codes.len() < n {
+            codes.resize(n, 0);
+        }
+        let codes = &mut codes[..n];
+        let n_chunks = n.div_ceil(CHUNK);
+        if chunks.len() < n_chunks {
+            chunks.resize_with(n_chunks, ChunkCoded::default);
+        }
+        let chunks = &mut chunks[..n_chunks];
+        rayon::run_items(codes.chunks_mut(CHUNK).zip(chunks.iter_mut()), |j, (codes, chunk)| {
+            Self::code_chunk(coded, j, abs_eb, codes, chunk);
+        });
+        let blocks: Vec<(Plan, &[ChunkCoded], usize)> = chunks
+            .chunks(PAR_BLOCK / CHUNK)
+            .map(|cs| {
+                let plan = Plan::of_tallies(cs.iter().map(|c| &c.tally), ZERO_BIN);
+                (plan, cs, cs.iter().map(|c| c.unpred.len()).sum())
+            })
+            .collect();
+        let lens: Vec<usize> = blocks
+            .iter()
+            .map(|(plan, _, n_unpred)| plan.blob_len() + varint_len(*n_unpred as u64) + 8 * n_unpred)
+            .collect();
+        let codes = &*codes;
+        parblock::encode_blocks_in_place(out, &lens, |b, slot| {
+            let (plan, cs, n_unpred) = &blocks[b];
+            let (blob, tail) = slot.split_at_mut(plan.blob_len());
+            plan.emit(Self::block_of(codes, b), blob);
+            // The tail: `varint n_unpred` + the raw f64s.
+            let at = bytes::write_varint(tail, *n_unpred as u64);
+            let values = cs.iter().flat_map(|c| &c.unpred);
+            for (dst, v) in tail[at..].chunks_exact_mut(8).zip(values) {
+                dst.copy_from_slice(&v.to_le_bytes());
+            }
+        });
+    }
+
+    /// Decodes one block into `out`, one value per slot: `out.len()`
+    /// Huffman symbols, then the tail, whose count must equal the reserved
+    /// bins of those codes.
+    fn decode_block(block: &[u8], abs_eb: f64, out: &mut [f64]) -> Result<()> {
         let pos = &mut 0usize;
         let mut codes = Vec::new();
         huffman::decode_block_into(block, pos, &mut codes)?;
-        if codes.len() != n {
+        if codes.len() != out.len() {
             return Err(CompressError::Corrupt(format!(
-                "expected {n} quantization codes, found {}",
+                "expected {} quantization codes, found {}",
+                out.len(),
                 codes.len()
             )));
         }
@@ -521,9 +633,9 @@ impl SzCompressor {
         }
         let unpred = bytes::get_slice(block, pos, 8 * reserved)?
             .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("chunk of 8")))
-            .collect();
-        Ok((codes, unpred))
+            .map(|c| f64::from_le_bytes(c.try_into().expect("chunk of 8")));
+        Self::reconstruct_block(&codes, unpred, abs_eb, out);
+        Ok(())
     }
 
     /// Block `b` of a stream-long array.
@@ -545,12 +657,12 @@ fn varint_len(v: u64) -> usize {
 }
 
 /// The alternating run lengths of the first `n` bits of `bitmap` (MSB
-/// first), the first run clear — and empty if bit 0 is set: one pass, a
-/// 64-bit word at a time and a step per run.  `None` once the runs'
-/// varints reach `cap` bytes: a run list that long cannot beat a section of
-/// `cap` bytes.
-fn bitmap_runs(bitmap: &[u8], n: usize, cap: usize) -> Option<Vec<u64>> {
-    let mut runs = Vec::new();
+/// first) into `runs`, the first run clear — and empty if bit 0 is set:
+/// one pass, a 64-bit word at a time and a step per run.  `false` once the
+/// runs' varints reach `cap` bytes: a run list that long cannot beat a
+/// section of `cap` bytes.
+fn bitmap_runs(bitmap: &[u8], n: usize, cap: usize, runs: &mut Vec<u64>) -> bool {
+    runs.clear();
     let (mut set, mut run, mut size) = (false, 0u64, 0usize);
     for (w, chunk) in bitmap.chunks(8).enumerate() {
         let mut word = [0u8; 8];
@@ -569,7 +681,7 @@ fn bitmap_runs(bitmap: &[u8], n: usize, cap: usize) -> Option<Vec<u64>> {
             bits <<= take;
             size += varint_len(run);
             if size >= cap {
-                return None;
+                return false;
             }
             runs.push(run);
             (set, run) = (!set, 0);
@@ -578,7 +690,7 @@ fn bitmap_runs(bitmap: &[u8], n: usize, cap: usize) -> Option<Vec<u64>> {
     if n > 0 {
         runs.push(run);
     }
-    Some(runs)
+    true
 }
 
 /// Sets bits `start..end` of an MSB-first bitmap.
@@ -598,23 +710,27 @@ fn set_bits(bitmap: &mut [u8], start: usize, end: usize) {
 }
 
 /// Appends the first `n` bits of `bitmap` in the smallest of the four
-/// codings, ties to the lower strategy byte.  One pass counts the runs, so
-/// every size is exact before a byte is written: a constant bitmap costs
-/// its strategy byte alone, and a run list is written only when it is
-/// strictly smaller than the raw section.
-fn put_bitmap(out: &mut Vec<u8>, bitmap: &[u8], n: usize) {
+/// codings, ties to the lower strategy byte, its runs counted into `runs`.
+/// One pass counts the runs, so every size is exact before a byte is
+/// written: a constant bitmap costs its strategy byte alone, and a run
+/// list is written only when it is strictly smaller than the raw section.
+fn put_bitmap(out: &mut Vec<u8>, bitmap: &[u8], n: usize, runs: &mut Vec<u64>) {
     let raw = 9 + bitmap.len();
-    match bitmap_runs(bitmap, n, raw) {
-        Some(runs) if runs.len() <= 1 => out.push(BITMAP_CLEAR),
-        Some(runs) if runs.len() == 2 && runs[0] == 0 => out.push(BITMAP_SET),
-        Some(runs)
-            if 1 + varint_len(runs.len() as u64)
-                + runs.iter().map(|&r| varint_len(r)).sum::<usize>()
-                < raw =>
+    let counted = bitmap_runs(bitmap, n, raw, runs);
+    match &runs[..] {
+        _ if !counted => {
+            out.push(BITMAP_RAW);
+            bytes::put_u64(out, bitmap.len() as u64);
+            out.extend_from_slice(bitmap);
+        }
+        [] | [_] => out.push(BITMAP_CLEAR),
+        [0, _] => out.push(BITMAP_SET),
+        runs if 1 + varint_len(runs.len() as u64) + runs.iter().map(|&r| varint_len(r)).sum::<usize>()
+            < raw =>
         {
             out.push(BITMAP_RUNS);
             bytes::put_varint(out, runs.len() as u64);
-            for run in runs {
+            for &run in runs {
                 bytes::put_varint(out, run);
             }
         }
@@ -626,50 +742,87 @@ fn put_bitmap(out: &mut Vec<u8>, bitmap: &[u8], n: usize) {
     }
 }
 
-/// The point-wise-relative transform of a snapshot: which values are zero
-/// and which negative (one bit per value each, MSB-first, final byte
-/// zero-padded — [`BitWriter`]'s layout), and `ln|x|` of the non-zero ones.
-///
-/// [`BitWriter`]: crate::bitstream::BitWriter
-struct LogSide {
-    zeros: Vec<u8>,
-    signs: Vec<u8>,
-    logs: Vec<f64>,
+/// What the blocks of a stream code.
+#[derive(Clone, Copy)]
+enum Coded<'a> {
+    /// The values themselves.
+    Values(&'a [f64]),
+    /// `ln|x|` of the non-zero values of `data`; pool chunk `j` starts at
+    /// the non-zero value `data[firsts[j]]`.
+    Logs { data: &'a [f64], firsts: &'a [usize] },
 }
 
-impl LogSide {
-    /// One sequential pass builds both bitmaps a 64-value word at a time
-    /// and counts the non-zero values ahead of every [`CHUNK`]; those
-    /// counts place each chunk's magnitudes in `logs`, so the `ln` pass —
-    /// where the time goes — runs over the chunks on the pool.
-    fn of(data: &[f64]) -> LogSide {
-        let mut zeros = Vec::with_capacity(data.len().div_ceil(8));
-        let mut signs = Vec::with_capacity(data.len().div_ceil(8));
-        let mut offsets = vec![0usize];
-        let mut nonzero = 0usize;
-        for chunk in data.chunks(CHUNK) {
-            for word in chunk.chunks(64) {
-                let (mut z, mut s) = (0u64, 0u64);
-                for (j, &x) in word.iter().enumerate() {
-                    z |= u64::from(x == 0.0) << (63 - j);
-                    s |= (x.to_bits() >> 63) << (63 - j);
-                }
-                nonzero += word.len() - z.count_ones() as usize;
-                let nbytes = word.len().div_ceil(8);
-                zeros.extend_from_slice(&z.to_be_bytes()[..nbytes]);
-                signs.extend_from_slice(&s.to_be_bytes()[..nbytes]);
-            }
-            offsets.push(nonzero);
+/// One pool chunk's share of its block, as the fused pass leaves it.
+#[derive(Debug, Default)]
+struct ChunkCoded {
+    /// The histogram of its codes.
+    tally: Tally,
+    /// The values it could not code (reserved code 0), in order.
+    unpred: Vec<f64>,
+}
+
+/// What an encode needs besides its input and its output, kept per
+/// thread across calls (as the Huffman stage keeps its symbol table), so a
+/// stream of checkpoints of one size allocates none of it after the
+/// first.  An encode takes it out for its duration and puts it back, so a
+/// nested one on the same thread starts from an empty scratch instead of
+/// finding it borrowed.
+#[derive(Debug, Default)]
+struct EncodeScratch {
+    /// One quantization code per coded value.
+    codes: Vec<u32>,
+    /// The point-wise-relative transform's zero bitmap …
+    zeros: Vec<u8>,
+    /// … and its sign bitmap.
+    signs: Vec<u8>,
+    /// The run lengths of the bitmap being coded.
+    runs: Vec<u64>,
+    /// Where in the data each pool chunk of log magnitudes starts.
+    firsts: Vec<usize>,
+    /// One per pool chunk.
+    chunks: Vec<ChunkCoded>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<EncodeScratch> = RefCell::default();
+}
+
+/// The point-wise-relative transform's one sequential pass: which values
+/// of `data` are zero and which negative (one bit per value each,
+/// MSB-first, final byte zero-padded — [`BitWriter`]'s layout), built a
+/// 64-value word at a time, and the index of the non-zero value each pool
+/// chunk of log magnitudes starts at.  Returns how many values are
+/// non-zero.
+///
+/// [`BitWriter`]: crate::bitstream::BitWriter
+fn split_signs(data: &[f64], zeros: &mut Vec<u8>, signs: &mut Vec<u8>, firsts: &mut Vec<usize>) -> usize {
+    zeros.clear();
+    signs.clear();
+    firsts.clear();
+    let mut nonzero = 0usize;
+    for (w, word) in data.chunks(64).enumerate() {
+        let (mut z, mut s) = (0u64, 0u64);
+        for (j, &x) in word.iter().enumerate() {
+            z |= u64::from(x == 0.0) << (63 - j);
+            s |= (x.to_bits() >> 63) << (63 - j);
         }
-        let mut logs = vec![0.0f64; nonzero];
-        let pieces = rayon::split_mut(&mut logs, offsets.windows(2).map(|w| w[1] - w[0]));
-        rayon::run_items(data.chunks(CHUNK).zip(pieces), |_, (chunk, dst)| {
-            for (d, &x) in dst.iter_mut().zip(chunk.iter().filter(|&&x| x != 0.0)) {
-                *d = x.abs().ln();
+        let nbytes = word.len().div_ceil(8);
+        zeros.extend_from_slice(&z.to_be_bytes()[..nbytes]);
+        signs.extend_from_slice(&s.to_be_bytes()[..nbytes]);
+        // The word's non-zero values, MSB first; a chunk starts in it at
+        // most once.
+        let mut live = !z & (u64::MAX << (64 - word.len()));
+        let count = live.count_ones() as usize;
+        let next = firsts.len() * CHUNK;
+        if next < nonzero + count {
+            for _ in nonzero..next {
+                live &= !(1u64 << 63 >> live.leading_zeros());
             }
-        });
-        LogSide { zeros, signs, logs }
+            firsts.push(64 * w + live.leading_zeros() as usize);
+        }
+        nonzero += count;
     }
+    nonzero
 }
 
 impl Codec for SzCompressor {
@@ -688,17 +841,20 @@ impl Codec for SzCompressor {
     fn encode_into(&self, data: &[f64], bound: ErrorBound, out: &mut Vec<u8>) -> Result<()> {
         let (transform, stream_eb, abs_eb) = Self::resolve_bound(data, bound)?;
         Self::put_header(out, data.len(), transform, stream_eb);
-        let side = (transform == Transform::Log).then(|| LogSide::of(data));
-        let values = match &side {
-            Some(s) => {
-                put_bitmap(out, &s.zeros, data.len());
-                put_bitmap(out, &s.signs, data.len());
-                bytes::put_u64(out, s.logs.len() as u64);
-                s.logs.as_slice()
+        let mut scratch = SCRATCH.take();
+        let EncodeScratch { codes, zeros, signs, runs, firsts, chunks } = &mut scratch;
+        let (coded, n_codes) = match transform {
+            Transform::Log => {
+                let n_logs = split_signs(data, zeros, signs, firsts);
+                put_bitmap(out, zeros, data.len(), runs);
+                put_bitmap(out, signs, data.len(), runs);
+                bytes::put_u64(out, n_logs as u64);
+                (Coded::Logs { data, firsts }, n_logs)
             }
-            None => data,
+            Transform::Identity => (Coded::Values(data), data.len()),
         };
-        Self::put_blocks(values, abs_eb, out);
+        Self::put_blocks(coded, n_codes, abs_eb, codes, chunks, out);
+        SCRATCH.set(scratch);
         Ok(())
     }
 
@@ -739,15 +895,26 @@ impl Codec for SzCompressor {
             }
         };
         let nblocks = n_codes.div_ceil(PAR_BLOCK);
-        let values = parblock::decode_blocks(buf, pos, nblocks, "SZ", |b, block| {
-            let (codes, unpred) = Self::decode_block(block, PAR_BLOCK.min(n_codes - b * PAR_BLOCK))?;
-            Ok(Self::reconstruct_block(&codes, &unpred, abs_eb))
-        })?
-        .concat();
-        match bitmaps {
-            Some([zeros, signs]) => Self::expand_log(&zeros, &signs, values, h.n),
-            None => Ok(values),
+        let blocks = parblock::read_container(buf, pos, nblocks, "SZ")?;
+        if let Some([zeros, signs]) = &bitmaps {
+            Self::check_log_side(zeros, signs, h.n, n_codes)?;
         }
+        // The blocks decode straight into the result; under the log
+        // transform into its tail, from where the magnitudes expand in
+        // place.
+        let mut out = vec![0.0f64; h.n];
+        let first = h.n - n_codes;
+        let lens = (0..nblocks).map(|b| PAR_BLOCK.min(n_codes - b * PAR_BLOCK));
+        let slots = rayon::split_mut(&mut out[first..], lens);
+        rayon::run_items(blocks.into_iter().zip(slots), |_, (block, slot)| {
+            Self::decode_block(block, abs_eb, slot)
+        })
+        .into_iter()
+        .collect::<Result<()>>()?;
+        if let Some([zeros, signs]) = &bitmaps {
+            Self::expand_log(zeros, signs, &mut out, first);
+        }
+        Ok(out)
     }
 }
 
@@ -983,7 +1150,10 @@ mod tests {
             let mut bytes = Vec::new();
             SzCompressor::put_header(&mut bytes, 3, Transform::Identity, 1e-3);
             let mut block = huffman::encode_block(&[0, 0, ZERO_BIN]);
-            SzCompressor::append_unpred(&mut block, declared);
+            bytes::put_varint(&mut block, declared.len() as u64);
+            for &v in declared {
+                bytes::put_f64(&mut block, v);
+            }
             parblock::write_container(&mut bytes, &[block]);
             bytes
         };
@@ -1008,7 +1178,7 @@ mod tests {
             set_bits(&mut bitmap, i, i + 1);
         }
         let mut out = Vec::new();
-        put_bitmap(&mut out, &bitmap, n);
+        put_bitmap(&mut out, &bitmap, n, &mut Vec::new());
         let pos = &mut 0usize;
         assert_eq!(SzCompressor::read_bitmap(&out, pos, n).unwrap(), bitmap, "{bits:?}");
         assert_eq!(*pos, out.len());

@@ -110,7 +110,7 @@ type Pin = (usize, usize, usize);
 /// the task slots of its 64-chunk kernel calls.
 const PINS: &[(&str, Pin, Pin)] = &[
     ("cg_step", (3, 1504, 0), (10, 31032, 4)),
-    ("lossy_encode", (33, 817628, 6), (37, 819500, 6)),
+    ("lossy_encode", (13, 7393, 0), (15, 8329, 0)),
     ("traditional_encode", (6, 165, 0), (6, 165, 0)),
     ("memory_commit", (27, 646, 0), (27, 646, 0)),
 ];
@@ -160,6 +160,13 @@ fn steady_state_allocations_are_pinned() {
         commit();
     }
     measured.push(("memory_commit", commit()));
+
+    // Beyond the pins: an encode reads the solver's vectors in place and
+    // keeps its codec scratch across calls, so nothing it allocates is the
+    // size of a vector.
+    for &(case, cost) in &measured[1..3] {
+        assert_eq!(cost.large, 0, "{case} allocated {cost:?}");
+    }
 
     let pooled = rayon::pool_threads() > 1;
     let mut wrong = Vec::new();
