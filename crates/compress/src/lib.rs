@@ -15,7 +15,10 @@
 //!   Lorenzo/linear prediction + linear-scaling quantization + Huffman
 //!   coding of the quantization bins, with unpredictable values stored
 //!   verbatim.  Supports absolute, point-wise-relative (the paper's
-//!   definition) and value-range-relative error bounds.
+//!   definition) and value-range-relative error bounds.  An encode is one
+//!   fused pool pass per chunk over scratch each thread keeps across
+//!   calls, so a stream of checkpoints allocates no codec temporaries;
+//!   a decode writes every block into its slice of one result buffer.
 //! * [`zfp`] — a ZFP-style transform-based lossy compressor (1-D blocks,
 //!   fixed-point block conversion, orthogonal lifting transform, bit-plane
 //!   truncation) used for the compressor-choice ablation.

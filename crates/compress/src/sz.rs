@@ -18,10 +18,15 @@
 //! 4. **Unpredictable values** whose bin index would overflow the code range
 //!    are stored verbatim (IEEE-754 bits) and flagged with the reserved bin 0.
 //!
-//! Prediction and quantization run as one fused, branch-light pass over
-//! pool-sized chunks of each block, and the entropy stage is the
-//! plan-then-emit canonical Huffman codec: a block's blob is sized exactly
-//! from its histogram, so every block is bit-packed in place, on the pool.
+//! Prediction, quantization, the unpredictable values and the histogram of
+//! the codes are one fused, branch-light pass over pool-sized chunks of
+//! each block (`ln` first, under the point-wise-relative transform), and
+//! the entropy stage is the plan-then-emit canonical Huffman codec: a
+//! block's blob is sized exactly from its chunks' histograms, so every
+//! block is bit-packed in place, on the pool.  What an encode works in —
+//! the codes, the bitmaps, the chunks' histograms and tails — is a
+//! per-thread scratch kept across calls.  Decoding mirrors it: every block
+//! decodes on the pool into its slice of the result.
 //!
 //! Point-wise relative bounds (`ErrorBound::PointwiseRel`) are honoured with
 //! the standard SZ trick: compress `ln|x|` under an absolute bound
@@ -369,7 +374,8 @@ impl SzCompressor {
 
     /// Reads one point-wise-relative bitmap of `n` bits (inverse of
     /// [`put_bitmap`]) into the layout [`SzCompressor::expand_log`] reads:
-    /// one bit per value, MSB first, the final byte zero-padded.  `n` was
+    /// one bit per value, MSB first, the final byte zero-padded; a raw
+    /// section is read in place.  `n` was
     /// checked against the caller's element count before this sizes
     /// anything; a run list must cover exactly `n` bits in at most `n + 1`
     /// runs, and no count read from the stream sizes an allocation.
@@ -499,7 +505,13 @@ impl SzCompressor {
     /// Codes pool chunk `j` of the coded stream into `codes`, in one pass:
     /// quantization, then the values it could not code and the histogram
     /// of its codes, while the chunk is still in cache.
-    fn code_chunk(coded: Coded<'_>, j: usize, abs_eb: f64, codes: &mut [u32], out: &mut ChunkCoded) {
+    fn code_chunk(
+        coded: Coded<'_>,
+        j: usize,
+        abs_eb: f64,
+        codes: &mut [u32],
+        out: &mut ChunkCoded,
+    ) {
         let at = j * CHUNK;
         let start = at % PAR_BLOCK;
         out.unpred.clear();
@@ -538,7 +550,10 @@ impl SzCompressor {
             // The chunk's block holds at least `start >= CHUNK` non-zero
             // values before it.
             let mut before = data[..first].iter().rev().filter(|&&x| x != 0.0);
-            let mut previous = || ln(*before.next().expect("a chunk inside a block has predecessors"));
+            let mut previous = || {
+                let &x = before.next().expect("a chunk inside a block has predecessors");
+                ln(x)
+            };
             window[1] = previous();
             window[0] = previous();
         }
@@ -594,7 +609,9 @@ impl SzCompressor {
             .collect();
         let lens: Vec<usize> = blocks
             .iter()
-            .map(|(plan, _, n_unpred)| plan.blob_len() + varint_len(*n_unpred as u64) + 8 * n_unpred)
+            .map(|&(ref plan, _, n_unpred)| {
+                plan.blob_len() + varint_len(n_unpred as u64) + 8 * n_unpred
+            })
             .collect();
         let codes = &*codes;
         parblock::encode_blocks_in_place(out, &lens, |b, slot| {
@@ -725,7 +742,9 @@ fn put_bitmap(out: &mut Vec<u8>, bitmap: &[u8], n: usize, runs: &mut Vec<u64>) {
         }
         [] | [_] => out.push(BITMAP_CLEAR),
         [0, _] => out.push(BITMAP_SET),
-        runs if 1 + varint_len(runs.len() as u64) + runs.iter().map(|&r| varint_len(r)).sum::<usize>()
+        runs if 1
+            + varint_len(runs.len() as u64)
+            + runs.iter().map(|&r| varint_len(r)).sum::<usize>()
             < raw =>
         {
             out.push(BITMAP_RUNS);
@@ -795,7 +814,12 @@ thread_local! {
 /// non-zero.
 ///
 /// [`BitWriter`]: crate::bitstream::BitWriter
-fn split_signs(data: &[f64], zeros: &mut Vec<u8>, signs: &mut Vec<u8>, firsts: &mut Vec<usize>) -> usize {
+fn split_signs(
+    data: &[f64],
+    zeros: &mut Vec<u8>,
+    signs: &mut Vec<u8>,
+    firsts: &mut Vec<usize>,
+) -> usize {
     zeros.clear();
     signs.clear();
     firsts.clear();
@@ -860,15 +884,17 @@ impl Codec for SzCompressor {
 
     /// Decodes one stream: the prologue, whose element count must equal
     /// `n_elements` before it sizes anything, the bitmaps expanded to the
-    /// layout [`SzCompressor::expand_log`] reads, then every block on the
-    /// pool through the one reconstruction loop.
+    /// layout [`SzCompressor::expand_log`] reads, the container framing,
+    /// then every block on the pool through the one reconstruction loop
+    /// into its slice of the result.
     ///
     /// # Errors
     /// Rejects another codec's stream, any version but the current one, an
     /// element count that disagrees with `n_elements`, a bitmap coding that
-    /// is unknown or does not cover the stream's values, a block tail whose
-    /// count differs from the reserved bins of its codes, and any other
-    /// truncation or corruption.
+    /// is unknown or does not cover the stream's values, a count of log
+    /// magnitudes other than the zero bitmap's non-zero values, a block
+    /// tail whose count differs from the reserved bins of its codes, and
+    /// any other truncation or corruption.
     fn decode(&self, buf: &[u8], n_elements: usize) -> Result<Vec<f64>> {
         let pos = &mut 0usize;
         let h = Self::parse_header(buf, pos)?;
