@@ -19,8 +19,10 @@
 //!   packing a bit, so a caller places every block before writing any;
 //!   [`Plan::emit`] then packs the
 //!   symbols 64 bits at a time straight into the destination through one
-//!   symbol → packed-code table.  Every cost follows the number of
-//!   *present* symbols, never the symbol span.
+//!   symbol → packed-code table.  A [`Packer`] packs any stretch of the
+//!   stream from its own first bit into the bytes that stretch's bits land
+//!   in, so the stretches of one blob pack on the pool.  Every cost follows
+//!   the number of *present* symbols, never the symbol span.
 //! * **Decoding** resolves every code of ≤ [`TABLE_BITS`] bits with a
 //!   single table probe ([`BitReader::peek_bits`] + lookup + consume) and
 //!   falls back to the canonical first-code/offset method only for the
@@ -34,6 +36,7 @@
 use crate::bitstream::{bytes, BitReader};
 use crate::{CompressError, Result};
 use std::cell::RefCell;
+use std::ops::Range;
 
 /// Longest code the builder emits and the reader accepts.  No SZ blob
 /// comes near it (see the module docs), and it lets the packer take any
@@ -303,8 +306,10 @@ pub(crate) struct Plan {
     /// The blob up to the bit stream: varint symbol count, v2 table, varint
     /// bit-stream length (just the count for an empty stream).
     head: Vec<u8>,
-    /// Bytes of the bit stream: `⌈Σ count·length / 8⌉`.
-    bit_bytes: usize,
+    /// Bits of the bit stream: `Σ count·length`.
+    bits: u64,
+    /// First symbol of the near window the stream was counted around.
+    base: u32,
 }
 
 impl Plan {
@@ -325,7 +330,8 @@ impl Plan {
     /// counted into `tallies`, each around `center`: their near windows
     /// are summed, and their far symbols counted in the per-thread dense
     /// table, which records first touches so the present symbols are
-    /// collected without scanning the span.
+    /// collected without scanning the span — and sorted without sorting
+    /// the window's.
     ///
     /// # Panics
     /// As [`Plan::of`].
@@ -346,34 +352,41 @@ impl Plan {
                 }
                 *c += 1;
             }
-            for sym in touched.drain(..) {
-                let c = std::mem::take(&mut table[sym as usize]);
-                present.push((sym, u64::from(c)));
-            }
-            for k in 0..NEAR {
-                let c: u64 = tallies.clone().map(|t| u64::from(t.near[k])).sum();
-                if c > 0 {
-                    present.push((base + k as u32, c));
+            let mut near = [0u64; NEAR];
+            for t in tallies {
+                for (sum, &c) in near.iter_mut().zip(&t.near) {
+                    *sum += u64::from(c);
                 }
             }
+            // Symbol order: the far symbols below the window, the window,
+            // the far symbols above it.
+            touched.sort_unstable();
+            let below = touched.partition_point(|&sym| sym < base);
+            let mut far = touched
+                .drain(..)
+                .map(|sym| (sym, u64::from(std::mem::take(&mut table[sym as usize]))));
+            present.extend(far.by_ref().take(below));
+            present.extend((base..).zip(near).filter(|&(_, c)| c > 0));
+            present.extend(far);
             if present.is_empty() {
                 return Plan {
                     lengths: Vec::new(),
                     head: vec![0],
-                    bit_bytes: 0,
+                    bits: 0,
+                    base,
                 };
             }
-            present.sort_unstable_by_key(|&(sym, _)| sym);
-            Self::from_frequencies(present, tree)
+            Self::from_frequencies(present, tree, base)
         })
     }
 
     /// Plans the blob of any stream with the given `(symbol, count)` pairs
-    /// (sorted by symbol, every count positive).
+    /// (sorted by symbol, every count positive), counted around the near
+    /// window from `base`.
     ///
     /// # Panics
     /// Panics if the Huffman tree is deeper than [`MAX_CODE_LEN`].
-    fn from_frequencies(present: &[(u32, u64)], tree: &mut Tree) -> Plan {
+    fn from_frequencies(present: &[(u32, u64)], tree: &mut Tree, base: u32) -> Plan {
         let depths = code_depths(present, tree);
         let deepest = depths.iter().copied().max().unwrap_or(0);
         assert!(
@@ -398,33 +411,60 @@ impl Plan {
             lengths[offsets[d as usize]] = (sym, d);
             offsets[d as usize] += 1;
         }
-        let bit_bytes = bits.div_ceil(8) as usize;
         let mut head = Vec::with_capacity(2 * present.len() + 48);
         bytes::put_varint(&mut head, n_symbols);
         write_table_v2(&lengths, &mut head);
-        bytes::put_varint(&mut head, bit_bytes as u64);
+        bytes::put_varint(&mut head, bits.div_ceil(8));
         Plan {
             lengths,
             head,
-            bit_bytes,
+            bits,
+            base,
         }
     }
 
     /// Exact length in bytes of the blob [`Plan::emit`] writes.
     pub(crate) fn blob_len(&self) -> usize {
-        self.head.len() + self.bit_bytes
+        self.head.len() + self.bit_bytes()
+    }
+
+    /// Bytes of the blob before its bit stream.
+    pub(crate) fn head(&self) -> &[u8] {
+        &self.head
+    }
+
+    /// Bytes of the bit stream: `⌈Σ count·length / 8⌉`.
+    pub(crate) fn bit_bytes(&self) -> usize {
+        self.bits.div_ceil(8) as usize
+    }
+
+    /// Runs `f` with the plan's code book, ready to pack stretches of its
+    /// stream on the pool.  The book's symbol → code table is the calling
+    /// thread's dense table, taken out of its scratch for the call, filled
+    /// for the plan's symbols, cleared and put back after it — so a pool
+    /// thread that packs never grows a table of its own.
+    pub(crate) fn with_packer<R>(&self, f: impl FnOnce(&Packer<'_>) -> R) -> R {
+        // The canonical codes in `lengths` order, behind a dummy entry so
+        // that a zero table entry (an absent symbol) maps to length 0.
+        let first = first_codes(&length_counts(&self.lengths));
+        let codes = std::iter::once(0).chain(packed_codes(&self.lengths, &first)).collect();
+        let mut table = SCRATCH.with(|s| std::mem::take(&mut s.borrow_mut().table));
+        for (entry, &(sym, _)) in (1u32..).zip(&self.lengths) {
+            cover(&mut table, sym as usize);
+            table[sym as usize] = entry;
+        }
+        let mut packer = Packer { plan: self, codes, table };
+        let result = f(&packer);
+        for &(sym, _) in &self.lengths {
+            packer.table[sym as usize] = 0;
+        }
+        SCRATCH.with(|s| s.borrow_mut().table = packer.table);
+        result
     }
 
     /// Writes the planned blob of `symbols` — the stream the plan was made
-    /// from — into `dst`, which must be exactly [`Plan::blob_len`] long.
-    ///
-    /// One symbol → code table is filled per blob (the dense per-thread
-    /// table pointing into the blob's `code << 8 | len` list), and the
-    /// codes are concatenated MSB-first in a 64-bit accumulator that spills
-    /// whole big-endian words straight into `dst` — [`BitWriter`]'s byte
-    /// layout, final byte zero-padded.
-    ///
-    /// [`BitWriter`]: crate::bitstream::BitWriter
+    /// from — into `dst`, which must be exactly [`Plan::blob_len`] long:
+    /// its head, then the whole stream packed as one stretch.
     pub(crate) fn emit(&self, symbols: &[u32], dst: &mut [u8]) {
         assert_eq!(
             dst.len(),
@@ -433,35 +473,102 @@ impl Plan {
         );
         let (head, bits) = dst.split_at_mut(self.head.len());
         head.copy_from_slice(&self.head);
-        if symbols.is_empty() {
-            return;
+        if !symbols.is_empty() {
+            self.with_packer(|packer| packer.pack(symbols, 0..symbols.len(), 0, true, bits));
         }
-        // The canonical codes in `lengths` order, behind a dummy entry so
-        // that a zero table entry (an absent symbol) maps to length 0.
-        let first = first_codes(&length_counts(&self.lengths));
-        let codes: Vec<u64> = std::iter::once(0)
-            .chain(packed_codes(&self.lengths, &first))
-            .collect();
-        SCRATCH.with(|s| {
-            let table = &mut s.borrow_mut().table;
-            for (entry, &(sym, _)) in (1u32..).zip(&self.lengths) {
-                cover(table, sym as usize);
-                table[sym as usize] = entry;
-            }
-            pack(symbols, bits, |sym| codes[table[sym as usize] as usize]);
-            for &(sym, _) in &self.lengths {
-                table[sym as usize] = 0;
-            }
-        });
     }
 }
 
-/// Concatenates the codes of `symbols` MSB-first into `dst`, which must be
-/// exactly as long as the codes need.  `packed_code` returns
-/// `code << 8 | len` with `1 <= len <= 32`.
-fn pack(symbols: &[u32], dst: &mut [u8], packed_code: impl Fn(u32) -> u64) {
-    let mut acc = 0u64; // pending bits, right-aligned
-    let mut pending = 0u32; // how many: < 64 between symbols
+/// A [`Plan`]'s code book (see [`Plan::with_packer`]): the bit each
+/// counted stretch of its stream starts at, and the packing of any stretch
+/// from its own first bit, so that the stretches of one blob pack on as
+/// many pool tasks as it has.
+pub(crate) struct Packer<'p> {
+    plan: &'p Plan,
+    /// `code << 8 | len` in the plan's `lengths` order, behind a dummy
+    /// entry for absent symbols.
+    codes: Vec<u64>,
+    /// The dense table: each of the plan's symbols' 1-based position in
+    /// `codes`.
+    table: Vec<u32>,
+}
+
+impl Packer<'_> {
+    /// The `code << 8 | len` of one of the plan's symbols.
+    fn packed_code(&self, sym: u32) -> u64 {
+        self.codes[self.table[sym as usize] as usize]
+    }
+
+    /// Appends to `firsts` the bit of the blob's bit stream each stretch's
+    /// codes start at, one per tally, given the tallies the plan was made
+    /// from, in order.
+    pub(crate) fn first_bits<'t>(
+        &self,
+        tallies: impl IntoIterator<Item = &'t Tally>,
+        firsts: &mut Vec<u64>,
+    ) {
+        let len = |sym: u32| self.packed_code(sym) & 0xFF;
+        let mut at = 0;
+        for t in tallies {
+            firsts.push(at);
+            let near = (self.plan.base..).zip(&t.near).filter(|&(_, &c)| c > 0);
+            at += near.map(|(sym, &c)| u64::from(c) * len(sym)).sum::<u64>();
+            at += t.far.iter().map(|&sym| len(sym)).sum::<u64>();
+        }
+        debug_assert_eq!(at, self.plan.bits, "the tallies are the plan's");
+    }
+
+    /// Packs `symbols[range]`, a stretch of the plan's stream whose codes
+    /// start at bit `first` of the blob's bit stream, into `dst`: the bytes
+    /// from the one holding bit `first` to the one holding the stretch's
+    /// last bit — that one only if the stretch ends the stream (`last`,
+    /// zero-padded), since the next stretch completes it otherwise.  The
+    /// bits before `first` in its byte are recomputed from the codes of the
+    /// symbols before the stretch, so stretches packed into consecutive
+    /// byte ranges give the bytes of one pass over the stream.
+    ///
+    /// The codes are concatenated MSB-first in a 64-bit accumulator that
+    /// spills whole big-endian words straight into `dst` — [`BitWriter`]'s
+    /// byte layout.
+    ///
+    /// [`BitWriter`]: crate::bitstream::BitWriter
+    pub(crate) fn pack(
+        &self,
+        symbols: &[u32],
+        range: Range<usize>,
+        first: u64,
+        last: bool,
+        dst: &mut [u8],
+    ) {
+        // The low `first % 8` bits of the codes before the stretch: each
+        // code takes at least one bit, so at most seven of them.
+        let carried = (first % 8) as u32;
+        let (mut carry, mut got) = (0u64, 0u32);
+        for &sym in symbols[..range.start].iter().rev() {
+            if got >= carried {
+                break;
+            }
+            let packed = self.packed_code(sym);
+            carry |= (packed >> 8) << got;
+            got += (packed & 0xFF) as u32;
+        }
+        let carry = carry & ((1u64 << carried) - 1);
+        pack(&symbols[range], (carry, carried), last, dst, |sym| self.packed_code(sym));
+    }
+}
+
+/// Concatenates the codes of `symbols` MSB-first behind the `pending` bits
+/// of `acc` (right-aligned, fewer than 8) into `dst`, which must be exactly
+/// as long as the whole bytes of those bits, and the final partial byte
+/// too if `last` (zero-padded).  `packed_code` returns `code << 8 | len`
+/// with `1 <= len <= 32`.
+fn pack(
+    symbols: &[u32],
+    (mut acc, mut pending): (u64, u32),
+    last: bool,
+    dst: &mut [u8],
+    packed_code: impl Fn(u32) -> u64,
+) {
     let mut pos = 0usize;
     for &sym in symbols {
         let packed = packed_code(sym);
@@ -482,8 +589,8 @@ fn pack(symbols: &[u32], dst: &mut [u8], packed_code: impl Fn(u32) -> u64) {
             pending = total;
         }
     }
-    if pending > 0 {
-        let tail = pending.div_ceil(8) as usize;
+    let tail = if last { pending.div_ceil(8) } else { pending / 8 } as usize;
+    if tail > 0 {
         let word = acc << (64 - pending);
         dst[pos..pos + tail].copy_from_slice(&word.to_be_bytes()[..tail]);
         pos += tail;
@@ -846,7 +953,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "beyond the 32-bit code limit")]
     fn trees_deeper_than_the_code_limit_panic() {
-        Plan::from_frequencies(&fibonacci_frequencies(50), &mut Tree::default());
+        Plan::from_frequencies(&fibonacci_frequencies(50), &mut Tree::default(), 0);
     }
 
     #[test]
@@ -908,7 +1015,7 @@ mod tests {
 
     #[test]
     fn table_roundtrip() {
-        let plan = Plan::from_frequencies(&[(10, 5), (20, 1), (30, 1)], &mut Tree::default());
+        let plan = Plan::from_frequencies(&[(10, 5), (20, 1), (30, 1)], &mut Tree::default(), 0);
         assert_eq!(plan.lengths, vec![(10, 1), (20, 2), (30, 2)]);
         let mut buf = Vec::new();
         write_table_v2(&plan.lengths, &mut buf);
@@ -1058,6 +1165,51 @@ mod tests {
         assert_eq!(symbols.len(), 46_367);
         assert!(Plan::of(&symbols, 0).lengths.last().unwrap().1 <= 22);
         plan_emit_roundtrip(&symbols, 0);
+    }
+
+    #[test]
+    fn stretches_pack_into_the_bytes_of_one_pass() {
+        let mut next = rng(11);
+        for (width, n) in [(3u64, 1_000usize), (60, 5_003), (70_000, 2_000)] {
+            let symbols: Vec<u32> = (0..n)
+                .map(|_| {
+                    let u = next() % width;
+                    (u * u / width) as u32
+                })
+                .collect();
+            let whole = plan_emit_roundtrip(&symbols, 0);
+            // Stretches of one symbol, cuts a byte apart and far apart.
+            let cuts: [Vec<usize>; 4] =
+                [vec![1], vec![7, 8, 9], vec![n / 3, n / 2], (1..n).step_by(97).collect()];
+            for cuts in cuts {
+                let bounds: Vec<usize> = [0].into_iter().chain(cuts).chain([n]).collect();
+                let tallies: Vec<Tally> = bounds
+                    .windows(2)
+                    .map(|w| {
+                        let mut tally = Tally::default();
+                        tally.count(&symbols[w[0]..w[1]], 0);
+                        tally
+                    })
+                    .collect();
+                let plan = Plan::of_tallies(&tallies, 0);
+                let mut blob = vec![0xEE; plan.blob_len()];
+                let (head, mut bits) = blob.split_at_mut(plan.head().len());
+                head.copy_from_slice(plan.head());
+                plan.with_packer(|packer| {
+                    let mut firsts = Vec::new();
+                    packer.first_bits(&tallies, &mut firsts);
+                    for (k, range) in bounds.windows(2).map(|w| w[0]..w[1]).enumerate() {
+                        let last = k + 1 == tallies.len();
+                        let end = if last { plan.bit_bytes() as u64 } else { firsts[k + 1] / 8 };
+                        let len = (end - firsts[k] / 8) as usize;
+                        let (piece, rest) = std::mem::take(&mut bits).split_at_mut(len);
+                        bits = rest;
+                        packer.pack(&symbols, range, firsts[k], last, piece);
+                    }
+                });
+                assert_eq!(blob, whole, "width {width}, {} stretches", tallies.len());
+            }
+        }
     }
 
     #[test]

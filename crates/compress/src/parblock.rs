@@ -33,17 +33,13 @@ pub(crate) fn write_container(out: &mut Vec<u8>, blocks: &[Vec<u8>]) {
 }
 
 /// Appends the framed container for blocks whose exact lengths are known
-/// before they are encoded: `fill(block_index, slot)` writes each block in
-/// place, in parallel, into its `lens[block_index]`-byte slot of `out`.
-pub(crate) fn encode_blocks_in_place<F>(out: &mut Vec<u8>, lens: &[usize], fill: F)
-where
-    F: Fn(usize, &mut [u8]) + Sync,
-{
+/// before they are encoded, and returns each block's `lens[b]`-byte slot
+/// of `out` (zero-filled), for the caller to write in place on the pool.
+pub(crate) fn block_slots<'a>(out: &'a mut Vec<u8>, lens: &[usize]) -> Vec<&'a mut [u8]> {
     put_lengths(out, lens.iter().copied());
     let start = out.len();
     out.resize(start + lens.iter().sum::<usize>(), 0);
-    let slots = rayon::split_mut(&mut out[start..], lens.iter().copied());
-    rayon::run_items(slots, fill);
+    rayon::split_mut(&mut out[start..], lens.iter().copied())
 }
 
 /// Encodes `nblocks` independent blocks with `encode(block_index)` in

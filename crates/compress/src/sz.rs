@@ -22,8 +22,9 @@
 //! the codes are one fused, branch-light pass over pool-sized chunks of
 //! each block (`ln` first, under the point-wise-relative transform), and
 //! the entropy stage is the plan-then-emit canonical Huffman codec: a
-//! block's blob is sized exactly from its chunks' histograms, so every
-//! block is bit-packed in place, on the pool.  What an encode works in —
+//! block's blob is sized exactly from its chunks' histograms, and so is
+//! where each chunk's codes start, so every chunk's codes are bit-packed
+//! in place, on the pool.  What an encode works in —
 //! the codes, the bitmaps, the chunks' histograms and tails — is a
 //! per-thread scratch kept across calls.  Decoding mirrors it: every block
 //! decodes on the pool into its slice of the result.
@@ -577,9 +578,10 @@ impl SzCompressor {
     /// Appends the block container of the `n` values `coded` names,
     /// quantized under `abs_eb` into `codes`: the fused pass a [`CHUNK`]
     /// per pool task, each block's Huffman plan summed from its chunks'
-    /// tallies, and finally every block bit-packed in place, on the pool,
-    /// at the offset its exact length gives it, its unpredictable tail
-    /// written straight from its chunks.
+    /// tallies, then block by block the blob's head and the unpredictable
+    /// tail (straight from its chunks) written in place, and every chunk's
+    /// codes bit-packed, again a pool task each, into the bytes its exact
+    /// bit offset in the block gives it.
     fn put_blocks(
         coded: Coded<'_>,
         n: usize,
@@ -600,31 +602,46 @@ impl SzCompressor {
         rayon::run_items(codes.chunks_mut(CHUNK).zip(chunks.iter_mut()), |j, (codes, chunk)| {
             Self::code_chunk(coded, j, abs_eb, codes, chunk);
         });
-        let blocks: Vec<(Plan, &[ChunkCoded], usize)> = chunks
-            .chunks(PAR_BLOCK / CHUNK)
-            .map(|cs| {
-                let plan = Plan::of_tallies(cs.iter().map(|c| &c.tally), ZERO_BIN);
-                (plan, cs, cs.iter().map(|c| c.unpred.len()).sum())
-            })
+        let (codes, chunks) = (&*codes, &*chunks);
+        let per_block = PAR_BLOCK / CHUNK;
+        let plans: Vec<Plan> = chunks
+            .chunks(per_block)
+            .map(|cs| Plan::of_tallies(cs.iter().map(|c| &c.tally), ZERO_BIN))
             .collect();
-        let lens: Vec<usize> = blocks
-            .iter()
-            .map(|&(ref plan, _, n_unpred)| {
+        let n_unpred = |cs: &[ChunkCoded]| cs.iter().map(|c| c.unpred.len()).sum::<usize>();
+        let lens: Vec<usize> = (plans.iter().zip(chunks.chunks(per_block)))
+            .map(|(plan, cs)| {
+                let n_unpred = n_unpred(cs);
                 plan.blob_len() + varint_len(n_unpred as u64) + 8 * n_unpred
             })
             .collect();
-        let codes = &*codes;
-        parblock::encode_blocks_in_place(out, &lens, |b, slot| {
-            let (plan, cs, n_unpred) = &blocks[b];
-            let (blob, tail) = slot.split_at_mut(plan.blob_len());
-            plan.emit(Self::block_of(codes, b), blob);
+        let slots = parblock::block_slots(out, &lens);
+        let mut first_bits = Vec::with_capacity(per_block);
+        for (b, ((slot, plan), cs)) in slots.into_iter().zip(&plans).zip(chunks.chunks(per_block)).enumerate() {
+            let (head, rest) = slot.split_at_mut(plan.head().len());
+            let (bits, tail) = rest.split_at_mut(plan.bit_bytes());
+            head.copy_from_slice(plan.head());
             // The tail: `varint n_unpred` + the raw f64s.
-            let at = bytes::write_varint(tail, *n_unpred as u64);
+            let at = bytes::write_varint(tail, n_unpred(cs) as u64);
             let values = cs.iter().flat_map(|c| &c.unpred);
             for (dst, v) in tail[at..].chunks_exact_mut(8).zip(values) {
                 dst.copy_from_slice(&v.to_le_bytes());
             }
-        });
+            let block = Self::block_of(codes, b);
+            plan.with_packer(|packer| {
+                first_bits.clear();
+                packer.first_bits(cs.iter().map(|c| &c.tally), &mut first_bits);
+                // A chunk packs the bytes from the one its first bit is in
+                // up to the one the next chunk's first bit is in, the last
+                // chunk to the end of the bit stream.
+                let ends = first_bits[1..].iter().map(|&f| f / 8).chain([bits.len() as u64]);
+                let lens = first_bits.iter().zip(ends).map(|(&f, end)| (end - f / 8) as usize);
+                rayon::run_items(rayon::split_mut(bits, lens), |i, piece| {
+                    let range = i * CHUNK..((i + 1) * CHUNK).min(block.len());
+                    packer.pack(block, range, first_bits[i], i + 1 == cs.len(), piece);
+                });
+            });
+        }
     }
 
     /// Decodes one block into `out`, one value per slot: `out.len()`
@@ -825,11 +842,7 @@ fn split_signs(
     firsts.clear();
     let mut nonzero = 0usize;
     for (w, word) in data.chunks(64).enumerate() {
-        let (mut z, mut s) = (0u64, 0u64);
-        for (j, &x) in word.iter().enumerate() {
-            z |= u64::from(x == 0.0) << (63 - j);
-            s |= (x.to_bits() >> 63) << (63 - j);
-        }
+        let (z, s) = word_bits(word);
         let nbytes = word.len().div_ceil(8);
         zeros.extend_from_slice(&z.to_be_bytes()[..nbytes]);
         signs.extend_from_slice(&s.to_be_bytes()[..nbytes]);
@@ -847,6 +860,32 @@ fn split_signs(
         nonzero += count;
     }
     nonzero
+}
+
+/// The zero and the sign bits of up to 64 values, MSB first.  Each byte is
+/// built from eight values at fixed shifts, which the compiler turns into
+/// vector compares; a per-value shift into the word does not vectorize.
+#[inline]
+fn word_bits(word: &[f64]) -> (u64, u64) {
+    let (mut z, mut s) = (0u64, 0u64);
+    let mut eights = word.chunks_exact(8);
+    let mut at = 56usize;
+    for e in &mut eights {
+        let e: &[f64; 8] = e.try_into().expect("a chunk of eight");
+        let (mut zb, mut sb) = (0u64, 0u64);
+        for (j, &x) in e.iter().enumerate() {
+            zb |= u64::from(x == 0.0) << (7 - j);
+            sb |= (x.to_bits() >> 63) << (7 - j);
+        }
+        z |= zb << at;
+        s |= sb << at;
+        at = at.saturating_sub(8);
+    }
+    for (j, &x) in eights.remainder().iter().enumerate() {
+        z |= u64::from(x == 0.0) << (at + 7 - j);
+        s |= (x.to_bits() >> 63) << (at + 7 - j);
+    }
+    (z, s)
 }
 
 impl Codec for SzCompressor {

@@ -110,7 +110,7 @@ type Pin = (usize, usize, usize);
 /// the task slots of its 64-chunk kernel calls.
 const PINS: &[(&str, Pin, Pin)] = &[
     ("cg_step", (3, 1504, 0), (10, 31032, 4)),
-    ("lossy_encode", (13, 7393, 0), (15, 8329, 0)),
+    ("lossy_encode", (15, 7569, 0), (19, 9377, 0)),
     ("traditional_encode", (6, 165, 0), (6, 165, 0)),
     ("memory_commit", (27, 646, 0), (27, 646, 0)),
 ];
